@@ -19,7 +19,6 @@ CLI entry) for a one-call verdict; :func:`analyze_workload` is the
 static-analysis counterpart (``repro check --static``).
 """
 
-from repro.check.events import SanitizerHooks
 from repro.check.findings import (
     ANALYSES,
     DISCIPLINE,
@@ -51,7 +50,6 @@ __all__ = [
     "CheckReport",
     "DEFAULT_THREADS",
     "Finding",
-    "SanitizerHooks",
     "StaticCheckConfig",
     "StaticReport",
     "ThreadSanitizer",

@@ -1,10 +1,10 @@
 """The thread sanitizer: one observer dispatching machine events to the
 three analyses (races, lock order, discipline).
 
-A :class:`ThreadSanitizer` is attached by :class:`~repro.sim.machine.
-Machine` when its config carries an enabled
-:class:`~repro.sim.config.SanitizerConfig`.  It owns the cross-analysis
-state every check needs:
+A :class:`ThreadSanitizer` is a :class:`~repro.sim.observer.SimObserver`
+plug-in, attached by :class:`~repro.sim.machine.Machine` when its config
+carries an enabled :class:`~repro.sim.config.SanitizerConfig`.  It owns
+the cross-analysis state every check needs:
 
 * the per-agent stack of held locks (from the lock manager's
   acquired/released events, which are authoritative);
@@ -16,18 +16,18 @@ state every check needs:
 from __future__ import annotations
 
 from repro.check.discipline import DisciplineLinter
-from repro.check.events import SanitizerHooks
 from repro.check.findings import AccessSite, Finding
 from repro.check.lockorder import LockOrderAnalyzer
 from repro.check.lockset import LocksetRaceDetector
 from repro.isa.ops import CounterKind
 from repro.sim.config import SanitizerConfig
+from repro.sim.observer import SimObserver
 
 _EMPTY: frozenset[int] = frozenset()
 _NO_LOCKS: list[int] = []
 
 
-class ThreadSanitizer(SanitizerHooks):
+class ThreadSanitizer(SimObserver):
     """Dispatches simulator events to the configured analyses."""
 
     def __init__(self, config: SanitizerConfig | None = None) -> None:
@@ -64,7 +64,7 @@ class ThreadSanitizer(SanitizerHooks):
     def on_region_end(self, now: int) -> None:
         self._epoch += 1
 
-    def on_thread_exit(self, agent: int, now: int) -> None:
+    def on_thread_exit(self, core: int, agent: int, now: int) -> None:
         held = self._held.get(agent, _NO_LOCKS)
         if self.config.discipline:
             self.discipline.on_thread_exit(agent, held, now)
@@ -94,7 +94,8 @@ class ThreadSanitizer(SanitizerHooks):
         if self.config.discipline:
             self.discipline.on_lock_request(lock_id, agent, held, now)
 
-    def on_lock_acquired(self, lock_id: int, agent: int, now: int) -> None:
+    def on_lock_acquired(self, lock_id: int, agent: int,
+                         grant: int) -> None:
         stack = self._held.setdefault(agent, [])
         stack.append(lock_id)
         self._held_sets[agent] = frozenset(stack)
@@ -118,13 +119,15 @@ class ThreadSanitizer(SanitizerHooks):
             self.discipline.on_barrier_arrive(barrier_id, agent,
                                               team_size, now)
 
-    def on_barrier_release(self, barrier_id: int, agents: list[int],
+    def on_barrier_release(self, barrier_id: int,
+                           releases: list[tuple[int, int]],
                            now: int) -> None:
         # Every participant's pre-barrier accesses have been observed and
         # all post-barrier ones come later: a happens-before fence.
         self._epoch += 1
         if self.config.discipline:
-            self.discipline.on_barrier_release(barrier_id, agents, now)
+            self.discipline.on_barrier_release(
+                barrier_id, [agent for agent, _when in releases], now)
 
     # -- counters ----------------------------------------------------------------
 

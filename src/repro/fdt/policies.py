@@ -141,7 +141,7 @@ class FdtPolicy(ThreadingPolicy):
             total_iterations=total,
             num_cores=slots,
             kernel_name=kernel.name,
-            trace=machine.trace,
+            observer=machine.observer,
         )
         train_region = machine.run_serial(
             lambda tid, team: instrumented_training_program(
@@ -150,8 +150,8 @@ class FdtPolicy(ThreadingPolicy):
         # -- estimation ---------------------------------------------------
         estimates = estimate(log, slots)
         threads = self.decide(estimates)
-        if machine.trace is not None:
-            machine.trace.on_fdt_decision(
+        if machine.observer is not None:
+            machine.observer.on_fdt_decision(
                 kernel.name, self.name, self.mode.value, log, estimates,
                 threads, slots, machine.events.now)
         self._publish_decision(estimates, threads)

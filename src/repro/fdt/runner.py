@@ -88,13 +88,14 @@ def run_application(app: Application, policy: ThreadingPolicy,
     """
     if machine is None:
         machine = Machine(config or MachineConfig.asplos08_baseline())
-    if machine.trace is not None:
-        machine.trace.on_app_begin(app.name, policy.name, machine.events.now)
+    if machine.observer is not None:
+        machine.observer.on_app_begin(app.name, policy.name,
+                                      machine.events.now)
     infos = []
     for k in app.kernels:
         info = policy.run_kernel(machine, k)
-        if machine.trace is not None:
-            machine.trace.on_kernel_complete(
+        if machine.observer is not None:
+            machine.observer.on_kernel_complete(
                 k.name, info.threads, info.training_cycles,
                 info.execution_cycles, machine.events.now)
         infos.append(info)

@@ -24,8 +24,8 @@ from repro.errors import TrainingError
 from repro.fdt.kernel import Kernel
 from repro.isa.ops import CounterKind, Lock, Op, ReadCounter, Unlock
 
-if TYPE_CHECKING:  # pragma: no cover - break the fdt <-> trace cycle
-    from repro.trace.events import TraceHooks
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.sim.observer import SimObserver
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,16 +98,16 @@ class TrainingLog:
     stop_reason: str = ""
     #: Kernel this log trains (labels trace marks; "" when untraced).
     kernel_name: str = ""
-    #: Trace observer (repro.trace); never affects termination rules.
-    trace: "TraceHooks | None" = None
+    #: Observer (repro.sim.observer); never affects termination rules.
+    observer: "SimObserver | None" = None
 
     # -- recording (called from inside the simulated program) ----------------
 
     def record(self, sample: TrainingSample) -> bool:
         """Add a sample; return True when training should terminate."""
         self.samples.append(sample)
-        if self.trace is not None:
-            self.trace.on_training_sample(self.kernel_name, sample)
+        if self.observer is not None:
+            self.observer.on_training_sample(self.kernel_name, sample)
         if len(self.samples) >= self.config.max_training_iterations(
                 self.total_iterations):
             self.stop_reason = "iteration-cap"

@@ -22,7 +22,7 @@ Typical use::
 from repro.jobs.api import JobResolution, JobRunner
 from repro.jobs.cache import ResultCache, default_cache_dir
 from repro.jobs.executor import JobOutcome, execute_jobs
-from repro.jobs.manifest import ManifestEntry, RunManifest
+from repro.jobs.manifest import RunManifest
 from repro.jobs.preflight import (
     FATAL_KINDS,
     PreflightVerdict,
@@ -48,7 +48,6 @@ __all__ = [
     "WorkloadRef",
     "ResultCache",
     "RunManifest",
-    "ManifestEntry",
     "JobOutcome",
     "FATAL_KINDS",
     "PreflightVerdict",

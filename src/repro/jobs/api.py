@@ -33,7 +33,7 @@ from repro.jobs.backoff import (
 )
 from repro.jobs.cache import ResultCache
 from repro.jobs.executor import STATUS_TIMEOUT, execute_jobs
-from repro.jobs.manifest import ManifestEntry, RunManifest
+from repro.jobs.manifest import RunManifest
 from repro.jobs.preflight import PreflightVerdict, preflight_key, run_preflight
 from repro.jobs.results import app_result_from_dict
 from repro.jobs.spec import SCHEMA_VERSION, JobSpec
@@ -454,31 +454,19 @@ class JobRunner:
                 trace_path: str = "") -> None:
         """The single bookkeeping point for every resolved spec.
 
-        One call appends the manifest entry, the run-registry
-        provenance row, and the resolution metric — so the three views
-        can never disagree about what happened.
+        One record goes to the manifest and the run registry, next to
+        the resolution metric — so the three views can never disagree
+        about what happened.
         """
         finished = datetime.now(timezone.utc)
         started = finished - timedelta(seconds=wall_time)
-        self.manifest.record(ManifestEntry(
-            key=key,
-            workload=spec.workload.label,
-            policy=spec.policy.label,
-            status=status,
-            backend=backend,
-            wall_time=wall_time,
-            error=error,
-            trace_path=trace_path,
-            started_at=started.isoformat(),
-            finished_at=finished.isoformat(),
-        ))
         default_registry().labeled_counter(
             "repro_jobs_resolutions_total",
             "Job resolutions by disposition.", "status").inc(status)
         if self._host is None:
             self._host = host_fingerprint()
         ctx = current_context()
-        self.run_registry.append(RunRecord(
+        record = RunRecord(
             key=key,
             workload=spec.workload.label,
             policy=spec.policy.label,
@@ -493,7 +481,9 @@ class JobRunner:
             trace_path=trace_path,
             error=error,
             fdt=_fdt_decisions(self._memo.get(key)),
-        ))
+        )
+        self.manifest.record(record)
+        self.run_registry.append(record)
         _log.debug("resolved", extra={"key": key, "status": status,
                                       "backend": backend,
                                       "wall_time": round(wall_time, 6)})

@@ -1,7 +1,8 @@
 """Run manifests: what every job in a batch did and what it cost.
 
-A :class:`RunManifest` accumulates one :class:`ManifestEntry` per job a
-:class:`~repro.jobs.api.JobRunner` resolved — cache hits included — and
+A :class:`RunManifest` accumulates one :class:`~repro.obs.runreg.
+RunRecord` per job a :class:`~repro.jobs.api.JobRunner` resolved — cache
+hits included; the same record the run registry persists — and
 serializes to strict JSON for post-hoc inspection (which runs were
 recomputed and why, where the wall time went, whether a warm cache
 actually eliminated all simulation).
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.jobs.spec import SCHEMA_VERSION
+from repro.obs.runreg import RunRecord
 
 #: Entry status values.
 STATUS_HIT = "hit"
@@ -21,50 +23,19 @@ STATUS_COMPUTED = "computed"
 STATUS_TIMEOUT = "timeout"
 _SUCCESS_STATUSES = (STATUS_HIT, STATUS_COMPUTED)
 
-
-@dataclass(frozen=True, slots=True)
-class ManifestEntry:
-    """One resolved job."""
-
-    key: str
-    workload: str
-    policy: str
-    #: ``hit`` | ``computed`` | ``failed`` | ``timeout``.
-    status: str
-    #: ``cache`` | ``serial`` | ``pool`` | ``serial-fallback``.
-    backend: str
-    wall_time: float = 0.0
-    error: str = ""
-    #: Where the job's trace artifacts were written ("" when untraced;
-    #: cache hits never re-trace, so hits always carry "").
-    trace_path: str = ""
-    #: Wall-clock bounds of the resolution, ISO-8601 with timezone
-    #: ("" for entries recorded before timestamping existed).
-    started_at: str = ""
-    finished_at: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "workload": self.workload,
-            "policy": self.policy,
-            "status": self.status,
-            "backend": self.backend,
-            "wall_time": round(self.wall_time, 6),
-            "error": self.error,
-            "trace_path": self.trace_path,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
+#: The record fields a manifest entry serializes, in JSON order.
+ENTRY_FIELDS = ("key", "workload", "policy", "status", "backend",
+                "wall_time", "error", "trace_path", "started_at",
+                "finished_at")
 
 
 @dataclass(slots=True)
 class RunManifest:
     """Accumulated record of one batch run."""
 
-    entries: list[ManifestEntry] = field(default_factory=list)
+    entries: list[RunRecord] = field(default_factory=list)
 
-    def record(self, entry: ManifestEntry) -> None:
+    def record(self, entry: RunRecord) -> None:
         self.entries.append(entry)
 
     @property
@@ -116,7 +87,8 @@ class RunManifest:
             "wall_time": round(self.wall_time, 6),
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [{name: row[name] for name in ENTRY_FIELDS}
+                        for row in (e.to_dict() for e in self.entries)],
         }
 
     def write(self, path: str | Path) -> None:

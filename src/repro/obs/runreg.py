@@ -73,16 +73,19 @@ class RunRecord:
     #: Disposition: ``hit`` / ``computed`` / ``failed`` / ``timeout`` /
     #: ``preflight-failed``.
     status: str
+    #: ``cache`` | ``serial`` | ``pool`` | ``serial-fallback``.
     backend: str
-    wall_time: float
-    #: Wall-clock bounds, ISO-8601 with timezone.
-    started_at: str
-    finished_at: str
+    wall_time: float = 0.0
+    #: Wall-clock bounds, ISO-8601 with timezone ("" when unstamped).
+    started_at: str = ""
+    finished_at: str = ""
     #: Job-spec schema version the key was computed under.
-    schema_version: int
+    schema_version: int = 0
     host: dict[str, Any] = field(default_factory=dict)
     #: Obs trace the resolution belongs to ("" when untraced).
     trace_id: str = ""
+    #: Where the job's trace artifacts were written ("" when untraced;
+    #: cache hits never re-trace, so hits always carry "").
     trace_path: str = ""
     error: str = ""
     #: Per-kernel FDT decisions: ``[{"kernel", "threads", "estimates"}]``.

@@ -93,14 +93,17 @@ class Span:
         return max(0.0, self.end - self.start)
 
     def to_dict(self) -> dict:
+        # ``duration`` is derived from the rounded bounds, so it is a
+        # function of the serialized fields and survives a round trip.
+        start, end = round(self.start, 6), round(self.end, 6)
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "name": self.name,
-            "start": round(self.start, 6),
-            "end": round(self.end, 6),
-            "duration": round(self.duration, 6),
+            "start": start,
+            "end": end,
+            "duration": round(max(0.0, end - start), 6),
             "status": self.status,
             "attrs": dict(self.attrs),
         }

@@ -14,10 +14,9 @@ from typing import TYPE_CHECKING
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - break the sim <-> runtime cycle
-    from repro.check.events import SanitizerHooks
     from repro.sim.config import MachineConfig
+    from repro.sim.observer import SimObserver
     from repro.sim.ring import Ring
-    from repro.trace.events import TraceHooks
 
 
 @dataclass(slots=True)
@@ -39,16 +38,13 @@ class BarrierManager:
 
     def __init__(self, config: "MachineConfig", ring: "Ring",
                  core_nodes: list[int],
-                 hooks: "SanitizerHooks | None" = None,
-                 trace: "TraceHooks | None" = None) -> None:
+                 observer: "SimObserver | None" = None) -> None:
         self._config = config
         self._ring = ring
         self._core_nodes = core_nodes
         self._barriers: dict[int, _BarrierState] = {}
-        #: Sanitizer observer (repro.check); never affects release timing.
-        self._hooks = hooks
-        #: Trace observer (repro.trace); never affects release timing.
-        self._trace = trace
+        #: Observer (repro.sim.observer); never affects release timing.
+        self._observer = observer
         self.stats = BarrierStats()
 
     def arrive(self, barrier_id: int, core: int, team_size: int,
@@ -65,10 +61,8 @@ class BarrierManager:
         """
         if team_size < 1:
             raise SimulationError("barrier team size must be >= 1")
-        if self._hooks is not None:
-            self._hooks.on_barrier_arrive(barrier_id, core, team_size, now)
-        if self._trace is not None:
-            self._trace.on_barrier_arrive(barrier_id, core, now)
+        if self._observer is not None:
+            self._observer.on_barrier_arrive(barrier_id, core, team_size, now)
         st = self._barriers.get(barrier_id)
         if st is None:
             st = _BarrierState()
@@ -82,9 +76,6 @@ class BarrierManager:
 
         # Last arriver: release everyone.
         self.stats.episodes += 1
-        if self._hooks is not None:
-            self._hooks.on_barrier_release(
-                barrier_id, [c for c, _t in st.arrived], now)
         last_node = self._core_nodes[core]
         releases = []
         for c, arrived_at in st.arrived:
@@ -92,8 +83,8 @@ class BarrierManager:
             release = now + hops * self._config.ring_hop_latency
             releases.append((c, release))
             self.stats.total_wait_cycles += release - arrived_at
-        if self._trace is not None:
-            self._trace.on_barrier_release(barrier_id, releases, now)
+        if self._observer is not None:
+            self._observer.on_barrier_release(barrier_id, releases, now)
         st.arrived = []
         st.generation += 1
         return releases

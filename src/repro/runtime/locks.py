@@ -17,10 +17,9 @@ from typing import TYPE_CHECKING
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - break the sim <-> runtime cycle
-    from repro.check.events import SanitizerHooks
     from repro.sim.config import MachineConfig
+    from repro.sim.observer import SimObserver
     from repro.sim.ring import Ring
-    from repro.trace.events import TraceHooks
 
 
 @dataclass(slots=True)
@@ -46,16 +45,13 @@ class LockManager:
 
     def __init__(self, config: "MachineConfig", ring: "Ring",
                  core_nodes: list[int],
-                 hooks: "SanitizerHooks | None" = None,
-                 trace: "TraceHooks | None" = None) -> None:
+                 observer: "SimObserver | None" = None) -> None:
         self._config = config
         self._ring = ring
         self._core_nodes = core_nodes
         self._locks: dict[int, _LockState] = {}
-        #: Sanitizer observer (repro.check); never affects grant timing.
-        self._hooks = hooks
-        #: Trace observer (repro.trace); never affects grant timing.
-        self._trace = trace
+        #: Observer (repro.sim.observer); never affects grant timing.
+        self._observer = observer
         self.stats = LockStats()
 
     def _state(self, lock_id: int) -> _LockState:
@@ -86,15 +82,13 @@ class LockManager:
             st.holder = core
             st.acquired_at = grant
             self.stats.acquisitions += 1
-            if self._hooks is not None:
-                self._hooks.on_lock_acquired(lock_id, core, grant)
-            if self._trace is not None:
-                self._trace.on_lock_acquired(lock_id, core, grant)
+            if self._observer is not None:
+                self._observer.on_lock_acquired(lock_id, core, grant)
             return grant
         st.waiters.append((core, now))
         self.stats.contended_acquisitions += 1
-        if self._trace is not None:
-            self._trace.on_lock_spin_begin(lock_id, core, now)
+        if self._observer is not None:
+            self._observer.on_lock_spin_begin(lock_id, core, now)
         return None
 
     def release(self, lock_id: int, core: int, now: int) -> tuple[int, int] | None:
@@ -113,10 +107,8 @@ class LockManager:
         self.stats.total_hold_cycles += now - st.acquired_at
         st.last_holder = core
         st.holder = None
-        if self._hooks is not None:
-            self._hooks.on_lock_released(lock_id, core, now)
-        if self._trace is not None:
-            self._trace.on_lock_released(lock_id, core, now)
+        if self._observer is not None:
+            self._observer.on_lock_released(lock_id, core, now)
         if not st.waiters:
             return None
         if self._config.lock_grant_order == "lifo":
@@ -128,10 +120,8 @@ class LockManager:
         st.acquired_at = grant
         self.stats.acquisitions += 1
         self.stats.total_wait_cycles += grant - enqueued
-        if self._hooks is not None:
-            self._hooks.on_lock_acquired(lock_id, next_core, grant)
-        if self._trace is not None:
-            self._trace.on_lock_acquired(lock_id, next_core, grant)
+        if self._observer is not None:
+            self._observer.on_lock_acquired(lock_id, next_core, grant)
         return next_core, grant
 
     def holder(self, lock_id: int) -> int | None:

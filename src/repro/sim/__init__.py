@@ -16,5 +16,6 @@ keeps multi-million-cycle simulations tractable in pure Python.
 
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, RunResult
+from repro.sim.observer import SimObserver
 
-__all__ = ["MachineConfig", "Machine", "RunResult"]
+__all__ = ["MachineConfig", "Machine", "RunResult", "SimObserver"]

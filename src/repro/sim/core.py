@@ -83,7 +83,7 @@ class Core:
 
     __slots__ = ("core_id", "machine", "predictor", "contexts",
                  "retired_instructions", "_coalesce", "_mem_access",
-                 "_retired", "_sanitizer")
+                 "_retired", "_observer")
 
     def __init__(self, core_id: int, machine: "Machine") -> None:
         self.core_id = core_id
@@ -95,18 +95,18 @@ class Core:
         for ctx in self.contexts:
             ctx.resume = (lambda c=ctx: self._step(c))
             ctx.resume_pending = (lambda c=ctx: self._dispatch_pending(c))
-        #: Coalescing homogeneous Compute runs is bit-identical only when
-        #: the issue-width share cannot change mid-run (one context per
-        #: core) and no tracer wants per-op compute spans.
+        #: Coalescing homogeneous Compute runs is valid only when the
+        #: issue-width share cannot change mid-run (one context per core).
+        #: Never a function of the observer: attaching one must not pick
+        #: the code path.
         self._coalesce = (not slow_paths_enabled()
-                          and machine.config.smt_threads == 1
-                          and machine.trace is None)
+                          and machine.config.smt_threads == 1)
         self._mem_access = machine.memsys.make_port(core_id)
-        #: The counter file's per-core retired array and the sanitizer,
+        #: The counter file's per-core retired array and the observer,
         #: bound once (both are fixed at machine construction): the
         #: per-op accounting below is two list bumps, not method calls.
         self._retired = machine.counters._retired
-        self._sanitizer = machine.sanitizer
+        self._observer = machine.observer
 
     # -- aggregate views -----------------------------------------------------
 
@@ -135,9 +135,8 @@ class Core:
         ctx.agent_id = agent_id
         ctx.state = CoreState.RUNNING
         ctx.started_at = at
-        trace = self.machine.trace
-        if trace is not None:
-            trace.on_thread_start(self.core_id, agent_id, at)
+        if self._observer is not None:
+            self._observer.on_thread_start(self.core_id, agent_id, at)
         self.machine.events.schedule(at, ctx.resume)
 
     def _finish_thread(self, ctx: _Context) -> None:
@@ -147,13 +146,9 @@ class Core:
         ctx.state = CoreState.IDLE
         if agent_id is None:  # pragma: no cover - defensive
             raise SimulationError("finished a thread that never started")
-        san = self.machine.sanitizer
-        if san is not None:
-            san.on_thread_exit(agent_id, self.machine.events.now)
-        trace = self.machine.trace
-        if trace is not None:
-            trace.on_thread_exit(self.core_id, agent_id,
-                                 self.machine.events.now)
+        if self._observer is not None:
+            self._observer.on_thread_exit(self.core_id, agent_id,
+                                          self.machine.events.now)
         self.machine.on_thread_finished(self.core_id, agent_id)
 
     # -- execution loop ---------------------------------------------------------
@@ -197,6 +192,7 @@ class Core:
         machine = self.machine
         events = machine.events
         now = events.now
+        obs = self._observer
 
         if type(op) is Compute:
             n = op.instructions
@@ -206,7 +202,8 @@ class Core:
                 # are summed per op (ceil each), the share factor is a
                 # constant 1 (one context per core), and nothing outside
                 # this core can observe the intermediate cycles, so the
-                # schedule is bit-identical to stepping op by op.
+                # schedule equals stepping op by op up to the order of
+                # same-cycle events on other cores.
                 width = machine.config.issue_width
                 cycles = -(-n // width) if n else 0
                 nxt = self._next_op(ctx)
@@ -219,6 +216,9 @@ class Core:
                 self.retired_instructions += n
                 self._retired[self.core_id] += n
                 if cycles:
+                    if obs is not None and ctx.agent_id is not None:
+                        obs.on_compute(self.core_id, ctx.agent_id,
+                                       now, now + cycles)
                     ctx.pending = nxt
                     events.schedule(now + cycles, ctx.resume_pending)
                 elif nxt is None:
@@ -231,9 +231,9 @@ class Core:
             self.retired_instructions += n
             self._retired[self.core_id] += n
             if cycles:
-                if machine.trace is not None and ctx.agent_id is not None:
-                    machine.trace.on_compute(self.core_id, ctx.agent_id,
-                                             now, now + cycles)
+                if obs is not None and ctx.agent_id is not None:
+                    obs.on_compute(self.core_id, ctx.agent_id,
+                                   now, now + cycles)
                 events.schedule(now + cycles, ctx.resume)
             else:
                 self._step(ctx)
@@ -241,9 +241,8 @@ class Core:
 
         if type(op) is Load or type(op) is Store:
             is_write = type(op) is Store
-            san = self._sanitizer
-            if san is not None and ctx.agent_id is not None:
-                san.on_access(ctx.agent_id, op.addr, is_write, now)
+            if obs is not None and ctx.agent_id is not None:
+                obs.on_access(ctx.agent_id, op.addr, is_write, now)
             done = self._mem_access(op.addr, is_write, now)
             self.retired_instructions += 1
             self._retired[self.core_id] += 1
@@ -261,9 +260,8 @@ class Core:
 
         if type(op) is Lock:
             assert ctx.agent_id is not None
-            san = machine.sanitizer
-            if san is not None:
-                san.on_lock_request(op.lock_id, ctx.agent_id, now)
+            if obs is not None:
+                obs.on_lock_request(op.lock_id, ctx.agent_id, now)
             grant = machine.locks.acquire(op.lock_id, ctx.agent_id, now)
             if grant is None:
                 self._begin_spin(ctx, now)
@@ -273,9 +271,8 @@ class Core:
 
         if type(op) is Unlock:
             assert ctx.agent_id is not None
-            san = machine.sanitizer
-            if san is not None:
-                san.on_unlock_request(op.lock_id, ctx.agent_id, now)
+            if obs is not None:
+                obs.on_unlock_request(op.lock_id, ctx.agent_id, now)
             handoff = machine.locks.release(op.lock_id, ctx.agent_id, now)
             if handoff is not None:
                 next_agent, grant = handoff
@@ -299,9 +296,8 @@ class Core:
             return
 
         if type(op) is ReadCounter:
-            san = machine.sanitizer
-            if san is not None and ctx.agent_id is not None:
-                san.on_read_counter(ctx.agent_id, op.kind, now)
+            if obs is not None and ctx.agent_id is not None:
+                obs.on_read_counter(ctx.agent_id, op.kind, now)
             ctx.send_value = machine.counters.read(op.kind, self.core_id)
             # Reading a counter is a cheap serializing instruction.
             events.schedule(now + 1, ctx.resume)

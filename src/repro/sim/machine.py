@@ -33,6 +33,7 @@ from repro.sim.stats import RunResult, Snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.check.sanitizer import ThreadSanitizer
+    from repro.sim.observer import SimObserver
     from repro.trace.recorder import TraceRecorder
 
 
@@ -67,48 +68,51 @@ class Machine:
     """A simulated CMP built from a :class:`MachineConfig`."""
 
     __slots__ = ("config", "events", "ring", "memsys", "counters",
-                 "sanitizer", "trace", "locks", "barriers", "cores",
+                 "observer", "sanitizer", "trace", "locks", "barriers", "cores",
                  "_team_size", "_threads_running", "_active_core_cycles",
                  "_core_first_start")
 
     def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig.asplos08_baseline()
         self.events = EventQueue()
+        #: The configured plug-ins (repro.check / repro.trace), or None:
+        #: handles for fetching their reports, never dispatch points.
+        #: Imported lazily so the sim layer stays import-free of both
+        #: unless a config actually asks for them.
+        self.sanitizer: ThreadSanitizer | None = None
+        san_config = self.config.sanitizer
+        if san_config is not None and san_config.enabled:
+            from repro.check.sanitizer import ThreadSanitizer
+            self.sanitizer = ThreadSanitizer(san_config)
+        self.trace: TraceRecorder | None = None
+        trace_config = self.config.trace
+        if trace_config is not None and trace_config.enabled:
+            from repro.trace.recorder import TraceRecorder
+            self.trace = TraceRecorder(trace_config, self)
+            if trace_config.counters:
+                self.events.sampler = self.trace
+        #: The single slot every hook site reports to (repro.sim.observer):
+        #: None, the one attached plug-in, or a fan-out over both.
+        self.observer: SimObserver | None = self.sanitizer or self.trace
+        if self.sanitizer is not None and self.trace is not None:
+            from repro.sim.observer import FanOut
+            self.observer = FanOut(self.sanitizer, self.trace)
         core_nodes, bank_nodes = _place_nodes(self.config.num_cores,
                                               self.config.l3_banks)
         self.ring = Ring(self.config.num_cores + self.config.l3_banks,
                          self.config.ring_hop_latency,
                          self.config.ring_link_occupancy)
-        self.memsys = MemorySystem(self.config, self.ring, core_nodes, bank_nodes)
+        self.memsys = MemorySystem(self.config, self.ring, core_nodes,
+                                   bank_nodes, observer=self.observer)
         self.counters = CounterFile(self.events, self.memsys)
-        #: Thread sanitizer (repro.check), or None.  A pure observer:
-        #: attaching one never changes simulated timing.
-        self.sanitizer: ThreadSanitizer | None = None
-        san_config = self.config.sanitizer
-        if san_config is not None and san_config.enabled:
-            # Imported lazily: the sim layer stays import-free of the
-            # checker unless a config actually asks for it.
-            from repro.check.sanitizer import ThreadSanitizer
-            self.sanitizer = ThreadSanitizer(san_config)
-        #: Trace recorder (repro.trace), or None.  Like the sanitizer, a
-        #: pure observer: attaching one never changes simulated timing.
-        self.trace: TraceRecorder | None = None
-        trace_config = self.config.trace
-        if trace_config is not None and trace_config.enabled:
-            # Imported lazily for the same reason as the sanitizer.
-            from repro.trace.recorder import TraceRecorder
-            self.trace = TraceRecorder(trace_config, self)
-            if trace_config.counters:
-                self.events.sampler = self.trace
-            self.memsys.trace = self.trace
         # Locks and barriers are keyed by *agent* (thread slot); an
         # agent's ring node is its hosting core's node.
         agent_nodes = [core_nodes[s % self.config.num_cores]
                        for s in range(self.config.num_thread_slots)]
         self.locks = LockManager(self.config, self.ring, agent_nodes,
-                                 hooks=self.sanitizer, trace=self.trace)
+                                 observer=self.observer)
         self.barriers = BarrierManager(self.config, self.ring, agent_nodes,
-                                       hooks=self.sanitizer, trace=self.trace)
+                                       observer=self.observer)
         self.cores = [Core(i, self) for i in range(self.config.num_cores)]
         self._team_size = 0
         self._threads_running = 0
@@ -173,10 +177,8 @@ class Machine:
             raise SimulationError("a parallel region is already running")
 
         start = self.events.now
-        if self.sanitizer is not None:
-            self.sanitizer.on_region_begin(num_threads, start)
-        if self.trace is not None:
-            self.trace.on_region_begin(num_threads, start)
+        if self.observer is not None:
+            self.observer.on_region_begin(num_threads, start)
         self._team_size = num_threads
         self._threads_running = num_threads
         self._core_first_start.clear()
@@ -209,10 +211,8 @@ class Machine:
         for _core_id, first_start in self._core_first_start.items():
             self._active_core_cycles += end - first_start
         self._core_first_start.clear()
-        if self.sanitizer is not None:
-            self.sanitizer.on_region_end(end)
-        if self.trace is not None:
-            self.trace.on_region_end(end)
+        if self.observer is not None:
+            self.observer.on_region_end(end)
         return RegionResult(start_cycle=start, end_cycle=end,
                             num_threads=num_threads)
 

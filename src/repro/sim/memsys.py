@@ -34,7 +34,7 @@ from repro.sim.ring import Ring
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.l3 import L3Bank
-    from repro.trace.recorder import TraceRecorder
+    from repro.sim.observer import SimObserver
 
 #: A core-side access function: ``port(addr, is_write, now) -> done``.
 AccessPort = Callable[[int, bool, int], int]
@@ -63,11 +63,12 @@ class MemorySystem:
     """Per-core private caches plus all shared structures."""
 
     __slots__ = ("config", "ring", "core_nodes", "bank_nodes", "l1s", "l2s",
-                 "l3", "directory", "bus", "dram", "stats", "trace",
+                 "l3", "directory", "bus", "dram", "stats", "observer",
                  "_offset_bits", "_fast")
 
     def __init__(self, config: MachineConfig, ring: Ring,
-                 core_nodes: list[int], bank_nodes: list[int]) -> None:
+                 core_nodes: list[int], bank_nodes: list[int],
+                 observer: "SimObserver | None" = None) -> None:
         self.config = config
         self.ring = ring
         self.core_nodes = core_nodes
@@ -87,10 +88,10 @@ class MemorySystem:
         self.bus = OffChipBus(config)
         self.dram = Dram(config)
         self.stats = MemSysStats()
-        #: Trace recorder (repro.trace), or None.  A pure observer fed
-        #: the stall intervals of L2 misses and coherence upgrades —
-        #: the accesses that actually block an in-order core.
-        self.trace: TraceRecorder | None = None
+        #: Observer (repro.sim.observer), or None; fed the stall
+        #: intervals of L2 misses and coherence upgrades — the accesses
+        #: that actually block an in-order core.
+        self.observer = observer
         self._offset_bits = config.line_bytes.bit_length() - 1
         self._fast = not slow_paths_enabled()
 
@@ -247,8 +248,8 @@ class MemorySystem:
             self._invalidate_private(v, line)
         self.l2s[core].update(line, _M)
         done = self.ring.latency_at(t_acks, bank_node, core_node)
-        if self.trace is not None:
-            self.trace.on_mem_access(core, line, True, t, done)
+        if self.observer is not None:
+            self.observer.on_mem_access(core, line, True, t, done)
         return done
 
     def _miss(self, core: int, line: int, is_write: bool, t: int) -> int:
@@ -371,8 +372,8 @@ class MemorySystem:
             s1[line] = True
         else:
             l1.insert(line, True)
-        if self.trace is not None:
-            self.trace.on_mem_access(core, line, is_write, t, t_data)
+        if self.observer is not None:
+            self.observer.on_mem_access(core, line, is_write, t, t_data)
         return t_data
 
     def _cache_to_cache(self, core: int, line: int, is_write: bool,

@@ -47,7 +47,6 @@ from repro.trace.data import (
     Span,
     Trace,
 )
-from repro.trace.events import TraceHooks
 from repro.trace.export import (
     counters_csv,
     decisions_json,
@@ -71,7 +70,6 @@ __all__ = [
     "Mark",
     "Span",
     "Trace",
-    "TraceHooks",
     "TraceRecorder",
     "TracedRun",
     "counters_csv",

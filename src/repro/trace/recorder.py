@@ -2,8 +2,8 @@
 
 A :class:`TraceRecorder` is attached by :class:`~repro.sim.machine.
 Machine` when its config carries an enabled
-:class:`~repro.sim.config.TraceConfig`.  It implements every
-:class:`~repro.trace.events.TraceHooks` method plus the event queue's
+:class:`~repro.sim.config.TraceConfig`.  It is a
+:class:`~repro.sim.observer.SimObserver` plug-in plus the event queue's
 ``on_advance`` sampling callback, and owns the in-flight state the
 timeline needs (open lock-wait / critical-section / barrier-wait
 intervals keyed by agent).
@@ -11,13 +11,14 @@ intervals keyed by agent).
 The recorder is a pure observer: it reads machine counters and appends
 to its :class:`~repro.trace.data.Trace`, never schedules events, and
 never mutates machine state — simulated cycle counts are bit-identical
-with a recorder attached or not (``tests/test_trace_parity.py``).
+with a recorder attached or not (``tests/test_observer_parity.py``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.sim.observer import SimObserver
 from repro.trace.data import (
     STATE_BARRIER_WAIT,
     STATE_COMPUTE,
@@ -30,7 +31,6 @@ from repro.trace.data import (
     Span,
     Trace,
 )
-from repro.trace.events import TraceHooks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.fdt.estimators import Estimates
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sim.machine import Machine
 
 
-class TraceRecorder(TraceHooks):
+class TraceRecorder(SimObserver):
     """Records timeline spans, counter samples, and FDT decisions."""
 
     def __init__(self, config: "TraceConfig", machine: "Machine") -> None:
@@ -173,7 +173,7 @@ class TraceRecorder(TraceHooks):
     # -- barriers ---------------------------------------------------------------------
 
     def on_barrier_arrive(self, barrier_id: int, agent: int,
-                          now: int) -> None:
+                          team_size: int, now: int) -> None:
         self._barrier_waits[(agent, barrier_id)] = now
 
     def on_barrier_release(self, barrier_id: int,

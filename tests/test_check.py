@@ -1,8 +1,8 @@
 """Tests for the thread sanitizer (repro.check).
 
 Positive controls must trip exactly their analysis; the twelve Table 2
-workloads must check clean; and the sanitizer must be a pure observer —
-enabling it cannot move a single cycle.
+workloads must check clean.  That the sanitizer is a pure observer —
+enabling it cannot move a single cycle — is ``test_observer_parity.py``.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from repro.check.findings import AccessSite
 from repro.check.lockset import LocksetRaceDetector
 from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
-from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, CounterKind, Op, Store
 from repro.sim.config import MachineConfig, SanitizerConfig
 from repro.sim.machine import Machine
-from repro.workloads import all_specs, get
+from repro.workloads import all_specs
 from repro.workloads.base import LINE, AddressSpace
 from repro.workloads.synthetic import (
     RacyKernel,
@@ -139,20 +138,7 @@ def test_barrier_epochs_suppress_phased_writer_rotation():
     assert report.clean
 
 
-# -- pure-observer property --------------------------------------------------
-
-def _static_cycles(config: MachineConfig) -> int:
-    machine = Machine(config)
-    policy = StaticPolicy(4)
-    for kernel in get("EP").build(0.1).kernels:
-        policy.run_kernel(machine, kernel)
-    return machine.now
-
-
-def test_sanitizer_does_not_change_cycle_counts():
-    base = MachineConfig.asplos08_baseline()
-    assert _static_cycles(base) == _static_cycles(base.with_sanitizer())
-
+# -- pure-observer property: tests/test_observer_parity.py --------------------
 
 def test_sanitizer_disabled_by_default():
     machine = Machine(MachineConfig.asplos08_baseline())
@@ -260,11 +246,11 @@ def test_sanitizer_tracks_held_locks_and_epoch():
     san = ThreadSanitizer()
     san.on_region_begin(2, now=0)
     epoch = san.epoch
-    san.on_lock_acquired(7, agent=0, now=1)
+    san.on_lock_acquired(7, agent=0, grant=1)
     assert san.held_locks(0) == [7]
     san.on_lock_released(7, agent=0, now=2)
     assert san.held_locks(0) == []
-    san.on_barrier_release(0, [0, 1], now=3)
+    san.on_barrier_release(0, [(0, 3), (1, 3)], now=3)
     assert san.epoch == epoch + 1
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro import cli
 from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
-from repro.jobs.manifest import ManifestEntry, RunManifest
+from repro.jobs.manifest import RunManifest
 from repro.obs import (
     configure_logging,
     default_registry,
@@ -30,6 +30,7 @@ from repro.obs.log import configure_from_env
 from repro.obs.registry import Counter, Histogram, MetricsRegistry
 from repro.obs.runreg import RunRecord, RunRegistry
 from repro.obs.tracing import (
+    Span,
     SpanRecorder,
     current_context,
     read_spans_jsonl,
@@ -220,6 +221,13 @@ def test_span_jsonl_round_trip_and_sink(tmp_path):
     assert [s.to_dict() for s in parsed] == [s.to_dict() for s in spans]
     text = spans_jsonl(spans)
     assert json.loads(text.splitlines()[0])["name"] == "one"
+
+
+def test_span_dict_round_trip_is_exact_when_bounds_round_apart():
+    """Raw duration 1.2 us, but the 6-place bounds sit 2 us apart."""
+    one = Span(trace_id="t", span_id="s", parent_id="", name="n",
+               start=10.0000004, end=10.0000016)
+    assert Span.from_dict(one.to_dict()).to_dict() == one.to_dict()
 
 
 def test_spans_to_perfetto_structure():
@@ -459,8 +467,8 @@ def test_manifest_entries_carry_iso_timestamps():
 
 def test_manifest_timestamps_empty_for_unstamped_entries():
     manifest = RunManifest()
-    manifest.record(ManifestEntry(key="k", workload="w", policy="p",
-                                  status="hit", backend="memo"))
+    manifest.record(RunRecord(key="k", workload="w", policy="p",
+                              status="hit", backend="memo"))
     assert manifest.started_at == ""
     assert manifest.to_dict()["finished_at"] == ""
 

@@ -24,7 +24,8 @@ from repro.jobs import (
     ResultCache,
     WorkloadRef,
 )
-from repro.jobs.manifest import ManifestEntry, RunManifest
+from repro.jobs.manifest import RunManifest
+from repro.obs.runreg import RunRecord
 from repro.serve import (
     ExperimentServer,
     AsyncServeClient,
@@ -657,14 +658,14 @@ def test_get_or_none_is_read_only_while_get_repairs():
 
 def test_manifest_counts_and_summary_surface_timeouts():
     manifest = RunManifest()
-    manifest.record(ManifestEntry(key="a", workload="EP", policy="static-2",
-                                  status="computed", backend="serial"))
-    manifest.record(ManifestEntry(key="b", workload="EP", policy="static-4",
-                                  status="timeout", backend="pool",
-                                  error="no result within 0.2s"))
-    manifest.record(ManifestEntry(key="c", workload="EP", policy="static-8",
-                                  status="failed", backend="pool",
-                                  error="boom"))
+    manifest.record(RunRecord(key="a", workload="EP", policy="static-2",
+                              status="computed", backend="serial"))
+    manifest.record(RunRecord(key="b", workload="EP", policy="static-4",
+                              status="timeout", backend="pool",
+                              error="no result within 0.2s"))
+    manifest.record(RunRecord(key="c", workload="EP", policy="static-8",
+                              status="failed", backend="pool",
+                              error="boom"))
     counts = manifest.counts
     assert counts == {"total": 3, "hits": 0, "computed": 1,
                       "failed": 1, "timeouts": 1}
