@@ -10,6 +10,7 @@ uses to act on FDT's decision.
 
 from repro.runtime.locks import LockManager
 from repro.runtime.barriers import BarrierManager
-from repro.runtime.parallel import ParallelFor, static_chunks
+from repro.runtime.parallel import ParallelFor, static_chunk, static_chunks
 
-__all__ = ["LockManager", "BarrierManager", "ParallelFor", "static_chunks"]
+__all__ = ["LockManager", "BarrierManager", "ParallelFor", "static_chunk",
+           "static_chunks"]

@@ -41,6 +41,27 @@ def static_chunks(total_iterations: int, num_threads: int,
     return chunks
 
 
+def static_chunk(total_iterations: int, num_threads: int, index: int,
+                 start: int = 0) -> range:
+    """``static_chunks(total_iterations, num_threads, start)[index]`` in O(1).
+
+    What a thread body wants is its own range; building the whole
+    team's list to keep one entry is O(team) per thread per iteration.
+
+    Raises:
+        IndexError: ``index`` outside ``[0, num_threads)``.
+    """
+    if num_threads < 1:
+        raise ConfigError("num_threads must be >= 1")
+    if total_iterations < 0:
+        raise ConfigError("iteration count must be non-negative")
+    if not 0 <= index < num_threads:
+        raise IndexError(f"chunk {index} of a team of {num_threads}")
+    base, extra = divmod(total_iterations, num_threads)
+    lo = start + index * base + min(index, extra)
+    return range(lo, lo + base + (1 if index < extra else 0))
+
+
 class ParallelFor:
     """Adapter from a loop body to per-thread program factories.
 

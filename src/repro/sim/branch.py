@@ -39,7 +39,7 @@ class GsharePredictor:
     def __init__(self, entries: int = 16384, history_bits: int | None = None) -> None:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
-        self._table = bytearray([2] * entries)  # init weakly taken
+        self._table = bytearray(b"\x02") * entries  # init weakly taken
         self._mask = entries - 1
         if history_bits is None:
             history_bits = entries.bit_length() - 1

@@ -34,33 +34,40 @@ class ReservationTimeline:
     transfer in the earliest gap at or after its ready time.
     """
 
-    __slots__ = ("_starts", "_ends", "_horizon")
+    __slots__ = ("_starts", "_ends", "_horizon", "_min_duration")
 
-    def __init__(self, horizon: int = 1_000_000) -> None:
+    def __init__(self, horizon: int = 1_000_000, min_duration: int = 1) -> None:
+        """``min_duration`` is the shortest reservation that will ever be
+        made.  A gap shorter than it can hold none of them, so it is
+        closed as soon as it forms; a bus that only moves whole lines
+        then stays one interval while it is saturated."""
         self._starts: list[int] = []
         self._ends: list[int] = []
         self._horizon = horizon
+        self._min_duration = min_duration
 
     def reserve(self, ready: int, duration: int) -> int:
         """Book ``duration`` cycles at the earliest start >= ``ready``."""
         starts, ends = self._starts, self._ends
-        # Fast path: at or past the end of the whole timeline, append.
-        if not ends or ready >= ends[-1]:
-            if ends and ready == ends[-1]:
-                # Butt-joined with the last interval: extend in place.
-                ends[-1] = ready + duration
-            else:
-                starts.append(ready)
-                ends.append(ready + duration)
+        min_gap = self._min_duration
+        if duration < min_gap:
+            raise ValueError(f"reservation of {duration} cycles on a timeline "
+                             f"built for {min_gap} or more")
+        # At or past the end of the whole timeline: append, or extend the
+        # last interval over a gap nothing fits in.
+        if not ends or ready - ends[-1] >= min_gap:
+            starts.append(ready)
+            ends.append(ready + duration)
             return ready
-
-        # Saturated fast path: one long busy interval covering ``ready``
-        # (the steady state of a bandwidth-bound run, kept to a single
-        # entry by the butt-join merging below) — extend it in place.
-        if len(ends) == 1 and starts[0] <= ready:
-            start = ends[0]
-            ends[0] = start + duration
-            return start
+        last = ends[-1]
+        if ready >= last:
+            ends[-1] = ready + duration
+            return ready
+        # Inside the last interval (the steady state of a bandwidth-bound
+        # run): queue behind it.
+        if starts[-1] <= ready:
+            ends[-1] = last + duration
+            return last
 
         # Drop intervals that ended long before any future request can
         # begin (ready times are bounded below by the advancing clock).
@@ -80,12 +87,10 @@ class ReservationTimeline:
             start = ends[idx]
             idx += 1
         end = start + duration
-        # Merge butt-joined neighbors: a zero-length gap cannot hold any
-        # positive-duration transfer, so coalescing changes no outcome
-        # while keeping the timeline short under saturation (the common
-        # state of a bandwidth-bound run is one long busy interval).
-        merge_prev = idx > 0 and ends[idx - 1] == start
-        merge_next = idx < len(starts) and starts[idx] == end
+        # Merge with a neighbor when the gap left between them is too
+        # short to hold any transfer: coalescing changes no outcome.
+        merge_prev = idx > 0 and start - ends[idx - 1] < min_gap
+        merge_next = idx < len(starts) and starts[idx] - end < min_gap
         if merge_prev and merge_next:
             ends[idx - 1] = ends[idx]
             del starts[idx]
@@ -124,7 +129,8 @@ class OffChipBus:
     def __init__(self, config: MachineConfig) -> None:
         self.latency = config.bus_latency
         self.cycles_per_line = config.bus_cycles_per_line
-        self._timeline = ReservationTimeline()
+        self._timeline = ReservationTimeline(
+            min_duration=self.cycles_per_line)
         self._last_end = 0
         self.stats = BusStats()
 

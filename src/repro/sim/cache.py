@@ -7,12 +7,22 @@ level while the memory system models timing and coherence state only.
 Sets are plain dicts keyed by line address.  Python dicts preserve
 insertion order, so LRU is "delete + reinsert on touch" and the victim is
 the first key — O(1) per operation without a linked list.
+
+A cache built with ``lazy_sets`` allocates a set's dict at its first
+fill.  Until then the slot holds :data:`UNFILLED`, one shared empty dict
+that nothing ever writes: every read (``in``, ``get``, ``len``,
+``pop(line, None)``) behaves as on a set's own empty dict, so only the
+code that inserts has to know.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Iterator
+
+
+#: Stands in for every set that has not been filled yet.  Never written.
+UNFILLED: dict[int, Any] = {}
 
 
 @dataclass(slots=True)
@@ -44,13 +54,15 @@ class SetAssocCache:
         assoc: ways per set.
         line_bytes: line size (power of two).
         name: label used in ``repr`` and stats dumps.
+        lazy_sets: allocate each set at its first fill, not here (for a
+            cache with thousands of sets most runs never touch).
     """
 
     __slots__ = ("name", "assoc", "line_bytes", "num_sets", "_sets", "stats",
                  "_offset_bits", "_set_mask")
 
     def __init__(self, size_bytes: int, assoc: int, line_bytes: int = 64,
-                 name: str = "cache") -> None:
+                 name: str = "cache", lazy_sets: bool = False) -> None:
         if line_bytes <= 0 or line_bytes & (line_bytes - 1):
             raise ValueError("line_bytes must be a positive power of two")
         num_lines = size_bytes // line_bytes
@@ -62,7 +74,9 @@ class SetAssocCache:
         self.assoc = assoc
         self.line_bytes = line_bytes
         self.num_sets = num_lines // assoc
-        self._sets: list[dict[int, Any]] = [{} for _ in range(self.num_sets)]
+        self._sets: list[dict[int, Any]] = (
+            [UNFILLED] * self.num_sets if lazy_sets
+            else [{} for _ in range(self.num_sets)])
         self._offset_bits = line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1 if self._is_pow2(self.num_sets) else -1
         self.stats = CacheStats()
@@ -99,17 +113,6 @@ class SetAssocCache:
         stats.misses += 1
         return None
 
-    def direct_state(self) -> tuple[list[dict[int, Any]], int, CacheStats]:
-        """Internals for inlined hit fast paths: ``(sets, set_mask, stats)``.
-
-        ``set_mask`` is ``-1`` when the set count is not a power of two
-        (callers must then fall back to the method API).  Mutating the
-        returned structures follows the same rules :meth:`lookup` and
-        :meth:`insert` do; see :meth:`MemorySystem.make_port
-        <repro.sim.memsys.MemorySystem.make_port>` for the one user.
-        """
-        return self._sets, self._set_mask, self.stats
-
     def peek(self, line: int) -> Any | None:
         """Payload for ``line`` without touching LRU or counting stats."""
         mask = self._set_mask
@@ -121,12 +124,14 @@ class SetAssocCache:
         If the line is already present its payload is replaced and promoted
         to MRU with no eviction.
         """
-        mask = self._set_mask
-        s = self._sets[line & mask if mask >= 0 else line % self.num_sets]
+        index = self._set_index(line)
+        s = self._sets[index]
         if line in s:
             del s[line]
             s[line] = payload
             return None
+        if s is UNFILLED:
+            s = self._sets[index] = {}
         victim = None
         if len(s) >= self.assoc:
             victim_line = next(iter(s))

@@ -26,7 +26,8 @@ maintains the *state* and reports what traffic a transition requires.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import cast
 
 
 class MesiState(enum.Enum):
@@ -38,18 +39,25 @@ class MesiState(enum.Enum):
     # INVALID is represented by absence from the cache.
 
 
+#: ``sharers`` of every owner-form entry: most lines only ever have one
+#: holder, and their entries then allocate no set at all.  Frozen, and
+#: never written: the transitions add to and discard from the sharers of
+#: ownerless entries only, which hold a set of their own.
+_NO_SHARERS = cast("set[int]", frozenset())
+
+
 @dataclass(slots=True)
 class DirectoryEntry:
     """Directory bookkeeping for one line with private copies.
 
     ``owner`` is set when exactly one core holds the line in M or E;
-    ``sharers`` is used when one or more cores hold it in S.  The two are
-    mutually exclusive.
+    ``sharers`` is a set of its own when one or more cores hold it in S.
+    The two are mutually exclusive.
     """
 
     owner: int | None = None
     owner_dirty: bool = False  # owner's copy is M (vs E)
-    sharers: set[int] = field(default_factory=set)
+    sharers: set[int] = _NO_SHARERS
 
     def holders(self) -> set[int]:
         """All cores with a valid private copy."""
@@ -165,9 +173,9 @@ class Directory:
             if dirty:
                 self.stats.writebacks_to_l3 += 1
             del self._entries[line]
-        else:
+        elif e.owner is None:
             e.sharers.discard(core)
-            if not e.sharers and e.owner is None:
+            if not e.sharers:
                 del self._entries[line]
         return dirty and state is MesiState.MODIFIED
 

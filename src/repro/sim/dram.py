@@ -17,6 +17,11 @@ from dataclasses import dataclass
 from repro.sim.config import MachineConfig
 
 
+#: Most granules the bank memo holds before it starts over (64 MB of
+#: lines at the default granule): it must not grow with the footprint.
+_MEMO_GRANULES = 1 << 16
+
+
 @dataclass(slots=True)
 class DramStats:
     """Row-buffer outcome counters across all banks."""
@@ -38,8 +43,9 @@ class Dram:
     """Reservation-based model of a multi-bank DRAM."""
 
     __slots__ = ("_num_banks", "_bank_mask", "_bank_bits", "_granule",
-                 "_rows_per_span", "_bank_free", "_open_row", "_hit_lat",
-                 "_conflict_lat", "_closed_lat", "_open_page", "stats")
+                 "_granule_bank", "_rows_per_span", "_bank_free", "_open_row",
+                 "_hit_lat", "_conflict_lat", "_closed_lat", "_open_page",
+                 "stats")
 
     def __init__(self, config: MachineConfig) -> None:
         self._num_banks = config.dram_banks
@@ -47,6 +53,8 @@ class Dram:
         self._bank_bits = config.dram_banks.bit_length() - 1
         lines_per_row = config.dram_row_bytes // config.line_bytes
         self._granule = min(config.dram_granule_lines, lines_per_row)
+        #: Bank of every granule seen so far (the hash below, memoised).
+        self._granule_bank: dict[int, int] = {}
         self._rows_per_span = max(1, lines_per_row // self._granule)
         self._bank_free = [0] * config.dram_banks
         self._open_row: list[int | None] = [None] * config.dram_banks
@@ -67,14 +75,21 @@ class Dram:
         a statically-partitioned loop camp in each other's banks in
         lockstep — with it, concurrent streams collide only transiently.
         """
-        g = line // self._granule
-        # Full-avalanche integer mix (xor-shift/multiply): unlike a plain
-        # multiplicative hash, collisions between two streams at a fixed
-        # granule offset are independent events, so equally-paced threads
-        # cannot phase-lock into a shared bank.
-        g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
-        g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
-        return (g ^ (g >> 16)) & self._bank_mask
+        granule = line // self._granule
+        bank = self._granule_bank.get(granule)
+        if bank is None:
+            if len(self._granule_bank) >= _MEMO_GRANULES:
+                self._granule_bank.clear()
+            # Full-avalanche integer mix (xor-shift/multiply): unlike a
+            # plain multiplicative hash, collisions between two streams at
+            # a fixed granule offset are independent events, so
+            # equally-paced threads cannot phase-lock into a shared bank.
+            g = granule
+            g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
+            g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
+            bank = self._granule_bank[granule] = (
+                (g ^ (g >> 16)) & self._bank_mask)
+        return bank
 
     def row_of(self, line: int) -> int:
         """Row segment for a line address.
@@ -90,18 +105,11 @@ class Dram:
 
         Reserves the bank: a later request to the same bank starts no
         earlier than this one completes (bank conflicts, Table 1).
-
-        The bank hash is written inline (same mix as :meth:`bank_of`):
-        this runs once per off-chip access, squarely on the simulator's
-        hottest path.
         """
-        row = g = line // self._granule
-        g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
-        g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
-        bank = (g ^ (g >> 16)) & self._bank_mask
+        bank = self.bank_of(line)
+        row = self.row_of(line)
         stats = self.stats
-        free = self._bank_free[bank]
-        start = now if now >= free else free
+        start = max(now, self._bank_free[bank])
         stats.total_queue_cycles += start - now
 
         open_row = self._open_row[bank]

@@ -16,15 +16,22 @@ The hierarchy per Table 1:
   (evictions recall private copies).
 * Off-chip: split-transaction bus (the bandwidth bottleneck) feeding 32
   DRAM banks with open-page row buffers.
+
+Two implementations of the walk exist, and only two.  The cores use the
+per-core port :meth:`MemorySystem.make_port` builds, written for host
+speed.  :meth:`MemorySystem.access` and the ``_miss`` / ``_upgrade`` /
+``_l3_install`` / ``_l2_install`` helpers under it are the reference:
+plain calls into the component classes, in the order the protocol
+description above gives them, selected by ``REPRO_SLOW_PATHS=1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.bus import OffChipBus
-from repro.sim.cache import SetAssocCache
+from repro.sim.cache import UNFILLED, SetAssocCache
 from repro.sim.coherence import Directory, DirectoryEntry, MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.dram import Dram
@@ -42,10 +49,6 @@ AccessPort = Callable[[int, bool, int], int]
 _M = MesiState.MODIFIED
 _E = MesiState.EXCLUSIVE
 _S = MesiState.SHARED
-
-#: Shared empty victim set for the (overwhelmingly common) load miss with
-#: nobody to invalidate — avoids allocating a ``set()`` per miss.
-_NO_VICTIMS: frozenset[int] = frozenset()
 
 
 @dataclass(slots=True)
@@ -101,57 +104,323 @@ class MemorySystem:
         return addr >> self._offset_bits
 
     def make_port(self, core: int) -> AccessPort:
-        """Build ``core``'s access function.
+        """Build ``core``'s access function: the one fast memory walk.
 
-        The returned port resolves the *entire load path* inline with
-        pre-bound locals: an L1 hit is one dict probe, an LRU touch and
-        two counter bumps; an L1 miss probes the L2 the same way and
-        either fills L1 or falls into :meth:`_miss`.  Stores and the
-        ``REPRO_SLOW_PATHS=1`` reference mode go through :meth:`access`
-        unchanged.  Every counter the port bumps is exactly the one the
-        slow path would, in the same order, so stats are bit-identical
-        either way.
+        The returned port resolves a load or a store from the L1 probe
+        to the DRAM fill with everything it reads bound here: this
+        core's L1/L2 sets and stats, the directory's entry table, per
+        home bank the hops from this core and the bank's sets and stats,
+        the bus timeline and the DRAM bank state.  It is written as two
+        nested functions, because a call pays for every name its
+        function binds: ``port`` holds the L1 and L2 probes and the few
+        names a hit needs, ``miss`` the walk past the L2 and the many
+        names that needs.  The straight line of ``miss`` is the common
+        case — no other core holds the line, data comes from the L3 or
+        from memory — with the victims of the L3 and L2 fills handled in
+        place.  The rare legs are calls to the methods the reference
+        uses: cache-to-cache forward, invalidation fan-out, S→M upgrade,
+        recall of an L3 victim with several sharers, a sharer's L2
+        eviction, a bus reservation that has to fill a gap, the bus and
+        DRAM slots of a posted write-back.
+
+        :meth:`access` is the reference the walk is tested against
+        (``tests/test_property_memsys.py``): same completion cycles,
+        same cache contents in LRU order, same directory, same counters.
+        It serves ``REPRO_SLOW_PATHS=1`` and the configurations outside
+        the walk's assumptions (a set count that is not a power of two,
+        a ring with link occupancy).
         """
-        full_access = self.access
-        l1 = self.l1s[core]
-        l2 = self.l2s[core]
-        l1_sets, l1_mask, l1_stats = l1.direct_state()
-        l2_sets, l2_mask, l2_stats = l2.direct_state()
-        if not self._fast or l1_mask < 0 or l2_mask < 0:
-            def slow_port(addr: int, is_write: bool, now: int) -> int:
-                return full_access(core, addr, is_write, now)
-            return slow_port
+        reference = self.access
+        l1, l2 = self.l1s[core], self.l2s[core]
+        l1_mask, l2_mask = l1._set_mask, l2._set_mask
+        l3_mask = self.l3.banks[0].cache._set_mask
+        if (not self._fast or l1_mask < 0 or l2_mask < 0 or l3_mask < 0
+                or self.ring.link_occupancy):
+            def reference_port(addr: int, is_write: bool, now: int) -> int:
+                return reference(core, addr, is_write, now)
+            return reference_port
+
+        cfg = self.config
         stats = self.stats
+        observer = self.observer
         offset_bits = self._offset_bits
-        l1_latency = self.config.l1_latency
-        l1_l2_latency = l1_latency + self.config.l2_latency
-        l1_insert = l1.insert
-        miss = self._miss
+        l1_latency = cfg.l1_latency
+        l1_l2_latency = l1_latency + cfg.l2_latency
+        l1_sets, l1_stats, l1_assoc = l1._sets, l1.stats, l1.assoc
+        l2_sets, l2_stats, l2_assoc = l2._sets, l2.stats, l2.assoc
+        l1s, l2s = self.l1s, self.l2s  # every core's, for recalls
+        upgrade = self._upgrade
+        cache_to_cache = self._cache_to_cache
+        inv_complete = self._inv_complete
+        invalidate_private = self._invalidate_private
+
+        directory = self.directory
+        entries = directory._entries
+        coherence = directory.stats
+
+        ring_stats = self.ring.stats
+        core_node = self.core_nodes[core]
+        bank_mask = self.l3._bank_mask
+        bank_nodes = self.bank_nodes
+        l3_assoc = cfg.l3_assoc
+        l3_latency = self.l3.banks[0].latency
+        l3_occupancy = self.l3.banks[0].occupancy
+        #: Per home bank: the bank, hops and cycles from this core to it,
+        #: its sets and stats.
+        homes = []
+        for bank, node in zip(self.l3.banks, bank_nodes):
+            hops = self.ring.hops(core_node, node)
+            homes.append((bank, hops, hops * self.ring.hop_latency,
+                          bank.cache._sets, bank.cache.stats))
+
+        bus = self.bus
+        bus_latency = bus.latency
+        bus_cycles = bus.cycles_per_line
+        bus_stats = bus.stats
+        bus_starts, bus_ends = bus._timeline._starts, bus._timeline._ends
+        bus_reserve = bus._timeline.reserve
+        bus_data_phase = bus.data_phase
+
+        dram = self.dram
+        dram_stats = dram.stats
+        dram_access = dram.access
+        dram_bank_of = dram.bank_of
+        granule = dram._granule
+        granule_bank = dram._granule_bank
+        dram_free, open_rows = dram._bank_free, dram._open_row
+        open_page = dram._open_page
+        row_hit, row_conflict, row_closed = (
+            dram._hit_lat, dram._conflict_lat, dram._closed_lat)
+
+        def miss(line: int, is_write: bool, t: int,
+                 s1: dict[int, Any], s2: dict[int, Any]) -> int:
+            """The walk past the L2: ``s1``/``s2`` are the probed sets."""
+            # -- request to the home bank's directory ----------------------
+            bank, hops, hop_cycles, sets3, stats3 = homes[line & bank_mask]
+            ring_stats.messages += 1
+            ring_stats.total_hops += hops
+            arrival = t + hop_cycles
+            free = bank._free
+            start = arrival if arrival >= free else free
+            bank._free = start + l3_occupancy
+            # The directory has answered, and so have the invalidated.
+            ready = acks = start + l3_latency
+            forward_from: int | None = None
+            entry = entries.get(line)
+            if entry is None:
+                # Nobody holds the line: the requester becomes its owner.
+                if is_write:
+                    coherence.getm += 1
+                    entries[line] = DirectoryEntry(core, True)
+                    new_state = _M
+                else:
+                    coherence.gets += 1
+                    entries[line] = DirectoryEntry(core, False)
+                    new_state = _E
+            elif is_write:
+                forward_from, was_dirty, invalidated = (
+                    directory.on_getm(line, core))
+                new_state = _M
+                if forward_from is None and invalidated:
+                    acks = inv_complete(ready, bank_nodes[bank.index],
+                                        invalidated)
+                    for holder in invalidated:
+                        invalidate_private(holder, line)
+            else:
+                forward_from, was_dirty = directory.on_gets(line, core)
+                new_state = _E if entry.owner == core else _S
+
+            if forward_from is not None:
+                t_data = cache_to_cache(core, line, is_write, forward_from,
+                                        was_dirty, bank,
+                                        bank_nodes[bank.index], ready)
+            else:
+                s3 = sets3[line & l3_mask]
+                if line in s3:
+                    stats3.hits += 1
+                    s3[line] = s3.pop(line)  # LRU touch
+                    ready = acks
+                else:
+                    stats3.misses += 1
+                    # Off-chip: address phase, DRAM bank, bus data phase.
+                    t_req = ready + bus_latency
+                    row = line // granule
+                    dbank = granule_bank.get(row)
+                    if dbank is None:
+                        dbank = dram_bank_of(line)
+                    free = dram_free[dbank]
+                    start = t_req if t_req >= free else free
+                    dram_stats.total_queue_cycles += start - t_req
+                    open_row = open_rows[dbank]
+                    if open_row is None:
+                        t_mem = start + row_closed
+                        dram_stats.row_closed += 1
+                    elif open_row == row:
+                        t_mem = start + row_hit
+                        dram_stats.row_hits += 1
+                    else:
+                        t_mem = start + row_conflict
+                        dram_stats.row_conflicts += 1
+                    dram_free[dbank] = t_mem
+                    if open_page:
+                        open_rows[dbank] = row
+                    dram_stats.accesses += 1
+                    # The timeline's cases past and inside its last
+                    # interval; reserve() only when a gap is filled.
+                    last = bus_ends[-1] if bus_ends else -bus_cycles
+                    if t_mem - last >= bus_cycles:
+                        bus_starts.append(t_mem)
+                        bus_ends.append(t_mem + bus_cycles)
+                        start = t_mem
+                    elif t_mem >= last:
+                        bus_ends[-1] = t_mem + bus_cycles
+                        start = t_mem
+                    elif bus_starts[-1] <= t_mem:
+                        bus_ends[-1] = last + bus_cycles
+                        start = last
+                    else:
+                        start = bus_reserve(t_mem, bus_cycles)
+                    t_bus = start + bus_cycles
+                    bus_stats.total_wait_cycles += start - t_mem
+                    bus_stats.busy_cycles += bus_cycles
+                    bus_stats.transfers += 1
+                    if t_bus > bus._last_end:
+                        bus._last_end = t_bus
+                    # Fill the L3; the probe just missed, the line is absent.
+                    if len(s3) >= l3_assoc:
+                        victim = next(iter(s3))
+                        victim_dirty = s3.pop(victim)
+                        stats3.evictions += 1
+                        s3[line] = False
+                        # Inclusion: recall the victim's private copies.
+                        held = entries.get(victim)
+                        if held is not None:
+                            owner = held.owner
+                            if owner is None:
+                                for holder in directory.on_recall(victim)[0]:
+                                    invalidate_private(holder, victim)
+                            else:
+                                del entries[victim]
+                                coherence.invalidations_sent += 1
+                                if held.owner_dirty:
+                                    coherence.writebacks_to_l3 += 1
+                                    victim_dirty = True
+                                cache = l2s[owner]
+                                if cache._sets[victim & l2_mask].pop(
+                                        victim, None) is not None:
+                                    cache.stats.invalidations += 1
+                                cache = l1s[owner]
+                                if cache._sets[victim & l1_mask].pop(
+                                        victim, None) is not None:
+                                    cache.stats.invalidations += 1
+                            stats.recalls += 1
+                        if victim_dirty:
+                            # Posted write-back: takes a bus slot and a
+                            # DRAM bank slot, never the requester's time.
+                            dram_access(victim, bus_data_phase(t_bus))
+                            stats.l3_writebacks_to_dram += 1
+                    elif s3 is UNFILLED:
+                        sets3[line & l3_mask] = {line: False}
+                    else:
+                        s3[line] = False
+                    ready = t_bus if t_bus > acks else acks
+                ring_stats.messages += 1
+                ring_stats.total_hops += hops
+                t_data = ready + hop_cycles
+
+            # -- fill the L2 (the probe missed: the line is absent) --------
+            if len(s2) >= l2_assoc:
+                victim = next(iter(s2))
+                victim_state = s2.pop(victim)
+                l2_stats.evictions += 1
+                s2[line] = new_state
+                # Inclusion: the L1 copy goes with the L2 copy.
+                if l1_sets[victim & l1_mask].pop(victim, None) is not None:
+                    l1_stats.invalidations += 1
+                held = entries.get(victim)
+                if held is not None:
+                    if held.owner == core:
+                        if held.owner_dirty:
+                            coherence.writebacks_to_l3 += 1
+                        del entries[victim]
+                    else:
+                        directory.on_evict(victim, core, victim_state)
+                if victim_state is _M:
+                    # Dirty data goes back to the (inclusive) home bank.
+                    stats.l2_writebacks += 1
+                    s3 = homes[victim & bank_mask][3][victim & l3_mask]
+                    if victim in s3:
+                        s3[victim] = True
+                    else:
+                        # The L3 copy is gone: push the line off-chip.
+                        dram_access(victim, bus_data_phase(0))
+                        stats.l3_writebacks_to_dram += 1
+            else:
+                s2[line] = new_state
+            # -- fill the L1 -----------------------------------------------
+            if len(s1) >= l1_assoc:
+                del s1[next(iter(s1))]
+                l1_stats.evictions += 1
+            s1[line] = True
+            if observer is not None:
+                observer.on_mem_access(core, line, is_write, t, t_data)
+            return t_data
 
         def port(addr: int, is_write: bool, now: int) -> int:
-            if not is_write:
-                line = addr >> offset_bits
-                s = l1_sets[line & l1_mask]
-                if line in s:
+            line = addr >> offset_bits
+            s1 = l1_sets[line & l1_mask]
+            if line in s1:
+                l1_stats.hits += 1
+                s1[line] = s1.pop(line)  # LRU touch
+                if not is_write:
                     stats.loads += 1
-                    l1_stats.hits += 1
-                    s[line] = s.pop(line)  # LRU touch, same as lookup()
                     return now + l1_latency
-                # L1 load miss: count it, then probe the L2 inline.  A
-                # load hit needs no state transition whatever the MESI
-                # state, so the probe is a touch plus an L1 fill.
-                stats.loads += 1
-                l1_stats.misses += 1
-                t = now + l1_l2_latency
+                # Write-through: the store needs a writable L2 copy.
+                stats.stores += 1
+                t = now + l1_latency
                 s2 = l2_sets[line & l2_mask]
-                if line in s2:
-                    l2_stats.hits += 1
-                    s2[line] = s2.pop(line)  # LRU touch
-                    l1_insert(line, True)
+                state = s2.get(line)
+                if state is _M:
                     return t
+                if state is _E:
+                    s2[line] = _M
+                    entry = entries.get(line)
+                    if entry is not None and entry.owner == core:
+                        entry.owner_dirty = True
+                    return t
+                if state is _S:
+                    return upgrade(core, line, t)
+                # An L1 hit without an L2 copy: drop it, miss in the L2.
+                del s1[line]
+                l1_stats.invalidations += 1
+                return miss(line, True, t, s1, s2)
+            l1_stats.misses += 1
+            t = now + l1_l2_latency
+            s2 = l2_sets[line & l2_mask]
+            state = s2.get(line)
+            if is_write:
+                stats.stores += 1
+            else:
+                stats.loads += 1
+            if state is None:
                 l2_stats.misses += 1
-                return miss(core, line, False, t)
-            return full_access(core, addr, is_write, now)
+                return miss(line, is_write, t, s1, s2)
+            l2_stats.hits += 1
+            del s2[line]  # LRU touch
+            s2[line] = state
+            if is_write and state is not _M:
+                if state is _E:
+                    s2[line] = _M
+                    entry = entries.get(line)
+                    if entry is not None and entry.owner == core:
+                        entry.owner_dirty = True
+                else:
+                    t = upgrade(core, line, t)
+            if len(s1) >= l1_assoc:
+                del s1[next(iter(s1))]  # silent: L1 is never dirty
+                l1_stats.evictions += 1
+            s1[line] = True
+            return t
         return port
 
     def access(self, core: int, addr: int, is_write: bool, now: int) -> int:
@@ -223,7 +492,7 @@ class MemorySystem:
         self.l2s[core].update(line, _S)
 
     def _inv_complete(self, start: int, bank_node: int,
-                      victims: "set[int] | frozenset[int]") -> int:
+                      victims: set[int]) -> int:
         """Cycle at which the home bank has all invalidation acks."""
         worst = start
         for v in victims:
@@ -253,125 +522,45 @@ class MemorySystem:
         return done
 
     def _miss(self, core: int, line: int, is_write: bool, t: int) -> int:
-        """L2 miss: consult the home bank directory, fetch data, fill.
-
-        The L3-or-memory leg is written inline (rather than as helper
-        calls) because this is the hottest multi-step path in the whole
-        simulator; every branch mirrors the protocol description in the
-        module docstring.
-        """
-        directory = self.directory
-        ring_lat = self.ring.latency_at
+        """L2 miss: consult the home bank directory, fetch data, fill."""
         bank = self.l3.bank_of(line)
         bank_node = self.bank_nodes[bank.index]
         core_node = self.core_nodes[core]
+        arrival = self.ring.latency_at(t, core_node, bank_node)
+        t_dir = bank.start_access(arrival) + bank.latency
 
-        arrival = ring_lat(t, core_node, bank_node)
-        # Inline bank.start_access: reserve the (pipelined) bank.
-        free = bank._free
-        start = arrival if arrival >= free else free
-        bank._free = start + bank.occupancy
-        t_dir = start + bank.latency
-
-        entries = directory._entries
-        sole_owner = False
+        invalidated: set[int] = set()
         if is_write:
-            forward_from, was_dirty, invalidated = directory.on_getm(line, core)
-        elif line in entries:
-            forward_from, was_dirty = directory.on_gets(line, core)
-            invalidated = _NO_VICTIMS
+            forward_from, was_dirty, invalidated = (
+                self.directory.on_getm(line, core))
         else:
-            # Inlined on_gets fast case: no private copies anywhere, so
-            # the requester becomes sole owner and will fill in E.
-            directory.stats.gets += 1
-            entries[line] = DirectoryEntry(owner=core, owner_dirty=False)
-            forward_from = None
-            was_dirty = False
-            invalidated = _NO_VICTIMS
-            sole_owner = True
+            forward_from, was_dirty = self.directory.on_gets(line, core)
 
         if forward_from is not None:
             t_data = self._cache_to_cache(core, line, is_write, forward_from,
                                           was_dirty, bank, bank_node, t_dir)
         else:
             # Data comes from the home L3 bank, or off-chip on an L3 miss.
-            if invalidated:
-                t_acks = self._inv_complete(t_dir, bank_node, invalidated)
-                for v in invalidated:
-                    self._invalidate_private(v, line)
-            else:
-                t_acks = t_dir
-            # Inline L3 tag probe (same counting/LRU as cache.lookup).
-            c3 = bank.cache
-            m3 = c3._set_mask
-            s3 = c3._sets[line & m3] if m3 >= 0 else None
-            if s3 is not None and line in s3:
-                c3.stats.hits += 1
-                s3[line] = s3.pop(line)  # LRU touch
-                ready = t_acks
-            elif s3 is None and c3.lookup(line) is not None:
+            t_acks = self._inv_complete(t_dir, bank_node, invalidated)
+            for v in invalidated:
+                self._invalidate_private(v, line)
+            if bank.cache.lookup(line) is not None:
                 ready = t_acks
             else:
-                if s3 is not None:
-                    c3.stats.misses += 1
                 # Off-chip: request phase -> DRAM bank -> bus data phase.
-                bus = self.bus
-                t_mem = self.dram.access(line, t_dir + bus.latency)
-                t_bus = bus.data_phase(t_mem)
-                # Inline L3 fill; the probe above just missed and nothing
-                # since touched this set, so the line is known absent.
-                if s3 is not None:
-                    if len(s3) >= c3.assoc:
-                        vline3 = next(iter(s3))
-                        vdirty3 = s3.pop(vline3)
-                        c3.stats.evictions += 1
-                        s3[line] = False
-                        self._l3_evict((vline3, vdirty3), t_bus)
-                    else:
-                        s3[line] = False
-                else:
-                    victim = c3.insert(line, False)
-                    if victim is not None:
-                        self._l3_evict(victim, t_bus)
-                ready = t_bus if t_bus > t_acks else t_acks
-            t_data = ring_lat(ready, bank_node, core_node)
+                t_mem = self.dram.access(line, self.bus.request_phase(t_dir))
+                t_bus = self.bus.data_phase(t_mem)
+                self._l3_install(bank, line, t_bus)
+                ready = max(t_bus, t_acks)
+            t_data = self.ring.latency_at(ready, bank_node, core_node)
 
         if is_write:
-            new_state = _M
-        elif sole_owner:
-            new_state = _E
+            state = _M
         else:
-            entry = entries.get(line)
-            new_state = _E if (entry is not None and entry.owner == core) else _S
-        # Inline the L2 and L1 fills: every caller reaches _miss only
-        # after both probes missed, so the line is known absent and the
-        # membership check inside insert() can be skipped.
-        l2 = self.l2s[core]
-        m2 = l2._set_mask
-        if m2 >= 0:
-            s2 = l2._sets[line & m2]
-            if len(s2) >= l2.assoc:
-                vline2 = next(iter(s2))
-                vstate2 = s2.pop(vline2)
-                l2.stats.evictions += 1
-                s2[line] = new_state
-                self._l2_evict(core, (vline2, vstate2))
-            else:
-                s2[line] = new_state
-        else:
-            victim2 = l2.insert(line, new_state)
-            if victim2 is not None:
-                self._l2_evict(core, victim2)
-        l1 = self.l1s[core]
-        m1 = l1._set_mask
-        if m1 >= 0:
-            s1 = l1._sets[line & m1]
-            if len(s1) >= l1.assoc:
-                s1.pop(next(iter(s1)))  # L1 evictions are silent
-                l1.stats.evictions += 1
-            s1[line] = True
-        else:
-            l1.insert(line, True)
+            entry = self.directory.entry(line)
+            state = _E if entry is not None and entry.owner == core else _S
+        self._l2_install(core, line, state)
+        self._l1_fill(core, line)
         if self.observer is not None:
             self.observer.on_mem_access(core, line, is_write, t, t_data)
         return t_data

@@ -25,7 +25,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Op, Store
-from repro.runtime.parallel import static_chunks
+from repro.runtime.parallel import static_chunk
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: Per-cell cost of the 5x5 block-tridiagonal update (BT's block solves
@@ -91,9 +91,9 @@ class BtKernel(TeamParallelKernel):
             self.residuals.append(before)
 
         cells_in_plane = g * g
-        slab_cells = static_chunks(cells_in_plane, self.SLABS_PER_PLANE)[slab]
-        chunk = static_chunks(len(slab_cells), num_threads,
-                              start=slab_cells.start)[thread_id]
+        slab_cells = static_chunk(cells_in_plane, self.SLABS_PER_PLANE, slab)
+        chunk = static_chunk(len(slab_cells), num_threads, thread_id,
+                             start=slab_cells.start)
         plane_base = self._grid_base + plane * cells_in_plane * _CELL_BYTES
         # Touch this thread's cells (line-granular) and pay the block cost.
         lo = plane_base + chunk.start * _CELL_BYTES

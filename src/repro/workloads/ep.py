@@ -25,7 +25,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Lock, Op, Store, Unlock
-from repro.runtime.parallel import static_chunks
+from repro.runtime.parallel import static_chunk
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: LCG step + scaling + tally classification per number.
@@ -98,8 +98,8 @@ class EpKernel(TeamParallelKernel):
 
     def team_iteration(self, block: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
-        chunk = static_chunks(self.params.block_size, num_threads,
-                              start=block * self.params.block_size)[thread_id]
+        chunk = static_chunk(self.params.block_size, num_threads, thread_id,
+                             start=block * self.params.block_size)
 
         # Parallel part: generate this thread's share of the block.
         values = _lcg_block(self.params.seed, chunk.start, len(chunk))

@@ -26,7 +26,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Lock, Op, Store, Unlock
-from repro.runtime.parallel import static_chunks
+from repro.runtime.parallel import static_chunk
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: Per-node expansion cost: compare key, walk adjacency.
@@ -151,7 +151,7 @@ class GSearchKernel(TeamParallelKernel):
     def team_iteration(self, iteration: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
         batch, discovered = self.batches[iteration]
-        chunk = static_chunks(len(batch), num_threads)[thread_id]
+        chunk = static_chunk(len(batch), num_threads, thread_id)
         my_nodes = batch[chunk.start:chunk.stop]
         my_discovered = discovered // num_threads + (
             1 if thread_id < discovered % num_threads else 0)

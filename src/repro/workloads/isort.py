@@ -27,7 +27,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Lock, Op, Store, Unlock
-from repro.runtime.parallel import static_chunks
+from repro.runtime.parallel import static_chunk
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: ~16 keys per line, ~12 instructions per key (key extraction, shift,
@@ -84,14 +84,14 @@ class ISortKernel(TeamParallelKernel):
 
     def _tile_keys(self, iteration: int) -> range:
         tile = iteration % self.params.tiles_per_pass
-        return static_chunks(self.params.num_keys,
-                             self.params.tiles_per_pass)[tile]
+        return static_chunk(self.params.num_keys,
+                            self.params.tiles_per_pass, tile)
 
     def team_iteration(self, iteration: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
         tile_keys = self._tile_keys(iteration)
-        chunk = static_chunks(len(tile_keys), num_threads,
-                              start=tile_keys.start)[thread_id]
+        chunk = static_chunk(len(tile_keys), num_threads, thread_id,
+                             start=tile_keys.start)
 
         # Parallel part: count this thread's slice of the tile.
         local = np.bincount(self.keys[chunk.start:chunk.stop],

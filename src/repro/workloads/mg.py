@@ -26,7 +26,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Op, Store
-from repro.runtime.parallel import static_chunks
+from repro.runtime.parallel import static_chunk
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: 27-point stencil cost per line of 8 doubles.
@@ -102,9 +102,9 @@ class MgKernel(TeamParallelKernel):
                 self.norms.append(float(np.abs(grid).sum()))
 
         plane_bytes = n * n * 8
-        slab_lines = static_chunks(plane_bytes // LINE, 2)[slab]
-        chunk = static_chunks(len(slab_lines), num_threads,
-                              start=slab_lines.start)[thread_id]
+        slab_lines = static_chunk(plane_bytes // LINE, 2, slab)
+        chunk = static_chunk(len(slab_lines), num_threads, thread_id,
+                             start=slab_lines.start)
         base = self._bases[lvl] + plane * plane_bytes
         for k in chunk:
             yield Load(base + k * LINE)
@@ -144,9 +144,9 @@ class MgInitKernel(TeamParallelKernel):
         lvl, plane, slab = self._schedule[iteration]
         n = solver.params.fine_grid >> lvl
         plane_bytes = n * n * 8
-        slab_lines = static_chunks(plane_bytes // LINE, 2)[slab]
-        chunk = static_chunks(len(slab_lines), num_threads,
-                              start=slab_lines.start)[thread_id]
+        slab_lines = static_chunk(plane_bytes // LINE, 2, slab)
+        chunk = static_chunk(len(slab_lines), num_threads, thread_id,
+                             start=slab_lines.start)
         base = solver._bases[lvl] + plane * plane_bytes
         for k in chunk:
             yield Compute(40)

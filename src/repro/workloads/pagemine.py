@@ -28,7 +28,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Lock, Op, Store, Unlock
-from repro.runtime.parallel import static_chunks
+from repro.runtime.parallel import static_chunk
 from repro.workloads.base import (
     LINE,
     AddressSpace,
@@ -95,7 +95,7 @@ class PageMineKernel(TeamParallelKernel):
     def _page_slice(self, page: int, thread_id: int,
                     num_threads: int) -> tuple[int, int]:
         """Byte offsets [lo, hi) of a thread's share of one page."""
-        chunk = static_chunks(self.params.page_bytes, num_threads)[thread_id]
+        chunk = static_chunk(self.params.page_bytes, num_threads, thread_id)
         base = page * self.params.page_bytes
         return base + chunk.start, base + chunk.stop
 

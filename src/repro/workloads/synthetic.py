@@ -36,7 +36,7 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
-from repro.runtime.parallel import static_chunks
+from repro.runtime.parallel import static_chunk
 from repro.workloads.base import LINE, AddressSpace
 
 _CS_LOCK = 0
@@ -91,11 +91,11 @@ class SyntheticKernel(TeamParallelKernel):
         p = self.params
 
         # Parallel part: streaming loads plus compute, split by the team.
-        lines = static_chunks(p.lines_per_iteration, num_threads)[thread_id]
+        lines = static_chunk(p.lines_per_iteration, num_threads, thread_id)
         offset = 0 if p.reuse else iteration * p.lines_per_iteration
         for k in lines:
             yield Load(self._stream_base + (offset + k) * LINE)
-        instr = static_chunks(p.compute_instr, num_threads)[thread_id]
+        instr = static_chunk(p.compute_instr, num_threads, thread_id)
         remaining = len(instr)
         while remaining > 0:
             yield Compute(min(remaining, 4096))

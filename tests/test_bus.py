@@ -69,6 +69,19 @@ def test_exact_fit_gap_is_used():
     assert start == 32
 
 
+def test_min_duration_closes_gaps_nothing_fits_in():
+    tl = ReservationTimeline(min_duration=32)
+    tl.reserve(0, 32)       # [0, 32)
+    tl.reserve(40, 32)      # gap [32, 40) holds no transfer: one interval
+    assert len(tl) == 1
+    assert tl.reserve(0, 32) == 72
+    tl.reserve(200, 32)     # a gap of 96 stays open ...
+    assert len(tl) == 2
+    assert tl.reserve(100, 32) == 104   # ... and is filled first-fit
+    with pytest.raises(ValueError):
+        tl.reserve(0, 16)
+
+
 def test_timeline_reservations_never_overlap():
     tl = ReservationTimeline()
     intervals = []

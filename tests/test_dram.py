@@ -77,6 +77,16 @@ def test_lines_within_granule_share_bank(dram: Dram):
     assert len(banks) == 1
 
 
+def test_bank_memo_is_bounded_and_changes_no_bank(dram: Dram, monkeypatch):
+    granule = cfg().dram_granule_lines
+    lines = [g * granule for g in range(64)]
+    expected = [dram.bank_of(line) for line in lines]
+    monkeypatch.setattr("repro.sim.dram._MEMO_GRANULES", 8)
+    small = Dram(cfg())
+    assert [small.bank_of(line) for line in lines * 2] == expected * 2
+    assert len(small._granule_bank) <= 8
+
+
 def test_row_hit_rate_zero_when_unused(dram: Dram):
     assert dram.stats.row_hit_rate == 0.0
 

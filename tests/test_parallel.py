@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.isa.ops import Compute
-from repro.runtime.parallel import ParallelFor, static_chunks
+from repro.runtime.parallel import ParallelFor, static_chunk, static_chunks
 
 
 def test_chunks_partition_exactly():
@@ -49,6 +49,28 @@ def test_invalid_arguments():
         static_chunks(10, 0)
     with pytest.raises(ConfigError):
         static_chunks(-1, 2)
+
+
+def test_static_chunk_is_the_indexed_entry_of_static_chunks():
+    for total in range(201):
+        for threads in range(1, 41):
+            for start in (0, 17):
+                chunks = static_chunks(total, threads, start)
+                for index, expected in enumerate(chunks):
+                    got = static_chunk(total, threads, index, start)
+                    # Bounds, not ``==``: all empty ranges compare equal.
+                    assert (got.start, got.stop, got.step) == (
+                        expected.start, expected.stop, expected.step)
+
+
+def test_static_chunk_invalid_arguments():
+    with pytest.raises(ConfigError):
+        static_chunk(10, 0, 0)
+    with pytest.raises(ConfigError):
+        static_chunk(-1, 2, 0)
+    for index in (-1, 4):
+        with pytest.raises(IndexError):
+            static_chunk(10, 4, index)
 
 
 def test_parallel_for_builds_one_factory_per_thread():

@@ -1,14 +1,23 @@
 """Property-based tests for memory-hierarchy invariants (hypothesis).
 
-A random sequence of loads/stores from random cores must preserve the
-structural invariants of the hierarchy: inclusion (L1 subset of L2, L2
-subset of L3), directory precision (directory holders == cores whose L2
-holds the line), and monotone time.
+A random sequence of loads/stores from random cores, driven through the
+per-core ports the cores themselves use, must preserve the structural
+invariants of the hierarchy: inclusion (L1 subset of L2, L2 subset of
+L3), directory precision (directory holders == cores whose L2 holds the
+line), and monotone time.  A second family drives the same sequence
+through the ports of a default machine and through the reference
+``access()`` of a ``REPRO_SLOW_PATHS=1`` machine and requires the two to
+agree on every completion cycle, every cache's contents in LRU order,
+the directory and every counter.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import random
+from dataclasses import replace
+from unittest import mock
+
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.coherence import MesiState
@@ -24,14 +33,15 @@ OPS = st.lists(
 
 def run_ops(ops) -> Machine:
     m = Machine(MachineConfig.small(num_cores=4))
+    ports = [m.memsys.make_port(core) for core in range(4)]
     t = 0
     for core, addr, is_write in ops:
-        t = m.memsys.access(core, addr, is_write, t)
+        t = ports[core](addr, is_write, t)
     return m
 
 
 @given(ops=OPS)
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_l1_is_subset_of_l2(ops):
     m = run_ops(ops)
     for core in range(4):
@@ -41,7 +51,7 @@ def test_l1_is_subset_of_l2(ops):
 
 
 @given(ops=OPS)
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_l2_is_subset_of_l3(ops):
     m = run_ops(ops)
     l3_lines = set()
@@ -53,7 +63,7 @@ def test_l2_is_subset_of_l3(ops):
 
 
 @given(ops=OPS)
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_directory_matches_l2_contents(ops):
     m = run_ops(ops)
     d = m.memsys.directory
@@ -62,8 +72,6 @@ def test_directory_matches_l2_contents(ops):
             assert core in d.holders(line), (
                 "L2 holds a line the directory does not track")
     # And the converse: every tracked holder really holds the line.
-    for line in list(m.memsys.l1s[0].resident_lines()):
-        pass  # (enumerating directory entries directly below)
     for line, entry in list(d._entries.items()):
         for holder in entry.holders():
             assert m.memsys.l2s[holder].peek(line) is not None, (
@@ -71,7 +79,7 @@ def test_directory_matches_l2_contents(ops):
 
 
 @given(ops=OPS)
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_single_owner_for_modified_lines(ops):
     m = run_ops(ops)
     for line, entry in list(m.memsys.directory._entries.items()):
@@ -84,19 +92,20 @@ def test_single_owner_for_modified_lines(ops):
 
 
 @given(ops=OPS)
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_completion_times_are_causal(ops):
     """Each access completes at or after its issue time."""
     m = Machine(MachineConfig.small(num_cores=4))
+    ports = [m.memsys.make_port(core) for core in range(4)]
     t = 0
     for core, addr, is_write in ops:
-        done = m.memsys.access(core, addr, is_write, t)
+        done = ports[core](addr, is_write, t)
         assert done >= t
         t = done
 
 
 @given(ops=OPS)
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 def test_bus_traffic_only_on_l3_boundary(ops):
     """Bus transfers arise only from L3 misses and dirty L3 evictions."""
     m = run_ops(ops)
@@ -104,3 +113,141 @@ def test_bus_traffic_only_on_l3_boundary(ops):
     misses = m.memsys.l3.misses
     writebacks = m.memsys.stats.l3_writebacks_to_dram
     assert transfers == misses + writebacks
+
+
+# -- the port walk against the reference access() ----------------------------
+
+#: A quarter of ``small()``'s L3 — eight lines a bank — under four 64-line
+#: L2s, so that L3 victims usually still have private copies to recall.
+SHRUNK_L3 = replace(MachineConfig.small(num_cores=4), l3_bytes=16 * 1024)
+
+#: Two of the eight home banks and three times the lines they hold, so
+#: that sixty ops overflow an L3 set.  One integer an op: drawing four
+#: values an op is most of what such a test costs.
+
+
+def _wide_op(code: int) -> tuple[int, int, bool]:
+    code, is_write = divmod(code, 2)
+    code, core = divmod(code, 4)
+    row, bank = divmod(code, 2)
+    return core, (1 << 20) + (row * 8 + bank) * 64, bool(is_write)
+
+
+WIDE_OPS = st.lists(st.integers(0, 2 * 4 * 2 * 24 - 1).map(_wide_op),
+                    min_size=60, max_size=300)
+
+
+def machine_pair() -> tuple[Machine, Machine]:
+    """A default machine and a ``REPRO_SLOW_PATHS=1`` machine."""
+    walk = Machine(SHRUNK_L3)
+    with mock.patch.dict("os.environ", {"REPRO_SLOW_PATHS": "1"}):
+        reference = Machine(SHRUNK_L3)
+    assert walk.memsys._fast and not reference.memsys._fast
+    return walk, reference
+
+
+def state_of(m: Machine) -> dict:
+    """Everything the memory system holds, order and payloads included."""
+    mem = m.memsys
+    caches = mem.l1s + mem.l2s + [bank.cache for bank in mem.l3.banks]
+    return {
+        "contents": {c.name: [list(s.items()) for s in c._sets]
+                     for c in caches},
+        "cache_stats": {c.name: c.stats for c in caches},
+        "directory": {line: (e.owner, e.owner_dirty, set(e.sharers))
+                      for line, e in mem.directory._entries.items()},
+        "memsys": mem.stats,
+        "coherence": mem.directory.stats,
+        "ring": m.ring.stats,
+        "bus": mem.bus.stats,
+        "dram": mem.dram.stats,
+        "bus_free_at": mem.bus.free_at,
+        "l3_free_at": [bank.free_at for bank in mem.l3.banks],
+        "dram_free_at": [mem.dram.busy_until(b)
+                         for b in range(m.config.dram_banks)],
+    }
+
+
+def legs_of(m: Machine) -> tuple[int, ...]:
+    mem, coherence = m.memsys.stats, m.memsys.directory.stats
+    return (mem.recalls, mem.l2_writebacks, mem.l3_writebacks_to_dram,
+            coherence.invalidations_sent, coherence.writebacks_to_l3,
+            coherence.cache_to_cache, coherence.upgrades)
+
+
+def run_both(ops) -> set[str]:
+    """Drive ``ops`` down both paths; return the rare legs they took.
+
+    An op whose ``is_write`` is None drops the core's L2 copy of the
+    line behind the protocol's back (on both machines alike), which is
+    the only way to reach the L1-hit-without-L2 branch.
+    """
+    walk, reference = machine_pair()
+    walk_ports = [walk.memsys.make_port(core) for core in range(4)]
+    reference_ports = [reference.memsys.make_port(core) for core in range(4)]
+    seen: set[str] = set()
+    t = 0
+    for index, (core, addr, is_write) in enumerate(ops):
+        if is_write is None:
+            for m in (walk, reference):
+                m.memsys.l2s[core].invalidate(m.memsys.line_of(addr))
+            continue
+        # Two legs show in the state the op finds ...
+        mem = reference.memsys
+        line = mem.line_of(addr)
+        entry = mem.directory.entry(line)
+        if is_write and entry is not None and entry.sharers - {core}:
+            seen.add("invalidation fan-out")
+        if (is_write and line in mem.l1s[core]
+                and mem.l2s[core].peek(line) is None):
+            seen.add("L1 hit without an L2 copy")
+        before = legs_of(reference)
+        done = walk_ports[core](addr, is_write, t)
+        expected = reference_ports[core](addr, is_write, t)
+        assert done == expected, f"op {index}: {done} != {expected}"
+        t = done
+        # ... the rest in the counters it moves.
+        (recalls, l2_writebacks, posted, invalidations, to_l3, forwards,
+         upgrades) = (b - a for a, b in zip(before, legs_of(reference)))
+        # A load invalidates nothing except through the recall its L3
+        # fill causes, and an op fills the L3 at most once.
+        if recalls and not is_write and invalidations >= 2:
+            seen.add("recall with sharers")
+        # Dirty data returns to the L3 from an evicted or a recalled owner.
+        if recalls and not forwards and to_l3 > l2_writebacks:
+            seen.add("recall of a dirty owner")
+        if posted:
+            seen.add("posted write-back of a dirty L3 victim")
+        if l2_writebacks:
+            seen.add("dirty L2 eviction")
+        if forwards:
+            seen.add("cache-to-cache forward")
+        if upgrades:
+            seen.add("upgrade")
+    assert state_of(walk) == state_of(reference)
+    return seen
+
+
+@given(ops=WIDE_OPS)
+@settings(deadline=None)
+def test_port_walk_matches_reference_access(ops):
+    for leg in run_both(ops):
+        event(leg)
+
+
+def test_port_walk_matches_reference_on_every_rare_leg():
+    """One seeded sequence long enough to take every rare leg, with an
+    L2 copy dropped now and then so the defensive branch runs too."""
+    rng = random.Random(13)
+    ops: list[tuple[int, int, bool | None]] = []
+    for _ in range(6000):
+        core, addr = rng.randrange(4), (1 << 20) + rng.randrange(192) * 64
+        if rng.random() < 0.01:
+            ops += [(core, addr, False), (core, addr, None), (core, addr, True)]
+        else:
+            ops.append((core, addr, rng.random() < 0.4))
+    assert run_both(ops) == {
+        "recall with sharers", "recall of a dirty owner",
+        "posted write-back of a dirty L3 victim", "dirty L2 eviction",
+        "cache-to-cache forward", "upgrade", "invalidation fan-out",
+        "L1 hit without an L2 copy"}

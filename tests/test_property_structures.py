@@ -96,6 +96,18 @@ def test_timeline_work_conserving_for_sorted_arrivals(requests):
         now = gap
 
 
+@given(readies=st.lists(st.integers(0, 3000), min_size=1, max_size=200),
+       duration=st.integers(1, 64))
+def test_timeline_min_duration_changes_no_start(readies, duration):
+    """Closing the gaps no reservation fits in moves no reservation."""
+    plain = ReservationTimeline()
+    closing = ReservationTimeline(min_duration=duration)
+    for ready in readies:
+        assert (closing.reserve(ready, duration)
+                == plain.reserve(ready, duration))
+    assert len(closing) <= len(plain)
+
+
 # -- ring --------------------------------------------------------------------------------
 
 @given(n=st.integers(2, 128), a=st.integers(0, 127), b=st.integers(0, 127))
