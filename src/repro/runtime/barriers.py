@@ -1,14 +1,14 @@
 """Sense-reversing barriers for thread teams.
 
-A barrier is identified by an integer id and is reusable: the generation
-counter flips each time the whole team arrives, so the same id can be used
+A barrier is identified by an integer id and is reusable: the arrival set
+empties each time the whole team arrives, so the same id can be used
 in a loop (the common OpenMP pattern the paper's kernels rely on —
 PageMine's per-page barrier, for example).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -27,22 +27,20 @@ class BarrierStats:
     total_wait_cycles: int = 0
 
 
-@dataclass(slots=True)
-class _BarrierState:
-    generation: int = 0
-    arrived: list = field(default_factory=list)  # (core, arrival_time)
-
-
 class BarrierManager:
     """All barriers of the machine."""
 
     def __init__(self, config: "MachineConfig", ring: "Ring",
                  core_nodes: list[int],
                  observer: "SimObserver | None" = None) -> None:
-        self._config = config
-        self._ring = ring
+        self._hop_latency = config.ring_hop_latency
+        #: Core nodes come from the machine's own placement, so release
+        #: delays index the ring's distance list unchecked.
+        self._dist = ring.dist
         self._core_nodes = core_nodes
-        self._barriers: dict[int, _BarrierState] = {}
+        #: Per barrier id, the waiting cores and their arrival cycles,
+        #: in arrival order.
+        self._barriers: dict[int, dict[int, int]] = {}
         #: Observer (repro.sim.observer); never affects release timing.
         self._observer = observer
         self.stats = BarrierStats()
@@ -53,8 +51,9 @@ class BarrierManager:
 
         Returns None while the team is incomplete (the core spins).  When
         the last member arrives, returns ``[(core, release_cycle), ...]``
-        for *every* member including the last: release propagates from the
-        last arriver over the ring, so nearer cores wake sooner.
+        for *every* member including the last, in arrival order: release
+        propagates from the last arriver over the ring, so nearer cores
+        wake sooner.
 
         Raises:
             SimulationError: if a core arrives twice in one generation.
@@ -63,37 +62,36 @@ class BarrierManager:
             raise SimulationError("barrier team size must be >= 1")
         if self._observer is not None:
             self._observer.on_barrier_arrive(barrier_id, core, team_size, now)
-        st = self._barriers.get(barrier_id)
-        if st is None:
-            st = _BarrierState()
-            self._barriers[barrier_id] = st
-        if any(c == core for c, _t in st.arrived):
+        arrived = self._barriers.get(barrier_id)
+        if arrived is None:
+            arrived = self._barriers[barrier_id] = {}
+        if core in arrived:
             raise SimulationError(
                 f"core {core} arrived twice at barrier {barrier_id}")
-        st.arrived.append((core, now))
-        if len(st.arrived) < team_size:
+        arrived[core] = now
+        if len(arrived) < team_size:
             return None
 
         # Last arriver: release everyone.
         self.stats.episodes += 1
-        last_node = self._core_nodes[core]
+        nodes, dist, hop_latency = self._core_nodes, self._dist, self._hop_latency
+        last_node, num_nodes = nodes[core], len(dist)
         releases = []
-        for c, arrived_at in st.arrived:
-            hops = self._ring.hops(last_node, self._core_nodes[c])
-            release = now + hops * self._config.ring_hop_latency
+        waited = 0
+        for c, arrived_at in arrived.items():
+            release = now + dist[(nodes[c] - last_node) % num_nodes] * hop_latency
             releases.append((c, release))
-            self.stats.total_wait_cycles += release - arrived_at
+            waited += release - arrived_at
+        self.stats.total_wait_cycles += waited
         if self._observer is not None:
             self._observer.on_barrier_release(barrier_id, releases, now)
-        st.arrived = []
-        st.generation += 1
+        arrived.clear()
         return releases
 
     def pending(self, barrier_id: int) -> int:
         """Cores currently waiting at ``barrier_id``."""
-        st = self._barriers.get(barrier_id)
-        return len(st.arrived) if st else 0
+        return len(self._barriers.get(barrier_id, ()))
 
     def any_waiting(self) -> bool:
         """True if any barrier has waiters (deadlock diagnosis)."""
-        return any(st.arrived for st in self._barriers.values())
+        return any(self._barriers.values())

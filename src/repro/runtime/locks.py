@@ -46,8 +46,12 @@ class LockManager:
     def __init__(self, config: "MachineConfig", ring: "Ring",
                  core_nodes: list[int],
                  observer: "SimObserver | None" = None) -> None:
-        self._config = config
-        self._ring = ring
+        self._lifo = config.lock_grant_order == "lifo"
+        self._handoff_base = config.lock_handoff_base
+        self._hop_latency = config.ring_hop_latency
+        #: Core nodes come from the machine's own placement, so handoffs
+        #: index the ring's distance list unchecked.
+        self._dist = ring.dist
         self._core_nodes = core_nodes
         self._locks: dict[int, _LockState] = {}
         #: Observer (repro.sim.observer); never affects grant timing.
@@ -63,12 +67,11 @@ class LockManager:
 
     def _handoff_latency(self, from_core: int | None, to_core: int) -> int:
         """Cycles to move lock ownership between two cores."""
-        base = self._config.lock_handoff_base
         if from_core is None or from_core == to_core:
             return 2  # lock line already resident in M
-        hops = self._ring.hops(self._core_nodes[from_core],
-                               self._core_nodes[to_core])
-        return base + 2 * hops * self._config.ring_hop_latency
+        nodes, dist = self._core_nodes, self._dist
+        hops = dist[(nodes[to_core] - nodes[from_core]) % len(dist)]
+        return self._handoff_base + 2 * hops * self._hop_latency
 
     def acquire(self, lock_id: int, core: int, now: int) -> int | None:
         """Try to take ``lock_id`` for ``core`` at cycle ``now``.
@@ -111,7 +114,7 @@ class LockManager:
             self._observer.on_lock_released(lock_id, core, now)
         if not st.waiters:
             return None
-        if self._config.lock_grant_order == "lifo":
+        if self._lifo:
             next_core, enqueued = st.waiters.pop()
         else:
             next_core, enqueued = st.waiters.popleft()

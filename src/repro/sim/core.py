@@ -3,8 +3,9 @@
 Each core hosts one or more hardware thread contexts (Table 1's machine
 has one; ``MachineConfig.smt_threads`` adds the paper's Section 9
 extension).  A context executes one simulated thread by pulling ops from
-the thread's generator; the core is a small state machine driven by the
-event queue:
+the thread's generator; each context is driven by one prebound *step*
+(:meth:`Core._make_step`), the only callback the core ever puts on the
+event queue.  What each op costs:
 
 * ``Compute(n)`` occupies the context ``ceil(n / issue_width)`` cycles,
   scaled by the number of non-idle contexts sharing the core's issue
@@ -20,11 +21,25 @@ event queue:
   active-cores power metric.
 * ``ReadCounter`` samples a performance counter and sends the value back
   into the generator (``value = yield ReadCounter(...)``).
+
+The step handles ``Load``/``Store``, ``Compute`` and ``Branch`` in its
+own body, calls :meth:`Core._dispatch` for the rest, and pushes its own
+next event.  Two shortcuts, both off under ``REPRO_SLOW_PATHS=1``
+(which builds the *same* step without them):
+
+* a homogeneous run of ``Compute`` ops is pulled in one go and costs one
+  event (single-context cores only: the issue share cannot change
+  mid-run), exact up to the order of same-cycle events on other cores;
+* *run-ahead*: when the event the step would push is strictly earlier
+  than every pending one, the queue would hand it straight back, so the
+  step advances the clock itself and keeps going (see
+  ``repro.sim.engine``).  A lone thread never touches the queue.
 """
 
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ProgramError, SimulationError
@@ -55,60 +70,59 @@ class CoreState(enum.Enum):
 class _Context:
     """One hardware thread context of a core."""
 
-    __slots__ = ("index", "state", "program", "agent_id", "started_at",
-                 "spin_since", "send_value", "spin_cycles", "resume",
-                 "pending", "resume_pending")
+    __slots__ = ("state", "program", "agent_id", "spin_since",
+                 "send_value", "spin_cycles", "step", "pending")
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         self.state = CoreState.IDLE
         self.program: ThreadProgram | None = None
         self.agent_id: int | None = None
-        self.started_at = 0
         self.spin_since = 0
         self.send_value: int | None = None
         self.spin_cycles = 0
-        #: Prebound "pull my next op" event callback, created once by the
-        #: owning core so the hot loop never allocates per-event closures.
-        self.resume: Callable[[], None] = lambda: None
-        #: Op pulled ahead by the Compute-coalescing fast path, dispatched
-        #: by the prebound ``resume_pending`` callback (same no-allocation
-        #: rationale as ``resume``).  None means finish the thread.
+        #: Prebound event callback (:meth:`Core._make_step`), created
+        #: once by the owning core so the hot loop never allocates
+        #: per-event closures.
+        self.step: Callable[[], None] = lambda: None
+        #: Op the Compute coalescer pulled past the end of its run, for
+        #: the step to execute when the run's event fires.
         self.pending: object | None = None
-        self.resume_pending: Callable[[], None] = lambda: None
 
 
 class Core:
     """One processor core of the CMP (possibly multi-context)."""
 
     __slots__ = ("core_id", "machine", "predictor", "contexts",
-                 "retired_instructions", "_coalesce", "_mem_access",
-                 "_retired", "_observer")
+                 "_coalesce", "_run_ahead", "_mem_access", "_retired",
+                 "_observer")
 
     def __init__(self, core_id: int, machine: "Machine") -> None:
         self.core_id = core_id
         self.machine = machine
         self.predictor = GsharePredictor(machine.config.gshare_entries)
-        self.contexts = [_Context(i)
-                         for i in range(machine.config.smt_threads)]
-        self.retired_instructions = 0
-        for ctx in self.contexts:
-            ctx.resume = (lambda c=ctx: self._step(c))
-            ctx.resume_pending = (lambda c=ctx: self._dispatch_pending(c))
-        #: Coalescing homogeneous Compute runs is valid only when the
-        #: issue-width share cannot change mid-run (one context per core).
-        #: Never a function of the observer: attaching one must not pick
-        #: the code path.
-        self._coalesce = (not slow_paths_enabled()
+        self.contexts = [_Context()
+                         for _ in range(machine.config.smt_threads)]
+        #: Neither shortcut is ever a function of the observer:
+        #: attaching one must not pick the code path.  Coalescing
+        #: Compute runs is valid only when the issue-width share cannot
+        #: change mid-run (one context per core).
+        self._run_ahead = not slow_paths_enabled()
+        self._coalesce = (self._run_ahead
                           and machine.config.smt_threads == 1)
         self._mem_access = machine.memsys.make_port(core_id)
-        #: The counter file's per-core retired array and the observer,
-        #: bound once (both are fixed at machine construction): the
-        #: per-op accounting below is two list bumps, not method calls.
+        #: The counter file's per-core retired array (the one retired-
+        #: instruction counter) and the observer, bound once: both are
+        #: fixed at machine construction.
         self._retired = machine.counters._retired
         self._observer = machine.observer
+        for ctx in self.contexts:
+            ctx.step = self._make_step(ctx)
 
     # -- aggregate views -----------------------------------------------------
+
+    @property
+    def retired_instructions(self) -> int:
+        return self._retired[self.core_id]
 
     @property
     def is_idle(self) -> bool:
@@ -134,10 +148,9 @@ class Core:
         ctx.program = program
         ctx.agent_id = agent_id
         ctx.state = CoreState.RUNNING
-        ctx.started_at = at
         if self._observer is not None:
             self._observer.on_thread_start(self.core_id, agent_id, at)
-        self.machine.events.schedule(at, ctx.resume)
+        self.machine.events.schedule(at, ctx.step)
 
     def _finish_thread(self, ctx: _Context) -> None:
         agent_id = ctx.agent_id
@@ -153,155 +166,159 @@ class Core:
 
     # -- execution loop ---------------------------------------------------------
 
-    def _next_op(self, ctx: _Context):
-        assert ctx.program is not None
+    def _resume_with_value(self, ctx: _Context):
+        """Pull the op after a ``ReadCounter``, sending the value read."""
+        value, ctx.send_value = ctx.send_value, None
         try:
-            if ctx.send_value is not None:
-                value, ctx.send_value = ctx.send_value, None
-                return ctx.program.send(value)  # type: ignore[union-attr]
-            return next(ctx.program)
+            return ctx.program.send(value)  # type: ignore[union-attr]
         except StopIteration:
             return None
 
-    def _step(self, ctx: _Context) -> None:
-        """Pull and dispatch the context's next op (event callback)."""
-        if ctx.send_value is None:
-            # Inlined common case of _next_op: plain generator pull.
-            try:
-                op = next(ctx.program)  # type: ignore[arg-type]
-            except StopIteration:
-                op = None
-        else:
-            op = self._next_op(ctx)
-        if op is None:
-            self._finish_thread(ctx)
-            return
-        self._dispatch(ctx, op)
-
-    def _dispatch_pending(self, ctx: _Context) -> None:
-        """Dispatch the op pulled ahead by the coalescing fast path."""
-        op = ctx.pending
-        if op is None:
-            self._finish_thread(ctx)
-            return
-        ctx.pending = None
-        self._dispatch(ctx, op)
-
-    def _dispatch(self, ctx: _Context, op) -> None:
-        """Execute one already-pulled op at the current cycle."""
-        machine = self.machine
-        events = machine.events
-        now = events.now
+    def _make_step(self, ctx: _Context) -> Callable[[], None]:
+        """Build ``ctx``'s step: run ops from the current cycle until the
+        context has to wait for the queue (or blocks, or finishes)."""
+        events = self.machine.events
+        heap = events.heap
+        config = self.machine.config
+        width = config.issue_width
+        penalty = config.branch_misprediction_penalty
+        core_id = self.core_id
+        retired = self._retired
         obs = self._observer
+        coalesce, run_ahead = self._coalesce, self._run_ahead
+        mem_access = self._mem_access
+        predict = self.predictor.update
+        active_contexts = self._active_contexts
+        resume_with_value, dispatch = self._resume_with_value, self._dispatch
+        finish = self._finish_thread
 
-        if type(op) is Compute:
-            n = op.instructions
-            if self._coalesce:
-                # Pull ahead through the whole homogeneous Compute run
-                # and schedule its completion as a single event.  Cycles
-                # are summed per op (ceil each), the share factor is a
-                # constant 1 (one context per core), and nothing outside
-                # this core can observe the intermediate cycles, so the
-                # schedule equals stepping op by op up to the order of
-                # same-cycle events on other cores.
-                width = machine.config.issue_width
-                cycles = -(-n // width) if n else 0
-                nxt = self._next_op(ctx)
-                while type(nxt) is Compute:
-                    extra = nxt.instructions
-                    n += extra
-                    if extra:
-                        cycles += -(-extra // width)
-                    nxt = self._next_op(ctx)
-                self.retired_instructions += n
-                self._retired[self.core_id] += n
-                if cycles:
+        def step() -> None:
+            now = events.now
+            op, ctx.pending = ctx.pending, None
+            while True:
+                if op is None:
+                    if ctx.send_value is None:
+                        try:
+                            op = next(ctx.program)  # type: ignore[arg-type]
+                        except StopIteration:
+                            pass
+                    else:
+                        op = resume_with_value(ctx)
+                    if op is None:
+                        finish(ctx)
+                        return
+                kind = type(op)
+                if kind is Load or kind is Store:
+                    is_write = kind is Store
                     if obs is not None and ctx.agent_id is not None:
-                        obs.on_compute(self.core_id, ctx.agent_id,
-                                       now, now + cycles)
-                    ctx.pending = nxt
-                    events.schedule(now + cycles, ctx.resume_pending)
-                elif nxt is None:
-                    self._finish_thread(ctx)
+                        obs.on_access(ctx.agent_id, op.addr, is_write, now)
+                    when = mem_access(op.addr, is_write, now)
+                    retired[core_id] += 1
+                    op = None
+                elif kind is Compute:
+                    n = op.instructions
+                    cycles = -(-n // width)
+                    if coalesce:
+                        # Pull through the whole homogeneous run: cycles
+                        # are summed per op (ceil each), the share is a
+                        # constant 1, and nothing outside this core can
+                        # observe the intermediate cycles.  A program
+                        # that ends in the run is pulled once more when
+                        # the cycles are over (it raises StopIteration
+                        # again); no counter value is pending here.
+                        program = ctx.program
+                        try:
+                            op = next(program)  # type: ignore[arg-type]
+                            while type(op) is Compute:
+                                n += op.instructions
+                                cycles += -(-op.instructions // width)
+                                op = next(program)  # type: ignore[arg-type]
+                        except StopIteration:
+                            op = None
+                    else:
+                        cycles *= active_contexts()
+                        op = None
+                    retired[core_id] += n
+                    if not cycles:
+                        continue
+                    when = now + cycles
+                    if obs is not None and ctx.agent_id is not None:
+                        obs.on_compute(core_id, ctx.agent_id, now, when)
+                elif kind is Branch:
+                    when = now + 1 + (0 if predict(op.pc, op.taken)
+                                      else penalty)
+                    retired[core_id] += 1
+                    op = None
                 else:
-                    self._dispatch(ctx, nxt)
+                    when = dispatch(ctx, op, now)
+                    if when is None:
+                        return  # spinning; Core.granted reschedules
+                    op = None
+
+                if when < now:
+                    events.schedule(when, step)  # raises: in the past
+                if (run_ahead and events.run_ahead
+                        and (not heap or when < heap[0][0])):
+                    # Strictly the earliest event: the queue would pop it
+                    # next, so be that pop.
+                    events.now = now = when
+                    continue
+                ctx.pending = op
+                seq = events.seq
+                events.seq = seq + 1
+                heappush(heap, (when, seq, step))
                 return
-            share = max(1, self._active_contexts())
-            cycles = (-(-n // machine.config.issue_width)) * share if n else 0
-            self.retired_instructions += n
-            self._retired[self.core_id] += n
-            if cycles:
-                if obs is not None and ctx.agent_id is not None:
-                    obs.on_compute(self.core_id, ctx.agent_id,
-                                   now, now + cycles)
-                events.schedule(now + cycles, ctx.resume)
-            else:
-                self._step(ctx)
-            return
 
-        if type(op) is Load or type(op) is Store:
-            is_write = type(op) is Store
-            if obs is not None and ctx.agent_id is not None:
-                obs.on_access(ctx.agent_id, op.addr, is_write, now)
-            done = self._mem_access(op.addr, is_write, now)
-            self.retired_instructions += 1
-            self._retired[self.core_id] += 1
-            events.schedule(done, ctx.resume)
-            return
+        return step
 
-        if type(op) is Branch:
-            correct = self.predictor.update(op.pc, op.taken)
-            penalty = (0 if correct
-                       else machine.config.branch_misprediction_penalty)
-            self.retired_instructions += 1
-            self._retired[self.core_id] += 1
-            events.schedule(now + 1 + penalty, ctx.resume)
-            return
+    def _dispatch(self, ctx: _Context, op, now: int) -> int | None:
+        """The step's out-of-line leg: runtime ops and counter reads.
+
+        Returns the cycle the context resumes at, or None once it spins.
+        """
+        machine = self.machine
+        obs = self._observer
+        assert ctx.agent_id is not None
 
         if type(op) is Lock:
-            assert ctx.agent_id is not None
             if obs is not None:
                 obs.on_lock_request(op.lock_id, ctx.agent_id, now)
             grant = machine.locks.acquire(op.lock_id, ctx.agent_id, now)
             if grant is None:
                 self._begin_spin(ctx, now)
-            else:
-                events.schedule(grant, ctx.resume)
-            return
+            return grant
 
         if type(op) is Unlock:
-            assert ctx.agent_id is not None
             if obs is not None:
                 obs.on_unlock_request(op.lock_id, ctx.agent_id, now)
             handoff = machine.locks.release(op.lock_id, ctx.agent_id, now)
             if handoff is not None:
                 next_agent, grant = handoff
                 machine.wake_agent(next_agent, grant)
-            events.schedule(now + 1, ctx.resume)
-            return
+            return now + 1
 
         if type(op) is BarrierWait:
-            assert ctx.agent_id is not None
-            team = machine.team_size_of(ctx.agent_id)
             releases = machine.barriers.arrive(
-                op.barrier_id, ctx.agent_id, team, now)
+                op.barrier_id, ctx.agent_id, machine.team_size_of(), now)
             if releases is None:
                 self._begin_spin(ctx, now)
-                return
-            for agent_id, when in releases:
+                return None
+            # The last arriver is the last release, so its own event
+            # (pushed by the step) still follows the others' in order.
+            when = None
+            for agent_id, release in releases:
                 if agent_id == ctx.agent_id:
-                    events.schedule(when, ctx.resume)
+                    when = release
                 else:
-                    machine.wake_agent(agent_id, when)
-            return
+                    machine.wake_agent(agent_id, release)
+            return when
 
         if type(op) is ReadCounter:
-            if obs is not None and ctx.agent_id is not None:
+            if obs is not None:
                 obs.on_read_counter(ctx.agent_id, op.kind, now)
             ctx.send_value = machine.counters.read(op.kind, self.core_id)
             # Reading a counter is a cheap serializing instruction.
-            events.schedule(now + 1, ctx.resume)
-            return
+            return now + 1
 
         raise ProgramError(f"core {self.core_id}: unknown op {op!r}")
 
@@ -320,4 +337,4 @@ class Core:
                 f"{ctx.state.value}")
         ctx.state = CoreState.RUNNING
         ctx.spin_cycles += max(0, when - ctx.spin_since)
-        self.machine.events.schedule(when, ctx.resume)
+        self.machine.events.schedule(when, ctx.step)

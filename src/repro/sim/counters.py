@@ -23,11 +23,9 @@ class CounterFile:
     def __init__(self, events: EventQueue, memsys: MemorySystem) -> None:
         self._events = events
         self._memsys = memsys
+        #: Retired instructions per core: the one such counter.  Each
+        #: core's step bumps its entry in place.
         self._retired = [0] * memsys.config.num_cores
-
-    def on_retire(self, core: int, instructions: int) -> None:
-        """Credit retired instructions to ``core`` (called by the core)."""
-        self._retired[core] += instructions
 
     def retired(self, core: int) -> int:
         return self._retired[core]

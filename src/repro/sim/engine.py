@@ -1,25 +1,27 @@
 """Discrete-event simulation engine.
 
 A minimal, deterministic event queue: events are ``(time, seq, callback)``
-triples ordered by time with a monotone sequence number breaking ties, so
-two runs of the same program produce bit-identical schedules.
+triples in one binary heap, ordered by time with a monotone sequence
+number breaking ties, so two runs of the same program produce
+bit-identical schedules.
 
-Internally the queue is split in two.  Most simulator events are
-scheduled in non-decreasing time order (each core schedules its own
-next step strictly in the future), so events whose time is at or past
-the latest pending time go to a plain FIFO *tail* — an append instead
-of a heap push — and only genuinely out-of-order events pay for the
-heap.  The pop side takes the smaller of the heap top and the tail
-head, which preserves the exact global (time, seq) order of a single
-heap.  ``REPRO_SLOW_PATHS=1`` forces the pure-heap reference mode (see
-``tests/test_perf_parity.py``).
+*Run-ahead.*  Inside the unbounded, sampler-free :meth:`EventQueue.run`
+drain the queue raises :attr:`EventQueue.run_ahead`.  While it is up, a
+callback about to schedule *itself* at a time strictly earlier than
+every pending event may set :attr:`EventQueue.now` to that time and
+carry on instead: the queue would have handed exactly that event
+straight back.  Strict ``<`` leaves every same-cycle tie to the heap's
+``(time, seq)`` order, and since no sequence number is consumed the
+relative order of all other events is unchanged.  The core's step
+(``repro.sim.core``) is the one user; ``run(until=...)``, ``step()``
+and any drain with a ``sampler`` attached never run ahead, because a
+bound or an observer has to see every advance.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from collections import deque
 from typing import Callable, Protocol
 
 from repro.errors import SimulationError
@@ -38,7 +40,7 @@ def slow_paths_enabled() -> bool:
     """True when ``REPRO_SLOW_PATHS`` asks for the reference code paths.
 
     Checked once at construction time by every component that has an
-    optimized fast path (event queue, core, memory system), so a test
+    optimized fast path (core, memory system), so a test
     can flip the environment variable and build two machines whose
     simulated behavior must be bit-identical.
     """
@@ -48,16 +50,20 @@ def slow_paths_enabled() -> bool:
 class EventQueue:
     """Deterministic priority queue of timed callbacks."""
 
-    __slots__ = ("_heap", "_tail", "_seq", "_fast", "now", "sampler")
+    __slots__ = ("heap", "seq", "now", "run_ahead", "sampler")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callback]] = []
-        #: FIFO fast path: events appended in non-decreasing time order.
-        self._tail: deque[tuple[int, int, Callback]] = deque()
-        self._seq = 0
-        self._fast = not slow_paths_enabled()
+        #: The pending ``(time, seq, callback)`` triples, a ``heapq``
+        #: heap, and the next sequence number.  Public for the one hot
+        #: caller that pushes its own events (the core's step); everyone
+        #: else goes through :meth:`schedule`.
+        self.heap: list[tuple[int, int, Callback]] = []
+        self.seq = 0
         #: Current simulation time in cpu cycles.
         self.now = 0
+        #: True only inside the unbounded, sampler-free :meth:`run`
+        #: drain (see the module docstring).
+        self.run_ahead = False
         #: Optional pure observer notified (``on_advance(when)``) just
         #: before the clock advances to each event's cycle — how the
         #: tracer samples counters without scheduling events of its
@@ -72,20 +78,16 @@ class EventQueue:
         """
         if when < self.now:
             raise SimulationError(f"cannot schedule event at {when}, now is {self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        tail = self._tail
-        if self._fast and (not tail or when >= tail[-1][0]):
-            tail.append((when, seq, callback))
-        else:
-            heapq.heappush(self._heap, (when, seq, callback))
+        seq = self.seq
+        self.seq = seq + 1
+        heapq.heappush(self.heap, (when, seq, callback))
 
     def schedule_in(self, delay: int, callback: Callback) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         self.schedule(self.now + delay, callback)
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._tail)
+        return len(self.heap)
 
     def _clamp(self, until: int) -> None:
         """Advance the clock to ``until`` with no event firing there.
@@ -106,64 +108,41 @@ class EventQueue:
             until: optional cycle bound; events scheduled after it stay
                 queued and :attr:`now` is clamped to ``until``.
         """
-        heap = self._heap
-        tail = self._tail
+        heap = self.heap
         if until is None and self.sampler is None:
             # Specialized drain for the dominant call (run_parallel):
-            # no bound to check and no observer to notify per event.
-            pop_tail = tail.popleft
-            pop_heap = heapq.heappop
-            while True:
-                if heap:
-                    # seq values are unique, so the tuple comparison
-                    # never reaches the (incomparable) callbacks.
-                    if tail and tail[0] < heap[0]:
-                        when, _seq, callback = pop_tail()
-                    else:
-                        when, _seq, callback = pop_heap(heap)
-                elif tail:
-                    when, _seq, callback = pop_tail()
-                else:
-                    return
-                self.now = when
-                callback()
-        while heap or tail:
-            # The next event is the smaller of the heap top and the
-            # tail head; seq values are unique, so the tuple comparison
-            # never reaches the (incomparable) callbacks.
-            if heap and (not tail or heap[0] < tail[0]):
-                event = heap[0]
-                from_heap = True
-            else:
-                event = tail[0]
-                from_heap = False
-            when, _seq, callback = event
+            # no bound to check and no observer to notify per event, so
+            # callbacks may run ahead of the queue.
+            pop = heapq.heappop
+            self.run_ahead = True
+            try:
+                while heap:
+                    # seq values are unique, so the heap's tuple
+                    # comparison never reaches the callbacks.
+                    self.now, _seq, callback = pop(heap)
+                    callback()
+            finally:
+                self.run_ahead = False
+            return
+        while heap:
+            when = heap[0][0]
             if until is not None and when > until:
-                self._clamp(until)
-                return
-            if from_heap:
-                heapq.heappop(heap)
-            else:
-                tail.popleft()
-            if self.sampler is not None and when > self.now:
-                self.sampler.on_advance(when)
-            self.now = when
-            callback()
+                break
+            self._fire()
         if until is not None:
             self._clamp(until)
 
-    def step(self) -> bool:
-        """Run the single earliest event.  Returns False if queue is empty."""
-        heap = self._heap
-        tail = self._tail
-        if not heap and not tail:
-            return False
-        if heap and (not tail or heap[0] < tail[0]):
-            when, _seq, callback = heapq.heappop(heap)
-        else:
-            when, _seq, callback = tail.popleft()
+    def _fire(self) -> None:
+        """Pop and run the earliest event, telling the sampler first."""
+        when, _seq, callback = heapq.heappop(self.heap)
         if self.sampler is not None and when > self.now:
             self.sampler.on_advance(when)
         self.now = when
         callback()
+
+    def step(self) -> bool:
+        """Run the single earliest event.  Returns False if queue is empty."""
+        if not self.heap:
+            return False
+        self._fire()
         return True

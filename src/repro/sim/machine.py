@@ -69,8 +69,8 @@ class Machine:
 
     __slots__ = ("config", "events", "ring", "memsys", "counters",
                  "observer", "sanitizer", "trace", "locks", "barriers", "cores",
-                 "_team_size", "_threads_running", "_active_core_cycles",
-                 "_core_first_start")
+                 "_placement", "_team_size", "_threads_running",
+                 "_active_core_cycles", "_core_first_start")
 
     def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig.asplos08_baseline()
@@ -114,6 +114,10 @@ class Machine:
         self.barriers = BarrierManager(self.config, self.ring, agent_nodes,
                                        observer=self.observer)
         self.cores = [Core(i, self) for i in range(self.config.num_cores)]
+        #: Placement, resolved once: slot -> (hosting core, SMT context).
+        self._placement = [(self.cores[self.core_of_agent(s)],
+                            self.context_of_agent(s))
+                           for s in range(self.config.num_thread_slots)]
         self._team_size = 0
         self._threads_running = 0
         self._active_core_cycles = 0
@@ -133,12 +137,12 @@ class Machine:
 
     def wake_agent(self, agent_id: int, when: int) -> None:
         """Route a lock grant / barrier release to the agent's context."""
-        core = self.cores[self.core_of_agent(agent_id)]
-        core.granted(self.context_of_agent(agent_id), when)
+        core, context_index = self._placement[agent_id]
+        core.granted(context_index, when)
 
     # -- team bookkeeping (used by Core) -------------------------------------
 
-    def team_size_of(self, agent_id: int | None) -> int:
+    def team_size_of(self) -> int:
         if self._team_size <= 0:
             raise SimulationError("no parallel region is active")
         return self._team_size
@@ -185,13 +189,12 @@ class Machine:
         spawn = self.config.thread_spawn_cycles if spawn_overhead else 0
         for i, factory in enumerate(factories):
             begin = start if i == 0 else start + spawn
-            core_id = self.core_of_agent(i)
-            self.cores[core_id].start_thread(
-                factory(i, num_threads), i, begin,
-                context_index=self.context_of_agent(i))
-            first = self._core_first_start.get(core_id)
+            core, context_index = self._placement[i]
+            core.start_thread(factory(i, num_threads), i, begin,
+                              context_index=context_index)
+            first = self._core_first_start.get(core.core_id)
             if first is None or begin < first:
-                self._core_first_start[core_id] = begin
+                self._core_first_start[core.core_id] = begin
 
         self.events.run()
         if self._threads_running:

@@ -43,7 +43,7 @@ class Ring:
     """
 
     __slots__ = ("num_nodes", "hop_latency", "link_occupancy", "stats",
-                 "_dist", "_link_free")
+                 "dist", "_link_free")
 
     def __init__(self, num_nodes: int, hop_latency: int = 1,
                  link_occupancy: int = 0) -> None:
@@ -57,9 +57,11 @@ class Ring:
         self.hop_latency = hop_latency
         self.link_occupancy = link_occupancy
         self.stats = RingStats()
-        # Hop counts depend only on the index distance; precompute them.
-        half = num_nodes
-        self._dist = [min(d, num_nodes - d) for d in range(half)]
+        #: Hop counts depend only on the index distance:
+        #: ``dist[(dst - src) % num_nodes]``.  Read directly by callers
+        #: that have already range-checked their nodes (:meth:`hops`
+        #: checks per call).
+        self.dist = [min(d, num_nodes - d) for d in range(num_nodes)]
         # Directed links: [node][0] = clockwise (node -> node+1),
         # [node][1] = counter-clockwise (node -> node-1).
         self._link_free = [[0, 0] for _ in range(num_nodes)]
@@ -68,11 +70,11 @@ class Ring:
         """Shortest-direction hop count between two nodes."""
         if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
             raise ValueError(f"node out of range: {src} -> {dst} of {self.num_nodes}")
-        return self._dist[(dst - src) % self.num_nodes]
+        return self.dist[(dst - src) % self.num_nodes]
 
     def latency(self, src: int, dst: int) -> int:
         """Cycles for a message from ``src`` to ``dst``; records traffic."""
-        h = self._dist[(dst - src) % self.num_nodes]
+        h = self.dist[(dst - src) % self.num_nodes]
         self.stats.messages += 1
         self.stats.total_hops += h
         return h * self.hop_latency
@@ -91,7 +93,7 @@ class Ring:
         """
         n = self.num_nodes
         clockwise_hops = (dst - src) % n
-        h = self._dist[clockwise_hops]
+        h = self.dist[clockwise_hops]
         stats = self.stats
         stats.messages += 1
         stats.total_hops += h

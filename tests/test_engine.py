@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import EventQueue
@@ -174,17 +176,14 @@ def test_step_notifies_sampler_only_on_advance():
     assert sampler.advances == [4]
 
 
-def test_out_of_order_schedules_interleave_with_fifo_tail():
-    """Mixed heap/tail usage preserves the exact (time, seq) order.
-
-    Monotone schedules take the FIFO tail; scheduling *earlier* than
-    the pending tail head must divert to the heap and still pop first.
-    """
+def test_out_of_order_schedules_keep_time_then_insertion_order():
+    """Events scheduled earlier than pending ones still pop first, ties
+    in insertion order, including a same-cycle re-entry."""
     q = EventQueue()
     seen = []
-    q.schedule(50, lambda: seen.append("d"))   # tail
-    q.schedule(20, lambda: seen.append("b"))   # earlier -> heap
-    q.schedule(10, lambda: seen.append("a"))   # earlier still -> heap
+    q.schedule(50, lambda: seen.append("d"))
+    q.schedule(20, lambda: seen.append("b"))
+    q.schedule(10, lambda: seen.append("a"))
     q.schedule(20, lambda: seen.append("c"))   # ties with "b"; later seq
 
     def late():
@@ -197,20 +196,95 @@ def test_out_of_order_schedules_interleave_with_fifo_tail():
     assert q.now == 60
 
 
-def test_interleaving_identical_with_slow_paths(monkeypatch):
-    """The split queue's pop order must equal the pure-heap reference."""
-    schedule = [(7, "a"), (3, "b"), (7, "c"), (3, "d"), (12, "e"),
-                (5, "f"), (12, "g"), (1, "h")]
+#: An event is ``(delay, children)``: it fires ``delay`` cycles after the
+#: event that scheduled it (after cycle 0 for a root) and then schedules
+#: its children.  Small delays, zero included, make same-cycle ties and
+#: schedules at ``now`` common.
+_events = st.recursive(
+    st.tuples(st.integers(0, 6), st.just(())),
+    lambda kids: st.tuples(st.integers(0, 6),
+                           st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=12)
 
-    def drain() -> list[str]:
-        q = EventQueue()
-        seen: list[str] = []
-        for when, tag in schedule:
-            q.schedule(when, lambda t=tag: seen.append(t))
-        q.run()
-        return seen
 
-    monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
-    fast = drain()
-    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
-    assert fast == drain() == ["h", "b", "d", "f", "a", "c", "e", "g"]
+def _model(roots, until):
+    """The queue's contract, spelled out on a list scanned for its
+    minimum: ``(fired order, advances, final now, events left)``."""
+    pending, fired, advances = [], [], []
+    now = 0
+    for delay, kids in roots:
+        pending.append((delay, len(pending), kids))
+    inserted = len(pending)
+    while pending:
+        when, index, kids = entry = min(pending)  # indices are unique
+        if until is not None and when > until:
+            break
+        pending.remove(entry)
+        if when > now:
+            advances.append(when)
+        now = when
+        fired.append(index)
+        for delay, grandkids in kids:
+            pending.append((now + delay, inserted, grandkids))
+            inserted += 1
+    if until is not None and until > now:
+        advances.append(until)
+        now = until
+    return fired, advances, now, len(pending)
+
+
+@given(roots=st.lists(_events, max_size=6),
+       until=st.none() | st.integers(0, 20),
+       with_sampler=st.booleans(), stepwise=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_queue_fires_in_time_then_insertion_order(roots, until,
+                                                  with_sampler, stepwise):
+    """Random schedules, whose callbacks schedule more at ``now`` and
+    ``now + k``, fire in exactly sorted ``(when, insertion order)`` under
+    every way of draining; the past is refused; ``run(until)`` clamps
+    and keeps the rest; the sampler sees every advance; ``step()`` fires
+    one event; run-ahead is offered only by the plain ``run()``."""
+    if stepwise:
+        until = None
+    q = EventQueue()
+    sampler = _RecordingSampler()
+    if with_sampler:
+        q.sampler = sampler
+    fired: list[int] = []
+    offered: set[bool] = set()
+    inserted = 0
+
+    def add(when: int, kids) -> None:
+        nonlocal inserted
+        index = inserted
+        inserted += 1
+
+        def callback() -> None:
+            assert q.now == when
+            fired.append(index)
+            offered.add(q.run_ahead)
+            if when:
+                with pytest.raises(SimulationError):
+                    q.schedule(when - 1, callback)
+            for delay, grandkids in kids:
+                add(when + delay, grandkids)
+
+        q.schedule(when, callback)
+
+    for delay, kids in roots:
+        add(delay, kids)
+    if stepwise:
+        steps = 0
+        while q.step():
+            steps += 1
+            assert len(fired) == steps
+    else:
+        q.run(until)
+
+    want_fired, want_advances, want_now, want_left = _model(roots, until)
+    assert fired == want_fired
+    assert (q.now, len(q)) == (want_now, want_left)
+    if with_sampler:
+        assert sampler.advances == want_advances
+    assert not q.run_ahead
+    assert offered <= {until is None and not with_sampler and not stepwise}

@@ -1,14 +1,17 @@
 """Fast paths vs ``REPRO_SLOW_PATHS=1`` reference paths: bit-identical.
 
-The simulator's hot-path optimizations (Compute-run coalescing, the
-event queue's FIFO tail, the inlined L1/L2 load walk and miss path in
-the memory system) are pure speedups: they must not change a single
-simulated cycle or counter.  ``REPRO_SLOW_PATHS=1`` forces every
-component back onto its straightforward reference code; these tests run
-the same workloads both ways and require the results to match exactly —
-not approximately, bit for bit.  One known exception is pinned below:
-Compute coalescing is exact only up to same-cycle cross-core tie order,
-which shows on Transpose and nowhere else in the roster.
+The simulator's hot-path optimizations (Compute-run coalescing and
+run-ahead in the core's step, the inlined memory walk) are pure
+speedups: they must not change a single simulated cycle or counter.
+``REPRO_SLOW_PATHS=1`` builds the same step with both shortcuts off and
+the reference memory port; these tests run the same workloads both ways
+and require the results to match exactly — not approximately, bit for
+bit.  One known exception is pinned below: Compute coalescing is exact
+only up to same-cycle cross-core tie order, which shows on Transpose
+and nowhere else in the roster.  Run-ahead has no such exception, and
+its guards are tested here too: a queue with a sampler attached never
+runs ahead, observers see the same timestamps, and a deadlock is still
+diagnosed.
 
 The environment variable is read once at *construction* time by each
 component, so flipping it between machine builds inside one process is
@@ -19,44 +22,54 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.inspection import machine_report
+from repro.errors import DeadlockError
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
-from repro.fdt.runner import run_application
+from repro.fdt.runner import AppRunResult, run_application
 from repro.isa.ops import Branch, Compute, Load, Lock, Store, Unlock
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, TraceConfig
 from repro.sim.machine import Machine
+from repro.trace import run_traced
 from repro.workloads import get
 
 
-def _app_fingerprint(workload: str, policy_name: str) -> dict[str, int | str]:
-    """Run one workload/policy pair; return every aggregate counter."""
-    app = get(workload).build(0.05)
-    policy = (StaticPolicy(4) if policy_name == "static"
-              else FdtPolicy(FdtMode.COMBINED))
-    run = run_application(app, policy, MachineConfig.small())
-    result = run.result
-    return {
-        "cycles": run.cycles,
-        "threads_used": str(run.threads_used),
-        "retired": result.retired_instructions,
-        "busy_core_cycles": result.busy_core_cycles,
-        "spin_core_cycles": result.spin_core_cycles,
-        "bus_busy_cycles": result.bus_busy_cycles,
-        "bus_transfers": result.bus_transfers,
-        "l3_misses": result.l3_misses,
-        "l3_accesses": result.l3_accesses,
-        "lock_acquisitions": result.lock_acquisitions,
-    }
+def _app_run(workload: str, policy_name: str, config: MachineConfig,
+             threads: int = 4) -> tuple[AppRunResult, dict]:
+    """Run one workload/policy pair; return the full result and every
+    per-component statistic of the machine it ran on."""
+    machine = Machine(config)
+    policy = (StaticPolicy(threads) if policy_name == "static" else FdtPolicy(FdtMode.COMBINED))
+    run = run_application(get(workload).build(0.05), policy,
+                          machine=machine)
+    return run, machine_report(machine)
+
+
+def _fast_and_slow(monkeypatch, build):
+    """``build()`` on the default paths and on the reference paths."""
+    monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
+    fast = build()
+    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
+    return fast, build()
 
 
 @pytest.mark.parametrize("policy_name", ["static", "fdt"])
-@pytest.mark.parametrize("workload", ["EP", "PageMine", "ED"])
+@pytest.mark.parametrize("workload", ["EP", "PageMine", "ED", "BT"])
 def test_workloads_identical_fast_vs_slow(monkeypatch, workload,
                                           policy_name):
-    monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
-    fast = _app_fingerprint(workload, policy_name)
-    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
-    slow = _app_fingerprint(workload, policy_name)
+    fast, slow = _fast_and_slow(monkeypatch, lambda: _app_run(
+        workload, policy_name, MachineConfig.small()))
     assert fast == slow
+
+
+def test_smt_workload_identical_fast_vs_slow(monkeypatch):
+    """Twelve threads on eight two-context cores: no coalescing either
+    way, but run-ahead on the default path, with the sibling context's
+    events in the same heap."""
+    fast, slow = _fast_and_slow(monkeypatch, lambda: _app_run(
+        "PageMine", "static", MachineConfig.small().with_smt(2),
+        threads=12))
+    assert fast == slow
+    assert fast[0].threads_used == (12,)
 
 
 def _transpose_cycles() -> int:
@@ -66,9 +79,9 @@ def _transpose_cycles() -> int:
 
 
 def test_engine_and_memsys_twins_identical_on_transpose(monkeypatch):
-    """With Compute coalescing held on, the pure-heap engine and the
-    reference memory walk reproduce the fast paths on the one workload
-    where the full flag diverges (next test)."""
+    """With the core's two shortcuts held on, the reference memory walk
+    reproduces the fast paths on the one workload where the full flag
+    diverges (next test)."""
     monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
     fast = _transpose_cycles()
     monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
@@ -90,10 +103,10 @@ def _mixed_factory(tid: int, team: int):
     """Synthetic thread touching every op the fast paths specialize.
 
     Alternating Compute/Load streams exercise the coalescer's pull-ahead
-    and pending-op dispatch; strided loads and stores walk L1 hits, L2
-    hits, clean and dirty misses, cross-core sharing and invalidations;
-    the lock section adds spin/wake event reordering through the queue's
-    heap (wakeups land out of FIFO order).
+    and the pending op it leaves for the step; strided loads and stores
+    walk L1 hits, L2 hits, clean and dirty misses, cross-core sharing
+    and invalidations; the lock section adds spin/wake events that land
+    ahead of pending ones, so run-ahead stops and starts.
     """
     base = tid * 1 << 18
     shared = 1 << 24
@@ -151,23 +164,104 @@ def _machine_fingerprint() -> dict[str, object]:
 
 
 def test_per_component_counters_identical_fast_vs_slow(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
-    fast = _machine_fingerprint()
-    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
-    slow = _machine_fingerprint()
+    fast, slow = _fast_and_slow(monkeypatch, _machine_fingerprint)
     assert fast == slow
+
+
+def _lone_factory(tid: int, team: int):
+    """One thread, never two Computes in a row: coalescing has nothing
+    to merge, so both paths make the same observer calls."""
+    for i in range(60):
+        yield Compute(9 + i % 4)
+        yield Load(i * 4096)
+        yield Store(i * 4096 + 64)
+        yield Branch(pc=i, taken=i % 3 == 0)
+
+
+def test_lone_thread_runs_ahead_with_the_same_observer_timestamps(
+        monkeypatch):
+    """A single-threaded region never finds an earlier pending event, so
+    all of it runs ahead — one event pushed, at thread start — and the
+    attached tracer is told the same cycles as on the reference path."""
+    def observed():
+        machine = Machine(MachineConfig.small().with_trace(
+            TraceConfig(counters=False)))
+        calls: list[tuple] = []
+        for hook in ("on_compute", "on_access", "on_thread_exit"):
+            setattr(machine.trace, hook,
+                    lambda *args, hook=hook: calls.append((hook, *args)))
+        region = machine.run_serial(_lone_factory)
+        return calls, region, machine.events.seq
+
+    fast, slow = _fast_and_slow(monkeypatch, observed)
+    assert fast[:2] == slow[:2]
+    assert {hook for hook, *_ in fast[0]} == {
+        "on_compute", "on_access", "on_thread_exit"}
+    assert fast[2] == 1 and slow[2] == 1 + 4 * 60
+
+
+def test_sampled_trace_does_not_run_ahead(monkeypatch):
+    """With counter sampling on, the queue has a sampler and the lone
+    thread goes through it op by op: were it to run ahead, every sample
+    would be taken at the end and read the final counters."""
+    def sampled():
+        machine = Machine(MachineConfig.small().with_trace(
+            TraceConfig(sample_interval=50)))
+        machine.run_serial(_lone_factory)
+        return machine.trace.data.samples, machine.events.seq
+
+    fast, slow = _fast_and_slow(monkeypatch, sampled)
+    assert fast == slow
+    assert len({s.retired_instructions for s in fast[0]}) > 10
+
+
+def test_sampled_trace_series_pinned():
+    """The counter series of a real traced run (251 samples), summed
+    per field; recorded before the step learned to run ahead."""
+    traced = run_traced(get("PageMine").build(0.1),
+                        FdtPolicy(FdtMode.COMBINED),
+                        MachineConfig.asplos08_baseline(),
+                        trace_config=TraceConfig())
+    samples = traced.trace.samples
+    assert (len(samples),
+            sum(s.retired_instructions for s in samples),
+            sum(s.bus_busy_cycles for s in samples),
+            sum(s.active_cores for s in samples),
+            sum(s.lock_acquisitions for s in samples)) == (
+        251, 30061447, 4400384, 611, 3311)
+
+
+def test_deadlock_diagnosed_while_sibling_runs_ahead():
+    """Thread 1 waits for a lock thread 0 never releases; thread 0 then
+    has the queue to itself, runs ahead to its end, and the drained
+    queue still names the blocked core."""
+    def factory(tid: int, team: int):
+        if tid == 0:
+            yield Lock(0)
+            for i in range(50):
+                yield Load(i * 4096)
+        else:
+            yield Compute(400)
+            yield Lock(0)
+
+    machine = Machine(MachineConfig.small())
+    with pytest.raises(DeadlockError, match=r"blocked on cores \[1\]"):
+        machine.run_parallel([factory] * 2, spawn_overhead=False)
+    assert machine.locks.holder(0) == 0 and machine.locks.waiters(0) == 1
 
 
 def test_slow_paths_flag_actually_selects_reference_code(monkeypatch):
     """Guard against the reference mode silently rotting: the flag must
-    reach each component's constructor."""
-    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
-    machine = Machine(MachineConfig.small())
-    assert not machine.events._fast
-    assert not machine.memsys._fast
-    assert not machine.cores[0]._coalesce
-    monkeypatch.delenv("REPRO_SLOW_PATHS")
-    machine = Machine(MachineConfig.small())
-    assert machine.events._fast
-    assert machine.memsys._fast
-    assert machine.cores[0]._coalesce
+    reach each component's constructor, and what it selects is no
+    coalescing, no run-ahead and the reference memory port."""
+    def lone_run():
+        machine = Machine(MachineConfig.small())
+        machine.run_serial(_lone_factory)
+        core = machine.cores[0]
+        return (machine.memsys._fast, core._coalesce, core._run_ahead,
+                core._mem_access.__name__ == "reference_port",
+                machine.events.seq)
+
+    fast, slow = _fast_and_slow(monkeypatch, lone_run)
+    assert fast == (True, True, True, False, 1)
+    assert slow == (False, False, False, True, 1 + 4 * 60)
