@@ -10,24 +10,25 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.crossover import run_crossover
+from repro.experiments import FIGURES
+from repro.experiments.figures import binding, bounds, crossed
 
 
 def test_crossover_binding_limiter_flips(benchmark, save_result):
     result = run_once(
         benchmark,
-        lambda: run_crossover(iterations=96,
-                              thread_counts=(1, 2, 4, 6, 8, 10, 12, 16, 32)))
+        lambda: FIGURES["crossover"].run(
+            iterations=96, thread_counts=(1, 2, 4, 6, 8, 10, 12, 16, 32)))
     save_result("crossover", result.format())
 
-    assert result.crossed, "the binding constraint must flip SAT -> BAT"
+    assert crossed(result), "the binding constraint must flip SAT -> BAT"
     # On the pure-CS side, FDT picks the SAT bound; on the heavy-BW
     # side, the BAT bound.
-    first, last = result.points[0], result.points[-1]
-    assert first.binding == "SAT"
-    assert last.binding == "BAT"
-    assert first.fdt_threads == min(first.p_cs, first.p_bw)
-    assert last.fdt_threads == min(last.p_cs, last.p_bw)
+    first, last = result.panels[0], result.panels[-1]
+    assert binding(first) == "SAT"
+    assert binding(last) == "BAT"
+    assert first.threads == (min(bounds(first)),)
+    assert last.threads == (min(bounds(last)),)
     # FDT stays near the simulated optimum at every point.
-    for p in result.points:
-        assert p.fdt_vs_best <= 1.30, f"bus_lines={p.bus_lines}"
+    for p in result.panels:
+        assert p.vs_best <= 1.30, f"bus_lines={p.label}"

@@ -9,15 +9,17 @@ from __future__ import annotations
 import pytest
 from conftest import run_once
 
-from repro.experiments.fig04_ed import run_fig4
+from repro.experiments import FIGURES
+from repro.experiments.figures import bus_saturation_threads
 
 
 def test_fig04_ed_time_and_utilization(benchmark, save_result):
-    result = run_once(benchmark, lambda: run_fig4(scale=0.15))
+    result = run_once(benchmark, lambda: FIGURES["fig4"].run(scale=0.15))
     save_result("fig04_ed", result.format())
 
-    curve = dict(zip(result.thread_counts, result.normalized_times))
-    util = dict(zip(result.thread_counts, result.bus_utilizations))
+    sweep = result.panel("ED").sweep
+    curve = dict(zip(sweep.thread_counts, sweep.normalized_curve()))
+    util = dict(zip(sweep.thread_counts, sweep.utilization_curve()))
 
     # 4a: near-ideal scaling below the knee...
     assert curve[2] == pytest.approx(0.5, abs=0.05)
@@ -30,5 +32,5 @@ def test_fig04_ed_time_and_utilization(benchmark, save_result):
     assert util[1] == pytest.approx(0.143, abs=0.02)
     assert util[4] == pytest.approx(4 * util[1], rel=0.15)
     # ...saturating at the knee the paper puts at 8 threads.
-    assert 7 <= result.saturation_threads <= 10
+    assert 7 <= bus_saturation_threads(sweep) <= 10
     assert util[32] > 0.97

@@ -7,11 +7,13 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.fig06_cs_example import run_fig6
+from repro.experiments import FIGURES
+from repro.experiments.figures import fig6_example
 
 
 def test_fig06_worked_example(benchmark, save_result):
-    result = run_once(benchmark, run_fig6)
+    result = run_once(benchmark, FIGURES["fig6"].run)
     save_result("fig06_cs_example", result.format())
-    assert result.times == (10.0, 8.0, 10.0, 17.0)
-    assert result.model.optimal_threads() == 2.0
+    model, times = fig6_example()
+    assert times == (10.0, 8.0, 10.0, 17.0)
+    assert model.optimal_threads() == 2.0

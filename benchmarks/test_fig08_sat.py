@@ -10,19 +10,14 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.fig08_sat import run_fig8
+from repro.experiments import FIGURES
 
 _SCALES = {"PageMine": 0.25, "ISort": 0.5, "GSearch": 0.5, "EP": 0.5}
 _GRID = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32)
 
 
 def _run():
-    panels = []
-    from repro.experiments.fig08_sat import Fig8Result
-    for name, scale in _SCALES.items():
-        part = run_fig8(scale=scale, thread_counts=_GRID, workloads=(name,))
-        panels.extend(part.panels)
-    return Fig8Result(panels=tuple(panels))
+    return FIGURES["fig8"].run(scales=_SCALES, thread_counts=_GRID)
 
 
 def test_fig08_sat_panels(benchmark, save_result):
@@ -31,16 +26,16 @@ def test_fig08_sat_panels(benchmark, save_result):
 
     for panel in result.panels:
         # The knee is at a small thread count for every CS-limited app.
-        assert 3 <= panel.best_static_threads <= 8, panel.workload
+        assert 3 <= panel.best_static_threads <= 8, panel.label
         # SAT picks a similarly small team...
-        assert 2 <= panel.sat_threads <= 8, panel.workload
+        assert 2 <= panel.threads[0] <= 8, panel.label
         # ...lands near the minimum...
-        assert panel.sat_vs_best <= 1.35, panel.workload
+        assert panel.vs_best <= 1.35, panel.label
         # ...and crushes the 32-thread baseline on time and power.
-        baseline = panel.sweep.point(32)
-        assert panel.sat_cycles < 0.7 * baseline.cycles, panel.workload
-        assert panel.sat_power < 0.35 * baseline.power, panel.workload
+        assert panel.baseline == panel.sweep.point(32)
+        assert panel.norm_time < 0.7, panel.label
+        assert panel.norm_power < 0.35, panel.label
 
     # Paper-specific picks that should hold at repro scale:
-    assert result.panel("ISort").sat_threads == 7
-    assert result.panel("EP").sat_threads in (4, 5)
+    assert result.panel("ISort").threads == (7,)
+    assert result.panel("EP").threads[0] in (4, 5)

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.fig11_bw_example import run_fig11
+from repro.experiments import FIGURES
+from repro.experiments.figures import fig11_example
 
 
 def test_fig11_worked_example(benchmark, save_result):
-    result = run_once(benchmark, run_fig11)
+    result = run_once(benchmark, FIGURES["fig11"].run)
     save_result("fig11_bw_example", result.format())
-    assert result.times == (1.0, 0.5, 0.25, 0.25)
-    assert result.utilizations == (0.25, 0.5, 1.0, 1.0)
-    assert result.model.saturation_threads() == 4.0
+    model, times, utilizations = fig11_example()
+    assert times == (1.0, 0.5, 0.25, 0.25)
+    assert utilizations == (0.25, 0.5, 1.0, 1.0)
+    assert model.saturation_threads() == 4.0

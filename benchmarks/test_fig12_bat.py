@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.fig12_bat import Fig12Result, run_fig12
+from repro.experiments import FIGURES, FigureResult
 
 #: MTwister keeps full scale (its L3-overflow property) on a coarse grid.
 _MTWISTER_GRID = (1, 4, 8, 12, 16, 24, 32)
@@ -18,13 +18,14 @@ _GRID = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 32)
 _CONVERT_SCALE = 1.0
 
 
-def _run() -> Fig12Result:
-    main = run_fig12(scale=0.4, thread_counts=_GRID,
+def _run() -> FigureResult:
+    fig12 = FIGURES["fig12"]
+    main = fig12.run(scale=0.4, thread_counts=_GRID,
                      workloads=("ED", "Transpose"))
-    conv = run_fig12(scale=_CONVERT_SCALE, thread_counts=_GRID,
+    conv = fig12.run(scale=_CONVERT_SCALE, thread_counts=_GRID,
                      workloads=("convert",))
-    mtw = run_fig12(thread_counts=_MTWISTER_GRID, workloads=("MTwister",))
-    return Fig12Result(panels=main.panels + conv.panels + mtw.panels)
+    mtw = fig12.run(thread_counts=_MTWISTER_GRID, workloads=("MTwister",))
+    return FigureResult(fig12, main.panels + conv.panels + mtw.panels)
 
 
 def test_fig12_bat_panels(benchmark, save_result):
@@ -32,20 +33,20 @@ def test_fig12_bat_panels(benchmark, save_result):
     save_result("fig12_bat", result.format())
 
     # BAT's thread picks track the paper's.
-    assert result.panel("ED").bat_threads[0] in (7, 8)            # paper: 7
-    assert result.panel("convert").bat_threads[0] in (16, 17, 18)  # paper: 17
-    assert result.panel("Transpose").bat_threads[0] in (7, 8, 9)   # paper: 8
-    t_gen, t_bm = result.panel("MTwister").bat_threads             # paper: 32, 12
+    assert result.panel("ED").threads[0] in (7, 8)            # paper: 7
+    assert result.panel("convert").threads[0] in (16, 17, 18)  # paper: 17
+    assert result.panel("Transpose").threads[0] in (7, 8, 9)   # paper: 8
+    t_gen, t_bm = result.panel("MTwister").threads                 # paper: 32, 12
     assert t_gen == 32
     assert 10 <= t_bm <= 14
 
     for panel in result.panels:
         # Execution time near the minimum (paper: within 3%; repro adds
         # the serial-training floor).
-        assert panel.bat_vs_best <= 1.30, panel.workload
+        assert panel.vs_best <= 1.30, panel.label
 
     # Power savings vs 32 threads in the paper's bands.
-    assert result.panel("ED").power_saving_vs_32 > 0.65           # paper: 78%
-    assert result.panel("convert").power_saving_vs_32 > 0.35      # paper: 47%
-    assert result.panel("Transpose").power_saving_vs_32 > 0.6     # paper: 75%
-    assert result.panel("MTwister").power_saving_vs_32 > 0.2      # paper: 31%
+    assert result.panel("ED").power_saving > 0.65           # paper: 78%
+    assert result.panel("convert").power_saving > 0.35      # paper: 47%
+    assert result.panel("Transpose").power_saving > 0.6     # paper: 75%
+    assert result.panel("MTwister").power_saving > 0.2      # paper: 31%

@@ -9,28 +9,28 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.fig13_bandwidth import run_fig13
+from repro.experiments import FIGURES
 
 _GRID = (1, 2, 4, 6, 8, 10, 12, 16, 20, 24, 32)
 
 
 def test_fig13_bandwidth_adaptation(benchmark, save_result):
-    result = run_once(benchmark, lambda: run_fig13(thread_counts=_GRID))
+    result = run_once(benchmark, lambda: FIGURES["fig13"].run(thread_counts=_GRID))
     save_result("fig13_bandwidth", result.format())
 
-    half = result.panel(0.5)
-    double = result.panel(2.0)
+    half = result.panel("0.5x")
+    double = result.panel("2x")
 
     # Half bandwidth: saturation around 8 threads; BAT tracks it.
     # (BAT runs a little high here because utilization scales
     # sub-linearly under DRAM contention — the limitation the paper
     # itself notes in Section 5.3 for ED.)
-    assert 6 <= half.bat_threads <= 10, "paper: BAT picks 8"
-    assert half.bat_vs_best <= 1.35
+    assert 6 <= half.threads[0] <= 10, "paper: BAT picks 8"
+    assert half.vs_best <= 1.35
 
     # Double bandwidth: no saturation below 32; BAT uses every core.
-    assert double.bat_threads == 32, "paper: BAT picks 32"
-    assert double.bat_vs_best <= 1.25
+    assert double.threads == (32,), "paper: BAT picks 32"
+    assert double.vs_best <= 1.25
 
     # The paper's warning about static choices: running the
     # half-bandwidth pick on the double-bandwidth machine wastes most

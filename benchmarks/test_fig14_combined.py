@@ -23,22 +23,22 @@ def test_fig14_combined_all_workloads(benchmark, save_result):
 
     # Synchronization-limited: both time and power fall hard.
     for name in ("PageMine", "ISort", "GSearch", "EP"):
-        row = result.row(name)
+        row = result.panel(name)
         assert row.norm_time < 0.7, name
         assert row.norm_power < 0.35, name
 
     # Bandwidth-limited: power falls hard at roughly flat time (the
     # residual few percent is the serial-training floor at repro scale).
     for name in ("ED", "convert", "Transpose"):
-        row = result.row(name)
+        row = result.panel(name)
         assert row.norm_time < 1.30, name
         assert row.norm_power < 0.65, name
-    assert result.row("MTwister").norm_power < 0.85  # paper: -31% vs oracle
+    assert result.panel("MTwister").norm_power < 0.85  # paper: -31% vs oracle
 
     # Scalable: FDT keeps all 32 threads and changes little.
     for name in ("BT", "MG", "BScholes", "SConv"):
-        row = result.row(name)
-        assert row.fdt_threads[-1] == 32, name
+        row = result.panel(name)
+        assert row.threads[-1] == 32, name
         assert row.norm_time < 1.30, name
 
     # Geometric means in the paper's direction and ballpark

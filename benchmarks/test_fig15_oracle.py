@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.fig15_oracle import Fig15Result, run_fig15
+from repro.experiments import FIGURES, FigureResult
+from repro.experiments.figures import oracle_norm
 
 _GRID = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32)
 _MTWISTER_GRID = (1, 4, 8, 12, 16, 24, 32)
@@ -18,34 +19,37 @@ _SCALES = {"PageMine": 0.5, "ISort": 1.0, "GSearch": 1.0, "EP": 1.0,
            "BT": 1.0, "MG": 1.0, "BScholes": 1.0, "SConv": 1.0}
 
 
-def _run() -> Fig15Result:
-    main = run_fig15(thread_counts=_GRID, scales=_SCALES,
+def _run() -> FigureResult:
+    fig15 = FIGURES["fig15"]
+    main = fig15.run(thread_counts=_GRID, scales=_SCALES,
                      workloads=tuple(_SCALES))
-    mtw = run_fig15(thread_counts=_MTWISTER_GRID, workloads=("MTwister",))
-    return Fig15Result(rows=main.rows + mtw.rows)
+    mtw = fig15.run(thread_counts=_MTWISTER_GRID, workloads=("MTwister",))
+    return FigureResult(fig15, main.panels + mtw.panels)
 
 
 def test_fig15_fdt_vs_oracle(benchmark, save_result):
     result = run_once(benchmark, _run)
     save_result("fig15_oracle", result.format())
 
-    for row in result.rows:
+    for row in result.panels:
+        _, oracle_time, oracle_power = oracle_norm(row)
         # FDT never loses badly to the oracle on time (training floor
         # costs a few percent at repro scale)...
-        assert row.fdt_time <= row.oracle_time * 1.4 + 0.02, row.workload
+        assert row.norm_time <= oracle_time * 1.4 + 0.02, row.label
         # ...or on power.
-        assert row.fdt_power <= row.oracle_power * 1.3 + 0.02, row.workload
+        assert row.norm_power <= oracle_power * 1.3 + 0.02, row.label
 
     # MTwister: the oracle must pick one count for both kernels; FDT's
     # per-kernel choice saves substantial power at similar time
     # (paper: 31% less power than the oracle at equal time; the repro
     # pays its Box-Muller training floor, ~a quarter extra).
-    mtw = result.row("MTwister")
-    assert mtw.fdt_power < 0.85 * mtw.oracle_power
-    assert mtw.fdt_time <= mtw.oracle_time * 1.30
+    mtw = result.panel("MTwister")
+    _, oracle_time, oracle_power = oracle_norm(mtw)
+    assert mtw.norm_power < 0.85 * oracle_power
+    assert mtw.norm_time <= oracle_time * 1.30
 
     # Scalable apps: both policies keep every core busy.
     for name in ("BT", "BScholes", "SConv"):
-        row = result.row(name)
-        assert row.oracle_threads >= 24, name
-        assert row.fdt_threads[-1] == 32, name
+        row = result.panel(name)
+        assert oracle_norm(row)[0] >= 24, name
+        assert row.threads[-1] == 32, name

@@ -8,22 +8,23 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.fig16_17_proof import run_fig16_17
+from repro.experiments import FIGURES
+from repro.experiments.figures import FIG16_CASES, eq7_is_optimal
 
 
 def test_fig16_17_min_optimality(benchmark, save_result):
-    result = run_once(benchmark, run_fig16_17)
+    result = run_once(benchmark, FIGURES["fig16"].run)
     save_result("fig16_17_min_proof", result.format())
 
-    case16, case17 = result.cases
+    (_, case16), (_, case17) = FIG16_CASES
     # Figure 16: P_CS < P_BW -> the CS bound sets the optimum.
-    assert case16.eq7_choice == 5
-    assert case16.eq7_is_optimal
+    assert case16.eq7_choice(32) == 5
+    assert eq7_is_optimal(case16)
     # Figure 17: P_BW < P_CS -> the bandwidth bound sets the optimum.
-    assert case17.eq7_choice == 5
-    assert case17.eq7_is_optimal
+    assert case17.eq7_choice(32) == 5
+    assert eq7_is_optimal(case17)
     # Past the chosen point both curves rise (linearly in the CS term).
-    for case in result.cases:
-        curve = case.curve
-        assert curve[10] > curve[case.eq7_choice - 1]
+    for case in (case16, case17):
+        curve = case.curve(32)
+        assert curve[10] > curve[case.eq7_choice(32) - 1]
         assert curve[31] > curve[10]

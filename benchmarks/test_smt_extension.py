@@ -9,27 +9,27 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.experiments.smt_extension import run_smt
+from repro.experiments import FIGURES
 
 
 def test_smt_extension(benchmark, save_result):
-    result = run_once(benchmark, lambda: run_smt(scale=0.25))
+    result = run_once(benchmark, lambda: FIGURES["smt"].run(scale=0.25))
     save_result("smt_extension", result.format())
 
     # The CS-limited kernel is still curtailed to a handful of threads
     # and saves nearly everything vs 64-thread conventional threading.
-    pagemine = result.row("PageMine")
-    assert pagemine.fdt_threads[0] <= 8
+    pagemine = result.panel("PageMine")
+    assert pagemine.threads[0] <= 8
     assert pagemine.norm_time < 0.4
     assert pagemine.norm_power < 0.2
 
     # The BW-limited kernel still saturates at the same thread count.
-    ed = result.row("ED")
-    assert ed.fdt_threads[0] in (7, 8)
+    ed = result.panel("ED")
+    assert ed.threads[0] in (7, 8)
     assert ed.norm_power < 0.4
 
     # The compute-bound kernel documents the known SMT interaction:
     # an intermediate pick on heterogeneous-speed slots is imbalanced.
-    bscholes = result.row("BScholes")
-    assert 32 < bscholes.fdt_threads[0] < 64
+    bscholes = result.panel("BScholes")
+    assert 32 < bscholes.threads[0] < 64
     assert bscholes.norm_time > 1.0  # the reported pathology

@@ -15,7 +15,7 @@ This package contains the complete stack the paper's evaluation needs:
 * :mod:`repro.models` — the closed-form models (Eq. 1-7).
 * :mod:`repro.workloads` — the twelve Table 2 workloads.
 * :mod:`repro.analysis` / :mod:`repro.experiments` — sweeps, the oracle,
-  and one runner per paper figure.
+  and the paper's figures as a registry of data over one runner.
 
 Quickstart::
 

@@ -104,7 +104,8 @@ def _clamped_counts(thread_counts: Sequence[int],
     return counts
 
 
-def _point_from_result(threads: int, res: AppRunResult) -> ThreadPoint:
+def point_from_result(threads: int, res: AppRunResult) -> ThreadPoint:
+    """The sweep point a static ``threads``-thread run amounts to."""
     r = res.result
     return ThreadPoint(
         threads=threads,
@@ -146,7 +147,7 @@ def sweep_threads(build: AppFactory | WorkloadRef,
             for t in counts])
         return SweepResult(
             app_name=results[-1].app_name,
-            points=tuple(_point_from_result(t, res)
+            points=tuple(point_from_result(t, res)
                          for t, res in zip(counts, results)))
     points = []
     name = ""
@@ -154,5 +155,5 @@ def sweep_threads(build: AppFactory | WorkloadRef,
         app = build()
         name = app.name
         res = run_application(app, StaticPolicy(threads), cfg)
-        points.append(_point_from_result(threads, res))
+        points.append(point_from_result(threads, res))
     return SweepResult(app_name=name, points=tuple(points))

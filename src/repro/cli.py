@@ -46,6 +46,7 @@ from repro.analysis.oracle import oracle_choice
 from repro.analysis.report import ascii_table
 from repro.analysis.sweep import sweep_threads
 from repro.errors import ReproError, WorkloadError
+from repro.experiments import FIGURES
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy, ThreadingPolicy
 from repro.fdt.runner import run_application
 from repro.jobs import (
@@ -58,24 +59,6 @@ from repro.jobs import (
 )
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
-
-_FIGURES = {
-    "table1": ("repro.experiments.tables", "run_table1"),
-    "table2": ("repro.experiments.tables", "run_table2"),
-    "fig2": ("repro.experiments.fig02_pagemine", "run_fig2"),
-    "fig4": ("repro.experiments.fig04_ed", "run_fig4"),
-    "fig6": ("repro.experiments.fig06_cs_example", "run_fig6"),
-    "fig8": ("repro.experiments.fig08_sat", "run_fig8"),
-    "fig9": ("repro.experiments.fig09_pagesize", "run_fig9"),
-    "fig11": ("repro.experiments.fig11_bw_example", "run_fig11"),
-    "fig12": ("repro.experiments.fig12_bat", "run_fig12"),
-    "fig13": ("repro.experiments.fig13_bandwidth", "run_fig13"),
-    "fig14": ("repro.experiments.fig14_combined", "run_fig14"),
-    "fig15": ("repro.experiments.fig15_oracle", "run_fig15"),
-    "fig16": ("repro.experiments.fig16_17_proof", "run_fig16_17"),
-    "smt": ("repro.experiments.smt_extension", "run_smt"),
-    "crossover": ("repro.experiments.crossover", "run_crossover"),
-}
 
 
 def _machine_config(args: argparse.Namespace) -> MachineConfig:
@@ -144,8 +127,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_machine(args: argparse.Namespace) -> int:
-    from repro.experiments.tables import Table1Result
-    print(Table1Result(config=_machine_config(args)).format())
+    from repro.experiments.figures import table1_text
+    print(FIGURES["table1"].title)
+    print(table1_text(_machine_config(args)))
     return 0
 
 
@@ -197,7 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.report is not None and machine is not None:
         from pathlib import Path
 
-        from repro.analysis.inspection import machine_report_json
+        from repro.analysis import machine_report_json
         Path(args.report).write_text(machine_report_json(machine))
         print(f"machine report written to {args.report}")
     if trace_paths is not None:
@@ -473,22 +457,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    import importlib
-    import inspect
-    module_name, func_name = _FIGURES[args.name]
-    module = importlib.import_module(module_name)
-    figure_func = getattr(module, func_name)
-    if "runner" in inspect.signature(figure_func).parameters:
-        runner = _make_runner(args)
-        result = figure_func(runner=runner)
-        print(result.format())
+    runner = _make_runner(args)
+    result = FIGURES[args.name].run(runner)
+    print(result.format())
+    if runner.manifest.entries:
         _finish_jobs(args, runner)
-    else:
-        result = figure_func()
-        print(result.format())
-        if args.manifest:
-            print(f"note: figure {args.name!r} runs no simulations; "
-                  f"no manifest written", file=sys.stderr)
+    elif result.panels:
+        print(f"note: figure {args.name!r} ran its panels in-process; they "
+              f"are not addressable as jobs (no cache, no manifest)",
+              file=sys.stderr)
+    elif args.manifest:
+        print(f"note: figure {args.name!r} has no simulated panels; "
+              f"no manifest written", file=sys.stderr)
     return 0
 
 
@@ -749,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure/table")
-    p_fig.add_argument("name", choices=sorted(_FIGURES))
+    p_fig.add_argument("name", choices=sorted(FIGURES))
     add_job_args(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 

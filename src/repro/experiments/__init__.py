@@ -1,44 +1,32 @@
-"""One runner per paper table/figure (the per-experiment index lives in
-DESIGN.md §5; paper-vs-measured numbers land in EXPERIMENTS.md).
+"""The paper's tables and figures, as a registry of data over one runner.
 
-Every module exposes a ``run_*`` function returning a small result
-dataclass with a ``format()`` method, so the same code backs the
-benchmark harness, the examples, and ad-hoc exploration::
+:data:`FIGURES` maps each ``python -m repro figure`` name to a
+:class:`Figure`: the panels to run (workload x machine x policy x grid)
+and the columns to print.  :func:`run_panels` is the one loop that runs
+them — static sweep, baseline, adaptive run, all through
+:mod:`repro.jobs` — and every result is a :class:`FigureResult` of
+:class:`Panel` records with ``.panel(label)`` and ``.format()`` (the
+per-experiment index lives in DESIGN.md §5; paper-vs-measured numbers
+land in EXPERIMENTS.md)::
 
-    from repro.experiments import fig02_pagemine
-    print(fig02_pagemine.run_fig2(scale=0.25).format())
+    from repro.experiments import FIGURES
+    print(FIGURES["fig2"].run(scale=0.25).format())
 """
 
-from repro.experiments import (  # noqa: F401
-    crossover,
-    fig02_pagemine,
-    fig04_ed,
-    fig06_cs_example,
-    fig08_sat,
-    fig09_pagesize,
-    fig11_bw_example,
-    fig12_bat,
-    fig13_bandwidth,
-    fig14_combined,
-    fig15_oracle,
-    fig16_17_proof,
-    smt_extension,
-    tables,
+from repro.experiments.figures import FIGURES
+from repro.experiments.panels import (
+    Figure,
+    FigureResult,
+    Panel,
+    PanelSpec,
+    run_panels,
 )
 
 __all__ = [
-    "crossover",
-    "fig02_pagemine",
-    "fig04_ed",
-    "fig06_cs_example",
-    "fig08_sat",
-    "fig09_pagesize",
-    "fig11_bw_example",
-    "fig12_bat",
-    "fig13_bandwidth",
-    "fig14_combined",
-    "fig15_oracle",
-    "fig16_17_proof",
-    "smt_extension",
-    "tables",
+    "FIGURES",
+    "Figure",
+    "FigureResult",
+    "Panel",
+    "PanelSpec",
+    "run_panels",
 ]

@@ -1,108 +1,30 @@
-"""Figure 14: SAT+BAT on all twelve workloads vs the 32-thread baseline.
+"""Figure 14 by its own path: ``benchmarks/perf`` imports and wraps this.
 
-Execution time and power normalized to conventional threading (one
-thread per core).  Paper outcome: large time *and* power cuts for the
-synchronization-limited group, large power cuts at flat time for the
-bandwidth-limited group, no change for the scalable group; geometric
-means of 0.83 (time) and 0.41 (power) — i.e. −17 % / −59 %.
+The figure itself is the ``fig14`` entry of
+:data:`repro.experiments.figures.FIGURES`; this function only fixes the
+call the benchmark harness times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.report import ascii_bars, ascii_table, gmean
-from repro.jobs import JobRunner, JobSpec, PolicySpec, WorkloadRef
+from repro.experiments.figures import ALL_WORKLOADS, FIGURES
+from repro.experiments.panels import FigureResult
+from repro.jobs import JobRunner
 from repro.sim.config import MachineConfig
-from repro.workloads import all_specs
-
-#: Table 2 order, as plotted in the figure.
-ALL_WORKLOADS = ("PageMine", "ISort", "GSearch", "EP",
-                 "ED", "convert", "Transpose", "MTwister",
-                 "BT", "MG", "BScholes", "SConv")
-
-#: Per-workload scale factors: MTwister must stay near full size so its
-#: second kernel misses the L3 (the property the paper relies on).
-DEFAULT_SCALES = {"MTwister": 1.0}
-
-
-@dataclass(frozen=True, slots=True)
-class CombinedRow:
-    """One workload's bar pair."""
-
-    workload: str
-    category: str
-    norm_time: float
-    norm_power: float
-    fdt_threads: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Fig14Result:
-    rows: tuple[CombinedRow, ...]
-
-    def row(self, workload: str) -> CombinedRow:
-        for r in self.rows:
-            if r.workload == workload:
-                return r
-        raise KeyError(workload)
-
-    @property
-    def gmean_time(self) -> float:
-        return gmean(r.norm_time for r in self.rows)
-
-    @property
-    def gmean_power(self) -> float:
-        return gmean(r.norm_power for r in self.rows)
-
-    def format(self) -> str:
-        table_rows = [(r.workload, r.category, r.norm_time, r.norm_power,
-                       "/".join(map(str, r.fdt_threads))) for r in self.rows]
-        table_rows.append(("gmean", "", self.gmean_time, self.gmean_power, ""))
-        table = ascii_table(
-            ("workload", "class", "norm time", "norm power", "FDT threads"),
-            table_rows)
-        bars = ascii_bars([r.workload for r in self.rows],
-                          [r.norm_time for r in self.rows], max_value=1.2)
-        return (f"Figure 14: (SAT+BAT) normalized to 32 threads\n{table}\n\n"
-                f"execution time bars:\n{bars}")
 
 
 def run_fig14(scale: float = 0.25,
               workloads: Sequence[str] = ALL_WORKLOADS,
               config: MachineConfig | None = None,
               scales: dict[str, float] | None = None,
-              runner: JobRunner | None = None) -> Fig14Result:
+              runner: JobRunner | None = None) -> FigureResult:
     """Regenerate Figure 14 over the given workloads.
 
-    All runs are submitted through ``runner`` (a fresh serial, memo-only
-    runner when omitted), so the 32-thread baselines and FDT runs shared
-    with other figures come from the cache when one is attached.
+    Per application, exactly two jobs are submitted through ``runner``
+    (a fresh serial, memo-only runner when omitted): the one-thread-per-
+    core baseline, then the FDT run.
     """
-    cfg = config or MachineConfig.asplos08_baseline()
-    runner = runner or JobRunner()
-    per_wl = dict(DEFAULT_SCALES)
-    if scales:
-        per_wl.update(scales)
-    categories = {s.name: s.category.value for s in all_specs()}
-    rows = []
-    for name in workloads:
-        wl_scale = per_wl.get(name, scale)
-        ref = WorkloadRef(name=name, scale=wl_scale)
-        baseline = runner.run_one(
-            JobSpec(workload=ref, policy=PolicySpec.static(), config=cfg))
-        fdt = runner.run_one(
-            JobSpec(workload=ref, policy=PolicySpec.fdt(), config=cfg))
-        rows.append(CombinedRow(
-            workload=name,
-            category=categories[name].split("-")[0],
-            norm_time=fdt.cycles / baseline.cycles,
-            norm_power=fdt.power / baseline.power,
-            fdt_threads=fdt.threads_used,
-        ))
-    return Fig14Result(rows=tuple(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run_fig14().format())
+    return FIGURES["fig14"].run(runner, scale=scale, workloads=workloads,
+                                config=config, scales=scales)

@@ -12,7 +12,6 @@ These are the closed-form models SAT and BAT evaluate at run time:
 
 from repro.models.sat_model import SatModel, optimal_threads_cs
 from repro.models.bat_model import BatModel, saturation_threads
-from repro.models.amdahl import AmdahlModel, amdahl_limit, amdahl_speedup
 from repro.models.combined import CombinedModel, combined_thread_choice
 
 __all__ = [
@@ -22,7 +21,4 @@ __all__ = [
     "saturation_threads",
     "CombinedModel",
     "combined_thread_choice",
-    "AmdahlModel",
-    "amdahl_speedup",
-    "amdahl_limit",
 ]

@@ -12,9 +12,9 @@ bandwidth) plane:
 
 ``SyntheticKernel`` follows the Figure-1 team pattern (slice, critical
 section, barrier), so every analytical quantity in the paper maps to a
-constructor argument.  The crossover experiment
-(:mod:`repro.experiments.crossover`) sweeps these knobs to verify Eq. 7
-inside the simulator rather than just inside the model.
+constructor argument.  The crossover experiment (the ``crossover``
+entry of :data:`repro.experiments.FIGURES`) sweeps these knobs to
+verify Eq. 7 inside the simulator rather than just inside the model.
 """
 
 from __future__ import annotations

@@ -86,6 +86,24 @@ def test_figure_table2(capsys):
     assert "Table 2" in out
 
 
+def test_figure_manifest_is_truthful(capsys, tmp_path):
+    """A simulating figure writes the manifest it was asked for; an entry
+    with nothing to simulate says so, and only when asked."""
+    manifest = tmp_path / "smt.json"
+    assert main(["figure", "smt", "--no-cache",
+                 "--manifest", str(manifest)]) == 0
+    err = capsys.readouterr().err
+    assert "runs no simulations" not in err and "no manifest" not in err
+    assert json.loads(manifest.read_text())["counts"]["total"] > 0
+
+    missing = tmp_path / "fig6.json"
+    assert main(["figure", "fig6", "--manifest", str(missing)]) == 0
+    assert "no manifest written" in capsys.readouterr().err
+    assert not missing.exists()
+    assert main(["figure", "fig6"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.sweep import sweep_threads
 from repro.errors import JobError
-from repro.experiments import fig08_sat
+from repro.experiments import FIGURES, run_panels
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
@@ -26,6 +27,16 @@ from repro.workloads import get
 WORKLOADS = ("EP", "PageMine")
 SCALE = 0.1
 GRID = (1, 2, 4)
+
+#: Tiny forms of the figures whose panels are jobs (beside fig14, which
+#: ``benchmarks/perf`` pins at full scale).
+FIGURE_KNOBS = {
+    "fig2": dict(scale=SCALE, thread_counts=GRID),
+    "fig4": dict(scale=0.05, thread_counts=GRID),
+    "fig8": dict(scale=SCALE, thread_counts=GRID, workloads=WORKLOADS),
+    "fig13": dict(factors=(2.0,), scale=0.2, thread_counts=GRID),
+    "smt": dict(scale=SCALE, workloads=("EP",)),
+}
 
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -122,19 +133,40 @@ def test_corrupt_cache_entry_recomputes_only_that_job(tmp_path, ground_truth):
         "timeouts": 0}
 
 
-def test_warm_cache_fig8_runs_zero_simulations(tmp_path):
-    """Acceptance bar: a warm-cache figure is 100% cache hits."""
-    kwargs = dict(scale=SCALE, thread_counts=GRID, workloads=WORKLOADS)
-    cold = JobRunner(cache=ResultCache(tmp_path))
-    first = fig08_sat.run_fig8(runner=cold, **kwargs)
+@pytest.mark.parametrize("name", sorted(FIGURE_KNOBS))
+def test_figure_panels_via_jobs_match_in_process_panels(name):
+    """Sweep points, adaptive run and baseline of every panel are
+    bit-identical whether they ran as jobs or as plain in-process runs
+    (a panel given its workload as a factory never touches the runner)."""
+    specs = FIGURES[name].specs(**FIGURE_KNOBS[name])
+    runner = JobRunner()
+    in_process = [replace(spec, workload=spec.workload.build)
+                  for spec in specs]
+    assert run_panels(specs, runner) == run_panels(in_process)
+    assert runner.manifest.counts["computed"] > 0
+
+
+def assert_warm_cache_runs_zero_simulations(name, cache_dir):
+    cold = JobRunner(cache=ResultCache(cache_dir))
+    first = FIGURES[name].run(cold, **FIGURE_KNOBS[name])
     assert cold.manifest.counts["computed"] == cold.manifest.counts["total"]
 
-    warm = JobRunner(cache=ResultCache(tmp_path))
-    second = fig08_sat.run_fig8(runner=warm, **kwargs)
+    warm = JobRunner(cache=ResultCache(cache_dir))
+    second = FIGURES[name].run(warm, **FIGURE_KNOBS[name])
     assert second == first
     counts = warm.manifest.counts
     assert counts["computed"] == 0 and counts["failed"] == 0
     assert counts["hits"] == counts["total"] == cold.manifest.counts["total"]
+
+
+def test_warm_cache_fig8_runs_zero_simulations(tmp_path):
+    """Acceptance bar: a warm-cache figure is 100% cache hits."""
+    assert_warm_cache_runs_zero_simulations("fig8", tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(set(FIGURE_KNOBS) - {"fig8"}))
+def test_warm_cache_figure_runs_zero_simulations(name, tmp_path):
+    assert_warm_cache_runs_zero_simulations(name, tmp_path)
 
 
 # -- failure handling ---------------------------------------------------------
