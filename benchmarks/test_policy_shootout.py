@@ -11,8 +11,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.analysis.compare import compare_policies
-from repro.fdt.extensions import CalibratedBatPolicy, TwoPhaseSatPolicy
-from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
+from repro.fdt.policies import POLICIES
 from repro.workloads import get
 
 BUILDERS = {
@@ -21,17 +20,15 @@ BUILDERS = {
     "BScholes": lambda: get("BScholes").build(0.5),    # scalable
 }
 
-POLICIES = (
-    StaticPolicy(),                       # the conventional baseline
-    FdtPolicy(FdtMode.COMBINED),          # the paper
-    TwoPhaseSatPolicy(),                  # §9: contended-CS refinement
-    CalibratedBatPolicy(probe_threads=4),  # §9: sub-linear BAT
-)
+#: Registry names, in table order: the conventional baseline, the
+#: paper, then §9's contended-CS refinement and sub-linear BAT.
+CONTENDERS = ("static", "fdt", "sat-two-phase", "bat-calibrated-4")
 
 
 def test_policy_shootout(benchmark, save_result):
     result = run_once(
-        benchmark, lambda: compare_policies(BUILDERS, list(POLICIES)))
+        benchmark, lambda: compare_policies(
+            BUILDERS, [POLICIES[name]() for name in CONTENDERS]))
     save_result("policy_shootout", result.format())
 
     fdt = "fdt-sat+bat"

@@ -30,7 +30,7 @@ def main() -> None:
     plain = run_application(get("ED").build(0.2),
                             FdtPolicy(FdtMode.BAT), config)
     calibrated = run_application(get("ED").build(0.2),
-                                 CalibratedBatPolicy(probe_threads=4), config)
+                                 CalibratedBatPolicy(), config)
     print("ED (bandwidth-limited):")
     print(f"  linear BAT (Eq. 5):    {plain.kernel_infos[0].threads} threads "
           f"-> {plain.cycles / sweep.min_cycles:.3f}x the sweep minimum")

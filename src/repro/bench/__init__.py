@@ -1,36 +1,7 @@
-"""Simulator micro-benchmark harness (host throughput, not paper results).
+"""Fixed simulator scenarios (host-throughput probes, not paper results).
 
-``repro bench`` runs a fixed suite of representative scenarios —
+:mod:`repro.bench.scenarios` holds four deterministic workloads —
 compute-bound, miss-bound, critical-section-heavy, and a full FDT
-train+run — and reports how fast the *simulator itself* executes them:
-simulated cycles per host second and dynamic ops per host second, with
-warmup, repeated trials, and median/MAD statistics.  Results are written
-as schema-versioned, host-fingerprinted ``BENCH_sim.json`` documents so
-the performance trajectory is comparable across PRs, and
-:mod:`repro.bench.compare` gates CI on regressions against the committed
-baseline in ``benchmarks/results/bench_baseline.json``.
+train+run.  The repository benchmark (``benchmarks/perf/run.py``) times
+them as its simulator probes.
 """
-
-from repro.bench.compare import CompareReport, ScenarioDelta, compare_reports
-from repro.bench.harness import (
-    SCHEMA,
-    BenchResult,
-    host_fingerprint,
-    run_suite,
-    write_json,
-)
-from repro.bench.scenarios import SCENARIOS, Scenario, ScenarioStats
-
-__all__ = [
-    "SCHEMA",
-    "SCENARIOS",
-    "BenchResult",
-    "CompareReport",
-    "Scenario",
-    "ScenarioDelta",
-    "ScenarioStats",
-    "compare_reports",
-    "host_fingerprint",
-    "run_suite",
-    "write_json",
-]

@@ -47,7 +47,7 @@ from repro.analysis.report import ascii_table
 from repro.analysis.sweep import sweep_threads
 from repro.errors import ReproError, WorkloadError
 from repro.experiments import FIGURES
-from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy, ThreadingPolicy
+from repro.fdt.policies import POLICIES
 from repro.fdt.runner import run_application
 from repro.jobs import (
     JobRunner,
@@ -70,14 +70,6 @@ def _machine_config(args: argparse.Namespace) -> MachineConfig:
     if getattr(args, "smt", None) is not None:
         config = config.with_smt(args.smt)
     return config
-
-
-def _policy(args: argparse.Namespace) -> ThreadingPolicy:
-    if args.policy == "static":
-        return StaticPolicy(args.threads)
-    mode = {"fdt": FdtMode.COMBINED, "sat": FdtMode.SAT,
-            "bat": FdtMode.BAT}[args.policy]
-    return FdtPolicy(mode)
 
 
 def _parse_thread_list(text: str) -> tuple[int, ...]:
@@ -142,7 +134,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.report is not None or args.trace is not None:
         from repro.sim.machine import Machine
         machine = Machine(config)
-    result = run_application(spec.build(args.scale), _policy(args), config,
+    policy = PolicySpec(args.policy, args.threads).build()
+    result = run_application(spec.build(args.scale), policy, config,
                              machine=machine)
     trace_paths = None
     if args.trace is not None and machine is not None \
@@ -350,7 +343,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     config = _machine_config(args)
     spec = get(args.workload)
     trace_config = TraceConfig(sample_interval=args.sample_interval)
-    traced = run_traced(spec.build(args.scale), _policy(args), config,
+    policy = PolicySpec(args.policy, args.threads).build()
+    traced = run_traced(spec.build(args.scale), policy, config,
                         trace_config=trace_config)
     paths = write_artifacts(traced.trace, args.out)
     if args.json:
@@ -375,31 +369,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"artifacts written to {args.out}:")
     for name, path in sorted(paths.items()):
         print(f"  {name}: {path}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import compare, harness, scenarios
-
-    if args.list:
-        rows = [(s.name, s.description) for s in scenarios.SCENARIOS]
-        print(ascii_table(("scenario", "description"), rows))
-        return 0
-    result = harness.run_suite(names=args.scenario or None, quick=args.quick,
-                               trials=args.trials, warmup=args.warmup,
-                               progress=lambda line: print(line,
-                                                           file=sys.stderr))
-    if args.json:
-        path = harness.write_json(result, args.json)
-        print(f"bench report written to {path}", file=sys.stderr)
-    else:
-        print(json.dumps(result.to_dict(), indent=2))
-    if args.compare:
-        report = compare.compare_reports(compare.load_report(args.compare),
-                                         result.to_dict(),
-                                         threshold=args.threshold)
-        print(report.format())
-        return 0 if report.ok else 1
     return 0
 
 
@@ -478,15 +447,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     _warn_counts_over_cores(counts, config)
     static_counts = [t for t in sorted(set(counts))
                      if t <= config.num_cores]
-    policies = []
-    for kind in args.policies.split(","):
-        kind = kind.strip()
-        if not kind:
-            continue
-        if kind not in ("static", "fdt", "sat", "bat"):
-            raise ReproError(f"unknown policy {kind!r}; "
-                             f"expected static, fdt, sat, or bat")
-        policies.append(kind)
+    # PolicySpec rejects a name the registry does not hold.
+    policies = [kind.strip() for kind in args.policies.split(",")
+                if kind.strip()]
     if not policies:
         raise ReproError("policy list is empty")
     if "static" in policies and not static_counts:
@@ -496,15 +459,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for name in args.workloads:
         ref = WorkloadRef(name=get(name).name, scale=args.scale)
         for kind in policies:
-            if kind == "static":
-                specs.extend(
-                    JobSpec(workload=ref, policy=PolicySpec.static(t),
-                            config=config)
-                    for t in static_counts)
-            else:
-                specs.append(JobSpec(workload=ref,
-                                     policy=PolicySpec(kind=kind),
-                                     config=config))
+            # Only the fixed-team policy has a thread-count axis.
+            teams = static_counts if kind == "static" else [None]
+            specs.extend(JobSpec(workload=ref, policy=PolicySpec(kind, t),
+                                 config=config) for t in teams)
 
     runner = _make_runner(args)
     results = runner.run(specs)
@@ -630,8 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one workload under a policy")
     p_run.add_argument("workload", help="Table 2 workload name")
-    p_run.add_argument("--policy", choices=("fdt", "sat", "bat", "static"),
-                       default="fdt")
+    p_run.add_argument("--policy", choices=tuple(POLICIES), default="fdt")
     p_run.add_argument("--threads", type=int, default=None,
                        help="thread count for --policy static")
     p_run.add_argument("--report", default=None, metavar="FILE",
@@ -689,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one workload with the tracer attached and export "
              "Perfetto/CSV/decision-log artifacts")
     p_trace.add_argument("workload", help="Table 2 workload name")
-    p_trace.add_argument("--policy", choices=("fdt", "sat", "bat", "static"),
+    p_trace.add_argument("--policy", choices=tuple(POLICIES),
                          default="fdt")
     p_trace.add_argument("--threads", type=int, default=None,
                          help="thread count for --policy static")
@@ -702,31 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the machine-readable trace summary")
     add_machine_args(p_trace)
     p_trace.set_defaults(func=_cmd_trace)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure simulator host throughput (sim-cycles and ops per "
-             "host second) over the fixed scenario suite")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="small inputs (the CI configuration)")
-    p_bench.add_argument("--trials", type=int, default=5,
-                         help="kept timed trials per scenario (default 5)")
-    p_bench.add_argument("--warmup", type=int, default=1,
-                         help="discarded leading trials (default 1)")
-    p_bench.add_argument("--scenario", action="append", metavar="NAME",
-                         help="run only NAME (repeatable; default: all)")
-    p_bench.add_argument("--json", default=None, metavar="FILE",
-                         help="write the schema-versioned BENCH_sim.json "
-                              "report to FILE (default: print to stdout)")
-    p_bench.add_argument("--compare", default=None, metavar="BASELINE",
-                         help="after the run, gate against BASELINE "
-                              "(exit 1 on regression)")
-    p_bench.add_argument("--threshold", type=float, default=0.30,
-                         help="allowed fractional rate drop for --compare "
-                              "(default 0.30)")
-    p_bench.add_argument("--list", action="store_true",
-                         help="list the scenario suite and exit")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure/table")
     p_fig.add_argument("name", choices=sorted(FIGURES))
@@ -805,8 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default 60)")
     p_loadgen.add_argument("--scale", type=float, default=0.5,
                            help="input-set scale factor (default 0.5)")
-    p_loadgen.add_argument("--policy",
-                           choices=("static", "fdt", "sat", "bat"),
+    p_loadgen.add_argument("--policy", choices=tuple(POLICIES),
                            default="static")
     p_loadgen.add_argument("--threads", type=int, default=None,
                            help="thread count for --policy static")
@@ -829,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated counts for static policies")
     p_batch.add_argument("--policies", default="static",
                          help="comma-separated subset of "
-                              "static,fdt,sat,bat (default: static)")
+                              f"{','.join(POLICIES)} (default: static)")
     p_batch.add_argument("--json", action="store_true",
                          help="print the machine-readable batch result")
     add_machine_args(p_batch)

@@ -22,7 +22,9 @@ Public entry points:
 * :class:`~repro.fdt.kernel.Kernel` and friends — how workloads describe
   a parallelized loop to FDT.
 * :class:`~repro.fdt.policies.FdtPolicy` (modes SAT / BAT / COMBINED) and
-  the :class:`~repro.fdt.policies.StaticPolicy` baseline.
+  the :class:`~repro.fdt.policies.StaticPolicy` baseline; every policy,
+  the Section 9 ones of :mod:`repro.fdt.extensions` included, is an entry
+  of :data:`~repro.fdt.policies.POLICIES`.
 * :func:`~repro.fdt.runner.run_application` — run a multi-kernel
   application under a policy and collect time/power.
 """
@@ -31,6 +33,7 @@ from repro.fdt.kernel import DataParallelKernel, Kernel, TeamParallelKernel
 from repro.fdt.training import TrainingConfig, TrainingLog, TrainingSample
 from repro.fdt.estimators import Estimates, estimate
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy, ThreadingPolicy
+from repro.fdt import extensions  # noqa: F401  (registers the §9 policies)
 from repro.fdt.priors import (
     PriorAgreement,
     StaticPriors,

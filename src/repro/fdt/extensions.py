@@ -15,7 +15,13 @@
   statistics.
 
 Both are strictly run-time techniques in FDT's spirit: a little more
-training buys a better model, no offline profile.
+training buys a better model, no offline profile.  Each is an
+:class:`~repro.fdt.policies.FdtPolicy` that overrides only the *choose*
+step of the Figure 5 pipeline — train, estimate, announce and execute
+are the paper's — and each is registered in
+:data:`~repro.fdt.policies.POLICIES`, so ``--policy sat-two-phase`` and
+``--policy bat-calibrated-4`` reach the CLI, the job cache and the
+server like the paper's own modes.
 """
 
 from __future__ import annotations
@@ -24,13 +30,15 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import TrainingError
-from repro.fdt.estimators import estimate
+from repro.fdt.estimators import Estimates
 from repro.fdt.kernel import Kernel
-from repro.fdt.policies import KernelRunInfo, ThreadingPolicy
-from repro.fdt.training import TrainingConfig, TrainingLog, instrumented_training_program
+from repro.fdt.policies import POLICIES, FdtMode, FdtPolicy
+from repro.fdt.training import TrainingLog
 from repro.models import sat_model
 from repro.sim.machine import Machine
-from repro.sim.stats import RunResult
+
+#: Team size of :class:`CalibratedBatPolicy`'s second measurement.
+PROBE_THREADS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +67,11 @@ class SubLinearBandwidthModel:
             return math.inf  # utilization asymptotes below 100%
         return (1.0 - self.beta) / denominator
 
-    def predicted_thread_count(self, num_cores: int) -> int:
+    def predicted_thread_count(self, slots: int) -> int:
         p = self.saturation_threads()
         if math.isinf(p):
-            return num_cores
-        return max(1, min(num_cores, math.ceil(p - 1e-9)))
+            return slots
+        return max(1, min(slots, math.ceil(p - 1e-9)))
 
     @staticmethod
     def fit(bu1: float, probe_threads: int,
@@ -82,141 +90,91 @@ class SubLinearBandwidthModel:
         return SubLinearBandwidthModel(bu1=bu1, beta=max(0.0, beta))
 
 
-class CalibratedBatPolicy(ThreadingPolicy):
+class CalibratedBatPolicy(FdtPolicy):
     """BAT with a two-point, sub-linear bandwidth model (§9 extension).
 
-    Training phase 1 is the paper's single-threaded instrumented loop.
-    Training phase 2 runs a few more iterations on a small probe team
-    (default 4) measuring aggregate bus utilization; the two points fit
-    :class:`SubLinearBandwidthModel`, whose saturation point replaces
-    Eq. 5.
+    Training is the paper's single-threaded instrumented loop.  The
+    choose step then runs a few more iterations on a small probe team
+    (:data:`PROBE_THREADS`) measuring aggregate bus utilization; the two
+    points fit :class:`SubLinearBandwidthModel`, whose saturation point
+    replaces Eq. 5.
     """
 
-    def __init__(self, probe_threads: int = 4,
-                 training: TrainingConfig | None = None) -> None:
-        if probe_threads < 2:
-            raise ValueError("probe team must have at least 2 threads")
-        self.probe_threads = probe_threads
-        self.training = training or TrainingConfig(need_sat=False,
-                                                   need_bat=True)
-        self.name = f"bat-calibrated-{probe_threads}"
+    def __init__(self) -> None:
+        super().__init__(FdtMode.BAT)
+        self.name = f"bat-calibrated-{PROBE_THREADS}"
 
-    def run_kernel(self, machine: Machine, kernel: Kernel) -> KernelRunInfo:
-        total = kernel.total_iterations
-        before = machine.snapshot()
-
-        # Phase 1: the paper's single-threaded training.
-        log = TrainingLog(config=self.training, total_iterations=total,
-                          num_cores=machine.config.num_cores)
-        train1 = machine.run_serial(
-            lambda tid, team: instrumented_training_program(
-                kernel, range(total), log))
+    def choose(self, machine: Machine, kernel: Kernel, log: TrainingLog,
+               estimates: Estimates) -> tuple[int, int, int]:
+        slots = machine.config.num_thread_slots
         consumed = log.trained_iterations
-        base = estimate(log, machine.config.num_cores)
+        left = kernel.total_iterations - consumed
+        probe_threads = min(PROBE_THREADS, slots)
+        if probe_threads < 2 or left < 1:
+            return super().choose(machine, kernel, log, estimates)
 
-        # Phase 2: probe on a small team.  The probe must be long enough
-        # that spawn overhead and tail imbalance do not depress the
-        # measured utilization (several iterations per probe thread).
-        probe_threads = min(self.probe_threads, machine.config.num_cores)
-        probe_iters = min(max(1, total - consumed),
-                          max(consumed, probe_threads * 8))
+        # The probe must be long enough that spawn overhead and tail
+        # imbalance do not depress the measured utilization (several
+        # iterations per probe thread).
+        probe_iters = min(left, max(consumed, probe_threads * 8))
         probe_start = machine.snapshot()
-        train2 = machine.run_parallel(kernel.factories(
+        region = machine.run_parallel(kernel.factories(
             range(consumed, consumed + probe_iters), probe_threads))
-        probe: RunResult = machine.result_since(probe_start)
-        consumed += probe_iters
+        probe = machine.result_since(probe_start)
 
         model = SubLinearBandwidthModel.fit(
-            bu1=base.bu1, probe_threads=probe_threads,
+            bu1=estimates.bu1, probe_threads=probe_threads,
             probe_utilization=probe.bus_utilization)
-        can_saturate = (model.utilization(machine.config.num_cores) >= 0.999
-                        or model.saturation_threads()
-                        <= machine.config.num_cores)
-        threads = (model.predicted_thread_count(machine.config.num_cores)
-                   if can_saturate else machine.config.num_cores)
-
-        exec_cycles = 0
-        remaining = range(consumed, total)
-        if len(remaining):
-            region = machine.run_parallel(kernel.factories(remaining, threads))
-            exec_cycles = region.cycles
-
-        return KernelRunInfo(
-            kernel_name=kernel.name,
-            policy_name=self.name,
-            threads=threads,
-            trained_iterations=consumed,
-            training_cycles=train1.cycles + train2.cycles,
-            execution_cycles=exec_cycles,
-            result=machine.result_since(before),
-            estimates=base,
-            stop_reason=log.stop_reason,
-        )
+        can_saturate = (model.utilization(slots) >= 0.999
+                        or model.saturation_threads() <= slots)
+        threads = (model.predicted_thread_count(slots) if can_saturate
+                   else slots)
+        return threads, probe_iters, region.cycles
 
 
-class TwoPhaseSatPolicy(ThreadingPolicy):
+class TwoPhaseSatPolicy(FdtPolicy):
     """SAT refined by a contended probe (§9-adjacent extension).
 
-    Phase 1 is the paper's SAT.  Phase 2 runs a slice at the predicted
-    count and re-derives the *contended* per-entry critical-section time
-    from the lock manager's hold statistics (hold time includes line
-    ping-pong that single-threaded training cannot see), then re-solves
-    Eq. 3 with it.
+    Training and the first guess are the paper's SAT.  The choose step
+    runs a slice at that guess and re-derives the *contended* per-entry
+    critical-section time from the lock manager's hold statistics (hold
+    time includes line ping-pong that single-threaded training cannot
+    see), then re-solves Eq. 3 with it.
     """
 
-    def __init__(self, training: TrainingConfig | None = None) -> None:
-        self.training = training or TrainingConfig(need_sat=True,
-                                                   need_bat=False)
+    def __init__(self) -> None:
+        super().__init__(FdtMode.SAT)
         self.name = "sat-two-phase"
 
-    def run_kernel(self, machine: Machine, kernel: Kernel) -> KernelRunInfo:
-        total = kernel.total_iterations
-        before = machine.snapshot()
-        cores = machine.config.num_cores
-
-        log = TrainingLog(config=self.training, total_iterations=total,
-                          num_cores=cores)
-        train1 = machine.run_serial(
-            lambda tid, team: instrumented_training_program(
-                kernel, range(total), log))
+    def choose(self, machine: Machine, kernel: Kernel, log: TrainingLog,
+               estimates: Estimates) -> tuple[int, int, int]:
+        first_guess = self.decide(estimates)
         consumed = log.trained_iterations
-        base = estimate(log, cores)
-        first_guess = base.p_cs
+        probe_iters = min(consumed, kernel.total_iterations - consumed)
+        if probe_iters < 1:
+            return first_guess, 0, 0
 
         # Probe at the first guess, measuring contended CS time per
         # acquisition from the lock manager.
-        probe_iters = min(consumed, max(1, total - consumed))
-        holds_before = machine.locks.stats.total_hold_cycles
-        acqs_before = machine.locks.stats.acquisitions
-        train2 = machine.run_parallel(kernel.factories(
+        stats = machine.locks.stats
+        holds_before = stats.total_hold_cycles
+        acqs_before = stats.acquisitions
+        region = machine.run_parallel(kernel.factories(
             range(consumed, consumed + probe_iters), first_guess))
-        consumed += probe_iters
+        acqs = stats.acquisitions - acqs_before
+        holds = stats.total_hold_cycles - holds_before
 
-        acqs = machine.locks.stats.acquisitions - acqs_before
-        holds = machine.locks.stats.total_hold_cycles - holds_before
         threads = first_guess
-        if acqs and base.t_cs > 0:
+        if acqs and estimates.t_cs > 0:
             # Effective per-iteration CS time under contention; the
             # serial training measured `cs_per_acq` locks per iteration.
             acq_per_iter = acqs / (probe_iters * first_guess)
             contended_t_cs = (holds / acqs) * max(1.0, acq_per_iter)
             threads = sat_model.predicted_thread_count(
-                base.t_nocs, max(base.t_cs, contended_t_cs), cores)
+                estimates.t_nocs, max(estimates.t_cs, contended_t_cs),
+                machine.config.num_thread_slots)
+        return threads, probe_iters, region.cycles
 
-        exec_cycles = 0
-        remaining = range(consumed, total)
-        if len(remaining):
-            region = machine.run_parallel(kernel.factories(remaining, threads))
-            exec_cycles = region.cycles
 
-        return KernelRunInfo(
-            kernel_name=kernel.name,
-            policy_name=self.name,
-            threads=threads,
-            trained_iterations=consumed,
-            training_cycles=train1.cycles + train2.cycles,
-            execution_cycles=exec_cycles,
-            result=machine.result_since(before),
-            estimates=base,
-            stop_reason=log.stop_reason,
-        )
+POLICIES["sat-two-phase"] = TwoPhaseSatPolicy
+POLICIES[f"bat-calibrated-{PROBE_THREADS}"] = CalibratedBatPolicy

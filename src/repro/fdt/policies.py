@@ -8,6 +8,13 @@
 A policy consumes a :class:`~repro.fdt.kernel.Kernel` and drives a
 :class:`~repro.sim.machine.Machine` through the kernel's full execution,
 returning what it decided and what it cost.
+
+This module is the single home of the paper's Figure 5 loop and of the
+policy names.  :meth:`FdtPolicy.run_kernel` is the one pipeline — train
+(:func:`train_kernel`), estimate, *choose*, announce, execute — and an
+adaptive policy differs from another only in :meth:`FdtPolicy.choose`.
+:data:`POLICIES` maps every name the CLI, ``PolicySpec`` and the
+``/v1/*`` endpoints accept to the factory that builds it.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from repro.errors import ConfigError
 from repro.fdt.estimators import Estimates, estimate
@@ -34,6 +43,14 @@ class FdtMode(enum.Enum):
     SAT = "sat"
     BAT = "bat"
     COMBINED = "sat+bat"
+
+    def pick(self, estimates: Estimates) -> int:
+        """The mode's thread count: Eq. 3, Eq. 5, or Eq. 7's minimum."""
+        if self is FdtMode.SAT:
+            return estimates.p_cs
+        if self is FdtMode.BAT:
+            return estimates.p_bw
+        return estimates.p_fdt
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +120,30 @@ class StaticPolicy(ThreadingPolicy):
         )
 
 
+def train_kernel(machine: Machine, kernel: Kernel,
+                 config: TrainingConfig) -> tuple[TrainingLog, int]:
+    """Figure 5's training stage: the peeled, instrumented serial loop.
+
+    Returns the filled log and the cycles training took.  The log's
+    clamp is the number of hardware thread slots — the paper's "num
+    available cores", generalized for the Section 9 SMT extension where
+    a core hosts several contexts — and the machine's observer sees
+    every sample.
+    """
+    total = kernel.total_iterations
+    log = TrainingLog(
+        config=config,
+        total_iterations=total,
+        num_cores=machine.config.num_thread_slots,
+        kernel_name=kernel.name,
+        observer=machine.observer,
+    )
+    region = machine.run_serial(
+        lambda tid, team: instrumented_training_program(
+            kernel, range(total), log))
+    return log, region.cycles
+
+
 class FdtPolicy(ThreadingPolicy):
     """Feedback-Driven Threading (paper Figure 5, Sections 4.2/5.2/6.1)."""
 
@@ -121,35 +162,29 @@ class FdtPolicy(ThreadingPolicy):
 
     def decide(self, estimates: Estimates) -> int:
         """The mode's thread-count decision from the estimation stage."""
-        if self.mode is FdtMode.SAT:
-            return estimates.p_cs
-        if self.mode is FdtMode.BAT:
-            return estimates.p_bw
-        return estimates.p_fdt
+        return self.mode.pick(estimates)
+
+    def choose(self, machine: Machine, kernel: Kernel, log: TrainingLog,
+               estimates: Estimates) -> tuple[int, int, int]:
+        """Turn the estimates into a team size: the step policies override.
+
+        Returns ``(threads, iterations consumed, training cycles spent)``
+        where the last two count only what this step ran *beyond* the
+        serial training in ``log`` — zero for the paper's modes, the
+        probe slice for a policy that measures again before deciding.
+        """
+        return self.decide(estimates), 0, 0
 
     def run_kernel(self, machine: Machine, kernel: Kernel) -> KernelRunInfo:
         total = kernel.total_iterations
         before = machine.snapshot()
-
-        # -- training: single-threaded, instrumented, peeled iterations --
-        # FDT's clamp is the number of hardware thread slots — the
-        # paper's "num available cores", generalized for the Section 9
-        # SMT extension where a core hosts several contexts.
         slots = machine.config.num_thread_slots
-        log = TrainingLog(
-            config=self.training,
-            total_iterations=total,
-            num_cores=slots,
-            kernel_name=kernel.name,
-            observer=machine.observer,
-        )
-        train_region = machine.run_serial(
-            lambda tid, team: instrumented_training_program(
-                kernel, range(total), log))
 
-        # -- estimation ---------------------------------------------------
+        # -- training, estimation, choice ---------------------------------
+        log, training_cycles = train_kernel(machine, kernel, self.training)
         estimates = estimate(log, slots)
-        threads = self.decide(estimates)
+        threads, probed, probe_cycles = self.choose(
+            machine, kernel, log, estimates)
         if machine.observer is not None:
             machine.observer.on_fdt_decision(
                 kernel.name, self.name, self.mode.value, log, estimates,
@@ -157,7 +192,8 @@ class FdtPolicy(ThreadingPolicy):
         self._publish_decision(estimates, threads)
 
         # -- execution: remaining iterations on the chosen team ------------
-        remaining = range(log.trained_iterations, total)
+        trained = log.trained_iterations + probed
+        remaining = range(trained, total)
         exec_cycles = 0
         if len(remaining):
             region = machine.run_parallel(
@@ -168,8 +204,8 @@ class FdtPolicy(ThreadingPolicy):
             kernel_name=kernel.name,
             policy_name=self.name,
             threads=threads,
-            trained_iterations=log.trained_iterations,
-            training_cycles=train_region.cycles,
+            trained_iterations=trained,
+            training_cycles=training_cycles + probe_cycles,
             execution_cycles=exec_cycles,
             result=machine.result_since(before),
             estimates=estimates,
@@ -194,23 +230,37 @@ class FdtPolicy(ThreadingPolicy):
             "repro_fdt_chosen_threads",
             "Thread counts chosen by FDT decisions.",
             buckets=(1, 2, 4, 8, 16, 32, 64)).observe(float(threads))
-        registry.gauge(
-            "repro_fdt_cs_fraction",
-            "Last Eq. 3 critical-section fraction estimate."
-        ).set(estimates.cs_fraction)
-        registry.gauge(
-            "repro_fdt_bu1",
-            "Last Eq. 5 single-thread bus-utilization estimate."
-        ).set(estimates.bu1)
-        registry.gauge(
-            "repro_fdt_p_cs",
-            "Last Eq. 3 synchronization-optimal thread count."
-        ).set(float(estimates.p_cs))
-        registry.gauge(
-            "repro_fdt_p_bw",
-            "Last Eq. 5 bandwidth-optimal thread count."
-        ).set(float(estimates.p_bw))
-        registry.gauge(
-            "repro_fdt_p_fdt",
-            "Last Eq. 7 combined thread count."
-        ).set(float(estimates.p_fdt))
+        for name, help_text, value in (
+            ("repro_fdt_cs_fraction",
+             "Last Eq. 3 critical-section fraction estimate.",
+             estimates.cs_fraction),
+            ("repro_fdt_bu1",
+             "Last Eq. 5 single-thread bus-utilization estimate.",
+             estimates.bu1),
+            ("repro_fdt_p_cs",
+             "Last Eq. 3 synchronization-optimal thread count.",
+             estimates.p_cs),
+            ("repro_fdt_p_bw",
+             "Last Eq. 5 bandwidth-optimal thread count.", estimates.p_bw),
+            ("repro_fdt_p_fdt",
+             "Last Eq. 7 combined thread count.", estimates.p_fdt),
+        ):
+            registry.gauge(name, help_text).set(float(value))
+
+
+#: Every policy name the CLI, ``PolicySpec`` and the serving schema
+#: accept, mapped to its factory.  Each factory builds with no argument;
+#: ``static`` alone also takes a team size.  ``repro.fdt.extensions``
+#: adds the Section 9 policies when the package is imported.
+POLICIES: dict[str, Callable[..., ThreadingPolicy]] = {
+    "static": StaticPolicy,
+    "fdt": partial(FdtPolicy, FdtMode.COMBINED),
+    "sat": partial(FdtPolicy, FdtMode.SAT),
+    "bat": partial(FdtPolicy, FdtMode.BAT),
+}
+
+
+def adaptive_policies() -> tuple[str, ...]:
+    """Registered names that train and decide — all but the fixed team."""
+    return tuple(name for name in POLICIES if name != "static")
+

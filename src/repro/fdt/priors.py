@@ -25,7 +25,8 @@ from typing import Any
 
 from repro.fdt.estimators import Estimates, estimate
 from repro.fdt.kernel import Kernel
-from repro.fdt.training import TrainingConfig, TrainingLog, instrumented_training_program
+from repro.fdt.policies import train_kernel
+from repro.fdt.training import TrainingConfig
 from repro.models import bat_model, sat_model
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -178,7 +179,7 @@ def derive_priors(kernel_name: str, iterations: int,
     t_cs = est_cs_cycles / iters
     t_nocs = max(0, est_cycles - est_cs_cycles) / iters
     bu1 = min(1.0, est_bus_busy / est_cycles) if est_cycles > 0 else 0.0
-    # FDT's clamp is the thread-slot count (see FdtPolicy.run_kernel);
+    # FDT's clamp is the thread-slot count (see policies.train_kernel);
     # the prior must use the same clamp or p_fdt agreement is meaningless.
     cores = config.num_thread_slots
 
@@ -209,21 +210,12 @@ def measure_estimates(kernel: Kernel,
                       config: MachineConfig | None = None) -> Estimates:
     """Run the real instrumented training loop for one kernel.
 
-    A fresh machine simulates the single-threaded peeled loop exactly as
-    :class:`~repro.fdt.policies.FdtPolicy` would, and the estimation
-    stage turns the log into :class:`~repro.fdt.estimators.Estimates`.
+    A fresh machine runs the policies' own training stage
+    (:func:`~repro.fdt.policies.train_kernel`) and the estimation stage
+    turns the log into :class:`~repro.fdt.estimators.Estimates`.
     Used by ``repro check --static`` to report prior-vs-measured
     agreement.
     """
     cfg = config or MachineConfig.asplos08_baseline()
-    machine = Machine(cfg)
-    log = TrainingLog(
-        config=TrainingConfig(),
-        total_iterations=kernel.total_iterations,
-        num_cores=cfg.num_thread_slots,
-        kernel_name=kernel.name,
-    )
-    machine.run_serial(
-        lambda tid, team: instrumented_training_program(
-            kernel, range(kernel.total_iterations), log))
+    log, _ = train_kernel(Machine(cfg), kernel, TrainingConfig())
     return estimate(log, cfg.num_thread_slots)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.errors import JobError
-from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy, ThreadingPolicy
+from repro.fdt.policies import POLICIES, ThreadingPolicy
 from repro.fdt.runner import Application, AppRunResult, run_application
 from repro.sim.config import MachineConfig, SanitizerConfig, TraceConfig
 
@@ -32,7 +32,6 @@ from repro.sim.config import MachineConfig, SanitizerConfig, TraceConfig
 SCHEMA_VERSION = 2
 
 _WORKLOAD_KINDS = ("registry", "synthetic")
-_POLICY_KINDS = ("static", "fdt", "sat", "bat")
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,6 +106,7 @@ class WorkloadRef:
 class PolicySpec:
     """A declarative, hashable reference to a threading policy.
 
+    ``kind`` is a name of :data:`~repro.fdt.policies.POLICIES`.
     ``threads`` is meaningful only for ``kind="static"``; ``None`` keeps
     :class:`~repro.fdt.policies.StaticPolicy`'s one-thread-per-core
     default (and its distinct ``static-ncores`` policy name, so the two
@@ -118,8 +118,9 @@ class PolicySpec:
     threads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _POLICY_KINDS:
-            raise JobError(f"unknown policy kind {self.kind!r}")
+        if self.kind not in POLICIES:
+            raise JobError(f"unknown policy kind {self.kind!r}; "
+                           f"expected one of {', '.join(POLICIES)}")
         if self.threads is not None and self.kind != "static":
             raise JobError("threads is only meaningful for static policies")
         if self.threads is not None and self.threads < 1:
@@ -150,10 +151,8 @@ class PolicySpec:
     def build(self) -> ThreadingPolicy:
         """Materialize the policy object."""
         if self.kind == "static":
-            return StaticPolicy(self.threads)
-        mode = {"fdt": FdtMode.COMBINED, "sat": FdtMode.SAT,
-                "bat": FdtMode.BAT}[self.kind]
-        return FdtPolicy(mode)
+            return POLICIES[self.kind](self.threads)
+        return POLICIES[self.kind]()
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "threads": self.threads}

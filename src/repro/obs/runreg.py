@@ -41,11 +41,7 @@ _log = get_logger("obs")
 
 
 def host_fingerprint() -> dict[str, Any]:
-    """Identify the executing host well enough to judge comparability.
-
-    The canonical implementation — ``repro.bench`` stamps its reports
-    with the same fingerprint (same keys) by delegating here.
-    """
+    """Identify the executing host well enough to judge comparability."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

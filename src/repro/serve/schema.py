@@ -14,7 +14,7 @@ Request shape (shared by ``/v1/run``, ``/v1/fdt``, and — minus
       "synthetic": {"cs_fraction": 0.2, "bus_lines": 4,
                     "iterations": 128, "compute_instr": 20000},
       "scale": 1.0,
-      "policy": "fdt",                 # static | fdt | sat | bat
+      "policy": "fdt",                 # a repro.fdt.policies.POLICIES name
       "threads": 8,                    # static only
       "machine": {"cores": 32, "bandwidth": 1.0, "smt": 2}
     }
@@ -26,11 +26,12 @@ which the server maps to HTTP 400.
 from __future__ import annotations
 
 from repro.errors import JobError, ServeRequestError, WorkloadError
+from repro.fdt.policies import POLICIES, adaptive_policies
 from repro.jobs import JobSpec, PolicySpec, WorkloadRef
 from repro.sim.config import MachineConfig
 
-_FDT_POLICIES = ("fdt", "sat", "bat")
-_ALL_POLICIES = ("static",) + _FDT_POLICIES
+_ALL_POLICIES = tuple(POLICIES)
+_FDT_POLICIES = adaptive_policies()
 _MACHINE_KEYS = ("cores", "bandwidth", "smt")
 _SYNTHETIC_KEYS = ("cs_fraction", "bus_lines", "iterations",
                    "compute_instr", "name")

@@ -34,6 +34,7 @@ from time import perf_counter
 
 from repro.errors import ServeError, ServeRequestError
 from repro.faults import hooks as fault_hooks
+from repro.fdt.runner import AppRunResult
 from repro.jobs import JobSpec, PolicySpec, ResultCache, app_result_from_dict
 from repro.obs import get_logger
 from repro.obs.registry import default_registry
@@ -366,7 +367,9 @@ class ExperimentServer:
         points = []
         for threads, spec, resolution in zip(counts, specs, resolutions):
             self._raise_unserved(spec, resolution)
-            point = self._point_payload(resolution)
+            assert resolution.result is not None
+            point = self._point_payload(
+                app_result_from_dict(resolution.result))
             point.update(threads=threads, key=resolution.key,
                          status=resolution.status)
             points.append(point)
@@ -406,10 +409,8 @@ class ExperimentServer:
         raise _Reply(500, base)
 
     @staticmethod
-    def _point_payload(resolution: Resolution) -> dict:
-        """Headline metrics of a served resolution's result dict."""
-        assert resolution.result is not None
-        app = app_result_from_dict(resolution.result)
+    def _point_payload(app: AppRunResult) -> dict:
+        """Headline metrics of a served resolution's decoded result."""
         run = app.result
         return {
             "cycles": app.cycles,
@@ -422,8 +423,8 @@ class ExperimentServer:
     def _run_payload(self, spec: JobSpec, resolution: Resolution) -> dict:
         self._raise_unserved(spec, resolution)
         assert resolution.result is not None
-        payload = self._point_payload(resolution)
         app = app_result_from_dict(resolution.result)
+        payload = self._point_payload(app)
         payload.update(
             key=resolution.key,
             status=resolution.status,

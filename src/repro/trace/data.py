@@ -149,21 +149,19 @@ class FdtDecisionRecord:
 
         Rebuilds a training log from :attr:`samples`, re-runs the
         estimation stage, and applies this record's mode — the returned
-        count must equal :attr:`chosen_threads` for any faithful record.
+        count must equal :attr:`chosen_threads` for any faithful record
+        of the paper's three modes.  A Section 9 policy's record replays
+        to the estimate its probe then refined.
         """
         from repro.fdt.estimators import estimate
+        from repro.fdt.policies import FdtMode
         from repro.fdt.training import TrainingConfig, TrainingLog
 
         log = TrainingLog(config=TrainingConfig(),
                           total_iterations=max(1, self.total_iterations),
                           num_cores=self.num_slots,
                           samples=list(self.samples))
-        est = estimate(log, self.num_slots)
-        if self.mode == "sat":
-            return est.p_cs
-        if self.mode == "bat":
-            return est.p_bw
-        return est.p_fdt
+        return FdtMode(self.mode).pick(estimate(log, self.num_slots))
 
     def to_dict(self) -> dict:
         return {

@@ -1,15 +1,11 @@
-"""Tests for the ``repro bench`` harness, report schema, and gate."""
+"""The fixed scenario suite: roster, selection, determinism."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench import compare, harness, scenarios
+from repro.bench import scenarios
 from repro.errors import ReproError
-
-# -- scenarios ---------------------------------------------------------------
 
 
 def test_suite_has_the_four_fixed_scenarios():
@@ -40,141 +36,3 @@ def test_scenarios_are_deterministic():
     second = scn.run(quick=True)
     assert first == second
     assert first.sim_cycles > 0 and first.sim_ops > 0
-
-
-# -- harness / report schema -------------------------------------------------
-
-
-def _tiny_suite(**kwargs):
-    return harness.run_suite(names=["compute-bound"], quick=True, **kwargs)
-
-
-def test_run_suite_report_shape(tmp_path):
-    result = _tiny_suite(trials=2, warmup=1)
-    doc = result.to_dict()
-    assert doc["schema"] == harness.SCHEMA
-    assert doc["quick"] is True
-    assert set(doc["host"]) == {"python", "implementation", "platform",
-                                "machine", "cpu_count"}
-    (entry,) = doc["scenarios"]
-    assert entry["name"] == "compute-bound"
-    assert entry["trials"] == 2 and entry["warmup"] == 1
-    assert len(entry["host_seconds"]) == 2
-    assert entry["sim_cycles"] > 0
-    assert entry["sim_cycles_per_host_second"] > 0
-    path = harness.write_json(result, tmp_path / "BENCH_sim.json")
-    assert json.loads(path.read_text())["schema"] == harness.SCHEMA
-
-
-def test_run_suite_validates_arguments():
-    with pytest.raises(ValueError):
-        _tiny_suite(trials=0)
-    with pytest.raises(ValueError):
-        _tiny_suite(warmup=-1)
-
-
-def test_nondeterministic_scenario_is_an_error(monkeypatch):
-    flips = iter([scenarios.ScenarioStats(sim_cycles=10, sim_ops=10),
-                  scenarios.ScenarioStats(sim_cycles=11, sim_ops=10)])
-    bad = scenarios.Scenario("bad", "flips cycle counts",
-                             lambda quick: lambda: next(flips))
-    with pytest.raises(AssertionError, match="nondeterministic"):
-        harness._run_one(bad, quick=True, trials=2, warmup=0)
-
-
-def test_median_and_mad_are_robust_to_one_outlier():
-    result = harness.ScenarioResult(
-        name="x", description="", trials=5, warmup=0,
-        sim_cycles=1000, sim_ops=10,
-        host_seconds=[0.10, 0.11, 0.10, 0.12, 9.00])
-    assert result.median_host_seconds == 0.11
-    assert result.mad_host_seconds == pytest.approx(0.01)
-    assert result.sim_cycles_per_host_second == pytest.approx(1000 / 0.11)
-
-
-# -- compare gate ------------------------------------------------------------
-
-
-def _report(rates: dict[str, float], host: str = "h1") -> dict:
-    return {
-        "schema": harness.SCHEMA,
-        "host": {"id": host},
-        "scenarios": [
-            {"name": name, "sim_cycles_per_host_second": rate}
-            for name, rate in rates.items()
-        ],
-    }
-
-
-def test_compare_passes_within_threshold():
-    report = compare.compare_reports(_report({"a": 100.0, "b": 200.0}),
-                                     _report({"a": 75.0, "b": 260.0}))
-    assert report.ok
-    assert not report.regressions
-    assert "PASS" in report.format()
-
-
-def test_compare_fails_past_threshold():
-    report = compare.compare_reports(_report({"a": 100.0}),
-                                     _report({"a": 65.0}))
-    assert not report.ok
-    (regressed,) = report.regressions
-    assert regressed.name == "a"
-    assert regressed.ratio == pytest.approx(0.65)
-    assert "REGRESSED" in report.format()
-    assert "FAIL" in report.format()
-
-
-def test_compare_missing_scenario_fails_gate():
-    report = compare.compare_reports(_report({"a": 100.0, "gone": 50.0}),
-                                     _report({"a": 100.0}))
-    assert not report.ok
-    assert report.missing == ("gone",)
-    assert "MISSING" in report.format()
-
-
-def test_compare_new_scenario_is_not_gated():
-    report = compare.compare_reports(_report({"a": 100.0}),
-                                     _report({"a": 100.0, "new": 1.0}))
-    assert report.ok
-    assert report.extra == ("new",)
-
-
-def test_compare_custom_threshold():
-    base, cur = _report({"a": 100.0}), _report({"a": 89.0})
-    assert compare.compare_reports(base, cur, threshold=0.20).ok
-    assert not compare.compare_reports(base, cur, threshold=0.10).ok
-    with pytest.raises(ReproError):
-        compare.compare_reports(base, cur, threshold=1.5)
-
-
-def test_compare_notes_host_mismatch():
-    report = compare.compare_reports(_report({"a": 100.0}, host="h1"),
-                                     _report({"a": 100.0}, host="h2"))
-    assert report.ok  # informational only
-    assert not report.host_matches
-    assert "fingerprints differ" in report.format()
-
-
-def test_load_report_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "something-else/9"}))
-    with pytest.raises(ReproError, match="schema"):
-        compare.load_report(path)
-    path.write_text("{not json")
-    with pytest.raises(ReproError, match="not valid JSON"):
-        compare.load_report(path)
-    with pytest.raises(ReproError, match="cannot read"):
-        compare.load_report(tmp_path / "absent.json")
-
-
-def test_compare_files_end_to_end(tmp_path):
-    base = tmp_path / "base.json"
-    cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(_report({"a": 100.0})))
-    cur.write_text(json.dumps(_report({"a": 99.0})))
-    assert compare.compare_files(base, cur).ok
-    assert compare.main([str(base), str(cur)]) == 0
-    cur.write_text(json.dumps(_report({"a": 10.0})))
-    assert compare.main([str(base), str(cur)]) == 1
-    assert compare.main([str(base), str(tmp_path / "nope.json")]) == 2

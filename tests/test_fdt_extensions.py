@@ -12,10 +12,14 @@ from repro.fdt.extensions import (
     SubLinearBandwidthModel,
     TwoPhaseSatPolicy,
 )
-from repro.fdt.policies import FdtMode, FdtPolicy
+from repro.fdt.policies import POLICIES, FdtMode, FdtPolicy
 from repro.fdt.runner import run_application
+from repro.obs.registry import default_registry, reset_default_registry
 from repro.sim.config import MachineConfig
+from repro.sim.machine import Machine
+from repro.sim.observer import FanOut, SimObserver
 from repro.workloads import get
+from repro.workloads.synthetic import build_synthetic
 
 CFG = MachineConfig.asplos08_baseline()
 
@@ -81,7 +85,7 @@ def test_calibrated_bat_matches_or_beats_plain_bat_on_ed():
     plain = run_application(get("ED").build(0.15),
                             FdtPolicy(FdtMode.BAT), CFG)
     calibrated = run_application(get("ED").build(0.15),
-                                 CalibratedBatPolicy(probe_threads=4), CFG)
+                                 CalibratedBatPolicy(), CFG)
     t_plain = plain.kernel_infos[0].threads
     t_cal = calibrated.kernel_infos[0].threads
     # The sub-linear correction never picks fewer threads than linear
@@ -94,13 +98,20 @@ def test_calibrated_bat_matches_or_beats_plain_bat_on_ed():
 
 def test_calibrated_bat_keeps_scalable_apps_wide():
     res = run_application(get("BScholes").build(0.25),
-                          CalibratedBatPolicy(probe_threads=4), CFG)
+                          CalibratedBatPolicy(), CFG)
     assert res.kernel_infos[0].threads == 32
 
 
-def test_calibrated_bat_rejects_bad_probe():
-    with pytest.raises(ValueError):
-        CalibratedBatPolicy(probe_threads=1)
+def test_calibrated_bat_skips_the_probe_on_a_single_slot_machine():
+    """One thread slot leaves no team to probe with: Eq. 5's pick stands
+    and nothing beyond the serial training is charged."""
+    one = MachineConfig.small().with_cores(1)
+    plain = run_application(build_synthetic(bus_lines=8, iterations=64),
+                            FdtPolicy(FdtMode.BAT), one)
+    calibrated = run_application(build_synthetic(bus_lines=8, iterations=64),
+                                 CalibratedBatPolicy(), one)
+    assert calibrated.threads_used == plain.threads_used == (1,)
+    assert calibrated.cycles == plain.cycles
 
 
 def test_two_phase_sat_near_best_for_pagemine():
@@ -132,3 +143,68 @@ def test_extension_policies_report_training_metadata():
     assert info.training_cycles > 0
     assert info.estimates is not None
     assert info.policy_name == "sat-two-phase"
+
+
+# -- the §9 policies run the paper's pipeline --------------------------------
+
+class _DecisionTap(SimObserver):
+    """Keeps the training log each decision event carries."""
+
+    def __init__(self) -> None:
+        self.logs = []
+
+    def on_fdt_decision(self, kernel_name, policy_name, mode, log,
+                        *rest) -> None:
+        self.logs.append(log)
+
+
+@pytest.mark.parametrize("name", ["sat-two-phase", "bat-calibrated-4"])
+def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
+    """Clamp on thread slots, training samples and one decision in the
+    trace, decision metrics published — as for the paper's modes."""
+    config = MachineConfig.small().with_smt(2).with_trace()
+    slots = config.num_thread_slots
+    assert slots == 2 * config.num_cores
+    machine = Machine(config)
+    tap = _DecisionTap()
+    machine.observer = FanOut(machine.observer, tap)
+    reset_default_registry()
+
+    # No critical section, no bus traffic: every estimate hits the clamp.
+    app = build_synthetic(iterations=256, compute_instr=2_000)
+    result = run_application(app, POLICIES[name](), machine=machine)
+
+    (info,) = result.kernel_infos
+    (log,) = tap.logs
+    assert log.num_cores == slots
+    assert info.estimates.p_fdt == slots
+    assert info.threads == slots
+
+    trace = machine.trace.data
+    (record,) = trace.decisions
+    assert record.policy_name == name
+    assert record.num_slots == slots
+    assert record.chosen_threads == info.threads
+    training_marks = [m for m in trace.marks if m.kind == "training"]
+    assert len(training_marks) == len(record.samples) > 0
+    # The probe slice is charged to training on top of the serial loop.
+    assert info.trained_iterations > record.trained_iterations
+
+    decisions = default_registry().get("repro_fdt_decisions_total")
+    assert decisions is not None and decisions.total == 1
+
+
+@pytest.mark.parametrize("name, mode", [("sat-two-phase", FdtMode.SAT),
+                                        ("bat-calibrated-4", FdtMode.BAT)])
+def test_extension_policies_never_probe_past_the_last_iteration(name, mode):
+    """Training a one-iteration loop consumes it: nothing is left to
+    probe with, so the run is the paper mode's, cycle for cycle."""
+    plain = run_application(build_synthetic(cs_fraction=0.2, bus_lines=4,
+                                            iterations=1),
+                            FdtPolicy(mode), CFG)
+    probed = run_application(build_synthetic(cs_fraction=0.2, bus_lines=4,
+                                             iterations=1),
+                             POLICIES[name](), CFG)
+    assert probed.kernel_infos[0].trained_iterations == 1
+    assert probed.cycles == plain.cycles
+    assert probed.threads_used == plain.threads_used

@@ -441,11 +441,6 @@ def test_obs_cli_list_filters(capsys, tmp_path):
     assert [r["status"] for r in rows] == ["failed"]
 
 
-def test_bench_fingerprint_matches_obs_fingerprint():
-    from repro.bench.harness import host_fingerprint as bench_fingerprint
-    assert bench_fingerprint() == host_fingerprint()
-
-
 # -- satellite: manifest timestamps -----------------------------------
 
 def test_manifest_entries_carry_iso_timestamps():
