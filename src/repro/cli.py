@@ -56,6 +56,7 @@ from repro.jobs import (
     ResultCache,
     WorkloadRef,
     app_result_to_dict,
+    raise_unserved,
 )
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
@@ -465,10 +466,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                  config=config) for t in teams)
 
     runner = _make_runner(args)
-    results = runner.run(specs)
-    status_by_key = {e.key: e.status for e in runner.manifest.entries}
+    resolutions = runner.resolve(specs)
+    raise_unserved(specs, resolutions)
     jobs = []
-    for spec, res in zip(specs, results):
+    for spec, resolution in zip(specs, resolutions):
+        res = resolution.app_result()
         jobs.append({
             "workload": spec.workload.name,
             "scale": spec.workload.scale,
@@ -477,13 +479,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "cycles": res.cycles,
             "power": res.power,
             "bus_utilization": res.result.bus_utilization,
-            "key": spec.key(),
-            "status": status_by_key.get(spec.key(), "hit"),
+            "key": resolution.key,
+            "status": resolution.status,
         })
+    _finish_jobs(args, runner, quiet=True)
     if args.json:
         print(json.dumps({"jobs": jobs,
                           "counts": runner.manifest.counts}, indent=2))
-        _finish_jobs(args, runner, quiet=True)
     else:
         rows = [(j["workload"], j["policy"],
                  "/".join(map(str, j["threads"])), f"{j['cycles']:,}",
@@ -492,7 +494,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(ascii_table(("workload", "policy", "threads", "cycles",
                            "power", "bus util", "status"), rows))
         print(f"\n{runner.manifest.summary()}")
-        _finish_jobs(args, runner, quiet=True)
         if args.manifest:
             print(f"manifest written to {args.manifest}", file=sys.stderr)
     return 0

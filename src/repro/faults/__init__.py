@@ -28,14 +28,12 @@ chaos run re-checks.
 """
 
 from repro.faults.injector import (
-    PLAN_ENV,
     FaultFiring,
     FaultInjector,
     InjectedCrashError,
     InjectedFaultError,
     InjectedIOError,
     active,
-    configure_from_env,
     injected,
     install,
     uninstall,
@@ -44,7 +42,6 @@ from repro.faults.plan import PLAN_SCHEMA, FaultPlan, FaultRule
 from repro.faults.sites import SITES, FaultSite, sites_table
 
 __all__ = [
-    "PLAN_ENV",
     "PLAN_SCHEMA",
     "SITES",
     "FaultFiring",
@@ -56,7 +53,6 @@ __all__ = [
     "InjectedFaultError",
     "InjectedIOError",
     "active",
-    "configure_from_env",
     "injected",
     "install",
     "sites_table",

@@ -38,13 +38,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.errors import FaultError, ServeClientError
-from repro.faults.injector import injected
+from repro.errors import FaultError, JobError, ServeClientError
+from repro.faults.injector import FaultInjector, injected
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.jobs import (
     JobRunner,
     JobSpec,
     PolicySpec,
+    Resolution,
     ResultCache,
     WorkloadRef,
     app_result_from_dict,
@@ -181,58 +182,54 @@ def baseline_cycles(specs: Sequence[JobSpec]) -> dict[str, int]:
     trusted answer to compare against.
     """
     with tempfile.TemporaryDirectory(prefix="repro-chaos-base-") as tmp:
-        runner = JobRunner(cache=ResultCache(tmp), jobs=1)
-        resolutions = runner.resolve(list(specs))
-    out: dict[str, int] = {}
-    for resolution in resolutions:
-        if resolution.result is None:
-            raise FaultError(
-                f"fault-free baseline failed for {resolution.key[:12]}: "
-                f"{resolution.error or resolution.status}")
-        out[resolution.key] = app_result_from_dict(resolution.result).cycles
-    return out
+        try:
+            results = JobRunner(cache=ResultCache(tmp)).run(specs)
+        except JobError as exc:
+            raise FaultError(f"fault-free baseline failed: {exc}") from exc
+    return {spec.key(): result.cycles
+            for spec, result in zip(specs, results)}
 
 
-def _cycles_of(result: dict | None) -> int | None:
+def _cycles_of(result: dict) -> int | None:
     """Cycle count of a serialized result, or ``None`` if unparseable."""
-    if result is None:
-        return None
     try:
         return app_result_from_dict(result).cycles
     except Exception:
         return None
 
 
-def _judge_cache(report: ChaosReport, cache: ResultCache,
-                 baseline: dict[str, int]) -> ChaosInvariant:
-    """Every entry still served by the cache must match the baseline."""
+def _judge(report: ChaosReport, injector: FaultInjector, unhandled: str,
+           unaccounted: str, cache: ResultCache) -> None:
+    """Record the firing log and the invariants every mode shares."""
+    report.injected = injector.firing_count()
+    report.firings = [f.to_dict() for f in injector.firings()]
     report.quarantined = cache.quarantined_count()
     report.cache_entries = len(cache)
-    bad: list[str] = []
+    baseline = report.baseline_cycles
+    # Every entry still served by the cache must match the baseline (a
+    # miss is fine — corrupt entries must be *absent*)...
+    corrupt = []
     for key, cycles in baseline.items():
         stored = cache.get_or_none(key)
-        if stored is None:
-            continue  # miss is fine — corrupt entries must be *absent*
-        got = _cycles_of(stored)
-        if got != cycles:
-            bad.append(f"{key[:12]} served {got} != baseline {cycles}")
-    return ChaosInvariant(
-        INV_NO_CORRUPT, ok=not bad,
-        detail="; ".join(bad) if bad else
-        f"{report.cache_entries} entries clean, "
-        f"{report.quarantined} quarantined")
-
-
-def _judge_cycles(report: ChaosReport,
-                  baseline: dict[str, int]) -> ChaosInvariant:
-    """Every served result must be bit-identical to the baseline."""
-    bad = [f"{key[:12]} observed {got} != baseline {baseline[key]}"
-           for key, got in sorted(report.observed_cycles.items())
-           if got != baseline.get(key)]
-    return ChaosInvariant(
-        INV_CYCLES, ok=not bad,
-        detail="; ".join(bad) if bad else
-        f"{len(report.observed_cycles)} result(s) identical")
+        if stored is not None and _cycles_of(stored) != cycles:
+            corrupt.append(f"{key[:12]} served {_cycles_of(stored)} "
+                           f"!= baseline {cycles}")
+    # ...and every served result must be bit-identical to it.
+    wrong = [f"{key[:12]} observed {got} != baseline {baseline[key]}"
+             for key, got in sorted(report.observed_cycles.items())
+             if got != baseline.get(key)]
+    report.invariants += [
+        ChaosInvariant(INV_NO_UNHANDLED, ok=not unhandled, detail=unhandled),
+        ChaosInvariant(INV_ACCOUNTED, ok=not unaccounted,
+                       detail=unaccounted),
+        ChaosInvariant(INV_NO_CORRUPT, ok=not corrupt,
+                       detail="; ".join(corrupt) or
+                       f"{report.cache_entries} entries clean, "
+                       f"{report.quarantined} quarantined"),
+        ChaosInvariant(INV_CYCLES, ok=not wrong,
+                       detail="; ".join(wrong) or
+                       f"{len(report.observed_cycles)} result(s) identical"),
+    ]
 
 
 def run_chaos_batch(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
@@ -240,25 +237,18 @@ def run_chaos_batch(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
                     cache_dir: str | None = None) -> ChaosReport:
     """Arm ``plan`` and push ``specs`` through a real ``JobRunner``."""
     specs = list(specs) if specs is not None else default_specs()
-    baseline = baseline_cycles(specs)
     report = ChaosReport(mode="batch", plan=plan.to_dict(),
-                         baseline_cycles=dict(baseline))
-    tmp = None
-    if cache_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        cache_dir = tmp.name
-    try:
-        cache = ResultCache(cache_dir)
+                         baseline_cycles=baseline_cycles(specs))
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        cache = ResultCache(cache_dir or tmp)
         runner = JobRunner(cache=cache, jobs=jobs)
         unhandled = ""
-        resolutions: list = []
-        with injected(plan, propagate_env=jobs > 1) as injector:
+        resolutions: list[Resolution] = []
+        with injected(plan) as injector:
             try:
                 resolutions = runner.resolve(specs)
             except Exception as exc:  # an invariant violation, not a crash
                 unhandled = f"{type(exc).__name__}: {exc}"
-            report.injected = injector.firing_count()
-            report.firings = [f.to_dict() for f in injector.firings()]
         report.manifest_counts = dict(runner.manifest.counts)
         for resolution in resolutions:
             report.statuses[resolution.status] = \
@@ -267,20 +257,12 @@ def run_chaos_batch(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
                 got = _cycles_of(resolution.result)
                 report.observed_cycles[resolution.key] = \
                     -1 if got is None else got
-        report.invariants.append(ChaosInvariant(
-            INV_NO_UNHANDLED, ok=not unhandled, detail=unhandled))
         expected = sorted(spec.key() for spec in specs)
         answered = sorted(r.key for r in resolutions)
-        report.invariants.append(ChaosInvariant(
-            INV_ACCOUNTED, ok=answered == expected,
-            detail="" if answered == expected else
-            f"submitted {len(expected)} spec(s), "
-            f"answered {len(answered)}"))
-        report.invariants.append(_judge_cache(report, cache, baseline))
-        report.invariants.append(_judge_cycles(report, baseline))
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        _judge(report, injector, unhandled,
+               "" if answered == expected else
+               f"submitted {len(expected)} spec(s), "
+               f"answered {len(answered)}", cache)
     return report
 
 
@@ -327,97 +309,95 @@ def _request_body(spec: JobSpec) -> dict[str, Any]:
     return body
 
 
+def _post_until_served(port: int, body: dict[str, Any],
+                        attempts: int) -> tuple[str, int | None]:
+    """POST ``/v1/run`` until a 200: ``(last status seen, cycles)``.
+
+    Dropped connections, sheds (429), timeouts (504) and failures (500)
+    are retried — the client half of the recovery contract; ``cycles``
+    is ``None`` if the spec never landed within ``attempts``.
+    """
+    from repro.serve import ServeClient
+
+    status_seen = "unanswered"
+    for _ in range(max(1, attempts)):
+        client = ServeClient(port=port, timeout=30.0)
+        try:
+            status, payload = client.request("POST", "/v1/run", body)
+        except ServeClientError:
+            status_seen = "connection-error"  # dropped/refused: retry fresh
+            continue
+        finally:
+            client.close()
+        if status == 200:
+            return (str(payload.get("status", "ok")),
+                    int(payload.get("cycles", -1)))
+        status_seen = f"http-{status}"
+        time.sleep(0.02)  # brief pause before the retry
+    return status_seen, None
+
+
 def run_chaos_serve(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
                     attempts: int = SERVE_ATTEMPTS,
                     cache_dir: str | None = None) -> ChaosReport:
     """Arm ``plan`` and drive a live server over real sockets.
 
-    Each spec is POSTed to ``/v1/run`` with up to ``attempts`` tries;
-    dropped connections, sheds (429), timeouts (504), and failures
-    (500) are retried — the client half of the recovery contract.  A
-    spec that never lands within its budget counts against
-    ``every-spec-accounted-once``.
+    Each spec is POSTed to ``/v1/run`` with up to ``attempts`` tries
+    (:func:`_post_until_served`).  A spec that never lands within its
+    budget counts against ``every-spec-accounted-once``.
     """
     from repro.serve import ServeConfig, ServeClient, ServerThread
 
     specs = list(specs) if specs is not None else default_specs()
     bodies = [_request_body(spec) for spec in specs]  # fail fast if any
-    baseline = baseline_cycles(specs)
     report = ChaosReport(mode="serve", plan=plan.to_dict(),
-                         baseline_cycles=dict(baseline))
-    tmp = None
-    if cache_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        cache_dir = tmp.name
-    # One worker and serial jobs keep firing order deterministic; the
-    # tight breaker makes the trip → shed → probe → recover loop
-    # actually exercisable by a handful of requests.
-    config = ServeConfig(port=0, workers=1, jobs=1, cache_dir=cache_dir,
-                         request_timeout=30.0, queue_depth=8,
-                         breaker_threshold=3, breaker_probe_after=2)
+                         baseline_cycles=baseline_cycles(specs))
     unhandled = ""
     responsive = False
     lost: list[str] = []
-    with injected(plan) as injector:
-        thread = ServerThread(config)
-        try:
-            thread.start()
-            port = thread.port
-            for spec, body in zip(specs, bodies):
-                key = spec.key()
-                status_seen = "unanswered"
-                for _ in range(max(1, attempts)):
-                    client = ServeClient(port=port, timeout=30.0)
-                    try:
-                        status, payload = client.request(
-                            "POST", "/v1/run", body)
-                    except ServeClientError:
-                        # Dropped / refused connection: retry fresh.
-                        status_seen = "connection-error"
-                        continue
-                    finally:
-                        client.close()
-                    if status == 200:
-                        status_seen = str(payload.get("status", "ok"))
-                        report.observed_cycles[key] = \
-                            int(payload.get("cycles", -1))
-                        break
-                    status_seen = f"http-{status}"
-                    time.sleep(0.02)  # brief pause before the retry
-                else:
-                    lost.append(key[:12])
-                report.statuses[status_seen] = \
-                    report.statuses.get(status_seen, 0) + 1
-            probe = ServeClient(port=port, timeout=10.0)
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        cache_dir = cache_dir or tmp
+        # One worker and serial jobs keep firing order deterministic;
+        # the tight breaker makes the trip → shed → probe → recover loop
+        # actually exercisable by a handful of requests.
+        thread = ServerThread(ServeConfig(
+            port=0, workers=1, jobs=1, cache_dir=cache_dir,
+            request_timeout=30.0, queue_depth=8,
+            breaker_threshold=3, breaker_probe_after=2))
+        with injected(plan) as injector:
             try:
-                responsive = probe.healthz().get("status") == "ok"
-            finally:
-                probe.close()
-        except Exception as exc:
-            unhandled = f"{type(exc).__name__}: {exc}"
-        finally:
-            try:
-                thread.stop()
+                thread.start()
+                for spec, body in zip(specs, bodies):
+                    status_seen, cycles = _post_until_served(
+                        thread.port, body, attempts)
+                    if cycles is None:
+                        lost.append(spec.key()[:12])
+                    else:
+                        report.observed_cycles[spec.key()] = cycles
+                    report.statuses[status_seen] = \
+                        report.statuses.get(status_seen, 0) + 1
+                probe = ServeClient(port=thread.port, timeout=10.0)
+                try:
+                    responsive = probe.healthz().get("status") == "ok"
+                finally:
+                    probe.close()
             except Exception as exc:
-                unhandled = unhandled or f"stop: {type(exc).__name__}: {exc}"
-            if thread.server is not None:
-                report.manifest_counts = dict(thread.server.manifest.counts)
-            report.injected = injector.firing_count()
-            report.firings = [f.to_dict() for f in injector.firings()]
-    report.invariants.append(ChaosInvariant(
-        INV_NO_UNHANDLED, ok=not unhandled, detail=unhandled))
-    report.invariants.append(ChaosInvariant(
-        INV_ACCOUNTED, ok=not lost,
-        detail="" if not lost else
-        f"{len(lost)} spec(s) never served: {', '.join(lost)}"))
-    report.invariants.append(
-        _judge_cache(report, ResultCache(cache_dir), baseline))
-    report.invariants.append(_judge_cycles(report, baseline))
+                unhandled = f"{type(exc).__name__}: {exc}"
+            finally:
+                try:
+                    thread.stop()
+                except Exception as exc:
+                    unhandled = (unhandled
+                                 or f"stop: {type(exc).__name__}: {exc}")
+        if thread.server is not None:
+            report.manifest_counts = dict(thread.server.manifest.counts)
+        _judge(report, injector, unhandled,
+               "" if not lost else
+               f"{len(lost)} spec(s) never served: {', '.join(lost)}",
+               ResultCache(cache_dir))
     report.invariants.append(ChaosInvariant(
         INV_RESPONSIVE, ok=responsive,
         detail="" if responsive else "healthz did not answer ok"))
-    if tmp is not None:
-        tmp.cleanup()
     if not report.passed:
         _log.warning("chaos run failed invariants",
                      extra={"mode": report.mode,

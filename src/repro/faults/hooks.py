@@ -14,7 +14,9 @@ their site can absorb:
 :func:`maybe_raise`    sites whose faults surface as exceptions
                        (``cache.*`` I/O errors, ``executor.job``
                        crashes); also serves ``latency``/``hang`` by
-                       sleeping in-line
+                       sleeping in-line.  It is :func:`decide` then
+                       :func:`perform`, which the pool executor calls
+                       separately — parent decides, worker performs
 :func:`corrupt_text`   payload-transforming sites (``cache.read`` torn
                        and corrupt entries)
 :func:`delay_seconds`  async sites that must ``await`` their own sleep
@@ -31,6 +33,7 @@ import os
 import time
 
 from repro.faults import injector as _inj
+from repro.faults.plan import FaultRule
 from repro.faults.sites import (
     KIND_ABORT,
     KIND_CORRUPT,
@@ -49,8 +52,22 @@ from repro.faults.sites import (
 _GARBAGE = "\x00repro-injected-corruption\x00"
 
 
-def maybe_raise(site: str, **ctx: str) -> None:
-    """Fire exception-kind faults at ``site`` (no-op when disarmed).
+def decide(site: str, **ctx: str) -> FaultRule | None:
+    """The exception-kind rule firing at ``site`` now, if any.
+
+    The decision half of :func:`maybe_raise`, for callers that decide
+    in one process and :func:`perform` in another: the pool executor
+    decides ``executor.job`` rules in the parent at submit time — where
+    the plan's counters and firing log live — and ships the rule with
+    the job.
+    """
+    injector = _inj.active()
+    return None if injector is None else injector.decide(site, ctx, kinds=(
+        KIND_IO_ERROR, KIND_CRASH, KIND_ABORT, KIND_LATENCY, KIND_HANG))
+
+
+def perform(rule: FaultRule | None, site: str, **ctx: str) -> None:
+    """Carry out a decided exception-kind fault (no-op on ``None``).
 
     ``io-error`` raises :class:`~repro.faults.injector.InjectedIOError`
     (an ``OSError``), ``crash`` raises
@@ -58,11 +75,6 @@ def maybe_raise(site: str, **ctx: str) -> None:
     the process outright (pool-worker death), and ``latency``/``hang``
     sleep the rule's ``latency`` in-line before returning.
     """
-    injector = _inj.active()
-    if injector is None:
-        return
-    rule = injector.decide(site, ctx, kinds=(
-        KIND_IO_ERROR, KIND_CRASH, KIND_ABORT, KIND_LATENCY, KIND_HANG))
     if rule is None:
         return
     if rule.kind == KIND_IO_ERROR:
@@ -73,10 +85,17 @@ def maybe_raise(site: str, **ctx: str) -> None:
             f"injected crash at {site} ({ctx.get('key', '')})")
     if rule.kind == KIND_ABORT:
         # A hard worker death: no exception crosses the pool boundary,
-        # the executor sees BrokenProcessPool and retries elsewhere.
+        # the executor sees BrokenProcessPool and reports the job
+        # failed + transient for the runner's backoff loop to retry.
         os._exit(43)
     if rule.kind in (KIND_LATENCY, KIND_HANG) and rule.latency > 0:
         time.sleep(rule.latency)
+
+
+def maybe_raise(site: str, **ctx: str) -> None:
+    """Fire exception-kind faults at ``site`` (no-op when disarmed)."""
+    if _inj.active() is not None:  # disarmed: one check, no calls
+        perform(decide(site, **ctx), site, **ctx)
 
 
 def corrupt_text(site: str, text: str, **ctx: str) -> str:

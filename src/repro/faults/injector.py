@@ -16,30 +16,24 @@ span through :mod:`repro.obs.tracing` — so a chaos run's injections are
 visible through exactly the same telemetry as the recoveries they
 provoke.
 
-Process-pool workers cannot see the parent's in-memory injector, so
-:func:`install` (with ``propagate_env=True``) serializes the plan into
-``REPRO_FAULT_PLAN`` and :func:`configure_from_env` re-arms it on the
-worker side (each worker draws from its own fresh streams; cross-process
-firing order is deterministic per worker, not globally).
+The injector is a parent-process object.  Process-pool workers touch
+exactly one fault site, ``executor.job``, and the executor decides its
+rules here in the parent at submit time and ships the decision with the
+job (:func:`repro.faults.hooks.decide` / ``perform``) — so ``max_fires``
+budgets hold across workers and every firing lands in this one log.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Mapping
 
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.obs.registry import default_registry
 from repro.obs.tracing import span
-
-#: Environment variable carrying the plan JSON into pool workers.
-PLAN_ENV = "REPRO_FAULT_PLAN"
-
 
 class InjectedFaultError(RuntimeError):
     """Base class for exceptions raised *by* injection (never by bugs)."""
@@ -67,9 +61,7 @@ class FaultFiring:
     endpoint: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        return {"site": self.site, "kind": self.kind, "rule": self.rule,
-                "occurrence": self.occurrence, "key": self.key,
-                "workload": self.workload, "endpoint": self.endpoint}
+        return asdict(self)
 
 
 class _RuleState:
@@ -161,7 +153,6 @@ class FaultInjector:
 # -- the process-wide armed injector -----------------------------------
 
 _active: FaultInjector | None = None
-_active_lock = threading.Lock()
 
 
 def active() -> FaultInjector | None:
@@ -169,56 +160,24 @@ def active() -> FaultInjector | None:
     return _active
 
 
-def install(injector: FaultInjector,
-            propagate_env: bool = False) -> FaultInjector:
-    """Arm an injector process-wide (and optionally for pool workers).
-
-    ``propagate_env=True`` additionally exports the plan through
-    ``REPRO_FAULT_PLAN`` so worker processes spawned afterwards re-arm
-    it via :func:`configure_from_env`.
-    """
+def install(injector: FaultInjector) -> FaultInjector:
+    """Arm an injector process-wide."""
     global _active
-    with _active_lock:
-        _active = injector
-        if propagate_env:
-            os.environ[PLAN_ENV] = json.dumps(injector.plan.to_dict(),
-                                              sort_keys=True)
+    _active = injector
     return injector
 
 
 def uninstall() -> None:
-    """Disarm injection and drop any environment propagation."""
+    """Disarm injection."""
     global _active
-    with _active_lock:
-        _active = None
-        os.environ.pop(PLAN_ENV, None)
+    _active = None
 
 
 @contextmanager
-def injected(plan: FaultPlan,
-             propagate_env: bool = False) -> Iterator[FaultInjector]:
+def injected(plan: FaultPlan) -> Iterator[FaultInjector]:
     """Arm a plan for the duration of a ``with`` block."""
-    injector = FaultInjector(plan)
-    install(injector, propagate_env=propagate_env)
+    injector = install(FaultInjector(plan))
     try:
         yield injector
     finally:
         uninstall()
-
-
-def configure_from_env() -> FaultInjector | None:
-    """Arm the plan carried in ``REPRO_FAULT_PLAN``, if any (workers).
-
-    A malformed plan is ignored rather than crashing the worker —
-    injection is a test instrument, never a reason to lose a job.
-    """
-    if _active is not None:
-        return _active
-    raw = os.environ.get(PLAN_ENV)
-    if not raw:
-        return None
-    try:
-        plan = FaultPlan.from_json(raw)
-    except Exception:
-        return None
-    return install(FaultInjector(plan))

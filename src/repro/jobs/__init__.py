@@ -19,9 +19,9 @@ Typical use::
     print(runner.manifest.summary())
 """
 
-from repro.jobs.api import JobResolution, JobRunner
+from repro.jobs.api import JobRunner, cache_hit, raise_unserved
 from repro.jobs.cache import ResultCache, default_cache_dir
-from repro.jobs.executor import JobOutcome, execute_jobs
+from repro.jobs.executor import execute_jobs
 from repro.jobs.manifest import RunManifest
 from repro.jobs.preflight import (
     FATAL_KINDS,
@@ -29,6 +29,7 @@ from repro.jobs.preflight import (
     preflight_key,
     run_preflight,
 )
+from repro.jobs.resolution import Resolution
 from repro.jobs.results import app_result_from_dict, app_result_to_dict
 from repro.jobs.spec import (
     SCHEMA_VERSION,
@@ -41,18 +42,19 @@ from repro.jobs.spec import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "JobResolution",
     "JobRunner",
     "JobSpec",
     "PolicySpec",
     "WorkloadRef",
+    "Resolution",
     "ResultCache",
     "RunManifest",
-    "JobOutcome",
     "FATAL_KINDS",
     "PreflightVerdict",
     "preflight_key",
+    "raise_unserved",
     "run_preflight",
+    "cache_hit",
     "execute_jobs",
     "default_cache_dir",
     "app_result_to_dict",

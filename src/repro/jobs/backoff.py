@@ -39,11 +39,3 @@ def backoff_delay(key: str, attempt: int,
     raw = min(cap, base * 2 ** (attempt - 1))
     return raw * _jitter_fraction(key, attempt, seed)
 
-
-def backoff_schedule(key: str, budget: int,
-                     base: float = DEFAULT_BACKOFF_BASE,
-                     cap: float = DEFAULT_BACKOFF_CAP,
-                     seed: int = 0) -> list[float]:
-    """The full delay sequence a key would sleep through its budget."""
-    return [backoff_delay(key, attempt, base=base, cap=cap, seed=seed)
-            for attempt in range(1, budget + 1)]

@@ -5,228 +5,168 @@ embarrassingly parallel.  :func:`execute_jobs` picks the backend:
 
 * ``jobs <= 1`` (or a single spec) runs serially in-process;
 * otherwise a :class:`concurrent.futures.ProcessPoolExecutor` fans the
-  specs out, with three failure safety valves:
+  specs out — **one** pool round, with three failure safety valves:
 
   - **spawn failure** (the pool cannot be created or fed — restricted
     sandboxes, missing semaphores): the whole batch gracefully falls
     back to the serial backend;
   - **crashed workers** (``BrokenProcessPool``): the affected jobs are
-    retried in a fresh pool up to ``retries`` extra rounds, then
-    reported as failed — never re-run in-process, since whatever killed
-    the worker would kill the caller too;
+    reported ``failed`` + ``transient`` — never re-run in-process, since
+    whatever killed the worker would kill the caller too.  Retrying is
+    the caller's business: :class:`~repro.jobs.api.JobRunner` owns the
+    one backoff loop;
   - **per-job timeout**: a job that produces no result within
     ``timeout`` seconds of being waited on is reported as timed out and
     its future cancelled (best effort — an already-running worker task
     cannot be interrupted, so the pool is shut down without waiting).
 
-Results cross the process boundary as the JSON-safe dicts of
-:mod:`repro.jobs.results`, so nothing pickles except primitives and the
-module-level entry point.
+Each spec comes back as one :class:`~repro.jobs.resolution.Resolution`
+(``computed`` | ``failed`` | ``timeout``).  Results cross the process
+boundary as the JSON-safe dicts of :mod:`repro.jobs.results`; going in,
+a job carries the parent's ``executor.job`` fault decision (the plan's
+counters and firing log live in the parent; a worker only performs).
 """
 
 from __future__ import annotations
 
 import time
 from concurrent import futures
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ReproError
 from repro.faults import hooks as fault_hooks
-from repro.faults.injector import configure_from_env as faults_from_env
+from repro.faults.plan import FaultRule
+from repro.jobs.resolution import (
+    STATUS_COMPUTED,
+    STATUS_FAILED,
+    STATUS_TIMEOUT,
+    Resolution,
+)
 from repro.jobs.results import app_result_to_dict
 from repro.jobs.spec import JobSpec
 from repro.obs.log import configure_from_env
 from repro.obs.tracing import span
 
-#: Outcome status values (``"ok"`` is the only success).
-STATUS_OK = "ok"
-STATUS_FAILED = "failed"
-STATUS_TIMEOUT = "timeout"
+_FAULT_SITE = "executor.job"
 
 
-@dataclass(frozen=True, slots=True)
-class JobOutcome:
-    """What one execution attempt chain produced for one spec."""
+def _execute_payload(spec_dict: dict, trace_dir: str | None = None) -> dict:
+    """Run one job from its dict form and serialize the outcome.
 
-    key: str
-    status: str
-    #: Serialized result dict (``None`` unless status is ``"ok"``).
-    result: dict | None
-    error: str = ""
-    #: Seconds of wall time: in-worker execution time for completed
-    #: jobs, wait time for timeouts.
-    wall_time: float = 0.0
-    #: Backend that produced (or abandoned) the job:
-    #: ``serial`` | ``pool`` | ``serial-fallback``.
-    backend: str = "serial"
-    #: Pool rounds consumed (1 unless crashed workers forced retries).
-    attempts: int = 1
-    #: Directory the job's trace artifacts were written to ("" when the
-    #: batch ran untraced or the job did not complete).
-    trace_path: str = ""
-    #: Whether a failure looks host-transient (worker crash, I/O error)
-    #: rather than deterministic (a :class:`~repro.errors.ReproError`
-    #: from the simulation itself).  Only transient failures are worth
-    #: the runner's backoff-retry budget — a deadlocked workload fails
-    #: identically every time.
-    transient: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
-
-def _execute_payload(spec_dict: dict) -> dict:
-    """Run one job from its dict form and serialize the outcome."""
-    spec = JobSpec.from_dict(spec_dict)
-    return app_result_to_dict(spec.run())
-
-
-def _execute_traced(spec_dict: dict, trace_dir: str) -> dict:
-    """Run one job with a tracer attached, writing its artifacts."""
+    With ``trace_dir`` a tracer is attached and its artifacts written.
+    Tests monkeypatch this name to inject failures (forked workers
+    inherit the patch).
+    """
     spec = JobSpec.from_dict(spec_dict)
     return app_result_to_dict(spec.run(trace_dir=trace_dir))
 
 
-def _run_payload(spec_dict: dict, trace_dir: str | None) -> dict:
-    """Dispatch to the traced or plain entry point.
-
-    ``_execute_payload`` keeps its one-argument signature because tests
-    monkeypatch it to inject failures.
-    """
-    if trace_dir is None:
-        return _execute_payload(spec_dict)
-    return _execute_traced(spec_dict, trace_dir)
-
-
-def _trace_path(trace_dir: str | None, key: str) -> str:
-    return "" if trace_dir is None else str(Path(trace_dir) / key)
-
-
-def _pool_entry(spec_dict: dict, trace_dir: str | None = None) -> dict:
+def _pool_entry(spec_dict: dict, trace_dir: str | None = None,
+                fault: FaultRule | None = None) -> dict:
     """Worker-side wrapper: run the job and report its execution time."""
     # Worker processes inherit the parent's logging choice through the
     # environment (REPRO_LOG_LEVEL / REPRO_LOG_JSON); no-op if unset.
-    # An armed fault plan rides along the same way (REPRO_FAULT_PLAN).
     configure_from_env()
-    faults_from_env()
-    fault_hooks.maybe_raise(
-        "executor.job",
-        workload=str(spec_dict.get("workload", {}).get("name", "")))
+    fault_hooks.perform(fault, _FAULT_SITE)
     started = time.perf_counter()
-    result = _run_payload(spec_dict, trace_dir)
+    result = _execute_payload(spec_dict, trace_dir)
     return {"result": result, "elapsed": time.perf_counter() - started}
+
+
+def _failed(key: str, exc: BaseException, started: float,
+            backend: str) -> Resolution:
+    # A dead worker (BrokenProcessPool) is transient like any non-sim
+    # failure; the runner's backoff loop decides whether to resubmit.
+    crashed = isinstance(exc, futures.BrokenExecutor)
+    return Resolution(
+        key=key, status=STATUS_FAILED, backend=backend,
+        error=("worker crashed: " if crashed else "")
+        + f"{type(exc).__name__}: {exc}",
+        wall_time=time.perf_counter() - started,
+        transient=not isinstance(exc, ReproError))
+
+
+def _computed(key: str, result: dict, wall_time: float, backend: str,
+              trace_dir: str | None) -> Resolution:
+    return Resolution(
+        key=key, status=STATUS_COMPUTED, backend=backend, result=result,
+        wall_time=wall_time,
+        trace_path="" if trace_dir is None else str(Path(trace_dir) / key))
 
 
 def run_serial(specs: Sequence[JobSpec],
                backend: str = "serial",
-               trace_dir: str | None = None) -> list[JobOutcome]:
+               trace_dir: str | None = None) -> list[Resolution]:
     """Execute every spec in-process, in order."""
-    outcomes = []
+    resolutions = []
     for spec in specs:
         key = spec.key()
         started = time.perf_counter()
         try:
             with span("sim.run", key=key, workload=spec.workload.label,
                       policy=spec.policy.label, backend=backend):
-                fault_hooks.maybe_raise("executor.job", key=key,
+                fault_hooks.maybe_raise(_FAULT_SITE, key=key,
                                         workload=spec.workload.name)
-                result = _run_payload(spec.to_dict(), trace_dir)
+                result = _execute_payload(spec.to_dict(), trace_dir)
         except Exception as exc:
-            outcomes.append(JobOutcome(
-                key=key, status=STATUS_FAILED, result=None,
-                error=f"{type(exc).__name__}: {exc}",
-                wall_time=time.perf_counter() - started, backend=backend,
-                transient=not isinstance(exc, ReproError)))
+            resolutions.append(_failed(key, exc, started, backend))
         else:
-            outcomes.append(JobOutcome(
-                key=key, status=STATUS_OK, result=result,
-                wall_time=time.perf_counter() - started, backend=backend,
-                trace_path=_trace_path(trace_dir, key)))
-    return outcomes
+            resolutions.append(_computed(
+                key, result, time.perf_counter() - started, backend,
+                trace_dir))
+    return resolutions
 
 
 def run_parallel(specs: Sequence[JobSpec], jobs: int,
                  timeout: float | None = None,
-                 retries: int = 1,
-                 trace_dir: str | None = None) -> list[JobOutcome]:
-    """Execute specs in a process pool (see module docstring)."""
-    outcomes: dict[int, JobOutcome] = {}
-    pending = list(range(len(specs)))
-    rounds = 0
-    crash_error = ""
-    while pending and rounds <= max(0, retries):
-        rounds += 1
+                 trace_dir: str | None = None) -> list[Resolution]:
+    """Execute specs in one process-pool round (see module docstring)."""
+    keys = [spec.key() for spec in specs]
+    try:
+        pool = futures.ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+        futs = [pool.submit(_pool_entry, spec.to_dict(), trace_dir,
+                            fault_hooks.decide(_FAULT_SITE, key=key,
+                                               workload=spec.workload.name))
+                for key, spec in zip(keys, specs)]
+    except Exception:
+        # The pool could not be created or fed at all: run the batch
+        # serially rather than failing it.
+        return run_serial(specs, backend="serial-fallback",
+                          trace_dir=trace_dir)
+    resolutions = []
+    timed_out = False
+    for key, fut in zip(keys, futs):
+        started = time.perf_counter()
         try:
-            pool = futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)))
-            futs = {pool.submit(_pool_entry, specs[i].to_dict(),
-                                trace_dir): i
-                    for i in pending}
-        except Exception:
-            # The pool could not be created or fed at all: run the rest
-            # serially rather than failing the batch.
-            for i, outcome in zip(pending, run_serial(
-                    [specs[i] for i in pending], backend="serial-fallback",
-                    trace_dir=trace_dir)):
-                outcomes[i] = replace(outcome, attempts=rounds)
-            pending = []
-            break
-        retry_next: list[int] = []
-        timed_out = False
-        for fut, i in futs.items():
-            started = time.perf_counter()
-            try:
-                # Clock-free timeout forcing: an armed plan can declare
-                # this wait expired without consuming the real budget.
-                if fault_hooks.forced_timeout("executor.timeout",
-                                              key=specs[i].key()):
-                    raise futures.TimeoutError
-                payload = fut.result(timeout=timeout)
-            except futures.TimeoutError:
-                fut.cancel()
-                timed_out = True
-                outcomes[i] = JobOutcome(
-                    key=specs[i].key(), status=STATUS_TIMEOUT, result=None,
-                    error=f"no result within {timeout}s",
-                    wall_time=time.perf_counter() - started,
-                    backend="pool", attempts=rounds)
-            except futures.BrokenExecutor as exc:
-                crash_error = f"{type(exc).__name__}: {exc}"
-                retry_next.append(i)
-            except Exception as exc:
-                outcomes[i] = JobOutcome(
-                    key=specs[i].key(), status=STATUS_FAILED, result=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                    wall_time=time.perf_counter() - started,
-                    backend="pool", attempts=rounds,
-                    transient=not isinstance(exc, ReproError))
-            else:
-                key = specs[i].key()
-                outcomes[i] = JobOutcome(
-                    key=key, status=STATUS_OK,
-                    result=payload["result"], wall_time=payload["elapsed"],
-                    backend="pool", attempts=rounds,
-                    trace_path=_trace_path(trace_dir, key))
-        # A timed-out task cannot be interrupted; don't wait on it.
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
-        pending = retry_next
-    for i in pending:  # crashed in every round
-        outcomes[i] = JobOutcome(
-            key=specs[i].key(), status=STATUS_FAILED, result=None,
-            error=f"worker crashed in {rounds} attempt(s): {crash_error}",
-            backend="pool", attempts=rounds, transient=True)
-    return [outcomes[i] for i in range(len(specs))]
+            # Clock-free timeout forcing: an armed plan can declare
+            # this wait expired without consuming the real budget.
+            if fault_hooks.forced_timeout("executor.timeout", key=key):
+                raise futures.TimeoutError
+            payload = fut.result(timeout=timeout)
+        except futures.TimeoutError:
+            fut.cancel()
+            timed_out = True
+            resolutions.append(Resolution(
+                key=key, status=STATUS_TIMEOUT, backend="pool",
+                error=f"no result within {timeout}s",
+                wall_time=time.perf_counter() - started))
+        except Exception as exc:
+            resolutions.append(_failed(key, exc, started, "pool"))
+        else:
+            resolutions.append(_computed(
+                key, payload["result"], payload["elapsed"], "pool",
+                trace_dir))
+    # A timed-out task cannot be interrupted; don't wait on it.
+    pool.shutdown(wait=not timed_out, cancel_futures=True)
+    return resolutions
 
 
 def execute_jobs(specs: Sequence[JobSpec], jobs: int = 1,
                  timeout: float | None = None,
-                 retries: int = 1,
-                 trace_dir: str | None = None) -> list[JobOutcome]:
+                 trace_dir: str | None = None) -> list[Resolution]:
     """Execute specs with the right backend for the requested width."""
     if jobs <= 1 or len(specs) <= 1:
         return run_serial(specs, trace_dir=trace_dir)
-    return run_parallel(specs, jobs=jobs, timeout=timeout, retries=retries,
+    return run_parallel(specs, jobs=jobs, timeout=timeout,
                         trace_dir=trace_dir)

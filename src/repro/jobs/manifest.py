@@ -14,14 +14,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.jobs.resolution import (
+    SERVED,
+    STATUS_COMPUTED,
+    STATUS_HIT,
+    STATUS_TIMEOUT,
+)
 from repro.jobs.spec import SCHEMA_VERSION
 from repro.obs.runreg import RunRecord
-
-#: Entry status values.
-STATUS_HIT = "hit"
-STATUS_COMPUTED = "computed"
-STATUS_TIMEOUT = "timeout"
-_SUCCESS_STATUSES = (STATUS_HIT, STATUS_COMPUTED)
 
 #: The record fields a manifest entry serializes, in JSON order.
 ENTRY_FIELDS = ("key", "workload", "policy", "status", "backend",
@@ -47,20 +47,15 @@ class RunManifest:
         server maps it to 504, not 500) — and ``failed`` counts only
         the genuinely failed rest (crashes, preflight rejections).
         """
-        hits = sum(1 for e in self.entries if e.status == STATUS_HIT)
-        computed = sum(1 for e in self.entries
-                       if e.status == STATUS_COMPUTED)
-        timeouts = sum(1 for e in self.entries
-                       if e.status == STATUS_TIMEOUT)
-        failed = sum(1 for e in self.entries
-                     if e.status not in _SUCCESS_STATUSES
-                     and e.status != STATUS_TIMEOUT)
+        def count(*statuses: str) -> int:
+            return sum(1 for e in self.entries if e.status in statuses)
+
         return {
             "total": len(self.entries),
-            "hits": hits,
-            "computed": computed,
-            "failed": failed,
-            "timeouts": timeouts,
+            "hits": count(STATUS_HIT),
+            "computed": count(STATUS_COMPUTED),
+            "failed": len(self.entries) - count(*SERVED, STATUS_TIMEOUT),
+            "timeouts": count(STATUS_TIMEOUT),
         }
 
     @property

@@ -28,7 +28,7 @@ from repro.serve.client import AsyncServeClient, ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.loadgen import LoadgenReport, run_loadgen, run_loadgen_blocking
 from repro.serve.metrics import ServeMetrics
-from repro.serve.pipeline import RequestPipeline, Resolution
+from repro.serve.pipeline import RequestPipeline
 from repro.serve.server import ExperimentServer, run_server
 from repro.serve.thread import ServerThread
 
@@ -37,7 +37,6 @@ __all__ = [
     "ExperimentServer",
     "LoadgenReport",
     "RequestPipeline",
-    "Resolution",
     "ServeClient",
     "ServeConfig",
     "ServeMetrics",

@@ -53,8 +53,6 @@ class ServeConfig:
     # -- jobs backend (passed through to JobRunner) --------------------
     #: Worker *processes* per batch; 1 simulates in the worker thread.
     jobs: int = 1
-    #: Extra pool rounds for crashed workers (``jobs > 1`` only).
-    retries: int = 1
     #: Per-job timeout inside the process pool (``jobs > 1`` only).
     job_timeout: float | None = None
     #: Result-cache directory (``None``: the jobs default) — ignored

@@ -5,7 +5,8 @@ Every ``/v1`` simulation request resolves through one funnel:
 1. **Cache fast path** — the spec's content key is looked up with the
    read-only :meth:`~repro.jobs.ResultCache.get_or_none`, so a repeated
    request is answered without touching the worker pool, the write
-   lock, or manifest state.
+   lock, or manifest state.  An entry that fails the jobs layer's one
+   result check (:func:`~repro.jobs.cache_hit`) is a miss like any other.
 2. **Single-flight coalescing** — identical in-flight requests (same
    sha256 key) share one computation: the first becomes the *leader*,
    the rest await the leader's future and are answered ``coalesced``.
@@ -19,6 +20,11 @@ Every ``/v1`` simulation request resolves through one funnel:
    call, and run it on a thread pool with a per-batch timeout.  The
    jobs backend (memoization, on-disk cache writes, process pool,
    retries, preflight gating) is reused as-is.
+
+Every answer is a jobs-layer :class:`~repro.jobs.Resolution`: the
+runner's record handed on unchanged, the leader's relabelled
+``coalesced``, or one only the pipeline can mint (``shed``, the batch
+``timeout``, ``failed`` when the runner itself raised).
 
 All pipeline state (`_inflight`, the queue, metrics) is touched only on
 the event-loop thread; only the ``JobRunner`` call itself runs on an
@@ -37,11 +43,19 @@ from typing import Callable
 
 from repro.faults import hooks as fault_hooks
 from repro.jobs import (
-    JobResolution,
     JobRunner,
     JobSpec,
+    Resolution,
     ResultCache,
     RunManifest,
+    cache_hit,
+)
+from repro.jobs.resolution import (
+    SERVED,
+    STATUS_COALESCED,
+    STATUS_FAILED,
+    STATUS_SHED,
+    STATUS_TIMEOUT,
 )
 from repro.obs import get_logger
 from repro.obs.registry import default_registry
@@ -49,15 +63,6 @@ from repro.obs.tracing import TraceContext, current_context, span, use_context
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import ServeMetrics
-
-#: Resolution statuses added by the pipeline on top of the jobs ones.
-STATUS_HIT = "hit"
-STATUS_COMPUTED = "computed"
-STATUS_COALESCED = "coalesced"
-STATUS_SHED = "shed"
-STATUS_TIMEOUT = "timeout"
-STATUS_FAILED = "failed"
-STATUS_PREFLIGHT = "preflight-failed"
 
 RunnerFactory = Callable[[], JobRunner]
 
@@ -69,24 +74,6 @@ RETRY_AFTER_MIN = 1.0
 RETRY_AFTER_MAX = 30.0
 
 _log = get_logger("serve")
-
-
-@dataclass(frozen=True, slots=True)
-class Resolution:
-    """What the pipeline decided for one request."""
-
-    key: str
-    #: ``hit`` | ``computed`` | ``coalesced`` | ``shed`` | ``timeout``
-    #: | ``failed`` | ``preflight-failed``.
-    status: str
-    result: dict | None
-    error: str = ""
-    #: Advertised back-off for shed requests (``Retry-After`` seconds).
-    retry_after: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
 
 
 @dataclass(slots=True)
@@ -139,7 +126,6 @@ class RequestPipeline:
     def _default_runner(self) -> JobRunner:
         return JobRunner(cache=self.cache, jobs=self.config.jobs,
                          timeout=self.config.job_timeout,
-                         retries=self.config.retries,
                          manifest=self.manifest,
                          preflight=self.config.preflight)
 
@@ -176,14 +162,14 @@ class RequestPipeline:
         # 1. Read-only cache fast path: no lock, no queue, no manifest.
         if self.cache is not None:
             with span("serve.cache_probe", key=key):
-                cached = self.cache.get_or_none(key)
-            if cached is not None:
+                hit = cache_hit(key, self.cache.get_or_none(key))
+            if hit is not None:
                 self.metrics.hits.inc()
                 # A hit while the breaker is open is a drain signal: an
                 # abandoned (timed-out) batch kept running and warmed
                 # the cache, so the backend still finishes work.
                 self.breaker.note_drain()
-                return Resolution(key=key, status=STATUS_HIT, result=cached)
+                return hit
 
         # 2. Single-flight: identical in-flight work is joined, never
         #    duplicated.  (No awaits between the lookup and the queue
@@ -194,20 +180,14 @@ class RequestPipeline:
             self.metrics.coalesced.inc()
             with span("serve.coalesce", key=key):
                 resolution = await asyncio.shield(leader)
-            if resolution.status in (STATUS_COMPUTED, STATUS_HIT):
+            if resolution.status in SERVED:
                 return replace(resolution, status=STATUS_COALESCED)
             return resolution
 
         # 3. Admission control: a full queue — or an open circuit
         #    breaker — sheds instead of queuing doomed work.
         if not self.breaker.allow():
-            self.metrics.shed.inc()
-            retry_after = self.retry_after_seconds()
-            _log.warning("request shed: circuit open",
-                         extra={"key": key, "retry_after": retry_after})
-            return Resolution(
-                key=key, status=STATUS_SHED, result=None,
-                error="circuit open", retry_after=retry_after)
+            return self._shed(key, "circuit open")
         future: asyncio.Future[Resolution] = (
             asyncio.get_running_loop().create_future())
         entry = _Entry(key=key, spec=spec, future=future,
@@ -215,20 +195,20 @@ class RequestPipeline:
         try:
             self._queue.put_nowait(entry)
         except asyncio.QueueFull:
-            self.metrics.shed.inc()
-            retry_after = self.retry_after_seconds()
-            _log.warning("request shed: queue full",
-                         extra={"key": key, "retry_after": retry_after})
-            resolution = Resolution(
-                key=key, status=STATUS_SHED, result=None,
-                error="queue full", retry_after=retry_after)
-            future.set_result(resolution)  # nobody else can be waiting
-            return resolution
+            return self._shed(key, "queue full")
 
         # 4. Admitted: this request leads the computation for its key.
         self.metrics.misses.inc()
         self._inflight[key] = future
         return await asyncio.shield(future)
+
+    def _shed(self, key: str, reason: str) -> Resolution:
+        self.metrics.shed.inc()
+        retry_after = self.retry_after_seconds()
+        _log.warning(f"request shed: {reason}",
+                     extra={"key": key, "retry_after": retry_after})
+        return Resolution(key=key, status=STATUS_SHED, backend="pipeline",
+                          error=reason, retry_after=retry_after)
 
     # -- workers ------------------------------------------------------
 
@@ -259,7 +239,7 @@ class RequestPipeline:
         # trace (re-entered by hand — executors don't copy contextvars).
         ctx = next((e.ctx for e in batch if e.ctx is not None), None)
 
-        def call() -> list[JobResolution]:
+        def call() -> list[Resolution]:
             with use_context(ctx):
                 with span("serve.batch", batch_size=len(batch),
                           keys=[e.key for e in batch]):
@@ -279,21 +259,13 @@ class RequestPipeline:
             _log.warning("batch timed out",
                          extra={"batch_size": len(batch),
                                 "timeout": self.config.request_timeout})
-            self.breaker.record_failure()
-            self._finish(batch, [
-                Resolution(key=entry.key, status=STATUS_TIMEOUT, result=None,
-                           error=f"no result within "
-                                 f"{self.config.request_timeout}s")
-                for entry in batch])
+            self._fail(batch, STATUS_TIMEOUT,
+                       f"no result within {self.config.request_timeout}s")
             return
         except Exception as exc:  # runner bug: fail the batch, not the server
             _log.error("batch failed",
                        extra={"batch_size": len(batch), "error": str(exc)})
-            self.breaker.record_failure()
-            self._finish(batch, [
-                Resolution(key=entry.key, status=STATUS_FAILED, result=None,
-                           error=f"{type(exc).__name__}: {exc}")
-                for entry in batch])
+            self._fail(batch, STATUS_FAILED, f"{type(exc).__name__}: {exc}")
             return
         elapsed = perf_counter() - started
         # A batch counts as a breaker failure only when it served
@@ -307,7 +279,7 @@ class RequestPipeline:
             "repro_serve_batch_seconds",
             "Wall-clock latency of one JobRunner batch submission."
         ).observe(elapsed, exemplar=batch[0].key)
-        self._finish(batch, [self._from_job(r) for r in resolutions])
+        self._finish(batch, resolutions)
 
     # -- adaptive Retry-After -----------------------------------------
 
@@ -337,12 +309,12 @@ class RequestPipeline:
         estimate = backlog / self._drain_rate
         return min(RETRY_AFTER_MAX, max(RETRY_AFTER_MIN, estimate))
 
-    def _from_job(self, resolution: JobResolution) -> Resolution:
-        """Map a jobs-layer resolution into a pipeline resolution."""
-        status = {"hit": STATUS_HIT}.get(resolution.status,
-                                        resolution.status)
-        return Resolution(key=resolution.key, status=status,
-                          result=resolution.result, error=resolution.error)
+    def _fail(self, batch: list[_Entry], status: str, error: str) -> None:
+        """The whole batch failed as one: a breaker failure."""
+        self.breaker.record_failure()
+        self._finish(batch, [
+            Resolution(key=entry.key, status=status, backend="pipeline",
+                       error=error) for entry in batch])
 
     def _finish(self, batch: list[_Entry],
                 resolutions: list[Resolution]) -> None:

@@ -11,12 +11,11 @@ Endpoints:
 ``GET  /metrics``         Prometheus text exposition
 ========================  ==================================================
 
-Status mapping: ``200`` served (hit/computed/coalesced), ``400``
-malformed request, ``404`` unknown route or missing key, ``422``
-preflight-rejected workload, ``429`` shed by admission control (with
-``Retry-After``), ``500`` simulation failure, ``503`` draining, ``504``
-simulation timeout (body carries the spec key so the client can poll
-``/v1/result/<key>`` once the abandoned computation lands).
+A pipeline resolution's status maps to its code through the one table
+:data:`HTTP_STATUS` (a ``504`` body carries the spec key so the client
+can poll ``/v1/result/<key>`` once the abandoned computation lands);
+outside the pipeline: ``400`` malformed request, ``404`` unknown route
+or missing key, ``503`` draining.
 
 On SIGTERM (or SIGINT) the server drains gracefully: the listening
 socket closes (new connections are refused), requests already admitted
@@ -35,7 +34,21 @@ from time import perf_counter
 from repro.errors import ServeError, ServeRequestError
 from repro.faults import hooks as fault_hooks
 from repro.fdt.runner import AppRunResult
-from repro.jobs import JobSpec, PolicySpec, ResultCache, app_result_from_dict
+from repro.jobs import (
+    JobSpec,
+    PolicySpec,
+    Resolution,
+    ResultCache,
+    app_result_from_dict,
+    cache_hit,
+)
+from repro.jobs.resolution import (
+    SERVED,
+    STATUS_FAILED,
+    STATUS_PREFLIGHT,
+    STATUS_SHED,
+    STATUS_TIMEOUT,
+)
 from repro.obs import get_logger
 from repro.obs.registry import default_registry
 from repro.obs.tracing import span
@@ -49,19 +62,16 @@ from repro.serve.http import (
     response_bytes,
 )
 from repro.serve.metrics import ServeMetrics
-from repro.serve.pipeline import (
-    STATUS_COALESCED,
-    STATUS_COMPUTED,
-    STATUS_HIT,
-    STATUS_PREFLIGHT,
-    STATUS_SHED,
-    STATUS_TIMEOUT,
-    RequestPipeline,
-    Resolution,
-    RunnerFactory,
-)
+from repro.serve.pipeline import RequestPipeline, RunnerFactory
 
-_SERVED = (STATUS_HIT, STATUS_COMPUTED, STATUS_COALESCED)
+#: Resolution status -> HTTP status code, for every ``/v1`` endpoint.
+HTTP_STATUS = {
+    **dict.fromkeys(SERVED, 200),
+    STATUS_SHED: 429,
+    STATUS_TIMEOUT: 504,
+    STATUS_FAILED: 500,
+    STATUS_PREFLIGHT: 422,
+}
 
 _log = get_logger("serve")
 
@@ -312,12 +322,12 @@ class ExperimentServer:
         if self.cache is None:
             return 404, {"error": "server runs without a result cache"}, \
                 {}, None
-        cached = self.cache.get_or_none(key)
-        if cached is None:
+        hit = cache_hit(key, self.cache.get_or_none(key))
+        if hit is None:
             return 404, {"error": "no cached result", "key": key}, {}, None
         self.metrics.hits.inc()
-        return 200, {"key": key, "status": STATUS_HIT, "result": cached}, \
-            {}, None
+        return 200, {"key": key, "status": hit.status,
+                     "result": hit.result}, {}, None
 
     async def _handle_run(self, body: dict
                           ) -> tuple[int, dict, dict[str, str], bytes | None]:
@@ -366,10 +376,7 @@ class ExperimentServer:
             *[self.pipeline.resolve(spec) for spec in specs])
         points = []
         for threads, spec, resolution in zip(counts, specs, resolutions):
-            self._raise_unserved(spec, resolution)
-            assert resolution.result is not None
-            point = self._point_payload(
-                app_result_from_dict(resolution.result))
+            point = self._point_payload(self._decoded(spec, resolution))
             point.update(threads=threads, key=resolution.key,
                          status=resolution.status)
             points.append(point)
@@ -386,27 +393,35 @@ class ExperimentServer:
     def _raise_unserved(self, spec: JobSpec,
                         resolution: Resolution) -> None:
         """Map a non-served resolution to its HTTP reply."""
-        if resolution.status in _SERVED:
+        code = HTTP_STATUS[resolution.status]
+        if code == 200:
             return
-        base = {"key": resolution.key, "status": resolution.status,
-                "error": resolution.error}
+        payload = {"key": resolution.key, "status": resolution.status,
+                   "error": resolution.error}
+        headers: dict[str, str] = {}
         if resolution.status == STATUS_SHED:
-            # The pipeline derives the back-off from the queue's
-            # observed drain rate; before any observation it falls back
-            # to the configured static value.
-            retry_after = resolution.retry_after or self.config.retry_after
-            raise _Reply(
-                429, dict(base, error="shed by admission control: "
-                          + resolution.error),
-                {"Retry-After": f"{retry_after:g}"})
-        if resolution.status == STATUS_TIMEOUT:
+            # The pipeline derived the back-off from the queue's drain
+            # rate (the configured value before any observation).
+            payload["error"] = ("shed by admission control: "
+                                + resolution.error)
+            headers["Retry-After"] = f"{resolution.retry_after:g}"
+        elif resolution.status == STATUS_TIMEOUT:
             # The spec key is in the body: the computation was
             # abandoned, not cancelled, so the client can poll
             # /v1/result/<key> for the late-arriving result.
-            raise _Reply(504, dict(base, workload=spec.workload.label))
-        if resolution.status == STATUS_PREFLIGHT:
-            raise _Reply(422, base)
-        raise _Reply(500, base)
+            payload["workload"] = spec.workload.label
+        raise _Reply(code, payload, headers)
+
+    def _decoded(self, spec: JobSpec,
+                 resolution: Resolution) -> AppRunResult:
+        """A served resolution's result, decoded at most once per
+        request: a validated cache hit already carries its decode."""
+        self._raise_unserved(spec, resolution)
+        if resolution.app is not None:
+            return resolution.app
+        assert resolution.result is not None
+        # Not resolution.app_result(): profilers wrap this module's name.
+        return app_result_from_dict(resolution.result)
 
     @staticmethod
     def _point_payload(app: AppRunResult) -> dict:
@@ -421,9 +436,7 @@ class ExperimentServer:
         }
 
     def _run_payload(self, spec: JobSpec, resolution: Resolution) -> dict:
-        self._raise_unserved(spec, resolution)
-        assert resolution.result is not None
-        app = app_result_from_dict(resolution.result)
+        app = self._decoded(spec, resolution)
         payload = self._point_payload(app)
         payload.update(
             key=resolution.key,

@@ -10,7 +10,14 @@ import pytest
 
 from repro.errors import JobError
 from repro.faults import FaultPlan, FaultRule, injected, uninstall
-from repro.jobs import JobResolution, JobSpec, PolicySpec, ResultCache, WorkloadRef
+from repro.jobs import (
+    JobSpec,
+    PolicySpec,
+    Resolution,
+    ResultCache,
+    WorkloadRef,
+    app_result_to_dict,
+)
 from repro.serve import RequestPipeline, ServeConfig, ServeMetrics
 from repro.serve.breaker import (
     STATE_CLOSED,
@@ -18,7 +25,7 @@ from repro.serve.breaker import (
     STATE_OPEN,
     CircuitBreaker,
 )
-from repro.serve.pipeline import (
+from repro.jobs.resolution import (
     STATUS_FAILED,
     STATUS_HIT,
     STATUS_SHED,
@@ -136,7 +143,7 @@ class _FlakyRunner:
         self.calls += 1
         if self.broken:
             raise JobError("backend down")
-        return [JobResolution(key=spec.key(), status="computed",
+        return [Resolution(key=spec.key(), status="computed",
                               backend="serial", result={"ok": True})
                 for spec in specs]
 
@@ -189,7 +196,7 @@ def test_cache_hit_while_open_is_a_drain_signal(tmp_path):
     runner = _FlakyRunner()
     cache = ResultCache(tmp_path / "c")
     warm = _spec(6)
-    cache.put(warm.key(), warm.to_dict(), {"cycles": 123})
+    cache.put(warm.key(), warm.to_dict(), app_result_to_dict(warm.run()))
     config = ServeConfig(workers=1, breaker_threshold=1,
                          breaker_probe_after=100)
     pipeline, _ = _pipeline(config, runner, cache=cache)

@@ -92,7 +92,7 @@ def test_deterministic_sim_failures_are_never_retried(tmp_path, monkeypatch):
         calls["n"] += 1
         raise ReproError("deadlock: provably stuck")
 
-    monkeypatch.setattr(executor, "_run_payload", deterministic_failure)
+    monkeypatch.setattr(executor, "_execute_payload", deterministic_failure)
     runner = JobRunner(cache=ResultCache(tmp_path / "c"),
                        backoff_base=0.001, retry_budget=3)
     (resolution,) = runner.resolve([_spec()])

@@ -13,14 +13,13 @@ import pytest
 
 from repro.errors import FaultError
 from repro.faults import (
-    PLAN_ENV,
     FaultInjector,
     FaultPlan,
     FaultRule,
+    InjectedCrashError,
     InjectedIOError,
     SITES,
     active,
-    configure_from_env,
     injected,
     install,
     sites_table,
@@ -31,14 +30,12 @@ from repro.jobs.backoff import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_BACKOFF_CAP,
     backoff_delay,
-    backoff_schedule,
 )
 
 
 @pytest.fixture(autouse=True)
-def _disarmed(monkeypatch):
+def _disarmed():
     """Every test starts and ends with no plan armed."""
-    monkeypatch.delenv(PLAN_ENV, raising=False)
     uninstall()
     yield
     uninstall()
@@ -232,34 +229,21 @@ def test_torn_payload_is_a_strict_prefix_and_corrupt_is_garbage():
         assert hooks.corrupt_text("cache.read", text, key="k") == text
 
 
-# -- env propagation (worker processes) -------------------------------
+# -- decide / perform (parent decides, pool worker performs) ----------
 
-def test_install_propagates_plan_through_environment(monkeypatch):
-    plan = FaultPlan(seed=3, rules=(
+def test_decide_consumes_the_budget_and_perform_needs_no_injector():
+    plan = FaultPlan(rules=(
         FaultRule(site="executor.job", kind="crash", max_fires=1),))
-    with injected(plan, propagate_env=True):
-        import json
-        import os
-        carried = FaultPlan.from_json(os.environ[PLAN_ENV])
-        assert carried == plan
-        assert json.loads(os.environ[PLAN_ENV])["seed"] == 3
-    import os
-    assert PLAN_ENV not in os.environ  # uninstall cleans up
-
-
-def test_configure_from_env_arms_the_carried_plan(monkeypatch):
-    plan = FaultPlan(seed=3, rules=(
-        FaultRule(site="executor.job", kind="crash", max_fires=1),))
-    monkeypatch.setenv(PLAN_ENV, plan.to_json())
-    injector = configure_from_env()
-    assert injector is not None and injector.plan == plan
-    assert active() is injector
-
-
-def test_configure_from_env_ignores_malformed_plans(monkeypatch):
-    monkeypatch.setenv(PLAN_ENV, "{broken")
-    assert configure_from_env() is None
+    with injected(plan) as injector:
+        rule = hooks.decide("executor.job", key="k", workload="EP")
+        assert rule is plan.rules[0]
+        assert hooks.decide("executor.job", key="k") is None  # spent
+        assert [f.kind for f in injector.firings()] == ["crash"]
+    # The worker side: no plan armed, it performs what it was handed.
     assert active() is None
+    hooks.perform(None, "executor.job")
+    with pytest.raises(InjectedCrashError, match="executor.job"):
+        hooks.perform(rule, "executor.job")
 
 
 def test_install_returns_and_uninstall_disarms():
@@ -285,7 +269,8 @@ def test_backoff_delay_is_deterministic_and_jittered():
 
 
 def test_backoff_schedule_doubles_until_the_cap():
-    schedule = backoff_schedule("key", budget=10, base=1.0, cap=8.0)
+    schedule = [backoff_delay("key", attempt, base=1.0, cap=8.0)
+                for attempt in range(1, 11)]
     assert len(schedule) == 10
     nominals = [min(8.0, 1.0 * 2 ** i) for i in range(10)]
     for delay, nominal in zip(schedule, nominals):

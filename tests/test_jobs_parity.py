@@ -20,6 +20,7 @@ from repro.experiments import FIGURES, run_panels
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
+from repro.jobs import api as jobs_api
 from repro.jobs import executor as executor_mod
 from repro.sim.config import MachineConfig
 from repro.workloads import get
@@ -200,26 +201,32 @@ def test_pool_retries_after_worker_crash(tmp_path, monkeypatch, ground_truth):
     flag = tmp_path / "crashed-once"
     real = executor_mod._execute_payload
 
-    def crash_once(spec_dict):
+    def crash_once(spec_dict, trace_dir=None):
         if not flag.exists():
             flag.write_text("x")
             os._exit(13)  # hard worker death -> BrokenProcessPool
-        return real(spec_dict)
+        return real(spec_dict, trace_dir)
 
     monkeypatch.setattr(executor_mod, "_execute_payload", crash_once)
-    runner = JobRunner(jobs=2, retries=2)
+    runner = JobRunner(jobs=2)  # default arguments recover from one crash
     assert runner.run(specs_for("EP", config)) == expected["EP"]
     assert all(e.status in ("computed", "hit")
                for e in runner.manifest.entries)
 
 
 @fork_only
-def test_pool_gives_up_after_bounded_retries(monkeypatch):
-    def always_crash(spec_dict):
+def test_pool_gives_up_after_bounded_retries(monkeypatch, tmp_path):
+    def always_crash(spec_dict, trace_dir=None):
+        with open(tmp_path / "submissions", "a") as log:
+            log.write(f"{spec_dict['policy']['threads']}\n")
         os._exit(13)
 
     monkeypatch.setattr(executor_mod, "_execute_payload", always_crash)
-    runner = JobRunner(jobs=2, retries=1)
+    rounds = []
+    real_execute = jobs_api.execute_jobs
+    monkeypatch.setattr(jobs_api, "execute_jobs", lambda specs, **kw: (
+        rounds.append(len(specs)), real_execute(specs, **kw))[1])
+    runner = JobRunner(jobs=2, backoff_base=0.001)
     config = MachineConfig.small()
     specs = [JobSpec(workload=WorkloadRef(name="EP", scale=0.05),
                      policy=PolicySpec.static(t), config=config)
@@ -227,13 +234,19 @@ def test_pool_gives_up_after_bounded_retries(monkeypatch):
     with pytest.raises(JobError, match="crashed"):
         runner.run(specs)
     assert runner.manifest.counts["failed"] == 2
+    # One retry loop: retry_budget + 1 pool rounds (the parent ran six),
+    # and no job is started more often than that.
+    assert rounds == [2] * (runner.retry_budget + 1) == [2, 2, 2]
+    started = (tmp_path / "submissions").read_text().split()
+    assert 1 <= max(started.count("1"), started.count("2")) \
+        <= runner.retry_budget + 1
 
 
 @fork_only
 def test_pool_timeout_reports_timed_out_jobs(monkeypatch):
     import time
 
-    def too_slow(spec_dict):
+    def too_slow(spec_dict, trace_dir=None):
         time.sleep(5.0)
         return {}
 

@@ -17,12 +17,13 @@ import pytest
 
 from repro.errors import JobError, ReproError, ServeClientError, ServeError
 from repro.jobs import (
-    JobResolution,
     JobRunner,
     JobSpec,
     PolicySpec,
+    Resolution,
     ResultCache,
     WorkloadRef,
+    app_result_to_dict,
 )
 from repro.jobs.manifest import RunManifest
 from repro.obs.runreg import RunRecord
@@ -45,7 +46,7 @@ from repro.serve.http import (
     response_bytes,
 )
 from repro.serve.metrics import Histogram, LabeledCounter
-from repro.serve.pipeline import (
+from repro.jobs.resolution import (
     STATUS_COALESCED,
     STATUS_COMPUTED,
     STATUS_HIT,
@@ -91,7 +92,7 @@ class _StubRunner:
             self.started.set()
         if self.gate is not None:
             assert self.gate.wait(10.0)
-        return [JobResolution(key=spec.key(), status="computed",
+        return [Resolution(key=spec.key(), status="computed",
                               backend="serial", result=dict(self.result))
                 for spec in specs]
 
@@ -342,7 +343,8 @@ def test_full_queue_sheds_instead_of_queuing():
 def test_cache_fast_path_answers_without_touching_the_runner():
     spec = _synthetic_spec()
     cache = ResultCache(None)  # conftest points this at tmp_path
-    cache.put(spec.key(), spec.to_dict(), {"answer": 42})
+    stored = app_result_to_dict(spec.run())
+    cache.put(spec.key(), spec.to_dict(), stored)
     runner = _StubRunner()
     pipeline, metrics = _pipeline(ServeConfig(), runner, cache=cache)
 
@@ -354,7 +356,7 @@ def test_cache_fast_path_answers_without_touching_the_runner():
 
     resolution = asyncio.run(go())
     assert resolution.status == STATUS_HIT
-    assert resolution.result == {"answer": 42}
+    assert resolution.result == stored
     assert runner.batches == []  # no worker involvement at all
     assert metrics.hits.value == 1
     assert metrics.misses.value == 0
@@ -698,7 +700,7 @@ def test_job_runner_resolve_never_raises_on_timeout(monkeypatch):
         pytest.skip("crash-injection patches need forked workers")
     from repro.jobs import executor as executor_mod
 
-    def too_slow(spec_dict):
+    def too_slow(spec_dict, trace_dir=None):
         time.sleep(5.0)
         return {}
 
