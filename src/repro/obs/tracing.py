@@ -36,7 +36,6 @@ import contextvars
 import json
 import os
 import threading
-import uuid
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -49,11 +48,11 @@ MAX_RECORDED_SPANS = 4096
 
 
 def new_trace_id() -> str:
-    return uuid.uuid4().hex
+    return os.urandom(16).hex()
 
 
 def new_span_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +62,10 @@ class TraceContext:
     trace_id: str
     span_id: str
     parent_id: str = ""
+    #: Attributes of the span this context opened.  The block may add
+    #: what it only learns on the way (``ctx.attrs["tier"] = "disk"``);
+    #: they are the span's own and are not inherited by children.
+    attrs: dict = field(default_factory=dict, compare=False, repr=False)
 
     def child(self) -> "TraceContext":
         return TraceContext(trace_id=self.trace_id, span_id=new_span_id(),
@@ -217,6 +220,7 @@ def span(name: str, **attrs: object) -> Iterator[TraceContext]:
     """
     parent = _current.get()
     ctx = parent.child() if parent is not None else TraceContext.root()
+    ctx.attrs.update(attrs)
     token = _current.set(ctx)
     started = time()
     status = "ok"
@@ -231,7 +235,7 @@ def span(name: str, **attrs: object) -> Iterator[TraceContext]:
             trace_id=ctx.trace_id, span_id=ctx.span_id,
             parent_id=ctx.parent_id, name=name,
             start=started, end=time(), status=status,
-            attrs={k: v for k, v in attrs.items()}))
+            attrs=ctx.attrs))
 
 
 # -- exporters --------------------------------------------------------

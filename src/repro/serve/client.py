@@ -1,11 +1,14 @@
 """Clients for the experiment server: blocking and asyncio flavors.
 
-:class:`ServeClient` is the ergonomic blocking client (stdlib
-``http.client``, keep-alive connection reuse) for scripts and examples.
-:class:`AsyncServeClient` speaks the same wire dialect over asyncio
-streams (one connection per request, so thousands of concurrent
-open-loop requests never serialize on a shared socket) and is what the
-load generator drives.
+:class:`ServeClient` is the ergonomic blocking client for scripts and
+examples: one keep-alive socket (``TCP_NODELAY``, one ``sendall`` per
+request) read through a buffered file.  :class:`AsyncServeClient` works
+over asyncio streams (one connection per request, so thousands of
+concurrent open-loop requests never serialize on a shared socket) and
+is what the load generator drives.  Both write
+:func:`~repro.serve.http.request_bytes` and parse what comes back with
+:mod:`repro.serve.http`'s one response parser, so neither can drift
+from the dialect the server speaks.
 
 Both raise :class:`~repro.errors.ServeClientError` on non-2xx
 responses, carrying the HTTP status and decoded body so callers can
@@ -15,12 +18,18 @@ react to shed (429) and timeout (504) distinctly.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
-from typing import Any
+import socket
+from typing import Any, BinaryIO
 
 from repro.errors import ServeClientError
-from repro.serve.http import read_response, request_bytes
+from repro.serve.http import (
+    HttpProtocolError,
+    HttpResponse,
+    read_response,
+    read_response_blocking,
+    request_bytes,
+)
 
 
 def _decode_body(body: bytes) -> dict:
@@ -49,20 +58,16 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._reader: BinaryIO | None = None
 
     # -- plumbing -----------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
-        return self._conn
-
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -70,22 +75,36 @@ class ServeClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _exchange(self, method: str, path: str,
+                  body: bytes = b"") -> HttpResponse:
+        """Send one request on the kept connection (opened on demand)
+        and read its response.  Any transport or protocol failure closes
+        the connection, so the next call starts on a fresh socket."""
+        try:
+            if self._sock is None:
+                self._sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout)
+                self._sock.setsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY, 1)
+                self._reader = self._sock.makefile("rb")
+            self._sock.sendall(request_bytes(
+                method, path, host=f"{self.host}:{self.port}", body=body))
+            response = read_response_blocking(self._reader)
+        except (OSError, HttpProtocolError) as exc:
+            self.close()
+            raise ServeClientError(
+                f"request to {self.host}:{self.port} failed: {exc}")
+        if response.headers.get("connection", "").lower() == "close":
+            self.close()
+        return response
+
     def request(self, method: str, path: str,
                 payload: dict | None = None) -> tuple[int, dict]:
         """One request; returns ``(status, decoded body)``, never raises
         on HTTP errors (only on transport failures)."""
         body = b"" if payload is None else json.dumps(payload).encode()
-        headers = {"Content-Type": "application/json"} if payload else {}
-        conn = self._connection()
-        try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            self.close()
-            raise ServeClientError(
-                f"request to {self.host}:{self.port} failed: {exc}")
-        return response.status, _decode_body(raw)
+        response = self._exchange(method, path, body)
+        return response.status, _decode_body(response.body)
 
     # -- endpoints ----------------------------------------------------
 
@@ -109,18 +128,11 @@ class ServeClient:
         return _check(*self.request("GET", "/healthz"))
 
     def metrics_text(self) -> str:
-        conn = self._connection()
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            self.close()
-            raise ServeClientError(f"metrics request failed: {exc}")
+        response = self._exchange("GET", "/metrics")
         if response.status != 200:
             raise ServeClientError(f"metrics answered {response.status}",
                                    status=response.status)
-        return raw.decode("utf-8")
+        return response.body.decode("utf-8")
 
 
 def _body(workload: str | None, fields: dict) -> dict:

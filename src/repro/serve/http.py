@@ -5,8 +5,12 @@ dependencies): request line + headers + ``Content-Length`` bodies,
 keep-alive by default, ``Connection: close`` honored, no chunked
 encoding, no multipart.  Both sides of the conversation live here —
 :func:`read_request`/:func:`response_bytes` for the server,
-:func:`request_bytes`/:func:`read_response` for the async client and
-the load generator — so the wire format is defined exactly once.
+:func:`request_bytes` with :func:`read_response` (asyncio streams: the
+async client, the load generator) or :func:`read_response_blocking` (a
+buffered socket file: the blocking client) for its callers — so the
+wire format is defined exactly once: the two response readers differ
+only in how they wait for bytes, and share one sans-IO parse of the
+status line, the header block and ``Content-Length``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from typing import BinaryIO
 from urllib.parse import unquote, urlsplit
 
 from repro.errors import ServeError
@@ -50,11 +55,14 @@ class HttpRequest:
     target: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    _path: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def path(self) -> str:
-        """The decoded path component of the target."""
-        return unquote(urlsplit(self.target).path)
+        """The decoded path component of the target (split once)."""
+        if self._path is None:
+            self._path = unquote(urlsplit(self.target).path)
+        return self._path
 
     @property
     def keep_alive(self) -> bool:
@@ -124,8 +132,7 @@ def _parse_headers(lines: list[str]) -> dict[str, str]:
     return headers
 
 
-async def _read_body(reader: asyncio.StreamReader,
-                     headers: dict[str, str]) -> bytes:
+def _body_length(headers: dict[str, str]) -> int:
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
@@ -133,6 +140,12 @@ async def _read_body(reader: asyncio.StreamReader,
         raise HttpProtocolError(f"bad Content-Length {length_text!r}")
     if length < 0 or length > MAX_BODY_BYTES:
         raise HttpProtocolError(f"unacceptable Content-Length {length}")
+    return length
+
+
+async def _read_body(reader: asyncio.StreamReader,
+                     headers: dict[str, str]) -> bytes:
+    length = _body_length(headers)
     if length == 0:
         return b""
     try:
@@ -155,9 +168,9 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
                        headers=headers, body=body)
 
 
-async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
-    """Parse one response (client side)."""
-    head = await _read_head(reader)
+def _parse_response_head(head: list[str] | None
+                         ) -> tuple[int, dict[str, str]]:
+    """Status line + header lines -> ``(status, headers)``, sans IO."""
     if head is None:
         raise HttpProtocolError("connection closed before response")
     parts = head[0].split(None, 2)
@@ -167,8 +180,35 @@ async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
         status = int(parts[1])
     except ValueError:
         raise HttpProtocolError(f"malformed status code {parts[1]!r}")
-    headers = _parse_headers(head[1:])
+    return status, _parse_headers(head[1:])
+
+
+async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
+    """Parse one response (client side, asyncio streams)."""
+    status, headers = _parse_response_head(await _read_head(reader))
     body = await _read_body(reader, headers)
+    return HttpResponse(status=status, headers=headers, body=body)
+
+
+def read_response_blocking(reader: BinaryIO) -> HttpResponse:
+    """Parse one response (client side, a buffered socket file)."""
+    head: list[str] = []
+    while True:
+        raw = reader.readline(MAX_HEADER_BYTES)
+        if not raw:
+            if head:
+                raise HttpProtocolError("connection closed mid-header")
+            break
+        line = raw.rstrip(b"\r\n")
+        if line:
+            head.append(line.decode("latin-1"))
+        elif head:
+            break
+    status, headers = _parse_response_head(head or None)
+    length = _body_length(headers)
+    body = reader.read(length)
+    if len(body) < length:
+        raise HttpProtocolError("connection closed mid-body")
     return HttpResponse(status=status, headers=headers, body=body)
 
 

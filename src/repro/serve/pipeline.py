@@ -2,11 +2,17 @@
 
 Every ``/v1`` simulation request resolves through one funnel:
 
-1. **Cache fast path** — the spec's content key is looked up with the
-   read-only :meth:`~repro.jobs.ResultCache.get_or_none`, so a repeated
-   request is answered without touching the worker pool, the write
-   lock, or manifest state.  An entry that fails the jobs layer's one
-   result check (:func:`~repro.jobs.cache_hit`) is a miss like any other.
+1. **Cache fast path** — :meth:`RequestPipeline.probe` (shared with
+   ``GET /v1/result/<key>``) looks the spec's content key up in a
+   bounded in-process map of *validated* hits and only then on disk,
+   with the read-only :meth:`~repro.jobs.ResultCache.get_or_none`, so a
+   repeated request is answered without touching the worker pool, the
+   write lock, or manifest state — and, once remembered, the file
+   system.  An entry that fails the jobs layer's one result check
+   (:func:`~repro.jobs.cache_hit`) is a miss like any other and is never
+   remembered.  Keys are content addresses under one ``SCHEMA_VERSION``,
+   so a remembered hit cannot go stale: eviction (oldest first, at
+   :data:`HOT_CAPACITY`) is the only invalidation.
 2. **Single-flight coalescing** — identical in-flight requests (same
    sha256 key) share one computation: the first becomes the *leader*,
    the rest await the leader's future and are answered ``coalesced``.
@@ -26,8 +32,8 @@ runner's record handed on unchanged, the leader's relabelled
 ``coalesced``, or one only the pipeline can mint (``shed``, the batch
 ``timeout``, ``failed`` when the runner itself raised).
 
-All pipeline state (`_inflight`, the queue, metrics) is touched only on
-the event-loop thread; only the ``JobRunner`` call itself runs on an
+All pipeline state (`_inflight`, `_hot`, the queue, metrics) is touched
+only on the event-loop thread; only the ``JobRunner`` call itself runs on an
 executor thread.  A timed-out batch is abandoned, not interrupted — the
 simulation keeps running in its thread and still warms the cache, so a
 retried request usually hits.
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable
 
@@ -72,6 +78,9 @@ _DRAIN_EMA_ALPHA = 0.25
 #: Bounds on the derived ``Retry-After`` advice (seconds).
 RETRY_AFTER_MIN = 1.0
 RETRY_AFTER_MAX = 30.0
+#: Validated hits remembered in memory (a result, its decode and its
+#: encoded replies are a few KB: under 10 MB when full).
+HOT_CAPACITY = 1024
 
 _log = get_logger("serve")
 
@@ -89,6 +98,16 @@ class _Entry:
     ctx: TraceContext | None = None
 
 
+@dataclass(slots=True)
+class _Hot:
+    """One remembered hit and the replies the server encoded for it."""
+
+    resolution: Resolution
+    #: endpoint -> ``(payload, encoded body)``: a hit's reply is a pure
+    #: function of its key, so the server builds each at most once.
+    replies: dict[str, tuple[dict, bytes]] = field(default_factory=dict)
+
+
 class RequestPipeline:
     """The funnel described in the module docstring.
 
@@ -96,7 +115,8 @@ class RequestPipeline:
         config: serving knobs (queue depth, batching, timeouts).
         metrics: instrument panel to update.
         cache: read path for the cache fast path; ``None`` disables it
-            (every request goes through the workers).
+            and the in-memory tier above it (every request goes through
+            the workers).
         runner_factory: builds the :class:`~repro.jobs.JobRunner` a
             worker uses for one batch.  Injectable so tests can count
             or stub simulator invocations; the default builds runners
@@ -112,6 +132,8 @@ class RequestPipeline:
         self.manifest = RunManifest()
         self._runner_factory = runner_factory or self._default_runner
         self._inflight: dict[str, asyncio.Future[Resolution]] = {}
+        #: key -> validated hit; stays empty without a cache.
+        self._hot: dict[str, _Hot] = {}
         self._queue: asyncio.Queue[_Entry] = asyncio.Queue(
             maxsize=config.queue_depth)
         self._workers: list[asyncio.Task] = []
@@ -160,16 +182,13 @@ class RequestPipeline:
         key = spec.key()
 
         # 1. Read-only cache fast path: no lock, no queue, no manifest.
-        if self.cache is not None:
-            with span("serve.cache_probe", key=key):
-                hit = cache_hit(key, self.cache.get_or_none(key))
-            if hit is not None:
-                self.metrics.hits.inc()
-                # A hit while the breaker is open is a drain signal: an
-                # abandoned (timed-out) batch kept running and warmed
-                # the cache, so the backend still finishes work.
-                self.breaker.note_drain()
-                return hit
+        hit = self.probe(key)
+        if hit is not None:
+            # A hit while the breaker is open is a drain signal: an
+            # abandoned (timed-out) batch kept running and warmed
+            # the cache, so the backend still finishes work.
+            self.breaker.note_drain()
+            return hit
 
         # 2. Single-flight: identical in-flight work is joined, never
         #    duplicated.  (No awaits between the lookup and the queue
@@ -201,6 +220,37 @@ class RequestPipeline:
         self.metrics.misses.inc()
         self._inflight[key] = future
         return await asyncio.shield(future)
+
+    def probe(self, key: str) -> Resolution | None:
+        """The validated hit for ``key`` — from memory, else from disk
+        (and then remembered) — or ``None``."""
+        if self.cache is None:
+            return None
+        hot = self._hot
+        with span("serve.cache_probe", key=key) as ctx:
+            entry = hot.get(key)
+            if entry is not None:
+                ctx.attrs["tier"] = "memory"
+            else:
+                hit = cache_hit(key, self.cache.get_or_none(key))
+                if hit is None:
+                    ctx.attrs["tier"] = "miss"
+                    return None
+                ctx.attrs["tier"] = "disk"
+                if len(hot) >= HOT_CAPACITY:
+                    del hot[next(iter(hot))]
+                entry = hot[key] = _Hot(hit)
+        self.metrics.hits.inc()
+        return entry.resolution
+
+    def replies(self, resolution: Resolution
+                ) -> dict[str, tuple[dict, bytes]] | None:
+        """Where to keep encoded replies for ``resolution``: beside it
+        when it is the remembered hit for its key, else nowhere."""
+        entry = self._hot.get(resolution.key)
+        return (entry.replies
+                if entry is not None and entry.resolution is resolution
+                else None)
 
     def _shed(self, key: str, reason: str) -> Resolution:
         self.metrics.shed.inc()

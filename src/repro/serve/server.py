@@ -30,6 +30,7 @@ import asyncio
 import errno
 import signal
 from time import perf_counter
+from typing import Callable
 
 from repro.errors import ServeError, ServeRequestError
 from repro.faults import hooks as fault_hooks
@@ -40,7 +41,6 @@ from repro.jobs import (
     Resolution,
     ResultCache,
     app_result_from_dict,
-    cache_hit,
 )
 from repro.jobs.resolution import (
     SERVED,
@@ -215,11 +215,10 @@ class ExperimentServer:
                 self._connections[writer] = True
                 keep_alive = request.keep_alive and not self._draining
                 status, payload, headers, raw = await self._respond(request)
-                body = raw if raw is not None else json_body(payload)
-                content_type = ("text/plain; version=0.0.4"
-                                if raw is not None else "application/json")
                 writer.write(response_bytes(
-                    status, body, content_type=content_type,
+                    status, raw if raw is not None else json_body(payload),
+                    content_type=headers.pop("Content-Type",
+                                             "application/json"),
                     extra_headers=headers, keep_alive=keep_alive))
                 await writer.drain()
                 self._connections[writer] = False
@@ -239,7 +238,9 @@ class ExperimentServer:
 
     async def _respond(self, request: HttpRequest
                        ) -> tuple[int, dict, dict[str, str], bytes | None]:
-        """Route, execute, and meter one request."""
+        """Route, execute, and meter one request.  ``raw`` is the body
+        where it is already encoded (``/metrics`` text, a remembered
+        hit's reply); otherwise the caller encodes ``payload``."""
         endpoint = self._endpoint_label(request.path)
         self.metrics.requests.inc(endpoint)
         self.metrics.in_flight.inc()
@@ -288,7 +289,8 @@ class ExperimentServer:
             # layers registered into the process-global registry.
             text = self.metrics.render() + \
                 default_registry().render_prometheus()
-            return 200, {}, {}, text.encode("utf-8")
+            return 200, {}, {"Content-Type": "text/plain; version=0.0.4"}, \
+                text.encode("utf-8")
         if path.startswith("/v1/result/") and method == "GET":
             return self._handle_result(path)
         if path in ("/v1/run", "/v1/sweep", "/v1/fdt"):
@@ -322,47 +324,27 @@ class ExperimentServer:
         if self.cache is None:
             return 404, {"error": "server runs without a result cache"}, \
                 {}, None
-        hit = cache_hit(key, self.cache.get_or_none(key))
+        hit = self.pipeline.probe(key)
         if hit is None:
             return 404, {"error": "no cached result", "key": key}, {}, None
-        self.metrics.hits.inc()
-        return 200, {"key": key, "status": hit.status,
-                     "result": hit.result}, {}, None
+        return self._served("/v1/result", hit, lambda: {
+            "key": key, "status": hit.status, "result": hit.result})
 
     async def _handle_run(self, body: dict
                           ) -> tuple[int, dict, dict[str, str], bytes | None]:
         with span("serve.schema", endpoint="/v1/run"):
             spec = schema.parse_run_request(body)
         resolution = await self.pipeline.resolve(spec)
-        payload = self._run_payload(spec, resolution)
-        return 200, payload, {}, None
+        return self._served("/v1/run", resolution,
+                            lambda: self._run_payload(spec, resolution))
 
     async def _handle_fdt(self, body: dict
                           ) -> tuple[int, dict, dict[str, str], bytes | None]:
         with span("serve.schema", endpoint="/v1/fdt"):
             spec = schema.parse_fdt_request(body)
         resolution = await self.pipeline.resolve(spec)
-        self._raise_unserved(spec, resolution)
-        assert resolution.result is not None
-        kernels = []
-        for info in resolution.result["kernel_infos"]:
-            kernels.append({
-                "kernel": info["kernel_name"],
-                "threads": info["threads"],
-                "trained_iterations": info["trained_iterations"],
-                "training_cycles": info["training_cycles"],
-                "execution_cycles": info["execution_cycles"],
-                "estimates": info["estimates"],
-            })
-        payload = {
-            "key": resolution.key,
-            "status": resolution.status,
-            "workload": spec.workload.label,
-            "policy": spec.policy.label,
-            "chosen_threads": [k["threads"] for k in kernels],
-            "kernels": kernels,
-        }
-        return 200, payload, {}, None
+        return self._served("/v1/fdt", resolution,
+                            lambda: self._fdt_payload(spec, resolution))
 
     async def _handle_sweep(self, body: dict
                             ) -> tuple[int, dict, dict[str, str],
@@ -389,6 +371,21 @@ class ExperimentServer:
         return 200, payload, {}, None
 
     # -- payload shaping ----------------------------------------------
+
+    def _served(self, endpoint: str, resolution: Resolution,
+                build: Callable[[], dict]
+                ) -> tuple[int, dict, dict[str, str], bytes | None]:
+        """The 200 reply ``build()`` shapes from one resolution.  A
+        remembered hit's is a pure function of its key and the endpoint:
+        built and encoded once, kept beside the resolution."""
+        replies = self.pipeline.replies(resolution)
+        if replies is None:
+            return 200, build(), {}, None
+        if endpoint not in replies:
+            payload = build()
+            replies[endpoint] = payload, json_body(payload)
+        payload, raw = replies[endpoint]
+        return 200, payload, {}, raw
 
     def _raise_unserved(self, spec: JobSpec,
                         resolution: Resolution) -> None:
@@ -433,6 +430,28 @@ class ExperimentServer:
             "bus_utilization": run.bus_utilization,
             "ipc": run.ipc,
             "energy": run.energy,
+        }
+
+    def _fdt_payload(self, spec: JobSpec, resolution: Resolution) -> dict:
+        self._raise_unserved(spec, resolution)
+        assert resolution.result is not None
+        kernels = []
+        for info in resolution.result["kernel_infos"]:
+            kernels.append({
+                "kernel": info["kernel_name"],
+                "threads": info["threads"],
+                "trained_iterations": info["trained_iterations"],
+                "training_cycles": info["training_cycles"],
+                "execution_cycles": info["execution_cycles"],
+                "estimates": info["estimates"],
+            })
+        return {
+            "key": resolution.key,
+            "status": resolution.status,
+            "workload": spec.workload.label,
+            "policy": spec.policy.label,
+            "chosen_threads": [k["threads"] for k in kernels],
+            "kernels": kernels,
         }
 
     def _run_payload(self, spec: JobSpec, resolution: Resolution) -> dict:

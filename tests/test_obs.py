@@ -169,13 +169,18 @@ def test_span_nesting_parent_ids_and_trace_id():
         with span("inner") as inner_ctx:
             assert inner_ctx.trace_id == outer_ctx.trace_id
             assert inner_ctx.parent_id == outer_ctx.span_id
+            inner_ctx.attrs["learned"] = "late"  # the span's own
     assert current_context() is None
+    for ident, digits in ((outer_ctx.trace_id, 32), (outer_ctx.span_id, 16),
+                          (inner_ctx.span_id, 16)):
+        assert len(ident) == digits and int(ident, 16) >= 0
     spans = recorder().spans(trace_id=outer_ctx.trace_id)
     by_name = {s.name: s for s in spans}
     assert set(by_name) == {"outer", "inner"}
     assert by_name["inner"].parent_id == by_name["outer"].span_id
     assert by_name["outer"].parent_id == ""
     assert by_name["outer"].attrs == {"layer": "test"}
+    assert by_name["inner"].attrs == {"learned": "late"}
     assert by_name["outer"].end >= by_name["outer"].start
 
 

@@ -6,16 +6,19 @@ satellites (``get_or_none``, timeout manifest status, ``resolve``)."""
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import os
 import re
 import signal
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.errors import JobError, ReproError, ServeClientError, ServeError
+from repro.faults import FaultPlan, FaultRule, injected
 from repro.jobs import (
     JobRunner,
     JobSpec,
@@ -27,6 +30,7 @@ from repro.jobs import (
 )
 from repro.jobs.manifest import RunManifest
 from repro.obs.runreg import RunRecord
+from repro.obs.tracing import recorder
 from repro.serve import (
     ExperimentServer,
     AsyncServeClient,
@@ -37,9 +41,11 @@ from repro.serve import (
     ServerThread,
     run_loadgen_blocking,
 )
+from repro.serve import pipeline as pipeline_mod
 from repro.serve import schema
 from repro.serve.http import (
     HttpProtocolError,
+    json_body,
     read_request,
     read_response,
     request_bytes,
@@ -222,6 +228,110 @@ def test_http_response_round_trip_and_errors():
     asyncio.run(go())
 
 
+# -- the two clients, one dialect ---------------------------------------
+
+class _CannedServer:
+    """A raw TCP listener: records each request's bytes and answers it
+    with the next canned reply, closing the connection after one that
+    says so (``close=True``)."""
+
+    def __init__(self, replies: list[tuple[bytes, bool]]) -> None:
+        self._replies = list(replies)
+        self.requests: list[bytes] = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(5)  # a failing test must not hang accept
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def __enter__(self) -> "_CannedServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._listener.close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+    def _serve(self) -> None:
+        while self._replies:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # closed or timed out with replies left over
+            self.connections += 1
+            with conn:
+                conn.settimeout(10)
+                while self._replies and self._answer_one(conn):
+                    pass
+
+    def _answer_one(self, conn: socket.socket) -> bool:
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return False  # peer closed between requests
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        while len(body) < length:
+            body += conn.recv(65536)
+        self.requests.append(data)
+        reply, close = self._replies.pop(0)
+        conn.sendall(reply)
+        return not close
+
+
+_CANNED = [
+    (response_bytes(200, json_body({"key": "k", "status": "hit"})),
+     (200, {"key": "k", "status": "hit"})),
+    (response_bytes(404, json_body({"error": "no cached result"})),
+     (404, {"error": "no cached result"})),
+    (response_bytes(429, json_body({"error": "shed"}),
+                    extra_headers={"Retry-After": "2.5"}),
+     (429, {"error": "shed"})),
+    (response_bytes(200, b"<html>", content_type="text/html"),
+     (200, {"raw": "<html>"})),
+]
+
+
+@pytest.mark.parametrize("reply,expected", _CANNED,
+                         ids=["200", "404", "429", "non-json"])
+def test_blocking_and_async_clients_speak_one_dialect(reply, expected):
+    with _CannedServer([(reply, False), (reply, True)]) as server:
+        with ServeClient(port=server.port) as client:
+            blocking = client.request("POST", "/v1/run", {})
+        asynced = asyncio.run(AsyncServeClient(port=server.port).request(
+            "POST", "/v1/run", {}))
+    assert blocking == asynced == expected
+    kept, closing = server.requests
+    assert kept.replace(b"keep-alive", b"close") == closing
+    assert kept == request_bytes("POST", "/v1/run",
+                                 host=f"127.0.0.1:{server.port}", body=b"{}")
+    # An empty-dict payload is still a JSON body and is labelled as one.
+    assert b"Content-Type: application/json" in kept
+
+
+def test_blocking_client_reconnects_after_a_close_reply_or_a_cut_one():
+    ok = response_bytes(200, json_body({"status": "ok"}))
+    closing = response_bytes(200, json_body({"n": 1}), keep_alive=False)
+    with _CannedServer([(closing, True), (ok[:-5], True), (ok, False),
+                        (response_bytes(503, b"down"), False)]) as server:
+        with ServeClient(port=server.port) as client:
+            assert client.request("GET", "/healthz") == (200, {"n": 1})
+            # ``Connection: close`` was honoured: a new socket, on which
+            # the server hangs up mid-body.
+            with pytest.raises(ServeClientError, match="mid-body") as err:
+                client.healthz()
+            assert err.value.status == 0 and server.connections == 2
+            assert client.healthz() == {"status": "ok"}
+            assert server.connections == 3
+            # The kept connection is reused; metrics_text shares it.
+            with pytest.raises(ServeClientError, match="503") as err:
+                client.metrics_text()
+            assert err.value.status == 503 and server.connections == 3
+
+
 # -- request canonicalization -----------------------------------------
 
 def test_schema_canonicalizes_equivalent_requests_to_one_key():
@@ -380,6 +490,124 @@ def test_request_timeout_resolves_to_timeout_status():
     assert resolution.result is None
     assert "0.05" in resolution.error
     assert metrics.timeouts.value == 1
+
+
+# -- the validated-hit tier ---------------------------------------------
+
+def _probe_tiers() -> list[str]:
+    return [s.attrs["tier"]
+            for s in recorder().spans(name="serve.cache_probe")]
+
+
+def _warm_pipeline(count: int = 1):
+    """A pipeline over a real runner and a cache holding ``count`` specs."""
+    cache = ResultCache(None)  # conftest points this at tmp_path
+    specs = [_synthetic_spec(iterations=8 + i) for i in range(count)]
+    stored = app_result_to_dict(specs[0].run())
+    for spec in specs:
+        cache.put(spec.key(), spec.to_dict(), stored)
+    recorder().clear()
+    return RequestPipeline(ServeConfig(), ServeMetrics(), cache), specs
+
+
+def _resolve_each(pipeline: RequestPipeline, specs) -> list[Resolution]:
+    async def go():
+        await pipeline.start()
+        try:
+            return [await pipeline.resolve(spec) for spec in specs]
+        finally:
+            await pipeline.drain()
+
+    return asyncio.run(go())
+
+
+@pytest.mark.parametrize("kind", ["corrupt", "torn", "io-error"])
+def test_a_probe_that_fails_validation_is_never_remembered(kind):
+    pipeline, (spec,) = _warm_pipeline()
+    plan = FaultPlan(seed=1, rules=(
+        FaultRule(site="cache.read", kind=kind, max_fires=1),))
+    with injected(plan) as injector:
+        (faulted,) = _resolve_each(pipeline, [spec])
+        assert injector.firing_count() == 1
+        # Answered by the workers (the batch path read the intact file),
+        # and nothing was kept from the bad read.
+        assert faulted.ok and faulted.backend != "pipeline"
+        assert pipeline._hot == {} and pipeline.replies(faulted) is None
+        disk, memory = _resolve_each(pipeline, [spec, spec])
+    assert _probe_tiers() == ["miss", "disk", "memory"]
+    assert memory is disk and list(pipeline._hot) == [spec.key()]
+    assert (disk.status, disk.backend) == (STATUS_HIT, "cache")
+    assert disk.result == faulted.result
+
+
+def test_tier_is_bounded_and_evicts_oldest_first(monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "HOT_CAPACITY", 3)
+    pipeline, specs = _warm_pipeline(count=4)
+    first = _resolve_each(pipeline, specs)
+    assert list(pipeline._hot) == [s.key() for s in specs[1:]]
+    # The evicted key is a disk hit again (and evicts the next oldest).
+    (again,) = _resolve_each(pipeline, [specs[0]])
+    assert again == first[0] and again is not first[0]
+    assert _probe_tiers() == ["disk"] * 5
+    assert list(pipeline._hot) == [s.key() for s in (*specs[2:], specs[0])]
+    assert pipeline.metrics.hits.value == 5
+
+
+def test_no_cache_builds_no_tier():
+    pipeline, metrics = _pipeline(ServeConfig(no_cache=True), _StubRunner())
+    spec = _synthetic_spec()
+    recorder().clear()
+    resolutions = _resolve_each(pipeline, [spec, spec])
+    assert [r.status for r in resolutions] == [STATUS_COMPUTED] * 2
+    assert pipeline.probe(spec.key()) is None
+    assert pipeline._hot == {} and pipeline.replies(resolutions[0]) is None
+    assert _probe_tiers() == [] and metrics.hits.value == 0
+
+
+def _raw(port: int, method: str, path: str,
+         payload: dict | None = None) -> tuple[int, bytes]:
+    """One exchange through stdlib ``http.client``: the body as sent."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(method, path,
+                     body=None if payload is None else json.dumps(payload))
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def test_memory_served_replies_are_byte_identical_to_disk_served(tmp_path):
+    config = ServeConfig(port=0, cache_dir=str(tmp_path / "c"))
+    bodies = [_synthetic_payload(iterations=n) for n in (8, 9, 10)]
+    fdt_body = {"synthetic": bodies[1]["synthetic"]}
+    recorder().clear()
+    with ServerThread(config) as handle:
+        _raw(handle.port, "POST", "/v1/run", bodies[0])
+        _raw(handle.port, "POST", "/v1/fdt", fdt_body)
+        key = json.loads(_raw(handle.port, "POST", "/v1/run",
+                              bodies[2])[1])["key"]
+        asks = [("POST", "/v1/run", bodies[0]),
+                ("POST", "/v1/fdt", fdt_body),
+                ("GET", f"/v1/result/{key}", None)]
+        disk = [_raw(handle.port, *ask) for ask in asks]
+        memory = [_raw(handle.port, *ask) for ask in asks]
+        # A remembered key outlives its entry file.
+        ResultCache(config.cache_dir).path_for(key).rename(
+            tmp_path / "moved")
+        orphaned = _raw(handle.port, *asks[2])
+        (tmp_path / "moved").rename(
+            ResultCache(config.cache_dir).path_for(key))
+    with ServerThread(config) as handle:  # same cache dir, empty tier
+        restarted = [_raw(handle.port, *ask) for ask in asks]
+        again = [_raw(handle.port, *ask) for ask in asks]
+    assert disk == memory == restarted == again and orphaned == disk[2]
+    for (status, body), endpoint in zip(disk, ("run", "fdt", "result")):
+        reply = json.loads(body)
+        assert status == 200 and reply["status"] == "hit", endpoint
+        assert body == json_body(reply)
+    assert _probe_tiers() == (["miss"] * 3 + ["disk"] * 3 + ["memory"] * 4
+                              + ["disk"] * 3 + ["memory"] * 3)
 
 
 # -- server endpoints over real sockets -------------------------------
