@@ -12,8 +12,8 @@ package is the correctness gate in front of that pipeline:
   the op streams (no simulation) to prove lock/barrier properties and
   derive static SAT/BAT priors.
 
-Attach a :class:`~repro.sim.config.SanitizerConfig` to a
-:class:`~repro.sim.config.MachineConfig` to observe any run, or use
+Hand a :class:`ThreadSanitizer` to ``Machine(config, observers=[...])``
+to observe any run, or use
 :func:`check_application` / :func:`check_workload` (the ``repro check``
 CLI entry) for a one-call verdict; :func:`analyze_workload` is the
 static-analysis counterpart (``repro check --static``).
@@ -31,7 +31,7 @@ from repro.check.findings import (
     Finding,
 )
 from repro.check.runner import DEFAULT_THREADS, check_application, check_workload
-from repro.check.sanitizer import ThreadSanitizer
+from repro.check.sanitizer import SanitizerConfig, ThreadSanitizer
 from repro.check.static import (
     StaticCheckConfig,
     StaticReport,
@@ -50,6 +50,7 @@ __all__ = [
     "CheckReport",
     "DEFAULT_THREADS",
     "Finding",
+    "SanitizerConfig",
     "StaticCheckConfig",
     "StaticReport",
     "ThreadSanitizer",

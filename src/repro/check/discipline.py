@@ -20,9 +20,13 @@ of a single observed event stream:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.check.findings import DISCIPLINE, Finding
 from repro.isa.ops import CounterKind
-from repro.sim.config import SanitizerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - sanitizer.py imports this module
+    from repro.check.sanitizer import SanitizerConfig
 
 
 class _BarrierTrack:

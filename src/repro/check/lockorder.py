@@ -10,8 +10,12 @@ from the strongly connected components of the graph.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.check.findings import LOCK_ORDER, Finding
-from repro.sim.config import SanitizerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - sanitizer.py imports this module
+    from repro.check.sanitizer import SanitizerConfig
 
 
 class LockOrderAnalyzer:

@@ -23,8 +23,12 @@ Two adaptations for simulated op-stream programs:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.check.findings import RACE, AccessSite, Finding
-from repro.sim.config import SanitizerConfig
+
+if TYPE_CHECKING:  # pragma: no cover - sanitizer.py imports this module
+    from repro.check.sanitizer import SanitizerConfig
 
 # Per-address state machine (Eraser Figure 2).
 _EXCLUSIVE = 0  # one thread has touched it (initialization pattern)

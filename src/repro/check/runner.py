@@ -1,7 +1,7 @@
 """Run the thread sanitizer over an application or a named workload.
 
-``repro check`` builds a machine with a :class:`~repro.sim.config.
-SanitizerConfig` attached, executes the workload under a static team
+``repro check`` builds a machine with a :class:`~repro.check.sanitizer.
+ThreadSanitizer` attached, executes the workload under a static team
 (training is irrelevant here — the sanitizer watches the execution
 stream), and collects the findings.  Runs that abort (a deadlocked event
 queue, an unlock the lock manager refuses) are themselves reported as a
@@ -10,13 +10,12 @@ queue, an unlock the lock manager refuses) are themselves reported as a
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.check.findings import RUNTIME, CheckReport, Finding
+from repro.check.sanitizer import SanitizerConfig, ThreadSanitizer
 from repro.errors import DeadlockError, SimulationError, WorkloadError
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application
-from repro.sim.config import MachineConfig, SanitizerConfig
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
 #: Default team size for checks.  Races and ordering violations need at
@@ -33,8 +32,7 @@ def check_application(app: Application,
 
     Args:
         app: the application to check.
-        config: machine to check on (baseline Table 1 machine if None);
-            any sanitizer already attached to it is replaced.
+        config: machine to check on (baseline Table 1 machine if None).
         threads: static team size for the checked run (>= 2 to give the
             race detector something to see).
         sanitizer: analysis knobs; defaults to everything on.
@@ -43,13 +41,9 @@ def check_application(app: Application,
         A :class:`~repro.check.findings.CheckReport`; ``report.clean``
         is True when nothing was found and the run completed.
     """
-    base = config or MachineConfig.asplos08_baseline()
-    san_config = sanitizer or SanitizerConfig()
-    if not san_config.enabled:
-        san_config = replace(san_config, enabled=True)
-    machine = Machine(replace(base, sanitizer=san_config))
-    assert machine.sanitizer is not None  # enabled config => attached
-    policy = StaticPolicy(max(2, min(threads, base.num_thread_slots)))
+    observer = ThreadSanitizer(sanitizer)
+    machine = Machine(config, observers=[observer])
+    policy = StaticPolicy(max(2, min(threads, machine.config.num_thread_slots)))
 
     aborted: str | None = None
     try:
@@ -58,7 +52,7 @@ def check_application(app: Application,
     except (DeadlockError, SimulationError) as exc:
         aborted = str(exc)
 
-    findings = list(machine.sanitizer.finish())
+    findings = list(observer.finish())
     if aborted is not None:
         findings.append(Finding(
             analysis=RUNTIME,
@@ -68,11 +62,11 @@ def check_application(app: Application,
         ))
     return CheckReport(
         workload=app.name,
-        threads=policy.threads or base.num_cores,
+        threads=policy.threads or machine.config.num_cores,
         findings=tuple(findings),
         aborted=aborted,
         cycles=machine.now,
-        dropped=machine.sanitizer.dropped,
+        dropped=observer.dropped,
     )
 
 

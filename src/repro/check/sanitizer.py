@@ -2,9 +2,9 @@
 three analyses (races, lock order, discipline).
 
 A :class:`ThreadSanitizer` is a :class:`~repro.sim.observer.SimObserver`
-plug-in, attached by :class:`~repro.sim.machine.Machine` when its config
-carries an enabled :class:`~repro.sim.config.SanitizerConfig`.  It owns
-the cross-analysis state every check needs:
+plug-in: hand one to ``Machine(config, observers=[...])`` and call
+:meth:`~ThreadSanitizer.finish` afterwards.  It owns the cross-analysis
+state every check needs:
 
 * the per-agent stack of held locks (from the lock manager's
   acquired/released events, which are authoritative);
@@ -15,16 +15,55 @@ the cross-analysis state every check needs:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.check.discipline import DisciplineLinter
 from repro.check.findings import AccessSite, Finding
 from repro.check.lockorder import LockOrderAnalyzer
 from repro.check.lockset import LocksetRaceDetector
+from repro.errors import ConfigError
 from repro.isa.ops import CounterKind
-from repro.sim.config import SanitizerConfig
 from repro.sim.observer import SimObserver
 
 _EMPTY: frozenset[int] = frozenset()
 _NO_LOCKS: list[int] = []
+
+
+@dataclass(frozen=True, slots=True)
+class SanitizerConfig:
+    """Knobs of the thread sanitizer (``ThreadSanitizer(SanitizerConfig(...))``).
+
+    The sanitizer is a pure observer: it never schedules events or changes
+    timing, so cycle counts are identical with it attached or not.
+    """
+
+    #: Run the Eraser-style lockset race detector.
+    races: bool = True
+    #: Build the acquires-while-holding graph and report lock-order cycles.
+    lock_order: bool = True
+    #: Run the lock/barrier discipline lint.
+    discipline: bool = True
+    #: Also report read-write conflicts (full Eraser).  Off by default:
+    #: op-stream workloads touch line-aligned representative addresses, so
+    #: a load and a store of the same line by different threads is usually
+    #: modelling false sharing, not a data race.  Write-write conflicts
+    #: are always reported.
+    report_read_write: bool = False
+    #: Half-open ``[lo, hi)`` byte ranges the race detector ignores —
+    #: the escape hatch for intentionally unprotected shared accesses.
+    ignore_address_ranges: tuple[tuple[int, int], ...] = ()
+    #: Cap on recorded findings per analysis (further ones are counted
+    #: but dropped from the report).
+    max_findings: int = 100
+
+    def __post_init__(self) -> None:
+        if self.max_findings < 1:
+            raise ConfigError("max_findings must be >= 1")
+        for pair in self.ignore_address_ranges:
+            if len(pair) != 2 or pair[0] >= pair[1]:
+                raise ConfigError(
+                    f"ignore_address_ranges entries must be (lo, hi) with "
+                    f"lo < hi, got {pair!r}")
 
 
 class ThreadSanitizer(SimObserver):

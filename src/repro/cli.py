@@ -59,18 +59,13 @@ from repro.jobs import (
     raise_unserved,
 )
 from repro.sim.config import MachineConfig
+from repro.sim.machine import Machine
 from repro.workloads import all_specs, get
 
 
 def _machine_config(args: argparse.Namespace) -> MachineConfig:
-    config = MachineConfig.asplos08_baseline()
-    if args.cores is not None:
-        config = config.with_cores(args.cores)
-    if args.bandwidth is not None:
-        config = config.with_bandwidth(args.bandwidth)
-    if getattr(args, "smt", None) is not None:
-        config = config.with_smt(args.smt)
-    return config
+    return MachineConfig.baseline_with(args.cores, args.bandwidth,
+                                       getattr(args, "smt", None))
 
 
 def _parse_thread_list(text: str) -> tuple[int, ...]:
@@ -127,22 +122,16 @@ def _cmd_machine(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.trace import TraceRecorder, write_artifacts
+
     config = _machine_config(args)
     spec = get(args.workload)
-    machine = None
-    if args.trace is not None:
-        config = config.with_trace()
-    if args.report is not None or args.trace is not None:
-        from repro.sim.machine import Machine
-        machine = Machine(config)
+    recorder = TraceRecorder() if args.trace is not None else None
+    machine = Machine(config, observers=[recorder] if recorder else ())
     policy = PolicySpec(args.policy, args.threads).build()
-    result = run_application(spec.build(args.scale), policy, config,
+    result = run_application(spec.build(args.scale), policy,
                              machine=machine)
-    trace_paths = None
-    if args.trace is not None and machine is not None \
-            and machine.trace is not None:
-        from repro.trace import write_artifacts
-        trace_paths = write_artifacts(machine.trace.data, args.trace)
+    trace_paths = write_artifacts(recorder.data, args.trace) if recorder else None
     if args.json:
         r = result.result
         payload = app_result_to_dict(result)
@@ -172,7 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(line)
     print(f"total: {result.cycles:,} cycles, power {result.power:.2f} "
           f"active cores")
-    if args.report is not None and machine is not None:
+    if args.report is not None:
         from pathlib import Path
 
         from repro.analysis import machine_report_json
@@ -338,8 +327,7 @@ def _format_priors(static_report, extras: dict) -> str:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.sim.config import TraceConfig
-    from repro.trace import text_summary, run_traced, write_artifacts
+    from repro.trace import TraceConfig, run_traced, text_summary, write_artifacts
 
     config = _machine_config(args)
     spec = get(args.workload)
@@ -409,9 +397,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         if not args.workload:
             raise ReproError("give a workload name or --synthetic")
         payload = {"workload": args.workload, "scale": args.scale}
-    payload["policy"] = args.policy
-    if args.policy == "static" and args.threads is not None:
-        payload["threads"] = args.threads
+    policy = PolicySpec(args.policy, args.threads)  # what /v1 would answer 400
+    payload["policy"] = policy.kind
+    if policy.threads is not None:
+        payload["threads"] = policy.threads
 
     report = run_loadgen_blocking(
         args.host, args.port, payload, rps=args.rps,
@@ -432,10 +421,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     print(result.format())
     if runner.manifest.entries:
         _finish_jobs(args, runner)
-    elif result.panels:
-        print(f"note: figure {args.name!r} ran its panels in-process; they "
-              f"are not addressable as jobs (no cache, no manifest)",
-              file=sys.stderr)
     elif args.manifest:
         print(f"note: figure {args.name!r} has no simulated panels; "
               f"no manifest written", file=sys.stderr)

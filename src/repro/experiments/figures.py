@@ -15,7 +15,6 @@ and ad-hoc exploration::
 
 from __future__ import annotations
 
-from functools import partial
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -29,7 +28,6 @@ from repro.models.combined import CombinedModel
 from repro.models.sat_model import SatModel
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
-from repro.workloads.pagemine import build as build_pagemine
 
 CS_WORKLOADS = ("PageMine", "ISort", "GSearch", "EP")
 BW_WORKLOADS = ("ED", "convert", "Transpose", "MTwister")
@@ -263,11 +261,9 @@ def page_label(page_bytes: int) -> str:
 def _fig9_specs(page_sizes: Sequence[int] = PAGE_SIZES, scale: float = 0.5,
                 thread_counts: Sequence[int] = COARSE_GRID,
                 config: MachineConfig | None = None) -> list[PanelSpec]:
-    # WorkloadRef has no page_bytes, and adding a field would change
-    # every job's content key; so these panels are application
-    # factories and run in-process instead of as jobs.
     return [PanelSpec(page_label(size),
-                      partial(build_pagemine, scale=scale, page_bytes=size),
+                      WorkloadRef("PageMine", scale,
+                                  params=(("page_bytes", size),)),
                       PolicySpec.sat(), thread_counts, config)
             for size in page_sizes]
 

@@ -13,33 +13,28 @@ into the printed figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.analysis.report import ascii_table, gmean
 from repro.analysis.sweep import (
-    AppFactory,
     SweepResult,
     ThreadPoint,
     point_from_result,
     sweep_threads,
 )
-from repro.fdt.runner import AppRunResult, run_application
+from repro.fdt.runner import AppRunResult
 from repro.jobs import JobRunner, JobSpec, PolicySpec, WorkloadRef
 from repro.sim.config import MachineConfig
 
 
 @dataclass(frozen=True, slots=True)
 class PanelSpec:
-    """What one panel runs: workload x machine x policy x grid.
-
-    ``workload`` is a :class:`~repro.jobs.WorkloadRef` (every run is a
-    job) or, for inputs a ref cannot name, a zero-argument application
-    factory (every run is in-process) — the two forms
-    :func:`~repro.analysis.sweep.sweep_threads` already accepts.
-    """
+    """What one panel runs: workload x machine x policy x grid; every
+    run is a job."""
 
     label: str
-    workload: WorkloadRef | AppFactory
+    workload: WorkloadRef
     #: The adaptive run, when the figure has one.
     policy: PolicySpec | None = None
     #: The static sweep's thread counts, when the figure has one.
@@ -92,15 +87,6 @@ class Panel:
         return 1.0 - self.norm_power
 
 
-def _run(spec: PanelSpec, policy: PolicySpec, config: MachineConfig,
-         runner: JobRunner) -> AppRunResult:
-    """One run of the panel's workload: a job, or in-process for a factory."""
-    if isinstance(spec.workload, WorkloadRef):
-        return runner.run_one(JobSpec(workload=spec.workload, policy=policy,
-                                      config=config))
-    return run_application(spec.workload(), policy.build(), config)
-
-
 def run_panels(specs: Sequence[PanelSpec],
                runner: JobRunner | None = None) -> tuple[Panel, ...]:
     """Run every spec's sweep, baseline and adaptive run, in that order.
@@ -114,15 +100,16 @@ def run_panels(specs: Sequence[PanelSpec],
     for spec in specs:
         config = spec.config or MachineConfig.asplos08_baseline()
         sweep = baseline = adaptive = None
+        job = partial(JobSpec, workload=spec.workload, config=config)
         if spec.grid is not None:
             sweep = sweep_threads(spec.workload, spec.grid, config,
                                   runner=runner)
             baseline = sweep.points[-1]
         elif spec.baseline is not None:
-            res = _run(spec, spec.baseline, config, runner)
+            res = runner.run_one(job(policy=spec.baseline))
             baseline = point_from_result(res.threads_used[0], res)
         if spec.policy is not None:
-            adaptive = _run(spec, spec.policy, config, runner)
+            adaptive = runner.run_one(job(policy=spec.policy))
         panels.append(Panel(spec.label, sweep, adaptive, baseline))
     return tuple(panels)
 

@@ -23,13 +23,13 @@ from pathlib import Path
 from repro.errors import JobError
 from repro.fdt.policies import POLICIES, ThreadingPolicy
 from repro.fdt.runner import Application, AppRunResult, run_application
-from repro.sim.config import MachineConfig, SanitizerConfig, TraceConfig
+from repro.sim.config import MachineConfig
 
 #: Version tag of the job-spec encoding and result serialization.
 #: Bump on any change that alters simulated outputs or their encoding.
-#: v2: MachineConfig gained the ``trace`` field (in the hashed payload)
-#: and result dicts carry the derived metrics of ``RunResult.to_dict``.
-SCHEMA_VERSION = 2
+#: v3: the key hashes the model only (``MachineConfig`` lost its two
+#: observer fields) and ``WorkloadRef`` gained ``params``.
+SCHEMA_VERSION = 3
 
 _WORKLOAD_KINDS = ("registry", "synthetic")
 
@@ -53,17 +53,18 @@ class WorkloadRef:
     bus_lines: int = 0
     iterations: int = 128
     compute_instr: int = 20_000
+    #: Extra keyword arguments of the registry builder, hashed: sorted
+    #: ``(name, value)`` pairs, whatever order (or JSON lists) they came in.
+    params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in _WORKLOAD_KINDS:
             raise JobError(f"unknown workload kind {self.kind!r}")
         if not self.name:
             raise JobError("workload name must be non-empty")
-
-    @classmethod
-    def registry(cls, name: str, scale: float = 1.0) -> "WorkloadRef":
-        """Reference a Table 2 workload by registry name."""
-        return cls(name=name, scale=scale)
+        if self.params and self.kind != "registry":
+            raise JobError("params are only meaningful for registry workloads")
+        object.__setattr__(self, "params", tuple(sorted(map(tuple, self.params))))
 
     @classmethod
     def synthetic(cls, cs_fraction: float = 0.0, bus_lines: int = 0,
@@ -80,7 +81,8 @@ class WorkloadRef:
         if self.kind == "synthetic":
             return (f"{self.name}(cs={self.cs_fraction}, "
                     f"lines={self.bus_lines}, iters={self.iterations})")
-        return f"{self.name}@{self.scale:g}"
+        extra = "".join(f", {k}={v}" for k, v in self.params)
+        return f"{self.name}@{self.scale:g}{extra}"
 
     def build(self) -> Application:
         """Materialize the application (real computed kernel state)."""
@@ -92,7 +94,7 @@ class WorkloadRef:
                                    compute_instr=self.compute_instr,
                                    name=self.name)
         from repro.workloads import get
-        return get(self.name).build(self.scale)
+        return get(self.name).build(self.scale, **dict(self.params))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -164,47 +166,12 @@ class PolicySpec:
 
 def config_to_dict(config: MachineConfig) -> dict:
     """Flatten a machine config to JSON-safe primitives, field by field."""
-    out: dict = {}
-    for f in fields(MachineConfig):
-        value = getattr(config, f.name)
-        if f.name == "sanitizer":
-            value = None if value is None else _sanitizer_to_dict(value)
-        elif f.name == "trace":
-            value = None if value is None else _trace_to_dict(value)
-        out[f.name] = value
-    return out
+    return {f.name: getattr(config, f.name) for f in fields(MachineConfig)}
 
 
 def config_from_dict(data: dict) -> MachineConfig:
     """Rebuild a machine config from :func:`config_to_dict` output."""
-    kwargs = dict(data)
-    if kwargs.get("sanitizer") is not None:
-        kwargs["sanitizer"] = _sanitizer_from_dict(kwargs["sanitizer"])
-    if kwargs.get("trace") is not None:
-        kwargs["trace"] = _trace_from_dict(kwargs["trace"])
-    return MachineConfig(**kwargs)
-
-
-def _sanitizer_to_dict(config: SanitizerConfig) -> dict:
-    out = {f.name: getattr(config, f.name) for f in fields(SanitizerConfig)}
-    out["ignore_address_ranges"] = [
-        list(pair) for pair in config.ignore_address_ranges]
-    return out
-
-
-def _sanitizer_from_dict(data: dict) -> SanitizerConfig:
-    kwargs = dict(data)
-    kwargs["ignore_address_ranges"] = tuple(
-        tuple(pair) for pair in kwargs.get("ignore_address_ranges", ()))
-    return SanitizerConfig(**kwargs)
-
-
-def _trace_to_dict(config: TraceConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(TraceConfig)}
-
-
-def _trace_from_dict(data: dict) -> TraceConfig:
-    return TraceConfig(**data)
+    return MachineConfig(**data)
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,7 +226,6 @@ class JobSpec:
         if trace_dir is None:
             return run_application(app, policy, self.config)
         from repro.trace import run_traced, write_artifacts
-        traced = run_traced(app, policy, self.config,
-                            trace_config=self.config.trace)
+        traced = run_traced(app, policy, self.config)
         write_artifacts(traced.trace, Path(trace_dir) / self.key())
         return traced.result

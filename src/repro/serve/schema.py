@@ -25,7 +25,7 @@ which the server maps to HTTP 400.
 
 from __future__ import annotations
 
-from repro.errors import JobError, ServeRequestError, WorkloadError
+from repro.errors import ConfigError, JobError, ServeRequestError, WorkloadError
 from repro.fdt.policies import POLICIES, adaptive_policies
 from repro.jobs import JobSpec, PolicySpec, WorkloadRef
 from repro.sim.config import MachineConfig
@@ -56,17 +56,10 @@ def machine_from_request(data: dict) -> MachineConfig:
     if unknown:
         raise ServeRequestError(
             f"unknown machine knob(s): {', '.join(sorted(unknown))}")
-    config = MachineConfig.asplos08_baseline()
     try:
-        if overrides.get("cores") is not None:
-            config = config.with_cores(int(overrides["cores"]))
-        if overrides.get("bandwidth") is not None:
-            config = config.with_bandwidth(float(overrides["bandwidth"]))
-        if overrides.get("smt") is not None:
-            config = config.with_smt(int(overrides["smt"]))
-    except (TypeError, ValueError) as exc:
+        return MachineConfig.baseline_with(**overrides)
+    except ConfigError as exc:
         raise ServeRequestError(f"bad machine override: {exc}")
-    return config
 
 
 def workload_from_request(data: dict) -> WorkloadRef:

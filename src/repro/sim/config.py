@@ -20,92 +20,6 @@ def _is_pow2(n: int) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class SanitizerConfig:
-    """Knobs of the thread sanitizer (:mod:`repro.check`).
-
-    Attach one to :attr:`MachineConfig.sanitizer` (or use
-    :meth:`MachineConfig.with_sanitizer`) to have the machine record
-    synchronization events while programs execute.  The sanitizer is a
-    pure observer: it never schedules events or changes timing, so cycle
-    counts are identical with it on or off.  With no config attached
-    (the default) the hook sites reduce to one ``is None`` test per op.
-    """
-
-    #: Master switch; attaching a config with ``enabled=False`` keeps the
-    #: machine hook-free, exactly as if no config were attached.
-    enabled: bool = True
-    #: Run the Eraser-style lockset race detector.
-    races: bool = True
-    #: Build the acquires-while-holding graph and report lock-order cycles.
-    lock_order: bool = True
-    #: Run the lock/barrier discipline lint.
-    discipline: bool = True
-    #: Also report read-write conflicts (full Eraser).  Off by default:
-    #: op-stream workloads touch line-aligned representative addresses, so
-    #: a load and a store of the same line by different threads is usually
-    #: modelling false sharing, not a data race.  Write-write conflicts
-    #: are always reported.
-    report_read_write: bool = False
-    #: Half-open ``[lo, hi)`` byte ranges the race detector ignores —
-    #: the escape hatch for intentionally unprotected shared accesses.
-    ignore_address_ranges: tuple[tuple[int, int], ...] = ()
-    #: Cap on recorded findings per analysis (further ones are counted
-    #: but dropped from the report).
-    max_findings: int = 100
-
-    def __post_init__(self) -> None:
-        if self.max_findings < 1:
-            raise ConfigError("max_findings must be >= 1")
-        for pair in self.ignore_address_ranges:
-            if len(pair) != 2 or pair[0] >= pair[1]:
-                raise ConfigError(
-                    f"ignore_address_ranges entries must be (lo, hi) with "
-                    f"lo < hi, got {pair!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class TraceConfig:
-    """Knobs of the cycle-level tracer (:mod:`repro.trace`).
-
-    Attach one to :attr:`MachineConfig.trace` (or use
-    :meth:`MachineConfig.with_trace`) to have the machine record a
-    per-core state timeline, interval-sampled counter series, and the
-    FDT decision log while programs execute.  Like the sanitizer, the
-    tracer is a pure observer: it never schedules events or changes
-    timing, so cycle counts are identical with it on or off.  With no
-    config attached (the default) the hook sites reduce to one
-    ``is None`` test per event.
-    """
-
-    #: Master switch; attaching a config with ``enabled=False`` keeps
-    #: the machine hook-free, exactly as if no config were attached.
-    enabled: bool = True
-    #: Record the per-core state timeline (compute / critical-section /
-    #: lock-spin / barrier-wait / memory-stall spans).
-    timeline: bool = True
-    #: Sample machine counters every :attr:`sample_interval` cycles.
-    counters: bool = True
-    #: Record FDT training samples and thread-count decisions.
-    decisions: bool = True
-    #: Cycles between counter samples.
-    sample_interval: int = 1000
-    #: Memory stalls shorter than this many cycles are not recorded
-    #: (keeps L2-miss noise out of the timeline; 0 records everything).
-    min_mem_stall_cycles: int = 8
-    #: Cap on recorded timeline spans and on counter samples (each
-    #: bounded separately; further ones are counted but dropped).
-    max_events: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.sample_interval < 1:
-            raise ConfigError("sample_interval must be >= 1")
-        if self.min_mem_stall_cycles < 0:
-            raise ConfigError("min_mem_stall_cycles must be >= 0")
-        if self.max_events < 1:
-            raise ConfigError("max_events must be >= 1")
-
-
-@dataclass(frozen=True, slots=True)
 class MachineConfig:
     """Parameters of the simulated CMP.
 
@@ -187,16 +101,6 @@ class MachineConfig:
     #: unfair stack — the ablation of the serialization model).
     lock_grant_order: str = "fifo"
 
-    # -- sanitizer ---------------------------------------------------------------
-    #: Thread-sanitizer knobs (:mod:`repro.check`); None (the default)
-    #: builds a machine with no observer attached.
-    sanitizer: SanitizerConfig | None = None
-
-    # -- tracer ------------------------------------------------------------------
-    #: Cycle-level tracer knobs (:mod:`repro.trace`); None (the default)
-    #: builds a machine with no recorder attached.
-    trace: TraceConfig | None = None
-
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
@@ -277,6 +181,22 @@ class MachineConfig:
             dram_banks=8,
         )
 
+    @classmethod
+    def baseline_with(cls, cores: int | None = None,
+                      bandwidth: float | None = None,
+                      smt: int | None = None) -> "MachineConfig":
+        """Table 1 plus the three overrides every front end offers
+        (``--cores/--bandwidth/--smt``, the ``machine`` object of ``/v1``);
+        a bool, or a float for either count, is a :class:`ConfigError`."""
+        for name, value, kind in (("cores", cores, int), ("smt", smt, int),
+                                  ("bandwidth", bandwidth, float)):
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, kind))):
+                raise ConfigError(f"{name!r} must be {kind.__name__}, got {value!r}")
+        knobs = {"num_cores": cores, "smt_threads": smt}
+        config = cls(**{k: v for k, v in knobs.items() if v is not None})
+        return config if bandwidth is None else config.with_bandwidth(bandwidth)
+
     def with_bandwidth(self, factor: float) -> "MachineConfig":
         """Return a config with the off-chip bus bandwidth scaled by ``factor``.
 
@@ -296,12 +216,3 @@ class MachineConfig:
     def with_smt(self, smt_threads: int) -> "MachineConfig":
         """Return a config with SMT contexts per core (Section 9)."""
         return replace(self, smt_threads=smt_threads)
-
-    def with_sanitizer(self,
-                       sanitizer: SanitizerConfig | None = None) -> "MachineConfig":
-        """Return a config with the thread sanitizer attached."""
-        return replace(self, sanitizer=sanitizer or SanitizerConfig())
-
-    def with_trace(self, trace: TraceConfig | None = None) -> "MachineConfig":
-        """Return a config with the cycle-level tracer attached."""
-        return replace(self, trace=trace or TraceConfig())

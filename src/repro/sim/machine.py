@@ -17,7 +17,7 @@ extension) double up contexts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.isa.program import ProgramFactory
@@ -28,13 +28,9 @@ from repro.sim.core import Core
 from repro.sim.counters import CounterFile
 from repro.sim.engine import EventQueue
 from repro.sim.memsys import MemorySystem
+from repro.sim.observer import FanOut, SimObserver
 from repro.sim.ring import Ring
 from repro.sim.stats import RunResult, Snapshot
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.check.sanitizer import ThreadSanitizer
-    from repro.sim.observer import SimObserver
-    from repro.trace.recorder import TraceRecorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,35 +64,19 @@ class Machine:
     """A simulated CMP built from a :class:`MachineConfig`."""
 
     __slots__ = ("config", "events", "ring", "memsys", "counters",
-                 "observer", "sanitizer", "trace", "locks", "barriers", "cores",
+                 "observer", "locks", "barriers", "cores",
                  "_placement", "_team_size", "_threads_running",
                  "_active_core_cycles", "_core_first_start")
 
-    def __init__(self, config: MachineConfig | None = None) -> None:
+    def __init__(self, config: MachineConfig | None = None,
+                 observers: Sequence[SimObserver] = ()) -> None:
         self.config = config or MachineConfig.asplos08_baseline()
         self.events = EventQueue()
-        #: The configured plug-ins (repro.check / repro.trace), or None:
-        #: handles for fetching their reports, never dispatch points.
-        #: Imported lazily so the sim layer stays import-free of both
-        #: unless a config actually asks for them.
-        self.sanitizer: ThreadSanitizer | None = None
-        san_config = self.config.sanitizer
-        if san_config is not None and san_config.enabled:
-            from repro.check.sanitizer import ThreadSanitizer
-            self.sanitizer = ThreadSanitizer(san_config)
-        self.trace: TraceRecorder | None = None
-        trace_config = self.config.trace
-        if trace_config is not None and trace_config.enabled:
-            from repro.trace.recorder import TraceRecorder
-            self.trace = TraceRecorder(trace_config, self)
-            if trace_config.counters:
-                self.events.sampler = self.trace
-        #: The single slot every hook site reports to (repro.sim.observer):
-        #: None, the one attached plug-in, or a fan-out over both.
-        self.observer: SimObserver | None = self.sanitizer or self.trace
-        if self.sanitizer is not None and self.trace is not None:
-            from repro.sim.observer import FanOut
-            self.observer = FanOut(self.sanitizer, self.trace)
+        #: The single slot every hook site reports to: None, the one
+        #: observer, or a fan-out (callers keep their own references).
+        self.observer: SimObserver | None = (
+            FanOut(*observers) if len(observers) > 1
+            else observers[0] if observers else None)
         core_nodes, bank_nodes = _place_nodes(self.config.num_cores,
                                               self.config.l3_banks)
         self.ring = Ring(self.config.num_cores + self.config.l3_banks,
@@ -122,6 +102,8 @@ class Machine:
         self._threads_running = 0
         self._active_core_cycles = 0
         self._core_first_start: dict[int, int] = {}
+        if self.observer is not None:
+            self.observer.on_attach(self)
 
     # -- placement ------------------------------------------------------------
 

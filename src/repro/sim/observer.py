@@ -10,8 +10,8 @@ The machine components (:class:`~repro.sim.machine.Machine`,
 :class:`SimObserver`, guarded by one ``is None`` test per site — the
 whole cost when nothing is attached.  The thread sanitizer
 (``repro.check``) and the trace recorder (``repro.trace``) are plug-ins
-of this protocol; :class:`Machine` holds ``None``, the one configured
-plug-in, or a :class:`FanOut` over both.
+of this protocol, handed to ``Machine(config, observers=[...])``, which
+holds ``None``, the one observer, or a :class:`FanOut` over several.
 
 Observers are pure: they must not schedule events or mutate machine
 state, and no component may choose its code path by whether one is
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoid runtime import cycles
     from repro.fdt.estimators import Estimates
     from repro.fdt.training import TrainingLog, TrainingSample
     from repro.isa.ops import CounterKind
+    from repro.sim.machine import Machine
 
 
 class SimObserver:
@@ -40,6 +41,9 @@ class SimObserver:
     Subclass and override what you need.  Keeping a concrete no-op base
     (rather than an ABC) lets tests attach partial observers.
     """
+
+    def on_attach(self, machine: "Machine") -> None:
+        """Called once, when ``machine`` (built with this observer) is assembled."""
 
     # -- region / thread lifecycle -----------------------------------------
 

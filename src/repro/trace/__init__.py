@@ -13,10 +13,10 @@ end-of-run aggregates of :class:`~repro.sim.stats.RunResult`:
   derived T_CS/T_NoCS/BU_1, the Eq. 3/5/7 arithmetic, and the chosen
   thread count — replayable from its own recorded inputs.
 
-Attach a :class:`~repro.sim.config.TraceConfig` to a machine config
-(``config.with_trace()``) and the machine records while it runs; the
-tracer is a pure observer, so simulated cycles are bit-identical with
-it on or off.  Export with :func:`~repro.trace.export.write_artifacts`
+Hand a :class:`TraceRecorder` to ``Machine(config, observers=[...])``
+and the machine records while it runs; the tracer is a pure observer,
+so simulated cycles are bit-identical with it attached or not.  Export
+its ``.data`` with :func:`~repro.trace.export.write_artifacts`
 (Perfetto ``trace_event`` JSON, CSV counter series, decision-log JSON,
 text summary), or from the CLI::
 
@@ -46,6 +46,7 @@ from repro.trace.data import (
     Mark,
     Span,
     Trace,
+    TraceConfig,
 )
 from repro.trace.export import (
     counters_csv,
@@ -70,6 +71,7 @@ __all__ = [
     "Mark",
     "Span",
     "Trace",
+    "TraceConfig",
     "TraceRecorder",
     "TracedRun",
     "counters_csv",

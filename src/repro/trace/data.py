@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
 from repro.fdt.training import TrainingSample
-from repro.sim.config import TraceConfig
 
 #: Timeline span states, in display order.
 STATE_COMPUTE = "compute"
@@ -191,6 +191,39 @@ class FdtDecisionRecord:
             "chosen_threads": self.chosen_threads,
             "decided_at": self.decided_at,
         }
+
+
+@dataclass(frozen=True, slots=True)
+class TraceConfig:
+    """Knobs of the cycle-level tracer (``TraceRecorder(TraceConfig(...))``).
+
+    The tracer is a pure observer: it never schedules events or changes
+    timing, so cycle counts are identical with it attached or not.
+    """
+
+    #: Record the per-core state timeline (compute / critical-section /
+    #: lock-spin / barrier-wait / memory-stall spans).
+    timeline: bool = True
+    #: Sample machine counters every :attr:`sample_interval` cycles.
+    counters: bool = True
+    #: Record FDT training samples and thread-count decisions.
+    decisions: bool = True
+    #: Cycles between counter samples.
+    sample_interval: int = 1000
+    #: Memory stalls shorter than this many cycles are not recorded
+    #: (keeps L2-miss noise out of the timeline; 0 records everything).
+    min_mem_stall_cycles: int = 8
+    #: Cap on recorded timeline spans and on counter samples (each
+    #: bounded separately; further ones are counted but dropped).
+    max_events: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        if self.sample_interval < 1:
+            raise ConfigError("sample_interval must be >= 1")
+        if self.min_mem_stall_cycles < 0:
+            raise ConfigError("min_mem_stall_cycles must be >= 0")
+        if self.max_events < 1:
+            raise ConfigError("max_events must be >= 1")
 
 
 @dataclass(slots=True)

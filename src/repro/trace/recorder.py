@@ -1,8 +1,7 @@
 """The trace recorder: one observer turning machine events into a Trace.
 
-A :class:`TraceRecorder` is attached by :class:`~repro.sim.machine.
-Machine` when its config carries an enabled
-:class:`~repro.sim.config.TraceConfig`.  It is a
+Hand a :class:`TraceRecorder` to ``Machine(config, observers=[...])``
+and read its :attr:`~TraceRecorder.data` afterwards.  It is a
 :class:`~repro.sim.observer.SimObserver` plug-in plus the event queue's
 ``on_advance`` sampling callback, and owns the in-flight state the
 timeline needs (open lock-wait / critical-section / barrier-wait
@@ -30,23 +29,21 @@ from repro.trace.data import (
     Mark,
     Span,
     Trace,
+    TraceConfig,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.fdt.estimators import Estimates
     from repro.fdt.training import TrainingLog, TrainingSample
-    from repro.sim.config import TraceConfig
     from repro.sim.machine import Machine
 
 
 class TraceRecorder(SimObserver):
     """Records timeline spans, counter samples, and FDT decisions."""
 
-    def __init__(self, config: "TraceConfig", machine: "Machine") -> None:
-        self.config = config
-        self.machine = machine
-        self.data = Trace(config=config,
-                          num_cores=machine.config.num_cores)
+    def __init__(self, config: TraceConfig | None = None) -> None:
+        self.config = config = config or TraceConfig()
+        self.data = Trace(config=config, num_cores=0)
         #: Next counter-sample boundary cycle.
         self._next_sample = config.sample_interval
         #: Open lock-wait intervals: (agent, lock_id) -> spin start.
@@ -55,6 +52,12 @@ class TraceRecorder(SimObserver):
         self._held_since: dict[tuple[int, int], int] = {}
         #: Open barrier waits: (agent, barrier_id) -> arrival cycle.
         self._barrier_waits: dict[tuple[int, int], int] = {}
+
+    def on_attach(self, machine: "Machine") -> None:
+        self.machine = machine
+        self.data.num_cores = machine.config.num_cores
+        if self.config.counters:
+            machine.events.sampler = self
 
     # -- span / mark plumbing ------------------------------------------------
 

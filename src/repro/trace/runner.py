@@ -1,7 +1,7 @@
 """Record a trace for one workload run: the ``repro trace`` entry point.
 
 :func:`run_traced` is the programmatic mirror of the CLI: build a
-machine with a :class:`~repro.sim.config.TraceConfig` attached, run the
+machine with a :class:`~repro.trace.recorder.TraceRecorder`, run the
 application under a policy, and hand back both the normal
 :class:`~repro.fdt.runner.AppRunResult` and the recorded
 :class:`~repro.trace.data.Trace`.  Because the tracer is a pure
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
 from repro.fdt.policies import ThreadingPolicy
 from repro.fdt.runner import Application, AppRunResult, run_application
-from repro.sim.config import MachineConfig, TraceConfig
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.trace.data import Trace
+from repro.trace.data import Trace, TraceConfig
+from repro.trace.recorder import TraceRecorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,17 +37,13 @@ def run_traced(app: Application, policy: ThreadingPolicy,
     Args:
         app: the application to execute.
         policy: threading policy driving the run.
-        config: machine configuration (baseline when omitted); any
-            tracer already attached to it is replaced.
+        config: machine configuration (baseline when omitted).
         trace_config: tracer knobs (defaults when omitted).
 
     Returns:
         The run result and the recorded trace.
     """
-    base = config or MachineConfig.asplos08_baseline()
-    cfg = base.with_trace(trace_config)
-    machine = Machine(cfg)
-    result = run_application(app, policy, cfg, machine=machine)
-    if machine.trace is None:  # pragma: no cover - defensive
-        raise ConfigError("trace recording was disabled by the config")
-    return TracedRun(result=result, trace=machine.trace.data)
+    recorder = TraceRecorder(trace_config)
+    machine = Machine(config, observers=[recorder])
+    result = run_application(app, policy, machine=machine)
+    return TracedRun(result=result, trace=recorder.data)

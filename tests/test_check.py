@@ -17,6 +17,7 @@ from repro.check import (
     LOCK_ORDER,
     RACE,
     RUNTIME,
+    SanitizerConfig,
     ThreadSanitizer,
     check_application,
     check_workload,
@@ -28,7 +29,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, CounterKind, Op, Store
-from repro.sim.config import MachineConfig, SanitizerConfig
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads import all_specs
 from repro.workloads.base import LINE, AddressSpace
@@ -142,7 +143,7 @@ def test_barrier_epochs_suppress_phased_writer_rotation():
 
 def test_sanitizer_disabled_by_default():
     machine = Machine(MachineConfig.asplos08_baseline())
-    assert machine.sanitizer is None
+    assert machine.observer is None
 
 
 # -- config knobs -------------------------------------------------------------

@@ -17,7 +17,8 @@ from repro.fdt.runner import run_application
 from repro.obs.registry import default_registry, reset_default_registry
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.sim.observer import FanOut, SimObserver
+from repro.sim.observer import SimObserver
+from repro.trace import TraceRecorder
 from repro.workloads import get
 from repro.workloads.synthetic import build_synthetic
 
@@ -162,12 +163,11 @@ class _DecisionTap(SimObserver):
 def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
     """Clamp on thread slots, training samples and one decision in the
     trace, decision metrics published — as for the paper's modes."""
-    config = MachineConfig.small().with_smt(2).with_trace()
+    config = MachineConfig.small().with_smt(2)
     slots = config.num_thread_slots
     assert slots == 2 * config.num_cores
-    machine = Machine(config)
-    tap = _DecisionTap()
-    machine.observer = FanOut(machine.observer, tap)
+    recorder, tap = TraceRecorder(), _DecisionTap()
+    machine = Machine(config, observers=[recorder, tap])
     reset_default_registry()
 
     # No critical section, no bus traffic: every estimate hits the clamp.
@@ -180,7 +180,7 @@ def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
     assert info.estimates.p_fdt == slots
     assert info.threads == slots
 
-    trace = machine.trace.data
+    trace = recorder.data
     (record,) = trace.decisions
     assert record.policy_name == name
     assert record.num_slots == slots

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.jobs import (
     default_cache_dir,
 )
 from repro.jobs.results import estimates_from_dict, estimates_to_dict
-from repro.sim.config import MachineConfig, SanitizerConfig
+from repro.sim.config import MachineConfig
 from repro.workloads import get
 
 
@@ -81,11 +82,29 @@ def test_synthetic_ref_round_trips_and_builds():
     assert "cs=0.05" in ref.label
 
 
-def test_config_round_trips_including_sanitizer():
-    cfg = MachineConfig.small().with_sanitizer(SanitizerConfig(
-        ignore_address_ranges=((0, 64), (128, 256))))
+def test_config_is_table_1_and_round_trips_with_no_special_case():
+    names = {f.name for f in fields(MachineConfig)}
+    assert len(names) == 34
+    assert not names & {"sanitizer", "trace", "observer", "observers"}
+    cfg = MachineConfig.small().with_smt(2).with_bandwidth(0.5)
+    assert config_to_dict(cfg) == asdict(cfg)
     clone = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
     assert clone == cfg
+
+
+def test_workload_params_are_canonical_hashed_and_passed_to_the_builder():
+    ref = WorkloadRef("PageMine", 0.1, params=[["page_bytes", 1024]])
+    assert ref.params == (("page_bytes", 1024),)
+    assert ref == WorkloadRef.from_dict(json.loads(json.dumps(ref.to_dict())))
+    assert ref.label == "PageMine@0.1, page_bytes=1024"
+    assert ref.build().kernels[0].params.page_bytes == 1024
+    plain = WorkloadRef("PageMine", 0.1)
+    key = lambda w: JobSpec(w, PolicySpec.sat(), MachineConfig.small()).key()
+    assert key(ref) != key(plain)
+    assert plain.build().kernels[0].params.page_bytes == 5280
+    with pytest.raises(JobError):
+        WorkloadRef.synthetic().from_dict(
+            {**WorkloadRef.synthetic().to_dict(), "params": [["x", 1]]})
 
 
 def test_invalid_specs_rejected():

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import replace
 
 import pytest
 
-from repro.analysis.sweep import sweep_threads
+from repro.analysis.sweep import point_from_result, sweep_threads
 from repro.errors import JobError
-from repro.experiments import FIGURES, run_panels
+from repro.experiments import FIGURES, Panel, run_panels
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
@@ -35,6 +34,7 @@ FIGURE_KNOBS = {
     "fig2": dict(scale=SCALE, thread_counts=GRID),
     "fig4": dict(scale=0.05, thread_counts=GRID),
     "fig8": dict(scale=SCALE, thread_counts=GRID, workloads=WORKLOADS),
+    "fig9": dict(page_sizes=(2048,), scale=SCALE, thread_counts=GRID),
     "fig13": dict(factors=(2.0,), scale=0.2, thread_counts=GRID),
     "smt": dict(scale=SCALE, workloads=("EP",)),
 }
@@ -138,12 +138,28 @@ def test_corrupt_cache_entry_recomputes_only_that_job(tmp_path, ground_truth):
 def test_figure_panels_via_jobs_match_in_process_panels(name):
     """Sweep points, adaptive run and baseline of every panel are
     bit-identical whether they ran as jobs or as plain in-process runs
-    (a panel given its workload as a factory never touches the runner)."""
+    (the same three steps spelled with ``run_application``)."""
     specs = FIGURES[name].specs(**FIGURE_KNOBS[name])
+    in_process = []
+    for spec in specs:
+        config = spec.config or MachineConfig.asplos08_baseline()
+        build = spec.workload.build
+
+        def run(policy):
+            return run_application(build(), policy.build(), config)
+
+        sweep = baseline = adaptive = None
+        if spec.grid is not None:
+            sweep = sweep_threads(build, spec.grid, config)
+            baseline = sweep.points[-1]
+        elif spec.baseline is not None:
+            res = run(spec.baseline)
+            baseline = point_from_result(res.threads_used[0], res)
+        if spec.policy is not None:
+            adaptive = run(spec.policy)
+        in_process.append(Panel(spec.label, sweep, adaptive, baseline))
     runner = JobRunner()
-    in_process = [replace(spec, workload=spec.workload.build)
-                  for spec in specs]
-    assert run_panels(specs, runner) == run_panels(in_process)
+    assert run_panels(specs, runner) == tuple(in_process)
     assert runner.manifest.counts["computed"] > 0
 
 

@@ -370,7 +370,7 @@ def test_job_runner_writes_provenance_rows():
     row = rows[0]
     assert row.key == spec.key()
     assert row.workload == spec.workload.label
-    assert row.schema_version == 2
+    assert row.schema_version == 3
     assert row.host == host_fingerprint()
     # Timestamps are ISO-8601 and ordered.
     assert datetime.fromisoformat(row.started_at) <= \

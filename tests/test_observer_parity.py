@@ -1,4 +1,4 @@
-"""Observer purity: no attached observer subset changes simulated results.
+"""Observer purity: no attached observer list changes simulated results.
 
 The repo's one parity matrix for in-sim observers
 (:mod:`repro.sim.observer`): for a CS-limited, a BW-limited, and a
@@ -6,33 +6,63 @@ tie-order-sensitive workload (Transpose — the one whose cycles move
 when the core steps Compute ops one by one instead of coalescing them),
 under both the static and the FDT policy, the full
 :class:`~repro.fdt.runner.AppRunResult` — every counter, every cycle —
-is bit-identical whether the sanitizer, the tracer, both, or neither is
-attached.  Host telemetry on/off is a different axis
-(``test_obs_parity.py``), as is fast vs reference (``test_perf_parity.py``).
+is bit-identical whatever list is handed to ``Machine(config,
+observers=[...])``: nothing, the sanitizer, the tracer, both, or those
+plus a third plug-in this file defines (which is all a new plug-in
+takes — no edit under ``src/repro/sim``).  Host telemetry on/off is a
+different axis (``test_obs_parity.py``), as is fast vs reference
+(``test_perf_parity.py``).
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import fields
 
 import pytest
 
+from repro.check import ThreadSanitizer
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import AppRunResult, run_application
 from repro.jobs import JobRunner, JobSpec, PolicySpec, WorkloadRef
-from repro.sim.config import MachineConfig, TraceConfig
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.trace import run_traced
+from repro.sim.observer import FanOut, SimObserver
+from repro.trace import TraceConfig, TraceRecorder, run_traced
 from repro.workloads import get
 
 BASE = MachineConfig.asplos08_baseline()
 WORKLOADS = {"PageMine": 0.1, "ED": 0.1, "Transpose": 0.05}
 POLICIES = {"static-32": lambda: StaticPolicy(32),
             "fdt": lambda: FdtPolicy(FdtMode.COMBINED)}
-OBSERVERS = {"none": BASE,
-             "sanitizer": BASE.with_sanitizer(),
-             "tracer": BASE.with_trace(),
-             "both": BASE.with_sanitizer().with_trace()}
+
+
+class EventCounter(SimObserver):
+    """A partial plug-in: overrides three events, inherits the rest."""
+
+    def __init__(self) -> None:
+        self.machine = None
+        self.regions = self.accesses = 0
+
+    def on_attach(self, machine) -> None:
+        self.machine = machine
+
+    def on_region_begin(self, num_threads, now) -> None:
+        self.regions += 1
+
+    def on_access(self, agent, addr, is_store, now) -> None:
+        self.accesses += 1
+
+
+#: What each plug-in must show after a run to prove it observed it.
+SAW_THE_RUN = {ThreadSanitizer: lambda o: o.epoch > 0,
+               TraceRecorder: lambda o: o.data.spans and o.data.num_cores == 32,
+               EventCounter: lambda o: o.machine and o.regions and o.accesses}
+OBSERVERS = {"none": (),
+             "sanitizer": (ThreadSanitizer,),
+             "tracer": (TraceRecorder,),
+             "both": (ThreadSanitizer, TraceRecorder),
+             "both+third": (ThreadSanitizer, TraceRecorder, EventCounter)}
 
 
 @functools.cache
@@ -46,17 +76,29 @@ def _plain(name: str, policy: str) -> AppRunResult:
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_observer_subset_preserves_results(name, policy, observers):
-    machine = Machine(OBSERVERS[observers])
+    attached = [plugin() for plugin in OBSERVERS[observers]]
+    machine = Machine(BASE, observers=attached)
     observed = run_application(get(name).build(WORKLOADS[name]),
                                POLICIES[policy](), machine=machine)
     assert observed == _plain(name, policy)  # full dataclass equality
-    # ... and each configured plug-in did observe the run.
-    assert (machine.sanitizer is not None) == (observers in ("sanitizer", "both"))
-    assert (machine.trace is not None) == (observers in ("tracer", "both"))
-    if machine.sanitizer is not None:
-        assert machine.sanitizer.epoch > 0
-    if machine.trace is not None:
-        assert machine.trace.data.spans
+    # ... and every attached plug-in did observe the run.
+    for plugin in attached:
+        assert SAW_THE_RUN[type(plugin)](plugin)
+
+
+def test_observer_slot_is_none_the_observer_or_a_fan_out():
+    machine = Machine(BASE)
+    assert machine.observer is None and machine.events.sampler is None
+    assert not {"sanitizer", "trace"} & {f.name for f in fields(MachineConfig)}
+    one = EventCounter()
+    assert Machine(BASE, observers=[one]).observer is one
+    recorder = TraceRecorder()
+    machine = Machine(BASE, observers=[one, recorder])
+    assert isinstance(machine.observer, FanOut)
+    assert machine.observer.observers == (one, recorder)
+    assert machine.events.sampler is recorder  # installed by on_attach
+    quiet = TraceRecorder(TraceConfig(counters=False))
+    assert Machine(BASE, observers=[quiet]).events.sampler is None
 
 
 def test_transpose_reference_cycles_pinned():
@@ -79,13 +121,6 @@ def test_every_trace_feature_toggle_preserves_results(name, tc):
     traced = run_traced(get(name).build(WORKLOADS[name]),
                         POLICIES["fdt"](), BASE, trace_config=tc)
     assert traced.result == _plain(name, "fdt")
-
-
-def test_disabled_configs_attach_no_observer():
-    machine = Machine(BASE.with_trace(TraceConfig(enabled=False)))
-    assert machine.trace is None
-    assert machine.observer is None
-    assert machine.events.sampler is None
 
 
 def test_traced_jobs_match_untraced_jobs(tmp_path):

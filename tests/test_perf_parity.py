@@ -27,9 +27,9 @@ from repro.errors import DeadlockError
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import AppRunResult, run_application
 from repro.isa.ops import Branch, Compute, Load, Lock, Store, Unlock
-from repro.sim.config import MachineConfig, TraceConfig
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.trace import run_traced
+from repro.trace import TraceConfig, TraceRecorder, run_traced
 from repro.workloads import get
 
 
@@ -184,11 +184,11 @@ def test_lone_thread_runs_ahead_with_the_same_observer_timestamps(
     all of it runs ahead — one event pushed, at thread start — and the
     attached tracer is told the same cycles as on the reference path."""
     def observed():
-        machine = Machine(MachineConfig.small().with_trace(
-            TraceConfig(counters=False)))
+        recorder = TraceRecorder(TraceConfig(counters=False))
+        machine = Machine(MachineConfig.small(), observers=[recorder])
         calls: list[tuple] = []
         for hook in ("on_compute", "on_access", "on_thread_exit"):
-            setattr(machine.trace, hook,
+            setattr(recorder, hook,
                     lambda *args, hook=hook: calls.append((hook, *args)))
         region = machine.run_serial(_lone_factory)
         return calls, region, machine.events.seq
@@ -205,10 +205,10 @@ def test_sampled_trace_does_not_run_ahead(monkeypatch):
     thread goes through it op by op: were it to run ahead, every sample
     would be taken at the end and read the final counters."""
     def sampled():
-        machine = Machine(MachineConfig.small().with_trace(
-            TraceConfig(sample_interval=50)))
+        recorder = TraceRecorder(TraceConfig(sample_interval=50))
+        machine = Machine(MachineConfig.small(), observers=[recorder])
         machine.run_serial(_lone_factory)
-        return machine.trace.data.samples, machine.events.seq
+        return recorder.data.samples, machine.events.seq
 
     fast, slow = _fast_and_slow(monkeypatch, sampled)
     assert fast == slow

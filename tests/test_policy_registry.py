@@ -44,6 +44,13 @@ def test_registered_name_is_accepted_everywhere(name, capsys):
             parse_fdt_request(request)
 
 
+def test_loadgen_rejects_threads_with_an_adaptive_policy(capsys):
+    """It used to drop ``--threads`` silently; ``run`` exits 2, as here."""
+    for command in (["loadgen", "EP"], ["run", "EP", "--scale", "0.05"]):
+        assert main(command + ["--policy", "fdt", "--threads", "4"]) == 2
+        assert "only meaningful for static" in capsys.readouterr().err
+
+
 def _lists_every_name(message: str, names=NAMES) -> bool:
     return all(name in message for name in names)
 

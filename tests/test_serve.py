@@ -17,7 +17,13 @@ import time
 
 import pytest
 
-from repro.errors import JobError, ReproError, ServeClientError, ServeError
+from repro.errors import (
+    JobError,
+    ReproError,
+    ServeClientError,
+    ServeError,
+    ServeRequestError,
+)
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.jobs import (
     JobRunner,
@@ -366,6 +372,27 @@ def test_schema_rejects_malformed_requests():
         schema.parse_sweep_request({"workload": "EP", "threads": []})
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("cores", 0), ("cores", True), ("cores", 2.7), ("cores", "8"),
+    ("smt", 0), ("smt", 1.5), ("smt", False),
+    ("bandwidth", 0), ("bandwidth", -1.0), ("bandwidth", True),
+    ("bandwidth", "2"),
+])
+def test_schema_answers_400_for_a_bad_machine_override(knob, value):
+    """Out of range used to escape as ConfigError (HTTP 500); bools and
+    fractional counts used to build a 1- or 2-core machine silently."""
+    body = {"workload": "EP", "machine": {knob: value}}
+    for parse in (schema.parse_run_request, schema.parse_fdt_request,
+                  schema.parse_sweep_request):
+        with pytest.raises(ServeRequestError, match=knob):
+            parse(body)
+    config = schema.parse_run_request(
+        {"workload": "EP",
+         "machine": {"cores": 8, "bandwidth": 2, "smt": 2}}).config
+    assert config == MachineConfig.asplos08_baseline().with_cores(
+        8).with_bandwidth(2.0).with_smt(2)
+
+
 def test_schema_sweep_clamps_and_sorts_thread_counts():
     _, counts, config = schema.parse_sweep_request(
         {"workload": "EP", "threads": [8, 2, 2, 4096, 1]})
@@ -703,6 +730,9 @@ def test_server_run_fdt_and_sweep_endpoints():
                                           {"workload": "NoSuchWorkload"})
             assert status == 400
             assert "NoSuchWorkload" in body["error"]
+            status, body = client.request(
+                "POST", "/v1/run", {"workload": "EP", "machine": {"cores": 0}})
+            assert status == 400 and "cores" in body["error"]  # was a 500
 
 
 def test_server_maps_request_timeout_to_504_with_spec_key():

@@ -19,13 +19,15 @@ import pytest
 from repro.errors import ConfigError
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
-from repro.sim.config import MachineConfig, TraceConfig
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.stats import busy_fraction
 from repro.trace import (
     STATE_BARRIER_WAIT,
     STATE_COMPUTE,
     STATE_CRITICAL_SECTION,
+    TraceConfig,
+    TraceRecorder,
     counters_csv,
     decisions_json,
     run_traced,
@@ -41,7 +43,9 @@ SCALE = 0.1
 @pytest.fixture(scope="module")
 def pagemine_traced():
     """One traced FDT run of the CS-limited workload, machine included."""
-    machine = Machine(MachineConfig.asplos08_baseline().with_trace())
+    recorder = TraceRecorder()
+    machine = Machine(MachineConfig.asplos08_baseline(),
+                      observers=[recorder])
     result = run_application(get("PageMine").build(SCALE),
                              FdtPolicy(FdtMode.COMBINED), machine=machine)
     return machine, result
@@ -51,7 +55,7 @@ def pagemine_traced():
 
 def test_cs_spans_sum_exactly_to_lock_hold_cycles(pagemine_traced):
     machine, _result = pagemine_traced
-    trace = machine.trace.data
+    trace = machine.observer.data
     assert trace.critical_section_cycles > 0
     assert (trace.critical_section_cycles
             == machine.locks.stats.total_hold_cycles)
@@ -59,7 +63,7 @@ def test_cs_spans_sum_exactly_to_lock_hold_cycles(pagemine_traced):
 
 def test_timeline_covers_every_state(pagemine_traced):
     machine, _result = pagemine_traced
-    trace = machine.trace.data
+    trace = machine.observer.data
     states = {s.state for s in trace.spans}
     assert STATE_COMPUTE in states
     assert STATE_CRITICAL_SECTION in states
@@ -71,7 +75,7 @@ def test_timeline_covers_every_state(pagemine_traced):
 
 def test_counter_samples_land_on_interval_boundaries(pagemine_traced):
     machine, _result = pagemine_traced
-    trace = machine.trace.data
+    trace = machine.observer.data
     interval = trace.config.sample_interval
     cycles = [s.cycle for s in trace.samples]
     assert cycles == sorted(cycles)
@@ -107,9 +111,9 @@ def test_decision_log_replays_to_the_chosen_thread_count(mode):
 
 def test_decision_record_round_trips_through_strict_json(pagemine_traced):
     machine, _result = pagemine_traced
-    payload = json.loads(decisions_json(machine.trace.data))
+    payload = json.loads(decisions_json(machine.observer.data))
     (decision,) = payload["decisions"]
-    record = machine.trace.data.decisions[0]
+    record = machine.observer.data.decisions[0]
     assert decision["chosen_threads"] == record.chosen_threads
     assert decision["trained_iterations"] == len(decision["samples"])
     assert decision["t_cs"] == record.t_cs
@@ -119,7 +123,7 @@ def test_decision_record_round_trips_through_strict_json(pagemine_traced):
 
 def test_perfetto_export_is_valid_and_non_empty(pagemine_traced):
     machine, _result = pagemine_traced
-    doc = json.loads(json.dumps(to_perfetto(machine.trace.data)))
+    doc = json.loads(json.dumps(to_perfetto(machine.observer.data)))
     events = doc["traceEvents"]
     assert events
     phases = {e["ph"] for e in events}
@@ -131,7 +135,7 @@ def test_perfetto_export_is_valid_and_non_empty(pagemine_traced):
 
 def test_perfetto_cs_spans_match_trace_cs_cycles(pagemine_traced):
     machine, _result = pagemine_traced
-    doc = to_perfetto(machine.trace.data)
+    doc = to_perfetto(machine.observer.data)
     cs_total = sum(e["dur"] for e in doc["traceEvents"]
                    if e["ph"] == "X" and e["name"] == STATE_CRITICAL_SECTION)
     assert cs_total == machine.locks.stats.total_hold_cycles
@@ -139,7 +143,7 @@ def test_perfetto_cs_spans_match_trace_cs_cycles(pagemine_traced):
 
 def test_counters_csv_rates_are_sane(pagemine_traced):
     machine, _result = pagemine_traced
-    lines = counters_csv(machine.trace.data).strip().splitlines()
+    lines = counters_csv(machine.observer.data).strip().splitlines()
     header, rows = lines[0], lines[1:]
     assert header.startswith("cycle,active_cores")
     assert rows
@@ -151,7 +155,7 @@ def test_counters_csv_rates_are_sane(pagemine_traced):
 
 def test_write_artifacts_produces_all_four_files(tmp_path, pagemine_traced):
     machine, _result = pagemine_traced
-    paths = write_artifacts(machine.trace.data, tmp_path / "out")
+    paths = write_artifacts(machine.observer.data, tmp_path / "out")
     assert set(paths) == {"perfetto", "counters", "decisions", "summary"}
     for path in paths.values():
         assert path.exists() and path.stat().st_size > 0
