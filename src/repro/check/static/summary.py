@@ -211,10 +211,6 @@ class TeamSummary:
     def total_instructions(self) -> int:
         return sum(t.instructions for t in self.threads)
 
-    @property
-    def total_ops(self) -> int:
-        return sum(t.ops for t in self.threads)
-
     def shared_lines(self) -> int:
         """Lines touched by at least two distinct threads."""
         seen: dict[int, int] = {}

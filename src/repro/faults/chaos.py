@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.errors import FaultError, JobError, ServeClientError
+from repro.errors import FaultError, JobError, ServeClientError, ServeRequestError
 from repro.faults.injector import FaultInjector, injected
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.jobs import (
@@ -266,49 +266,6 @@ def run_chaos_batch(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
     return report
 
 
-def _request_body(spec: JobSpec) -> dict[str, Any]:
-    """The ``/v1/run`` body that canonicalizes back to ``spec``.
-
-    The request schema rebuilds the machine from the Table 1 baseline,
-    so only core-count and SMT deviations can be expressed as
-    overrides; a spec whose config differs anywhere else (cache sizes,
-    bus ratio, ...) would silently simulate a *different* machine
-    server-side and fail the cycles invariant — refuse it up front.
-    """
-    if spec.workload.kind == "synthetic":
-        body: dict[str, Any] = {"synthetic": {
-            "cs_fraction": spec.workload.cs_fraction,
-            "bus_lines": spec.workload.bus_lines,
-            "iterations": spec.workload.iterations,
-            "compute_instr": spec.workload.compute_instr,
-            "name": spec.workload.name}}
-    else:
-        body = {"workload": spec.workload.name,
-                "scale": spec.workload.scale}
-    baseline = MachineConfig.asplos08_baseline()
-    machine: dict[str, Any] = {}
-    if spec.config.num_cores != baseline.num_cores:
-        machine["cores"] = spec.config.num_cores
-    if spec.config.smt_threads != baseline.smt_threads:
-        machine["smt"] = spec.config.smt_threads
-    rebuilt = baseline
-    if "cores" in machine:
-        rebuilt = rebuilt.with_cores(machine["cores"])
-    if "smt" in machine:
-        rebuilt = rebuilt.with_smt(machine["smt"])
-    if spec.config != rebuilt:
-        raise FaultError(
-            "serve-mode chaos cannot express this machine config over "
-            "the request schema; use the Table 1 baseline (optionally "
-            "with core/SMT overrides)")
-    if machine:
-        body["machine"] = machine
-    body["policy"] = spec.policy.kind
-    if spec.policy.kind == "static":
-        body["threads"] = spec.policy.threads
-    return body
-
-
 def _post_until_served(port: int, body: dict[str, Any],
                         attempts: int) -> tuple[str, int | None]:
     """POST ``/v1/run`` until a 200: ``(last status seen, cycles)``.
@@ -347,9 +304,16 @@ def run_chaos_serve(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
     budget counts against ``every-spec-accounted-once``.
     """
     from repro.serve import ServeConfig, ServeClient, ServerThread
+    from repro.serve.schema import request_body
 
     specs = list(specs) if specs is not None else default_specs()
-    bodies = [_request_body(spec) for spec in specs]  # fail fast if any
+    try:  # fail fast: a body the server would read as another machine
+        bodies = [request_body(spec) for spec in specs]
+    except ServeRequestError as exc:
+        raise FaultError(
+            "serve-mode chaos cannot express this machine config over "
+            "the request schema; use the Table 1 baseline (optionally "
+            f"with core/SMT/bandwidth overrides): {exc}") from exc
     report = ChaosReport(mode="serve", plan=plan.to_dict(),
                          baseline_cycles=baseline_cycles(specs))
     unhandled = ""

@@ -43,7 +43,6 @@ from repro.obs.tracing import (
     SpanRecorder,
     TraceContext,
     current_context,
-    merged_perfetto,
     recorder,
     span,
     spans_to_perfetto,
@@ -70,7 +69,6 @@ __all__ = [
     "get_logger",
     "host_fingerprint",
     "kv",
-    "merged_perfetto",
     "recorder",
     "reset_default_registry",
     "span",

@@ -9,9 +9,8 @@ Four verbs over :class:`repro.obs.runreg.RunRegistry`:
 * ``report`` — aggregate summary (rows, dispositions, hit rate, wall
   time spent computing).
 
-Argument wiring lives here (``add_obs_subparser``) so :mod:`repro.cli`
-only has to mount it; the registry location defaults to
-``<cache root>/obs`` and follows ``--dir`` / ``REPRO_CACHE_DIR``.
+The registry location defaults to ``<cache root>/obs`` and follows
+``--dir`` / ``REPRO_CACHE_DIR``.
 """
 
 from __future__ import annotations
@@ -93,23 +92,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_obs_subparser(sub: argparse._SubParsersAction) -> None:
-    """Mount ``repro obs`` on the top-level subparser action."""
+def register(sub: argparse._SubParsersAction,
+             parents: argparse.Namespace) -> None:
+    """Mount ``repro obs`` (the contract is in :mod:`repro.cli`)."""
     p_obs = sub.add_parser(
-        "obs",
+        "obs", parents=[parents.logging],
         help="query the persistent run registry (provenance rows "
              "written by the jobs layer under the cache dir)")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--dir", default=None, metavar="DIR",
+                        help="registry directory (default: "
+                             "<cache root>/obs)")
+    common.add_argument("--json", action="store_true",
+                        help="print machine-readable rows")
+    leaf = [common, parents.logging]
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dir", default=None, metavar="DIR",
-                       help="registry directory (default: "
-                            "<cache root>/obs)")
-        p.add_argument("--json", action="store_true",
-                       help="print machine-readable rows")
-
-    p_list = obs_sub.add_parser("list", help="list recorded runs")
-    add_common(p_list)
+    p_list = obs_sub.add_parser("list", parents=leaf,
+                                help="list recorded runs")
     p_list.add_argument("--status", default=None,
                         help="filter by disposition (hit, computed, "
                              "failed, timeout, preflight-failed)")
@@ -120,18 +120,17 @@ def add_obs_subparser(sub: argparse._SubParsersAction) -> None:
     p_list.set_defaults(func=_cmd_list)
 
     p_show = obs_sub.add_parser(
-        "show", help="show the latest run for a spec key")
-    add_common(p_show)
+        "show", parents=leaf, help="show the latest run for a spec key")
     p_show.add_argument("key", help="spec content key (prefix accepted)")
     p_show.set_defaults(func=_cmd_show)
 
-    p_tail = obs_sub.add_parser("tail", help="show the last N runs")
-    add_common(p_tail)
+    p_tail = obs_sub.add_parser("tail", parents=leaf,
+                                help="show the last N runs")
     p_tail.add_argument("-n", "--count", type=int, default=10,
                         help="rows to show (default 10)")
     p_tail.set_defaults(func=_cmd_tail)
 
     p_report = obs_sub.add_parser(
-        "report", help="aggregate summary over all recorded runs")
-    add_common(p_report)
+        "report", parents=leaf,
+        help="aggregate summary over all recorded runs")
     p_report.set_defaults(func=_cmd_report)

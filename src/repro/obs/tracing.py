@@ -20,10 +20,7 @@ Finished spans land in the process-global :class:`SpanRecorder` (a
 bounded ring) and, when a sink is configured (``set_sink`` or the
 ``REPRO_OBS_SPANS`` environment variable), are appended as JSON lines.
 :func:`spans_to_perfetto` renders spans in the same Chrome
-``trace_event`` dialect as :mod:`repro.trace.export`, and
-:func:`merged_perfetto` folds a simulation's cycle-level trace into the
-same document, so a served request and the simulation it triggered can
-be read off one timeline.
+``trace_event`` dialect as :mod:`repro.trace.export`.
 
 Everything here is a pure observer of host time: nothing reads or
 writes simulator state, so simulated cycles are bit-identical with
@@ -264,64 +261,39 @@ def read_spans_jsonl(path: str | Path) -> list[Span]:
     return out
 
 
-def spans_to_trace_events(spans: Sequence[Span], pid: int = 1) -> list[dict]:
-    """Spans as Chrome ``trace_event`` complete events.
+def spans_to_perfetto(spans: Sequence[Span]) -> dict:
+    """A standalone Perfetto document of host-side spans.
 
     Timestamps are microseconds relative to the earliest span start, so
     the document opens at t=0 in the Perfetto UI.  Each trace gets its
     own track (``tid``), keeping concurrent requests visually separate.
     """
-    if not spans:
-        return []
-    t0 = min(s.start for s in spans)
+    events: list[dict] = []
+    if spans:
+        t0 = min(s.start for s in spans)
+        events.append({
+            "name": "process_name", "ph": "M", "pid": 1,
+            "args": {"name": "repro.obs request pipeline"},
+        })
     tids: dict[str, int] = {}
-    events: list[dict] = [{
-        "name": "process_name", "ph": "M", "pid": pid,
-        "args": {"name": "repro.obs request pipeline"},
-    }]
     for s in spans:
         tid = tids.setdefault(s.trace_id, len(tids))
         events.append({
             "name": s.name, "cat": "obs", "ph": "X",
-            "pid": pid, "tid": tid,
+            "pid": 1, "tid": tid,
             "ts": (s.start - t0) * 1e6, "dur": s.duration * 1e6,
             "args": {"trace_id": s.trace_id, "span_id": s.span_id,
                      "parent_id": s.parent_id, "status": s.status,
-                     **{k: v for k, v in s.attrs.items()}},
+                     **s.attrs},
         })
     for trace_id, tid in tids.items():
         events.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
             "args": {"name": f"trace {trace_id[:8]}"},
         })
-    return events
-
-
-def spans_to_perfetto(spans: Sequence[Span]) -> dict:
-    """A standalone Perfetto document of host-side spans."""
     return {
-        "traceEvents": spans_to_trace_events(spans),
+        "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {"tool": "repro.obs",
                       "time_unit": "1 viewer us = 1 host us"},
     }
-
-
-def merged_perfetto(spans: Sequence[Span], sim_trace: object) -> dict:
-    """One timeline: host-side spans plus a cycle-level sim trace.
-
-    ``sim_trace`` is a :class:`repro.trace.data.Trace`; its events keep
-    :mod:`repro.trace.export`'s encoding (pid 0, 1 viewer us = 1 cycle)
-    and the request spans ride alongside on pid 1.  The two clocks are
-    different units on purpose — the point is correlation (which spans
-    bracket which simulation), not a shared axis.
-    """
-    from repro.trace.export import to_perfetto
-
-    doc = to_perfetto(sim_trace)  # type: ignore[arg-type]
-    doc["traceEvents"] = list(doc["traceEvents"]) \
-        + spans_to_trace_events(spans)
-    other = dict(doc.get("otherData", {}))
-    other["obs_spans"] = len(spans)
-    doc["otherData"] = other
-    return doc

@@ -16,7 +16,6 @@ everything the ``/metrics`` endpoint must reconcile with.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -170,15 +169,6 @@ async def run_loadgen(host: str, port: int, payload: dict,
     return report
 
 
-def run_loadgen_blocking(host: str, port: int, payload: dict,
-                         rps: float = 20.0, duration: float = 2.0,
-                         endpoint: str = "/v1/run",
-                         timeout: float = 60.0) -> LoadgenReport:
-    """Synchronous wrapper around :func:`run_loadgen`."""
-    return asyncio.run(run_loadgen(host, port, payload, rps=rps,
-                                   duration=duration, endpoint=endpoint,
-                                   timeout=timeout))
-
-
-def format_report_json(report: LoadgenReport) -> str:
-    return json.dumps(report.to_dict(), indent=2)
+def run_loadgen_blocking(*args, **kwargs) -> LoadgenReport:
+    """:func:`run_loadgen`, same arguments, run to completion."""
+    return asyncio.run(run_loadgen(*args, **kwargs))

@@ -1,10 +1,8 @@
 """The experiment server's instrument panel over the shared registry.
 
-The instrument classes themselves (counters, labeled counters, gauges,
-fixed-bucket histograms) and the Prometheus text renderer now live in
-:mod:`repro.obs.registry` — this module re-exports them for backward
-compatibility and keeps :class:`ServeMetrics`, the concrete panel the
-server wires into its request path.
+The instrument classes and the Prometheus text renderer live in
+:mod:`repro.obs.registry`; this module keeps :class:`ServeMetrics`, the
+concrete panel the server wires into its request path.
 
 ``GET /metrics`` is a renderer over two registries: the server's own
 panel (each :class:`ServeMetrics` owns a private
@@ -17,16 +15,7 @@ pre-``repro.obs`` endpoint; the default registry only appends.
 
 from __future__ import annotations
 
-from repro.obs.registry import (  # noqa: F401  (compat re-exports)
-    LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    LabeledCounter,
-    MetricsRegistry,
-    _escape_label,
-    _format_value,
-)
+from repro.obs.registry import MetricsRegistry
 
 
 class ServeMetrics:

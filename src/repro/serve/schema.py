@@ -76,17 +76,11 @@ def workload_from_request(data: dict) -> WorkloadRef:
             raise ServeRequestError("'workload' must be a string")
         # Resolve through the registry now so typos fail fast with a
         # 400 instead of poisoning the pipeline with an unbuildable
-        # spec, and canonicalize capitalization ("pagemine" and
-        # "PageMine" must map to the same content key).
-        from repro.workloads import all_specs, get
+        # spec, and so "pagemine" and "PageMine" map to one content key.
+        from repro.workloads import get
         try:
             return WorkloadRef(name=get(name).name, scale=scale)
-        except WorkloadError as exc:
-            for spec in all_specs():
-                if spec.name.lower() == name.lower():
-                    return WorkloadRef(name=spec.name, scale=scale)
-            raise ServeRequestError(str(exc))
-        except JobError as exc:
+        except (WorkloadError, JobError) as exc:
             raise ServeRequestError(str(exc))
     if not isinstance(synthetic, dict):
         raise ServeRequestError("'synthetic' must be an object")
@@ -134,6 +128,42 @@ def parse_run_request(data: dict) -> JobSpec:
     return JobSpec(workload=workload_from_request(data),
                    policy=policy_from_request(data),
                    config=machine_from_request(data))
+
+
+def request_body(spec: JobSpec) -> dict:
+    """The ``/v1/run`` body that :func:`parse_run_request` reads back as
+    ``spec``: the inverse every in-repo client builds its payload with.
+
+    The server rebuilds the machine from the Table 1 baseline plus the
+    three overrides, so a spec that differs anywhere else would silently
+    run on a *different* machine: the body is parsed back and refused
+    (:class:`~repro.errors.ServeRequestError`) unless it yields ``spec``.
+    """
+    ref = spec.workload
+    if ref.kind == "synthetic":
+        body: dict = {"synthetic": {key: getattr(ref, key)
+                                    for key in _SYNTHETIC_KEYS}}
+    else:
+        body = {"workload": ref.name, "scale": ref.scale}
+    baseline = MachineConfig.asplos08_baseline()
+    machine: dict = {}
+    if spec.config.num_cores != baseline.num_cores:
+        machine["cores"] = spec.config.num_cores
+    if spec.config.smt_threads != baseline.smt_threads:
+        machine["smt"] = spec.config.smt_threads
+    if spec.config.cpu_bus_ratio != baseline.cpu_bus_ratio:
+        machine["bandwidth"] = (baseline.cpu_bus_ratio
+                                / spec.config.cpu_bus_ratio)
+    if machine:
+        body["machine"] = machine
+    body["policy"] = spec.policy.kind
+    if spec.policy.threads is not None:
+        body["threads"] = spec.policy.threads
+    if parse_run_request(body) != spec:
+        raise ServeRequestError(
+            f"spec {spec.label!r} cannot be written as a /v1/run request "
+            f"(machine overrides: {', '.join(_MACHINE_KEYS)} only)")
+    return body
 
 
 def parse_fdt_request(data: dict) -> JobSpec:

@@ -251,13 +251,6 @@ class Trace:
         """Total cycles across all cores spent in ``state``."""
         return sum(s.cycles for s in self.spans if s.state == state)
 
-    def state_cycles_by_core(self, state: str) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s in self.spans:
-            if s.state == state:
-                out[s.core] = out.get(s.core, 0) + s.cycles
-        return out
-
     @property
     def critical_section_cycles(self) -> int:
         """Summed critical-section span cycles (lock hold time)."""

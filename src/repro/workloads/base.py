@@ -118,12 +118,17 @@ def register(spec: WorkloadSpec) -> WorkloadSpec:
 
 
 def get(name: str) -> WorkloadSpec:
-    """Look up a workload by its Table 2 name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """Look up a workload by its Table 2 name: the exact name, else the
+    one name that matches ignoring case, so ``repro run pagemine`` and
+    ``{"workload": "pagemine"}`` both resolve to ``PageMine``."""
+    spec = _REGISTRY.get(name)
+    if spec is not None:
+        return spec
+    folded = [s for s in _REGISTRY.values() if s.name.lower() == name.lower()]
+    if len(folded) != 1:
         known = ", ".join(sorted(_REGISTRY))
-        raise WorkloadError(f"unknown workload {name!r}; known: {known}") from None
+        raise WorkloadError(f"unknown workload {name!r}; known: {known}")
+    return folded[0]
 
 
 def all_specs() -> list[WorkloadSpec]:

@@ -39,7 +39,7 @@ def _spec(iterations: int = 8, threads: int = 2,
 
 def _serve_spec(iterations: int = 8) -> JobSpec:
     # The serve request schema rebuilds machines from the Table 1
-    # baseline, so serve-mode specs must use it (see _request_body).
+    # baseline, so serve-mode specs must use it (see schema.request_body).
     return _spec(iterations, config=MachineConfig.asplos08_baseline())
 
 
@@ -217,6 +217,15 @@ def test_serve_chaos_refuses_inexpressible_machine_configs():
 
     with pytest.raises(FaultError, match="machine config"):
         run_chaos_serve(FaultPlan(), [_spec()])  # small() caches differ
+
+
+def test_serve_chaos_accepts_a_bandwidth_override():
+    # The request schema has always taken machine.bandwidth; the body
+    # builder is its inverse, so a half-bandwidth spec lands bit-exact.
+    half = MachineConfig.baseline_with(bandwidth=0.5)
+    report = run_chaos_serve(FaultPlan(), [_spec(config=half)])
+    assert report.passed, report.summary()
+    assert set(report.observed_cycles) == set(report.baseline_cycles)
 
 
 # -- the example plan artifact ----------------------------------------

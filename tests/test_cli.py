@@ -193,6 +193,11 @@ def test_run_json_output_is_valid(capsys):
     assert parsed["policy_name"] == "static-2"
     assert parsed["cycles"] > 0
     assert parsed["power"] > 0
+    # Any capitalization names the same workload, as on /v1/run.
+    code, out = run_cli(capsys, "run", "pagemine", "--policy", "static",
+                        "--threads", "2", "--scale", "0.05", "--json")
+    assert code == 0
+    assert json.loads(out)["app_name"] == "PageMine"
 
 
 def test_sweep_json_output_is_valid(capsys):
@@ -204,6 +209,10 @@ def test_sweep_json_output_is_valid(capsys):
     assert [p["threads"] for p in parsed["points"]] == [1, 2]
     assert parsed["best_threads"] in (1, 2)
     assert parsed["oracle_threads"] in (1, 2)
+    code, out = run_cli(capsys, "sweep", "pagemine", "--threads", "1",
+                        "--scale", "0.05", "--json", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["workload"] == "PageMine"
 
 
 def test_batch_cold_then_warm_manifest_counts(capsys, tmp_path):

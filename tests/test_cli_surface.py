@@ -1,0 +1,139 @@
+"""The CLI as a surface: every registered leaf parses, the shared flag
+groups reach every leaf, and a flag's default is its config field's."""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+
+import pytest
+
+from repro.check import DEFAULT_THREADS
+from repro.cli import build_parser, main
+from repro.faults.chaos import (
+    SERVE_ATTEMPTS,
+    default_specs,
+    run_chaos_batch,
+    run_chaos_serve,
+)
+from repro.jobs import JobRunner
+from repro.serve import AsyncServeClient, ServeConfig, run_loadgen
+from repro.serve.cli import serve_config
+from repro.trace import TraceConfig
+
+
+def _leaves(parser, path=()):
+    """Every leaf parser under ``parser``, with the argv path to it."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, path + (name,))
+
+
+PARSER = build_parser()  # parsing never mutates it
+LEAVES = dict(_leaves(PARSER))
+
+
+def _minimal_argv(path):
+    """``path`` plus a stand-in for each positional the leaf requires."""
+    fill = [a.choices[0] if a.choices else "x"
+            for a in LEAVES[path]._actions
+            if not a.option_strings and a.nargs not in ("?", "*")]
+    return [*path, *fill]
+
+
+def _param(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_every_subsystem_is_mounted():
+    assert {path[0] for path in LEAVES} == {
+        "list", "machine", "run", "sweep", "figure", "batch", "check",
+        "trace", "serve", "loadgen", "chaos", "obs"}
+    assert {path[1] for path in LEAVES if path[0] == "obs"} == {
+        "list", "show", "tail", "report"}
+
+
+@pytest.mark.parametrize("path", sorted(LEAVES), ids=" ".join)
+def test_every_leaf_has_help_and_the_logging_flags(path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        PARSER.parse_args([*path, "--help"])
+    assert exit_info.value.code == 0
+    assert "--log-level" in capsys.readouterr().out
+    args = PARSER.parse_args(
+        [*_minimal_argv(path), "--log-json", "--log-level", "debug"])
+    assert (args.log_json, args.log_level) == (True, "DEBUG")
+    quiet = PARSER.parse_args(_minimal_argv(path))
+    assert (quiet.log_json, quiet.log_level) == (False, "WARNING")
+
+
+def test_log_level_is_validated(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["list", "--log-level", "BOGUS"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_logging_flags_before_the_obs_verb_survive_the_leaf_defaults():
+    args = build_parser().parse_args(
+        ["obs", "--log-json", "--log-level", "INFO", "list"])
+    assert (args.log_json, args.log_level) == (True, "INFO")
+
+
+def test_flag_defaults_are_the_config_and_library_defaults():
+    parser = build_parser()
+    serve, config = parser.parse_args(["serve"]), ServeConfig()
+    for flag, field in [
+            ("host", "host"), ("queue_depth", "queue_depth"),
+            ("retry_after", "retry_after"), ("workers", "workers"),
+            ("max_batch", "max_batch"), ("batch_window", "batch_window"),
+            ("request_timeout", "request_timeout"), ("jobs", "jobs"),
+            ("timeout", "job_timeout"), ("cache_dir", "cache_dir"),
+            ("no_cache", "no_cache"), ("preflight", "preflight"),
+            ("manifest", "manifest_path")]:
+        assert getattr(serve, flag) == getattr(config, field), flag
+    # The one documented exception: a fixed port on the command line,
+    # an ephemeral one in the library.
+    assert (serve.port, config.port) == (8080, 0)
+
+    trace = parser.parse_args(["trace", "EP"])
+    assert trace.sample_interval == TraceConfig().sample_interval
+
+    loadgen = parser.parse_args(["loadgen"])
+    assert loadgen.rps == _param(run_loadgen, "rps")
+    assert loadgen.duration == _param(run_loadgen, "duration")
+    assert loadgen.endpoint == _param(run_loadgen, "endpoint")
+    assert loadgen.request_timeout == _param(run_loadgen, "timeout")
+    assert loadgen.host == _param(AsyncServeClient, "host")
+    assert loadgen.port == _param(AsyncServeClient, "port")
+
+    chaos = parser.parse_args(["chaos"])
+    assert chaos.workloads.split(",") == list(
+        _param(default_specs, "workloads"))
+    assert chaos.threads == _param(default_specs, "threads")
+    assert chaos.scale == _param(default_specs, "scale")
+    assert chaos.jobs == _param(run_chaos_batch, "jobs")
+    assert chaos.attempts == SERVE_ATTEMPTS == _param(
+        run_chaos_serve, "attempts")
+
+    assert parser.parse_args(["check"]).threads == DEFAULT_THREADS
+    sweep = parser.parse_args(["sweep", "EP"])
+    assert sweep.jobs == _param(JobRunner, "jobs")
+    assert sweep.timeout == _param(JobRunner, "timeout")
+
+
+def test_serve_flags_build_the_expected_config():
+    args = build_parser().parse_args([
+        "serve", "--host", "0.0.0.0", "--port", "9", "--queue-depth", "3",
+        "--retry-after", "2.5", "--workers", "4", "--max-batch", "5",
+        "--batch-window", "0.25", "--request-timeout", "7", "--jobs", "6",
+        "--timeout", "8", "--cache-dir", "/tmp/c", "--no-cache",
+        "--preflight", "--manifest", "m.json"])
+    assert serve_config(args) == ServeConfig(
+        host="0.0.0.0", port=9, queue_depth=3, retry_after=2.5, workers=4,
+        max_batch=5, batch_window=0.25, request_timeout=7.0, jobs=6,
+        job_timeout=8.0, cache_dir="/tmp/c", no_cache=True, preflight=True,
+        manifest_path="m.json")

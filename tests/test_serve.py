@@ -57,7 +57,7 @@ from repro.serve.http import (
     request_bytes,
     response_bytes,
 )
-from repro.serve.metrics import Histogram, LabeledCounter
+from repro.obs.registry import Histogram, LabeledCounter
 from repro.jobs.resolution import (
     STATUS_COALESCED,
     STATUS_COMPUTED,
@@ -350,6 +350,26 @@ def test_schema_canonicalizes_equivalent_requests_to_one_key():
     different = schema.parse_run_request(
         {"workload": "PageMine", "policy": "static", "threads": 8})
     assert different.key() != base.key()
+
+
+def test_request_body_is_the_inverse_of_parse_run_request():
+    half = MachineConfig.baseline_with(cores=8, bandwidth=0.5, smt=2)
+    for spec in (
+            JobSpec(WorkloadRef("PageMine", scale=0.1), PolicySpec.fdt(),
+                    MachineConfig.asplos08_baseline()),
+            JobSpec(WorkloadRef("EP", scale=0.25), PolicySpec.static(4), half),
+            JobSpec(WorkloadRef.synthetic(cs_fraction=0.2, iterations=8),
+                    PolicySpec.static(), half)):
+        assert schema.parse_run_request(schema.request_body(spec)) == spec
+    assert schema.request_body(
+        JobSpec(WorkloadRef("EP"), PolicySpec.fdt(),
+                MachineConfig.baseline_with(bandwidth=0.5))
+    )["machine"] == {"bandwidth": 0.5}
+    # Anything the three overrides cannot say is refused, not re-run on
+    # another machine.
+    with pytest.raises(ServeRequestError, match="cannot be written"):
+        schema.request_body(JobSpec(WorkloadRef("EP"), PolicySpec.fdt(),
+                                    MachineConfig.small()))
 
 
 def test_schema_rejects_malformed_requests():

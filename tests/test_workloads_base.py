@@ -20,6 +20,7 @@ def test_all_twelve_workloads_registered():
     assert names == ["PageMine", "ISort", "GSearch", "EP",
                      "ED", "convert", "Transpose", "MTwister",
                      "BT", "MG", "BScholes", "SConv"]
+    assert get("pagemine") is get("PageMine")
 
 
 def test_categories_match_table2():
