@@ -18,12 +18,11 @@ import json
 import sys
 
 from repro.analysis.report import format_findings
-from repro.check.runner import DEFAULT_THREADS, check_workload
+from repro.check.runner import DEFAULT_THREADS, check_workload, fixtures
 from repro.check.static import analyze_workload
 from repro.errors import WorkloadError
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
-from repro.workloads.synthetic import sanitizer_fixtures, static_fixtures
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -96,7 +95,7 @@ def _static_extras(name: str, static_report, scale: float,
     training loop on them could hang — so agreement is reported only
     for Table 2 registry workloads.
     """
-    from repro.fdt.priors import measure_estimates
+    from repro.fdt.priors import estimates_view, measure_estimates
 
     try:
         spec = get(name)
@@ -109,11 +108,7 @@ def _static_extras(name: str, static_report, scale: float,
         if prior is None:
             continue
         est = measure_estimates(kernel, config)
-        measured[kernel.name] = {
-            "t_cs": est.t_cs, "t_nocs": est.t_nocs, "bu1": est.bu1,
-            "cs_fraction": est.cs_fraction,
-            "p_cs": est.p_cs, "p_bw": est.p_bw, "p_fdt": est.p_fdt,
-        }
+        measured[kernel.name] = estimates_view(est)
         agreement[kernel.name] = prior.agreement(est).to_dict()
     return {"measured": measured, "agreement": agreement}
 
@@ -122,7 +117,8 @@ def _format_priors(static_report, extras: dict) -> str:
     """Render static priors (and agreement, when measured) as text."""
     lines = []
     agreement = extras.get("agreement", {})
-    for kname, prior in sorted(static_report.priors.items()):
+    for kname, priors in sorted(static_report.priors.items()):
+        prior = priors.estimates
         line = (f"static prior {kname}: cs_fraction={prior.cs_fraction:.2%} "
                 f"bu1={prior.bu1:.2%} p_cs={prior.p_cs} p_bw={prior.p_bw} "
                 f"p_fdt={prior.p_fdt}")
@@ -145,10 +141,9 @@ def register(sub: argparse._SubParsersAction,
         "check", parents=[parents.machine, parents.logging],
         help="thread-sanitize a workload (races, lock order, discipline), "
              "optionally with ahead-of-run static analysis")
-    fixtures = sorted({**sanitizer_fixtures(), **static_fixtures()})
     p_check.add_argument("workload", nargs="?", default=None,
                          help="Table 2 workload name, or a fixture "
-                              f"({', '.join(fixtures)})")
+                              f"({', '.join(sorted(fixtures()))})")
     p_check.add_argument("--all", action="store_true",
                          help="check every Table 2 workload")
     p_check.add_argument("--threads", type=int, default=DEFAULT_THREADS,

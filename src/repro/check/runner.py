@@ -10,6 +10,8 @@ queue, an unlock the lock manager refuses) are themselves reported as a
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.check.findings import RUNTIME, CheckReport, Finding
 from repro.check.sanitizer import SanitizerConfig, ThreadSanitizer
 from repro.errors import DeadlockError, SimulationError, WorkloadError
@@ -17,6 +19,8 @@ from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from repro.workloads import get
+from repro.workloads.synthetic import sanitizer_fixtures, static_fixtures
 
 #: Default team size for checks.  Races and ordering violations need at
 #: least two threads; four keeps the run cheap while exercising real
@@ -70,36 +74,39 @@ def check_application(app: Application,
     )
 
 
-def check_workload(name: str, scale: float = 0.5,
-                   config: MachineConfig | None = None,
-                   threads: int = DEFAULT_THREADS,
-                   sanitizer: SanitizerConfig | None = None) -> CheckReport:
-    """Check a workload by name: a Table 2 entry or a synthetic fixture.
+def fixtures() -> dict[str, Callable[[float], Application]]:
+    """Every fixture both checkers accept: the sanitizer's positive
+    controls (``synthetic-*``) and the static analyzer's (``static-*``)."""
+    return {**sanitizer_fixtures(), **static_fixtures()}
 
-    Fixture names (``synthetic-racy``, ``synthetic-lock-inversion``,
-    ``synthetic-unheld-unlock``) resolve to the sanitizer's positive
-    controls and the static analyzer's controls (``static-deadlock``,
-    ``static-barrier-mismatch``, ``static-counter-in-cs``) also resolve
-    here, so both checkers accept the same names; anything else is
-    looked up in the Table 2 registry.
+
+def resolve(name: str) -> Callable[[float], Application]:
+    """The ``scale -> Application`` builder ``repro check`` runs for
+    ``name``: a fixture, else a Table 2 registry entry.
 
     Raises:
         WorkloadError: unknown name.
     """
-    from repro.workloads import get
-    from repro.workloads.synthetic import sanitizer_fixtures, static_fixtures
+    known = fixtures()
+    if name in known:
+        return known[name]
+    try:
+        return get(name).build
+    except WorkloadError:
+        raise WorkloadError(
+            f"unknown workload {name!r} (fixtures: "
+            f"{', '.join(sorted(known))}; run 'repro list' for the "
+            f"Table 2 roster)") from None
 
-    fixtures = {**sanitizer_fixtures(), **static_fixtures()}
-    if name in fixtures:
-        app = fixtures[name](scale)
-    else:
-        try:
-            spec = get(name)
-        except WorkloadError:
-            known = ", ".join(sorted(fixtures))
-            raise WorkloadError(
-                f"unknown workload {name!r} (sanitizer fixtures: {known}; "
-                f"run 'repro list' for the Table 2 roster)") from None
-        app = spec.build(scale)
-    return check_application(app, config=config, threads=threads,
-                             sanitizer=sanitizer)
+
+def check_workload(name: str, scale: float = 0.5,
+                   config: MachineConfig | None = None,
+                   threads: int = DEFAULT_THREADS,
+                   sanitizer: SanitizerConfig | None = None) -> CheckReport:
+    """Check a workload by name (see :func:`resolve`).
+
+    Raises:
+        WorkloadError: unknown name.
+    """
+    return check_application(resolve(name)(scale), config=config,
+                             threads=threads, sanitizer=sanitizer)

@@ -4,10 +4,9 @@
 application at each requested team size (plus a team of one for the
 priors), runs the pass pipeline over each team summary, deduplicates
 findings across team sizes, and returns a :class:`StaticReport`.
-:func:`analyze_workload` resolves names the same way ``repro check``
-does — Table 2 registry entries, the dynamic sanitizer's fixtures, and
-the static positive controls — building a *fresh* application per team
-size so stateful kernels cannot leak facts between analyses.
+:func:`analyze_workload` resolves names as ``repro check`` does
+(:func:`repro.check.runner.resolve`), building a *fresh* application
+per team size so stateful kernels cannot leak facts between analyses.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.check.findings import CheckReport, Finding
+from repro.check.runner import resolve
 from repro.check.static.barriers import barrier_findings
 from repro.check.static.executor import AbstractExecutor
 from repro.check.static.lints import lint_findings
@@ -165,30 +165,13 @@ def analyze_workload(
         thread_counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
         config: MachineConfig | None = None,
         static: StaticCheckConfig | None = None) -> StaticReport:
-    """Statically analyze a workload by name.
-
-    Resolves Table 2 registry entries, the dynamic sanitizer's fixtures,
-    and the static positive controls (``static-deadlock``,
-    ``static-barrier-mismatch``, ``static-counter-in-cs``).
+    """Statically analyze a workload by name — the names ``repro check``
+    takes (:func:`repro.check.runner.resolve`).
 
     Raises:
         WorkloadError: unknown name.
     """
-    from repro.workloads import get
-    from repro.workloads.synthetic import sanitizer_fixtures, static_fixtures
-
-    fixtures = {**sanitizer_fixtures(), **static_fixtures()}
-    if name in fixtures:
-        build = fixtures[name]
-    else:
-        try:
-            spec = get(name)
-        except WorkloadError:
-            known = ", ".join(sorted(fixtures))
-            raise WorkloadError(
-                f"unknown workload {name!r} (fixtures: {known}; run "
-                f"'repro list' for the Table 2 roster)") from None
-        build = spec.build
+    build = resolve(name)
     return analyze_application(lambda: build(scale),
                                thread_counts=thread_counts,
                                config=config, static=static)

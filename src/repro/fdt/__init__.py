@@ -13,7 +13,9 @@ FDT replaces "one thread per core" with a measure-then-decide flow
    loop's iterations.
 2. **Estimate** — plug the measurements into the analytical models:
    ``P_CS = round(sqrt(T_NoCS / T_CS))`` and ``P_BW = ceil(1 / BU_1)``,
-   then ``P_FDT = min(P_CS, P_BW, num_cores)``.
+   then ``P_FDT = min(P_CS, P_BW, num_cores)`` — one function,
+   :func:`~repro.fdt.estimators.estimate_from`, and one record of what
+   was decided from what, :class:`~repro.fdt.estimators.Decision`.
 3. **Execute** — run the remaining iterations with the chosen team size
    (the OpenMP ``num_threads`` clause analogue).
 
@@ -31,8 +33,8 @@ Public entry points:
 
 from repro.fdt.kernel import DataParallelKernel, Kernel, TeamParallelKernel
 from repro.fdt.training import TrainingConfig, TrainingLog, TrainingSample
-from repro.fdt.estimators import Estimates, estimate
-from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy, ThreadingPolicy
+from repro.fdt.estimators import Decision, Estimates, FdtMode, estimate, estimate_from
+from repro.fdt.policies import FdtPolicy, StaticPolicy, ThreadingPolicy
 from repro.fdt import extensions  # noqa: F401  (registers the §9 policies)
 from repro.fdt.priors import (
     PriorAgreement,
@@ -49,8 +51,10 @@ __all__ = [
     "TrainingConfig",
     "TrainingLog",
     "TrainingSample",
+    "Decision",
     "Estimates",
     "estimate",
+    "estimate_from",
     "FdtMode",
     "FdtPolicy",
     "StaticPolicy",

@@ -1,14 +1,20 @@
 """The estimation stage: training measurements → thread-count decision.
 
 Implements Sections 4.2.2 (SAT), 5.2 (BAT), and 6.1 (combined, Eq. 7).
+This module is the single home of that arithmetic
+(:func:`estimate_from`) and of its record: :class:`Estimates` is what
+the models derive from three measurements, :class:`Decision` is one
+policy's use of them — inputs, prediction and choice on one object,
+handed as-is to observers, metrics and the trace.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from repro.fdt.training import TrainingLog
+from repro.fdt.training import TrainingConfig, TrainingLog, TrainingSample
 from repro.models import bat_model, sat_model
 
 
@@ -41,46 +47,139 @@ class Estimates:
             return 0.0
         return self.t_cs / total
 
+    def to_dict(self) -> dict:
+        """Field dump as strict JSON: the two possibly-infinite reals
+        become the strings ``"inf"``/``"-inf"``; everything else (Python
+        emits ``repr``-style floats) round-trips bit-identically."""
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isinf(value):
+                value = "inf" if value > 0 else "-inf"
+            out[f.name] = value
+        return out
 
-def estimate(log: TrainingLog, num_cores: int,
-             bandwidth_can_saturate: bool | None = None) -> Estimates:
-    """Run the estimation stage on a completed training log.
+    @classmethod
+    def from_dict(cls, data: dict) -> "Estimates":
+        """Exact inverse of :meth:`to_dict` (only infinities are strings)."""
+        return cls(**{name: float(value) if isinstance(value, str) else value
+                      for name, value in data.items()})
+
+
+def estimate_from(t_cs: float, t_nocs: float, bu1: float,
+                  slots: int) -> Estimates:
+    """Eq. 3, Eq. 5 and Eq. 7 on three measurements.
 
     Args:
-        log: the training measurements.
-        num_cores: cores available on the chip (the clamp in Eq. 7).
-        bandwidth_can_saturate: override for BAT's cannot-saturate
-            early-out.  None (default) re-derives it from the log the
-            same way training did: if ``BU_1 * num_cores < 1`` the bus
-            can never saturate and BAT defers to the core count.
+        t_cs: per-iteration critical-section cycles.
+        t_nocs: per-iteration cycles outside critical sections.
+        bu1: single-thread bus utilization, a fraction.
+        slots: thread slots available (the clamp in Eq. 7).
 
     Returns:
         All intermediate and final values, so reports can show not just
         the decision but the measured T_CS/T_NoCS/BU_1 behind it.
     """
-    t_cs = log.mean_cs_cycles()
-    t_nocs = log.mean_nocs_cycles()
-    bu1 = log.mean_bus_utilization()
-
-    p_cs_real = sat_model.optimal_threads_cs(t_nocs, t_cs)
-    p_cs = sat_model.predicted_thread_count(t_nocs, t_cs, num_cores)
-
-    if bandwidth_can_saturate is None:
-        bandwidth_can_saturate = bu1 * num_cores >= 1.0
-    if bandwidth_can_saturate and bu1 > 0.0:
+    p_cs = sat_model.predicted_thread_count(t_nocs, t_cs, slots)
+    # BAT's cannot-saturate early-out (Section 5.2), re-derived the way
+    # training did: if ``BU_1 * slots < 1`` the bus can never saturate
+    # and BAT defers to the slot count.
+    if bu1 > 0.0 and bu1 * slots >= 1.0:
         p_bw_real = bat_model.saturation_threads(bu1)
-        p_bw = bat_model.predicted_thread_count(bu1, num_cores)
+        p_bw = bat_model.predicted_thread_count(bu1, slots)
     else:
         p_bw_real = math.inf
-        p_bw = num_cores
-
+        p_bw = slots
     return Estimates(
         t_cs=t_cs,
         t_nocs=t_nocs,
         bu1=bu1,
-        p_cs_real=p_cs_real,
+        p_cs_real=sat_model.optimal_threads_cs(t_nocs, t_cs),
         p_bw_real=p_bw_real,
         p_cs=p_cs,
         p_bw=p_bw,
-        p_fdt=max(1, min(p_cs, p_bw, num_cores)),
+        p_fdt=max(1, min(p_cs, p_bw, slots)),
     )
+
+
+def estimate(log: TrainingLog, num_cores: int) -> Estimates:
+    """Run the estimation stage on a completed training log."""
+    return estimate_from(log.mean_cs_cycles(), log.mean_nocs_cycles(),
+                         log.mean_bus_utilization(), num_cores)
+
+
+class FdtMode(enum.Enum):
+    """Which limiter(s) the FDT instance watches."""
+
+    SAT = "sat"
+    BAT = "bat"
+    COMBINED = "sat+bat"
+
+    def pick(self, estimates: Estimates) -> int:
+        """The mode's thread count: Eq. 3, Eq. 5, or Eq. 7's minimum."""
+        if self is FdtMode.SAT:
+            return estimates.p_cs
+        if self is FdtMode.BAT:
+            return estimates.p_bw
+        return estimates.p_fdt
+
+
+@dataclass(frozen=True, slots=True)
+class Decision:
+    """One FDT thread-count decision with its complete provenance.
+
+    Carries the raw training samples, everything the estimation stage
+    derived from them and the chosen thread count — enough to re-derive
+    the decision from the record alone (:meth:`replay`).
+    """
+
+    kernel_name: str
+    policy_name: str
+    #: :class:`FdtMode` value: ``"sat"`` | ``"bat"`` | ``"sat+bat"``.
+    mode: str
+    #: Hardware thread slots (the clamp in Eq. 7).
+    num_slots: int
+    total_iterations: int
+    stop_reason: str
+    #: The raw per-iteration training measurements.
+    samples: tuple[TrainingSample, ...]
+    estimates: Estimates
+    #: What the policy actually ran the execution phase with.
+    chosen_threads: int
+    #: Machine cycle at which the decision was taken.
+    decided_at: int
+
+    @property
+    def trained_iterations(self) -> int:
+        return len(self.samples)
+
+    def replay(self) -> int:
+        """Recompute the thread-count decision from the recorded samples.
+
+        Rebuilds a training log from :attr:`samples`, re-runs the
+        estimation stage, and applies this record's mode — the returned
+        count must equal :attr:`chosen_threads` for any faithful record
+        of the paper's three modes.  A Section 9 policy's record replays
+        to the estimate its probe then refined.
+        """
+        log = TrainingLog(config=TrainingConfig(),
+                          total_iterations=max(1, self.total_iterations),
+                          num_cores=self.num_slots,
+                          samples=list(self.samples))
+        return FdtMode(self.mode).pick(estimate(log, self.num_slots))
+
+    def to_dict(self) -> dict:
+        """Flat strict-JSON form (``decisions.json``, Perfetto args)."""
+        return {
+            "kernel_name": self.kernel_name,
+            "policy_name": self.policy_name,
+            "mode": self.mode,
+            "num_slots": self.num_slots,
+            "total_iterations": self.total_iterations,
+            "trained_iterations": self.trained_iterations,
+            "stop_reason": self.stop_reason,
+            "samples": [asdict(s) for s in self.samples],
+            **self.estimates.to_dict(),
+            "chosen_threads": self.chosen_threads,
+            "decided_at": self.decided_at,
+        }

@@ -34,7 +34,7 @@ from repro.fdt.estimators import Estimates
 from repro.fdt.kernel import Kernel
 from repro.fdt.policies import POLICIES, FdtMode, FdtPolicy
 from repro.fdt.training import TrainingLog
-from repro.models import sat_model
+from repro.models import bat_model, sat_model
 from repro.sim.machine import Machine
 
 #: Team size of :class:`CalibratedBatPolicy`'s second measurement.
@@ -68,10 +68,7 @@ class SubLinearBandwidthModel:
         return (1.0 - self.beta) / denominator
 
     def predicted_thread_count(self, slots: int) -> int:
-        p = self.saturation_threads()
-        if math.isinf(p):
-            return slots
-        return max(1, min(slots, math.ceil(p - 1e-9)))
+        return bat_model.round_up_clamped(self.saturation_threads(), slots)
 
     @staticmethod
     def fit(bu1: float, probe_threads: int,

@@ -20,13 +20,12 @@ adaptive policy differs from another only in :meth:`FdtPolicy.choose`.
 from __future__ import annotations
 
 import abc
-import enum
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
 from repro.errors import ConfigError
-from repro.fdt.estimators import Estimates, estimate
+from repro.fdt.estimators import Decision, Estimates, FdtMode, estimate
 from repro.fdt.kernel import Kernel
 from repro.fdt.training import (
     TrainingConfig,
@@ -35,22 +34,6 @@ from repro.fdt.training import (
 )
 from repro.sim.machine import Machine
 from repro.sim.stats import RunResult
-
-
-class FdtMode(enum.Enum):
-    """Which limiter(s) the FDT instance watches."""
-
-    SAT = "sat"
-    BAT = "bat"
-    COMBINED = "sat+bat"
-
-    def pick(self, estimates: Estimates) -> int:
-        """The mode's thread count: Eq. 3, Eq. 5, or Eq. 7's minimum."""
-        if self is FdtMode.SAT:
-            return estimates.p_cs
-        if self is FdtMode.BAT:
-            return estimates.p_bw
-        return estimates.p_fdt
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,11 +168,15 @@ class FdtPolicy(ThreadingPolicy):
         estimates = estimate(log, slots)
         threads, probed, probe_cycles = self.choose(
             machine, kernel, log, estimates)
+        decision = Decision(
+            kernel_name=kernel.name, policy_name=self.name,
+            mode=self.mode.value, num_slots=slots, total_iterations=total,
+            stop_reason=log.stop_reason, samples=tuple(log.samples),
+            estimates=estimates, chosen_threads=threads,
+            decided_at=machine.events.now)
         if machine.observer is not None:
-            machine.observer.on_fdt_decision(
-                kernel.name, self.name, self.mode.value, log, estimates,
-                threads, slots, machine.events.now)
-        self._publish_decision(estimates, threads)
+            machine.observer.on_fdt_decision(decision)
+        self._publish_decision(decision)
 
         # -- execution: remaining iterations on the chosen team ------------
         trained = log.trained_iterations + probed
@@ -212,8 +199,7 @@ class FdtPolicy(ThreadingPolicy):
             stop_reason=log.stop_reason,
         )
 
-    def _publish_decision(self, estimates: Estimates,
-                          threads: int) -> None:
+    def _publish_decision(self, decision: Decision) -> None:
         """Default-registry instruments for the decision just made.
 
         A pure observer of host-side telemetry: nothing here reads or
@@ -222,14 +208,16 @@ class FdtPolicy(ThreadingPolicy):
         """
         from repro.obs.registry import default_registry
 
+        estimates = decision.estimates
         registry = default_registry()
         registry.labeled_counter(
             "repro_fdt_decisions_total",
-            "FDT threading decisions, by mode.", "mode").inc(self.mode.value)
+            "FDT threading decisions, by mode.", "mode").inc(decision.mode)
         registry.histogram(
             "repro_fdt_chosen_threads",
             "Thread counts chosen by FDT decisions.",
-            buckets=(1, 2, 4, 8, 16, 32, 64)).observe(float(threads))
+            buckets=(1, 2, 4, 8, 16, 32, 64)).observe(
+                float(decision.chosen_threads))
         for name, help_text, value in (
             ("repro_fdt_cs_fraction",
              "Last Eq. 3 critical-section fraction estimate.",

@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.fdt.estimators import Estimates, estimate
+from repro.fdt.estimators import Estimates, estimate, estimate_from
 from repro.fdt.kernel import Kernel
 from repro.fdt.policies import train_kernel
 from repro.fdt.training import TrainingConfig
-from repro.models import bat_model, sat_model
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
@@ -39,23 +38,27 @@ from repro.sim.machine import Machine
 CS_FRACTION_RTOL = 0.5
 
 
+def estimates_view(estimates: Estimates) -> dict[str, Any]:
+    """How ``repro check --static`` shows an estimate, prior or measured:
+    the three inputs, the serial fraction and the three decisions."""
+    return {
+        "t_cs": estimates.t_cs,
+        "t_nocs": estimates.t_nocs,
+        "bu1": estimates.bu1,
+        "cs_fraction": estimates.cs_fraction,
+        "p_cs": estimates.p_cs,
+        "p_bw": estimates.p_bw,
+        "p_fdt": estimates.p_fdt,
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class StaticPriors:
-    """SAT/BAT inputs and decisions derived from a static team-of-one."""
+    """The estimation stage run on a static team-of-one summary."""
 
     kernel: str
-    #: Estimated critical-section cycles per iteration (T_CS prior).
-    t_cs: float
-    #: Estimated non-critical-section cycles per iteration (T_NoCS prior).
-    t_nocs: float
-    #: Estimated single-thread bus utilization (BU_1 prior), a fraction.
-    bu1: float
-    #: SAT's Eq. 3 decision on the priors.
-    p_cs: int
-    #: BAT's Eq. 5 decision on the priors.
-    p_bw: int
-    #: Eq. 7 on the priors.
-    p_fdt: int
+    #: Eq. 3 / 5 / 7 on the estimated T_CS, T_NoCS and BU_1.
+    estimates: Estimates
     #: Distinct cache lines the single thread touched (working set).
     footprint_lines: int
     #: The same working set in bytes.
@@ -64,24 +67,10 @@ class StaticPriors:
     #: over instructions — a bandwidth-intensity fingerprint).
     bytes_per_instruction: float
 
-    @property
-    def cs_fraction(self) -> float:
-        """Critical-section share of estimated single-thread time."""
-        total = self.t_cs + self.t_nocs
-        if total == 0:
-            return 0.0
-        return self.t_cs / total
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "kernel": self.kernel,
-            "t_cs": self.t_cs,
-            "t_nocs": self.t_nocs,
-            "bu1": self.bu1,
-            "cs_fraction": self.cs_fraction,
-            "p_cs": self.p_cs,
-            "p_bw": self.p_bw,
-            "p_fdt": self.p_fdt,
+            **estimates_view(self.estimates),
             "footprint_lines": self.footprint_lines,
             "footprint_bytes": self.footprint_bytes,
             "bytes_per_instruction": self.bytes_per_instruction,
@@ -89,15 +78,7 @@ class StaticPriors:
 
     def agreement(self, measured: Estimates) -> "PriorAgreement":
         """Compare this prior against measured training estimates."""
-        return PriorAgreement(
-            kernel=self.kernel,
-            static_cs_fraction=self.cs_fraction,
-            measured_cs_fraction=measured.cs_fraction,
-            static_bu1=self.bu1,
-            measured_bu1=measured.bu1,
-            static_p_fdt=self.p_fdt,
-            measured_p_fdt=measured.p_fdt,
-        )
+        return PriorAgreement(self.kernel, self.estimates, measured)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,43 +86,39 @@ class PriorAgreement:
     """How a static prior compares to the measured training estimate."""
 
     kernel: str
-    static_cs_fraction: float
-    measured_cs_fraction: float
-    static_bu1: float
-    measured_bu1: float
-    static_p_fdt: int
-    measured_p_fdt: int
+    prior: Estimates
+    measured: Estimates
 
     @property
     def cs_fraction_rel_error(self) -> float:
         """|static - measured| / measured (inf when measured is zero
         but the prior is not)."""
-        return _rel_error(self.static_cs_fraction, self.measured_cs_fraction)
+        return _rel_error(self.prior.cs_fraction, self.measured.cs_fraction)
 
     @property
     def bu1_rel_error(self) -> float:
-        return _rel_error(self.static_bu1, self.measured_bu1)
+        return _rel_error(self.prior.bu1, self.measured.bu1)
 
     @property
     def within_tolerance(self) -> bool:
         """True when the serial-fraction prior is inside
         :data:`CS_FRACTION_RTOL` of the measured value (vacuously true
         when both round to no critical section at all)."""
-        if self.measured_cs_fraction == 0.0:
-            return self.static_cs_fraction == 0.0
+        if self.measured.cs_fraction == 0.0:
+            return self.prior.cs_fraction == 0.0
         return self.cs_fraction_rel_error <= CS_FRACTION_RTOL
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "kernel": self.kernel,
-            "static_cs_fraction": self.static_cs_fraction,
-            "measured_cs_fraction": self.measured_cs_fraction,
+            "static_cs_fraction": self.prior.cs_fraction,
+            "measured_cs_fraction": self.measured.cs_fraction,
             "cs_fraction_rel_error": _finite(self.cs_fraction_rel_error),
-            "static_bu1": self.static_bu1,
-            "measured_bu1": self.measured_bu1,
+            "static_bu1": self.prior.bu1,
+            "measured_bu1": self.measured.bu1,
             "bu1_rel_error": _finite(self.bu1_rel_error),
-            "static_p_fdt": self.static_p_fdt,
-            "measured_p_fdt": self.measured_p_fdt,
+            "static_p_fdt": self.prior.p_fdt,
+            "measured_p_fdt": self.measured.p_fdt,
             "within_tolerance": self.within_tolerance,
         }
 
@@ -176,29 +153,15 @@ def derive_priors(kernel_name: str, iterations: int,
             line size converts the footprint to bytes.
     """
     iters = max(1, iterations)
-    t_cs = est_cs_cycles / iters
-    t_nocs = max(0, est_cycles - est_cs_cycles) / iters
     bu1 = min(1.0, est_bus_busy / est_cycles) if est_cycles > 0 else 0.0
     # FDT's clamp is the thread-slot count (see policies.train_kernel);
     # the prior must use the same clamp or p_fdt agreement is meaningless.
-    cores = config.num_thread_slots
-
-    p_cs = sat_model.predicted_thread_count(t_nocs, t_cs, cores)
-    # BAT's cannot-saturate early-out, exactly as the estimation stage
-    # applies it: if P * BU_1 can't reach 1 the bus never limits.
-    if bu1 > 0.0 and bu1 * cores >= 1.0:
-        p_bw = bat_model.predicted_thread_count(bu1, cores)
-    else:
-        p_bw = cores
-
     return StaticPriors(
         kernel=kernel_name,
-        t_cs=t_cs,
-        t_nocs=t_nocs,
-        bu1=bu1,
-        p_cs=p_cs,
-        p_bw=p_bw,
-        p_fdt=max(1, min(p_cs, p_bw, cores)),
+        estimates=estimate_from(
+            est_cs_cycles / iters,
+            max(0, est_cycles - est_cs_cycles) / iters,
+            bu1, config.num_thread_slots),
         footprint_lines=footprint_lines,
         footprint_bytes=footprint_lines * config.line_bytes,
         bytes_per_instruction=(footprint_lines * config.line_bytes

@@ -45,10 +45,11 @@ from repro.jobs.resolution import (
 )
 from repro.jobs.results import app_result_to_dict
 from repro.jobs.spec import JobSpec
-from repro.obs.log import configure_from_env
+from repro.obs import log as obs_log
 from repro.obs.tracing import span
 
 _FAULT_SITE = "executor.job"
+_log = obs_log.get_logger("jobs")
 
 
 def _execute_payload(spec_dict: dict, trace_dir: str | None = None) -> dict:
@@ -65,13 +66,14 @@ def _execute_payload(spec_dict: dict, trace_dir: str | None = None) -> dict:
 def _pool_entry(spec_dict: dict, trace_dir: str | None = None,
                 fault: FaultRule | None = None) -> dict:
     """Worker-side wrapper: run the job and report its execution time."""
-    # Worker processes inherit the parent's logging choice through the
-    # environment (REPRO_LOG_LEVEL / REPRO_LOG_JSON); no-op if unset.
-    configure_from_env()
     fault_hooks.perform(fault, _FAULT_SITE)
     started = time.perf_counter()
     result = _execute_payload(spec_dict, trace_dir)
-    return {"result": result, "elapsed": time.perf_counter() - started}
+    elapsed = time.perf_counter() - started
+    _log.debug("pool job done", extra={
+        "workload": spec_dict["workload"]["name"],
+        "policy": spec_dict["policy"]["kind"], "elapsed": elapsed})
+    return {"result": result, "elapsed": elapsed}
 
 
 def _failed(key: str, exc: BaseException, started: float,
@@ -123,8 +125,14 @@ def run_parallel(specs: Sequence[JobSpec], jobs: int,
                  trace_dir: str | None = None) -> list[Resolution]:
     """Execute specs in one process-pool round (see module docstring)."""
     keys = [spec.key() for spec in specs]
+    # Workers log as the parent does: its choice rides in as the pool
+    # initializer's arguments (nothing to apply if it never configured).
+    logging_choice = obs_log.current()
     try:
-        pool = futures.ProcessPoolExecutor(max_workers=min(jobs, len(specs)))
+        pool = futures.ProcessPoolExecutor(
+            max_workers=min(jobs, len(specs)),
+            initializer=obs_log.configure if logging_choice else None,
+            initargs=logging_choice or ())
         futs = [pool.submit(_pool_entry, spec.to_dict(), trace_dir,
                             fault_hooks.decide(_FAULT_SITE, key=key,
                                                workload=spec.workload.name))

@@ -4,8 +4,9 @@ The cache and the process-pool boundary both move results as JSON-safe
 dicts, so the round trip must be *bit-identical*: every integer counter,
 every float (Python's ``json`` emits ``repr``-style floats, which round
 trip exactly), and the two possibly-infinite model outputs
-(``p_cs_real``/``p_bw_real``), which are encoded as the strings
-``"inf"``/``"-inf"`` to keep the files strict JSON.
+(``p_cs_real``/``p_bw_real``), which
+:meth:`~repro.fdt.estimators.Estimates.to_dict` encodes as strings to
+keep the files strict JSON.
 
 ``JobRunner`` deliberately routes *every* result — even ones computed
 serially in-process — through this round trip, so a serialization bug
@@ -15,24 +16,12 @@ cache or a worker pool is involved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 
 from repro.fdt.estimators import Estimates
 from repro.fdt.policies import KernelRunInfo
 from repro.fdt.runner import AppRunResult
 from repro.sim.stats import RunResult
-
-
-def _encode_float(value: float) -> float | str:
-    """Floats pass through; infinities become strict-JSON strings."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-def _decode_float(value: float | str) -> float:
-    return float(value)
 
 
 def run_result_to_dict(result: RunResult) -> dict:
@@ -51,21 +40,6 @@ def run_result_from_dict(data: dict) -> RunResult:
     return RunResult(**{k: v for k, v in data.items() if k in names})
 
 
-def estimates_to_dict(estimates: Estimates) -> dict:
-    out: dict = {}
-    for f in fields(Estimates):
-        value = getattr(estimates, f.name)
-        out[f.name] = _encode_float(value) if isinstance(value, float) else value
-    return out
-
-
-def estimates_from_dict(data: dict) -> Estimates:
-    kwargs = dict(data)
-    for name in ("t_cs", "t_nocs", "bu1", "p_cs_real", "p_bw_real"):
-        kwargs[name] = _decode_float(kwargs[name])
-    return Estimates(**kwargs)
-
-
 def kernel_info_to_dict(info: KernelRunInfo) -> dict:
     return {
         "kernel_name": info.kernel_name,
@@ -76,7 +50,7 @@ def kernel_info_to_dict(info: KernelRunInfo) -> dict:
         "execution_cycles": info.execution_cycles,
         "result": run_result_to_dict(info.result),
         "estimates": (None if info.estimates is None
-                      else estimates_to_dict(info.estimates)),
+                      else info.estimates.to_dict()),
         "stop_reason": info.stop_reason,
     }
 
@@ -91,7 +65,7 @@ def kernel_info_from_dict(data: dict) -> KernelRunInfo:
         execution_cycles=data["execution_cycles"],
         result=run_result_from_dict(data["result"]),
         estimates=(None if data["estimates"] is None
-                   else estimates_from_dict(data["estimates"])),
+                   else Estimates.from_dict(data["estimates"])),
         stop_reason=data["stop_reason"],
     )
 

@@ -12,7 +12,7 @@ These are the closed-form models SAT and BAT evaluate at run time:
 
 from repro.models.sat_model import SatModel, optimal_threads_cs
 from repro.models.bat_model import BatModel, saturation_threads
-from repro.models.combined import CombinedModel, combined_thread_choice
+from repro.models.combined import CombinedModel
 
 __all__ = [
     "SatModel",
@@ -20,5 +20,4 @@ __all__ = [
     "BatModel",
     "saturation_threads",
     "CombinedModel",
-    "combined_thread_choice",
 ]

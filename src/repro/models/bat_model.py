@@ -45,19 +45,25 @@ def saturation_threads(bu1: float, max_threads: int | None = None) -> float:
     return p
 
 
-def predicted_thread_count(bu1: float, num_cores: int) -> int:
-    """BAT's integer decision: Eq. 5 rounded *up*, clamped to cores.
+def round_up_clamped(p: float, limit: int) -> int:
+    """BAT's rounding rule: ``p`` rounded *up*, clamped to ``[1, limit]``.
 
     The paper rounds ``P_BW`` up (Section 5.2, Estimation) "because a
     higher number of threads may not hurt performance while a smaller
-    number can".
+    number can".  An infinite ``p`` (the bus never saturates) defers to
+    ``limit``; the epsilon keeps an exact reciprocal such as
+    ``1 / 0.25`` from rounding to 5.
     """
-    if num_cores < 1:
+    if limit < 1:
         raise ValueError("num_cores must be >= 1")
-    p = saturation_threads(bu1)
     if math.isinf(p):
-        return num_cores
-    return max(1, min(num_cores, math.ceil(p - 1e-9)))
+        return limit
+    return max(1, min(limit, math.ceil(p - 1e-9)))
+
+
+def predicted_thread_count(bu1: float, num_cores: int) -> int:
+    """BAT's integer decision: Eq. 5 rounded up, clamped to cores."""
+    return round_up_clamped(saturation_threads(bu1), num_cores)
 
 
 def execution_time(t1: float, bu1: float, threads: int) -> float:

@@ -14,27 +14,10 @@ the min is optimal by the two case analyses (Figures 16 and 17); the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.models.bat_model import BatModel
 from repro.models.sat_model import SatModel
-
-
-def combined_thread_choice(p_cs: float, p_bw: float, num_cores: int) -> int:
-    """Eq. 7: ``min(P_BW, P_CS, num_available_cores)`` as an integer.
-
-    ``p_cs`` follows SAT's round-to-nearest, ``p_bw`` BAT's round-up, and
-    infinities (limiter absent) defer to the other bound or the core count.
-    """
-    if num_cores < 1:
-        raise ValueError("num_cores must be >= 1")
-    candidates = [num_cores]
-    if math.isfinite(p_cs):
-        candidates.append(max(1, round(p_cs)))
-    if math.isfinite(p_bw):
-        candidates.append(max(1, math.ceil(p_bw - 1e-9)))
-    return max(1, min(candidates))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,12 +50,10 @@ class CombinedModel:
         return best_p
 
     def eq7_choice(self, num_cores: int) -> int:
-        """Eq. 7 evaluated from the two sub-models."""
-        return combined_thread_choice(
-            self.sat.optimal_threads(),
-            self.bat.saturation_threads(),
-            num_cores,
-        )
+        """Eq. 7 from the two sub-models: SAT's round-to-nearest and
+        BAT's round-up, each already clamped to ``[1, num_cores]``."""
+        return min(self.sat.predicted_thread_count(num_cores),
+                   self.bat.predicted_thread_count(num_cores))
 
     def curve(self, max_threads: int) -> list[float]:
         """Execution times for P = 1..max_threads (Figures 16/17 shape)."""

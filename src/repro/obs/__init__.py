@@ -21,7 +21,7 @@ See ``docs/obs.md``.
 """
 
 from repro.obs.log import configure as configure_logging
-from repro.obs.log import configure_from_env, get_logger, kv
+from repro.obs.log import get_logger, kv
 from repro.obs.registry import (
     LATENCY_BUCKETS,
     Counter,
@@ -61,7 +61,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "TraceContext",
-    "configure_from_env",
     "configure_logging",
     "current_context",
     "default_registry",

@@ -17,23 +17,19 @@ lines join the same timeline as spans and the run registry.  Extra
 key-value context goes through the standard ``extra=`` mechanism or the
 :func:`kv` helper.
 
-Worker processes inherit configuration through the environment:
-:func:`configure` exports ``REPRO_LOG_LEVEL`` / ``REPRO_LOG_JSON``, and
-:func:`configure_from_env` (called in pool initializers/entry points)
-re-applies them on the child side.
+Pool workers get the parent's choice as arguments: :func:`current`
+reads it back from the logger tree and the process pool's initializer
+(:func:`repro.jobs.executor.run_parallel`) calls :func:`configure` with
+it on the child side.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import sys
 from datetime import datetime, timezone
 from typing import Any, Mapping, TextIO
-
-ENV_LEVEL = "REPRO_LOG_LEVEL"
-ENV_JSON = "REPRO_LOG_JSON"
 
 _ROOT = "repro"
 
@@ -105,14 +101,10 @@ def get_logger(subsystem: str) -> logging.Logger:
 
 
 def configure(level: str = "WARNING", json_lines: bool = False,
-              stream: TextIO | None = None,
-              export_env: bool = True) -> logging.Logger:
+              stream: TextIO | None = None) -> logging.Logger:
     """(Re)configure the ``repro`` logger tree.
 
-    Replaces any previous handler, so calling twice is safe.  With
-    ``export_env`` (the default) the choice is exported as
-    ``REPRO_LOG_LEVEL``/``REPRO_LOG_JSON`` so worker processes can
-    mirror it via :func:`configure_from_env`.
+    Replaces any previous handler, so calling twice is safe.
     """
     root = logging.getLogger(_ROOT)
     for handler in list(root.handlers):
@@ -123,19 +115,17 @@ def configure(level: str = "WARNING", json_lines: bool = False,
     root.addHandler(handler)
     root.setLevel(getattr(logging, level.upper(), logging.WARNING))
     root.propagate = False
-    if export_env:
-        os.environ[ENV_LEVEL] = level.upper()
-        os.environ[ENV_JSON] = "1" if json_lines else "0"
     return root
 
 
-def configure_from_env() -> logging.Logger | None:
-    """Apply ``REPRO_LOG_*`` in a worker process; no-op if unset."""
-    level = os.environ.get(ENV_LEVEL)
-    if not level:
+def current() -> tuple[str, bool] | None:
+    """The ``(level, json_lines)`` last given to :func:`configure` —
+    what a worker process is started with — or None if it never ran."""
+    root = logging.getLogger(_ROOT)
+    if not root.handlers:
         return None
-    json_lines = os.environ.get(ENV_JSON, "0") == "1"
-    return configure(level=level, json_lines=json_lines, export_env=False)
+    return (logging.getLevelName(root.level),
+            isinstance(root.handlers[0].formatter, JsonFormatter))
 
 
 def kv(mapping: Mapping[str, Any] | None = None,

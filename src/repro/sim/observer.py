@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - avoid runtime import cycles
-    from repro.fdt.estimators import Estimates
-    from repro.fdt.training import TrainingLog, TrainingSample
+    from repro.fdt.estimators import Decision
+    from repro.fdt.training import TrainingSample
     from repro.isa.ops import CounterKind
     from repro.sim.machine import Machine
 
@@ -131,11 +131,8 @@ class SimObserver:
         no clock of its own — observers with machine access may read
         ``machine.events.now``."""
 
-    def on_fdt_decision(self, kernel_name: str, policy_name: str,
-                        mode: str, log: "TrainingLog",
-                        estimates: "Estimates", chosen_threads: int,
-                        num_slots: int, now: int) -> None:
-        """The estimation stage chose ``chosen_threads`` for a kernel."""
+    def on_fdt_decision(self, decision: "Decision") -> None:
+        """A policy chose ``decision.chosen_threads`` for a kernel."""
 
     def on_app_begin(self, app_name: str, policy_name: str,
                      now: int) -> None:

@@ -11,7 +11,9 @@ end-of-run aggregates of :class:`~repro.sim.stats.RunResult`:
   occupancy, L3 misses, lock acquisitions every N cycles);
 * an **FDT decision log** capturing each training run's samples, the
   derived T_CS/T_NoCS/BU_1, the Eq. 3/5/7 arithmetic, and the chosen
-  thread count — replayable from its own recorded inputs.
+  thread count — the policies' own
+  :class:`~repro.fdt.estimators.Decision` records, replayable from
+  their own recorded inputs.
 
 Hand a :class:`TraceRecorder` to ``Machine(config, observers=[...])``
 and the machine records while it runs; the tracer is a pure observer,
@@ -42,7 +44,6 @@ from repro.trace.data import (
     STATE_LOCK_SPIN,
     STATE_MEMORY_STALL,
     CounterSample,
-    FdtDecisionRecord,
     Mark,
     Span,
     Trace,
@@ -67,7 +68,6 @@ __all__ = [
     "STATE_LOCK_SPIN",
     "STATE_MEMORY_STALL",
     "CounterSample",
-    "FdtDecisionRecord",
     "Mark",
     "Span",
     "Trace",

@@ -3,20 +3,19 @@
 Everything in this module is plain recorded data plus lossless
 ``to_dict`` encoders — the exporters (:mod:`repro.trace.export`) render
 these structures, the recorder (:mod:`repro.trace.recorder`) fills
-them, and nothing here touches the simulator.
-
-The one behavioral piece is :meth:`FdtDecisionRecord.replay`, which
-re-runs the estimation stage on the decision's own recorded samples —
-the audit trail the decision log exists for: a logged thread-count
-choice must be reproducible from its logged inputs.
+them, and nothing here touches the simulator.  The decision log holds
+the policies' own :class:`~repro.fdt.estimators.Decision` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.fdt.training import TrainingSample
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.fdt.estimators import Decision
 
 #: Timeline span states, in display order.
 STATE_COMPUTE = "compute"
@@ -109,91 +108,6 @@ class Mark:
 
 
 @dataclass(frozen=True, slots=True)
-class FdtDecisionRecord:
-    """One FDT thread-count decision with its complete provenance.
-
-    Carries the raw training samples, the derived measurements
-    (T_CS/T_NoCS/BU_1), every intermediate of the Eq. 3/5/7 arithmetic,
-    and the chosen thread count — enough to re-derive the decision from
-    the record alone (:meth:`replay`).
-    """
-
-    kernel_name: str
-    policy_name: str
-    #: FDT mode: ``"sat"`` | ``"bat"`` | ``"sat+bat"``.
-    mode: str
-    #: Hardware thread slots (the clamp in Eq. 7).
-    num_slots: int
-    total_iterations: int
-    trained_iterations: int
-    stop_reason: str
-    #: The raw per-iteration training measurements.
-    samples: tuple[TrainingSample, ...]
-    # -- derived measurements (Sections 4.2.2 / 5.2) -------------------
-    t_cs: float
-    t_nocs: float
-    bu1: float
-    # -- model arithmetic (Eq. 3 / Eq. 5 / Eq. 7) ----------------------
-    p_cs_real: float
-    p_bw_real: float
-    p_cs: int
-    p_bw: int
-    p_fdt: int
-    #: What the policy actually ran the execution phase with.
-    chosen_threads: int
-    #: Machine cycle at which the decision was taken.
-    decided_at: int
-
-    def replay(self) -> int:
-        """Recompute the thread-count decision from the recorded samples.
-
-        Rebuilds a training log from :attr:`samples`, re-runs the
-        estimation stage, and applies this record's mode — the returned
-        count must equal :attr:`chosen_threads` for any faithful record
-        of the paper's three modes.  A Section 9 policy's record replays
-        to the estimate its probe then refined.
-        """
-        from repro.fdt.estimators import estimate
-        from repro.fdt.policies import FdtMode
-        from repro.fdt.training import TrainingConfig, TrainingLog
-
-        log = TrainingLog(config=TrainingConfig(),
-                          total_iterations=max(1, self.total_iterations),
-                          num_cores=self.num_slots,
-                          samples=list(self.samples))
-        return FdtMode(self.mode).pick(estimate(log, self.num_slots))
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel_name": self.kernel_name,
-            "policy_name": self.policy_name,
-            "mode": self.mode,
-            "num_slots": self.num_slots,
-            "total_iterations": self.total_iterations,
-            "trained_iterations": self.trained_iterations,
-            "stop_reason": self.stop_reason,
-            "samples": [
-                {"iteration": s.iteration,
-                 "total_cycles": s.total_cycles,
-                 "cs_cycles": s.cs_cycles,
-                 "bus_busy_cycles": s.bus_busy_cycles}
-                for s in self.samples],
-            "t_cs": self.t_cs,
-            "t_nocs": self.t_nocs,
-            "bu1": self.bu1,
-            "p_cs_real": self.p_cs_real if self.p_cs_real != float("inf")
-            else "inf",
-            "p_bw_real": self.p_bw_real if self.p_bw_real != float("inf")
-            else "inf",
-            "p_cs": self.p_cs,
-            "p_bw": self.p_bw,
-            "p_fdt": self.p_fdt,
-            "chosen_threads": self.chosen_threads,
-            "decided_at": self.decided_at,
-        }
-
-
-@dataclass(frozen=True, slots=True)
 class TraceConfig:
     """Knobs of the cycle-level tracer (``TraceRecorder(TraceConfig(...))``).
 
@@ -235,7 +149,7 @@ class Trace:
     spans: list[Span] = field(default_factory=list)
     samples: list[CounterSample] = field(default_factory=list)
     marks: list[Mark] = field(default_factory=list)
-    decisions: list[FdtDecisionRecord] = field(default_factory=list)
+    decisions: list[Decision] = field(default_factory=list)
     #: Spans/samples discarded after :attr:`TraceConfig.max_events`.
     dropped_spans: int = 0
     dropped_samples: int = 0

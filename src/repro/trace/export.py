@@ -173,14 +173,15 @@ def text_summary(trace: Trace) -> str:
                    f"peak active cores {peak}")
 
     for d in trace.decisions:
+        est = d.estimates
         out.append("")
         out.append(f"FDT decision for {d.kernel_name} ({d.mode}): "
                    f"{d.chosen_threads} threads at cycle "
                    f"{d.decided_at:,}")
         out.append(f"  trained {d.trained_iterations} iters "
-                   f"({d.stop_reason}); T_CS {d.t_cs:.1f}, "
-                   f"T_NoCS {d.t_nocs:.1f}, BU_1 {d.bu1:.2%}")
-        out.append(f"  P_CS {d.p_cs}, P_BW {d.p_bw}, P_FDT {d.p_fdt} "
+                   f"({d.stop_reason}); T_CS {est.t_cs:.1f}, "
+                   f"T_NoCS {est.t_nocs:.1f}, BU_1 {est.bu1:.2%}")
+        out.append(f"  P_CS {est.p_cs}, P_BW {est.p_bw}, P_FDT {est.p_fdt} "
                    f"(clamp {d.num_slots})")
     return "\n".join(out)
 

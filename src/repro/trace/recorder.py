@@ -15,6 +15,7 @@ with a recorder attached or not (``tests/test_observer_parity.py``).
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from repro.sim.observer import SimObserver
@@ -25,7 +26,6 @@ from repro.trace.data import (
     STATE_LOCK_SPIN,
     STATE_MEMORY_STALL,
     CounterSample,
-    FdtDecisionRecord,
     Mark,
     Span,
     Trace,
@@ -33,8 +33,8 @@ from repro.trace.data import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from repro.fdt.estimators import Estimates
-    from repro.fdt.training import TrainingLog, TrainingSample
+    from repro.fdt.estimators import Decision
+    from repro.fdt.training import TrainingSample
     from repro.sim.machine import Machine
 
 
@@ -196,47 +196,22 @@ class TraceRecorder(SimObserver):
         if not self.config.decisions:
             return
         self._add_mark("training", f"{kernel_name} iter {sample.iteration}",
-                       self.machine.events.now, {
-                           "iteration": sample.iteration,
-                           "total_cycles": sample.total_cycles,
-                           "cs_cycles": sample.cs_cycles,
-                           "bus_busy_cycles": sample.bus_busy_cycles,
-                       })
+                       self.machine.events.now, asdict(sample))
 
-    def on_fdt_decision(self, kernel_name: str, policy_name: str,
-                        mode: str, log: "TrainingLog",
-                        estimates: "Estimates", chosen_threads: int,
-                        num_slots: int, now: int) -> None:
+    def on_fdt_decision(self, decision: "Decision") -> None:
         if not self.config.decisions:
             return
-        self.data.decisions.append(FdtDecisionRecord(
-            kernel_name=kernel_name,
-            policy_name=policy_name,
-            mode=mode,
-            num_slots=num_slots,
-            total_iterations=log.total_iterations,
-            trained_iterations=log.trained_iterations,
-            stop_reason=log.stop_reason,
-            samples=tuple(log.samples),
-            t_cs=estimates.t_cs,
-            t_nocs=estimates.t_nocs,
-            bu1=estimates.bu1,
-            p_cs_real=estimates.p_cs_real,
-            p_bw_real=estimates.p_bw_real,
-            p_cs=estimates.p_cs,
-            p_bw=estimates.p_bw,
-            p_fdt=estimates.p_fdt,
-            chosen_threads=chosen_threads,
-            decided_at=now,
-        ))
-        self._add_mark("decision", f"{kernel_name}: {chosen_threads} threads",
-                       now, {
-                           "kernel": kernel_name,
-                           "mode": mode,
+        self.data.decisions.append(decision)
+        estimates = decision.estimates
+        self._add_mark("decision", f"{decision.kernel_name}: "
+                       f"{decision.chosen_threads} threads",
+                       decision.decided_at, {
+                           "kernel": decision.kernel_name,
+                           "mode": decision.mode,
                            "p_cs": estimates.p_cs,
                            "p_bw": estimates.p_bw,
                            "p_fdt": estimates.p_fdt,
-                           "chosen_threads": chosen_threads,
+                           "chosen_threads": decision.chosen_threads,
                        })
 
     def on_app_begin(self, app_name: str, policy_name: str,

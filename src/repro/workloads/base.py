@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import WorkloadError
 from repro.fdt.runner import Application
-from repro.isa.ops import Compute, Load, Op, Store
 
 
 class Category(enum.Enum):
@@ -54,37 +53,6 @@ class AddressSpace:
         base = self._next
         self._next += nbytes
         return base
-
-
-# -- op-stream helpers --------------------------------------------------------
-
-def scan_block(base: int, nbytes: int, instr_per_line: int) -> Iterator[Op]:
-    """Stream over ``nbytes`` at ``base``: one load plus compute per line.
-
-    The canonical read-and-process loop: the load fetches the line, the
-    compute op stands for the per-element work on the line's contents.
-    """
-    for off in range(0, nbytes, LINE):
-        yield Load(base + off)
-        if instr_per_line:
-            yield Compute(instr_per_line)
-
-
-def write_block(base: int, nbytes: int, instr_per_line: int) -> Iterator[Op]:
-    """Stream of stores over ``nbytes`` with per-line compute."""
-    for off in range(0, nbytes, LINE):
-        if instr_per_line:
-            yield Compute(instr_per_line)
-        yield Store(base + off)
-
-
-def update_block(base: int, nbytes: int, instr_per_line: int) -> Iterator[Op]:
-    """Read-modify-write over ``nbytes`` (load + compute + store per line)."""
-    for off in range(0, nbytes, LINE):
-        yield Load(base + off)
-        if instr_per_line:
-            yield Compute(instr_per_line)
-        yield Store(base + off)
 
 
 # -- registry -------------------------------------------------------------------

@@ -149,14 +149,13 @@ def test_extension_policies_report_training_metadata():
 # -- the §9 policies run the paper's pipeline --------------------------------
 
 class _DecisionTap(SimObserver):
-    """Keeps the training log each decision event carries."""
+    """Keeps each decision event's record."""
 
     def __init__(self) -> None:
-        self.logs = []
+        self.decisions = []
 
-    def on_fdt_decision(self, kernel_name, policy_name, mode, log,
-                        *rest) -> None:
-        self.logs.append(log)
+    def on_fdt_decision(self, decision) -> None:
+        self.decisions.append(decision)
 
 
 @pytest.mark.parametrize("name", ["sat-two-phase", "bat-calibrated-4"])
@@ -175,13 +174,14 @@ def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
     result = run_application(app, POLICIES[name](), machine=machine)
 
     (info,) = result.kernel_infos
-    (log,) = tap.logs
-    assert log.num_cores == slots
+    (decision,) = tap.decisions
+    assert decision.num_slots == slots
     assert info.estimates.p_fdt == slots
     assert info.threads == slots
 
     trace = recorder.data
     (record,) = trace.decisions
+    assert record is decision  # the tracer appends the record as-is
     assert record.policy_name == name
     assert record.num_slots == slots
     assert record.chosen_threads == info.threads

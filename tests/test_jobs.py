@@ -24,7 +24,6 @@ from repro.jobs import (
     config_to_dict,
     default_cache_dir,
 )
-from repro.jobs.results import estimates_from_dict, estimates_to_dict
 from repro.sim.config import MachineConfig
 from repro.workloads import get
 
@@ -137,9 +136,9 @@ def test_estimates_round_trip_preserves_infinities():
     est = Estimates(t_cs=0.0, t_nocs=123.5, bu1=0.0,
                     p_cs_real=math.inf, p_bw_real=math.inf,
                     p_cs=32, p_bw=32, p_fdt=32)
-    data = json.loads(json.dumps(estimates_to_dict(est)))
+    data = json.loads(json.dumps(est.to_dict()))
     assert data["p_cs_real"] == "inf"  # strict JSON, no Infinity literal
-    assert estimates_from_dict(data) == est
+    assert Estimates.from_dict(data) == est
 
 
 # -- the cache ----------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro.models.bat_model import BatModel
 from repro.models.bat_model import execution_time as bat_time
 from repro.models.bat_model import predicted_thread_count as bat_predict
 from repro.models.bat_model import bus_utilization, saturation_threads
-from repro.models.combined import CombinedModel, combined_thread_choice
+from repro.models.combined import CombinedModel
 from repro.models.sat_model import SatModel
 from repro.models.sat_model import execution_time as sat_time
 from repro.models.sat_model import execution_time_derivative
@@ -147,20 +147,30 @@ def test_bat_model_utilization_curve():
 
 # -- Combined (Eq. 7 + appendix) --------------------------------------------
 
+def _eq7(p_cs: float, p_bw: float, cores: int) -> int:
+    """Eq. 7 on the model whose real-valued optima are p_cs and p_bw."""
+    sat = (SatModel(t_nocs=1.0, t_cs=0.0) if math.isinf(p_cs)
+           else SatModel(t_nocs=p_cs * p_cs, t_cs=1.0))
+    bat = BatModel(t1=1.0, bu1=0.0 if math.isinf(p_bw) else 1.0 / p_bw)
+    return CombinedModel(sat=sat, bat=bat).eq7_choice(cores)
+
+
 def test_eq7_takes_minimum():
-    assert combined_thread_choice(5.0, 20.0, 32) == 5
-    assert combined_thread_choice(20.0, 5.0, 32) == 5
-    assert combined_thread_choice(20.0, 20.0, 8) == 8
+    assert _eq7(5.0, 20.0, 32) == 5
+    assert _eq7(20.0, 5.0, 32) == 5
+    assert _eq7(20.0, 20.0, 8) == 8
 
 
 def test_eq7_rounding_mirrors_sat_and_bat():
     # P_CS rounds to nearest; P_BW rounds up.
-    assert combined_thread_choice(6.4, math.inf, 32) == 6
-    assert combined_thread_choice(math.inf, 6.4, 32) == 7
+    assert _eq7(6.4, math.inf, 32) == 6
+    assert _eq7(math.inf, 6.4, 32) == 7
 
 
 def test_eq7_infinite_limits_fall_back_to_cores():
-    assert combined_thread_choice(math.inf, math.inf, 32) == 32
+    assert _eq7(math.inf, math.inf, 32) == 32
+    with pytest.raises(ValueError):
+        _eq7(math.inf, math.inf, 0)
 
 
 def test_combined_time_reduces_to_sat_when_bus_unbounded():

@@ -10,6 +10,7 @@ import asyncio
 import io
 import json
 import logging
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
@@ -26,7 +27,7 @@ from repro.obs import (
     host_fingerprint,
     reset_default_registry,
 )
-from repro.obs.log import configure_from_env
+from repro.obs.log import current as current_logging
 from repro.obs.registry import Counter, Histogram, MetricsRegistry
 from repro.obs.runreg import RunRecord, RunRegistry
 from repro.obs.tracing import (
@@ -256,9 +257,9 @@ def test_spans_to_perfetto_structure():
 
 def test_json_logging_carries_trace_ids_and_extras():
     stream = io.StringIO()
-    configure_logging(level="INFO", json_lines=True, stream=stream,
-                      export_env=False)
+    configure_logging(level="INFO", json_lines=True, stream=stream)
     try:
+        assert current_logging() == ("INFO", True)  # what a pool worker gets
         log = get_logger("serve")
         with span("req") as ctx:
             log.info("request", extra={"endpoint": "/v1/run", "status": 200})
@@ -272,33 +273,43 @@ def test_json_logging_carries_trace_ids_and_extras():
         assert doc["status"] == 200
         datetime.fromisoformat(doc["ts"])  # parses
     finally:
-        configure_logging(level="WARNING", export_env=False)
+        configure_logging(level="WARNING")
 
 
 def test_human_logging_renders_extras():
     stream = io.StringIO()
-    configure_logging(level="DEBUG", json_lines=False, stream=stream,
-                      export_env=False)
+    configure_logging(level="DEBUG", json_lines=False, stream=stream)
     try:
         get_logger("jobs").debug("resolved", extra={"key": "abc"})
         line = stream.getvalue()
         assert "repro.jobs" in line and "resolved" in line
         assert "key=abc" in line
     finally:
-        configure_logging(level="WARNING", export_env=False)
+        configure_logging(level="WARNING")
 
 
-def test_configure_exports_env_and_workers_inherit(monkeypatch):
-    monkeypatch.delenv("REPRO_LOG_LEVEL", raising=False)
-    monkeypatch.delenv("REPRO_LOG_JSON", raising=False)
-    assert configure_from_env() is None  # no-op when unset
-    configure_logging(level="INFO", json_lines=True)
-    assert os.environ["REPRO_LOG_LEVEL"] == "INFO"
-    assert os.environ["REPRO_LOG_JSON"] == "1"
-    root = configure_from_env()  # what a pool worker does
-    assert root is not None
-    assert root.level == logging.INFO
-    configure_logging(level="WARNING", export_env=False)
+def test_pool_workers_log_as_the_parent_under_spawn(capfd):
+    """A ``--jobs 2`` worker under ``spawn`` starts from a fresh import
+    with nothing inherited: the parent's level and format reach it as
+    the pool initializer's arguments, not through the environment."""
+    previous = multiprocessing.get_start_method()
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        code = cli.main(["batch", "EP", "--threads", "1,2", "--policies",
+                         "static", "--scale", "0.05", "--jobs", "2",
+                         "--no-cache", "--log-level", "DEBUG", "--log-json"])
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+        configure_logging(level="WARNING")
+    assert code == 0
+    assert not [name for name in os.environ if name.startswith("REPRO_LOG_")]
+    docs = [json.loads(line) for line in capfd.readouterr().err.splitlines()
+            if line.startswith("{")]
+    worker_lines = [d for d in docs if d["msg"] == "pool job done"]
+    assert len(worker_lines) == 2
+    for doc in worker_lines:
+        assert (doc["level"], doc["logger"]) == ("DEBUG", "repro.jobs")
+        assert (doc["workload"], doc["policy"]) == ("EP", "static")
 
 
 # -- persistent run registry ------------------------------------------

@@ -62,8 +62,7 @@ def test_sim_results_bit_identical_with_obs_active(policy, tmp_path):
     # span recording to a JSONL sink, an enclosing trace, DEBUG JSON
     # logging, and a fresh metrics registry collecting FDT decisions.
     stream = io.StringIO()
-    configure_logging(level="DEBUG", json_lines=True, stream=stream,
-                      export_env=False)
+    configure_logging(level="DEBUG", json_lines=True, stream=stream)
     reset_default_registry()
     recorder().set_sink(tmp_path / "spans.jsonl")
     try:
@@ -71,7 +70,7 @@ def test_sim_results_bit_identical_with_obs_active(policy, tmp_path):
             loud = app_result_to_dict(spec.run())
     finally:
         recorder().set_sink(None)
-        configure_logging(level="WARNING", export_env=False)
+        configure_logging(level="WARNING")
 
     assert loud == baseline
     assert loud["kernel_infos"][0]["result"] == \
@@ -86,8 +85,7 @@ def test_served_request_produces_linked_telemetry(tmp_path, capsys):
     sink = tmp_path / "spans.jsonl"
     recorder().set_sink(sink)
     stream = io.StringIO()
-    configure_logging(level="INFO", json_lines=True, stream=stream,
-                      export_env=False)
+    configure_logging(level="INFO", json_lines=True, stream=stream)
     try:
         with ServerThread(ServeConfig(port=0)) as handle:
             conn = http.client.HTTPConnection("127.0.0.1", handle.port,
@@ -107,7 +105,7 @@ def test_served_request_produces_linked_telemetry(tmp_path, capsys):
                 conn.close()
     finally:
         recorder().set_sink(None)
-        configure_logging(level="WARNING", export_env=False)
+        configure_logging(level="WARNING")
 
     assert status == 200
     assert body["status"] == "computed"

@@ -9,8 +9,9 @@ under both the static and the FDT policy, the full
 is bit-identical whatever list is handed to ``Machine(config,
 observers=[...])``: nothing, the sanitizer, the tracer, both, or those
 plus a third plug-in this file defines (which is all a new plug-in
-takes — no edit under ``src/repro/sim``).  Host telemetry on/off is a
-different axis (``test_obs_parity.py``), as is fast vs reference
+takes — no edit under ``src/repro/sim``), or a one-method tap on the
+FDT decision record.  Host telemetry on/off is a different axis
+(``test_obs_parity.py``), as is fast vs reference
 (``test_perf_parity.py``).
 """
 
@@ -54,15 +55,28 @@ class EventCounter(SimObserver):
         self.accesses += 1
 
 
+class DecisionTap(SimObserver):
+    """A one-method plug-in: the FDT decision is its single argument."""
+
+    def __init__(self) -> None:
+        self.decisions = []
+
+    def on_fdt_decision(self, decision) -> None:
+        self.decisions.append(decision)
+
+
 #: What each plug-in must show after a run to prove it observed it.
 SAW_THE_RUN = {ThreadSanitizer: lambda o: o.epoch > 0,
                TraceRecorder: lambda o: o.data.spans and o.data.num_cores == 32,
-               EventCounter: lambda o: o.machine and o.regions and o.accesses}
+               EventCounter: lambda o: o.machine and o.regions and o.accesses,
+               DecisionTap: lambda o: all(d.replay() == d.chosen_threads
+                                          for d in o.decisions)}
 OBSERVERS = {"none": (),
              "sanitizer": (ThreadSanitizer,),
              "tracer": (TraceRecorder,),
              "both": (ThreadSanitizer, TraceRecorder),
-             "both+third": (ThreadSanitizer, TraceRecorder, EventCounter)}
+             "both+third": (ThreadSanitizer, TraceRecorder, EventCounter),
+             "decision-tap": (DecisionTap,)}
 
 
 @functools.cache
@@ -84,6 +98,11 @@ def test_observer_subset_preserves_results(name, policy, observers):
     # ... and every attached plug-in did observe the run.
     for plugin in attached:
         assert SAW_THE_RUN[type(plugin)](plugin)
+        if isinstance(plugin, DecisionTap):  # one record per FDT kernel
+            assert [(d.kernel_name, d.chosen_threads)
+                    for d in plugin.decisions] == [
+                (k.kernel_name, k.threads) for k in observed.kernel_infos
+                if policy == "fdt"]
 
 
 def test_observer_slot_is_none_the_observer_or_a_fan_out():

@@ -7,8 +7,9 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.fdt.estimators import estimate_from
 from repro.models.bat_model import BatModel
-from repro.models.combined import CombinedModel, combined_thread_choice
+from repro.models.combined import CombinedModel
 from repro.models.sat_model import SatModel, optimal_threads_cs
 
 positive = st.floats(min_value=1e-3, max_value=1e9, allow_nan=False,
@@ -98,10 +99,40 @@ def test_eq7_is_optimal_in_the_combined_model(t_nocs, t_cs, bu1, cores):
     assert model.execution_time(choice) <= model.execution_time(brute) * 1.6
 
 
-@given(p_cs=st.floats(1.0, 64.0), p_bw=st.floats(1.0, 64.0),
+@given(t_nocs=positive, t_cs=positive, bu1=utilization,
        cores=st.integers(1, 64))
-def test_eq7_choice_bounded(p_cs, p_bw, cores):
-    choice = combined_thread_choice(p_cs, p_bw, cores)
+def test_eq7_choice_bounded(t_nocs, t_cs, bu1, cores):
+    model = CombinedModel(sat=SatModel(t_nocs, t_cs),
+                          bat=BatModel(t1=t_nocs, bu1=bu1))
+    choice = model.eq7_choice(cores)
     assert 1 <= choice <= cores
-    assert choice <= max(1, round(p_cs))
-    assert choice <= max(1, math.ceil(p_bw - 1e-9))
+    assert choice <= max(1, round(model.sat.optimal_threads()))
+    assert choice <= max(1, math.ceil(model.bat.saturation_threads() - 1e-9))
+
+
+measurement = st.floats(min_value=0.0, max_value=1e9)
+
+
+@given(t_cs=measurement, t_nocs=measurement, bu1=st.floats(0.0, 1.0),
+       slots=st.integers(1, 128))
+@settings(max_examples=300)
+def test_estimate_from_is_eq7_with_bats_early_out(t_cs, t_nocs, bu1, slots):
+    """The one arithmetic: Eq. 7's clamp, BAT's cannot-saturate
+    early-out, and agreement with the analytical CombinedModel."""
+    est = estimate_from(t_cs, t_nocs, bu1, slots)
+    assert (est.t_cs, est.t_nocs, est.bu1) == (t_cs, t_nocs, bu1)
+    assert est.p_fdt == max(1, min(est.p_cs, est.p_bw, slots))
+    assert 1 <= est.p_fdt <= slots
+
+    model = CombinedModel(sat=SatModel(t_nocs, t_cs),
+                          bat=BatModel(t1=t_nocs, bu1=bu1))
+    assert est.p_cs == model.sat.predicted_thread_count(slots)
+    assert est.p_cs_real == model.sat.optimal_threads()
+    cannot_saturate = bu1 == 0 or bu1 * slots < 1
+    assert math.isinf(est.p_bw_real) == cannot_saturate
+    if cannot_saturate:
+        assert est.p_bw == slots
+    else:
+        assert est.p_bw_real == 1.0 / bu1
+        assert est.p_bw == model.bat.predicted_thread_count(slots)
+        assert est.p_fdt == model.eq7_choice(slots)

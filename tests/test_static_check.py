@@ -279,9 +279,9 @@ def test_derive_priors_square_root_law():
                            est_cs_cycles=100, est_bus_busy=0,
                            instructions=20_000, footprint_lines=8,
                            config=BASE)
-    assert priors.p_cs == 10
-    assert priors.p_bw == BASE.num_thread_slots  # bus untouched
-    assert priors.p_fdt == 10
+    assert priors.estimates.p_cs == 10
+    assert priors.estimates.p_bw == BASE.num_thread_slots  # bus untouched
+    assert priors.estimates.p_fdt == 10
     assert priors.footprint_bytes == 8 * BASE.line_bytes
 
 
@@ -317,6 +317,22 @@ def test_fixture_registry_lists_all_three():
     assert sorted(static_fixtures()) == sorted(FIXTURE_CODES)
 
 
+def test_both_checkers_resolve_names_through_one_function():
+    from repro.check import check_workload
+    from repro.check.runner import fixtures, resolve
+
+    assert set(FIXTURE_CODES) < set(fixtures())  # + the sanitizer's three
+    assert resolve("static-deadlock") is static_fixtures()["static-deadlock"]
+    assert resolve("pagemine") == get("PageMine").build
+    messages = []
+    for checker in (check_workload, analyze_workload):
+        with pytest.raises(WorkloadError) as excinfo:
+            checker("no-such-workload")
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert all(name in messages[0] for name in fixtures())
+
+
 # -- Table 2 workloads analyze clean ---------------------------------------
 
 @pytest.mark.parametrize("name", [s.name for s in all_specs()])
@@ -341,7 +357,7 @@ def test_static_prior_within_tolerance_of_measured(name: str):
         agreement = prior.agreement(measured)
         assert measured.cs_fraction > 0, "these workloads have a CS"
         assert agreement.cs_fraction_rel_error <= CS_FRACTION_RTOL, (
-            f"{kernel.name}: static {prior.cs_fraction:.4f} vs "
+            f"{kernel.name}: static {prior.estimates.cs_fraction:.4f} vs "
             f"measured {measured.cs_fraction:.4f}")
         assert agreement.within_tolerance
         json.dumps(agreement.to_dict())

@@ -6,17 +6,21 @@ The acceptance bars from the subsystem's design:
   measured hold cycles (spans are ``[grant, release)`` from the same
   hook stream the stats come from);
 * the FDT decision log reproduces its chosen thread count from its own
-  recorded inputs (:meth:`FdtDecisionRecord.replay`);
+  recorded inputs (:meth:`repro.fdt.estimators.Decision.replay`);
 * the Perfetto export is valid, non-empty ``trace_event`` JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.fdt.estimators import Decision, Estimates, estimate_from
+from repro.fdt.training import TrainingSample
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.sim.config import MachineConfig
@@ -116,7 +120,32 @@ def test_decision_record_round_trips_through_strict_json(pagemine_traced):
     record = machine.observer.data.decisions[0]
     assert decision["chosen_threads"] == record.chosen_threads
     assert decision["trained_iterations"] == len(decision["samples"])
-    assert decision["t_cs"] == record.t_cs
+    assert decision["t_cs"] == record.estimates.t_cs
+
+
+def test_decision_to_dict_is_strict_json_through_the_one_codec():
+    """No critical section and an idle bus: both real-valued optima are
+    infinite, and the record still round-trips as strict JSON."""
+    samples = (TrainingSample(0, 100, 0, 0), TrainingSample(1, 100, 0, 0))
+    decision = Decision(
+        kernel_name="k", policy_name="fdt-sat+bat", mode="sat+bat",
+        num_slots=32, total_iterations=64, stop_reason="iteration-cap",
+        samples=samples, estimates=estimate_from(0.0, 100.0, 0.0, 32),
+        chosen_threads=32, decided_at=1234)
+    assert math.isinf(decision.estimates.p_cs_real)
+    data = json.loads(json.dumps(decision.to_dict(), allow_nan=False))
+    assert data["p_cs_real"] == data["p_bw_real"] == "inf"
+    names = [f.name for f in fields(Estimates)]
+    assert Estimates.from_dict({n: data[n] for n in names}) \
+        == decision.estimates
+    assert [TrainingSample(**s) for s in data["samples"]] == list(samples)
+    assert data["trained_iterations"] == 2
+    rest = {"kernel_name", "policy_name", "mode", "num_slots",
+            "total_iterations", "stop_reason", "chosen_threads",
+            "decided_at"}
+    assert {k: data[k] for k in rest} == {
+        k: getattr(decision, k) for k in rest}
+    assert decision.replay() == decision.chosen_threads
 
 
 # -- exporters ---------------------------------------------------------------

@@ -5,14 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
-from repro.isa.ops import Compute, Load, Store
 from repro.workloads import Category, all_specs, by_category, get
-from repro.workloads.base import (
-    AddressSpace,
-    scan_block,
-    update_block,
-    write_block,
-)
+from repro.workloads.base import AddressSpace
 
 
 def test_all_twelve_workloads_registered():
@@ -63,30 +57,3 @@ def test_address_space_alignment():
 def test_address_space_rejects_empty_alloc():
     with pytest.raises(WorkloadError):
         AddressSpace().alloc(0)
-
-
-def test_scan_block_covers_every_line():
-    ops = list(scan_block(base=0, nbytes=256, instr_per_line=10))
-    loads = [op for op in ops if isinstance(op, Load)]
-    assert [op.addr for op in loads] == [0, 64, 128, 192]
-    computes = [op for op in ops if isinstance(op, Compute)]
-    assert len(computes) == 4
-
-
-def test_scan_block_zero_compute_emits_loads_only():
-    ops = list(scan_block(base=0, nbytes=128, instr_per_line=0))
-    assert all(isinstance(op, Load) for op in ops)
-
-
-def test_write_block_stores_every_line():
-    ops = list(write_block(base=128, nbytes=128, instr_per_line=5))
-    stores = [op for op in ops if isinstance(op, Store)]
-    assert [op.addr for op in stores] == [128, 192]
-
-
-def test_update_block_is_read_modify_write():
-    ops = list(update_block(base=0, nbytes=64, instr_per_line=5))
-    assert isinstance(ops[0], Load)
-    assert isinstance(ops[1], Compute)
-    assert isinstance(ops[2], Store)
-    assert ops[0].addr == ops[2].addr
