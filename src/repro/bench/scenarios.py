@@ -42,7 +42,8 @@ ScenarioBody = Callable[[], ScenarioStats]
 
 #: ``prepare(quick)`` does all per-trial setup (machine construction,
 #: input generation) *outside* the timed region and returns the timed
-#: body.  ``quick=True`` shrinks the input for CI.  The ``fdt-train-run``
+#: body, which runs once and closes the machine ``prepare`` built.
+#: ``quick=True`` shrinks the input for CI.  The ``fdt-train-run``
 #: scenario deliberately keeps machine construction inside the body:
 #: end-to-end means end-to-end.
 ScenarioSetup = Callable[[bool], ScenarioBody]
@@ -70,7 +71,8 @@ def _compute_bound(quick: bool) -> ScenarioBody:
             yield Compute(64)
 
     def body() -> ScenarioStats:
-        machine.run_parallel([factory] * 4, spawn_overhead=False)
+        with machine:
+            machine.run_parallel([factory] * 4, spawn_overhead=False)
         return ScenarioStats(sim_cycles=machine.now,
                              sim_ops=4 * ops_per_thread * 64)
     return body
@@ -87,7 +89,8 @@ def _miss_bound(quick: bool) -> ScenarioBody:
             yield Load(base + k * 64)
 
     def body() -> ScenarioStats:
-        machine.run_parallel([factory] * 8, spawn_overhead=False)
+        with machine:
+            machine.run_parallel([factory] * 8, spawn_overhead=False)
         return ScenarioStats(sim_cycles=machine.now,
                              sim_ops=8 * loads_per_thread)
     return body
@@ -108,7 +111,8 @@ def _cs_heavy(quick: bool) -> ScenarioBody:
             yield Unlock(0)
 
     def body() -> ScenarioStats:
-        machine.run_parallel([factory] * 8, spawn_overhead=False)
+        with machine:
+            machine.run_parallel([factory] * 8, spawn_overhead=False)
         # 6 ops per section; Computes weighted by instruction count.
         ops = 8 * sections_per_thread * (60 + 24 + 4)
         return ScenarioStats(sim_cycles=machine.now, sim_ops=ops)

@@ -55,6 +55,8 @@ def check_application(app: Application,
             policy.run_kernel(machine, kernel)
     except (DeadlockError, SimulationError) as exc:
         aborted = str(exc)
+    finally:
+        machine.close()
 
     findings = list(observer.finish())
     if aborted is not None:

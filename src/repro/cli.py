@@ -118,10 +118,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     spec = get(args.workload)
     recorder = TraceRecorder() if args.trace is not None else None
-    machine = Machine(config, observers=[recorder] if recorder else ())
     policy = PolicySpec(args.policy, args.threads).build()
-    result = run_application(spec.build(args.scale), policy,
-                             machine=machine)
+    # Closed once the run is over; --report reads its counters after.
+    with Machine(config,
+                 observers=[recorder] if recorder else ()) as machine:
+        result = run_application(spec.build(args.scale), policy,
+                                 machine=machine)
     trace_paths = write_artifacts(recorder.data, args.trace) if recorder else None
     if args.json:
         r = result.result

@@ -180,5 +180,6 @@ def measure_estimates(kernel: Kernel,
     agreement.
     """
     cfg = config or MachineConfig.asplos08_baseline()
-    log, _ = train_kernel(Machine(cfg), kernel, TrainingConfig())
+    with Machine(cfg) as machine:
+        log, _ = train_kernel(machine, kernel, TrainingConfig())
     return estimate(log, cfg.num_thread_slots)

@@ -84,10 +84,14 @@ def run_application(app: Application, policy: ThreadingPolicy,
 
     A fresh machine is built unless one is supplied (supplying one lets
     experiments share warm state deliberately; the default mirrors the
-    paper's run-each-application-to-completion methodology).
+    paper's run-each-application-to-completion methodology).  The
+    machine built here is closed before returning, also when the run
+    raises; a supplied one is borrowed and stays open, for its owner to
+    reuse and close.
     """
     if machine is None:
-        machine = Machine(config or MachineConfig.asplos08_baseline())
+        with Machine(config or MachineConfig.asplos08_baseline()) as owned:
+            return run_application(app, policy, machine=owned)
     if machine.observer is not None:
         machine.observer.on_app_begin(app.name, policy.name,
                                       machine.events.now)

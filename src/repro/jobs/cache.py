@@ -128,7 +128,9 @@ class ResultCache:
                 dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, sort_keys=True)
+                    # dumps() is the C encoder; dump() streams through
+                    # the pure-Python iterencode for the same bytes.
+                    handle.write(json.dumps(payload, sort_keys=True))
                 os.replace(tmp_name, path)
             except BaseException:
                 self._discard(Path(tmp_name))

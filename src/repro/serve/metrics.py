@@ -15,6 +15,8 @@ pre-``repro.obs`` endpoint; the default registry only appends.
 
 from __future__ import annotations
 
+import resource
+
 from repro.obs.registry import MetricsRegistry
 
 
@@ -53,7 +55,12 @@ class ServeMetrics:
         self.latency = self.registry.histogram(
             "repro_serve_request_seconds",
             "Wall-clock request latency in seconds.")
+        self.max_resident = self.registry.gauge(
+            "repro_process_max_resident_bytes",
+            "Peak resident set size of the server process (ru_maxrss).")
 
     def render(self) -> str:
         """The panel's exposition (without the default registry)."""
+        self.max_resident.set(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)
         return self.registry.render_prometheus()

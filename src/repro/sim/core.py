@@ -24,8 +24,11 @@ event queue.  What each op costs:
 
 The step handles ``Load``/``Store``, ``Compute`` and ``Branch`` in its
 own body, calls :meth:`Core._dispatch` for the rest, and pushes its own
-next event.  Two shortcuts, both off under ``REPRO_SLOW_PATHS=1``
-(which builds the *same* step without them):
+next event — as ``ctx.step``, the same function, never by its own name:
+a closure that named itself would be a reference cycle nothing can cut,
+whereas ``Machine.close`` deletes ``ctx.step``.  Two shortcuts, both
+off under ``REPRO_SLOW_PATHS=1`` (which builds the *same* step without
+them):
 
 * a homogeneous run of ``Compute`` ops is pulled in one go and costs one
   event (single-context cores only: the issue share cannot change
@@ -256,7 +259,7 @@ class Core:
                     op = None
 
                 if when < now:
-                    events.schedule(when, step)  # raises: in the past
+                    events.schedule(when, ctx.step)  # raises: in the past
                 if (run_ahead and events.run_ahead
                         and (not heap or when < heap[0][0])):
                     # Strictly the earliest event: the queue would pop it
@@ -266,7 +269,7 @@ class Core:
                 ctx.pending = op
                 seq = events.seq
                 events.seq = seq + 1
-                heappush(heap, (when, seq, step))
+                heappush(heap, (when, seq, ctx.step))
                 return
 
         return step

@@ -8,6 +8,13 @@ parallel regions; caches, DRAM row buffers, predictors, and the clock
 persist across regions, so a kernel's second invocation sees a warm
 machine just like on real hardware.
 
+Lifetime: whoever builds a machine closes it (:meth:`Machine.close`, or
+``with Machine(config) as machine:``).  Closing cuts the references that
+point back up the object tree, so a finished machine is freed by
+refcount the moment its owner lets go, not at the cycle collector's next
+full pass; it stays readable (``now``, ``snapshot()``, every counter)
+but can no longer run.
+
 Thread placement: slot ``s`` runs on core ``s % num_cores``, SMT context
 ``s // num_cores`` — teams no larger than the core count get one thread
 per core (the paper's configuration); larger teams (Section 9's SMT
@@ -66,7 +73,7 @@ class Machine:
     __slots__ = ("config", "events", "ring", "memsys", "counters",
                  "observer", "locks", "barriers", "cores",
                  "_placement", "_team_size", "_threads_running",
-                 "_active_core_cycles", "_core_first_start")
+                 "_active_core_cycles", "_core_first_start", "_closed")
 
     def __init__(self, config: MachineConfig | None = None,
                  observers: Sequence[SimObserver] = ()) -> None:
@@ -102,8 +109,41 @@ class Machine:
         self._threads_running = 0
         self._active_core_cycles = 0
         self._core_first_start: dict[int, int] = {}
+        self._closed = False
         if self.observer is not None:
             self.observer.on_attach(self)
+
+    # -- end of life -----------------------------------------------------------
+
+    def close(self) -> None:
+        """End the machine's life so plain refcounting frees it.
+
+        Cuts every reference that points back up the tree — a context
+        holds its step, whose closure holds the context and its core;
+        ``Core.machine`` points at ``Machine.cores``; queued steps of an
+        aborted run; the sampler and an observer that kept the machine —
+        so the caches and directory go the moment the last outside
+        reference does instead of waiting for the cycle collector.
+        Idempotent.  A closed machine cannot run, but :attr:`now`,
+        :meth:`snapshot` and every counter stay readable.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for core in self.cores:
+            for ctx in core.contexts:
+                del ctx.step
+            del core.machine
+        self.events.heap.clear()
+        self.events.sampler = None
+        if self.observer is not None:
+            self.observer.on_detach()
+
+    def __enter__(self) -> "Machine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- placement ------------------------------------------------------------
 
@@ -151,7 +191,10 @@ class Machine:
         Raises:
             ConfigError: more threads than hardware thread slots.
             DeadlockError: the event queue drained with threads blocked.
+            SimulationError: the machine is closed.
         """
+        if self._closed:
+            raise SimulationError("the machine is closed")
         num_threads = len(factories)
         if num_threads < 1:
             raise ConfigError("a parallel region needs at least one thread")

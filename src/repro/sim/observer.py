@@ -45,6 +45,10 @@ class SimObserver:
     def on_attach(self, machine: "Machine") -> None:
         """Called once, when ``machine`` (built with this observer) is assembled."""
 
+    def on_detach(self) -> None:
+        """The machine is closing (``Machine.close``): let go of it, so
+        an observer that outlives the run never keeps its caches."""
+
     # -- region / thread lifecycle -----------------------------------------
 
     def on_region_begin(self, num_threads: int, now: int) -> None:

@@ -59,6 +59,9 @@ class TraceRecorder(SimObserver):
         if self.config.counters:
             machine.events.sampler = self
 
+    def on_detach(self) -> None:
+        del self.machine
+
     # -- span / mark plumbing ------------------------------------------------
 
     def _core_of(self, agent: int) -> int:

@@ -44,6 +44,6 @@ def run_traced(app: Application, policy: ThreadingPolicy,
         The run result and the recorded trace.
     """
     recorder = TraceRecorder(trace_config)
-    machine = Machine(config, observers=[recorder])
-    result = run_application(app, policy, machine=machine)
+    with Machine(config, observers=[recorder]) as machine:
+        result = run_application(app, policy, machine=machine)
     return TracedRun(result=result, trace=recorder.data)

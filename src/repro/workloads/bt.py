@@ -33,6 +33,8 @@ from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, reg
 #: training phase clearly below bus saturation, as on the paper's runs).
 CELL_INSTR = 1200
 _PLANE_BARRIER = 0
+#: Ops are immutable values, so each constant one is built once here.
+_WAIT_PLANE = BarrierWait(_PLANE_BARRIER)
 _CELL_BYTES = 40  # five doubles of state per cell
 
 
@@ -106,7 +108,7 @@ class BtKernel(TeamParallelKernel):
             instr -= 4096
         if len(chunk):
             yield Store(lo // LINE * LINE)
-        yield BarrierWait(_PLANE_BARRIER)
+        yield _WAIT_PLANE
 
 
 def build(scale: float = 1.0, seed: int = 23) -> Application:

@@ -33,6 +33,8 @@ from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, reg
 #: Filter cost per 64-byte pixel group (resample + clamp + pack),
 #: calibrated so BU_1 lands near the paper's 5.8 %.
 FILTER_INSTR_PER_LINE = 1320
+#: Ops are immutable values, so each constant one is built once here.
+_FILTER = Compute(FILTER_INSTR_PER_LINE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +96,7 @@ class ConvertKernel(DataParallelKernel):
         self.output[lo:hi] = self._table[self.image[lo:hi]]
         for off in range(lo, hi, LINE):
             yield Load(self._in_base + off)
-            yield Compute(FILTER_INSTR_PER_LINE)
+            yield _FILTER
             yield Store(self._out_base + off)
 
     def expected_output(self) -> np.ndarray:

@@ -37,6 +37,8 @@ from repro.workloads.base import (
 #: 8 doubles per 64-B line; ~4 instructions per element (load, multiply,
 #: add, loop) -> 32 instructions = 16 cycles of compute per line.
 ED_INSTR_PER_LINE = 32
+#: Ops are immutable values, so each constant one is built once here.
+_SQUARE_SUM = Compute(ED_INSTR_PER_LINE)
 #: Loop-block granularity: one FDT "iteration" covers this many lines.
 LINES_PER_BLOCK = 64
 
@@ -81,7 +83,7 @@ class EdKernel(DataParallelKernel):
         self.partial_sum += float(np.square(self.values[lo:hi]).sum())
         for line in range(first_line, first_line + LINES_PER_BLOCK):
             yield Load(self._base + line * LINE)
-            yield Compute(ED_INSTR_PER_LINE)
+            yield _SQUARE_SUM
 
     def distance(self) -> float:
         """sqrt of the accumulated partial sums (the kernel's output)."""

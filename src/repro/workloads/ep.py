@@ -35,6 +35,10 @@ TALLY_INSTR = 950
 
 _TALLY_LOCK = 0
 _BLOCK_BARRIER = 0
+#: Ops are immutable values, so each constant one is built once here.
+_TALLY = Compute(TALLY_INSTR // 3)
+_LOCK_TALLY, _UNLOCK_TALLY = Lock(_TALLY_LOCK), Unlock(_TALLY_LOCK)
+_WAIT_BLOCK = BarrierWait(_BLOCK_BARRIER)
 
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -110,16 +114,16 @@ class EpKernel(TeamParallelKernel):
             instr -= 4096
 
         # Serial part: fold the block statistics into the shared table.
-        yield Lock(_TALLY_LOCK)
+        yield _LOCK_TALLY
         self.tally += local_tally
         self.sum += float(values.sum())
         for k in range(3):
-            yield Compute(TALLY_INSTR // 3)
+            yield _TALLY
             # Read-modify-write via the store's read-for-ownership.
             yield Store(self._tally_base + k * LINE)
-        yield Unlock(_TALLY_LOCK)
+        yield _UNLOCK_TALLY
 
-        yield BarrierWait(_BLOCK_BARRIER)
+        yield _WAIT_BLOCK
 
     def expected_tally(self, iterations: int | None = None) -> np.ndarray:
         """Ground truth tally over the first ``iterations`` blocks."""

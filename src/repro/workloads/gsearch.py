@@ -46,6 +46,12 @@ _QUEUE_LOCK = 0
 _VISITED_LOCK = 1
 _EXPAND_BARRIER = 0
 _BATCH_BARRIER = 1
+#: Ops are immutable values, so each constant one is built once here.
+_EXPAND, _MARK = Compute(EXPAND_INSTR_PER_NODE), Compute(MARK_FIXED_INSTR)
+_LOCK_QUEUE, _UNLOCK_QUEUE = Lock(_QUEUE_LOCK), Unlock(_QUEUE_LOCK)
+_LOCK_VISITED, _UNLOCK_VISITED = Lock(_VISITED_LOCK), Unlock(_VISITED_LOCK)
+_WAIT_EXPAND = BarrierWait(_EXPAND_BARRIER)
+_WAIT_BATCH = BarrierWait(_BATCH_BARRIER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,19 +165,19 @@ class GSearchKernel(TeamParallelKernel):
         # Parallel part: expand this thread's share of the frontier.
         for node in my_nodes:
             yield Load(self._adj_base + int(node) * self._adj_stride)
-            yield Compute(EXPAND_INSTR_PER_NODE)
+            yield _EXPAND
 
         # The expansion phase ends at a barrier before the shared
         # structures are updated (phase-then-merge, as in the OpenMP
         # source-repository kernel), so every thread contends for the
         # queue lock at once — the serialization Eq. 1 models.
-        yield BarrierWait(_EXPAND_BARRIER)
+        yield _WAIT_EXPAND
 
         # Critical section 1: append discovered nodes to the work queue.
         # The queue-control line is stored (read-for-ownership) every
         # time; appended ids are packed two bytes each, so the data
         # traffic is small next to the fixed bookkeeping.
-        yield Lock(_QUEUE_LOCK)
+        yield _LOCK_QUEUE
         control = self._queue_base
         yield Compute(ENQUEUE_FIXED_INSTR
                       + ENQUEUE_INSTR_PER_NODE * my_discovered)
@@ -181,19 +187,19 @@ class GSearchKernel(TeamParallelKernel):
         for k in range(-(-my_discovered * 2 // LINE) or 1):
             yield Store(tail + (k % 8) * LINE)
         yield Store(control)
-        yield Unlock(_QUEUE_LOCK)
+        yield _UNLOCK_QUEUE
 
         # Critical section 2: update the visited summary for the batch.
-        yield Lock(_VISITED_LOCK)
-        yield Compute(MARK_FIXED_INSTR)
+        yield _LOCK_VISITED
+        yield _MARK
         if len(my_nodes):
             yield Store(self._visited_base + (int(my_nodes[0]) // LINE) * LINE)
         yield Store(self._visited_base)
-        yield Unlock(_VISITED_LOCK)
+        yield _UNLOCK_VISITED
         if thread_id == 0:
             self._visited_count += len(batch)
 
-        yield BarrierWait(_BATCH_BARRIER)
+        yield _WAIT_BATCH
 
     @property
     def visited_count(self) -> int:

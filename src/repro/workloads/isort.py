@@ -39,6 +39,10 @@ MERGE_INSTR_PER_LINE = 335
 
 _MERGE_LOCK = 0
 _TILE_BARRIER = 0
+#: Ops are immutable values, so each constant one is built once here.
+_SCAN, _MERGE = Compute(SCAN_INSTR_PER_LINE), Compute(MERGE_INSTR_PER_LINE)
+_LOCK_MERGE, _UNLOCK_MERGE = Lock(_MERGE_LOCK), Unlock(_MERGE_LOCK)
+_WAIT_TILE = BarrierWait(_TILE_BARRIER)
 _BUCKETS = 128
 _BUCKET_BYTES = _BUCKETS * 4  # 512 B = 8 lines
 
@@ -101,23 +105,23 @@ class ISortKernel(TeamParallelKernel):
             hi_line = self._keys_base + (chunk.stop - 1) * 4
             for addr in range(lo_line, hi_line + 1, LINE):
                 yield Load(addr)
-                yield Compute(SCAN_INSTR_PER_LINE)
+                yield _SCAN
 
         # Serial part: fold local buckets into the global array.  Only
         # the first pass mutates the real counts (later passes re-rank
         # identically, as NAS IS does for timing repeatability).
         local_base = self._locals_base + thread_id * _BUCKET_BYTES
-        yield Lock(_MERGE_LOCK)
+        yield _LOCK_MERGE
         if iteration < self.params.tiles_per_pass:
             self.global_buckets += local
         for off in range(0, _BUCKET_BYTES, LINE):
             yield Load(local_base + off)
-            yield Compute(MERGE_INSTR_PER_LINE)
+            yield _MERGE
             # Read-modify-write via the store's read-for-ownership.
             yield Store(self._global_base + off)
-        yield Unlock(_MERGE_LOCK)
+        yield _UNLOCK_MERGE
 
-        yield BarrierWait(_TILE_BARRIER)
+        yield _WAIT_TILE
 
     def ranked_keys(self) -> np.ndarray:
         """The keys in sorted order per the merged bucket counts."""

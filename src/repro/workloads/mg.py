@@ -32,6 +32,10 @@ from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, reg
 #: 27-point stencil cost per line of 8 doubles.
 STENCIL_INSTR_PER_LINE = 260
 _SWEEP_BARRIER = 0
+#: Ops are immutable values, so each constant one is built once here.
+_STENCIL = Compute(STENCIL_INSTR_PER_LINE)
+_INIT = Compute(40)  # zran3/zero3 cost of filling one line
+_WAIT_SWEEP = BarrierWait(_SWEEP_BARRIER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,10 +112,10 @@ class MgKernel(TeamParallelKernel):
         base = self._bases[lvl] + plane * plane_bytes
         for k in chunk:
             yield Load(base + k * LINE)
-            yield Compute(STENCIL_INSTR_PER_LINE)
+            yield _STENCIL
         if len(chunk):
             yield Store(base + chunk.start * LINE)
-        yield BarrierWait(_SWEEP_BARRIER)
+        yield _WAIT_SWEEP
 
 
 class MgInitKernel(TeamParallelKernel):
@@ -149,9 +153,9 @@ class MgInitKernel(TeamParallelKernel):
                              start=slab_lines.start)
         base = solver._bases[lvl] + plane * plane_bytes
         for k in chunk:
-            yield Compute(40)
+            yield _INIT
             yield Store(base + k * LINE)
-        yield BarrierWait(_SWEEP_BARRIER)
+        yield _WAIT_SWEEP
 
 
 def build(scale: float = 1.0, seed: int = 31) -> Application:

@@ -41,6 +41,9 @@ from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, reg
 GEN_INSTR_PER_LINE = 3700
 #: Box-Muller cost per line (log/sqrt/sin/cos per pair).
 BOXMULLER_INSTR_PER_LINE = 2060
+#: Ops are immutable values, so each constant one is built once here.
+_GENERATE = Compute(GEN_INSTR_PER_LINE)
+_BOX_MULLER = Compute(BOXMULLER_INSTR_PER_LINE)
 _LINES_PER_BLOCK = 64
 _DOUBLES_PER_LINE = LINE // 8
 
@@ -88,7 +91,7 @@ class MTGenKernel(DataParallelKernel):
     def serial_iteration(self, block: int) -> Iterator[Op]:
         first = block * _LINES_PER_BLOCK
         for line in range(first, first + _LINES_PER_BLOCK):
-            yield Compute(GEN_INSTR_PER_LINE)
+            yield _GENERATE
             yield Store(self.state.uniforms_base + line * LINE)
 
 
@@ -120,7 +123,7 @@ class BoxMullerKernel(DataParallelKernel):
         st.gaussians[lo + n:lo + 2 * n:1] = 0.0  # second halves unused
         for line in range(first, first + _LINES_PER_BLOCK):
             yield Load(st.uniforms_base + line * LINE)
-            yield Compute(BOXMULLER_INSTR_PER_LINE)
+            yield _BOX_MULLER
             yield Store(st.gauss_base + line * LINE)
 
 

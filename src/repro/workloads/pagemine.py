@@ -49,6 +49,10 @@ _BIN_BYTES = 4
 _HIST_BYTES = _BINS * _BIN_BYTES  # 512 B = 8 lines
 _MERGE_LOCK = 0
 _PAGE_BARRIER = 0
+#: Ops are immutable values, so each constant one is built once here.
+_SCAN, _MERGE = Compute(SCAN_INSTR_PER_LINE), Compute(MERGE_INSTR_PER_LINE)
+_LOCK_MERGE, _UNLOCK_MERGE = Lock(_MERGE_LOCK), Unlock(_MERGE_LOCK)
+_WAIT_PAGE = BarrierWait(_PAGE_BARRIER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,23 +114,23 @@ class PageMineKernel(TeamParallelKernel):
         last_line = (hi - 1) // LINE if hi > lo else first_line - 1
         for line in range(first_line, last_line + 1):
             yield Load(self._pages_base + line * LINE)
-            yield Compute(SCAN_INSTR_PER_LINE)
+            yield _SCAN
 
         # Serial part: merge the local histogram into the global one
         # under the critical section (paper Figure 1).
         local_base = self._locals_base + thread_id * _HIST_BYTES
-        yield Lock(_MERGE_LOCK)
+        yield _LOCK_MERGE
         self.global_histogram += local
         for off in range(0, _HIST_BYTES, LINE):
             yield Load(local_base + off)
-            yield Compute(MERGE_INSTR_PER_LINE)
+            yield _MERGE
             # The global update is a read-modify-write: the store's
             # read-for-ownership fetches and invalidates in one
             # transaction (x86 `add [mem], reg` semantics).
             yield Store(self._global_base + off)
-        yield Unlock(_MERGE_LOCK)
+        yield _UNLOCK_MERGE
 
-        yield BarrierWait(_PAGE_BARRIER)
+        yield _WAIT_PAGE
 
     def expected_histogram(self) -> np.ndarray:
         """Ground truth for the full corpus (test oracle)."""

@@ -25,6 +25,8 @@ from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, reg
 
 #: Per-line (16 pixels) cost of a 129-tap dot product per pixel.
 CONV_INSTR_PER_LINE = 4500
+#: Ops are immutable values, so each constant one is built once here.
+_CONVOLVE = Compute(CONV_INSTR_PER_LINE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +105,7 @@ class _PassKernel(DataParallelKernel):
         hi = lo + seg_bytes if part < self.SEGMENTS - 1 else row_bytes
         for off in range(lo, hi, LINE):
             yield Load(src + index * row_bytes + off)
-            yield Compute(CONV_INSTR_PER_LINE)
+            yield _CONVOLVE
             yield Store(dst + index * row_bytes + off)
 
 

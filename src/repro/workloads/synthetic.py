@@ -41,6 +41,9 @@ from repro.workloads.base import LINE, AddressSpace
 
 _CS_LOCK = 0
 _BARRIER = 0
+#: Ops are immutable values, so each constant one is built once here.
+_LOCK_CS, _UNLOCK_CS = Lock(_CS_LOCK), Unlock(_CS_LOCK)
+_WAIT = BarrierWait(_BARRIER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,14 +106,14 @@ class SyntheticKernel(TeamParallelKernel):
 
         # Critical section: constant per-thread work on shared lines.
         if p.cs_instr:
-            yield Lock(_CS_LOCK)
+            yield _LOCK_CS
             per_line = max(1, p.cs_instr // max(1, p.cs_lines))
             for k in range(p.cs_lines):
                 yield Compute(per_line)
                 yield Store(self._shared_base + k * LINE)
-            yield Unlock(_CS_LOCK)
+            yield _UNLOCK_CS
 
-        yield BarrierWait(_BARRIER)
+        yield _WAIT
 
 
 # -- sanitizer positive controls ------------------------------------------
@@ -149,7 +152,7 @@ class RacyKernel(TeamParallelKernel):
         yield Load(self.shared_addr)
         yield Compute(20)
         yield Store(self.shared_addr)  # no lock: the seeded race
-        yield BarrierWait(_BARRIER)
+        yield _WAIT
 
 
 class LockInversionKernel(TeamParallelKernel):
@@ -194,7 +197,7 @@ class LockInversionKernel(TeamParallelKernel):
         yield Store(self.shared_addr)
         yield Unlock(second)
         yield Unlock(first)
-        yield BarrierWait(_BARRIER)
+        yield _WAIT
 
 
 class UnheldUnlockKernel(TeamParallelKernel):
@@ -217,8 +220,8 @@ class UnheldUnlockKernel(TeamParallelKernel):
     def team_iteration(self, iteration: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
         yield Compute(50)
-        yield Unlock(_CS_LOCK)  # never acquired
-        yield BarrierWait(_BARRIER)
+        yield _UNLOCK_CS  # never acquired
+        yield _WAIT
 
 
 def build_racy(scale: float = 1.0) -> Application:
@@ -289,7 +292,7 @@ class StaticDeadlockKernel(TeamParallelKernel):
         yield Store(self.shared_addr)
         yield Unlock(second)
         yield Unlock(first)
-        yield BarrierWait(_BARRIER)
+        yield _WAIT
 
 
 class BarrierMismatchKernel(TeamParallelKernel):
@@ -312,7 +315,7 @@ class BarrierMismatchKernel(TeamParallelKernel):
     def team_iteration(self, iteration: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
         yield Compute(100)
-        yield BarrierWait(_BARRIER)
+        yield _WAIT
         if thread_id == 0:
             yield BarrierWait(_BARRIER + 1)  # nobody else ever arrives
 
@@ -339,12 +342,12 @@ class CounterInCsKernel(TeamParallelKernel):
     def team_iteration(self, iteration: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
         yield Compute(200)
-        yield Lock(_CS_LOCK)
+        yield _LOCK_CS
         _ = yield ReadCounter(CounterKind.CYCLES)  # the seeded defect
         yield Compute(50)
         yield Store(self.shared_addr)
-        yield Unlock(_CS_LOCK)
-        yield BarrierWait(_BARRIER)
+        yield _UNLOCK_CS
+        yield _WAIT
 
 
 def build_static_deadlock(scale: float = 1.0) -> Application:

@@ -27,6 +27,8 @@ from repro.workloads.base import AddressSpace, Category, WorkloadSpec, register
 
 #: Per-line copy cost: 16 floats with index arithmetic each way.
 COPY_INSTR_PER_LINE = 64
+#: Ops are immutable values, so each constant one is built once here.
+_COPY = Compute(COPY_INSTR_PER_LINE)
 _TILE = 16  # elements per tile edge; 16 floats = one cache line
 
 
@@ -76,10 +78,10 @@ class TransposeKernel(DataParallelKernel):
         # Read one line from each of the tile's 16 source rows...
         for r in range(r0, r0 + _TILE):
             yield Load(self._in_base + r * in_row_bytes + c0 * 4)
-            yield Compute(COPY_INSTR_PER_LINE)
+            yield _COPY
         # ...and write one line into each of the 16 destination rows.
         for c in range(c0, c0 + _TILE):
-            yield Compute(COPY_INSTR_PER_LINE)
+            yield _COPY
             yield Store(self._out_base + c * out_row_bytes + r0 * 4)
 
     def expected_result(self) -> np.ndarray:

@@ -165,6 +165,20 @@ def test_cache_entry_is_schema_tagged(tmp_path):
     assert payload["key"] == key
 
 
+def test_cache_entry_bytes_are_one_sorted_json_document(tmp_path):
+    """The stored file is exactly ``json.dumps(payload, sort_keys=True)``
+    (put encodes in one C-encoder call), and ``get`` reads it back."""
+    cache = ResultCache(tmp_path)
+    key = ep_spec().key()
+    spec = {"workload": {"name": "é", "scale": 0.1}, "b": [1, 2], "a": None}
+    result = {"z": 1.5, "kernel_infos": [{"p_cs_real": "inf"}], "a": True}
+    cache.put(key, spec, result)
+    expected = json.dumps({"schema": SCHEMA_VERSION, "key": key,
+                           "spec": spec, "result": result}, sort_keys=True)
+    assert cache.path_for(key).read_bytes() == expected.encode("utf-8")
+    assert cache.get(key) == result
+
+
 @pytest.mark.parametrize("garbage", [
     "",                                  # truncated to nothing
     '{"schema": 1, "key": ',             # truncated mid-JSON

@@ -1,0 +1,197 @@
+"""A finished simulation frees by refcount.
+
+``Machine.close()`` cuts the machine's reference cycles and every owner
+in ``src/`` closes what it built, so a finished run leaves the cycle
+collector nothing from ``repro.sim``.  Each case runs with the collector
+off and then asks it what it would have had to find.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+from contextlib import contextmanager
+
+import pytest
+
+from repro.analysis.inspection import machine_report
+from repro.check.runner import check_workload
+from repro.errors import DeadlockError, ProgramError, SimulationError
+from repro.fdt.policies import StaticPolicy
+from repro.fdt.priors import measure_estimates
+from repro.fdt.runner import run_application
+from repro.isa.ops import Compute
+from repro.jobs.spec import JobSpec, PolicySpec, WorkloadRef
+from repro.sim.cache import SetAssocCache
+from repro.sim.coherence import DirectoryEntry
+from repro.sim.config import MachineConfig
+from repro.sim.core import Core, _Context
+from repro.sim.machine import Machine
+from repro.sim.memsys import MemorySystem
+from repro.trace import TraceConfig, run_traced
+from repro.workloads import get
+from repro.workloads.synthetic import build_barrier_mismatch
+
+SIM_TYPES = (Core, _Context, MemorySystem, SetAssocCache, DirectoryEntry)
+SCALE = 0.05
+
+
+@contextmanager
+def collector_off():
+    """Run the body with the cycle collector disabled, from a clean slate
+    (earlier tests' garbage is not this run's)."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def sim_garbage(run) -> list[str]:
+    """Type names of the ``repro.sim`` objects only the cycle collector
+    could free after ``run()`` (whose result is dropped)."""
+    with collector_off():
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            return sorted({type(o).__name__ for o in gc.garbage
+                           if isinstance(o, SIM_TYPES)})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+
+def spec_for(workload: str, policy: str) -> JobSpec:
+    return JobSpec(
+        workload=WorkloadRef(name=workload, scale=SCALE),
+        policy=PolicySpec(policy, 4 if policy == "static" else None),
+        config=MachineConfig.asplos08_baseline())
+
+
+def tiny_team(machine: Machine) -> None:
+    def factory(tid: int, team: int):
+        yield Compute(8)
+    machine.run_parallel([factory] * 2)
+
+
+# -- no owner leaves a machine to the collector ----------------------------------
+
+@pytest.mark.parametrize("policy", ["static", "fdt"])
+@pytest.mark.parametrize("workload", ["EP", "ED", "BT", "MTwister"])
+def test_a_finished_job_leaves_no_sim_garbage(workload, policy):
+    assert sim_garbage(spec_for(workload, policy).run) == []
+
+
+@pytest.mark.parametrize("trace_config", [
+    TraceConfig(timeline=True, counters=False),
+    TraceConfig(timeline=False, counters=True),  # recorder is the sampler
+], ids=["timeline", "counter-sampling"])
+def test_a_traced_run_leaves_no_sim_garbage(trace_config):
+    spec = spec_for("ED", "fdt")
+    assert sim_garbage(lambda: run_traced(
+        spec.workload.build(), spec.policy.build(), spec.config,
+        trace_config)) == []
+
+
+def test_a_checked_run_leaves_no_sim_garbage():
+    assert sim_garbage(lambda: check_workload("EP", scale=SCALE)) == []
+
+
+def test_measured_estimates_leave_no_sim_garbage():
+    kernel = get("ED").build(SCALE).kernels[0]
+    assert sim_garbage(lambda: measure_estimates(kernel)) == []
+
+
+def test_a_deadlocked_run_leaves_no_sim_garbage():
+    """``static-barrier-mismatch`` hangs for certain (``static-deadlock``
+    is latent and completes), with every context still spinning."""
+    def run() -> None:
+        try:
+            run_application(build_barrier_mismatch(), StaticPolicy(4))
+        except DeadlockError:
+            return
+        pytest.fail("the barrier mismatch did not deadlock")
+    assert sim_garbage(run) == []
+
+
+def test_an_aborted_run_leaves_no_sim_garbage():
+    """A program error strands the other threads' steps on the event
+    queue, which those steps' closures hold in turn."""
+    def factory(tid: int, team: int):
+        yield Compute(100 * (tid + 1))
+        if tid == 0:
+            yield "not an op"
+        yield Compute(1000)
+
+    def run() -> None:
+        with Machine(MachineConfig.small()) as machine:
+            try:
+                machine.run_parallel([factory] * 4)
+            except ProgramError:
+                assert len(machine.events) > 0
+                return
+        pytest.fail("the unknown op was accepted")
+    assert sim_garbage(run) == []
+
+
+def test_memory_does_not_grow_over_consecutive_jobs():
+    """With the collector off, six runs hold what one run holds."""
+    spec = spec_for("PageMine", "static")
+    with collector_off():
+        tracemalloc.start()
+        try:
+            spec.run()
+            after_first, _peak = tracemalloc.get_traced_memory()
+            for _ in range(5):
+                spec.run()
+            after_sixth, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert after_sixth <= 1.25 * after_first
+
+
+# -- the close() contract -------------------------------------------------------
+
+def test_close_is_idempotent_and_the_counters_stay_readable():
+    """The benchmark's tracer folds a machine's counters after the job
+    that built (and closed) it has returned."""
+    machine = Machine(MachineConfig.small())
+    start = machine.snapshot()
+    tiny_team(machine)
+    cycles, report = machine.now, machine_report(machine)
+    assert cycles > 0
+    machine.close()
+    machine.close()
+    assert machine.now == cycles
+    assert machine_report(machine) == report
+    assert machine.result_since(start).cycles == cycles
+
+
+def test_a_closed_machine_refuses_to_run():
+    machine = Machine(MachineConfig.small())
+    machine.close()
+    with pytest.raises(SimulationError, match="closed"):
+        tiny_team(machine)
+
+
+def test_the_context_manager_closes_on_an_exception():
+    with pytest.raises(RuntimeError, match="boom"):
+        with Machine(MachineConfig.small()) as machine:
+            raise RuntimeError("boom")
+    with pytest.raises(SimulationError, match="closed"):
+        tiny_team(machine)
+
+
+def test_a_borrowed_machine_stays_open():
+    """``machine=`` lends warm state; only its owner closes it."""
+    app, policy = get("EP").build(SCALE), StaticPolicy(2)
+    with Machine() as machine:
+        first = run_application(app, policy, machine=machine)
+        second = run_application(app, policy, machine=machine)
+        assert first.cycles > 0 and second.cycles > 0
+        assert machine.now >= first.cycles + second.cycles
+        tiny_team(machine)  # still open

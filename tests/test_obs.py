@@ -154,7 +154,8 @@ def test_serve_metrics_render_matches_pre_refactor_exposition():
         "repro_serve_cache_hits_total", "repro_serve_cache_misses_total",
         "repro_serve_coalesced_total", "repro_serve_shed_total",
         "repro_serve_timeouts_total", "repro_serve_failures_total",
-        "repro_serve_in_flight", "repro_serve_request_seconds"]
+        "repro_serve_in_flight", "repro_serve_request_seconds",
+        "repro_process_max_resident_bytes"]
     assert [parts[3] for parts in type_lines][:2] == ["counter", "counter"]
     assert 'repro_serve_requests_total{endpoint="/v1/run"} 1' in lines
     assert "repro_serve_in_flight 2" in lines

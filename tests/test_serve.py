@@ -173,6 +173,18 @@ def test_metrics_render_parses_as_prometheus_text():
     assert samples["repro_serve_request_seconds_sum"] == pytest.approx(7.003)
 
 
+def test_metrics_report_the_process_peak_resident_set():
+    """``/metrics`` carries what the benchmark calls ``peak_rss_mb``,
+    read when the page is rendered."""
+    import resource
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    text = ServeMetrics().render()
+    assert "# TYPE repro_process_max_resident_bytes gauge" in text
+    value = parse_prometheus(text)["repro_process_max_resident_bytes"]
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    assert 0 < before <= value <= after
+
+
 def test_histogram_buckets_are_cumulative():
     hist = Histogram("h", "test", buckets=(1.0, 2.0))
     for value in (0.5, 1.5, 99.0):
