@@ -5,7 +5,10 @@ has one; ``MachineConfig.smt_threads`` adds the paper's Section 9
 extension).  A context executes one simulated thread by pulling ops from
 the thread's generator; each context is driven by one prebound *step*
 (:meth:`Core._make_step`), the only callback the core ever puts on the
-event queue.  What each op costs:
+event queue.  A core is built as it is used: :meth:`Core.start_thread`
+builds the core's memory port and the context's step the first time a
+thread lands there, so a machine pays for the cores a run touches, not
+for all of Table 1.  What each op costs:
 
 * ``Compute(n)`` occupies the context ``ceil(n / issue_width)`` cycles,
   scaled by the number of non-idle contexts sharing the core's issue
@@ -26,7 +29,7 @@ The step handles ``Load``/``Store``, ``Compute`` and ``Branch`` in its
 own body, calls :meth:`Core._dispatch` for the rest, and pushes its own
 next event — as ``ctx.step``, the same function, never by its own name:
 a closure that named itself would be a reference cycle nothing can cut,
-whereas ``Machine.close`` deletes ``ctx.step``.  Two shortcuts, both
+whereas ``Machine.close`` resets ``ctx.step``.  Two shortcuts, both
 off under ``REPRO_SLOW_PATHS=1`` (which builds the *same* step without
 them):
 
@@ -62,6 +65,7 @@ from repro.sim.engine import slow_paths_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
+    from repro.sim.memsys import AccessPort
 
 
 class CoreState(enum.Enum):
@@ -83,10 +87,10 @@ class _Context:
         self.spin_since = 0
         self.send_value: int | None = None
         self.spin_cycles = 0
-        #: Prebound event callback (:meth:`Core._make_step`), created
-        #: once by the owning core so the hot loop never allocates
-        #: per-event closures.
-        self.step: Callable[[], None] = lambda: None
+        #: Prebound event callback (:meth:`Core._make_step`), built once
+        #: by the owning core when the context's first thread starts, so
+        #: the hot loop never allocates per-event closures.
+        self.step: Callable[[], None] | None = None
         #: Op the Compute coalescer pulled past the end of its run, for
         #: the step to execute when the run's event fires.
         self.pending: object | None = None
@@ -112,14 +116,14 @@ class Core:
         self._run_ahead = not slow_paths_enabled()
         self._coalesce = (self._run_ahead
                           and machine.config.smt_threads == 1)
-        self._mem_access = machine.memsys.make_port(core_id)
+        #: The core's memory port (shared by its SMT contexts), built by
+        #: the first :meth:`start_thread` here.
+        self._mem_access: AccessPort | None = None
         #: The counter file's per-core retired array (the one retired-
         #: instruction counter) and the observer, bound once: both are
         #: fixed at machine construction.
         self._retired = machine.counters._retired
         self._observer = machine.observer
-        for ctx in self.contexts:
-            ctx.step = self._make_step(ctx)
 
     # -- aggregate views -----------------------------------------------------
 
@@ -148,6 +152,10 @@ class Core:
         if ctx.state is not CoreState.IDLE:
             raise SimulationError(
                 f"core {self.core_id} context {context_index} is busy")
+        if ctx.step is None:
+            if self._mem_access is None:
+                self._mem_access = self.machine.memsys.make_port(self.core_id)
+            ctx.step = self._make_step(ctx)
         ctx.program = program
         ctx.agent_id = agent_id
         ctx.state = CoreState.RUNNING

@@ -23,7 +23,6 @@ class L3Bank:
             assoc=config.l3_assoc,
             line_bytes=config.line_bytes,
             name=f"l3.bank{index}",
-            lazy_sets=True,
         )
         self.latency = config.l3_latency
         self.occupancy = bank_occupancy

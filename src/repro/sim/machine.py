@@ -8,6 +8,11 @@ parallel regions; caches, DRAM row buffers, predictors, and the clock
 persist across regions, so a kernel's second invocation sees a warm
 machine just like on real hardware.
 
+Construction costs what a run touches: a cache set is allocated by its
+first fill and a core's memory port and step by its first thread, so a
+fresh machine is ``cores`` / ``memsys.l1s`` / ``l2s`` as full lists of
+small objects and little else.
+
 Lifetime: whoever builds a machine closes it (:meth:`Machine.close`, or
 ``with Machine(config) as machine:``).  Closing cuts the references that
 point back up the object tree, so a finished machine is freed by
@@ -119,7 +124,8 @@ class Machine:
         """End the machine's life so plain refcounting frees it.
 
         Cuts every reference that points back up the tree — a context
-        holds its step, whose closure holds the context and its core;
+        that ran a thread holds its step, whose closure holds the
+        context and its core;
         ``Core.machine`` points at ``Machine.cores``; queued steps of an
         aborted run; the sampler and an observer that kept the machine —
         so the caches and directory go the moment the last outside
@@ -132,7 +138,8 @@ class Machine:
         self._closed = True
         for core in self.cores:
             for ctx in core.contexts:
-                del ctx.step
+                ctx.step = None
+            core._mem_access = None
             del core.machine
         self.events.heap.clear()
         self.events.sampler = None

@@ -355,13 +355,19 @@ class MemorySystem:
                         # The L3 copy is gone: push the line off-chip.
                         dram_access(victim, bus_data_phase(0))
                         stats.l3_writebacks_to_dram += 1
+            elif s2 is UNFILLED:
+                l2_sets[line & l2_mask] = {line: new_state}
             else:
                 s2[line] = new_state
             # -- fill the L1 -----------------------------------------------
             if len(s1) >= l1_assoc:
                 del s1[next(iter(s1))]
                 l1_stats.evictions += 1
-            s1[line] = True
+                s1[line] = True
+            elif s1 is UNFILLED:
+                l1_sets[line & l1_mask] = {line: True}
+            else:
+                s1[line] = True
             if observer is not None:
                 observer.on_mem_access(core, line, is_write, t, t_data)
             return t_data
@@ -419,7 +425,11 @@ class MemorySystem:
             if len(s1) >= l1_assoc:
                 del s1[next(iter(s1))]  # silent: L1 is never dirty
                 l1_stats.evictions += 1
-            s1[line] = True
+                s1[line] = True
+            elif s1 is UNFILLED:
+                l1_sets[line & l1_mask] = {line: True}
+            else:
+                s1[line] = True
             return t
         return port
 

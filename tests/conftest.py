@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.sim.cache import UNFILLED
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
@@ -36,6 +37,15 @@ def _isolated_result_cache(tmp_path, monkeypatch) -> None:
     test a cold cache, so hit/miss assertions are deterministic.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _unfilled_sentinel_stays_empty():
+    """Every unfilled set of every cache in the process is this one
+    dict: a single stray write into it would alias them all, silently.
+    """
+    yield
+    assert len(UNFILLED) == 0, f"a fill wrote into cache.UNFILLED: {UNFILLED}"
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.cache import SetAssocCache
+from repro.sim.cache import UNFILLED, SetAssocCache
 
 
 def make_cache(size=1024, assoc=2, line=64):
@@ -131,12 +131,20 @@ def test_resident_lines_enumerates_contents():
 
 
 def test_clear_empties_but_keeps_stats():
-    c = make_cache()
+    c = make_cache()  # partly filled: most sets are still UNFILLED
     c.insert(1, True)
     c.lookup(1)
+    sets = c._sets
     c.clear()
     assert len(c) == 0
     assert c.stats.hits == 1
+    # The sentinel is shared by every cache in the process: clear()
+    # drops the filled sets and never writes it, and the list a memory
+    # port has bound is the one it refills.
+    assert len(UNFILLED) == 0
+    assert c._sets is sets and all(s is UNFILLED for s in sets)
+    c.insert(1, True)
+    assert len(c) == 1 and len(UNFILLED) == 0
 
 
 def test_miss_rate():

@@ -4,6 +4,11 @@
 in ``src/`` closes what it built, so a finished run leaves the cycle
 collector nothing from ``repro.sim``.  Each case runs with the collector
 off and then asks it what it would have had to find.
+
+A machine is also built as it is used — a cache set by its first fill, a
+core's memory port and step by its first thread — and the last section
+counts what a fresh machine holds, who owns a port and a step after a
+region, and checks that *when* they were built cannot be observed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from repro.fdt.priors import measure_estimates
 from repro.fdt.runner import run_application
 from repro.isa.ops import Compute
 from repro.jobs.spec import JobSpec, PolicySpec, WorkloadRef
-from repro.sim.cache import SetAssocCache
+from repro.sim.cache import UNFILLED, SetAssocCache
 from repro.sim.coherence import DirectoryEntry
 from repro.sim.config import MachineConfig
 from repro.sim.core import Core, _Context
@@ -195,3 +200,103 @@ def test_a_borrowed_machine_stays_open():
         assert first.cycles > 0 and second.cycles > 0
         assert machine.now >= first.cycles + second.cycles
         tiny_team(machine)  # still open
+
+
+# -- a machine is built as it is used ---------------------------------------------
+
+def all_caches(machine: Machine) -> list[SetAssocCache]:
+    memsys = machine.memsys
+    return [*memsys.l1s, *memsys.l2s, *(b.cache for b in memsys.l3.banks)]
+
+
+def ports_and_steps(machine: Machine) -> dict[int, int]:
+    """Core id -> number of steps built there, for every core that owns a
+    memory port (a step is never built without its core's port)."""
+    built = {}
+    for core in machine.cores:
+        steps = sum(ctx.step is not None for ctx in core.contexts)
+        assert (core._mem_access is None) == (steps == 0)
+        if steps:
+            built[core.core_id] = steps
+    return built
+
+
+def brief(tid: int, team: int):
+    yield Compute(8)
+
+
+def force_build(machine: Machine) -> None:
+    """Do for every core now what ``start_thread`` does on first use."""
+    for core in machine.cores:
+        core._mem_access = machine.memsys.make_port(core.core_id)
+        for ctx in core.contexts:
+            ctx.step = core._make_step(ctx)
+
+
+def test_a_fresh_machine_has_built_nothing_it_was_not_asked_for():
+    config = MachineConfig.asplos08_baseline()
+    Machine(config).close()  # imports and one-time caches are not the count
+    with collector_off():
+        before = len(gc.get_objects())
+        machine = Machine(config)
+        added = len(gc.get_objects()) - before
+    with machine:
+        assert added <= 600  # eager sets, ports and steps: 3 532
+        assert len(machine.cores) == len(machine.memsys.l1s) == 32
+        for cache in all_caches(machine):
+            assert all(s is UNFILLED for s in cache._sets)
+        assert ports_and_steps(machine) == {}
+
+
+def test_a_region_builds_the_port_and_step_of_the_cores_it_lands_on():
+    with Machine(MachineConfig.asplos08_baseline()) as machine:
+        machine.run_serial(brief)
+        assert ports_and_steps(machine) == {0: 1}
+        port, step = machine.cores[0]._mem_access, machine.cores[0].contexts[0].step
+        machine.run_parallel([brief] * 4)
+        assert ports_and_steps(machine) == {0: 1, 1: 1, 2: 1, 3: 1}
+        # The second region on core 0 reused what the first one built.
+        assert machine.cores[0]._mem_access is port
+        assert machine.cores[0].contexts[0].step is step
+
+
+def test_smt_contexts_share_their_cores_one_port():
+    config = MachineConfig.small(num_cores=4).with_smt(2)
+    with Machine(config) as machine:
+        machine.run_parallel([brief] * (config.num_cores + 1))
+        assert ports_and_steps(machine) == {0: 2, 1: 1, 2: 1, 3: 1}
+        port = machine.cores[0]._mem_access
+        steps = [ctx.step for ctx in machine.cores[0].contexts]
+        machine.run_parallel([brief] * (config.num_cores + 1))
+        assert machine.cores[0]._mem_access is port
+        assert [ctx.step for ctx in machine.cores[0].contexts] == steps
+
+
+@pytest.mark.parametrize("threads", [0, 2], ids=["never-run", "partly-used"])
+def test_close_clears_what_was_built_and_only_that(threads):
+    machine = Machine(MachineConfig.small())
+    if threads:
+        tiny_team(machine)
+    assert len(ports_and_steps(machine)) == threads
+    machine.close()
+    machine.close()
+    assert ports_and_steps(machine) == {}
+    assert machine.now == machine.snapshot().cycles
+
+
+@pytest.mark.parametrize("policy", ["static", "fdt"])
+@pytest.mark.parametrize("workload", ["PageMine", "ED", "Transpose"])
+def test_build_time_is_unobservable(workload, policy):
+    """A port binds the ``_sets`` *lists*: one built after other cores
+    have filled sets walks the same memory as one built before."""
+    app = get(workload).build(SCALE)
+    policy_spec = PolicySpec(policy, 32 if policy == "static" else None)
+
+    def run(prepare) -> tuple:
+        with Machine(MachineConfig.asplos08_baseline()) as machine:
+            prepare(machine)
+            result = run_application(app, policy_spec.build(),
+                                     machine=machine)
+            return result, machine_report(machine)
+
+    assert run(force_build) == run(lambda machine: None)

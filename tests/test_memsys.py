@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.cache import UNFILLED
 from repro.sim.coherence import MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -148,3 +149,21 @@ def test_every_l3_set_is_reachable(m: Machine):
         reached[bank.index].add(bank.cache._set_index(line))
     assert all(len(sets) == bank.cache.num_sets
                for bank, sets in zip(m.memsys.l3.banks, reached.values()))
+
+
+def test_port_refills_a_cleared_l1_from_a_warm_l2(m: Machine):
+    """No run reaches the port's L1 fill with the set unallocated (an L2
+    hit means the line's L1 set was filled along with it); ``clear()``
+    does, and the fill must allocate the set, not write the sentinel."""
+    port, l1 = m.memsys.make_port(0), m.memsys.l1s[0]
+    t = 0
+    for k in range(4):
+        t = port(ADDR + k * 64, False, t)
+    l1.clear()
+    l2_hits = m.memsys.l2s[0].stats.hits
+    for k in range(4):
+        done = port(ADDR + k * 64, False, t)
+        assert done - t == m.config.l1_latency + m.config.l2_latency
+        t = done
+    assert m.memsys.l2s[0].stats.hits == l2_hits + 4
+    assert len(l1) == 4 and len(UNFILLED) == 0

@@ -781,6 +781,9 @@ def test_server_maps_request_timeout_to_504_with_spec_key():
                 # The body names the spec key so the client can poll
                 # /v1/result/<key> for the abandoned computation.
                 assert body["key"] == schema.parse_run_request(payload).key()
+            # Release the stub before the server exits: its drain waits
+            # for the worker, which would sit out the stub's whole wait.
+            gate.set()
     finally:
         gate.set()
 
