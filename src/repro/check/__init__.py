@@ -17,6 +17,11 @@ to observe any run, or use
 :func:`check_application` / :func:`check_workload` (the ``repro check``
 CLI entry) for a one-call verdict; :func:`analyze_workload` is the
 static-analysis counterpart (``repro check --static``).
+
+Nothing here takes configuration: a verdict is a function of the
+program and the machine.  Every analysis and pass always runs, and a
+caller who wants less filters the report it gets back
+(``report.by_analysis(...)``, ``Finding.kind``, ``details["address"]``).
 """
 
 from repro.check.findings import (
@@ -31,9 +36,8 @@ from repro.check.findings import (
     Finding,
 )
 from repro.check.runner import DEFAULT_THREADS, check_application, check_workload
-from repro.check.sanitizer import SanitizerConfig, ThreadSanitizer
+from repro.check.sanitizer import ThreadSanitizer
 from repro.check.static import (
-    StaticCheckConfig,
     StaticReport,
     analyze_application,
     analyze_workload,
@@ -50,8 +54,6 @@ __all__ = [
     "CheckReport",
     "DEFAULT_THREADS",
     "Finding",
-    "SanitizerConfig",
-    "StaticCheckConfig",
     "StaticReport",
     "ThreadSanitizer",
     "analyze_application",

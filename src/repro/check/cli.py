@@ -18,11 +18,12 @@ import json
 import sys
 
 from repro.analysis.report import format_findings
-from repro.check.runner import DEFAULT_THREADS, check_workload, fixtures
+from repro.check.runner import DEFAULT_THREADS, check_workload
 from repro.check.static import analyze_workload
 from repro.errors import WorkloadError
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
+from repro.workloads.synthetic import FIXTURES
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -143,7 +144,7 @@ def register(sub: argparse._SubParsersAction,
              "optionally with ahead-of-run static analysis")
     p_check.add_argument("workload", nargs="?", default=None,
                          help="Table 2 workload name, or a fixture "
-                              f"({', '.join(sorted(fixtures()))})")
+                              f"({', '.join(sorted(FIXTURES))})")
     p_check.add_argument("--all", action="store_true",
                          help="check every Table 2 workload")
     p_check.add_argument("--threads", type=int, default=DEFAULT_THREADS,

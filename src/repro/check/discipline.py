@@ -20,13 +20,8 @@ of a single observed event stream:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.check.findings import DISCIPLINE, Finding
+from repro.check.findings import DISCIPLINE, Finding, FindingLog
 from repro.isa.ops import CounterKind
-
-if TYPE_CHECKING:  # pragma: no cover - sanitizer.py imports this module
-    from repro.check.sanitizer import SanitizerConfig
 
 
 class _BarrierTrack:
@@ -41,25 +36,16 @@ class _BarrierTrack:
         self.flagged = False
 
 
-class DisciplineLinter:
+class DisciplineLinter(FindingLog):
     """Structural lock/barrier/counter checks."""
 
-    def __init__(self, config: SanitizerConfig) -> None:
-        self._cfg = config
-        self._findings: list[Finding] = []
+    def __init__(self) -> None:
+        super().__init__()
         self._barriers: dict[int, _BarrierTrack] = {}
         self._counter_sites: set[tuple[str, int]] = set()
-        self.dropped = 0
-
-    @property
-    def findings(self) -> list[Finding]:
-        return self._findings
 
     def _record(self, kind: str, message: str, **details: object) -> None:
-        if len(self._findings) >= self._cfg.max_findings:
-            self.dropped += 1
-            return
-        self._findings.append(Finding(
+        self.add(Finding(
             analysis=DISCIPLINE, kind=kind, message=message, details=details))
 
     # -- locks -----------------------------------------------------------

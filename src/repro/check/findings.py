@@ -24,6 +24,10 @@ STATIC = "static"
 
 ANALYSES = (RACE, LOCK_ORDER, DISCIPLINE, RUNTIME, STATIC)
 
+#: Cap on the findings one analysis records; further ones are counted
+#: (``dropped``) but not listed.
+MAX_FINDINGS = 100
+
 
 @dataclass(frozen=True, slots=True)
 class AccessSite:
@@ -63,6 +67,21 @@ class Finding:
                 "message": self.message, "details": dict(self.details)}
 
 
+class FindingLog:
+    """Findings in the order recorded, capped at :data:`MAX_FINDINGS`."""
+
+    def __init__(self) -> None:
+        self.findings: list[Finding] = []
+        #: Findings counted but not listed because the cap was reached.
+        self.dropped = 0
+
+    def add(self, finding: Finding) -> None:
+        if len(self.findings) >= MAX_FINDINGS:
+            self.dropped += 1
+        else:
+            self.findings.append(finding)
+
+
 @dataclass(frozen=True, slots=True)
 class CheckReport:
     """Everything one ``repro check`` run produced."""
@@ -75,7 +94,7 @@ class CheckReport:
     aborted: str | None = None
     #: Simulated cycles the checked run covered.
     cycles: int = 0
-    #: Findings dropped because an analysis hit its ``max_findings`` cap.
+    #: Findings dropped because an analysis hit :data:`MAX_FINDINGS`.
     dropped: int = 0
 
     @property

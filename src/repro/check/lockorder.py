@@ -10,21 +10,18 @@ from the strongly connected components of the graph.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Collection, Iterator
 
-from repro.check.findings import LOCK_ORDER, Finding
-
-if TYPE_CHECKING:  # pragma: no cover - sanitizer.py imports this module
-    from repro.check.sanitizer import SanitizerConfig
+from repro.check.findings import LOCK_ORDER, Finding, FindingLog
 
 
 class LockOrderAnalyzer:
     """Builds the acquires-while-holding graph and reports its cycles."""
 
-    def __init__(self, config: SanitizerConfig) -> None:
-        self._cfg = config
+    def __init__(self) -> None:
         #: (held, wanted) -> witness details of the first observation.
         self._edges: dict[tuple[int, int], dict[str, int]] = {}
+        #: Cycles counted but not listed by the last :meth:`finish`.
         self.dropped = 0
 
     def on_lock_request(self, lock_id: int, agent: int,
@@ -39,23 +36,12 @@ class LockOrderAnalyzer:
 
     def finish(self) -> list[Finding]:
         """Cycle findings from the accumulated graph (one per SCC)."""
-        findings: list[Finding] = []
-        adjacency: dict[int, list[int]] = {}
-        for a, b in self._edges:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, [])
-        for component in _strongly_connected(adjacency):
-            if len(component) < 2:
-                continue  # self-edges are excluded at recording time
-            cycle = _cycle_within(adjacency, component)
+        log = FindingLog()
+        for component, cycle, witnesses in lock_order_cycles(self._edges):
             edges = [{"held": a, "wanted": b, **self._edges[(a, b)]}
-                     for a, b in zip(cycle, cycle[1:])
-                     if (a, b) in self._edges]
-            if len(findings) >= self._cfg.max_findings:
-                self.dropped += 1
-                continue
+                     for a, b in witnesses]
             path = " -> ".join(str(lock) for lock in cycle)
-            findings.append(Finding(
+            log.add(Finding(
                 analysis=LOCK_ORDER,
                 kind="lock-order-cycle",
                 message=(f"potential deadlock: locks are acquired in a "
@@ -67,7 +53,33 @@ class LockOrderAnalyzer:
                     "edges": edges,
                 },
             ))
-        return findings
+        self.dropped = log.dropped
+        return log.findings
+
+
+def lock_order_cycles(
+        edges: Collection[tuple[int, int]],
+) -> Iterator[tuple[set[int], list[int], list[tuple[int, int]]]]:
+    """The cycles of an acquires-while-holding graph, one per strongly
+    connected component of two or more locks.
+
+    ``edges`` are ``(held, wanted)`` pairs, self-edges already excluded.
+    Yields ``(component, cycle, witnesses)``: the locks involved, a short
+    simple cycle through them as ``[a, ..., a]``, and the edges of
+    ``edges`` along that cycle.  The dynamic analysis above and the
+    static pass (:mod:`repro.check.static.locks`) both report from this,
+    so they can never disagree about what a cycle is.
+    """
+    adjacency: dict[int, list[int]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, [])
+    for component in _strongly_connected(adjacency):
+        if len(component) < 2:
+            continue
+        cycle = _cycle_within(adjacency, component)
+        yield component, cycle, [
+            edge for edge in zip(cycle, cycle[1:]) if edge in edges]
 
 
 def _strongly_connected(adjacency: dict[int, list[int]]) -> list[set[int]]:
@@ -146,10 +158,3 @@ def _cycle_within(adjacency: dict[int, list[int]],
         frontier = nxt_frontier
     # Unreachable for a genuine SCC; defend anyway.
     return [start, start]  # pragma: no cover
-
-
-#: Public aliases: the static lock-order pass (repro.check.static.locks)
-#: shares this module's cycle-detection implementation, so the dynamic
-#: and ahead-of-run analyses can never disagree about what a cycle is.
-strongly_connected = _strongly_connected
-cycle_within = _cycle_within

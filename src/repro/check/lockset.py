@@ -13,22 +13,19 @@ Two adaptations for simulated op-stream programs:
   every full-team barrier release and region boundary (both are
   happens-before fences for the whole team here), and an address whose
   last access predates the current epoch restarts its state machine.
-* **Write-write by default.**  Workload generators touch line-aligned
+* **Write-write only.**  Workload generators touch line-aligned
   representative addresses, so a load and a store of the same line by
   different threads usually models false sharing rather than a race.
-  Read-write conflicts are therefore only reported under
-  ``SanitizerConfig.report_read_write``; write-write conflicts always
-  are.
+  Only an address with at least two writers is reported.
+
+The detector has no ignore list: an intentionally unprotected access is
+a filter on ``details["address"]`` of the report (docs/check.md), so
+what was observed and what the caller chose not to look at stay apart.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.check.findings import RACE, AccessSite, Finding
-
-if TYPE_CHECKING:  # pragma: no cover - sanitizer.py imports this module
-    from repro.check.sanitizer import SanitizerConfig
+from repro.check.findings import RACE, AccessSite, Finding, FindingLog
 
 # Per-address state machine (Eraser Figure 2).
 _EXCLUSIVE = 0  # one thread has touched it (initialization pattern)
@@ -61,18 +58,12 @@ class _AddrState:
         self.prev = site
 
 
-class LocksetRaceDetector:
+class LocksetRaceDetector(FindingLog):
     """Consumes accesses with held-lock sets; produces race findings."""
 
-    def __init__(self, config: SanitizerConfig) -> None:
-        self._cfg = config
+    def __init__(self) -> None:
+        super().__init__()
         self._addrs: dict[int, _AddrState] = {}
-        self._findings: list[Finding] = []
-        self.dropped = 0
-
-    @property
-    def findings(self) -> list[Finding]:
-        return self._findings
 
     def on_access(self, agent: int, addr: int, is_store: bool, epoch: int,
                   held: frozenset[int], site: AccessSite) -> None:
@@ -81,9 +72,6 @@ class LocksetRaceDetector:
         ``held`` is the set of lock ids ``agent`` holds at the access;
         ``epoch`` is the sanitizer's barrier epoch.
         """
-        for lo, hi in self._cfg.ignore_address_ranges:
-            if lo <= addr < hi:
-                return
         st = self._addrs.get(addr)
         if st is None:
             self._addrs[addr] = _AddrState(agent, is_store, epoch, site)
@@ -116,19 +104,16 @@ class LocksetRaceDetector:
                       site: AccessSite) -> None:
         if st.reported or st.state != _SHARED_MOD or st.lockset:
             return
-        if len(st.writers) < 2 and not self._cfg.report_read_write:
+        if len(st.writers) < 2:
             return
         st.reported = True
-        if len(self._findings) >= self._cfg.max_findings:
-            self.dropped += 1
-            return
         sites = [st.first]
         if st.prev != st.first:
             sites.append(st.prev)
         if site != st.prev:
             sites.append(site)
         agents = sorted({s.agent for s in sites} | st.writers)
-        self._findings.append(Finding(
+        self.add(Finding(
             analysis=RACE,
             kind="empty-lockset",
             message=(f"data race on address {addr:#x}: candidate lockset "

@@ -10,17 +10,21 @@ queue, an unlock the lock manager refuses) are themselves reported as a
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.check.findings import RUNTIME, CheckReport, Finding
-from repro.check.sanitizer import SanitizerConfig, ThreadSanitizer
-from repro.errors import DeadlockError, SimulationError, WorkloadError
+from repro.check.sanitizer import ThreadSanitizer
+from repro.errors import (
+    ConfigError,
+    DeadlockError,
+    SimulationError,
+    WorkloadError,
+)
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads import get
-from repro.workloads.synthetic import sanitizer_fixtures, static_fixtures
+from repro.workloads.base import AppBuilder
+from repro.workloads.synthetic import FIXTURES
 
 #: Default team size for checks.  Races and ordering violations need at
 #: least two threads; four keeps the run cheap while exercising real
@@ -30,8 +34,7 @@ DEFAULT_THREADS = 4
 
 def check_application(app: Application,
                       config: MachineConfig | None = None,
-                      threads: int = DEFAULT_THREADS,
-                      sanitizer: SanitizerConfig | None = None) -> CheckReport:
+                      threads: int = DEFAULT_THREADS) -> CheckReport:
     """Run every kernel of ``app`` under the sanitizer; report findings.
 
     Args:
@@ -39,20 +42,34 @@ def check_application(app: Application,
         config: machine to check on (baseline Table 1 machine if None).
         threads: static team size for the checked run (>= 2 to give the
             race detector something to see).
-        sanitizer: analysis knobs; defaults to everything on.
 
     Returns:
         A :class:`~repro.check.findings.CheckReport`; ``report.clean``
         is True when nothing was found and the run completed.
+
+    Raises:
+        ConfigError: the machine has fewer than 2 thread slots — a team
+            of one has nobody to race or deadlock with, so every
+            positive control would pass vacuously.
     """
-    observer = ThreadSanitizer(sanitizer)
+    config = config or MachineConfig.asplos08_baseline()
+    slots = config.num_thread_slots
+    if slots < 2:
+        raise ConfigError(
+            f"a checked run needs a team of at least 2 threads, but this "
+            f"machine has {slots} thread slot(s); give it more cores or "
+            f"SMT contexts, or run the static analysis alone")
+    observer = ThreadSanitizer()
     machine = Machine(config, observers=[observer])
-    policy = StaticPolicy(max(2, min(threads, machine.config.num_thread_slots)))
+    # The report names the team that ran, not the one asked for; a run
+    # that aborts inside its first kernel was launched with this one.
+    team = max(2, min(threads, slots))
+    policy = StaticPolicy(team)
 
     aborted: str | None = None
     try:
         for kernel in app.kernels:
-            policy.run_kernel(machine, kernel)
+            team = policy.run_kernel(machine, kernel).threads
     except (DeadlockError, SimulationError) as exc:
         aborted = str(exc)
     finally:
@@ -68,7 +85,7 @@ def check_application(app: Application,
         ))
     return CheckReport(
         workload=app.name,
-        threads=policy.threads or machine.config.num_cores,
+        threads=team,
         findings=tuple(findings),
         aborted=aborted,
         cycles=machine.now,
@@ -76,39 +93,32 @@ def check_application(app: Application,
     )
 
 
-def fixtures() -> dict[str, Callable[[float], Application]]:
-    """Every fixture both checkers accept: the sanitizer's positive
-    controls (``synthetic-*``) and the static analyzer's (``static-*``)."""
-    return {**sanitizer_fixtures(), **static_fixtures()}
-
-
-def resolve(name: str) -> Callable[[float], Application]:
+def resolve(name: str) -> AppBuilder:
     """The ``scale -> Application`` builder ``repro check`` runs for
-    ``name``: a fixture, else a Table 2 registry entry.
+    ``name``: a fixture (:data:`~repro.workloads.synthetic.FIXTURES`),
+    else a Table 2 registry entry.
 
     Raises:
         WorkloadError: unknown name.
     """
-    known = fixtures()
-    if name in known:
-        return known[name]
+    if name in FIXTURES:
+        return FIXTURES[name]
     try:
         return get(name).build
     except WorkloadError:
         raise WorkloadError(
             f"unknown workload {name!r} (fixtures: "
-            f"{', '.join(sorted(known))}; run 'repro list' for the "
+            f"{', '.join(sorted(FIXTURES))}; run 'repro list' for the "
             f"Table 2 roster)") from None
 
 
 def check_workload(name: str, scale: float = 0.5,
                    config: MachineConfig | None = None,
-                   threads: int = DEFAULT_THREADS,
-                   sanitizer: SanitizerConfig | None = None) -> CheckReport:
+                   threads: int = DEFAULT_THREADS) -> CheckReport:
     """Check a workload by name (see :func:`resolve`).
 
     Raises:
         WorkloadError: unknown name.
     """
     return check_application(resolve(name)(scale), config=config,
-                             threads=threads, sanitizer=sanitizer)
+                             threads=threads)

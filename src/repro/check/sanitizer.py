@@ -15,13 +15,10 @@ state every check needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.check.discipline import DisciplineLinter
 from repro.check.findings import AccessSite, Finding
 from repro.check.lockorder import LockOrderAnalyzer
 from repro.check.lockset import LocksetRaceDetector
-from repro.errors import ConfigError
 from repro.isa.ops import CounterKind
 from repro.sim.observer import SimObserver
 
@@ -29,51 +26,18 @@ _EMPTY: frozenset[int] = frozenset()
 _NO_LOCKS: list[int] = []
 
 
-@dataclass(frozen=True, slots=True)
-class SanitizerConfig:
-    """Knobs of the thread sanitizer (``ThreadSanitizer(SanitizerConfig(...))``).
+class ThreadSanitizer(SimObserver):
+    """Dispatches simulator events to the three analyses.
 
-    The sanitizer is a pure observer: it never schedules events or changes
-    timing, so cycle counts are identical with it attached or not.
+    A pure observer: it never schedules events or changes timing, so
+    cycle counts are identical with it attached or not.  Every analysis
+    always runs (why: the :mod:`repro.check` docstring).
     """
 
-    #: Run the Eraser-style lockset race detector.
-    races: bool = True
-    #: Build the acquires-while-holding graph and report lock-order cycles.
-    lock_order: bool = True
-    #: Run the lock/barrier discipline lint.
-    discipline: bool = True
-    #: Also report read-write conflicts (full Eraser).  Off by default:
-    #: op-stream workloads touch line-aligned representative addresses, so
-    #: a load and a store of the same line by different threads is usually
-    #: modelling false sharing, not a data race.  Write-write conflicts
-    #: are always reported.
-    report_read_write: bool = False
-    #: Half-open ``[lo, hi)`` byte ranges the race detector ignores —
-    #: the escape hatch for intentionally unprotected shared accesses.
-    ignore_address_ranges: tuple[tuple[int, int], ...] = ()
-    #: Cap on recorded findings per analysis (further ones are counted
-    #: but dropped from the report).
-    max_findings: int = 100
-
-    def __post_init__(self) -> None:
-        if self.max_findings < 1:
-            raise ConfigError("max_findings must be >= 1")
-        for pair in self.ignore_address_ranges:
-            if len(pair) != 2 or pair[0] >= pair[1]:
-                raise ConfigError(
-                    f"ignore_address_ranges entries must be (lo, hi) with "
-                    f"lo < hi, got {pair!r}")
-
-
-class ThreadSanitizer(SimObserver):
-    """Dispatches simulator events to the configured analyses."""
-
-    def __init__(self, config: SanitizerConfig | None = None) -> None:
-        self.config = config or SanitizerConfig()
-        self.races = LocksetRaceDetector(self.config)
-        self.lock_order = LockOrderAnalyzer(self.config)
-        self.discipline = DisciplineLinter(self.config)
+    def __init__(self) -> None:
+        self.races = LocksetRaceDetector()
+        self.lock_order = LockOrderAnalyzer()
+        self.discipline = DisciplineLinter()
         #: Held-lock stack per agent, in acquisition order.
         self._held: dict[int, list[int]] = {}
         #: Frozen copy of each held stack, for cheap lockset intersection.
@@ -97,16 +61,14 @@ class ThreadSanitizer(SimObserver):
 
     def on_region_begin(self, num_threads: int, now: int) -> None:
         self._epoch += 1
-        if self.config.discipline:
-            self.discipline.on_region_begin()
+        self.discipline.on_region_begin()
 
     def on_region_end(self, now: int) -> None:
         self._epoch += 1
 
     def on_thread_exit(self, core: int, agent: int, now: int) -> None:
         held = self._held.get(agent, _NO_LOCKS)
-        if self.config.discipline:
-            self.discipline.on_thread_exit(agent, held, now)
+        self.discipline.on_thread_exit(agent, held, now)
         if held:
             self._held[agent] = []
             self._held_sets[agent] = _EMPTY
@@ -115,8 +77,6 @@ class ThreadSanitizer(SimObserver):
 
     def on_access(self, agent: int, addr: int, is_store: bool,
                   now: int) -> None:
-        if not self.config.races:
-            return
         ordinal = self._access_no.get(agent, 0) + 1
         self._access_no[agent] = ordinal
         site = AccessSite(agent=agent, index=ordinal,
@@ -128,10 +88,9 @@ class ThreadSanitizer(SimObserver):
 
     def on_lock_request(self, lock_id: int, agent: int, now: int) -> None:
         held = self._held.get(agent, _NO_LOCKS)
-        if self.config.lock_order and held:
+        if held:
             self.lock_order.on_lock_request(lock_id, agent, held, now)
-        if self.config.discipline:
-            self.discipline.on_lock_request(lock_id, agent, held, now)
+        self.discipline.on_lock_request(lock_id, agent, held, now)
 
     def on_lock_acquired(self, lock_id: int, agent: int,
                          grant: int) -> None:
@@ -140,9 +99,8 @@ class ThreadSanitizer(SimObserver):
         self._held_sets[agent] = frozenset(stack)
 
     def on_unlock_request(self, lock_id: int, agent: int, now: int) -> None:
-        if self.config.discipline:
-            self.discipline.on_unlock_request(
-                lock_id, agent, self._held.get(agent, _NO_LOCKS), now)
+        self.discipline.on_unlock_request(
+            lock_id, agent, self._held.get(agent, _NO_LOCKS), now)
 
     def on_lock_released(self, lock_id: int, agent: int, now: int) -> None:
         stack = self._held.get(agent)
@@ -154,9 +112,7 @@ class ThreadSanitizer(SimObserver):
 
     def on_barrier_arrive(self, barrier_id: int, agent: int,
                           team_size: int, now: int) -> None:
-        if self.config.discipline:
-            self.discipline.on_barrier_arrive(barrier_id, agent,
-                                              team_size, now)
+        self.discipline.on_barrier_arrive(barrier_id, agent, team_size, now)
 
     def on_barrier_release(self, barrier_id: int,
                            releases: list[tuple[int, int]],
@@ -164,17 +120,15 @@ class ThreadSanitizer(SimObserver):
         # Every participant's pre-barrier accesses have been observed and
         # all post-barrier ones come later: a happens-before fence.
         self._epoch += 1
-        if self.config.discipline:
-            self.discipline.on_barrier_release(
-                barrier_id, [agent for agent, _when in releases], now)
+        self.discipline.on_barrier_release(
+            barrier_id, [agent for agent, _when in releases], now)
 
     # -- counters ----------------------------------------------------------------
 
     def on_read_counter(self, agent: int, kind: CounterKind,
                         now: int) -> None:
-        if self.config.discipline:
-            self.discipline.on_read_counter(
-                agent, kind, self._held.get(agent, _NO_LOCKS), now)
+        self.discipline.on_read_counter(
+            agent, kind, self._held.get(agent, _NO_LOCKS), now)
 
     # -- results ------------------------------------------------------------------
 
@@ -182,16 +136,12 @@ class ThreadSanitizer(SimObserver):
         """All findings, chronological per analysis: races and discipline
         as observed, then lock-order cycles (computed from the final
         graph), then incomplete-barrier diagnoses."""
-        findings: list[Finding] = list(self.races.findings)
-        if self.config.lock_order:
-            findings.extend(self.lock_order.finish())
-        if self.config.discipline:
-            self.discipline.finish()
-        findings.extend(self.discipline.findings)
-        return tuple(findings)
+        self.discipline.finish()
+        return (*self.races.findings, *self.lock_order.finish(),
+                *self.discipline.findings)
 
     @property
     def dropped(self) -> int:
-        """Findings suppressed by ``max_findings`` caps."""
+        """Findings suppressed by the per-analysis ``MAX_FINDINGS`` cap."""
         return (self.races.dropped + self.lock_order.dropped
                 + self.discipline.dropped)

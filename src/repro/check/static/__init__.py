@@ -19,16 +19,11 @@ from repro.check.static.analyzer import (
     analyze_workload,
 )
 from repro.check.static.executor import AbstractExecutor
-from repro.check.static.summary import (
-    StaticCheckConfig,
-    TeamSummary,
-    ThreadSummary,
-)
+from repro.check.static.summary import TeamSummary, ThreadSummary
 
 __all__ = [
     "AbstractExecutor",
     "DEFAULT_THREAD_COUNTS",
-    "StaticCheckConfig",
     "StaticReport",
     "TeamSummary",
     "ThreadSummary",

@@ -15,14 +15,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.check.findings import CheckReport, Finding
+from repro.check.findings import CheckReport, Finding, FindingLog
 from repro.check.runner import resolve
 from repro.check.static.barriers import barrier_findings
 from repro.check.static.executor import AbstractExecutor
 from repro.check.static.lints import lint_findings
 from repro.check.static.locks import lock_fault_findings, lock_order_findings
 from repro.check.static.profile import profile_team, team_priors
-from repro.check.static.summary import StaticCheckConfig, TeamSummary
+from repro.check.static.summary import TeamSummary
 from repro.errors import WorkloadError
 from repro.fdt.priors import StaticPriors
 from repro.fdt.runner import Application
@@ -46,7 +46,7 @@ class StaticReport:
     profiles: tuple[dict[str, Any], ...] = ()
     #: Some thread hit the op budget; findings are sound but incomplete.
     truncated: bool = False
-    #: Findings dropped at the ``max_findings`` cap.
+    #: Findings dropped at the ``MAX_FINDINGS`` cap.
     dropped: int = 0
 
     @property
@@ -91,8 +91,7 @@ class StaticReport:
 def analyze_application(
         build: Application | Callable[[], Application],
         thread_counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
-        config: MachineConfig | None = None,
-        static: StaticCheckConfig | None = None) -> StaticReport:
+        config: MachineConfig | None = None) -> StaticReport:
     """Statically analyze an application at each requested team size.
 
     Args:
@@ -104,26 +103,23 @@ def analyze_application(
             added (the priors derive from it).
         config: machine whose cost parameters drive the abstract model
             (Table 1 baseline if None).
-        static: analyzer knobs.
     """
     if not thread_counts:
         raise WorkloadError("static analysis needs at least one team size")
     if any(n < 1 for n in thread_counts):
         raise WorkloadError("team sizes must be >= 1")
     cfg = config or MachineConfig.asplos08_baseline()
-    scfg = static or StaticCheckConfig()
     builder = build if callable(build) else _constant(build)
 
     sizes = tuple(sorted(set(thread_counts) | {1}))
     name = ""
-    findings: list[Finding] = []
+    log = FindingLog()
     seen: set[tuple[str, str]] = set()
     priors: dict[str, StaticPriors] = {}
     profiles: list[dict[str, Any]] = []
     truncated = False
-    dropped = 0
 
-    executor = AbstractExecutor(scfg, cfg)
+    executor = AbstractExecutor(cfg)
     for num_threads in sizes:
         app = builder()
         name = app.name
@@ -133,38 +129,32 @@ def analyze_application(
             team = executor.run_team(kernel.name, factories, num_threads)
             truncated = truncated or team.truncated
 
-            if num_threads == 1 and (scfg.cs_profile or scfg.footprint):
+            if num_threads == 1:
                 priors[kernel.name] = team_priors(
                     team, kernel.total_iterations, cfg)
-            if scfg.cs_profile or scfg.footprint:
-                profiles.append(profile_team(team, cfg))
+            profiles.append(profile_team(team, cfg))
 
-            for f in _team_findings(team, scfg):
+            for f in _team_findings(team):
                 key = (f.kind, _identity(f))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(findings) >= scfg.max_findings:
-                    dropped += 1
-                    continue
-                findings.append(f)
+                if key not in seen:
+                    seen.add(key)
+                    log.add(f)
 
     return StaticReport(
         workload=name,
         thread_counts=tuple(sorted(set(thread_counts))),
-        findings=tuple(findings),
+        findings=tuple(log.findings),
         priors=priors,
         profiles=tuple(profiles),
         truncated=truncated,
-        dropped=dropped,
+        dropped=log.dropped,
     )
 
 
 def analyze_workload(
         name: str, scale: float = 0.5,
         thread_counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
-        config: MachineConfig | None = None,
-        static: StaticCheckConfig | None = None) -> StaticReport:
+        config: MachineConfig | None = None) -> StaticReport:
     """Statically analyze a workload by name — the names ``repro check``
     takes (:func:`repro.check.runner.resolve`).
 
@@ -173,8 +163,7 @@ def analyze_workload(
     """
     build = resolve(name)
     return analyze_application(lambda: build(scale),
-                               thread_counts=thread_counts,
-                               config=config, static=static)
+                               thread_counts=thread_counts, config=config)
 
 
 def _constant(app: Application) -> Callable[[], Application]:
@@ -184,18 +173,10 @@ def _constant(app: Application) -> Callable[[], Application]:
     return build
 
 
-def _team_findings(team: TeamSummary,
-                   config: StaticCheckConfig) -> list[Finding]:
-    """Run the enabled passes over one team summary, in report order."""
-    out: list[Finding] = []
-    if config.lock_order:
-        out.extend(lock_fault_findings(team))
-        out.extend(lock_order_findings(team))
-    if config.barriers:
-        out.extend(barrier_findings(team))
-    if config.lints:
-        out.extend(lint_findings(team, config))
-    return out
+def _team_findings(team: TeamSummary) -> list[Finding]:
+    """Every pass over one team summary, in report order."""
+    return [*lock_fault_findings(team), *lock_order_findings(team),
+            *barrier_findings(team), *lint_findings(team)]
 
 
 def _identity(f: Finding) -> str:

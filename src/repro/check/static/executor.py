@@ -34,7 +34,6 @@ from repro.check.static.summary import (
     CounterReadSite,
     LockFault,
     LockRegion,
-    StaticCheckConfig,
     TeamSummary,
     ThreadSummary,
 )
@@ -53,13 +52,17 @@ from repro.isa.ops import (
 from repro.isa.program import ProgramFactory
 from repro.sim.config import MachineConfig
 
+#: Per-thread op budget; a thread whose program yields more ops is
+#: summarized up to the budget and marked ``truncated`` (passes that
+#: need the complete stream — barrier proofs, held-at-exit — are
+#: suppressed for truncated threads rather than reported unsoundly).
+MAX_OPS_PER_THREAD = 4_000_000
+
 
 class AbstractExecutor:
     """Summarizes thread programs under the abstract cost model."""
 
-    def __init__(self, config: StaticCheckConfig | None = None,
-                 machine: MachineConfig | None = None) -> None:
-        self.config = config or StaticCheckConfig()
+    def __init__(self, machine: MachineConfig | None = None) -> None:
         self.machine = machine or MachineConfig.asplos08_baseline()
         m = self.machine
         self._issue = max(1, m.issue_width)
@@ -84,7 +87,7 @@ class AbstractExecutor:
                    num_threads: int) -> ThreadSummary:
         """Drive one thread program to exhaustion (or the op budget)."""
         s = ThreadSummary(thread_id=thread_id, num_threads=num_threads)
-        budget = self.config.max_ops_per_thread
+        budget = MAX_OPS_PER_THREAD
         held: list[int] = []
         open_regions: list[LockRegion] = []
         send = getattr(program, "send", None)

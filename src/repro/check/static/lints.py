@@ -19,11 +19,14 @@ is almost always a workload-authoring bug on this simulator:
 from __future__ import annotations
 
 from repro.check.findings import STATIC, Finding
-from repro.check.static.summary import StaticCheckConfig, TeamSummary
+from repro.check.static.summary import TeamSummary
+
+#: A branch site needs at least this many observations before the
+#: single-outcome lint will call it degenerate.
+MIN_BRANCH_OBSERVATIONS = 16
 
 
-def lint_findings(team: TeamSummary,
-                  config: StaticCheckConfig) -> list[Finding]:
+def lint_findings(team: TeamSummary) -> list[Finding]:
     """All structural lints over one team summary."""
     findings: list[Finding] = []
 
@@ -86,7 +89,7 @@ def lint_findings(team: TeamSummary,
             agg[1] += not_taken
     for pc, (taken, not_taken) in sorted(sites.items()):
         total = taken + not_taken
-        if total < config.min_branch_observations:
+        if total < MIN_BRANCH_OBSERVATIONS:
             continue
         if taken and not_taken:
             continue

@@ -6,14 +6,15 @@ lock, locks still held at program end) come straight off the executor's
 cross-thread pass merges every thread's acquires-while-holding edges
 into one graph and reports its cycles — the same potential-deadlock
 criterion the dynamic :mod:`repro.check.lockorder` analysis applies,
-using the same SCC implementation, but over *all* paths the programs
-emit rather than the one interleaving a run happened to take.
+through the same :func:`~repro.check.lockorder.lock_order_cycles`, but
+over *all* paths the programs emit rather than the one interleaving a
+run happened to take.
 """
 
 from __future__ import annotations
 
 from repro.check.findings import STATIC, Finding
-from repro.check.lockorder import cycle_within, strongly_connected
+from repro.check.lockorder import lock_order_cycles
 from repro.check.static.summary import TeamSummary
 
 
@@ -57,23 +58,13 @@ def lock_order_findings(team: TeamSummary) -> list[Finding]:
     for t in team.threads:
         for edge, index in t.lock_order_edges.items():
             edges.setdefault(edge, (t.thread_id, index))
-    if not edges:
-        return []
-
-    adjacency: dict[int, list[int]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, [])
 
     findings: list[Finding] = []
-    for component in strongly_connected(adjacency):
-        if len(component) < 2:
-            continue
-        cycle = cycle_within(adjacency, component)
+    for component, cycle, cycle_edges in lock_order_cycles(edges):
         witnesses = [
             {"held": a, "wanted": b,
              "thread": edges[(a, b)][0], "op_index": edges[(a, b)][1]}
-            for a, b in zip(cycle, cycle[1:]) if (a, b) in edges
+            for a, b in cycle_edges
         ]
         path = " -> ".join(str(lock) for lock in cycle)
         findings.append(Finding(

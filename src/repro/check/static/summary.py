@@ -15,44 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ConfigError
-
-
-@dataclass(frozen=True, slots=True)
-class StaticCheckConfig:
-    """Knobs of the static analyzer (:mod:`repro.check.static`)."""
-
-    #: Per-thread op budget; a thread whose program yields more ops is
-    #: summarized up to the budget and marked ``truncated`` (passes that
-    #: need the complete stream — barrier proofs, held-at-exit — are
-    #: suppressed for truncated threads rather than reported unsoundly).
-    max_ops_per_thread: int = 4_000_000
-    #: Run the lock pairing/nesting + lock-order-graph pass.
-    lock_order: bool = True
-    #: Run the barrier-sequence consistency pass.
-    barriers: bool = True
-    #: Derive the critical-section / serial-fraction prior (needs a
-    #: team-of-one analysis in the requested thread counts).
-    cs_profile: bool = True
-    #: Derive the memory-footprint / bandwidth prior.
-    footprint: bool = True
-    #: Run the structural lints (counter-in-CS, empty critical section,
-    #: degenerate compute, single-outcome branch sites).
-    lints: bool = True
-    #: Cap on reported findings (further ones are counted, not listed).
-    max_findings: int = 100
-    #: A branch site needs at least this many observations before the
-    #: single-outcome lint will call it degenerate.
-    min_branch_observations: int = 16
-
-    def __post_init__(self) -> None:
-        if self.max_ops_per_thread < 1:
-            raise ConfigError("max_ops_per_thread must be >= 1")
-        if self.max_findings < 1:
-            raise ConfigError("max_findings must be >= 1")
-        if self.min_branch_observations < 2:
-            raise ConfigError("min_branch_observations must be >= 2")
-
 
 @dataclass(slots=True)
 class LockRegion:

@@ -37,7 +37,7 @@ from repro.isa.ops import (
     Unlock,
 )
 from repro.runtime.parallel import static_chunk
-from repro.workloads.base import LINE, AddressSpace
+from repro.workloads.base import LINE, AddressSpace, AppBuilder
 
 _CS_LOCK = 0
 _BARRIER = 0
@@ -116,29 +116,36 @@ class SyntheticKernel(TeamParallelKernel):
         yield _WAIT
 
 
-# -- sanitizer positive controls ------------------------------------------
+# -- positive controls of ``repro check`` ----------------------------------
 #
-# Deliberately broken kernels used as the thread sanitizer's fixtures
-# (repro.check): each one must trip exactly the analysis it is named
-# for.  They are *not* registered in the Table 2 roster; ``repro check``
-# resolves them by fixture name.
+# Deliberately broken kernels: each must trip exactly the finding it is
+# named for.  The ``synthetic-*`` ones are the thread sanitizer's (the
+# defect shows in a run); the ``static-*`` ones are the static
+# analyzer's, arranged so a dynamic run dodges or survives the defect —
+# the point is that ahead-of-run analysis catches what one interleaving
+# may not.  None is in the Table 2 roster; ``repro check`` resolves them
+# by name from :data:`FIXTURES`.
 
-class RacyKernel(TeamParallelKernel):
-    """Unprotected read-modify-write of one shared line (a data race).
+#: One iteration of a fixture: ``(shared_addr, thread_id) -> ops``.
+FixtureBody = Callable[[int, int], Iterator[Op]]
 
-    Every thread loads and stores the same shared address each iteration
-    with no lock held, so the lockset detector must report an
-    empty-lockset write-write race on ``shared_addr``.
-    """
+#: Instructions of head start per stagger step; at 2-wide issue this
+#: dwarfs a whole critical region, so staggered threads' acquires never
+#: actually overlap and the FIFO grant order dodges the deadlock.
+_STAGGER_INSTR = 40_000
 
-    name = "synthetic-racy"
 
-    def __init__(self, iterations: int = 4) -> None:
+class FixtureKernel(TeamParallelKernel):
+    """A positive control: ``iterations`` rounds of one ``body``."""
+
+    def __init__(self, name: str, iterations: int,
+                 body: FixtureBody) -> None:
+        self.name = name
         self._iterations = iterations
-        space = AddressSpace()
-        #: The contended address, exposed so tests can assert the
-        #: finding names it.
-        self.shared_addr = space.alloc(LINE)
+        self._body = body
+        #: The one line the bodies contend on, exposed so tests can
+        #: assert that a finding names it.
+        self.shared_addr = AddressSpace().alloc(LINE)
 
     @property
     def total_iterations(self) -> int:
@@ -146,232 +153,118 @@ class RacyKernel(TeamParallelKernel):
 
     def team_iteration(self, iteration: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
-        # Skew the threads a little so accesses interleave rather than
-        # proceeding in lockstep (the race is there either way).
-        yield Compute(40 + 14 * thread_id)
-        yield Load(self.shared_addr)
-        yield Compute(20)
-        yield Store(self.shared_addr)  # no lock: the seeded race
-        yield _WAIT
+        return self._body(self.shared_addr, thread_id)
 
 
-class LockInversionKernel(TeamParallelKernel):
-    """Opposite lock-acquisition orders on two locks (potential deadlock).
+def _racy(shared: int, tid: int) -> Iterator[Op]:
+    """Unprotected read-modify-write of the shared line (a data race):
+    the lockset detector must report an empty-lockset write-write race
+    on ``shared_addr``."""
+    # Skew the threads a little so accesses interleave rather than
+    # proceeding in lockstep (the race is there either way).
+    yield Compute(40 + 14 * tid)
+    yield Load(shared)
+    yield Compute(20)
+    yield Store(shared)  # no lock: the seeded race
+    yield _WAIT
 
-    Even threads take lock 0 then lock 1; odd threads take lock 1 then
-    lock 0.  The odd threads are staggered far enough behind that the
-    FIFO grant order dodges the deadlock *this run* — exactly the latent
-    bug the lock-order analysis exists to catch (edges 0->1 and 1->0
-    form a cycle).  The shared store is protected by both locks, so no
-    race is reported.
+
+def _lock_inversion(shared: int, tid: int) -> Iterator[Op]:
+    """Opposite acquisition orders on two locks (potential deadlock).
+
+    Even threads take lock 0 then lock 1; odd threads, staggered behind,
+    take 1 then 0.  The run completes — exactly the latent bug the
+    lock-order analysis exists to catch (edges 0->1 and 1->0 form a
+    cycle).  The store is protected by both locks, so no race.
     """
-
-    name = "synthetic-lock-inversion"
-
-    _LOCK_A = 0
-    _LOCK_B = 1
-    #: Instructions of head start the even threads get; at 2-wide issue
-    #: this dwarfs the whole critical region, so the opposite-order
-    #: acquires never actually overlap.
-    _STAGGER_INSTR = 40_000
-
-    def __init__(self, iterations: int = 2) -> None:
-        self._iterations = iterations
-        space = AddressSpace()
-        self.shared_addr = space.alloc(LINE)
-
-    @property
-    def total_iterations(self) -> int:
-        return self._iterations
-
-    def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        if thread_id % 2 == 0:
-            first, second = self._LOCK_A, self._LOCK_B
-        else:
-            first, second = self._LOCK_B, self._LOCK_A
-            yield Compute(self._STAGGER_INSTR)
-        yield Lock(first)
-        yield Compute(10)
-        yield Lock(second)
-        yield Store(self.shared_addr)
-        yield Unlock(second)
-        yield Unlock(first)
-        yield _WAIT
+    if tid % 2 == 0:
+        first, second = 0, 1
+    else:
+        first, second = 1, 0
+        yield Compute(_STAGGER_INSTR)
+    yield Lock(first)
+    yield Compute(10)
+    yield Lock(second)
+    yield Store(shared)
+    yield Unlock(second)
+    yield Unlock(first)
+    yield _WAIT
 
 
-class UnheldUnlockKernel(TeamParallelKernel):
-    """Releases a lock it never acquired (a discipline violation).
-
-    The lock manager aborts the run when the Unlock is serviced; the
-    sanitizer's discipline lint records the ``unlock-of-unheld`` finding
-    just before that happens.
-    """
-
-    name = "synthetic-unheld-unlock"
-
-    def __init__(self, iterations: int = 1) -> None:
-        self._iterations = iterations
-
-    @property
-    def total_iterations(self) -> int:
-        return self._iterations
-
-    def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        yield Compute(50)
-        yield _UNLOCK_CS  # never acquired
-        yield _WAIT
+def _unheld_unlock(shared: int, tid: int) -> Iterator[Op]:
+    """Releases a lock it never acquired: the lock manager aborts the
+    run when the Unlock is serviced, just after the discipline lint
+    records ``unlock-of-unheld``."""
+    yield Compute(50)
+    yield _UNLOCK_CS  # never acquired
+    yield _WAIT
 
 
-def build_racy(scale: float = 1.0) -> Application:
-    """The race positive control (``scale`` accepted for CLI symmetry)."""
-    kernel = RacyKernel()
-    return Application.single(kernel)
-
-
-def build_lock_inversion(scale: float = 1.0) -> Application:
-    """The lock-order-inversion positive control."""
-    kernel = LockInversionKernel()
-    return Application.single(kernel)
-
-
-def build_unheld_unlock(scale: float = 1.0) -> Application:
-    """The unlock-without-hold positive control."""
-    kernel = UnheldUnlockKernel()
-    return Application.single(kernel)
-
-
-def sanitizer_fixtures() -> dict[str, Callable[[float], Application]]:
-    """Fixture name -> builder, for ``repro check`` name resolution."""
-    return {
-        "synthetic-racy": build_racy,
-        "synthetic-lock-inversion": build_lock_inversion,
-        "synthetic-unheld-unlock": build_unheld_unlock,
-    }
-
-
-# -- static-analyzer positive controls ------------------------------------
-#
-# Seeded defects the *static* analyzer (repro.check.static) must prove
-# from the op streams alone.  Each is arranged so a dynamic run dodges
-# or survives the defect — the point is that ahead-of-run analysis
-# catches what one interleaving may not.
-
-class StaticDeadlockKernel(TeamParallelKernel):
+def _static_deadlock(shared: int, tid: int) -> Iterator[Op]:
     """Three locks acquired in a rotating order (a 3-cycle).
 
-    Thread ``t`` takes lock ``t % 3`` then lock ``(t + 1) % 3``, so the
-    team's acquires-while-holding edges form the cycle 0->1->2->0.  The
-    threads are staggered so far apart that no two critical regions ever
-    overlap in a real run — the deadlock is latent, provable only from
-    the streams (finding ``static-lock-order-cycle``).
+    Thread ``t`` takes lock ``t % 3`` then ``(t + 1) % 3``, so the
+    team's acquires-while-holding edges form 0->1->2->0, with every
+    thread staggered clear of the others: the deadlock is latent,
+    provable only from the streams (``static-lock-order-cycle``).
     """
-
-    name = "static-deadlock"
-
-    _STAGGER_INSTR = 40_000
-
-    def __init__(self, iterations: int = 2) -> None:
-        self._iterations = iterations
-        space = AddressSpace()
-        self.shared_addr = space.alloc(LINE)
-
-    @property
-    def total_iterations(self) -> int:
-        return self._iterations
-
-    def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        first = thread_id % 3
-        second = (thread_id + 1) % 3
-        yield Compute(self._STAGGER_INSTR * thread_id + 10)
-        yield Lock(first)
-        yield Compute(10)
-        yield Lock(second)
-        yield Store(self.shared_addr)
-        yield Unlock(second)
-        yield Unlock(first)
-        yield _WAIT
+    first, second = tid % 3, (tid + 1) % 3
+    yield Compute(_STAGGER_INSTR * tid + 10)
+    yield Lock(first)
+    yield Compute(10)
+    yield Lock(second)
+    yield Store(shared)
+    yield Unlock(second)
+    yield Unlock(first)
+    yield _WAIT
 
 
-class BarrierMismatchKernel(TeamParallelKernel):
-    """Thread 0 arrives at one more barrier than the rest of the team.
-
-    With two or more threads the team can never complete barrier 1 —
-    a guaranteed hang the static barrier pass proves as
-    ``static-barrier-count-mismatch`` before any cycle simulates.
-    """
-
-    name = "static-barrier-mismatch"
-
-    def __init__(self, iterations: int = 2) -> None:
-        self._iterations = iterations
-
-    @property
-    def total_iterations(self) -> int:
-        return self._iterations
-
-    def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        yield Compute(100)
-        yield _WAIT
-        if thread_id == 0:
-            yield BarrierWait(_BARRIER + 1)  # nobody else ever arrives
+def _barrier_mismatch(shared: int, tid: int) -> Iterator[Op]:
+    """Thread 0 arrives at one more barrier than the rest of the team: a
+    guaranteed hang with two or more threads, proved as
+    ``static-barrier-count-mismatch`` before any cycle simulates."""
+    yield Compute(100)
+    yield _WAIT
+    if tid == 0:
+        yield BarrierWait(_BARRIER + 1)  # nobody else ever arrives
 
 
-class CounterInCsKernel(TeamParallelKernel):
+def _counter_in_cs(shared: int, tid: int) -> Iterator[Op]:
     """Reads the cycle counter while holding the critical-section lock.
 
     Runs fine — but the measurement folds instrumentation overhead into
     T_CS itself (Section 4.2.1 brackets critical sections from the
-    outside), so the static lint flags it as ``static-counter-in-cs``.
+    outside), so the static lint flags ``static-counter-in-cs``.
     """
-
-    name = "static-counter-in-cs"
-
-    def __init__(self, iterations: int = 2) -> None:
-        self._iterations = iterations
-        space = AddressSpace()
-        self.shared_addr = space.alloc(LINE)
-
-    @property
-    def total_iterations(self) -> int:
-        return self._iterations
-
-    def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        yield Compute(200)
-        yield _LOCK_CS
-        _ = yield ReadCounter(CounterKind.CYCLES)  # the seeded defect
-        yield Compute(50)
-        yield Store(self.shared_addr)
-        yield _UNLOCK_CS
-        yield _WAIT
+    yield Compute(200)
+    yield _LOCK_CS
+    _ = yield ReadCounter(CounterKind.CYCLES)  # the seeded defect
+    yield Compute(50)
+    yield Store(shared)
+    yield _UNLOCK_CS
+    yield _WAIT
 
 
-def build_static_deadlock(scale: float = 1.0) -> Application:
-    """The latent-lock-cycle positive control."""
-    return Application.single(StaticDeadlockKernel())
+def _fixture(name: str, iterations: int, body: FixtureBody) -> AppBuilder:
+    def build(scale: float = 1.0) -> Application:
+        # ``scale`` is accepted for CLI symmetry; a fixture has one size.
+        return Application.single(FixtureKernel(name, iterations, body))
+    return build
 
 
-def build_barrier_mismatch(scale: float = 1.0) -> Application:
-    """The barrier-count-mismatch positive control."""
-    return Application.single(BarrierMismatchKernel())
-
-
-def build_counter_in_cs(scale: float = 1.0) -> Application:
-    """The counter-read-in-critical-section positive control."""
-    return Application.single(CounterInCsKernel())
-
-
-def static_fixtures() -> dict[str, Callable[[float], Application]]:
-    """Fixture name -> builder, for static-analyzer name resolution."""
-    return {
-        "static-deadlock": build_static_deadlock,
-        "static-barrier-mismatch": build_barrier_mismatch,
-        "static-counter-in-cs": build_counter_in_cs,
-    }
+#: Fixture name -> ``scale -> Application`` builder: the one table
+#: ``repro check`` name resolution, its help text and the tests read.
+FIXTURES: dict[str, AppBuilder] = {
+    name: _fixture(name, iterations, body)
+    for name, iterations, body in (
+        ("synthetic-racy", 4, _racy),
+        ("synthetic-lock-inversion", 2, _lock_inversion),
+        ("synthetic-unheld-unlock", 1, _unheld_unlock),
+        ("static-deadlock", 2, _static_deadlock),
+        ("static-barrier-mismatch", 2, _barrier_mismatch),
+        ("static-counter-in-cs", 2, _counter_in_cs),
+    )
+}
 
 
 def build_synthetic(cs_fraction: float = 0.0, bus_lines: int = 0,

@@ -17,15 +17,16 @@ from repro.check import (
     LOCK_ORDER,
     RACE,
     RUNTIME,
-    SanitizerConfig,
     ThreadSanitizer,
     check_application,
     check_workload,
 )
+from repro.check import findings as findings_mod
 from repro.check.discipline import DisciplineLinter
 from repro.check.findings import AccessSite
+from repro.check.lockorder import lock_order_cycles
 from repro.check.lockset import LocksetRaceDetector
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, CounterKind, Op, Store
@@ -33,13 +34,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.workloads import all_specs
 from repro.workloads.base import LINE, AddressSpace
-from repro.workloads.synthetic import (
-    RacyKernel,
-    build_lock_inversion,
-    build_racy,
-    build_synthetic,
-    build_unheld_unlock,
-)
+from repro.workloads.synthetic import FIXTURES, build_synthetic
 
 
 def _site(agent: int, index: int = 1, kind: str = "store",
@@ -50,8 +45,9 @@ def _site(agent: int, index: int = 1, kind: str = "store",
 # -- positive controls ------------------------------------------------------
 
 def test_racy_fixture_reports_race_with_address_and_sites():
-    kernel = RacyKernel()
-    report = check_application(Application.single(kernel))
+    app = FIXTURES["synthetic-racy"](1.0)
+    kernel = app.kernels[0]
+    report = check_application(app)
     races = report.by_analysis(RACE)
     assert not report.clean
     assert races, "the seeded race must be detected"
@@ -65,7 +61,7 @@ def test_racy_fixture_reports_race_with_address_and_sites():
 
 
 def test_lock_inversion_fixture_reports_cycle_naming_locks():
-    report = check_application(build_lock_inversion())
+    report = check_application(FIXTURES["synthetic-lock-inversion"](1.0))
     assert report.aborted is None, "FIFO grant order must dodge the deadlock"
     cycles = report.by_analysis(LOCK_ORDER)
     assert cycles, "the latent inversion must still be reported"
@@ -76,7 +72,7 @@ def test_lock_inversion_fixture_reports_cycle_naming_locks():
 
 
 def test_unheld_unlock_fixture_reports_discipline_and_abort():
-    report = check_application(build_unheld_unlock())
+    report = check_application(FIXTURES["synthetic-unheld-unlock"](1.0))
     assert not report.clean
     kinds = {f.kind for f in report.by_analysis(DISCIPLINE)}
     assert "unlock-of-unheld" in kinds
@@ -146,29 +142,36 @@ def test_sanitizer_disabled_by_default():
     assert machine.observer is None
 
 
-# -- config knobs -------------------------------------------------------------
+# -- no configuration: constants, and filters on the report -------------------
 
 def test_ignore_address_ranges_silences_the_race():
-    kernel = RacyKernel()
-    ranges = ((kernel.shared_addr, kernel.shared_addr + LINE),)
-    report = check_application(
-        Application.single(kernel),
-        sanitizer=SanitizerConfig(ignore_address_ranges=ranges))
-    assert report.clean
+    """docs/check.md's recipe for an intentionally unprotected access:
+    drop the ``empty-lockset`` findings on that address."""
+    app = FIXTURES["synthetic-racy"](1.0)
+    shared = app.kernels[0].shared_addr
+    report = check_application(app)
+    assert not report.clean
+    kept = [f for f in report.findings
+            if not (f.kind == "empty-lockset"
+                    and f.details["address"] == shared)]
+    assert kept == [] and report.aborted is None
 
 
 def test_analysis_toggles_gate_findings():
-    report = check_application(
-        build_racy(), sanitizer=SanitizerConfig(races=False))
-    assert not report.by_analysis(RACE)
-    report = check_application(
-        build_lock_inversion(), sanitizer=SanitizerConfig(lock_order=False))
+    """What the analysis switches suppressed is what ``by_analysis``
+    selects: the racy fixture has only race findings, the inversion
+    fixture only its lock-order cycle."""
+    report = check_workload("synthetic-racy")
+    assert report.by_analysis(RACE) == report.findings != ()
     assert not report.by_analysis(LOCK_ORDER)
+    report = check_workload("synthetic-lock-inversion")
+    assert report.by_analysis(LOCK_ORDER) == report.findings
+    assert [f.kind for f in report.findings] == ["lock-order-cycle"]
 
 
-def test_max_findings_cap_counts_dropped():
-    cfg = SanitizerConfig(max_findings=1, report_read_write=True)
-    det = LocksetRaceDetector(cfg)
+def test_max_findings_cap_counts_dropped(monkeypatch):
+    monkeypatch.setattr(findings_mod, "MAX_FINDINGS", 1)
+    det = LocksetRaceDetector()
     for addr in (0x1000, 0x2000):
         det.on_access(0, addr, True, 1, frozenset(), _site(0))
         det.on_access(1, addr, True, 1, frozenset(), _site(1))
@@ -176,17 +179,60 @@ def test_max_findings_cap_counts_dropped():
     assert det.dropped == 1
 
 
-def test_sanitizer_config_validates():
-    with pytest.raises(Exception):
-        SanitizerConfig(max_findings=0)
-    with pytest.raises(Exception):
-        SanitizerConfig(ignore_address_ranges=((10, 10),))
+def test_read_write_sharing_is_not_reported():
+    """One writer and any number of readers models false sharing on a
+    line-aligned representative address, not a race."""
+    det = LocksetRaceDetector()
+    det.on_access(0, 0x1000, True, 1, frozenset(), _site(0))
+    det.on_access(1, 0x1000, False, 1, frozenset(), _site(1, kind="load"))
+    det.on_access(0, 0x1000, True, 1, frozenset(), _site(0, index=2))
+    assert det.findings == []
+
+
+# -- a one-slot machine is refused, not checked vacuously ----------------------
+
+def test_one_slot_machine_is_refused():
+    one = MachineConfig.baseline_with(cores=1)
+    with pytest.raises(ConfigError, match="1 thread slot"):
+        check_workload("synthetic-racy", config=one)
+
+
+def test_report_names_the_team_that_ran():
+    two = MachineConfig.baseline_with(cores=2)
+    report = check_workload("synthetic-racy", config=two, threads=8)
+    assert report.threads == 2
+    assert {a for f in report.findings
+            for a in f.details["agents"]} == {0, 1}
+    assert check_workload("synthetic-racy", threads=1).threads == 2
+
+
+# -- the shared lock-order cycle report ----------------------------------------
+
+def test_lock_order_cycles_two_cycle():
+    edges = {(0, 1): "a", (1, 0): "b"}
+    [(component, cycle, witnesses)] = lock_order_cycles(edges)
+    assert component == {0, 1}
+    assert cycle == [0, 1, 0]
+    assert witnesses == [(0, 1), (1, 0)]
+
+
+def test_lock_order_cycles_three_cycle_of_static_deadlock():
+    edges = [(0, 1), (1, 2), (2, 0)]
+    [(component, cycle, witnesses)] = lock_order_cycles(edges)
+    assert component == {0, 1, 2}
+    assert cycle == [0, 1, 2, 0]
+    assert witnesses == edges
+
+
+def test_lock_order_cycles_acyclic_graph_has_none():
+    assert list(lock_order_cycles([(0, 1), (1, 2), (0, 2)])) == []
+    assert list(lock_order_cycles([])) == []
 
 
 # -- discipline lint units -----------------------------------------------------
 
 def _linter() -> DisciplineLinter:
-    return DisciplineLinter(SanitizerConfig())
+    return DisciplineLinter()
 
 
 def test_discipline_double_acquire():

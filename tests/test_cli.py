@@ -128,6 +128,20 @@ def test_check_racy_fixture_exits_nonzero(capsys):
     assert "empty-lockset" in out
 
 
+def test_check_refuses_a_one_slot_machine(capsys):
+    """A team of one has nobody to race with: exit 2 naming the slot
+    count, not a vacuous "OK" — while the static half needs no slots."""
+    assert main(["check", "synthetic-racy", "--cores", "1"]) == 2
+    assert "1 thread slot" in capsys.readouterr().err
+    code, out = run_cli(capsys, "check", "synthetic-racy", "--cores", "2")
+    assert code == 1
+    assert "(2 threads)" in out and "empty-lockset" in out
+    code, out = run_cli(capsys, "check", "static-deadlock", "--static-only",
+                        "--cores", "1")
+    assert code == 1
+    assert "static-lock-order-cycle" in out
+
+
 def test_check_json_output_is_valid(capsys):
     import json
     code, out = run_cli(capsys, "check", "synthetic-racy", "--json")

@@ -4,11 +4,27 @@ groups reach every leaf, and a flag's default is its config field's."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-from repro.check import DEFAULT_THREADS
+import repro.check
+from repro.check import (
+    DEFAULT_THREADS,
+    ThreadSanitizer,
+    analyze_application,
+    analyze_workload,
+    check_application,
+    check_workload,
+)
+from repro.check.discipline import DisciplineLinter
+from repro.check.lockorder import LockOrderAnalyzer
+from repro.check.lockset import LocksetRaceDetector
+from repro.check.static import AbstractExecutor
+from repro.check.static.lints import lint_findings
 from repro.cli import build_parser, main
 from repro.faults.chaos import (
     SERVE_ATTEMPTS,
@@ -137,3 +153,33 @@ def test_serve_flags_build_the_expected_config():
         max_batch=5, batch_window=0.25, request_timeout=7.0, jobs=6,
         job_timeout=8.0, cache_dir="/tmp/c", no_cache=True, preflight=True,
         manifest_path="m.json")
+
+
+def _params(func):
+    return [name for name in inspect.signature(func).parameters
+            if name != "self"]
+
+
+def test_repro_check_takes_no_configuration():
+    """A verdict is a function of (program, machine): no ``*Config``
+    dataclass anywhere under ``repro.check`` and no parameter that
+    carried one."""
+    for info in pkgutil.walk_packages(repro.check.__path__, "repro.check."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                assert not name.endswith("Config"), f"{info.name}.{name}"
+    for cls in (ThreadSanitizer, LocksetRaceDetector, LockOrderAnalyzer,
+                DisciplineLinter):
+        assert _params(cls.__init__) == [], cls
+    assert _params(check_application) == ["app", "config", "threads"]
+    assert _params(check_workload) == ["name", "scale", "config", "threads"]
+    assert _params(analyze_application) == [
+        "build", "thread_counts", "config"]
+    assert _params(analyze_workload) == [
+        "name", "scale", "thread_counts", "config"]
+    assert _params(lint_findings) == ["team"]
+    assert _params(AbstractExecutor.__init__) == ["machine"]
+    machine = inspect.signature(AbstractExecutor.__init__).parameters["machine"]
+    assert "MachineConfig" in str(machine.annotation)

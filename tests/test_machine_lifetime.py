@@ -35,7 +35,7 @@ from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
 from repro.trace import TraceConfig, run_traced
 from repro.workloads import get
-from repro.workloads.synthetic import build_barrier_mismatch
+from repro.workloads.synthetic import FIXTURES
 
 SIM_TYPES = (Core, _Context, MemorySystem, SetAssocCache, DirectoryEntry)
 SCALE = 0.05
@@ -116,7 +116,8 @@ def test_a_deadlocked_run_leaves_no_sim_garbage():
     is latent and completes), with every context still spinning."""
     def run() -> None:
         try:
-            run_application(build_barrier_mismatch(), StaticPolicy(4))
+            run_application(FIXTURES["static-barrier-mismatch"](1.0),
+                            StaticPolicy(4))
         except DeadlockError:
             return
         pytest.fail("the barrier mismatch did not deadlock")

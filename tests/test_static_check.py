@@ -14,12 +14,15 @@ from typing import Iterator
 import pytest
 
 from repro.check import STATIC, analyze_application, analyze_workload
-from repro.check.static import AbstractExecutor, StaticCheckConfig
+from repro.check import findings as findings_mod
+from repro.check.static import AbstractExecutor
+from repro.check.static import executor as executor_mod
+from repro.check.static import lints as lints_mod
 from repro.check.static.barriers import barrier_findings
 from repro.check.static.lints import lint_findings
 from repro.check.static.locks import lock_fault_findings, lock_order_findings
 from repro.check.static.profile import profile_team, team_priors
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.priors import CS_FRACTION_RTOL, derive_priors, measure_estimates
 from repro.fdt.runner import Application
@@ -37,20 +40,19 @@ from repro.isa.ops import (
 )
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
-from repro.workloads.synthetic import static_fixtures
+from repro.workloads.synthetic import FIXTURES
 
 BASE = MachineConfig.asplos08_baseline()
 
 
-def _run_one(*ops: Op, config: StaticCheckConfig | None = None):
+def _run_one(*ops: Op):
     """Summarize a literal op list as thread 0 of a team of one."""
-    executor = AbstractExecutor(config, BASE)
+    executor = AbstractExecutor(BASE)
     return executor.run_thread(iter(ops), thread_id=0, num_threads=1)
 
 
-def _team(factory, num_threads: int, name: str = "t",
-          config: StaticCheckConfig | None = None):
-    executor = AbstractExecutor(config, BASE)
+def _team(factory, num_threads: int, name: str = "t"):
+    executor = AbstractExecutor(BASE)
     return executor.run_team(name, [factory] * num_threads, num_threads)
 
 
@@ -93,7 +95,7 @@ def test_counter_stub_is_monotone_abstract_clock():
         assert second > first
         yield Store(0x40 * (second - first))
 
-    s = AbstractExecutor(None, BASE).run_thread(program(), 0, 1)
+    s = AbstractExecutor(BASE).run_thread(program(), 0, 1)
     assert s.counter_reads == 2
     assert s.stores == 1
 
@@ -122,13 +124,14 @@ def test_lock_order_edges_recorded_once():
     assert list(s.lock_order_edges) == [(1, 2)]
 
 
-def test_op_budget_truncates_and_suppresses_exit_faults():
+def test_op_budget_truncates_and_suppresses_exit_faults(monkeypatch):
+    monkeypatch.setattr(executor_mod, "MAX_OPS_PER_THREAD", 100)
+
     def endless() -> Iterator[Op]:
         while True:
             yield Compute(1)
 
-    config = StaticCheckConfig(max_ops_per_thread=100)
-    s = AbstractExecutor(config, BASE).run_thread(endless(), 0, 1)
+    s = AbstractExecutor(BASE).run_thread(endless(), 0, 1)
     assert s.truncated
     assert s.ops == 100
 
@@ -137,7 +140,7 @@ def test_op_budget_truncates_and_suppresses_exit_faults():
         while True:
             yield Compute(1)
 
-    s = AbstractExecutor(config, BASE).run_thread(endless_locked(), 0, 1)
+    s = AbstractExecutor(BASE).run_thread(endless_locked(), 0, 1)
     assert s.truncated
     assert not s.lock_faults  # held-at-exit unknown for truncated streams
 
@@ -153,15 +156,6 @@ def test_rejects_foreign_op():
         _run_one("not-an-op")  # type: ignore[arg-type]
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        StaticCheckConfig(max_ops_per_thread=0)
-    with pytest.raises(ConfigError):
-        StaticCheckConfig(max_findings=0)
-    with pytest.raises(ConfigError):
-        StaticCheckConfig(min_branch_observations=1)
-
-
 # -- passes -----------------------------------------------------------------
 
 def test_barrier_sequence_divergence_detected():
@@ -171,14 +165,16 @@ def test_barrier_sequence_divergence_detected():
             yield BarrierWait(tid_barrier[tid])
         return factory
 
-    executor = AbstractExecutor(None, BASE)
+    executor = AbstractExecutor(BASE)
     team = executor.run_team(
         "diverge", [factory_for({0: 0, 1: 1})] * 2, 2)
     findings = barrier_findings(team)
     assert [f.kind for f in findings] == ["static-barrier-sequence-divergence"]
 
 
-def test_barrier_pass_skips_truncated_threads():
+def test_barrier_pass_skips_truncated_threads(monkeypatch):
+    monkeypatch.setattr(executor_mod, "MAX_OPS_PER_THREAD", 50)
+
     def short(tid: int, team: int) -> Iterator[Op]:
         yield BarrierWait(0)
 
@@ -186,9 +182,7 @@ def test_barrier_pass_skips_truncated_threads():
         while True:
             yield Compute(1)
 
-    config = StaticCheckConfig(max_ops_per_thread=50)
-    executor = AbstractExecutor(config, BASE)
-    team = executor.run_team("trunc", [short, endless], 2)
+    team = AbstractExecutor(BASE).run_team("trunc", [short, endless], 2)
     assert team.truncated
     assert barrier_findings(team) == []
 
@@ -199,18 +193,18 @@ def test_empty_critical_section_lint():
         yield Unlock(5)
 
     team = _team(factory, 1)
-    kinds = [f.kind for f in lint_findings(team, StaticCheckConfig())]
+    kinds = [f.kind for f in lint_findings(team)]
     assert kinds == ["static-empty-critical-section"]
 
 
 def test_degenerate_compute_lint():
     team = _team(lambda tid, team: iter([Compute(0)]), 1)
-    kinds = [f.kind for f in lint_findings(team, StaticCheckConfig())]
+    kinds = [f.kind for f in lint_findings(team)]
     assert "static-degenerate-compute" in kinds
 
 
-def test_single_outcome_branch_lint_needs_observations():
-    config = StaticCheckConfig(min_branch_observations=4)
+def test_single_outcome_branch_lint_needs_observations(monkeypatch):
+    monkeypatch.setattr(lints_mod, "MIN_BRANCH_OBSERVATIONS", 4)
 
     def taken_n(n: int):
         def factory(tid: int, team: int) -> Iterator[Op]:
@@ -218,10 +212,8 @@ def test_single_outcome_branch_lint_needs_observations():
                 yield Branch(9, True)
         return factory
 
-    below = _team(taken_n(3), 1, config=config)
-    assert lint_findings(below, config) == []
-    at = _team(taken_n(4), 1, config=config)
-    assert [f.kind for f in lint_findings(at, config)] == [
+    assert lint_findings(_team(taken_n(3), 1)) == []
+    assert [f.kind for f in lint_findings(_team(taken_n(4), 1))] == [
         "static-single-outcome-branch"]
 
 
@@ -231,7 +223,7 @@ def test_both_outcome_branch_not_linted():
             yield Branch(9, i % 2 == 0)
 
     team = _team(factory, 1)
-    assert lint_findings(team, StaticCheckConfig()) == []
+    assert lint_findings(team) == []
 
 
 def test_lock_order_cycle_across_threads():
@@ -314,15 +306,17 @@ def test_fixture_codes_are_distinct():
 
 
 def test_fixture_registry_lists_all_three():
-    assert sorted(static_fixtures()) == sorted(FIXTURE_CODES)
+    assert sorted(n for n in FIXTURES if n.startswith("static-")) == sorted(
+        FIXTURE_CODES)
+    assert all(build(1.0).name == name for name, build in FIXTURES.items())
 
 
 def test_both_checkers_resolve_names_through_one_function():
     from repro.check import check_workload
-    from repro.check.runner import fixtures, resolve
+    from repro.check.runner import resolve
 
-    assert set(FIXTURE_CODES) < set(fixtures())  # + the sanitizer's three
-    assert resolve("static-deadlock") is static_fixtures()["static-deadlock"]
+    assert set(FIXTURE_CODES) < set(FIXTURES)  # + the sanitizer's three
+    assert resolve("static-deadlock") is FIXTURES["static-deadlock"]
     assert resolve("pagemine") == get("PageMine").build
     messages = []
     for checker in (check_workload, analyze_workload):
@@ -330,7 +324,7 @@ def test_both_checkers_resolve_names_through_one_function():
             checker("no-such-workload")
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
-    assert all(name in messages[0] for name in fixtures())
+    assert all(name in messages[0] for name in FIXTURES)
 
 
 # -- Table 2 workloads analyze clean ---------------------------------------
@@ -430,6 +424,11 @@ def test_report_round_trips_to_json():
     assert payload["workload"] == "static-deadlock"
     assert payload["clean"] is False
     assert payload["counts"]["static-lock-order-cycle"] >= 1
+    cycle = next(f for f in payload["findings"]
+                 if f["kind"] == "static-lock-order-cycle")
+    assert cycle["details"]["cycle"] == [0, 1, 2, 0]
+    assert [(e["held"], e["wanted"]) for e in cycle["details"]["edges"]] == [
+        (0, 1), (1, 2), (2, 0)]
     assert payload["priors"]["static-deadlock"]["p_fdt"] >= 1
 
 
@@ -442,17 +441,18 @@ def test_as_check_report_feeds_shared_formatter():
     assert "FAIL" in text
 
 
-def test_max_findings_cap_counts_dropped():
+def test_max_findings_cap_counts_dropped(monkeypatch):
+    monkeypatch.setattr(findings_mod, "MAX_FINDINGS", 5)
+
     def factory(tid: int, team: int) -> Iterator[Op]:
         for pc in range(50):
             for _ in range(20):
                 yield Branch(pc, True)
 
-    config = StaticCheckConfig(max_findings=5)
     report = analyze_application(
         lambda: Application.single(
             _FactoryKernel(factory), name="many-lints"),
-        thread_counts=(1,), static=config)
+        thread_counts=(1,))
     assert len(report.findings) == 5
     assert report.dropped > 0
 
