@@ -2,6 +2,18 @@
 
 Ops are small frozen dataclasses.  ``__slots__`` keeps per-op memory low
 because hot kernels yield hundreds of thousands of them.
+
+``Compute``, ``Load`` and ``Store`` — the ops kernels build as they
+run, about 750 k in one ``fig14-scalable`` benchmark pass — have a
+hand-written ``__init__`` (``init=False``) that stores through the
+slot's member descriptor.  The generated one goes through
+``object.__setattr__`` to get past the frozen ``__setattr__``, and
+``Compute``'s also called ``__post_init__``: a fifth (``Load``) to a
+third (``Compute``) of the construction time.  Equality, hashing,
+``repr``, ``__match_args__``, pickling and ``FrozenInstanceError`` on
+assignment are still the dataclass's.  The other five ops are built
+rarely, mostly once as module constants, and keep the generated
+``__init__``.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ class CounterKind(enum.Enum):
     L3_MISSES = "l3_misses"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Compute:
     """Execute ``instructions`` dynamic ALU/FP instructions.
 
@@ -39,12 +51,13 @@ class Compute:
 
     instructions: int
 
-    def __post_init__(self) -> None:
-        if self.instructions < 0:
+    def __init__(self, instructions: int) -> None:
+        if instructions < 0:
             raise ValueError("instruction count must be non-negative")
+        _set_instructions(self, instructions)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Load:
     """Read one word at virtual byte address ``addr``.
 
@@ -54,8 +67,11 @@ class Load:
 
     addr: int
 
+    def __init__(self, addr: int) -> None:
+        _set_load_addr(self, addr)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Store:
     """Write one word at virtual byte address ``addr``.
 
@@ -64,6 +80,16 @@ class Store:
     """
 
     addr: int
+
+    def __init__(self, addr: int) -> None:
+        _set_store_addr(self, addr)
+
+
+#: The slots' member descriptors' setters, which the frozen
+#: ``__setattr__`` does not guard (they exist once the classes do).
+_set_instructions = vars(Compute)["instructions"].__set__
+_set_load_addr = vars(Load)["addr"].__set__
+_set_store_addr = vars(Store)["addr"].__set__
 
 
 @dataclass(frozen=True, slots=True)

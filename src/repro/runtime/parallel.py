@@ -62,6 +62,28 @@ def static_chunk(total_iterations: int, num_threads: int, index: int,
     return range(lo, lo + base + (1 if index < extra else 0))
 
 
+#: A kernel's memo of :func:`static_chunks` results, keyed by arguments.
+ChunkTable = dict[tuple[int, int, int], list[range]]
+
+
+def team_chunks(table: ChunkTable, total_iterations: int, num_threads: int,
+                start: int = 0) -> list[range]:
+    """``static_chunks(total_iterations, num_threads, start)``, computed
+    once per ``table``.
+
+    A kernel whose per-thread split never changes across iterations
+    holds the table and indexes the result by thread id, instead of
+    recomputing its chunk every iteration.  The table belongs to the
+    kernel, not the process, so it lives exactly as long as the kernel.
+    """
+    key = (total_iterations, num_threads, start)
+    chunks = table.get(key)
+    if chunks is None:
+        chunks = table[key] = static_chunks(total_iterations, num_threads,
+                                            start)
+    return chunks
+
+
 class ParallelFor:
     """Adapter from a loop body to per-thread program factories.
 

@@ -110,18 +110,23 @@ class MemorySystem:
         to the DRAM fill with everything it reads bound here: this
         core's L1/L2 sets and stats, the directory's entry table, per
         home bank the hops from this core and the bank's sets and stats,
-        the bus timeline and the DRAM bank state.  It is written as two
+        the bus timeline and the DRAM bank state.  It is written as
         nested functions, because a call pays for every name its
         function binds: ``port`` holds the L1 and L2 probes and the few
         names a hit needs, ``miss`` the walk past the L2 and the many
         names that needs.  The straight line of ``miss`` is the common
         case — no other core holds the line, data comes from the L3 or
         from memory — with the victims of the L3 and L2 fills handled in
-        place.  The rare legs are calls to the methods the reference
-        uses: cache-to-cache forward, invalidation fan-out, S→M upgrade,
-        recall of an L3 victim with several sharers, a sharer's L2
-        eviction, a bus reservation that has to fill a gap, the bus and
-        DRAM slots of a posted write-back.
+        place, and so are the sharing legs: the S→M ``upgrade``, the
+        cache-to-cache forward and a GetM's fan-out, which shares the
+        per-victim ``invalidate`` with the upgrade; the directory's
+        transitions stay ``Directory.on_*`` calls.  An arrival is
+        ``t + hops * hop_latency`` only because the walk is never built
+        for ``ring_link_occupancy > 0``.  Out of line, as calls the
+        reference makes too: recall of an L3 victim with several
+        sharers, a sharer's L2 eviction (``Directory.on_evict``), a bus
+        reservation that fills a gap, a posted write-back's bus and
+        DRAM slots.
 
         :meth:`access` is the reference the walk is tested against
         (``tests/test_property_memsys.py``): same completion cycles,
@@ -144,34 +149,68 @@ class MemorySystem:
         stats = self.stats
         observer = self.observer
         offset_bits = self._offset_bits
-        l1_latency = cfg.l1_latency
-        l1_l2_latency = l1_latency + cfg.l2_latency
+        l1_latency, l2_latency = cfg.l1_latency, cfg.l2_latency
+        l1_l2_latency = l1_latency + l2_latency
         l1_sets, l1_stats, l1_assoc = l1._sets, l1.stats, l1.assoc
         l2_sets, l2_stats, l2_assoc = l2._sets, l2.stats, l2.assoc
-        l1s, l2s = self.l1s, self.l2s  # every core's, for recalls
-        upgrade = self._upgrade
-        cache_to_cache = self._cache_to_cache
-        inv_complete = self._inv_complete
+        l1s, l2s = self.l1s, self.l2s  # every core's, for invalidations
         invalidate_private = self._invalidate_private
 
         directory = self.directory
         entries = directory._entries
         coherence = directory.stats
 
-        ring_stats = self.ring.stats
-        core_node = self.core_nodes[core]
+        ring_stats, hop_latency = self.ring.stats, self.ring.hop_latency
+        dist, num_nodes = self.ring.dist, self.ring.num_nodes
+        core_nodes, core_node = self.core_nodes, self.core_nodes[core]
         bank_mask = self.l3._bank_mask
-        bank_nodes = self.bank_nodes
         l3_assoc = cfg.l3_assoc
         l3_latency = self.l3.banks[0].latency
         l3_occupancy = self.l3.banks[0].occupancy
-        #: Per home bank: the bank, hops and cycles from this core to it,
-        #: its sets and stats.
+        #: Per home bank: the bank, its ring node, hops and cycles from
+        #: this core to it, its sets and stats.
         homes = []
-        for bank, node in zip(self.l3.banks, bank_nodes):
+        for bank, node in zip(self.l3.banks, self.bank_nodes):
             hops = self.ring.hops(core_node, node)
-            homes.append((bank, hops, hops * self.ring.hop_latency,
+            homes.append((bank, node, hops, hops * hop_latency,
                           bank.cache._sets, bank.cache.stats))
+
+        def invalidate(victims: set[int], line: int, bank_node: int,
+                       t_dir: int) -> int:
+            """Invalidate ``victims``' copies; return the last ack's cycle."""
+            acks = t_dir
+            for victim in victims:
+                hops = dist[(core_nodes[victim] - bank_node) % num_nodes]
+                ring_stats.messages += 2
+                ring_stats.total_hops += 2 * hops
+                t_ack = t_dir + 2 * hops * hop_latency + l2_latency
+                if t_ack > acks:
+                    acks = t_ack
+                cache = l2s[victim]
+                if cache._sets[line & l2_mask].pop(line, None) is not None:
+                    cache.stats.invalidations += 1
+                cache = l1s[victim]
+                if cache._sets[line & l1_mask].pop(line, None) is not None:
+                    cache.stats.invalidations += 1
+            return acks
+
+        def upgrade(line: int, t: int, s2: dict[int, Any]) -> int:
+            """S→M upgrade of ``line``, resident in ``s2``."""
+            bank, bank_node, hops, hop_cycles, _, _ = homes[line & bank_mask]
+            ring_stats.messages += 2
+            ring_stats.total_hops += 2 * hops
+            arrival = t + hop_cycles
+            free = bank._free
+            start = arrival if arrival >= free else free
+            bank._free = start + l3_occupancy
+            t_dir = start + l3_latency
+            victims = directory.on_upgrade(line, core)
+            acks = invalidate(victims, line, bank_node, t_dir)
+            s2[line] = _M  # in place: no LRU movement
+            done = acks + hop_cycles
+            if observer is not None:
+                observer.on_mem_access(core, line, True, t, done)
+            return done
 
         bus = self.bus
         bus_latency = bus.latency
@@ -196,7 +235,7 @@ class MemorySystem:
                  s1: dict[int, Any], s2: dict[int, Any]) -> int:
             """The walk past the L2: ``s1``/``s2`` are the probed sets."""
             # -- request to the home bank's directory ----------------------
-            bank, hops, hop_cycles, sets3, stats3 = homes[line & bank_mask]
+            bank, bank_node, hops, hop_cycles, sets3, stats3 = homes[line & bank_mask]
             ring_stats.messages += 1
             ring_stats.total_hops += hops
             arrival = t + hop_cycles
@@ -222,18 +261,34 @@ class MemorySystem:
                     directory.on_getm(line, core))
                 new_state = _M
                 if forward_from is None and invalidated:
-                    acks = inv_complete(ready, bank_nodes[bank.index],
-                                        invalidated)
-                    for holder in invalidated:
-                        invalidate_private(holder, line)
+                    acks = invalidate(invalidated, line, bank_node, ready)
             else:
                 forward_from, was_dirty = directory.on_gets(line, core)
                 new_state = _E if entry.owner == core else _S
 
             if forward_from is not None:
-                t_data = cache_to_cache(core, line, is_write, forward_from,
-                                        was_dirty, bank,
-                                        bank_nodes[bank.index], ready)
+                # Cache-to-cache: home bank -> owner's L2 -> requester.
+                owner_node = core_nodes[forward_from]
+                via_owner = (dist[(owner_node - bank_node) % num_nodes]
+                             + dist[(core_node - owner_node) % num_nodes])
+                ring_stats.messages += 2
+                ring_stats.total_hops += via_owner
+                t_data = ready + via_owner * hop_latency + l2_latency
+                cache = l2s[forward_from]
+                s = cache._sets[line & l2_mask]
+                if is_write:
+                    if s.pop(line, None) is not None:
+                        cache.stats.invalidations += 1
+                    cache = l1s[forward_from]
+                    if cache._sets[line & l1_mask].pop(line, None) is not None:
+                        cache.stats.invalidations += 1
+                else:
+                    if line in s:
+                        s[line] = _S  # downgrade, in place
+                    if was_dirty:  # the home bank's copy is now clean
+                        s3 = sets3[line & l3_mask]
+                        if line in s3:
+                            s3[line] = False
             else:
                 s3 = sets3[line & l3_mask]
                 if line in s3:
@@ -348,7 +403,7 @@ class MemorySystem:
                 if victim_state is _M:
                     # Dirty data goes back to the (inclusive) home bank.
                     stats.l2_writebacks += 1
-                    s3 = homes[victim & bank_mask][3][victim & l3_mask]
+                    s3 = homes[victim & bank_mask][4][victim & l3_mask]
                     if victim in s3:
                         s3[victim] = True
                     else:
@@ -395,7 +450,7 @@ class MemorySystem:
                         entry.owner_dirty = True
                     return t
                 if state is _S:
-                    return upgrade(core, line, t)
+                    return upgrade(line, t, s2)
                 # An L1 hit without an L2 copy: drop it, miss in the L2.
                 del s1[line]
                 l1_stats.invalidations += 1
@@ -421,7 +476,7 @@ class MemorySystem:
                     if entry is not None and entry.owner == core:
                         entry.owner_dirty = True
                 else:
-                    t = upgrade(core, line, t)
+                    t = upgrade(line, t, s2)
             if len(s1) >= l1_assoc:
                 del s1[next(iter(s1))]  # silent: L1 is never dirty
                 l1_stats.evictions += 1

@@ -32,14 +32,14 @@ _BLOCK = 32  # options per FDT iteration
 _F32_PER_LINE = LINE // 4
 
 
-#: Element-wise stdlib error function; numpy has no erf of its own and
-#: the closed-form CND needs nothing heavier than math.erf.
-_ERF = np.vectorize(math.erf)
+#: Element-wise stdlib error function (numpy has none): a ufunc on object
+#: arrays, without the per-call output probe of a vectorize wrapper.
+_ERF = np.frompyfunc(math.erf, 1, 1)
 
 
 def _cnd(x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Cumulative normal distribution via the stdlib error function."""
-    return 0.5 * (1.0 + _ERF(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + _ERF(x / math.sqrt(2.0)).astype(np.float64))
 
 
 @dataclass(frozen=True, slots=True)

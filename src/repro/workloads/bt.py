@@ -25,7 +25,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Op, Store
-from repro.runtime.parallel import static_chunk
+from repro.runtime.parallel import ChunkTable, static_chunks, team_chunks
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: Per-cell cost of the 5x5 block-tridiagonal update (BT's block solves
@@ -70,6 +70,8 @@ class BtKernel(TeamParallelKernel):
         self.field = rng.standard_normal((params.grid,) * 3)
         #: Residual after each completed sweep (should shrink).
         self.residuals: list[float] = []
+        self._slabs = static_chunks(params.grid ** 2, self.SLABS_PER_PLANE)
+        self._chunks: ChunkTable = {}
 
     #: Loop granularity: each plane is swept as two half-plane slabs,
     #: keeping FDT's peeled training a tiny fraction of the run.
@@ -92,11 +94,10 @@ class BtKernel(TeamParallelKernel):
                                  + self.field[plane + 1]) / 4.0
             self.residuals.append(before)
 
-        cells_in_plane = g * g
-        slab_cells = static_chunk(cells_in_plane, self.SLABS_PER_PLANE, slab)
-        chunk = static_chunk(len(slab_cells), num_threads, thread_id,
-                             start=slab_cells.start)
-        plane_base = self._grid_base + plane * cells_in_plane * _CELL_BYTES
+        slab_cells = self._slabs[slab]
+        chunk = team_chunks(self._chunks, len(slab_cells), num_threads,
+                            slab_cells.start)[thread_id]
+        plane_base = self._grid_base + plane * g * g * _CELL_BYTES
         # Touch this thread's cells (line-granular) and pay the block cost.
         lo = plane_base + chunk.start * _CELL_BYTES
         hi = plane_base + chunk.stop * _CELL_BYTES

@@ -26,7 +26,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Op, Store
-from repro.runtime.parallel import static_chunk
+from repro.runtime.parallel import ChunkTable, static_chunks, team_chunks
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: 27-point stencil cost per line of 8 doubles.
@@ -72,11 +72,14 @@ class MgKernel(TeamParallelKernel):
         space = space or AddressSpace()
         self.grids = []
         self._bases = []
+        self._slabs: list[list[range]] = []  # per level: a plane's 2 slabs
+        self._chunks: ChunkTable = {}  # the init kernel's too
         rng = np.random.default_rng(params.seed)
         for lvl in range(params.levels):
             n = params.fine_grid >> lvl
             self.grids.append(rng.standard_normal((n, n, n)))
             self._bases.append(space.alloc(n * n * n * 8))
+            self._slabs.append(static_chunks(n * n * 8 // LINE, 2))
         # Flatten every V-cycle into (level, plane, slab) iterations —
         # each plane is swept as two half-plane slabs so the peeled
         # training loop is a tiny fraction of the run.
@@ -106,9 +109,9 @@ class MgKernel(TeamParallelKernel):
                 self.norms.append(float(np.abs(grid).sum()))
 
         plane_bytes = n * n * 8
-        slab_lines = static_chunk(plane_bytes // LINE, 2, slab)
-        chunk = static_chunk(len(slab_lines), num_threads, thread_id,
-                             start=slab_lines.start)
+        slab_lines = self._slabs[lvl][slab]
+        chunk = team_chunks(self._chunks, len(slab_lines), num_threads,
+                            slab_lines.start)[thread_id]
         base = self._bases[lvl] + plane * plane_bytes
         for k in chunk:
             yield Load(base + k * LINE)
@@ -148,9 +151,9 @@ class MgInitKernel(TeamParallelKernel):
         lvl, plane, slab = self._schedule[iteration]
         n = solver.params.fine_grid >> lvl
         plane_bytes = n * n * 8
-        slab_lines = static_chunk(plane_bytes // LINE, 2, slab)
-        chunk = static_chunk(len(slab_lines), num_threads, thread_id,
-                             start=slab_lines.start)
+        slab_lines = solver._slabs[lvl][slab]
+        chunk = team_chunks(solver._chunks, len(slab_lines), num_threads,
+                            slab_lines.start)[thread_id]
         base = solver._bases[lvl] + plane * plane_bytes
         for k in chunk:
             yield _INIT

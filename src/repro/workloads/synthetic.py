@@ -36,7 +36,7 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
-from repro.runtime.parallel import static_chunk
+from repro.runtime.parallel import ChunkTable, team_chunks
 from repro.workloads.base import LINE, AddressSpace, AppBuilder
 
 _CS_LOCK = 0
@@ -84,6 +84,7 @@ class SyntheticKernel(TeamParallelKernel):
             stream_bytes *= params.iterations
         self._stream_base = space.alloc(stream_bytes)
         self._shared_base = space.alloc(max(1, params.cs_lines) * LINE)
+        self._chunks: ChunkTable = {}
 
     @property
     def total_iterations(self) -> int:
@@ -94,12 +95,12 @@ class SyntheticKernel(TeamParallelKernel):
         p = self.params
 
         # Parallel part: streaming loads plus compute, split by the team.
-        lines = static_chunk(p.lines_per_iteration, num_threads, thread_id)
+        lines = team_chunks(self._chunks, p.lines_per_iteration, num_threads)[thread_id]
         offset = 0 if p.reuse else iteration * p.lines_per_iteration
         for k in lines:
             yield Load(self._stream_base + (offset + k) * LINE)
-        instr = static_chunk(p.compute_instr, num_threads, thread_id)
-        remaining = len(instr)
+        remaining = len(team_chunks(self._chunks, p.compute_instr,
+                                    num_threads)[thread_id])
         while remaining > 0:
             yield Compute(min(remaining, 4096))
             remaining -= 4096

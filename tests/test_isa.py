@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ProgramError
@@ -34,6 +37,37 @@ def test_ops_compare_by_value():
     assert Load(8) == Load(8)
     assert Store(8) != Store(16)
     assert Compute(4) == Compute(4)
+
+
+ONE_OF_EACH = [Compute(40), Load(5), Store(5), Lock(1), Unlock(1),
+               BarrierWait(2), Branch(0x40, True),
+               ReadCounter(CounterKind.CYCLES)]
+
+
+@pytest.mark.parametrize("op", ONE_OF_EACH, ids=lambda op: type(op).__name__)
+def test_every_op_is_a_frozen_slotted_value(op):
+    """Whether its ``__init__`` is generated or hand-written, an op is a
+    frozen, slotted dataclass value."""
+    cls = type(op)
+    names = [f.name for f in dataclasses.fields(op)]
+    values = [getattr(op, name) for name in names]
+    twin = cls(*values)
+    assert twin == op and hash(twin) == hash(op) and twin is not op
+    assert cls(**dict(zip(names, values))) == op
+    assert cls.__match_args__ == tuple(names)
+    assert repr(op) == "{}({})".format(cls.__name__, ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)))
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(op, names[0], values[0])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(op, protocol)) == op
+
+
+def test_op_reprs_and_classes_are_unchanged():
+    assert repr(Load(addr=5)) == "Load(addr=5)"
+    assert repr(Compute(3)) == "Compute(instructions=3)"
+    assert Load(5) != Store(5)
 
 
 def test_validate_accepts_well_formed_program():

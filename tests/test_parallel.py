@@ -6,7 +6,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.isa.ops import Compute
-from repro.runtime.parallel import ParallelFor, static_chunk, static_chunks
+from repro.runtime.parallel import (
+    ChunkTable,
+    ParallelFor,
+    static_chunk,
+    static_chunks,
+    team_chunks,
+)
 
 
 def test_chunks_partition_exactly():
@@ -71,6 +77,18 @@ def test_static_chunk_invalid_arguments():
     for index in (-1, 4):
         with pytest.raises(IndexError):
             static_chunk(10, 4, index)
+
+
+def test_team_chunks_computes_each_split_once_per_table():
+    table: ChunkTable = {}
+    first = team_chunks(table, 100, 7, 17)
+    assert first == static_chunks(100, 7, 17)
+    assert team_chunks(table, 100, 7, 17) is first
+    # Every argument is part of the key.
+    for args in ((100, 7, 0), (100, 8, 17), (99, 7, 17)):
+        assert team_chunks(table, *args) == static_chunks(*args)
+    assert len(table) == 4
+    assert team_chunks({}, 100, 7, 17) is not first  # a table per owner
 
 
 def test_parallel_for_builds_one_factory_per_thread():

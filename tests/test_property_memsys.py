@@ -192,15 +192,23 @@ def run_both(ops) -> set[str]:
             for m in (walk, reference):
                 m.memsys.l2s[core].invalidate(m.memsys.line_of(addr))
             continue
-        # Two legs show in the state the op finds ...
+        # Some legs show in the state the op finds ...
         mem = reference.memsys
         line = mem.line_of(addr)
         entry = mem.directory.entry(line)
-        if is_write and entry is not None and entry.sharers - {core}:
-            seen.add("invalidation fan-out")
-        if (is_write and line in mem.l1s[core]
-                and mem.l2s[core].peek(line) is None):
+        in_l2 = mem.l2s[core].peek(line) is not None
+        if is_write and not in_l2 and entry is not None and (
+                entry.sharers - {core}):
+            seen.add("GetM fan-out")
+        if is_write and line in mem.l1s[core] and not in_l2:
             seen.add("L1 hit without an L2 copy")
+        owner = entry.owner if entry is not None else None
+        owner_dirty = entry is not None and entry.owner_dirty
+        # The owner's copies and the home bank's, as the op finds them.
+        owner_held = (owner is not None and line in mem.l1s[owner]
+                      and line in mem.l2s[owner])
+        l3 = mem.l3.bank_of(line).cache
+        l3_dirty = l3.peek(line) is True
         before = legs_of(reference)
         done = walk_ports[core](addr, is_write, t)
         expected = reference_ports[core](addr, is_write, t)
@@ -220,10 +228,20 @@ def run_both(ops) -> set[str]:
             seen.add("posted write-back of a dirty L3 victim")
         if l2_writebacks:
             seen.add("dirty L2 eviction")
-        if forwards:
-            seen.add("cache-to-cache forward")
-        if upgrades:
-            seen.add("upgrade")
+        if (forwards and not is_write
+                and mem.l2s[owner].peek(line) is MesiState.SHARED):
+            if not owner_dirty:
+                seen.add("forward to a load from a clean owner")
+            elif l3_dirty and l3.peek(line) is False:
+                seen.add("forward to a load from a dirty owner, L3 cleaned")
+        if (forwards and is_write and owner_held
+                and line not in mem.l1s[owner]
+                and mem.l2s[owner].peek(line) is None):
+            seen.add("forward to a store, owner's L1 and L2 invalidated")
+        if upgrades and not invalidations:
+            seen.add("upgrade with no other sharer")
+        if upgrades and invalidations >= 2:
+            seen.add("upgrade invalidating two sharers or more")
     assert state_of(walk) == state_of(reference)
     return seen
 
@@ -237,7 +255,13 @@ def test_port_walk_matches_reference_access(ops):
 
 def test_port_walk_matches_reference_on_every_rare_leg():
     """One seeded sequence long enough to take every rare leg, with an
-    L2 copy dropped now and then so the defensive branch runs too."""
+    L2 copy dropped now and then so the defensive branch runs too.
+
+    The first part thrashes the L3 (recalls, posted write-backs).  The
+    second keeps to eight lines of one L2 set, which the L3 holds: L2
+    evictions then leave dirty L3 copies and lone sharers behind, which
+    is what a forward that cleans the L3 and an upgrade with nobody to
+    invalidate need."""
     rng = random.Random(13)
     ops: list[tuple[int, int, bool | None]] = []
     for _ in range(6000):
@@ -246,8 +270,15 @@ def test_port_walk_matches_reference_on_every_rare_leg():
             ops += [(core, addr, False), (core, addr, None), (core, addr, True)]
         else:
             ops.append((core, addr, rng.random() < 0.4))
+    for _ in range(1000):
+        ops.append((rng.randrange(4), (1 << 20) + rng.randrange(8) * 16 * 64,
+                    rng.random() < 0.4))
     assert run_both(ops) == {
         "recall with sharers", "recall of a dirty owner",
         "posted write-back of a dirty L3 victim", "dirty L2 eviction",
-        "cache-to-cache forward", "upgrade", "invalidation fan-out",
+        "forward to a load from a clean owner",
+        "forward to a load from a dirty owner, L3 cleaned",
+        "forward to a store, owner's L1 and L2 invalidated",
+        "upgrade with no other sharer",
+        "upgrade invalidating two sharers or more", "GetM fan-out",
         "L1 hit without an L2 copy"}

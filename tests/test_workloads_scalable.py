@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application, run_application
-from repro.isa.ops import BarrierWait, Load, Lock, Store
+from repro.isa.ops import BarrierWait, Compute, Load, Lock, Store
+from repro.runtime.parallel import static_chunk
 from repro.sim.config import MachineConfig
-from repro.workloads.bscholes import BScholesKernel, BScholesParams
-from repro.workloads.bt import BtKernel, BtParams
-from repro.workloads.mg import MgInitKernel, MgKernel, MgParams
+from repro.workloads.base import LINE
+from repro.workloads.bscholes import BScholesKernel, BScholesParams, _cnd
+from repro.workloads.bt import CELL_INSTR, BtKernel, BtParams
+from repro.workloads.mg import STENCIL_INSTR_PER_LINE, MgInitKernel, MgKernel, MgParams
+from repro.workloads.synthetic import SyntheticKernel, SyntheticParams
 from repro.workloads.sconv import _State as SConvState
 from repro.workloads.sconv import SConvParams, _PassKernel
 
@@ -93,7 +98,103 @@ def test_mg_rejects_too_many_levels():
         MgParams(fine_grid=16, levels=4)  # coarsest would be 2^3
 
 
+# -- per-thread chunks against static_chunk ---------------------------------------
+#
+# The kernels look their chunks up in a per-instance table; these
+# references recompute every chunk with ``static_chunk`` on every call.
+
+
+def _compute_ops(instr: int) -> list:
+    ops = []
+    while instr > 0:
+        ops.append(Compute(min(instr, 4096)))
+        instr -= 4096
+    return ops
+
+
+def _bt_reference(kernel, iteration, tid, team):
+    g = kernel.params.grid
+    plane_iter, slab = divmod(iteration, kernel.SLABS_PER_PLANE)
+    slab_cells = static_chunk(g * g, kernel.SLABS_PER_PLANE, slab)
+    chunk = static_chunk(len(slab_cells), team, tid, start=slab_cells.start)
+    base = kernel._grid_base + (plane_iter % g) * g * g * 40
+    lo, hi = base + chunk.start * 40, base + chunk.stop * 40
+    ops = [Load(a) for a in range(lo // LINE * LINE, max(lo, hi - 1) + 1, LINE)]
+    ops += _compute_ops(len(chunk) * CELL_INSTR)
+    ops += [Store(lo // LINE * LINE)] if len(chunk) else []
+    return ops + [BarrierWait(0)]
+
+
+def _mg_slab(fine_grid, lvl, plane, slab, tid, team):
+    """This thread's lines of a plane slab, and the plane's offset."""
+    n = fine_grid >> lvl
+    slab_lines = static_chunk(n * n * 8 // LINE, 2, slab)
+    chunk = static_chunk(len(slab_lines), team, tid, start=slab_lines.start)
+    return chunk, plane * n * n * 8
+
+
+def _mg_reference(kernel, iteration, tid, team):
+    lvl, plane, slab = kernel._schedule[iteration]
+    chunk, offset = _mg_slab(kernel.params.fine_grid, lvl, plane, slab,
+                             tid, team)
+    base = kernel._bases[lvl] + offset
+    ops = []
+    for k in chunk:
+        ops += [Load(base + k * LINE), Compute(STENCIL_INSTR_PER_LINE)]
+    ops += [Store(base + chunk.start * LINE)] if len(chunk) else []
+    return ops + [BarrierWait(0)]
+
+
+def _mg_init_reference(init, iteration, tid, team):
+    solver = init._solver
+    lvl, plane, slab = init._schedule[iteration]
+    chunk, offset = _mg_slab(solver.params.fine_grid, lvl, plane, slab,
+                             tid, team)
+    base = solver._bases[lvl] + offset
+    ops = []
+    for k in chunk:
+        ops += [Compute(40), Store(base + k * LINE)]
+    return ops + [BarrierWait(0)]
+
+
+def _synthetic_reference(kernel, iteration, tid, team):
+    p = kernel.params
+    offset = iteration * p.lines_per_iteration
+    ops = [Load(kernel._stream_base + (offset + k) * LINE)
+           for k in static_chunk(p.lines_per_iteration, team, tid)]
+    ops += _compute_ops(len(static_chunk(p.compute_instr, team, tid)))
+    return ops + [BarrierWait(0)]
+
+
+def test_team_op_streams_match_static_chunk_reference():
+    solver = MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=1))
+    cases = [
+        (BtKernel(BtParams(time_steps=1)), _bt_reference),
+        (solver, _mg_reference),
+        (MgInitKernel(solver), _mg_init_reference),
+        (SyntheticKernel(SyntheticParams(iterations=3, compute_instr=20_000,
+                                         lines_per_iteration=45)),
+         _synthetic_reference),
+    ]
+    for kernel, reference in cases:
+        for team in (1, 7, 32):
+            for iteration in range(kernel.total_iterations):
+                for tid in range(team):
+                    got = list(kernel.team_iteration(iteration, tid, team))
+                    assert got == reference(kernel, iteration, tid, team), (
+                        kernel.name, team, iteration, tid)
+
+
 # -- BScholes ------------------------------------------------------------------------
+
+def test_cnd_is_math_erf_element_by_element():
+    x = np.random.default_rng(5).standard_normal(257) * 4.0
+    x[:3] = (0.0, -40.0, 40.0)
+    got = _cnd(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    expected = [0.5 * (1 + math.erf(v / math.sqrt(2))) for v in x]
+    assert got.tolist() == expected  # exact, not approximate
+
 
 def test_bscholes_put_call_parity():
     kernel = BScholesKernel(BScholesParams(num_options=1024))
