@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 
 from repro.errors import JobError
@@ -32,6 +33,9 @@ from repro.sim.config import MachineConfig
 SCHEMA_VERSION = 3
 
 _WORKLOAD_KINDS = ("registry", "synthetic")
+
+#: ``json.dumps(sort_keys=True, separators=(",", ":"))``, built once.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,11 +101,14 @@ class WorkloadRef:
         return get(self.name).build(self.scale, **dict(self.params))
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _WORKLOAD_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadRef":
         return cls(**data)
+
+
+_WORKLOAD_FIELDS = tuple(f.name for f in fields(WorkloadRef))
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,6 +181,13 @@ def config_from_dict(data: dict) -> MachineConfig:
     return MachineConfig(**data)
 
 
+@lru_cache(maxsize=64)
+def _config_hasher(config: MachineConfig) -> "hashlib._Hash":
+    """sha256 fed ``{"config":<config>,``; shared: copy, never update."""
+    opening = '{"config":' + _CANONICAL.encode(config_to_dict(config)) + ","
+    return hashlib.sha256(opening.encode("utf-8"))
+
+
 @dataclass(frozen=True, slots=True)
 class JobSpec:
     """One complete simulation: workload x policy x machine."""
@@ -204,13 +218,17 @@ class JobSpec:
     def key(self) -> str:
         """Stable content hash of the spec (plus the schema version).
 
-        Canonical form: the :meth:`to_dict` payload with sorted keys and
-        no whitespace.  Floats serialize via ``repr`` so equal configs
-        always produce equal keys.
+        Canonical form, unchanged: the :meth:`to_dict` payload plus
+        ``"schema"``, sorted keys, no whitespace, floats via ``repr``.
+        ``"config"`` sorts first, so that opening's sha256 state is built
+        once per config (a bounded memo) and copied; only the policy,
+        schema and workload are encoded per call.
         """
-        payload = {"schema": SCHEMA_VERSION, **self.to_dict()}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        rest = {"policy": self.policy.to_dict(), "schema": SCHEMA_VERSION,
+                "workload": self.workload.to_dict()}
+        hasher = _config_hasher(self.config).copy()
+        hasher.update(_CANONICAL.encode(rest)[1:].encode("utf-8"))
+        return hasher.hexdigest()
 
     def run(self, trace_dir: str | Path | None = None) -> AppRunResult:
         """Execute the job in this process (deterministic).

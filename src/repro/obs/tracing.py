@@ -10,7 +10,7 @@ Propagation is explicit and two-layered:
 
 * within one thread (and across ``await`` points of one asyncio task)
   the current :class:`TraceContext` lives in a ``contextvars``
-  variable; :func:`span` opens a child of it;
+  variable; :class:`span` opens a child of it;
 * across threads and queues — the serving pipeline hands a request to
   a worker task and then to an executor thread — the context is
   carried by hand and re-entered with :func:`use_context`, because
@@ -208,31 +208,38 @@ def use_context(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
         _current.reset(token)
 
 
-@contextmanager
-def span(name: str, **attrs: object) -> Iterator[TraceContext]:
+class span:
     """Open a span: child of the current context, or a new trace root.
 
-    The span is recorded when the block exits; an escaping exception
-    marks it ``status="error"`` (and re-raises).
+    The parent is read on entry; the span is recorded when the block
+    exits, and an escaping exception marks it ``status="error"`` (and
+    re-raises).  Only a context manager, not a decorator.
     """
-    parent = _current.get()
-    ctx = parent.child() if parent is not None else TraceContext.root()
-    ctx.attrs.update(attrs)
-    token = _current.set(ctx)
-    started = time()
-    status = "ok"
-    try:
-        yield ctx
-    except BaseException:
-        status = "error"
-        raise
-    finally:
-        _current.reset(token)
+
+    __slots__ = ("_name", "_attrs", "_ctx", "_token", "_started")
+
+    def __init__(self, name: str, **attrs: object) -> None:
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> TraceContext:
+        parent = _current.get()
+        ctx = parent.child() if parent is not None else TraceContext.root()
+        ctx.attrs.update(self._attrs)
+        self._ctx = ctx
+        self._token = _current.set(ctx)
+        self._started = time()
+        return ctx
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 *exc_info: object) -> None:
+        _current.reset(self._token)
+        ctx = self._ctx
         _recorder.record(Span(
             trace_id=ctx.trace_id, span_id=ctx.span_id,
-            parent_id=ctx.parent_id, name=name,
-            start=started, end=time(), status=status,
-            attrs=ctx.attrs))
+            parent_id=ctx.parent_id, name=self._name,
+            start=self._started, end=time(),
+            status="ok" if exc_type is None else "error", attrs=ctx.attrs))
 
 
 # -- exporters --------------------------------------------------------

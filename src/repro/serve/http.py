@@ -100,26 +100,23 @@ class HttpResponse:
 
 async def _read_head(reader: asyncio.StreamReader) -> list[str] | None:
     """Read request/status line + headers; ``None`` on clean EOF."""
-    lines: list[str] = []
     total = 0
     while True:
-        raw = await reader.readline()
-        if not raw:
-            if lines:
+        try:
+            raw = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            raise HttpProtocolError("header block too large")
+        except asyncio.IncompleteReadError as exc:
+            if exc.partial.strip(b"\r\n"):
                 raise HttpProtocolError("connection closed mid-header")
             return None
         total += len(raw)
         if total > MAX_HEADER_BYTES:
             raise HttpProtocolError("header block too large")
-        line = raw.rstrip(b"\r\n")
-        if not line:
-            if not lines:
-                continue  # tolerate leading blank lines (RFC 9112 2.2)
-            return lines
-        try:
-            lines.append(line.decode("latin-1"))
-        except UnicodeDecodeError:
-            raise HttpProtocolError("undecodable header bytes")
+        # Tolerate leading blank lines (RFC 9112 2.2); all-blank: reread.
+        lines = raw.lstrip(b"\r\n").decode("latin-1").split("\n")[:-2]
+        if lines:
+            return [line.rstrip("\r") for line in lines]
 
 
 def _parse_headers(lines: list[str]) -> dict[str, str]:

@@ -35,6 +35,8 @@ _FDT_POLICIES = adaptive_policies()
 _MACHINE_KEYS = ("cores", "bandwidth", "smt")
 _SYNTHETIC_KEYS = ("cs_fraction", "bus_lines", "iterations",
                    "compute_instr", "name")
+#: The machine of every request without overrides (frozen, so shared).
+_TABLE1 = MachineConfig.asplos08_baseline()
 
 
 def _require_number(data: dict, key: str, default: float,
@@ -52,6 +54,8 @@ def machine_from_request(data: dict) -> MachineConfig:
     overrides = data.get("machine", {})
     if not isinstance(overrides, dict):
         raise ServeRequestError("'machine' must be an object")
+    if not overrides:
+        return _TABLE1
     unknown = set(overrides) - set(_MACHINE_KEYS)
     if unknown:
         raise ServeRequestError(
@@ -145,14 +149,13 @@ def request_body(spec: JobSpec) -> dict:
                                     for key in _SYNTHETIC_KEYS}}
     else:
         body = {"workload": ref.name, "scale": ref.scale}
-    baseline = MachineConfig.asplos08_baseline()
     machine: dict = {}
-    if spec.config.num_cores != baseline.num_cores:
+    if spec.config.num_cores != _TABLE1.num_cores:
         machine["cores"] = spec.config.num_cores
-    if spec.config.smt_threads != baseline.smt_threads:
+    if spec.config.smt_threads != _TABLE1.smt_threads:
         machine["smt"] = spec.config.smt_threads
-    if spec.config.cpu_bus_ratio != baseline.cpu_bus_ratio:
-        machine["bandwidth"] = (baseline.cpu_bus_ratio
+    if spec.config.cpu_bus_ratio != _TABLE1.cpu_bus_ratio:
+        machine["bandwidth"] = (_TABLE1.cpu_bus_ratio
                                 / spec.config.cpu_bus_ratio)
     if machine:
         body["machine"] = machine

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import asyncio
+import hashlib
 import json
 import math
 from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import JobError
 from repro.fdt.estimators import Estimates
-from repro.fdt.policies import StaticPolicy
+from repro.fdt.policies import POLICIES, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.jobs import (
     SCHEMA_VERSION,
@@ -24,6 +28,8 @@ from repro.jobs import (
     config_to_dict,
     default_cache_dir,
 )
+from repro.jobs import spec as spec_mod
+from repro.serve import RequestPipeline, ServeConfig, ServeMetrics
 from repro.sim.config import MachineConfig
 from repro.workloads import get
 
@@ -57,6 +63,92 @@ def test_key_is_stable_and_content_addressed():
 ])
 def test_key_changes_with_any_input(other: JobSpec):
     assert other.key() != ep_spec().key()
+
+
+@pytest.mark.parametrize("spec, key", [
+    (JobSpec(WorkloadRef("EP", 0.1), PolicySpec.static(2),
+             MachineConfig.asplos08_baseline()),
+     "b1f3dc7cb64226f9050509fedc0fc7c459ec850141b12aea548f9f5b0fa511c2"),
+    (JobSpec(WorkloadRef.synthetic(cs_fraction=0.05, bus_lines=16,
+                                   iterations=32),
+             PolicySpec.fdt(), MachineConfig.baseline_with(cores=16,
+                                                           bandwidth=0.5)),
+     "c9b4533aa80b5190b65a7bb5a3f6bd420daa70afca4bc4fe78e10d4d38f5b352"),
+])
+def test_key_is_pinned(spec: JobSpec, key: str):
+    """Existing cache entries stay addressable: the key is a literal."""
+    assert spec.key() == key
+
+
+def _reference_key(spec: JobSpec) -> str:
+    """The canonical form as the key's docstring states it."""
+    payload = {"schema": SCHEMA_VERSION, **spec.to_dict()}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+_param_values = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(-9, 9), max_size=3))
+_workload_refs = st.one_of(
+    st.builds(WorkloadRef, name=st.sampled_from(["EP", "PageMine", "é"]),
+              scale=st.floats(0.01, 4.0),
+              params=st.lists(st.tuples(st.text(min_size=1, max_size=6),
+                                        _param_values),
+                              max_size=3, unique_by=lambda kv: kv[0])),
+    st.builds(WorkloadRef.synthetic, cs_fraction=st.floats(0.0, 1.0),
+              bus_lines=st.integers(0, 64), iterations=st.integers(1, 512),
+              compute_instr=st.integers(1, 100_000),
+              name=st.text(min_size=1, max_size=6)))
+_policy_specs = st.sampled_from(sorted(POLICIES)).flatmap(
+    lambda kind: st.builds(PolicySpec, kind=st.just(kind),
+                           threads=st.none() | st.integers(1, 64))
+    if kind == "static" else st.just(PolicySpec(kind)))
+_configs = st.one_of(
+    st.builds(MachineConfig.baseline_with,
+              cores=st.none() | st.integers(1, 64),
+              bandwidth=st.none() | st.floats(0.125, 8.0),
+              smt=st.none() | st.integers(1, 4)),
+    st.builds(MachineConfig.small, st.integers(1, 32)))
+
+
+@settings(max_examples=200)
+@given(_workload_refs, _policy_specs, _configs)
+def test_key_is_the_sha256_of_the_canonical_payload(workload, policy, config):
+    spec = JobSpec(workload, policy, config)
+    assert spec.key() == _reference_key(spec)
+
+
+def test_config_memo_stays_bounded():
+    cap = spec_mod._config_hasher.cache_info().maxsize
+    for cores in range(1, cap + 10):
+        JobSpec(WorkloadRef("EP"), PolicySpec.fdt(),
+                MachineConfig.baseline_with(cores=cores)).key()
+    assert spec_mod._config_hasher.cache_info().currsize == cap
+
+
+def test_a_warm_hit_flattens_its_config_once(tmp_path, monkeypatch):
+    spec = JobSpec(WorkloadRef.synthetic(cs_fraction=0.2, bus_lines=2,
+                                         iterations=8, compute_instr=200),
+                   PolicySpec.static(2), MachineConfig.small())
+    cache = ResultCache(tmp_path)
+    cache.put(spec.key(), spec.to_dict(), app_result_to_dict(spec.run()))
+    flattened = []
+    real = spec_mod.config_to_dict
+    monkeypatch.setattr(spec_mod, "config_to_dict",
+                        lambda config: flattened.append(config) or real(config))
+    spec_mod._config_hasher.cache_clear()
+    pipeline = RequestPipeline(ServeConfig(), ServeMetrics(), cache)
+
+    async def go():
+        await pipeline.start()
+        try:
+            return [await pipeline.resolve(spec) for _ in range(100)]
+        finally:
+            await pipeline.drain()
+
+    assert {r.status for r in asyncio.run(go())} == {"hit"}
+    assert flattened == [spec.config]
 
 
 def test_static_none_and_explicit_threads_hash_differently():

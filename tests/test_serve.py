@@ -50,10 +50,13 @@ from repro.serve import (
 from repro.serve import pipeline as pipeline_mod
 from repro.serve import schema
 from repro.serve.http import (
+    MAX_HEADER_BYTES,
     HttpProtocolError,
+    HttpResponse,
     json_body,
     read_request,
     read_response,
+    read_response_blocking,
     request_bytes,
     response_bytes,
 )
@@ -244,6 +247,89 @@ def test_http_response_round_trip_and_errors():
                 b"GET / HTTP/1.1\r\nContent-Length: frog\r\n\r\n"))
 
     asyncio.run(go())
+
+
+_WIRE = request_bytes("POST", "/v1/run", host="h:1", body=b'{"workload": "EP"}')
+#: A head of short lines, larger than the bound in total.
+_LONG_HEAD = (b"GET / HTTP/1.1\r\n"
+              + b"X-Pad: 0123456789abcdef\r\n" * (MAX_HEADER_BYTES // 20)
+              + b"\r\n")
+
+
+def test_http_head_tolerates_leading_blank_lines():
+    async def go():
+        for lead in (b"\r\n", b"\r\n\r\n", b"\r\n" * 5):
+            request = await read_request(_reader_for(lead + _WIRE))
+            assert request is not None and request.json() == {"workload": "EP"}
+
+    asyncio.run(go())
+
+
+def test_http_head_split_across_chunks_parses():
+    async def go():
+        reader = asyncio.StreamReader()
+        pending = asyncio.create_task(read_request(reader))
+        for at in range(0, len(_WIRE), 7):
+            reader.feed_data(_WIRE[at:at + 7])
+            await asyncio.sleep(0)
+        request = await pending
+        assert request is not None
+        assert request.headers["host"] == "h:1"
+        assert request.json() == {"workload": "EP"}
+
+    asyncio.run(go())
+
+
+def test_http_head_eof_and_size_bounds():
+    async def go():
+        assert await read_request(_reader_for(b"\r\n\r\n\r\n")) is None
+        with pytest.raises(HttpProtocolError, match="mid-header"):
+            await read_request(_reader_for(_WIRE[:20]))
+        with pytest.raises(HttpProtocolError, match="too large"):
+            await read_request(_reader_for(_LONG_HEAD))
+        # Past the stream's own limit or only past the bound: both refused.
+        roomy = asyncio.StreamReader(limit=4 * MAX_HEADER_BYTES)
+        roomy.feed_data(_LONG_HEAD)
+        roomy.feed_eof()
+        with pytest.raises(HttpProtocolError, match="too large"):
+            await read_request(roomy)
+
+    asyncio.run(go())
+
+
+def _send_raw(port: int, data: bytes, replies: int = 1
+              ) -> list[HttpResponse]:
+    """Write ``data`` in one call; read ``replies`` responses back."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        with sock.makefile("rb") as stream:
+            return [read_response_blocking(stream) for _ in range(replies)]
+
+
+def test_server_answers_pipelined_requests_in_order():
+    with ServerThread(ServeConfig(port=0)) as handle:
+        health, missing = _send_raw(
+            handle.port,
+            request_bytes("GET", "/healthz", host="h")
+            + request_bytes("GET", "/v1/nonsense", host="h"), replies=2)
+    assert health.status == 200 and health.json()["status"] == "ok"
+    assert missing.status == 404 and "nonsense" in missing.json()["error"]
+
+
+@pytest.mark.parametrize("head", [
+    b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+    _LONG_HEAD,
+], ids=["one-long-line", "many-short-lines"])
+def test_server_answers_an_oversized_head_with_400(head):
+    """A line past the stream limit used to drop the socket unanswered."""
+    with ServerThread(ServeConfig(port=0)) as handle:
+        (refused,) = _send_raw(handle.port, head)
+        assert refused.status == 400
+        assert "too large" in refused.json()["error"]
+        assert refused.headers["connection"] == "close"
+        (served,) = _send_raw(handle.port,
+                              request_bytes("GET", "/healthz", host="h"))
+    assert served.status == 200
 
 
 # -- the two clients, one dialect ---------------------------------------
