@@ -22,26 +22,31 @@ Typical use::
                          policy="static", threads=best)
 
 Or from the command line: ``repro serve`` / ``repro loadgen``.
+Names resolve on first use (PEP 562), so importing the package, or
+its ``config`` module, loads neither the server nor the clients.
 """
 
-from repro.serve.client import AsyncServeClient, ServeClient
-from repro.serve.config import ServeConfig
-from repro.serve.loadgen import LoadgenReport, run_loadgen, run_loadgen_blocking
-from repro.serve.metrics import ServeMetrics
-from repro.serve.pipeline import RequestPipeline
-from repro.serve.server import ExperimentServer, run_server
-from repro.serve.thread import ServerThread
+from importlib import import_module
 
-__all__ = [
-    "AsyncServeClient",
-    "ExperimentServer",
-    "LoadgenReport",
-    "RequestPipeline",
-    "ServeClient",
-    "ServeConfig",
-    "ServeMetrics",
-    "ServerThread",
-    "run_loadgen",
-    "run_loadgen_blocking",
-    "run_server",
-]
+_EXPORTS = {
+    "AsyncServeClient": "client",
+    "ExperimentServer": "server",
+    "LoadgenReport": "loadgen",
+    "RequestPipeline": "pipeline",
+    "ServeClient": "client",
+    "ServeConfig": "config",
+    "ServeMetrics": "metrics",
+    "ServerThread": "thread",
+    "run_loadgen": "loadgen",
+    "run_loadgen_blocking": "loadgen",
+    "run_server": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)

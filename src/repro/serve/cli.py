@@ -7,31 +7,27 @@
 :class:`~repro.serve.config.ServeConfig` field, or a parameter of
 :func:`~repro.serve.loadgen.run_loadgen` or its client, defaults to that
 field or parameter; the one deliberate exception is ``serve --port``
-(8080 here, ephemeral in the library).
+(8080 here, ephemeral in the library).  Registration imports only
+:mod:`repro.serve.config`; each handler imports what it drives.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import inspect
 import json
 import sys
-from functools import partial
 
 from repro.errors import ReproError
 from repro.fdt.policies import POLICIES
-from repro.jobs import JobSpec, PolicySpec, WorkloadRef
-from repro.serve import (
-    AsyncServeClient,
+from repro.serve.config import (
+    CLIENT_HOST,
+    CLIENT_PORT,
+    CLIENT_TIMEOUT,
+    LOADGEN_DURATION,
+    LOADGEN_ENDPOINT,
+    LOADGEN_RPS,
     ServeConfig,
-    run_loadgen,
-    run_loadgen_blocking,
-    run_server,
 )
-from repro.serve.schema import request_body
-from repro.sim.config import MachineConfig
-from repro.workloads import get
 
 
 def serve_config(args: argparse.Namespace) -> ServeConfig:
@@ -48,6 +44,11 @@ def serve_config(args: argparse.Namespace) -> ServeConfig:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+    from functools import partial
+
+    from repro.serve.server import run_server
+
     server = asyncio.run(run_server(
         serve_config(args), announce=partial(print, file=sys.stderr)))
     print(f"repro serve: drained; {server.manifest.summary()}",
@@ -56,6 +57,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
+    from repro.jobs import JobSpec, PolicySpec, WorkloadRef
+    from repro.serve.loadgen import run_loadgen_blocking
+    from repro.serve.schema import request_body
+    from repro.sim.config import MachineConfig
+    from repro.workloads import get
+
     if args.synthetic:
         workload = WorkloadRef.synthetic(
             cs_fraction=args.cs_fraction, bus_lines=args.bus_lines,
@@ -110,27 +117,24 @@ def register(sub: argparse._SubParsersAction,
                               "over it answer 504 (default: none)")
     p_serve.set_defaults(func=_cmd_serve)
 
-    client = inspect.signature(AsyncServeClient).parameters
-    loadgen = inspect.signature(run_loadgen).parameters
     p_loadgen = sub.add_parser(
         "loadgen", parents=[parents.logging],
         help="drive open-loop load at a target RPS against a running "
              "server and report latency/hit-rate/shed-rate")
     p_loadgen.add_argument("workload", nargs="?", default=None,
                            help="Table 2 workload name (or --synthetic)")
-    p_loadgen.add_argument("--host", default=client["host"].default)
-    p_loadgen.add_argument("--port", type=int,
-                           default=client["port"].default)
+    p_loadgen.add_argument("--host", default=CLIENT_HOST)
+    p_loadgen.add_argument("--port", type=int, default=CLIENT_PORT)
     p_loadgen.add_argument("--endpoint", choices=("/v1/run", "/v1/fdt"),
-                           default=loadgen["endpoint"].default,
+                           default=LOADGEN_ENDPOINT,
                            help="endpoint to drive (default %(default)s)")
-    for flag, param, metavar, text in (
-            ("--rps", "rps", None, "target open-loop request rate"),
-            ("--duration", "duration", "SEC", "generation window"),
-            ("--request-timeout", "timeout", "SEC",
+    for flag, default, metavar, text in (
+            ("--rps", LOADGEN_RPS, None, "target open-loop request rate"),
+            ("--duration", LOADGEN_DURATION, "SEC", "generation window"),
+            ("--request-timeout", CLIENT_TIMEOUT, "SEC",
              "client-side per-request timeout")):
         p_loadgen.add_argument(flag, type=float, metavar=metavar,
-                               default=loadgen[param].default,
+                               default=default,
                                help=f"{text} (default %(default)s)")
     p_loadgen.add_argument("--scale", type=float, default=0.5,
                            help="input-set scale factor (default 0.5)")

@@ -23,6 +23,7 @@ import socket
 from typing import Any, BinaryIO
 
 from repro.errors import ServeClientError
+from repro.serve.config import CLIENT_HOST, CLIENT_PORT, CLIENT_TIMEOUT
 from repro.serve.http import (
     HttpProtocolError,
     HttpResponse,
@@ -53,8 +54,8 @@ def _check(status: int, payload: dict) -> dict:
 class ServeClient:
     """Blocking client over one keep-alive connection."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 8080,
-                 timeout: float = 60.0) -> None:
+    def __init__(self, host: str = CLIENT_HOST, port: int = CLIENT_PORT,
+                 timeout: float = CLIENT_TIMEOUT) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -145,8 +146,8 @@ def _body(workload: str | None, fields: dict) -> dict:
 class AsyncServeClient:
     """Asyncio client: one short-lived connection per request."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 8080,
-                 timeout: float = 60.0) -> None:
+    def __init__(self, host: str = CLIENT_HOST, port: int = CLIENT_PORT,
+                 timeout: float = CLIENT_TIMEOUT) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout

@@ -12,6 +12,16 @@ from dataclasses import dataclass
 
 from repro.errors import ServeError
 
+#: Defaults of the client side (:mod:`repro.serve.client`,
+#: :mod:`repro.serve.loadgen`), kept here so ``repro loadgen`` reads
+#: them without importing either module.
+CLIENT_HOST = "127.0.0.1"
+CLIENT_PORT = 8080
+CLIENT_TIMEOUT = 60.0
+LOADGEN_RPS = 20.0
+LOADGEN_DURATION = 2.0
+LOADGEN_ENDPOINT = "/v1/run"
+
 
 @dataclass(frozen=True, slots=True)
 class ServeConfig:

@@ -21,6 +21,12 @@ from time import perf_counter
 
 from repro.errors import ServeError
 from repro.serve.client import AsyncServeClient
+from repro.serve.config import (
+    CLIENT_TIMEOUT,
+    LOADGEN_DURATION,
+    LOADGEN_ENDPOINT,
+    LOADGEN_RPS,
+)
 
 
 @dataclass(slots=True)
@@ -132,9 +138,10 @@ class LoadgenReport:
 
 
 async def run_loadgen(host: str, port: int, payload: dict,
-                      rps: float = 20.0, duration: float = 2.0,
-                      endpoint: str = "/v1/run",
-                      timeout: float = 60.0) -> LoadgenReport:
+                      rps: float = LOADGEN_RPS,
+                      duration: float = LOADGEN_DURATION,
+                      endpoint: str = LOADGEN_ENDPOINT,
+                      timeout: float = CLIENT_TIMEOUT) -> LoadgenReport:
     """Drive ``endpoint`` open-loop at ``rps`` for ``duration`` seconds."""
     if rps <= 0:
         raise ServeError("rps must be positive")

@@ -2,6 +2,9 @@
 attached and export its Perfetto / CSV / decision-log artifacts::
 
     python -m repro trace PageMine --out tr/     # record + export a trace
+
+Registration imports only the trace configuration; the handler imports
+what it drives.
 """
 
 from __future__ import annotations
@@ -10,13 +13,15 @@ import argparse
 import json
 
 from repro.fdt.policies import POLICIES
-from repro.jobs import PolicySpec
-from repro.sim.config import MachineConfig
-from repro.trace import TraceConfig, run_traced, text_summary, write_artifacts
-from repro.workloads import get
+from repro.trace.data import TraceConfig
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.jobs import PolicySpec
+    from repro.sim.config import MachineConfig
+    from repro.trace import run_traced, text_summary, write_artifacts
+    from repro.workloads import get
+
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     spec = get(args.workload)
     trace_config = TraceConfig(sample_interval=args.sample_interval)

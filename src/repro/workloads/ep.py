@@ -62,24 +62,18 @@ class EpParams:
 
 def _lcg_block(seed: int, start: int, count: int) -> np.ndarray:
     """Numbers ``start .. start+count`` of the LCG stream as [0,1) floats."""
-    x = seed & _MASK
-    # Jump ahead: x_{n} = A^n x_0 + C (A^n - 1)/(A - 1)  (mod 2^64).
-    a_n, c_n = 1, 0
-    a, c = _LCG_A, _LCG_C
-    n = start
-    while n:
-        if n & 1:
-            a_n = (a_n * a) & _MASK
-            c_n = (c_n * a + c) & _MASK
-        c = (c * (a + 1)) & _MASK
-        a = (a * a) & _MASK
-        n >>= 1
-    x = (a_n * x + c_n) & _MASK
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = x / 2.0**64
-        x = (_LCG_A * x + _LCG_C) & _MASK
-    return out
+    # x_n = A^n x_0 + C (A^n - 1)/(A - 1) mod 2^64; exact with A^n mod (A-1)2^64.
+    series = (pow(_LCG_A, start, (_LCG_A - 1) << 64) - 1) // (_LCG_A - 1)
+    out = np.empty(count, dtype=np.uint64)
+    out[:1] = (pow(_LCG_A, start, 1 << 64) * seed + _LCG_C * series) & _MASK
+    # Fill by doubling: with (a, c) the step over f numbers,
+    # x_{i+f} = a x_i + c is one wrapping uint64 expression on out[:f].
+    a, c, f = _LCG_A, _LCG_C, 1
+    while f < count:
+        k = min(f, count - f)
+        out[f:f + k] = out[:k] * np.uint64(a) + np.uint64(c)
+        a, c, f = (a * a) & _MASK, (c * (a + 1)) & _MASK, f + k
+    return out.astype(np.float64) / 2.0**64
 
 
 class EpKernel(TeamParallelKernel):
@@ -95,6 +89,9 @@ class EpKernel(TeamParallelKernel):
         #: Real tally: counts of numbers falling in each of 10 decades.
         self.tally = np.zeros(10, dtype=np.int64)
         self.sum = 0.0
+        #: ``(block, values)`` of the last block generated; the team's
+        #: threads slice their chunks from it (docs/workloads.md).
+        self._block = (-1, np.empty(0))
 
     @property
     def total_iterations(self) -> int:
@@ -102,11 +99,13 @@ class EpKernel(TeamParallelKernel):
 
     def team_iteration(self, block: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
-        chunk = static_chunk(self.params.block_size, num_threads, thread_id,
-                             start=block * self.params.block_size)
+        size = self.params.block_size
+        chunk = static_chunk(size, num_threads, thread_id)
 
         # Parallel part: generate this thread's share of the block.
-        values = _lcg_block(self.params.seed, chunk.start, len(chunk))
+        if self._block[0] != block:
+            self._block = (block, _lcg_block(self.params.seed, block * size, size))
+        values = self._block[1][chunk.start:chunk.stop]
         local_tally = np.bincount((values * 10).astype(int), minlength=10)
         instr = len(chunk) * GEN_INSTR_PER_NUMBER
         while instr > 0:

@@ -73,6 +73,8 @@ class GSearchParams:
             raise WorkloadError("GSearch batch size must be positive")
         if not 1 <= self.num_seeds <= self.num_nodes:
             raise WorkloadError("seed count must be in [1, num_nodes]")
+        if self.out_degree < 1:
+            raise WorkloadError("GSearch out-degree must be positive")
 
 
 def _build_graph(params: GSearchParams) -> list[np.ndarray]:
@@ -83,12 +85,13 @@ def _build_graph(params: GSearchParams) -> list[np.ndarray]:
     """
     rng = np.random.default_rng(params.seed)
     n = params.num_nodes
-    adjacency = []
-    for i in range(n):
-        rand = rng.integers(0, n, size=params.out_degree - 1)
-        spine = np.array([(i + 1) % n])
-        adjacency.append(np.unique(np.concatenate([spine, rand])))
-    return adjacency
+    # One (n, out_degree - 1) draw is the stream of n one-row draws, and a
+    # row-wise sort with repeats masked out is np.unique per row.
+    rand = rng.integers(0, n, size=(n, params.out_degree - 1))
+    rows = np.sort(np.column_stack([(np.arange(n) + 1) % n, rand]), axis=1)
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return np.split(rows[keep], np.cumsum(keep.sum(axis=1))[:-1])
 
 
 def _bfs_batches(adjacency: list[np.ndarray], batch_size: int,
@@ -102,13 +105,12 @@ def _bfs_batches(adjacency: list[np.ndarray], batch_size: int,
     makes the per-iteration CS time vary.
     """
     n = len(adjacency)
-    visited = np.zeros(n, dtype=bool)
-    seeds = [int(i * n / num_seeds) for i in range(num_seeds)]
-    queue: list[int] = []
-    for s in seeds:
-        if not visited[s]:
-            visited[s] = True
-            queue.append(s)
+    successors = [row.tolist() for row in adjacency]
+    # Consecutive seeds are n / num_seeds >= 1 apart, so all distinct.
+    queue = [int(i * n / num_seeds) for i in range(num_seeds)]
+    visited = [False] * n
+    for s in queue:
+        visited[s] = True
     head = 0
     batches = []
     while head < len(queue):
@@ -116,11 +118,10 @@ def _bfs_batches(adjacency: list[np.ndarray], batch_size: int,
         head += len(batch)
         discovered = []
         for node in batch:
-            for succ in adjacency[node]:
-                s = int(succ)
-                if not visited[s]:
-                    visited[s] = True
-                    discovered.append(s)
+            for succ in successors[node]:
+                if not visited[succ]:
+                    visited[succ] = True
+                    discovered.append(succ)
         queue.extend(discovered)
         batches.append((np.array(batch, dtype=np.int64), len(discovered)))
     return batches

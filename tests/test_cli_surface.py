@@ -8,6 +8,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +155,18 @@ def test_serve_flags_build_the_expected_config():
         max_batch=5, batch_window=0.25, request_timeout=7.0, jobs=6,
         job_timeout=8.0, cache_dir="/tmp/c", no_cache=True, preflight=True,
         manifest_path="m.json")
+
+
+def test_registration_does_not_import_the_server_or_clients():
+    """Mounting ``repro serve`` / ``loadgen`` reads only the serve
+    config; the server and both clients load when a handler runs."""
+    heavy = ("repro.serve.server", "repro.serve.loadgen",
+             "repro.serve.client")
+    probe = ("import sys, repro.cli; "
+             f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _params(func):

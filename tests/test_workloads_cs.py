@@ -10,15 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import run_application
 from repro.isa.ops import BarrierWait, Lock, Unlock
 from repro.isa.program import validate_program
+from repro.runtime.parallel import static_chunk
 from repro.sim.config import MachineConfig
-from repro.workloads.ep import EpKernel, EpParams, _lcg_block
-from repro.workloads.gsearch import GSearchKernel, GSearchParams
+from repro.workloads.ep import _LCG_A, _LCG_C, _MASK, EpKernel, EpParams, _lcg_block
+from repro.workloads.gsearch import (
+    GSearchKernel,
+    GSearchParams,
+    _bfs_batches,
+    _build_graph,
+)
 from repro.workloads.isort import ISortKernel, ISortParams
 from repro.workloads.pagemine import PageMineKernel, PageMineParams
 
@@ -171,12 +179,129 @@ def test_gsearch_graph_is_deterministic():
     assert [len(x) for x, _ in a.batches] == [len(x) for x, _ in b.batches]
 
 
+def test_gsearch_rejects_bad_params():
+    with pytest.raises(WorkloadError):
+        GSearchParams(out_degree=0)
+    with pytest.raises(WorkloadError):
+        GSearchParams(num_nodes=1)
+
+
+def _reference_graph(params: GSearchParams) -> list[np.ndarray]:
+    """The graph by definition: one draw and one np.unique per node."""
+    rng = np.random.default_rng(params.seed)
+    n = params.num_nodes
+    adjacency = []
+    for i in range(n):
+        rand = rng.integers(0, n, size=params.out_degree - 1)
+        adjacency.append(np.unique(np.concatenate([np.array([(i + 1) % n]),
+                                                   rand])))
+    return adjacency
+
+
+def _reference_bfs(adjacency: list[np.ndarray], batch_size: int,
+                   num_seeds: int) -> list[tuple[np.ndarray, int]]:
+    """The search by definition, over numpy scalars and a bool array."""
+    n = len(adjacency)
+    visited = np.zeros(n, dtype=bool)
+    queue: list[int] = []
+    for s in (int(i * n / num_seeds) for i in range(num_seeds)):
+        if not visited[s]:
+            visited[s] = True
+            queue.append(s)
+    head, batches = 0, []
+    while head < len(queue):
+        batch = queue[head:head + batch_size]
+        head += len(batch)
+        discovered = []
+        for node in batch:
+            for succ in adjacency[node]:
+                if not visited[int(succ)]:
+                    visited[int(succ)] = True
+                    discovered.append(int(succ))
+        queue.extend(discovered)
+        batches.append((np.array(batch, dtype=np.int64), len(discovered)))
+    return batches
+
+
+def _assert_arrays_identical(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("overrides", [
+    {}, {"num_nodes": 1024}, {"out_degree": 1}, {"out_degree": 5}])
+def test_gsearch_graph_and_search_match_their_definitions(overrides, seed):
+    params = GSearchParams(**{"seed": seed, **overrides})
+    graph, want_graph = _build_graph(params), _reference_graph(params)
+    assert len(graph) == len(want_graph)
+    for got, want in zip(graph, want_graph):
+        _assert_arrays_identical(got, want)
+    batches = _bfs_batches(graph, params.batch_size, params.num_seeds)
+    want_batches = _reference_bfs(want_graph, params.batch_size,
+                                  params.num_seeds)
+    assert len(batches) == len(want_batches)
+    for (got, found), (want, want_found) in zip(batches, want_batches):
+        _assert_arrays_identical(got, want)
+        assert found == want_found
+
+
 # -- EP ----------------------------------------------------------------------------
 
 def test_lcg_jump_ahead_matches_sequential():
     seq = _lcg_block(seed=99, start=0, count=50)
     jumped = _lcg_block(seed=99, start=25, count=25)
     np.testing.assert_allclose(seq[25:], jumped)
+
+
+def _reference_lcg(seed: int, start: int, count: int) -> np.ndarray:
+    """The LCG stream by definition: a jump to ``start`` by squaring the
+    step, then one bigint step per number."""
+    x, a, c, n = seed & _MASK, _LCG_A, _LCG_C, start
+    while n:
+        if n & 1:
+            x = (a * x + c) & _MASK
+        a, c, n = (a * a) & _MASK, (c * (a + 1)) & _MASK, n >> 1
+    out = np.empty(count)
+    for i in range(count):
+        out[i] = x / 2.0**64
+        x = (_LCG_A * x + _LCG_C) & _MASK
+    return out
+
+
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80)),
+       start=st.integers(0, 2**20),
+       count=st.sampled_from([0, 1, 2, 3, 2047, 2048, 4097]))
+@settings(max_examples=40, deadline=None)
+def test_lcg_block_matches_the_scalar_recurrence(seed, start, count):
+    got = _lcg_block(seed, start, count)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _reference_lcg(seed, start, count).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 3, 32])
+def test_ep_block_memo_survives_interleaved_blocks(threads):
+    """Each thread runs every block before the next thread starts, so
+    the one-block memo is replaced at every call; tally and sum must
+    still be exactly the per-chunk definition's."""
+    params = EpParams(num_numbers=8192, block_size=2048)
+    kernel = EpKernel(params)
+    total = kernel.total_iterations
+    for thread_id, factory in enumerate(
+            kernel.factories(range(total), threads)):
+        for _op in factory(thread_id, threads):
+            pass
+    want_sum = 0.0
+    for thread_id in range(threads):
+        for block in range(total):
+            chunk = static_chunk(params.block_size, threads, thread_id,
+                                 start=block * params.block_size)
+            want_sum += float(_reference_lcg(params.seed, chunk.start,
+                                             len(chunk)).sum())
+    values = _reference_lcg(params.seed, 0, params.num_numbers)
+    want_tally = np.bincount((values * 10).astype(int), minlength=10)
+    _assert_arrays_identical(kernel.tally, want_tally)
+    assert kernel.sum == want_sum
 
 
 def test_ep_tally_matches_direct_evaluation():
