@@ -56,6 +56,9 @@ class SetAssocCache:
         line_bytes: line size (power of two).
         name: label used in ``repr`` and stats dumps.
 
+    The set count must be a power of two: a line's set is
+    ``line & (num_sets - 1)``.
+
     Construction allocates no set: a set is allocated by its first fill
     (a run touches few of a 32-core machine's 10 240 private sets).
     """
@@ -68,30 +71,25 @@ class SetAssocCache:
         if line_bytes <= 0 or line_bytes & (line_bytes - 1):
             raise ValueError("line_bytes must be a positive power of two")
         num_lines = size_bytes // line_bytes
-        if num_lines == 0 or num_lines % assoc:
+        if assoc < 1 or num_lines == 0 or num_lines % assoc:
             raise ValueError(
                 f"{name}: {size_bytes} bytes / {line_bytes}B lines not divisible "
                 f"into {assoc}-way sets")
+        num_sets = num_lines // assoc
+        if num_sets & (num_sets - 1):
+            raise ValueError(f"{name}: {num_sets} sets is not a power of two")
         self.name = name
         self.assoc = assoc
         self.line_bytes = line_bytes
-        self.num_sets = num_lines // assoc
-        self._sets: list[dict[int, Any]] = [UNFILLED] * self.num_sets
+        self.num_sets = num_sets
+        self._sets: list[dict[int, Any]] = [UNFILLED] * num_sets
         self._offset_bits = line_bytes.bit_length() - 1
-        self._set_mask = self.num_sets - 1 if self._is_pow2(self.num_sets) else -1
+        self._set_mask = num_sets - 1
         self.stats = CacheStats()
-
-    @staticmethod
-    def _is_pow2(n: int) -> bool:
-        return n > 0 and not n & (n - 1)
 
     def line_of(self, addr: int) -> int:
         """Line address (byte address >> offset bits) containing ``addr``."""
         return addr >> self._offset_bits
-
-    def _set_index(self, line: int) -> int:
-        mask = self._set_mask
-        return line & mask if mask >= 0 else line % self.num_sets
 
     # -- core operations ------------------------------------------------------
 
@@ -100,8 +98,7 @@ class SetAssocCache:
 
         Counts a hit or miss; ``touch=True`` promotes the line to MRU.
         """
-        mask = self._set_mask
-        s = self._sets[line & mask if mask >= 0 else line % self.num_sets]
+        s = self._sets[line & self._set_mask]
         stats = self.stats
         if line in s:
             stats.hits += 1
@@ -115,8 +112,7 @@ class SetAssocCache:
 
     def peek(self, line: int) -> Any | None:
         """Payload for ``line`` without touching LRU or counting stats."""
-        mask = self._set_mask
-        return self._sets[line & mask if mask >= 0 else line % self.num_sets].get(line)
+        return self._sets[line & self._set_mask].get(line)
 
     def insert(self, line: int, payload: Any = True) -> tuple[int, Any] | None:
         """Install ``line``; return the evicted ``(line, payload)`` if any.
@@ -124,7 +120,7 @@ class SetAssocCache:
         If the line is already present its payload is replaced and promoted
         to MRU with no eviction.
         """
-        index = self._set_index(line)
+        index = line & self._set_mask
         s = self._sets[index]
         if line in s:
             del s[line]
@@ -145,8 +141,7 @@ class SetAssocCache:
 
         Returns False when the line is not resident.
         """
-        mask = self._set_mask
-        s = self._sets[line & mask if mask >= 0 else line % self.num_sets]
+        s = self._sets[line & self._set_mask]
         if line not in s:
             return False
         s[line] = payload
@@ -154,8 +149,7 @@ class SetAssocCache:
 
     def invalidate(self, line: int) -> Any | None:
         """Remove ``line``; return its payload, or None if absent."""
-        mask = self._set_mask
-        s = self._sets[line & mask if mask >= 0 else line % self.num_sets]
+        s = self._sets[line & self._set_mask]
         payload = s.pop(line, None)
         if payload is not None:
             self.stats.invalidations += 1
@@ -164,8 +158,7 @@ class SetAssocCache:
     # -- introspection -----------------------------------------------------------
 
     def __contains__(self, line: int) -> bool:
-        mask = self._set_mask
-        return line in self._sets[line & mask if mask >= 0 else line % self.num_sets]
+        return line in self._sets[line & self._set_mask]
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)

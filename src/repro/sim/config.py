@@ -112,16 +112,25 @@ class MachineConfig:
             size = getattr(self, name)
             if size % self.line_bytes:
                 raise ConfigError(f"{name} must be a multiple of line_bytes")
+        if not _is_pow2(self.l3_banks):
+            raise ConfigError("l3_banks must be a power of two")
+        if self.l3_bytes % (self.l3_banks * self.line_bytes):
+            raise ConfigError("l3_bytes must split into l3_banks banks of whole lines")
+        # The memory port indexes every cache's sets with ``line & (sets - 1)``.
         for name, (size, assoc) in {
             "l1": (self.l1_bytes, self.l1_assoc),
             "l2": (self.l2_bytes, self.l2_assoc),
-            "l3": (self.l3_bytes, self.l3_assoc),
+            "l3 bank": (self.l3_bytes // self.l3_banks, self.l3_assoc),
         }.items():
+            if assoc < 1:
+                raise ConfigError(f"{name}: assoc must be >= 1")
             lines = size // self.line_bytes
             if lines % assoc:
                 raise ConfigError(f"{name}: line count {lines} not divisible by assoc {assoc}")
-        if not _is_pow2(self.l3_banks):
-            raise ConfigError("l3_banks must be a power of two")
+            if not _is_pow2(lines // assoc):
+                raise ConfigError(f"{name}: set count {lines // assoc} is not a power of two")
+        if self.ring_hop_latency < 0 or self.ring_link_occupancy < 0:
+            raise ConfigError("ring_hop_latency and ring_link_occupancy must be >= 0")
         if not _is_pow2(self.dram_banks):
             raise ConfigError("dram_banks must be a power of two")
         if self.dram_row_bytes % self.line_bytes:

@@ -29,9 +29,8 @@ The step handles ``Load``/``Store``, ``Compute`` and ``Branch`` in its
 own body, calls :meth:`Core._dispatch` for the rest, and pushes its own
 next event — as ``ctx.step``, the same function, never by its own name:
 a closure that named itself would be a reference cycle nothing can cut,
-whereas ``Machine.close`` resets ``ctx.step``.  Two shortcuts, both
-off under ``REPRO_SLOW_PATHS=1`` (which builds the *same* step without
-them):
+whereas ``Machine.close`` resets ``ctx.step``.  Two shortcuts, each
+chosen by a slot of the core (``_coalesce``, ``_run_ahead``):
 
 * a homogeneous run of ``Compute`` ops is pulled in one go and costs one
   event (single-context cores only: the issue share cannot change
@@ -40,6 +39,13 @@ them):
   than every pending one, the queue would hand it straight back, so the
   step advances the clock itself and keeps going (see
   ``repro.sim.engine``).  A lone thread never touches the queue.
+
+Those two slots and ``_mem_access``, the memory port, are read when a
+context's step is built, at the first :meth:`Core.start_thread` on the
+context.  A test that sets them on a fresh machine therefore builds the
+*same* step without the shortcuts, or over another memory walk
+(``tests/spec_memsys.py`` steps a machine op by op on the memory
+walk's specification this way).
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from repro.isa.ops import (
 )
 from repro.isa.program import ThreadProgram
 from repro.sim.branch import GsharePredictor
-from repro.sim.engine import slow_paths_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
@@ -113,9 +118,8 @@ class Core:
         #: attaching one must not pick the code path.  Coalescing
         #: Compute runs is valid only when the issue-width share cannot
         #: change mid-run (one context per core).
-        self._run_ahead = not slow_paths_enabled()
-        self._coalesce = (self._run_ahead
-                          and machine.config.smt_threads == 1)
+        self._run_ahead = True
+        self._coalesce = machine.config.smt_threads == 1
         #: The core's memory port (shared by its SMT contexts), built by
         #: the first :meth:`start_thread` here.
         self._mem_access: AccessPort | None = None

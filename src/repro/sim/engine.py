@@ -21,7 +21,6 @@ bound or an observer has to see every advance.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, Protocol
 
 from repro.errors import SimulationError
@@ -34,17 +33,6 @@ class Sampler(Protocol):
     told the cycle the clock is about to advance to."""
 
     def on_advance(self, now: int) -> None: ...
-
-
-def slow_paths_enabled() -> bool:
-    """True when ``REPRO_SLOW_PATHS`` asks for the reference code paths.
-
-    Checked once at construction time by every component that has an
-    optimized fast path (core, memory system), so a test
-    can flip the environment variable and build two machines whose
-    simulated behavior must be bit-identical.
-    """
-    return os.environ.get("REPRO_SLOW_PATHS", "") not in ("", "0")
 
 
 class EventQueue:

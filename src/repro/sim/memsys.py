@@ -17,12 +17,15 @@ The hierarchy per Table 1:
 * Off-chip: split-transaction bus (the bandwidth bottleneck) feeding 32
   DRAM banks with open-page row buffers.
 
-Two implementations of the walk exist, and only two.  The cores use the
-per-core port :meth:`MemorySystem.make_port` builds, written for host
-speed.  :meth:`MemorySystem.access` and the ``_miss`` / ``_upgrade`` /
-``_l3_install`` / ``_l2_install`` helpers under it are the reference:
-plain calls into the component classes, in the order the protocol
-description above gives them, selected by ``REPRO_SLOW_PATHS=1``.
+The walk exists once: the per-core port :meth:`MemorySystem.make_port`
+builds, written for host speed, serves every valid
+:class:`MachineConfig`.  Its specification is ``tests/spec_memsys.py``,
+one function per MESI transaction written as plain calls into the
+component classes (``SetAssocCache.lookup`` / ``insert`` / ``peek`` /
+``update`` / ``invalidate``, ``L3Bank.start_access``,
+``OffChipBus.request_phase``, ``Directory.mark_dirty``), in the order
+the protocol description above gives them; the property suites hold the
+port to it.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ from repro.sim.cache import UNFILLED, SetAssocCache
 from repro.sim.coherence import Directory, DirectoryEntry, MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.dram import Dram
-from repro.sim.engine import slow_paths_enabled
 from repro.sim.l3 import SharedL3
 from repro.sim.ring import Ring
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.l3 import L3Bank
     from repro.sim.observer import SimObserver
 
 #: A core-side access function: ``port(addr, is_write, now) -> done``.
@@ -67,7 +68,7 @@ class MemorySystem:
 
     __slots__ = ("config", "ring", "core_nodes", "bank_nodes", "l1s", "l2s",
                  "l3", "directory", "bus", "dram", "stats", "observer",
-                 "_offset_bits", "_fast")
+                 "_offset_bits")
 
     def __init__(self, config: MachineConfig, ring: Ring,
                  core_nodes: list[int], bank_nodes: list[int],
@@ -96,7 +97,6 @@ class MemorySystem:
         #: that actually block an in-order core.
         self.observer = observer
         self._offset_bits = config.line_bytes.bit_length() - 1
-        self._fast = not slow_paths_enabled()
 
     # -- public API --------------------------------------------------------
 
@@ -104,47 +104,39 @@ class MemorySystem:
         return addr >> self._offset_bits
 
     def make_port(self, core: int) -> AccessPort:
-        """Build ``core``'s access function: the one fast memory walk.
+        """Build ``core``'s access function: the one memory walk.
 
         The returned port resolves a load or a store from the L1 probe
         to the DRAM fill with everything it reads bound here: this
         core's L1/L2 sets and stats, the directory's entry table, per
         home bank the hops from this core and the bank's sets and stats,
-        the bus timeline and the DRAM bank state.  It is written as
-        nested functions, because a call pays for every name its
-        function binds: ``port`` holds the L1 and L2 probes and the few
-        names a hit needs, ``miss`` the walk past the L2 and the many
-        names that needs.  The straight line of ``miss`` is the common
-        case — no other core holds the line, data comes from the L3 or
-        from memory — with the victims of the L3 and L2 fills handled in
-        place, and so are the sharing legs: the S→M ``upgrade``, the
-        cache-to-cache forward and a GetM's fan-out, which shares the
-        per-victim ``invalidate`` with the upgrade; the directory's
-        transitions stay ``Directory.on_*`` calls.  An arrival is
-        ``t + hops * hop_latency`` only because the walk is never built
-        for ``ring_link_occupancy > 0``.  Out of line, as calls the
-        reference makes too: recall of an L3 victim with several
-        sharers, a sharer's L2 eviction (``Directory.on_evict``), a bus
-        reservation that fills a gap, a posted write-back's bus and
-        DRAM slots.
+        the ring's link walk, the bus timeline and the DRAM bank state.
+        It is written as nested functions, because a call pays for
+        every name its function binds: ``port`` holds the L1 and L2
+        probes and the few names a hit needs, ``miss`` the walk past the
+        L2 and the many names that needs.  The straight line of ``miss``
+        is the common case — no other core holds the line, data comes
+        from the L3 or from memory — with the victims of the L3 and L2
+        fills handled in place, and so are the sharing legs: the S→M
+        ``upgrade``, the cache-to-cache forward and a GetM's fan-out,
+        which shares the per-victim ``invalidate`` with the upgrade; the
+        directory's transitions stay ``Directory.on_*`` calls.  Each of
+        the five ring legs (request, reply, upgrade reply, invalidation
+        out and back, forward via the owner) arrives at ``t + hops *
+        hop_latency``, or at ``Ring.reserve``'s answer on a ring with
+        link occupancy.  Out of line, as calls the specification makes
+        too: recall of an L3 victim with several sharers, a sharer's L2
+        eviction (``Directory.on_evict``), a bus reservation that fills
+        a gap, a posted write-back's bus and DRAM slots.
 
-        :meth:`access` is the reference the walk is tested against
-        (``tests/test_property_memsys.py``): same completion cycles,
-        same cache contents in LRU order, same directory, same counters.
-        It serves ``REPRO_SLOW_PATHS=1`` and the configurations outside
-        the walk's assumptions (a set count that is not a power of two,
-        a ring with link occupancy).
+        ``tests/spec_memsys.py`` is the specification the walk is tested
+        against (``tests/test_property_memsys.py``): same completion
+        cycles, same cache contents in LRU order, same directory, same
+        counters, same ring links.
         """
-        reference = self.access
         l1, l2 = self.l1s[core], self.l2s[core]
         l1_mask, l2_mask = l1._set_mask, l2._set_mask
         l3_mask = self.l3.banks[0].cache._set_mask
-        if (not self._fast or l1_mask < 0 or l2_mask < 0 or l3_mask < 0
-                or self.ring.link_occupancy):
-            def reference_port(addr: int, is_write: bool, now: int) -> int:
-                return reference(core, addr, is_write, now)
-            return reference_port
-
         cfg = self.config
         stats = self.stats
         observer = self.observer
@@ -154,7 +146,6 @@ class MemorySystem:
         l1_sets, l1_stats, l1_assoc = l1._sets, l1.stats, l1.assoc
         l2_sets, l2_stats, l2_assoc = l2._sets, l2.stats, l2.assoc
         l1s, l2s = self.l1s, self.l2s  # every core's, for invalidations
-        invalidate_private = self._invalidate_private
 
         directory = self.directory
         entries = directory._entries
@@ -162,6 +153,7 @@ class MemorySystem:
 
         ring_stats, hop_latency = self.ring.stats, self.ring.hop_latency
         dist, num_nodes = self.ring.dist, self.ring.num_nodes
+        reserve = self.ring.reserve if self.ring.link_occupancy else None
         core_nodes, core_node = self.core_nodes, self.core_nodes[core]
         bank_mask = self.l3._bank_mask
         l3_assoc = cfg.l3_assoc
@@ -180,10 +172,14 @@ class MemorySystem:
             """Invalidate ``victims``' copies; return the last ack's cycle."""
             acks = t_dir
             for victim in victims:
-                hops = dist[(core_nodes[victim] - bank_node) % num_nodes]
+                victim_node = core_nodes[victim]
+                hops = dist[(victim_node - bank_node) % num_nodes]
                 ring_stats.messages += 2
                 ring_stats.total_hops += 2 * hops
-                t_ack = t_dir + 2 * hops * hop_latency + l2_latency
+                t_ack = (t_dir + 2 * hops * hop_latency + l2_latency
+                         if reserve is None else
+                         reserve(reserve(t_dir, bank_node, victim_node)
+                                 + l2_latency, victim_node, bank_node))
                 if t_ack > acks:
                     acks = t_ack
                 cache = l2s[victim]
@@ -199,7 +195,8 @@ class MemorySystem:
             bank, bank_node, hops, hop_cycles, _, _ = homes[line & bank_mask]
             ring_stats.messages += 2
             ring_stats.total_hops += 2 * hops
-            arrival = t + hop_cycles
+            arrival = (t + hop_cycles if reserve is None
+                       else reserve(t, core_node, bank_node))
             free = bank._free
             start = arrival if arrival >= free else free
             bank._free = start + l3_occupancy
@@ -207,7 +204,8 @@ class MemorySystem:
             victims = directory.on_upgrade(line, core)
             acks = invalidate(victims, line, bank_node, t_dir)
             s2[line] = _M  # in place: no LRU movement
-            done = acks + hop_cycles
+            done = (acks + hop_cycles if reserve is None
+                    else reserve(acks, bank_node, core_node))
             if observer is not None:
                 observer.on_mem_access(core, line, True, t, done)
             return done
@@ -238,7 +236,8 @@ class MemorySystem:
             bank, bank_node, hops, hop_cycles, sets3, stats3 = homes[line & bank_mask]
             ring_stats.messages += 1
             ring_stats.total_hops += hops
-            arrival = t + hop_cycles
+            arrival = (t + hop_cycles if reserve is None
+                       else reserve(t, core_node, bank_node))
             free = bank._free
             start = arrival if arrival >= free else free
             bank._free = start + l3_occupancy
@@ -273,7 +272,10 @@ class MemorySystem:
                              + dist[(core_node - owner_node) % num_nodes])
                 ring_stats.messages += 2
                 ring_stats.total_hops += via_owner
-                t_data = ready + via_owner * hop_latency + l2_latency
+                t_data = (ready + via_owner * hop_latency + l2_latency
+                          if reserve is None else
+                          reserve(reserve(ready, bank_node, owner_node)
+                                  + l2_latency, owner_node, core_node))
                 cache = l2s[forward_from]
                 s = cache._sets[line & l2_mask]
                 if is_write:
@@ -353,7 +355,8 @@ class MemorySystem:
                             owner = held.owner
                             if owner is None:
                                 for holder in directory.on_recall(victim)[0]:
-                                    invalidate_private(holder, victim)
+                                    l2s[holder].invalidate(victim)
+                                    l1s[holder].invalidate(victim)
                             else:
                                 del entries[victim]
                                 coherence.invalidations_sent += 1
@@ -381,7 +384,8 @@ class MemorySystem:
                     ready = t_bus if t_bus > acks else acks
                 ring_stats.messages += 1
                 ring_stats.total_hops += hops
-                t_data = ready + hop_cycles
+                t_data = (ready + hop_cycles if reserve is None
+                          else reserve(ready, bank_node, core_node))
 
             # -- fill the L2 (the probe missed: the line is absent) --------
             if len(s2) >= l2_assoc:
@@ -487,207 +491,3 @@ class MemorySystem:
                 s1[line] = True
             return t
         return port
-
-    def access(self, core: int, addr: int, is_write: bool, now: int) -> int:
-        """Perform one access; return the cycle the core may proceed."""
-        line = addr >> self._offset_bits
-        stats = self.stats
-        if is_write:
-            stats.stores += 1
-        else:
-            stats.loads += 1
-
-        cfg = self.config
-        l1 = self.l1s[core]
-        l2 = self.l2s[core]
-        t = now + cfg.l1_latency
-
-        l1_hit = l1.lookup(line) is not None
-        if l1_hit and not is_write:
-            return t
-
-        if l1_hit and is_write:
-            # Write-through: store needs a writable (M/E) L2 copy.
-            state = l2.peek(line)
-            if state is _M:
-                return t
-            if state is _E:
-                l2.update(line, _M)
-                self.directory.mark_dirty(line, core)
-                return t
-            if state is _S:
-                return self._upgrade(core, line, t)
-            # L1 hit without an L2 copy violates inclusion; treat as L2 miss.
-            l1.invalidate(line)
-            return self._miss(core, line, is_write, t)
-
-        # L1 miss: look in L2.
-        t += cfg.l2_latency
-        state = l2.lookup(line)
-        if state is not None:
-            if not is_write:
-                self._l1_fill(core, line)
-                return t
-            if state is _M:
-                self._l1_fill(core, line)
-                return t
-            if state is _E:
-                l2.update(line, _M)
-                self.directory.mark_dirty(line, core)
-                self._l1_fill(core, line)
-                return t
-            # state is S: upgrade.
-            done = self._upgrade(core, line, t)
-            self._l1_fill(core, line)
-            return done
-
-        return self._miss(core, line, is_write, t)
-
-    # -- internals -----------------------------------------------------------
-
-    def _l1_fill(self, core: int, line: int) -> None:
-        # L1 evictions are silent: write-through L1 never holds dirty data.
-        self.l1s[core].insert(line, True)
-
-    def _invalidate_private(self, core: int, line: int) -> None:
-        self.l2s[core].invalidate(line)
-        self.l1s[core].invalidate(line)
-
-    def _downgrade_private(self, core: int, line: int) -> None:
-        self.l2s[core].update(line, _S)
-
-    def _inv_complete(self, start: int, bank_node: int,
-                      victims: set[int]) -> int:
-        """Cycle at which the home bank has all invalidation acks."""
-        worst = start
-        for v in victims:
-            node = self.core_nodes[v]
-            t_inv = (self.ring.latency_at(start, bank_node, node)
-                     + self.config.l2_latency)
-            t_ack = self.ring.latency_at(t_inv, node, bank_node)
-            worst = max(worst, t_ack)
-        return worst
-
-    def _upgrade(self, core: int, line: int, t: int) -> int:
-        """S→M upgrade: round trip to the home bank plus invalidations."""
-        bank = self.l3.bank_of(line)
-        bank_node = self.bank_nodes[bank.index]
-        core_node = self.core_nodes[core]
-        arrival = self.ring.latency_at(t, core_node, bank_node)
-        start = bank.start_access(arrival)
-        t_dir = start + bank.latency
-        victims = self.directory.on_upgrade(line, core)
-        t_acks = self._inv_complete(t_dir, bank_node, victims)
-        for v in victims:
-            self._invalidate_private(v, line)
-        self.l2s[core].update(line, _M)
-        done = self.ring.latency_at(t_acks, bank_node, core_node)
-        if self.observer is not None:
-            self.observer.on_mem_access(core, line, True, t, done)
-        return done
-
-    def _miss(self, core: int, line: int, is_write: bool, t: int) -> int:
-        """L2 miss: consult the home bank directory, fetch data, fill."""
-        bank = self.l3.bank_of(line)
-        bank_node = self.bank_nodes[bank.index]
-        core_node = self.core_nodes[core]
-        arrival = self.ring.latency_at(t, core_node, bank_node)
-        t_dir = bank.start_access(arrival) + bank.latency
-
-        invalidated: set[int] = set()
-        if is_write:
-            forward_from, was_dirty, invalidated = (
-                self.directory.on_getm(line, core))
-        else:
-            forward_from, was_dirty = self.directory.on_gets(line, core)
-
-        if forward_from is not None:
-            t_data = self._cache_to_cache(core, line, is_write, forward_from,
-                                          was_dirty, bank, bank_node, t_dir)
-        else:
-            # Data comes from the home L3 bank, or off-chip on an L3 miss.
-            t_acks = self._inv_complete(t_dir, bank_node, invalidated)
-            for v in invalidated:
-                self._invalidate_private(v, line)
-            if bank.cache.lookup(line) is not None:
-                ready = t_acks
-            else:
-                # Off-chip: request phase -> DRAM bank -> bus data phase.
-                t_mem = self.dram.access(line, self.bus.request_phase(t_dir))
-                t_bus = self.bus.data_phase(t_mem)
-                self._l3_install(bank, line, t_bus)
-                ready = max(t_bus, t_acks)
-            t_data = self.ring.latency_at(ready, bank_node, core_node)
-
-        if is_write:
-            state = _M
-        else:
-            entry = self.directory.entry(line)
-            state = _E if entry is not None and entry.owner == core else _S
-        self._l2_install(core, line, state)
-        self._l1_fill(core, line)
-        if self.observer is not None:
-            self.observer.on_mem_access(core, line, is_write, t, t_data)
-        return t_data
-
-    def _cache_to_cache(self, core: int, line: int, is_write: bool,
-                        owner: int, was_dirty: bool,
-                        bank: "L3Bank", bank_node: int, t_dir: int) -> int:
-        """Forward the line from the current owner's L2 to the requester."""
-        owner_node = self.core_nodes[owner]
-        core_node = self.core_nodes[core]
-        t_owner = (self.ring.latency_at(t_dir, bank_node, owner_node)
-                   + self.config.l2_latency)
-        t_data = self.ring.latency_at(t_owner, owner_node, core_node)
-        if is_write:
-            self._invalidate_private(owner, line)
-        else:
-            self._downgrade_private(owner, line)
-            if was_dirty:
-                # Dirty data also returns to the home L3 bank (clean copy).
-                bank.cache.update(line, False)
-        return t_data
-
-    def _l3_install(self, bank: "L3Bank", line: int, now: int) -> None:
-        """Fill a line into L3, recalling private copies of the victim."""
-        victim = bank.cache.insert(line, False)
-        if victim is not None:
-            self._l3_evict(victim, now)
-
-    def _l3_evict(self, victim: tuple[int, bool], now: int) -> None:
-        """Recall private copies of an L3 victim; write dirty data back."""
-        victim_line, victim_dirty = victim
-        holders, holder_dirty = self.directory.on_recall(victim_line)
-        for h in holders:
-            self._invalidate_private(h, victim_line)
-        if holders:
-            self.stats.recalls += 1
-        if victim_dirty or holder_dirty:
-            # Posted writeback: consumes bus bandwidth and a DRAM bank slot
-            # but does not block the requester.
-            t_bus = self.bus.data_phase(now)
-            self.dram.access(victim_line, t_bus)
-            self.stats.l3_writebacks_to_dram += 1
-
-    def _l2_install(self, core: int, line: int, state: MesiState) -> None:
-        """Fill a line into a private L2, handling the victim."""
-        victim = self.l2s[core].insert(line, state)
-        if victim is not None:
-            self._l2_evict(core, victim)
-
-    def _l2_evict(self, core: int, victim: tuple[int, MesiState]) -> None:
-        """Handle an L2 eviction: inclusion in L1, directory, writeback."""
-        victim_line, victim_state = victim
-        # Inclusion: the L1 copy goes with the L2 copy.
-        self.l1s[core].invalidate(victim_line)
-        dirty = self.directory.on_evict(victim_line, core, victim_state)
-        if victim_state is _M or dirty:
-            # Write dirty data back to the (inclusive) L3 home bank.
-            self.stats.l2_writebacks += 1
-            bank = self.l3.bank_of(victim_line)
-            if not bank.cache.update(victim_line, True):
-                # The L3 copy disappeared (recall raced the eviction in
-                # event order); push the dirty line straight off-chip.
-                t_bus = self.bus.data_phase(0)
-                self.dram.access(victim_line, t_bus)
-                self.stats.l3_writebacks_to_dram += 1

@@ -11,8 +11,10 @@ to future work.
 For that future work, ``link_occupancy > 0`` turns on per-link
 bandwidth modeling: each directed link accepts one message every
 ``link_occupancy`` cycles (a narrower ring needs several cycles per
-64-byte message), and :meth:`latency_at` walks the path reserving each
+64-byte message), and :meth:`reserve` walks the path reserving each
 link — coherence traffic then genuinely contends on shared segments.
+The memory port counts the messages and hops it sends; :meth:`reserve`
+only times them.
 """
 
 from __future__ import annotations
@@ -72,32 +74,19 @@ class Ring:
             raise ValueError(f"node out of range: {src} -> {dst} of {self.num_nodes}")
         return self.dist[(dst - src) % self.num_nodes]
 
-    def latency(self, src: int, dst: int) -> int:
-        """Cycles for a message from ``src`` to ``dst``; records traffic."""
-        h = self.dist[(dst - src) % self.num_nodes]
-        self.stats.messages += 1
-        self.stats.total_hops += h
-        return h * self.hop_latency
-
-    def round_trip(self, src: int, dst: int) -> int:
-        """Request + reply latency between two nodes."""
-        return self.latency(src, dst) + self.latency(dst, src)
-
-    def latency_at(self, now: int, src: int, dst: int) -> int:
+    def reserve(self, now: int, src: int, dst: int) -> int:
         """Absolute arrival time of a message sent at cycle ``now``.
 
-        With ``link_occupancy == 0`` this is ``now + hops * hop_latency``
-        (identical to :meth:`latency`); otherwise the message reserves
-        each directed link on its shortest path in turn, waiting behind
-        earlier traffic.
+        The message reserves each directed link on its shortest path in
+        turn, waiting behind earlier traffic, and the wait is added to
+        ``stats.link_wait_cycles``; the message and its hops are the
+        sender's to count.  With ``link_occupancy == 0`` no link is ever
+        busy, and this is ``now + hops * hop_latency``.
         """
         n = self.num_nodes
         clockwise_hops = (dst - src) % n
         h = self.dist[clockwise_hops]
-        stats = self.stats
-        stats.messages += 1
-        stats.total_hops += h
-        if self.link_occupancy == 0 or h == 0:
+        if self.link_occupancy == 0:
             return now + h * self.hop_latency
 
         step_cw = clockwise_hops == h  # shorter direction

@@ -1,0 +1,246 @@
+"""Executable specification of the memory walk.
+
+``MemorySystem.make_port`` builds the one memory walk the simulator
+runs, written for host speed.  This module says what that walk must do,
+written for reading: one function per MESI transaction, each a plain
+sequence of calls into the component classes, in the order the protocol
+takes them.  ``tests/test_property_memsys.py`` and
+``tests/test_perf_parity.py`` hold the port to it, bit for bit: the
+same completion cycles, cache contents in LRU order, directory,
+counters and ring links.
+
+The address split, for a 64-byte line, 8 home banks and ``sets`` sets
+in a cache (always a power of two)::
+
+    addr      = | line                       | offset (6 bits) |
+    home bank = line & (banks - 1)           the low 3 line bits
+    set       = line & (sets - 1)            in an L1, an L2 and an L3 bank
+
+An L3 bank's set index thus includes the bits that chose the bank, so
+only one of its sets in 8 is reachable: the model defect
+``tests/test_memsys.py::test_every_l3_set_is_reachable`` pins, which
+``(line >> 3) & (sets - 1)`` would fix.
+
+Every ring message goes through :func:`send`: it is counted here, and
+``Ring.reserve`` times it, waiting for busy links on a ring with link
+occupancy.
+
+:func:`spec_machine` builds a machine whose cores run on this
+specification, stepped op by op: no Compute coalescing, no run-ahead.
+"""
+
+from __future__ import annotations
+
+from repro.sim.coherence import MesiState
+from repro.sim.config import MachineConfig
+from repro.sim.l3 import L3Bank
+from repro.sim.machine import Machine
+from repro.sim.memsys import AccessPort, MemorySystem
+
+M = MesiState.MODIFIED
+E = MesiState.EXCLUSIVE
+S = MesiState.SHARED
+
+
+def send(memsys: MemorySystem, t: int, src: int, dst: int) -> int:
+    """One ring message sent at cycle ``t``; return its arrival."""
+    ring = memsys.ring
+    ring.stats.messages += 1
+    ring.stats.total_hops += ring.hops(src, dst)
+    return ring.reserve(t, src, dst)
+
+
+def access(memsys: MemorySystem, core: int, addr: int, is_write: bool,
+           now: int) -> int:
+    """One load or store by ``core``; return the cycle it completes."""
+    line = memsys.line_of(addr)
+    if is_write:
+        memsys.stats.stores += 1
+    else:
+        memsys.stats.loads += 1
+    l1, l2 = memsys.l1s[core], memsys.l2s[core]
+    t = now + memsys.config.l1_latency
+
+    if l1.lookup(line) is not None:
+        if not is_write:
+            return t
+        # Write-through L1: a store needs a writable (M or E) L2 copy.
+        state = l2.peek(line)
+        if state is M:
+            return t
+        if state is E:
+            l2.update(line, M)
+            memsys.directory.mark_dirty(line, core)
+            return t
+        if state is S:
+            return upgrade(memsys, core, line, t)
+        # An L1 hit without an L2 copy breaks inclusion: an L2 miss.
+        l1.invalidate(line)
+        return miss(memsys, core, line, True, t)
+
+    t += memsys.config.l2_latency
+    state = l2.lookup(line)
+    if state is None:
+        return miss(memsys, core, line, is_write, t)
+    if is_write and state is E:
+        l2.update(line, M)
+        memsys.directory.mark_dirty(line, core)
+    elif is_write and state is S:
+        t = upgrade(memsys, core, line, t)
+    # L1 evictions are silent: a write-through L1 is never dirty.
+    l1.insert(line, True)
+    return t
+
+
+def invalidate(memsys: MemorySystem, victims: set[int], line: int,
+               bank_node: int, t_dir: int) -> int:
+    """The home bank invalidates ``victims``' private copies of ``line``;
+    return the cycle it holds every acknowledgement."""
+    acks = t_dir
+    for victim in victims:
+        node = memsys.core_nodes[victim]
+        t_inv = send(memsys, t_dir, bank_node, node) + memsys.config.l2_latency
+        acks = max(acks, send(memsys, t_inv, node, bank_node))
+        memsys.l2s[victim].invalidate(line)
+        memsys.l1s[victim].invalidate(line)
+    return acks
+
+
+def upgrade(memsys: MemorySystem, core: int, line: int, t: int) -> int:
+    """S→M upgrade: the home bank invalidates every other sharer, then
+    grants ownership."""
+    bank = memsys.l3.bank_of(line)
+    bank_node = memsys.bank_nodes[bank.index]
+    core_node = memsys.core_nodes[core]
+    t_dir = bank.start_access(send(memsys, t, core_node, bank_node)) + bank.latency
+    victims = memsys.directory.on_upgrade(line, core)
+    acks = invalidate(memsys, victims, line, bank_node, t_dir)
+    memsys.l2s[core].update(line, M)
+    done = send(memsys, acks, bank_node, core_node)
+    if memsys.observer is not None:
+        memsys.observer.on_mem_access(core, line, True, t, done)
+    return done
+
+
+def miss(memsys: MemorySystem, core: int, line: int, is_write: bool,
+         t: int) -> int:
+    """L2 miss: a GetS or GetM at the home bank's directory; the data
+    comes from the owner's L2, the L3 or memory; the L2 and L1 fill."""
+    bank = memsys.l3.bank_of(line)
+    bank_node = memsys.bank_nodes[bank.index]
+    core_node = memsys.core_nodes[core]
+    t_dir = bank.start_access(send(memsys, t, core_node, bank_node)) + bank.latency
+
+    directory = memsys.directory
+    sharers: set[int] = set()
+    if is_write:
+        owner, was_dirty, sharers = directory.on_getm(line, core)
+    else:
+        owner, was_dirty = directory.on_gets(line, core)
+
+    if owner is not None:
+        t_data = forward(memsys, core, line, is_write, owner, was_dirty, t_dir)
+    else:
+        acks = invalidate(memsys, sharers, line, bank_node, t_dir)
+        if bank.cache.lookup(line) is not None:
+            ready = acks
+        else:
+            # Off-chip: request phase, DRAM bank, bus data phase.
+            t_mem = memsys.dram.access(line, memsys.bus.request_phase(t_dir))
+            t_bus = memsys.bus.data_phase(t_mem)
+            l3_install(memsys, bank, line, t_bus)
+            ready = max(t_bus, acks)
+        t_data = send(memsys, ready, bank_node, core_node)
+
+    if is_write:
+        state = M
+    else:
+        entry = directory.entry(line)
+        state = E if entry is not None and entry.owner == core else S
+    l2_install(memsys, core, line, state)
+    memsys.l1s[core].insert(line, True)
+    if memsys.observer is not None:
+        memsys.observer.on_mem_access(core, line, is_write, t, t_data)
+    return t_data
+
+
+def forward(memsys: MemorySystem, core: int, line: int, is_write: bool,
+            owner: int, was_dirty: bool, t_dir: int) -> int:
+    """Cache to cache: the home bank forwards the request to the owner's
+    L2, which sends the line on to the requester."""
+    bank = memsys.l3.bank_of(line)
+    bank_node = memsys.bank_nodes[bank.index]
+    owner_node = memsys.core_nodes[owner]
+    t_owner = send(memsys, t_dir, bank_node, owner_node) + memsys.config.l2_latency
+    t_data = send(memsys, t_owner, owner_node, memsys.core_nodes[core])
+    if is_write:
+        memsys.l2s[owner].invalidate(line)
+        memsys.l1s[owner].invalidate(line)
+    else:
+        memsys.l2s[owner].update(line, S)
+        if was_dirty:
+            # The dirty data also returns to the home bank, now clean.
+            bank.cache.update(line, False)
+    return t_data
+
+
+def l3_install(memsys: MemorySystem, bank: L3Bank, line: int, now: int) -> None:
+    """Fill ``line`` into its home bank.  Inclusion recalls the victim's
+    private copies; dirty victim data is a posted write-back, which takes
+    a bus slot and a DRAM bank slot but never the requester's time."""
+    victim = bank.cache.insert(line, False)
+    if victim is None:
+        return
+    victim_line, victim_dirty = victim
+    holders, holder_dirty = memsys.directory.on_recall(victim_line)
+    for holder in holders:
+        memsys.l2s[holder].invalidate(victim_line)
+        memsys.l1s[holder].invalidate(victim_line)
+    if holders:
+        memsys.stats.recalls += 1
+    if victim_dirty or holder_dirty:
+        memsys.dram.access(victim_line, memsys.bus.data_phase(now))
+        memsys.stats.l3_writebacks_to_dram += 1
+
+
+def l2_install(memsys: MemorySystem, core: int, line: int,
+               state: MesiState) -> None:
+    """Fill ``line`` into ``core``'s L2.  The victim's L1 copy goes with
+    it (inclusion), the directory forgets the core, and dirty data goes
+    back to the home bank."""
+    victim = memsys.l2s[core].insert(line, state)
+    if victim is None:
+        return
+    victim_line, victim_state = victim
+    memsys.l1s[core].invalidate(victim_line)
+    dirty = memsys.directory.on_evict(victim_line, core, victim_state)
+    if victim_state is M or dirty:
+        memsys.stats.l2_writebacks += 1
+        if not memsys.l3.bank_of(victim_line).cache.update(victim_line, True):
+            # A recall took the L3 copy first: push the line off-chip.
+            memsys.dram.access(victim_line, memsys.bus.data_phase(0))
+            memsys.stats.l3_writebacks_to_dram += 1
+
+
+def port(memsys: MemorySystem, core: int) -> AccessPort:
+    """``core``'s access function over the specification."""
+    def spec_port(addr: int, is_write: bool, now: int) -> int:
+        return access(memsys, core, addr, is_write, now)
+    return spec_port
+
+
+def spec_machine(config: MachineConfig, observers=(), *,
+                 shortcuts: bool = False) -> Machine:
+    """A machine whose cores run on the specification.
+
+    A core reads its memory port and its two shortcuts when its first
+    thread starts, so setting them on a fresh machine is enough.  With
+    ``shortcuts=False`` the machine is stepped op by op: no Compute
+    coalescing and no run-ahead.
+    """
+    machine = Machine(config, observers)
+    for core in machine.cores:
+        core._mem_access = port(machine.memsys, core.core_id)
+        if not shortcuts:
+            core._coalesce = core._run_ahead = False
+    return machine

@@ -157,7 +157,5 @@ def test_miss_rate():
 
 
 def test_non_power_of_two_set_count():
-    c = SetAssocCache(3 * 64 * 2, 2, 64)  # 3 sets
-    for line in range(9):
-        c.insert(line, line)
-    assert len(c) <= 6
+    with pytest.raises(ValueError, match="3 sets is not a power of two"):
+        SetAssocCache(3 * 64 * 2, 2, 64)  # a set is line & (num_sets - 1)

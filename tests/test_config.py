@@ -79,6 +79,25 @@ def test_cache_size_must_divide_into_sets():
         MachineConfig(l2_bytes=64 * 1024 + 64, l2_assoc=4)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"l1_assoc": 0},
+    {"l3_assoc": 0},
+    {"l3_bytes": 8 * 2**20 + 512},  # 16 385 lines a bank: not 8-way sets
+    {"l3_bytes": 8 * 2**20 + 64},  # not eight banks of whole lines
+    {"l1_bytes": 3 * 2 * 64},  # 3 sets
+    {"l2_bytes": 48 * 1024},  # 192 sets
+    {"l3_bytes": 6 * 2**20},  # 1 536 sets a bank
+    {"ring_link_occupancy": -1},
+    {"ring_hop_latency": -1},
+])
+def test_cache_and_ring_geometry_rejected_at_construction(overrides):
+    """Each of these used to validate and then fail inside ``Machine()``,
+    or to raise ZeroDivisionError; the memory port indexes every cache
+    with ``line & (sets - 1)``, so a set count must be a power of two."""
+    with pytest.raises(ConfigError):
+        MachineConfig(**overrides)
+
+
 def test_banks_must_be_power_of_two():
     with pytest.raises(ConfigError):
         MachineConfig(l3_banks=6)

@@ -1,4 +1,7 @@
-"""Unit tests for the full memory hierarchy timing and coherence."""
+"""Unit tests for the full memory hierarchy timing and coherence.
+
+Every access goes through a core's memory port, the walk the cores run.
+"""
 
 from __future__ import annotations
 
@@ -18,8 +21,13 @@ def m() -> Machine:
 ADDR = 1 << 20
 
 
+def access(m: Machine, core: int, addr: int, is_write: bool, now: int) -> int:
+    """One load or store through ``core``'s memory port."""
+    return m.memsys.make_port(core)(addr, is_write, now)
+
+
 def test_cold_load_goes_to_dram(m: Machine):
-    done = m.memsys.access(core=0, addr=ADDR, is_write=False, now=0)
+    done = access(m, 0, ADDR, False, 0)
     # Must include at least L1+L2+L3+bus latency+DRAM+transfer.
     assert done > 150
     assert m.memsys.l3.misses == 1
@@ -28,34 +36,34 @@ def test_cold_load_goes_to_dram(m: Machine):
 
 
 def test_l1_hit_costs_one_cycle(m: Machine):
-    t1 = m.memsys.access(0, ADDR, False, 0)
-    t2 = m.memsys.access(0, ADDR, False, t1)
+    t1 = access(m, 0, ADDR, False, 0)
+    t2 = access(m, 0, ADDR, False, t1)
     assert t2 - t1 == m.config.l1_latency
 
 
 def test_l2_hit_after_l1_eviction(m: Machine):
-    t = m.memsys.access(0, ADDR, False, 0)
+    t = access(m, 0, ADDR, False, 0)
     # Evict the line from L1 by filling its set (L1 is 2-way, 64 sets).
     l1 = m.memsys.l1s[0]
     sets = l1.num_sets
     for k in range(1, 3):
-        t = m.memsys.access(0, ADDR + k * sets * 64, False, t)
-    t2 = m.memsys.access(0, ADDR, False, t)
+        t = access(m, 0, ADDR + k * sets * 64, False, t)
+    t2 = access(m, 0, ADDR, False, t)
     assert t2 - t == m.config.l1_latency + m.config.l2_latency
 
 
 def test_second_core_load_is_cache_to_cache(m: Machine):
-    t = m.memsys.access(0, ADDR, False, 0)
+    t = access(m, 0, ADDR, False, 0)
     before = m.memsys.bus.stats.transfers
-    t2 = m.memsys.access(1, ADDR, False, t)
+    t2 = access(m, 1, ADDR, False, t)
     assert m.memsys.bus.stats.transfers == before  # no new off-chip traffic
     assert m.memsys.directory.stats.cache_to_cache == 1
     assert t2 - t < 100  # on-chip transfer, far cheaper than DRAM
 
 
 def test_store_then_remote_load_pulls_dirty_data(m: Machine):
-    t = m.memsys.access(0, ADDR, True, 0)
-    t2 = m.memsys.access(1, ADDR, False, t)
+    t = access(m, 0, ADDR, True, 0)
+    t2 = access(m, 1, ADDR, False, t)
     assert m.memsys.directory.stats.cache_to_cache == 1
     # Both now share the line.
     line = m.memsys.line_of(ADDR)
@@ -64,9 +72,9 @@ def test_store_then_remote_load_pulls_dirty_data(m: Machine):
 
 
 def test_store_to_shared_line_upgrades_and_invalidates(m: Machine):
-    t = m.memsys.access(0, ADDR, False, 0)
-    t = m.memsys.access(1, ADDR, False, t)
-    t = m.memsys.access(0, ADDR, True, t)
+    t = access(m, 0, ADDR, False, 0)
+    t = access(m, 1, ADDR, False, t)
+    t = access(m, 0, ADDR, True, t)
     line = m.memsys.line_of(ADDR)
     assert m.memsys.l2s[0].peek(line) is MesiState.MODIFIED
     assert m.memsys.l2s[1].peek(line) is None
@@ -74,9 +82,9 @@ def test_store_to_shared_line_upgrades_and_invalidates(m: Machine):
 
 
 def test_store_hit_in_exclusive_is_silent_upgrade(m: Machine):
-    t = m.memsys.access(0, ADDR, False, 0)  # E
+    t = access(m, 0, ADDR, False, 0)  # E
     upgrades_before = m.memsys.directory.stats.upgrades
-    t2 = m.memsys.access(0, ADDR, True, t)
+    t2 = access(m, 0, ADDR, True, t)
     assert t2 - t == m.config.l1_latency
     assert m.memsys.directory.stats.upgrades == upgrades_before
     line = m.memsys.line_of(ADDR)
@@ -86,17 +94,17 @@ def test_store_hit_in_exclusive_is_silent_upgrade(m: Machine):
 def test_write_ping_pong_counts_invalidations(m: Machine):
     t = 0
     for i in range(6):
-        t = m.memsys.access(i % 2, ADDR, True, t)
+        t = access(m, i % 2, ADDR, True, t)
     assert m.memsys.directory.stats.getm >= 5
     assert m.memsys.directory.stats.cache_to_cache >= 5
 
 
 def test_dirty_l2_eviction_writes_back_to_l3(m: Machine):
-    t = m.memsys.access(0, ADDR, True, 0)
+    t = access(m, 0, ADDR, True, 0)
     # Evict by filling the L2 set (4-way, 256 sets).
     sets = m.memsys.l2s[0].num_sets
     for k in range(1, 6):
-        t = m.memsys.access(0, ADDR + k * sets * 64, False, t)
+        t = access(m, 0, ADDR + k * sets * 64, False, t)
     assert m.memsys.stats.l2_writebacks >= 1
     # The L3 copy is now marked dirty.
     line = m.memsys.line_of(ADDR)
@@ -105,15 +113,15 @@ def test_dirty_l2_eviction_writes_back_to_l3(m: Machine):
 
 
 def test_loads_and_stores_counted(m: Machine):
-    m.memsys.access(0, ADDR, False, 0)
-    m.memsys.access(0, ADDR + 64, True, 500)
+    access(m, 0, ADDR, False, 0)
+    access(m, 0, ADDR + 64, True, 500)
     assert m.memsys.stats.loads == 1
     assert m.memsys.stats.stores == 1
 
 
 def test_addresses_in_same_line_share_one_fill(m: Machine):
-    t = m.memsys.access(0, ADDR, False, 0)
-    t2 = m.memsys.access(0, ADDR + 32, False, t)
+    t = access(m, 0, ADDR, False, 0)
+    t2 = access(m, 0, ADDR + 32, False, t)
     assert t2 - t == m.config.l1_latency
     assert m.memsys.l3.misses == 1
 
@@ -121,7 +129,7 @@ def test_addresses_in_same_line_share_one_fill(m: Machine):
 def test_l3_inclusive_recall_invalidates_private_copies():
     cfg = MachineConfig.small(num_cores=2)
     m = Machine(cfg)
-    t = m.memsys.access(0, ADDR, False, 0)
+    t = access(m, 0, ADDR, False, 0)
     line = m.memsys.line_of(ADDR)
     bank = m.memsys.l3.bank_of(line)
     # Thrash that L3 bank set until the line is recalled.
@@ -130,7 +138,7 @@ def test_l3_inclusive_recall_invalidates_private_copies():
     while bank.cache.peek(line) is not None and k < 4096:
         conflict = ADDR + k * sets * cfg.l3_banks * 64
         if m.memsys.l3.bank_of(m.memsys.line_of(conflict)) is bank:
-            t = m.memsys.access(1, conflict, False, t)
+            t = access(m, 1, conflict, False, t)
         k += 1
     assert bank.cache.peek(line) is None
     assert m.memsys.l2s[0].peek(line) is None, "inclusion violated"
@@ -146,7 +154,7 @@ def test_every_l3_set_is_reachable(m: Machine):
     reached: dict[int, set[int]] = {b.index: set() for b in m.memsys.l3.banks}
     for line in range(1 << 16):
         bank = m.memsys.l3.bank_of(line)
-        reached[bank.index].add(bank.cache._set_index(line))
+        reached[bank.index].add(line & bank.cache._set_mask)
     assert all(len(sets) == bank.cache.num_sets
                for bank, sets in zip(m.memsys.l3.banks, reached.values()))
 

@@ -1,21 +1,18 @@
-"""Fast paths vs ``REPRO_SLOW_PATHS=1`` reference paths: bit-identical.
+"""Fast paths vs the op-by-op specification machine: bit-identical.
 
 The simulator's hot-path optimizations (Compute-run coalescing and
 run-ahead in the core's step, the inlined memory walk) are pure
 speedups: they must not change a single simulated cycle or counter.
-``REPRO_SLOW_PATHS=1`` builds the same step with both shortcuts off and
-the reference memory port; these tests run the same workloads both ways
-and require the results to match exactly — not approximately, bit for
-bit.  One known exception is pinned below: Compute coalescing is exact
-only up to same-cycle cross-core tie order, which shows on Transpose
-and nowhere else in the roster.  Run-ahead has no such exception, and
-its guards are tested here too: a queue with a sampler attached never
-runs ahead, observers see the same timestamps, and a deadlock is still
+``spec_memsys.spec_machine`` builds the same step with both shortcuts
+off over the specification's memory walk (``tests/spec_memsys.py``);
+these tests run the same workloads on it and on a default machine and
+require the results to match exactly — not approximately, bit for bit.
+One known exception is pinned below: Compute coalescing is exact only
+up to same-cycle cross-core tie order, which shows on Transpose and
+nowhere else in the roster.  Run-ahead has no such exception, and its
+guards are tested here too: a queue with a sampler attached never runs
+ahead, observers see the same timestamps, and a deadlock is still
 diagnosed.
-
-The environment variable is read once at *construction* time by each
-component, so flipping it between machine builds inside one process is
-sufficient; no subprocesses needed.
 """
 
 from __future__ import annotations
@@ -29,74 +26,72 @@ from repro.fdt.runner import AppRunResult, run_application
 from repro.isa.ops import Branch, Compute, Load, Lock, Store, Unlock
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from repro.sim.memsys import MemorySystem
 from repro.trace import TraceConfig, TraceRecorder, run_traced
 from repro.workloads import get
+from tests import spec_memsys
+from tests.spec_memsys import spec_machine
 
 
-def _app_run(workload: str, policy_name: str, config: MachineConfig,
+def _app_run(build, workload: str, policy_name: str, config: MachineConfig,
              threads: int = 4) -> tuple[AppRunResult, dict]:
-    """Run one workload/policy pair; return the full result and every
-    per-component statistic of the machine it ran on."""
-    machine = Machine(config)
+    """Run one workload/policy pair on ``build(config)``; return the full
+    result and every per-component statistic of the machine it ran on."""
+    machine = build(config)
     policy = (StaticPolicy(threads) if policy_name == "static" else FdtPolicy(FdtMode.COMBINED))
     run = run_application(get(workload).build(0.05), policy,
                           machine=machine)
     return run, machine_report(machine)
 
 
-def _fast_and_slow(monkeypatch, build):
-    """``build()`` on the default paths and on the reference paths."""
-    monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
-    fast = build()
-    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
-    return fast, build()
+def _fast_and_slow(run):
+    """``run(build)`` on a default machine and on the op-by-op
+    specification machine; ``build(config, observers=())`` makes it."""
+    return run(Machine), run(spec_machine)
 
 
 @pytest.mark.parametrize("policy_name", ["static", "fdt"])
 @pytest.mark.parametrize("workload", ["EP", "PageMine", "ED", "BT"])
-def test_workloads_identical_fast_vs_slow(monkeypatch, workload,
-                                          policy_name):
-    fast, slow = _fast_and_slow(monkeypatch, lambda: _app_run(
-        workload, policy_name, MachineConfig.small()))
+def test_workloads_identical_fast_vs_slow(workload, policy_name):
+    fast, slow = _fast_and_slow(lambda build: _app_run(
+        build, workload, policy_name, MachineConfig.small()))
     assert fast == slow
 
 
-def test_smt_workload_identical_fast_vs_slow(monkeypatch):
+def test_smt_workload_identical_fast_vs_slow():
     """Twelve threads on eight two-context cores: no coalescing either
     way, but run-ahead on the default path, with the sibling context's
     events in the same heap."""
-    fast, slow = _fast_and_slow(monkeypatch, lambda: _app_run(
-        "PageMine", "static", MachineConfig.small().with_smt(2),
+    fast, slow = _fast_and_slow(lambda build: _app_run(
+        build, "PageMine", "static", MachineConfig.small().with_smt(2),
         threads=12))
     assert fast == slow
     assert fast[0].threads_used == (12,)
 
 
-def _transpose_cycles() -> int:
-    app = get("Transpose").build(0.05)
+def _transpose_cycles(machine: Machine) -> int:
+    with machine:
+        app = get("Transpose").build(0.05)
+        return run_application(app, StaticPolicy(32), machine=machine).cycles
+
+
+def test_engine_and_memsys_twins_identical_on_transpose():
+    """With the core's two shortcuts held on, the specification's memory
+    walk reproduces the fast paths on the one workload where the op-by-op
+    machine diverges (next test)."""
     config = MachineConfig.asplos08_baseline()
-    return run_application(app, StaticPolicy(32), config).cycles
-
-
-def test_engine_and_memsys_twins_identical_on_transpose(monkeypatch):
-    """With the core's two shortcuts held on, the reference memory walk
-    reproduces the fast paths on the one workload where the full flag
-    diverges (next test)."""
-    monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
-    fast = _transpose_cycles()
-    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
-    monkeypatch.setattr("repro.sim.core.slow_paths_enabled", lambda: False)
-    assert _transpose_cycles() == fast == 131790
+    fast = _transpose_cycles(Machine(config))
+    spec = _transpose_cycles(spec_machine(config, shortcuts=True))
+    assert spec == fast == 131790
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "Compute coalescing is exact only up to same-cycle cross-core tie "
     "order: stepping op by op gives 131792 cycles, coalesced 131790"))
-def test_full_slow_paths_flag_identical_on_transpose(monkeypatch):
-    monkeypatch.delenv("REPRO_SLOW_PATHS", raising=False)
-    fast = _transpose_cycles()
-    monkeypatch.setenv("REPRO_SLOW_PATHS", "1")
-    assert _transpose_cycles() == fast
+def test_full_slow_paths_flag_identical_on_transpose():
+    config = MachineConfig.asplos08_baseline()
+    fast = _transpose_cycles(Machine(config))
+    assert _transpose_cycles(spec_machine(config)) == fast
 
 
 def _mixed_factory(tid: int, team: int):
@@ -127,9 +122,9 @@ def _mixed_factory(tid: int, team: int):
         yield Store(shared + ((i + tid) % 11) * 64)
 
 
-def _machine_fingerprint() -> dict[str, object]:
+def _machine_fingerprint(build) -> dict[str, object]:
     """Run the synthetic region; return deep per-component counters."""
-    machine = Machine(MachineConfig.small())
+    machine = build(MachineConfig.small())
     region = machine.run_parallel([_mixed_factory] * 4)
     memsys = machine.memsys
     return {
@@ -163,8 +158,8 @@ def _machine_fingerprint() -> dict[str, object]:
     }
 
 
-def test_per_component_counters_identical_fast_vs_slow(monkeypatch):
-    fast, slow = _fast_and_slow(monkeypatch, _machine_fingerprint)
+def test_per_component_counters_identical_fast_vs_slow():
+    fast, slow = _fast_and_slow(_machine_fingerprint)
     assert fast == slow
 
 
@@ -178,14 +173,13 @@ def _lone_factory(tid: int, team: int):
         yield Branch(pc=i, taken=i % 3 == 0)
 
 
-def test_lone_thread_runs_ahead_with_the_same_observer_timestamps(
-        monkeypatch):
+def test_lone_thread_runs_ahead_with_the_same_observer_timestamps():
     """A single-threaded region never finds an earlier pending event, so
     all of it runs ahead — one event pushed, at thread start — and the
-    attached tracer is told the same cycles as on the reference path."""
-    def observed():
+    attached tracer is told the same cycles as on the op-by-op machine."""
+    def observed(build):
         recorder = TraceRecorder(TraceConfig(counters=False))
-        machine = Machine(MachineConfig.small(), observers=[recorder])
+        machine = build(MachineConfig.small(), [recorder])
         calls: list[tuple] = []
         for hook in ("on_compute", "on_access", "on_thread_exit"):
             setattr(recorder, hook,
@@ -193,24 +187,24 @@ def test_lone_thread_runs_ahead_with_the_same_observer_timestamps(
         region = machine.run_serial(_lone_factory)
         return calls, region, machine.events.seq
 
-    fast, slow = _fast_and_slow(monkeypatch, observed)
+    fast, slow = _fast_and_slow(observed)
     assert fast[:2] == slow[:2]
     assert {hook for hook, *_ in fast[0]} == {
         "on_compute", "on_access", "on_thread_exit"}
     assert fast[2] == 1 and slow[2] == 1 + 4 * 60
 
 
-def test_sampled_trace_does_not_run_ahead(monkeypatch):
+def test_sampled_trace_does_not_run_ahead():
     """With counter sampling on, the queue has a sampler and the lone
     thread goes through it op by op: were it to run ahead, every sample
     would be taken at the end and read the final counters."""
-    def sampled():
+    def sampled(build):
         recorder = TraceRecorder(TraceConfig(sample_interval=50))
-        machine = Machine(MachineConfig.small(), observers=[recorder])
+        machine = build(MachineConfig.small(), [recorder])
         machine.run_serial(_lone_factory)
         return recorder.data.samples, machine.events.seq
 
-    fast, slow = _fast_and_slow(monkeypatch, sampled)
+    fast, slow = _fast_and_slow(sampled)
     assert fast == slow
     assert len({s.retired_instructions for s in fast[0]}) > 10
 
@@ -250,18 +244,25 @@ def test_deadlock_diagnosed_while_sibling_runs_ahead():
     assert machine.locks.holder(0) == 0 and machine.locks.waiters(0) == 1
 
 
-def test_slow_paths_flag_actually_selects_reference_code(monkeypatch):
-    """Guard against the reference mode silently rotting: the flag must
-    reach each component's constructor, and what it selects is no
-    coalescing, no run-ahead and the reference memory port."""
-    def lone_run():
-        machine = Machine(MachineConfig.small())
-        machine.run_serial(_lone_factory)
-        core = machine.cores[0]
-        return (machine.memsys._fast, core._coalesce, core._run_ahead,
-                core._mem_access.__name__ == "reference_port",
-                machine.events.seq)
+def test_op_by_op_machine_runs_every_access_on_the_spec(monkeypatch):
+    """Guard against the op-by-op machine silently rotting: it steps the
+    lone thread one event an op, never builds the port, and sends every
+    load and store through the specification's ``access()``."""
+    def no_port(memsys, core):
+        raise AssertionError("the op-by-op machine built the port")
 
-    fast, slow = _fast_and_slow(monkeypatch, lone_run)
-    assert fast == (True, True, True, False, 1)
-    assert slow == (False, False, False, True, 1 + 4 * 60)
+    spec_access = spec_memsys.access
+    calls = []
+
+    def counted_access(*args):
+        calls.append(args)
+        return spec_access(*args)
+
+    monkeypatch.setattr(MemorySystem, "make_port", no_port)
+    monkeypatch.setattr(spec_memsys, "access", counted_access)
+    machine = spec_machine(MachineConfig.small())
+    machine.run_serial(_lone_factory)
+    core, stats = machine.cores[0], machine.memsys.stats
+    assert (core._coalesce, core._run_ahead) == (False, False)
+    assert machine.events.seq == 1 + 4 * 60
+    assert len(calls) == stats.loads + stats.stores == 2 * 60

@@ -5,17 +5,17 @@ per-core ports the cores themselves use, must preserve the structural
 invariants of the hierarchy: inclusion (L1 subset of L2, L2 subset of
 L3), directory precision (directory holders == cores whose L2 holds the
 line), and monotone time.  A second family drives the same sequence
-through the ports of a default machine and through the reference
-``access()`` of a ``REPRO_SLOW_PATHS=1`` machine and requires the two to
-agree on every completion cycle, every cache's contents in LRU order,
-the directory and every counter.
+through the ports of one machine and through the specification's
+``access()`` (``tests/spec_memsys.py``) on another, and requires the two
+to agree on every completion cycle, every cache's contents in LRU order,
+the directory, every counter and, on a ring with link occupancy, every
+link's reservation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from unittest import mock
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.sim.coherence import MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from tests import spec_memsys
 
 # A compact address space so random ops collide in sets and lines.
 ADDRS = st.integers(0, 255).map(lambda k: (1 << 20) + k * 64)
@@ -115,11 +116,13 @@ def test_bus_traffic_only_on_l3_boundary(ops):
     assert transfers == misses + writebacks
 
 
-# -- the port walk against the reference access() ----------------------------
+# -- the port walk against the specification's access() ----------------------
 
 #: A quarter of ``small()``'s L3 — eight lines a bank — under four 64-line
 #: L2s, so that L3 victims usually still have private copies to recall.
 SHRUNK_L3 = replace(MachineConfig.small(num_cores=4), l3_bytes=16 * 1024)
+#: The same machine on a narrow ring: a link takes 16 cycles a message.
+CONTENDED_RING = replace(SHRUNK_L3, ring_link_occupancy=16)
 
 #: Two of the eight home banks and three times the lines they hold, so
 #: that sixty ops overflow an L3 set.  One integer an op: drawing four
@@ -137,15 +140,6 @@ WIDE_OPS = st.lists(st.integers(0, 2 * 4 * 2 * 24 - 1).map(_wide_op),
                     min_size=60, max_size=300)
 
 
-def machine_pair() -> tuple[Machine, Machine]:
-    """A default machine and a ``REPRO_SLOW_PATHS=1`` machine."""
-    walk = Machine(SHRUNK_L3)
-    with mock.patch.dict("os.environ", {"REPRO_SLOW_PATHS": "1"}):
-        reference = Machine(SHRUNK_L3)
-    assert walk.memsys._fast and not reference.memsys._fast
-    return walk, reference
-
-
 def state_of(m: Machine) -> dict:
     """Everything the memory system holds, order and payloads included."""
     mem = m.memsys
@@ -159,6 +153,7 @@ def state_of(m: Machine) -> dict:
         "memsys": mem.stats,
         "coherence": mem.directory.stats,
         "ring": m.ring.stats,
+        "ring_links": m.ring._link_free,
         "bus": mem.bus.stats,
         "dram": mem.dram.stats,
         "bus_free_at": mem.bus.free_at,
@@ -175,19 +170,26 @@ def legs_of(m: Machine) -> tuple[int, ...]:
             coherence.cache_to_cache, coherence.upgrades)
 
 
-def run_both(ops) -> set[str]:
+def run_both(ops, config: MachineConfig = SHRUNK_L3,
+             overlap: bool = False) -> set[str]:
     """Drive ``ops`` down both paths; return the rare legs they took.
 
     An op whose ``is_write`` is None drops the core's L2 copy of the
     line behind the protocol's back (on both machines alike), which is
-    the only way to reach the L1-hit-without-L2 branch.
+    the only way to reach the L1-hit-without-L2 branch.  With
+    ``overlap`` each core keeps its own clock, so the cores' accesses
+    overlap in time instead of following one another.
     """
-    walk, reference = machine_pair()
+    walk, reference = Machine(config), Machine(config)
     walk_ports = [walk.memsys.make_port(core) for core in range(4)]
-    reference_ports = [reference.memsys.make_port(core) for core in range(4)]
+    reference_ports = [spec_memsys.port(reference.memsys, core)
+                       for core in range(4)]
     seen: set[str] = set()
+    clocks = [0] * 4
     t = 0
     for index, (core, addr, is_write) in enumerate(ops):
+        if overlap:
+            t = clocks[core]
         if is_write is None:
             for m in (walk, reference):
                 m.memsys.l2s[core].invalidate(m.memsys.line_of(addr))
@@ -213,7 +215,7 @@ def run_both(ops) -> set[str]:
         done = walk_ports[core](addr, is_write, t)
         expected = reference_ports[core](addr, is_write, t)
         assert done == expected, f"op {index}: {done} != {expected}"
-        t = done
+        t = clocks[core] = done
         # ... the rest in the counters it moves.
         (recalls, l2_writebacks, posted, invalidations, to_l3, forwards,
          upgrades) = (b - a for a, b in zip(before, legs_of(reference)))
@@ -243,6 +245,8 @@ def run_both(ops) -> set[str]:
         if upgrades and invalidations >= 2:
             seen.add("upgrade invalidating two sharers or more")
     assert state_of(walk) == state_of(reference)
+    if reference.ring.stats.link_wait_cycles:
+        seen.add("a message waited for a ring link")
     return seen
 
 
@@ -250,6 +254,15 @@ def run_both(ops) -> set[str]:
 @settings(deadline=None)
 def test_port_walk_matches_reference_access(ops):
     for leg in run_both(ops):
+        event(leg)
+
+
+@given(ops=WIDE_OPS)
+@settings(deadline=None)
+def test_port_walk_matches_reference_on_a_contended_ring(ops):
+    """Every ring leg reserves its links on the port as in the
+    specification: the link timelines and ``link_wait_cycles`` agree."""
+    for leg in run_both(ops, CONTENDED_RING, overlap=True):
         event(leg)
 
 

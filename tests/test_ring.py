@@ -37,24 +37,8 @@ def test_max_hops_is_half_ring():
 
 
 def test_latency_scales_with_hop_latency():
-    r = Ring(8, hop_latency=3)
-    assert r.latency(0, 2) == 6
-
-
-def test_latency_records_traffic():
-    r = Ring(8)
-    r.latency(0, 4)
-    r.latency(1, 2)
-    assert r.stats.messages == 2
-    assert r.stats.total_hops == 5
-    assert r.stats.mean_hops == pytest.approx(2.5)
-
-
-def test_round_trip_counts_two_messages():
-    r = Ring(8)
-    total = r.round_trip(0, 3)
-    assert total == 6
-    assert r.stats.messages == 2
+    assert Ring(8, hop_latency=3).reserve(0, 0, 2) == 6
+    assert Ring(8, hop_latency=3, link_occupancy=1).reserve(0, 0, 2) == 6
 
 
 def test_out_of_range_node_rejected():
@@ -79,36 +63,46 @@ def test_invalid_construction():
 
 # -- link-bandwidth modeling (ring_link_occupancy > 0) ------------------------
 
-def test_latency_at_matches_latency_when_unconstrained():
+def test_reserve_on_a_wide_ring_is_hops_times_hop_latency():
     r = Ring(8)
-    assert r.latency_at(100, 0, 3) == 100 + r.hops(0, 3)
+    assert r.reserve(100, 0, 3) == 100 + r.hops(0, 3)
+    assert r.reserve(100, 0, 3) == 100 + r.hops(0, 3)  # never waits
+    assert r._link_free == [[0, 0]] * 8
 
 
-def test_latency_at_zero_hops():
+def test_reserve_zero_hops():
     r = Ring(8, link_occupancy=4)
-    assert r.latency_at(50, 2, 2) == 50
+    assert r.reserve(50, 2, 2) == 50
+
+
+def test_reserve_leaves_message_counts_to_the_sender():
+    r = Ring(8, link_occupancy=16)
+    r.reserve(0, 0, 2)
+    r.reserve(0, 0, 2)
+    assert (r.stats.messages, r.stats.total_hops) == (0, 0)
+    assert r.stats.link_wait_cycles == 16
 
 
 def test_narrow_ring_serializes_messages_on_shared_links():
     r = Ring(8, link_occupancy=16)
-    t1 = r.latency_at(0, 0, 2)
-    t2 = r.latency_at(0, 0, 2)  # same path, same instant
+    t1 = r.reserve(0, 0, 2)
+    t2 = r.reserve(0, 0, 2)  # same path, same instant
     assert t2 > t1
     assert r.stats.link_wait_cycles > 0
 
 
 def test_narrow_ring_opposite_directions_do_not_contend():
     r = Ring(8, link_occupancy=16)
-    t_cw = r.latency_at(0, 1, 2)   # uses link 1->2 clockwise
-    t_ccw = r.latency_at(0, 2, 1)  # uses link 2->1 counter-clockwise
+    t_cw = r.reserve(0, 1, 2)   # uses link 1->2 clockwise
+    t_ccw = r.reserve(0, 2, 1)  # uses link 2->1 counter-clockwise
     assert t_cw == 1 and t_ccw == 1  # one hop each, no waiting
     assert r.stats.link_wait_cycles == 0
 
 
 def test_narrow_ring_disjoint_paths_do_not_contend():
     r = Ring(16, link_occupancy=16)
-    t1 = r.latency_at(0, 0, 2)
-    t2 = r.latency_at(0, 8, 10)
+    t1 = r.reserve(0, 0, 2)
+    t2 = r.reserve(0, 8, 10)
     assert t1 == t2 == 2
     assert r.stats.link_wait_cycles == 0
 
