@@ -31,12 +31,7 @@ from typing import Any, Sequence
 
 from repro.errors import JobError
 from repro.fdt.runner import AppRunResult
-from repro.jobs.backoff import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_CAP,
-    DEFAULT_RETRY_BUDGET,
-    backoff_delay,
-)
+from repro.jobs import backoff
 from repro.jobs.cache import ResultCache
 from repro.jobs.executor import execute_jobs
 from repro.jobs.manifest import RunManifest
@@ -138,41 +133,27 @@ class JobRunner:
             already completed once.  A rejection does not stop the
             batch: the healthy specs are still computed and cached
             before :meth:`run` raises.
-        run_registry: persistent provenance registry
-            (:mod:`repro.obs.runreg`) appended to for every resolved
-            spec.  Defaults to ``<cache root>/obs`` (or the global
-            default location when running cache-less), so ``repro obs``
-            finds the rows next to the results they describe.
-        retry_budget: extra submissions for jobs whose failure looks
-            host-transient (worker crash, I/O error — never a
-            deterministic :class:`~repro.errors.ReproError` from the
-            simulation), paced by exponential backoff with
-            deterministic jitter (:mod:`repro.jobs.backoff`).  This is
-            the only retry loop: a job that crashes every time is
-            submitted ``retry_budget + 1`` times.
-        backoff_base: first retry delay in seconds (doubles per round,
-            capped at ``backoff_cap``).
+
+    Raises:
+        JobError: if ``jobs`` is below 1 or ``timeout`` is not positive.
     """
 
     def __init__(self, cache: ResultCache | None = None, jobs: int = 1,
                  timeout: float | None = None,
                  manifest: RunManifest | None = None,
                  trace_dir: str | None = None,
-                 preflight: bool = False,
-                 run_registry: RunRegistry | None = None,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET,
-                 backoff_base: float = DEFAULT_BACKOFF_BASE,
-                 backoff_cap: float = DEFAULT_BACKOFF_CAP) -> None:
+                 preflight: bool = False) -> None:
+        if jobs < 1:
+            raise JobError(f"jobs must be >= 1, got {jobs}")
+        if timeout is not None and timeout <= 0:
+            raise JobError(f"timeout must be positive, got {timeout}")
         self.cache = cache
-        self.jobs = max(1, jobs)
+        self.jobs = jobs
         self.timeout = timeout
         self.manifest = manifest if manifest is not None else RunManifest()
         self.trace_dir = trace_dir
         self.preflight = preflight
-        self.retry_budget = max(0, retry_budget)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._run_registry = run_registry
+        self._run_registry: RunRegistry | None = None
         self._host: dict | None = None
         self._memo: dict[str, dict] = {}
         self._preflight_memo: dict[str, PreflightVerdict] = {}
@@ -180,7 +161,10 @@ class JobRunner:
 
     @property
     def run_registry(self) -> RunRegistry:
-        """Provenance registry (default: ``<cache root>/obs``)."""
+        """Provenance registry (:mod:`repro.obs.runreg`) appended to for
+        every resolved spec: ``<cache root>/obs`` (or the global default
+        location when running cache-less), so ``repro obs`` finds the
+        rows next to the results they describe."""
         if self._run_registry is None:
             root = (self.cache.root / "obs"
                     if self.cache is not None else None)
@@ -296,10 +280,10 @@ class JobRunner:
         The only retry loop between a worker and the wire.  Failures
         that look host-transient (worker crash, injected or real I/O
         error — :attr:`Resolution.transient`) are resubmitted up to
-        ``retry_budget`` extra rounds, each round paced by exponential
-        backoff with deterministic jitter; deterministic simulation
-        failures are never retried (they would fail identically and
-        burn the budget for nothing).
+        :data:`~repro.jobs.backoff.RETRY_BUDGET` extra rounds, each round
+        paced by exponential backoff with deterministic jitter;
+        deterministic simulation failures are never retried (they would
+        fail identically and burn the budget for nothing).
         """
         retry_metric = default_registry().labeled_counter(
             "repro_jobs_retries_total",
@@ -307,15 +291,14 @@ class JobRunner:
             "outcome")
         by_key: dict[str, Resolution] = {}
         pending = list(misses)
-        for attempt in range(self.retry_budget + 1):
+        budget = backoff.RETRY_BUDGET
+        for attempt in range(budget + 1):
             if not pending:
                 break
             if attempt > 0:
                 # One sleep per round: the longest of the pending keys'
                 # deterministic schedules (per-key sleeps would stack).
-                delay = max(backoff_delay(key, attempt,
-                                          base=self.backoff_base,
-                                          cap=self.backoff_cap)
+                delay = max(backoff.backoff_delay(key, attempt)
                             for key, _ in pending)
                 _log.warning("retrying transient failures",
                              extra={"jobs": len(pending),
@@ -328,7 +311,7 @@ class JobRunner:
             retry_next: list[tuple[str, JobSpec]] = []
             for (key, spec), resolution in zip(pending, resolutions):
                 if (not resolution.ok and resolution.transient
-                        and attempt < self.retry_budget):
+                        and attempt < budget):
                     retry_metric.inc("attempt")
                     with span("jobs.retry", key=key, attempt=attempt + 1,
                               error=resolution.error):

@@ -12,10 +12,7 @@ Four instrument kinds, matching what the Prometheus text exposition
 * :class:`Counter` — monotonic total;
 * :class:`LabeledCounter` — counter family with one label dimension;
 * :class:`Gauge` — value that goes up and down;
-* :class:`Histogram` — fixed-bucket cumulative histogram, with
-  optional *exemplar* labels (the last observation's label per bucket,
-  kept in memory for debugging; the 0.0.4 text format cannot carry
-  them, so they never appear in the rendered exposition).
+* :class:`Histogram` — fixed-bucket cumulative histogram.
 
 Every mutation takes the instrument's lock, so N threads incrementing
 concurrently lose nothing — the registry is shared between the serving
@@ -148,16 +145,10 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket cumulative histogram (Prometheus semantics).
-
-    ``observe`` optionally takes an *exemplar* — a short label (a spec
-    key, a scenario name) identifying the observation.  The last
-    exemplar per bucket is retained and available via
-    :attr:`exemplars`; the text exposition does not carry them.
-    """
+    """Fixed-bucket cumulative histogram (Prometheus semantics)."""
 
     __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count",
-                 "_exemplars", "_lock")
+                 "_lock")
 
     def __init__(self, name: str, help_text: str,
                  buckets: Iterable[float] = LATENCY_BUCKETS) -> None:
@@ -167,10 +158,9 @@ class Histogram:
         self._counts = [0] * len(self.buckets)
         self._sum = 0.0
         self._count = 0
-        self._exemplars: dict[float, str] = {}
         self._lock = threading.Lock()
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         with self._lock:
             self._sum += value
             self._count += 1
@@ -178,11 +168,7 @@ class Histogram:
             for i, bound in enumerate(self.buckets):
                 if value <= bound:
                     self._counts[i] += 1
-                    if exemplar is not None:
-                        self._exemplars[bound] = exemplar
                     return
-            if exemplar is not None:
-                self._exemplars[math.inf] = exemplar
 
     @property
     def count(self) -> int:
@@ -191,11 +177,6 @@ class Histogram:
     @property
     def sum(self) -> float:
         return self._sum
-
-    @property
-    def exemplars(self) -> dict[float, str]:
-        """Last exemplar label per bucket bound (``inf`` = overflow)."""
-        return dict(self._exemplars)
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {self.help}",

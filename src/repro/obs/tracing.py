@@ -120,8 +120,8 @@ class Span:
 class SpanRecorder:
     """Bounded in-memory span store with an optional JSONL sink."""
 
-    def __init__(self, capacity: int = MAX_RECORDED_SPANS) -> None:
-        self._spans: deque[Span] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._spans: deque[Span] = deque(maxlen=MAX_RECORDED_SPANS)
         self._lock = threading.Lock()
         self._sink: Path | None = None
         #: True once a sink write failed: spans still land in the ring,

@@ -45,24 +45,16 @@ _log = get_logger("serve")
 
 
 class CircuitBreaker:
-    """The deterministic state machine described in the module docstring.
-
-    ``threshold=0`` disables the breaker entirely: :meth:`allow` always
-    admits and outcomes are ignored.
-    """
+    """The deterministic state machine described in the module docstring."""
 
     def __init__(self, threshold: int = 5, probe_after: int = 8) -> None:
-        self.threshold = max(0, threshold)
+        self.threshold = max(1, threshold)
         self.probe_after = max(1, probe_after)
         self._state = STATE_CLOSED
         self._consecutive_failures = 0
         self._sheds_while_open = 0
         self._probe_outstanding = False
         self._lock = threading.Lock()
-
-    @property
-    def enabled(self) -> bool:
-        return self.threshold > 0
 
     @property
     def state(self) -> str:
@@ -76,8 +68,6 @@ class CircuitBreaker:
         arrival probes.  While half-open, exactly one caller is
         admitted (the probe); the rest are denied until it resolves.
         """
-        if not self.enabled:
-            return True
         with self._lock:
             if self._state == STATE_CLOSED:
                 return True
@@ -94,8 +84,6 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """A batch served at least one request."""
-        if not self.enabled:
-            return
         with self._lock:
             self._consecutive_failures = 0
             self._probe_outstanding = False
@@ -104,8 +92,6 @@ class CircuitBreaker:
 
     def record_failure(self) -> None:
         """A batch failed outright (every request unserved)."""
-        if not self.enabled:
-            return
         with self._lock:
             self._probe_outstanding = False
             if self._state == STATE_HALF_OPEN:
@@ -123,8 +109,6 @@ class CircuitBreaker:
         the next arrival probes immediately instead of waiting out the
         shed budget.
         """
-        if not self.enabled:
-            return
         with self._lock:
             if self._state == STATE_OPEN:
                 self._transition(STATE_HALF_OPEN)

@@ -31,9 +31,6 @@ class ServeConfig:
     #: bound port is reported by ``ExperimentServer.port`` after start.
     host: str = "127.0.0.1"
     port: int = 0
-    #: Extra bind attempts when the port is racily taken (EADDRINUSE)
-    #: before startup fails — CI runs many servers on one host.
-    bind_retries: int = 3
 
     # -- admission control ---------------------------------------------
     #: Maximum cache-miss requests queued for simulation.  When the
@@ -76,8 +73,7 @@ class ServeConfig:
 
     # -- circuit breaker -----------------------------------------------
     #: Consecutive totally-failed batches that trip the pipeline's
-    #: circuit breaker to fast-shed (:mod:`repro.serve.breaker`);
-    #: 0 disables the breaker.
+    #: circuit breaker to fast-shed (:mod:`repro.serve.breaker`).
     breaker_threshold: int = 5
     #: Shed decisions while open before the breaker half-opens to
     #: probe the backend with one real batch.
@@ -100,9 +96,11 @@ class ServeConfig:
             raise ServeError("retry_after must be >= 0")
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ServeError("request_timeout must be positive")
-        if self.bind_retries < 0:
-            raise ServeError("bind_retries must be >= 0")
-        if self.breaker_threshold < 0:
-            raise ServeError("breaker_threshold must be >= 0")
+        if self.jobs < 1:
+            raise ServeError("jobs must be >= 1")
+        if self.job_timeout is not None and self.job_timeout <= 0:
+            raise ServeError("job_timeout must be positive")
+        if self.breaker_threshold < 1:
+            raise ServeError("breaker_threshold must be >= 1")
         if self.breaker_probe_after < 1:
             raise ServeError("breaker_probe_after must be >= 1")

@@ -23,8 +23,8 @@ from repro.obs.registry import MetricsRegistry
 class ServeMetrics:
     """The experiment server's instrument panel."""
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.requests = self.registry.labeled_counter(
             "repro_serve_requests_total",
             "HTTP requests received, by endpoint.", "endpoint")

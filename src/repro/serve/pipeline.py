@@ -328,7 +328,7 @@ class RequestPipeline:
         default_registry().histogram(
             "repro_serve_batch_seconds",
             "Wall-clock latency of one JobRunner batch submission."
-        ).observe(elapsed, exemplar=batch[0].key)
+        ).observe(elapsed)
         self._finish(batch, resolutions)
 
     # -- adaptive Retry-After -----------------------------------------

@@ -49,6 +49,15 @@ def _require_number(data: dict, key: str, default: float,
     return float(value)
 
 
+def _require_int(data: dict, key: str, default: int, minimum: int) -> int:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeRequestError(f"{key!r} must be an integer")
+    if value < minimum:
+        raise ServeRequestError(f"{key!r} must be >= {minimum}")
+    return value
+
+
 def machine_from_request(data: dict) -> MachineConfig:
     """Build the machine: the Table 1 baseline plus request overrides."""
     overrides = data.get("machine", {})
@@ -95,10 +104,9 @@ def workload_from_request(data: dict) -> WorkloadRef:
     try:
         return WorkloadRef.synthetic(
             cs_fraction=_require_number(synthetic, "cs_fraction", 0.0, 0.0),
-            bus_lines=int(_require_number(synthetic, "bus_lines", 0, 0)),
-            iterations=int(_require_number(synthetic, "iterations", 128, 1)),
-            compute_instr=int(
-                _require_number(synthetic, "compute_instr", 20_000, 1)),
+            bus_lines=_require_int(synthetic, "bus_lines", 0, 0),
+            iterations=_require_int(synthetic, "iterations", 128, 1),
+            compute_instr=_require_int(synthetic, "compute_instr", 20_000, 1),
             name=str(synthetic.get("name", "synthetic")))
     except JobError as exc:
         raise ServeRequestError(str(exc))

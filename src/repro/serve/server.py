@@ -73,6 +73,15 @@ HTTP_STATUS = {
     STATUS_PREFLIGHT: 422,
 }
 
+#: Extra bind attempts when the port is racily taken (EADDRINUSE)
+#: before startup fails — CI runs many servers on one host.
+BIND_RETRIES = 3
+
+#: Paths that are their own ``endpoint`` label; any other path is
+#: ``other``, so request input cannot grow ``/metrics``.
+_ROUTES = frozenset(("/v1/run", "/v1/sweep", "/v1/fdt", "/healthz",
+                     "/metrics"))
+
 _log = get_logger("serve")
 
 
@@ -125,11 +134,11 @@ class ExperimentServer:
         A requested (non-ephemeral) port can be racily taken between
         the caller's check and our bind — TIME_WAIT stragglers, test
         suites cycling servers on one host.  EADDRINUSE is retried up
-        to ``config.bind_retries`` times with a short growing pause
+        to :data:`BIND_RETRIES` times with a short growing pause
         before startup fails; any other bind error fails immediately.
         """
         await self.pipeline.start()
-        for attempt in range(self.config.bind_retries + 1):
+        for attempt in range(BIND_RETRIES + 1):
             try:
                 self._server = await asyncio.start_server(
                     self._handle_connection, host=self.config.host,
@@ -137,7 +146,7 @@ class ExperimentServer:
                 break
             except OSError as exc:
                 if (exc.errno != errno.EADDRINUSE
-                        or attempt >= self.config.bind_retries):
+                        or attempt >= BIND_RETRIES):
                     raise
                 _log.warning("bind failed: address in use; retrying",
                              extra={"port": self.config.port,
@@ -276,7 +285,7 @@ class ExperimentServer:
     def _endpoint_label(path: str) -> str:
         if path.startswith("/v1/result/"):
             return "/v1/result"
-        return path
+        return path if path in _ROUTES else "other"
 
     async def _dispatch(self, request: HttpRequest
                         ) -> tuple[int, dict, dict[str, str], bytes | None]:

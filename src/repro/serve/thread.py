@@ -24,16 +24,17 @@ from repro.serve.config import ServeConfig
 from repro.serve.pipeline import RunnerFactory
 from repro.serve.server import ExperimentServer
 
+#: Seconds :meth:`ServerThread.start` waits for the server to bind.
+STARTUP_TIMEOUT = 10.0
+
 
 class ServerThread:
     """An :class:`ExperimentServer` running on its own loop thread."""
 
     def __init__(self, config: ServeConfig | None = None,
-                 runner_factory: RunnerFactory | None = None,
-                 startup_timeout: float = 10.0) -> None:
+                 runner_factory: RunnerFactory | None = None) -> None:
         self.config = config or ServeConfig(port=0)
         self._runner_factory = runner_factory
-        self._startup_timeout = startup_timeout
         self._ready = threading.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self.server: ExperimentServer | None = None
@@ -46,7 +47,7 @@ class ServerThread:
 
     def start(self) -> "ServerThread":
         self._thread.start()
-        if not self._ready.wait(self._startup_timeout):
+        if not self._ready.wait(STARTUP_TIMEOUT):
             raise ServeError("server thread did not start in time")
         if self._error is not None:
             raise ServeError(f"server failed to start: {self._error}")

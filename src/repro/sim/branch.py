@@ -28,23 +28,21 @@ class BranchStats:
 class GsharePredictor:
     """Gshare: global-history XOR PC indexing into 2-bit counters.
 
+    The global history register is log2(entries) bits long, so history
+    fully covers the index.
+
     Args:
         entries: number of 2-bit counters; must be a power of two.
-        history_bits: length of the global history register; defaults to
-            log2(entries) so history fully covers the index.
     """
 
-    __slots__ = ("_table", "_mask", "_history", "_history_mask", "stats")
+    __slots__ = ("_table", "_mask", "_history", "stats")
 
-    def __init__(self, entries: int = 16384, history_bits: int | None = None) -> None:
+    def __init__(self, entries: int = 16384) -> None:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
         self._table = bytearray(b"\x02") * entries  # init weakly taken
         self._mask = entries - 1
-        if history_bits is None:
-            history_bits = entries.bit_length() - 1
         self._history = 0
-        self._history_mask = (1 << history_bits) - 1
         self.stats = BranchStats()
 
     def _index(self, pc: int) -> int:
@@ -67,7 +65,7 @@ class GsharePredictor:
             self._table[idx] = counter + 1
         elif not taken and counter > 0:
             self._table[idx] = counter - 1
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+        self._history = ((self._history << 1) | int(taken)) & self._mask
         self.stats.predictions += 1
         correct = prediction == taken
         if not correct:

@@ -5,17 +5,17 @@ triples in one binary heap, ordered by time with a monotone sequence
 number breaking ties, so two runs of the same program produce
 bit-identical schedules.
 
-*Run-ahead.*  Inside the unbounded, sampler-free :meth:`EventQueue.run`
-drain the queue raises :attr:`EventQueue.run_ahead`.  While it is up, a
+*Run-ahead.*  When no ``sampler`` is attached, :meth:`EventQueue.run`
+raises :attr:`EventQueue.run_ahead` for the drain.  While it is up, a
 callback about to schedule *itself* at a time strictly earlier than
 every pending event may set :attr:`EventQueue.now` to that time and
 carry on instead: the queue would have handed exactly that event
 straight back.  Strict ``<`` leaves every same-cycle tie to the heap's
 ``(time, seq)`` order, and since no sequence number is consumed the
 relative order of all other events is unchanged.  The core's step
-(``repro.sim.core``) is the one user; ``run(until=...)``, ``step()``
-and any drain with a ``sampler`` attached never run ahead, because a
-bound or an observer has to see every advance.
+(``repro.sim.core``) is the one user; a drain with a ``sampler``
+attached never runs ahead, because the observer has to see every
+advance.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class EventQueue:
         self.seq = 0
         #: Current simulation time in cpu cycles.
         self.now = 0
-        #: True only inside the unbounded, sampler-free :meth:`run`
-        #: drain (see the module docstring).
+        #: True only inside a sampler-free :meth:`run` drain (see the
+        #: module docstring).
         self.run_ahead = False
         #: Optional pure observer notified (``on_advance(when)``) just
         #: before the clock advances to each event's cycle — how the
@@ -70,38 +70,19 @@ class EventQueue:
         self.seq = seq + 1
         heapq.heappush(self.heap, (when, seq, callback))
 
-    def schedule_in(self, delay: int, callback: Callback) -> None:
-        """Schedule ``callback`` to run ``delay`` cycles from now."""
-        self.schedule(self.now + delay, callback)
-
     def __len__(self) -> int:
         return len(self.heap)
 
-    def _clamp(self, until: int) -> None:
-        """Advance the clock to ``until`` with no event firing there.
-
-        The sampler still observes the advance: counter samples at
-        boundaries in ``(now, until]`` must exist whether or not an
-        event happens to land on the bound.
-        """
-        if until > self.now:
-            if self.sampler is not None:
-                self.sampler.on_advance(until)
-            self.now = until
-
-    def run(self, until: int | None = None) -> None:
+    def run(self) -> None:
         """Drain the queue, advancing :attr:`now` event by event.
 
-        Args:
-            until: optional cycle bound; events scheduled after it stay
-                queued and :attr:`now` is clamped to ``until``.
+        Without a sampler callbacks may run ahead of the queue; with
+        one, it is told each advance before the event there fires.
         """
         heap = self.heap
-        if until is None and self.sampler is None:
-            # Specialized drain for the dominant call (run_parallel):
-            # no bound to check and no observer to notify per event, so
-            # callbacks may run ahead of the queue.
-            pop = heapq.heappop
+        pop = heapq.heappop
+        sampler = self.sampler
+        if sampler is None:
             self.run_ahead = True
             try:
                 while heap:
@@ -113,24 +94,8 @@ class EventQueue:
                 self.run_ahead = False
             return
         while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                break
-            self._fire()
-        if until is not None:
-            self._clamp(until)
-
-    def _fire(self) -> None:
-        """Pop and run the earliest event, telling the sampler first."""
-        when, _seq, callback = heapq.heappop(self.heap)
-        if self.sampler is not None and when > self.now:
-            self.sampler.on_advance(when)
-        self.now = when
-        callback()
-
-    def step(self) -> bool:
-        """Run the single earliest event.  Returns False if queue is empty."""
-        if not self.heap:
-            return False
-        self._fire()
-        return True
+            when, _seq, callback = pop(heap)
+            if when > self.now:
+                sampler.on_advance(when)
+            self.now = when
+            callback()

@@ -1,8 +1,8 @@
 """Shared, banked L3 cache (Table 1: 8 MB, 8-way, 8 banks, 20 cycles).
 
 Banks are line-interleaved.  Each bank is a reserved resource: it accepts
-a new request every ``bank_occupancy`` cycles (the bank is pipelined, so
-occupancy is shorter than the 20-cycle access latency).
+a new request every :data:`BANK_OCCUPANCY` cycles (the bank is
+pipelined, so occupancy is shorter than the 20-cycle access latency).
 """
 
 from __future__ import annotations
@@ -10,13 +10,16 @@ from __future__ import annotations
 from repro.sim.cache import SetAssocCache
 from repro.sim.config import MachineConfig
 
+#: Cycles between two requests a bank accepts.
+BANK_OCCUPANCY = 4
+
 
 class L3Bank:
     """One bank of the shared L3: a tag store plus a reservation clock."""
 
     __slots__ = ("index", "cache", "latency", "occupancy", "_free")
 
-    def __init__(self, index: int, config: MachineConfig, bank_occupancy: int = 4) -> None:
+    def __init__(self, index: int, config: MachineConfig) -> None:
         self.index = index
         self.cache = SetAssocCache(
             size_bytes=config.l3_bytes // config.l3_banks,
@@ -25,7 +28,7 @@ class L3Bank:
             name=f"l3.bank{index}",
         )
         self.latency = config.l3_latency
-        self.occupancy = bank_occupancy
+        self.occupancy = BANK_OCCUPANCY
         self._free = 0
 
     def start_access(self, now: int) -> int:

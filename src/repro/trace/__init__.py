@@ -47,7 +47,6 @@ from repro.trace.data import (
     Mark,
     Span,
     Trace,
-    TraceConfig,
 )
 from repro.trace.export import (
     counters_csv,
@@ -71,7 +70,6 @@ __all__ = [
     "Mark",
     "Span",
     "Trace",
-    "TraceConfig",
     "TraceRecorder",
     "TracedRun",
     "counters_csv",

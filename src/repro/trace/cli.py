@@ -3,8 +3,8 @@ attached and export its Perfetto / CSV / decision-log artifacts::
 
     python -m repro trace PageMine --out tr/     # record + export a trace
 
-Registration imports only the trace configuration; the handler imports
-what it drives.
+Registration imports only the recorder's default sample interval; the
+handler imports what it drives.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import json
 
 from repro.fdt.policies import POLICIES
-from repro.trace.data import TraceConfig
+from repro.trace.recorder import SAMPLE_INTERVAL
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -24,10 +24,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     spec = get(args.workload)
-    trace_config = TraceConfig(sample_interval=args.sample_interval)
     policy = PolicySpec(args.policy, args.threads).build()
     traced = run_traced(spec.build(args.scale), policy, config,
-                        trace_config=trace_config)
+                        sample_interval=args.sample_interval)
     paths = write_artifacts(traced.trace, args.out)
     if args.json:
         t = traced.trace
@@ -67,7 +66,7 @@ def register(sub: argparse._SubParsersAction,
     p_trace.add_argument("--threads", type=int, default=None,
                          help="thread count for --policy static")
     p_trace.add_argument("--sample-interval", type=int, metavar="CYCLES",
-                         default=TraceConfig().sample_interval,
+                         default=SAMPLE_INTERVAL,
                          help="counter-sample spacing (default %(default)s)")
     p_trace.add_argument("--out", default="trace-out", metavar="DIR",
                          help="artifact directory (default: trace-out)")

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
-
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.fdt.estimators import Decision
 
@@ -107,50 +105,18 @@ class Mark:
                 "cycle": self.cycle, "args": dict(self.args)}
 
 
-@dataclass(frozen=True, slots=True)
-class TraceConfig:
-    """Knobs of the cycle-level tracer (``TraceRecorder(TraceConfig(...))``).
-
-    The tracer is a pure observer: it never schedules events or changes
-    timing, so cycle counts are identical with it attached or not.
-    """
-
-    #: Record the per-core state timeline (compute / critical-section /
-    #: lock-spin / barrier-wait / memory-stall spans).
-    timeline: bool = True
-    #: Sample machine counters every :attr:`sample_interval` cycles.
-    counters: bool = True
-    #: Record FDT training samples and thread-count decisions.
-    decisions: bool = True
-    #: Cycles between counter samples.
-    sample_interval: int = 1000
-    #: Memory stalls shorter than this many cycles are not recorded
-    #: (keeps L2-miss noise out of the timeline; 0 records everything).
-    min_mem_stall_cycles: int = 8
-    #: Cap on recorded timeline spans and on counter samples (each
-    #: bounded separately; further ones are counted but dropped).
-    max_events: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.sample_interval < 1:
-            raise ConfigError("sample_interval must be >= 1")
-        if self.min_mem_stall_cycles < 0:
-            raise ConfigError("min_mem_stall_cycles must be >= 0")
-        if self.max_events < 1:
-            raise ConfigError("max_events must be >= 1")
-
-
 @dataclass(slots=True)
 class Trace:
     """Everything one traced machine recorded."""
 
-    config: TraceConfig
+    #: Cycles between counter samples.
+    sample_interval: int
     num_cores: int
     spans: list[Span] = field(default_factory=list)
     samples: list[CounterSample] = field(default_factory=list)
     marks: list[Mark] = field(default_factory=list)
     decisions: list[Decision] = field(default_factory=list)
-    #: Spans/samples discarded after :attr:`TraceConfig.max_events`.
+    #: Spans/samples discarded after :data:`repro.trace.recorder.MAX_EVENTS`.
     dropped_spans: int = 0
     dropped_samples: int = 0
     #: Last cycle the recorder observed.

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
+from repro.errors import ConfigError
 from repro.sim.observer import SimObserver
 from repro.trace.data import (
     STATE_BARRIER_WAIT,
@@ -29,7 +30,6 @@ from repro.trace.data import (
     Mark,
     Span,
     Trace,
-    TraceConfig,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -37,15 +37,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.fdt.training import TrainingSample
     from repro.sim.machine import Machine
 
+#: Cycles between counter samples unless the caller names another
+#: spacing (``repro trace --sample-interval``).
+SAMPLE_INTERVAL = 1000
+#: Memory stalls shorter than this many cycles are not recorded (keeps
+#: L2-miss noise out of the timeline).  Read at call time.
+MIN_MEM_STALL_CYCLES = 8
+#: Cap on recorded timeline spans and on counter samples (each bounded
+#: separately; further ones are counted but dropped).  Read at call time.
+MAX_EVENTS = 1_000_000
+
 
 class TraceRecorder(SimObserver):
-    """Records timeline spans, counter samples, and FDT decisions."""
+    """Records timeline spans, a counter sample every
+    ``sample_interval`` cycles (a :class:`ConfigError` below 1), and FDT
+    decisions."""
 
-    def __init__(self, config: TraceConfig | None = None) -> None:
-        self.config = config = config or TraceConfig()
-        self.data = Trace(config=config, num_cores=0)
+    def __init__(self, sample_interval: int = SAMPLE_INTERVAL) -> None:
+        if sample_interval < 1:
+            raise ConfigError("sample_interval must be >= 1")
+        self.data = Trace(sample_interval=sample_interval, num_cores=0)
         #: Next counter-sample boundary cycle.
-        self._next_sample = config.sample_interval
+        self._next_sample = sample_interval
         #: Open lock-wait intervals: (agent, lock_id) -> spin start.
         self._lock_waits: dict[tuple[int, int], int] = {}
         #: Open critical sections: (agent, lock_id) -> grant cycle.
@@ -56,8 +69,7 @@ class TraceRecorder(SimObserver):
     def on_attach(self, machine: "Machine") -> None:
         self.machine = machine
         self.data.num_cores = machine.config.num_cores
-        if self.config.counters:
-            machine.events.sampler = self
+        machine.events.sampler = self
 
     def on_detach(self) -> None:
         del self.machine
@@ -69,12 +81,12 @@ class TraceRecorder(SimObserver):
 
     def _add_span(self, core: int, agent: int, state: str, start: int,
                   end: int, detail: str = "") -> None:
-        if end <= start or not self.config.timeline:
+        if end <= start:
             return
         data = self.data
         if end > data.final_cycle:
             data.final_cycle = end
-        if len(data.spans) >= self.config.max_events:
+        if len(data.spans) >= MAX_EVENTS:
             data.dropped_spans += 1
             return
         data.spans.append(Span(core=core, agent=agent, state=state,
@@ -99,11 +111,11 @@ class TraceRecorder(SimObserver):
         """
         while self._next_sample <= now:
             self._emit_sample(self._next_sample)
-            self._next_sample += self.config.sample_interval
+            self._next_sample += self.data.sample_interval
 
     def _emit_sample(self, cycle: int) -> None:
         data = self.data
-        if len(data.samples) >= self.config.max_events:
+        if len(data.samples) >= MAX_EVENTS:
             data.dropped_samples += 1
             return
         m = self.machine
@@ -149,7 +161,7 @@ class TraceRecorder(SimObserver):
 
     def on_mem_access(self, core: int, line: int, is_write: bool,
                       start: int, end: int) -> None:
-        if end - start < self.config.min_mem_stall_cycles:
+        if end - start < MIN_MEM_STALL_CYCLES:
             return
         kind = "store" if is_write else "load"
         self._add_span(core, core, STATE_MEMORY_STALL, start, end,
@@ -196,14 +208,10 @@ class TraceRecorder(SimObserver):
 
     def on_training_sample(self, kernel_name: str,
                            sample: "TrainingSample") -> None:
-        if not self.config.decisions:
-            return
         self._add_mark("training", f"{kernel_name} iter {sample.iteration}",
                        self.machine.events.now, asdict(sample))
 
     def on_fdt_decision(self, decision: "Decision") -> None:
-        if not self.config.decisions:
-            return
         self.data.decisions.append(decision)
         estimates = decision.estimates
         self._add_mark("decision", f"{decision.kernel_name}: "

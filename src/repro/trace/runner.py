@@ -17,8 +17,8 @@ from repro.fdt.policies import ThreadingPolicy
 from repro.fdt.runner import Application, AppRunResult, run_application
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.trace.data import Trace, TraceConfig
-from repro.trace.recorder import TraceRecorder
+from repro.trace.data import Trace
+from repro.trace.recorder import SAMPLE_INTERVAL, TraceRecorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,19 +31,19 @@ class TracedRun:
 
 def run_traced(app: Application, policy: ThreadingPolicy,
                config: MachineConfig | None = None,
-               trace_config: TraceConfig | None = None) -> TracedRun:
+               sample_interval: int = SAMPLE_INTERVAL) -> TracedRun:
     """Run ``app`` under ``policy`` on a machine that records a trace.
 
     Args:
         app: the application to execute.
         policy: threading policy driving the run.
         config: machine configuration (baseline when omitted).
-        trace_config: tracer knobs (defaults when omitted).
+        sample_interval: cycles between counter samples.
 
     Returns:
         The run result and the recorded trace.
     """
-    recorder = TraceRecorder(trace_config)
+    recorder = TraceRecorder(sample_interval)
     with Machine(config, observers=[recorder]) as machine:
         result = run_application(app, policy, machine=machine)
     return TracedRun(result=result, trace=recorder.data)

@@ -39,6 +39,15 @@ def _isolated_result_cache(tmp_path, monkeypatch) -> None:
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 
 
+@pytest.fixture
+def fast_backoff(monkeypatch) -> None:
+    """Retry rounds a millisecond apart, so a retrying test barely
+    sleeps (the pacing is a module constant, read at call time)."""
+    from repro.jobs import backoff
+
+    monkeypatch.setattr(backoff, "BACKOFF_BASE", 0.001)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _unfilled_sentinel_stays_empty():
     """Every unfilled set of every cache in the process is this one

@@ -114,14 +114,6 @@ def test_note_drain_half_opens_only_while_open():
     assert breaker.state == STATE_HALF_OPEN
 
 
-def test_threshold_zero_disables_the_breaker():
-    breaker = CircuitBreaker(threshold=0)
-    assert not breaker.enabled
-    for _ in range(10):
-        breaker.record_failure()
-    assert breaker.state == STATE_CLOSED and breaker.allow()
-
-
 def test_to_dict_snapshot():
     breaker = CircuitBreaker(threshold=4, probe_after=6)
     breaker.record_failure()

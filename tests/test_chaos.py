@@ -22,6 +22,7 @@ from repro.faults.chaos import (
     run_chaos_serve,
 )
 from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
+from repro.jobs import backoff
 from repro.sim.config import MachineConfig
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
@@ -45,11 +46,11 @@ def _serve_spec(iterations: int = 8) -> JobSpec:
 
 # -- hardened recovery paths ------------------------------------------
 
-def test_runner_retries_transient_crash_with_backoff(tmp_path):
+def test_runner_retries_transient_crash_with_backoff(tmp_path,
+                                                     fast_backoff):
     plan = FaultPlan(rules=(
         FaultRule(site="executor.job", kind="crash", max_fires=1),))
-    runner = JobRunner(cache=ResultCache(tmp_path / "c"),
-                       backoff_base=0.001)
+    runner = JobRunner(cache=ResultCache(tmp_path / "c"))
     with injected(plan) as injector:
         (resolution,) = runner.resolve([_spec()])
         assert injector.firing_count() == 1
@@ -57,11 +58,12 @@ def test_runner_retries_transient_crash_with_backoff(tmp_path):
     assert resolution.result is not None
 
 
-def test_runner_gives_up_after_the_retry_budget(tmp_path):
+def test_runner_gives_up_after_the_retry_budget(tmp_path, fast_backoff,
+                                                 monkeypatch):
+    monkeypatch.setattr(backoff, "RETRY_BUDGET", 2)
     plan = FaultPlan(rules=(
         FaultRule(site="executor.job", kind="crash"),))  # every attempt
-    runner = JobRunner(cache=ResultCache(tmp_path / "c"),
-                       backoff_base=0.001, retry_budget=2)
+    runner = JobRunner(cache=ResultCache(tmp_path / "c"))
     with injected(plan) as injector:
         (resolution,) = runner.resolve([_spec()])
         # Initial attempt plus the whole retry budget, then surrender.
@@ -70,17 +72,19 @@ def test_runner_gives_up_after_the_retry_budget(tmp_path):
     assert "injected crash" in resolution.error
 
 
-def test_runner_run_raises_but_never_crashes_on_exhausted_budget(tmp_path):
+def test_runner_run_raises_but_never_crashes_on_exhausted_budget(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(backoff, "RETRY_BUDGET", 0)
     plan = FaultPlan(rules=(
         FaultRule(site="executor.job", kind="crash"),))
-    runner = JobRunner(cache=ResultCache(tmp_path / "c"),
-                       backoff_base=0.001, retry_budget=0)
+    runner = JobRunner(cache=ResultCache(tmp_path / "c"))
     with injected(plan):
         with pytest.raises(JobError):
             runner.run([_spec()])
 
 
-def test_deterministic_sim_failures_are_never_retried(tmp_path, monkeypatch):
+def test_deterministic_sim_failures_are_never_retried(tmp_path, monkeypatch,
+                                                      fast_backoff):
     # A ReproError from the simulation fails identically every time;
     # burning the retry budget on it would only slow the batch down.
     from repro.errors import ReproError
@@ -93,8 +97,8 @@ def test_deterministic_sim_failures_are_never_retried(tmp_path, monkeypatch):
         raise ReproError("deadlock: provably stuck")
 
     monkeypatch.setattr(executor, "_execute_payload", deterministic_failure)
-    runner = JobRunner(cache=ResultCache(tmp_path / "c"),
-                       backoff_base=0.001, retry_budget=3)
+    monkeypatch.setattr(backoff, "RETRY_BUDGET", 3)
+    runner = JobRunner(cache=ResultCache(tmp_path / "c"))
     (resolution,) = runner.resolve([_spec()])
     assert resolution.status == "failed"
     assert calls["n"] == 1  # no retries

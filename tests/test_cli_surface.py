@@ -37,7 +37,7 @@ from repro.faults.chaos import (
 from repro.jobs import JobRunner
 from repro.serve import AsyncServeClient, ServeConfig, run_loadgen
 from repro.serve.cli import serve_config
-from repro.trace import TraceConfig
+from repro.trace import TraceRecorder
 
 
 def _leaves(parser, path=()):
@@ -118,7 +118,7 @@ def test_flag_defaults_are_the_config_and_library_defaults():
     assert (serve.port, config.port) == (8080, 0)
 
     trace = parser.parse_args(["trace", "EP"])
-    assert trace.sample_interval == TraceConfig().sample_interval
+    assert trace.sample_interval == _param(TraceRecorder, "sample_interval")
 
     loadgen = parser.parse_args(["loadgen"])
     assert loadgen.rps == _param(run_loadgen, "rps")

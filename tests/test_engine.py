@@ -58,44 +58,6 @@ def test_schedule_at_current_time_is_allowed():
     assert seen == ["nested"]
 
 
-def test_schedule_in_is_relative():
-    q = EventQueue()
-    q.schedule(10, lambda: q.schedule_in(5, lambda: None))
-    q.run()
-    assert q.now == 15
-
-
-def test_run_until_leaves_future_events_queued():
-    q = EventQueue()
-    seen = []
-    q.schedule(10, lambda: seen.append(10))
-    q.schedule(100, lambda: seen.append(100))
-    q.run(until=50)
-    assert seen == [10]
-    assert q.now == 50
-    assert len(q) == 1
-    q.run()
-    assert seen == [10, 100]
-
-
-def test_run_until_with_empty_queue_advances_clock():
-    q = EventQueue()
-    q.run(until=42)
-    assert q.now == 42
-
-
-def test_step_runs_one_event():
-    q = EventQueue()
-    seen = []
-    q.schedule(1, lambda: seen.append(1))
-    q.schedule(2, lambda: seen.append(2))
-    assert q.step() is True
-    assert seen == [1]
-    assert q.step() is True
-    assert q.step() is False
-    assert seen == [1, 2]
-
-
 def test_events_scheduled_during_run_execute():
     q = EventQueue()
     seen = []
@@ -140,39 +102,12 @@ def test_sampler_observes_every_advance():
     assert sampler.advances == [3, 9]
 
 
-def test_run_until_clamp_notifies_sampler():
-    """Clamping to ``until`` is a clock advance like any other: the
-    sampler must see it whether or not an event lands on the bound,
-    and whether or not any event fired during the run at all."""
-    q = EventQueue()
-    q.sampler = sampler = _RecordingSampler()
-    q.schedule(10, lambda: None)
-    q.schedule(100, lambda: None)
-    q.run(until=50)
-    assert q.now == 50
-    assert sampler.advances == [10, 50]
-
-    # Empty-drain clamp: no event before the bound.
-    q.run(until=80)
-    assert q.now == 80
-    assert sampler.advances == [10, 50, 80]
-
-    # No regression to a time already reached: until == now is a no-op.
-    q.run(until=80)
-    assert sampler.advances == [10, 50, 80]
-
-    q.run()
-    assert sampler.advances == [10, 50, 80, 100]
-
-
-def test_step_notifies_sampler_only_on_advance():
+def test_sampler_is_not_told_of_an_event_at_the_current_cycle():
     q = EventQueue()
     q.sampler = sampler = _RecordingSampler()
     q.schedule(0, lambda: None)  # fires at the current cycle
     q.schedule(4, lambda: None)
-    q.step()
-    assert sampler.advances == []
-    q.step()
+    q.run()
     assert sampler.advances == [4]
 
 
@@ -207,9 +142,9 @@ _events = st.recursive(
     max_leaves=12)
 
 
-def _model(roots, until):
+def _model(roots):
     """The queue's contract, spelled out on a list scanned for its
-    minimum: ``(fired order, advances, final now, events left)``."""
+    minimum: ``(fired order, advances, final now)``."""
     pending, fired, advances = [], [], []
     now = 0
     for delay, kids in roots:
@@ -217,8 +152,6 @@ def _model(roots, until):
     inserted = len(pending)
     while pending:
         when, index, kids = entry = min(pending)  # indices are unique
-        if until is not None and when > until:
-            break
         pending.remove(entry)
         if when > now:
             advances.append(when)
@@ -227,25 +160,16 @@ def _model(roots, until):
         for delay, grandkids in kids:
             pending.append((now + delay, inserted, grandkids))
             inserted += 1
-    if until is not None and until > now:
-        advances.append(until)
-        now = until
-    return fired, advances, now, len(pending)
+    return fired, advances, now
 
 
-@given(roots=st.lists(_events, max_size=6),
-       until=st.none() | st.integers(0, 20),
-       with_sampler=st.booleans(), stepwise=st.booleans())
+@given(roots=st.lists(_events, max_size=6), with_sampler=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_queue_fires_in_time_then_insertion_order(roots, until,
-                                                  with_sampler, stepwise):
+def test_queue_fires_in_time_then_insertion_order(roots, with_sampler):
     """Random schedules, whose callbacks schedule more at ``now`` and
-    ``now + k``, fire in exactly sorted ``(when, insertion order)`` under
-    every way of draining; the past is refused; ``run(until)`` clamps
-    and keeps the rest; the sampler sees every advance; ``step()`` fires
-    one event; run-ahead is offered only by the plain ``run()``."""
-    if stepwise:
-        until = None
+    ``now + k``, fire in exactly sorted ``(when, insertion order)`` with
+    or without a sampler; the past is refused; the sampler sees every
+    advance; run-ahead is offered only when no sampler is attached."""
     q = EventQueue()
     sampler = _RecordingSampler()
     if with_sampler:
@@ -273,18 +197,12 @@ def test_queue_fires_in_time_then_insertion_order(roots, until,
 
     for delay, kids in roots:
         add(delay, kids)
-    if stepwise:
-        steps = 0
-        while q.step():
-            steps += 1
-            assert len(fired) == steps
-    else:
-        q.run(until)
+    q.run()
 
-    want_fired, want_advances, want_now, want_left = _model(roots, until)
+    want_fired, want_advances, want_now = _model(roots)
     assert fired == want_fired
-    assert (q.now, len(q)) == (want_now, want_left)
+    assert (q.now, len(q)) == (want_now, 0)
     if with_sampler:
         assert sampler.advances == want_advances
     assert not q.run_ahead
-    assert offered <= {until is None and not with_sampler and not stepwise}
+    assert offered <= {not with_sampler}

@@ -26,11 +26,8 @@ from repro.faults import (
     uninstall,
 )
 from repro.faults import hooks
-from repro.jobs.backoff import (
-    DEFAULT_BACKOFF_BASE,
-    DEFAULT_BACKOFF_CAP,
-    backoff_delay,
-)
+from repro.jobs import backoff
+from repro.jobs.backoff import backoff_delay
 
 
 @pytest.fixture(autouse=True)
@@ -262,22 +259,19 @@ def test_backoff_delay_is_deterministic_and_jittered():
     assert backoff_delay("other", 1) != first
     # Jitter keeps each delay within [0.5, 1.0) of the nominal value.
     for attempt in range(1, 8):
-        nominal = min(DEFAULT_BACKOFF_CAP,
-                      DEFAULT_BACKOFF_BASE * 2 ** (attempt - 1))
+        nominal = min(backoff.BACKOFF_CAP,
+                      backoff.BACKOFF_BASE * 2 ** (attempt - 1))
         delay = backoff_delay("key", attempt)
         assert 0.5 * nominal <= delay < nominal
 
 
-def test_backoff_schedule_doubles_until_the_cap():
-    schedule = [backoff_delay("key", attempt, base=1.0, cap=8.0)
-                for attempt in range(1, 11)]
+def test_backoff_schedule_doubles_until_the_cap(monkeypatch):
+    monkeypatch.setattr(backoff, "BACKOFF_BASE", 1.0)
+    monkeypatch.setattr(backoff, "BACKOFF_CAP", 8.0)
+    schedule = [backoff_delay("key", attempt) for attempt in range(1, 11)]
     assert len(schedule) == 10
     nominals = [min(8.0, 1.0 * 2 ** i) for i in range(10)]
     for delay, nominal in zip(schedule, nominals):
         assert 0.5 * nominal <= delay < nominal
     # The cap bounds every delay even as attempts keep doubling.
     assert max(schedule) < 8.0
-
-
-def test_backoff_seed_changes_the_jitter():
-    assert backoff_delay("key", 3, seed=0) != backoff_delay("key", 3, seed=1)

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import JobError
+from repro.cli import main
+from repro.errors import JobError, ServeError
 from repro.fdt.estimators import Estimates
 from repro.fdt.policies import POLICIES, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.jobs import (
     SCHEMA_VERSION,
+    JobRunner,
     JobSpec,
     PolicySpec,
     ResultCache,
@@ -207,6 +209,25 @@ def test_invalid_specs_rejected():
         PolicySpec(kind="sat", threads=4)
     with pytest.raises(JobError):
         PolicySpec.static(0)
+
+
+@pytest.mark.parametrize("jobs, timeout", [(0, None), (-1, None),
+                                           (2, 0.0), (2, -1.0)])
+def test_no_workers_or_a_timeout_not_positive_is_refused(jobs, timeout,
+                                                         capsys):
+    """``Future.result(timeout=0)`` times out a running job at once, so
+    such a timeout would report every pooled spec ``timeout``; and zero
+    workers used to run serially without a word."""
+    with pytest.raises(JobError):
+        JobRunner(jobs=jobs, timeout=timeout)
+    with pytest.raises(ServeError):
+        ServeConfig(jobs=jobs, job_timeout=timeout)
+    flags = ["--jobs", str(jobs)]
+    if timeout is not None:
+        flags += ["--timeout", str(timeout)]
+    assert main(["sweep", "EP", "--threads", "1", "--no-cache",
+                 *flags]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_policy_labels():

@@ -20,6 +20,7 @@ from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
 from repro.jobs import api as jobs_api
+from repro.jobs import backoff
 from repro.jobs import executor as executor_mod
 from repro.sim.config import MachineConfig
 from repro.workloads import get
@@ -231,7 +232,8 @@ def test_pool_retries_after_worker_crash(tmp_path, monkeypatch, ground_truth):
 
 
 @fork_only
-def test_pool_gives_up_after_bounded_retries(monkeypatch, tmp_path):
+def test_pool_gives_up_after_bounded_retries(monkeypatch, tmp_path,
+                                             fast_backoff):
     def always_crash(spec_dict, trace_dir=None):
         with open(tmp_path / "submissions", "a") as log:
             log.write(f"{spec_dict['policy']['threads']}\n")
@@ -242,7 +244,7 @@ def test_pool_gives_up_after_bounded_retries(monkeypatch, tmp_path):
     real_execute = jobs_api.execute_jobs
     monkeypatch.setattr(jobs_api, "execute_jobs", lambda specs, **kw: (
         rounds.append(len(specs)), real_execute(specs, **kw))[1])
-    runner = JobRunner(jobs=2, backoff_base=0.001)
+    runner = JobRunner(jobs=2)
     config = MachineConfig.small()
     specs = [JobSpec(workload=WorkloadRef(name="EP", scale=0.05),
                      policy=PolicySpec.static(t), config=config)
@@ -250,12 +252,12 @@ def test_pool_gives_up_after_bounded_retries(monkeypatch, tmp_path):
     with pytest.raises(JobError, match="crashed"):
         runner.run(specs)
     assert runner.manifest.counts["failed"] == 2
-    # One retry loop: retry_budget + 1 pool rounds (the parent ran six),
-    # and no job is started more often than that.
-    assert rounds == [2] * (runner.retry_budget + 1) == [2, 2, 2]
+    # One retry loop: RETRY_BUDGET + 1 pool rounds, and no job is
+    # started more often than that.
+    assert rounds == [2] * (backoff.RETRY_BUDGET + 1) == [2, 2, 2]
     started = (tmp_path / "submissions").read_text().split()
     assert 1 <= max(started.count("1"), started.count("2")) \
-        <= runner.retry_budget + 1
+        <= backoff.RETRY_BUDGET + 1
 
 
 @fork_only

@@ -33,7 +33,8 @@ from repro.sim.config import MachineConfig
 from repro.sim.core import Core, _Context
 from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
-from repro.trace import TraceConfig, run_traced
+from repro.trace import recorder, run_traced
+from repro.trace.recorder import MIN_MEM_STALL_CYCLES, SAMPLE_INTERVAL
 from repro.workloads import get
 from repro.workloads.synthetic import FIXTURES
 
@@ -91,15 +92,18 @@ def test_a_finished_job_leaves_no_sim_garbage(workload, policy):
     assert sim_garbage(spec_for(workload, policy).run) == []
 
 
-@pytest.mark.parametrize("trace_config", [
-    TraceConfig(timeline=True, counters=False),
-    TraceConfig(timeline=False, counters=True),  # recorder is the sampler
+@pytest.mark.parametrize("min_stall, interval", [
+    (0, SAMPLE_INTERVAL),  # every memory stall is a timeline span
+    (MIN_MEM_STALL_CYCLES, 10),  # the recorder samples the queue often
 ], ids=["timeline", "counter-sampling"])
-def test_a_traced_run_leaves_no_sim_garbage(trace_config):
+def test_a_traced_run_leaves_no_sim_garbage(min_stall, interval,
+                                            monkeypatch):
+    # The recorder keeps a timeline and is the queue's sampler.
+    monkeypatch.setattr(recorder, "MIN_MEM_STALL_CYCLES", min_stall)
     spec = spec_for("ED", "fdt")
     assert sim_garbage(lambda: run_traced(
         spec.workload.build(), spec.policy.build(), spec.config,
-        trace_config)) == []
+        interval)) == []
 
 
 def test_a_checked_run_leaves_no_sim_garbage():

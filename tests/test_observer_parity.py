@@ -29,7 +29,8 @@ from repro.jobs import JobRunner, JobSpec, PolicySpec, WorkloadRef
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.observer import FanOut, SimObserver
-from repro.trace import TraceConfig, TraceRecorder, run_traced
+from repro.trace import TraceRecorder, run_traced
+from repro.trace import recorder as recorder_mod
 from repro.workloads import get
 
 BASE = MachineConfig.asplos08_baseline()
@@ -116,8 +117,8 @@ def test_observer_slot_is_none_the_observer_or_a_fan_out():
     assert isinstance(machine.observer, FanOut)
     assert machine.observer.observers == (one, recorder)
     assert machine.events.sampler is recorder  # installed by on_attach
-    quiet = TraceRecorder(TraceConfig(counters=False))
-    assert Machine(BASE, observers=[quiet]).events.sampler is None
+    # An observer that is not the tracer installs no sampler.
+    assert Machine(BASE, observers=[one]).events.sampler is None
 
 
 def test_transpose_reference_cycles_pinned():
@@ -127,18 +128,36 @@ def test_transpose_reference_cycles_pinned():
     assert _plain("Transpose", "static-32").cycles == 131790
 
 
-@pytest.mark.parametrize("tc", [
-    TraceConfig(timeline=True, counters=False, decisions=False),
-    TraceConfig(timeline=False, counters=True, decisions=False),
-    TraceConfig(timeline=False, counters=False, decisions=True),
-    TraceConfig(sample_interval=97),
-    TraceConfig(max_events=10),
-], ids=["timeline", "counters", "decisions", "interval-97", "max-events-10"])
+#: id -> (sample_interval, MIN_MEM_STALL_CYCLES, MAX_EVENTS, the Trace
+#: field that must come out non-empty / non-zero).  Each row pushes one
+#: recorder feature past its default.
+TRACE_FEATURES = {
+    "timeline": (recorder_mod.SAMPLE_INTERVAL, 0, recorder_mod.MAX_EVENTS,
+                 "spans"),
+    "counters": (10, recorder_mod.MIN_MEM_STALL_CYCLES,
+                 recorder_mod.MAX_EVENTS, "samples"),
+    "decisions": (recorder_mod.SAMPLE_INTERVAL,
+                  recorder_mod.MIN_MEM_STALL_CYCLES, recorder_mod.MAX_EVENTS,
+                  "decisions"),
+    "interval-97": (97, recorder_mod.MIN_MEM_STALL_CYCLES,
+                    recorder_mod.MAX_EVENTS, "samples"),
+    "max-events-10": (97, recorder_mod.MIN_MEM_STALL_CYCLES, 10,
+                      "dropped_spans"),
+}
+
+
+@pytest.mark.parametrize("feature", list(TRACE_FEATURES))
 @pytest.mark.parametrize("name", ["PageMine", "ED"])
-def test_every_trace_feature_toggle_preserves_results(name, tc):
-    """Each recorder feature, alone, leaves the simulation untouched."""
+def test_every_trace_feature_toggle_preserves_results(name, feature,
+                                                      monkeypatch):
+    """Each recorder feature, pushed past its default, records something
+    and leaves the simulation untouched."""
+    interval, min_stall, max_events, recorded = TRACE_FEATURES[feature]
+    monkeypatch.setattr(recorder_mod, "MIN_MEM_STALL_CYCLES", min_stall)
+    monkeypatch.setattr(recorder_mod, "MAX_EVENTS", max_events)
     traced = run_traced(get(name).build(WORKLOADS[name]),
-                        POLICIES["fdt"](), BASE, trace_config=tc)
+                        POLICIES["fdt"](), BASE, sample_interval=interval)
+    assert getattr(traced.trace, recorded)
     assert traced.result == _plain(name, "fdt")
 
 

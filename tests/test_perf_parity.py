@@ -27,7 +27,8 @@ from repro.isa.ops import Branch, Compute, Load, Lock, Store, Unlock
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
-from repro.trace import TraceConfig, TraceRecorder, run_traced
+from repro.sim.observer import SimObserver
+from repro.trace import TraceRecorder, run_traced
 from repro.workloads import get
 from tests import spec_memsys
 from tests.spec_memsys import spec_machine
@@ -175,14 +176,15 @@ def _lone_factory(tid: int, team: int):
 
 def test_lone_thread_runs_ahead_with_the_same_observer_timestamps():
     """A single-threaded region never finds an earlier pending event, so
-    all of it runs ahead — one event pushed, at thread start — and the
-    attached tracer is told the same cycles as on the op-by-op machine."""
+    all of it runs ahead — one event pushed, at thread start — and an
+    attached observer without a sampler is told the same cycles as on
+    the op-by-op machine."""
     def observed(build):
-        recorder = TraceRecorder(TraceConfig(counters=False))
-        machine = build(MachineConfig.small(), [recorder])
+        observer = SimObserver()
+        machine = build(MachineConfig.small(), [observer])
         calls: list[tuple] = []
         for hook in ("on_compute", "on_access", "on_thread_exit"):
-            setattr(recorder, hook,
+            setattr(observer, hook,
                     lambda *args, hook=hook: calls.append((hook, *args)))
         region = machine.run_serial(_lone_factory)
         return calls, region, machine.events.seq
@@ -199,7 +201,7 @@ def test_sampled_trace_does_not_run_ahead():
     thread goes through it op by op: were it to run ahead, every sample
     would be taken at the end and read the final counters."""
     def sampled(build):
-        recorder = TraceRecorder(TraceConfig(sample_interval=50))
+        recorder = TraceRecorder(sample_interval=50)
         machine = build(MachineConfig.small(), [recorder])
         machine.run_serial(_lone_factory)
         return recorder.data.samples, machine.events.seq
@@ -214,8 +216,7 @@ def test_sampled_trace_series_pinned():
     per field; recorded before the step learned to run ahead."""
     traced = run_traced(get("PageMine").build(0.1),
                         FdtPolicy(FdtMode.COMBINED),
-                        MachineConfig.asplos08_baseline(),
-                        trace_config=TraceConfig())
+                        MachineConfig.asplos08_baseline())
     samples = traced.trace.samples
     assert (len(samples),
             sum(s.retired_instructions for s in samples),

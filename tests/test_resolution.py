@@ -27,6 +27,7 @@ from repro.jobs import (
     app_result_to_dict,
 )
 from repro.jobs import api as jobs_api
+from repro.jobs import backoff
 from repro.jobs import executor as executor_mod
 from repro.jobs import resolution as vocabulary
 from repro.jobs.preflight import PreflightVerdict
@@ -87,7 +88,7 @@ def _scenario(tmp, disk, memo, fires):
     cache = ResultCache(tmp)
     for i in sorted(disk):
         cache.put(_SLOTS[i].key(), _SLOTS[i].to_dict(), _RESULT)
-    runner = JobRunner(cache=cache, preflight=True, backoff_base=0.0)
+    runner = JobRunner(cache=cache, preflight=True)
     runner.resolve([_SLOTS[i] for i in sorted(memo)])
     crashes, read_errors, write_errors = fires
     plan = FaultPlan(seed=7, rules=(
@@ -110,6 +111,7 @@ def test_every_spec_resolves_once_and_its_row_says_the_same(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor_mod, "_execute_payload", _fake_payload)
         patch.setattr(jobs_api, "run_preflight", _fake_preflight)
+        patch.setattr(backoff, "BACKOFF_BASE", 0.0)
 
         runner, plan = _scenario(tmp + "/resolve", disk, memo, fires)
         before = len(runner.manifest.entries)
@@ -301,12 +303,12 @@ def test_bounded_abort_recovers_under_a_pool_and_is_counted():
 
 
 @fork_only
-def test_worker_side_crash_rule_fires_once_across_workers():
+def test_worker_side_crash_rule_fires_once_across_workers(fast_backoff):
     plan = FaultPlan(rules=(
         FaultRule(site="executor.job", kind="crash", max_fires=1,
                   match={"key_prefix": _spec(8, threads=2).key()[:8]}),))
     specs = [_spec(8, threads=t) for t in (1, 2, 3)]
-    runner = JobRunner(cache=None, jobs=2, backoff_base=0.001)
+    runner = JobRunner(cache=None, jobs=2)
     with injected(plan) as injector:
         resolutions = runner.resolve(specs)
         # The key-matched rule reaches pool jobs (workers had no key).

@@ -49,9 +49,11 @@ from repro.serve import (
 )
 from repro.serve import pipeline as pipeline_mod
 from repro.serve import schema
+from repro.serve import server as server_mod
 from repro.serve.http import (
     MAX_HEADER_BYTES,
     HttpProtocolError,
+    HttpRequest,
     HttpResponse,
     json_body,
     read_request,
@@ -174,6 +176,23 @@ def test_metrics_render_parses_as_prometheus_text():
     assert samples['repro_serve_request_seconds_bucket{le="5"}'] == 1
     assert samples['repro_serve_request_seconds_bucket{le="10"}'] == 2
     assert samples["repro_serve_request_seconds_sum"] == pytest.approx(7.003)
+
+
+def test_unknown_paths_share_one_endpoint_label():
+    """A request path used to become a label value: every distinct
+    unknown path added a ``repro_serve_requests_total`` sample, without
+    bound."""
+    async def go():
+        server = ExperimentServer(ServeConfig(no_cache=True))
+        for path in ("/nope", "/admin", "/v1/run/extra"):
+            status, *_ = await server._respond(HttpRequest("GET", path))
+            assert status == 404
+        return server.metrics.render()
+
+    samples = parse_prometheus(asyncio.run(go()))
+    assert {name: value for name, value in samples.items()
+            if name.startswith("repro_serve_requests_total")} == {
+        'repro_serve_requests_total{endpoint="other"}': 3}
 
 
 def test_metrics_report_the_process_peak_resident_set():
@@ -511,6 +530,17 @@ def test_schema_answers_400_for_a_bad_machine_override(knob, value):
         8).with_bandwidth(2.0).with_smt(2)
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("bus_lines", 2.7), ("bus_lines", 2.0), ("bus_lines", True),
+    ("iterations", 8.5), ("iterations", False), ("compute_instr", 200.0),
+])
+def test_schema_answers_400_for_a_non_integer_synthetic_count(knob, value):
+    """``int()`` used to truncate: 2.7 bus lines ran, and were cached
+    under the same key, as 2."""
+    with pytest.raises(ServeRequestError, match=knob):
+        schema.parse_run_request({"synthetic": {knob: value}})
+
+
 def test_schema_sweep_clamps_and_sorts_thread_counts():
     _, counts, config = schema.parse_sweep_request(
         {"workload": "EP", "threads": [8, 2, 2, 4096, 1]})
@@ -523,6 +553,8 @@ def test_serve_config_validates_knobs():
         ServeConfig(queue_depth=0)
     with pytest.raises(ServeError, match="workers"):
         ServeConfig(workers=0)
+    with pytest.raises(ServeError, match="breaker_threshold"):
+        ServeConfig(breaker_threshold=0)
 
 
 # -- pipeline: coalescing, admission control, timeouts ----------------
@@ -1120,8 +1152,8 @@ def _flaky_start_server(monkeypatch, failures: int,
 
 def test_bind_retries_past_transient_eaddrinuse(monkeypatch):
     calls = _flaky_start_server(monkeypatch, failures=2)
-    server = ExperimentServer(ServeConfig(port=0, workers=1,
-                                          bind_retries=3))
+    monkeypatch.setattr(server_mod, "BIND_RETRIES", 3)
+    server = ExperimentServer(ServeConfig(port=0, workers=1))
 
     async def go():
         await server.start()
@@ -1138,8 +1170,8 @@ def test_bind_gives_up_when_retries_are_exhausted(monkeypatch):
     import errno
 
     calls = _flaky_start_server(monkeypatch, failures=100)
-    server = ExperimentServer(ServeConfig(port=0, workers=1,
-                                          bind_retries=2))
+    monkeypatch.setattr(server_mod, "BIND_RETRIES", 2)
+    server = ExperimentServer(ServeConfig(port=0, workers=1))
 
     async def go():
         try:
@@ -1155,8 +1187,8 @@ def test_bind_gives_up_when_retries_are_exhausted(monkeypatch):
 
 def test_bind_retries_zero_fails_on_first_eaddrinuse(monkeypatch):
     calls = _flaky_start_server(monkeypatch, failures=100)
-    server = ExperimentServer(ServeConfig(port=0, workers=1,
-                                          bind_retries=0))
+    monkeypatch.setattr(server_mod, "BIND_RETRIES", 0)
+    server = ExperimentServer(ServeConfig(port=0, workers=1))
 
     async def go():
         try:
@@ -1174,8 +1206,8 @@ def test_non_eaddrinuse_bind_errors_are_not_retried(monkeypatch):
 
     calls = _flaky_start_server(monkeypatch, failures=100,
                                 error=errno.EACCES)
-    server = ExperimentServer(ServeConfig(port=0, workers=1,
-                                          bind_retries=5))
+    monkeypatch.setattr(server_mod, "BIND_RETRIES", 5)
+    server = ExperimentServer(ServeConfig(port=0, workers=1))
 
     async def go():
         try:

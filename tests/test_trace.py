@@ -30,7 +30,6 @@ from repro.trace import (
     STATE_BARRIER_WAIT,
     STATE_COMPUTE,
     STATE_CRITICAL_SECTION,
-    TraceConfig,
     TraceRecorder,
     counters_csv,
     decisions_json,
@@ -39,6 +38,7 @@ from repro.trace import (
     to_perfetto,
     write_artifacts,
 )
+from repro.trace import recorder as recorder_mod
 from repro.workloads import get
 
 SCALE = 0.1
@@ -80,7 +80,7 @@ def test_timeline_covers_every_state(pagemine_traced):
 def test_counter_samples_land_on_interval_boundaries(pagemine_traced):
     machine, _result = pagemine_traced
     trace = machine.observer.data
-    interval = trace.config.sample_interval
+    interval = trace.sample_interval
     cycles = [s.cycle for s in trace.samples]
     assert cycles == sorted(cycles)
     assert all(c % interval == 0 for c in cycles)
@@ -90,10 +90,9 @@ def test_counter_samples_land_on_interval_boundaries(pagemine_traced):
         assert cur.retired_instructions >= prev.retired_instructions
 
 
-def test_max_events_caps_spans_and_counts_drops():
-    traced = run_traced(get("PageMine").build(SCALE),
-                        StaticPolicy(4),
-                        trace_config=TraceConfig(max_events=10))
+def test_max_events_caps_spans_and_counts_drops(monkeypatch):
+    monkeypatch.setattr(recorder_mod, "MAX_EVENTS", 10)
+    traced = run_traced(get("PageMine").build(SCALE), StaticPolicy(4))
     assert len(traced.trace.spans) == 10
     assert traced.trace.dropped_spans > 0
     assert text_summary(traced.trace).count("dropped") == 1
@@ -195,11 +194,7 @@ def test_write_artifacts_produces_all_four_files(tmp_path, pagemine_traced):
 
 def test_trace_config_validates_knobs():
     with pytest.raises(ConfigError):
-        TraceConfig(sample_interval=0)
-    with pytest.raises(ConfigError):
-        TraceConfig(min_mem_stall_cycles=-1)
-    with pytest.raises(ConfigError):
-        TraceConfig(max_events=0)
+        TraceRecorder(sample_interval=0)
 
 
 def test_busy_fraction_clamps_and_handles_empty_intervals():
