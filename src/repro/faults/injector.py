@@ -131,9 +131,9 @@ class FaultInjector:
     @staticmethod
     def _publish(firing: FaultFiring) -> None:
         """Count and trace one injection through the obs spine."""
-        default_registry().labeled_counter(
+        default_registry().counter(
             "repro_faults_injected_total",
-            "Injected faults by site:kind.", "fault"
+            "Injected faults by site:kind.", label="fault"
         ).inc(f"{firing.site}:{firing.kind}")
         with span("faults.inject", site=firing.site, kind=firing.kind,
                   rule=firing.rule, occurrence=firing.occurrence,

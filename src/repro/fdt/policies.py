@@ -210,9 +210,10 @@ class FdtPolicy(ThreadingPolicy):
 
         estimates = decision.estimates
         registry = default_registry()
-        registry.labeled_counter(
+        registry.counter(
             "repro_fdt_decisions_total",
-            "FDT threading decisions, by mode.", "mode").inc(decision.mode)
+            "FDT threading decisions, by mode.", label="mode"
+        ).inc(decision.mode)
         registry.histogram(
             "repro_fdt_chosen_threads",
             "Thread counts chosen by FDT decisions.",

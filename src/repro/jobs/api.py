@@ -45,7 +45,7 @@ from repro.jobs.resolution import (
 from repro.jobs.results import app_result_from_dict
 from repro.jobs.spec import SCHEMA_VERSION, JobSpec
 from repro.obs import get_logger
-from repro.obs.registry import default_registry
+from repro.obs.registry import Counter, default_registry
 from repro.obs.runreg import RunRecord, RunRegistry, host_fingerprint
 from repro.obs.tracing import current_context, span
 
@@ -68,11 +68,11 @@ def _fdt_decisions(result: dict | None) -> list[dict[str, Any]]:
     return decisions
 
 
-def _cache_counter() -> Any:
-    return default_registry().labeled_counter(
+def _cache_counter() -> Counter:
+    return default_registry().counter(
         "repro_jobs_cache_total",
         "Result lookups by outcome (memo and disk hits vs misses).",
-        "outcome")
+        label="outcome")
 
 
 def cache_hit(key: str, entry: dict | None) -> Resolution | None:
@@ -242,10 +242,10 @@ class JobRunner:
         if not self.preflight:
             return None
         verdict = self._preflight_lookup(spec)
-        default_registry().labeled_counter(
+        default_registry().counter(
             "repro_jobs_preflight_total",
             "Pre-flight static verifications by verdict.",
-            "verdict").inc("ok" if verdict.ok else "rejected")
+            label="verdict").inc("ok" if verdict.ok else "rejected")
         if verdict.ok:
             return None
         return Resolution(key=key, status=STATUS_PREFLIGHT,
@@ -285,10 +285,10 @@ class JobRunner:
         deterministic simulation failures are never retried (they would
         fail identically and burn the budget for nothing).
         """
-        retry_metric = default_registry().labeled_counter(
+        retry_metric = default_registry().counter(
             "repro_jobs_retries_total",
             "Backoff-retried transient job failures by outcome.",
-            "outcome")
+            label="outcome")
         by_key: dict[str, Resolution] = {}
         pending = list(misses)
         budget = backoff.RETRY_BUDGET
@@ -357,9 +357,9 @@ class JobRunner:
         """
         finished = datetime.now(timezone.utc)
         started = finished - timedelta(seconds=resolution.wall_time)
-        default_registry().labeled_counter(
+        default_registry().counter(
             "repro_jobs_resolutions_total",
-            "Job resolutions by disposition.", "status"
+            "Job resolutions by disposition.", label="status"
         ).inc(resolution.status)
         if self._host is None:
             self._host = host_fingerprint()

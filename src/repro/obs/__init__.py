@@ -1,12 +1,15 @@
 """Unified telemetry spine: metrics, spans, structured logs, provenance.
 
-Four pieces, all stdlib-only and all pure observers (simulated cycles
-are bit-identical with obs on or off — ``tests/test_obs_parity.py``):
+Stdlib-only and a pure observer throughout (simulated cycles are
+bit-identical with obs on or off — ``tests/test_obs_parity.py``), with
+one mechanism per job:
 
-* :mod:`repro.obs.registry` — thread-safe metrics instruments and the
-  shared :class:`MetricsRegistry`; serve's ``/metrics`` endpoint is a
-  renderer over it, and jobs / FDT / bench register their own
-  instruments into the process-global :func:`default_registry`.
+* :mod:`repro.obs.registry` — three thread-safe instruments (a
+  :class:`Counter`, optionally over one label, a :class:`Gauge`, a
+  :class:`Histogram`) in a :class:`MetricsRegistry`; serve's
+  ``/metrics`` endpoint is a renderer over it, and jobs / FDT / faults
+  register their own instruments into the process-global
+  :func:`default_registry`.
 * :mod:`repro.obs.tracing` — span-based tracing with explicit
   trace/span-ID propagation through serve → jobs → simulation,
   exported as JSON lines or Perfetto ``trace_event`` JSON.
@@ -15,19 +18,20 @@ are bit-identical with obs on or off — ``tests/test_obs_parity.py``):
   ``--log-json`` flags and inherited by worker processes.
 * :mod:`repro.obs.runreg` — the persistent run registry under the
   cache dir: one provenance row per resolved spec, queryable with
-  ``repro obs list | show | tail | report``.
+  ``repro obs list | show | report``.
+* :mod:`repro.obs.jsonl` — the one JSON-lines append, degrade and
+  read that the run registry and the span sink share.
 
 See ``docs/obs.md``.
 """
 
 from repro.obs.log import configure as configure_logging
-from repro.obs.log import get_logger, kv
+from repro.obs.log import get_logger
 from repro.obs.registry import (
     LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
-    LabeledCounter,
     MetricsRegistry,
     default_registry,
     reset_default_registry,
@@ -54,7 +58,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabeledCounter",
     "MetricsRegistry",
     "RunRecord",
     "RunRegistry",
@@ -67,7 +70,6 @@ __all__ = [
     "default_runreg_dir",
     "get_logger",
     "host_fingerprint",
-    "kv",
     "recorder",
     "reset_default_registry",
     "span",

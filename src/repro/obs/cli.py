@@ -1,11 +1,13 @@
 """The ``repro obs`` command: query the persistent run registry.
 
-Four verbs over :class:`repro.obs.runreg.RunRegistry`:
+Three verbs over :class:`repro.obs.runreg.RunRegistry`:
 
-* ``list`` — every row (filterable by status/workload);
+* ``list`` — every row (filterable by status/workload), or with
+  ``--limit N`` the last N of them;
 * ``show <key>`` — the latest row for a key, prefix-matched like an
-  abbreviated git hash, plus how many times the key was resolved;
-* ``tail`` — the last N rows;
+  abbreviated git hash, plus how many times the key was resolved; a
+  prefix naming more than one key (or none, or the empty prefix) is
+  an error that lists what it matched;
 * ``report`` — aggregate summary (rows, dispositions, hit rate, wall
   time spent computing).
 
@@ -22,19 +24,19 @@ import sys
 from repro.obs.runreg import RunRegistry, format_records
 
 
-def _registry(args: argparse.Namespace) -> RunRegistry:
-    return RunRegistry(args.dir)
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+    registry = RunRegistry(args.dir)
     rows = registry.records()
     if args.status:
         rows = [r for r in rows if r.status == args.status]
     if args.workload:
         rows = [r for r in rows if r.workload == args.workload]
     if args.limit is not None:
-        rows = rows[-args.limit:]
+        if args.limit < 0:
+            print(f"error: --limit must be >= 0, not {args.limit}",
+                  file=sys.stderr)
+            return 2
+        rows = rows[-args.limit:] if args.limit else []
     if args.json:
         print(json.dumps([r.to_dict() for r in rows], indent=2))
         return 0
@@ -47,34 +49,27 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    record = registry.get(args.key)
-    if record is None:
+    registry = RunRegistry(args.dir)
+    rows = registry.lookup(args.key)
+    if not rows:
         print(f"error: no run registered for key {args.key!r} "
               f"under {registry.path}", file=sys.stderr)
         return 1
-    doc = record.to_dict()
-    doc["resolutions"] = len(registry.history(args.key))
+    keys = list(dict.fromkeys(r.key for r in rows))
+    if len(keys) > 1 or not args.key:
+        print(f"error: key prefix {args.key!r} does not name one run; "
+              f"it matches {len(keys)} key(s):", file=sys.stderr)
+        for key in keys:
+            print(f"  {key}", file=sys.stderr)
+        return 1
+    doc = rows[-1].to_dict()
+    doc["resolutions"] = len(rows)
     print(json.dumps(doc, indent=2))
     return 0
 
 
-def _cmd_tail(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    rows = registry.tail(args.count)
-    if args.json:
-        print(json.dumps([r.to_dict() for r in rows], indent=2))
-        return 0
-    if not rows:
-        print(f"no runs recorded under {registry.path}")
-        return 0
-    print(format_records(rows))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    summary = registry.report()
+    summary = RunRegistry(args.dir).report()
     if args.json:
         print(json.dumps(summary, indent=2))
         return 0
@@ -116,19 +111,14 @@ def register(sub: argparse._SubParsersAction,
     p_list.add_argument("--workload", default=None,
                         help="filter by workload name")
     p_list.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="keep only the last N matching rows")
+                        help="keep only the last N matching rows "
+                             "(0 keeps none)")
     p_list.set_defaults(func=_cmd_list)
 
     p_show = obs_sub.add_parser(
         "show", parents=leaf, help="show the latest run for a spec key")
     p_show.add_argument("key", help="spec content key (prefix accepted)")
     p_show.set_defaults(func=_cmd_show)
-
-    p_tail = obs_sub.add_parser("tail", parents=leaf,
-                                help="show the last N runs")
-    p_tail.add_argument("-n", "--count", type=int, default=10,
-                        help="rows to show (default 10)")
-    p_tail.set_defaults(func=_cmd_tail)
 
     p_report = obs_sub.add_parser(
         "report", parents=leaf,

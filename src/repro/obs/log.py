@@ -14,8 +14,7 @@ The JSON format is one object per line::
 
 ``trace_id``/``span_id`` come from the active obs span (if any), so log
 lines join the same timeline as spans and the run registry.  Extra
-key-value context goes through the standard ``extra=`` mechanism or the
-:func:`kv` helper.
+key-value context goes through the standard ``extra=`` mechanism.
 
 Pool workers get the parent's choice as arguments: :func:`current`
 reads it back from the logger tree and the process pool's initializer
@@ -29,7 +28,7 @@ import json
 import logging
 import sys
 from datetime import datetime, timezone
-from typing import Any, Mapping, TextIO
+from typing import Any, TextIO
 
 _ROOT = "repro"
 
@@ -127,10 +126,3 @@ def current() -> tuple[str, bool] | None:
     return (logging.getLevelName(root.level),
             isinstance(root.handlers[0].formatter, JsonFormatter))
 
-
-def kv(mapping: Mapping[str, Any] | None = None,
-       **fields: Any) -> dict[str, dict[str, Any]]:
-    """Context for a log call: ``log.info("msg", **kv(key=value))``."""
-    merged: dict[str, Any] = dict(mapping or {})
-    merged.update(fields)
-    return {"extra": merged}

@@ -1,18 +1,19 @@
 """Shared metrics registry: thread-safe instruments, one exposition.
 
-Before this module, each layer grew its own counters — the serve layer
-had an inline metrics panel, jobs counted hits in manifests, bench kept
-trial times privately.  :class:`MetricsRegistry` is the one place any
-subsystem registers an instrument; the serve layer's ``/metrics``
-endpoint is just a renderer over it.
+:class:`MetricsRegistry` is the one place any subsystem registers an
+instrument; the serve layer's ``/metrics`` endpoint is a renderer over
+it.
 
-Four instrument kinds, matching what the Prometheus text exposition
+Three instrument kinds, matching what the Prometheus text exposition
 (version 0.0.4) can carry:
 
-* :class:`Counter` — monotonic total;
-* :class:`LabeledCounter` — counter family with one label dimension;
+* :class:`Counter` — monotonic total, or with a ``label`` a family over
+  that one dimension;
 * :class:`Gauge` — value that goes up and down;
 * :class:`Histogram` — fixed-bucket cumulative histogram.
+
+Counter and Gauge share one storage and one renderer; every one of
+them is read as ``value(label_value="")``.
 
 Every mutation takes the instrument's lock, so N threads incrementing
 concurrently lose nothing — the registry is shared between the serving
@@ -20,7 +21,7 @@ event loop, its executor threads, and whatever the jobs layer runs.
 
 A process-global default registry (:func:`default_registry`) collects
 instruments from subsystems that have no natural owner object (jobs
-cache counters, FDT decision gauges, bench trial timings).  Callsites
+cache counters, FDT decision gauges, injected faults).  Callsites
 use the get-or-create accessors (:meth:`MetricsRegistry.counter` and
 friends) rather than holding instrument references across a
 :func:`reset_default_registry`, so tests can start from a clean slate.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, Union
+from typing import Any, Iterable, TypeVar, Union
 
 #: Default latency buckets (seconds): sub-millisecond cache hits
 #: through multi-second cold simulations.
@@ -52,102 +53,76 @@ def _escape_label(value: str) -> str:
             .replace("\n", r"\n"))
 
 
-class Counter:
-    """Monotonic counter."""
+class _Value:
+    """One float per label value, and its exposition.
 
-    __slots__ = ("name", "help", "_value", "_lock")
-
-    def __init__(self, name: str, help_text: str) -> None:
-        self.name = name
-        self.help = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def render(self) -> list[str]:
-        return [f"# HELP {self.name} {self.help}",
-                f"# TYPE {self.name} counter",
-                f"{self.name} {_format_value(self._value)}"]
-
-
-class LabeledCounter:
-    """Counter family with a single label dimension."""
+    An unlabelled instrument keeps one value under ``""`` and always
+    renders it; a family (``label`` set) renders only the label values
+    it has seen, sorted.  :class:`Counter` and :class:`Gauge` differ
+    only in how the value may move.
+    """
 
     __slots__ = ("name", "help", "label", "_values", "_lock")
+    kind = ""
 
-    def __init__(self, name: str, help_text: str, label: str) -> None:
+    def __init__(self, name: str, help_text: str, label: str = "") -> None:
         self.name = name
         self.help = help_text
         self.label = label
-        self._values: dict[str, float] = {}
+        self._values: dict[str, float] = {} if label else {"": 0.0}
         self._lock = threading.Lock()
 
-    def inc(self, label_value: str, amount: float = 1.0) -> None:
+    def _add(self, label_value: str, amount: float) -> None:
         with self._lock:
             self._values[label_value] = self._values.get(label_value, 0.0) \
                 + amount
 
-    def value(self, label_value: str) -> float:
+    def value(self, label_value: str = "") -> float:
         return self._values.get(label_value, 0.0)
 
-    @property
-    def total(self) -> float:
-        return sum(self._values.values())
-
     def render(self) -> list[str]:
+        with self._lock:
+            samples = sorted(self._values.items())
         lines = [f"# HELP {self.name} {self.help}",
-                 f"# TYPE {self.name} counter"]
-        for label_value in sorted(self._values):
-            lines.append(
-                f'{self.name}{{{self.label}="{_escape_label(label_value)}"}}'
-                f" {_format_value(self._values[label_value])}")
+                 f"# TYPE {self.name} {self.kind}"]
+        for label_value, value in samples:
+            labels = (f'{{{self.label}="{_escape_label(label_value)}"}}'
+                      if self.label else "")
+            lines.append(f"{self.name}{labels} {_format_value(value)}")
         return lines
 
 
-class Gauge:
+class Counter(_Value):
+    """Monotonic total; with a ``label``, a family over that dimension."""
+
+    __slots__ = ()
+    kind = "counter"
+
+    def inc(self, label_value: str = "", amount: float = 1.0) -> None:
+        self._add(label_value, amount)
+
+
+class Gauge(_Value):
     """Value that goes up and down (in-flight requests, last estimate)."""
 
-    __slots__ = ("name", "help", "_value", "_lock")
-
-    def __init__(self, name: str, help_text: str) -> None:
-        self.name = name
-        self.help = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
+    __slots__ = ()
+    kind = "gauge"
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
+        self._add("", amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
+        self._add("", -amount)
 
     def set(self, value: float) -> None:
         with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def render(self) -> list[str]:
-        return [f"# HELP {self.name} {self.help}",
-                f"# TYPE {self.name} gauge",
-                f"{self.name} {_format_value(self._value)}"]
+            self._values[""] = value
 
 
 class Histogram:
     """Fixed-bucket cumulative histogram (Prometheus semantics)."""
 
-    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count",
+    __slots__ = ("name", "help", "buckets", "_counts", "sum", "count",
                  "_lock")
 
     def __init__(self, name: str, help_text: str,
@@ -156,27 +131,19 @@ class Histogram:
         self.help = help_text
         self.buckets = tuple(sorted(buckets))
         self._counts = [0] * len(self.buckets)
-        self._sum = 0.0
-        self._count = 0
+        self.sum = 0.0
+        self.count = 0
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         with self._lock:
-            self._sum += value
-            self._count += 1
+            self.sum += value
+            self.count += 1
             # Per-bucket tallies; render() turns them cumulative.
             for i, bound in enumerate(self.buckets):
                 if value <= bound:
                     self._counts[i] += 1
                     return
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
 
     def render(self) -> list[str]:
         lines = [f"# HELP {self.name} {self.help}",
@@ -186,90 +153,63 @@ class Histogram:
             cumulative += bucket_count
             lines.append(f'{self.name}_bucket{{le="{_format_value(bound)}"}}'
                          f" {cumulative}")
-        lines.append(f'{self.name}_bucket{{le="+Inf"}} {self._count}')
-        lines.append(f"{self.name}_sum {_format_value(self._sum)}")
-        lines.append(f"{self.name}_count {self._count}")
+        lines.append(f'{self.name}_bucket{{le="+Inf"}} {self.count}')
+        lines.append(f"{self.name}_sum {_format_value(self.sum)}")
+        lines.append(f"{self.name}_count {self.count}")
         return lines
 
 
-Instrument = Union[Counter, LabeledCounter, Gauge, Histogram]
+Instrument = Union[Counter, Gauge, Histogram]
+_I = TypeVar("_I", Counter, Gauge, Histogram)
 
 
 class MetricsRegistry:
-    """Named instruments, rendered together in registration order."""
+    """Named instruments, rendered together in registration order.
+
+    Every accessor is get-or-create, idempotent per name; asking for a
+    name under another kind, or a counter under another label, raises.
+    """
 
     def __init__(self) -> None:
         self._instruments: dict[str, Instrument] = {}
         self._lock = threading.Lock()
 
-    def register(self, instrument: Instrument) -> Instrument:
-        """Add an instrument; the name must be new."""
+    def _get_or_create(self, kind: type[_I], name: str, *args: Any) -> _I:
         with self._lock:
-            if instrument.name in self._instruments:
+            instrument = self._instruments.get(name)
+            if instrument is None:
+                instrument = self._instruments[name] = kind(name, *args)
+            if not isinstance(instrument, kind):
                 raise ValueError(
-                    f"instrument {instrument.name!r} already registered")
-            self._instruments[instrument.name] = instrument
-        return instrument
-
-    def _get_or_create(self, kind: type, name: str, *args: object) -> Instrument:
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if type(existing) is not kind:
-                    raise ValueError(
-                        f"instrument {name!r} already registered as "
-                        f"{type(existing).__name__}, not {kind.__name__}")
-                return existing
-            instrument = kind(name, *args)
-            self._instruments[name] = instrument
+                    f"instrument {name!r} already registered as "
+                    f"{type(instrument).__name__}, not {kind.__name__}")
             return instrument
 
-    # -- get-or-create accessors (idempotent per name) ----------------
-
-    def counter(self, name: str, help_text: str) -> Counter:
-        instrument = self._get_or_create(Counter, name, help_text)
-        assert isinstance(instrument, Counter)
-        return instrument
-
-    def labeled_counter(self, name: str, help_text: str,
-                        label: str) -> LabeledCounter:
-        instrument = self._get_or_create(LabeledCounter, name, help_text,
-                                         label)
-        assert isinstance(instrument, LabeledCounter)
-        return instrument
+    def counter(self, name: str, help_text: str,
+                label: str = "") -> Counter:
+        counter = self._get_or_create(Counter, name, help_text, label)
+        if counter.label != label:
+            raise ValueError(f"counter {name!r} already registered with "
+                             f"label {counter.label!r}, not {label!r}")
+        return counter
 
     def gauge(self, name: str, help_text: str) -> Gauge:
-        instrument = self._get_or_create(Gauge, name, help_text)
-        assert isinstance(instrument, Gauge)
-        return instrument
+        return self._get_or_create(Gauge, name, help_text)
 
     def histogram(self, name: str, help_text: str,
                   buckets: Iterable[float] = LATENCY_BUCKETS) -> Histogram:
-        instrument = self._get_or_create(Histogram, name, help_text, buckets)
-        assert isinstance(instrument, Histogram)
-        return instrument
-
-    # -- introspection and rendering ----------------------------------
+        return self._get_or_create(Histogram, name, help_text, buckets)
 
     def get(self, name: str) -> Instrument | None:
         return self._instruments.get(name)
 
-    def instruments(self) -> list[Instrument]:
-        """Snapshot of the registered instruments, in order."""
-        with self._lock:
-            return list(self._instruments.values())
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
     def render_prometheus(self) -> str:
         """The full text exposition (version 0.0.4) of this registry."""
-        lines: list[str] = []
-        for instrument in self.instruments():
-            lines.extend(instrument.render())
-        if not lines:
-            return ""
-        return "\n".join(lines) + "\n"
+        with self._lock:
+            instruments = list(self._instruments.values())
+        lines = [line for instrument in instruments
+                 for line in instrument.render()]
+        return "\n".join(lines) + "\n" if lines else ""
 
 
 # -- the process-global default registry ------------------------------

@@ -10,34 +10,31 @@ default ``<cache root>/obs``, so the registry rides along with the
 result cache and honours ``REPRO_CACHE_DIR``).  JSON-lines because the
 write path must be cheap and crash-tolerant: one ``O_APPEND`` write
 per resolved spec, no index to corrupt, and a torn final line is
-skipped on read rather than poisoning the file.
+skipped on read rather than poisoning the file — a
+:class:`~repro.obs.jsonl.JsonLines` file, as the span sink is.
 
 The jobs layer writes rows from its single bookkeeping point
 (``JobRunner._record``, which also feeds the manifest), so the
 registry and the manifest can never disagree.  The ``repro obs`` CLI
-(:mod:`repro.obs.cli`) queries it: ``list``, ``show <key>``, ``tail``,
+(:mod:`repro.obs.cli`) queries it: ``list``, ``show <key>``,
 ``report``.
 """
 
 from __future__ import annotations
 
-import json
+import collections
 import os
 import platform
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.log import get_logger
-from repro.obs.registry import default_registry
+from repro.obs.jsonl import JsonLines, read_jsonl
 
 #: Bump on any incompatible change to the row layout.
 SCHEMA = "repro-obs-run/1"
 
 REGISTRY_FILENAME = "runs.jsonl"
-
-_log = get_logger("obs")
 
 
 def host_fingerprint() -> dict[str, Any]:
@@ -130,85 +127,28 @@ class RunRegistry:
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_runreg_dir()
         self.path = self.root / REGISTRY_FILENAME
-        self._lock = threading.Lock()
-        #: True once an append failed: the registry keeps accepting
-        #: rows (and dropping them) so the workload never stops, but
-        #: the degradation is warned once and counted.
-        self.degraded = False
+        self.sink = JsonLines(self.path, "runreg")
 
     def append(self, record: RunRecord) -> None:
-        line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
-        with self._lock:
-            try:
-                self.root.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
-            except OSError as exc:
-                # Provenance must never take the workload down: drop
-                # the row, warn once, and count every drop.
-                if not self.degraded:
-                    self.degraded = True
-                    _log.warning(
-                        "run registry unwritable; provenance rows are "
-                        "being dropped",
-                        extra={"path": str(self.path), "error": str(exc)})
-                default_registry().labeled_counter(
-                    "repro_obs_degraded_total",
-                    "Telemetry writes dropped because a sink is "
-                    "unwritable.", "sink").inc("runreg")
-            else:
-                self.degraded = False
+        self.sink.append(record.to_dict())
 
     def records(self) -> list[RunRecord]:
         """All rows in append order, skipping torn/corrupt lines."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        out: list[RunRecord] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(RunRecord.from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError):
-                continue
-        return out
+        return read_jsonl(self.path, RunRecord.from_dict)
 
-    def tail(self, count: int = 10) -> list[RunRecord]:
-        """The last ``count`` rows, oldest first."""
-        rows = self.records()
-        return rows[-count:] if count > 0 else []
-
-    def get(self, key: str) -> RunRecord | None:
-        """The most recent row whose key equals — or starts with —
-        ``key`` (prefix match mirrors git's abbreviated-hash habit)."""
-        match: RunRecord | None = None
-        for record in self.records():
-            if record.key == key or record.key.startswith(key):
-                match = record
-        return match
-
-    def history(self, key: str) -> list[RunRecord]:
-        """Every row for a key (exact or prefix), oldest first."""
-        return [r for r in self.records()
-                if r.key == key or r.key.startswith(key)]
+    def lookup(self, prefix: str) -> list[RunRecord]:
+        """Every row whose key starts with ``prefix``, oldest first (an
+        abbreviated key, as git abbreviates a hash)."""
+        return [r for r in self.records() if r.key.startswith(prefix)]
 
     def report(self) -> dict[str, Any]:
         """Aggregate summary across all rows."""
         rows = self.records()
-        by_status: dict[str, int] = {}
-        by_workload: dict[str, int] = {}
-        computed_wall: list[float] = []
-        for record in rows:
-            by_status[record.status] = by_status.get(record.status, 0) + 1
-            if record.workload:
-                by_workload[record.workload] = \
-                    by_workload.get(record.workload, 0) + 1
-            if record.status == "computed":
-                computed_wall.append(record.wall_time)
-        resolved = by_status.get("hit", 0) + by_status.get("computed", 0)
+        by_status = collections.Counter(r.status for r in rows)
+        by_workload = collections.Counter(r.workload for r in rows
+                                          if r.workload)
+        computed_wall = [r.wall_time for r in rows if r.status == "computed"]
+        resolved = by_status["hit"] + by_status["computed"]
         return {
             "schema": SCHEMA,
             "path": str(self.path),
@@ -216,8 +156,7 @@ class RunRegistry:
             "unique_keys": len({r.key for r in rows}),
             "by_status": dict(sorted(by_status.items())),
             "by_workload": dict(sorted(by_workload.items())),
-            "hit_rate": (by_status.get("hit", 0) / resolved
-                         if resolved else 0.0),
+            "hit_rate": by_status["hit"] / resolved if resolved else 0.0,
             "computed_wall_time_total": round(sum(computed_wall), 6),
             "computed_wall_time_mean": (
                 round(sum(computed_wall) / len(computed_wall), 6)
@@ -227,9 +166,7 @@ class RunRegistry:
 
 def format_records(records: Iterable[RunRecord]) -> str:
     """One row per line: abbreviated key, status, workload, timing."""
-    lines = []
-    for r in records:
-        lines.append(
-            f"{r.key[:12]}  {r.status:<17} {r.workload:<12} "
-            f"{r.policy:<8} {r.wall_time:8.3f}s  {r.finished_at}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{r.key[:12]}  {r.status:<17} {r.workload:<12} "
+        f"{r.policy:<8} {r.wall_time:8.3f}s  {r.finished_at}"
+        for r in records)

@@ -18,7 +18,8 @@ Propagation is explicit and two-layered:
 
 Finished spans land in the process-global :class:`SpanRecorder` (a
 bounded ring) and, when a sink is configured (``set_sink`` or the
-``REPRO_OBS_SPANS`` environment variable), are appended as JSON lines.
+``REPRO_OBS_SPANS`` environment variable), are appended to a
+:class:`~repro.obs.jsonl.JsonLines` file, as run-registry rows are.
 :func:`spans_to_perfetto` renders spans in the same Chrome
 ``trace_event`` dialect as :mod:`repro.trace.export`.
 
@@ -30,7 +31,6 @@ tracing active or not (``tests/test_obs_parity.py``).
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 import threading
 from collections import deque
@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import time
 from typing import Iterator, Sequence
+
+from repro.obs.jsonl import JsonLines, read_jsonl
 
 #: Ring capacity of the in-process recorder.
 MAX_RECORDED_SPANS = 4096
@@ -123,48 +125,23 @@ class SpanRecorder:
     def __init__(self) -> None:
         self._spans: deque[Span] = deque(maxlen=MAX_RECORDED_SPANS)
         self._lock = threading.Lock()
-        self._sink: Path | None = None
-        #: True once a sink write failed: spans still land in the ring,
-        #: the drop is warned once and counted (see ``record``).
-        self.degraded = False
-        env = os.environ.get("REPRO_OBS_SPANS")
-        if env:
-            self._sink = Path(env)
+        self.sink: JsonLines | None = None
+        self.set_sink(os.environ.get("REPRO_OBS_SPANS") or None)
 
     def set_sink(self, path: str | Path | None) -> None:
-        """Append finished spans as JSON lines to ``path`` (None stops)."""
-        with self._lock:
-            self._sink = None if path is None else Path(path)
-            self.degraded = False
+        """Append finished spans as JSON lines to ``path`` (None stops).
+
+        A failed line is dropped (the span stays in the ring), warned
+        once per episode and counted; a new sink starts a new episode.
+        """
+        self.sink = None if path is None else JsonLines(path, "spans")
 
     def record(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-            sink = self._sink
+        sink = self.sink
         if sink is not None:
-            try:
-                sink.parent.mkdir(parents=True, exist_ok=True)
-                with open(sink, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(span.to_dict(),
-                                            sort_keys=True) + "\n")
-            except OSError as exc:
-                # Observability must never take the workload down: the
-                # span stays in the in-memory ring, the sink line is
-                # dropped, warned once, and counted.
-                from repro.obs.log import get_logger
-                from repro.obs.registry import default_registry
-                if not self.degraded:
-                    self.degraded = True
-                    get_logger("obs").warning(
-                        "span sink unwritable; span lines are being "
-                        "dropped",
-                        extra={"path": str(sink), "error": str(exc)})
-                default_registry().labeled_counter(
-                    "repro_obs_degraded_total",
-                    "Telemetry writes dropped because a sink is "
-                    "unwritable.", "sink").inc("spans")
-            else:
-                self.degraded = False
+            sink.append(span.to_dict())
 
     def spans(self, trace_id: str | None = None,
               name: str | None = None) -> list[Span]:
@@ -244,28 +221,9 @@ class span:
 
 # -- exporters --------------------------------------------------------
 
-def spans_jsonl(spans: Sequence[Span]) -> str:
-    """Spans as JSON lines (one object per line, sorted keys)."""
-    return "".join(json.dumps(s.to_dict(), sort_keys=True) + "\n"
-                   for s in spans)
-
-
 def read_spans_jsonl(path: str | Path) -> list[Span]:
-    """Parse a span JSONL file, skipping corrupt lines."""
-    out: list[Span] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        return out
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(Span.from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError):
-            continue
-    return out
+    """Parse a span JSONL file, skipping torn or corrupt lines."""
+    return read_jsonl(path, Span.from_dict)
 
 
 def spans_to_perfetto(spans: Sequence[Span]) -> dict:

@@ -132,9 +132,9 @@ class CircuitBreaker:
             "repro_serve_breaker_state",
             "Circuit breaker state (0 closed, 1 half-open, 2 open)."
         ).set(_STATE_CODE[state])
-        registry.labeled_counter(
+        registry.counter(
             "repro_serve_breaker_transitions_total",
-            "Circuit breaker transitions by edge.", "edge"
+            "Circuit breaker transitions by edge.", label="edge"
         ).inc(f"{previous}->{state}")
         _log.warning("circuit breaker transition",
                      extra={"breaker_from": previous, "breaker_to": state,

@@ -25,12 +25,12 @@ class ServeMetrics:
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.requests = self.registry.labeled_counter(
+        self.requests = self.registry.counter(
             "repro_serve_requests_total",
-            "HTTP requests received, by endpoint.", "endpoint")
-        self.responses = self.registry.labeled_counter(
+            "HTTP requests received, by endpoint.", label="endpoint")
+        self.responses = self.registry.counter(
             "repro_serve_responses_total",
-            "HTTP responses sent, by status code.", "code")
+            "HTTP responses sent, by status code.", label="code")
         self.hits = self.registry.counter(
             "repro_serve_cache_hits_total",
             "Requests answered read-only from the result cache.")

@@ -320,7 +320,7 @@ class ExperimentServer:
     def _health_payload(self) -> dict:
         return {
             "status": "draining" if self._draining else "ok",
-            "in_flight": self.metrics.in_flight.value,
+            "in_flight": self.metrics.in_flight.value(),
             "queue_depth": self.config.queue_depth,
             "breaker": self.pipeline.breaker.to_dict(),
         }

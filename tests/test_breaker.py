@@ -181,7 +181,7 @@ def test_pipeline_trips_sheds_then_recovers_through_a_probe():
         assert shed.retry_after is not None and shed.retry_after > 0
     assert probe.status == "computed"
     assert pipeline.breaker.state == STATE_CLOSED
-    assert metrics.shed.value == 2
+    assert metrics.shed.value() == 2
 
 
 def test_cache_hit_while_open_is_a_drain_signal(tmp_path):

@@ -72,7 +72,7 @@ def test_every_subsystem_is_mounted():
         "list", "machine", "run", "sweep", "figure", "batch", "check",
         "trace", "serve", "loadgen", "chaos", "obs"}
     assert {path[1] for path in LEAVES if path[0] == "obs"} == {
-        "list", "show", "tail", "report"}
+        "list", "show", "report"}
 
 
 @pytest.mark.parametrize("path", sorted(LEAVES), ids=" ".join)

@@ -12,6 +12,7 @@ import json
 import logging
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
 
@@ -28,7 +29,7 @@ from repro.obs import (
     reset_default_registry,
 )
 from repro.obs.log import current as current_logging
-from repro.obs.registry import Counter, Histogram, MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.runreg import RunRecord, RunRegistry
 from repro.obs.tracing import (
     Span,
@@ -37,7 +38,6 @@ from repro.obs.tracing import (
     read_spans_jsonl,
     recorder,
     span,
-    spans_jsonl,
     spans_to_perfetto,
     use_context,
 )
@@ -69,7 +69,7 @@ def _synthetic_spec(iterations: int = 8, threads: int = 2,
 def test_registry_concurrent_counters_exact_totals():
     registry = MetricsRegistry()
     counter = registry.counter("c_total", "c")
-    labeled = registry.labeled_counter("l_total", "l", "kind")
+    labeled = registry.counter("l_total", "l", label="kind")
     gauge = registry.gauge("g", "g")
     threads, per_thread = 8, 500
 
@@ -82,11 +82,11 @@ def test_registry_concurrent_counters_exact_totals():
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(hammer, range(threads)))
-    assert counter.value == threads * per_thread
-    assert labeled.total == threads * per_thread
+    assert counter.value() == threads * per_thread
     assert labeled.value("a") == labeled.value("b") == \
         threads * per_thread // 2
-    assert gauge.value == 0
+    assert labeled.value() == 0  # a family has no unlabelled sample
+    assert gauge.value() == 0
 
 
 def test_registry_concurrent_histogram_exact_totals():
@@ -114,9 +114,10 @@ def test_registry_get_or_create_is_idempotent_and_kind_checked():
     assert registry.counter("x_total", "ignored") is a
     with pytest.raises(ValueError, match="already registered as"):
         registry.gauge("x_total", "x")
-    with pytest.raises(ValueError, match="already registered"):
-        registry.register(Counter("x_total", "dup"))
-    assert len(registry) == 1
+    with pytest.raises(ValueError, match="with label ''"):
+        registry.counter("x_total", "x", label="kind")
+    assert registry.get("x_total") is a
+    assert registry.render_prometheus().count("# TYPE") == 1
 
 
 def test_registry_render_orders_by_registration():
@@ -159,6 +160,131 @@ def test_serve_metrics_render_matches_pre_refactor_exposition():
     assert 'repro_serve_requests_total{endpoint="/v1/run"} 1' in lines
     assert "repro_serve_in_flight 2" in lines
     assert text.endswith("\n")
+
+
+#: The ``/metrics`` body after the updates in
+#: ``test_metrics_body_is_byte_pinned``, byte for byte.
+METRICS_BODY_PIN = "\n".join([
+    "# HELP repro_serve_requests_total HTTP requests received, by endpoint.",
+    "# TYPE repro_serve_requests_total counter",
+    r'repro_serve_requests_total{endpoint="/v1/\"odd\"\npath"} 1',
+    'repro_serve_requests_total{endpoint="/v1/run"} 2',
+    "# HELP repro_serve_responses_total HTTP responses sent, by status code.",
+    "# TYPE repro_serve_responses_total counter",
+    'repro_serve_responses_total{code="200"} 1',
+    'repro_serve_responses_total{code="429"} 1',
+    "# HELP repro_serve_cache_hits_total Requests answered read-only from "
+    "the result cache.",
+    "# TYPE repro_serve_cache_hits_total counter",
+    "repro_serve_cache_hits_total 2",
+    "# HELP repro_serve_cache_misses_total Requests that required a "
+    "simulation submission.",
+    "# TYPE repro_serve_cache_misses_total counter",
+    "repro_serve_cache_misses_total 0",
+    "# HELP repro_serve_coalesced_total Requests folded into an identical "
+    "in-flight request.",
+    "# TYPE repro_serve_coalesced_total counter",
+    "repro_serve_coalesced_total 0",
+    "# HELP repro_serve_shed_total Requests refused by admission control "
+    "(429).",
+    "# TYPE repro_serve_shed_total counter",
+    "repro_serve_shed_total 1",
+    "# HELP repro_serve_timeouts_total Requests whose simulation exceeded "
+    "the request timeout.",
+    "# TYPE repro_serve_timeouts_total counter",
+    "repro_serve_timeouts_total 0",
+    "# HELP repro_serve_failures_total Requests whose simulation failed.",
+    "# TYPE repro_serve_failures_total counter",
+    "repro_serve_failures_total 0",
+    "# HELP repro_serve_in_flight Requests currently being handled.",
+    "# TYPE repro_serve_in_flight gauge",
+    "repro_serve_in_flight 1",
+    "# HELP repro_serve_request_seconds Wall-clock request latency in "
+    "seconds.",
+    "# TYPE repro_serve_request_seconds histogram",
+    'repro_serve_request_seconds_bucket{le="0.001"} 0',
+    'repro_serve_request_seconds_bucket{le="0.0025"} 0',
+    'repro_serve_request_seconds_bucket{le="0.005"} 1',
+    'repro_serve_request_seconds_bucket{le="0.01"} 1',
+    'repro_serve_request_seconds_bucket{le="0.025"} 1',
+    'repro_serve_request_seconds_bucket{le="0.05"} 1',
+    'repro_serve_request_seconds_bucket{le="0.1"} 1',
+    'repro_serve_request_seconds_bucket{le="0.25"} 1',
+    'repro_serve_request_seconds_bucket{le="0.5"} 1',
+    'repro_serve_request_seconds_bucket{le="1"} 1',
+    'repro_serve_request_seconds_bucket{le="2.5"} 1',
+    'repro_serve_request_seconds_bucket{le="5"} 1',
+    'repro_serve_request_seconds_bucket{le="10"} 1',
+    'repro_serve_request_seconds_bucket{le="+Inf"} 2',
+    "repro_serve_request_seconds_sum 99.503",
+    "repro_serve_request_seconds_count 2",
+    "# HELP repro_process_max_resident_bytes Peak resident set size of the "
+    "server process (ru_maxrss).",
+    "# TYPE repro_process_max_resident_bytes gauge",
+    "repro_process_max_resident_bytes 1572864",
+    "# HELP repro_serve_breaker_state Circuit breaker state (0 closed, "
+    "1 half-open, 2 open).",
+    "# TYPE repro_serve_breaker_state gauge",
+    "repro_serve_breaker_state 0",
+    "# HELP repro_serve_breaker_transitions_total Circuit breaker "
+    "transitions by edge.",
+    "# TYPE repro_serve_breaker_transitions_total counter",
+    'repro_serve_breaker_transitions_total{edge="closed->open"} 1',
+    'repro_serve_breaker_transitions_total{edge="half-open->closed"} 1',
+    'repro_serve_breaker_transitions_total{edge="open->half-open"} 1',
+    "# HELP repro_pin_total Unlabelled pin counter.",
+    "# TYPE repro_pin_total counter",
+    "repro_pin_total 1",
+    "# HELP repro_pin_ratio Pin gauge.",
+    "# TYPE repro_pin_ratio gauge",
+    "repro_pin_ratio 0.25",
+    "# HELP repro_pin_seconds Pin histogram.",
+    "# TYPE repro_pin_seconds histogram",
+    'repro_pin_seconds_bucket{le="0.5"} 0',
+    'repro_pin_seconds_bucket{le="1"} 0',
+    'repro_pin_seconds_bucket{le="+Inf"} 1',
+    "repro_pin_seconds_sum 1.5",
+    "repro_pin_seconds_count 1",
+    ""])
+
+
+def test_metrics_body_is_byte_pinned(monkeypatch):
+    """What ``GET /metrics`` serves — the panel, then the default
+    registry — after a fixed sequence of updates through the public
+    instrument API, compared byte for byte with a recorded body."""
+    import resource
+    from types import SimpleNamespace
+
+    from repro.serve.breaker import CircuitBreaker
+
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda _who: SimpleNamespace(ru_maxrss=1536))
+    reset_default_registry()
+    metrics = ServeMetrics()
+    metrics.requests.inc("/v1/run")
+    metrics.requests.inc('/v1/"odd"\npath')
+    metrics.requests.inc("/v1/run")
+    metrics.responses.inc("200")
+    metrics.responses.inc("429")
+    metrics.hits.inc()
+    metrics.hits.inc()
+    metrics.shed.inc()
+    metrics.in_flight.inc()
+    metrics.in_flight.inc()
+    metrics.in_flight.dec()
+    metrics.latency.observe(0.003)
+    metrics.latency.observe(99.5)  # above every bucket: only +Inf
+    breaker = CircuitBreaker(threshold=1)  # walks all three edges
+    breaker.record_failure()
+    breaker.note_drain()
+    breaker.record_success()
+    default_registry().counter("repro_pin_total",
+                               "Unlabelled pin counter.").inc()
+    default_registry().gauge("repro_pin_ratio", "Pin gauge.").set(0.25)
+    default_registry().histogram("repro_pin_seconds", "Pin histogram.",
+                                 buckets=(0.5, 1.0)).observe(1.5)
+    body = metrics.render() + default_registry().render_prometheus()
+    assert body == METRICS_BODY_PIN
 
 
 # -- span tracing -----------------------------------------------------
@@ -225,8 +351,6 @@ def test_span_jsonl_round_trip_and_sink(tmp_path):
         local.record(s)
     parsed = read_spans_jsonl(tmp_path / "spans.jsonl")
     assert [s.to_dict() for s in parsed] == [s.to_dict() for s in spans]
-    text = spans_jsonl(spans)
-    assert json.loads(text.splitlines()[0])["name"] == "one"
 
 
 def test_span_dict_round_trip_is_exact_when_bounds_round_apart():
@@ -343,16 +467,16 @@ def test_run_registry_round_trip_survives_restart(tmp_path):
     assert rows[1].status == "hit"
 
 
-def test_run_registry_get_prefix_tail_and_report(tmp_path):
+def test_run_registry_prefix_lookup_and_report(tmp_path):
     registry = RunRegistry(tmp_path)
     key1, key2 = "abc" + "0" * 61, "def" + "0" * 61
     registry.append(_record(key=key1))
     registry.append(_record(key=key2, status="failed", error="boom"))
     registry.append(_record(key=key1, status="hit"))
-    assert registry.get("abc").status == "hit"  # latest row wins
-    assert registry.get("nope") is None
-    assert len(registry.history(key1)) == 2
-    assert [r.key for r in registry.tail(2)] == [key2, key1]
+    assert [r.status for r in registry.lookup("abc")] == ["computed", "hit"]
+    assert registry.lookup(key1) == registry.lookup("abc")
+    assert registry.lookup("nope") == []
+    assert len(registry.lookup("")) == 3
     report = registry.report()
     assert report["rows"] == 3
     assert report["unique_keys"] == 2
@@ -403,15 +527,15 @@ def test_fdt_job_records_decision_and_estimates():
     runner = JobRunner(cache=ResultCache(None))
     spec = _synthetic_spec(iterations=24, policy="fdt")
     runner.run_one(spec)
-    row = runner.run_registry.get(spec.key())
-    assert row is not None and row.status == "computed"
+    (row,) = runner.run_registry.lookup(spec.key())
+    assert row.status == "computed"
     assert row.fdt, "FDT decision missing from provenance row"
     decision = row.fdt[0]
     assert decision["threads"] >= 1
     assert "estimates" in decision
     # The decision also published to the shared registry.
     decisions = default_registry().get("repro_fdt_decisions_total")
-    assert decisions is not None and decisions.total >= 1
+    assert decisions is not None and decisions.value("sat+bat") >= 1
     chosen = default_registry().get("repro_fdt_chosen_threads")
     assert chosen is not None and chosen.count >= 1
     assert default_registry().get("repro_fdt_p_fdt") is not None
@@ -434,7 +558,8 @@ def test_obs_cli_list_show_tail_report(capsys):
     assert doc["resolutions"] == 1
     assert doc["host"] == host_fingerprint()
 
-    assert cli.main(["obs", "tail", "-n", "1", "--json"]) == 0
+    # The tail of the registry is ``list --limit N``.
+    assert cli.main(["obs", "list", "--limit", "1", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 1 and rows[0]["key"] == key
 
@@ -455,6 +580,49 @@ def test_obs_cli_list_filters(capsys, tmp_path):
                      "--status", "failed", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["status"] for r in rows] == ["failed"]
+
+
+def test_obs_cli_list_limit_keeps_the_last_n(capsys, tmp_path):
+    """``--limit 0`` keeps no row (``rows[-0:]`` used to keep all of
+    them) and a negative limit is a usage error (``-1`` used to drop
+    the oldest row)."""
+    registry = RunRegistry(tmp_path)
+    for key in "abc":
+        registry.append(_record(key=key * 64))
+
+    def keys(limit: str) -> list[str]:
+        assert cli.main(["obs", "list", "--dir", str(tmp_path), "--json",
+                         "--limit", limit]) == 0
+        return [row["key"][0] for row in
+                json.loads(capsys.readouterr().out)]
+
+    assert keys("2") == ["b", "c"]
+    assert keys("5") == ["a", "b", "c"]
+    assert keys("0") == []
+    assert cli.main(["obs", "list", "--dir", str(tmp_path),
+                     "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--limit" in captured.err
+
+
+def test_obs_cli_show_refuses_an_ambiguous_prefix(capsys, tmp_path):
+    """A prefix that matches two keys, or the empty prefix, names no
+    run: exit 1 and list the candidates, as git does for a short hash."""
+    registry = RunRegistry(tmp_path)
+    first, second = "ab11" + "0" * 60, "ab22" + "0" * 60
+    registry.append(_record(key=first))
+    registry.append(_record(key=second))
+    registry.append(_record(key=first, status="hit"))
+    show = ["obs", "show", "--dir", str(tmp_path)]
+    for prefix in ("ab", ""):
+        assert cli.main([*show, prefix]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert first in captured.err and second in captured.err
+    assert cli.main([*show, "ab1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["key"], doc["status"], doc["resolutions"]) == \
+        (first, "hit", 2)
 
 
 # -- satellite: manifest timestamps -----------------------------------
@@ -589,21 +757,65 @@ def obs_warnings():
     logger.setLevel(previous)
 
 
-def test_run_registry_survives_unwritable_root(tmp_path, obs_warnings):
-    counter = default_registry().labeled_counter(
+def _sink_owner(sink: str, path):
+    """A run registry (rows under ``path``) or a span recorder (sink
+    file under ``path``), with a function that writes row ``i`` and one
+    that reads every row back."""
+    if sink == "runreg":
+        registry = RunRegistry(path)
+        return (registry, lambda i: registry.append(_record(key=f"{i:064x}")),
+                registry.records)
+    rec = SpanRecorder()
+    rec.set_sink(path / "spans.jsonl")
+    return (rec, lambda i: rec.record(Span(
+        trace_id="t", span_id=f"{i:016x}", parent_id="", name=f"s{i}",
+        start=float(i), end=i + 1.0)),
+        lambda: read_spans_jsonl(path / "spans.jsonl"))
+
+
+@pytest.mark.parametrize("sink", ["runreg", "spans"])
+def test_unwritable_sink_drops_counts_and_warns_once(sink, tmp_path,
+                                                     obs_warnings):
+    counter = default_registry().counter(
         "repro_obs_degraded_total",
-        "Telemetry writes dropped because a sink is unwritable.", "sink")
-    before = counter.value("runreg")
-    registry = RunRegistry(_blocked_path(tmp_path))
-    registry.append(_record())
-    registry.append(_record(status="hit"))
-    assert registry.degraded is True
-    assert registry.records() == []
+        "Telemetry writes dropped because a sink is unwritable.",
+        label="sink")
+    before = counter.value(sink)
+    owner, write, read = _sink_owner(sink, _blocked_path(tmp_path))
+    write(0)
+    write(1)
+    assert owner.sink.degraded is True
+    assert read() == []
     # Every drop is counted, but the warning fires once per episode.
-    assert counter.value("runreg") == before + 2
+    assert counter.value(sink) == before + 2
     warnings = [r for r in obs_warnings
-                if "run registry unwritable" in r.getMessage()]
-    assert len(warnings) == 1
+                if "sink unwritable" in r.getMessage()]
+    assert [r.sink for r in warnings] == [sink]
+    if sink == "spans":
+        # The sink line was dropped but the in-memory ring kept the span.
+        assert [s.name for s in owner.spans()] == ["s0", "s1"]
+
+
+@pytest.mark.parametrize("sink", ["runreg", "spans"])
+def test_concurrent_writers_never_tear_a_line(sink, tmp_path):
+    """8 writers x 200 lines through one sink: 1 600 whole lines."""
+    threads, per_thread = 8, 200
+    _, write, read = _sink_owner(sink, tmp_path)
+
+    def hammer(t: int) -> None:
+        for j in range(per_thread):
+            write(t * per_thread + j)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(hammer, range(threads), timeout=60))
+    finally:
+        sys.setswitchinterval(previous)
+    path = tmp_path / ("runs.jsonl" if sink == "runreg" else "spans.jsonl")
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1600
+    assert len(read()) == 1600
 
 
 def test_run_registry_recovers_and_rewarns_per_episode(tmp_path, obs_warnings):
@@ -613,56 +825,31 @@ def test_run_registry_recovers_and_rewarns_per_episode(tmp_path, obs_warnings):
     blocker.write_text("in the way", encoding="utf-8")
     registry = RunRegistry(blocker / "reg")
     registry.append(_record())
-    assert registry.degraded is True
+    assert registry.sink.degraded is True
     blocker.unlink()  # the disk came back
     registry.append(_record(status="hit"))
-    assert registry.degraded is False
+    assert registry.sink.degraded is False
     assert [r.status for r in registry.records()] == ["hit"]
     # A fresh outage warns again: once per episode, not per process.
     shutil.rmtree(blocker)
     blocker.write_text("back in the way", encoding="utf-8")
     registry.append(_record())
-    assert registry.degraded is True
+    assert registry.sink.degraded is True
     warnings = [r for r in obs_warnings
-                if "run registry unwritable" in r.getMessage()]
+                if "sink unwritable" in r.getMessage()]
     assert len(warnings) == 2
 
 
-def test_span_sink_degrades_but_ring_keeps_the_span(tmp_path, obs_warnings):
-    from repro.obs.tracing import Span
-
-    counter = default_registry().labeled_counter(
-        "repro_obs_degraded_total",
-        "Telemetry writes dropped because a sink is unwritable.", "sink")
-    before = counter.value("spans")
-    rec = SpanRecorder()
-    rec.set_sink(_blocked_path(tmp_path))
-    mine = Span(trace_id="t", span_id="s", parent_id="", name="degraded",
-                start=0.0, end=1.0)
-    rec.record(mine)
-    rec.record(Span(trace_id="t", span_id="s2", parent_id="",
-                    name="degraded2", start=1.0, end=2.0))
-    assert rec.degraded is True
-    assert counter.value("spans") == before + 2
-    # The sink line was dropped but the in-memory ring kept the span.
-    assert [s.name for s in rec.spans()] == ["degraded", "degraded2"]
-    warnings = [r for r in obs_warnings
-                if "span sink unwritable" in r.getMessage()]
-    assert len(warnings) == 1
-
-
 def test_span_sink_set_sink_resets_the_degraded_episode(tmp_path):
-    from repro.obs.tracing import Span
-
     rec = SpanRecorder()
     rec.set_sink(_blocked_path(tmp_path))
     rec.record(Span(trace_id="t", span_id="s", parent_id="", name="n",
                     start=0.0, end=1.0))
-    assert rec.degraded is True
+    assert rec.sink.degraded is True
     good = tmp_path / "spans.jsonl"
     rec.set_sink(good)
-    assert rec.degraded is False
+    assert rec.sink.degraded is False
     rec.record(Span(trace_id="t", span_id="s2", parent_id="", name="n2",
                     start=1.0, end=2.0))
-    assert rec.degraded is False
+    assert rec.sink.degraded is False
     assert len(read_spans_jsonl(good)) == 1

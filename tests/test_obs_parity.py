@@ -151,8 +151,7 @@ def test_served_request_produces_linked_telemetry(tmp_path, capsys):
     assert samples["repro_serve_batch_seconds_count"] == 1
 
     # The run registry holds a provenance row linked to the same trace.
-    row = RunRegistry().get(key)
-    assert row is not None
+    (row,) = RunRegistry().lookup(key)
     assert row.status == "computed"
     assert row.trace_id == trace_id
     assert row.wall_time > 0

@@ -62,7 +62,7 @@ from repro.serve.http import (
     request_bytes,
     response_bytes,
 )
-from repro.obs.registry import Histogram, LabeledCounter
+from repro.obs.registry import Counter, Histogram
 from repro.jobs.resolution import (
     STATUS_COALESCED,
     STATUS_COMPUTED,
@@ -219,7 +219,7 @@ def test_histogram_buckets_are_cumulative():
 
 
 def test_labeled_counter_escapes_label_values():
-    counter = LabeledCounter("c", "test", "path")
+    counter = Counter("c", "test", label="path")
     counter.inc('we"ird\npath')
     rendered = "\n".join(counter.render())
     assert r'c{path="we\"ird\npath"} 1' in rendered
@@ -593,9 +593,9 @@ def test_identical_concurrent_requests_coalesce_to_one_simulation():
     assert statuses == [STATUS_COALESCED] * (fanout - 1) + [STATUS_COMPUTED]
     assert len({json.dumps(r.result, sort_keys=True)
                 for r in resolutions}) == 1
-    assert metrics.misses.value == 1
-    assert metrics.coalesced.value == fanout - 1
-    assert metrics.shed.value == 0
+    assert metrics.misses.value() == 1
+    assert metrics.coalesced.value() == fanout - 1
+    assert metrics.shed.value() == 0
 
 
 def test_full_queue_sheds_instead_of_queuing():
@@ -623,7 +623,7 @@ def test_full_queue_sheds_instead_of_queuing():
     assert shed.result is None
     assert shed.retry_after == 2.5
     assert [r.status for r in served] == [STATUS_COMPUTED, STATUS_COMPUTED]
-    assert metrics.shed.value == 1
+    assert metrics.shed.value() == 1
     assert len(runner.batches) == 2  # the shed request never ran
 
 
@@ -645,8 +645,8 @@ def test_cache_fast_path_answers_without_touching_the_runner():
     assert resolution.status == STATUS_HIT
     assert resolution.result == stored
     assert runner.batches == []  # no worker involvement at all
-    assert metrics.hits.value == 1
-    assert metrics.misses.value == 0
+    assert metrics.hits.value() == 1
+    assert metrics.misses.value() == 0
 
 
 def test_request_timeout_resolves_to_timeout_status():
@@ -666,7 +666,7 @@ def test_request_timeout_resolves_to_timeout_status():
     assert resolution.status == STATUS_TIMEOUT
     assert resolution.result is None
     assert "0.05" in resolution.error
-    assert metrics.timeouts.value == 1
+    assert metrics.timeouts.value() == 1
 
 
 # -- the validated-hit tier ---------------------------------------------
@@ -727,7 +727,7 @@ def test_tier_is_bounded_and_evicts_oldest_first(monkeypatch):
     assert again == first[0] and again is not first[0]
     assert _probe_tiers() == ["disk"] * 5
     assert list(pipeline._hot) == [s.key() for s in (*specs[2:], specs[0])]
-    assert pipeline.metrics.hits.value == 5
+    assert pipeline.metrics.hits.value() == 5
 
 
 def test_no_cache_builds_no_tier():
@@ -738,7 +738,7 @@ def test_no_cache_builds_no_tier():
     assert [r.status for r in resolutions] == [STATUS_COMPUTED] * 2
     assert pipeline.probe(spec.key()) is None
     assert pipeline._hot == {} and pipeline.replies(resolutions[0]) is None
-    assert _probe_tiers() == [] and metrics.hits.value == 0
+    assert _probe_tiers() == [] and metrics.hits.value() == 0
 
 
 def _raw(port: int, method: str, path: str,
