@@ -124,14 +124,13 @@ class BusStats:
 class OffChipBus:
     """Reservation-based data bus shared by all L3 banks."""
 
-    __slots__ = ("latency", "cycles_per_line", "_timeline", "_last_end", "stats")
+    __slots__ = ("latency", "cycles_per_line", "_timeline", "stats")
 
     def __init__(self, config: MachineConfig) -> None:
         self.latency = config.bus_latency
         self.cycles_per_line = config.bus_cycles_per_line
         self._timeline = ReservationTimeline(
             min_duration=self.cycles_per_line)
-        self._last_end = 0
         self.stats = BusStats()
 
     def request_phase(self, now: int) -> int:
@@ -154,16 +153,9 @@ class OffChipBus:
         stats.total_wait_cycles += start - ready
         stats.busy_cycles += cycles
         stats.transfers += 1
-        if done > self._last_end:
-            self._last_end = done
         return done
 
     @property
     def busy_cycles(self) -> int:
         """Cumulative data-bus-occupied cycles (the BAT counter)."""
         return self.stats.busy_cycles
-
-    @property
-    def free_at(self) -> int:
-        """Cycle at which the last-booked transfer completes."""
-        return self._last_end

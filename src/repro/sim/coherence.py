@@ -1,9 +1,12 @@
 """Distributed directory-based MESI coherence (Table 1).
 
 The directory is co-located with the L3 home bank of each line.  A
-directory entry exists only while at least one private L2 holds the line;
-it records either a set of sharers (line in S in each) or a single owner
-(line in M or E in that core's L2).
+directory entry exists only while at least one private L2 holds the line,
+and it is a plain value: the tuple ``(owner, dirty)`` while exactly one
+core holds the line in M (``dirty``) or E, or the set of sharers while
+one or more cores hold it in S.  An owned entry is replaced, never
+mutated, so a memory port can store and compare its own ``(core, False)``
+and ``(core, True)`` without building anything.
 
 The protocol implemented (states are those of the private L2 copies):
 
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import cast
 
 
 class MesiState(enum.Enum):
@@ -39,31 +41,9 @@ class MesiState(enum.Enum):
     # INVALID is represented by absence from the cache.
 
 
-#: ``sharers`` of every owner-form entry: most lines only ever have one
-#: holder, and their entries then allocate no set at all.  Frozen, and
-#: never written: the transitions add to and discard from the sharers of
-#: ownerless entries only, which hold a set of their own.
-_NO_SHARERS = cast("set[int]", frozenset())
-
-
-@dataclass(slots=True)
-class DirectoryEntry:
-    """Directory bookkeeping for one line with private copies.
-
-    ``owner`` is set when exactly one core holds the line in M or E;
-    ``sharers`` is a set of its own when one or more cores hold it in S.
-    The two are mutually exclusive.
-    """
-
-    owner: int | None = None
-    owner_dirty: bool = False  # owner's copy is M (vs E)
-    sharers: set[int] = _NO_SHARERS
-
-    def holders(self) -> set[int]:
-        """All cores with a valid private copy."""
-        if self.owner is not None:
-            return {self.owner}
-        return set(self.sharers)
+#: A directory entry: ``(owner, dirty)`` for a line one core holds in M
+#: or E, or the set of cores holding it in S.
+Entry = tuple[int, bool] | set[int]
 
 
 @dataclass(slots=True)
@@ -84,16 +64,19 @@ class Directory:
     __slots__ = ("_entries", "stats")
 
     def __init__(self) -> None:
-        self._entries: dict[int, DirectoryEntry] = {}
+        self._entries: dict[int, Entry] = {}
         self.stats = CoherenceStats()
 
-    def entry(self, line: int) -> DirectoryEntry | None:
+    def entry(self, line: int) -> Entry | None:
         """The directory entry for ``line`` or None if uncached privately."""
         return self._entries.get(line)
 
     def holders(self, line: int) -> set[int]:
+        """All cores with a valid private copy of ``line``."""
         e = self._entries.get(line)
-        return e.holders() if e else set()
+        if e is None:
+            return set()
+        return {e[0]} if type(e) is tuple else set(e)
 
     # -- transitions -------------------------------------------------------
 
@@ -104,29 +87,26 @@ class Directory:
         the line cache-to-cache (None when data comes from L3/memory) and
         whether that owner's copy was dirty (needs an L3 writeback).
         After the call the requester is a holder: sole holder → E is
-        represented as owner with ``owner_dirty=False``; otherwise S.
+        represented as ``(requester, False)``; otherwise S.
         """
         self.stats.gets += 1
         e = self._entries.get(line)
         if e is None:
             # No private copies: requester gets the line in E.
-            self._entries[line] = DirectoryEntry(owner=requester, owner_dirty=False)
+            self._entries[line] = (requester, False)
             return None, False
-        if e.owner is not None and e.owner != requester:
-            src = e.owner
-            dirty = e.owner_dirty
-            self.stats.cache_to_cache += 1
-            if dirty:
-                self.stats.writebacks_to_l3 += 1
-            # Owner downgrades to S; both are now sharers.
-            e.sharers = {src, requester}
-            e.owner = None
-            e.owner_dirty = False
-            return src, dirty
-        if e.owner == requester:
+        if type(e) is set:
+            e.add(requester)
+            return None, False
+        owner, dirty = e
+        if owner == requester:
             return None, False  # already owner (shouldn't miss, but harmless)
-        e.sharers.add(requester)
-        return None, False
+        self.stats.cache_to_cache += 1
+        if dirty:
+            self.stats.writebacks_to_l3 += 1
+        # Owner downgrades to S; both are now sharers.
+        self._entries[line] = {owner, requester}
+        return owner, dirty
 
     def on_getm(self, line: int, requester: int) -> tuple[int | None, bool, set[int]]:
         """Record a store miss by ``requester``.
@@ -139,16 +119,14 @@ class Directory:
         forward_from: int | None = None
         was_dirty = False
         invalidated: set[int] = set()
-        if e is not None:
-            if e.owner is not None and e.owner != requester:
-                forward_from = e.owner
-                was_dirty = e.owner_dirty
-                invalidated = {e.owner}
-                self.stats.cache_to_cache += 1
-            else:
-                invalidated = {s for s in e.sharers if s != requester}
-            self.stats.invalidations_sent += len(invalidated)
-        self._entries[line] = DirectoryEntry(owner=requester, owner_dirty=True)
+        if type(e) is set:
+            invalidated = {s for s in e if s != requester}
+        elif e is not None and e[0] != requester:
+            forward_from, was_dirty = e
+            invalidated = {forward_from}
+            self.stats.cache_to_cache += 1
+        self.stats.invalidations_sent += len(invalidated)
+        self._entries[line] = (requester, True)
         return forward_from, was_dirty, invalidated
 
     def on_upgrade(self, line: int, requester: int) -> set[int]:
@@ -156,27 +134,28 @@ class Directory:
         self.stats.upgrades += 1
         e = self._entries.get(line)
         victims: set[int] = set()
-        if e is not None:
-            victims = {s for s in e.sharers if s != requester}
+        if type(e) is set:
+            victims = {s for s in e if s != requester}
             self.stats.invalidations_sent += len(victims)
-        self._entries[line] = DirectoryEntry(owner=requester, owner_dirty=True)
+        self._entries[line] = (requester, True)
         return victims
 
     def on_evict(self, line: int, core: int, state: MesiState) -> bool:
         """Record an L2 eviction.  Returns True if dirty data goes to L3."""
         e = self._entries.get(line)
-        dirty = False
         if e is None:
             return False
-        if e.owner == core:
-            dirty = e.owner_dirty
-            if dirty:
-                self.stats.writebacks_to_l3 += 1
-            del self._entries[line]
-        elif e.owner is None:
-            e.sharers.discard(core)
-            if not e.sharers:
+        if type(e) is set:
+            e.discard(core)
+            if not e:
                 del self._entries[line]
+            return False
+        owner, dirty = e
+        if owner != core:
+            return False
+        if dirty:
+            self.stats.writebacks_to_l3 += 1
+        del self._entries[line]
         return dirty and state is MesiState.MODIFIED
 
     def on_recall(self, line: int) -> tuple[set[int], bool]:
@@ -188,18 +167,19 @@ class Directory:
         e = self._entries.pop(line, None)
         if e is None:
             return set(), False
-        holders = e.holders()
-        self.stats.invalidations_sent += len(holders)
-        dirty = e.owner is not None and e.owner_dirty
+        if type(e) is set:
+            self.stats.invalidations_sent += len(e)
+            return e, False
+        owner, dirty = e
+        self.stats.invalidations_sent += 1
         if dirty:
             self.stats.writebacks_to_l3 += 1
-        return holders, dirty
+        return {owner}, dirty
 
     def mark_dirty(self, line: int, core: int) -> None:
         """Note that ``core`` (the owner) dirtied its E copy (E→M)."""
-        e = self._entries.get(line)
-        if e is not None and e.owner == core:
-            e.owner_dirty = True
+        if self._entries.get(line) == (core, False):
+            self._entries[line] = (core, True)
 
     def __len__(self) -> int:
         return len(self._entries)

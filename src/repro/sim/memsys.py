@@ -23,7 +23,8 @@ builds, written for host speed, serves every valid
 one function per MESI transaction written as plain calls into the
 component classes (``SetAssocCache.lookup`` / ``insert`` / ``peek`` /
 ``update`` / ``invalidate``, ``L3Bank.start_access``,
-``OffChipBus.request_phase``, ``Directory.mark_dirty``), in the order
+``OffChipBus.request_phase`` / ``data_phase``, ``Dram.access``,
+``Directory.mark_dirty``), in the order
 the protocol description above gives them; the property suites hold the
 port to it.
 """
@@ -33,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.errors import SimulationError
 from repro.sim.bus import OffChipBus
 from repro.sim.cache import UNFILLED, SetAssocCache
-from repro.sim.coherence import Directory, DirectoryEntry, MesiState
+from repro.sim.coherence import Directory, MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.dram import Dram
 from repro.sim.l3 import SharedL3
@@ -108,7 +110,8 @@ class MemorySystem:
 
         The returned port resolves a load or a store from the L1 probe
         to the DRAM fill with everything it reads bound here: this
-        core's L1/L2 sets and stats, the directory's entry table, per
+        core's L1/L2 sets and stats, the directory's entry table and the
+        core's owned entries ``(core, False)`` and ``(core, True)``, per
         home bank the hops from this core and the bank's sets and stats,
         the ring's link walk, the bus timeline and the DRAM bank state.
         It is written as nested functions, because a call pays for
@@ -117,17 +120,17 @@ class MemorySystem:
         L2 and the many names that needs.  The straight line of ``miss``
         is the common case — no other core holds the line, data comes
         from the L3 or from memory — with the victims of the L3 and L2
-        fills handled in place, and so are the sharing legs: the S→M
-        ``upgrade``, the cache-to-cache forward and a GetM's fan-out,
-        which shares the per-victim ``invalidate`` with the upgrade; the
-        directory's transitions stay ``Directory.on_*`` calls.  Each of
-        the five ring legs (request, reply, upgrade reply, invalidation
-        out and back, forward via the owner) arrives at ``t + hops *
-        hop_latency``, or at ``Ring.reserve``'s answer on a ring with
-        link occupancy.  Out of line, as calls the specification makes
-        too: recall of an L3 victim with several sharers, a sharer's L2
-        eviction (``Directory.on_evict``), a bus reservation that fills
-        a gap, a posted write-back's bus and DRAM slots.
+        fills handled in place (a dirty L3 victim's posted write-back
+        too), and so are the sharing legs: the S→M ``upgrade``, the
+        cache-to-cache forward and a GetM's fan-out, which shares the
+        per-victim ``invalidate`` with the upgrade; the directory's
+        transitions stay ``Directory.on_*`` calls.  Each ring leg
+        arrives at ``t + hops * hop_latency``, or at ``Ring.reserve``'s
+        answer on a ring with link occupancy.  Out of line, as calls the
+        specification makes too: recall of an L3 victim held in S, a
+        sharer's L2 eviction (``Directory.on_evict``), a bus
+        reservation that fills a gap.  A dirty L2 victim without an L3
+        copy breaks inclusion: a :class:`SimulationError`.
 
         ``tests/spec_memsys.py`` is the specification the walk is tested
         against (``tests/test_property_memsys.py``): same completion
@@ -150,6 +153,8 @@ class MemorySystem:
         directory = self.directory
         entries = directory._entries
         coherence = directory.stats
+        #: This core's two owned directory entries, E and M.
+        own_clean, own_dirty = (core, False), (core, True)
 
         ring_stats, hop_latency = self.ring.stats, self.ring.hop_latency
         dist, num_nodes = self.ring.dist, self.ring.num_nodes
@@ -216,11 +221,9 @@ class MemorySystem:
         bus_stats = bus.stats
         bus_starts, bus_ends = bus._timeline._starts, bus._timeline._ends
         bus_reserve = bus._timeline.reserve
-        bus_data_phase = bus.data_phase
 
         dram = self.dram
         dram_stats = dram.stats
-        dram_access = dram.access
         dram_bank_of = dram.bank_of
         granule = dram._granule
         granule_bank = dram._granule_bank
@@ -234,8 +237,6 @@ class MemorySystem:
             """The walk past the L2: ``s1``/``s2`` are the probed sets."""
             # -- request to the home bank's directory ----------------------
             bank, bank_node, hops, hop_cycles, sets3, stats3 = homes[line & bank_mask]
-            ring_stats.messages += 1
-            ring_stats.total_hops += hops
             arrival = (t + hop_cycles if reserve is None
                        else reserve(t, core_node, bank_node))
             free = bank._free
@@ -249,11 +250,11 @@ class MemorySystem:
                 # Nobody holds the line: the requester becomes its owner.
                 if is_write:
                     coherence.getm += 1
-                    entries[line] = DirectoryEntry(core, True)
+                    entries[line] = own_dirty
                     new_state = _M
                 else:
                     coherence.gets += 1
-                    entries[line] = DirectoryEntry(core, False)
+                    entries[line] = own_clean
                     new_state = _E
             elif is_write:
                 forward_from, was_dirty, invalidated = (
@@ -263,15 +264,15 @@ class MemorySystem:
                     acks = invalidate(invalidated, line, bank_node, ready)
             else:
                 forward_from, was_dirty = directory.on_gets(line, core)
-                new_state = _E if entry.owner == core else _S
+                new_state = _E if type(entry) is tuple and entry[0] == core else _S
 
             if forward_from is not None:
                 # Cache-to-cache: home bank -> owner's L2 -> requester.
                 owner_node = core_nodes[forward_from]
                 via_owner = (dist[(owner_node - bank_node) % num_nodes]
                              + dist[(core_node - owner_node) % num_nodes])
-                ring_stats.messages += 2
-                ring_stats.total_hops += via_owner
+                ring_stats.messages += 3  # request, forward, data
+                ring_stats.total_hops += hops + via_owner
                 t_data = (ready + via_owner * hop_latency + l2_latency
                           if reserve is None else
                           reserve(reserve(ready, bank_node, owner_node)
@@ -341,8 +342,6 @@ class MemorySystem:
                     bus_stats.total_wait_cycles += start - t_mem
                     bus_stats.busy_cycles += bus_cycles
                     bus_stats.transfers += 1
-                    if t_bus > bus._last_end:
-                        bus._last_end = t_bus
                     # Fill the L3; the probe just missed, the line is absent.
                     if len(s3) >= l3_assoc:
                         victim = next(iter(s3))
@@ -352,15 +351,15 @@ class MemorySystem:
                         # Inclusion: recall the victim's private copies.
                         held = entries.get(victim)
                         if held is not None:
-                            owner = held.owner
-                            if owner is None:
+                            if type(held) is set:
                                 for holder in directory.on_recall(victim)[0]:
                                     l2s[holder].invalidate(victim)
                                     l1s[holder].invalidate(victim)
                             else:
+                                owner, owner_dirty = held
                                 del entries[victim]
                                 coherence.invalidations_sent += 1
-                                if held.owner_dirty:
+                                if owner_dirty:
                                     coherence.writebacks_to_l3 += 1
                                     victim_dirty = True
                                 cache = l2s[owner]
@@ -373,17 +372,48 @@ class MemorySystem:
                                     cache.stats.invalidations += 1
                             stats.recalls += 1
                         if victim_dirty:
-                            # Posted write-back: takes a bus slot and a
-                            # DRAM bank slot, never the requester's time.
-                            dram_access(victim, bus_data_phase(t_bus))
+                            # Posted write-back, never the requester's
+                            # time: a bus slot behind the fill's transfer
+                            # (the timeline ends at or after t_bus) or in
+                            # a gap, then a DRAM bank slot.
+                            last = bus_ends[-1]
+                            if bus_starts[-1] <= t_bus:
+                                bus_ends[-1] = last + bus_cycles
+                                start = last
+                            else:
+                                start = bus_reserve(t_bus, bus_cycles)
+                            bus_stats.total_wait_cycles += start - t_bus
+                            bus_stats.busy_cycles += bus_cycles
+                            bus_stats.transfers += 1
+                            t_wb = start + bus_cycles
+                            row = victim // granule
+                            dbank = granule_bank.get(row)
+                            if dbank is None:
+                                dbank = dram_bank_of(victim)
+                            free = dram_free[dbank]
+                            start = t_wb if t_wb >= free else free
+                            dram_stats.total_queue_cycles += start - t_wb
+                            open_row = open_rows[dbank]
+                            if open_row is None:
+                                dram_free[dbank] = start + row_closed
+                                dram_stats.row_closed += 1
+                            elif open_row == row:
+                                dram_free[dbank] = start + row_hit
+                                dram_stats.row_hits += 1
+                            else:
+                                dram_free[dbank] = start + row_conflict
+                                dram_stats.row_conflicts += 1
+                            if open_page:
+                                open_rows[dbank] = row
+                            dram_stats.accesses += 1
                             stats.l3_writebacks_to_dram += 1
                     elif s3 is UNFILLED:
                         sets3[line & l3_mask] = {line: False}
                     else:
                         s3[line] = False
                     ready = t_bus if t_bus > acks else acks
-                ring_stats.messages += 1
-                ring_stats.total_hops += hops
+                ring_stats.messages += 2  # request and reply
+                ring_stats.total_hops += 2 * hops
                 t_data = (ready + hop_cycles if reserve is None
                           else reserve(ready, bank_node, core_node))
 
@@ -397,23 +427,22 @@ class MemorySystem:
                 if l1_sets[victim & l1_mask].pop(victim, None) is not None:
                     l1_stats.invalidations += 1
                 held = entries.get(victim)
-                if held is not None:
-                    if held.owner == core:
-                        if held.owner_dirty:
-                            coherence.writebacks_to_l3 += 1
-                        del entries[victim]
-                    else:
-                        directory.on_evict(victim, core, victim_state)
+                if held == own_clean:
+                    del entries[victim]
+                elif held == own_dirty:
+                    coherence.writebacks_to_l3 += 1
+                    del entries[victim]
+                elif held is not None:
+                    directory.on_evict(victim, core, victim_state)
                 if victim_state is _M:
                     # Dirty data goes back to the (inclusive) home bank.
                     stats.l2_writebacks += 1
                     s3 = homes[victim & bank_mask][4][victim & l3_mask]
-                    if victim in s3:
-                        s3[victim] = True
-                    else:
-                        # The L3 copy is gone: push the line off-chip.
-                        dram_access(victim, bus_data_phase(0))
-                        stats.l3_writebacks_to_dram += 1
+                    if victim not in s3:
+                        raise SimulationError(
+                            f"L2 victim line {victim:#x} has no L3 copy: "
+                            "inclusion is broken")
+                    s3[victim] = True
             elif s2 is UNFILLED:
                 l2_sets[line & l2_mask] = {line: new_state}
             else:
@@ -449,9 +478,8 @@ class MemorySystem:
                     return t
                 if state is _E:
                     s2[line] = _M
-                    entry = entries.get(line)
-                    if entry is not None and entry.owner == core:
-                        entry.owner_dirty = True
+                    if entries.get(line) == own_clean:
+                        entries[line] = own_dirty
                     return t
                 if state is _S:
                     return upgrade(line, t, s2)
@@ -476,9 +504,8 @@ class MemorySystem:
             if is_write and state is not _M:
                 if state is _E:
                     s2[line] = _M
-                    entry = entries.get(line)
-                    if entry is not None and entry.owner == core:
-                        entry.owner_dirty = True
+                    if entries.get(line) == own_clean:
+                        entries[line] = own_dirty
                 else:
                     t = upgrade(line, t, s2)
             if len(s1) >= l1_assoc:

@@ -31,6 +31,7 @@ specification, stepped op by op: no Compute coalescing, no run-ahead.
 
 from __future__ import annotations
 
+from repro.errors import SimulationError
 from repro.sim.coherence import MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.l3 import L3Bank
@@ -155,8 +156,8 @@ def miss(memsys: MemorySystem, core: int, line: int, is_write: bool,
     if is_write:
         state = M
     else:
-        entry = directory.entry(line)
-        state = E if entry is not None and entry.owner == core else S
+        # E only for a sole holder: the directory has it as the owner.
+        state = E if directory.entry(line) in ((core, False), (core, True)) else S
     l2_install(memsys, core, line, state)
     memsys.l1s[core].insert(line, True)
     if memsys.observer is not None:
@@ -217,9 +218,9 @@ def l2_install(memsys: MemorySystem, core: int, line: int,
     if victim_state is M or dirty:
         memsys.stats.l2_writebacks += 1
         if not memsys.l3.bank_of(victim_line).cache.update(victim_line, True):
-            # A recall took the L3 copy first: push the line off-chip.
-            memsys.dram.access(victim_line, memsys.bus.data_phase(0))
-            memsys.stats.l3_writebacks_to_dram += 1
+            raise SimulationError(
+                f"L2 victim line {victim_line:#x} has no L3 copy: "
+                "inclusion is broken")
 
 
 def port(memsys: MemorySystem, core: int) -> AccessPort:

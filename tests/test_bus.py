@@ -114,6 +114,7 @@ def test_bandwidth_scaling_changes_occupancy():
     assert OffChipBus(double).cycles_per_line == 16
 
 
-def test_free_at_tracks_last_booking(bus: OffChipBus):
+def test_data_phase_books_its_slot_on_the_timeline(bus: OffChipBus):
     bus.data_phase(10)
-    assert bus.free_at == 42
+    bus.data_phase(20)  # queues behind the first: one interval
+    assert (bus._timeline._starts, bus._timeline._ends) == ([10], [74])

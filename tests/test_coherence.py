@@ -9,9 +9,8 @@ def test_first_gets_grants_exclusive():
     d = Directory()
     forward, dirty = d.on_gets(line=1, requester=0)
     assert forward is None and dirty is False
-    entry = d.entry(1)
-    assert entry.owner == 0
-    assert entry.owner_dirty is False
+    assert d.entry(1) == (0, False)
+    assert d.holders(1) == {0}
 
 
 def test_second_gets_downgrades_owner():
@@ -21,7 +20,7 @@ def test_second_gets_downgrades_owner():
     assert forward == 0
     assert dirty is False  # owner held it in E, not M
     assert d.holders(1) == {0, 3}
-    assert d.entry(1).owner is None
+    assert d.entry(1) == {0, 3}
 
 
 def test_gets_from_dirty_owner_forwards_and_writes_back():
@@ -42,8 +41,7 @@ def test_getm_invalidates_sharers():
     forward, dirty, invalidated = d.on_getm(1, requester=0)
     assert forward is None
     assert invalidated == {1, 2}
-    assert d.entry(1).owner == 0
-    assert d.entry(1).owner_dirty is True
+    assert d.entry(1) == (0, True)
     assert d.stats.invalidations_sent == 2
 
 
@@ -54,7 +52,7 @@ def test_getm_pulls_dirty_line_from_owner():
     assert forward == 4
     assert dirty is True
     assert invalidated == {4}
-    assert d.entry(1).owner == 7
+    assert d.entry(1) == (7, True)
 
 
 def test_upgrade_returns_other_sharers():
@@ -63,8 +61,8 @@ def test_upgrade_returns_other_sharers():
     d.on_gets(1, requester=1)
     victims = d.on_upgrade(1, requester=1)
     assert victims == {0}
-    assert d.entry(1).owner == 1
-    assert d.entry(1).owner_dirty is True
+    assert d.entry(1) == (1, True)
+    assert d.holders(1) == {1}
 
 
 def test_evict_of_clean_owner_drops_entry():
@@ -89,6 +87,7 @@ def test_evict_of_sharer_shrinks_set():
     d.on_gets(1, requester=1)
     d.on_evict(1, core=0, state=MesiState.SHARED)
     assert d.holders(1) == {1}
+    assert d.entry(1) == {1}  # a lone sharer stays in S
     d.on_evict(1, core=1, state=MesiState.SHARED)
     assert d.entry(1) is None
 
@@ -120,14 +119,14 @@ def test_mark_dirty_flips_exclusive_to_modified():
     d = Directory()
     d.on_gets(1, requester=0)  # E
     d.mark_dirty(1, core=0)
-    assert d.entry(1).owner_dirty is True
+    assert d.entry(1) == (0, True)
 
 
 def test_mark_dirty_ignores_non_owner():
     d = Directory()
     d.on_gets(1, requester=0)
     d.mark_dirty(1, core=5)
-    assert d.entry(1).owner_dirty is False
+    assert d.entry(1) == (0, False)
 
 
 def test_len_counts_tracked_lines():

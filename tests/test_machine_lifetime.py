@@ -28,7 +28,6 @@ from repro.fdt.runner import run_application
 from repro.isa.ops import Compute
 from repro.jobs.spec import JobSpec, PolicySpec, WorkloadRef
 from repro.sim.cache import UNFILLED, SetAssocCache
-from repro.sim.coherence import DirectoryEntry
 from repro.sim.config import MachineConfig
 from repro.sim.core import Core, _Context
 from repro.sim.machine import Machine
@@ -38,7 +37,7 @@ from repro.trace.recorder import MIN_MEM_STALL_CYCLES, SAMPLE_INTERVAL
 from repro.workloads import get
 from repro.workloads.synthetic import FIXTURES
 
-SIM_TYPES = (Core, _Context, MemorySystem, SetAssocCache, DirectoryEntry)
+SIM_TYPES = (Core, _Context, MemorySystem, SetAssocCache)
 SCALE = 0.05
 
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.coherence import MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
@@ -73,8 +75,8 @@ def test_directory_matches_l2_contents(ops):
             assert core in d.holders(line), (
                 "L2 holds a line the directory does not track")
     # And the converse: every tracked holder really holds the line.
-    for line, entry in list(d._entries.items()):
-        for holder in entry.holders():
+    for line in list(d._entries):
+        for holder in d.holders(line):
             assert m.memsys.l2s[holder].peek(line) is not None, (
                 "directory tracks a holder whose L2 lost the line")
 
@@ -83,7 +85,7 @@ def test_directory_matches_l2_contents(ops):
 @settings(deadline=None)
 def test_single_owner_for_modified_lines(ops):
     m = run_ops(ops)
-    for line, entry in list(m.memsys.directory._entries.items()):
+    for line in list(m.memsys.directory._entries):
         holders = [c for c in range(4)
                    if m.memsys.l2s[c].peek(line) is not None]
         states = [m.memsys.l2s[c].peek(line) for c in holders]
@@ -148,15 +150,14 @@ def state_of(m: Machine) -> dict:
         "contents": {c.name: [list(s.items()) for s in c._sets]
                      for c in caches},
         "cache_stats": {c.name: c.stats for c in caches},
-        "directory": {line: (e.owner, e.owner_dirty, set(e.sharers))
-                      for line, e in mem.directory._entries.items()},
+        "directory": dict(mem.directory._entries),
         "memsys": mem.stats,
         "coherence": mem.directory.stats,
         "ring": m.ring.stats,
         "ring_links": m.ring._link_free,
         "bus": mem.bus.stats,
         "dram": mem.dram.stats,
-        "bus_free_at": mem.bus.free_at,
+        "bus_timeline": (mem.bus._timeline._starts, mem.bus._timeline._ends),
         "l3_free_at": [bank.free_at for bank in mem.l3.banks],
         "dram_free_at": [mem.dram.busy_until(b)
                          for b in range(m.config.dram_banks)],
@@ -199,13 +200,11 @@ def run_both(ops, config: MachineConfig = SHRUNK_L3,
         line = mem.line_of(addr)
         entry = mem.directory.entry(line)
         in_l2 = mem.l2s[core].peek(line) is not None
-        if is_write and not in_l2 and entry is not None and (
-                entry.sharers - {core}):
+        if is_write and not in_l2 and type(entry) is set and entry - {core}:
             seen.add("GetM fan-out")
         if is_write and line in mem.l1s[core] and not in_l2:
             seen.add("L1 hit without an L2 copy")
-        owner = entry.owner if entry is not None else None
-        owner_dirty = entry is not None and entry.owner_dirty
+        owner, owner_dirty = entry if type(entry) is tuple else (None, False)
         # The owner's copies and the home bank's, as the op finds them.
         owner_held = (owner is not None and line in mem.l1s[owner]
                       and line in mem.l2s[owner])
@@ -266,7 +265,22 @@ def test_port_walk_matches_reference_on_a_contended_ring(ops):
         event(leg)
 
 
-def test_port_walk_matches_reference_on_every_rare_leg():
+RARE_LEGS = {
+    "recall with sharers", "recall of a dirty owner",
+    "posted write-back of a dirty L3 victim", "dirty L2 eviction",
+    "forward to a load from a clean owner",
+    "forward to a load from a dirty owner, L3 cleaned",
+    "forward to a store, owner's L1 and L2 invalidated",
+    "upgrade with no other sharer",
+    "upgrade invalidating two sharers or more", "GetM fan-out",
+    "L1 hit without an L2 copy"}
+
+
+@pytest.mark.parametrize("config, legs", [
+    (SHRUNK_L3, RARE_LEGS),
+    (CONTENDED_RING, RARE_LEGS | {"a message waited for a ring link"}),
+], ids=["SHRUNK_L3", "CONTENDED_RING"])
+def test_port_walk_matches_reference_on_every_rare_leg(config, legs):
     """One seeded sequence long enough to take every rare leg, with an
     L2 copy dropped now and then so the defensive branch runs too.
 
@@ -274,7 +288,11 @@ def test_port_walk_matches_reference_on_every_rare_leg():
     second keeps to eight lines of one L2 set, which the L3 holds: L2
     evictions then leave dirty L3 copies and lone sharers behind, which
     is what a forward that cleans the L3 and an upgrade with nobody to
-    invalidate need."""
+    invalidate need.
+
+    On the contended ring the order in which a fan-out's victims are
+    sent their invalidations decides who waits for a link, so the port
+    must take them in the specification's order."""
     rng = random.Random(13)
     ops: list[tuple[int, int, bool | None]] = []
     for _ in range(6000):
@@ -286,12 +304,24 @@ def test_port_walk_matches_reference_on_every_rare_leg():
     for _ in range(1000):
         ops.append((rng.randrange(4), (1 << 20) + rng.randrange(8) * 16 * 64,
                     rng.random() < 0.4))
-    assert run_both(ops) == {
-        "recall with sharers", "recall of a dirty owner",
-        "posted write-back of a dirty L3 victim", "dirty L2 eviction",
-        "forward to a load from a clean owner",
-        "forward to a load from a dirty owner, L3 cleaned",
-        "forward to a store, owner's L1 and L2 invalidated",
-        "upgrade with no other sharer",
-        "upgrade invalidating two sharers or more", "GetM fan-out",
-        "L1 hit without an L2 copy"}
+    assert run_both(ops, config) == legs
+
+
+@pytest.mark.parametrize("walk", ["port", "spec"])
+def test_a_dirty_l2_victim_without_an_l3_copy_raises(walk):
+    """L2 ⊆ L3 makes a dirty L2 victim's write-back land in its home
+    bank, so the posted write-back has one site, the dirty L3 victim.
+    Break inclusion by hand and the eviction raises instead of writing
+    the line off-chip at cycle 0."""
+    m = Machine(MachineConfig.small(num_cores=4))
+    port = (m.memsys.make_port(0) if walk == "port"
+            else spec_memsys.port(m.memsys, 0))
+    addr = 1 << 20
+    t = port(addr, True, 0)
+    line = m.memsys.line_of(addr)
+    m.memsys.l3.bank_of(line).cache.invalidate(line)
+    stride = m.memsys.l2s[0].num_sets * m.config.line_bytes
+    with pytest.raises(SimulationError, match="inclusion"):
+        for k in range(1, m.config.l2_assoc + 1):
+            t = port(addr + k * stride, False, t)
+    assert m.memsys.stats.l3_writebacks_to_dram == 0
