@@ -22,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.faults import FaultPlan
-from repro.faults.chaos import default_specs, run_chaos_batch
+from repro.faults.chaos import BatchSubmit, default_specs, run_chaos
 
 PLAN_PATH = Path(__file__).parent / "chaos_plan.json"
 
@@ -34,7 +34,7 @@ def main() -> None:
           f"sites: {', '.join(sorted(plan.sites()))}")
 
     specs = default_specs(workloads=("PageMine",), threads=2, scale=0.05)
-    report = run_chaos_batch(plan, specs)
+    report = run_chaos(plan, BatchSubmit(specs))
 
     print()
     print(report.summary())
@@ -47,7 +47,7 @@ def main() -> None:
         print("  (none — the plan's batch sites never matched)")
 
     # The same plan with the same seed always fires the same faults:
-    again = run_chaos_batch(plan, specs)
+    again = run_chaos(plan, BatchSubmit(specs))
     identical = again.firings == report.firings
     print()
     print(f"re-run with the same seed fires identically: {identical}")

@@ -23,11 +23,6 @@ class OracleChoice:
     min_cycles: int
     tolerance: float
 
-    @property
-    def slowdown_vs_min(self) -> float:
-        """Oracle execution time over the sweep minimum (<= 1+tolerance)."""
-        return self.point.cycles / self.min_cycles
-
 
 def oracle_choice(sweep: SweepResult, tolerance: float = 0.01) -> OracleChoice:
     """Fewest threads within ``tolerance`` of the sweep's minimum time."""

@@ -45,12 +45,6 @@ class ThreadPoint:
     ipc: float = 0.0
     energy: float = 0.0
 
-    def normalized(self, base_cycles: int) -> float:
-        """Execution time relative to ``base_cycles``."""
-        if base_cycles <= 0:
-            raise ConfigError("normalization base must be positive")
-        return self.cycles / base_cycles
-
 
 @dataclass(frozen=True, slots=True)
 class SweepResult:

@@ -21,7 +21,7 @@ static-analysis counterpart (``repro check --static``).
 Nothing here takes configuration: a verdict is a function of the
 program and the machine.  Every analysis and pass always runs, and a
 caller who wants less filters the report it gets back
-(``report.by_analysis(...)``, ``Finding.kind``, ``details["address"]``).
+(``Finding.analysis``, ``Finding.kind``, ``details["address"]``).
 """
 
 from repro.check.findings import (

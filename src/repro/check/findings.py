@@ -9,7 +9,6 @@ produced.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -109,10 +108,6 @@ class CheckReport:
             out[f.analysis] = out.get(f.analysis, 0) + 1
         return out
 
-    def by_analysis(self, analysis: str) -> tuple[Finding, ...]:
-        """The findings one analysis produced."""
-        return tuple(f for f in self.findings if f.analysis == analysis)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "workload": self.workload,
@@ -124,7 +119,3 @@ class CheckReport:
             "counts": self.counts(),
             "findings": [f.to_dict() for f in self.findings],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """The machine-readable report ``repro check --json`` prints."""
-        return json.dumps(self.to_dict(), indent=indent)

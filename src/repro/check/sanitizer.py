@@ -49,10 +49,6 @@ class ThreadSanitizer(SimObserver):
 
     # -- shared state helpers ----------------------------------------------
 
-    def held_locks(self, agent: int) -> list[int]:
-        """The lock ids ``agent`` currently holds, outermost first."""
-        return list(self._held.get(agent, _NO_LOCKS))
-
     @property
     def epoch(self) -> int:
         return self._epoch

@@ -84,9 +84,6 @@ class StaticReport:
             "profiles": list(self.profiles),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def analyze_application(
         build: Application | Callable[[], Application],

@@ -36,7 +36,7 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import FaultError, JobError, ServeClientError, ServeRequestError
 from repro.faults.injector import FaultInjector, injected
@@ -45,7 +45,6 @@ from repro.jobs import (
     JobRunner,
     JobSpec,
     PolicySpec,
-    Resolution,
     ResultCache,
     WorkloadRef,
     app_result_from_dict,
@@ -190,12 +189,12 @@ def baseline_cycles(specs: Sequence[JobSpec]) -> dict[str, int]:
             for spec, result in zip(specs, results)}
 
 
-def _cycles_of(result: dict) -> int | None:
-    """Cycle count of a serialized result, or ``None`` if unparseable."""
+def _cycles_of(result: dict) -> int:
+    """Cycle count of a serialized result, or -1 if unparseable."""
     try:
         return app_result_from_dict(result).cycles
     except Exception:
-        return None
+        return -1
 
 
 def _judge(report: ChaosReport, injector: FaultInjector, unhandled: str,
@@ -218,7 +217,7 @@ def _judge(report: ChaosReport, injector: FaultInjector, unhandled: str,
     wrong = [f"{key[:12]} observed {got} != baseline {baseline[key]}"
              for key, got in sorted(report.observed_cycles.items())
              if got != baseline.get(key)]
-    report.invariants += [
+    report.invariants[:0] = [
         ChaosInvariant(INV_NO_UNHANDLED, ok=not unhandled, detail=unhandled),
         ChaosInvariant(INV_ACCOUNTED, ok=not unaccounted,
                        detail=unaccounted),
@@ -232,95 +231,105 @@ def _judge(report: ChaosReport, injector: FaultInjector, unhandled: str,
     ]
 
 
-def run_chaos_batch(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
-                    jobs: int = 1,
-                    cache_dir: str | None = None) -> ChaosReport:
-    """Arm ``plan`` and push ``specs`` through a real ``JobRunner``."""
-    specs = list(specs) if specs is not None else default_specs()
-    report = ChaosReport(mode="batch", plan=plan.to_dict(),
+#: One spec's outcome from a submit step: the key it was answered under
+#: (None if it never was), its last status, and the cycles served.
+Answer = tuple[str | None, str, int | None]
+
+
+def run_chaos(plan: FaultPlan,
+              submit: BatchSubmit | ServeSubmit) -> ChaosReport:
+    """Arm ``plan``, push ``submit.specs`` through ``submit`` and judge
+    what came back.  ``submit(cache_dir, report)`` yields one
+    :data:`Answer` per spec and may record the manifest counts and
+    invariants of its own on ``report``; anything it raises is an
+    invariant violation, not a crash."""
+    specs = submit.specs
+    report = ChaosReport(mode=submit.mode, plan=plan.to_dict(),
                          baseline_cycles=baseline_cycles(specs))
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        cache = ResultCache(cache_dir or tmp)
-        runner = JobRunner(cache=cache, jobs=jobs)
-        unhandled = ""
-        resolutions: list[Resolution] = []
+    unhandled = ""
+    answered: list[str] = []
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as cache_dir:
         with injected(plan) as injector:
             try:
-                resolutions = runner.resolve(specs)
-            except Exception as exc:  # an invariant violation, not a crash
+                for key, status, cycles in submit(cache_dir, report):
+                    report.statuses[status] = report.statuses.get(status, 0) + 1
+                    if key is not None:
+                        answered.append(key)
+                        if cycles is not None:
+                            report.observed_cycles[key] = cycles
+            except Exception as exc:
                 unhandled = f"{type(exc).__name__}: {exc}"
-        report.manifest_counts = dict(runner.manifest.counts)
-        for resolution in resolutions:
-            report.statuses[resolution.status] = \
-                report.statuses.get(resolution.status, 0) + 1
-            if resolution.result is not None:
-                got = _cycles_of(resolution.result)
-                report.observed_cycles[resolution.key] = \
-                    -1 if got is None else got
         expected = sorted(spec.key() for spec in specs)
-        answered = sorted(r.key for r in resolutions)
         _judge(report, injector, unhandled,
-               "" if answered == expected else
+               "" if sorted(answered) == expected else
                f"submitted {len(expected)} spec(s), "
-               f"answered {len(answered)}", cache)
+               f"answered {len(answered)}", ResultCache(cache_dir))
+    if not report.passed:
+        _log.warning("chaos run failed invariants",
+                     extra={"mode": report.mode,
+                            "violations": [v.name
+                                           for v in report.violations()]})
     return report
 
 
-def _post_until_served(port: int, body: dict[str, Any],
-                        attempts: int) -> tuple[str, int | None]:
-    """POST ``/v1/run`` until a 200: ``(last status seen, cycles)``.
+class BatchSubmit:
+    """Resolve the specs as one batch of a real ``JobRunner``; a ``jobs``
+    below one is a :class:`FaultError` before anything runs."""
 
-    Dropped connections, sheds (429), timeouts (504) and failures (500)
-    are retried — the client half of the recovery contract; ``cycles``
-    is ``None`` if the spec never landed within ``attempts``.
-    """
-    from repro.serve import ServeClient
+    mode = "batch"
 
-    status_seen = "unanswered"
-    for _ in range(max(1, attempts)):
-        client = ServeClient(port=port, timeout=30.0)
+    def __init__(self, specs: Sequence[JobSpec], jobs: int = 1) -> None:
+        if jobs < 1:
+            raise FaultError(f"jobs must be >= 1, got {jobs}")
+        self.specs = list(specs)
+        self.jobs = jobs
+
+    def __call__(self, cache_dir: str,
+                 report: ChaosReport) -> Iterator[Answer]:
+        runner = JobRunner(cache=ResultCache(cache_dir), jobs=self.jobs)
         try:
-            status, payload = client.request("POST", "/v1/run", body)
-        except ServeClientError:
-            status_seen = "connection-error"  # dropped/refused: retry fresh
-            continue
+            resolutions = runner.resolve(self.specs)
         finally:
-            client.close()
-        if status == 200:
-            return (str(payload.get("status", "ok")),
-                    int(payload.get("cycles", -1)))
-        status_seen = f"http-{status}"
-        time.sleep(0.02)  # brief pause before the retry
-    return status_seen, None
+            report.manifest_counts = dict(runner.manifest.counts)
+        for r in resolutions:
+            yield (r.key, r.status,
+                   None if r.result is None else _cycles_of(r.result))
 
 
-def run_chaos_serve(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
-                    attempts: int = SERVE_ATTEMPTS,
-                    cache_dir: str | None = None) -> ChaosReport:
-    """Arm ``plan`` and drive a live server over real sockets.
+class ServeSubmit:
+    """POST each spec to ``/v1/run`` of a live server over real sockets
+    until a 200, with up to ``attempts`` tries: dropped connections,
+    sheds (429), timeouts (504) and failures (500) are retried — the
+    client half of the recovery contract.  A spec that never lands
+    counts against ``every-spec-accounted-once``, and ``/healthz`` must
+    still answer afterwards (``server-stays-responsive``).
 
-    Each spec is POSTed to ``/v1/run`` with up to ``attempts`` tries
-    (:func:`_post_until_served`).  A spec that never lands within its
-    budget counts against ``every-spec-accounted-once``.
+    ``attempts`` below one, or a spec whose machine the request schema
+    cannot express, is a :class:`FaultError` before anything runs.
     """
-    from repro.serve import ServeConfig, ServeClient, ServerThread
-    from repro.serve.schema import request_body
 
-    specs = list(specs) if specs is not None else default_specs()
-    try:  # fail fast: a body the server would read as another machine
-        bodies = [request_body(spec) for spec in specs]
-    except ServeRequestError as exc:
-        raise FaultError(
-            "serve-mode chaos cannot express this machine config over "
-            "the request schema; use the Table 1 baseline (optionally "
-            f"with core/SMT/bandwidth overrides): {exc}") from exc
-    report = ChaosReport(mode="serve", plan=plan.to_dict(),
-                         baseline_cycles=baseline_cycles(specs))
-    unhandled = ""
-    responsive = False
-    lost: list[str] = []
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        cache_dir = cache_dir or tmp
+    mode = "serve"
+
+    def __init__(self, specs: Sequence[JobSpec],
+                 attempts: int = SERVE_ATTEMPTS) -> None:
+        from repro.serve.schema import request_body
+
+        if attempts < 1:
+            raise FaultError(f"attempts must be >= 1, got {attempts}")
+        self.specs = list(specs)
+        self.attempts = attempts
+        try:  # a body the server would read as another machine
+            self.bodies = [request_body(spec) for spec in self.specs]
+        except ServeRequestError as exc:
+            raise FaultError(
+                "serve-mode chaos cannot express this machine config over "
+                "the request schema; use the Table 1 baseline (optionally "
+                f"with core/SMT/bandwidth overrides): {exc}") from exc
+
+    def __call__(self, cache_dir: str,
+                 report: ChaosReport) -> Iterator[Answer]:
+        from repro.serve import ServeConfig, ServeClient, ServerThread
+
         # One worker and serial jobs keep firing order deterministic;
         # the tight breaker makes the trip → shed → probe → recover loop
         # actually exercisable by a handful of requests.
@@ -328,43 +337,41 @@ def run_chaos_serve(plan: FaultPlan, specs: Sequence[JobSpec] | None = None,
             port=0, workers=1, jobs=1, cache_dir=cache_dir,
             request_timeout=30.0, queue_depth=8,
             breaker_threshold=3, breaker_probe_after=2))
-        with injected(plan) as injector:
+        responsive = False
+        try:
+            thread.start()
+            for spec, body in zip(self.specs, self.bodies):
+                yield self._post_until_served(thread.port, spec, body)
+            probe = ServeClient(port=thread.port, timeout=10.0)
             try:
-                thread.start()
-                for spec, body in zip(specs, bodies):
-                    status_seen, cycles = _post_until_served(
-                        thread.port, body, attempts)
-                    if cycles is None:
-                        lost.append(spec.key()[:12])
-                    else:
-                        report.observed_cycles[spec.key()] = cycles
-                    report.statuses[status_seen] = \
-                        report.statuses.get(status_seen, 0) + 1
-                probe = ServeClient(port=thread.port, timeout=10.0)
-                try:
-                    responsive = probe.healthz().get("status") == "ok"
-                finally:
-                    probe.close()
-            except Exception as exc:
-                unhandled = f"{type(exc).__name__}: {exc}"
+                responsive = probe.healthz().get("status") == "ok"
             finally:
-                try:
-                    thread.stop()
-                except Exception as exc:
-                    unhandled = (unhandled
-                                 or f"stop: {type(exc).__name__}: {exc}")
-        if thread.server is not None:
-            report.manifest_counts = dict(thread.server.manifest.counts)
-        _judge(report, injector, unhandled,
-               "" if not lost else
-               f"{len(lost)} spec(s) never served: {', '.join(lost)}",
-               ResultCache(cache_dir))
-    report.invariants.append(ChaosInvariant(
-        INV_RESPONSIVE, ok=responsive,
-        detail="" if responsive else "healthz did not answer ok"))
-    if not report.passed:
-        _log.warning("chaos run failed invariants",
-                     extra={"mode": report.mode,
-                            "violations": [v.name
-                                           for v in report.violations()]})
-    return report
+                probe.close()
+        finally:
+            report.invariants.append(ChaosInvariant(
+                INV_RESPONSIVE, ok=responsive,
+                detail="" if responsive else "healthz did not answer ok"))
+            thread.stop()
+            if thread.server is not None:
+                report.manifest_counts = dict(thread.server.manifest.counts)
+
+    def _post_until_served(self, port: int, spec: JobSpec,
+                           body: dict[str, Any]) -> Answer:
+        from repro.serve import ServeClient
+
+        status_seen = "unanswered"
+        for _ in range(self.attempts):
+            client = ServeClient(port=port, timeout=30.0)
+            try:
+                status, payload = client.request("POST", "/v1/run", body)
+            except ServeClientError:
+                status_seen = "connection-error"  # dropped: retry fresh
+                continue
+            finally:
+                client.close()
+            if status == 200:
+                return (spec.key(), str(payload.get("status", "ok")),
+                        int(payload.get("cycles", -1)))
+            status_seen = f"http-{status}"
+            time.sleep(0.02)  # brief pause before the retry
+        return None, status_seen, None

@@ -14,11 +14,11 @@ from repro.analysis.report import ascii_table
 from repro.faults import FaultPlan, sites_table
 from repro.faults.chaos import (
     CHAOS_SCHEMA,
-    SERVE_ATTEMPTS,
+    BatchSubmit,
+    ServeSubmit,
     default_specs,
     example_plan,
-    run_chaos_batch,
-    run_chaos_serve,
+    run_chaos,
 )
 
 
@@ -33,12 +33,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     specs = default_specs(workloads=workloads, threads=args.threads,
                           scale=args.scale)
-    reports = []
+    # Both submit steps check their arguments before either one runs.
+    submits: list[BatchSubmit | ServeSubmit] = []
     if args.mode in ("batch", "both"):
-        reports.append(run_chaos_batch(plan, specs, jobs=args.jobs))
+        submits.append(BatchSubmit(specs, jobs=args.jobs))
     if args.mode in ("serve", "both"):
-        reports.append(run_chaos_serve(plan, specs,
-                                       attempts=args.attempts))
+        submits.append(ServeSubmit(specs, attempts=args.attempts))
+    reports = [run_chaos(plan, submit) for submit in submits]
     passed = all(r.passed for r in reports)
     payload = {"schema": CHAOS_SCHEMA, "passed": passed,
                "reports": [r.to_dict() for r in reports]}
@@ -58,7 +59,8 @@ def register(sub: argparse._SubParsersAction,
              parents: argparse.Namespace) -> None:
     """Mount ``repro chaos`` (the contract is in :mod:`repro.cli`)."""
     specs = inspect.signature(default_specs).parameters
-    batch = inspect.signature(run_chaos_batch).parameters
+    batch = inspect.signature(BatchSubmit).parameters
+    serve = inspect.signature(ServeSubmit).parameters
     p_chaos = sub.add_parser(
         "chaos", parents=[parents.logging],
         help="run a fault-injection plan and judge recovery invariants")
@@ -82,7 +84,8 @@ def register(sub: argparse._SubParsersAction,
                          help="override the plan's seed")
     p_chaos.add_argument("--jobs", type=int, default=batch["jobs"].default,
                          help="worker processes for the batch run")
-    p_chaos.add_argument("--attempts", type=int, default=SERVE_ATTEMPTS,
+    p_chaos.add_argument("--attempts", type=int,
+                         default=serve["attempts"].default,
                          help="per-spec request retries in serve mode")
     p_chaos.add_argument("--json", action="store_true",
                          help="print the machine-readable report")

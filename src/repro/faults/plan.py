@@ -176,9 +176,6 @@ class FaultPlan:
             out["description"] = self.description
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         if not isinstance(data, Mapping):

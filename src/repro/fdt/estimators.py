@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import asdict, dataclass, fields
 
-from repro.fdt.training import TrainingConfig, TrainingLog, TrainingSample
+from repro.fdt.training import TrainingLog, TrainingSample
 from repro.models import bat_model, sat_model
 
 
@@ -152,21 +152,6 @@ class Decision:
     @property
     def trained_iterations(self) -> int:
         return len(self.samples)
-
-    def replay(self) -> int:
-        """Recompute the thread-count decision from the recorded samples.
-
-        Rebuilds a training log from :attr:`samples`, re-runs the
-        estimation stage, and applies this record's mode — the returned
-        count must equal :attr:`chosen_threads` for any faithful record
-        of the paper's three modes.  A Section 9 policy's record replays
-        to the estimate its probe then refined.
-        """
-        log = TrainingLog(config=TrainingConfig(),
-                          total_iterations=max(1, self.total_iterations),
-                          num_cores=self.num_slots,
-                          samples=list(self.samples))
-        return FdtMode(self.mode).pick(estimate(log, self.num_slots))
 
     def to_dict(self) -> dict:
         """Flat strict-JSON form (``decisions.json``, Perfetto args)."""

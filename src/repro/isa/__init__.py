@@ -34,11 +34,7 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
-from repro.isa.program import (
-    ThreadProgram,
-    instruction_count,
-    validate_program,
-)
+from repro.isa.program import ThreadProgram
 
 __all__ = [
     "Op",
@@ -52,6 +48,4 @@ __all__ = [
     "ReadCounter",
     "CounterKind",
     "ThreadProgram",
-    "validate_program",
-    "instruction_count",
 ]

@@ -1,4 +1,4 @@
-"""Helpers for working with thread programs.
+"""The types of thread programs.
 
 A *thread program* is any iterator/generator yielding :class:`~repro.isa.ops.Op`
 instances.  A *program factory* is a callable ``(thread_id, num_threads) ->
@@ -8,93 +8,12 @@ one program per spawned thread.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Iterator
+from typing import Callable, Generator, Iterator
 
-from repro.errors import ProgramError
-from repro.isa.ops import (
-    BarrierWait,
-    Branch,
-    Compute,
-    Load,
-    Lock,
-    Op,
-    ReadCounter,
-    Store,
-    Unlock,
-)
+from repro.isa.ops import Op
 
 # A thread program may be a plain iterator of ops, or a generator that also
 # receives counter values back through ``send`` after a ReadCounter op.
 ThreadProgram = Iterator[Op] | Generator[Op, int, None]
 
 ProgramFactory = Callable[[int, int], ThreadProgram]
-
-_VALID_OP_TYPES = (
-    Compute,
-    Load,
-    Store,
-    Lock,
-    Unlock,
-    BarrierWait,
-    Branch,
-    ReadCounter,
-)
-
-
-def validate_program(ops: Iterable[Op]) -> list[Op]:
-    """Materialize and sanity-check a (finite) op sequence.
-
-    Checks performed:
-
-    * every item is a known op type;
-    * branch sites have non-negative ``pc`` values (the gshare predictor
-      indexes its table with the pc; a negative one is always a bug in
-      the emitting workload);
-    * lock/unlock pairs are balanced and properly nested per lock id;
-    * no lock is released by a program that never acquired it.
-
-    Returns the materialized list.  Intended for tests and for small
-    programs; hot kernels should stay as generators and skip validation.
-
-    Raises:
-        ProgramError: on any violation.
-    """
-    held: list[int] = []
-    out: list[Op] = []
-    for i, op in enumerate(ops):
-        if not isinstance(op, _VALID_OP_TYPES):
-            raise ProgramError(f"op {i} is not a valid instruction: {op!r}")
-        if isinstance(op, Branch):
-            if op.pc < 0:
-                raise ProgramError(
-                    f"op {i} is a branch with negative pc {op.pc}")
-        elif isinstance(op, Lock):
-            held.append(op.lock_id)
-        elif isinstance(op, Unlock):
-            if not held:
-                raise ProgramError(f"op {i} releases lock {op.lock_id} while holding none")
-            if held[-1] != op.lock_id:
-                raise ProgramError(
-                    f"op {i} releases lock {op.lock_id} but innermost held "
-                    f"lock is {held[-1]} (locks held: {held})"
-                )
-            held.pop()
-        out.append(op)
-    if held:
-        raise ProgramError(f"program ended while still holding locks {held}")
-    return out
-
-
-def instruction_count(ops: Iterable[Op]) -> int:
-    """Total dynamic instructions a (finite) op sequence represents.
-
-    Compute ops contribute their instruction count; every other op counts
-    as one instruction (the load/store/branch/lock primitive itself).
-    """
-    total = 0
-    for op in ops:
-        if isinstance(op, Compute):
-            total += op.instructions
-        else:
-            total += 1
-    return total

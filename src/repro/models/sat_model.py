@@ -31,13 +31,6 @@ def execution_time(t_nocs: float, t_cs: float, threads: int) -> float:
     return t_nocs / threads + threads * t_cs
 
 
-def execution_time_derivative(t_nocs: float, t_cs: float, threads: float) -> float:
-    """Eq. 2: d(T_P)/dP — negative while more threads still help."""
-    if threads <= 0:
-        raise ValueError("thread count must be positive")
-    return -t_nocs / (threads * threads) + t_cs
-
-
 def optimal_threads_cs(t_nocs: float, t_cs: float,
                        max_threads: int | None = None) -> float:
     """Eq. 3: the real-valued optimum ``P_CS = sqrt(T_NoCS / T_CS)``.
@@ -92,10 +85,6 @@ class SatModel:
     def execution_time(self, threads: int) -> float:
         """Eq. 1 for this workload."""
         return execution_time(self.t_nocs, self.t_cs, threads)
-
-    def speedup(self, threads: int) -> float:
-        """Speedup over one thread predicted by Eq. 1."""
-        return self.execution_time(1) / self.execution_time(threads)
 
     @property
     def cs_fraction(self) -> float:

@@ -12,7 +12,7 @@ one mechanism per job:
   :func:`default_registry`.
 * :mod:`repro.obs.tracing` — span-based tracing with explicit
   trace/span-ID propagation through serve → jobs → simulation,
-  exported as JSON lines or Perfetto ``trace_event`` JSON.
+  exported as JSON lines.
 * :mod:`repro.obs.log` — per-subsystem structured logging (JSON or
   human lines), configured once by the global ``--log-level`` /
   ``--log-json`` flags and inherited by worker processes.
@@ -49,7 +49,6 @@ from repro.obs.tracing import (
     current_context,
     recorder,
     span,
-    spans_to_perfetto,
     use_context,
 )
 
@@ -73,6 +72,5 @@ __all__ = [
     "recorder",
     "reset_default_registry",
     "span",
-    "spans_to_perfetto",
     "use_context",
 ]

@@ -19,9 +19,8 @@ Propagation is explicit and two-layered:
 Finished spans land in the process-global :class:`SpanRecorder` (a
 bounded ring) and, when a sink is configured (``set_sink`` or the
 ``REPRO_OBS_SPANS`` environment variable), are appended to a
-:class:`~repro.obs.jsonl.JsonLines` file, as run-registry rows are.
-:func:`spans_to_perfetto` renders spans in the same Chrome
-``trace_event`` dialect as :mod:`repro.trace.export`.
+:class:`~repro.obs.jsonl.JsonLines` file, as run-registry rows are,
+and read back with ``read_jsonl(path, Span.from_dict)``.
 
 Everything here is a pure observer of host time: nothing reads or
 writes simulator state, so simulated cycles are bit-identical with
@@ -38,9 +37,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import time
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.obs.jsonl import JsonLines, read_jsonl
+from repro.obs.jsonl import JsonLines
 
 #: Ring capacity of the in-process recorder.
 MAX_RECORDED_SPANS = 4096
@@ -217,48 +216,3 @@ class span:
             parent_id=ctx.parent_id, name=self._name,
             start=self._started, end=time(),
             status="ok" if exc_type is None else "error", attrs=ctx.attrs))
-
-
-# -- exporters --------------------------------------------------------
-
-def read_spans_jsonl(path: str | Path) -> list[Span]:
-    """Parse a span JSONL file, skipping torn or corrupt lines."""
-    return read_jsonl(path, Span.from_dict)
-
-
-def spans_to_perfetto(spans: Sequence[Span]) -> dict:
-    """A standalone Perfetto document of host-side spans.
-
-    Timestamps are microseconds relative to the earliest span start, so
-    the document opens at t=0 in the Perfetto UI.  Each trace gets its
-    own track (``tid``), keeping concurrent requests visually separate.
-    """
-    events: list[dict] = []
-    if spans:
-        t0 = min(s.start for s in spans)
-        events.append({
-            "name": "process_name", "ph": "M", "pid": 1,
-            "args": {"name": "repro.obs request pipeline"},
-        })
-    tids: dict[str, int] = {}
-    for s in spans:
-        tid = tids.setdefault(s.trace_id, len(tids))
-        events.append({
-            "name": s.name, "cat": "obs", "ph": "X",
-            "pid": 1, "tid": tid,
-            "ts": (s.start - t0) * 1e6, "dur": s.duration * 1e6,
-            "args": {"trace_id": s.trace_id, "span_id": s.span_id,
-                     "parent_id": s.parent_id, "status": s.status,
-                     **s.attrs},
-        })
-    for trace_id, tid in tids.items():
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-            "args": {"name": f"trace {trace_id[:8]}"},
-        })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"tool": "repro.obs",
-                      "time_unit": "1 viewer us = 1 host us"},
-    }

@@ -8,6 +8,6 @@ extended with a static (leakage) floor for idle cores — an ablation the
 paper's metric implicitly sets to zero.
 """
 
-from repro.power.model import ActiveCorePowerModel, PowerBreakdown
+from repro.power.model import ActiveCorePowerModel
 
-__all__ = ["ActiveCorePowerModel", "PowerBreakdown"]
+__all__ = ["ActiveCorePowerModel"]

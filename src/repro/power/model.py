@@ -2,33 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.stats import RunResult
-
-
-@dataclass(frozen=True, slots=True)
-class PowerBreakdown:
-    """Where the active-core-cycles went."""
-
-    #: Cycles cores spent doing useful work (running, not spinning).
-    useful_cycles: int
-    #: Cycles cores spent spinning on locks or barriers (still active).
-    spin_cycles: int
-    #: Cycles x cores of idle leakage charged by the model.
-    idle_cycles: float
-
-    @property
-    def total(self) -> float:
-        return self.useful_cycles + self.spin_cycles + self.idle_cycles
-
-    @property
-    def spin_fraction(self) -> float:
-        """Share of dynamic activity burned on synchronization spin."""
-        dynamic = self.useful_cycles + self.spin_cycles
-        if dynamic == 0:
-            return 0.0
-        return self.spin_cycles / dynamic
 
 
 class ActiveCorePowerModel:
@@ -61,13 +35,3 @@ class ActiveCorePowerModel:
     def energy(self, result: RunResult) -> float:
         """Power x time (active-core-cycles plus leakage share)."""
         return self.power(result) * result.cycles
-
-    def breakdown(self, result: RunResult) -> PowerBreakdown:
-        """Decompose activity into useful, spin, and idle components."""
-        idle_core_cycles = max(
-            0.0, self.num_cores * result.cycles - result.busy_core_cycles)
-        return PowerBreakdown(
-            useful_cycles=result.busy_core_cycles - result.spin_core_cycles,
-            spin_cycles=result.spin_core_cycles,
-            idle_cycles=self.idle_fraction * idle_core_cycles,
-        )

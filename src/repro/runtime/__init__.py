@@ -10,7 +10,6 @@ uses to act on FDT's decision.
 
 from repro.runtime.locks import LockManager
 from repro.runtime.barriers import BarrierManager
-from repro.runtime.parallel import ParallelFor, static_chunk, static_chunks
+from repro.runtime.parallel import static_chunk, static_chunks
 
-__all__ = ["LockManager", "BarrierManager", "ParallelFor", "static_chunk",
-           "static_chunks"]
+__all__ = ["LockManager", "BarrierManager", "static_chunk", "static_chunks"]

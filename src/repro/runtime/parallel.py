@@ -1,21 +1,13 @@
-"""OpenMP-style ``parallel for`` helpers.
+"""OpenMP-style static loop scheduling.
 
-Workloads express a kernel as a *loop body generator*; these helpers split
-the iteration space statically across a team (OpenMP ``schedule(static)``,
-which is what the paper's kernels use) and adapt the body into the program
-factories :meth:`repro.sim.machine.Machine.run_parallel` expects.
+These helpers split an iteration space statically across a team (OpenMP
+``schedule(static)``, which is what the paper's kernels use); a thread
+body runs the range it is handed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
-
 from repro.errors import ConfigError
-from repro.isa.ops import Op
-from repro.isa.program import ProgramFactory, ThreadProgram
-
-# A loop body: (iterations, thread_id, num_threads) -> op generator.
-LoopBody = Callable[[range, int, int], ThreadProgram]
 
 
 def static_chunks(total_iterations: int, num_threads: int,
@@ -82,46 +74,3 @@ def team_chunks(table: ChunkTable, total_iterations: int, num_threads: int,
         chunks = table[key] = static_chunks(total_iterations, num_threads,
                                             start)
     return chunks
-
-
-class ParallelFor:
-    """Adapter from a loop body to per-thread program factories.
-
-    Example::
-
-        pfor = ParallelFor(total_iterations=1000, body=my_body)
-        machine.run_parallel(pfor.factories(num_threads=8))
-    """
-
-    def __init__(self, total_iterations: int, body: LoopBody,
-                 start: int = 0) -> None:
-        if total_iterations < 0:
-            raise ConfigError("iteration count must be non-negative")
-        self.total_iterations = total_iterations
-        self.body = body
-        self.start = start
-
-    def factories(self, num_threads: int) -> list[ProgramFactory]:
-        """Program factories for a team of ``num_threads`` threads."""
-        chunks = static_chunks(self.total_iterations, num_threads, self.start)
-
-        def make_factory(chunk: range) -> ProgramFactory:
-            def factory(thread_id: int, team: int) -> ThreadProgram:
-                return self.body(chunk, thread_id, team)
-            return factory
-
-        return [make_factory(chunk) for chunk in chunks]
-
-    def subrange(self, lo: int, hi: int) -> "ParallelFor":
-        """A ParallelFor over iterations ``[lo, hi)`` of the same body.
-
-        Used by FDT: train on a leading slice, execute the rest.
-        """
-        if not (self.start <= lo <= hi <= self.start + self.total_iterations):
-            raise ConfigError(f"subrange [{lo}, {hi}) outside the loop bounds")
-        return ParallelFor(total_iterations=hi - lo, body=self.body, start=lo)
-
-
-def ops(*items: Op) -> Iterator[Op]:
-    """Tiny helper to turn a fixed op tuple into a program (tests)."""
-    yield from items

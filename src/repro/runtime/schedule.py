@@ -77,32 +77,3 @@ def dynamic_factories(kernel: Kernel, iterations: range, num_threads: int,
                 yield from kernel.serial_iteration(i)
 
     return [factory] * num_threads
-
-
-class DynamicScheduleKernel(Kernel):
-    """Wrap a kernel so its execution phase uses dynamic scheduling.
-
-    Training (``serial_iteration``) is unchanged — FDT's peeled loop is
-    inherently sequential — while ``factories`` pulls chunks from the
-    shared cursor.  Useful when per-iteration cost varies (the case
-    static chunking handles badly).
-    """
-
-    def __init__(self, inner: Kernel, chunk_size: int = 1) -> None:
-        if chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
-        self.inner = inner
-        self.chunk_size = chunk_size
-        self.name = f"{inner.name}-dynamic{chunk_size}"
-
-    @property
-    def total_iterations(self) -> int:
-        return self.inner.total_iterations
-
-    def serial_iteration(self, i: int):
-        return self.inner.serial_iteration(i)
-
-    def factories(self, iterations: range,
-                  num_threads: int) -> list[ProgramFactory]:
-        return dynamic_factories(self.inner, iterations, num_threads,
-                                 self.chunk_size)

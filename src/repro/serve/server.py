@@ -122,10 +122,6 @@ class ExperimentServer:
     def manifest(self):
         return self.pipeline.manifest
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     # -- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:

@@ -48,10 +48,6 @@ class GsharePredictor:
     def _index(self, pc: int) -> int:
         return ((pc >> 2) ^ self._history) & self._mask
 
-    def predict(self, pc: int) -> bool:
-        """Predicted direction for the branch at ``pc`` (no state change)."""
-        return self._table[self._index(pc)] >= 2
-
     def update(self, pc: int, taken: bool) -> bool:
         """Predict, train on the actual outcome, and report correctness.
 

@@ -19,7 +19,7 @@ bound and which is therefore never rebound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 
 #: Stands in for every set that has not been filled yet.  Never written.
@@ -162,11 +162,6 @@ class SetAssocCache:
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def resident_lines(self) -> Iterator[int]:
-        """Iterate over all resident line addresses (unspecified order)."""
-        for s in self._sets:
-            yield from s
 
     def clear(self) -> None:
         """Drop all lines (does not reset stats)."""

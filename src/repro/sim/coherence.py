@@ -71,13 +71,6 @@ class Directory:
         """The directory entry for ``line`` or None if uncached privately."""
         return self._entries.get(line)
 
-    def holders(self, line: int) -> set[int]:
-        """All cores with a valid private copy of ``line``."""
-        e = self._entries.get(line)
-        if e is None:
-            return set()
-        return {e[0]} if type(e) is tuple else set(e)
-
     # -- transitions -------------------------------------------------------
 
     def on_gets(self, line: int, requester: int) -> tuple[int | None, bool]:

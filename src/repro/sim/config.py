@@ -158,11 +158,6 @@ class MachineConfig:
         return bus_cycles * self.cpu_bus_ratio
 
     @property
-    def peak_bus_lines_per_kcycle(self) -> float:
-        """Peak off-chip throughput in cache lines per 1000 cpu cycles."""
-        return 1000.0 / self.bus_cycles_per_line
-
-    @property
     def num_thread_slots(self) -> int:
         """Hardware thread slots on the chip (cores x SMT contexts)."""
         return self.num_cores * self.smt_threads
@@ -217,10 +212,6 @@ class MachineConfig:
             raise ConfigError("bandwidth factor must be positive")
         new_ratio = max(1, round(self.cpu_bus_ratio / factor))
         return replace(self, cpu_bus_ratio=new_ratio)
-
-    def with_cores(self, num_cores: int) -> "MachineConfig":
-        """Return a config with a different core count."""
-        return replace(self, num_cores=num_cores)
 
     def with_smt(self, smt_threads: int) -> "MachineConfig":
         """Return a config with SMT contexts per core (Section 9)."""

@@ -27,9 +27,6 @@ class CounterFile:
         #: core's step bumps its entry in place.
         self._retired = [0] * memsys.config.num_cores
 
-    def retired(self, core: int) -> int:
-        return self._retired[core]
-
     def read(self, kind: CounterKind, core: int) -> int:
         """Current value of counter ``kind`` as seen by ``core``."""
         if kind is CounterKind.CYCLES:

@@ -129,7 +129,3 @@ class Dram:
         self._open_row[bank] = row if self._open_page else None
         stats.accesses += 1
         return done
-
-    def busy_until(self, bank: int) -> int:
-        """Cycle at which ``bank`` becomes free (for tests/introspection)."""
-        return self._bank_free[bank]

@@ -37,10 +37,6 @@ class L3Bank:
         self._free = start + self.occupancy
         return start
 
-    @property
-    def free_at(self) -> int:
-        return self._free
-
 
 class SharedL3:
     """The full L3: bank selection plus aggregate statistics."""

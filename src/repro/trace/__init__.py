@@ -28,11 +28,11 @@ text summary), or from the CLI::
 Typical programmatic use::
 
     from repro.fdt.policies import FdtPolicy
-    from repro.trace import run_traced, write_artifacts
+    from repro.trace import run_traced, text_summary, write_artifacts
     from repro.workloads import get
 
     traced = run_traced(get("PageMine").build(0.5), FdtPolicy())
-    print(traced.trace.critical_section_cycles)
+    print(text_summary(traced.trace))
     write_artifacts(traced.trace, "traces/pagemine")
 """
 

@@ -126,12 +126,3 @@ class Trace:
 
     def spans_of_state(self, state: str) -> list[Span]:
         return [s for s in self.spans if s.state == state]
-
-    def state_cycles(self, state: str) -> int:
-        """Total cycles across all cores spent in ``state``."""
-        return sum(s.cycles for s in self.spans if s.state == state)
-
-    @property
-    def critical_section_cycles(self) -> int:
-        """Summed critical-section span cycles (lock hold time)."""
-        return self.state_cycles(STATE_CRITICAL_SECTION)

@@ -8,7 +8,6 @@ from repro.workloads.base import (
     Category,
     WorkloadSpec,
     all_specs,
-    by_category,
     get,
 )
 
@@ -26,4 +25,4 @@ from repro.workloads import mg  # noqa: F401
 from repro.workloads import bscholes  # noqa: F401
 from repro.workloads import sconv  # noqa: F401
 
-__all__ = ["Category", "WorkloadSpec", "all_specs", "by_category", "get"]
+__all__ = ["Category", "WorkloadSpec", "all_specs", "get"]

@@ -102,8 +102,3 @@ def get(name: str) -> WorkloadSpec:
 def all_specs() -> list[WorkloadSpec]:
     """All registered workloads in Table 2 order (registration order)."""
     return list(_REGISTRY.values())
-
-
-def by_category(category: Category) -> list[WorkloadSpec]:
-    """Registered workloads of one class, in registration order."""
-    return [s for s in _REGISTRY.values() if s.category is category]

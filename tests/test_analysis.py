@@ -83,13 +83,6 @@ def test_sweep_rejects_bad_thread_counts():
         sweep_threads(build, thread_counts=(64,), config=MachineConfig.small())
 
 
-def test_thread_point_normalization():
-    p = ThreadPoint(threads=2, cycles=500, power=2.0, bus_utilization=0.1)
-    assert p.normalized(1000) == 0.5
-    with pytest.raises(ConfigError):
-        p.normalized(0)
-
-
 # -- oracle ---------------------------------------------------------------------
 
 def test_oracle_picks_fewest_within_tolerance():
@@ -99,7 +92,7 @@ def test_oracle_picks_fewest_within_tolerance():
     sweep = SweepResult(app_name="x", points=points)
     choice = oracle_choice(sweep, tolerance=0.01)
     assert choice.threads == 4  # 502 within 1% of 500; 600 is not
-    assert choice.slowdown_vs_min <= 1.01
+    assert choice.point.cycles <= 1.01 * choice.min_cycles
 
 
 def test_oracle_zero_tolerance_picks_minimum():

@@ -11,7 +11,7 @@ def test_learns_always_taken_branch():
     p = GsharePredictor(1024)
     for _ in range(8):
         p.update(pc=0x400, taken=True)
-    assert p.predict(0x400) is True
+    assert p.update(pc=0x400, taken=True) is True  # predicted taken
 
 
 def test_learns_alternating_pattern_via_history():
@@ -64,4 +64,4 @@ def test_counters_saturate():
         p.update(pc=0, taken=True)
     # One not-taken cannot flip a saturated counter to not-taken.
     p.update(pc=0, taken=False)
-    assert p.predict(0) is True
+    assert p.update(pc=0, taken=True) is True  # still predicted taken

@@ -123,13 +123,6 @@ def test_same_set_conflicts():
     assert len(c) == 2
 
 
-def test_resident_lines_enumerates_contents():
-    c = make_cache()
-    for line in (1, 2, 3):
-        c.insert(line, True)
-    assert sorted(c.resident_lines()) == [1, 2, 3]
-
-
 def test_clear_empties_but_keeps_stats():
     c = make_cache()  # partly filled: most sets are still UNFILLED
     c.insert(1, True)

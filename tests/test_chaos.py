@@ -10,16 +10,19 @@ serve retry loop) through the real JobRunner / ServerThread code.
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
-from repro.errors import JobError
+from repro.cli import main
+from repro.errors import FaultError, JobError
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.faults.chaos import (
+    BatchSubmit,
+    ServeSubmit,
     example_plan,
-    run_chaos_batch,
-    run_chaos_serve,
+    run_chaos,
 )
 from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
 from repro.jobs import backoff
@@ -158,7 +161,7 @@ def test_unwritable_cache_degrades_to_memory_only(tmp_path):
 # -- the chaos harness ------------------------------------------------
 
 def test_chaos_batch_passes_with_the_example_plan():
-    report = run_chaos_batch(example_plan(), [_spec(), _spec(12)])
+    report = run_chaos(example_plan(), BatchSubmit([_spec(), _spec(12)]))
     assert report.passed, report.summary()
     assert report.statuses == {"computed": 2}
     assert report.injected > 0
@@ -171,8 +174,8 @@ def test_chaos_batch_passes_with_the_example_plan():
 
 def test_chaos_batch_is_deterministic_per_plan_and_seed():
     specs = [_spec(), _spec(12)]
-    first = run_chaos_batch(example_plan(), specs)
-    second = run_chaos_batch(example_plan(), specs)
+    first = run_chaos(example_plan(), BatchSubmit(specs))
+    second = run_chaos(example_plan(), BatchSubmit(specs))
     assert first.firings == second.firings
     assert first.statuses == second.statuses
     assert first.manifest_counts == second.manifest_counts
@@ -180,7 +183,7 @@ def test_chaos_batch_is_deterministic_per_plan_and_seed():
     assert (first.cache_entries, first.quarantined) == \
         (second.cache_entries, second.quarantined)
     # A different seed may fire differently, but invariants still hold.
-    reseeded = run_chaos_batch(example_plan(seed=999), specs)
+    reseeded = run_chaos(example_plan(seed=999), BatchSubmit(specs))
     assert reseeded.passed, reseeded.summary()
 
 
@@ -194,10 +197,40 @@ def test_chaos_batch_reports_violations_without_raising(monkeypatch):
             return super().resolve(specs)[:-1]  # drop one answer
 
     monkeypatch.setattr(chaos_mod, "JobRunner", _LossyRunner)
-    report = run_chaos_batch(FaultPlan(), [_spec(), _spec(12)])
+    warnings: list[logging.LogRecord] = []
+    handler = logging.Handler(level=logging.WARNING)
+    handler.emit = warnings.append
+    # The repro root logger does not propagate once logging is
+    # configured, so the handler sits on the subsystem's own logger.
+    logger = logging.getLogger("repro.faults")
+    logger.addHandler(handler)
+    try:
+        report = run_chaos(FaultPlan(), BatchSubmit([_spec(), _spec(12)]))
+    finally:
+        logger.removeHandler(handler)
     assert not report.passed
     assert [v.name for v in report.violations()] == \
         ["every-spec-accounted-once"]
+    # A failed batch run is logged as a failed serve run is.
+    assert [(r.getMessage(), r.mode, r.violations) for r in warnings] == [
+        ("chaos run failed invariants", "batch",
+         ["every-spec-accounted-once"])]
+
+
+@pytest.mark.parametrize("attempts", [0, -3])
+def test_chaos_refuses_fewer_than_one_attempt_before_anything_runs(
+        attempts, monkeypatch, capsys):
+    from repro.faults import chaos as chaos_mod
+
+    def no_run(specs):
+        raise AssertionError("a chaos run started")
+
+    monkeypatch.setattr(chaos_mod, "baseline_cycles", no_run)
+    with pytest.raises(FaultError, match="attempts must be >= 1"):
+        ServeSubmit([_serve_spec()], attempts=attempts)
+    # --mode both: the batch half does not run first either.
+    assert main(["chaos", "--attempts", str(attempts)]) == 2
+    assert "attempts must be >= 1" in capsys.readouterr().err
 
 
 def test_chaos_serve_survives_drops_timeouts_and_slow_reads():
@@ -208,7 +241,7 @@ def test_chaos_serve_survives_drops_timeouts_and_slow_reads():
         FaultRule(site="serve.batch_timeout", kind="force", max_fires=1),
         FaultRule(site="cache.write", kind="io-error", max_fires=1),
     ))
-    report = run_chaos_serve(plan, [_serve_spec(), _serve_spec(12)])
+    report = run_chaos(plan, ServeSubmit([_serve_spec(), _serve_spec(12)]))
     assert report.passed, report.summary()
     assert report.injected > 0
     assert set(report.observed_cycles) == set(report.baseline_cycles)
@@ -217,17 +250,15 @@ def test_chaos_serve_survives_drops_timeouts_and_slow_reads():
 
 
 def test_serve_chaos_refuses_inexpressible_machine_configs():
-    from repro.errors import FaultError
-
     with pytest.raises(FaultError, match="machine config"):
-        run_chaos_serve(FaultPlan(), [_spec()])  # small() caches differ
+        ServeSubmit([_spec()])  # small() caches differ
 
 
 def test_serve_chaos_accepts_a_bandwidth_override():
     # The request schema has always taken machine.bandwidth; the body
     # builder is its inverse, so a half-bandwidth spec lands bit-exact.
     half = MachineConfig.baseline_with(bandwidth=0.5)
-    report = run_chaos_serve(FaultPlan(), [_spec(config=half)])
+    report = run_chaos(FaultPlan(), ServeSubmit([_spec(config=half)]))
     assert report.passed, report.summary()
     assert set(report.observed_cycles) == set(report.baseline_cycles)
 

@@ -23,7 +23,7 @@ from repro.check import (
 )
 from repro.check import findings as findings_mod
 from repro.check.discipline import DisciplineLinter
-from repro.check.findings import AccessSite
+from repro.check.findings import AccessSite, CheckReport, Finding
 from repro.check.lockorder import lock_order_cycles
 from repro.check.lockset import LocksetRaceDetector
 from repro.errors import ConfigError, WorkloadError
@@ -37,6 +37,11 @@ from repro.workloads.base import LINE, AddressSpace
 from repro.workloads.synthetic import FIXTURES, build_synthetic
 
 
+def of(report: CheckReport, analysis: str) -> tuple[Finding, ...]:
+    """The findings one analysis produced."""
+    return tuple(f for f in report.findings if f.analysis == analysis)
+
+
 def _site(agent: int, index: int = 1, kind: str = "store",
           cycle: int = 0) -> AccessSite:
     return AccessSite(agent=agent, index=index, kind=kind, cycle=cycle)
@@ -48,7 +53,7 @@ def test_racy_fixture_reports_race_with_address_and_sites():
     app = FIXTURES["synthetic-racy"](1.0)
     kernel = app.kernels[0]
     report = check_application(app)
-    races = report.by_analysis(RACE)
+    races = of(report, RACE)
     assert not report.clean
     assert races, "the seeded race must be detected"
     finding = races[0]
@@ -63,26 +68,26 @@ def test_racy_fixture_reports_race_with_address_and_sites():
 def test_lock_inversion_fixture_reports_cycle_naming_locks():
     report = check_application(FIXTURES["synthetic-lock-inversion"](1.0))
     assert report.aborted is None, "FIFO grant order must dodge the deadlock"
-    cycles = report.by_analysis(LOCK_ORDER)
+    cycles = of(report, LOCK_ORDER)
     assert cycles, "the latent inversion must still be reported"
     finding = cycles[0]
     assert finding.kind == "lock-order-cycle"
     assert set(finding.details["locks"]) == {0, 1}
-    assert not report.by_analysis(RACE), "the store is lock-protected"
+    assert not of(report, RACE), "the store is lock-protected"
 
 
 def test_unheld_unlock_fixture_reports_discipline_and_abort():
     report = check_application(FIXTURES["synthetic-unheld-unlock"](1.0))
     assert not report.clean
-    kinds = {f.kind for f in report.by_analysis(DISCIPLINE)}
+    kinds = {f.kind for f in of(report, DISCIPLINE)}
     assert "unlock-of-unheld" in kinds
     assert report.aborted is not None
-    assert report.by_analysis(RUNTIME)[0].kind == "aborted"
+    assert of(report, RUNTIME)[0].kind == "aborted"
 
 
 def test_check_workload_resolves_fixture_names():
     report = check_workload("synthetic-racy")
-    assert report.by_analysis(RACE)
+    assert of(report, RACE)
 
 
 def test_check_workload_rejects_unknown_names():
@@ -158,14 +163,14 @@ def test_ignore_address_ranges_silences_the_race():
 
 
 def test_analysis_toggles_gate_findings():
-    """What the analysis switches suppressed is what ``by_analysis``
-    selects: the racy fixture has only race findings, the inversion
+    """What the analysis switches suppressed is what a filter on
+    ``Finding.analysis`` selects: the racy fixture has only race findings, the inversion
     fixture only its lock-order cycle."""
     report = check_workload("synthetic-racy")
-    assert report.by_analysis(RACE) == report.findings != ()
-    assert not report.by_analysis(LOCK_ORDER)
+    assert of(report, RACE) == report.findings != ()
+    assert not of(report, LOCK_ORDER)
     report = check_workload("synthetic-lock-inversion")
-    assert report.by_analysis(LOCK_ORDER) == report.findings
+    assert of(report, LOCK_ORDER) == report.findings
     assert [f.kind for f in report.findings] == ["lock-order-cycle"]
 
 
@@ -294,9 +299,9 @@ def test_sanitizer_tracks_held_locks_and_epoch():
     san.on_region_begin(2, now=0)
     epoch = san.epoch
     san.on_lock_acquired(7, agent=0, grant=1)
-    assert san.held_locks(0) == [7]
+    assert san._held[0] == [7]
     san.on_lock_released(7, agent=0, now=2)
-    assert san.held_locks(0) == []
+    assert san._held[0] == []
     san.on_barrier_release(0, [(0, 3), (1, 3)], now=3)
     assert san.epoch == epoch + 1
 
@@ -305,7 +310,7 @@ def test_sanitizer_tracks_held_locks_and_epoch():
 
 def test_report_json_is_machine_readable():
     report = check_workload("synthetic-racy")
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(json.dumps(report.to_dict()))
     assert parsed["clean"] is False
     assert parsed["workload"]
     assert parsed["counts"][RACE] >= 1

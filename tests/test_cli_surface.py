@@ -30,9 +30,9 @@ from repro.check.static.lints import lint_findings
 from repro.cli import build_parser, main
 from repro.faults.chaos import (
     SERVE_ATTEMPTS,
+    BatchSubmit,
+    ServeSubmit,
     default_specs,
-    run_chaos_batch,
-    run_chaos_serve,
 )
 from repro.jobs import JobRunner
 from repro.serve import AsyncServeClient, ServeConfig, run_loadgen
@@ -133,9 +133,8 @@ def test_flag_defaults_are_the_config_and_library_defaults():
         _param(default_specs, "workloads"))
     assert chaos.threads == _param(default_specs, "threads")
     assert chaos.scale == _param(default_specs, "scale")
-    assert chaos.jobs == _param(run_chaos_batch, "jobs")
-    assert chaos.attempts == SERVE_ATTEMPTS == _param(
-        run_chaos_serve, "attempts")
+    assert chaos.jobs == _param(BatchSubmit, "jobs")
+    assert chaos.attempts == SERVE_ATTEMPTS == _param(ServeSubmit, "attempts")
 
     assert parser.parse_args(["check"]).threads == DEFAULT_THREADS
     sweep = parser.parse_args(["sweep", "EP"])

@@ -10,7 +10,6 @@ def test_first_gets_grants_exclusive():
     forward, dirty = d.on_gets(line=1, requester=0)
     assert forward is None and dirty is False
     assert d.entry(1) == (0, False)
-    assert d.holders(1) == {0}
 
 
 def test_second_gets_downgrades_owner():
@@ -19,7 +18,6 @@ def test_second_gets_downgrades_owner():
     forward, dirty = d.on_gets(1, requester=3)
     assert forward == 0
     assert dirty is False  # owner held it in E, not M
-    assert d.holders(1) == {0, 3}
     assert d.entry(1) == {0, 3}
 
 
@@ -62,7 +60,6 @@ def test_upgrade_returns_other_sharers():
     victims = d.on_upgrade(1, requester=1)
     assert victims == {0}
     assert d.entry(1) == (1, True)
-    assert d.holders(1) == {1}
 
 
 def test_evict_of_clean_owner_drops_entry():
@@ -86,7 +83,6 @@ def test_evict_of_sharer_shrinks_set():
     d.on_gets(1, requester=0)
     d.on_gets(1, requester=1)
     d.on_evict(1, core=0, state=MesiState.SHARED)
-    assert d.holders(1) == {1}
     assert d.entry(1) == {1}  # a lone sharer stays in S
     d.on_evict(1, core=1, state=MesiState.SHARED)
     assert d.entry(1) is None

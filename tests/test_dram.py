@@ -107,8 +107,3 @@ def test_equal_paced_streams_do_not_phase_lock():
             d.access(s + k, now)
         now += 220
     assert d.stats.row_hit_rate > 0.75
-
-
-def test_busy_until_reports_bank_reservation(dram: Dram):
-    done = dram.access(0, now=0)
-    assert dram.busy_until(dram.bank_of(0)) == done

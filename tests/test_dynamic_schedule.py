@@ -6,10 +6,10 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fdt.kernel import FunctionKernel
-from repro.fdt.policies import FdtPolicy, StaticPolicy
+from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application, run_application
 from repro.isa.ops import Compute
-from repro.runtime.schedule import DynamicScheduleKernel, dynamic_factories
+from repro.runtime.schedule import dynamic_factories
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
@@ -94,23 +94,12 @@ def test_small_chunks_pay_scheduler_serialization():
     assert cycles[8] > cycles[1] / 4
 
 
-def test_wrapper_kernel_composes_with_fdt():
-    wrapped = DynamicScheduleKernel(imbalanced_kernel(64), chunk_size=2)
-    res = run_application(Application.single(wrapped), FdtPolicy(), CFG)
-    info = res.kernel_infos[0]
-    assert info.trained_iterations > 0
-    assert res.cycles > 0
-    assert wrapped.name == "skew-dynamic2"
-
-
 def test_invalid_parameters_rejected():
     kernel = counting_kernel()
     with pytest.raises(ConfigError):
         dynamic_factories(kernel, range(10), 0)
     with pytest.raises(ConfigError):
         dynamic_factories(kernel, range(10), 2, chunk_size=0)
-    with pytest.raises(ConfigError):
-        DynamicScheduleKernel(kernel, chunk_size=0)
 
 
 def test_more_threads_than_iterations_terminates():

@@ -9,6 +9,8 @@ used to harden.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import FaultError
@@ -68,13 +70,13 @@ def test_plan_json_round_trip_preserves_everything():
                   match={"key_prefix": "ab"}),
         FaultRule(site="serve.read", kind="slow", latency=0.5),
     ))
-    assert FaultPlan.from_json(plan.to_json()) == plan
+    assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
 
 
 def test_plan_load_and_malformed_inputs(tmp_path):
     path = tmp_path / "plan.json"
-    path.write_text(FaultPlan(seed=5, rules=(
-        FaultRule(site="cache.write", kind="io-error"),)).to_json())
+    path.write_text(json.dumps(FaultPlan(seed=5, rules=(
+        FaultRule(site="cache.write", kind="io-error"),)).to_dict()))
     assert FaultPlan.load(path).seed == 5
     with pytest.raises(FaultError, match="cannot read"):
         FaultPlan.load(tmp_path / "missing.json")

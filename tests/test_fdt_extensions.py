@@ -106,7 +106,7 @@ def test_calibrated_bat_keeps_scalable_apps_wide():
 def test_calibrated_bat_skips_the_probe_on_a_single_slot_machine():
     """One thread slot leaves no team to probe with: Eq. 5's pick stands
     and nothing beyond the serial training is charged."""
-    one = MachineConfig.small().with_cores(1)
+    one = MachineConfig.small(num_cores=1)
     plain = run_application(build_synthetic(bus_lines=8, iterations=64),
                             FdtPolicy(FdtMode.BAT), one)
     calibrated = run_application(build_synthetic(bus_lines=8, iterations=64),

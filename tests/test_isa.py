@@ -19,7 +19,8 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
-from repro.isa.program import instruction_count, validate_program
+
+from tests.programs import validate_program
 
 
 def test_compute_rejects_negative():
@@ -100,15 +101,6 @@ def test_validate_rejects_leaked_lock():
 def test_validate_rejects_foreign_objects():
     with pytest.raises(ProgramError):
         validate_program([Compute(1), "not-an-op"])  # type: ignore[list-item]
-
-
-def test_instruction_count_weights_compute():
-    ops = [Compute(100), Load(0), Store(0), Branch(0, True)]
-    assert instruction_count(ops) == 103
-
-
-def test_instruction_count_empty():
-    assert instruction_count([]) == 0
 
 
 def test_counter_kinds_are_distinct():

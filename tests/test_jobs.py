@@ -55,7 +55,7 @@ def test_key_is_stable_and_content_addressed():
 @pytest.mark.parametrize("other", [
     ep_spec(threads=4),
     ep_spec(scale=0.2),
-    ep_spec(config=MachineConfig.asplos08_baseline().with_cores(16)),
+    ep_spec(config=MachineConfig.baseline_with(cores=16)),
     JobSpec(workload=WorkloadRef(name="PageMine", scale=0.1),
             policy=PolicySpec.static(2),
             config=MachineConfig.asplos08_baseline()),

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.bat_model import BatModel
-from repro.models.fitting import classify_sweep, fit_bat, fit_sat, r_squared
 from repro.models.sat_model import SatModel
+
+from tests.fitting import classify_sweep, fit_bat, fit_sat, r_squared
 
 GRID = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 

@@ -13,7 +13,6 @@ from repro.models.bat_model import bus_utilization, saturation_threads
 from repro.models.combined import CombinedModel
 from repro.models.sat_model import SatModel
 from repro.models.sat_model import execution_time as sat_time
-from repro.models.sat_model import execution_time_derivative
 from repro.models.sat_model import optimal_threads_cs
 from repro.models.sat_model import predicted_thread_count as sat_predict
 
@@ -42,10 +41,14 @@ def test_eq3_one_percent_cs_caps_at_ten_threads():
 
 
 def test_eq2_derivative_sign_change_at_optimum():
-    p_opt = optimal_threads_cs(64, 1)
-    assert execution_time_derivative(64, 1, p_opt - 1) < 0
-    assert execution_time_derivative(64, 1, p_opt + 1) > 0
-    assert execution_time_derivative(64, 1, p_opt) == pytest.approx(0.0)
+    """Eq. 1 falls up to the Eq. 3 optimum and rises after it: the
+    optimum minimises Eq. 1 over the integers around it."""
+    for t_nocs, t_cs in ((64, 1), (42.64, 1.0), (1000, 3)):
+        p_opt = optimal_threads_cs(t_nocs, t_cs)
+        lo, hi = math.floor(p_opt), math.ceil(p_opt)
+        best = min(sat_time(t_nocs, t_cs, p) for p in (lo, hi))
+        for p in (lo - 2, lo - 1, hi + 1, hi + 2):
+            assert sat_time(t_nocs, t_cs, p) > best
 
 
 def test_no_critical_section_means_unbounded():

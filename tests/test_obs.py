@@ -28,6 +28,7 @@ from repro.obs import (
     host_fingerprint,
     reset_default_registry,
 )
+from repro.obs.jsonl import read_jsonl
 from repro.obs.log import current as current_logging
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.runreg import RunRecord, RunRegistry
@@ -35,10 +36,8 @@ from repro.obs.tracing import (
     Span,
     SpanRecorder,
     current_context,
-    read_spans_jsonl,
     recorder,
     span,
-    spans_to_perfetto,
     use_context,
 )
 from repro.serve.config import ServeConfig
@@ -349,7 +348,7 @@ def test_span_jsonl_round_trip_and_sink(tmp_path):
     spans = recorder().spans(name="one")
     for s in spans:
         local.record(s)
-    parsed = read_spans_jsonl(tmp_path / "spans.jsonl")
+    parsed = read_jsonl(tmp_path / "spans.jsonl", Span.from_dict)
     assert [s.to_dict() for s in parsed] == [s.to_dict() for s in spans]
 
 
@@ -358,23 +357,6 @@ def test_span_dict_round_trip_is_exact_when_bounds_round_apart():
     one = Span(trace_id="t", span_id="s", parent_id="", name="n",
                start=10.0000004, end=10.0000016)
     assert Span.from_dict(one.to_dict()).to_dict() == one.to_dict()
-
-
-def test_spans_to_perfetto_structure():
-    recorder().clear()
-    with span("outer") as ctx:
-        with span("inner"):
-            pass
-    doc = spans_to_perfetto(recorder().spans(trace_id=ctx.trace_id))
-    events = doc["traceEvents"]
-    complete = [e for e in events if e["ph"] == "X"]
-    assert {e["name"] for e in complete} == {"outer", "inner"}
-    assert all(e["ts"] >= 0 for e in complete)
-    assert any(e["ph"] == "M" for e in events)
-    assert spans_to_perfetto([]) == {
-        "traceEvents": [], "displayTimeUnit": "ms",
-        "otherData": {"tool": "repro.obs",
-                      "time_unit": "1 viewer us = 1 host us"}}
 
 
 # -- structured logging -----------------------------------------------
@@ -770,7 +752,7 @@ def _sink_owner(sink: str, path):
     return (rec, lambda i: rec.record(Span(
         trace_id="t", span_id=f"{i:016x}", parent_id="", name=f"s{i}",
         start=float(i), end=i + 1.0)),
-        lambda: read_spans_jsonl(path / "spans.jsonl"))
+        lambda: read_jsonl(path / "spans.jsonl", Span.from_dict))
 
 
 @pytest.mark.parametrize("sink", ["runreg", "spans"])
@@ -852,4 +834,4 @@ def test_span_sink_set_sink_resets_the_degraded_episode(tmp_path):
     rec.record(Span(trace_id="t", span_id="s2", parent_id="", name="n2",
                     start=1.0, end=2.0))
     assert rec.sink.degraded is False
-    assert len(read_spans_jsonl(good)) == 1
+    assert len(read_jsonl(good, Span.from_dict)) == 1

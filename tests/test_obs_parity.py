@@ -28,7 +28,8 @@ from repro.obs import (
     span,
 )
 from repro.obs.runreg import RunRegistry
-from repro.obs.tracing import read_spans_jsonl
+from repro.obs.jsonl import read_jsonl
+from repro.obs.tracing import Span
 from repro.serve import ServeConfig, ServerThread
 from repro.sim.config import MachineConfig
 
@@ -128,7 +129,7 @@ def test_served_request_produces_linked_telemetry(tmp_path, capsys):
                      "serve.request"]
     assert all(s.status == "ok" for s in spans)
     # The spans also landed in the configured JSONL sink.
-    assert trace_id in {s.trace_id for s in read_spans_jsonl(sink)}
+    assert trace_id in {s.trace_id for s in read_jsonl(sink, Span.from_dict)}
 
     # Structured log lines carry the same trace ID.
     request_logs = [json.loads(line) for line in

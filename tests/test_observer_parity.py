@@ -33,6 +33,8 @@ from repro.trace import TraceRecorder, run_traced
 from repro.trace import recorder as recorder_mod
 from repro.workloads import get
 
+from tests.test_trace import replay
+
 BASE = MachineConfig.asplos08_baseline()
 WORKLOADS = {"PageMine": 0.1, "ED": 0.1, "Transpose": 0.05}
 POLICIES = {"static-32": lambda: StaticPolicy(32),
@@ -70,7 +72,7 @@ class DecisionTap(SimObserver):
 SAW_THE_RUN = {ThreadSanitizer: lambda o: o.epoch > 0,
                TraceRecorder: lambda o: o.data.spans and o.data.num_cores == 32,
                EventCounter: lambda o: o.machine and o.regions and o.accesses,
-               DecisionTap: lambda o: all(d.replay() == d.chosen_threads
+               DecisionTap: lambda o: all(replay(d) == d.chosen_threads
                                           for d in o.decisions)}
 OBSERVERS = {"none": (),
              "sanitizer": (ThreadSanitizer,),

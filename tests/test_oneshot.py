@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
-from repro.fdt.oneshot import OneShotKernel
 from repro.fdt.policies import FdtMode, FdtPolicy
 from repro.fdt.runner import Application, run_application
 from repro.isa.ops import BarrierWait, Compute, Lock, Unlock
 from repro.runtime.parallel import static_chunks
 from repro.sim.config import MachineConfig
+
+from tests.oneshot import OneShotKernel
 
 CFG = MachineConfig.asplos08_baseline()
 

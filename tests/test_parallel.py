@@ -1,14 +1,12 @@
-"""Unit tests for static chunking and the ParallelFor adapter."""
+"""Unit tests for static chunking."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.isa.ops import Compute
 from repro.runtime.parallel import (
     ChunkTable,
-    ParallelFor,
     static_chunk,
     static_chunks,
     team_chunks,
@@ -89,31 +87,3 @@ def test_team_chunks_computes_each_split_once_per_table():
         assert team_chunks(table, *args) == static_chunks(*args)
     assert len(table) == 4
     assert team_chunks({}, 100, 7, 17) is not first  # a table per owner
-
-
-def test_parallel_for_builds_one_factory_per_thread():
-    def body(iters, tid, team):
-        for _ in iters:
-            yield Compute(1)
-
-    pfor = ParallelFor(total_iterations=10, body=body)
-    factories = pfor.factories(num_threads=3)
-    assert len(factories) == 3
-    ops = list(factories[0](0, 3))
-    assert len(ops) == 4  # ceil(10/3)
-
-
-def test_parallel_for_subrange():
-    def body(iters, tid, team):
-        yield Compute(len(iters))
-
-    pfor = ParallelFor(total_iterations=100, body=body)
-    sub = pfor.subrange(10, 30)
-    assert sub.total_iterations == 20
-    assert sub.start == 10
-
-
-def test_subrange_bounds_checked():
-    pfor = ParallelFor(total_iterations=10, body=lambda i, t, n: iter([]))
-    with pytest.raises(ConfigError):
-        pfor.subrange(5, 20)

@@ -34,6 +34,19 @@ OPS = st.lists(
     min_size=1, max_size=120)
 
 
+def resident(cache) -> list[int]:
+    """Every line ``cache`` holds."""
+    return [line for lines in cache._sets for line in lines]
+
+
+def holders(directory, line: int) -> set[int]:
+    """The cores the directory says hold ``line``."""
+    entry = directory.entry(line)
+    if entry is None:
+        return set()
+    return {entry[0]} if type(entry) is tuple else set(entry)
+
+
 def run_ops(ops) -> Machine:
     m = Machine(MachineConfig.small(num_cores=4))
     ports = [m.memsys.make_port(core) for core in range(4)]
@@ -48,8 +61,8 @@ def run_ops(ops) -> Machine:
 def test_l1_is_subset_of_l2(ops):
     m = run_ops(ops)
     for core in range(4):
-        l2_lines = set(m.memsys.l2s[core].resident_lines())
-        for line in m.memsys.l1s[core].resident_lines():
+        l2_lines = set(resident(m.memsys.l2s[core]))
+        for line in resident(m.memsys.l1s[core]):
             assert line in l2_lines, "L1/L2 inclusion violated"
 
 
@@ -59,9 +72,9 @@ def test_l2_is_subset_of_l3(ops):
     m = run_ops(ops)
     l3_lines = set()
     for bank in m.memsys.l3.banks:
-        l3_lines.update(bank.cache.resident_lines())
+        l3_lines.update(resident(bank.cache))
     for core in range(4):
-        for line in m.memsys.l2s[core].resident_lines():
+        for line in resident(m.memsys.l2s[core]):
             assert line in l3_lines, "L2/L3 inclusion violated"
 
 
@@ -71,12 +84,12 @@ def test_directory_matches_l2_contents(ops):
     m = run_ops(ops)
     d = m.memsys.directory
     for core in range(4):
-        for line in m.memsys.l2s[core].resident_lines():
-            assert core in d.holders(line), (
+        for line in resident(m.memsys.l2s[core]):
+            assert core in holders(d, line), (
                 "L2 holds a line the directory does not track")
     # And the converse: every tracked holder really holds the line.
     for line in list(d._entries):
-        for holder in d.holders(line):
+        for holder in holders(d, line):
             assert m.memsys.l2s[holder].peek(line) is not None, (
                 "directory tracks a holder whose L2 lost the line")
 
@@ -158,9 +171,8 @@ def state_of(m: Machine) -> dict:
         "bus": mem.bus.stats,
         "dram": mem.dram.stats,
         "bus_timeline": (mem.bus._timeline._starts, mem.bus._timeline._ends),
-        "l3_free_at": [bank.free_at for bank in mem.l3.banks],
-        "dram_free_at": [mem.dram.busy_until(b)
-                         for b in range(m.config.dram_banks)],
+        "l3_free_at": [bank._free for bank in mem.l3.banks],
+        "dram_free_at": list(mem.dram._bank_free),
     }
 
 

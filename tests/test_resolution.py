@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import JobError, ReproError
 from repro.faults import FaultPlan, FaultRule, injected
-from repro.faults.chaos import run_chaos_batch
+from repro.faults.chaos import BatchSubmit, run_chaos
 from repro.jobs import (
     JobRunner,
     JobSpec,
@@ -292,7 +292,7 @@ def test_bounded_abort_recovers_under_a_pool_and_is_counted():
         FaultRule(site="executor.job", kind="abort", max_fires=1),))
     specs = [_spec(8, threads=t, config=MachineConfig.asplos08_baseline())
              for t in (1, 2, 3, 4)]
-    report = run_chaos_batch(plan, specs, jobs=2)
+    report = run_chaos(plan, BatchSubmit(specs, jobs=2))
     assert report.passed, report.summary()
     # Decided in the parent: the firing is in the one log (the parent
     # saw 0 firings and four ``failed`` specs after six pool rounds).

@@ -420,7 +420,7 @@ def test_unknown_workload_error_lists_fixtures():
 
 def test_report_round_trips_to_json():
     report = analyze_workload("static-deadlock", scale=1.0)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert payload["workload"] == "static-deadlock"
     assert payload["clean"] is False
     assert payload["counts"]["static-lock-order-cycle"] >= 1

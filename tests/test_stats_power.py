@@ -77,15 +77,6 @@ def test_power_model_energy():
     assert model.energy(r) == pytest.approx(model.power(r) * r.cycles)
 
 
-def test_power_breakdown():
-    model = ActiveCorePowerModel(num_cores=8, idle_fraction=0.0)
-    b = model.breakdown(make_result())
-    assert b.useful_cycles == 3500
-    assert b.spin_cycles == 500
-    assert b.idle_cycles == 0.0
-    assert b.spin_fraction == pytest.approx(0.125)
-
-
 def test_power_model_validation():
     with pytest.raises(ValueError):
         ActiveCorePowerModel(0)

@@ -8,13 +8,14 @@ from repro.errors import WorkloadError
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.isa.ops import BarrierWait, Load, Lock
-from repro.isa.program import validate_program
 from repro.sim.config import MachineConfig
 from repro.workloads.synthetic import (
     SyntheticKernel,
     SyntheticParams,
     build_synthetic,
 )
+
+from tests.programs import validate_program
 
 CFG = MachineConfig.asplos08_baseline()
 SMALL = MachineConfig.small()

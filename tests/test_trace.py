@@ -6,7 +6,7 @@ The acceptance bars from the subsystem's design:
   measured hold cycles (spans are ``[grant, release)`` from the same
   hook stream the stats come from);
 * the FDT decision log reproduces its chosen thread count from its own
-  recorded inputs (:meth:`repro.fdt.estimators.Decision.replay`);
+  recorded inputs (:func:`replay`);
 * the Perfetto export is valid, non-empty ``trace_event`` JSON.
 """
 
@@ -19,8 +19,8 @@ from dataclasses import fields
 import pytest
 
 from repro.errors import ConfigError
-from repro.fdt.estimators import Decision, Estimates, estimate_from
-from repro.fdt.training import TrainingSample
+from repro.fdt.estimators import Decision, Estimates, estimate, estimate_from
+from repro.fdt.training import TrainingConfig, TrainingLog, TrainingSample
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import run_application
 from repro.sim.config import MachineConfig
@@ -41,6 +41,23 @@ from repro.trace import (
 from repro.trace import recorder as recorder_mod
 from repro.workloads import get
 
+
+def replay(decision: Decision) -> int:
+    """Recompute a thread-count decision from its recorded samples.
+
+    Rebuilds a training log from ``decision.samples``, re-runs the
+    estimation stage, and applies the record's mode — the returned count
+    must equal ``decision.chosen_threads`` for any faithful record of the
+    paper's three modes.  A Section 9 policy's record replays to the
+    estimate its probe then refined.
+    """
+    log = TrainingLog(config=TrainingConfig(),
+                      total_iterations=max(1, decision.total_iterations),
+                      num_cores=decision.num_slots,
+                      samples=list(decision.samples))
+    return FdtMode(decision.mode).pick(estimate(log, decision.num_slots))
+
+
 SCALE = 0.1
 
 
@@ -59,10 +76,10 @@ def pagemine_traced():
 
 def test_cs_spans_sum_exactly_to_lock_hold_cycles(pagemine_traced):
     machine, _result = pagemine_traced
-    trace = machine.observer.data
-    assert trace.critical_section_cycles > 0
-    assert (trace.critical_section_cycles
-            == machine.locks.stats.total_hold_cycles)
+    cs_cycles = sum(s.cycles for s in
+                    machine.observer.data.spans_of_state(STATE_CRITICAL_SECTION))
+    assert cs_cycles > 0
+    assert cs_cycles == machine.locks.stats.total_hold_cycles
 
 
 def test_timeline_covers_every_state(pagemine_traced):
@@ -108,7 +125,7 @@ def test_decision_log_replays_to_the_chosen_thread_count(mode):
     record = traced.trace.decisions[0]
     assert record.mode == mode.value
     assert record.samples  # raw training inputs are in the record
-    assert record.replay() == record.chosen_threads
+    assert replay(record) == record.chosen_threads
     assert record.chosen_threads == traced.result.kernel_infos[0].threads
 
 
@@ -144,7 +161,7 @@ def test_decision_to_dict_is_strict_json_through_the_one_codec():
             "decided_at"}
     assert {k: data[k] for k in rest} == {
         k: getattr(decision, k) for k in rest}
-    assert decision.replay() == decision.chosen_threads
+    assert replay(decision) == decision.chosen_threads
 
 
 # -- exporters ---------------------------------------------------------------

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.fdt.runner import Application
-from repro.isa.program import validate_program
 from repro.workloads import all_specs
+
+from tests.programs import validate_program
 
 SPECS = {s.name: s for s in all_specs()}
 

@@ -9,12 +9,13 @@ from repro.errors import WorkloadError
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application, run_application
 from repro.isa.ops import Load, Store
-from repro.isa.program import validate_program
 from repro.sim.config import MachineConfig
 from repro.workloads.convert import ConvertKernel, ConvertParams
 from repro.workloads.ed import EdKernel, EdParams
 from repro.workloads.mtwister import _State, BoxMullerKernel, MTGenKernel, MTwisterParams
 from repro.workloads.transpose import TransposeKernel, TransposeParams
+
+from tests.programs import validate_program
 
 
 def small_cfg() -> MachineConfig:

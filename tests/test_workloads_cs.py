@@ -17,7 +17,6 @@ from repro.errors import WorkloadError
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import run_application
 from repro.isa.ops import BarrierWait, Lock, Unlock
-from repro.isa.program import validate_program
 from repro.runtime.parallel import static_chunk
 from repro.sim.config import MachineConfig
 from repro.workloads.ep import _LCG_A, _LCG_C, _MASK, EpKernel, EpParams, _lcg_block
@@ -29,6 +28,8 @@ from repro.workloads.gsearch import (
 )
 from repro.workloads.isort import ISortKernel, ISortParams
 from repro.workloads.pagemine import PageMineKernel, PageMineParams
+
+from tests.programs import validate_program
 
 
 def small_cfg() -> MachineConfig:
