@@ -21,7 +21,7 @@ Both expose the two views FDT needs:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import WorkloadError
 from repro.isa.ops import Op
@@ -41,8 +41,13 @@ class Kernel(abc.ABC):
         """Number of outer-loop iterations."""
 
     @abc.abstractmethod
-    def serial_iteration(self, i: int) -> Iterator[Op]:
-        """One iteration's complete work, runnable on a single thread."""
+    def serial_iteration(self, i: int) -> Iterable[Op]:
+        """One iteration's complete work, runnable on a single thread.
+
+        An iteration may return a prebuilt tuple, and its real-value
+        work runs at the call (callers make it when they want its first
+        op).
+        """
 
     @abc.abstractmethod
     def factories(self, iterations: range,
@@ -88,10 +93,11 @@ class TeamParallelKernel(Kernel):
 
     @abc.abstractmethod
     def team_iteration(self, i: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        """Thread ``thread_id``'s share of iteration ``i``."""
+                       num_threads: int) -> Iterable[Op]:
+        """Thread ``thread_id``'s share of iteration ``i``, under
+        :meth:`Kernel.serial_iteration`'s contract."""
 
-    def serial_iteration(self, i: int) -> Iterator[Op]:
+    def serial_iteration(self, i: int) -> Iterable[Op]:
         return self.team_iteration(i, 0, 1)
 
     def factories(self, iterations: range,
@@ -111,11 +117,12 @@ class FunctionKernel(DataParallelKernel):
     Args:
         name: kernel name.
         total_iterations: outer-loop trip count.
-        body: callable ``(i) -> op iterator`` for one iteration.
+        body: callable ``(i) -> ops`` (any iterable of ops) for one
+            iteration.
     """
 
     def __init__(self, name: str, total_iterations: int,
-                 body: Callable[[int], Iterator[Op]]) -> None:
+                 body: Callable[[int], Iterable[Op]]) -> None:
         if total_iterations < 1:
             raise WorkloadError("kernel needs at least one iteration")
         self.name = name
@@ -126,5 +133,5 @@ class FunctionKernel(DataParallelKernel):
     def total_iterations(self) -> int:
         return self._total
 
-    def serial_iteration(self, i: int) -> Iterator[Op]:
+    def serial_iteration(self, i: int) -> Iterable[Op]:
         return self._body(i)

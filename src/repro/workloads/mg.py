@@ -8,7 +8,9 @@ also exercise FDT's stability rule on a kernel whose iterations are
 *not* uniform.
 
 One FDT iteration is one plane-slab of the current sweep, so training
-stays a small fraction of the run.
+stays a small fraction of the run.  Every V-cycle sweeps the same
+planes, so each (level, plane, slab, thread, team) op tuple is built
+once and replayed.
 
 Paper input: 64^3.  Repro input: 32^3 fine grid, 4 levels, 6 V-cycles.
 The smoother really runs (Jacobi on the level's field) and tests check
@@ -26,7 +28,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Op, Store
-from repro.runtime.parallel import ChunkTable, static_chunks, team_chunks
+from repro.runtime.parallel import ChunkTable, static_chunk, static_chunks, team_chunks
 from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
 
 #: 27-point stencil cost per line of 8 doubles.
@@ -73,7 +75,8 @@ class MgKernel(TeamParallelKernel):
         self.grids = []
         self._bases = []
         self._slabs: list[list[range]] = []  # per level: a plane's 2 slabs
-        self._chunks: ChunkTable = {}  # the init kernel's too
+        #: Op tuple per (level, plane, slab, thread, team), built on first use.
+        self._ops: dict[tuple[int, int, int, int, int], tuple[Op, ...]] = {}
         rng = np.random.default_rng(params.seed)
         for lvl in range(params.levels):
             n = params.fine_grid >> lvl
@@ -98,7 +101,7 @@ class MgKernel(TeamParallelKernel):
         return len(self._schedule)
 
     def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
+                       num_threads: int) -> tuple[Op, ...]:
         lvl, plane, slab = self._schedule[iteration]
         grid = self.grids[lvl]
         n = grid.shape[0]
@@ -107,18 +110,19 @@ class MgKernel(TeamParallelKernel):
                            + grid[plane + 1]) / 4.0
             if lvl == 0 and plane == n - 2:
                 self.norms.append(float(np.abs(grid).sum()))
-
-        plane_bytes = n * n * 8
+        key = (lvl, plane, slab, thread_id, num_threads)
+        cached = self._ops.get(key)
+        if cached is not None:
+            return cached
         slab_lines = self._slabs[lvl][slab]
-        chunk = team_chunks(self._chunks, len(slab_lines), num_threads,
-                            slab_lines.start)[thread_id]
-        base = self._bases[lvl] + plane * plane_bytes
-        for k in chunk:
-            yield Load(base + k * LINE)
-            yield _STENCIL
+        chunk = static_chunk(len(slab_lines), num_threads, thread_id,
+                             slab_lines.start)
+        base = self._bases[lvl] + plane * n * n * 8
+        ops: list[Op] = [op for k in chunk for op in (Load(base + k * LINE), _STENCIL)]
         if len(chunk):
-            yield Store(base + chunk.start * LINE)
-        yield _WAIT_SWEEP
+            ops.append(Store(base + chunk.start * LINE))
+        ops.append(_WAIT_SWEEP)
+        return self._ops.setdefault(key, tuple(ops))
 
 
 class MgInitKernel(TeamParallelKernel):
@@ -132,6 +136,7 @@ class MgInitKernel(TeamParallelKernel):
 
     def __init__(self, solver: MgKernel) -> None:
         self._solver = solver
+        self._chunks: ChunkTable = {}
         # One iteration per (level, plane, slab): fine-grained like the
         # solver, so FDT's peeled training is a tiny slice of the phase.
         self._schedule: list[tuple[int, int, int]] = []
@@ -152,7 +157,7 @@ class MgInitKernel(TeamParallelKernel):
         n = solver.params.fine_grid >> lvl
         plane_bytes = n * n * 8
         slab_lines = solver._slabs[lvl][slab]
-        chunk = team_chunks(solver._chunks, len(slab_lines), num_threads,
+        chunk = team_chunks(self._chunks, len(slab_lines), num_threads,
                             slab_lines.start)[thread_id]
         base = solver._bases[lvl] + plane * plane_bytes
         for k in chunk:

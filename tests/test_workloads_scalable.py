@@ -26,16 +26,32 @@ def small_cfg() -> MachineConfig:
     return MachineConfig.small()
 
 
+def _serial_pass(kernel):
+    for i in range(kernel.total_iterations):
+        for _op in kernel.serial_iteration(i):
+            pass
+
+
 # -- BT -------------------------------------------------------------------------
 
 def test_bt_relaxation_smooths_field():
     kernel = BtKernel(BtParams(grid=8, time_steps=10))
     rough_before = float(np.abs(np.diff(kernel.field, axis=0)).sum())
-    for i in range(kernel.total_iterations):
-        for _op in kernel.serial_iteration(i):
-            pass
+    _serial_pass(kernel)
     rough_after = float(np.abs(np.diff(kernel.field, axis=0)).sum())
     assert rough_after < rough_before
+
+
+def test_bt_relaxes_on_every_step_not_only_when_ops_are_built():
+    kernel = BtKernel(BtParams(grid=8, time_steps=3))
+    field = kernel.field.copy()
+    _serial_pass(kernel)
+    assert len(kernel.residuals) == 3 * (8 - 2)
+    for _step in range(3):
+        for plane in range(1, 7):
+            field[plane] = (field[plane - 1] + 2.0 * field[plane]
+                            + field[plane + 1]) / 4.0
+    np.testing.assert_array_equal(kernel.field, field)
 
 
 def test_bt_has_no_critical_sections():
@@ -82,6 +98,26 @@ def test_mg_smoothing_reduces_norm():
                     StaticPolicy(2), small_cfg())
     assert len(kernel.norms) >= 2
     assert kernel.norms[-1] < kernel.norms[0]
+
+
+def test_mg_smooths_on_every_sweep_not_only_when_ops_are_built():
+    kernel = MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=3))
+    grids = [grid.copy() for grid in kernel.grids]
+    _serial_pass(kernel)
+    # A V-cycle sweeps level 0 twice, on the way down and back up.
+    assert len(kernel.norms) == 2 * 3
+    norms = []
+    for lvl, plane, slab in kernel._schedule:
+        grid = grids[lvl]
+        n = grid.shape[0]
+        if slab == 0 and 0 < plane < n - 1:
+            grid[plane] = (grid[plane - 1] + 2.0 * grid[plane]
+                           + grid[plane + 1]) / 4.0
+            if lvl == 0 and plane == n - 2:
+                norms.append(float(np.abs(grid).sum()))
+    assert kernel.norms == norms
+    for got, expected in zip(kernel.grids, grids):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_mg_iteration_sizes_vary_by_level():
@@ -167,9 +203,11 @@ def _synthetic_reference(kernel, iteration, tid, team):
 
 
 def test_team_op_streams_match_static_chunk_reference():
-    solver = MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=1))
+    # Two time steps and two V-cycles: every BT and MG shape repeats, so
+    # replayed op tuples are checked as well as freshly built ones.
+    solver = MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=2))
     cases = [
-        (BtKernel(BtParams(time_steps=1)), _bt_reference),
+        (BtKernel(BtParams(time_steps=2)), _bt_reference),
         (solver, _mg_reference),
         (MgInitKernel(solver), _mg_init_reference),
         (SyntheticKernel(SyntheticParams(iterations=3, compute_instr=20_000,
@@ -183,6 +221,34 @@ def test_team_op_streams_match_static_chunk_reference():
                     got = list(kernel.team_iteration(iteration, tid, team))
                     assert got == reference(kernel, iteration, tid, team), (
                         kernel.name, team, iteration, tid)
+
+
+@pytest.mark.parametrize("kernel", [
+    BtKernel(BtParams(grid=8, time_steps=2)),
+    MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=2)),
+], ids=["bt", "mg"])
+def test_a_repeated_shape_replays_the_same_op_tuple(kernel):
+    first = kernel.team_iteration(3, 2, 7)
+    assert kernel.team_iteration(3, 2, 7) is first
+    # The second time step or V-cycle sweeps the same plane slab again.
+    assert kernel.team_iteration(3 + kernel.total_iterations // 2, 2, 7) is first
+
+
+def _drive_team(kernel, team=32):
+    for iteration in range(kernel.total_iterations):
+        for tid in range(team):
+            kernel.team_iteration(iteration, tid, team)
+
+
+def test_op_tables_grow_with_shapes_not_with_the_run():
+    bt = [BtKernel(BtParams(grid=8, time_steps=steps)) for steps in (2, 4)]
+    mg = [MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=cycles))
+          for cycles in (1, 3)]
+    for kernel in bt + mg:
+        _drive_team(kernel)
+    # BT: 8 planes x 2 slabs x 32 threads; MG: (16 + 8) planes x 2 x 32.
+    assert len(bt[0]._ops) == len(bt[1]._ops) == 8 * 2 * 32
+    assert len(mg[0]._ops) == len(mg[1]._ops) == (16 + 8) * 2 * 32
 
 
 # -- BScholes ------------------------------------------------------------------------
