@@ -21,7 +21,8 @@ Both expose the two views FDT needs:
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Iterator
+import weakref
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from repro.errors import WorkloadError
 from repro.isa.ops import Op
@@ -44,9 +45,9 @@ class Kernel(abc.ABC):
     def serial_iteration(self, i: int) -> Iterable[Op]:
         """One iteration's complete work, runnable on a single thread.
 
-        An iteration may return a prebuilt tuple, and its real-value
-        work runs at the call (callers make it when they want its first
-        op).
+        An iteration may return a prebuilt tuple (an :class:`OpTable`
+        entry), and its real-value work runs at the call (callers make it
+        when they want its first op).
         """
 
     @abc.abstractmethod
@@ -109,6 +110,19 @@ class TeamParallelKernel(Kernel):
                 yield from self.team_iteration(i, thread_id, team)
 
         return [factory] * num_threads
+
+
+class OpTable(dict[Hashable, tuple[Op, ...]]):
+    """Op tuples by shape key: a hit is one dict lookup, and a miss stores
+    ``tuple(build(key))``.  ``build``, a method of the kernel that owns the
+    table, is held weakly, so the table makes no reference cycle."""
+
+    def __init__(self, build: Callable[[Any], Iterable[Op]]) -> None:
+        self._build = weakref.WeakMethod(build)
+
+    def __missing__(self, key: Hashable) -> tuple[Op, ...]:
+        ops = self[key] = tuple(self._build()(key))  # type: ignore[misc]
+        return ops
 
 
 class FunctionKernel(DataParallelKernel):

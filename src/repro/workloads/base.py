@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.errors import WorkloadError
 from repro.fdt.runner import Application
+from repro.isa.ops import BarrierWait, Compute, Load, Lock, Op, Store, Unlock
 
 
 class Category(enum.Enum):
@@ -53,6 +54,25 @@ class AddressSpace:
         base = self._next
         self._next += nbytes
         return base
+
+
+def compute_ops(instructions: int) -> list[Compute]:
+    """``instructions`` of straight-line work as Compute ops of <= 4096."""
+    return [Compute(min(n, 4096)) for n in range(instructions, 0, -4096)]
+
+
+def merge_tail(local_base: int, shared_base: int, nbytes: int,
+               merge: Compute) -> Iterator[Op]:
+    """A thread's serial part of paper Figure 1: under lock 0, each local
+    line is loaded, merged and folded into the shared line by one Store,
+    a read-modify-write (x86 ``add [mem], reg``); then barrier 0."""
+    yield Lock(0)
+    for off in range(0, nbytes, LINE):
+        yield Load(local_base + off)
+        yield merge
+        yield Store(shared_base + off)
+    yield Unlock(0)
+    yield BarrierWait(0)
 
 
 # -- registry -------------------------------------------------------------------

@@ -23,13 +23,12 @@ from numpy.typing import NDArray
 from repro.errors import WorkloadError
 from repro.fdt.kernel import DataParallelKernel
 from repro.fdt.runner import Application
-from repro.isa.ops import Compute, Load, Op, Store
-from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
+from repro.isa.ops import Load, Op, Store
+from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, compute_ops, register
 
 #: Per-option cost of the closed-form evaluation (two CNDs, exp, log).
 OPTION_INSTR = 1000
 _BLOCK = 32  # options per FDT iteration
-_F32_PER_LINE = LINE // 4
 
 
 #: Element-wise stdlib error function (numpy has none): a ufunc on object
@@ -103,10 +102,7 @@ class BScholesKernel(DataParallelKernel):
         for base in self._in_bases:
             for off in range(line_lo, line_hi + 1, LINE):
                 yield Load(base + off)
-        instr = (hi - lo) * OPTION_INSTR
-        while instr > 0:
-            yield Compute(min(instr, 4096))
-            instr -= 4096
+        yield from compute_ops((hi - lo) * OPTION_INSTR)
         for base in self._out_bases:
             for off in range(line_lo, line_hi + 1, LINE):
                 yield Store(base + off)

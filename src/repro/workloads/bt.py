@@ -22,19 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.fdt.kernel import TeamParallelKernel
+from repro.fdt.kernel import OpTable, TeamParallelKernel
 from repro.fdt.runner import Application
-from repro.isa.ops import BarrierWait, Compute, Load, Op, Store
+from repro.isa.ops import BarrierWait, Load, Op, Store
 from repro.runtime.parallel import static_chunk, static_chunks
-from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
+from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, compute_ops, register
 
 #: Per-cell cost of the 5x5 block-tridiagonal update (BT's block solves
 #: run to thousands of flops per cell; 1200 keeps even the cold-cache
 #: training phase clearly below bus saturation, as on the paper's runs).
 CELL_INSTR = 1200
-_PLANE_BARRIER = 0
-#: Ops are immutable values, so each constant one is built once here.
-_WAIT_PLANE = BarrierWait(_PLANE_BARRIER)
 _CELL_BYTES = 40  # five doubles of state per cell
 
 
@@ -71,8 +68,7 @@ class BtKernel(TeamParallelKernel):
         #: Residual after each completed sweep (should shrink).
         self.residuals: list[float] = []
         self._slabs = static_chunks(params.grid ** 2, self.SLABS_PER_PLANE)
-        #: Op tuple per (plane, slab, thread, team), built on first use.
-        self._ops: dict[tuple[int, int, int, int], tuple[Op, ...]] = {}
+        self._ops = OpTable(self._plane_ops)
 
     #: Loop granularity: each plane is swept as two half-plane slabs,
     #: keeping FDT's peeled training a tiny fraction of the run.
@@ -94,27 +90,25 @@ class BtKernel(TeamParallelKernel):
                                  + 2.0 * self.field[plane]
                                  + self.field[plane + 1]) / 4.0
             self.residuals.append(before)
-        key = (plane, slab, thread_id, num_threads)
-        cached = self._ops.get(key)
-        if cached is not None:
-            return cached
+        return self._ops[plane, slab, thread_id, num_threads]
+
+    def _plane_ops(self, key: tuple[int, int, int, int]) -> list[Op]:
+        """A thread's ops for one (plane, slab, thread, team) shape."""
+        plane, slab, thread_id, num_threads = key
         slab_cells = self._slabs[slab]
         chunk = static_chunk(len(slab_cells), num_threads, thread_id,
                              slab_cells.start)
-        plane_base = self._grid_base + plane * g * g * _CELL_BYTES
+        plane_base = self._grid_base + plane * self.params.grid ** 2 * _CELL_BYTES
         # Touch this thread's cells (line-granular) and pay the block cost.
         lo = plane_base + chunk.start * _CELL_BYTES
         hi = plane_base + chunk.stop * _CELL_BYTES
         ops: list[Op] = [Load(addr) for addr in
                          range(lo // LINE * LINE, max(lo, hi - 1) + 1, LINE)]
-        instr = len(chunk) * CELL_INSTR
-        while instr > 0:
-            ops.append(Compute(min(instr, 4096)))
-            instr -= 4096
+        ops += compute_ops(len(chunk) * CELL_INSTR)
         if len(chunk):
             ops.append(Store(lo // LINE * LINE))
-        ops.append(_WAIT_PLANE)
-        return self._ops.setdefault(key, tuple(ops))
+        ops.append(BarrierWait(0))  # the plane barrier
+        return ops
 
 
 def build(scale: float = 1.0, seed: int = 23) -> Application:

@@ -10,8 +10,8 @@ with SAT predicting 5, the closest call in the evaluation.
 
 Paper input: 262K numbers.  Repro input: the same 262 144 numbers in
 128 blocks of 2048; tally cost calibrated so T_CS/T_NoCS ~ 4 %
-(P_CS ~ 5).  The LCG stream and the bucket tallies are computed for real
-and verified against a direct evaluation.
+(P_CS ~ 5).  The LCG stream and tallies are computed for real and checked
+by tests; the ops depend only on (thread, team) and are replayed.
 """
 
 from __future__ import annotations
@@ -22,23 +22,16 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.fdt.kernel import TeamParallelKernel
+from repro.fdt.kernel import OpTable, TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Lock, Op, Store, Unlock
 from repro.runtime.parallel import static_chunk
-from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
+from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, compute_ops, register
 
 #: LCG step + scaling + tally classification per number.
 GEN_INSTR_PER_NUMBER = 12
 #: Tally merge: update the 10-bin table plus running sums.
 TALLY_INSTR = 950
-
-_TALLY_LOCK = 0
-_BLOCK_BARRIER = 0
-#: Ops are immutable values, so each constant one is built once here.
-_TALLY = Compute(TALLY_INSTR // 3)
-_LOCK_TALLY, _UNLOCK_TALLY = Lock(_TALLY_LOCK), Unlock(_TALLY_LOCK)
-_WAIT_BLOCK = BarrierWait(_BLOCK_BARRIER)
 
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -92,37 +85,40 @@ class EpKernel(TeamParallelKernel):
         #: ``(block, values)`` of the last block generated; the team's
         #: threads slice their chunks from it (docs/workloads.md).
         self._block = (-1, np.empty(0))
+        self._ops = OpTable(self._block_ops)
 
     @property
     def total_iterations(self) -> int:
         return self.params.num_numbers // self.params.block_size
 
     def team_iteration(self, block: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
+                       num_threads: int) -> tuple[Op, ...]:
         size = self.params.block_size
         chunk = static_chunk(size, num_threads, thread_id)
-
-        # Parallel part: generate this thread's share of the block.
+        # The real values: this thread's share of the block and its tally.
         if self._block[0] != block:
             self._block = (block, _lcg_block(self.params.seed, block * size, size))
         values = self._block[1][chunk.start:chunk.stop]
-        local_tally = np.bincount((values * 10).astype(int), minlength=10)
-        instr = len(chunk) * GEN_INSTR_PER_NUMBER
-        while instr > 0:
-            yield Compute(min(instr, 4096))
-            instr -= 4096
-
-        # Serial part: fold the block statistics into the shared table.
-        yield _LOCK_TALLY
-        self.tally += local_tally
+        self.tally += np.bincount((values * 10).astype(int), minlength=10)
         self.sum += float(values.sum())
+        return self._ops[thread_id, num_threads]
+
+    def _block_ops(self, key: tuple[int, int]) -> Iterator[Op]:
+        """A thread's ops for one block, which depend on (thread, team)."""
+        thread_id, num_threads = key
+        # Parallel part: generate this thread's share of the block.
+        chunk = static_chunk(self.params.block_size, num_threads, thread_id)
+        yield from compute_ops(len(chunk) * GEN_INSTR_PER_NUMBER)
+
+        # Serial part: fold the block statistics into the shared table
+        # under lock 0, then wait for the team at barrier 0.
+        yield Lock(0)
         for k in range(3):
-            yield _TALLY
+            yield Compute(TALLY_INSTR // 3)
             # Read-modify-write via the store's read-for-ownership.
             yield Store(self._tally_base + k * LINE)
-        yield _UNLOCK_TALLY
-
-        yield _WAIT_BLOCK
+        yield Unlock(0)
+        yield BarrierWait(0)
 
     def expected_tally(self, iterations: int | None = None) -> np.ndarray:
         """Ground truth tally over the first ``iterations`` blocks."""

@@ -12,8 +12,8 @@ which SAT predicts exactly.
 
 Paper input: n = 64K keys.  Repro input: the same 64K keys, 128 buckets,
 16 ranking passes of 10 tiles each; merge cost calibrated so
-T_CS/T_NoCS ~ 2 % (P_CS ~ 7).  The bucket counts are computed for real
-and the sorted order is verified by tests.
+T_CS/T_NoCS ~ 2 % (P_CS ~ 7).  Tests verify the first pass's real bucket
+counts; every pass replays the same (tile, thread, team) op tuples.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.fdt.kernel import TeamParallelKernel
+from repro.fdt.kernel import OpTable, TeamParallelKernel
 from repro.fdt.runner import Application
-from repro.isa.ops import BarrierWait, Compute, Load, Lock, Op, Store, Unlock
-from repro.runtime.parallel import static_chunk
-from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, register
+from repro.isa.ops import Compute, Load, Op
+from repro.runtime.parallel import static_chunk, static_chunks
+from repro.workloads.base import LINE, AddressSpace, Category, WorkloadSpec, merge_tail, register
 
 #: ~16 keys per line, ~12 instructions per key (key extraction, shift,
 #: bounds check, histogram increment).
@@ -37,12 +37,8 @@ SCAN_INSTR_PER_LINE = 196
 #: (load local, add into global, partial rank prefix bookkeeping).
 MERGE_INSTR_PER_LINE = 335
 
-_MERGE_LOCK = 0
-_TILE_BARRIER = 0
 #: Ops are immutable values, so each constant one is built once here.
 _SCAN, _MERGE = Compute(SCAN_INSTR_PER_LINE), Compute(MERGE_INSTR_PER_LINE)
-_LOCK_MERGE, _UNLOCK_MERGE = Lock(_MERGE_LOCK), Unlock(_MERGE_LOCK)
-_WAIT_TILE = BarrierWait(_TILE_BARRIER)
 _BUCKETS = 128
 _BUCKET_BYTES = _BUCKETS * 4  # 512 B = 8 lines
 
@@ -81,25 +77,34 @@ class ISortKernel(TeamParallelKernel):
                                  dtype=np.int32)
         #: Global bucket counts accumulated by the first ranking pass.
         self.global_buckets = np.zeros(_BUCKETS, dtype=np.int64)
+        self._tiles = static_chunks(params.num_keys, params.tiles_per_pass)
+        self._ops = OpTable(self._tile_ops)
 
     @property
     def total_iterations(self) -> int:
         return self.params.num_passes * self.params.tiles_per_pass
 
-    def _tile_keys(self, iteration: int) -> range:
-        tile = iteration % self.params.tiles_per_pass
-        return static_chunk(self.params.num_keys,
-                            self.params.tiles_per_pass, tile)
+    def _thread_keys(self, tile: int, thread_id: int,
+                     num_threads: int) -> range:
+        keys = self._tiles[tile]
+        return static_chunk(len(keys), num_threads, thread_id, keys.start)
 
     def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        tile_keys = self._tile_keys(iteration)
-        chunk = static_chunk(len(tile_keys), num_threads, thread_id,
-                             start=tile_keys.start)
+                       num_threads: int) -> tuple[Op, ...]:
+        tiles = self.params.tiles_per_pass
+        # Only the first pass counts the real keys (later passes re-rank
+        # identically, as NAS IS does for timing repeatability).
+        if iteration < tiles:
+            mine = self._thread_keys(iteration, thread_id, num_threads)
+            self.global_buckets += np.bincount(
+                self.keys[mine.start:mine.stop], minlength=_BUCKETS)
+        return self._ops[iteration % tiles, thread_id, num_threads]
 
+    def _tile_ops(self, key: tuple[int, int, int]) -> Iterator[Op]:
+        """A thread's ops for one (tile, thread, team) shape."""
+        tile, thread_id, num_threads = key
+        chunk = self._thread_keys(tile, thread_id, num_threads)
         # Parallel part: count this thread's slice of the tile.
-        local = np.bincount(self.keys[chunk.start:chunk.stop],
-                            minlength=_BUCKETS).astype(np.int64)
         if len(chunk):
             lo_line = (self._keys_base + chunk.start * 4) // LINE * LINE
             hi_line = self._keys_base + (chunk.stop - 1) * 4
@@ -107,21 +112,9 @@ class ISortKernel(TeamParallelKernel):
                 yield Load(addr)
                 yield _SCAN
 
-        # Serial part: fold local buckets into the global array.  Only
-        # the first pass mutates the real counts (later passes re-rank
-        # identically, as NAS IS does for timing repeatability).
-        local_base = self._locals_base + thread_id * _BUCKET_BYTES
-        yield _LOCK_MERGE
-        if iteration < self.params.tiles_per_pass:
-            self.global_buckets += local
-        for off in range(0, _BUCKET_BYTES, LINE):
-            yield Load(local_base + off)
-            yield _MERGE
-            # Read-modify-write via the store's read-for-ownership.
-            yield Store(self._global_base + off)
-        yield _UNLOCK_MERGE
-
-        yield _WAIT_TILE
+        # Serial part: fold local buckets into the global array.
+        yield from merge_tail(self._locals_base + thread_id * _BUCKET_BYTES,
+                              self._global_base, _BUCKET_BYTES, _MERGE)
 
     def ranked_keys(self) -> np.ndarray:
         """The keys in sorted order per the merged bucket counts."""

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.fdt.kernel import TeamParallelKernel
+from repro.fdt.kernel import OpTable, TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import BarrierWait, Compute, Load, Op, Store
 from repro.runtime.parallel import ChunkTable, static_chunk, static_chunks, team_chunks
@@ -75,8 +75,7 @@ class MgKernel(TeamParallelKernel):
         self.grids = []
         self._bases = []
         self._slabs: list[list[range]] = []  # per level: a plane's 2 slabs
-        #: Op tuple per (level, plane, slab, thread, team), built on first use.
-        self._ops: dict[tuple[int, int, int, int, int], tuple[Op, ...]] = {}
+        self._ops = OpTable(self._slab_ops)
         rng = np.random.default_rng(params.seed)
         for lvl in range(params.levels):
             n = params.fine_grid >> lvl
@@ -110,19 +109,20 @@ class MgKernel(TeamParallelKernel):
                            + grid[plane + 1]) / 4.0
             if lvl == 0 and plane == n - 2:
                 self.norms.append(float(np.abs(grid).sum()))
-        key = (lvl, plane, slab, thread_id, num_threads)
-        cached = self._ops.get(key)
-        if cached is not None:
-            return cached
+        return self._ops[lvl, plane, slab, thread_id, num_threads]
+
+    def _slab_ops(self, key: tuple[int, int, int, int, int]) -> list[Op]:
+        """A thread's ops for one (level, plane, slab, thread, team) shape."""
+        lvl, plane, slab, thread_id, num_threads = key
         slab_lines = self._slabs[lvl][slab]
         chunk = static_chunk(len(slab_lines), num_threads, thread_id,
                              slab_lines.start)
-        base = self._bases[lvl] + plane * n * n * 8
+        base = self._bases[lvl] + plane * (self.params.fine_grid >> lvl) ** 2 * 8
         ops: list[Op] = [op for k in chunk for op in (Load(base + k * LINE), _STENCIL)]
         if len(chunk):
             ops.append(Store(base + chunk.start * LINE))
         ops.append(_WAIT_SWEEP)
-        return self._ops.setdefault(key, tuple(ops))
+        return ops
 
 
 class MgInitKernel(TeamParallelKernel):

@@ -13,8 +13,8 @@ histogram bins.  Repro input: 160 pages by default (scaled; the per-page
 ratios, not the page count, set every result), same 5280-byte pages and
 128 bins.  Figures 9 and 10 vary ``page_bytes`` from 1 KB to 25 KB.
 
-The histogram itself is computed for real (numpy ``bincount`` over a
-deterministic page corpus); tests check it against a direct count.
+The histogram is computed for real (``bincount`` over a deterministic
+corpus) and checked by tests; each thread's merge tail is replayed.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.fdt.kernel import TeamParallelKernel
+from repro.fdt.kernel import OpTable, TeamParallelKernel
 from repro.fdt.runner import Application
-from repro.isa.ops import BarrierWait, Compute, Load, Lock, Op, Store, Unlock
+from repro.isa.ops import Compute, Load, Op
 from repro.runtime.parallel import static_chunk
 from repro.workloads.base import (
     LINE,
     AddressSpace,
     Category,
     WorkloadSpec,
+    merge_tail,
     register,
 )
 
@@ -47,12 +48,8 @@ MERGE_INSTR_PER_LINE = 160
 _BINS = 128
 _BIN_BYTES = 4
 _HIST_BYTES = _BINS * _BIN_BYTES  # 512 B = 8 lines
-_MERGE_LOCK = 0
-_PAGE_BARRIER = 0
 #: Ops are immutable values, so each constant one is built once here.
 _SCAN, _MERGE = Compute(SCAN_INSTR_PER_LINE), Compute(MERGE_INSTR_PER_LINE)
-_LOCK_MERGE, _UNLOCK_MERGE = Lock(_MERGE_LOCK), Unlock(_MERGE_LOCK)
-_WAIT_PAGE = BarrierWait(_PAGE_BARRIER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,46 +88,33 @@ class PageMineKernel(TeamParallelKernel):
             dtype=np.uint8)
         #: The real global histogram, updated as iterations execute.
         self.global_histogram = np.zeros(_BINS, dtype=np.int64)
+        self._tails = OpTable(self._merge_tail)
 
     @property
     def total_iterations(self) -> int:
         return self.params.num_pages
 
-    def _page_slice(self, page: int, thread_id: int,
-                    num_threads: int) -> tuple[int, int]:
-        """Byte offsets [lo, hi) of a thread's share of one page."""
-        chunk = static_chunk(self.params.page_bytes, num_threads, thread_id)
-        base = page * self.params.page_bytes
-        return base + chunk.start, base + chunk.stop
-
     def team_iteration(self, page: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        lo, hi = self._page_slice(page, thread_id, num_threads)
+                       num_threads: int) -> list[Op]:
+        size = self.params.page_bytes
+        chunk = static_chunk(size, num_threads, thread_id, start=page * size)
+        # Parallel part: count this thread's slice of the page for real;
+        # its ops, new on every page, are a Load and the scan per line.
+        self.global_histogram += np.bincount(
+            self.corpus[chunk.start:chunk.stop], minlength=_BINS)
+        base = self._pages_base
+        first = chunk.start // LINE
+        last = (chunk.stop - 1) // LINE if chunk else first - 1
+        ops: list[Op] = [op for line in range(first, last + 1)
+                         for op in (Load(base + line * LINE), _SCAN)]
+        # Serial part: the merge tail, the same on every page.
+        ops += self._tails[thread_id]
+        return ops
 
-        # Parallel part: scan this thread's slice of the page, building
-        # the local histogram (computed for real, timed per line).
-        local = np.bincount(self.corpus[lo:hi], minlength=_BINS).astype(np.int64)
-        first_line = lo // LINE
-        last_line = (hi - 1) // LINE if hi > lo else first_line - 1
-        for line in range(first_line, last_line + 1):
-            yield Load(self._pages_base + line * LINE)
-            yield _SCAN
-
-        # Serial part: merge the local histogram into the global one
-        # under the critical section (paper Figure 1).
-        local_base = self._locals_base + thread_id * _HIST_BYTES
-        yield _LOCK_MERGE
-        self.global_histogram += local
-        for off in range(0, _HIST_BYTES, LINE):
-            yield Load(local_base + off)
-            yield _MERGE
-            # The global update is a read-modify-write: the store's
-            # read-for-ownership fetches and invalidates in one
-            # transaction (x86 `add [mem], reg` semantics).
-            yield Store(self._global_base + off)
-        yield _UNLOCK_MERGE
-
-        yield _WAIT_PAGE
+    def _merge_tail(self, thread_id: int) -> Iterator[Op]:
+        """Serial part: the critical section's merge (paper Figure 1)."""
+        return merge_tail(self._locals_base + thread_id * _HIST_BYTES,
+                          self._global_base, _HIST_BYTES, _MERGE)
 
     def expected_histogram(self) -> np.ndarray:
         """Ground truth for the full corpus (test oracle)."""

@@ -1,13 +1,16 @@
-"""Test instrument: materialize a finite op stream and check it.
+"""Test instruments: materialize a finite op stream and check it, and
+drive a team kernel's iterations without a machine.
 
 Workload tests run a kernel's op stream through :func:`validate_program`
 to check what a workload emits; the simulator itself never validates a
-program (a hot kernel stays a generator).
+program (a hot kernel stays a generator).  :func:`drive_team` makes every
+``team_iteration`` call a run would make, so its real values and op
+tables can be checked directly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.errors import ProgramError
 from repro.isa.ops import (
@@ -75,3 +78,10 @@ def validate_program(ops: Iterable[Op]) -> list[Op]:
     if held:
         raise ProgramError(f"program ended while still holding locks {held}")
     return out
+
+
+def drive_team(kernel: Any, team: int = 32) -> None:
+    """Call every iteration's share for every thread, iteration-major."""
+    for iteration in range(kernel.total_iterations):
+        for tid in range(team):
+            kernel.team_iteration(iteration, tid, team)

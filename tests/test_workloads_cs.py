@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import run_application
-from repro.isa.ops import BarrierWait, Lock, Unlock
+from repro.isa.ops import BarrierWait, Compute, Load, Lock, Store, Unlock
 from repro.runtime.parallel import static_chunk
 from repro.sim.config import MachineConfig
+from repro.workloads import ep, isort, pagemine
+from repro.workloads.base import LINE
 from repro.workloads.ep import _LCG_A, _LCG_C, _MASK, EpKernel, EpParams, _lcg_block
 from repro.workloads.gsearch import (
     GSearchKernel,
@@ -29,7 +31,7 @@ from repro.workloads.gsearch import (
 from repro.workloads.isort import ISortKernel, ISortParams
 from repro.workloads.pagemine import PageMineKernel, PageMineParams
 
-from tests.programs import validate_program
+from tests.programs import drive_team, validate_program
 
 
 def small_cfg() -> MachineConfig:
@@ -125,6 +127,17 @@ def test_isort_first_pass_only_counts_once():
         for _op in kernel.serial_iteration(i):
             pass
     assert int(kernel.global_buckets.sum()) == 2048
+
+
+def test_isort_counts_each_key_once_with_a_team():
+    # Only the first of three passes counts; 32 threads split each tile.
+    kernel = ISortKernel(ISortParams(num_keys=2048, num_passes=3))
+    from repro.fdt.runner import Application
+    run_application(Application.single(kernel), StaticPolicy(32),
+                    MachineConfig.small(num_cores=32))
+    assert int(kernel.global_buckets.sum()) == 2048
+    np.testing.assert_array_equal(kernel.ranked_keys(),
+                                  kernel.expected_sorted())
 
 
 def test_isort_iterations_are_well_formed():
@@ -280,25 +293,36 @@ def test_lcg_block_matches_the_scalar_recurrence(seed, start, count):
     assert got.tobytes() == _reference_lcg(seed, start, count).tobytes()
 
 
-@pytest.mark.parametrize("threads", [1, 3, 32])
-def test_ep_block_memo_survives_interleaved_blocks(threads):
-    """Each thread runs every block before the next thread starts, so
-    the one-block memo is replaced at every call; tally and sum must
-    still be exactly the per-chunk definition's."""
+@pytest.mark.parametrize("threads, order", [
+    (1, "thread-major"), (3, "thread-major"), (32, "thread-major"),
+    (32, "iteration-major"),
+], ids=["1", "3", "32", "32-iteration-major"])
+def test_ep_block_memo_survives_interleaved_blocks(threads, order):
+    """Thread-major, each thread runs every block before the next thread
+    starts, so the one-block memo is replaced at every call;
+    iteration-major, the team shares each block as a run does.  Either
+    way, every block after the first replays its op tuples, and tally
+    and sum must still be exactly the per-chunk definition's."""
     params = EpParams(num_numbers=8192, block_size=2048)
     kernel = EpKernel(params)
     total = kernel.total_iterations
-    for thread_id, factory in enumerate(
-            kernel.factories(range(total), threads)):
-        for _op in factory(thread_id, threads):
-            pass
+    if order == "iteration-major":
+        drive_team(kernel, threads)
+    else:
+        for thread_id, factory in enumerate(
+                kernel.factories(range(total), threads)):
+            for _op in factory(thread_id, threads):
+                pass
+    # The float sum accumulates in call order.
+    shares = [(block, tid) for block in range(total) for tid in range(threads)]
+    if order == "thread-major":
+        shares.sort(key=lambda share: share[1])
     want_sum = 0.0
-    for thread_id in range(threads):
-        for block in range(total):
-            chunk = static_chunk(params.block_size, threads, thread_id,
-                                 start=block * params.block_size)
-            want_sum += float(_reference_lcg(params.seed, chunk.start,
-                                             len(chunk)).sum())
+    for block, thread_id in shares:
+        chunk = static_chunk(params.block_size, threads, thread_id,
+                             start=block * params.block_size)
+        want_sum += float(_reference_lcg(params.seed, chunk.start,
+                                         len(chunk)).sum())
     values = _reference_lcg(params.seed, 0, params.num_numbers)
     want_tally = np.bincount((values * 10).astype(int), minlength=10)
     _assert_arrays_identical(kernel.tally, want_tally)
@@ -334,3 +358,92 @@ def test_ep_values_uniform_ish():
 def test_ep_rejects_bad_params():
     with pytest.raises(WorkloadError):
         EpParams(num_numbers=100, block_size=1024)
+
+
+# -- op streams against hand-written references --------------------------------
+#
+# Each reference builds fresh ops from the kernel's definition on every
+# call, so a replayed tuple is checked against the stream it stands for.
+
+
+def _merge_reference(locals_base, global_base, tid, merge_instr):
+    """Lock, 8 x (local Load, merge Compute, global RFO Store), Unlock."""
+    ops = [Lock(0)]
+    for k in range(8):
+        ops += [Load(locals_base + tid * 8 * LINE + k * LINE),
+                Compute(merge_instr), Store(global_base + k * LINE)]
+    return ops + [Unlock(0)]
+
+
+def _isort_reference(kernel, iteration, tid, team):
+    p = kernel.params
+    tile = static_chunk(p.num_keys, p.tiles_per_pass,
+                        iteration % p.tiles_per_pass)
+    chunk = static_chunk(len(tile), team, tid, start=tile.start)
+    ops = []
+    if len(chunk):
+        first = (kernel._keys_base + chunk.start * 4) // LINE
+        last = (kernel._keys_base + (chunk.stop - 1) * 4) // LINE
+        for line in range(first, last + 1):
+            ops += [Load(line * LINE), Compute(isort.SCAN_INSTR_PER_LINE)]
+    ops += _merge_reference(kernel._locals_base, kernel._global_base, tid,
+                            isort.MERGE_INSTR_PER_LINE)
+    return ops + [BarrierWait(0)]
+
+
+def _ep_reference(kernel, block, tid, team):
+    ops = []
+    chunk = static_chunk(kernel.params.block_size, team, tid)
+    instr = len(chunk) * ep.GEN_INSTR_PER_NUMBER
+    while instr > 0:
+        ops.append(Compute(min(instr, 4096)))
+        instr -= 4096
+    ops.append(Lock(0))
+    for k in range(3):
+        ops += [Compute(ep.TALLY_INSTR // 3),
+                Store(kernel._tally_base + k * LINE)]
+    return ops + [Unlock(0), BarrierWait(0)]
+
+
+def _pagemine_reference(kernel, page, tid, team):
+    size = kernel.params.page_bytes
+    chunk = static_chunk(size, team, tid, start=page * size)
+    ops = []
+    if len(chunk):
+        for line in range(chunk.start // LINE, (chunk.stop - 1) // LINE + 1):
+            ops += [Load(kernel._pages_base + line * LINE),
+                    Compute(pagemine.SCAN_INSTR_PER_LINE)]
+    ops += _merge_reference(kernel._locals_base, kernel._global_base, tid,
+                            pagemine.MERGE_INSTR_PER_LINE)
+    return ops + [BarrierWait(0)]
+
+
+def test_cs_op_streams_match_static_chunk_reference():
+    # Two ISort passes and several EP blocks and PageMine pages: every
+    # replayed tuple (and merge tail) is checked on its repeats as well
+    # as when it is built.  1000-byte pages split at unaligned offsets.
+    cases = [
+        (ISortKernel(ISortParams(num_keys=2048, num_passes=2)),
+         _isort_reference),
+        (EpKernel(EpParams(num_numbers=4096, block_size=1024)),
+         _ep_reference),
+        (PageMineKernel(PageMineParams(num_pages=3, page_bytes=1000)),
+         _pagemine_reference),
+    ]
+    for kernel, reference in cases:
+        for team in (1, 7, 32):
+            for iteration in range(kernel.total_iterations):
+                for tid in range(team):
+                    got = list(kernel.team_iteration(iteration, tid, team))
+                    assert got == reference(kernel, iteration, tid, team), (
+                        kernel.name, team, iteration, tid)
+
+
+def test_real_values_are_computed_on_every_call_not_only_when_ops_are_built():
+    # PageMine's merge tail is replayed from the second page on; the
+    # histogram must still count every page.  (EP's tally and sum are
+    # checked in both call orders by the block-memo test above.)
+    kernel = PageMineKernel(PageMineParams(num_pages=6, page_bytes=1000))
+    drive_team(kernel)
+    np.testing.assert_array_equal(kernel.global_histogram,
+                                  kernel.expected_histogram())

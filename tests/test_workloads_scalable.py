@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,10 +17,15 @@ from repro.sim.config import MachineConfig
 from repro.workloads.base import LINE
 from repro.workloads.bscholes import BScholesKernel, BScholesParams, _cnd
 from repro.workloads.bt import CELL_INSTR, BtKernel, BtParams
+from repro.workloads.ep import EpKernel, EpParams
+from repro.workloads.isort import ISortKernel, ISortParams
 from repro.workloads.mg import STENCIL_INSTR_PER_LINE, MgInitKernel, MgKernel, MgParams
+from repro.workloads.pagemine import PageMineKernel, PageMineParams
 from repro.workloads.synthetic import SyntheticKernel, SyntheticParams
 from repro.workloads.sconv import _State as SConvState
 from repro.workloads.sconv import SConvParams, _PassKernel
+
+from tests.programs import drive_team
 
 
 def small_cfg() -> MachineConfig:
@@ -226,18 +232,15 @@ def test_team_op_streams_match_static_chunk_reference():
 @pytest.mark.parametrize("kernel", [
     BtKernel(BtParams(grid=8, time_steps=2)),
     MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=2)),
-], ids=["bt", "mg"])
+    ISortKernel(ISortParams(num_keys=2048, num_passes=2)),
+    EpKernel(EpParams(num_numbers=8192, block_size=1024)),
+], ids=["bt", "mg", "isort", "ep"])
 def test_a_repeated_shape_replays_the_same_op_tuple(kernel):
     first = kernel.team_iteration(3, 2, 7)
     assert kernel.team_iteration(3, 2, 7) is first
-    # The second time step or V-cycle sweeps the same plane slab again.
+    # The second time step, V-cycle or ranking pass sweeps the same
+    # plane slab or tile again; every EP block has the same shape.
     assert kernel.team_iteration(3 + kernel.total_iterations // 2, 2, 7) is first
-
-
-def _drive_team(kernel, team=32):
-    for iteration in range(kernel.total_iterations):
-        for tid in range(team):
-            kernel.team_iteration(iteration, tid, team)
 
 
 def test_op_tables_grow_with_shapes_not_with_the_run():
@@ -245,10 +248,43 @@ def test_op_tables_grow_with_shapes_not_with_the_run():
     mg = [MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=cycles))
           for cycles in (1, 3)]
     for kernel in bt + mg:
-        _drive_team(kernel)
+        drive_team(kernel)
     # BT: 8 planes x 2 slabs x 32 threads; MG: (16 + 8) planes x 2 x 32.
     assert len(bt[0]._ops) == len(bt[1]._ops) == 8 * 2 * 32
     assert len(mg[0]._ops) == len(mg[1]._ops) == (16 + 8) * 2 * 32
+    isort = [ISortKernel(ISortParams(num_keys=2048, num_passes=passes))
+             for passes in (2, 4)]
+    ep = [EpKernel(EpParams(num_numbers=numbers, block_size=1024))
+          for numbers in (4096, 16384)]
+    for kernel in isort + ep:
+        drive_team(kernel)
+    # ISort: 10 tiles x 32 threads; EP: one shape per thread.
+    assert len(isort[0]._ops) == len(isort[1]._ops) == 10 * 32
+    assert len(ep[0]._ops) == len(ep[1]._ops) == 32
+    # PageMine's scan is new on every page; its merge tail is per thread,
+    # whatever the team.
+    pagemine = PageMineKernel(PageMineParams(num_pages=4, page_bytes=1024))
+    for team in (7, 32):
+        drive_team(pagemine, team)
+    assert sorted(pagemine._tails) == list(range(32))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BtKernel(BtParams(grid=8, time_steps=1)),
+    lambda: MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=1)),
+    lambda: ISortKernel(ISortParams(num_keys=2048, num_passes=1)),
+    lambda: EpKernel(EpParams(num_numbers=4096, block_size=1024)),
+    lambda: PageMineKernel(PageMineParams(num_pages=1)),
+], ids=["bt", "mg", "isort", "ep", "pagemine"])
+def test_an_op_table_does_not_keep_its_kernel_alive(make):
+    # The table holds its builder weakly, so dropping a finished kernel
+    # frees it (and its arrays and tables) at once, not at the next
+    # cycle collection.
+    kernel = make()
+    list(kernel.team_iteration(0, 0, 1))
+    ref = weakref.ref(kernel)
+    del kernel
+    assert ref() is None
 
 
 # -- BScholes ------------------------------------------------------------------------
