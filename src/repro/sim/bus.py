@@ -104,8 +104,6 @@ class ReservationTimeline:
             ends.insert(idx, end)
         return start
 
-    def __len__(self) -> int:
-        return len(self._starts)
 
 
 @dataclass(slots=True)
@@ -122,7 +120,13 @@ class BusStats:
 
 
 class OffChipBus:
-    """Reservation-based data bus shared by all L3 banks."""
+    """Reservation-based data bus shared by all L3 banks.
+
+    Its state and its counters: the address phase is ``latency`` cycles,
+    and a data phase books ``cycles_per_line`` cycles on the timeline.
+    The memory port books its transfers itself; ``tests/spec_memsys.py``
+    writes the same as ``t + bus.latency`` and ``data_phase(bus, ready)``.
+    """
 
     __slots__ = ("latency", "cycles_per_line", "_timeline", "stats")
 
@@ -132,28 +136,6 @@ class OffChipBus:
         self._timeline = ReservationTimeline(
             min_duration=self.cycles_per_line)
         self.stats = BusStats()
-
-    def request_phase(self, now: int) -> int:
-        """Cycle at which the address/command phase reaches memory.
-
-        The address bus is pipelined and never the bottleneck, so this is
-        a pure latency.
-        """
-        return now + self.latency
-
-    def data_phase(self, ready: int) -> int:
-        """Transfer one cache line whose data is ready at cycle ``ready``.
-
-        Reserves the data bus; returns the cycle the transfer completes.
-        """
-        cycles = self.cycles_per_line
-        start = self._timeline.reserve(ready, cycles)
-        done = start + cycles
-        stats = self.stats
-        stats.total_wait_cycles += start - ready
-        stats.busy_cycles += cycles
-        stats.transfers += 1
-        return done
 
     @property
     def busy_cycles(self) -> int:

@@ -59,17 +59,20 @@ class CoherenceStats:
 
 
 class Directory:
-    """Chip-wide directory state (sharded by home bank only logically)."""
+    """Chip-wide directory state (sharded by home bank only logically).
+
+    ``_entries`` maps each privately cached line to its entry.  The
+    memory port reads it, and writes it in place on the legs where
+    nobody else holds the line (a first fill, an E→M store, an owner's
+    eviction); every other transition is an ``on_*`` call.
+    ``tests/spec_memsys.py`` calls the transitions for every leg.
+    """
 
     __slots__ = ("_entries", "stats")
 
     def __init__(self) -> None:
         self._entries: dict[int, Entry] = {}
         self.stats = CoherenceStats()
-
-    def entry(self, line: int) -> Entry | None:
-        """The directory entry for ``line`` or None if uncached privately."""
-        return self._entries.get(line)
 
     # -- transitions -------------------------------------------------------
 
@@ -168,11 +171,3 @@ class Directory:
         if dirty:
             self.stats.writebacks_to_l3 += 1
         return {owner}, dirty
-
-    def mark_dirty(self, line: int, core: int) -> None:
-        """Note that ``core`` (the owner) dirtied its E copy (E→M)."""
-        if self._entries.get(line) == (core, False):
-            self._entries[line] = (core, True)
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -8,6 +8,11 @@ The open-page policy keeps the last-accessed row latched in the row buffer:
 * row hit      — CAS only              (fast)
 * row conflict — precharge + activate + CAS (slow)
 * closed bank  — activate + CAS         (intermediate)
+
+A line's row is its granule, ``line // granule``: each granule occupies
+its own stretch of a DRAM row, so a stream pays one activation per
+granule visit and row-hits on the rest (a single sequential stream sees
+a ~94 % row-hit rate).
 """
 
 from __future__ import annotations
@@ -40,22 +45,24 @@ class DramStats:
 
 
 class Dram:
-    """Reservation-based model of a multi-bank DRAM."""
+    """Reservation-based model of a multi-bank DRAM.
 
-    __slots__ = ("_num_banks", "_bank_mask", "_bank_bits", "_granule",
-                 "_granule_bank", "_rows_per_span", "_bank_free", "_open_row",
-                 "_hit_lat", "_conflict_lat", "_closed_lat", "_open_page",
-                 "stats")
+    State only, apart from the bank hash: per bank the cycle it is free
+    and its open row.  The memory port serves its accesses on that
+    state itself; ``tests/spec_memsys.py`` writes one as
+    ``dram_access(dram, line, now)``.
+    """
+
+    __slots__ = ("_bank_mask", "_granule", "_granule_bank", "_bank_free",
+                 "_open_row", "_hit_lat", "_conflict_lat", "_closed_lat",
+                 "_open_page", "stats")
 
     def __init__(self, config: MachineConfig) -> None:
-        self._num_banks = config.dram_banks
         self._bank_mask = config.dram_banks - 1
-        self._bank_bits = config.dram_banks.bit_length() - 1
         lines_per_row = config.dram_row_bytes // config.line_bytes
         self._granule = min(config.dram_granule_lines, lines_per_row)
         #: Bank of every granule seen so far (the hash below, memoised).
         self._granule_bank: dict[int, int] = {}
-        self._rows_per_span = max(1, lines_per_row // self._granule)
         self._bank_free = [0] * config.dram_banks
         self._open_row: list[int | None] = [None] * config.dram_banks
         self._hit_lat = config.dram_row_hit_latency
@@ -90,42 +97,3 @@ class Dram:
             bank = self._granule_bank[granule] = (
                 (g ^ (g >> 16)) & self._bank_mask)
         return bank
-
-    def row_of(self, line: int) -> int:
-        """Row segment for a line address.
-
-        Each granule occupies its own stretch of a DRAM row; a stream
-        pays one activation per granule visit and row-hits on the rest,
-        so a single sequential stream sees a ~94 % row-hit rate.
-        """
-        return line // self._granule
-
-    def access(self, line: int, now: int) -> int:
-        """Access the line's bank at cycle ``now``; return completion cycle.
-
-        Reserves the bank: a later request to the same bank starts no
-        earlier than this one completes (bank conflicts, Table 1).
-        """
-        bank = self.bank_of(line)
-        row = self.row_of(line)
-        stats = self.stats
-        start = max(now, self._bank_free[bank])
-        stats.total_queue_cycles += start - now
-
-        open_row = self._open_row[bank]
-        if open_row is None:
-            latency = self._closed_lat
-            stats.row_closed += 1
-        elif open_row == row:
-            latency = self._hit_lat
-            stats.row_hits += 1
-        else:
-            latency = self._conflict_lat
-            stats.row_conflicts += 1
-
-        done = start + latency
-        self._bank_free[bank] = done
-        # Open-page leaves the row latched; closed-page precharges it.
-        self._open_row[bank] = row if self._open_page else None
-        stats.accesses += 1
-        return done

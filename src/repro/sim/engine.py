@@ -70,9 +70,6 @@ class EventQueue:
         self.seq = seq + 1
         heapq.heappush(self.heap, (when, seq, callback))
 
-    def __len__(self) -> int:
-        return len(self.heap)
-
     def run(self) -> None:
         """Drain the queue, advancing :attr:`now` event by event.
 

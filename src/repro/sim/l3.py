@@ -15,12 +15,17 @@ BANK_OCCUPANCY = 4
 
 
 class L3Bank:
-    """One bank of the shared L3: a tag store plus a reservation clock."""
+    """One bank of the shared L3: a tag store plus a reservation clock.
 
-    __slots__ = ("index", "cache", "latency", "occupancy", "_free")
+    ``_free`` is the first cycle the bank accepts a request; an access
+    starts at ``max(arrival, _free)`` and moves it ``occupancy`` cycles
+    on.  The memory port does that in place, and ``tests/spec_memsys.py``
+    spells it ``start_access(bank, arrival)``.
+    """
+
+    __slots__ = ("cache", "latency", "occupancy", "_free")
 
     def __init__(self, index: int, config: MachineConfig) -> None:
-        self.index = index
         self.cache = SetAssocCache(
             size_bytes=config.l3_bytes // config.l3_banks,
             assoc=config.l3_assoc,
@@ -31,25 +36,19 @@ class L3Bank:
         self.occupancy = BANK_OCCUPANCY
         self._free = 0
 
-    def start_access(self, now: int) -> int:
-        """Reserve the bank; return the cycle the access actually starts."""
-        start = max(now, self._free)
-        self._free = start + self.occupancy
-        return start
-
 
 class SharedL3:
-    """The full L3: bank selection plus aggregate statistics."""
+    """The full L3: its banks plus aggregate statistics.
+
+    Banks are line-interleaved: a line's home is
+    ``banks[line & _bank_mask]``.
+    """
 
     __slots__ = ("banks", "_bank_mask")
 
     def __init__(self, config: MachineConfig) -> None:
         self.banks = [L3Bank(i, config) for i in range(config.l3_banks)]
         self._bank_mask = config.l3_banks - 1
-
-    def bank_of(self, line: int) -> L3Bank:
-        """Home bank of a line address (line-interleaved)."""
-        return self.banks[line & self._bank_mask]
 
     @property
     def hits(self) -> int:

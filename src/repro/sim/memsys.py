@@ -19,14 +19,17 @@ The hierarchy per Table 1:
 
 The walk exists once: the per-core port :meth:`MemorySystem.make_port`
 builds, written for host speed, serves every valid
-:class:`MachineConfig`.  Its specification is ``tests/spec_memsys.py``,
-one function per MESI transaction written as plain calls into the
-component classes (``SetAssocCache.lookup`` / ``insert`` / ``peek`` /
-``update`` / ``invalidate``, ``L3Bank.start_access``,
-``OffChipBus.request_phase`` / ``data_phase``, ``Dram.access``,
-``Directory.mark_dirty``), in the order
-the protocol description above gives them; the property suites hold the
-port to it.
+:class:`MachineConfig`.  It reads and writes the components' state in
+place — cache sets, the directory's entries, the L3 banks' and DRAM
+banks' clocks, the bus timeline — and each component class is that
+state and its counters, with no second interface beside the walk.  Its
+specification is ``tests/spec_memsys.py``: one function per MESI
+transaction, in the order the protocol description above gives them,
+written over the components' operations (a cache's ``lookup`` /
+``insert`` / ``peek`` / ``update``, an L3 bank's ``start_access``, the
+bus's ``data_phase``, ``dram_access``, the directory's ``mark_dirty``),
+which are functions over the same state there.  The property suites
+hold the port to it.
 """
 
 from __future__ import annotations
@@ -69,8 +72,7 @@ class MemorySystem:
     """Per-core private caches plus all shared structures."""
 
     __slots__ = ("config", "ring", "core_nodes", "bank_nodes", "l1s", "l2s",
-                 "l3", "directory", "bus", "dram", "stats", "observer",
-                 "_offset_bits")
+                 "l3", "directory", "bus", "dram", "stats", "observer")
 
     def __init__(self, config: MachineConfig, ring: Ring,
                  core_nodes: list[int], bank_nodes: list[int],
@@ -98,12 +100,6 @@ class MemorySystem:
         #: intervals of L2 misses and coherence upgrades — the accesses
         #: that actually block an in-order core.
         self.observer = observer
-        self._offset_bits = config.line_bytes.bit_length() - 1
-
-    # -- public API --------------------------------------------------------
-
-    def line_of(self, addr: int) -> int:
-        return addr >> self._offset_bits
 
     def make_port(self, core: int) -> AccessPort:
         """Build ``core``'s access function: the one memory walk.
@@ -127,15 +123,19 @@ class MemorySystem:
         transitions stay ``Directory.on_*`` calls.  Each ring leg
         arrives at ``t + hops * hop_latency``, or at ``Ring.reserve``'s
         answer on a ring with link occupancy.  Out of line, as calls the
-        specification makes too: recall of an L3 victim held in S, a
+        specification makes too: recall of an L3 victim held in S
+        (``Directory.on_recall``, ``SetAssocCache.invalidate``), a
         sharer's L2 eviction (``Directory.on_evict``), a bus
-        reservation that fills a gap.  A dirty L2 victim without an L3
+        reservation that fills a gap, the bank hash of a granule not
+        yet memoised (``Dram.bank_of``).  Every other step is written
+        here on the components' state.  A dirty L2 victim without an L3
         copy breaks inclusion: a :class:`SimulationError`.
 
         ``tests/spec_memsys.py`` is the specification the walk is tested
-        against (``tests/test_property_memsys.py``): same completion
-        cycles, same cache contents in LRU order, same directory, same
-        counters, same ring links.
+        against (``tests/test_property_memsys.py``), written over the
+        components' operations, which are functions there: same
+        completion cycles, same cache contents in LRU order, same
+        directory, same counters, same ring links.
         """
         l1, l2 = self.l1s[core], self.l2s[core]
         l1_mask, l2_mask = l1._set_mask, l2._set_mask
@@ -143,7 +143,7 @@ class MemorySystem:
         cfg = self.config
         stats = self.stats
         observer = self.observer
-        offset_bits = self._offset_bits
+        offset_bits = cfg.line_bytes.bit_length() - 1
         l1_latency, l2_latency = cfg.l1_latency, cfg.l2_latency
         l1_l2_latency = l1_latency + l2_latency
         l1_sets, l1_stats, l1_assoc = l1._sets, l1.stats, l1.assoc

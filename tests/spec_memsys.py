@@ -3,11 +3,20 @@
 ``MemorySystem.make_port`` builds the one memory walk the simulator
 runs, written for host speed.  This module says what that walk must do,
 written for reading: one function per MESI transaction, each a plain
-sequence of calls into the component classes, in the order the protocol
-takes them.  ``tests/test_property_memsys.py`` and
-``tests/test_perf_parity.py`` hold the port to it, bit for bit: the
-same completion cycles, cache contents in LRU order, directory,
-counters and ring links.
+sequence of component operations, in the order the protocol takes them.
+``tests/test_property_memsys.py`` and ``tests/test_perf_parity.py``
+hold the port to it, bit for bit: the same completion cycles, cache
+contents in LRU order, directory, counters and ring links.
+
+The component classes under ``src/repro/sim`` are state and counters:
+the port reads and writes that state in place.  Their operations live
+here, as functions over the same state — :func:`lookup`, :func:`peek`,
+:func:`holds`, :func:`insert`, :func:`update` and :func:`clear` on a
+cache, :func:`start_access` on an L3 bank, :func:`data_phase` on the
+bus, :func:`dram_access`, :func:`mark_dirty` on the directory — and
+the unit tests of each component drive them.  The directory's
+transitions (``Directory.on_*``), ``Ring.reserve`` and
+``Dram.bank_of`` stay methods: the port calls them too.
 
 The address split, for a 64-byte line, 8 home banks and ``sets`` sets
 in a cache (always a power of two)::
@@ -31,9 +40,14 @@ specification, stepped op by op: no Compute coalescing, no run-ahead.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.errors import SimulationError
-from repro.sim.coherence import MesiState
+from repro.sim.bus import OffChipBus
+from repro.sim.cache import UNFILLED, SetAssocCache
+from repro.sim.coherence import Directory, MesiState
 from repro.sim.config import MachineConfig
+from repro.sim.dram import Dram
 from repro.sim.l3 import L3Bank
 from repro.sim.machine import Machine
 from repro.sim.memsys import AccessPort, MemorySystem
@@ -42,6 +56,135 @@ M = MesiState.MODIFIED
 E = MesiState.EXCLUSIVE
 S = MesiState.SHARED
 
+
+# -- the components' operations ----------------------------------------------
+
+def lookup(cache: SetAssocCache, line: int, touch: bool = True) -> Any | None:
+    """The payload of ``line`` in ``cache``, or None on a miss.
+
+    Counts a hit or a miss; ``touch=True`` promotes the line to MRU.
+    """
+    s = cache._sets[line & cache._set_mask]
+    if line not in s:
+        cache.stats.misses += 1
+        return None
+    cache.stats.hits += 1
+    if touch:
+        s[line] = s.pop(line)
+    return s[line]
+
+
+def peek(cache: SetAssocCache, line: int) -> Any | None:
+    """The payload of ``line`` without touching LRU or counting stats."""
+    return cache._sets[line & cache._set_mask].get(line)
+
+
+def holds(cache: SetAssocCache, line: int) -> bool:
+    """Whether ``cache`` holds ``line``."""
+    return line in cache._sets[line & cache._set_mask]
+
+
+def insert(cache: SetAssocCache, line: int,
+           payload: Any = True) -> tuple[int, Any] | None:
+    """Install ``line`` as MRU; return the evicted ``(line, payload)``.
+
+    A resident line gets the new payload and is promoted, evicting
+    nothing.  The first fill of a set allocates it (see ``UNFILLED``).
+    """
+    index = line & cache._set_mask
+    s = cache._sets[index]
+    if line in s:
+        del s[line]
+        s[line] = payload
+        return None
+    if s is UNFILLED:
+        s = cache._sets[index] = {}
+    victim = None
+    if len(s) >= cache.assoc:
+        victim_line = next(iter(s))
+        victim = (victim_line, s.pop(victim_line))
+        cache.stats.evictions += 1
+    s[line] = payload
+    return victim
+
+
+def update(cache: SetAssocCache, line: int, payload: Any) -> bool:
+    """Replace a resident line's payload without LRU movement; False
+    when the line is not resident."""
+    s = cache._sets[line & cache._set_mask]
+    if line not in s:
+        return False
+    s[line] = payload
+    return True
+
+
+def clear(cache: SetAssocCache) -> None:
+    """Drop every line (the stats stay), into the ``_sets`` list a port
+    may have bound."""
+    cache._sets[:] = [UNFILLED] * cache.num_sets
+
+
+def start_access(bank: L3Bank, now: int) -> int:
+    """Reserve ``bank`` for a request arriving at ``now``; return the
+    cycle the access starts."""
+    start = max(now, bank._free)
+    bank._free = start + bank.occupancy
+    return start
+
+
+def data_phase(bus: OffChipBus, ready: int) -> int:
+    """Move one line whose data is ready at ``ready`` over the data bus;
+    return the cycle the transfer completes."""
+    cycles = bus.cycles_per_line
+    start = bus._timeline.reserve(ready, cycles)
+    bus.stats.total_wait_cycles += start - ready
+    bus.stats.busy_cycles += cycles
+    bus.stats.transfers += 1
+    return start + cycles
+
+
+def dram_access(dram: Dram, line: int, now: int) -> int:
+    """Access ``line``'s bank at ``now``; return the cycle it completes.
+
+    The bank is reserved until then: a later request to it starts no
+    earlier (bank conflicts, Table 1).  A line's row is its granule.
+    """
+    bank = dram.bank_of(line)
+    row = line // dram._granule
+    stats = dram.stats
+    start = max(now, dram._bank_free[bank])
+    stats.total_queue_cycles += start - now
+    open_row = dram._open_row[bank]
+    if open_row is None:
+        latency = dram._closed_lat
+        stats.row_closed += 1
+    elif open_row == row:
+        latency = dram._hit_lat
+        stats.row_hits += 1
+    else:
+        latency = dram._conflict_lat
+        stats.row_conflicts += 1
+    dram._bank_free[bank] = start + latency
+    # Open-page leaves the row latched; closed-page precharges it.
+    dram._open_row[bank] = row if dram._open_page else None
+    stats.accesses += 1
+    return start + latency
+
+
+def mark_dirty(directory: Directory, line: int, core: int) -> None:
+    """``core``, the owner, dirtied its E copy of ``line`` (E→M)."""
+    if directory._entries.get(line) == (core, False):
+        directory._entries[line] = (core, True)
+
+
+def home(memsys: MemorySystem, line: int) -> tuple[L3Bank, int]:
+    """``line``'s home bank (banks are line-interleaved) and its ring
+    node."""
+    index = line & memsys.l3._bank_mask
+    return memsys.l3.banks[index], memsys.bank_nodes[index]
+
+
+# -- the walk --------------------------------------------------------------------
 
 def send(memsys: MemorySystem, t: int, src: int, dst: int) -> int:
     """One ring message sent at cycle ``t``; return its arrival."""
@@ -54,7 +197,7 @@ def send(memsys: MemorySystem, t: int, src: int, dst: int) -> int:
 def access(memsys: MemorySystem, core: int, addr: int, is_write: bool,
            now: int) -> int:
     """One load or store by ``core``; return the cycle it completes."""
-    line = memsys.line_of(addr)
+    line = addr // memsys.config.line_bytes
     if is_write:
         memsys.stats.stores += 1
     else:
@@ -62,16 +205,16 @@ def access(memsys: MemorySystem, core: int, addr: int, is_write: bool,
     l1, l2 = memsys.l1s[core], memsys.l2s[core]
     t = now + memsys.config.l1_latency
 
-    if l1.lookup(line) is not None:
+    if lookup(l1, line) is not None:
         if not is_write:
             return t
         # Write-through L1: a store needs a writable (M or E) L2 copy.
-        state = l2.peek(line)
+        state = peek(l2, line)
         if state is M:
             return t
         if state is E:
-            l2.update(line, M)
-            memsys.directory.mark_dirty(line, core)
+            update(l2, line, M)
+            mark_dirty(memsys.directory, line, core)
             return t
         if state is S:
             return upgrade(memsys, core, line, t)
@@ -80,16 +223,16 @@ def access(memsys: MemorySystem, core: int, addr: int, is_write: bool,
         return miss(memsys, core, line, True, t)
 
     t += memsys.config.l2_latency
-    state = l2.lookup(line)
+    state = lookup(l2, line)
     if state is None:
         return miss(memsys, core, line, is_write, t)
     if is_write and state is E:
-        l2.update(line, M)
-        memsys.directory.mark_dirty(line, core)
+        update(l2, line, M)
+        mark_dirty(memsys.directory, line, core)
     elif is_write and state is S:
         t = upgrade(memsys, core, line, t)
     # L1 evictions are silent: a write-through L1 is never dirty.
-    l1.insert(line, True)
+    insert(l1, line, True)
     return t
 
 
@@ -110,13 +253,12 @@ def invalidate(memsys: MemorySystem, victims: set[int], line: int,
 def upgrade(memsys: MemorySystem, core: int, line: int, t: int) -> int:
     """S→M upgrade: the home bank invalidates every other sharer, then
     grants ownership."""
-    bank = memsys.l3.bank_of(line)
-    bank_node = memsys.bank_nodes[bank.index]
+    bank, bank_node = home(memsys, line)
     core_node = memsys.core_nodes[core]
-    t_dir = bank.start_access(send(memsys, t, core_node, bank_node)) + bank.latency
+    t_dir = start_access(bank, send(memsys, t, core_node, bank_node)) + bank.latency
     victims = memsys.directory.on_upgrade(line, core)
     acks = invalidate(memsys, victims, line, bank_node, t_dir)
-    memsys.l2s[core].update(line, M)
+    update(memsys.l2s[core], line, M)
     done = send(memsys, acks, bank_node, core_node)
     if memsys.observer is not None:
         memsys.observer.on_mem_access(core, line, True, t, done)
@@ -127,10 +269,9 @@ def miss(memsys: MemorySystem, core: int, line: int, is_write: bool,
          t: int) -> int:
     """L2 miss: a GetS or GetM at the home bank's directory; the data
     comes from the owner's L2, the L3 or memory; the L2 and L1 fill."""
-    bank = memsys.l3.bank_of(line)
-    bank_node = memsys.bank_nodes[bank.index]
+    bank, bank_node = home(memsys, line)
     core_node = memsys.core_nodes[core]
-    t_dir = bank.start_access(send(memsys, t, core_node, bank_node)) + bank.latency
+    t_dir = start_access(bank, send(memsys, t, core_node, bank_node)) + bank.latency
 
     directory = memsys.directory
     sharers: set[int] = set()
@@ -143,12 +284,12 @@ def miss(memsys: MemorySystem, core: int, line: int, is_write: bool,
         t_data = forward(memsys, core, line, is_write, owner, was_dirty, t_dir)
     else:
         acks = invalidate(memsys, sharers, line, bank_node, t_dir)
-        if bank.cache.lookup(line) is not None:
+        if lookup(bank.cache, line) is not None:
             ready = acks
         else:
-            # Off-chip: request phase, DRAM bank, bus data phase.
-            t_mem = memsys.dram.access(line, memsys.bus.request_phase(t_dir))
-            t_bus = memsys.bus.data_phase(t_mem)
+            # Off-chip: the pipelined address phase, DRAM bank, data phase.
+            t_mem = dram_access(memsys.dram, line, t_dir + memsys.bus.latency)
+            t_bus = data_phase(memsys.bus, t_mem)
             l3_install(memsys, bank, line, t_bus)
             ready = max(t_bus, acks)
         t_data = send(memsys, ready, bank_node, core_node)
@@ -157,9 +298,9 @@ def miss(memsys: MemorySystem, core: int, line: int, is_write: bool,
         state = M
     else:
         # E only for a sole holder: the directory has it as the owner.
-        state = E if directory.entry(line) in ((core, False), (core, True)) else S
+        state = E if directory._entries.get(line) in ((core, False), (core, True)) else S
     l2_install(memsys, core, line, state)
-    memsys.l1s[core].insert(line, True)
+    insert(memsys.l1s[core], line, True)
     if memsys.observer is not None:
         memsys.observer.on_mem_access(core, line, is_write, t, t_data)
     return t_data
@@ -169,8 +310,7 @@ def forward(memsys: MemorySystem, core: int, line: int, is_write: bool,
             owner: int, was_dirty: bool, t_dir: int) -> int:
     """Cache to cache: the home bank forwards the request to the owner's
     L2, which sends the line on to the requester."""
-    bank = memsys.l3.bank_of(line)
-    bank_node = memsys.bank_nodes[bank.index]
+    bank, bank_node = home(memsys, line)
     owner_node = memsys.core_nodes[owner]
     t_owner = send(memsys, t_dir, bank_node, owner_node) + memsys.config.l2_latency
     t_data = send(memsys, t_owner, owner_node, memsys.core_nodes[core])
@@ -178,10 +318,10 @@ def forward(memsys: MemorySystem, core: int, line: int, is_write: bool,
         memsys.l2s[owner].invalidate(line)
         memsys.l1s[owner].invalidate(line)
     else:
-        memsys.l2s[owner].update(line, S)
+        update(memsys.l2s[owner], line, S)
         if was_dirty:
             # The dirty data also returns to the home bank, now clean.
-            bank.cache.update(line, False)
+            update(bank.cache, line, False)
     return t_data
 
 
@@ -189,7 +329,7 @@ def l3_install(memsys: MemorySystem, bank: L3Bank, line: int, now: int) -> None:
     """Fill ``line`` into its home bank.  Inclusion recalls the victim's
     private copies; dirty victim data is a posted write-back, which takes
     a bus slot and a DRAM bank slot but never the requester's time."""
-    victim = bank.cache.insert(line, False)
+    victim = insert(bank.cache, line, False)
     if victim is None:
         return
     victim_line, victim_dirty = victim
@@ -200,7 +340,7 @@ def l3_install(memsys: MemorySystem, bank: L3Bank, line: int, now: int) -> None:
     if holders:
         memsys.stats.recalls += 1
     if victim_dirty or holder_dirty:
-        memsys.dram.access(victim_line, memsys.bus.data_phase(now))
+        dram_access(memsys.dram, victim_line, data_phase(memsys.bus, now))
         memsys.stats.l3_writebacks_to_dram += 1
 
 
@@ -209,7 +349,7 @@ def l2_install(memsys: MemorySystem, core: int, line: int,
     """Fill ``line`` into ``core``'s L2.  The victim's L1 copy goes with
     it (inclusion), the directory forgets the core, and dirty data goes
     back to the home bank."""
-    victim = memsys.l2s[core].insert(line, state)
+    victim = insert(memsys.l2s[core], line, state)
     if victim is None:
         return
     victim_line, victim_state = victim
@@ -217,7 +357,7 @@ def l2_install(memsys: MemorySystem, core: int, line: int,
     dirty = memsys.directory.on_evict(victim_line, core, victim_state)
     if victim_state is M or dirty:
         memsys.stats.l2_writebacks += 1
-        if not memsys.l3.bank_of(victim_line).cache.update(victim_line, True):
+        if not update(home(memsys, victim_line)[0].cache, victim_line, True):
             raise SimulationError(
                 f"L2 victim line {victim_line:#x} has no L3 copy: "
                 "inclusion is broken")

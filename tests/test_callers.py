@@ -2,10 +2,11 @@
 
 A name belongs in ``src/`` when the program reaches it: from
 ``repro.cli`` (every ``REGISTRARS`` command, the HTTP routes and the
-``FIGURES`` entries hang off it), from a file under ``benchmarks/`` or
-``examples/``, or from ``tests/spec_memsys.py``, the executable
-specification whose components count as called.  A name only tests
-reach is a test instrument and lives in ``tests/``, or it goes.
+``FIGURES`` entries hang off it) or from a file under ``benchmarks/``
+or ``examples/``.  A name only tests reach is a test instrument and
+lives in ``tests/``, or it goes — as the memory components' operations
+did, which only the memory walk's specification (``tests/spec_memsys.py``)
+drives and which are functions there.
 
 Reach is worked out with :mod:`ast` alone.  Importing a module runs its
 top-level statements; a package's PEP 562 ``_EXPORTS`` map binds names
@@ -64,8 +65,7 @@ ENTRY_POINTS = ("repro.cli.main", "repro.__main__")
 
 #: Files whose every line is caller code.
 CALLER_FILES = (*sorted((ROOT / "benchmarks").rglob("*.py")),
-                *sorted((ROOT / "examples").rglob("*.py")),
-                ROOT / "tests" / "spec_memsys.py")
+                *sorted((ROOT / "examples").rglob("*.py")))
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.config import MachineConfig
 from repro.sim.dram import Dram
+from tests.spec_memsys import dram_access
 
 
 @pytest.fixture
@@ -18,14 +19,14 @@ def cfg() -> MachineConfig:
 
 
 def test_first_access_is_closed_row(dram: Dram):
-    done = dram.access(line=0, now=0)
+    done = dram_access(dram, line=0, now=0)
     assert done == cfg().dram_closed_row_latency
     assert dram.stats.row_closed == 1
 
 
 def test_second_access_same_granule_is_row_hit(dram: Dram):
-    t1 = dram.access(line=0, now=0)
-    t2 = dram.access(line=1, now=t1)
+    t1 = dram_access(dram, line=0, now=0)
+    t2 = dram_access(dram, line=1, now=t1)
     assert t2 - t1 == cfg().dram_row_hit_latency
     assert dram.stats.row_hits == 1
 
@@ -34,17 +35,17 @@ def test_different_row_same_bank_conflicts(dram: Dram):
     # Find two lines mapping to the same bank but different rows.
     bank0 = dram.bank_of(0)
     other = next(line for line in range(16, 1 << 20, 16)
-                 if dram.bank_of(line) == bank0 and dram.row_of(line) != dram.row_of(0))
-    t1 = dram.access(0, now=0)
-    t2 = dram.access(other, now=t1)
+                 if dram.bank_of(line) == bank0 and line // dram._granule != 0)
+    t1 = dram_access(dram, 0, now=0)
+    t2 = dram_access(dram, other, now=t1)
     assert t2 - t1 == cfg().dram_row_conflict_latency
     assert dram.stats.row_conflicts == 1
 
 
 def test_bank_reservation_serializes(dram: Dram):
-    t1 = dram.access(0, now=0)
+    t1 = dram_access(dram, 0, now=0)
     # Request to the same bank issued at time 0 must queue behind it.
-    t2 = dram.access(1, now=0)
+    t2 = dram_access(dram, 1, now=0)
     assert t2 == t1 + cfg().dram_row_hit_latency
     assert dram.stats.total_queue_cycles == t1
 
@@ -53,15 +54,15 @@ def test_different_banks_proceed_in_parallel(dram: Dram):
     line_a = 0
     line_b = next(l for l in range(16, 1 << 16, 16)
                   if dram.bank_of(l) != dram.bank_of(0))
-    t1 = dram.access(line_a, now=0)
-    t2 = dram.access(line_b, now=0)
+    t1 = dram_access(dram, line_a, now=0)
+    t2 = dram_access(dram, line_b, now=0)
     assert t2 <= t1 + 1 or t2 == cfg().dram_closed_row_latency
 
 
 def test_sequential_stream_mostly_row_hits(dram: Dram):
     now = 0
     for line in range(512):
-        now = dram.access(line, now)
+        now = dram_access(dram, line, now)
     assert dram.stats.row_hit_rate > 0.9
 
 
@@ -104,6 +105,6 @@ def test_equal_paced_streams_do_not_phase_lock():
     now = 0
     for k in range(0, 2000):
         for s in starts:
-            d.access(s + k, now)
+            dram_access(d, s + k, now)
         now += 220
     assert d.stats.row_hit_rate > 0.75

@@ -74,12 +74,12 @@ def test_events_scheduled_during_run_execute():
 
 def test_len_reflects_pending_events():
     q = EventQueue()
-    assert len(q) == 0
+    assert len(q.heap) == 0
     q.schedule(1, lambda: None)
     q.schedule(2, lambda: None)
-    assert len(q) == 2
+    assert len(q.heap) == 2
     q.run()
-    assert len(q) == 0
+    assert len(q.heap) == 0
 
 
 class _RecordingSampler:
@@ -201,7 +201,7 @@ def test_queue_fires_in_time_then_insertion_order(roots, with_sampler):
 
     want_fired, want_advances, want_now = _model(roots)
     assert fired == want_fired
-    assert (q.now, len(q)) == (want_now, 0)
+    assert (q.now, len(q.heap)) == (want_now, 0)
     if with_sampler:
         assert sampler.advances == want_advances
     assert not q.run_ahead

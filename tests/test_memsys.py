@@ -11,6 +11,9 @@ from repro.sim.cache import UNFILLED
 from repro.sim.coherence import MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from tests import spec_memsys
+from tests.spec_memsys import clear, home, peek
+from tests.test_property_memsys import state_of
 
 
 @pytest.fixture
@@ -19,6 +22,7 @@ def m() -> Machine:
 
 
 ADDR = 1 << 20
+LINE = ADDR // 64  # the line of ADDR, with 64-byte lines
 
 
 def access(m: Machine, core: int, addr: int, is_write: bool, now: int) -> int:
@@ -66,18 +70,16 @@ def test_store_then_remote_load_pulls_dirty_data(m: Machine):
     t2 = access(m, 1, ADDR, False, t)
     assert m.memsys.directory.stats.cache_to_cache == 1
     # Both now share the line.
-    line = m.memsys.line_of(ADDR)
-    assert m.memsys.l2s[0].peek(line) is MesiState.SHARED
-    assert m.memsys.l2s[1].peek(line) is MesiState.SHARED
+    assert peek(m.memsys.l2s[0], LINE) is MesiState.SHARED
+    assert peek(m.memsys.l2s[1], LINE) is MesiState.SHARED
 
 
 def test_store_to_shared_line_upgrades_and_invalidates(m: Machine):
     t = access(m, 0, ADDR, False, 0)
     t = access(m, 1, ADDR, False, t)
     t = access(m, 0, ADDR, True, t)
-    line = m.memsys.line_of(ADDR)
-    assert m.memsys.l2s[0].peek(line) is MesiState.MODIFIED
-    assert m.memsys.l2s[1].peek(line) is None
+    assert peek(m.memsys.l2s[0], LINE) is MesiState.MODIFIED
+    assert peek(m.memsys.l2s[1], LINE) is None
     assert m.memsys.directory.stats.upgrades + m.memsys.directory.stats.getm >= 1
 
 
@@ -87,8 +89,7 @@ def test_store_hit_in_exclusive_is_silent_upgrade(m: Machine):
     t2 = access(m, 0, ADDR, True, t)
     assert t2 - t == m.config.l1_latency
     assert m.memsys.directory.stats.upgrades == upgrades_before
-    line = m.memsys.line_of(ADDR)
-    assert m.memsys.l2s[0].peek(line) is MesiState.MODIFIED
+    assert peek(m.memsys.l2s[0], LINE) is MesiState.MODIFIED
 
 
 def test_write_ping_pong_counts_invalidations(m: Machine):
@@ -107,9 +108,8 @@ def test_dirty_l2_eviction_writes_back_to_l3(m: Machine):
         t = access(m, 0, ADDR + k * sets * 64, False, t)
     assert m.memsys.stats.l2_writebacks >= 1
     # The L3 copy is now marked dirty.
-    line = m.memsys.line_of(ADDR)
-    bank = m.memsys.l3.bank_of(line)
-    assert bank.cache.peek(line) is True
+    bank = home(m.memsys, LINE)[0]
+    assert peek(bank.cache, LINE) is True
 
 
 def test_loads_and_stores_counted(m: Machine):
@@ -126,22 +126,50 @@ def test_addresses_in_same_line_share_one_fill(m: Machine):
     assert m.memsys.l3.misses == 1
 
 
-def test_l3_inclusive_recall_invalidates_private_copies():
-    cfg = MachineConfig.small(num_cores=2)
-    m = Machine(cfg)
-    t = access(m, 0, ADDR, False, 0)
-    line = m.memsys.line_of(ADDR)
-    bank = m.memsys.l3.bank_of(line)
-    # Thrash that L3 bank set until the line is recalled.
+#: Who holds the line when its L3 copy is evicted: ``(core, is_write)``
+#: accesses, in order, that leave it held that way.
+HOLDERS = {
+    "E-owner": [(0, False)],
+    "S-sharers-on-two-cores": [(0, False), (1, False)],
+    "M-dirty-owner": [(0, True)],
+}
+
+
+@pytest.mark.parametrize("holders", HOLDERS.values(), ids=HOLDERS)
+def test_l3_inclusive_recall_invalidates_private_copies(holders):
+    """Evicting a line from its home bank recalls every private copy.
+
+    Each holder shape takes its own leg of the port (a clean owner, the
+    sharers' ``Directory.on_recall`` leg, a dirty owner's write-back),
+    and the port must agree with the specification on each."""
+    cfg = MachineConfig.small(num_cores=4)
+    m, reference = Machine(cfg), Machine(cfg)
+    ports = [(m.memsys.make_port(core), spec_memsys.port(reference.memsys, core))
+             for core in range(cfg.num_cores)]
+    t = 0
+
+    def both(core: int, addr: int, is_write: bool) -> None:
+        nonlocal t
+        port, spec = ports[core]
+        done = port(addr, is_write, t)
+        assert done == spec(addr, is_write, t)
+        t = done
+
+    for core, is_write in holders:
+        both(core, ADDR, is_write)
+    bank = home(m.memsys, LINE)[0]
+    # Thrash that L3 bank set from another core until the line is recalled.
     sets = bank.cache.num_sets
     k = 1
-    while bank.cache.peek(line) is not None and k < 4096:
+    while peek(bank.cache, LINE) is not None and k < 4096:
         conflict = ADDR + k * sets * cfg.l3_banks * 64
-        if m.memsys.l3.bank_of(m.memsys.line_of(conflict)) is bank:
-            t = access(m, 1, conflict, False, t)
+        if home(m.memsys, conflict // 64)[0] is bank:
+            both(3, conflict, False)
         k += 1
-    assert bank.cache.peek(line) is None
-    assert m.memsys.l2s[0].peek(line) is None, "inclusion violated"
+    assert peek(bank.cache, LINE) is None
+    for core, _ in holders:
+        assert peek(m.memsys.l2s[core], LINE) is None, "inclusion violated"
+    assert state_of(m) == state_of(reference)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -151,23 +179,24 @@ def test_l3_inclusive_recall_invalidates_private_copies():
     "1 MB; the fix, (line >> bank_bits) & set_mask, moves cycles and "
     "belongs to a declared model-fix PR that re-records the golden pins"))
 def test_every_l3_set_is_reachable(m: Machine):
-    reached: dict[int, set[int]] = {b.index: set() for b in m.memsys.l3.banks}
+    banks = m.memsys.l3.banks
+    reached: dict[int, set[int]] = {index: set() for index in range(len(banks))}
     for line in range(1 << 16):
-        bank = m.memsys.l3.bank_of(line)
-        reached[bank.index].add(line & bank.cache._set_mask)
+        index = line & m.memsys.l3._bank_mask  # the home bank
+        reached[index].add(line & banks[index].cache._set_mask)
     assert all(len(sets) == bank.cache.num_sets
                for bank, sets in zip(m.memsys.l3.banks, reached.values()))
 
 
 def test_port_refills_a_cleared_l1_from_a_warm_l2(m: Machine):
     """No run reaches the port's L1 fill with the set unallocated (an L2
-    hit means the line's L1 set was filled along with it); ``clear()``
+    hit means the line's L1 set was filled along with it); ``clear``
     does, and the fill must allocate the set, not write the sentinel."""
     port, l1 = m.memsys.make_port(0), m.memsys.l1s[0]
     t = 0
     for k in range(4):
         t = port(ADDR + k * 64, False, t)
-    l1.clear()
+    clear(l1)
     l2_hits = m.memsys.l2s[0].stats.hits
     for k in range(4):
         done = port(ADDR + k * 64, False, t)

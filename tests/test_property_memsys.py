@@ -26,6 +26,7 @@ from repro.sim.coherence import MesiState
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from tests import spec_memsys
+from tests.spec_memsys import holds, home, peek
 
 # A compact address space so random ops collide in sets and lines.
 ADDRS = st.integers(0, 255).map(lambda k: (1 << 20) + k * 64)
@@ -41,7 +42,7 @@ def resident(cache) -> list[int]:
 
 def holders(directory, line: int) -> set[int]:
     """The cores the directory says hold ``line``."""
-    entry = directory.entry(line)
+    entry = directory._entries.get(line)
     if entry is None:
         return set()
     return {entry[0]} if type(entry) is tuple else set(entry)
@@ -90,7 +91,7 @@ def test_directory_matches_l2_contents(ops):
     # And the converse: every tracked holder really holds the line.
     for line in list(d._entries):
         for holder in holders(d, line):
-            assert m.memsys.l2s[holder].peek(line) is not None, (
+            assert peek(m.memsys.l2s[holder], line) is not None, (
                 "directory tracks a holder whose L2 lost the line")
 
 
@@ -100,8 +101,8 @@ def test_single_owner_for_modified_lines(ops):
     m = run_ops(ops)
     for line in list(m.memsys.directory._entries):
         holders = [c for c in range(4)
-                   if m.memsys.l2s[c].peek(line) is not None]
-        states = [m.memsys.l2s[c].peek(line) for c in holders]
+                   if peek(m.memsys.l2s[c], line) is not None]
+        states = [peek(m.memsys.l2s[c], line) for c in holders]
         if any(s in (MesiState.MODIFIED, MesiState.EXCLUSIVE)
                for s in states):
             assert len(holders) == 1, "M/E line with multiple holders"
@@ -205,23 +206,23 @@ def run_both(ops, config: MachineConfig = SHRUNK_L3,
             t = clocks[core]
         if is_write is None:
             for m in (walk, reference):
-                m.memsys.l2s[core].invalidate(m.memsys.line_of(addr))
+                m.memsys.l2s[core].invalidate(addr // config.line_bytes)
             continue
         # Some legs show in the state the op finds ...
         mem = reference.memsys
-        line = mem.line_of(addr)
-        entry = mem.directory.entry(line)
-        in_l2 = mem.l2s[core].peek(line) is not None
+        line = addr // config.line_bytes
+        entry = mem.directory._entries.get(line)
+        in_l2 = peek(mem.l2s[core], line) is not None
         if is_write and not in_l2 and type(entry) is set and entry - {core}:
             seen.add("GetM fan-out")
-        if is_write and line in mem.l1s[core] and not in_l2:
+        if is_write and holds(mem.l1s[core], line) and not in_l2:
             seen.add("L1 hit without an L2 copy")
         owner, owner_dirty = entry if type(entry) is tuple else (None, False)
         # The owner's copies and the home bank's, as the op finds them.
-        owner_held = (owner is not None and line in mem.l1s[owner]
-                      and line in mem.l2s[owner])
-        l3 = mem.l3.bank_of(line).cache
-        l3_dirty = l3.peek(line) is True
+        owner_held = (owner is not None and holds(mem.l1s[owner], line)
+                      and holds(mem.l2s[owner], line))
+        l3 = home(mem, line)[0].cache
+        l3_dirty = peek(l3, line) is True
         before = legs_of(reference)
         done = walk_ports[core](addr, is_write, t)
         expected = reference_ports[core](addr, is_write, t)
@@ -242,14 +243,14 @@ def run_both(ops, config: MachineConfig = SHRUNK_L3,
         if l2_writebacks:
             seen.add("dirty L2 eviction")
         if (forwards and not is_write
-                and mem.l2s[owner].peek(line) is MesiState.SHARED):
+                and peek(mem.l2s[owner], line) is MesiState.SHARED):
             if not owner_dirty:
                 seen.add("forward to a load from a clean owner")
-            elif l3_dirty and l3.peek(line) is False:
+            elif l3_dirty and peek(l3, line) is False:
                 seen.add("forward to a load from a dirty owner, L3 cleaned")
         if (forwards and is_write and owner_held
-                and line not in mem.l1s[owner]
-                and mem.l2s[owner].peek(line) is None):
+                and not holds(mem.l1s[owner], line)
+                and peek(mem.l2s[owner], line) is None):
             seen.add("forward to a store, owner's L1 and L2 invalidated")
         if upgrades and not invalidations:
             seen.add("upgrade with no other sharer")
@@ -330,8 +331,8 @@ def test_a_dirty_l2_victim_without_an_l3_copy_raises(walk):
             else spec_memsys.port(m.memsys, 0))
     addr = 1 << 20
     t = port(addr, True, 0)
-    line = m.memsys.line_of(addr)
-    m.memsys.l3.bank_of(line).cache.invalidate(line)
+    line = addr // m.config.line_bytes
+    home(m.memsys, line)[0].cache.invalidate(line)
     stride = m.memsys.l2s[0].num_sets * m.config.line_bytes
     with pytest.raises(SimulationError, match="inclusion"):
         for k in range(1, m.config.l2_assoc + 1):

@@ -10,6 +10,7 @@ from repro.sim.bus import ReservationTimeline
 from repro.sim.cache import SetAssocCache
 from repro.sim.engine import EventQueue
 from repro.sim.ring import Ring
+from tests.spec_memsys import holds, insert, lookup, peek
 
 
 # -- static_chunks --------------------------------------------------------------
@@ -36,7 +37,7 @@ def test_chunk_sizes_balanced(total, threads):
 def test_cache_capacity_invariant(lines):
     c = SetAssocCache(size_bytes=8 * 64, assoc=2, line_bytes=64)
     for line in lines:
-        c.insert(line, line)
+        insert(c, line, line)
     assert len(c) <= 8
     for s in c._sets:
         assert len(s) <= 2
@@ -47,9 +48,9 @@ def test_cache_capacity_invariant(lines):
 def test_cache_most_recent_insert_always_resident(lines):
     c = SetAssocCache(size_bytes=8 * 64, assoc=2, line_bytes=64)
     for line in lines:
-        c.insert(line, line)
-        assert line in c
-        assert c.peek(line) == line
+        insert(c, line, line)
+        assert holds(c, line)
+        assert peek(c, line) == line
 
 
 @given(lines=st.lists(st.integers(0, 31), min_size=2, max_size=100))
@@ -57,8 +58,8 @@ def test_cache_most_recent_insert_always_resident(lines):
 def test_cache_hits_plus_misses_equals_lookups(lines):
     c = SetAssocCache(size_bytes=16 * 64, assoc=4, line_bytes=64)
     for line in lines:
-        if c.lookup(line) is None:
-            c.insert(line, True)
+        if lookup(c, line) is None:
+            insert(c, line, True)
     assert c.stats.accesses == len(lines)
 
 
@@ -105,7 +106,7 @@ def test_timeline_min_duration_changes_no_start(readies, duration):
     for ready in readies:
         assert (closing.reserve(ready, duration)
                 == plain.reserve(ready, duration))
-    assert len(closing) <= len(plain)
+    assert len(closing._starts) <= len(plain._starts)
 
 
 # -- ring --------------------------------------------------------------------------------

@@ -1,24 +1,38 @@
 """Structural rules of the code, one table row each.
 
 A rule here is a property no behavioural test sees, such as how a
-kernel hands out its ops.  Each row gives the rule id, the reason (what
-a failure tells whoever broke it), the subjects it covers and a
-predicate on one subject; the test runs every (rule, subject) pair.  A
-new rule is a new row.
+kernel hands out its ops or a text that must not come back.  Each row
+gives the rule id, the reason (what a failure tells whoever broke it),
+the subjects it covers and a predicate on one subject; the test runs
+every (rule, subject) pair.  A text rule's subjects are paths from the
+repository root, each a file or a directory searched recursively (as
+``grep -r`` would), and its predicate is :func:`absent`.  A new rule is
+a new row.
 """
 
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable
 
 import pytest
 
+import repro.sim.memsys
+from repro.sim.bus import OffChipBus
+from repro.sim.cache import SetAssocCache
+from repro.sim.coherence import Directory
+from repro.sim.dram import Dram
+from repro.sim.l3 import L3Bank, SharedL3
+from repro.sim.memsys import MemorySystem
 from repro.workloads.bt import BtKernel
 from repro.workloads.ep import EpKernel
 from repro.workloads.isort import ISortKernel
 from repro.workloads.mg import MgKernel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass(frozen=True)
@@ -29,18 +43,80 @@ class Rule:
     holds: Callable[[Any], bool]
 
 
+def absent(pattern: str) -> Callable[[Path], bool]:
+    """The predicate "no line of any file under the path matches
+    ``pattern``" (``^`` and ``$`` match at every line)."""
+    regex = re.compile(pattern, re.MULTILINE)
+
+    def holds(path: Path) -> bool:
+        path = ROOT / path
+        files = [path] if path.is_file() else sorted(
+            f for f in path.rglob("*")
+            if f.is_file() and "__pycache__" not in f.parts)
+        return not any(regex.search(f.read_text(errors="replace"))
+                       for f in files)
+    return holds
+
+
+#: The memory components' operations that only the specification runs:
+#: functions over the components' state in ``tests/spec_memsys.py``.
+#: (``Dram.bank_of`` stays a method: the port calls it.)
+SPEC_ONLY = frozenset({
+    "lookup", "peek", "insert", "update", "clear", "line_of",
+    "__contains__", "__repr__", "request_phase", "data_phase", "access",
+    "row_of", "start_access", "bank_of", "mark_dirty", "entry", "index"})
+
+
+def state_only(subject: Any) -> bool:
+    kept = {"bank_of"} if subject is Dram else set()
+    return not (SPEC_ONLY - kept) & vars(subject).keys()
+
+
 RULES = (
     Rule("op-replay",
          "a kernel whose ops repeat returns its OpTable's tuple from "
          "team_iteration; a generator would rebuild every op on every call",
          (BtKernel, MgKernel, ISortKernel, EpKernel),
          lambda kernel: not inspect.isgeneratorfunction(kernel.team_iteration)),
+    Rule("lazy-sets",
+         "every cache allocates a set at its first fill: there is no eager "
+         "variant to select",
+         (Path("src"),), absent(r"lazy_sets")),
+    Rule("one-memory-walk",
+         "one memory walk serves every valid machine, no environment "
+         "variable picks a code path, and its specification lives in "
+         "tests/spec_memsys.py",
+         (Path("src/repro/sim"),),
+         absent(r"REPRO_SLOW_PATHS|slow_paths|reference_port")),
+    Rule("set-index-mask",
+         "a set index is a mask: a set count that is not a power of two "
+         "is refused, not served by a modulo",
+         (Path("src/repro/sim/cache.py"),), absent(re.escape("% self.num_sets"))),
+    Rule("directory-values",
+         "a directory entry is a (core, dirty) tuple or a sharer set, so a "
+         "bandwidth-limited miss allocates nothing",
+         (Path("src"),), absent(r"DirectoryEntry|_NO_SHARERS")),
+    Rule("bus-no-last-end",
+         "the bus keeps no last-end clock that nothing reads",
+         (Path("src/repro/sim/bus.py"),), absent(r"_last_end")),
+    Rule("state-only-components",
+         "a memory component is state and counters, walked by one port: an "
+         "operation only the specification runs is a function in "
+         "tests/spec_memsys.py, and memsys.py holds no second walk "
+         "(no `access`)",
+         (SetAssocCache, OffChipBus, Dram, L3Bank, SharedL3, Directory,
+          MemorySystem, repro.sim.memsys),
+         state_only),
 )
 
 
+def _name(subject: Any) -> str:
+    return subject.as_posix() if isinstance(subject, Path) else subject.__name__
+
+
 @pytest.mark.parametrize(("rule", "subject"), [
-    pytest.param(rule, subject, id=f"{rule.id}-{subject.__name__}")
+    pytest.param(rule, subject, id=f"{rule.id}-{_name(subject)}")
     for rule in RULES for subject in rule.subjects
 ])
 def test_rule(rule: Rule, subject: Any) -> None:
-    assert rule.holds(subject), f"{rule.id}: {subject.__name__}: {rule.reason}"
+    assert rule.holds(subject), f"{rule.id}: {_name(subject)}: {rule.reason}"
