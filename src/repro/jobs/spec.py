@@ -68,6 +68,8 @@ class WorkloadRef:
             raise JobError("workload name must be non-empty")
         if self.params and self.kind != "registry":
             raise JobError("params are only meaningful for registry workloads")
+        if self.kind == "synthetic":
+            _check_synthetic_knobs(self)
         object.__setattr__(self, "params", tuple(sorted(map(tuple, self.params))))
 
     @classmethod
@@ -109,6 +111,16 @@ class WorkloadRef:
 
 
 _WORKLOAD_FIELDS = tuple(f.name for f in fields(WorkloadRef))
+
+
+def _check_synthetic_knobs(ref: WorkloadRef) -> None:
+    """Refuse knobs ``build_synthetic`` would refuse, before a key exists."""
+    if not 0.0 <= ref.cs_fraction < 1.0:
+        raise JobError(f"cs_fraction must be in [0, 1); got {ref.cs_fraction}")
+    if ref.bus_lines < 0 or ref.compute_instr < 0:
+        raise JobError("bus_lines and compute_instr must be >= 0")
+    if ref.iterations < 1:
+        raise JobError("iterations must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,8 +6,8 @@ bandwidth) plane:
 
 * ``cs_instr`` — instructions inside a per-iteration critical section
   (drives Eq. 1's ``T_CS``);
-* ``lines_per_iteration`` + ``reuse`` — streaming loads (cold misses
-  when ``reuse=False``) driving bus demand (Eq. 4's ``BU_1``);
+* ``lines_per_iteration`` — streaming loads, fresh lines every
+  iteration (cold misses), driving bus demand (Eq. 4's ``BU_1``);
 * ``compute_instr`` — the perfectly parallel part (``T_NoCS``).
 
 ``SyntheticKernel`` follows the Figure-1 team pattern (slice, critical
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import WorkloadError
-from repro.fdt.kernel import TeamParallelKernel
+from repro.fdt.kernel import OpTable, TeamParallelKernel
 from repro.fdt.runner import Application
 from repro.isa.ops import (
     BarrierWait,
@@ -36,8 +36,8 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
-from repro.runtime.parallel import ChunkTable, team_chunks
-from repro.workloads.base import LINE, AddressSpace, AppBuilder
+from repro.runtime.parallel import ChunkTable, static_chunk, team_chunks
+from repro.workloads.base import LINE, AddressSpace, AppBuilder, compute_ops
 
 _CS_LOCK = 0
 _BARRIER = 0
@@ -53,21 +53,17 @@ class SyntheticParams:
     iterations: int = 128
     #: Perfectly parallel instructions per iteration (split by the team).
     compute_instr: int = 20_000
-    #: Cache lines streamed per iteration (split by the team).
+    #: Fresh cache lines streamed per iteration (split by the team).
     lines_per_iteration: int = 0
-    #: Re-read the same lines every iteration (True: warm after the
-    #: first pass) or stream fresh lines (False: every load misses).
-    reuse: bool = False
-    #: Instructions inside the per-thread critical section.
+    #: Instructions inside the per-thread critical section, which then
+    #: writes one shared line (ping-pong).
     cs_instr: int = 0
-    #: Shared lines written inside the critical section (ping-pong).
-    cs_lines: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise WorkloadError("need at least one iteration")
         if min(self.compute_instr, self.lines_per_iteration,
-               self.cs_instr, self.cs_lines) < 0:
+               self.cs_instr) < 0:
             raise WorkloadError("knobs must be non-negative")
 
 
@@ -79,41 +75,38 @@ class SyntheticKernel(TeamParallelKernel):
         self.params = params
         self.name = name
         space = AddressSpace()
-        stream_bytes = max(LINE, params.lines_per_iteration * LINE)
-        if not params.reuse:
-            stream_bytes *= params.iterations
-        self._stream_base = space.alloc(stream_bytes)
-        self._shared_base = space.alloc(max(1, params.cs_lines) * LINE)
+        self._stream_base = space.alloc(
+            max(LINE, params.lines_per_iteration * LINE) * params.iterations)
+        self._shared_base = space.alloc(LINE)
         self._chunks: ChunkTable = {}
+        self._tails = OpTable(self._tail)
 
     @property
     def total_iterations(self) -> int:
         return self.params.iterations
 
     def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
+                       num_threads: int) -> tuple[Op, ...]:
+        tail = self._tails[thread_id, num_threads]
+        # Parallel part: this thread's slice of the iteration's fresh
+        # lines, new on every iteration, so built per call.
+        per_iteration = self.params.lines_per_iteration
+        lines = team_chunks(self._chunks, per_iteration, num_threads)[thread_id]
+        if not lines:
+            return tail
+        first = self._stream_base + (iteration * per_iteration + lines.start) * LINE
+        return (*map(Load, range(first, first + len(lines) * LINE, LINE)), *tail)
+
+    def _tail(self, key: tuple[int, int]) -> Iterator[Op]:
+        """A thread's ops after its loads, which depend on (thread, team)."""
+        thread_id, num_threads = key
         p = self.params
-
-        # Parallel part: streaming loads plus compute, split by the team.
-        lines = team_chunks(self._chunks, p.lines_per_iteration, num_threads)[thread_id]
-        offset = 0 if p.reuse else iteration * p.lines_per_iteration
-        for k in lines:
-            yield Load(self._stream_base + (offset + k) * LINE)
-        remaining = len(team_chunks(self._chunks, p.compute_instr,
-                                    num_threads)[thread_id])
-        while remaining > 0:
-            yield Compute(min(remaining, 4096))
-            remaining -= 4096
-
-        # Critical section: constant per-thread work on shared lines.
+        yield from compute_ops(len(static_chunk(p.compute_instr, num_threads,
+                                                thread_id)))
+        # Critical section: constant per-thread work on one shared line.
         if p.cs_instr:
-            yield _LOCK_CS
-            per_line = max(1, p.cs_instr // max(1, p.cs_lines))
-            for k in range(p.cs_lines):
-                yield Compute(per_line)
-                yield Store(self._shared_base + k * LINE)
-            yield _UNLOCK_CS
-
+            yield from (_LOCK_CS, Compute(p.cs_instr),
+                        Store(self._shared_base), _UNLOCK_CS)
         yield _WAIT
 
 

@@ -98,7 +98,8 @@ _workload_refs = st.one_of(
               params=st.lists(st.tuples(st.text(min_size=1, max_size=6),
                                         _param_values),
                               max_size=3, unique_by=lambda kv: kv[0])),
-    st.builds(WorkloadRef.synthetic, cs_fraction=st.floats(0.0, 1.0),
+    st.builds(WorkloadRef.synthetic,
+              cs_fraction=st.floats(0.0, 1.0, exclude_max=True),
               bus_lines=st.integers(0, 64), iterations=st.integers(1, 512),
               compute_instr=st.integers(1, 100_000),
               name=st.text(min_size=1, max_size=6)))
@@ -173,6 +174,16 @@ def test_synthetic_ref_round_trips_and_builds():
     app = ref.build()
     assert app.kernels[0].total_iterations == 32
     assert "cs=0.05" in ref.label
+
+
+@pytest.mark.parametrize("knobs", [
+    {"cs_fraction": 1.0}, {"cs_fraction": 2.5}, {"cs_fraction": -0.1},
+    {"cs_fraction": float("nan")}, {"bus_lines": -1},
+    {"compute_instr": -1}, {"iterations": 0},
+])
+def test_a_synthetic_ref_refuses_knobs_the_kernel_would(knobs):
+    with pytest.raises(JobError, match=next(iter(knobs))):
+        WorkloadRef.synthetic(**knobs)
 
 
 def test_config_is_table_1_and_round_trips_with_no_special_case():

@@ -542,6 +542,16 @@ def test_schema_answers_400_for_a_non_integer_synthetic_count(knob, value):
         schema.parse_run_request({"synthetic": {knob: value}})
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("cs_fraction", 1.0), ("cs_fraction", 2.5),
+])
+def test_schema_answers_400_for_an_impossible_synthetic_knob(knob, value):
+    """The kernel refuses these; the request used to get a content key,
+    be dispatched and come back 500."""
+    with pytest.raises(ServeRequestError, match=knob):
+        schema.parse_run_request({"synthetic": {knob: value}})
+
+
 def test_schema_sweep_clamps_and_sorts_thread_counts():
     _, counts, config = schema.parse_sweep_request(
         {"workload": "EP", "threads": [8, 2, 2, 4096, 1]})
@@ -833,6 +843,17 @@ def test_server_serves_repeats_from_cache_without_simulating():
             samples = parse_prometheus(client.metrics_text())
             assert samples["repro_serve_cache_misses_total"] == 1
             assert samples["repro_serve_cache_hits_total"] >= 2
+
+
+def test_server_refuses_an_impossible_synthetic_request_without_computing():
+    calls: list[list[str]] = []
+    with ServerThread(ServeConfig(port=0),
+                      runner_factory=_counting_factory(calls)) as handle:
+        with ServeClient(port=handle.port) as client:
+            status, body = client.request(
+                "POST", "/v1/run", {"synthetic": {"cs_fraction": 1.0}})
+            assert status == 400 and "cs_fraction" in body["error"]
+    assert calls == []
 
 
 def test_server_run_fdt_and_sweep_endpoints():

@@ -31,6 +31,7 @@ from repro.workloads.bt import BtKernel
 from repro.workloads.ep import EpKernel
 from repro.workloads.isort import ISortKernel
 from repro.workloads.mg import MgKernel
+from repro.workloads.synthetic import SyntheticKernel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,8 +77,21 @@ RULES = (
     Rule("op-replay",
          "a kernel whose ops repeat returns its OpTable's tuple from "
          "team_iteration; a generator would rebuild every op on every call",
-         (BtKernel, MgKernel, ISortKernel, EpKernel),
+         (BtKernel, MgKernel, ISortKernel, EpKernel, SyntheticKernel),
          lambda kernel: not inspect.isgeneratorfunction(kernel.team_iteration)),
+    Rule("no-vectorize",
+         "an element-wise Python call goes through np.frompyfunc, not "
+         "np.vectorize",
+         (Path("src/repro/workloads"),), absent(r"np\.vectorize")),
+    Rule("gsearch-row-sort",
+         "GSearch's graph is one draw and a row-wise sort: no np.unique "
+         "per node",
+         (Path("src/repro/workloads/gsearch.py"),), absent(re.escape("np.unique("))),
+    Rule("ep-lcg-doubling",
+         "EP's stream is filled by doubling: no loop stepping the LCG one "
+         "number at a time",
+         (Path("src/repro/workloads/ep.py"),),
+         absent(re.escape("for i in range(count)"))),
     Rule("lazy-sets",
          "every cache allocates a set at its first fill: there is no eager "
          "variant to select",

@@ -47,25 +47,13 @@ def test_cs_knob_adds_exactly_one_critical_section():
 
 def test_streaming_knob_emits_fresh_lines_without_reuse():
     kernel = SyntheticKernel(SyntheticParams(iterations=3,
-                                             lines_per_iteration=8,
-                                             reuse=False))
+                                             lines_per_iteration=8))
     addrs = set()
     for i in range(3):
         for op in kernel.serial_iteration(i):
             if isinstance(op, Load):
                 addrs.add(op.addr)
     assert len(addrs) == 24  # no address reused
-
-
-def test_reuse_knob_repeats_the_same_lines():
-    kernel = SyntheticKernel(SyntheticParams(iterations=3,
-                                             lines_per_iteration=8,
-                                             reuse=True))
-    first = {op.addr for op in kernel.serial_iteration(0)
-             if isinstance(op, Load)}
-    second = {op.addr for op in kernel.serial_iteration(1)
-              if isinstance(op, Load)}
-    assert first == second
 
 
 def test_cs_fraction_measured_close_to_requested():

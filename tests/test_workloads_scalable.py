@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.fdt.policies import StaticPolicy
+from repro.fdt.policies import POLICIES, StaticPolicy
 from repro.fdt.runner import Application, run_application
-from repro.isa.ops import BarrierWait, Compute, Load, Lock, Store
+from repro.isa.ops import BarrierWait, Compute, Load, Lock, Store, Unlock
+from repro.jobs import app_result_to_dict
 from repro.runtime.parallel import static_chunk
 from repro.sim.config import MachineConfig
 from repro.workloads.base import LINE
@@ -21,7 +22,7 @@ from repro.workloads.ep import EpKernel, EpParams
 from repro.workloads.isort import ISortKernel, ISortParams
 from repro.workloads.mg import STENCIL_INSTR_PER_LINE, MgInitKernel, MgKernel, MgParams
 from repro.workloads.pagemine import PageMineKernel, PageMineParams
-from repro.workloads.synthetic import SyntheticKernel, SyntheticParams
+from repro.workloads.synthetic import SyntheticKernel, SyntheticParams, build_synthetic
 from repro.workloads.sconv import _State as SConvState
 from repro.workloads.sconv import SConvParams, _PassKernel
 
@@ -205,6 +206,9 @@ def _synthetic_reference(kernel, iteration, tid, team):
     ops = [Load(kernel._stream_base + (offset + k) * LINE)
            for k in static_chunk(p.lines_per_iteration, team, tid)]
     ops += _compute_ops(len(static_chunk(p.compute_instr, team, tid)))
+    if p.cs_instr:
+        ops += [Lock(0), Compute(p.cs_instr), Store(kernel._shared_base),
+                Unlock(0)]
     return ops + [BarrierWait(0)]
 
 
@@ -216,9 +220,16 @@ def test_team_op_streams_match_static_chunk_reference():
         (BtKernel(BtParams(time_steps=2)), _bt_reference),
         (solver, _mg_reference),
         (MgInitKernel(solver), _mg_init_reference),
+    ]
+    # Synthetic: lines for every thread, none at all, and 7 lines, so a
+    # team of 32 has threads with none; with and without a critical
+    # section.
+    cases += [
         (SyntheticKernel(SyntheticParams(iterations=3, compute_instr=20_000,
-                                         lines_per_iteration=45)),
-         _synthetic_reference),
+                                         lines_per_iteration=lines,
+                                         cs_instr=cs_instr)),
+         _synthetic_reference)
+        for lines, cs_instr in ((45, 0), (45, 5_000), (0, 500), (7, 0))
     ]
     for kernel, reference in cases:
         for team in (1, 7, 32):
@@ -234,7 +245,9 @@ def test_team_op_streams_match_static_chunk_reference():
     MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=2)),
     ISortKernel(ISortParams(num_keys=2048, num_passes=2)),
     EpKernel(EpParams(num_numbers=8192, block_size=1024)),
-], ids=["bt", "mg", "isort", "ep"])
+    # Without streamed lines, a synthetic iteration is its table tuple.
+    SyntheticKernel(SyntheticParams(iterations=8, cs_instr=500)),
+], ids=["bt", "mg", "isort", "ep", "synthetic"])
 def test_a_repeated_shape_replays_the_same_op_tuple(kernel):
     first = kernel.team_iteration(3, 2, 7)
     assert kernel.team_iteration(3, 2, 7) is first
@@ -269,13 +282,39 @@ def test_op_tables_grow_with_shapes_not_with_the_run():
     assert sorted(pagemine._tails) == list(range(32))
 
 
+class _ReferenceSynthetic(SyntheticKernel):
+    """The synthetic kernel with every op built anew on every call."""
+
+    def team_iteration(self, iteration, thread_id, num_threads):
+        return _synthetic_reference(self, iteration, thread_id, num_threads)
+
+
+@pytest.mark.parametrize("bus_lines", [0, 7])
+@pytest.mark.parametrize("cs_fraction", [0.0, 0.3])
+def test_replayed_synthetic_runs_exactly_as_its_reference(bus_lines,
+                                                          cs_fraction):
+    # 7 lines over the small machine's 8 cores leave a thread without
+    # loads whenever FDT picks a team of more than 7.
+    app = build_synthetic(cs_fraction=cs_fraction, bus_lines=bus_lines,
+                          iterations=24, compute_instr=2_000)
+    kernel = app.kernels[0]
+    reference = Application.single(
+        _ReferenceSynthetic(kernel.params, name=kernel.name), name=app.name)
+    replayed, expected = (
+        app_result_to_dict(run_application(a, POLICIES["fdt"](), small_cfg()))
+        for a in (app, reference))
+    assert replayed == expected
+
+
 @pytest.mark.parametrize("make", [
     lambda: BtKernel(BtParams(grid=8, time_steps=1)),
     lambda: MgKernel(MgParams(fine_grid=16, levels=2, v_cycles=1)),
     lambda: ISortKernel(ISortParams(num_keys=2048, num_passes=1)),
     lambda: EpKernel(EpParams(num_numbers=4096, block_size=1024)),
     lambda: PageMineKernel(PageMineParams(num_pages=1)),
-], ids=["bt", "mg", "isort", "ep", "pagemine"])
+    lambda: SyntheticKernel(SyntheticParams(iterations=1,
+                                            lines_per_iteration=4)),
+], ids=["bt", "mg", "isort", "ep", "pagemine", "synthetic"])
 def test_an_op_table_does_not_keep_its_kernel_alive(make):
     # The table holds its builder weakly, so dropping a finished kernel
     # frees it (and its arrays and tables) at once, not at the next
