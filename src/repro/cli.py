@@ -35,7 +35,7 @@ from repro.analysis.oracle import oracle_choice
 from repro.analysis.report import ascii_table
 from repro.analysis.sweep import sweep_threads
 from repro.check import cli as check_cli
-from repro.errors import ReproError
+from repro.errors import JobError, ReproError
 from repro.experiments import FIGURES
 from repro.experiments.figures import table1_text
 from repro.faults import cli as faults_cli
@@ -50,6 +50,7 @@ from repro.jobs import (
     app_result_to_dict,
     raise_unserved,
 )
+from repro.jobs.spec import check_scale
 from repro.obs import cli as obs_cli
 from repro.obs import configure_logging
 from repro.serve import cli as serve_cli
@@ -260,6 +261,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scale(text: str) -> float:
+    """``--scale``: refused by argparse (exit 2) unless a job takes it."""
+    try:
+        return check_scale(float(text))
+    except (ValueError, JobError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _parents() -> argparse.Namespace:
     """The shared flag groups, by name: ``machine``, ``jobs``, ``logging``."""
     machine = argparse.ArgumentParser(add_help=False)
@@ -270,7 +279,7 @@ def _parents() -> argparse.Namespace:
                          help="bus bandwidth factor (e.g. 0.5, 2.0)")
     machine.add_argument("--smt", type=int, default=None,
                          help="SMT contexts per core (Section 9 extension)")
-    machine.add_argument("--scale", type=float, default=0.5,
+    machine.add_argument("--scale", type=_scale, default=0.5,
                          help="input-set scale factor (default 0.5)")
 
     runner = inspect.signature(JobRunner).parameters

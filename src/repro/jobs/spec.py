@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -68,6 +69,7 @@ class WorkloadRef:
             raise JobError("workload name must be non-empty")
         if self.params and self.kind != "registry":
             raise JobError("params are only meaningful for registry workloads")
+        check_scale(self.scale)
         if self.kind == "synthetic":
             _check_synthetic_knobs(self)
         object.__setattr__(self, "params", tuple(sorted(map(tuple, self.params))))
@@ -111,6 +113,16 @@ class WorkloadRef:
 
 
 _WORKLOAD_FIELDS = tuple(f.name for f in fields(WorkloadRef))
+
+
+def check_scale(scale: float) -> float:
+    """``scale`` if it is a finite input-set factor > 0, else JobError.
+
+    NaN fails too; 0 and negative factors would all run a builder's
+    smallest input, each under its own content key."""
+    if not 0.0 < scale < math.inf:
+        raise JobError(f"scale must be finite and > 0; got {scale}")
+    return scale
 
 
 def _check_synthetic_knobs(ref: WorkloadRef) -> None:

@@ -58,13 +58,6 @@ class LockManager:
         self._observer = observer
         self.stats = LockStats()
 
-    def _state(self, lock_id: int) -> _LockState:
-        st = self._locks.get(lock_id)
-        if st is None:
-            st = _LockState()
-            self._locks[lock_id] = st
-        return st
-
     def _handoff_latency(self, from_core: int | None, to_core: int) -> int:
         """Cycles to move lock ownership between two cores."""
         if from_core is None or from_core == to_core:
@@ -79,7 +72,9 @@ class LockManager:
         Returns the cycle the lock is held from, or None if the core must
         wait (it will be granted later via :meth:`release`).
         """
-        st = self._state(lock_id)
+        st = self._locks.get(lock_id)
+        if st is None:
+            st = self._locks[lock_id] = _LockState()
         if st.holder is None and not st.waiters:
             grant = now + self._handoff_latency(st.last_holder, core)
             st.holder = core

@@ -25,6 +25,8 @@ which the server maps to HTTP 400.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigError, JobError, ServeRequestError, WorkloadError
 from repro.fdt.policies import POLICIES, adaptive_policies
 from repro.jobs import JobSpec, PolicySpec, WorkloadRef
@@ -40,12 +42,18 @@ _TABLE1 = MachineConfig.asplos08_baseline()
 
 
 def _require_number(data: dict, key: str, default: float,
-                    minimum: float | None = None) -> float:
+                    minimum: float | None = None,
+                    strict: bool = False) -> float:
+    """``data[key]`` as a finite float, ``>= minimum`` (``> minimum``
+    if ``strict``)."""
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServeRequestError(f"{key!r} must be a number")
-    if minimum is not None and value < minimum:
-        raise ServeRequestError(f"{key!r} must be >= {minimum}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ServeRequestError(f"{key!r} must be a finite number")
+    if minimum is not None and (value <= minimum if strict
+                                else value < minimum):
+        raise ServeRequestError(
+            f"{key!r} must be {'>' if strict else '>='} {minimum}")
     return float(value)
 
 
@@ -83,7 +91,7 @@ def workload_from_request(data: dict) -> WorkloadRef:
         raise ServeRequestError(
             "give exactly one of 'workload' (registry name) or "
             "'synthetic' (kernel knobs)")
-    scale = _require_number(data, "scale", 1.0, minimum=0.0)
+    scale = _require_number(data, "scale", 1.0, minimum=0.0, strict=True)
     if name is not None:
         if not isinstance(name, str):
             raise ServeRequestError("'workload' must be a string")

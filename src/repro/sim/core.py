@@ -21,14 +21,15 @@ for all of Table 1.  What each op costs:
 * ``Lock``/``Unlock``/``BarrierWait`` are serviced by the runtime
   managers, keyed by the *agent* (thread slot).  A waiting context
   spins: it stays active for power accounting, matching the paper's
-  active-cores power metric.
+  active-cores power metric.  The lock handoff or barrier release that
+  ends the wait wakes it: the step's ``wake`` marks it running, books
+  its spin cycles and pushes its step straight onto the heap.
 * ``ReadCounter`` samples a performance counter and sends the value back
   into the generator (``value = yield ReadCounter(...)``).
 
-The step handles ``Load``/``Store``, ``Compute`` and ``Branch`` in its
-own body, calls :meth:`Core._dispatch` for the rest, and pushes its own
-next event — as ``ctx.step``, the same function, never by its own name:
-a closure that named itself would be a reference cycle nothing can cut,
+The step serves every op kind in its own body and pushes its own next
+event — as ``ctx.step``, the same function, never by its own name: a
+closure that named itself would be a reference cycle nothing can cut,
 whereas ``Machine.close`` resets ``ctx.step``.  Two shortcuts, each
 chosen by a slot of the core (``_coalesce``, ``_run_ahead``):
 
@@ -181,20 +182,13 @@ class Core:
 
     # -- execution loop ---------------------------------------------------------
 
-    def _resume_with_value(self, ctx: _Context):
-        """Pull the op after a ``ReadCounter``, sending the value read."""
-        value, ctx.send_value = ctx.send_value, None
-        try:
-            return ctx.program.send(value)  # type: ignore[union-attr]
-        except StopIteration:
-            return None
-
     def _make_step(self, ctx: _Context) -> Callable[[], None]:
         """Build ``ctx``'s step: run ops from the current cycle until the
         context has to wait for the queue (or blocks, or finishes)."""
-        events = self.machine.events
+        machine = self.machine
+        events = machine.events
         heap = events.heap
-        config = self.machine.config
+        config = machine.config
         width = config.issue_width
         penalty = config.branch_misprediction_penalty
         core_id = self.core_id
@@ -204,22 +198,46 @@ class Core:
         mem_access = self._mem_access
         predict = self.predictor.update
         active_contexts = self._active_contexts
-        resume_with_value, dispatch = self._resume_with_value, self._dispatch
         finish = self._finish_thread
+        acquire, release = machine.locks.acquire, machine.locks.release
+        arrive = machine.barriers.arrive
+        read_counter = machine.counters.read
+        placement = machine._placement
+        slots = [core.contexts[index] for core, index in placement]
+        spinning, running = CoreState.SPINNING, CoreState.RUNNING
+
+        def wake(agent: int, when: int) -> None:
+            # A lock grant or barrier release wakes a spinning context:
+            # its step goes straight onto the heap.
+            other = slots[agent]
+            if other.state is not spinning:
+                core, index = placement[agent]
+                raise SimulationError(
+                    f"core {core.core_id} ctx {index} woken while "
+                    f"{other.state.value}")
+            if when < events.now:
+                events.schedule(when, other.step)  # raises: in the past
+            other.state = running
+            # when >= now >= spin_since: the spin is never negative.
+            other.spin_cycles += when - other.spin_since
+            seq = events.seq
+            events.seq = seq + 1
+            heappush(heap, (when, seq, other.step))
 
         def step() -> None:
             now = events.now
             op, ctx.pending = ctx.pending, None
             while True:
                 if op is None:
-                    if ctx.send_value is None:
-                        try:
+                    value = ctx.send_value
+                    try:
+                        if value is None:
                             op = next(ctx.program)  # type: ignore[arg-type]
-                        except StopIteration:
-                            pass
-                    else:
-                        op = resume_with_value(ctx)
-                    if op is None:
+                        else:
+                            # The op after a ReadCounter gets its value.
+                            ctx.send_value = None
+                            op = ctx.program.send(value)  # type: ignore[union-attr]
+                    except StopIteration:
                         finish(ctx)
                         return
                 kind = type(op)
@@ -259,16 +277,56 @@ class Core:
                     when = now + cycles
                     if obs is not None and ctx.agent_id is not None:
                         obs.on_compute(core_id, ctx.agent_id, now, when)
+                elif kind is Lock:
+                    if obs is not None:
+                        obs.on_lock_request(op.lock_id, ctx.agent_id, now)
+                    when = acquire(op.lock_id, ctx.agent_id, now)
+                    if when is None:
+                        # Spin until the releasing thread's wake().
+                        ctx.state = spinning
+                        ctx.spin_since = now
+                        return
+                    op = None
+                elif kind is Unlock:
+                    if obs is not None:
+                        obs.on_unlock_request(op.lock_id, ctx.agent_id, now)
+                    handoff = release(op.lock_id, ctx.agent_id, now)
+                    if handoff is not None:
+                        wake(*handoff)
+                    when = now + 1
+                    op = None
+                elif kind is BarrierWait:
+                    team = machine._team_size
+                    if team <= 0:
+                        raise SimulationError("no parallel region is active")
+                    agent = ctx.agent_id
+                    releases = arrive(op.barrier_id, agent, team, now)
+                    if releases is None:
+                        ctx.state = spinning
+                        ctx.spin_since = now
+                        return
+                    # The last arriver is the last release, so its own
+                    # event (pushed below) still follows the others'.
+                    for other, release_at in releases:
+                        if other == agent:
+                            when = release_at
+                        else:
+                            wake(other, release_at)
+                    op = None
+                elif kind is ReadCounter:
+                    if obs is not None:
+                        obs.on_read_counter(ctx.agent_id, op.kind, now)
+                    ctx.send_value = read_counter(op.kind, core_id)
+                    # Reading a counter is a cheap serializing instruction.
+                    when = now + 1
+                    op = None
                 elif kind is Branch:
                     when = now + 1 + (0 if predict(op.pc, op.taken)
                                       else penalty)
                     retired[core_id] += 1
                     op = None
                 else:
-                    when = dispatch(ctx, op, now)
-                    if when is None:
-                        return  # spinning; Core.granted reschedules
-                    op = None
+                    raise ProgramError(f"core {core_id}: unknown op {op!r}")
 
                 if when < now:
                     events.schedule(when, ctx.step)  # raises: in the past
@@ -285,71 +343,3 @@ class Core:
                 return
 
         return step
-
-    def _dispatch(self, ctx: _Context, op, now: int) -> int | None:
-        """The step's out-of-line leg: runtime ops and counter reads.
-
-        Returns the cycle the context resumes at, or None once it spins.
-        """
-        machine = self.machine
-        obs = self._observer
-        assert ctx.agent_id is not None
-
-        if type(op) is Lock:
-            if obs is not None:
-                obs.on_lock_request(op.lock_id, ctx.agent_id, now)
-            grant = machine.locks.acquire(op.lock_id, ctx.agent_id, now)
-            if grant is None:
-                self._begin_spin(ctx, now)
-            return grant
-
-        if type(op) is Unlock:
-            if obs is not None:
-                obs.on_unlock_request(op.lock_id, ctx.agent_id, now)
-            handoff = machine.locks.release(op.lock_id, ctx.agent_id, now)
-            if handoff is not None:
-                next_agent, grant = handoff
-                machine.wake_agent(next_agent, grant)
-            return now + 1
-
-        if type(op) is BarrierWait:
-            releases = machine.barriers.arrive(
-                op.barrier_id, ctx.agent_id, machine.team_size_of(), now)
-            if releases is None:
-                self._begin_spin(ctx, now)
-                return None
-            # The last arriver is the last release, so its own event
-            # (pushed by the step) still follows the others' in order.
-            when = None
-            for agent_id, release in releases:
-                if agent_id == ctx.agent_id:
-                    when = release
-                else:
-                    machine.wake_agent(agent_id, release)
-            return when
-
-        if type(op) is ReadCounter:
-            if obs is not None:
-                obs.on_read_counter(ctx.agent_id, op.kind, now)
-            ctx.send_value = machine.counters.read(op.kind, self.core_id)
-            # Reading a counter is a cheap serializing instruction.
-            return now + 1
-
-        raise ProgramError(f"core {self.core_id}: unknown op {op!r}")
-
-    # -- spin/wake ------------------------------------------------------------
-
-    def _begin_spin(self, ctx: _Context, now: int) -> None:
-        ctx.state = CoreState.SPINNING
-        ctx.spin_since = now
-
-    def granted(self, context_index: int, when: int) -> None:
-        """A lock grant or barrier release wakes a spinning context."""
-        ctx = self.contexts[context_index]
-        if ctx.state is not CoreState.SPINNING:
-            raise SimulationError(
-                f"core {self.core_id} ctx {context_index} woken while "
-                f"{ctx.state.value}")
-        ctx.state = CoreState.RUNNING
-        ctx.spin_cycles += max(0, when - ctx.spin_since)
-        self.machine.events.schedule(when, ctx.step)

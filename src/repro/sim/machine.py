@@ -164,17 +164,7 @@ class Machine:
             return agent_id % self.config.smt_threads
         return agent_id // self.config.num_cores
 
-    def wake_agent(self, agent_id: int, when: int) -> None:
-        """Route a lock grant / barrier release to the agent's context."""
-        core, context_index = self._placement[agent_id]
-        core.granted(context_index, when)
-
     # -- team bookkeeping (used by Core) -------------------------------------
-
-    def team_size_of(self) -> int:
-        if self._team_size <= 0:
-            raise SimulationError("no parallel region is active")
-        return self._team_size
 
     def on_thread_finished(self, core_id: int, agent_id: int) -> None:
         self._threads_running -= 1

@@ -320,3 +320,16 @@ def test_batch_accepts_preflight_flag(capsys):
     code, out = run_cli(capsys, "batch", "EP", "--threads", "2",
                         "--scale", "0.1", "--no-cache", "--preflight")
     assert code == 0
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-0.0", "-1"])
+@pytest.mark.parametrize("command", [["run", "EP"], ["sweep", "EP"],
+                                     ["batch", "EP"]])
+def test_a_scale_that_is_not_finite_and_positive_exits_2(command, scale,
+                                                         capsys):
+    """NaN and infinity used to end in a traceback, and 0 or a negative
+    factor ran the builder's smallest input."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, f"--scale={scale}"])
+    assert exit_info.value.code == 2
+    assert "finite and > 0" in capsys.readouterr().err

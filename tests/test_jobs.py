@@ -186,6 +186,17 @@ def test_a_synthetic_ref_refuses_knobs_the_kernel_would(knobs):
         WorkloadRef.synthetic(**knobs)
 
 
+@pytest.mark.parametrize("kind", ["registry", "synthetic"])
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                   -1.0])
+def test_a_ref_refuses_a_scale_that_is_not_finite_and_positive(kind, scale):
+    """NaN used to be hashed and fail in the builder as a transient
+    error; 0, -0.0 and -1 ran the smallest input under three keys."""
+    with pytest.raises(JobError, match="scale must be finite and > 0"):
+        WorkloadRef("EP", scale=scale, kind=kind)
+    assert WorkloadRef("EP", scale=1e-9, kind=kind).scale == 1e-9
+
+
 def test_config_is_table_1_and_round_trips_with_no_special_case():
     names = {f.name for f in fields(MachineConfig)}
     assert len(names) == 34

@@ -552,6 +552,19 @@ def test_schema_answers_400_for_an_impossible_synthetic_knob(knob, value):
         schema.parse_run_request({"synthetic": {knob: value}})
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0, -0.0, -1])
+def test_schema_answers_400_for_a_scale_that_is_not_finite_and_positive(
+        scale):
+    """NaN was hashed, retried twice as a transient failure and answered
+    500; 0, -0.0 and -1 ran the smallest input under three keys."""
+    for parse in (schema.parse_run_request, schema.parse_fdt_request,
+                  schema.parse_sweep_request):
+        with pytest.raises(ServeRequestError, match="scale"):
+            parse({"workload": "EP", "scale": scale})
+    with pytest.raises(ServeRequestError, match="scale"):
+        schema.parse_run_request({"synthetic": {}, "scale": scale})
+
+
 def test_schema_sweep_clamps_and_sorts_thread_counts():
     _, counts, config = schema.parse_sweep_request(
         {"workload": "EP", "threads": [8, 2, 2, 4096, 1]})
@@ -853,6 +866,19 @@ def test_server_refuses_an_impossible_synthetic_request_without_computing():
             status, body = client.request(
                 "POST", "/v1/run", {"synthetic": {"cs_fraction": 1.0}})
             assert status == 400 and "cs_fraction" in body["error"]
+    assert calls == []
+
+
+def test_server_refuses_a_non_finite_scale_without_computing():
+    calls: list[list[str]] = []
+    with ServerThread(ServeConfig(port=0),
+                      runner_factory=_counting_factory(calls)) as handle:
+        # json.dumps spells these as the NaN and Infinity literals.
+        for scale in (float("nan"), float("inf"), 0, -1):
+            status, body = _raw(handle.port, "POST", "/v1/run",
+                                {"workload": "EP", "scale": scale})
+            assert status == 400, (scale, body)
+            assert b"scale" in body
     assert calls == []
 
 

@@ -113,6 +113,28 @@ RULES = (
     Rule("bus-no-last-end",
          "the bus keeps no last-end clock that nothing reads",
          (Path("src/repro/sim/bus.py"),), absent(r"_last_end")),
+    Rule("sim-layering",
+         "the simulated machine knows nothing of what observes or hosts it: "
+         "plug-ins come in through Machine(config, observers=[...])",
+         (Path("src/repro/sim"), Path("src/repro/runtime"),
+          Path("src/repro/isa")),
+         absent(r"^\s*(from|import) repro\.(check|trace|jobs|serve|obs)")),
+    Rule("no-collector",
+         "a finished machine is freed by refcount (Machine.close); the "
+         "footprint is never bought with a collector call",
+         (Path("src"),), absent(r"gc\.(collect|freeze|set_threshold|disable)")),
+    Rule("one-drain",
+         "the event queue has one drain per observer shape: no step(), "
+         "schedule_in(), _clamp() or run(until=)",
+         (Path("src/repro/sim/engine.py"),),
+         absent(r"def (step|schedule_in|_clamp)\(|def run\(self, ")),
+    Rule("one-step",
+         "the core's step serves every op kind and wakes a lock handoff or "
+         "barrier release straight onto the heap: no out-of-line dispatch "
+         "or wake chain",
+         (Path("src/repro/sim"),),
+         absent(r"def (_dispatch|granted|wake_agent|team_size_of|_begin_spin"
+                r"|_resume_with_value)\b")),
     Rule("state-only-components",
          "a memory component is state and counters, walked by one port: an "
          "operation only the specification runs is a function in "
