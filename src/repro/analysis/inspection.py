@@ -12,18 +12,42 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.sim.branch import BranchStats
+from repro.sim.cache import CacheStats, SetAssocCache
+from repro.sim.core import Core
 from repro.sim.machine import Machine
 
 
-def _cache_stats(cache) -> dict[str, Any]:
-    s = cache.stats
+def _cache_stats(cache: SetAssocCache | None) -> dict[str, Any]:
+    """One cache's row; ``None`` (a core never built) is its zero stats."""
+    s = cache.stats if cache is not None else CacheStats()
     return {
         "hits": s.hits,
         "misses": s.misses,
         "evictions": s.evictions,
         "invalidations": s.invalidations,
         "miss_rate": round(s.miss_rate, 6),
-        "resident_lines": len(cache),
+        "resident_lines": len(cache) if cache is not None else 0,
+    }
+
+
+def _per_core(built: list, num_cores: int) -> list:
+    """``built`` (cores ``0 .. len - 1``) padded with ``None`` to one
+    entry per core: the report lists every core, built or not."""
+    return [*built, *[None] * (num_cores - len(built))]
+
+
+def _core_stats(core_id: int, core: Core | None) -> dict[str, Any]:
+    """One core's row; ``None`` (a core never built) is its zero stats."""
+    if core is None:
+        return {"core": core_id, "retired_instructions": 0,
+                "spin_cycles": 0,
+                "branch_accuracy": round(BranchStats().accuracy, 6)}
+    return {
+        "core": core_id,
+        "retired_instructions": core.retired_instructions,
+        "spin_cycles": core.spin_cycles,
+        "branch_accuracy": round(core.predictor.stats.accuracy, 6),
     }
 
 
@@ -38,8 +62,9 @@ def machine_report(machine: Machine) -> dict[str, Any]:
     barriers = machine.barriers.stats
     now = machine.now
 
-    l1 = [_cache_stats(c) for c in mem.l1s]
-    l2 = [_cache_stats(c) for c in mem.l2s]
+    num_cores = machine.config.num_cores
+    l1 = [_cache_stats(c) for c in _per_core(mem.l1s, num_cores)]
+    l2 = [_cache_stats(c) for c in _per_core(mem.l2s, num_cores)]
 
     def _sum(dicts: list[dict[str, Any]], key: str) -> int:
         return sum(d[key] for d in dicts)
@@ -52,15 +77,8 @@ def machine_report(machine: Machine) -> dict[str, Any]:
             "l3_bytes": machine.config.l3_bytes,
             "bus_cycles_per_line": machine.config.bus_cycles_per_line,
         },
-        "cores": [
-            {
-                "core": c.core_id,
-                "retired_instructions": c.retired_instructions,
-                "spin_cycles": c.spin_cycles,
-                "branch_accuracy": round(c.predictor.stats.accuracy, 6),
-            }
-            for c in machine.cores
-        ],
+        "cores": [_core_stats(i, c) for i, c in
+                  enumerate(_per_core(machine.cores, num_cores))],
         "l1": {"total_hits": _sum(l1, "hits"),
                "total_misses": _sum(l1, "misses"),
                "per_core": l1},

@@ -118,12 +118,14 @@ def _cmd_machine(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     spec = get(args.workload)
+    # The spec /v1/run would build: it refuses what the machine cannot run.
+    job = JobSpec(workload=WorkloadRef(name=spec.name, scale=args.scale),
+                  policy=PolicySpec(args.policy, args.threads), config=config)
     recorder = TraceRecorder() if args.trace is not None else None
-    policy = PolicySpec(args.policy, args.threads).build()
     # Closed once the run is over; --report reads its counters after.
     with Machine(config,
                  observers=[recorder] if recorder else ()) as machine:
-        result = run_application(spec.build(args.scale), policy,
+        result = run_application(job.workload.build(), job.policy.build(),
                                  machine=machine)
     trace_paths = write_artifacts(recorder.data, args.trace) if recorder else None
     if args.json:

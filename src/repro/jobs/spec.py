@@ -220,6 +220,14 @@ class JobSpec:
     policy: PolicySpec
     config: MachineConfig
 
+    def __post_init__(self) -> None:
+        # A larger team would run clamped, under a key of its own.
+        threads = self.policy.threads
+        if threads is not None and threads > self.config.num_thread_slots:
+            raise JobError(
+                f"a static team of {threads} threads exceeds the machine's "
+                f"{self.config.num_thread_slots} hardware thread slots")
+
     @property
     def label(self) -> str:
         return f"{self.workload.label} under {self.policy.label}"

@@ -145,9 +145,12 @@ def policy_from_request(data: dict, *, default: str = "static",
 
 def parse_run_request(data: dict) -> JobSpec:
     """``POST /v1/run``: one complete simulation."""
-    return JobSpec(workload=workload_from_request(data),
-                   policy=policy_from_request(data),
-                   config=machine_from_request(data))
+    workload, policy = workload_from_request(data), policy_from_request(data)
+    config = machine_from_request(data)
+    try:
+        return JobSpec(workload=workload, policy=policy, config=config)
+    except JobError as exc:  # a static team larger than the machine
+        raise ServeRequestError(str(exc))
 
 
 def request_body(spec: JobSpec) -> dict:

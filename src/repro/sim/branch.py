@@ -40,13 +40,11 @@ class GsharePredictor:
     def __init__(self, entries: int = 16384) -> None:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
-        self._table = bytearray(b"\x02") * entries  # init weakly taken
+        #: The 2-bit counters, made (weakly taken) by the first update.
+        self._table: bytearray | None = None
         self._mask = entries - 1
         self._history = 0
         self.stats = BranchStats()
-
-    def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) & self._mask
 
     def update(self, pc: int, taken: bool) -> bool:
         """Predict, train on the actual outcome, and report correctness.
@@ -54,13 +52,16 @@ class GsharePredictor:
         Returns:
             True if the prediction matched ``taken``.
         """
-        idx = self._index(pc)
-        counter = self._table[idx]
+        table = self._table
+        if table is None:
+            table = self._table = bytearray(b"\x02") * (self._mask + 1)
+        idx = ((pc >> 2) ^ self._history) & self._mask
+        counter = table[idx]
         prediction = counter >= 2
         if taken and counter < 3:
-            self._table[idx] = counter + 1
+            table[idx] = counter + 1
         elif not taken and counter > 0:
-            self._table[idx] = counter - 1
+            table[idx] = counter - 1
         self._history = ((self._history << 1) | int(taken)) & self._mask
         self.stats.predictions += 1
         correct = prediction == taken

@@ -2,13 +2,14 @@
 
 Each core hosts one or more hardware thread contexts (Table 1's machine
 has one; ``MachineConfig.smt_threads`` adds the paper's Section 9
-extension).  A context executes one simulated thread by pulling ops from
-the thread's generator; each context is driven by one prebound *step*
-(:meth:`Core._make_step`), the only callback the core ever puts on the
-event queue.  A core is built as it is used: :meth:`Core.start_thread`
-builds the core's memory port and the context's step the first time a
-thread lands there, so a machine pays for the cores a run touches, not
-for all of Table 1.  What each op costs:
+extension).  A context runs one simulated thread by pulling ops from its
+generator, driven by one prebound *step* (:meth:`Core._make_step`), the
+only callback the core ever puts on the event queue.  A core is built as
+it is used: the machine makes it (contexts, predictor) when it places
+the first thread there, and :meth:`Core.start_thread` its memory port
+(with its L1 and L2) and a context's step at their first thread, so a
+run pays for the cores it touches, not for all of Table 1.  What each op
+costs:
 
 * ``Compute(n)`` occupies the context ``ceil(n / issue_width)`` cycles,
   scaled by the number of non-idle contexts sharing the core's issue
@@ -22,8 +23,9 @@ for all of Table 1.  What each op costs:
   managers, keyed by the *agent* (thread slot).  A waiting context
   spins: it stays active for power accounting, matching the paper's
   active-cores power metric.  The lock handoff or barrier release that
-  ends the wait wakes it: the step's ``wake`` marks it running, books
-  its spin cycles and pushes its step straight onto the heap.
+  ends the wait wakes it: ``wake`` finds the context in the machine's
+  one agent→context table, marks it running, books its spin cycles and
+  pushes its step straight onto the heap.
 * ``ReadCounter`` samples a performance counter and sends the value back
   into the generator (``value = yield ReadCounter(...)``).
 
@@ -42,11 +44,10 @@ chosen by a slot of the core (``_coalesce``, ``_run_ahead``):
   ``repro.sim.engine``).  A lone thread never touches the queue.
 
 Those two slots and ``_mem_access``, the memory port, are read when a
-context's step is built, at the first :meth:`Core.start_thread` on the
-context.  A test that sets them on a fresh machine therefore builds the
-*same* step without the shortcuts, or over another memory walk
-(``tests/spec_memsys.py`` steps a machine op by op on the memory
-walk's specification this way).
+context's step is built, at its first :meth:`Core.start_thread`: set on
+a placed core before that, they build the *same* step without the
+shortcuts or over another memory walk (``tests/spec_memsys.py`` steps a
+machine op by op on the walk's specification this way).
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ class Core:
         self.core_id = core_id
         self.machine = machine
         self.predictor = GsharePredictor(machine.config.gshare_entries)
-        self.contexts = [_Context()
-                         for _ in range(machine.config.smt_threads)]
+        self.contexts = [_Context() for _ in range(machine.config.smt_threads)]
         #: Neither shortcut is ever a function of the observer:
         #: attaching one must not pick the code path.  Coalescing
         #: Compute runs is valid only when the issue-width share cannot
@@ -124,9 +124,8 @@ class Core:
         #: The core's memory port (shared by its SMT contexts), built by
         #: the first :meth:`start_thread` here.
         self._mem_access: AccessPort | None = None
-        #: The counter file's per-core retired array (the one retired-
-        #: instruction counter) and the observer, bound once: both are
-        #: fixed at machine construction.
+        #: The counter file's per-core retired array (the one such
+        #: counter) and the observer: both fixed with the machine.
         self._retired = machine.counters._retired
         self._observer = machine.observer
 
@@ -178,7 +177,7 @@ class Core:
         if self._observer is not None:
             self._observer.on_thread_exit(self.core_id, agent_id,
                                           self.machine.events.now)
-        self.machine.on_thread_finished(self.core_id, agent_id)
+        self.machine._threads_running -= 1
 
     # -- execution loop ---------------------------------------------------------
 
@@ -203,7 +202,7 @@ class Core:
         arrive = machine.barriers.arrive
         read_counter = machine.counters.read
         placement = machine._placement
-        slots = [core.contexts[index] for core, index in placement]
+        slots = machine._agent_contexts
         spinning, running = CoreState.SPINNING, CoreState.RUNNING
 
         def wake(agent: int, when: int) -> None:

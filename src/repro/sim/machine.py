@@ -9,9 +9,10 @@ persist across regions, so a kernel's second invocation sees a warm
 machine just like on real hardware.
 
 Construction costs what a run touches: a cache set is allocated by its
-first fill and a core's memory port and step by its first thread, so a
-fresh machine is ``cores`` / ``memsys.l1s`` / ``l2s`` as full lists of
-small objects and little else.
+first fill, and a core (contexts, predictor, L1 and L2, port, steps) by
+its first thread.  A fresh machine is the shared parts and empty
+``cores`` / ``memsys.l1s`` / ``l2s`` lists; a region's threads take the
+lowest core ids first, so the built cores are cores ``0 .. len - 1``.
 
 Lifetime: whoever builds a machine closes it (:meth:`Machine.close`, or
 ``with Machine(config) as machine:``).  Closing cuts the references that
@@ -36,7 +37,7 @@ from repro.isa.program import ProgramFactory
 from repro.runtime.barriers import BarrierManager
 from repro.runtime.locks import LockManager
 from repro.sim.config import MachineConfig
-from repro.sim.core import Core
+from repro.sim.core import Core, _Context
 from repro.sim.counters import CounterFile
 from repro.sim.engine import EventQueue
 from repro.sim.memsys import MemorySystem
@@ -62,22 +63,16 @@ def _place_nodes(num_cores: int, num_banks: int) -> tuple[list[int], list[int]]:
     """Interleave L3 bank stations evenly among core stations on the ring."""
     total = num_cores + num_banks
     bank_slots = {((i + 1) * total) // num_banks - 1 for i in range(num_banks)}
-    core_nodes: list[int] = []
-    bank_nodes: list[int] = []
-    for slot in range(total):
-        if slot in bank_slots:
-            bank_nodes.append(slot)
-        else:
-            core_nodes.append(slot)
-    return core_nodes, bank_nodes
+    return ([slot for slot in range(total) if slot not in bank_slots],
+            sorted(bank_slots))
 
 
 class Machine:
     """A simulated CMP built from a :class:`MachineConfig`."""
 
     __slots__ = ("config", "events", "ring", "memsys", "counters",
-                 "observer", "locks", "barriers", "cores",
-                 "_placement", "_team_size", "_threads_running",
+                 "observer", "locks", "barriers", "cores", "_placement",
+                 "_agent_contexts", "_team_size", "_threads_running",
                  "_active_core_cycles", "_core_first_start", "_closed")
 
     def __init__(self, config: MachineConfig | None = None,
@@ -105,11 +100,12 @@ class Machine:
                                  observer=self.observer)
         self.barriers = BarrierManager(self.config, self.ring, agent_nodes,
                                        observer=self.observer)
-        self.cores = [Core(i, self) for i in range(self.config.num_cores)]
-        #: Placement, resolved once: slot -> (hosting core, SMT context).
-        self._placement = [(self.cores[self.core_of_agent(s)],
-                            self.context_of_agent(s))
-                           for s in range(self.config.num_thread_slots)]
+        #: The cores built so far (:meth:`_place`), by core id.
+        self.cores: list[Core] = []
+        #: Per slot placed so far: (hosting core, SMT context), and the
+        #: context itself (the one table every step's ``wake`` reads).
+        self._placement: list[tuple[Core, int]] = []
+        self._agent_contexts: list[_Context] = []
         self._team_size = 0
         self._threads_running = 0
         self._active_core_cycles = 0
@@ -125,13 +121,12 @@ class Machine:
 
         Cuts every reference that points back up the tree — a context
         that ran a thread holds its step, whose closure holds the
-        context and its core;
-        ``Core.machine`` points at ``Machine.cores``; queued steps of an
-        aborted run; the sampler and an observer that kept the machine —
-        so the caches and directory go the moment the last outside
-        reference does instead of waiting for the cycle collector.
-        Idempotent.  A closed machine cannot run, but :attr:`now`,
-        :meth:`snapshot` and every counter stay readable.
+        context and its core; a built core's ``machine``; queued steps
+        of an aborted run; the sampler and an observer that kept the
+        machine — so the caches and directory go the moment the last
+        outside reference does instead of waiting for the cycle
+        collector.  Idempotent.  A closed machine cannot run, but
+        :attr:`now`, :meth:`snapshot` and every counter stay readable.
         """
         if self._closed:
             return
@@ -164,10 +159,17 @@ class Machine:
             return agent_id % self.config.smt_threads
         return agent_id // self.config.num_cores
 
-    # -- team bookkeeping (used by Core) -------------------------------------
-
-    def on_thread_finished(self, core_id: int, agent_id: int) -> None:
-        self._threads_running -= 1
+    def _place(self, slots: int) -> None:
+        """Place the slots below ``slots`` not placed yet, building each
+        hosting core at the first slot it gets."""
+        cores = self.cores
+        for slot in range(len(self._placement), slots):
+            core_id = self.core_of_agent(slot)
+            while len(cores) <= core_id:
+                cores.append(Core(len(cores), self))
+            core, index = cores[core_id], self.context_of_agent(slot)
+            self._placement.append((core, index))
+            self._agent_contexts.append(core.contexts[index])
 
     # -- execution -----------------------------------------------------------
 
@@ -201,6 +203,7 @@ class Machine:
                 f"{self.config.num_thread_slots} hardware thread slots")
         if self._threads_running:
             raise SimulationError("a parallel region is already running")
+        self._place(num_threads)
 
         start = self.events.now
         if self.observer is not None:
@@ -262,7 +265,7 @@ class Machine:
             bus_transfers=bus.transfers,
             l3_misses=self.memsys.l3.misses,
             l3_accesses=self.memsys.l3.accesses,
-            retired_instructions=sum(c.retired_instructions for c in self.cores),
+            retired_instructions=sum(self.counters._retired),
             lock_acquisitions=self.locks.stats.acquisitions,
         )
 

@@ -20,16 +20,14 @@ The hierarchy per Table 1:
 The walk exists once: the per-core port :meth:`MemorySystem.make_port`
 builds, written for host speed, serves every valid
 :class:`MachineConfig`.  It reads and writes the components' state in
-place — cache sets, the directory's entries, the L3 banks' and DRAM
-banks' clocks, the bus timeline — and each component class is that
-state and its counters, with no second interface beside the walk.  Its
+place (cache sets, directory entries, L3 and DRAM bank clocks, the bus
+timeline); each component class is that state and its counters.  Its
 specification is ``tests/spec_memsys.py``: one function per MESI
-transaction, in the order the protocol description above gives them,
-written over the components' operations (a cache's ``lookup`` /
-``insert`` / ``peek`` / ``update``, an L3 bank's ``start_access``, the
-bus's ``data_phase``, ``dram_access``, the directory's ``mark_dirty``),
-which are functions over the same state there.  The property suites
-hold the port to it.
+transaction, written over the components' operations (a cache's
+``lookup`` / ``insert`` / ``peek`` / ``update``, an L3 bank's
+``start_access``, the bus's ``data_phase``, ``dram_access``, the
+directory's ``mark_dirty``), which are functions over the same state
+there.  The property suites hold the port to it.
 """
 
 from __future__ import annotations
@@ -81,16 +79,9 @@ class MemorySystem:
         self.ring = ring
         self.core_nodes = core_nodes
         self.bank_nodes = bank_nodes
-        self.l1s = [
-            SetAssocCache(config.l1_bytes, config.l1_assoc, config.line_bytes,
-                          name=f"l1.{c}")
-            for c in range(config.num_cores)
-        ]
-        self.l2s = [
-            SetAssocCache(config.l2_bytes, config.l2_assoc, config.line_bytes,
-                          name=f"l2.{c}")
-            for c in range(config.num_cores)
-        ]
+        #: Per core id, its L1 and L2, made by :meth:`_private_caches`.
+        self.l1s: list[SetAssocCache] = []
+        self.l2s: list[SetAssocCache] = []
         self.l3 = SharedL3(config)
         self.directory = Directory()
         self.bus = OffChipBus(config)
@@ -101,43 +92,49 @@ class MemorySystem:
         #: that actually block an in-order core.
         self.observer = observer
 
+    def _private_caches(self, core: int) -> tuple[SetAssocCache,
+                                                  SetAssocCache]:
+        """``core``'s L1 and L2, made at first use with any lower core's."""
+        cfg, l1s, l2s = self.config, self.l1s, self.l2s
+        while len(l1s) <= core:
+            l1s.append(SetAssocCache(cfg.l1_bytes, cfg.l1_assoc,
+                                     cfg.line_bytes, name=f"l1.{len(l1s)}"))
+            l2s.append(SetAssocCache(cfg.l2_bytes, cfg.l2_assoc,
+                                     cfg.line_bytes, name=f"l2.{len(l2s)}"))
+        return l1s[core], l2s[core]
+
     def make_port(self, core: int) -> AccessPort:
         """Build ``core``'s access function: the one memory walk.
 
-        The returned port resolves a load or a store from the L1 probe
-        to the DRAM fill with everything it reads bound here: this
-        core's L1/L2 sets and stats, the directory's entry table and the
-        core's owned entries ``(core, False)`` and ``(core, True)``, per
-        home bank the hops from this core and the bank's sets and stats,
-        the ring's link walk, the bus timeline and the DRAM bank state.
-        It is written as nested functions, because a call pays for
-        every name its function binds: ``port`` holds the L1 and L2
-        probes and the few names a hit needs, ``miss`` the walk past the
-        L2 and the many names that needs.  The straight line of ``miss``
-        is the common case — no other core holds the line, data comes
-        from the L3 or from memory — with the victims of the L3 and L2
-        fills handled in place (a dirty L3 victim's posted write-back
-        too), and so are the sharing legs: the S→M ``upgrade``, the
-        cache-to-cache forward and a GetM's fan-out, which shares the
-        per-victim ``invalidate`` with the upgrade; the directory's
-        transitions stay ``Directory.on_*`` calls.  Each ring leg
-        arrives at ``t + hops * hop_latency``, or at ``Ring.reserve``'s
-        answer on a ring with link occupancy.  Out of line, as calls the
-        specification makes too: recall of an L3 victim held in S
-        (``Directory.on_recall``, ``SetAssocCache.invalidate``), a
-        sharer's L2 eviction (``Directory.on_evict``), a bus
-        reservation that fills a gap, the bank hash of a granule not
-        yet memoised (``Dram.bank_of``).  Every other step is written
-        here on the components' state.  A dirty L2 victim without an L3
-        copy breaks inclusion: a :class:`SimulationError`.
+        First makes ``core``'s L1 and L2; a walk reaches another core's
+        caches only when that core holds the line, so it has them.  The
+        port takes a load or a store from the L1 probe to the DRAM fill
+        with everything it reads bound here: this core's L1/L2 sets and
+        stats, the directory's entries and this core's owned entries
+        ``(core, False)`` / ``(core, True)``, per home bank the hops and
+        the bank's sets and stats, the ring, the bus timeline and the
+        DRAM bank state.  A call pays for every name its function
+        binds, so ``port`` holds the L1/L2 probes and what a hit needs,
+        ``miss`` the walk past the L2.  The straight line of ``miss`` is
+        the common case — no other core holds the line, data comes from
+        the L3 or memory — with the L3 and L2 fill victims (a dirty L3
+        victim's posted write-back too) and the sharing legs handled in
+        place: the S→M ``upgrade``, the cache-to-cache forward and a
+        GetM's fan-out, which shares ``invalidate`` with the upgrade.
+        A ring leg arrives at ``t + hops * hop_latency``, or at
+        ``Ring.reserve``'s answer on a ring with link occupancy.  Out of
+        line, as the specification calls them too: the directory's
+        ``on_*`` transitions, the recall of an L3 victim held in S
+        (``SetAssocCache.invalidate``), a bus reservation that fills a
+        gap and the bank hash of a granule not yet memoised
+        (``Dram.bank_of``).  A dirty L2 victim without an L3 copy breaks
+        inclusion: a :class:`SimulationError`.
 
-        ``tests/spec_memsys.py`` is the specification the walk is tested
-        against (``tests/test_property_memsys.py``), written over the
-        components' operations, which are functions there: same
-        completion cycles, same cache contents in LRU order, same
-        directory, same counters, same ring links.
+        ``tests/spec_memsys.py`` is the specification the walk is held
+        to (``tests/test_property_memsys.py``): same completion cycles,
+        cache contents in LRU order, directory, counters and ring links.
         """
-        l1, l2 = self.l1s[core], self.l2s[core]
+        l1, l2 = self._private_caches(core)
         l1_mask, l2_mask = l1._set_mask, l2._set_mask
         l3_mask = self.l3.banks[0].cache._set_mask
         cfg = self.config

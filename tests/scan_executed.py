@@ -56,7 +56,6 @@ ALLOWED = {
         "run reaches; tests/test_memsys.py drives it",
     "repro.sim.cache.SetAssocCache.invalidate":
         "memory walk: the S-victim recall's invalidation, with on_recall",
-    "repro.sim.branch.GsharePredictor._index": _BRANCH_MODEL,
     "repro.sim.branch.GsharePredictor.update": _BRANCH_MODEL,
 }
 

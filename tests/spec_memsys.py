@@ -364,7 +364,10 @@ def l2_install(memsys: MemorySystem, core: int, line: int,
 
 
 def port(memsys: MemorySystem, core: int) -> AccessPort:
-    """``core``'s access function over the specification."""
+    """``core``'s access function over the specification (it makes the
+    core's L1 and L2 as the walk's port does)."""
+    memsys._private_caches(core)
+
     def spec_port(addr: int, is_write: bool, now: int) -> int:
         return access(memsys, core, addr, is_write, now)
     return spec_port
@@ -375,11 +378,13 @@ def spec_machine(config: MachineConfig, observers=(), *,
     """A machine whose cores run on the specification.
 
     A core reads its memory port and its two shortcuts when its first
-    thread starts, so setting them on a fresh machine is enough.  With
-    ``shortcuts=False`` the machine is stepped op by op: no Compute
-    coalescing and no run-ahead.
+    thread starts, so placing every slot up front (which builds every
+    core) and setting them there is enough.  With ``shortcuts=False``
+    the machine is stepped op by op: no Compute coalescing and no
+    run-ahead.
     """
     machine = Machine(config, observers)
+    machine._place(config.num_thread_slots)
     for core in machine.cores:
         core._mem_access = port(machine.memsys, core.core_id)
         if not shortcuts:

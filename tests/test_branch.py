@@ -34,6 +34,13 @@ def test_mispredictions_counted():
     assert p.stats.predictions == 5
 
 
+def test_the_table_is_allocated_by_the_first_update():
+    p = GsharePredictor(64)
+    assert p._table is None
+    assert p.update(pc=0x40, taken=True) is True  # weakly taken
+    assert p._table is not None and len(p._table) == 64
+
+
 def test_accuracy_with_no_branches_is_one():
     assert GsharePredictor(64).stats.accuracy == 1.0
 

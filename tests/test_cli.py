@@ -61,6 +61,15 @@ def test_run_unknown_workload_fails_cleanly(capsys):
     assert "unknown workload" in err
 
 
+def test_run_refuses_a_static_team_larger_than_the_machine(capsys):
+    """It used to print "EP under static-40", then run 32 threads."""
+    code = main(["run", "EP", "--policy", "static", "--threads", "40",
+                 "--scale", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "40 threads exceeds the machine's 32" in captured.err
+
+
 def test_sweep_prints_table_and_oracle(capsys):
     code, out = run_cli(capsys, "sweep", "EP", "--threads", "1,4",
                         "--scale", "0.25")

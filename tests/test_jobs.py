@@ -118,6 +118,10 @@ _configs = st.one_of(
 @settings(max_examples=200)
 @given(_workload_refs, _policy_specs, _configs)
 def test_key_is_the_sha256_of_the_canonical_payload(workload, policy, config):
+    if (policy.threads or 0) > config.num_thread_slots:
+        with pytest.raises(JobError, match="hardware thread slots"):
+            JobSpec(workload, policy, config)
+        return
     spec = JobSpec(workload, policy, config)
     assert spec.key() == _reference_key(spec)
 
@@ -152,6 +156,18 @@ def test_a_warm_hit_flattens_its_config_once(tmp_path, monkeypatch):
 
     assert {r.status for r in asyncio.run(go())} == {"hit"}
     assert flattened == [spec.config]
+
+
+def test_a_static_team_larger_than_the_machine_is_refused():
+    """It would run clamped to the slots, under a second key."""
+    table1 = MachineConfig.asplos08_baseline()
+    with pytest.raises(JobError, match="33 threads exceeds the machine's "
+                       "32 hardware thread slots"):
+        JobSpec(WorkloadRef("EP"), PolicySpec.static(33), table1)
+    assert JobSpec(WorkloadRef("EP"), PolicySpec.static(64),
+                   table1.with_smt(2)).policy.threads == 64
+    assert JobSpec(WorkloadRef("EP"), PolicySpec.static(32),
+                   table1).policy.threads == 32
 
 
 def test_static_none_and_explicit_threads_hash_differently():

@@ -6,21 +6,26 @@ collector nothing from ``repro.sim``.  Each case runs with the collector
 off and then asks it what it would have had to find.
 
 A machine is also built as it is used — a cache set by its first fill, a
-core's memory port and step by its first thread — and the last section
-counts what a fresh machine holds, who owns a port and a step after a
-region, and checks that *when* they were built cannot be observed.
+core (contexts, predictor, L1 and L2, memory port, steps) by its first
+thread — and the last section counts what a fresh machine holds, which
+cores, ports and steps exist after a region, and checks that *when*
+they were built cannot be observed.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.inspection import machine_report
 from repro.check.runner import check_workload
+from repro.cli import main
 from repro.errors import DeadlockError, ProgramError, SimulationError
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.priors import measure_estimates
@@ -32,6 +37,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.core import Core, _Context
 from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
+from repro.sim.observer import SimObserver
 from repro.trace import recorder, run_traced
 from repro.trace.recorder import MIN_MEM_STALL_CYCLES, SAMPLE_INTERVAL
 from repro.workloads import get
@@ -230,11 +236,23 @@ def brief(tid: int, team: int):
 
 
 def force_build(machine: Machine) -> None:
-    """Do for every core now what ``start_thread`` does on first use."""
+    """Do for every core now what the machine and ``start_thread`` do on
+    first use: build it, its caches, its port and its steps."""
+    machine._place(machine.config.num_thread_slots)
     for core in machine.cores:
         core._mem_access = machine.memsys.make_port(core.core_id)
         for ctx in core.contexts:
             ctx.step = core._make_step(ctx)
+
+
+class Teams(SimObserver):
+    """Records the team size of every region."""
+
+    def __init__(self) -> None:
+        self.sizes: list[int] = []
+
+    def on_region_begin(self, num_threads: int, now: int) -> None:
+        self.sizes.append(num_threads)
 
 
 def test_a_fresh_machine_has_built_nothing_it_was_not_asked_for():
@@ -245,8 +263,9 @@ def test_a_fresh_machine_has_built_nothing_it_was_not_asked_for():
         machine = Machine(config)
         added = len(gc.get_objects()) - before
     with machine:
-        assert added <= 600  # eager sets, ports and steps: 3 532
-        assert len(machine.cores) == len(machine.memsys.l1s) == 32
+        # Eager sets, ports and steps: 3 532; eager cores and caches: 491.
+        assert added <= 150
+        assert machine.cores == machine.memsys.l1s == machine.memsys.l2s == []
         for cache in all_caches(machine):
             assert all(s is UNFILLED for s in cache._sets)
         assert ports_and_steps(machine) == {}
@@ -256,12 +275,53 @@ def test_a_region_builds_the_port_and_step_of_the_cores_it_lands_on():
     with Machine(MachineConfig.asplos08_baseline()) as machine:
         machine.run_serial(brief)
         assert ports_and_steps(machine) == {0: 1}
+        assert len(machine.cores) == len(machine.memsys.l2s) == 1
         port, step = machine.cores[0]._mem_access, machine.cores[0].contexts[0].step
         machine.run_parallel([brief] * 4)
         assert ports_and_steps(machine) == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert [c.core_id for c in machine.cores] == [0, 1, 2, 3]
+        assert [c.name for c in machine.memsys.l1s] == [
+            "l1.0", "l1.1", "l1.2", "l1.3"]
         # The second region on core 0 reused what the first one built.
         assert machine.cores[0]._mem_access is port
         assert machine.cores[0].contexts[0].step is step
+
+
+def test_an_fdt_run_builds_exactly_the_cores_its_teams_used():
+    """The synthetic kernel under FDT runs small teams on Table 1: only
+    their cores exist afterwards, and the report still lists all 32."""
+    teams = Teams()
+    app = WorkloadRef.synthetic(cs_fraction=0.1, bus_lines=2, iterations=64,
+                                compute_instr=5000).build()
+    config = MachineConfig.asplos08_baseline()
+    with Machine(config, observers=[teams]) as machine:
+        run_application(app, PolicySpec.fdt().build(), machine=machine)
+        used = max(teams.sizes)
+        assert used < config.num_cores
+        assert ports_and_steps(machine) == dict.fromkeys(range(used), 1)
+        assert len(machine.memsys.l1s) == len(machine.memsys.l2s) == used
+        # The kernel never branches: no predictor allocated its table.
+        assert all(core.predictor._table is None for core in machine.cores)
+        report = machine_report(machine)
+    assert [c["core"] for c in report["cores"]] == list(range(32))
+    assert len(report["l1"]["per_core"]) == len(report["l2"]["per_core"]) == 32
+    idle = report["l2"]["per_core"][used:]
+    assert all(row == {"hits": 0, "misses": 0, "evictions": 0,
+                       "invalidations": 0, "miss_rate": 0.0,
+                       "resident_lines": 0} for row in idle)
+    assert all(row["retired_instructions"] == row["spin_cycles"] == 0
+               and row["branch_accuracy"] == 1.0
+               for row in report["cores"][used:])
+
+
+def test_the_report_of_a_run_is_the_eager_machines(tmp_path, capsys):
+    """``repro run EP --scale 0.05 --report``, byte for byte as the
+    machine that built all 32 cores up front wrote it."""
+    out = tmp_path / "report.json"
+    assert main(["run", "EP", "--scale", "0.05", "--report", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "014f176a7fcffc089f5070b76f0ef908199045652138918a13e62fa33471b630")
 
 
 def test_smt_contexts_share_their_cores_one_port():
@@ -288,19 +348,49 @@ def test_close_clears_what_was_built_and_only_that(threads):
     assert machine.now == machine.snapshot().cycles
 
 
-@pytest.mark.parametrize("policy", ["static", "fdt"])
-@pytest.mark.parametrize("workload", ["PageMine", "ED", "Transpose"])
-def test_build_time_is_unobservable(workload, policy):
-    """A port binds the ``_sets`` *lists*: one built after other cores
-    have filled sets walks the same memory as one built before."""
+def eager_and_lazy(workload: str, policy: str,
+                   config: MachineConfig) -> tuple[tuple, tuple]:
+    """``(result, machine_report)`` of one application on a machine that
+    built every core up front and on one built as it was used."""
     app = get(workload).build(SCALE)
-    policy_spec = PolicySpec(policy, 32 if policy == "static" else None)
+    policy_spec = PolicySpec(
+        policy, config.num_thread_slots if policy == "static" else None)
 
     def run(prepare) -> tuple:
-        with Machine(MachineConfig.asplos08_baseline()) as machine:
+        with Machine(config) as machine:
             prepare(machine)
             result = run_application(app, policy_spec.build(),
                                      machine=machine)
             return result, machine_report(machine)
 
-    assert run(force_build) == run(lambda machine: None)
+    return run(force_build), run(lambda machine: None)
+
+
+@pytest.mark.parametrize("policy", ["static", "fdt"])
+@pytest.mark.parametrize("workload", ["PageMine", "ED", "Transpose"])
+def test_build_time_is_unobservable(workload, policy):
+    """A port binds the ``_sets`` *lists*: one built after other cores
+    have filled sets walks the same memory as one built before, and a
+    machine that built every core up front reports what a lazy one
+    does."""
+    eager, lazy = eager_and_lazy(workload, policy,
+                                 MachineConfig.asplos08_baseline())
+    assert eager == lazy
+    assert json.dumps(eager[1]) == json.dumps(lazy[1])
+
+
+TABLE1 = MachineConfig.asplos08_baseline()
+
+
+@pytest.mark.parametrize("config", [
+    TABLE1.with_smt(2),
+    replace(TABLE1.with_smt(2), smt_placement="compact"),
+    MachineConfig.baseline_with(cores=3),
+], ids=["smt2-scatter", "smt2-compact", "cores3"])
+@pytest.mark.parametrize("policy", ["static", "fdt"])
+def test_build_time_is_unobservable_off_table1(policy, config):
+    """The same on the machines whose placement differs from Table 1's:
+    two contexts per core, scattered or compact, and three cores."""
+    eager, lazy = eager_and_lazy("PageMine", policy, config)
+    assert eager == lazy
+    assert json.dumps(eager[1]) == json.dumps(lazy[1])

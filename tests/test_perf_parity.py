@@ -124,20 +124,20 @@ def _mixed_factory(tid: int, team: int):
 
 
 def _machine_fingerprint(build) -> dict[str, object]:
-    """Run the synthetic region; return deep per-component counters."""
+    """Run the synthetic region; return deep per-component counters
+    (per core as the report lists them: every core, built or not — the
+    op-by-op machine builds them all up front)."""
     machine = build(MachineConfig.small())
     region = machine.run_parallel([_mixed_factory] * 4)
     memsys = machine.memsys
+    report = machine_report(machine)
     return {
         "now": machine.now,
         "region": (region.start_cycle, region.end_cycle),
-        "retired_per_core": [c.retired_instructions for c in machine.cores],
+        "cores": report["cores"],
         "counter_file": list(machine.counters._retired),
-        "spin_per_core": [c.spin_cycles for c in machine.cores],
-        "l1": [(c.stats.hits, c.stats.misses, c.stats.evictions,
-                c.stats.invalidations) for c in memsys.l1s],
-        "l2": [(c.stats.hits, c.stats.misses, c.stats.evictions,
-                c.stats.invalidations) for c in memsys.l2s],
+        "l1": report["l1"]["per_core"],
+        "l2": report["l2"]["per_core"],
         "l3": [(b.cache.stats.hits, b.cache.stats.misses,
                 b.cache.stats.evictions) for b in memsys.l3.banks],
         "directory": (memsys.directory.stats.gets,

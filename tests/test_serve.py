@@ -352,6 +352,18 @@ def test_server_answers_an_oversized_head_with_400(head):
     assert served.status == 200
 
 
+def test_server_answers_a_static_team_larger_than_the_machine_with_400():
+    """A team of 40 on 32 slots used to run clamped to 32 threads under
+    a key of its own: two keys for one experiment."""
+    body = json.dumps({"workload": "EP", "scale": 0.05, "policy": "static",
+                       "threads": 40}).encode()
+    with ServerThread(ServeConfig(port=0)) as handle:
+        (refused,) = _send_raw(handle.port, request_bytes(
+            "POST", "/v1/run", host="h", body=body))
+    assert refused.status == 400
+    assert "32 hardware thread slots" in refused.json()["error"]
+
+
 # -- the two clients, one dialect ---------------------------------------
 
 class _CannedServer:
@@ -504,6 +516,11 @@ def test_schema_rejects_malformed_requests():
     ]:
         with pytest.raises(ReproError, match=pattern):
             schema.parse_run_request(body)
+    with pytest.raises(ServeRequestError, match="40 threads exceeds"):
+        schema.parse_run_request({"workload": "EP", "threads": 40})
+    assert schema.parse_run_request(
+        {"workload": "EP", "threads": 40,
+         "machine": {"smt": 2}}).policy.threads == 40
     with pytest.raises(ReproError, match="policy"):
         schema.parse_fdt_request({"workload": "EP", "policy": "static"})
     with pytest.raises(ReproError, match="non-empty"):

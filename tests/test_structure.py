@@ -6,8 +6,9 @@ gives the rule id, the reason (what a failure tells whoever broke it),
 the subjects it covers and a predicate on one subject; the test runs
 every (rule, subject) pair.  A text rule's subjects are paths from the
 repository root, each a file or a directory searched recursively (as
-``grep -r`` would), and its predicate is :func:`absent`.  A new rule is
-a new row.
+``grep -r`` would), and its predicate is :func:`absent`; a rule that
+counts the files a text is spelled in takes :class:`Spelling` subjects
+and :func:`spelled`.  A new rule is a new row.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.sim.cache import SetAssocCache
 from repro.sim.coherence import Directory
 from repro.sim.dram import Dram
 from repro.sim.l3 import L3Bank, SharedL3
+from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
 from repro.workloads.bt import BtKernel
 from repro.workloads.ep import EpKernel
@@ -44,19 +46,46 @@ class Rule:
     holds: Callable[[Any], bool]
 
 
+def _files(path: Path, glob: str = "*") -> list[Path]:
+    """``path`` itself, or the files under it that match ``glob``."""
+    path = ROOT / path
+    return [path] if path.is_file() else sorted(
+        f for f in path.rglob(glob)
+        if f.is_file() and "__pycache__" not in f.parts)
+
+
 def absent(pattern: str) -> Callable[[Path], bool]:
     """The predicate "no line of any file under the path matches
     ``pattern``" (``^`` and ``$`` match at every line)."""
     regex = re.compile(pattern, re.MULTILINE)
 
     def holds(path: Path) -> bool:
-        path = ROOT / path
-        files = [path] if path.is_file() else sorted(
-            f for f in path.rglob("*")
-            if f.is_file() and "__pycache__" not in f.parts)
         return not any(regex.search(f.read_text(errors="replace"))
-                       for f in files)
+                       for f in _files(path))
     return holds
+
+
+@dataclass(frozen=True)
+class Spelling:
+    """``pattern`` is spelled in a number of files in ``files``: of the
+    files under ``root`` that match ``glob``, as ``grep -rlE`` piped to
+    ``wc -l``."""
+    name: str
+    pattern: str
+    files: range
+    root: Path = Path("src")
+    glob: str = "*.py"
+
+
+def spelled(subject: Spelling) -> bool:
+    regex = re.compile(subject.pattern, re.MULTILINE)
+    return sum(bool(regex.search(f.read_text(errors="replace")))
+               for f in _files(subject.root, subject.glob)) in subject.files
+
+
+def no_core_built(init: Callable) -> bool:
+    """``init`` constructs no core and no private cache."""
+    return not re.search(r"\b(Core|SetAssocCache)\(", inspect.getsource(init))
 
 
 #: The memory components' operations that only the specification runs:
@@ -143,11 +172,66 @@ RULES = (
          (SetAssocCache, OffChipBus, Dram, L3Bank, SharedL3, Directory,
           MemorySystem, repro.sim.memsys),
          state_only),
+    Rule("lazy-cores",
+         "a machine builds a core, with its contexts, predictor, L1 and L2, "
+         "when the first thread is placed on it: construction builds the "
+         "shared parts only",
+         (Machine.__init__, MemorySystem.__init__), no_core_built),
+    Rule("one-spelling",
+         "Eq. 7 is applied in one file (fdt/estimators.estimate_from), an "
+         "FDT decision is one record (fdt/estimators.Decision), and no "
+         "logging choice travels through the environment",
+         (Spelling("eq7", re.escape("min(p_cs, p_bw"), range(1, 2)),
+          Spelling("one-decision-no-log-env",
+                   r"class FdtDecisionRecord|def combined_thread_choice"
+                   r"|REPRO_LOG_", range(0, 1))),
+         spelled),
+    Rule("check-takes-no-config",
+         "repro.check takes no configuration: a verdict is a function of "
+         "the program and the machine (three named constants, and filters "
+         "on the report)",
+         (Path("src/repro/check"),), absent(r"class \w*Config\b")),
+    Rule("warm-hit-key",
+         "a warm hit recomputes nothing: JobSpec.key hashes each config "
+         "once, with no whole-payload dump",
+         (Path("src/repro/jobs/spec.py"),), absent(re.escape("json.dumps(payload"))),
+    Rule("warm-hit-head",
+         "a warm hit recomputes nothing: the HTTP head is one readuntil, "
+         "not read line by line",
+         (Path("src/repro/serve/http.py"),),
+         absent(re.escape("await reader.readline()"))),
+    Rule("warm-hit-span",
+         "a warm hit recomputes nothing: a span is a slotted class, not a "
+         "generator context manager",
+         (Path("src/repro/obs/tracing.py"),),
+         absent(r"@contextmanager\ndef span\(")),
+    Rule("test-only-options",
+         "every option has a caller outside tests: a value only tests set "
+         "is a module constant they patch",
+         (Path("src"),),
+         absent(r"TraceConfig|retry_budget|backoff_base|backoff_cap"
+                r"|bind_retries|startup_timeout|history_bits|bank_occupancy"
+                r"|exemplar")),
+    Rule("obs-one-of-each",
+         "repro.obs keeps one of each: one counter type (a label is an "
+         "argument), one JSON-lines file behind the run registry and the "
+         "span sink, one way to list runs (list --limit), and the degraded "
+         "counter spelled in one file",
+         (Spelling("one-mechanism",
+                   r"class LabeledCounter|def labeled_counter|def kv\(|def tail\(",
+                   range(0, 1), Path("src/repro/obs"), "*"),
+          Spelling("degraded-counter", "repro_obs_degraded_total",
+                   range(0, 2))),
+         spelled),
 )
 
 
 def _name(subject: Any) -> str:
-    return subject.as_posix() if isinstance(subject, Path) else subject.__name__
+    if isinstance(subject, Path):
+        return subject.as_posix()
+    if isinstance(subject, Spelling):
+        return subject.name
+    return getattr(subject, "__qualname__", subject.__name__)
 
 
 @pytest.mark.parametrize(("rule", "subject"), [
