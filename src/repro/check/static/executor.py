@@ -50,6 +50,7 @@ from repro.isa.ops import (
     Unlock,
 )
 from repro.isa.program import ProgramFactory
+from repro.sim.addrmap import AddressMap
 from repro.sim.config import MachineConfig
 
 #: Per-thread op budget; a thread whose program yields more ops is
@@ -66,7 +67,7 @@ class AbstractExecutor:
         self.machine = machine or MachineConfig.asplos08_baseline()
         m = self.machine
         self._issue = max(1, m.issue_width)
-        self._line_shift = m.line_bytes.bit_length() - 1
+        self._line_shift = AddressMap.of(m).offset_bits
         self._hit_cycles = max(1, m.l1_latency)
         self._miss_cycles = (m.l3_latency + m.bus_latency
                              + m.bus_cycles_per_line + m.dram_row_hit_latency)

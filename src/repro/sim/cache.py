@@ -59,42 +59,28 @@ class SetAssocCache:
     """A set-associative, true-LRU cache directory (tags + payloads).
 
     Args:
-        size_bytes: total capacity.
+        set_mask: a line's set is ``line & set_mask``, a mask of the
+            address map (:mod:`repro.sim.addrmap`).
         assoc: ways per set.
-        line_bytes: line size (power of two).
         name: label, such as ``l2.3`` or ``l3.bank5``.
-
-    The set count must be a power of two: a line's set is
-    ``line & (num_sets - 1)``.
 
     Construction allocates no set: a set is allocated by its first fill
     (a run touches few of a 32-core machine's 10 240 private sets).
     """
 
-    __slots__ = ("name", "assoc", "num_sets", "_sets", "stats", "_set_mask")
+    __slots__ = ("name", "assoc", "num_sets", "set_mask", "_sets", "stats")
 
-    def __init__(self, size_bytes: int, assoc: int, line_bytes: int = 64,
-                 name: str = "cache") -> None:
-        if line_bytes <= 0 or line_bytes & (line_bytes - 1):
-            raise ValueError("line_bytes must be a positive power of two")
-        num_lines = size_bytes // line_bytes
-        if assoc < 1 or num_lines == 0 or num_lines % assoc:
-            raise ValueError(
-                f"{name}: {size_bytes} bytes / {line_bytes}B lines not divisible "
-                f"into {assoc}-way sets")
-        num_sets = num_lines // assoc
-        if num_sets & (num_sets - 1):
-            raise ValueError(f"{name}: {num_sets} sets is not a power of two")
+    def __init__(self, set_mask: int, assoc: int, name: str = "cache") -> None:
         self.name = name
         self.assoc = assoc
-        self.num_sets = num_sets
-        self._sets: list[dict[int, Any]] = [UNFILLED] * num_sets
-        self._set_mask = num_sets - 1
+        self.num_sets = set_mask + 1
+        self.set_mask = set_mask
+        self._sets: list[dict[int, Any]] = [UNFILLED] * self.num_sets
         self.stats = CacheStats()
 
     def invalidate(self, line: int) -> Any | None:
         """Remove ``line``; return its payload, or None if absent."""
-        s = self._sets[line & self._set_mask]
+        s = self._sets[line & self.set_mask]
         payload = s.pop(line, None)
         if payload is not None:
             self.stats.invalidations += 1

@@ -3,9 +3,11 @@
 :class:`MachineConfig` is a frozen dataclass so a config can be hashed,
 compared, and safely shared between sweep points.  Use
 :meth:`MachineConfig.asplos08_baseline` for the paper's simulated machine
-and :meth:`MachineConfig.scaled` / :meth:`MachineConfig.with_bandwidth` to
-derive the variants the paper evaluates (half/double bus bandwidth,
-different core counts).
+and :meth:`MachineConfig.small`, :meth:`MachineConfig.baseline_with` and
+:meth:`MachineConfig.with_bandwidth` to derive the variants the paper
+evaluates (half/double bus bandwidth, different core counts).  The
+address map (:mod:`repro.sim.addrmap`) checks the cache and DRAM
+geometry.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+from repro.sim.addrmap import AddressMap
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,35 +105,10 @@ class MachineConfig:
             raise ConfigError("num_cores must be >= 1")
         if self.issue_width < 1:
             raise ConfigError("issue_width must be >= 1")
-        if not _is_pow2(self.line_bytes):
-            raise ConfigError("line_bytes must be a power of two")
-        for name in ("l1_bytes", "l2_bytes", "l3_bytes"):
-            size = getattr(self, name)
-            if size % self.line_bytes:
-                raise ConfigError(f"{name} must be a multiple of line_bytes")
-        if not _is_pow2(self.l3_banks):
-            raise ConfigError("l3_banks must be a power of two")
-        if self.l3_bytes % (self.l3_banks * self.line_bytes):
-            raise ConfigError("l3_bytes must split into l3_banks banks of whole lines")
-        # The memory port indexes every cache's sets with ``line & (sets - 1)``.
-        for name, (size, assoc) in {
-            "l1": (self.l1_bytes, self.l1_assoc),
-            "l2": (self.l2_bytes, self.l2_assoc),
-            "l3 bank": (self.l3_bytes // self.l3_banks, self.l3_assoc),
-        }.items():
-            if assoc < 1:
-                raise ConfigError(f"{name}: assoc must be >= 1")
-            lines = size // self.line_bytes
-            if lines % assoc:
-                raise ConfigError(f"{name}: line count {lines} not divisible by assoc {assoc}")
-            if not _is_pow2(lines // assoc):
-                raise ConfigError(f"{name}: set count {lines // assoc} is not a power of two")
+        # The cache and DRAM geometry: refused unless its masks can index it.
+        AddressMap.of(self)
         if self.ring_hop_latency < 0 or self.ring_link_occupancy < 0:
             raise ConfigError("ring_hop_latency and ring_link_occupancy must be >= 0")
-        if not _is_pow2(self.dram_banks):
-            raise ConfigError("dram_banks must be a power of two")
-        if self.dram_row_bytes % self.line_bytes:
-            raise ConfigError("dram_row_bytes must be a multiple of line_bytes")
         if self.bus_width_bytes < 1 or self.cpu_bus_ratio < 1:
             raise ConfigError("bus parameters must be positive")
         if self.lock_grant_order not in ("fifo", "lifo"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sim.addrmap import AddressMap
 from repro.sim.config import MachineConfig
 
 
@@ -53,14 +54,12 @@ class Dram:
     ``dram_access(dram, line, now)``.
     """
 
-    __slots__ = ("_bank_mask", "_granule", "_granule_bank", "_bank_free",
-                 "_open_row", "_hit_lat", "_conflict_lat", "_closed_lat",
-                 "_open_page", "stats")
+    __slots__ = ("addrmap", "_granule_bank", "_bank_free", "_open_row",
+                 "_hit_lat", "_conflict_lat", "_closed_lat", "_open_page",
+                 "stats")
 
-    def __init__(self, config: MachineConfig) -> None:
-        self._bank_mask = config.dram_banks - 1
-        lines_per_row = config.dram_row_bytes // config.line_bytes
-        self._granule = min(config.dram_granule_lines, lines_per_row)
+    def __init__(self, config: MachineConfig, addrmap: AddressMap) -> None:
+        self.addrmap = addrmap
         #: Bank of every granule seen so far (the hash below, memoised).
         self._granule_bank: dict[int, int] = {}
         self._bank_free = [0] * config.dram_banks
@@ -71,8 +70,8 @@ class Dram:
         self._open_page = config.dram_open_page
         self.stats = DramStats()
 
-    def bank_of(self, line: int) -> int:
-        """Bank index for a line address.
+    def bank_of(self, row: int) -> int:
+        """Bank index for a DRAM row, ``line // addrmap.dram_granule``.
 
         Consecutive lines stay in one bank for a granule (default 16
         lines = 1 KB); the bank for each granule is chosen by a
@@ -82,8 +81,7 @@ class Dram:
         a statically-partitioned loop camp in each other's banks in
         lockstep — with it, concurrent streams collide only transiently.
         """
-        granule = line // self._granule
-        bank = self._granule_bank.get(granule)
+        bank = self._granule_bank.get(row)
         if bank is None:
             if len(self._granule_bank) >= _MEMO_GRANULES:
                 self._granule_bank.clear()
@@ -91,9 +89,9 @@ class Dram:
             # plain multiplicative hash, collisions between two streams at
             # a fixed granule offset are independent events, so
             # equally-paced threads cannot phase-lock into a shared bank.
-            g = granule
+            g = row
             g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
             g = ((g ^ (g >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
-            bank = self._granule_bank[granule] = (
-                (g ^ (g >> 16)) & self._bank_mask)
+            bank = self._granule_bank[row] = (
+                (g ^ (g >> 16)) & self.addrmap.dram_bank_mask)
         return bank

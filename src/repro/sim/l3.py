@@ -7,6 +7,7 @@ pipelined, so occupancy is shorter than the 20-cycle access latency).
 
 from __future__ import annotations
 
+from repro.sim.addrmap import AddressMap
 from repro.sim.cache import SetAssocCache
 from repro.sim.config import MachineConfig
 
@@ -25,13 +26,10 @@ class L3Bank:
 
     __slots__ = ("cache", "latency", "occupancy", "_free")
 
-    def __init__(self, index: int, config: MachineConfig) -> None:
-        self.cache = SetAssocCache(
-            size_bytes=config.l3_bytes // config.l3_banks,
-            assoc=config.l3_assoc,
-            line_bytes=config.line_bytes,
-            name=f"l3.bank{index}",
-        )
+    def __init__(self, index: int, config: MachineConfig,
+                 addrmap: AddressMap) -> None:
+        self.cache = SetAssocCache(addrmap.l3_set_mask, config.l3_assoc,
+                                   name=f"l3.bank{index}")
         self.latency = config.l3_latency
         self.occupancy = BANK_OCCUPANCY
         self._free = 0
@@ -41,14 +39,13 @@ class SharedL3:
     """The full L3: its banks plus aggregate statistics.
 
     Banks are line-interleaved: a line's home is
-    ``banks[line & _bank_mask]``.
+    ``banks[line & addrmap.l3_bank_mask]``.
     """
 
-    __slots__ = ("banks", "_bank_mask")
+    __slots__ = ("banks",)
 
-    def __init__(self, config: MachineConfig) -> None:
-        self.banks = [L3Bank(i, config) for i in range(config.l3_banks)]
-        self._bank_mask = config.l3_banks - 1
+    def __init__(self, config: MachineConfig, addrmap: AddressMap) -> None:
+        self.banks = [L3Bank(i, config, addrmap) for i in range(config.l3_banks)]
 
     @property
     def hits(self) -> int:

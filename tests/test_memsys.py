@@ -174,18 +174,19 @@ def test_l3_inclusive_recall_invalidates_private_copies(holders):
 
 @pytest.mark.xfail(strict=True, reason=(
     "model defect, pinned not fixed: an L3 bank indexes its sets with "
-    "line & set_mask, but every line of bank b already has line & 7 == b, "
-    "so 256 of each bank's 2048 sets are reachable and the 8 MB L3 holds "
-    "1 MB; the fix, (line >> bank_bits) & set_mask, moves cycles and "
-    "belongs to a declared model-fix PR that re-records the golden pins"))
+    "line & l3_set_mask, but every line of bank b already has "
+    "line & l3_bank_mask == b, so 256 of each bank's 2048 sets are reachable "
+    "and the 8 MB L3 holds 1 MB; the fix, a shift past the bank bits in the "
+    "address map, moves cycles and belongs to a declared model-fix PR that "
+    "re-records the golden pins"))
 def test_every_l3_set_is_reachable(m: Machine):
-    banks = m.memsys.l3.banks
+    amap, banks = m.memsys.addrmap, m.memsys.l3.banks
     reached: dict[int, set[int]] = {index: set() for index in range(len(banks))}
     for line in range(1 << 16):
-        index = line & m.memsys.l3._bank_mask  # the home bank
-        reached[index].add(line & banks[index].cache._set_mask)
+        index = line & amap.l3_bank_mask  # the home bank
+        reached[index].add(line & amap.l3_set_mask)
     assert all(len(sets) == bank.cache.num_sets
-               for bank, sets in zip(m.memsys.l3.banks, reached.values()))
+               for bank, sets in zip(banks, reached.values()))
 
 
 def test_port_refills_a_cleared_l1_from_a_warm_l2(m: Machine):

@@ -35,7 +35,7 @@ def test_chunk_sizes_balanced(total, threads):
 @given(lines=st.lists(st.integers(0, 63), min_size=1, max_size=300))
 @settings(max_examples=100)
 def test_cache_capacity_invariant(lines):
-    c = SetAssocCache(size_bytes=8 * 64, assoc=2, line_bytes=64)
+    c = SetAssocCache(set_mask=3, assoc=2)  # 4 sets
     for line in lines:
         insert(c, line, line)
     assert len(c) <= 8
@@ -46,7 +46,7 @@ def test_cache_capacity_invariant(lines):
 @given(lines=st.lists(st.integers(0, 63), min_size=1, max_size=300))
 @settings(max_examples=100)
 def test_cache_most_recent_insert_always_resident(lines):
-    c = SetAssocCache(size_bytes=8 * 64, assoc=2, line_bytes=64)
+    c = SetAssocCache(set_mask=3, assoc=2)  # 4 sets
     for line in lines:
         insert(c, line, line)
         assert holds(c, line)
@@ -56,7 +56,7 @@ def test_cache_most_recent_insert_always_resident(lines):
 @given(lines=st.lists(st.integers(0, 31), min_size=2, max_size=100))
 @settings(max_examples=100)
 def test_cache_hits_plus_misses_equals_lookups(lines):
-    c = SetAssocCache(size_bytes=16 * 64, assoc=4, line_bytes=64)
+    c = SetAssocCache(set_mask=3, assoc=4)  # 4 sets
     for line in lines:
         if lookup(c, line) is None:
             insert(c, line, True)

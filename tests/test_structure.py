@@ -13,6 +13,8 @@ and :func:`spelled`.  A new rule is a new row.
 
 from __future__ import annotations
 
+import argparse
+import functools
 import inspect
 import re
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from typing import Any, Callable
 import pytest
 
 import repro.sim.memsys
+from repro.cli import build_parser
 from repro.sim.bus import OffChipBus
 from repro.sim.cache import SetAssocCache
 from repro.sim.coherence import Directory
@@ -100,6 +103,67 @@ SPEC_ONLY = frozenset({
 def state_only(subject: Any) -> bool:
     kept = {"bank_of"} if subject is Dram else set()
     return not (SPEC_ONLY - kept) & vars(subject).keys()
+
+
+#: A command the docs spell: ``repro`` after ``python -m``, a backtick
+#: or a line start, and its words up to a comment, a closing backtick or
+#: the end of the line (a trailing backslash continues it).
+_COMMAND = re.compile(r"(?:python3? -m |`|^)repro((?: +[^\s`#]+)*)", re.MULTILINE)
+
+#: A repository path the docs name.
+_REPO_PATH = re.compile(r"(?<![\w./-])(?:src|tests|benchmarks)/[\w./*-]*")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _unparsed(words: list[str]) -> list[str]:
+    """The words of one ``repro`` command that the argparse tree does not
+    take: an unknown command, or a ``--flag`` its (sub)command lacks.
+    ``a|b`` stands for each of ``a`` and ``b``."""
+    parsers = [_parser()]
+    while words and not words[0].startswith("-"):
+        subs = [action for p in parsers for action in p._actions
+                if isinstance(action, argparse._SubParsersAction)]
+        if not subs:
+            break
+        names = words[0].split("|")
+        if any(name not in sub.choices for sub in subs for name in names):
+            if parsers[0] is _parser():
+                return words[:1]  # not a command at all
+            break
+        parsers = [sub.choices[name] for sub in subs for name in names]
+        words = words[1:]
+    flags = {match.group() for word in words
+             if (match := re.match(r"--[\w-]+", word))}
+    return sorted(flag for flag in flags for p in parsers
+                  if flag not in p._option_string_actions)
+
+
+def commands_parse(path: Path) -> bool:
+    """Every ``repro <command> --flag`` spelled under ``path`` parses."""
+    bad = [(f.name, words, unparsed)
+           for f in _files(path, "*.md")
+           for match in _COMMAND.finditer(
+               re.sub(r"\\\n\s*", " ", f.read_text()))
+           if (words := match.group(1).split())
+           and (unparsed := _unparsed(words))]
+    assert not bad, bad
+    return True
+
+
+def paths_exist(path: Path) -> bool:
+    """Every ``src/``, ``tests/`` or ``benchmarks/`` path named under
+    ``path`` exists (a ``*`` pattern matches at least one file)."""
+    names = {match.group().rstrip("./") for f in _files(path, "*.md")
+             for match in _REPO_PATH.finditer(f.read_text())}
+    missing = sorted(name for name in names
+                     if not (any(ROOT.glob(name)) if "*" in name
+                             else (ROOT / name).exists()))
+    assert not missing, missing
+    return True
 
 
 RULES = (
@@ -212,6 +276,34 @@ RULES = (
          absent(r"TraceConfig|retry_budget|backoff_base|backoff_cap"
                 r"|bind_retries|startup_timeout|history_bits|bank_occupancy"
                 r"|exemplar")),
+    Rule("one-address-map",
+         "the line-address split is derived in repro/sim/addrmap.py alone: "
+         "the offset width, every set and bank mask and the DRAM granule "
+         "are fields of its AddressMap, which every reader takes",
+         (Spelling("split-derivations",
+                   r"bit_length\(\)\s*-\s*1|\b(l3|dram)_banks\s*-\s*1"
+                   r"|sets\s*-\s*1|assoc\s*-\s*1|\.dram_granule_lines"
+                   r"|dram_row_bytes\s*//", range(1, 2)),),
+         spelled),
+    Rule("no-cli-import",
+         "a package __init__ does not import its cli module: importing a "
+         "package registers no command",
+         (Spelling("package-init", r"^\s*(from|import) .*\bcli\b", range(0, 1),
+                   Path("src/repro"), "__init__.py"),),
+         spelled),
+    Rule("cli-mounts-own",
+         "repro/cli.py mounts no other subsystem's command: check, trace, "
+         "serve, loadgen, chaos and obs register from their own packages",
+         (Path("src/repro/cli.py"),),
+         absent(r'add_parser\(\s*"(check|trace|serve|loadgen|chaos|obs)"')),
+    Rule("docs-commands-parse",
+         "every `repro <command> --flag` that README.md and docs/ spell "
+         "parses with build_parser()",
+         (Path("README.md"), Path("docs")), commands_parse),
+    Rule("docs-paths-exist",
+         "every src/, tests/ or benchmarks/ path that README.md and docs/ "
+         "name exists",
+         (Path("README.md"), Path("docs")), paths_exist),
     Rule("obs-one-of-each",
          "repro.obs keeps one of each: one counter type (a label is an "
          "argument), one JSON-lines file behind the run registry and the "
