@@ -24,38 +24,50 @@ Quickstart::
     app = workloads.get("PageMine").build()
     result = run_application(app, FdtPolicy())
     print(result.threads_used, result.cycles, result.power)
+
+Names resolve on first use (PEP 562): ``import repro`` loads no
+simulator, and ``from repro import workloads`` imports the package.
+``repro.check``, ``repro.trace``, ``repro.analysis`` and ``repro.serve``
+do the same through :func:`_exports`.
 """
 
-from repro import workloads
-from repro.analysis import oracle_choice, sweep_threads
-from repro.fdt import (
-    Application,
-    AppRunResult,
-    FdtMode,
-    FdtPolicy,
-    StaticPolicy,
-    run_application,
-)
-from repro.models import BatModel, CombinedModel, SatModel
-from repro.sim import Machine, MachineConfig, RunResult
+from importlib import import_module
+from typing import Any, Callable, Mapping
+
+
+def _exports(package: str, names: Mapping[str, str]) -> Callable[[str], Any]:
+    """The module ``__getattr__`` of ``package``, whose literal
+    ``_EXPORTS`` map ``names`` says which submodule defines each name:
+    the submodule is imported when the name is first read."""
+
+    def __getattr__(name: str) -> Any:
+        module = names.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(f"{package}.{module}"), name)
+
+    return __getattr__
+
+
+_EXPORTS = {
+    "Machine": "sim",
+    "MachineConfig": "sim",
+    "RunResult": "sim",
+    "Application": "fdt",
+    "AppRunResult": "fdt",
+    "FdtMode": "fdt",
+    "FdtPolicy": "fdt",
+    "StaticPolicy": "fdt",
+    "run_application": "fdt",
+    "SatModel": "models",
+    "BatModel": "models",
+    "CombinedModel": "models",
+    "sweep_threads": "analysis",
+    "oracle_choice": "analysis",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Machine",
-    "MachineConfig",
-    "RunResult",
-    "Application",
-    "AppRunResult",
-    "FdtMode",
-    "FdtPolicy",
-    "StaticPolicy",
-    "run_application",
-    "SatModel",
-    "BatModel",
-    "CombinedModel",
-    "sweep_threads",
-    "oracle_choice",
-    "workloads",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "workloads", "__version__"]
+
+__getattr__ = _exports(__name__, _EXPORTS)

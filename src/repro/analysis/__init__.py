@@ -1,22 +1,22 @@
 """Experiment harness: thread sweeps, the oracle policy, and reporting."""
 
-from repro.analysis.sweep import SweepResult, ThreadPoint, sweep_threads
-from repro.analysis.oracle import OracleChoice, oracle_choice
-from repro.analysis.compare import Comparison, compare_policies
-from repro.analysis.inspection import machine_report, machine_report_json
-from repro.analysis.report import ascii_bars, ascii_table, gmean
+from repro import _exports
 
-__all__ = [
-    "ThreadPoint",
-    "SweepResult",
-    "sweep_threads",
-    "OracleChoice",
-    "oracle_choice",
-    "ascii_table",
-    "ascii_bars",
-    "gmean",
-    "machine_report",
-    "machine_report_json",
-    "Comparison",
-    "compare_policies",
-]
+_EXPORTS = {
+    "ThreadPoint": "sweep",
+    "SweepResult": "sweep",
+    "sweep_threads": "sweep",
+    "OracleChoice": "oracle",
+    "oracle_choice": "oracle",
+    "ascii_table": "report",
+    "ascii_bars": "report",
+    "gmean": "report",
+    "machine_report": "inspection",
+    "machine_report_json": "inspection",
+    "Comparison": "compare",
+    "compare_policies": "compare",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = _exports(__name__, _EXPORTS)

@@ -24,40 +24,27 @@ caller who wants less filters the report it gets back
 (``Finding.analysis``, ``Finding.kind``, ``details["address"]``).
 """
 
-from repro.check.findings import (
-    ANALYSES,
-    DISCIPLINE,
-    LOCK_ORDER,
-    RACE,
-    RUNTIME,
-    STATIC,
-    AccessSite,
-    CheckReport,
-    Finding,
-)
-from repro.check.runner import DEFAULT_THREADS, check_application, check_workload
-from repro.check.sanitizer import ThreadSanitizer
-from repro.check.static import (
-    StaticReport,
-    analyze_application,
-    analyze_workload,
-)
+from repro import _exports
 
-__all__ = [
-    "ANALYSES",
-    "DISCIPLINE",
-    "LOCK_ORDER",
-    "RACE",
-    "RUNTIME",
-    "STATIC",
-    "AccessSite",
-    "CheckReport",
-    "DEFAULT_THREADS",
-    "Finding",
-    "StaticReport",
-    "ThreadSanitizer",
-    "analyze_application",
-    "analyze_workload",
-    "check_application",
-    "check_workload",
-]
+_EXPORTS = {
+    "ANALYSES": "findings",
+    "DISCIPLINE": "findings",
+    "LOCK_ORDER": "findings",
+    "RACE": "findings",
+    "RUNTIME": "findings",
+    "STATIC": "findings",
+    "AccessSite": "findings",
+    "CheckReport": "findings",
+    "DEFAULT_THREADS": "config",
+    "Finding": "findings",
+    "StaticReport": "static",
+    "ThreadSanitizer": "sanitizer",
+    "analyze_application": "static",
+    "analyze_workload": "static",
+    "check_application": "runner",
+    "check_workload": "runner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = _exports(__name__, _EXPORTS)

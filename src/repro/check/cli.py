@@ -9,6 +9,9 @@ Exits 0 when the workload is clean and 1 when the sanitizer found races,
 lock-order cycles, or discipline violations; ``--static`` adds the
 ahead-of-run analyzer (lock/barrier proofs + static FDT priors) and
 ``--static-only`` skips the simulated run entirely.
+
+Registration imports neither the sanitizer nor the analyzer: the
+handler imports them when it drives them.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import json
 import sys
 
 from repro.analysis.report import format_findings
-from repro.check.runner import DEFAULT_THREADS, check_workload
-from repro.check.static import analyze_workload
+from repro.check.config import DEFAULT_THREADS
 from repro.errors import WorkloadError
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
@@ -55,6 +57,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _check_one(args_name: str,
                args: argparse.Namespace) -> tuple[dict, str, int]:
     """Check one workload; returns (json payload, text, exit code)."""
+    from repro.check.runner import check_workload
+    from repro.check.static import analyze_workload
+
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     static_report = None
     extras: dict = {}

@@ -10,6 +10,7 @@ queue, an unlock the lock manager refuses) are themselves reported as a
 
 from __future__ import annotations
 
+from repro.check.config import DEFAULT_THREADS
 from repro.check.findings import RUNTIME, CheckReport, Finding
 from repro.check.sanitizer import ThreadSanitizer
 from repro.errors import (
@@ -25,11 +26,6 @@ from repro.sim.machine import Machine
 from repro.workloads import get
 from repro.workloads.base import AppBuilder
 from repro.workloads.synthetic import FIXTURES
-
-#: Default team size for checks.  Races and ordering violations need at
-#: least two threads; four keeps the run cheap while exercising real
-#: contention on every lock and barrier.
-DEFAULT_THREADS = 4
 
 
 def check_application(app: Application,

@@ -19,6 +19,12 @@ holds the ``machine``, ``jobs`` and ``logging`` flag groups, each
 declared once (:func:`_parents`) as an argparse parent parser that a
 leaf takes via ``parents=[...]``.  A flag that fills a config field or
 a library default reads its ``default=`` from that object.
+
+Registration loads only the modules argparse needs — the policy names,
+``MachineConfig``'s defaults, ``JobRunner``'s signature, the figure
+names — and a handler imports anything else it drives (the tracer, the
+machine report, the oracle), so a process loads only the modules its
+command runs.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.analysis import machine_report_json
-from repro.analysis.oracle import oracle_choice
 from repro.analysis.report import ascii_table
 from repro.analysis.sweep import sweep_threads
 from repro.check import cli as check_cli
@@ -56,7 +60,6 @@ from repro.obs import configure_logging
 from repro.serve import cli as serve_cli
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.trace import TraceRecorder, write_artifacts
 from repro.trace import cli as trace_cli
 from repro.workloads import all_specs, get
 
@@ -116,6 +119,9 @@ def _cmd_machine(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.inspection import machine_report_json
+    from repro.trace import TraceRecorder, write_artifacts
+
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     spec = get(args.workload)
     # The spec /v1/run would build: it refuses what the machine cannot run.
@@ -166,6 +172,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.oracle import oracle_choice
+
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     spec = get(args.workload)
     counts = _thread_counts(args, config)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Sequence
 
-from repro.analysis.oracle import oracle_choice
 from repro.analysis.report import ascii_bars, ascii_series, ascii_table
 from repro.analysis.sweep import COARSE_GRID, SweepResult
 from repro.experiments.panels import Figure, FigureResult, Panel, PanelSpec
@@ -355,6 +354,8 @@ FIGURES["fig14"] = Figure(
 def oracle_norm(p: Panel) -> tuple[int, float, float]:
     """The oracle's thread count, and its time and power over the
     baseline's — the sweep point it picked, normalized like FDT's run."""
+    from repro.analysis.oracle import oracle_choice
+
     pick = oracle_choice(p.sweep).point
     return (pick.threads, pick.cycles / p.baseline.cycles,
             pick.power / p.baseline.power)

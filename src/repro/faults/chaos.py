@@ -39,6 +39,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from repro.errors import FaultError, JobError, ServeClientError, ServeRequestError
+from repro.faults.config import (
+    CHAOS_JOBS,
+    CHAOS_SCALE,
+    CHAOS_THREADS,
+    CHAOS_WORKLOADS,
+    SERVE_ATTEMPTS,
+)
 from repro.faults.injector import FaultInjector, injected
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.jobs import (
@@ -60,10 +67,6 @@ INV_ACCOUNTED = "every-spec-accounted-once"
 INV_NO_CORRUPT = "cache-never-serves-corrupt"
 INV_CYCLES = "sim-cycles-bit-identical"
 INV_RESPONSIVE = "server-stays-responsive"
-
-#: Default request-retry budget per spec in serve mode — generous on
-#: purpose: retrying is the client's half of the recovery contract.
-SERVE_ATTEMPTS = 25
 
 _log = get_logger("faults")
 
@@ -164,8 +167,9 @@ def example_plan(seed: int = 1234) -> FaultPlan:
         ))
 
 
-def default_specs(workloads: Sequence[str] = ("PageMine", "ISort"),
-                  threads: int = 2, scale: float = 0.05) -> list[JobSpec]:
+def default_specs(workloads: Sequence[str] = CHAOS_WORKLOADS,
+                  threads: int = CHAOS_THREADS,
+                  scale: float = CHAOS_SCALE) -> list[JobSpec]:
     """Small, fast specs for chaos runs (static policy, tiny scale)."""
     config = MachineConfig.asplos08_baseline()
     return [JobSpec(workload=WorkloadRef(name=name, scale=scale),
@@ -278,7 +282,7 @@ class BatchSubmit:
 
     mode = "batch"
 
-    def __init__(self, specs: Sequence[JobSpec], jobs: int = 1) -> None:
+    def __init__(self, specs: Sequence[JobSpec], jobs: int = CHAOS_JOBS) -> None:
         if jobs < 1:
             raise FaultError(f"jobs must be >= 1, got {jobs}")
         self.specs = list(specs)

@@ -1,28 +1,39 @@
 """The ``repro chaos`` command: run a fault-injection plan against a
 ``JobRunner`` batch, a live server, or both, and judge the recovery
 invariants (exit 0 when every invariant holds, 1 otherwise).
+
+Registration imports only :mod:`repro.faults.config`; the handler
+imports the harness it drives.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
-from repro.analysis.report import ascii_table
-from repro.faults import FaultPlan, sites_table
-from repro.faults.chaos import (
-    CHAOS_SCHEMA,
-    BatchSubmit,
-    ServeSubmit,
-    default_specs,
-    example_plan,
-    run_chaos,
+from repro.faults.config import (
+    CHAOS_JOBS,
+    CHAOS_SCALE,
+    CHAOS_THREADS,
+    CHAOS_WORKLOADS,
+    SERVE_ATTEMPTS,
 )
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.analysis.report import ascii_table
+    from repro.faults.chaos import (
+        CHAOS_SCHEMA,
+        BatchSubmit,
+        ServeSubmit,
+        default_specs,
+        example_plan,
+        run_chaos,
+    )
+    from repro.faults.plan import FaultPlan
+    from repro.faults.sites import sites_table
+
     if args.list_sites:
         print(ascii_table(("site", "layer", "kinds", "description"),
                           sites_table()))
@@ -58,9 +69,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def register(sub: argparse._SubParsersAction,
              parents: argparse.Namespace) -> None:
     """Mount ``repro chaos`` (the contract is in :mod:`repro.cli`)."""
-    specs = inspect.signature(default_specs).parameters
-    batch = inspect.signature(BatchSubmit).parameters
-    serve = inspect.signature(ServeSubmit).parameters
     p_chaos = sub.add_parser(
         "chaos", parents=[parents.logging],
         help="run a fault-injection plan and judge recovery invariants")
@@ -72,20 +80,20 @@ def register(sub: argparse._SubParsersAction,
                          help="drive a JobRunner batch, a live server, "
                               "or both (default: both)")
     p_chaos.add_argument("--workloads",
-                         default=",".join(specs["workloads"].default),
+                         default=",".join(CHAOS_WORKLOADS),
                          help="comma-separated Table 2 workload names")
     p_chaos.add_argument("--threads", type=int,
-                         default=specs["threads"].default,
+                         default=CHAOS_THREADS,
                          help="static thread count per chaos spec")
     p_chaos.add_argument("--scale", type=float,
-                         default=specs["scale"].default,
+                         default=CHAOS_SCALE,
                          help="input-set scale of the chaos specs")
     p_chaos.add_argument("--seed", type=int, default=None,
                          help="override the plan's seed")
-    p_chaos.add_argument("--jobs", type=int, default=batch["jobs"].default,
+    p_chaos.add_argument("--jobs", type=int, default=CHAOS_JOBS,
                          help="worker processes for the batch run")
     p_chaos.add_argument("--attempts", type=int,
-                         default=serve["attempts"].default,
+                         default=SERVE_ATTEMPTS,
                          help="per-spec request retries in serve mode")
     p_chaos.add_argument("--json", action="store_true",
                          help="print the machine-readable report")

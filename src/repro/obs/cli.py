@@ -12,7 +12,8 @@ Three verbs over :class:`repro.obs.runreg.RunRegistry`:
   time spent computing).
 
 The registry location defaults to ``<cache root>/obs`` and follows
-``--dir`` / ``REPRO_CACHE_DIR``.
+``--dir`` / ``REPRO_CACHE_DIR``.  Registration imports nothing past
+argparse; each verb imports the registry it reads.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import argparse
 import json
 import sys
 
-from repro.obs.runreg import RunRegistry, format_records
-
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.obs.runreg import RunRegistry, format_records
+
     registry = RunRegistry(args.dir)
     rows = registry.records()
     if args.status:
@@ -49,6 +50,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
+    from repro.obs.runreg import RunRegistry, format_records
+
     registry = RunRegistry(args.dir)
     rows = registry.lookup(args.key)
     if not rows:
@@ -69,6 +72,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.obs.runreg import RunRegistry
+
     summary = RunRegistry(args.dir).report()
     if args.json:
         print(json.dumps(summary, indent=2))

@@ -26,7 +26,7 @@ Names resolve on first use (PEP 562), so importing the package, or
 its ``config`` module, loads neither the server nor the clients.
 """
 
-from importlib import import_module
+from repro import _exports
 
 _EXPORTS = {
     "AsyncServeClient": "client",
@@ -44,9 +44,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+__getattr__ = _exports(__name__, _EXPORTS)

@@ -18,6 +18,13 @@ from repro.errors import ConfigError
 from repro.sim.addrmap import AddressMap
 
 
+#: The latency, occupancy and overhead fields, in cycles.
+_DELAYS = ("branch_misprediction_penalty", "l1_latency", "l2_latency", "l3_latency",
+           "ring_hop_latency", "ring_link_occupancy", "bus_latency", "dram_row_hit_latency",
+           "dram_row_conflict_latency", "dram_closed_row_latency", "thread_spawn_cycles",
+           "thread_join_cycles", "lock_handoff_base")
+
+
 @dataclass(frozen=True, slots=True)
 class MachineConfig:
     """Parameters of the simulated CMP.
@@ -107,8 +114,12 @@ class MachineConfig:
             raise ConfigError("issue_width must be >= 1")
         # The cache and DRAM geometry: refused unless its masks can index it.
         AddressMap.of(self)
-        if self.ring_hop_latency < 0 or self.ring_link_occupancy < 0:
-            raise ConfigError("ring_hop_latency and ring_link_occupancy must be >= 0")
+        # A negative delay would end an access, or an event, before it starts.
+        negative = [name for name in _DELAYS if getattr(self, name) < 0]
+        if negative:
+            raise ConfigError(f"{', '.join(negative)} must be >= 0")
+        if self.gshare_bytes < 1 or self.gshare_bytes & (self.gshare_bytes - 1):
+            raise ConfigError("gshare_bytes must be a positive power of two")
         if self.bus_width_bytes < 1 or self.cpu_bus_ratio < 1:
             raise ConfigError("bus parameters must be positive")
         if self.lock_grant_order not in ("fifo", "lifo"):

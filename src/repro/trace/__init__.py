@@ -36,47 +36,34 @@ Typical programmatic use::
     write_artifacts(traced.trace, "traces/pagemine")
 """
 
-from repro.trace.data import (
-    SPAN_STATES,
-    STATE_BARRIER_WAIT,
-    STATE_COMPUTE,
-    STATE_CRITICAL_SECTION,
-    STATE_LOCK_SPIN,
-    STATE_MEMORY_STALL,
-    CounterSample,
-    Mark,
-    Span,
-    Trace,
-)
-from repro.trace.export import (
-    counters_csv,
-    decisions_json,
-    perfetto_json,
-    text_summary,
-    to_perfetto,
-    write_artifacts,
-)
-from repro.trace.recorder import TraceRecorder
-from repro.trace.runner import TracedRun, run_traced
+from repro import _exports
 
-__all__ = [
-    "SPAN_STATES",
-    "STATE_BARRIER_WAIT",
-    "STATE_COMPUTE",
-    "STATE_CRITICAL_SECTION",
-    "STATE_LOCK_SPIN",
-    "STATE_MEMORY_STALL",
-    "CounterSample",
-    "Mark",
-    "Span",
-    "Trace",
-    "TraceRecorder",
-    "TracedRun",
-    "counters_csv",
-    "decisions_json",
-    "perfetto_json",
-    "run_traced",
-    "text_summary",
-    "to_perfetto",
-    "write_artifacts",
-]
+#: Cycles between counter samples unless the caller names another
+#: spacing (``repro trace --sample-interval``).
+SAMPLE_INTERVAL = 1000
+
+_EXPORTS = {
+    "CounterSample": "data",
+    "Mark": "data",
+    "SPAN_STATES": "data",
+    "STATE_BARRIER_WAIT": "data",
+    "STATE_COMPUTE": "data",
+    "STATE_CRITICAL_SECTION": "data",
+    "STATE_LOCK_SPIN": "data",
+    "STATE_MEMORY_STALL": "data",
+    "Span": "data",
+    "Trace": "data",
+    "TraceRecorder": "recorder",
+    "TracedRun": "runner",
+    "counters_csv": "export",
+    "decisions_json": "export",
+    "perfetto_json": "export",
+    "run_traced": "runner",
+    "text_summary": "export",
+    "to_perfetto": "export",
+    "write_artifacts": "export",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = _exports(__name__, _EXPORTS)

@@ -3,8 +3,8 @@ attached and export its Perfetto / CSV / decision-log artifacts::
 
     python -m repro trace PageMine --out tr/     # record + export a trace
 
-Registration imports only the recorder's default sample interval; the
-handler imports what it drives.
+Registration imports only the policy names and the default sample
+interval; the handler imports the recorder it drives.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import json
 
 from repro.fdt.policies import POLICIES
-from repro.trace.recorder import SAMPLE_INTERVAL
+from repro.trace import SAMPLE_INTERVAL
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.sim.observer import SimObserver
+from repro.trace import SAMPLE_INTERVAL
 from repro.trace.data import (
     STATE_BARRIER_WAIT,
     STATE_COMPUTE,
@@ -37,9 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.fdt.training import TrainingSample
     from repro.sim.machine import Machine
 
-#: Cycles between counter samples unless the caller names another
-#: spacing (``repro trace --sample-interval``).
-SAMPLE_INTERVAL = 1000
 #: Memory stalls shorter than this many cycles are not recorded (keeps
 #: L2-miss noise out of the timeline).  Read at call time.
 MIN_MEM_STALL_CYCLES = 8

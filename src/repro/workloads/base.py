@@ -75,8 +75,6 @@ def merge_tail(local_base: int, shared_base: int, nbytes: int,
     yield BarrierWait(0)
 
 
-# -- registry -------------------------------------------------------------------
-
 #: Builder signature: ``scale`` shrinks the input set for fast runs while
 #: preserving the calibrated ratios; 1.0 is the repo's reference input.
 AppBuilder = Callable[[float], Application]
@@ -98,27 +96,8 @@ _REGISTRY: dict[str, WorkloadSpec] = {}
 
 
 def register(spec: WorkloadSpec) -> WorkloadSpec:
-    """Add a workload to the global registry (module import time)."""
+    """Add a workload to the registry :func:`repro.workloads.get` reads."""
     if spec.name in _REGISTRY:
         raise WorkloadError(f"workload {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
     return spec
-
-
-def get(name: str) -> WorkloadSpec:
-    """Look up a workload by its Table 2 name: the exact name, else the
-    one name that matches ignoring case, so ``repro run pagemine`` and
-    ``{"workload": "pagemine"}`` both resolve to ``PageMine``."""
-    spec = _REGISTRY.get(name)
-    if spec is not None:
-        return spec
-    folded = [s for s in _REGISTRY.values() if s.name.lower() == name.lower()]
-    if len(folded) != 1:
-        known = ", ".join(sorted(_REGISTRY))
-        raise WorkloadError(f"unknown workload {name!r}; known: {known}")
-    return folded[0]
-
-
-def all_specs() -> list[WorkloadSpec]:
-    """All registered workloads in Table 2 order (registration order)."""
-    return list(_REGISTRY.values())

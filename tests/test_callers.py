@@ -10,9 +10,11 @@ drives and which are functions there.
 
 Reach is worked out with :mod:`ast` alone.  Importing a module runs its
 top-level statements; a package's PEP 562 ``_EXPORTS`` map binds names
-as an import would.  A top-level ``def`` or ``class`` is reached when
-reached code refers to it through those bindings (an ``__init__``
-re-export or an ``__all__`` entry is a binding, not a use).  A method or
+as an import would, and its ``_ROSTER`` of submodule names (the
+workloads :func:`repro.workloads.get` imports on demand) imports each.
+A top-level ``def`` or ``class`` is reached when reached code refers to
+it through those bindings (an ``__init__`` re-export or an ``__all__``
+entry is a binding, not a use).  A method or
 property of a reached class is reached when it is a dunder or when
 reached code reads its name as an attribute anywhere (``x.name``), which
 errs toward "used".
@@ -72,8 +74,9 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 class Program:
     """Every module under ``src/``: its tree, its top-level ``def`` and
-    ``class`` statements, and what each top-level import binds (a name
-    maps to the dotted path it stands for)."""
+    ``class`` statements, what each top-level import binds (a name
+    maps to the dotted path it stands for), and the submodules its
+    ``_ROSTER`` names."""
 
     def __init__(self) -> None:
         self.trees: dict[str, ast.Module] = {}
@@ -86,15 +89,20 @@ class Program:
                          if isinstance(s, (*_FUNCTIONS, ast.ClassDef))}
                      for m, tree in self.trees.items()}
         self.bindings: dict[str, dict[str, str]] = {}
+        self.rosters: dict[str, list[str]] = {}
         for module, tree in self.trees.items():
             bound = self.bindings[module] = {}
             for stmt in tree.body:
+                targets = {getattr(t, "id", None)
+                           for t in getattr(stmt, "targets", ())}
                 if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                     bound.update(self.bind(stmt))
-                elif any(getattr(t, "id", None) == "_EXPORTS"
-                         for t in getattr(stmt, "targets", ())):
+                elif "_EXPORTS" in targets:
                     bound.update((name, f"{module}.{sub}.{name}") for name, sub
                                  in ast.literal_eval(stmt.value).items())
+                elif "_ROSTER" in targets:
+                    self.rosters[module] = [f"{module}.{sub}" for sub
+                                            in ast.literal_eval(stmt.value)]
 
     @staticmethod
     def bind(stmt: ast.Import | ast.ImportFrom) -> dict[str, str]:
@@ -132,12 +140,15 @@ class Reach:
 
     def module(self, name: str) -> None:
         """Import ``name``: run each enclosing package's ``__init__`` and
-        the module's top-level statements (decorators included)."""
+        the module's top-level statements (decorators included), and
+        import the modules its roster names."""
         parts = name.split(".")
         for prefix in (".".join(parts[:i]) for i in range(1, len(parts) + 1)):
             if prefix not in self.program.trees or prefix in self.reached:
                 continue
             self.reached.add(prefix)
+            for listed in self.program.rosters.get(prefix, ()):
+                self.module(listed)
             for stmt in self.program.trees[prefix].body:
                 if isinstance(stmt, _FUNCTIONS):
                     self.pending += [(d, prefix, {}) for d in stmt.decorator_list]

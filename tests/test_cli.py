@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -342,3 +344,60 @@ def test_a_scale_that_is_not_finite_and_positive_exits_2(command, scale,
         main([*command, f"--scale={scale}"])
     assert exit_info.value.code == 2
     assert "finite and > 0" in capsys.readouterr().err
+
+
+TABLE2 = ("PageMine", "ISort", "GSearch", "EP", "ED", "convert", "Transpose",
+          "MTwister", "BT", "MG", "BScholes", "SConv")
+
+
+def _in_a_fresh_process(code: str):
+    """What ``code`` prints as its last line, run by a new interpreter
+    (this one has imported everything already)."""
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_a_cold_synthetic_run_loads_no_table2_module_and_no_numpy():
+    """Mounting every command and running the serve-miss kernel imports
+    only what that run needs: no numpy, no Table 2 workload, neither
+    the sanitizer nor the analyzer, no trace recorder."""
+    loaded = _in_a_fresh_process(
+        "import json, sys, repro.cli\n"
+        "from repro.jobs import JobSpec, PolicySpec, WorkloadRef\n"
+        "from repro.sim.config import MachineConfig\n"
+        "repro.cli.build_parser()\n"
+        "JobSpec(workload=WorkloadRef.synthetic(cs_fraction=0.1, bus_lines=2,\n"
+        "                                       iterations=8, compute_instr=500),\n"
+        "        policy=PolicySpec('fdt'), config=MachineConfig.small(4)).run()\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    table2 = {f"repro.workloads.{name.lower()}" for name in TABLE2}
+    heavy = {"numpy", "repro.check.sanitizer", "repro.check.static",
+             "repro.trace.recorder"}
+    assert not (table2 | heavy) & set(loaded)
+    assert "repro.workloads.synthetic" in loaded
+
+
+def test_get_imports_one_workload_and_all_specs_keeps_table2_order():
+    loaded, names = _in_a_fresh_process(
+        "import json, sys\n"
+        "from repro.workloads import all_specs, get\n"
+        "get('sconv')\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.startswith('repro.workloads.'))\n"
+        "print(json.dumps([loaded, [s.name for s in all_specs()]]))")
+    assert loaded == ["repro.workloads.base", "repro.workloads.sconv"]
+    assert names == list(TABLE2)
+
+
+def test_the_quickstart_import_line_resolves_names_on_first_use():
+    before, sim_loaded = _in_a_fresh_process(
+        "import json, sys, repro\n"
+        "before = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+        "from repro import MachineConfig, FdtPolicy, run_application, workloads\n"
+        "assert MachineConfig.__module__ == 'repro.sim.config'\n"
+        "assert run_application.__module__ == 'repro.fdt.runner'\n"
+        "assert workloads.get('EP').name == 'EP' and FdtPolicy\n"
+        "print(json.dumps([before, 'repro.sim.machine' in sys.modules]))")
+    assert before == []
+    assert sim_loaded

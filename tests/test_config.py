@@ -96,6 +96,23 @@ def test_cache_size_must_divide_into_sets():
     {"dram_row_bytes": 0},  # a row of no lines: every granule is too big
     {"dram_granule_lines": -4},  # a negative row index per line
     {"dram_granule_lines": 128},  # two rows: was clamped to 64, a second key
+    # A negative delay completed an access before it started, or (spawn)
+    # scheduled an event in the past at the first run.
+    {"l1_latency": -1},
+    {"l2_latency": -6},
+    {"l3_latency": -1},
+    {"bus_latency": -50},
+    {"dram_row_hit_latency": -100},
+    {"dram_row_conflict_latency": -1},
+    {"dram_closed_row_latency": -1},
+    {"lock_handoff_base": -1},
+    {"thread_spawn_cycles": -300},
+    {"thread_join_cycles": -1},
+    {"branch_misprediction_penalty": -1},
+    # The predictor's table must be a power of two: the first run raised
+    # a bare ValueError from repro.sim.branch.
+    {"gshare_bytes": 0},
+    {"gshare_bytes": 3},
 ])
 def test_cache_and_ring_geometry_rejected_at_construction(overrides):
     """Each of these used to validate and then fail inside ``Machine()``,
