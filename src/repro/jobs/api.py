@@ -46,7 +46,7 @@ from repro.jobs.results import app_result_from_dict
 from repro.jobs.spec import SCHEMA_VERSION, JobSpec
 from repro.obs import get_logger
 from repro.obs.registry import Counter, default_registry
-from repro.obs.runreg import RunRecord, RunRegistry, host_fingerprint
+from repro.obs import runreg
 from repro.obs.tracing import current_context, span
 
 _log = get_logger("jobs")
@@ -153,23 +153,14 @@ class JobRunner:
         self.manifest = manifest if manifest is not None else RunManifest()
         self.trace_dir = trace_dir
         self.preflight = preflight
-        self._run_registry: RunRegistry | None = None
-        self._host: dict | None = None
+        #: Provenance rows of every resolved spec, under ``<cache
+        #: root>/obs`` so ``repro obs`` finds them beside the results.
+        self.run_registry = runreg.shared_registry(
+            cache.root / "obs" if cache is not None
+            else runreg.default_runreg_dir())
         self._memo: dict[str, dict] = {}
         self._preflight_memo: dict[str, PreflightVerdict] = {}
         self._cache_write_failed = False
-
-    @property
-    def run_registry(self) -> RunRegistry:
-        """Provenance registry (:mod:`repro.obs.runreg`) appended to for
-        every resolved spec: ``<cache root>/obs`` (or the global default
-        location when running cache-less), so ``repro obs`` finds the
-        rows next to the results they describe."""
-        if self._run_registry is None:
-            root = (self.cache.root / "obs"
-                    if self.cache is not None else None)
-            self._run_registry = RunRegistry(root)
-        return self._run_registry
 
     def run_one(self, spec: JobSpec) -> AppRunResult:
         """Resolve a single spec (see :meth:`run`)."""
@@ -361,10 +352,8 @@ class JobRunner:
             "repro_jobs_resolutions_total",
             "Job resolutions by disposition.", label="status"
         ).inc(resolution.status)
-        if self._host is None:
-            self._host = host_fingerprint()
         ctx = current_context()
-        record = RunRecord(
+        record = runreg.RunRecord(
             key=resolution.key,
             workload=spec.workload.label,
             policy=spec.policy.label,
@@ -374,7 +363,7 @@ class JobRunner:
             started_at=started.isoformat(),
             finished_at=finished.isoformat(),
             schema_version=SCHEMA_VERSION,
-            host=self._host,
+            host=runreg.host_fingerprint(),
             trace_id=ctx.trace_id if ctx is not None else "",
             trace_path=resolution.trace_path,
             error=resolution.error,

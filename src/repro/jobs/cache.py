@@ -13,13 +13,14 @@ simply never found, so stale results self-invalidate without any
 migration logic.
 
 Corruption is treated as a miss, never an error: a truncated file, a
-garbage byte, a schema/key mismatch, or an unreadable entry makes
-:meth:`ResultCache.get` return ``None`` and the caller recomputes.  The
-bad file is *quarantined* — moved aside into ``<root>/quarantine/``
-(outside the versioned lookup tree, so it can never be read again),
-counted in ``repro_jobs_cache_quarantined_total`` — rather than
-silently deleted, so a chaos run or an operator can audit exactly what
-the store refused to serve.  Writes are atomic (temp file +
+garbage byte, or a schema/key mismatch makes :meth:`ResultCache.get`
+return ``None`` and the caller recomputes.  An I/O error is not
+corruption: an entry that cannot be read is a miss that stays in place.
+The corrupt file is *quarantined* — moved aside into
+``<root>/quarantine/`` (outside the versioned lookup tree, so it can
+never be read again), counted in ``repro_jobs_cache_quarantined_total``
+— rather than silently deleted, so a chaos run or an operator can audit
+exactly what the store refused to serve.  Writes are atomic (temp file +
 ``os.replace``) so a crashed writer can leave at worst a stray temp
 file, never a half-written entry under the final name.
 
@@ -40,6 +41,7 @@ loop vs. its worker threads) never contend on a pure lookup.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -93,24 +95,23 @@ class ResultCache:
         the write lock) so the recomputed result can replace it cleanly
         and the bad bytes can never be re-read.
         """
-        result = self._read(key)
+        path = self.path_for(key)
+        try:
+            result = self._read(key, path)
+        except OSError:
+            return None
         if result is None:
-            path = self.path_for(key)
-            if path.exists():
-                with self._write_lock:
-                    self._quarantine(path)
+            with self._write_lock:
+                self._quarantine(path)
         return result
 
     def get_or_none(self, key: str) -> dict | None:
-        """Strictly read-only lookup: the serving fast path.
-
-        Behaves like :meth:`get` for well-formed entries but never
-        mutates anything — no write lock, no corrupt-entry deletion, no
-        manifest or bookkeeping side effects.  A corrupt entry is simply
-        reported as a miss and left for the next batch-path caller (or
-        an overwriting :meth:`put`) to repair.
-        """
-        return self._read(key)
+        """:meth:`get` that never mutates anything, the serving fast path:
+        a corrupt entry is left for :meth:`get` or :meth:`put` to repair."""
+        try:
+            return self._read(key, self.path_for(key))
+        except OSError:
+            return None
 
     def put(self, key: str, spec: dict, result: dict) -> None:
         """Atomically store a result (spec kept for self-description)."""
@@ -123,28 +124,35 @@ class ResultCache:
         }
         fault_hooks.maybe_raise("cache.write", key=key)
         with self._write_lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
+            temp_file = functools.partial(
+                tempfile.mkstemp, dir=path.parent, prefix=f".{key[:8]}-",
+                suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                fd, tmp_name = temp_file()
+            except FileNotFoundError:  # first write to the shard, or gone
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = temp_file()
+            try:
+                with os.fdopen(fd, "wb") as handle:
                     # dumps() is the C encoder; dump() streams through
                     # the pure-Python iterencode for the same bytes.
-                    handle.write(json.dumps(payload, sort_keys=True))
+                    handle.write(json.dumps(payload, sort_keys=True).encode())
                 os.replace(tmp_name, path)
             except BaseException:
                 self._discard(Path(tmp_name))
                 raise
 
-    def _read(self, key: str) -> dict | None:
-        """Shared read: ``None`` on miss or on any malformed entry."""
+    @staticmethod
+    def _read(key: str, path: Path) -> dict | None:
+        """The result stored at ``path``, or ``None`` if its bytes do not
+        decode or validate as one — the only corruption.  An entry that
+        cannot be read (absent: one failed open) raises ``OSError``."""
+        fault_hooks.maybe_raise("cache.read", key=key)
+        data = path.read_bytes()
         try:
-            fault_hooks.maybe_raise("cache.read", key=key)
-            text = fault_hooks.corrupt_text(
-                "cache.read", self.path_for(key).read_text(encoding="utf-8"),
-                key=key)
-            payload = json.loads(text)
-        except (OSError, ValueError):
+            payload = json.loads(fault_hooks.corrupt_text(
+                "cache.read", data.decode("utf-8"), key=key))
+        except ValueError:
             return None
         if (not isinstance(payload, dict)
                 or payload.get("schema") != SCHEMA_VERSION

@@ -1,15 +1,17 @@
 """Run manifests: what every job in a batch did and what it cost.
 
-A :class:`RunManifest` accumulates one :class:`~repro.obs.runreg.
-RunRecord` per job a :class:`~repro.jobs.api.JobRunner` resolved — cache
-hits included; the same record the run registry persists — and
-serializes to strict JSON for post-hoc inspection (which runs were
-recomputed and why, where the wall time went, whether a warm cache
-actually eliminated all simulation).
+A :class:`RunManifest` takes one :class:`~repro.obs.runreg.RunRecord`
+per job a :class:`~repro.jobs.api.JobRunner` resolved — cache hits
+included; the same record the run registry persists — and serializes to
+strict JSON for post-hoc inspection (which runs were recomputed and
+why, where the wall time went, whether a warm cache actually eliminated
+all simulation).  Its totals are running values: ``entries=None`` keeps
+only them, as a server that writes no manifest does.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,10 +35,28 @@ ENTRY_FIELDS = ("key", "workload", "policy", "status", "backend",
 class RunManifest:
     """Accumulated record of one batch run."""
 
-    entries: list[RunRecord] = field(default_factory=list)
+    #: Every record, in arrival order; ``None`` keeps the totals only.
+    entries: list[RunRecord] | None = field(default_factory=list)
+    _statuses: collections.Counter[str] = field(
+        default_factory=collections.Counter, init=False, repr=False)
+    #: Summed per-job wall time (not batch elapsed time; an int 0, as a
+    #: sum over no rows is, until the first record).
+    wall_time: float = field(default=0, init=False)
+    #: Earliest per-entry start ("" until a stamped entry exists).
+    started_at: str = field(default="", init=False)
+    #: Latest per-entry finish ("" until a stamped entry exists).
+    finished_at: str = field(default="", init=False)
 
     def record(self, entry: RunRecord) -> None:
-        self.entries.append(entry)
+        if self.entries is not None:
+            self.entries.append(entry)
+        self._statuses[entry.status] += 1
+        self.wall_time += entry.wall_time
+        if entry.started_at and (not self.started_at
+                                 or entry.started_at < self.started_at):
+            self.started_at = entry.started_at
+        if entry.finished_at > self.finished_at:
+            self.finished_at = entry.finished_at
 
     @property
     def counts(self) -> dict:
@@ -48,32 +68,16 @@ class RunManifest:
         the genuinely failed rest (crashes, preflight rejections).
         """
         def count(*statuses: str) -> int:
-            return sum(1 for e in self.entries if e.status in statuses)
+            return sum(self._statuses[s] for s in statuses)
 
+        total = self._statuses.total()
         return {
-            "total": len(self.entries),
+            "total": total,
             "hits": count(STATUS_HIT),
             "computed": count(STATUS_COMPUTED),
-            "failed": len(self.entries) - count(*SERVED, STATUS_TIMEOUT),
+            "failed": total - count(*SERVED, STATUS_TIMEOUT),
             "timeouts": count(STATUS_TIMEOUT),
         }
-
-    @property
-    def wall_time(self) -> float:
-        """Summed per-job wall time (not batch elapsed time)."""
-        return sum(e.wall_time for e in self.entries)
-
-    @property
-    def started_at(self) -> str:
-        """Earliest per-entry start ("" until a stamped entry exists)."""
-        stamps = [e.started_at for e in self.entries if e.started_at]
-        return min(stamps) if stamps else ""
-
-    @property
-    def finished_at(self) -> str:
-        """Latest per-entry finish ("" until a stamped entry exists)."""
-        stamps = [e.finished_at for e in self.entries if e.finished_at]
-        return max(stamps) if stamps else ""
 
     def to_dict(self) -> dict:
         return {
@@ -83,14 +87,13 @@ class RunManifest:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "entries": [{name: row[name] for name in ENTRY_FIELDS}
-                        for row in (e.to_dict() for e in self.entries)],
+                        for row in (e.to_dict() for e in self.entries or ())],
         }
 
     def write(self, path: str | Path) -> None:
         """Write the manifest as JSON (parent dirs created)."""
         target = Path(path)
-        if target.parent != Path(""):
-            target.parent.mkdir(parents=True, exist_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(json.dumps(self.to_dict(), indent=2) + "\n",
                           encoding="utf-8")
 

@@ -11,6 +11,7 @@ back, skipping a torn final line (a crash mid-write) or any corrupt one.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
 from typing import Any, Callable, TypeVar
@@ -21,6 +22,9 @@ from repro.obs.registry import default_registry
 _T = TypeVar("_T")
 
 _log = get_logger("obs")
+
+#: One ``O_APPEND`` write per line: the kernel places it at the end.
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 class JsonLines:
@@ -37,12 +41,18 @@ class JsonLines:
         self._lock = threading.Lock()
 
     def append(self, doc: dict[str, Any]) -> None:
-        line = json.dumps(doc, sort_keys=True) + "\n"
+        line = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
+                try:
+                    fd = os.open(self.path, _APPEND, 0o666)
+                except FileNotFoundError:  # first write, or dir removed
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    fd = os.open(self.path, _APPEND, 0o666)
+                try:
+                    os.write(fd, line)
+                finally:
+                    os.close(fd)
             except OSError as exc:
                 if not self.degraded:
                     self.degraded = True

@@ -23,6 +23,7 @@ registry and the manifest can never disagree.  The ``repro obs`` CLI
 from __future__ import annotations
 
 import collections
+import functools
 import os
 import platform
 from dataclasses import dataclass, field
@@ -37,8 +38,10 @@ SCHEMA = "repro-obs-run/1"
 REGISTRY_FILENAME = "runs.jsonl"
 
 
+@functools.cache
 def host_fingerprint() -> dict[str, Any]:
-    """Identify the executing host well enough to judge comparability."""
+    """Identify the executing host well enough to judge comparability
+    (once per process: every row shares the one dict)."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -162,6 +165,13 @@ class RunRegistry:
                 round(sum(computed_wall) / len(computed_wall), 6)
                 if computed_wall else 0.0),
         }
+
+
+@functools.cache
+def shared_registry(root: Path) -> RunRegistry:
+    """The one registry this process appends through under ``root``:
+    its writers share one lock and one degraded episode."""
+    return RunRegistry(root)
 
 
 def format_records(records: Iterable[RunRecord]) -> str:

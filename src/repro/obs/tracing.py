@@ -16,11 +16,12 @@ Propagation is explicit and two-layered:
   carried by hand and re-entered with :func:`use_context`, because
   executors do not copy context.
 
-Finished spans land in the process-global :class:`SpanRecorder` (a
-bounded ring) and, when a sink is configured (``set_sink`` or the
-``REPRO_OBS_SPANS`` environment variable), are appended to a
-:class:`~repro.obs.jsonl.JsonLines` file, as run-registry rows are,
-and read back with ``read_jsonl(path, Span.from_dict)``.
+A finished span is kept nowhere in the process.  When a sink is set
+(``recorder().set_sink(path)`` or the ``REPRO_OBS_SPANS`` environment
+variable) it is built into a :class:`Span` and appended to a
+:class:`~repro.obs.jsonl.JsonLines` file, as run-registry rows are, and
+read back with ``read_jsonl(path, Span.from_dict)``; with no sink it is
+not built at all, so a serving process holds nothing per span.
 
 Everything here is a pure observer of host time: nothing reads or
 writes simulator state, so simulated cycles are bit-identical with
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,9 +39,6 @@ from time import time
 from typing import Iterator
 
 from repro.obs.jsonl import JsonLines
-
-#: Ring capacity of the in-process recorder.
-MAX_RECORDED_SPANS = 4096
 
 
 def new_trace_id() -> str:
@@ -119,43 +115,19 @@ class Span:
 
 
 class SpanRecorder:
-    """Bounded in-memory span store with an optional JSONL sink."""
+    """Where finished spans go: a JSON-lines sink, or nowhere."""
 
     def __init__(self) -> None:
-        self._spans: deque[Span] = deque(maxlen=MAX_RECORDED_SPANS)
-        self._lock = threading.Lock()
         self.sink: JsonLines | None = None
         self.set_sink(os.environ.get("REPRO_OBS_SPANS") or None)
 
     def set_sink(self, path: str | Path | None) -> None:
         """Append finished spans as JSON lines to ``path`` (None stops).
 
-        A failed line is dropped (the span stays in the ring), warned
-        once per episode and counted; a new sink starts a new episode.
+        A failed line is dropped, warned once per episode and counted;
+        a new sink starts a new episode.
         """
         self.sink = None if path is None else JsonLines(path, "spans")
-
-    def record(self, span: Span) -> None:
-        with self._lock:
-            self._spans.append(span)
-        sink = self.sink
-        if sink is not None:
-            sink.append(span.to_dict())
-
-    def spans(self, trace_id: str | None = None,
-              name: str | None = None) -> list[Span]:
-        """Recorded spans, optionally filtered by trace ID and/or name."""
-        with self._lock:
-            out = list(self._spans)
-        if trace_id is not None:
-            out = [s for s in out if s.trace_id == trace_id]
-        if name is not None:
-            out = [s for s in out if s.name == name]
-        return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
 
 
 _recorder = SpanRecorder()
@@ -165,7 +137,7 @@ _current: contextvars.ContextVar[TraceContext | None] = \
 
 
 def recorder() -> SpanRecorder:
-    """The process-global span recorder."""
+    """The process-global span recorder: where its sink is set."""
     return _recorder
 
 
@@ -187,9 +159,10 @@ def use_context(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
 class span:
     """Open a span: child of the current context, or a new trace root.
 
-    The parent is read on entry; the span is recorded when the block
-    exits, and an escaping exception marks it ``status="error"`` (and
-    re-raises).  Only a context manager, not a decorator.
+    The parent is read on entry; when the block exits the span is
+    written to the sink, if one is set, and an escaping exception marks
+    it ``status="error"`` (and re-raises).  Only a context manager, not
+    a decorator.
     """
 
     __slots__ = ("_name", "_attrs", "_ctx", "_token", "_started")
@@ -210,9 +183,13 @@ class span:
     def __exit__(self, exc_type: type[BaseException] | None,
                  *exc_info: object) -> None:
         _current.reset(self._token)
+        sink = _recorder.sink
+        if sink is None:
+            return
         ctx = self._ctx
-        _recorder.record(Span(
+        sink.append(Span(
             trace_id=ctx.trace_id, span_id=ctx.span_id,
             parent_id=ctx.parent_id, name=self._name,
             start=self._started, end=time(),
-            status="ok" if exc_type is None else "error", attrs=ctx.attrs))
+            status="ok" if exc_type is None else "error",
+            attrs=ctx.attrs).to_dict())

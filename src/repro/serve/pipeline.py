@@ -129,7 +129,9 @@ class RequestPipeline:
         self.config = config
         self.metrics = metrics
         self.cache = cache
-        self.manifest = RunManifest()
+        #: Totals of every recorded resolution; rows for manifest_path.
+        self.manifest = RunManifest(
+            entries=[] if config.manifest_path else None)
         self._runner_factory = runner_factory or self._default_runner
         self._inflight: dict[str, asyncio.Future[Resolution]] = {}
         #: key -> validated hit; stays empty without a cache.

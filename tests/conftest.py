@@ -40,6 +40,27 @@ def _isolated_result_cache(tmp_path, monkeypatch) -> None:
 
 
 @pytest.fixture
+def span_sink(tmp_path):
+    """Point the process-global span sink at a per-test file and return
+    a reader of what it holds: ``read(trace_id=None, name=None)`` is
+    the finished spans, in finish order, optionally filtered."""
+    from repro.obs.jsonl import read_jsonl
+    from repro.obs.tracing import Span, recorder
+
+    path = tmp_path / "spans.jsonl"
+    previous = recorder().sink
+    recorder().set_sink(path)
+
+    def read(trace_id: str | None = None,
+             name: str | None = None) -> list[Span]:
+        return [s for s in read_jsonl(path, Span.from_dict)
+                if trace_id in (None, s.trace_id) and name in (None, s.name)]
+
+    yield read
+    recorder().sink = previous
+
+
+@pytest.fixture
 def fast_backoff(monkeypatch) -> None:
     """Retry rounds a millisecond apart, so a retrying test barely
     sleeps (the pacing is a module constant, read at call time)."""

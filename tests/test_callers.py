@@ -59,7 +59,8 @@ ALLOWED = {
     "repro.obs.registry.reset_default_registry":
         "test-isolation hook: a fresh process-global metrics registry",
     "repro.obs.tracing.recorder":
-        "test-isolation hook: the process-global span ring tests clear",
+        "test-isolation hook: where tests point the process-global span "
+        "sink",
 }
 
 #: The console script and ``python -m repro``.

@@ -128,6 +128,26 @@ def test_corrupt_cache_entry_is_quarantined_and_recomputed(tmp_path):
     assert cache.get_or_none(spec.key()) == baseline.result
 
 
+def test_an_unreadable_entry_is_a_miss_not_a_corruption(tmp_path):
+    cache = ResultCache(tmp_path / "c")
+    key = _spec().key()
+    cache.put(key, {}, {"x": 1})
+    plan = FaultPlan(rules=(
+        FaultRule(site="cache.read", kind="io-error", max_fires=1),))
+    with injected(plan) as injector:
+        assert cache.get(key) is None
+        assert injector.firing_count() == 1
+        # The good entry stayed where it was: the next read hits.
+        assert cache.get(key) == {"x": 1}
+    assert cache.quarantined_count() == 0
+    # A real read error (here, a directory where the file should be)
+    # leaves the lookup tree as it found it, too.
+    other = "ab" + "0" * 62
+    cache.path_for(other).mkdir(parents=True)
+    assert cache.get(other) is None and cache.path_for(other).is_dir()
+    assert cache.quarantined_count() == 0
+
+
 def test_quarantined_entries_are_never_rereadable(tmp_path):
     cache = ResultCache(tmp_path / "c")
     spec = _spec()

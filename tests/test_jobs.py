@@ -348,6 +348,29 @@ def test_cache_corruption_is_a_miss_not_a_crash(tmp_path, garbage):
     assert not cache.path_for(key).exists()  # bad entry discarded
 
 
+def test_writes_land_after_their_directories_vanish(tmp_path):
+    """Directories are made on the first write that finds them missing,
+    not checked before every write."""
+    import shutil
+
+    from repro.obs.runreg import RunRecord, RunRegistry
+
+    cache = ResultCache(tmp_path / "c")
+    registry = RunRegistry(tmp_path / "c" / "obs")
+    key = ep_spec().key()
+    cache.put(key, {}, {"x": 1})
+    registry.append(RunRecord(key="1", workload="w", policy="p",
+                              status="hit", backend="cache"))
+    shutil.rmtree(cache.path_for(key).parent)
+    shutil.rmtree(registry.root)
+    cache.put(key, {}, {"x": 2})
+    registry.append(RunRecord(key="2", workload="w", policy="p",
+                              status="computed", backend="serial"))
+    assert cache.get(key) == {"x": 2}
+    assert [r.key for r in registry.records()] == ["2"]
+    assert registry.sink.degraded is False
+
+
 def test_cache_default_dir_honors_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
     assert default_cache_dir() == tmp_path / "custom"

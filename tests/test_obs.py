@@ -288,8 +288,7 @@ def test_metrics_body_is_byte_pinned(monkeypatch):
 
 # -- span tracing -----------------------------------------------------
 
-def test_span_nesting_parent_ids_and_trace_id():
-    recorder().clear()
+def test_span_nesting_parent_ids_and_trace_id(span_sink):
     with span("outer", layer="test") as outer_ctx:
         assert current_context() is outer_ctx
         with span("inner") as inner_ctx:
@@ -300,7 +299,7 @@ def test_span_nesting_parent_ids_and_trace_id():
     for ident, digits in ((outer_ctx.trace_id, 32), (outer_ctx.span_id, 16),
                           (inner_ctx.span_id, 16)):
         assert len(ident) == digits and int(ident, 16) >= 0
-    spans = recorder().spans(trace_id=outer_ctx.trace_id)
+    spans = span_sink(trace_id=outer_ctx.trace_id)
     by_name = {s.name: s for s in spans}
     assert set(by_name) == {"outer", "inner"}
     assert by_name["inner"].parent_id == by_name["outer"].span_id
@@ -310,8 +309,7 @@ def test_span_nesting_parent_ids_and_trace_id():
     assert by_name["outer"].end >= by_name["outer"].start
 
 
-def test_span_propagates_across_thread_with_use_context():
-    recorder().clear()
+def test_span_propagates_across_thread_with_use_context(span_sink):
     with span("parent") as ctx:
         def worker():
             with use_context(ctx):
@@ -319,7 +317,7 @@ def test_span_propagates_across_thread_with_use_context():
                     pass
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(worker).result()
-    child = recorder().spans(trace_id=ctx.trace_id, name="child")
+    child = span_sink(trace_id=ctx.trace_id, name="child")
     assert len(child) == 1
     assert child[0].parent_id == ctx.span_id
 
@@ -330,25 +328,71 @@ def test_span_does_not_leak_into_plain_executor_threads():
             assert pool.submit(current_context).result() is None
 
 
-def test_span_records_error_status_and_reraises():
-    recorder().clear()
+def test_span_records_error_status_and_reraises(span_sink):
     with pytest.raises(ValueError):
         with span("boom") as ctx:
             raise ValueError("no")
-    failed = recorder().spans(trace_id=ctx.trace_id, name="boom")
+    failed = span_sink(trace_id=ctx.trace_id, name="boom")
     assert failed[0].status == "error"
 
 
-def test_span_jsonl_round_trip_and_sink(tmp_path):
+def _count_span_builds(monkeypatch) -> list[str]:
+    """Names of the :class:`Span` records built from here on."""
+    import repro.obs.tracing as tracing
+
+    built: list[str] = []
+
+    def counting(**fields):
+        built.append(fields["name"])
+        return Span(**fields)
+
+    monkeypatch.setattr(tracing, "Span", counting)
+    return built
+
+
+def test_a_span_with_no_sink_builds_no_record(monkeypatch):
+    monkeypatch.setattr(recorder(), "sink", None)
+    built = _count_span_builds(monkeypatch)
+    with span("outer") as outer:
+        with span("inner") as inner:
+            assert inner.parent_id == outer.span_id
+    assert built == [] and current_context() is None
+
+
+def test_sink_rows_keep_names_parents_attrs_and_status(monkeypatch,
+                                                      span_sink):
+    built = _count_span_builds(monkeypatch)
+    with span("serve.request", endpoint="/v1/run") as root:
+        with span("serve.schema"):
+            pass
+        with span("serve.cache_probe", key="k") as probe:
+            probe.attrs["tier"] = "miss"
+        with pytest.raises(ValueError):
+            with span("serve.batch", batch_size=1, keys=["k"]):
+                raise ValueError("no")
+    spans = span_sink(trace_id=root.trace_id)
+    names = {s.span_id: s.name for s in spans}
+    assert [(s.name, names.get(s.parent_id, ""), s.attrs, s.status)
+            for s in spans] == [
+        ("serve.schema", "serve.request", {}, "ok"),
+        ("serve.cache_probe", "serve.request",
+         {"key": "k", "tier": "miss"}, "ok"),
+        ("serve.batch", "serve.request",
+         {"batch_size": 1, "keys": ["k"]}, "error"),
+        ("serve.request", "", {"endpoint": "/v1/run"}, "ok"),
+    ]
+    assert built == [s.name for s in spans]
+
+
+def test_span_jsonl_round_trip_and_sink(tmp_path, span_sink):
     local = SpanRecorder()
-    local.set_sink(tmp_path / "spans.jsonl")
-    recorder().clear()
+    local.set_sink(tmp_path / "copy.jsonl")
     with span("one", key="k"):
         pass
-    spans = recorder().spans(name="one")
+    spans = span_sink(name="one")
     for s in spans:
-        local.record(s)
-    parsed = read_jsonl(tmp_path / "spans.jsonl", Span.from_dict)
+        local.sink.append(s.to_dict())
+    parsed = read_jsonl(tmp_path / "copy.jsonl", Span.from_dict)
     assert [s.to_dict() for s in parsed] == [s.to_dict() for s in spans]
 
 
@@ -634,6 +678,31 @@ def test_manifest_timestamps_empty_for_unstamped_entries():
     assert manifest.to_dict()["finished_at"] == ""
 
 
+def test_a_totals_only_manifest_keeps_no_rows_and_the_same_totals():
+    rows = [RunRecord(key=k, workload="EP", policy="static-2",
+                      status=status, backend="serial", wall_time=wall,
+                      started_at=start, finished_at=end)
+            for k, status, wall, start, end in (
+                ("a", "computed", 0.25, "2026-01-01T00:00:02+00:00",
+                 "2026-01-01T00:00:03+00:00"),
+                ("b", "hit", 0.0, "", ""),
+                ("c", "timeout", 0.5, "2026-01-01T00:00:01+00:00",
+                 "2026-01-01T00:00:02+00:00"),
+                ("d", "preflight-failed", 0.0, "2026-01-01T00:00:04+00:00",
+                 "2026-01-01T00:00:05+00:00"))]
+    full, totals = RunManifest(), RunManifest(entries=None)
+    for row in rows:
+        full.record(row)
+        totals.record(row)
+    assert totals.entries is None and len(full.entries) == 4
+    assert totals.counts == full.counts == {
+        "total": 4, "hits": 1, "computed": 1, "failed": 1, "timeouts": 1}
+    assert totals.summary() == full.summary()
+    assert (totals.started_at, totals.finished_at) == (
+        "2026-01-01T00:00:01+00:00", "2026-01-01T00:00:05+00:00")
+    assert {**full.to_dict(), "entries": []} == totals.to_dict()
+
+
 # -- satellite: drain-rate Retry-After --------------------------------
 
 def _pipeline(retry_after: float = 2.5,
@@ -749,9 +818,9 @@ def _sink_owner(sink: str, path):
                 registry.records)
     rec = SpanRecorder()
     rec.set_sink(path / "spans.jsonl")
-    return (rec, lambda i: rec.record(Span(
+    return (rec, lambda i: rec.sink.append(Span(
         trace_id="t", span_id=f"{i:016x}", parent_id="", name=f"s{i}",
-        start=float(i), end=i + 1.0)),
+        start=float(i), end=i + 1.0).to_dict()),
         lambda: read_jsonl(path / "spans.jsonl", Span.from_dict))
 
 
@@ -773,9 +842,6 @@ def test_unwritable_sink_drops_counts_and_warns_once(sink, tmp_path,
     warnings = [r for r in obs_warnings
                 if "sink unwritable" in r.getMessage()]
     assert [r.sink for r in warnings] == [sink]
-    if sink == "spans":
-        # The sink line was dropped but the in-memory ring kept the span.
-        assert [s.name for s in owner.spans()] == ["s0", "s1"]
 
 
 @pytest.mark.parametrize("sink", ["runreg", "spans"])
@@ -825,13 +891,13 @@ def test_run_registry_recovers_and_rewarns_per_episode(tmp_path, obs_warnings):
 def test_span_sink_set_sink_resets_the_degraded_episode(tmp_path):
     rec = SpanRecorder()
     rec.set_sink(_blocked_path(tmp_path))
-    rec.record(Span(trace_id="t", span_id="s", parent_id="", name="n",
-                    start=0.0, end=1.0))
+    rec.sink.append(Span(trace_id="t", span_id="s", parent_id="", name="n",
+                         start=0.0, end=1.0).to_dict())
     assert rec.sink.degraded is True
     good = tmp_path / "spans.jsonl"
     rec.set_sink(good)
     assert rec.sink.degraded is False
-    rec.record(Span(trace_id="t", span_id="s2", parent_id="", name="n2",
-                    start=1.0, end=2.0))
+    rec.sink.append(Span(trace_id="t", span_id="s2", parent_id="", name="n2",
+                         start=1.0, end=2.0).to_dict())
     assert rec.sink.degraded is False
     assert len(read_jsonl(good, Span.from_dict)) == 1

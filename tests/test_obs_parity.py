@@ -21,15 +21,8 @@ import pytest
 
 from repro import cli
 from repro.jobs import JobSpec, PolicySpec, WorkloadRef, app_result_to_dict
-from repro.obs import (
-    configure_logging,
-    recorder,
-    reset_default_registry,
-    span,
-)
+from repro.obs import configure_logging, reset_default_registry, span
 from repro.obs.runreg import RunRegistry
-from repro.obs.jsonl import read_jsonl
-from repro.obs.tracing import Span
 from repro.serve import ServeConfig, ServerThread
 from repro.sim.config import MachineConfig
 
@@ -55,7 +48,7 @@ def _synthetic_payload() -> dict:
 
 @pytest.mark.parametrize("policy", [PolicySpec.static(2), PolicySpec.fdt()],
                          ids=["static", "fdt"])
-def test_sim_results_bit_identical_with_obs_active(policy, tmp_path):
+def test_sim_results_bit_identical_with_obs_active(policy, span_sink):
     spec = _synthetic_spec(policy, iterations=16)
     baseline = app_result_to_dict(spec.run())
 
@@ -65,26 +58,22 @@ def test_sim_results_bit_identical_with_obs_active(policy, tmp_path):
     stream = io.StringIO()
     configure_logging(level="DEBUG", json_lines=True, stream=stream)
     reset_default_registry()
-    recorder().set_sink(tmp_path / "spans.jsonl")
     try:
         with span("parity.test", spec=spec.key()):
             loud = app_result_to_dict(spec.run())
     finally:
-        recorder().set_sink(None)
         configure_logging(level="WARNING")
 
     assert loud == baseline
+    assert span_sink(name="parity.test")
     assert loud["kernel_infos"][0]["result"] == \
         baseline["kernel_infos"][0]["result"]
 
 
 # -- one trace end to end ---------------------------------------------
 
-def test_served_request_produces_linked_telemetry(tmp_path, capsys):
+def test_served_request_produces_linked_telemetry(span_sink, capsys):
     reset_default_registry()
-    recorder().clear()
-    sink = tmp_path / "spans.jsonl"
-    recorder().set_sink(sink)
     stream = io.StringIO()
     configure_logging(level="INFO", json_lines=True, stream=stream)
     try:
@@ -105,7 +94,6 @@ def test_served_request_produces_linked_telemetry(tmp_path, capsys):
             finally:
                 conn.close()
     finally:
-        recorder().set_sink(None)
         configure_logging(level="WARNING")
 
     assert status == 200
@@ -115,7 +103,7 @@ def test_served_request_produces_linked_telemetry(tmp_path, capsys):
 
     # One trace covers the whole funnel: HTTP request, schema parse,
     # cache probe, batch dispatch, jobs resolution, simulation run.
-    spans = recorder().spans(trace_id=trace_id)
+    spans = span_sink(trace_id=trace_id)
     names = {s.name for s in spans}
     assert {"serve.request", "serve.schema", "serve.cache_probe",
             "serve.batch", "jobs.resolve", "sim.run"} <= names
@@ -128,8 +116,6 @@ def test_served_request_produces_linked_telemetry(tmp_path, capsys):
     assert chain == ["sim.run", "jobs.resolve", "serve.batch",
                      "serve.request"]
     assert all(s.status == "ok" for s in spans)
-    # The spans also landed in the configured JSONL sink.
-    assert trace_id in {s.trace_id for s in read_jsonl(sink, Span.from_dict)}
 
     # Structured log lines carry the same trace ID.
     request_logs = [json.loads(line) for line in

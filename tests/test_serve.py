@@ -37,7 +37,6 @@ from repro.jobs import (
 )
 from repro.jobs.manifest import RunManifest
 from repro.obs.runreg import RunRecord
-from repro.obs.tracing import recorder
 from repro.serve import (
     ExperimentServer,
     AsyncServeClient,
@@ -712,9 +711,8 @@ def test_request_timeout_resolves_to_timeout_status():
 
 # -- the validated-hit tier ---------------------------------------------
 
-def _probe_tiers() -> list[str]:
-    return [s.attrs["tier"]
-            for s in recorder().spans(name="serve.cache_probe")]
+def _probe_tiers(span_sink) -> list[str]:
+    return [s.attrs["tier"] for s in span_sink(name="serve.cache_probe")]
 
 
 def _warm_pipeline(count: int = 1):
@@ -724,7 +722,6 @@ def _warm_pipeline(count: int = 1):
     stored = app_result_to_dict(specs[0].run())
     for spec in specs:
         cache.put(spec.key(), spec.to_dict(), stored)
-    recorder().clear()
     return RequestPipeline(ServeConfig(), ServeMetrics(), cache), specs
 
 
@@ -740,7 +737,7 @@ def _resolve_each(pipeline: RequestPipeline, specs) -> list[Resolution]:
 
 
 @pytest.mark.parametrize("kind", ["corrupt", "torn", "io-error"])
-def test_a_probe_that_fails_validation_is_never_remembered(kind):
+def test_a_probe_that_fails_validation_is_never_remembered(kind, span_sink):
     pipeline, (spec,) = _warm_pipeline()
     plan = FaultPlan(seed=1, rules=(
         FaultRule(site="cache.read", kind=kind, max_fires=1),))
@@ -752,13 +749,13 @@ def test_a_probe_that_fails_validation_is_never_remembered(kind):
         assert faulted.ok and faulted.backend != "pipeline"
         assert pipeline._hot == {} and pipeline.replies(faulted) is None
         disk, memory = _resolve_each(pipeline, [spec, spec])
-    assert _probe_tiers() == ["miss", "disk", "memory"]
+    assert _probe_tiers(span_sink) == ["miss", "disk", "memory"]
     assert memory is disk and list(pipeline._hot) == [spec.key()]
     assert (disk.status, disk.backend) == (STATUS_HIT, "cache")
     assert disk.result == faulted.result
 
 
-def test_tier_is_bounded_and_evicts_oldest_first(monkeypatch):
+def test_tier_is_bounded_and_evicts_oldest_first(monkeypatch, span_sink):
     monkeypatch.setattr(pipeline_mod, "HOT_CAPACITY", 3)
     pipeline, specs = _warm_pipeline(count=4)
     first = _resolve_each(pipeline, specs)
@@ -766,20 +763,19 @@ def test_tier_is_bounded_and_evicts_oldest_first(monkeypatch):
     # The evicted key is a disk hit again (and evicts the next oldest).
     (again,) = _resolve_each(pipeline, [specs[0]])
     assert again == first[0] and again is not first[0]
-    assert _probe_tiers() == ["disk"] * 5
+    assert _probe_tiers(span_sink) == ["disk"] * 5
     assert list(pipeline._hot) == [s.key() for s in (*specs[2:], specs[0])]
     assert pipeline.metrics.hits.value() == 5
 
 
-def test_no_cache_builds_no_tier():
+def test_no_cache_builds_no_tier(span_sink):
     pipeline, metrics = _pipeline(ServeConfig(no_cache=True), _StubRunner())
     spec = _synthetic_spec()
-    recorder().clear()
     resolutions = _resolve_each(pipeline, [spec, spec])
     assert [r.status for r in resolutions] == [STATUS_COMPUTED] * 2
     assert pipeline.probe(spec.key()) is None
     assert pipeline._hot == {} and pipeline.replies(resolutions[0]) is None
-    assert _probe_tiers() == [] and metrics.hits.value() == 0
+    assert _probe_tiers(span_sink) == [] and metrics.hits.value() == 0
 
 
 def _raw(port: int, method: str, path: str,
@@ -795,11 +791,11 @@ def _raw(port: int, method: str, path: str,
         conn.close()
 
 
-def test_memory_served_replies_are_byte_identical_to_disk_served(tmp_path):
+def test_memory_served_replies_are_byte_identical_to_disk_served(tmp_path,
+                                                                span_sink):
     config = ServeConfig(port=0, cache_dir=str(tmp_path / "c"))
     bodies = [_synthetic_payload(iterations=n) for n in (8, 9, 10)]
     fdt_body = {"synthetic": bodies[1]["synthetic"]}
-    recorder().clear()
     with ServerThread(config) as handle:
         _raw(handle.port, "POST", "/v1/run", bodies[0])
         _raw(handle.port, "POST", "/v1/fdt", fdt_body)
@@ -824,8 +820,9 @@ def test_memory_served_replies_are_byte_identical_to_disk_served(tmp_path):
         reply = json.loads(body)
         assert status == 200 and reply["status"] == "hit", endpoint
         assert body == json_body(reply)
-    assert _probe_tiers() == (["miss"] * 3 + ["disk"] * 3 + ["memory"] * 4
-                              + ["disk"] * 3 + ["memory"] * 3)
+    assert _probe_tiers(span_sink) == (
+        ["miss"] * 3 + ["disk"] * 3 + ["memory"] * 4
+        + ["disk"] * 3 + ["memory"] * 3)
 
 
 # -- server endpoints over real sockets -------------------------------
@@ -1045,6 +1042,76 @@ def test_sigterm_drains_inflight_and_refuses_new_work(tmp_path):
     assert body["status"] == "computed"
     manifest = json.loads(manifest_path.read_text())
     assert manifest["counts"]["computed"] == 1
+
+
+# -- serving state per request ------------------------------------------
+
+@pytest.fixture
+def canned_execution(monkeypatch):
+    """Every job "simulates" by returning one real result at once."""
+    from repro.jobs import executor
+
+    canned = app_result_to_dict(_synthetic_spec().run())
+    monkeypatch.setattr(executor, "_execute_payload",
+                        lambda spec_dict, trace_dir=None: canned)
+
+
+def _post_never_seen(port: int, first: int, count: int) -> None:
+    with ServeClient(port=port) as client:
+        for n in range(first, first + count):
+            status, body = client.request(
+                "POST", "/v1/run", _synthetic_payload(iterations=n))
+            assert (status, body["status"]) == (200, "computed")
+
+
+def test_serving_state_does_not_grow_with_requests(tmp_path,
+                                                   canned_execution):
+    """What the process still holds after 2N more cold requests grows
+    by under 100 bytes a request: no row, span or record is kept."""
+    import gc
+    import tracemalloc
+
+    count = 100
+    config = ServeConfig(port=0, cache_dir=str(tmp_path / "c"))
+
+    def settled(handle: ServerThread) -> int:
+        while handle.server._conn_tasks:  # the last close is handled
+            time.sleep(0.001)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    with ServerThread(config) as handle:
+        tracemalloc.start()
+        try:
+            _post_never_seen(handle.port, 8, count)
+            before = settled(handle)
+            _post_never_seen(handle.port, 8 + count, 2 * count)
+            after = settled(handle)
+        finally:
+            tracemalloc.stop()
+        manifest = handle.server.manifest
+    assert manifest.entries is None
+    assert manifest.counts["computed"] == 3 * count
+    assert (after - before) / (2 * count) < 100, after - before
+
+
+def test_a_manifest_path_keeps_one_row_per_request(tmp_path,
+                                                   canned_execution):
+    path = tmp_path / "serve-manifest.json"
+    config = ServeConfig(port=0, cache_dir=str(tmp_path / "c"),
+                         manifest_path=str(path))
+    with ServerThread(config) as handle:
+        _post_never_seen(handle.port, 8, 5)
+        _raw(handle.port, "POST", "/v1/run", _synthetic_payload(iterations=8))
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["schema", "counts", "wall_time", "started_at",
+                         "finished_at", "entries"]
+    assert doc["counts"] == {"total": 5, "hits": 0, "computed": 5,
+                             "failed": 0, "timeouts": 0}
+    assert [e["status"] for e in doc["entries"]] == ["computed"] * 5
+    assert doc["started_at"] == min(e["started_at"] for e in doc["entries"])
+    assert doc["finished_at"] == max(e["finished_at"]
+                                     for e in doc["entries"])
 
 
 def test_server_thread_stop_is_idempotent_drain():

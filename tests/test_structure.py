@@ -269,6 +269,11 @@ RULES = (
          "generator context manager",
          (Path("src/repro/obs/tracing.py"),),
          absent(r"@contextmanager\ndef span\(")),
+    Rule("no-span-store",
+         "a serving process keeps nothing per span: a finished span goes "
+         "to the sink or nowhere, with no in-process ring",
+         (Path("src/repro/obs/tracing.py"),),
+         absent(r"deque\(|MAX_RECORDED_SPANS")),
     Rule("test-only-options",
          "every option has a caller outside tests: a value only tests set "
          "is a module constant they patch",
