@@ -35,3 +35,11 @@ def save_result(results_dir: Path):
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def panel(result, label: str):
+    """The panel of a figure result with this label (``KeyError`` if none)."""
+    for p in result.panels:
+        if p.label == label:
+            return p
+    raise KeyError(label)

@@ -1,4 +1,4 @@
-"""Side-by-side policy comparison on a set of workloads.
+"""Side-by-side policy comparison on a set of workloads (the shootout).
 
 The building block for "shootout" studies: run every (workload, policy)
 pair on a fresh machine, normalize within each workload to a chosen

@@ -161,7 +161,7 @@ def test_ablation_idle_power_floor(benchmark, save_result):
     """The paper's power metric gates idle cores perfectly.  With a
     leakage floor (idle cores at 20% of active power), FDT's saving
     shrinks but remains decisive for CS-limited workloads."""
-    from repro.power import ActiveCorePowerModel
+    from power_model import ActiveCorePowerModel
 
     def run():
         base = run_application(get("PageMine").build(0.25), StaticPolicy(),

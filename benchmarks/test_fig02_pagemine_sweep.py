@@ -6,7 +6,7 @@ substantially beyond, ending worse than single-threaded at 32.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments import FIGURES
 
@@ -15,7 +15,7 @@ def test_fig02_pagemine_sweep(benchmark, save_result):
     result = run_once(benchmark, lambda: FIGURES["fig2"].run(scale=0.25))
     save_result("fig02_pagemine", result.format())
 
-    sweep = result.panel("PageMine").sweep
+    sweep = panel(result, "PageMine").sweep
     curve = dict(zip(sweep.thread_counts, sweep.normalized_curve()))
     # The minimum sits at a small thread count (paper: ~4).
     assert 3 <= sweep.best_threads <= 6

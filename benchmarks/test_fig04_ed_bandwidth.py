@@ -7,7 +7,7 @@ utilization ramps linearly to 100 % at the same knee and stays there.
 from __future__ import annotations
 
 import pytest
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments import FIGURES
 from repro.experiments.figures import bus_saturation_threads
@@ -17,7 +17,7 @@ def test_fig04_ed_time_and_utilization(benchmark, save_result):
     result = run_once(benchmark, lambda: FIGURES["fig4"].run(scale=0.15))
     save_result("fig04_ed", result.format())
 
-    sweep = result.panel("ED").sweep
+    sweep = panel(result, "ED").sweep
     curve = dict(zip(sweep.thread_counts, sweep.normalized_curve()))
     util = dict(zip(sweep.thread_counts, sweep.utilization_curve()))
 

@@ -8,7 +8,7 @@ bound asserted here is 35 %, with the 32-thread baseline beaten by far.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments import FIGURES
 
@@ -24,18 +24,18 @@ def test_fig08_sat_panels(benchmark, save_result):
     result = run_once(benchmark, _run)
     save_result("fig08_sat", result.format())
 
-    for panel in result.panels:
+    for p in result.panels:
         # The knee is at a small thread count for every CS-limited app.
-        assert 3 <= panel.best_static_threads <= 8, panel.label
+        assert 3 <= p.best_static_threads <= 8, p.label
         # SAT picks a similarly small team...
-        assert 2 <= panel.threads[0] <= 8, panel.label
+        assert 2 <= p.threads[0] <= 8, p.label
         # ...lands near the minimum...
-        assert panel.vs_best <= 1.35, panel.label
+        assert p.vs_best <= 1.35, p.label
         # ...and crushes the 32-thread baseline on time and power.
-        assert panel.baseline == panel.sweep.point(32)
-        assert panel.norm_time < 0.7, panel.label
-        assert panel.norm_power < 0.35, panel.label
+        assert p.baseline == p.sweep.point(32)
+        assert p.norm_time < 0.7, p.label
+        assert p.norm_power < 0.35, p.label
 
     # Paper-specific picks that should hold at repro scale:
-    assert result.panel("ISort").threads == (7,)
-    assert result.panel("EP").threads[0] in (4, 5)
+    assert panel(result, "ISort").threads == (7,)
+    assert panel(result, "EP").threads[0] in (4, 5)

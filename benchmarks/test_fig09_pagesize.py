@@ -7,7 +7,7 @@ works for all inputs.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments import FIGURES
 from repro.experiments.figures import page_label
@@ -23,7 +23,7 @@ def test_fig09_best_threads_vs_pagesize(benchmark, save_result):
                                     thread_counts=_GRID))
     save_result("fig09_fig10_pagesize", result.format())
 
-    by_size = {size: result.panel(page_label(size)) for size in _SIZES}
+    by_size = {size: panel(result, page_label(size)) for size in _SIZES}
     # Bigger pages push the knee to more threads (paper Figure 9)...
     assert by_size[25600].best_static_threads > by_size[1024].best_static_threads
     assert by_size[10240].best_static_threads >= by_size[2560].best_static_threads

@@ -7,7 +7,7 @@ threads; its picks are 7, 17, 8, and 32+12 per kernel.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments import FIGURES, FigureResult
 
@@ -33,20 +33,20 @@ def test_fig12_bat_panels(benchmark, save_result):
     save_result("fig12_bat", result.format())
 
     # BAT's thread picks track the paper's.
-    assert result.panel("ED").threads[0] in (7, 8)            # paper: 7
-    assert result.panel("convert").threads[0] in (16, 17, 18)  # paper: 17
-    assert result.panel("Transpose").threads[0] in (7, 8, 9)   # paper: 8
-    t_gen, t_bm = result.panel("MTwister").threads                 # paper: 32, 12
+    assert panel(result, "ED").threads[0] in (7, 8)            # paper: 7
+    assert panel(result, "convert").threads[0] in (16, 17, 18)  # paper: 17
+    assert panel(result, "Transpose").threads[0] in (7, 8, 9)   # paper: 8
+    t_gen, t_bm = panel(result, "MTwister").threads    # paper: 32, 12
     assert t_gen == 32
     assert 10 <= t_bm <= 14
 
-    for panel in result.panels:
+    for p in result.panels:
         # Execution time near the minimum (paper: within 3%; repro adds
         # the serial-training floor).
-        assert panel.vs_best <= 1.30, panel.label
+        assert p.vs_best <= 1.30, p.label
 
     # Power savings vs 32 threads in the paper's bands.
-    assert result.panel("ED").power_saving > 0.65           # paper: 78%
-    assert result.panel("convert").power_saving > 0.35      # paper: 47%
-    assert result.panel("Transpose").power_saving > 0.6     # paper: 75%
-    assert result.panel("MTwister").power_saving > 0.2      # paper: 31%
+    assert panel(result, "ED").power_saving > 0.65           # paper: 78%
+    assert panel(result, "convert").power_saving > 0.35      # paper: 47%
+    assert panel(result, "Transpose").power_saving > 0.6     # paper: 75%
+    assert panel(result, "MTwister").power_saving > 0.2      # paper: 31%

@@ -7,7 +7,7 @@ BAT picks 8; at double bandwidth the curve keeps scaling and BAT picks
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments import FIGURES
 
@@ -18,8 +18,8 @@ def test_fig13_bandwidth_adaptation(benchmark, save_result):
     result = run_once(benchmark, lambda: FIGURES["fig13"].run(thread_counts=_GRID))
     save_result("fig13_bandwidth", result.format())
 
-    half = result.panel("0.5x")
-    double = result.panel("2x")
+    half = panel(result, "0.5x")
+    double = panel(result, "2x")
 
     # Half bandwidth: saturation around 8 threads; BAT tracks it.
     # (BAT runs a little high here because utilization scales

@@ -8,7 +8,7 @@ means -17 % time and -59 % power.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments.fig14_combined import run_fig14
 
@@ -23,21 +23,21 @@ def test_fig14_combined_all_workloads(benchmark, save_result):
 
     # Synchronization-limited: both time and power fall hard.
     for name in ("PageMine", "ISort", "GSearch", "EP"):
-        row = result.panel(name)
+        row = panel(result, name)
         assert row.norm_time < 0.7, name
         assert row.norm_power < 0.35, name
 
     # Bandwidth-limited: power falls hard at roughly flat time (the
     # residual few percent is the serial-training floor at repro scale).
     for name in ("ED", "convert", "Transpose"):
-        row = result.panel(name)
+        row = panel(result, name)
         assert row.norm_time < 1.30, name
         assert row.norm_power < 0.65, name
-    assert result.panel("MTwister").norm_power < 0.85  # paper: -31% vs oracle
+    assert panel(result, "MTwister").norm_power < 0.85  # paper: -31% vs oracle
 
     # Scalable: FDT keeps all 32 threads and changes little.
     for name in ("BT", "MG", "BScholes", "SConv"):
-        row = result.panel(name)
+        row = panel(result, name)
         assert row.threads[-1] == 32, name
         assert row.norm_time < 1.30, name
 

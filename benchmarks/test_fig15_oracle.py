@@ -7,7 +7,7 @@ power 31 % below the oracle's single whole-program choice.
 
 from __future__ import annotations
 
-from conftest import run_once
+from conftest import panel, run_once
 
 from repro.experiments import FIGURES, FigureResult
 from repro.experiments.figures import oracle_norm
@@ -43,13 +43,13 @@ def test_fig15_fdt_vs_oracle(benchmark, save_result):
     # per-kernel choice saves substantial power at similar time
     # (paper: 31% less power than the oracle at equal time; the repro
     # pays its Box-Muller training floor, ~a quarter extra).
-    mtw = result.panel("MTwister")
+    mtw = panel(result, "MTwister")
     _, oracle_time, oracle_power = oracle_norm(mtw)
     assert mtw.norm_power < 0.85 * oracle_power
     assert mtw.norm_time <= oracle_time * 1.30
 
     # Scalable apps: both policies keep every core busy.
     for name in ("BT", "BScholes", "SConv"):
-        row = result.panel(name)
+        row = panel(result, name)
         assert oracle_norm(row)[0] >= 24, name
         assert row.threads[-1] == 32, name

@@ -9,8 +9,8 @@ says it should, and the extensions close its known gaps.
 from __future__ import annotations
 
 from conftest import run_once
+from policy_compare import compare_policies
 
-from repro.analysis.compare import compare_policies
 from repro.fdt.policies import POLICIES
 from repro.workloads import get
 

@@ -31,7 +31,7 @@ def main() -> None:
     plan = FaultPlan.load(PLAN_PATH)
     print(f"loaded plan: {plan.description}")
     print(f"  seed={plan.seed}, {len(plan.rules)} rule(s), "
-          f"sites: {', '.join(sorted(plan.sites()))}")
+          f"sites: {', '.join(sorted({r.site for r in plan.rules}))}")
 
     specs = default_specs(workloads=("PageMine",), threads=2, scale=0.05)
     report = run_chaos(plan, BatchSubmit(specs))

@@ -13,8 +13,6 @@ _EXPORTS = {
     "gmean": "report",
     "machine_report": "inspection",
     "machine_report_json": "inspection",
-    "Comparison": "compare",
-    "compare_policies": "compare",
 }
 
 __all__ = list(_EXPORTS)

@@ -152,9 +152,10 @@ def register(sub: argparse._SubParsersAction,
                               f"({', '.join(sorted(FIXTURES))})")
     p_check.add_argument("--all", action="store_true",
                          help="check every Table 2 workload")
-    p_check.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                         help="static team size for the checked run "
-                              "(default %(default)s; clamped to >= 2)")
+    p_check.add_argument("--threads", type=int, default=None,
+                         help="static team size for the checked run, at "
+                              f"least 2 (default {DEFAULT_THREADS}, or "
+                              "every slot of a smaller machine)")
     p_check.add_argument("--static", action="store_true",
                          help="also run the ahead-of-run static analyzer "
                               "(lock-order proofs, barrier proofs, "

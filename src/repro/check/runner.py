@@ -30,14 +30,16 @@ from repro.workloads.synthetic import FIXTURES
 
 def check_application(app: Application,
                       config: MachineConfig | None = None,
-                      threads: int = DEFAULT_THREADS) -> CheckReport:
+                      threads: int | None = None) -> CheckReport:
     """Run every kernel of ``app`` under the sanitizer; report findings.
 
     Args:
         app: the application to check.
         config: machine to check on (baseline Table 1 machine if None).
-        threads: static team size for the checked run (>= 2 to give the
-            race detector something to see).
+        threads: static team size for the checked run (raised to 2 to
+            give the race detector something to see); ``None`` is
+            :data:`~repro.check.config.DEFAULT_THREADS`, or every slot of
+            a smaller machine.
 
     Returns:
         A :class:`~repro.check.findings.CheckReport`; ``report.clean``
@@ -46,7 +48,8 @@ def check_application(app: Application,
     Raises:
         ConfigError: the machine has fewer than 2 thread slots — a team
             of one has nobody to race or deadlock with, so every
-            positive control would pass vacuously.
+            positive control would pass vacuously — or fewer slots than
+            ``threads``, a team that would run clamped.
     """
     config = config or MachineConfig.asplos08_baseline()
     slots = config.num_thread_slots
@@ -55,11 +58,16 @@ def check_application(app: Application,
             f"a checked run needs a team of at least 2 threads, but this "
             f"machine has {slots} thread slot(s); give it more cores or "
             f"SMT contexts, or run the static analysis alone")
+    if threads is not None and threads > slots:
+        raise ConfigError(
+            f"a static team of {threads} threads exceeds the machine's "
+            f"{slots} hardware thread slots")
     observer = ThreadSanitizer()
     machine = Machine(config, observers=[observer])
     # The report names the team that ran, not the one asked for; a run
     # that aborts inside its first kernel was launched with this one.
-    team = max(2, min(threads, slots))
+    team = max(2, min(DEFAULT_THREADS, slots) if threads is None
+               else threads)
     policy = StaticPolicy(team)
 
     aborted: str | None = None
@@ -110,7 +118,7 @@ def resolve(name: str) -> AppBuilder:
 
 def check_workload(name: str, scale: float = 0.5,
                    config: MachineConfig | None = None,
-                   threads: int = DEFAULT_THREADS) -> CheckReport:
+                   threads: int | None = None) -> CheckReport:
     """Check a workload by name (see :func:`resolve`).
 
     Raises:

@@ -49,10 +49,6 @@ class ThreadSanitizer(SimObserver):
 
     # -- shared state helpers ----------------------------------------------
 
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
     # -- region lifecycle -----------------------------------------------------
 
     def on_region_begin(self, num_threads: int, now: int) -> None:

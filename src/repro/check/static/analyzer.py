@@ -86,16 +86,15 @@ class StaticReport:
 
 
 def analyze_application(
-        build: Application | Callable[[], Application],
+        build: Callable[[], Application],
         thread_counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
         config: MachineConfig | None = None) -> StaticReport:
     """Statically analyze an application at each requested team size.
 
     Args:
-        build: the application, or a zero-argument builder.  Pass a
-            builder whenever kernels carry mutable state: a fresh
-            application is then built per team size, so no analysis can
-            observe another's side effects.
+        build: a zero-argument builder of the application: a fresh
+            application is built per team size, so no analysis can
+            observe another's side effects (kernels carry state).
         thread_counts: team sizes to analyze.  A team of one is always
             added (the priors derive from it).
         config: machine whose cost parameters drive the abstract model
@@ -106,7 +105,6 @@ def analyze_application(
     if any(n < 1 for n in thread_counts):
         raise WorkloadError("team sizes must be >= 1")
     cfg = config or MachineConfig.asplos08_baseline()
-    builder = build if callable(build) else _constant(build)
 
     sizes = tuple(sorted(set(thread_counts) | {1}))
     name = ""
@@ -118,7 +116,7 @@ def analyze_application(
 
     executor = AbstractExecutor(cfg)
     for num_threads in sizes:
-        app = builder()
+        app = build()
         name = app.name
         for kernel in app.kernels:
             factories = kernel.factories(
@@ -161,13 +159,6 @@ def analyze_workload(
     build = resolve(name)
     return analyze_application(lambda: build(scale),
                                thread_counts=thread_counts, config=config)
-
-
-def _constant(app: Application) -> Callable[[], Application]:
-    """A builder that returns the one already-built application."""
-    def build() -> Application:
-        return app
-    return build
 
 
 def _team_findings(team: TeamSummary) -> list[Finding]:

@@ -47,19 +47,6 @@ class LockRegion:
         return (self.instructions == 0 and self.mem_ops == 0
                 and self.inner_locks == 0 and self.counter_reads == 0)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lock": self.lock_id,
-            "start_index": self.start_index,
-            "depth": self.depth,
-            "instructions": self.instructions,
-            "loads": self.loads,
-            "stores": self.stores,
-            "counter_reads": self.counter_reads,
-            "inner_locks": self.inner_locks,
-            "est_cycles": self.est_cycles,
-        }
-
 
 @dataclass(slots=True)
 class LockFault:
@@ -129,10 +116,6 @@ class ThreadSummary:
     #: The thread hit the op budget; totals are lower bounds and
     #: whole-stream properties (barriers, held-at-exit) are unknown.
     truncated: bool = False
-
-    @property
-    def mem_ops(self) -> int:
-        return self.loads + self.stores
 
     @property
     def distinct_lines(self) -> int:

@@ -5,7 +5,7 @@
 and the columns to print.  :func:`run_panels` is the one loop that runs
 them — static sweep, baseline, adaptive run, all through
 :mod:`repro.jobs` — and every result is a :class:`FigureResult` of
-:class:`Panel` records with ``.panel(label)`` and ``.format()`` (the
+:class:`Panel` records with ``.panels`` and ``.format()`` (the
 per-experiment index lives in DESIGN.md §5; paper-vs-measured numbers
 land in EXPERIMENTS.md)::
 

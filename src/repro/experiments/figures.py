@@ -475,11 +475,6 @@ def binding(p: Panel) -> str:
     return "tie"
 
 
-def crossed(result: FigureResult) -> bool:
-    """The sweep moved the binding constraint at least once."""
-    return {"SAT", "BAT"} <= {binding(p) for p in result.panels}
-
-
 def _crossover_specs(bus_lines: Sequence[int] = (0, 16, 64, 160),
                      cs_fraction: float = 0.02, iterations: int = 192,
                      thread_counts: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8,

@@ -151,12 +151,6 @@ class FigureResult:
     figure: Figure
     panels: tuple[Panel, ...]
 
-    def panel(self, label: str) -> Panel:
-        for p in self.panels:
-            if p.label == label:
-                return p
-        raise KeyError(label)
-
     @property
     def rows(self) -> list[tuple[object, ...]]:
         """The table's cells, one row per panel."""

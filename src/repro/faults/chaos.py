@@ -107,9 +107,6 @@ class ChaosReport:
     def passed(self) -> bool:
         return all(inv.ok for inv in self.invariants)
 
-    def violations(self) -> list[ChaosInvariant]:
-        return [inv for inv in self.invariants if not inv.ok]
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema": CHAOS_SCHEMA,
@@ -271,8 +268,9 @@ def run_chaos(plan: FaultPlan,
     if not report.passed:
         _log.warning("chaos run failed invariants",
                      extra={"mode": report.mode,
-                            "violations": [v.name
-                                           for v in report.violations()]})
+                            "violations": [inv.name
+                                           for inv in report.invariants
+                                           if not inv.ok]})
     return report
 
 
@@ -346,11 +344,8 @@ class ServeSubmit:
             thread.start()
             for spec, body in zip(self.specs, self.bodies):
                 yield self._post_until_served(thread.port, spec, body)
-            probe = ServeClient(port=thread.port, timeout=10.0)
-            try:
+            with ServeClient(port=thread.port, timeout=10.0) as probe:
                 responsive = probe.healthz().get("status") == "ok"
-            finally:
-                probe.close()
         finally:
             report.invariants.append(ChaosInvariant(
                 INV_RESPONSIVE, ok=responsive,
@@ -365,14 +360,12 @@ class ServeSubmit:
 
         status_seen = "unanswered"
         for _ in range(self.attempts):
-            client = ServeClient(port=port, timeout=30.0)
             try:
-                status, payload = client.request("POST", "/v1/run", body)
+                with ServeClient(port=port, timeout=30.0) as client:
+                    status, payload = client.request("POST", "/v1/run", body)
             except ServeClientError:
                 status_seen = "connection-error"  # dropped: retry fresh
                 continue
-            finally:
-                client.close()
             if status == 200:
                 return (spec.key(), str(payload.get("status", "ok")),
                         int(payload.get("cycles", -1)))

@@ -158,14 +158,6 @@ class FaultPlan:
         return FaultPlan(seed=seed, rules=self.rules,
                          description=self.description)
 
-    def sites(self) -> list[str]:
-        """The distinct sites this plan can reach, in rule order."""
-        seen: list[str] = []
-        for rule in self.rules:
-            if rule.site not in seen:
-                seen.append(rule.site)
-        return seen
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "schema": PLAN_SCHEMA,

@@ -123,29 +123,3 @@ class OpTable(dict[Hashable, tuple[Op, ...]]):
     def __missing__(self, key: Hashable) -> tuple[Op, ...]:
         ops = self[key] = tuple(self._build()(key))  # type: ignore[misc]
         return ops
-
-
-class FunctionKernel(DataParallelKernel):
-    """Adapter: build a data-parallel kernel from a plain function.
-
-    Args:
-        name: kernel name.
-        total_iterations: outer-loop trip count.
-        body: callable ``(i) -> ops`` (any iterable of ops) for one
-            iteration.
-    """
-
-    def __init__(self, name: str, total_iterations: int,
-                 body: Callable[[int], Iterable[Op]]) -> None:
-        if total_iterations < 1:
-            raise WorkloadError("kernel needs at least one iteration")
-        self.name = name
-        self._total = total_iterations
-        self._body = body
-
-    @property
-    def total_iterations(self) -> int:
-        return self._total
-
-    def serial_iteration(self, i: int) -> Iterable[Op]:
-        return self._body(i)

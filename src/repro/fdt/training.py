@@ -49,13 +49,6 @@ class TrainingSample:
             return float("inf") if self.cs_cycles else 0.0
         return self.cs_cycles / self.nocs_cycles
 
-    @property
-    def bus_utilization(self) -> float:
-        """Bus busy fraction during this iteration."""
-        if self.total_cycles <= 0:
-            return 0.0
-        return min(1.0, self.bus_busy_cycles / self.total_cycles)
-
 
 @dataclass(frozen=True, slots=True)
 class TrainingConfig:

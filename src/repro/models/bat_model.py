@@ -104,10 +104,3 @@ class BatModel:
         """BAT's integer choice for a machine with ``num_cores`` cores."""
         return predicted_thread_count(self.bu1, num_cores)
 
-    def curve(self, max_threads: int) -> list[float]:
-        """Execution times for P = 1..max_threads (figure generation)."""
-        return [self.execution_time(p) for p in range(1, max_threads + 1)]
-
-    def utilization_curve(self, max_threads: int) -> list[float]:
-        """Bus utilizations for P = 1..max_threads (Figure 4b shape)."""
-        return [self.bus_utilization(p) for p in range(1, max_threads + 1)]

@@ -86,14 +86,6 @@ class SatModel:
         """Eq. 1 for this workload."""
         return execution_time(self.t_nocs, self.t_cs, threads)
 
-    @property
-    def cs_fraction(self) -> float:
-        """Fraction of single-thread time spent in the critical section."""
-        total = self.t_nocs + self.t_cs
-        if total == 0:
-            return 0.0
-        return self.t_cs / total
-
     def optimal_threads(self, max_threads: int | None = None) -> float:
         """Eq. 3 (real-valued)."""
         return optimal_threads_cs(self.t_nocs, self.t_cs, max_threads)
@@ -102,6 +94,3 @@ class SatModel:
         """SAT's integer choice for a machine with ``num_cores`` cores."""
         return predicted_thread_count(self.t_nocs, self.t_cs, num_cores)
 
-    def curve(self, max_threads: int) -> list[float]:
-        """Execution times for P = 1..max_threads (figure generation)."""
-        return [self.execution_time(p) for p in range(1, max_threads + 1)]

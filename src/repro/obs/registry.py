@@ -200,9 +200,6 @@ class MetricsRegistry:
                   buckets: Iterable[float] = LATENCY_BUCKETS) -> Histogram:
         return self._get_or_create(Histogram, name, help_text, buckets)
 
-    def get(self, name: str) -> Instrument | None:
-        return self._instruments.get(name)
-
     def render_prometheus(self) -> str:
         """The full text exposition (version 0.0.4) of this registry."""
         with self._lock:

@@ -20,7 +20,7 @@ A finished span is kept nowhere in the process.  When a sink is set
 (``recorder().set_sink(path)`` or the ``REPRO_OBS_SPANS`` environment
 variable) it is built into a :class:`Span` and appended to a
 :class:`~repro.obs.jsonl.JsonLines` file, as run-registry rows are, and
-read back with ``read_jsonl(path, Span.from_dict)``; with no sink it is
+read back with ``read_jsonl(path, parse)``; with no sink it is
 not built at all, so a serving process holds nothing per span.
 
 Everything here is a pure observer of host time: nothing reads or
@@ -85,10 +85,6 @@ class Span:
     status: str = "ok"
     attrs: dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.end - self.start)
-
     def to_dict(self) -> dict:
         # ``duration`` is derived from the rounded bounds, so it is a
         # function of the serialized fields and survives a round trip.
@@ -104,14 +100,6 @@ class Span:
             "status": self.status,
             "attrs": dict(self.attrs),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        return cls(trace_id=data["trace_id"], span_id=data["span_id"],
-                   parent_id=data.get("parent_id", ""), name=data["name"],
-                   start=float(data["start"]), end=float(data["end"]),
-                   status=data.get("status", "ok"),
-                   attrs=dict(data.get("attrs", {})))
 
 
 class SpanRecorder:

@@ -88,10 +88,6 @@ class BarrierManager:
         arrived.clear()
         return releases
 
-    def pending(self, barrier_id: int) -> int:
-        """Cores currently waiting at ``barrier_id``."""
-        return len(self._barriers.get(barrier_id, ()))
-
     def any_waiting(self) -> bool:
         """True if any barrier has waiters (deadlock diagnosis)."""
         return any(self._barriers.values())

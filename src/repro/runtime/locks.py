@@ -122,16 +122,6 @@ class LockManager:
             self._observer.on_lock_acquired(lock_id, next_core, grant)
         return next_core, grant
 
-    def holder(self, lock_id: int) -> int | None:
-        """Core currently holding ``lock_id`` (None when free/unknown)."""
-        st = self._locks.get(lock_id)
-        return st.holder if st else None
-
-    def waiters(self, lock_id: int) -> int:
-        """Number of cores queued on ``lock_id``."""
-        st = self._locks.get(lock_id)
-        return len(st.waiters) if st else 0
-
     def any_held(self) -> bool:
         """True if any lock is held or has waiters (deadlock diagnosis)."""
         return any(st.holder is not None or st.waiters

@@ -16,10 +16,9 @@ Typical use::
 
     with ServerThread(ServeConfig(port=0)) as handle:
         client = ServeClient(port=handle.port)
-        decision = client.fdt("PageMine", scale=0.5)
+        status, decision = client.request(
+            "POST", "/v1/fdt", {"workload": "PageMine", "scale": 0.5})
         best = decision["chosen_threads"][0]
-        run = client.run("PageMine", scale=0.5,
-                         policy="static", threads=best)
 
 Or from the command line: ``repro serve`` / ``repro loadgen``.
 Names resolve on first use (PEP 562), so importing the package, or

@@ -56,10 +56,6 @@ class CircuitBreaker:
         self._probe_outstanding = False
         self._lock = threading.Lock()
 
-    @property
-    def state(self) -> str:
-        return self._state
-
     def allow(self) -> bool:
         """May a new leader enter the queue right now?
 

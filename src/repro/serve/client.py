@@ -10,9 +10,11 @@ is what the load generator drives.  Both write
 :mod:`repro.serve.http`'s one response parser, so neither can drift
 from the dialect the server speaks.
 
-Both raise :class:`~repro.errors.ServeClientError` on non-2xx
-responses, carrying the HTTP status and decoded body so callers can
-react to shed (429) and timeout (504) distinctly.
+``request`` returns the HTTP status with the decoded body, so a caller
+tells shed (429) from timeout (504) itself, and raises
+:class:`~repro.errors.ServeClientError` only when the transport fails;
+:meth:`ServeClient.run` and :meth:`ServeClient.healthz` raise it on a
+non-2xx reply too.
 """
 
 from __future__ import annotations
@@ -107,40 +109,16 @@ class ServeClient:
         response = self._exchange(method, path, body)
         return response.status, _decode_body(response.body)
 
-    # -- endpoints ----------------------------------------------------
-
     def run(self, workload: str | None = None, **fields: Any) -> dict:
         """``POST /v1/run``; see :mod:`repro.serve.schema` for fields."""
-        return _check(*self.request(
-            "POST", "/v1/run", _body(workload, fields)))
-
-    def sweep(self, workload: str | None = None, **fields: Any) -> dict:
-        return _check(*self.request(
-            "POST", "/v1/sweep", _body(workload, fields)))
-
-    def fdt(self, workload: str | None = None, **fields: Any) -> dict:
-        return _check(*self.request(
-            "POST", "/v1/fdt", _body(workload, fields)))
-
-    def result(self, key: str) -> dict:
-        return _check(*self.request("GET", f"/v1/result/{key}"))
+        payload = dict(fields)
+        if workload is not None:
+            payload["workload"] = workload
+        return _check(*self.request("POST", "/v1/run", payload))
 
     def healthz(self) -> dict:
+        """``GET /healthz``, the liveness probe."""
         return _check(*self.request("GET", "/healthz"))
-
-    def metrics_text(self) -> str:
-        response = self._exchange("GET", "/metrics")
-        if response.status != 200:
-            raise ServeClientError(f"metrics answered {response.status}",
-                                   status=response.status)
-        return response.body.decode("utf-8")
-
-
-def _body(workload: str | None, fields: dict) -> dict:
-    payload = dict(fields)
-    if workload is not None:
-        payload["workload"] = workload
-    return payload
 
 
 class AsyncServeClient:
@@ -179,16 +157,3 @@ class AsyncServeClient:
             except (ConnectionError, OSError):
                 pass
         return response.status, _decode_body(response.body)
-
-    async def run(self, workload: str | None = None,
-                  **fields: Any) -> dict:
-        return _check(*await self.request(
-            "POST", "/v1/run", _body(workload, fields)))
-
-    async def fdt(self, workload: str | None = None,
-                  **fields: Any) -> dict:
-        return _check(*await self.request(
-            "POST", "/v1/fdt", _body(workload, fields)))
-
-    async def healthz(self) -> dict:
-        return _check(*await self.request("GET", "/healthz"))

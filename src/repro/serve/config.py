@@ -84,6 +84,8 @@ class ServeConfig:
     manifest_path: str | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ServeError("port must be in 0..65535")
         if self.queue_depth < 1:
             raise ServeError("queue_depth must be >= 1")
         if self.workers < 1:

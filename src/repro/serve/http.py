@@ -89,14 +89,6 @@ class HttpResponse:
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
-    def json(self) -> dict:
-        if not self.body:
-            return {}
-        payload = json.loads(self.body.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise HttpProtocolError("response body must be a JSON object")
-        return payload
-
 
 async def _read_head(reader: asyncio.StreamReader) -> list[str] | None:
     """Read request/status line + headers; ``None`` on clean EOF."""

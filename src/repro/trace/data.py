@@ -48,16 +48,6 @@ class Span:
     def cycles(self) -> int:
         return self.end - self.start
 
-    def to_dict(self) -> dict:
-        return {
-            "core": self.core,
-            "agent": self.agent,
-            "state": self.state,
-            "start": self.start,
-            "end": self.end,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class CounterSample:
@@ -77,18 +67,6 @@ class CounterSample:
     lock_acquisitions: int
     retired_instructions: int
 
-    def to_dict(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "active_cores": self.active_cores,
-            "bus_busy_cycles": self.bus_busy_cycles,
-            "bus_transfers": self.bus_transfers,
-            "l3_misses": self.l3_misses,
-            "l3_accesses": self.l3_accesses,
-            "lock_acquisitions": self.lock_acquisitions,
-            "retired_instructions": self.retired_instructions,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class Mark:
@@ -99,10 +77,6 @@ class Mark:
     name: str
     cycle: int
     args: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "name": self.name,
-                "cycle": self.cycle, "args": dict(self.args)}
 
 
 @dataclass(slots=True)

@@ -46,6 +46,7 @@ def span_sink(tmp_path):
     the finished spans, in finish order, optionally filtered."""
     from repro.obs.jsonl import read_jsonl
     from repro.obs.tracing import Span, recorder
+    from tests.programs import span_from_dict
 
     path = tmp_path / "spans.jsonl"
     previous = recorder().sink
@@ -53,7 +54,7 @@ def span_sink(tmp_path):
 
     def read(trace_id: str | None = None,
              name: str | None = None) -> list[Span]:
-        return [s for s in read_jsonl(path, Span.from_dict)
+        return [s for s in read_jsonl(path, span_from_dict)
                 if trace_id in (None, s.trace_id) and name in (None, s.name)]
 
     yield read

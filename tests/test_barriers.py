@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.runtime.barriers import BarrierManager
 from repro.sim.config import MachineConfig
 from repro.sim.ring import Ring
+from tests.programs import pending
 
 
 @pytest.fixture
@@ -20,7 +21,7 @@ def barriers() -> BarrierManager:
 def test_incomplete_team_waits(barriers: BarrierManager):
     assert barriers.arrive(0, core=0, team_size=3, now=10) is None
     assert barriers.arrive(0, core=1, team_size=3, now=20) is None
-    assert barriers.pending(0) == 2
+    assert pending(barriers, 0) == 2
 
 
 def test_last_arrival_releases_everyone(barriers: BarrierManager):
@@ -30,7 +31,7 @@ def test_last_arrival_releases_everyone(barriers: BarrierManager):
     assert releases is not None
     assert {c for c, _t in releases} == {0, 1, 2}
     assert all(t >= 30 for _c, t in releases)
-    assert barriers.pending(0) == 0
+    assert pending(barriers, 0) == 0
 
 
 def test_release_propagation_scales_with_distance(barriers: BarrierManager):
@@ -71,7 +72,7 @@ def test_distinct_barriers_are_independent(barriers: BarrierManager):
     barriers.arrive(0, core=0, team_size=2, now=0)
     releases = barriers.arrive(1, core=1, team_size=1, now=0)
     assert releases is not None
-    assert barriers.pending(0) == 1
+    assert pending(barriers, 0) == 1
 
 
 def test_wait_cycles_accumulate(barriers: BarrierManager):

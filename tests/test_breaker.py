@@ -56,9 +56,9 @@ def test_trips_only_after_threshold_consecutive_failures():
     breaker = CircuitBreaker(threshold=3)
     breaker.record_failure()
     breaker.record_failure()
-    assert breaker.state == STATE_CLOSED and breaker.allow()
+    assert breaker.to_dict()["state"] == STATE_CLOSED and breaker.allow()
     breaker.record_failure()
-    assert breaker.state == STATE_OPEN
+    assert breaker.to_dict()["state"] == STATE_OPEN
     assert not breaker.allow()
 
 
@@ -67,29 +67,29 @@ def test_one_served_batch_resets_the_failure_streak():
     breaker.record_failure()
     breaker.record_success()  # mixed batch: somebody got an answer
     breaker.record_failure()
-    assert breaker.state == STATE_CLOSED
+    assert breaker.to_dict()["state"] == STATE_CLOSED
 
 
 def test_probe_after_denials_half_open_the_breaker():
     breaker = CircuitBreaker(threshold=1, probe_after=3)
     breaker.record_failure()
-    assert breaker.state == STATE_OPEN
+    assert breaker.to_dict()["state"] == STATE_OPEN
     assert not breaker.allow()  # denial 1
     assert not breaker.allow()  # denial 2
-    assert breaker.state == STATE_OPEN
+    assert breaker.to_dict()["state"] == STATE_OPEN
     assert not breaker.allow()  # denial 3: the *next* arrival probes
-    assert breaker.state == STATE_HALF_OPEN
+    assert breaker.to_dict()["state"] == STATE_HALF_OPEN
 
 
 def test_half_open_admits_exactly_one_probe():
     breaker = CircuitBreaker(threshold=1, probe_after=1)
     breaker.record_failure()
     breaker.allow()
-    assert breaker.state == STATE_HALF_OPEN
+    assert breaker.to_dict()["state"] == STATE_HALF_OPEN
     assert breaker.allow() is True  # the probe
     assert breaker.allow() is False  # everyone else waits on it
     breaker.record_success()
-    assert breaker.state == STATE_CLOSED
+    assert breaker.to_dict()["state"] == STATE_CLOSED
     assert breaker.allow()
 
 
@@ -99,19 +99,19 @@ def test_failed_probe_reopens():
     breaker.allow()
     assert breaker.allow()  # probe admitted
     breaker.record_failure()
-    assert breaker.state == STATE_OPEN
+    assert breaker.to_dict()["state"] == STATE_OPEN
     # The shed budget restarts from zero after re-opening.
     assert not breaker.allow()
-    assert breaker.state == STATE_HALF_OPEN
+    assert breaker.to_dict()["state"] == STATE_HALF_OPEN
 
 
 def test_note_drain_half_opens_only_while_open():
     breaker = CircuitBreaker(threshold=1, probe_after=100)
     breaker.note_drain()
-    assert breaker.state == STATE_CLOSED  # no-op when closed
+    assert breaker.to_dict()["state"] == STATE_CLOSED  # no-op when closed
     breaker.record_failure()
     breaker.note_drain()  # evidence the backend still drains
-    assert breaker.state == STATE_HALF_OPEN
+    assert breaker.to_dict()["state"] == STATE_HALF_OPEN
 
 
 def test_to_dict_snapshot():
@@ -159,7 +159,7 @@ def test_pipeline_trips_sheds_then_recovers_through_a_probe():
         # Two failed batches trip the breaker...
         for n in (1, 2):
             outcomes.append((await pipeline.resolve(_spec(n))).status)
-        assert pipeline.breaker.state == STATE_OPEN
+        assert pipeline.breaker.to_dict()["state"] == STATE_OPEN
         # ...so the next arrivals shed without touching the backend.
         calls_when_open = runner.calls
         shed1 = await pipeline.resolve(_spec(3))
@@ -168,7 +168,7 @@ def test_pipeline_trips_sheds_then_recovers_through_a_probe():
         # The second denial re-armed the probe; the backend has healed,
         # so the probe batch closes the breaker again.
         runner.broken = False
-        assert pipeline.breaker.state == STATE_HALF_OPEN
+        assert pipeline.breaker.to_dict()["state"] == STATE_HALF_OPEN
         probe = await pipeline.resolve(_spec(5))
         await pipeline.drain()
         return outcomes, shed1, shed2, probe
@@ -180,7 +180,7 @@ def test_pipeline_trips_sheds_then_recovers_through_a_probe():
         assert shed.error == "circuit open"
         assert shed.retry_after is not None and shed.retry_after > 0
     assert probe.status == "computed"
-    assert pipeline.breaker.state == STATE_CLOSED
+    assert pipeline.breaker.to_dict()["state"] == STATE_CLOSED
     assert metrics.shed.value() == 2
 
 
@@ -197,12 +197,12 @@ def test_cache_hit_while_open_is_a_drain_signal(tmp_path):
         await pipeline.start()
         first = await pipeline.resolve(_spec(1))
         assert first.status == STATUS_FAILED
-        assert pipeline.breaker.state == STATE_OPEN
+        assert pipeline.breaker.to_dict()["state"] == STATE_OPEN
         # A hit proves an abandoned batch warmed the cache: half-open
         # immediately instead of waiting out 100 shed decisions.
         hit = await pipeline.resolve(warm)
         assert hit.status == STATUS_HIT
-        assert pipeline.breaker.state == STATE_HALF_OPEN
+        assert pipeline.breaker.to_dict()["state"] == STATE_HALF_OPEN
         runner.broken = False
         probe = await pipeline.resolve(_spec(2))
         await pipeline.drain()
@@ -210,7 +210,7 @@ def test_cache_hit_while_open_is_a_drain_signal(tmp_path):
 
     probe = asyncio.run(go())
     assert probe.status == "computed"
-    assert pipeline.breaker.state == STATE_CLOSED
+    assert pipeline.breaker.to_dict()["state"] == STATE_CLOSED
 
 
 def test_forced_batch_timeout_never_reaches_the_runner():

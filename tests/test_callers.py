@@ -34,7 +34,8 @@ SRC = ROOT / "src"
 #: compare it through), and a reset of a process global between tests.
 CATEGORIES = ("workload oracle", "test-isolation hook")
 
-#: ``qualified name -> "<category>: <why>"``.
+#: ``qualified name -> "<category>: <why>"``.  Only tests call these, so
+#: ``tests/scan_executed.py`` allows them too.
 ALLOWED = {
     "repro.workloads.convert.ConvertKernel.expected_output":
         "workload oracle: compared with `output`",

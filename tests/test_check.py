@@ -204,7 +204,7 @@ def test_one_slot_machine_is_refused():
 
 def test_report_names_the_team_that_ran():
     two = MachineConfig.baseline_with(cores=2)
-    report = check_workload("synthetic-racy", config=two, threads=8)
+    report = check_workload("synthetic-racy", config=two)
     assert report.threads == 2
     assert {a for f in report.findings
             for a in f.details["agents"]} == {0, 1}
@@ -297,13 +297,13 @@ def test_discipline_incomplete_barrier_on_finish_is_idempotent():
 def test_sanitizer_tracks_held_locks_and_epoch():
     san = ThreadSanitizer()
     san.on_region_begin(2, now=0)
-    epoch = san.epoch
+    epoch = san._epoch
     san.on_lock_acquired(7, agent=0, grant=1)
     assert san._held[0] == [7]
     san.on_lock_released(7, agent=0, now=2)
     assert san._held[0] == []
     san.on_barrier_release(0, [(0, 3), (1, 3)], now=3)
-    assert san.epoch == epoch + 1
+    assert san._epoch == epoch + 1
 
 
 # -- report model ---------------------------------------------------------------

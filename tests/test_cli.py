@@ -144,6 +144,8 @@ def test_check_refuses_a_one_slot_machine(capsys):
     count, not a vacuous "OK" — while the static half needs no slots."""
     assert main(["check", "synthetic-racy", "--cores", "1"]) == 2
     assert "1 thread slot" in capsys.readouterr().err
+    assert main(["check", "EP", "--threads", "99"]) == 2
+    assert "exceeds the machine's 32" in capsys.readouterr().err
     code, out = run_cli(capsys, "check", "synthetic-racy", "--cores", "2")
     assert code == 1
     assert "(2 threads)" in out and "empty-lockset" in out

@@ -15,7 +15,6 @@ import pytest
 
 import repro.check
 from repro.check import (
-    DEFAULT_THREADS,
     ThreadSanitizer,
     analyze_application,
     analyze_workload,
@@ -136,7 +135,8 @@ def test_flag_defaults_are_the_config_and_library_defaults():
     assert chaos.jobs == _param(BatchSubmit, "jobs")
     assert chaos.attempts == SERVE_ATTEMPTS == _param(ServeSubmit, "attempts")
 
-    assert parser.parse_args(["check"]).threads == DEFAULT_THREADS
+    assert parser.parse_args(["check"]).threads == _param(
+        check_application, "threads")
     sweep = parser.parse_args(["sweep", "EP"])
     assert sweep.jobs == _param(JobRunner, "jobs")
     assert sweep.timeout == _param(JobRunner, "timeout")

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.compare import compare_policies
 from repro.errors import ConfigError
 from repro.fdt.policies import FdtPolicy, StaticPolicy
 from repro.sim.config import MachineConfig
 from repro.workloads import get
+from tests.programs import load
+
+#: The shootout's comparison helper lives beside it in benchmarks/.
+compare_policies = load("benchmarks/policy_compare.py").compare_policies
 
 CFG = MachineConfig.small()
 

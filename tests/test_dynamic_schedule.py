@@ -5,13 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.fdt.kernel import FunctionKernel
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application, run_application
 from repro.isa.ops import Compute
-from repro.runtime.schedule import dynamic_factories
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from tests.programs import load
+
+#: Dynamic scheduling is the example's own code.
+example = load("examples/dynamic_scheduling.py")
+FunctionKernel, dynamic_factories = example.FunctionKernel, example.dynamic_factories
 
 CFG = MachineConfig.small()
 

@@ -8,23 +8,17 @@ extensions_and_inspection) are exercised by the benchmarks they mirror.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
+
+from tests.programs import load
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
 def load_example(name: str):
-    path = EXAMPLES / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"example_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    assert spec.loader is not None
-    sys.modules[f"example_{name}"] = module
-    spec.loader.exec_module(module)
-    return module
+    return load(f"examples/{name}.py")
 
 
 def test_examples_directory_complete():

@@ -190,7 +190,7 @@ def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
     # The probe slice is charged to training on top of the serial loop.
     assert info.trained_iterations > record.trained_iterations
 
-    decisions = default_registry().get("repro_fdt_decisions_total")
+    decisions = default_registry()._instruments.get("repro_fdt_decisions_total")
     assert decisions is not None
     assert decisions.value(decision.mode) == 1
 

@@ -42,11 +42,6 @@ def test_sample_all_cs_has_infinite_ratio():
     assert s.cs_ratio == float("inf")
 
 
-def test_sample_bus_utilization():
-    s = sample(total=1000, bus=250)
-    assert s.bus_utilization == pytest.approx(0.25)
-
-
 # -- termination rules --------------------------------------------------------
 
 def test_stability_rule_stops_sat_only_training():

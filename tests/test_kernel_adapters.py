@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
-from repro.fdt.kernel import DataParallelKernel, FunctionKernel, TeamParallelKernel
+from repro.fdt.kernel import DataParallelKernel, TeamParallelKernel
 from repro.isa.ops import BarrierWait, Compute
+from tests.programs import load
+
+FunctionKernel = load("examples/dynamic_scheduling.py").FunctionKernel
 
 
 def test_function_kernel_wraps_a_plain_body():

@@ -10,6 +10,7 @@ from repro.errors import SimulationError
 from repro.runtime.locks import LockManager
 from repro.sim.config import MachineConfig
 from repro.sim.ring import Ring
+from tests.programs import holder, waiters
 
 
 def make_locks(**config_overrides) -> LockManager:
@@ -26,13 +27,13 @@ def locks() -> LockManager:
 def test_free_lock_granted_immediately(locks: LockManager):
     grant = locks.acquire(0, core=1, now=100)
     assert grant is not None and grant >= 100
-    assert locks.holder(0) == 1
+    assert holder(locks, 0) == 1
 
 
 def test_contended_acquire_queues(locks: LockManager):
     locks.acquire(0, core=0, now=0)
     assert locks.acquire(0, core=1, now=5) is None
-    assert locks.waiters(0) == 1
+    assert waiters(locks, 0) == 1
     assert locks.stats.contended_acquisitions == 1
 
 
@@ -50,7 +51,7 @@ def test_release_hands_off_in_fifo_order(locks: LockManager):
 def test_release_without_waiters_frees_lock(locks: LockManager):
     grant = locks.acquire(0, core=0, now=0)
     assert locks.release(0, core=0, now=grant + 10) is None
-    assert locks.holder(0) is None
+    assert holder(locks, 0) is None
 
 
 def test_release_by_non_holder_raises(locks: LockManager):
@@ -97,8 +98,8 @@ def test_independent_locks_do_not_interact(locks: LockManager):
     locks.acquire(0, core=0, now=0)
     grant = locks.acquire(1, core=1, now=0)
     assert grant is not None
-    assert locks.holder(0) == 0
-    assert locks.holder(1) == 1
+    assert holder(locks, 0) == 0
+    assert holder(locks, 1) == 1
 
 
 def test_lifo_grant_order_pops_newest_waiter():

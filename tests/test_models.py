@@ -71,18 +71,6 @@ def test_sat_prediction_at_least_one():
     assert sat_predict(0.01, 100, num_cores=32) == 1
 
 
-def test_sat_model_curve_matches_pointwise():
-    m = SatModel(t_nocs=80, t_cs=2)
-    curve = m.curve(8)
-    assert curve[0] == m.execution_time(1)
-    assert curve[7] == m.execution_time(8)
-
-
-def test_cs_fraction():
-    assert SatModel(98, 2).cs_fraction == pytest.approx(0.02)
-    assert SatModel(0, 0).cs_fraction == 0.0
-
-
 def test_sat_invalid_inputs():
     with pytest.raises(ValueError):
         sat_time(-1, 1, 2)
@@ -142,10 +130,9 @@ def test_bat_invalid_inputs():
 
 def test_bat_model_utilization_curve():
     m = BatModel(t1=1.0, bu1=0.125)
-    curve = m.utilization_curve(16)
-    assert curve[0] == pytest.approx(0.125)
-    assert curve[7] == pytest.approx(1.0)
-    assert curve[15] == pytest.approx(1.0)
+    assert m.bus_utilization(1) == pytest.approx(0.125)
+    assert m.bus_utilization(8) == pytest.approx(1.0)
+    assert m.bus_utilization(16) == pytest.approx(1.0)
 
 
 # -- Combined (Eq. 7 + appendix) --------------------------------------------

@@ -49,6 +49,7 @@ from repro.serve.pipeline import (
     RequestPipeline,
 )
 from repro.sim.config import MachineConfig
+from tests.programs import span_from_dict
 
 
 def _synthetic_spec(iterations: int = 8, threads: int = 2,
@@ -115,7 +116,7 @@ def test_registry_get_or_create_is_idempotent_and_kind_checked():
         registry.gauge("x_total", "x")
     with pytest.raises(ValueError, match="with label ''"):
         registry.counter("x_total", "x", label="kind")
-    assert registry.get("x_total") is a
+    assert registry._instruments["x_total"] is a
     assert registry.render_prometheus().count("# TYPE") == 1
 
 
@@ -133,7 +134,7 @@ def test_reset_default_registry_gives_clean_slate():
     default_registry().counter("tmp_total", "t").inc()
     fresh = reset_default_registry()
     assert fresh is default_registry()
-    assert fresh.get("tmp_total") is None
+    assert "tmp_total" not in fresh._instruments
 
 
 def test_serve_metrics_render_matches_pre_refactor_exposition():
@@ -392,7 +393,7 @@ def test_span_jsonl_round_trip_and_sink(tmp_path, span_sink):
     spans = span_sink(name="one")
     for s in spans:
         local.sink.append(s.to_dict())
-    parsed = read_jsonl(tmp_path / "copy.jsonl", Span.from_dict)
+    parsed = read_jsonl(tmp_path / "copy.jsonl", span_from_dict)
     assert [s.to_dict() for s in parsed] == [s.to_dict() for s in spans]
 
 
@@ -400,7 +401,7 @@ def test_span_dict_round_trip_is_exact_when_bounds_round_apart():
     """Raw duration 1.2 us, but the 6-place bounds sit 2 us apart."""
     one = Span(trace_id="t", span_id="s", parent_id="", name="n",
                start=10.0000004, end=10.0000016)
-    assert Span.from_dict(one.to_dict()).to_dict() == one.to_dict()
+    assert span_from_dict(one.to_dict()).to_dict() == one.to_dict()
 
 
 # -- structured logging -----------------------------------------------
@@ -540,10 +541,10 @@ def test_job_runner_writes_provenance_rows():
     # The registry rides under the cache root, so `repro obs` finds it.
     assert str(runner.run_registry.path).startswith(str(cache.root))
     # And the default-registry instruments moved with it.
-    lookups = default_registry().get("repro_jobs_cache_total")
+    lookups = default_registry()._instruments.get("repro_jobs_cache_total")
     assert lookups.value("hit") == 1
     assert lookups.value("miss") == 1
-    resolutions = default_registry().get("repro_jobs_resolutions_total")
+    resolutions = default_registry()._instruments.get("repro_jobs_resolutions_total")
     assert resolutions.value("computed") == 1
     assert resolutions.value("hit") == 1
 
@@ -560,11 +561,11 @@ def test_fdt_job_records_decision_and_estimates():
     assert decision["threads"] >= 1
     assert "estimates" in decision
     # The decision also published to the shared registry.
-    decisions = default_registry().get("repro_fdt_decisions_total")
+    decisions = default_registry()._instruments.get("repro_fdt_decisions_total")
     assert decisions is not None and decisions.value("sat+bat") >= 1
-    chosen = default_registry().get("repro_fdt_chosen_threads")
+    chosen = default_registry()._instruments.get("repro_fdt_chosen_threads")
     assert chosen is not None and chosen.count >= 1
-    assert default_registry().get("repro_fdt_p_fdt") is not None
+    assert default_registry()._instruments.get("repro_fdt_p_fdt") is not None
 
 
 def test_obs_cli_list_show_tail_report(capsys):
@@ -821,7 +822,7 @@ def _sink_owner(sink: str, path):
     return (rec, lambda i: rec.sink.append(Span(
         trace_id="t", span_id=f"{i:016x}", parent_id="", name=f"s{i}",
         start=float(i), end=i + 1.0).to_dict()),
-        lambda: read_jsonl(path / "spans.jsonl", Span.from_dict))
+        lambda: read_jsonl(path / "spans.jsonl", span_from_dict))
 
 
 @pytest.mark.parametrize("sink", ["runreg", "spans"])
@@ -900,4 +901,4 @@ def test_span_sink_set_sink_resets_the_degraded_episode(tmp_path):
     rec.sink.append(Span(trace_id="t", span_id="s2", parent_id="", name="n2",
                          start=1.0, end=2.0).to_dict())
     assert rec.sink.degraded is False
-    assert len(read_jsonl(good, Span.from_dict)) == 1
+    assert len(read_jsonl(good, span_from_dict)) == 1

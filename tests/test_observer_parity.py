@@ -69,7 +69,7 @@ class DecisionTap(SimObserver):
 
 
 #: What each plug-in must show after a run to prove it observed it.
-SAW_THE_RUN = {ThreadSanitizer: lambda o: o.epoch > 0,
+SAW_THE_RUN = {ThreadSanitizer: lambda o: o._epoch > 0,
                TraceRecorder: lambda o: o.data.spans and o.data.num_cores == 32,
                EventCounter: lambda o: o.machine and o.regions and o.accesses,
                DecisionTap: lambda o: all(replay(d) == d.chosen_threads

@@ -31,6 +31,7 @@ from repro.sim.observer import SimObserver
 from repro.trace import TraceRecorder, run_traced
 from repro.workloads import get
 from tests import spec_memsys
+from tests.programs import holder, waiters
 from tests.spec_memsys import spec_machine
 
 
@@ -242,7 +243,7 @@ def test_deadlock_diagnosed_while_sibling_runs_ahead():
     machine = Machine(MachineConfig.small())
     with pytest.raises(DeadlockError, match=r"blocked on cores \[1\]"):
         machine.run_parallel([factory] * 2, spawn_overhead=False)
-    assert machine.locks.holder(0) == 0 and machine.locks.waiters(0) == 1
+    assert holder(machine.locks, 0) == 0 and waiters(machine.locks, 0) == 1
 
 
 def test_op_by_op_machine_runs_every_access_on_the_spec(monkeypatch):

@@ -9,6 +9,7 @@ from repro.runtime.barriers import BarrierManager
 from repro.runtime.locks import LockManager
 from repro.sim.config import MachineConfig
 from repro.sim.ring import Ring
+from tests.programs import holder, pending, waiters
 
 
 def managers(num_agents: int = 8):
@@ -29,7 +30,7 @@ def test_lock_grants_follow_fifo_arrival_order(order):
         assert locks.acquire(0, agent, now=i) is None
     served = [first]
     now = grant0 + 10
-    while locks.waiters(0):
+    while waiters(locks, 0):
         handoff = locks.release(0, served[-1], now)
         assert handoff is not None
         nxt, grant = handoff
@@ -50,9 +51,8 @@ def test_at_most_one_holder_per_lock(acquires):
         grant = locks.acquire(0, agent, now)
         if grant is None:
             # Drain the queue: the holder releases until this agent runs.
-            holder = locks.holder(0)
-            while locks.holder(0) != agent:
-                handoff = locks.release(0, locks.holder(0), now + 5)
+            while holder(locks, 0) != agent:
+                handoff = locks.release(0, holder(locks, 0), now + 5)
                 assert handoff is not None
                 now = handoff[1]
             grant = now
@@ -60,10 +60,10 @@ def test_at_most_one_holder_per_lock(acquires):
         handoff = locks.release(0, agent, grant + 3)
         now = handoff[1] if handoff else grant + 3
         # after release-with-handoff the next holder is set; release them
-        while locks.holder(0) is not None:
-            handoff = locks.release(0, locks.holder(0), now + 1)
+        while holder(locks, 0) is not None:
+            handoff = locks.release(0, holder(locks, 0), now + 1)
             now = handoff[1] if handoff else now + 1
-    assert locks.holder(0) is None
+    assert holder(locks, 0) is None
 
 
 @given(team=st.integers(2, 8), arrival_gaps=st.lists(
@@ -98,4 +98,4 @@ def test_barrier_generations_are_independent(team, generations):
                 assert out is None
         now += 1000
     assert barriers.stats.episodes == generations
-    assert barriers.pending(7) == 0
+    assert pending(barriers, 7) == 0

@@ -35,6 +35,7 @@ from repro.serve import ExperimentServer, ServeClient, ServeConfig, ServerThread
 from repro.serve.http import HttpRequest
 from repro.serve.server import HTTP_STATUS
 from repro.sim.config import MachineConfig
+from tests.programs import served
 
 
 def _spec(iterations: int = 8, threads: int = 2,
@@ -237,14 +238,15 @@ def test_shape_corrupt_cache_entry_is_a_miss_on_every_endpoint(tmp_path):
         assert status == 404, payload  # the parent: 200 hit, corrupt dict
         # Recomputed and overwritten, never served (the parent: 500
         # KeyError on /v1/run and /v1/sweep, forever).
-        run = client.run(**_body())
+        run = served(client, "POST", "/v1/run", _body())
         assert run["status"] == "computed" and run["cycles"] > 0
-        assert client.result(key)["result"] == run["result"]
-        fdt = client.fdt(**dict(_body(), policy="fdt", threads=None))
+        assert served(client, "GET", f"/v1/result/{key}")["result"] == run["result"]
+        fdt = served(client, "POST", "/v1/fdt",
+                     dict(_body(), policy="fdt", threads=None))
         assert fdt["status"] == "computed" and fdt["chosen_threads"]
-        sweep = client.sweep(**dict(_body(), threads=[1, 2]))
+        sweep = served(client, "POST", "/v1/sweep", dict(_body(), threads=[1, 2]))
         assert [p["status"] for p in sweep["points"]] == ["computed", "hit"]
-        assert client.run(**_body())["status"] == "hit"
+        assert served(client, "POST", "/v1/run", _body())["status"] == "hit"
 
 
 def test_batch_path_recomputes_a_shape_corrupt_entry(tmp_path):
@@ -272,10 +274,10 @@ def test_warm_hit_decodes_the_result_once_per_request(tmp_path, monkeypatch):
 
     with ServerThread(ServeConfig(port=0, cache_dir=str(tmp_path))) as h, \
             ServeClient(port=h.port) as client:
-        assert client.run(**_body())["status"] == "computed"
+        assert served(client, "POST", "/v1/run", _body())["status"] == "computed"
         monkeypatch.setattr(jobs_api, "app_result_from_dict", counting)
         monkeypatch.setattr(server_mod, "app_result_from_dict", counting)
-        assert client.run(**_body())["status"] == "hit"
+        assert served(client, "POST", "/v1/run", _body())["status"] == "hit"
     assert len(decodes) == 1
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from repro.fdt.kernel import FunctionKernel
 from repro.fdt.policies import StaticPolicy
 from repro.fdt.runner import Application, run_application
 from repro.isa.ops import Compute, Load
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
+from tests.programs import load
+
+FunctionKernel = load("examples/dynamic_scheduling.py").FunctionKernel
 
 CFG = MachineConfig.small()
 

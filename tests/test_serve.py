@@ -71,6 +71,7 @@ from repro.jobs.resolution import (
     STATUS_TIMEOUT,
 )
 from repro.sim.config import MachineConfig
+from tests.programs import metrics_text, served
 
 
 def _synthetic_spec(iterations: int = 8, threads: int = 2) -> JobSpec:
@@ -258,7 +259,7 @@ def test_http_response_round_trip_and_errors():
         assert response.status == 429
         assert response.headers["retry-after"] == "1"
         assert response.headers["connection"] == "close"
-        assert response.json() == {"error": "shed"}
+        assert json.loads(response.body) == {"error": "shed"}
         with pytest.raises(HttpProtocolError, match="request line"):
             await read_request(_reader_for(b"nonsense\r\n\r\n"))
         with pytest.raises(HttpProtocolError, match="Content-Length"):
@@ -331,8 +332,8 @@ def test_server_answers_pipelined_requests_in_order():
             handle.port,
             request_bytes("GET", "/healthz", host="h")
             + request_bytes("GET", "/v1/nonsense", host="h"), replies=2)
-    assert health.status == 200 and health.json()["status"] == "ok"
-    assert missing.status == 404 and "nonsense" in missing.json()["error"]
+    assert health.status == 200 and json.loads(health.body)["status"] == "ok"
+    assert missing.status == 404 and "nonsense" in json.loads(missing.body)["error"]
 
 
 @pytest.mark.parametrize("head", [
@@ -344,7 +345,7 @@ def test_server_answers_an_oversized_head_with_400(head):
     with ServerThread(ServeConfig(port=0)) as handle:
         (refused,) = _send_raw(handle.port, head)
         assert refused.status == 400
-        assert "too large" in refused.json()["error"]
+        assert "too large" in json.loads(refused.body)["error"]
         assert refused.headers["connection"] == "close"
         (served,) = _send_raw(handle.port,
                               request_bytes("GET", "/healthz", host="h"))
@@ -360,7 +361,7 @@ def test_server_answers_a_static_team_larger_than_the_machine_with_400():
         (refused,) = _send_raw(handle.port, request_bytes(
             "POST", "/v1/run", host="h", body=body))
     assert refused.status == 400
-    assert "32 hardware thread slots" in refused.json()["error"]
+    assert "32 hardware thread slots" in json.loads(refused.body)["error"]
 
 
 # -- the two clients, one dialect ---------------------------------------
@@ -461,10 +462,9 @@ def test_blocking_client_reconnects_after_a_close_reply_or_a_cut_one():
             assert err.value.status == 0 and server.connections == 2
             assert client.healthz() == {"status": "ok"}
             assert server.connections == 3
-            # The kept connection is reused; metrics_text shares it.
-            with pytest.raises(ServeClientError, match="503") as err:
-                client.metrics_text()
-            assert err.value.status == 503 and server.connections == 3
+            # The kept connection is reused for the next request.
+            assert client.request("GET", "/metrics")[0] == 503
+            assert server.connections == 3
 
 
 # -- request canonicalization -----------------------------------------
@@ -589,6 +589,9 @@ def test_schema_sweep_clamps_and_sorts_thread_counts():
 
 
 def test_serve_config_validates_knobs():
+    for port in (-1, 70000):
+        with pytest.raises(ServeError, match="port"):
+            ServeConfig(port=port)
     with pytest.raises(ServeError, match="queue_depth"):
         ServeConfig(queue_depth=0)
     with pytest.raises(ServeError, match="workers"):
@@ -861,13 +864,13 @@ def test_server_serves_repeats_from_cache_without_simulating():
             assert len(calls) == 1  # no new simulator invocation
 
             # The content key works on the read-only result endpoint ...
-            fetched = client.result(first["key"])
+            fetched = served(client, "GET", f"/v1/result/{first['key']}")
             assert fetched["result"] == first["result"]
             # ... and a bogus key is a 404, not an error.
             status, missing = client.request("GET", "/v1/result/feedbeef")
             assert status == 404
 
-            samples = parse_prometheus(client.metrics_text())
+            samples = parse_prometheus(metrics_text(client))
             assert samples["repro_serve_cache_misses_total"] == 1
             assert samples["repro_serve_cache_hits_total"] >= 2
 
@@ -902,21 +905,19 @@ def test_server_run_fdt_and_sweep_endpoints():
             health = client.healthz()
             assert health["status"] == "ok"
 
-            run = client.run(synthetic={"cs_fraction": 0.2, "bus_lines": 2,
-                                        "iterations": 8,
-                                        "compute_instr": 200},
-                             policy="static", threads=2,
-                             machine={"cores": 8})
+            run = served(client, "POST", "/v1/run", dict(
+                synthetic={"cs_fraction": 0.2, "bus_lines": 2,
+                           "iterations": 8, "compute_instr": 200},
+                policy="static", threads=2, machine={"cores": 8}))
             assert run["cycles"] > 0
             assert run["threads"] == [2]
             assert set(run) >= {"power", "ipc", "energy",
                                 "bus_utilization", "key"}
 
-            decision = client.fdt(synthetic={"cs_fraction": 0.4,
-                                             "bus_lines": 0,
-                                             "iterations": 16,
-                                             "compute_instr": 200},
-                                  machine={"cores": 8})
+            decision = served(client, "POST", "/v1/fdt", dict(
+                synthetic={"cs_fraction": 0.4, "bus_lines": 0,
+                           "iterations": 16, "compute_instr": 200},
+                machine={"cores": 8}))
             assert decision["policy"] == "fdt"
             assert len(decision["chosen_threads"]) == 1
             assert 1 <= decision["chosen_threads"][0] <= 8
@@ -924,11 +925,10 @@ def test_server_run_fdt_and_sweep_endpoints():
             assert kernel["estimates"]  # the Eq. 3/5/7 curve
             assert kernel["threads"] == decision["chosen_threads"][0]
 
-            sweep = client.sweep(synthetic={"cs_fraction": 0.2,
-                                            "bus_lines": 2,
-                                            "iterations": 8,
-                                            "compute_instr": 200},
-                                 threads=[1, 2, 4], machine={"cores": 8})
+            sweep = served(client, "POST", "/v1/sweep", dict(
+                synthetic={"cs_fraction": 0.2, "bus_lines": 2,
+                           "iterations": 8, "compute_instr": 200},
+                threads=[1, 2, 4], machine={"cores": 8}))
             assert [p["threads"] for p in sweep["points"]] == [1, 2, 4]
             assert sweep["best_threads"] in (1, 2, 4)
             best = min(sweep["points"], key=lambda p: p["cycles"])
@@ -994,7 +994,7 @@ def test_overloaded_server_sheds_with_retry_after():
         assert shed_body["status"] == "shed"
         assert all(status == 200 for status, _ in served)
         samples = parse_prometheus(
-            ServeClient(port=handle.port).metrics_text())
+            metrics_text(ServeClient(port=handle.port)))
         assert samples["repro_serve_shed_total"] == 1
         assert samples['repro_serve_responses_total{code="429"}'] == 1
 
@@ -1034,7 +1034,7 @@ def test_sigterm_drains_inflight_and_refuses_new_work(tmp_path):
 
         # New connections are refused once the listener closed.
         with pytest.raises(ServeClientError):
-            await client.healthz()
+            await client.request("GET", "/healthz")
         return status, body
 
     status, body = asyncio.run(go())
@@ -1133,7 +1133,7 @@ def test_loadgen_reconciles_with_server_metrics():
             "127.0.0.1", handle.port, _synthetic_payload(),
             rps=40.0, duration=0.5)
         samples = parse_prometheus(
-            ServeClient(port=handle.port).metrics_text())
+            metrics_text(ServeClient(port=handle.port)))
 
     assert report.sent == 20
     assert report.completed == report.sent

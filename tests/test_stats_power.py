@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.power import ActiveCorePowerModel
 from repro.sim.stats import RunResult, Snapshot
+from tests.programs import load
+
+#: The idle-floor ablation's power model lives beside it in benchmarks/.
+ActiveCorePowerModel = load("benchmarks/power_model.py").ActiveCorePowerModel
 
 
 def make_result(cycles=1000, busy=4000, spin=500, bus=250, retired=2000):

@@ -14,9 +14,12 @@ and :func:`spelled`.  A new rule is a new row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
+import io
 import re
+import shlex
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -37,6 +40,7 @@ from repro.workloads.ep import EpKernel
 from repro.workloads.isort import ISortKernel
 from repro.workloads.mg import MgKernel
 from repro.workloads.synthetic import SyntheticKernel
+from tests.roster import LEAVES, ROSTER, Row, Serve
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -162,6 +166,46 @@ def paths_exist(path: Path) -> bool:
     missing = sorted(name for name in names
                      if not (any(ROOT.glob(name)) if "*" in name
                              else (ROOT / name).exists()))
+    assert not missing, missing
+    return True
+
+
+def _leaves(parser: argparse.ArgumentParser, path: tuple = ()) -> list[str]:
+    """Every command of the argparse tree, as its words joined."""
+    subs = [action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        return [" ".join(path)]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in _leaves(child, path + (name,))]
+
+
+def help_for_every_leaf(leaves: tuple[str, ...]) -> bool:
+    """The roster asks every leaf of the argparse tree for ``--help``."""
+    assert sorted(leaves) == sorted(_leaves(_parser())), _leaves(_parser())
+    return True
+
+
+#: What a placeholder of a roster line stands for when it is parsed.
+_PLACEHOLDERS = {"{out}": "out", "{port}": "8080", "{key}": "0123abcd"}
+
+
+def row_parses(row: Row | Serve) -> bool:
+    """A roster row's ``repro`` line parses with build_parser() (a
+    ``--help`` line exits 0), and every repository file it names exists."""
+    words = [functools.reduce(lambda w, p: w.replace(*p),
+                              _PLACEHOLDERS.items(), word)
+             for word in (row.argv if isinstance(row, Row)
+                          else shlex.split(row.line))]
+    if words[0] == "repro":
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                _parser().parse_args(words[1:])
+        except SystemExit as exc:
+            assert exc.code == 0, err.getvalue()
+    missing = [name for name in getattr(row, "files", ())
+               if not (ROOT / name).exists()]
     assert not missing, missing
     return True
 
@@ -309,6 +353,18 @@ RULES = (
          "every src/, tests/ or benchmarks/ path that README.md and docs/ "
          "name exists",
          (Path("README.md"), Path("docs")), paths_exist),
+    Rule("roster-commands-parse",
+         "every command line of tests/roster.py parses with build_parser() "
+         "and names only files that exist: a renamed flag fails here, not "
+         "only when the roster runs",
+         tuple(entry for item in ROSTER
+               for entry in ((item, *item.rows) if isinstance(item, Serve)
+                             else (item,))),
+         row_parses),
+    Rule("roster-help-leaves",
+         "tests/roster.py asks every subcommand for --help: its LEAVES are "
+         "the argparse tree's leaves",
+         (LEAVES,), help_for_every_leaf),
     Rule("obs-one-of-each",
          "repro.obs keeps one of each: one counter type (a label is an "
          "argument), one JSON-lines file behind the run registry and the "
@@ -326,6 +382,10 @@ RULES = (
 def _name(subject: Any) -> str:
     if isinstance(subject, Path):
         return subject.as_posix()
+    if isinstance(subject, (Row, Serve)):
+        return subject.line
+    if subject is LEAVES:
+        return "LEAVES"
     if isinstance(subject, Spelling):
         return subject.name
     return getattr(subject, "__qualname__", subject.__name__)
