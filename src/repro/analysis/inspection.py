@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.sim.branch import BranchStats
 from repro.sim.cache import CacheStats, SetAssocCache
 from repro.sim.core import Core
 from repro.sim.machine import Machine
@@ -41,13 +40,11 @@ def _core_stats(core_id: int, core: Core | None) -> dict[str, Any]:
     """One core's row; ``None`` (a core never built) is its zero stats."""
     if core is None:
         return {"core": core_id, "retired_instructions": 0,
-                "spin_cycles": 0,
-                "branch_accuracy": round(BranchStats().accuracy, 6)}
+                "spin_cycles": 0}
     return {
         "core": core_id,
         "retired_instructions": core.retired_instructions,
         "spin_cycles": core.spin_cycles,
-        "branch_accuracy": round(core.predictor.stats.accuracy, 6),
     }
 
 

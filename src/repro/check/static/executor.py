@@ -39,7 +39,6 @@ from repro.check.static.summary import (
 )
 from repro.isa.ops import (
     BarrierWait,
-    Branch,
     Compute,
     CounterKind,
     Load,
@@ -218,16 +217,6 @@ class AbstractExecutor:
             s.instructions += 1
             s.barrier_waits += 1
             s.barrier_sequence.append(op.barrier_id)
-            return 1
-        if type(op) is Branch:
-            s.instructions += 1
-            s.branches += 1
-            pc = op.pc
-            if pc < 0:
-                s.negative_branch_pcs.append(pc)
-            else:
-                site = s.branch_sites.setdefault(pc, [0, 0])
-                site[0 if op.taken else 1] += 1
             return 1
         if type(op) is ReadCounter:
             s.instructions += 1

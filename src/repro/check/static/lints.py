@@ -10,20 +10,13 @@ is almost always a workload-authoring bug on this simulator:
 * ``static-empty-critical-section`` — a lock/unlock pair with nothing
   between them: pure serialization, zero protected work;
 * ``static-degenerate-compute`` — Compute(0) ops: no-ops that still
-  cost generator machinery; usually a mis-scaled workload constant;
-* ``static-single-outcome-branch`` — a branch site observed many times
-  with only one outcome: the gshare predictor trivially learns it, so
-  it models no control flow; emit Compute instead.
+  cost generator machinery; usually a mis-scaled workload constant.
 """
 
 from __future__ import annotations
 
 from repro.check.findings import STATIC, Finding
 from repro.check.static.summary import TeamSummary
-
-#: A branch site needs at least this many observations before the
-#: single-outcome lint will call it degenerate.
-MIN_BRANCH_OBSERVATIONS = 16
 
 
 def lint_findings(team: TeamSummary) -> list[Finding]:
@@ -77,32 +70,6 @@ def lint_findings(team: TeamSummary) -> list[Finding]:
             details={"kernel": team.kernel,
                      "num_threads": team.num_threads,
                      "count": zero_computes},
-        ))
-
-    # Merge branch sites across the team before judging outcomes: a site
-    # may be taken on one thread and not-taken on another.
-    sites: dict[int, list[int]] = {}
-    for t in team.threads:
-        for pc, (taken, not_taken) in t.branch_sites.items():
-            agg = sites.setdefault(pc, [0, 0])
-            agg[0] += taken
-            agg[1] += not_taken
-    for pc, (taken, not_taken) in sorted(sites.items()):
-        total = taken + not_taken
-        if total < MIN_BRANCH_OBSERVATIONS:
-            continue
-        if taken and not_taken:
-            continue
-        outcome = "taken" if taken else "not taken"
-        findings.append(Finding(
-            analysis=STATIC,
-            kind="static-single-outcome-branch",
-            message=(f"{team.kernel} branch site {pc} was {outcome} all "
-                     f"{total} times — it models no control flow; use "
-                     f"Compute for straight-line work"),
-            details={"kernel": team.kernel,
-                     "num_threads": team.num_threads,
-                     "pc": pc, "taken": taken, "not_taken": not_taken},
         ))
 
     return findings

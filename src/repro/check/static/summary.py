@@ -91,7 +91,6 @@ class ThreadSummary:
     zero_computes: int = 0
     loads: int = 0
     stores: int = 0
-    branches: int = 0
     counter_reads: int = 0
     lock_acquires: int = 0
     lock_releases: int = 0
@@ -110,9 +109,6 @@ class ThreadSummary:
     counter_in_cs: list[CounterReadSite] = field(default_factory=list)
     #: line address -> [load count, store count].
     line_accesses: dict[int, list[int]] = field(default_factory=dict)
-    #: branch pc -> [taken count, not-taken count].
-    branch_sites: dict[int, list[int]] = field(default_factory=dict)
-    negative_branch_pcs: list[int] = field(default_factory=list)
     #: The thread hit the op budget; totals are lower bounds and
     #: whole-stream properties (barriers, held-at-exit) are unknown.
     truncated: bool = False
@@ -128,7 +124,6 @@ class ThreadSummary:
             "instructions": self.instructions,
             "loads": self.loads,
             "stores": self.stores,
-            "branches": self.branches,
             "counter_reads": self.counter_reads,
             "barrier_waits": self.barrier_waits,
             "lock_acquires": self.lock_acquires,

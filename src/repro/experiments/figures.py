@@ -79,9 +79,8 @@ def table1_rows(config: MachineConfig | None = None) -> list[tuple[str, str]]:
     c = config or MachineConfig.asplos08_baseline()
     return [
         ("System", f"{c.num_cores}-core CMP with shared L3 cache"),
-        ("Core", f"in-order, {c.issue_width}-wide, "
-                 f"{c.pipeline_depth}-stage pipeline, "
-                 f"{c.gshare_bytes // 1024}-KB gshare"),
+        ("Core", f"in-order, {c.issue_width}-wide (pipeline depth and "
+                 f"branch predictor not modelled)"),
         ("L1", f"{c.l1_bytes // 1024} KB write-through private, "
                f"{c.l1_latency}-cycle"),
         ("L2", f"{c.l2_bytes // 1024} KB, {c.l2_assoc}-way, inclusive "

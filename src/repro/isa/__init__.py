@@ -11,8 +11,6 @@ charges cycles according to the machine model:
 * :class:`Lock` / :class:`Unlock` — critical-section boundaries, serviced
   by the runtime's FIFO lock manager.
 * :class:`BarrierWait` — sense-reversing barrier across the thread team.
-* :class:`Branch` — a conditional branch run through the gshare predictor;
-  mispredictions cost a pipeline flush.
 * :class:`ReadCounter` — read a performance counter.  The core *sends the
   value back into the generator*, i.e. ``value = yield ReadCounter(...)``,
   which is how FDT training loops observe time the same way the paper reads
@@ -24,7 +22,6 @@ are produced lazily, never materialized as lists.
 
 from repro.isa.ops import (
     BarrierWait,
-    Branch,
     Compute,
     CounterKind,
     Load,
@@ -44,7 +41,6 @@ __all__ = [
     "Lock",
     "Unlock",
     "BarrierWait",
-    "Branch",
     "ReadCounter",
     "CounterKind",
     "ThreadProgram",

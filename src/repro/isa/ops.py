@@ -123,18 +123,6 @@ class BarrierWait:
 
 
 @dataclass(frozen=True, slots=True)
-class Branch:
-    """A conditional branch with outcome ``taken`` at site ``pc``.
-
-    Run through the 4-KB gshare predictor; a misprediction costs a
-    pipeline-depth flush (5-stage pipe, Table 1).
-    """
-
-    pc: int
-    taken: bool
-
-
-@dataclass(frozen=True, slots=True)
 class ReadCounter:
     """Read performance counter ``kind``.
 
@@ -145,4 +133,4 @@ class ReadCounter:
     kind: CounterKind
 
 
-Op = Compute | Load | Store | Lock | Unlock | BarrierWait | Branch | ReadCounter
+Op = Compute | Load | Store | Lock | Unlock | BarrierWait | ReadCounter

@@ -31,7 +31,8 @@ from repro.sim.config import MachineConfig
 #: Bump on any change that alters simulated outputs or their encoding.
 #: v3: the key hashes the model only (``MachineConfig`` lost its two
 #: observer fields) and ``WorkloadRef`` gained ``params``.
-SCHEMA_VERSION = 3
+#: v4: ``MachineConfig`` lost the branch model's three fields.
+SCHEMA_VERSION = 4
 
 _WORKLOAD_KINDS = ("registry", "synthetic")
 

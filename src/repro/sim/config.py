@@ -19,8 +19,8 @@ from repro.sim.addrmap import AddressMap
 
 
 #: The latency, occupancy and overhead fields, in cycles.
-_DELAYS = ("branch_misprediction_penalty", "l1_latency", "l2_latency", "l3_latency",
-           "ring_hop_latency", "ring_link_occupancy", "bus_latency", "dram_row_hit_latency",
+_DELAYS = ("l1_latency", "l2_latency", "l3_latency", "ring_hop_latency",
+           "ring_link_occupancy", "bus_latency", "dram_row_hit_latency",
            "dram_row_conflict_latency", "dram_closed_row_latency", "thread_spawn_cycles",
            "thread_join_cycles", "lock_handoff_base")
 
@@ -29,19 +29,19 @@ _DELAYS = ("branch_misprediction_penalty", "l1_latency", "l2_latency", "l3_laten
 class MachineConfig:
     """Parameters of the simulated CMP.
 
-    Defaults reproduce Table 1: a 32-core CMP, in-order 2-wide cores with a
-    5-stage pipeline and a 4-KB gshare predictor, 8-KB write-through private
-    L1, 64-KB 4-way inclusive private L2, 8-MB 8-way 8-bank shared L3
-    (20-cycle access), a bi-directional ring with 1-cycle hops, a 4:1
-    cpu/bus-ratio 64-bit split-transaction off-chip bus (40-cycle latency,
-    one 64-byte line per 32 cpu cycles at peak), and 32 DRAM banks at
-    roughly 200 cycles per access with open-page row buffers.
+    Defaults reproduce Table 1: a 32-core CMP, in-order 2-wide cores
+    (its pipeline depth and branch predictor are not modelled), 8-KB
+    write-through private L1, 64-KB 4-way inclusive private L2, 8-MB
+    8-way 8-bank shared L3 (20-cycle access), a bi-directional ring with
+    1-cycle hops, a 4:1 cpu/bus-ratio 64-bit split-transaction off-chip
+    bus (40-cycle latency, one 64-byte line per 32 cpu cycles at peak),
+    and 32 DRAM banks at roughly 200 cycles per access with open-page
+    row buffers.
     """
 
     # -- chip --------------------------------------------------------------
     num_cores: int = 32
     issue_width: int = 2
-    pipeline_depth: int = 5
     #: Hardware thread contexts per core.  Table 1's machine has one
     #: ("we assumed that only one thread executes per core"); values
     #: above one model the SMT extension of the paper's Section 9.
@@ -51,10 +51,6 @@ class MachineConfig:
     #: fills a core's contexts before moving on (best when co-scheduled
     #: threads share data).
     smt_placement: str = "scatter"
-
-    # -- branch predictor ---------------------------------------------------
-    gshare_bytes: int = 4096  # 4-KB gshare: 16384 2-bit counters
-    branch_misprediction_penalty: int = 5  # pipeline-depth flush
 
     # -- caches --------------------------------------------------------------
     line_bytes: int = 64
@@ -118,8 +114,6 @@ class MachineConfig:
         negative = [name for name in _DELAYS if getattr(self, name) < 0]
         if negative:
             raise ConfigError(f"{', '.join(negative)} must be >= 0")
-        if self.gshare_bytes < 1 or self.gshare_bytes & (self.gshare_bytes - 1):
-            raise ConfigError("gshare_bytes must be a positive power of two")
         if self.bus_width_bytes < 1 or self.cpu_bus_ratio < 1:
             raise ConfigError("bus parameters must be positive")
         if self.lock_grant_order not in ("fifo", "lifo"):
@@ -146,11 +140,6 @@ class MachineConfig:
     def num_thread_slots(self) -> int:
         """Hardware thread slots on the chip (cores x SMT contexts)."""
         return self.num_cores * self.smt_threads
-
-    @property
-    def gshare_entries(self) -> int:
-        """Number of 2-bit counters in the gshare table (4 per byte)."""
-        return self.gshare_bytes * 4
 
     # -- named configurations --------------------------------------------------
 

@@ -5,7 +5,7 @@ has one; ``MachineConfig.smt_threads`` adds the paper's Section 9
 extension).  A context runs one simulated thread by pulling ops from its
 generator, driven by one prebound *step* (:meth:`Core._make_step`), the
 only callback the core ever puts on the event queue.  A core is built as
-it is used: the machine makes it (contexts, predictor) when it places
+it is used: the machine makes it (its contexts) when it places
 the first thread there, and :meth:`Core.start_thread` its memory port
 (with its L1 and L2) and a context's step at their first thread, so a
 run pays for the cores it touches, not for all of Table 1.  What each op
@@ -17,8 +17,6 @@ costs:
   issue slots too, as spin loops do).
 * ``Load``/``Store`` block the context until the memory system's
   completion cycle (each context has its own outstanding miss).
-* ``Branch`` runs through the core's gshare predictor; a misprediction
-  adds the pipeline-flush penalty.
 * ``Lock``/``Unlock``/``BarrierWait`` are serviced by the runtime
   managers, keyed by the *agent* (thread slot).  A waiting context
   spins: it stays active for power accounting, matching the paper's
@@ -59,7 +57,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.errors import ProgramError, SimulationError
 from repro.isa.ops import (
     BarrierWait,
-    Branch,
     Compute,
     Load,
     Lock,
@@ -68,7 +65,6 @@ from repro.isa.ops import (
     Unlock,
 )
 from repro.isa.program import ThreadProgram
-from repro.sim.branch import GsharePredictor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
@@ -106,14 +102,13 @@ class _Context:
 class Core:
     """One processor core of the CMP (possibly multi-context)."""
 
-    __slots__ = ("core_id", "machine", "predictor", "contexts",
+    __slots__ = ("core_id", "machine", "contexts",
                  "_coalesce", "_run_ahead", "_mem_access", "_retired",
                  "_observer")
 
     def __init__(self, core_id: int, machine: "Machine") -> None:
         self.core_id = core_id
         self.machine = machine
-        self.predictor = GsharePredictor(machine.config.gshare_entries)
         self.contexts = [_Context() for _ in range(machine.config.smt_threads)]
         #: Neither shortcut is ever a function of the observer:
         #: attaching one must not pick the code path.  Coalescing
@@ -187,15 +182,12 @@ class Core:
         machine = self.machine
         events = machine.events
         heap = events.heap
-        config = machine.config
-        width = config.issue_width
-        penalty = config.branch_misprediction_penalty
+        width = machine.config.issue_width
         core_id = self.core_id
         retired = self._retired
         obs = self._observer
         coalesce, run_ahead = self._coalesce, self._run_ahead
         mem_access = self._mem_access
-        predict = self.predictor.update
         active_contexts = self._active_contexts
         finish = self._finish_thread
         acquire, release = machine.locks.acquire, machine.locks.release
@@ -318,11 +310,6 @@ class Core:
                     ctx.send_value = read_counter(op.kind, core_id)
                     # Reading a counter is a cheap serializing instruction.
                     when = now + 1
-                    op = None
-                elif kind is Branch:
-                    when = now + 1 + (0 if predict(op.pc, op.taken)
-                                      else penalty)
-                    retired[core_id] += 1
                     op = None
                 else:
                     raise ProgramError(f"core {core_id}: unknown op {op!r}")

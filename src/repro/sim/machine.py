@@ -4,13 +4,13 @@
 is :meth:`run_parallel`, which executes one parallel region — a team of
 thread programs pinned to hardware thread slots — to completion and
 advances simulated time.  Applications are sequences of serial and
-parallel regions; caches, DRAM row buffers, predictors, and the clock
-persist across regions, so a kernel's second invocation sees a warm
-machine just like on real hardware.
+parallel regions; caches, DRAM row buffers and the clock persist across
+regions, so a kernel's second invocation sees a warm machine just like
+on real hardware.
 
 Construction costs what a run touches: a cache set is allocated by its
-first fill, and a core (contexts, predictor, L1 and L2, port, steps) by
-its first thread.  A fresh machine is the shared parts and empty
+first fill, and a core (contexts, L1 and L2, port, steps) by its first
+thread.  A fresh machine is the shared parts and empty
 ``cores`` / ``memsys.l1s`` / ``l2s`` lists; a region's threads take the
 lowest core ids first, so the built cores are cores ``0 .. len - 1``.
 

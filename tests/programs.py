@@ -23,7 +23,6 @@ from typing import Any, Iterable
 from repro.errors import ProgramError
 from repro.isa.ops import (
     BarrierWait,
-    Branch,
     Compute,
     Load,
     Lock,
@@ -41,7 +40,6 @@ _VALID_OP_TYPES = (
     Lock,
     Unlock,
     BarrierWait,
-    Branch,
     ReadCounter,
 )
 
@@ -52,9 +50,6 @@ def validate_program(ops: Iterable[Op]) -> list[Op]:
     Checks performed:
 
     * every item is a known op type;
-    * branch sites have non-negative ``pc`` values (the gshare predictor
-      indexes its table with the pc; a negative one is always a bug in
-      the emitting workload);
     * lock/unlock pairs are balanced and properly nested per lock id;
     * no lock is released by a program that never acquired it.
 
@@ -68,11 +63,7 @@ def validate_program(ops: Iterable[Op]) -> list[Op]:
     for i, op in enumerate(ops):
         if not isinstance(op, _VALID_OP_TYPES):
             raise ProgramError(f"op {i} is not a valid instruction: {op!r}")
-        if isinstance(op, Branch):
-            if op.pc < 0:
-                raise ProgramError(
-                    f"op {i} is a branch with negative pc {op.pc}")
-        elif isinstance(op, Lock):
+        if isinstance(op, Lock):
             held.append(op.lock_id)
         elif isinstance(op, Unlock):
             if not held:

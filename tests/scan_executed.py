@@ -44,8 +44,6 @@ PACKAGES = (ROOT / "src" / "repro",)
 
 _OBSERVER_HOOK = ("observer base hook: a no-op default, overridden by every "
                   "observer that wants the event")
-_BRANCH_MODEL = ("branch model: no workload emits a Branch op, until "
-                 "ROADMAP 3(b) deletes it")
 _HARNESS = ("benchmark harness: benchmarks/perf/{} calls it by name, and no "
             "shipped command does")
 _RECOVERY = ("recovery: runs only when a cache entry on disk is corrupt "
@@ -61,7 +59,6 @@ ALLOWED = {
         "on_region_begin", "on_region_end", "on_thread_exit",
         "on_lock_acquired", "on_lock_released", "on_barrier_arrive",
         "on_barrier_release")},
-    "repro.sim.branch.GsharePredictor.update": _BRANCH_MODEL,
     "repro.bench.scenarios": _HARNESS.format("perf_probes.py (run.py "
                                              "--trace 1)"),
     "repro.experiments.fig14_combined.run_fig14":

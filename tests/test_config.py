@@ -14,7 +14,6 @@ def test_baseline_matches_table1():
     c = MachineConfig.asplos08_baseline()
     assert c.num_cores == 32
     assert c.issue_width == 2
-    assert c.pipeline_depth == 5
     assert c.l1_bytes == 8 * 1024
     assert c.l2_bytes == 64 * 1024
     assert c.l2_assoc == 4
@@ -31,10 +30,6 @@ def test_baseline_matches_table1():
 def test_peak_bandwidth_one_line_per_32_cycles():
     c = MachineConfig.asplos08_baseline()
     assert c.bus_cycles_per_line == 32
-
-
-def test_gshare_entries_from_bytes():
-    assert MachineConfig.asplos08_baseline().gshare_entries == 16384
 
 
 def test_config_is_hashable_and_comparable():
@@ -108,11 +103,6 @@ def test_cache_size_must_divide_into_sets():
     {"lock_handoff_base": -1},
     {"thread_spawn_cycles": -300},
     {"thread_join_cycles": -1},
-    {"branch_misprediction_penalty": -1},
-    # The predictor's table must be a power of two: the first run raised
-    # a bare ValueError from repro.sim.branch.
-    {"gshare_bytes": 0},
-    {"gshare_bytes": 3},
 ])
 def test_cache_and_ring_geometry_rejected_at_construction(overrides):
     """Each of these used to validate and then fail inside ``Machine()``,

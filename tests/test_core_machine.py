@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigError, DeadlockError
 from repro.isa.ops import (
     BarrierWait,
-    Branch,
     Compute,
     CounterKind,
     Load,
@@ -49,23 +48,6 @@ def test_retired_instructions_counted(small_machine: Machine):
     run_one(small_machine, [Compute(10), Load(1 << 20), Store(1 << 21)])
     assert small_machine.cores[0].retired_instructions == 12
 
-
-def test_correct_branch_costs_one_cycle(small_machine: Machine):
-    # Train the predictor, then measure a predicted branch.
-    ops = [Branch(pc=0x40, taken=True) for _ in range(50)]
-    region = run_one(small_machine, ops)
-    penalty = small_machine.config.branch_misprediction_penalty
-    # Near-perfect prediction: cost close to 1 cycle per branch.
-    assert region.cycles < 50 + 4 * penalty
-
-
-def test_mispredicted_branches_cost_flush(small_machine: Machine):
-    # Deterministically random outcomes defeat the predictor often.
-    import random
-    rng = random.Random(7)
-    ops = [Branch(pc=0x40, taken=rng.random() < 0.5) for _ in range(200)]
-    region = run_one(small_machine, ops)
-    assert region.cycles > 200 + 50  # many flushes
 
 def test_read_counter_returns_value_into_program(small_machine: Machine):
     seen = []

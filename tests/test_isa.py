@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ProgramError
 from repro.isa.ops import (
     BarrierWait,
-    Branch,
     Compute,
     CounterKind,
     Load,
@@ -41,8 +40,7 @@ def test_ops_compare_by_value():
 
 
 ONE_OF_EACH = [Compute(40), Load(5), Store(5), Lock(1), Unlock(1),
-               BarrierWait(2), Branch(0x40, True),
-               ReadCounter(CounterKind.CYCLES)]
+               BarrierWait(2), ReadCounter(CounterKind.CYCLES)]
 
 
 @pytest.mark.parametrize("op", ONE_OF_EACH, ids=lambda op: type(op).__name__)
@@ -73,8 +71,7 @@ def test_op_reprs_and_classes_are_unchanged():
 
 def test_validate_accepts_well_formed_program():
     ops = [Compute(10), Load(0), Lock(1), Store(64), Unlock(1),
-           BarrierWait(0), Branch(0x40, True),
-           ReadCounter(CounterKind.CYCLES)]
+           BarrierWait(0), ReadCounter(CounterKind.CYCLES)]
     assert validate_program(ops) == ops
 
 
@@ -105,16 +102,6 @@ def test_validate_rejects_foreign_objects():
 
 def test_counter_kinds_are_distinct():
     assert len({k.value for k in CounterKind}) == len(list(CounterKind))
-
-
-def test_validate_rejects_negative_branch_pc():
-    with pytest.raises(ProgramError, match="negative pc -5"):
-        validate_program([Compute(1), Branch(-5, True)])
-
-
-def test_validate_accepts_zero_branch_pc():
-    ops = [Branch(0, False)]
-    assert validate_program(ops) == ops
 
 
 def test_validate_mismatched_unlock_names_held_locks():

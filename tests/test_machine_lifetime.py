@@ -6,7 +6,7 @@ collector nothing from ``repro.sim``.  Each case runs with the collector
 off and then asks it what it would have had to find.
 
 A machine is also built as it is used — a cache set by its first fill, a
-core (contexts, predictor, L1 and L2, memory port, steps) by its first
+core (contexts, L1 and L2, memory port, steps) by its first
 thread — and the last section counts what a fresh machine holds, which
 cores, ports and steps exist after a region, and checks that *when*
 they were built cannot be observed.
@@ -300,8 +300,6 @@ def test_an_fdt_run_builds_exactly_the_cores_its_teams_used():
         assert used < config.num_cores
         assert ports_and_steps(machine) == dict.fromkeys(range(used), 1)
         assert len(machine.memsys.l1s) == len(machine.memsys.l2s) == used
-        # The kernel never branches: no predictor allocated its table.
-        assert all(core.predictor._table is None for core in machine.cores)
         report = machine_report(machine)
     assert [c["core"] for c in report["cores"]] == list(range(32))
     assert len(report["l1"]["per_core"]) == len(report["l2"]["per_core"]) == 32
@@ -310,7 +308,6 @@ def test_an_fdt_run_builds_exactly_the_cores_its_teams_used():
                        "invalidations": 0, "miss_rate": 0.0,
                        "resident_lines": 0} for row in idle)
     assert all(row["retired_instructions"] == row["spin_cycles"] == 0
-               and row["branch_accuracy"] == 1.0
                for row in report["cores"][used:])
 
 
@@ -321,7 +318,7 @@ def test_the_report_of_a_run_is_the_eager_machines(tmp_path, capsys):
     assert main(["run", "EP", "--scale", "0.05", "--report", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "014f176a7fcffc089f5070b76f0ef908199045652138918a13e62fa33471b630")
+        "ac009578df38132285d9eb214ebcb2f9e0d7f311d6392fcb3fd6738ef8242192")
 
 
 def test_smt_contexts_share_their_cores_one_port():

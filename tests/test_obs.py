@@ -19,7 +19,7 @@ from datetime import datetime
 import pytest
 
 from repro import cli
-from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
+from repro.jobs import SCHEMA_VERSION, JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
 from repro.jobs.manifest import RunManifest
 from repro.obs import (
     configure_logging,
@@ -532,7 +532,7 @@ def test_job_runner_writes_provenance_rows():
     row = rows[0]
     assert row.key == spec.key()
     assert row.workload == spec.workload.label
-    assert row.schema_version == 3
+    assert row.schema_version == SCHEMA_VERSION
     assert row.host == host_fingerprint()
     # Timestamps are ISO-8601 and ordered.
     assert datetime.fromisoformat(row.started_at) <= \

@@ -23,7 +23,7 @@ from repro.analysis.inspection import machine_report
 from repro.errors import DeadlockError
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
 from repro.fdt.runner import AppRunResult, run_application
-from repro.isa.ops import Branch, Compute, Load, Lock, Store, Unlock
+from repro.isa.ops import Compute, Load, Lock, Store, Unlock
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
@@ -114,7 +114,6 @@ def _mixed_factory(tid: int, team: int):
         yield Load(base + i * 4096)
         yield Store(base + i * 4096 + 64)
         yield Load(shared + (i % 7) * 64)
-        yield Branch(pc=base + i, taken=(i * tid) % 3 == 0)
         if i % 5 == 0:
             yield Lock(0)
             yield Load(shared)
@@ -172,7 +171,6 @@ def _lone_factory(tid: int, team: int):
         yield Compute(9 + i % 4)
         yield Load(i * 4096)
         yield Store(i * 4096 + 64)
-        yield Branch(pc=i, taken=i % 3 == 0)
 
 
 def test_lone_thread_runs_ahead_with_the_same_observer_timestamps():
@@ -194,7 +192,8 @@ def test_lone_thread_runs_ahead_with_the_same_observer_timestamps():
     assert fast[:2] == slow[:2]
     assert {hook for hook, *_ in fast[0]} == {
         "on_compute", "on_access", "on_thread_exit"}
-    assert fast[2] == 1 and slow[2] == 1 + 4 * 60
+    # Op by op: the thread start, then one event per op (three a round).
+    assert fast[2] == 1 and slow[2] == 1 + 3 * 60
 
 
 def test_sampled_trace_does_not_run_ahead():
@@ -266,5 +265,5 @@ def test_op_by_op_machine_runs_every_access_on_the_spec(monkeypatch):
     machine.run_serial(_lone_factory)
     core, stats = machine.cores[0], machine.memsys.stats
     assert (core._coalesce, core._run_ahead) == (False, False)
-    assert machine.events.seq == 1 + 4 * 60
+    assert machine.events.seq == 1 + 3 * 60
     assert len(calls) == stats.loads + stats.stores == 2 * 60

@@ -17,7 +17,6 @@ from repro.check import STATIC, analyze_application, analyze_workload
 from repro.check import findings as findings_mod
 from repro.check.static import AbstractExecutor
 from repro.check.static import executor as executor_mod
-from repro.check.static import lints as lints_mod
 from repro.check.static.barriers import barrier_findings
 from repro.check.static.lints import lint_findings
 from repro.check.static.locks import lock_fault_findings, lock_order_findings
@@ -28,7 +27,6 @@ from repro.fdt.priors import CS_FRACTION_RTOL, derive_priors, measure_estimates
 from repro.fdt.runner import Application
 from repro.isa.ops import (
     BarrierWait,
-    Branch,
     Compute,
     CounterKind,
     Load,
@@ -145,12 +143,6 @@ def test_op_budget_truncates_and_suppresses_exit_faults(monkeypatch):
     assert not s.lock_faults  # held-at-exit unknown for truncated streams
 
 
-def test_branch_sites_and_negative_pcs():
-    s = _run_one(Branch(7, True), Branch(7, False), Branch(-1, True))
-    assert s.branch_sites[7] == [1, 1]
-    assert s.negative_branch_pcs == [-1]
-
-
 def test_rejects_foreign_op():
     with pytest.raises(TypeError):
         _run_one("not-an-op")  # type: ignore[arg-type]
@@ -201,29 +193,6 @@ def test_degenerate_compute_lint():
     team = _team(lambda tid, team: iter([Compute(0)]), 1)
     kinds = [f.kind for f in lint_findings(team)]
     assert "static-degenerate-compute" in kinds
-
-
-def test_single_outcome_branch_lint_needs_observations(monkeypatch):
-    monkeypatch.setattr(lints_mod, "MIN_BRANCH_OBSERVATIONS", 4)
-
-    def taken_n(n: int):
-        def factory(tid: int, team: int) -> Iterator[Op]:
-            for _ in range(n):
-                yield Branch(9, True)
-        return factory
-
-    assert lint_findings(_team(taken_n(3), 1)) == []
-    assert [f.kind for f in lint_findings(_team(taken_n(4), 1))] == [
-        "static-single-outcome-branch"]
-
-
-def test_both_outcome_branch_not_linted():
-    def factory(tid: int, team: int) -> Iterator[Op]:
-        for i in range(20):
-            yield Branch(9, i % 2 == 0)
-
-    team = _team(factory, 1)
-    assert lint_findings(team) == []
 
 
 def test_lock_order_cycle_across_threads():
@@ -445,9 +414,9 @@ def test_max_findings_cap_counts_dropped(monkeypatch):
     monkeypatch.setattr(findings_mod, "MAX_FINDINGS", 5)
 
     def factory(tid: int, team: int) -> Iterator[Op]:
-        for pc in range(50):
-            for _ in range(20):
-                yield Branch(pc, True)
+        for lock in range(50):  # one empty-critical-section finding each
+            yield Lock(lock)
+            yield Unlock(lock)
 
     report = analyze_application(
         lambda: Application.single(

@@ -8,7 +8,8 @@ every (rule, subject) pair.  A text rule's subjects are paths from the
 repository root, each a file or a directory searched recursively (as
 ``grep -r`` would), and its predicate is :func:`absent`; a rule that
 counts the files a text is spelled in takes :class:`Spelling` subjects
-and :func:`spelled`.  A new rule is a new row.
+and :func:`spelled`, and a line cap takes :class:`Lines` and
+:func:`within_cap`.  A new rule is a new row.
 """
 
 from __future__ import annotations
@@ -88,6 +89,20 @@ def spelled(subject: Spelling) -> bool:
     regex = re.compile(subject.pattern, re.MULTILINE)
     return sum(bool(regex.search(f.read_text(errors="replace")))
                for f in _files(subject.root, subject.glob)) in subject.files
+
+
+@dataclass(frozen=True)
+class Lines:
+    """The ``*.py`` files under ``roots`` hold at most ``cap`` lines, as
+    ``cat | wc -l``."""
+    name: str
+    roots: tuple[Path, ...]
+    cap: int
+
+
+def within_cap(subject: Lines) -> bool:
+    return sum(f.read_bytes().count(b"\n") for root in subject.roots
+               for f in _files(root, "*.py")) <= subject.cap
 
 
 def no_core_built(init: Callable) -> bool:
@@ -281,7 +296,7 @@ RULES = (
           MemorySystem, repro.sim.memsys),
          state_only),
     Rule("lazy-cores",
-         "a machine builds a core, with its contexts, predictor, L1 and L2, "
+         "a machine builds a core, with its contexts, L1 and L2, "
          "when the first thread is placed on it: construction builds the "
          "shared parts only",
          (Machine.__init__, MemorySystem.__init__), no_core_built),
@@ -296,7 +311,7 @@ RULES = (
          spelled),
     Rule("check-takes-no-config",
          "repro.check takes no configuration: a verdict is a function of "
-         "the program and the machine (three named constants, and filters "
+         "the program and the machine (two named constants, and filters "
          "on the report)",
          (Path("src/repro/check"),), absent(r"class \w*Config\b")),
     Rule("warm-hit-key",
@@ -365,6 +380,19 @@ RULES = (
          "tests/roster.py asks every subcommand for --help: its LEAVES are "
          "the argparse tree's leaves",
          (LEAVES,), help_for_every_leaf),
+    Rule("no-branch-model",
+         "no Table 2 kernel branches, so the machine models no branch "
+         "predictor or pipeline depth: no Branch op, gshare table, "
+         "misprediction penalty or branch lint",
+         (Path("src"),),
+         absent(r"\bBranch\b|gshare|Gshare|branch_misprediction|pipeline_depth"
+                r"|branch_accuracy|MIN_BRANCH")),
+    Rule("sim-line-cap",
+         "the simulator and the workloads stay within their line budget: "
+         "a new mechanism there pays for itself with a deletion",
+         (Lines("sim+workloads",
+                (Path("src/repro/sim"), Path("src/repro/workloads")), 4672),),
+         within_cap),
     Rule("obs-one-of-each",
          "repro.obs keeps one of each: one counter type (a label is an "
          "argument), one JSON-lines file behind the run registry and the "
@@ -386,7 +414,7 @@ def _name(subject: Any) -> str:
         return subject.line
     if subject is LEAVES:
         return "LEAVES"
-    if isinstance(subject, Spelling):
+    if isinstance(subject, (Spelling, Lines)):
         return subject.name
     return getattr(subject, "__qualname__", subject.__name__)
 
