@@ -2,8 +2,11 @@
 
 The server speaks a deliberately small dialect (stdlib only, no new
 dependencies): request line + headers + ``Content-Length`` bodies,
-keep-alive by default, ``Connection: close`` honored, no chunked
-encoding, no multipart.  Both sides of the conversation live here —
+keep-alive by default on HTTP/1.1 (on HTTP/1.0 only when asked),
+``Connection: close`` honored, no multipart.  A request framed by
+``Transfer-Encoding`` is refused with 501 and the connection closed:
+its body cannot be found without the decoding this dialect lacks.
+Both sides of the conversation live here —
 :func:`read_request`/:func:`response_bytes` for the server,
 :func:`request_bytes` with :func:`read_response` (asyncio streams: the
 async client, the load generator) or :func:`read_response_blocking` (a
@@ -33,6 +36,7 @@ STATUS_REASONS = {
     422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -46,6 +50,15 @@ MAX_BODY_BYTES = 1024 * 1024
 class HttpProtocolError(ServeError):
     """The peer sent bytes this dialect cannot parse."""
 
+    #: The reply the server owes the peer before it closes.
+    status = 400
+
+
+class HttpNotImplemented(HttpProtocolError):
+    """The peer framed its request in a way this dialect lacks."""
+
+    status = 501
+
 
 @dataclass(slots=True)
 class HttpRequest:
@@ -55,6 +68,8 @@ class HttpRequest:
     target: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: The request line's protocol version.
+    version: str = "HTTP/1.1"
     _path: str | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -66,7 +81,13 @@ class HttpRequest:
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+        """Persistent unless ``close`` is asked, or, on HTTP/1.0, unless
+        ``keep-alive`` is (RFC 9112 9.3)."""
+        options = {option.strip() for option in
+                   self.headers.get("connection", "").lower().split(",")}
+        if self.version == "HTTP/1.0":
+            return "keep-alive" in options
+        return "close" not in options
 
     def json(self) -> dict:
         """The body parsed as a JSON object (400-level on failure)."""
@@ -152,9 +173,13 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpProtocolError(f"malformed request line {head[0]!r}")
     headers = _parse_headers(head[1:])
+    if "transfer-encoding" in headers:
+        raise HttpNotImplemented(
+            f"Transfer-Encoding {headers['transfer-encoding']!r} is not "
+            "implemented: send a Content-Length body")
     body = await _read_body(reader, headers)
     return HttpRequest(method=parts[0].upper(), target=parts[1],
-                       headers=headers, body=body)
+                       headers=headers, body=body, version=parts[2])
 
 
 def _parse_response_head(head: list[str] | None

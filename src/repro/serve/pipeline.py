@@ -12,7 +12,10 @@ Every ``/v1`` simulation request resolves through one funnel:
    (:func:`~repro.jobs.cache_hit`) is a miss like any other and is never
    remembered.  Keys are content addresses under one ``SCHEMA_VERSION``,
    so a remembered hit cannot go stale: eviction (oldest first, at
-   :data:`HOT_CAPACITY`) is the only invalidation.
+   :data:`HOT_CAPACITY`) is the only invalidation.  Beside the hits the
+   pipeline remembers which request bodies were answered with one
+   (:meth:`RequestPipeline.remembered`): a repeated body on the same
+   endpoint is answered from its bytes, before any decode.
 2. **Single-flight coalescing** — identical in-flight requests (same
    sha256 key) share one computation: the first becomes the *leader*,
    the rest await the leader's future and are answered ``coalesced``.
@@ -32,9 +35,9 @@ runner's record handed on unchanged, the leader's relabelled
 ``coalesced``, or one only the pipeline can mint (``shed``, the batch
 ``timeout``, ``failed`` when the runner itself raised).
 
-All pipeline state (`_inflight`, `_hot`, the queue, metrics) is touched
-only on the event-loop thread; only the ``JobRunner`` call itself runs on an
-executor thread.  A timed-out batch is abandoned, not interrupted — the
+All pipeline state (`_inflight`, `_hot`, `_aliases`, the queue, metrics)
+is touched only on the event-loop thread; only the ``JobRunner`` call
+itself runs on an executor thread.  A timed-out batch is abandoned, not interrupted — the
 simulation keeps running in its thread and still warms the cache, so a
 retried request usually hits.
 """
@@ -79,7 +82,8 @@ _DRAIN_EMA_ALPHA = 0.25
 RETRY_AFTER_MIN = 1.0
 RETRY_AFTER_MAX = 30.0
 #: Validated hits remembered in memory (a result, its decode and its
-#: encoded replies are a few KB: under 10 MB when full).
+#: encoded replies are a few KB: under 10 MB when full), and request
+#: bodies remembered as answered by one (a digest and a key apiece).
 HOT_CAPACITY = 1024
 
 _log = get_logger("serve")
@@ -136,6 +140,9 @@ class RequestPipeline:
         self._inflight: dict[str, asyncio.Future[Resolution]] = {}
         #: key -> validated hit; stays empty without a cache.
         self._hot: dict[str, _Hot] = {}
+        #: (endpoint, sha256 of a request body) -> the key of the
+        #: remembered hit whose encoded reply answered it.
+        self._aliases: dict[tuple[str, bytes], str] = {}
         self._queue: asyncio.Queue[_Entry] = asyncio.Queue(
             maxsize=config.queue_depth)
         self._workers: list[asyncio.Task] = []
@@ -253,6 +260,40 @@ class RequestPipeline:
         return (entry.replies
                 if entry is not None and entry.resolution is resolution
                 else None)
+
+    def remembered(self, endpoint: str, digest: bytes
+                   ) -> tuple[dict, bytes] | None:
+        """The reply remembered for a request body (by its sha256
+        ``digest``) that ``endpoint`` already answered with a remembered
+        hit, or ``None``: the body then takes the full path.
+
+        An alias cannot go stale: in one process the same bytes on the
+        same endpoint always parse to the same spec, hence the same key.
+        One whose hit was evicted, or that has no reply for the
+        endpoint, is dropped.
+        """
+        alias = (endpoint, digest)
+        key = self._aliases.get(alias)
+        if key is None:
+            return None
+        entry = self._hot.get(key)
+        reply = entry.replies.get(endpoint) if entry is not None else None
+        if reply is None:
+            del self._aliases[alias]
+            return None
+        with span("serve.cache_probe", key=key, tier="body"):
+            pass
+        self.metrics.hits.inc()
+        self.breaker.note_drain()
+        return reply
+
+    def remember(self, endpoint: str, digest: bytes, key: str) -> None:
+        """Alias a request body to the remembered hit ``key`` whose
+        encoded reply ``endpoint`` just answered it with."""
+        aliases = self._aliases
+        if len(aliases) >= HOT_CAPACITY and (endpoint, digest) not in aliases:
+            del aliases[next(iter(aliases))]
+        aliases[endpoint, digest] = key
 
     def _shed(self, key: str, reason: str) -> Resolution:
         self.metrics.shed.inc()

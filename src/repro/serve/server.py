@@ -15,7 +15,7 @@ A pipeline resolution's status maps to its code through the one table
 :data:`HTTP_STATUS` (a ``504`` body carries the spec key so the client
 can poll ``/v1/result/<key>`` once the abandoned computation lands);
 outside the pipeline: ``400`` malformed request, ``404`` unknown route
-or missing key, ``503`` draining.
+or missing key, ``501`` a ``Transfer-Encoding`` body, ``503`` draining.
 
 On SIGTERM (or SIGINT) the server drains gracefully: the listening
 socket closes (new connections are refused), requests already admitted
@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import signal
+from hashlib import sha256
 from time import perf_counter
 from typing import Callable
 
@@ -211,7 +212,7 @@ class ExperimentServer:
                     request = await read_request(reader)
                 except HttpProtocolError as exc:
                     writer.write(response_bytes(
-                        400, json_body({"error": str(exc)}),
+                        exc.status, json_body({"error": str(exc)}),
                         keep_alive=False))
                     await writer.drain()
                     break
@@ -303,6 +304,15 @@ class ExperimentServer:
                 return 405, {"error": f"{path} takes POST"}, {}, None
             if self._draining:
                 return 503, {"error": "server is draining"}, {}, None
+            digest = None
+            if self.cache is not None and path != "/v1/sweep":
+                # A body this endpoint already answered with a remembered
+                # hit: no decode, no schema, no JobSpec, no key.
+                digest = sha256(request.body).digest()
+                reply = self.pipeline.remembered(path, digest)
+                if reply is not None:
+                    payload, raw = reply
+                    return 200, payload, {}, raw
             try:
                 body = request.json()
             except HttpProtocolError as exc:
@@ -310,7 +320,11 @@ class ExperimentServer:
             handler = {"/v1/run": self._handle_run,
                        "/v1/sweep": self._handle_sweep,
                        "/v1/fdt": self._handle_fdt}[path]
-            return await handler(body)
+            status, payload, headers, raw = await handler(body)
+            if raw is not None and digest is not None:
+                # Answered with a remembered hit's encoded reply.
+                self.pipeline.remember(path, digest, payload["key"])
+            return status, payload, headers, raw
         return 404, {"error": f"no route {method} {path}"}, {}, None
 
     def _health_payload(self) -> dict:

@@ -352,6 +352,66 @@ def test_server_answers_an_oversized_head_with_400(head):
     assert served.status == 200
 
 
+@pytest.mark.parametrize(("version", "connection", "kept"), [
+    ("HTTP/1.1", None, True), ("HTTP/1.1", "close", False),
+    ("HTTP/1.1", "Keep-Alive, Upgrade", True), ("HTTP/1.0", None, False),
+    ("HTTP/1.0", "keep-alive", True), ("HTTP/1.0", "Keep-Alive", True),
+])
+def test_keep_alive_follows_the_request_version(version, connection, kept):
+    """An HTTP/1.0 request without ``Connection: keep-alive`` used to be
+    kept open (RFC 9112 9.3: it closes)."""
+    head = f"GET /healthz {version}\r\nHost: h\r\n" + (
+        f"Connection: {connection}\r\n" if connection else "")
+
+    async def go():
+        return await read_request(_reader_for((head + "\r\n").encode()))
+
+    request = asyncio.run(go())
+    assert request is not None and request.version == version
+    assert request.keep_alive is kept
+
+
+@pytest.mark.parametrize("connection", [None, "keep-alive"])
+def test_server_closes_an_http_1_0_connection_unless_asked_to_keep_it(
+        connection):
+    asked = f"Connection: {connection}\r\n" if connection else ""
+    wire = f"GET /healthz HTTP/1.0\r\nHost: h\r\n{asked}\r\n".encode()
+    with ServerThread(ServeConfig(port=0)) as handle, \
+            socket.create_connection(("127.0.0.1", handle.port),
+                                     timeout=5) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall(wire)
+        first = read_response_blocking(stream)
+        assert first.status == 200
+        if connection is None:
+            assert first.headers["connection"] == "close"
+            assert stream.read() == b""  # the server hung up
+        else:
+            assert first.headers["connection"] == "keep-alive"
+            sock.sendall(wire)  # the same socket answers again
+            assert read_response_blocking(stream).status == 200
+
+
+def test_a_chunked_request_gets_one_501_and_a_closed_connection():
+    """A chunked body used to be read as empty and its chunk-size line
+    as a second request: one request, two 400 replies."""
+    body = json.dumps({"workload": "EP", "scale": 0.05}).encode()
+    wire = (b"POST /v1/run HTTP/1.1\r\nHost: h\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n")
+    with ServerThread(ServeConfig(port=0)) as handle, \
+            socket.create_connection(("127.0.0.1", handle.port),
+                                     timeout=5) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall(wire)
+        refused = read_response_blocking(stream)
+        assert stream.read() == b""  # no second reply: the server hung up
+    assert refused.status == 501
+    assert refused.headers["connection"] == "close"
+    assert "Transfer-Encoding" in json.loads(refused.body)["error"]
+    assert response_bytes(501, b"").startswith(b"HTTP/1.1 501 Not Implemented")
+
+
 def test_server_answers_a_static_team_larger_than_the_machine_with_400():
     """A team of 40 on 32 slots used to run clamped to 32 threads under
     a key of its own: two keys for one experiment."""
@@ -782,12 +842,14 @@ def test_no_cache_builds_no_tier(span_sink):
 
 
 def _raw(port: int, method: str, path: str,
-         payload: dict | None = None) -> tuple[int, bytes]:
-    """One exchange through stdlib ``http.client``: the body as sent."""
+         payload: dict | bytes | None = None) -> tuple[int, bytes]:
+    """One exchange through stdlib ``http.client``: the body as sent
+    (a dict is sent as ``json.dumps`` spells it, bytes as they are)."""
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
         conn.request(method, path,
-                     body=None if payload is None else json.dumps(payload))
+                     body=(json.dumps(payload) if isinstance(payload, dict)
+                           else payload))
         response = conn.getresponse()
         return response.status, response.read()
     finally:
@@ -823,9 +885,127 @@ def test_memory_served_replies_are_byte_identical_to_disk_served(tmp_path,
         reply = json.loads(body)
         assert status == 200 and reply["status"] == "hit", endpoint
         assert body == json_body(reply)
+    # A repeated /v1/run or /v1/fdt body is answered from its bytes.
     assert _probe_tiers(span_sink) == (
-        ["miss"] * 3 + ["disk"] * 3 + ["memory"] * 4
-        + ["disk"] * 3 + ["memory"] * 3)
+        ["miss"] * 3 + ["disk"] * 3 + ["body", "body", "memory", "memory"]
+        + ["disk"] * 3 + ["body", "body", "memory"])
+
+
+@pytest.fixture
+def parse_counts(monkeypatch) -> dict[str, int]:
+    """Calls of the schema's two parsers and of ``JobSpec.key``."""
+    counts = dict.fromkeys(
+        ("parse_run_request", "parse_fdt_request", "key"), 0)
+
+    def counting(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(schema, "parse_run_request")
+    counting(schema, "parse_fdt_request")
+    counting(JobSpec, "key")
+    return counts
+
+
+def _hits(port: int) -> float:
+    return parse_prometheus(_raw(port, "GET", "/metrics")[1].decode())[
+        "repro_serve_cache_hits_total"]
+
+
+def test_a_repeated_body_is_answered_from_its_bytes(tmp_path, parse_counts,
+                                                    span_sink):
+    payload = {"synthetic": _synthetic_payload()["synthetic"],
+               "policy": "fdt"}
+    compact = json.dumps(payload).encode()
+    spaced = json.dumps(payload, indent=2).encode()  # the same request
+    config = ServeConfig(port=0, cache_dir=str(tmp_path / "c"))
+    with ServerThread(config) as handle:
+        port, pipeline = handle.port, handle.server.pipeline
+        computed, disk, memory = [_raw(port, "POST", "/v1/run", body)
+                                  for body in (compact, compact, spaced)]
+        fdt = [_raw(port, "POST", "/v1/fdt", body)
+               for body in (compact, spaced)]
+        before = dict(parse_counts)
+        aliased = [_raw(port, "POST", path, body)
+                   for path in ("/v1/run", "/v1/fdt")
+                   for body in (compact, spaced, compact)]
+        assert parse_counts == before  # no decode, no schema, no key
+        hits = _hits(port)
+        aliases = dict(pipeline._aliases)
+    assert json.loads(computed[1])["status"] == "computed"
+    assert disk == memory == aliased[0] == aliased[1] == aliased[2]
+    assert fdt[0] == fdt[1] == aliased[3] == aliased[4] == aliased[5]
+    # One key, two endpoints: two distinct replies.
+    assert disk[0] == fdt[0][0] == 200 and disk[1] != fdt[0][1]
+    assert json.loads(disk[1])["key"] == json.loads(fdt[0][1])["key"]
+    # Each endpoint and spelling is its own alias of that key.
+    assert sorted(endpoint for endpoint, _ in aliases) == (
+        ["/v1/fdt"] * 2 + ["/v1/run"] * 2)
+    assert set(aliases.values()) == {json.loads(disk[1])["key"]}
+    replies = [disk, memory, *fdt, *aliased]
+    assert hits == sum(json.loads(body)["status"] == "hit"
+                       for _, body in replies) == 10
+    assert _probe_tiers(span_sink) == (
+        ["miss", "disk", "memory", "memory", "memory"] + ["body"] * 6)
+
+
+def test_body_aliases_are_bounded_and_a_lost_hit_falls_through(
+        monkeypatch, tmp_path, parse_counts, span_sink):
+    monkeypatch.setattr(pipeline_mod, "HOT_CAPACITY", 3)
+    bodies = [_synthetic_payload(iterations=n) for n in (8, 9, 10, 11)]
+    config = ServeConfig(port=0, cache_dir=str(tmp_path / "c"))
+    with ServerThread(config) as handle:
+        port, pipeline = handle.port, handle.server.pipeline
+        keys = [json.loads(_raw(port, "POST", "/v1/run", body)[1])["key"]
+                for body in bodies]
+        for body in bodies:  # disk hits, each aliased
+            _raw(port, "POST", "/v1/run", body)
+        assert list(pipeline._aliases.values()) == keys[1:]
+        # The oldest alias went with its hit: bodies[0] parses again.
+        runs = parse_counts["parse_run_request"]
+        _raw(port, "POST", "/v1/run", bodies[0])
+        assert parse_counts["parse_run_request"] == runs + 1
+        assert list(pipeline._aliases.values()) == [*keys[2:], keys[0]]
+        # keys[0]'s hit is evicted under its alias: the alias is dropped
+        # and the body takes the full path (a disk hit).
+        for key in keys[1:]:
+            _raw(port, "GET", f"/v1/result/{key}")
+        _raw(port, "POST", "/v1/run", bodies[0])
+        assert parse_counts["parse_run_request"] == runs + 2
+        # keys[2] is remembered again through /v1/result alone: its alias
+        # finds no /v1/run reply, and the body takes the full path (a
+        # memory hit), which aliases it again.
+        _raw(port, "POST", "/v1/run", bodies[2])
+        _raw(port, "POST", "/v1/run", bodies[2])
+        assert parse_counts["parse_run_request"] == runs + 3
+        assert list(pipeline._aliases.values()) == [keys[3], keys[0], keys[2]]
+    assert _probe_tiers(span_sink) == (
+        ["miss"] * 4 + ["disk"] * 4 + ["disk"] + ["disk"] * 3 + ["disk"]
+        + ["memory", "body"])
+
+
+def test_a_draining_server_refuses_a_remembered_body():
+    request = HttpRequest("POST", "/v1/run",
+                          body=json.dumps(_synthetic_payload()).encode())
+
+    async def go():
+        server = ExperimentServer(ServeConfig())
+        await server.pipeline.start()
+        try:
+            # Computed, a disk hit, then answered from its bytes.
+            served = [(await server._respond(request))[0] for _ in range(3)]
+            assert served == [200] * 3 and server.pipeline._aliases
+            server._draining = True
+            return await server._respond(request)
+        finally:
+            await server.pipeline.drain()
+
+    status, refused, *_ = asyncio.run(go())
+    assert status == 503 and "draining" in refused["error"]
 
 
 # -- server endpoints over real sockets -------------------------------

@@ -185,6 +185,20 @@ def paths_exist(path: Path) -> bool:
     return True
 
 
+def layout_matches(path: Path) -> bool:
+    """The ``src/repro/`` block of the layout under ``path`` names
+    exactly the package directories under src/repro."""
+    block = re.search(r"^src/repro/\n((?:  .*\n)+)", (ROOT / path).read_text(),
+                      re.MULTILINE)
+    assert block, "no src/repro/ block"
+    named = set(re.findall(r"^  (\w+)/", block.group(1), re.MULTILINE))
+    packages = {init.parent.name
+                for init in (ROOT / "src/repro").glob("*/__init__.py")}
+    assert named == packages, (sorted(named - packages),
+                               sorted(packages - named))
+    return True
+
+
 def _leaves(parser: argparse.ArgumentParser, path: tuple = ()) -> list[str]:
     """Every command of the argparse tree, as its words joined."""
     subs = [action for action in parser._actions
@@ -368,6 +382,10 @@ RULES = (
          "every src/, tests/ or benchmarks/ path that README.md and docs/ "
          "name exists",
          (Path("README.md"), Path("docs")), paths_exist),
+    Rule("design-layout",
+         "DESIGN.md's repository layout names every package under "
+         "src/repro and no other",
+         (Path("DESIGN.md"),), layout_matches),
     Rule("roster-commands-parse",
          "every command line of tests/roster.py parses with build_parser() "
          "and names only files that exist: a renamed flag fails here, not "
