@@ -204,7 +204,7 @@ class FdtPolicy(ThreadingPolicy):
 
         A pure observer of host-side telemetry: nothing here reads or
         writes machine state, so simulated cycles are unchanged
-        (``tests/test_obs_parity.py``).
+        (``tests/test_parity.py``).
         """
         from repro.obs.registry import default_registry
 

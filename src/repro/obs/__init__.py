@@ -1,7 +1,7 @@
 """Unified telemetry spine: metrics, spans, structured logs, provenance.
 
 Stdlib-only and a pure observer throughout (simulated cycles are
-bit-identical with obs on or off — ``tests/test_obs_parity.py``), with
+bit-identical with obs on or off — ``tests/test_parity.py``), with
 one mechanism per job:
 
 * :mod:`repro.obs.registry` — three thread-safe instruments (a

@@ -25,7 +25,7 @@ not built at all, so a serving process holds nothing per span.
 
 Everything here is a pure observer of host time: nothing reads or
 writes simulator state, so simulated cycles are bit-identical with
-tracing active or not (``tests/test_obs_parity.py``).
+tracing active or not (``tests/test_parity.py``).
 """
 
 from __future__ import annotations

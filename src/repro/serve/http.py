@@ -138,17 +138,21 @@ def _parse_headers(lines: list[str]) -> dict[str, str]:
         name, sep, value = line.partition(":")
         if not sep or not name.strip():
             raise HttpProtocolError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        # Two different lengths frame the body two ways (RFC 9112 6.3).
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpProtocolError("conflicting Content-Length headers")
+        headers[name] = value
     return headers
 
 
 def _body_length(headers: dict[str, str]) -> int:
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    # ASCII digits only: int() would also take "+10" and "1_0".
+    if not (length_text.isascii() and length_text.isdigit()):
         raise HttpProtocolError(f"bad Content-Length {length_text!r}")
-    if length < 0 or length > MAX_BODY_BYTES:
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
         raise HttpProtocolError(f"unacceptable Content-Length {length}")
     return length
 

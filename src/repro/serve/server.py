@@ -211,6 +211,9 @@ class ExperimentServer:
                 try:
                     request = await read_request(reader)
                 except HttpProtocolError as exc:
+                    # Metered like a routed reply: endpoint "other".
+                    self.metrics.requests.inc("other")
+                    self.metrics.responses.inc(str(exc.status))
                     writer.write(response_bytes(
                         exc.status, json_body({"error": str(exc)}),
                         keep_alive=False))

@@ -16,7 +16,7 @@ holds ``None``, the one observer, or a :class:`FanOut` over several.
 Observers are pure: they must not schedule events or mutate machine
 state, and no component may choose its code path by whether one is
 attached, so simulated results are bit-identical under every observer
-subset (``tests/test_observer_parity.py``).
+subset (``tests/test_parity.py``).
 
 ``agent`` is always the hardware thread slot (the id locks and barriers
 are keyed by); ``core`` is a physical core index; cycle arguments are

@@ -10,7 +10,7 @@ intervals keyed by agent).
 The recorder is a pure observer: it reads machine counters and appends
 to its :class:`~repro.trace.data.Trace`, never schedules events, and
 never mutates machine state — simulated cycle counts are bit-identical
-with a recorder attached or not (``tests/test_observer_parity.py``).
+with a recorder attached or not (``tests/test_parity.py``).
 """
 
 from __future__ import annotations

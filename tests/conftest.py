@@ -39,6 +39,22 @@ def _isolated_result_cache(tmp_path, monkeypatch) -> None:
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 
 
+@pytest.fixture(scope="session")
+def memo(tmp_path_factory):
+    """One memo-only ``JobRunner`` for the whole session, keyed by
+    ``JobSpec.key()``: a test that repeats another test's simulation, and
+    asserts nothing about a fresh run, resolves it here.  Its results are
+    the round-tripped ones ``tests/test_parity.py`` holds bit-identical
+    to a direct run.  A runner binds its run registry under
+    ``REPRO_CACHE_DIR`` when built, so it is built under a session
+    directory, not the first test's."""
+    from repro.jobs import JobRunner
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("memo")))
+        return JobRunner()
+
+
 @pytest.fixture
 def span_sink(tmp_path):
     """Point the process-global span sink at a per-test file and return

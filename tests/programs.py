@@ -7,7 +7,9 @@ program (a hot kernel stays a generator).  :func:`drive_team` makes every
 ``team_iteration`` call a run would make, so its real values and op
 tables can be checked directly.  :func:`holder`, :func:`waiters` and
 :func:`pending` read the lock and barrier managers' state, which the
-simulator itself never asks for; :func:`span_from_dict` reads a span
+simulator itself never asks for; :class:`DecisionTap` keeps FDT
+decisions as an observer; :func:`synthetic_spec` and
+:func:`synthetic_body` are the small job host-layer tests submit; :func:`span_from_dict` reads a span
 sink back; :func:`served` and :func:`metrics_text` are one request to a
 test server; and :func:`load` imports code that lives beside the
 package (an example, a benchmark module) by its path.
@@ -16,9 +18,12 @@ package (an example, a benchmark module) by its path.
 from __future__ import annotations
 
 import importlib.util
+import multiprocessing
 import sys
 from pathlib import Path
 from typing import Any, Iterable
+
+import pytest
 
 from repro.errors import ProgramError
 from repro.isa.ops import (
@@ -31,7 +36,10 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
+from repro.jobs import JobSpec, PolicySpec, WorkloadRef
 from repro.obs.tracing import Span
+from repro.sim.config import MachineConfig
+from repro.sim.observer import SimObserver
 
 _VALID_OP_TYPES = (
     Compute,
@@ -102,6 +110,44 @@ def waiters(locks: Any, lock_id: int) -> int:
 def pending(barriers: Any, barrier_id: int) -> int:
     """How many cores wait at ``barrier_id`` in a ``BarrierManager``."""
     return len(barriers._barriers.get(barrier_id, ()))
+
+
+class DecisionTap(SimObserver):
+    """A one-method plug-in: keeps each FDT decision, its one argument."""
+
+    def __init__(self) -> None:
+        self.decisions = []
+
+    def on_fdt_decision(self, decision) -> None:
+        self.decisions.append(decision)
+
+
+def synthetic_spec(iterations: int = 8, threads: int = 2,
+                   config: MachineConfig | None = None,
+                   policy: str | None = None) -> JobSpec:
+    """The small synthetic job the host-layer tests submit: a static team
+    of ``threads`` (or the ``policy`` kind), on the small machine unless
+    ``config`` says otherwise."""
+    return JobSpec(
+        workload=WorkloadRef.synthetic(cs_fraction=0.2, bus_lines=2,
+                                       iterations=iterations,
+                                       compute_instr=200),
+        policy=(PolicySpec(kind=policy) if policy is not None
+                else PolicySpec.static(threads)),
+        config=config or MachineConfig.small())
+
+
+def synthetic_body(iterations: int = 8, threads: int = 2) -> dict:
+    """:func:`synthetic_spec` as a ``/v1/run`` request body."""
+    return {"synthetic": {"cs_fraction": 0.2, "bus_lines": 2,
+                          "iterations": iterations, "compute_instr": 200},
+            "policy": "static", "threads": threads}
+
+
+#: Crash and fault tests patch module state into forked pool workers.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the test patches module state into forked pool workers")
 
 
 def span_from_dict(data: dict) -> Span:

@@ -4,7 +4,7 @@
 runs, written for host speed.  This module says what that walk must do,
 written for reading: one function per MESI transaction, each a plain
 sequence of component operations, in the order the protocol takes them.
-``tests/test_property_memsys.py`` and ``tests/test_perf_parity.py``
+``tests/test_property_memsys.py`` and ``tests/test_parity.py``
 hold the port to it, bit for bit: the same completion cycles, cache
 contents in LRU order, directory, counters and ring links.
 

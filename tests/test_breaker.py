@@ -10,14 +10,7 @@ import pytest
 
 from repro.errors import JobError
 from repro.faults import FaultPlan, FaultRule, injected, uninstall
-from repro.jobs import (
-    JobSpec,
-    PolicySpec,
-    Resolution,
-    ResultCache,
-    WorkloadRef,
-    app_result_to_dict,
-)
+from repro.jobs import Resolution, ResultCache, app_result_to_dict
 from repro.serve import RequestPipeline, ServeConfig, ServeMetrics
 from repro.serve.breaker import (
     STATE_CLOSED,
@@ -31,7 +24,7 @@ from repro.jobs.resolution import (
     STATUS_SHED,
     STATUS_TIMEOUT,
 )
-from repro.sim.config import MachineConfig
+from tests.programs import synthetic_spec as _spec
 
 
 @pytest.fixture(autouse=True)
@@ -39,15 +32,6 @@ def _disarmed():
     uninstall()
     yield
     uninstall()
-
-
-def _spec(iterations: int = 8) -> JobSpec:
-    return JobSpec(
-        workload=WorkloadRef.synthetic(cs_fraction=0.2, bus_lines=2,
-                                       iterations=iterations,
-                                       compute_instr=200),
-        policy=PolicySpec.static(2),
-        config=MachineConfig.small())
 
 
 # -- the state machine alone ------------------------------------------

@@ -24,21 +24,12 @@ from repro.faults.chaos import (
     example_plan,
     run_chaos,
 )
-from repro.jobs import JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
+from repro.jobs import JobRunner, JobSpec, ResultCache
 from repro.jobs import backoff
 from repro.sim.config import MachineConfig
+from tests.programs import synthetic_spec as _spec
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
-
-
-def _spec(iterations: int = 8, threads: int = 2,
-          config: MachineConfig | None = None) -> JobSpec:
-    return JobSpec(
-        workload=WorkloadRef.synthetic(cs_fraction=0.2, bus_lines=2,
-                                       iterations=iterations,
-                                       compute_instr=200),
-        policy=PolicySpec.static(threads),
-        config=config or MachineConfig.small())
 
 
 def _serve_spec(iterations: int = 8) -> JobSpec:

@@ -2,7 +2,7 @@
 
 Positive controls must trip exactly their analysis; the twelve Table 2
 workloads must check clean.  That the sanitizer is a pure observer —
-enabling it cannot move a single cycle — is ``test_observer_parity.py``.
+enabling it cannot move a single cycle — is ``test_parity.py``.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def test_barrier_epochs_suppress_phased_writer_rotation():
     assert report.clean
 
 
-# -- pure-observer property: tests/test_observer_parity.py --------------------
+# -- pure-observer property: tests/test_parity.py -----------------------------
 
 def test_sanitizer_disabled_by_default():
     machine = Machine(MachineConfig.asplos08_baseline())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigError, DeadlockError
@@ -15,7 +17,10 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
+from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, _place_nodes
+from repro.sim.observer import FanOut, SimObserver
+from repro.trace import TraceRecorder
 
 
 def run_one(machine: Machine, ops):
@@ -199,3 +204,20 @@ def test_node_placement_spreads_banks():
     _cores, banks = _place_nodes(32, 8)
     gaps = [b - a for a, b in zip(banks, banks[1:])]
     assert max(gaps) <= 6  # roughly every 5 slots
+
+
+def test_observer_slot_is_none_the_observer_or_a_fan_out(
+        baseline_config: MachineConfig):
+    machine = Machine(baseline_config)
+    assert machine.observer is None and machine.events.sampler is None
+    assert not {"sanitizer", "trace"} & {
+        f.name for f in fields(MachineConfig)}
+    one = SimObserver()
+    assert Machine(baseline_config, observers=[one]).observer is one
+    recorder = TraceRecorder()
+    machine = Machine(baseline_config, observers=[one, recorder])
+    assert isinstance(machine.observer, FanOut)
+    assert machine.observer.observers == (one, recorder)
+    assert machine.events.sampler is recorder  # installed by on_attach
+    # An observer that is not the tracer installs no sampler.
+    assert Machine(baseline_config, observers=[one]).events.sampler is None

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.isa.ops import Compute, CounterKind, Load, ReadCounter
-from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 
 
@@ -79,33 +78,3 @@ def test_counter_read_costs_one_cycle(small_machine: Machine):
 
     region = small_machine.run_serial(factory)
     assert region.cycles <= 4
-
-
-def test_determinism_identical_runs():
-    """Two machines running the same program produce identical traces."""
-    from repro.fdt.policies import StaticPolicy
-    from repro.fdt.runner import run_application
-    from repro.workloads import get
-
-    def run():
-        res = run_application(get("PageMine").build(0.1), StaticPolicy(4),
-                              MachineConfig.asplos08_baseline())
-        r = res.result
-        return (r.cycles, r.busy_core_cycles, r.bus_busy_cycles,
-                r.l3_misses, r.retired_instructions, r.lock_acquisitions)
-
-    assert run() == run()
-
-
-def test_determinism_fdt_runs():
-    from repro.fdt.policies import FdtPolicy
-    from repro.fdt.runner import run_application
-    from repro.workloads import get
-
-    def run():
-        res = run_application(get("EP").build(0.25), FdtPolicy(),
-                              MachineConfig.asplos08_baseline())
-        info = res.kernel_infos[0]
-        return (info.threads, info.trained_iterations, res.cycles)
-
-    assert run() == run()

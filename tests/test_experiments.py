@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import FIGURES, figures
-from repro.jobs import JobRunner
+from repro.analysis.sweep import point_from_result, sweep_threads
+from repro.experiments import FIGURES, Panel, figures, run_panels
+from repro.fdt.runner import run_application
+from repro.jobs import JobRunner, ResultCache, WorkloadRef
+from repro.sim.config import MachineConfig
+from repro.workloads import get
 
 TINY_GRID = (1, 4, 8)
 
@@ -140,3 +144,82 @@ def test_figure(name):
     assert "{" not in result.title
     assert bool(runner.manifest.entries) == bool(result.panels)
     check(result)
+
+
+# -- the same panels as jobs, in process and from a warm cache -----------------
+
+#: Tiny forms of the figures whose panels are jobs (beside fig14, which
+#: ``benchmarks/perf`` pins at full scale).
+JOB_KNOBS = {
+    "fig2": dict(scale=0.1, thread_counts=(1, 2, 4)),
+    "fig4": dict(scale=0.05, thread_counts=(1, 2, 4)),
+    "fig8": dict(scale=0.1, thread_counts=(1, 2, 4),
+                 workloads=("EP", "PageMine")),
+    "fig9": dict(page_sizes=(2048,), scale=0.1, thread_counts=(1, 2, 4)),
+    "fig13": dict(factors=(2.0,), scale=0.2, thread_counts=(1, 2, 4)),
+    "smt": dict(scale=0.1, workloads=("EP",)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(JOB_KNOBS))
+def cold_panels(request, tmp_path_factory):
+    """A figure's panel specs, run once as jobs into a fresh cache:
+    ``(specs, panels, cache_dir, manifest counts)``.  A runner
+    binds its run registry under ``REPRO_CACHE_DIR`` when built, so it
+    is built under this fixture's own directory."""
+    name = request.param
+    specs = FIGURES[name].specs(**JOB_KNOBS[name])
+    cache_dir = tmp_path_factory.mktemp(f"panels-{name}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(cache_dir / "registry"))
+        cold = JobRunner(cache=ResultCache(cache_dir / "results"))
+    result = run_panels(specs, cold)
+    return specs, result, cache_dir / "results", cold.manifest.counts
+
+
+def test_figure_panels_via_jobs_match_in_process_panels(cold_panels):
+    """Sweep points, adaptive run and baseline of every panel are
+    bit-identical whether they ran as jobs into a cold cache or as plain
+    in-process runs (the same three steps spelled with
+    ``run_application``)."""
+    specs, cold, _, counts = cold_panels
+    in_process = []
+    for spec in specs:
+        config = spec.config or MachineConfig.asplos08_baseline()
+        build = spec.workload.build
+
+        def run(policy):
+            return run_application(build(), policy.build(), config)
+
+        sweep = baseline = adaptive = None
+        if spec.grid is not None:
+            sweep = sweep_threads(build, spec.grid, config)
+            baseline = sweep.points[-1]
+        elif spec.baseline is not None:
+            res = run(spec.baseline)
+            baseline = point_from_result(res.threads_used[0], res)
+        if spec.policy is not None:
+            adaptive = run(spec.policy)
+        in_process.append(Panel(spec.label, sweep, adaptive, baseline))
+    assert cold == tuple(in_process)
+    assert counts["computed"] == counts["total"] > 0
+
+
+def test_warm_cache_figure_runs_zero_simulations(cold_panels):
+    """A warm-cache figure is 100% cache hits, with the cold panels."""
+    specs, cold, cache_dir, cold_counts = cold_panels
+    warm = JobRunner(cache=ResultCache(cache_dir))
+    assert run_panels(specs, warm) == cold
+    counts = warm.manifest.counts
+    assert counts["computed"] == 0 and counts["failed"] == 0
+    assert counts["hits"] == counts["total"] == cold_counts["total"]
+
+
+def test_sweep_via_jobs_matches_legacy_factory_sweep():
+    config = MachineConfig.asplos08_baseline()
+    for name in ("EP", "PageMine"):
+        legacy = sweep_threads(lambda: get(name).build(0.1), (1, 2, 4),
+                               config)
+        via_jobs = sweep_threads(WorkloadRef(name=name, scale=0.1),
+                                 (1, 2, 4), config)
+        assert via_jobs == legacy

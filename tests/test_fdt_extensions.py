@@ -14,13 +14,14 @@ from repro.fdt.extensions import (
 )
 from repro.fdt.policies import POLICIES, FdtMode, FdtPolicy
 from repro.fdt.runner import run_application
+from repro.jobs import JobSpec, PolicySpec, WorkloadRef
 from repro.obs.registry import default_registry, reset_default_registry
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.sim.observer import SimObserver
 from repro.trace import TraceRecorder
 from repro.workloads import get
 from repro.workloads.synthetic import build_synthetic
+from tests.programs import DecisionTap
 
 CFG = MachineConfig.asplos08_baseline()
 
@@ -115,10 +116,10 @@ def test_calibrated_bat_skips_the_probe_on_a_single_slot_machine():
     assert calibrated.cycles == plain.cycles
 
 
-def test_two_phase_sat_near_best_for_pagemine():
+def test_two_phase_sat_near_best_for_pagemine(memo):
     from repro.analysis.sweep import sweep_threads
-    sweep = sweep_threads(lambda: get("PageMine").build(0.25),
-                          (1, 2, 3, 4, 5, 6, 8, 12, 32), CFG)
+    sweep = sweep_threads(WorkloadRef("PageMine", 0.25),
+                          (1, 2, 3, 4, 5, 6, 8, 12, 32), CFG, runner=memo)
     res = run_application(get("PageMine").build(0.25),
                           TwoPhaseSatPolicy(), CFG)
     info = res.kernel_infos[0]
@@ -126,11 +127,11 @@ def test_two_phase_sat_near_best_for_pagemine():
     assert res.cycles <= sweep.min_cycles * 1.35
 
 
-def test_two_phase_sat_never_exceeds_first_guess():
+def test_two_phase_sat_never_exceeds_first_guess(memo):
     """The contended re-fit can only see a *larger* CS time, so the
     refined count never exceeds plain SAT's pick."""
-    plain = run_application(get("ISort").build(0.5),
-                            FdtPolicy(FdtMode.SAT), CFG)
+    plain = memo.run_one(JobSpec(workload=WorkloadRef("ISort", 0.5),
+                                 policy=PolicySpec.sat(), config=CFG))
     refined = run_application(get("ISort").build(0.5),
                               TwoPhaseSatPolicy(), CFG)
     assert (refined.kernel_infos[0].threads
@@ -148,16 +149,6 @@ def test_extension_policies_report_training_metadata():
 
 # -- the §9 policies run the paper's pipeline --------------------------------
 
-class _DecisionTap(SimObserver):
-    """Keeps each decision event's record."""
-
-    def __init__(self) -> None:
-        self.decisions = []
-
-    def on_fdt_decision(self, decision) -> None:
-        self.decisions.append(decision)
-
-
 @pytest.mark.parametrize("name", ["sat-two-phase", "bat-calibrated-4"])
 def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
     """Clamp on thread slots, training samples and one decision in the
@@ -165,7 +156,7 @@ def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
     config = MachineConfig.small().with_smt(2)
     slots = config.num_thread_slots
     assert slots == 2 * config.num_cores
-    recorder, tap = TraceRecorder(), _DecisionTap()
+    recorder, tap = TraceRecorder(), DecisionTap()
     machine = Machine(config, observers=[recorder, tap])
     reset_default_registry()
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sweep import sweep_threads
-from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
+from repro.fdt.policies import FdtMode, FdtPolicy
 from repro.fdt.runner import run_application
+from repro.jobs import JobSpec, PolicySpec, WorkloadRef
 from repro.sim.config import MachineConfig
 from repro.workloads import get
 
@@ -19,14 +20,20 @@ CFG = MachineConfig.asplos08_baseline()
 GRID = (1, 2, 4, 6, 8, 12, 16, 32)
 
 
-@pytest.fixture(scope="module")
-def pagemine_sweep():
-    return sweep_threads(lambda: get("PageMine").build(0.2), GRID, CFG)
+def shared(memo, name: str, scale: float, policy: PolicySpec):
+    """One run on the Table 1 machine, shared through the session memo."""
+    return memo.run_one(JobSpec(workload=WorkloadRef(name, scale),
+                                policy=policy, config=CFG))
 
 
-@pytest.fixture(scope="module")
-def ed_sweep():
-    return sweep_threads(lambda: get("ED").build(0.1), GRID, CFG)
+@pytest.fixture
+def pagemine_sweep(memo):
+    return sweep_threads(WorkloadRef("PageMine", 0.2), GRID, CFG, runner=memo)
+
+
+@pytest.fixture
+def ed_sweep(memo):
+    return sweep_threads(WorkloadRef("ED", 0.1), GRID, CFG, runner=memo)
 
 
 # -- Figure 2 shape -----------------------------------------------------------
@@ -64,12 +71,8 @@ def test_ed_bus_utilization_ramps_linearly_then_saturates(ed_sweep):
     assert util[32] > 0.95
 
 
-def test_ed_single_thread_miss_interval_near_paper():
-    from repro.fdt.runner import run_application
-    from repro.sim.machine import Machine
-    m = Machine(CFG)
-    res = run_application(get("ED").build(0.1), StaticPolicy(1), machine=m)
-    r = res.result
+def test_ed_single_thread_miss_interval_near_paper(memo):
+    r = shared(memo, "ED", 0.1, PolicySpec.static(1)).result
     interval = r.cycles / max(1, r.bus_transfers)
     assert 200 <= interval <= 250, "paper: a miss every ~225 cycles"
 
@@ -78,9 +81,9 @@ def test_ed_single_thread_miss_interval_near_paper():
 
 @pytest.mark.parametrize("name,scale", [("PageMine", 0.25), ("ISort", 0.5),
                                         ("GSearch", 0.5), ("EP", 0.5)])
-def test_sat_close_to_best_static(name, scale):
-    sweep = sweep_threads(lambda: get(name).build(scale), GRID, CFG)
-    res = run_application(get(name).build(scale), FdtPolicy(FdtMode.SAT), CFG)
+def test_sat_close_to_best_static(name, scale, memo):
+    sweep = sweep_threads(WorkloadRef(name, scale), GRID, CFG, runner=memo)
+    res = shared(memo, name, scale, PolicySpec.sat())
     # Within 35% of the sweep minimum (training overhead included; the
     # paper's 1% gap needs paper-scale iteration counts where training
     # is 1% of the loop rather than the 5-iteration floor).
@@ -99,16 +102,16 @@ def test_sat_chooses_few_threads_for_cs_apps():
 
 # -- BAT end-to-end -----------------------------------------------------------------
 
-def test_bat_picks_saturation_point_for_ed(ed_sweep):
-    res = run_application(get("ED").build(0.1), FdtPolicy(FdtMode.BAT), CFG)
+def test_bat_picks_saturation_point_for_ed(ed_sweep, memo):
+    res = shared(memo, "ED", 0.1, PolicySpec.bat())
     info = res.kernel_infos[0]
     assert info.threads in (7, 8), "paper: BAT predicts 7 (best 8)"
     assert res.cycles <= ed_sweep.min_cycles * 1.30
     assert res.power < 9
 
 
-def test_bat_saves_most_of_the_power_for_ed(ed_sweep):
-    res = run_application(get("ED").build(0.1), FdtPolicy(FdtMode.BAT), CFG)
+def test_bat_saves_most_of_the_power_for_ed(ed_sweep, memo):
+    res = shared(memo, "ED", 0.1, PolicySpec.bat())
     baseline_power = ed_sweep.point(32).power
     saving = 1 - res.power / baseline_power
     assert saving > 0.6, "paper: 78% power saving for ED"
@@ -152,10 +155,9 @@ def test_combined_uses_different_counts_for_mtwister_kernels():
     assert 16 <= res.mean_threads <= 28, "paper: average ~21 threads"
 
 
-def test_combined_beats_baseline_on_time_and_power_for_cs_apps():
+def test_combined_beats_baseline_on_time_and_power_for_cs_apps(memo):
     for name in ("PageMine", "ISort"):
-        base = run_application(get(name).build(0.2), StaticPolicy(), CFG)
-        fdt = run_application(get(name).build(0.2),
-                              FdtPolicy(FdtMode.COMBINED), CFG)
+        base = shared(memo, name, 0.2, PolicySpec.static(32))
+        fdt = shared(memo, name, 0.2, PolicySpec.fdt())
         assert fdt.cycles < 0.75 * base.cycles
         assert fdt.power < 0.4 * base.power

@@ -6,6 +6,8 @@ import asyncio
 import hashlib
 import json
 import math
+import os
+import time
 from dataclasses import asdict, fields
 
 import pytest
@@ -30,10 +32,14 @@ from repro.jobs import (
     config_to_dict,
     default_cache_dir,
 )
+from repro.jobs import api as jobs_api
+from repro.jobs import backoff
+from repro.jobs import executor as executor_mod
 from repro.jobs import spec as spec_mod
 from repro.serve import RequestPipeline, ServeConfig, ServeMetrics
 from repro.sim.config import MachineConfig
 from repro.workloads import get
+from tests.programs import fork_only
 
 
 def ep_spec(threads: int = 2, scale: float = 0.1,
@@ -460,3 +466,117 @@ def test_runner_preflight_off_by_default():
     runner = JobRunner(cache=None)
     assert runner.preflight is False
     runner.run([ep_spec()])  # no gate, computes normally
+
+
+# -- the memo, the cache and failure handling ---------------------------------
+
+def ep_grid(config: MachineConfig | None = None) -> list[JobSpec]:
+    """EP at 0.1 under static 1, 2 and 4, then FDT."""
+    return [ep_spec(threads=t, config=config) for t in (1, 2, 4)] + [
+        JobSpec(workload=WorkloadRef(name="EP", scale=0.1),
+                policy=PolicySpec.fdt(),
+                config=config or MachineConfig.asplos08_baseline())]
+
+
+def test_memo_dedupes_repeated_specs(memo):
+    runner = JobRunner()
+    spec = ep_grid()[0]
+    first = runner.run_one(spec)
+    second = runner.run_one(spec)
+    assert first == second == memo.run_one(spec)
+    statuses = [e.status for e in runner.manifest.entries]
+    assert statuses == ["computed", "hit"]
+
+
+def test_corrupt_cache_entry_recomputes_only_that_job(tmp_path, memo):
+    cache = ResultCache(tmp_path)
+    specs = ep_grid()
+    JobRunner(cache=cache).run(specs)
+    cache.path_for(specs[1].key()).write_text("{corrupt")
+
+    warm = JobRunner(cache=ResultCache(tmp_path))
+    assert warm.run(specs) == memo.run(specs)
+    assert warm.manifest.counts == {
+        "total": 4, "hits": 3, "computed": 1, "failed": 0,
+        "timeouts": 0}
+
+
+def test_unknown_workload_fails_with_job_error():
+    spec = JobSpec(workload=WorkloadRef(name="NoSuchWorkload"),
+                   policy=PolicySpec.static(1),
+                   config=MachineConfig.small())
+    runner = JobRunner()
+    with pytest.raises(JobError, match="NoSuchWorkload"):
+        runner.run_one(spec)
+    assert runner.manifest.counts["failed"] == 1
+
+
+def test_pool_spawn_failure_falls_back_to_serial(monkeypatch, memo):
+    def broken_pool(*args, **kwargs):
+        raise OSError("no processes for you")
+
+    monkeypatch.setattr(executor_mod.futures, "ProcessPoolExecutor",
+                        broken_pool)
+    runner = JobRunner(jobs=4)
+    assert runner.run(ep_grid()) == memo.run(ep_grid())
+    assert {e.backend for e in runner.manifest.entries} == {"serial-fallback"}
+
+
+@fork_only
+def test_pool_retries_after_worker_crash(tmp_path, monkeypatch, memo):
+    flag = tmp_path / "crashed-once"
+    real = executor_mod._execute_payload
+
+    def crash_once(spec_dict, trace_dir=None):
+        if not flag.exists():
+            flag.write_text("x")
+            os._exit(13)  # hard worker death -> BrokenProcessPool
+        return real(spec_dict, trace_dir)
+
+    monkeypatch.setattr(executor_mod, "_execute_payload", crash_once)
+    runner = JobRunner(jobs=2)  # default arguments recover from one crash
+    assert runner.run(ep_grid()) == memo.run(ep_grid())
+    assert all(e.status in ("computed", "hit")
+               for e in runner.manifest.entries)
+
+
+@fork_only
+def test_pool_gives_up_after_bounded_retries(monkeypatch, tmp_path,
+                                             fast_backoff):
+    def always_crash(spec_dict, trace_dir=None):
+        with open(tmp_path / "submissions", "a") as log:
+            log.write(f"{spec_dict['policy']['threads']}\n")
+        os._exit(13)
+
+    monkeypatch.setattr(executor_mod, "_execute_payload", always_crash)
+    rounds = []
+    real_execute = jobs_api.execute_jobs
+    monkeypatch.setattr(jobs_api, "execute_jobs", lambda specs, **kw: (
+        rounds.append(len(specs)), real_execute(specs, **kw))[1])
+    runner = JobRunner(jobs=2)
+    specs = [ep_spec(threads=t, scale=0.05, config=MachineConfig.small())
+             for t in (1, 2)]
+    with pytest.raises(JobError, match="crashed"):
+        runner.run(specs)
+    assert runner.manifest.counts["failed"] == 2
+    # One retry loop: RETRY_BUDGET + 1 pool rounds, and no job is
+    # started more often than that.
+    assert rounds == [2] * (backoff.RETRY_BUDGET + 1) == [2, 2, 2]
+    started = (tmp_path / "submissions").read_text().split()
+    assert 1 <= max(started.count("1"), started.count("2")) \
+        <= backoff.RETRY_BUDGET + 1
+
+
+@fork_only
+def test_pool_timeout_reports_timed_out_jobs(monkeypatch):
+    def too_slow(spec_dict, trace_dir=None):
+        time.sleep(5.0)
+        return {}
+
+    monkeypatch.setattr(executor_mod, "_execute_payload", too_slow)
+    runner = JobRunner(jobs=2, timeout=0.2)
+    specs = [ep_spec(threads=t, scale=0.05, config=MachineConfig.small())
+             for t in (1, 2)]
+    with pytest.raises(JobError, match="within"):
+        runner.run(specs)
+    assert {e.status for e in runner.manifest.entries} == {"timeout"}

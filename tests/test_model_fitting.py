@@ -107,14 +107,14 @@ def test_fit_against_simulated_pagemine_sweep():
     assert classify_sweep(sweep.thread_counts, times) == "cs-limited"
 
 
-def test_fit_against_simulated_ed_sweep():
-    """The simulator's Figure 4 curve follows Eq. 6 (R² > 0.95)."""
+def test_fit_against_simulated_ed_sweep(memo):
+    """The simulator's Figure 4 curve follows Eq. 6 (R² > 0.95); the
+    sweep is test_integration_shapes.py's, shared through the memo."""
     from repro.analysis.sweep import sweep_threads
+    from repro.jobs import WorkloadRef
     from repro.sim.config import MachineConfig
-    from repro.workloads import get
-    sweep = sweep_threads(lambda: get("ED").build(0.1),
-                          (1, 2, 4, 6, 8, 12, 16, 32),
-                          MachineConfig.asplos08_baseline())
+    sweep = sweep_threads(WorkloadRef("ED", 0.1), (1, 2, 4, 6, 8, 12, 16, 32),
+                          MachineConfig.asplos08_baseline(), runner=memo)
     times = [float(p.cycles) for p in sweep.points]
     fit = fit_bat(sweep.thread_counts, times)
     assert fit.r2 > 0.95

@@ -7,6 +7,7 @@ changes."""
 from __future__ import annotations
 
 import asyncio
+import http.client
 import io
 import json
 import logging
@@ -19,7 +20,7 @@ from datetime import datetime
 import pytest
 
 from repro import cli
-from repro.jobs import SCHEMA_VERSION, JobRunner, JobSpec, PolicySpec, ResultCache, WorkloadRef
+from repro.jobs import SCHEMA_VERSION, JobRunner, ResultCache
 from repro.jobs.manifest import RunManifest
 from repro.obs import (
     configure_logging,
@@ -48,20 +49,7 @@ from repro.serve.pipeline import (
     RETRY_AFTER_MIN,
     RequestPipeline,
 )
-from repro.sim.config import MachineConfig
-from tests.programs import span_from_dict
-
-
-def _synthetic_spec(iterations: int = 8, threads: int = 2,
-                    policy: str | None = None) -> JobSpec:
-    pol = (PolicySpec(kind=policy) if policy is not None
-           else PolicySpec.static(threads))
-    return JobSpec(
-        workload=WorkloadRef.synthetic(cs_fraction=0.2, bus_lines=2,
-                                       iterations=iterations,
-                                       compute_instr=200),
-        policy=pol,
-        config=MachineConfig.small())
+from tests.programs import span_from_dict, synthetic_body, synthetic_spec
 
 
 # -- metrics registry -------------------------------------------------
@@ -523,7 +511,7 @@ def test_run_registry_skips_torn_lines(tmp_path):
 def test_job_runner_writes_provenance_rows():
     reset_default_registry()
     cache = ResultCache(None)
-    spec = _synthetic_spec()
+    spec = synthetic_spec()
     runner = JobRunner(cache=cache)
     runner.run_one(spec)
     runner.run_one(spec)  # memo hit
@@ -552,7 +540,7 @@ def test_job_runner_writes_provenance_rows():
 def test_fdt_job_records_decision_and_estimates():
     reset_default_registry()
     runner = JobRunner(cache=ResultCache(None))
-    spec = _synthetic_spec(iterations=24, policy="fdt")
+    spec = synthetic_spec(iterations=24, policy="fdt")
     runner.run_one(spec)
     (row,) = runner.run_registry.lookup(spec.key())
     assert row.status == "computed"
@@ -570,7 +558,7 @@ def test_fdt_job_records_decision_and_estimates():
 
 def test_obs_cli_list_show_tail_report(capsys):
     runner = JobRunner(cache=ResultCache(None))
-    spec = _synthetic_spec()
+    spec = synthetic_spec()
     runner.run_one(spec)
     key = spec.key()
 
@@ -656,7 +644,7 @@ def test_obs_cli_show_refuses_an_ambiguous_prefix(capsys, tmp_path):
 
 def test_manifest_entries_carry_iso_timestamps():
     runner = JobRunner(cache=None)
-    runner.run_one(_synthetic_spec())
+    runner.run_one(synthetic_spec())
     entry = runner.manifest.entries[-1]
     started = datetime.fromisoformat(entry.started_at)
     finished = datetime.fromisoformat(entry.finished_at)
@@ -902,3 +890,88 @@ def test_span_sink_set_sink_resets_the_degraded_episode(tmp_path):
                          start=1.0, end=2.0).to_dict())
     assert rec.sink.degraded is False
     assert len(read_jsonl(good, span_from_dict)) == 1
+
+
+# -- one trace end to end -------------------------------------------------------
+
+def test_served_request_produces_linked_telemetry(span_sink, capsys):
+    """A served request is one trace ID across serve -> jobs ->
+    simulation, trace-correlated log lines, metric increments in
+    ``/metrics``, and a run-registry row ``repro obs show`` retrieves."""
+    from repro.serve import ServerThread
+    from tests.test_serve import parse_prometheus
+
+    reset_default_registry()
+    stream = io.StringIO()
+    configure_logging(level="INFO", json_lines=True, stream=stream)
+    try:
+        with ServerThread(ServeConfig(port=0)) as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                              timeout=60)
+            try:
+                conn.request("POST", "/v1/run",
+                             body=json.dumps(synthetic_body()).encode(),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                trace_id = response.getheader("X-Repro-Trace-Id")
+                status = response.status
+                body = json.loads(response.read())
+                conn.request("GET", "/metrics")
+                metrics_text = conn.getresponse().read().decode()
+            finally:
+                conn.close()
+    finally:
+        configure_logging(level="WARNING")
+
+    assert status == 200
+    assert body["status"] == "computed"
+    key = body["key"]
+    assert trace_id
+
+    # One trace covers the whole funnel: HTTP request, schema parse,
+    # cache probe, batch dispatch, jobs resolution, simulation run.
+    spans = span_sink(trace_id=trace_id)
+    names = {s.name for s in spans}
+    assert {"serve.request", "serve.schema", "serve.cache_probe",
+            "serve.batch", "jobs.resolve", "sim.run"} <= names
+    by_id = {s.span_id: s for s in spans}
+    chain = []
+    cursor = next(s for s in spans if s.name == "sim.run")
+    while cursor is not None:
+        chain.append(cursor.name)
+        cursor = by_id.get(cursor.parent_id)
+    assert chain == ["sim.run", "jobs.resolve", "serve.batch",
+                     "serve.request"]
+    assert all(s.status == "ok" for s in spans)
+
+    # Structured log lines carry the same trace ID.
+    request_logs = [json.loads(line) for line in
+                    stream.getvalue().splitlines()
+                    if '"msg": "request"' in line]
+    mine = [doc for doc in request_logs if doc.get("key") == key]
+    assert mine, "no structured log line for the served request"
+    assert mine[0]["trace_id"] == trace_id
+    assert mine[0]["logger"] == "repro.serve"
+    assert mine[0]["endpoint"] == "/v1/run"
+    assert mine[0]["status"] == 200
+
+    # /metrics reconciles: the serve panel and the instruments the
+    # jobs layer registered into the shared default registry.
+    samples = parse_prometheus(metrics_text)
+    assert samples['repro_serve_requests_total{endpoint="/v1/run"}'] == 1
+    assert samples["repro_serve_cache_misses_total"] == 1
+    assert samples['repro_jobs_cache_total{outcome="miss"}'] == 1
+    assert samples['repro_jobs_resolutions_total{status="computed"}'] == 1
+    assert samples["repro_serve_batch_seconds_count"] == 1
+
+    # The run registry holds a provenance row linked to the same trace.
+    (row,) = RunRegistry().lookup(key)
+    assert row.status == "computed"
+    assert row.trace_id == trace_id
+    assert row.wall_time > 0
+
+    # And `repro obs show <key>` surfaces it.
+    assert cli.main(["obs", "show", key]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["key"] == key
+    assert doc["trace_id"] == trace_id

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 from collections import Counter
 
 import pytest
@@ -23,7 +22,6 @@ from repro.jobs import (
     PolicySpec,
     Resolution,
     ResultCache,
-    WorkloadRef,
     app_result_to_dict,
 )
 from repro.jobs import api as jobs_api
@@ -35,23 +33,9 @@ from repro.serve import ExperimentServer, ServeClient, ServeConfig, ServerThread
 from repro.serve.http import HttpRequest
 from repro.serve.server import HTTP_STATUS
 from repro.sim.config import MachineConfig
-from tests.programs import served
-
-
-def _spec(iterations: int = 8, threads: int = 2,
-          config: MachineConfig | None = None) -> JobSpec:
-    return JobSpec(
-        workload=WorkloadRef.synthetic(cs_fraction=0.2, bus_lines=2,
-                                       iterations=iterations,
-                                       compute_instr=200),
-        policy=PolicySpec.static(threads),
-        config=config or MachineConfig.small())
-
-
-def _body(iterations: int = 8) -> dict:
-    return {"synthetic": {"cs_fraction": 0.2, "bus_lines": 2,
-                          "iterations": iterations, "compute_instr": 200},
-            "policy": "static", "threads": 2}
+from tests.programs import fork_only, served
+from tests.programs import synthetic_body as _body
+from tests.programs import synthetic_spec as _spec
 
 
 def _rows(runner: JobRunner) -> list[tuple[str, str, str, str]]:
@@ -282,11 +266,6 @@ def test_warm_hit_decodes_the_result_once_per_request(tmp_path, monkeypatch):
 
 
 # -- (d) satellite 2: bounded abort under a pool -------------------------
-
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool fault tests need forked workers")
-
 
 @fork_only
 def test_bounded_abort_recovers_under_a_pool_and_is_counted():

@@ -72,21 +72,8 @@ from repro.jobs.resolution import (
 )
 from repro.sim.config import MachineConfig
 from tests.programs import metrics_text, served
-
-
-def _synthetic_spec(iterations: int = 8, threads: int = 2) -> JobSpec:
-    return JobSpec(
-        workload=WorkloadRef.synthetic(cs_fraction=0.2, bus_lines=2,
-                                       iterations=iterations,
-                                       compute_instr=200),
-        policy=PolicySpec.static(threads),
-        config=MachineConfig.small())
-
-
-def _synthetic_payload(iterations: int = 8, threads: int = 2) -> dict:
-    return {"synthetic": {"cs_fraction": 0.2, "bus_lines": 2,
-                          "iterations": iterations, "compute_instr": 200},
-            "policy": "static", "threads": threads}
+from tests.programs import synthetic_body as _synthetic_payload
+from tests.programs import synthetic_spec as _synthetic_spec
 
 
 class _StubRunner:
@@ -269,6 +256,26 @@ def test_http_response_round_trip_and_errors():
     asyncio.run(go())
 
 
+@pytest.mark.parametrize("lengths", [
+    ["+2"], ["1_0"], ["-2"], ["\u00b2"], ["2", "3"]])
+def test_a_lenient_content_length_is_refused(lengths):
+    """RFC 9112 6.3: ASCII digits only, and one length: int() took "+2"
+    and "1_0", and a second, different header replaced the first."""
+    head = "".join(f"Content-Length: {n}\r\n" for n in lengths)
+    with pytest.raises(HttpProtocolError, match="Content-Length"):
+        asyncio.run(_read(
+            f"POST / HTTP/1.1\r\n{head}\r\n{{}}".encode("latin-1")))
+
+
+def test_a_repeated_equal_content_length_is_one_length():
+    wire = b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}"
+    assert asyncio.run(_read(wire)).body == b"{}"
+
+
+async def _read(wire: bytes):
+    return await read_request(_reader_for(wire))
+
+
 _WIRE = request_bytes("POST", "/v1/run", host="h:1", body=b'{"workload": "EP"}')
 #: A head of short lines, larger than the bound in total.
 _LONG_HEAD = (b"GET / HTTP/1.1\r\n"
@@ -406,6 +413,11 @@ def test_a_chunked_request_gets_one_501_and_a_closed_connection():
         sock.sendall(wire)
         refused = read_response_blocking(stream)
         assert stream.read() == b""  # no second reply: the server hung up
+        with ServeClient(port=handle.port) as client:
+            samples = parse_prometheus(metrics_text(client))
+    # Metered like a routed reply, under endpoint "other".
+    assert samples['repro_serve_responses_total{code="501"}'] == 1
+    assert samples['repro_serve_requests_total{endpoint="other"}'] == 1
     assert refused.status == 501
     assert refused.headers["connection"] == "close"
     assert "Transfer-Encoding" in json.loads(refused.body)["error"]

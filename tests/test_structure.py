@@ -174,9 +174,11 @@ def commands_parse(path: Path) -> bool:
 
 
 def paths_exist(path: Path) -> bool:
-    """Every ``src/``, ``tests/`` or ``benchmarks/`` path named under
-    ``path`` exists (a ``*`` pattern matches at least one file)."""
-    names = {match.group().rstrip("./") for f in _files(path, "*.md")
+    """Every ``src/``, ``tests/`` or ``benchmarks/`` path named in the
+    Markdown and Python files under ``path`` exists (a ``*`` pattern
+    matches at least one file)."""
+    names = {match.group().rstrip("./") for f in _files(path)
+             if f.suffix in (".md", ".py")
              for match in _REPO_PATH.finditer(f.read_text())}
     missing = sorted(name for name in names
                      if not (any(ROOT.glob(name)) if "*" in name
@@ -379,9 +381,11 @@ RULES = (
          "parses with build_parser()",
          (Path("README.md"), Path("docs")), commands_parse),
     Rule("docs-paths-exist",
-         "every src/, tests/ or benchmarks/ path that README.md and docs/ "
-         "name exists",
-         (Path("README.md"), Path("docs")), paths_exist),
+         "every src/, tests/ or benchmarks/ path that the docs, the verify "
+         "skill or a docstring under src/repro name exists",
+         (Path("README.md"), Path("docs"), Path("DESIGN.md"),
+          Path("EXPERIMENTS.md"), Path(".claude/skills/verify/SKILL.md"),
+          Path("src/repro")), paths_exist),
     Rule("design-layout",
          "DESIGN.md's repository layout names every package under "
          "src/repro and no other",

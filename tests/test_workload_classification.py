@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fdt.policies import FdtMode, FdtPolicy
-from repro.fdt.runner import run_application
+from repro.jobs import JobSpec, PolicySpec, WorkloadRef
 from repro.sim.config import MachineConfig
 from repro.workloads import Category, get
 
@@ -33,24 +32,27 @@ MATRIX = {
 }
 
 
+def fdt_run(memo, name: str):
+    """Combined FDT on the Table 1 machine; both tests share the run."""
+    return memo.run_one(JobSpec(workload=WorkloadRef(name, MATRIX[name][0]),
+                                policy=PolicySpec.fdt(), config=CFG))
+
+
 @pytest.mark.parametrize("name", sorted(MATRIX))
-def test_fdt_decision_matches_class(name):
-    scale, (lo, hi) = MATRIX[name]
-    res = run_application(get(name).build(scale),
-                          FdtPolicy(FdtMode.COMBINED), CFG)
+def test_fdt_decision_matches_class(name, memo):
+    _scale, (lo, hi) = MATRIX[name]
+    res = fdt_run(memo, name)
     decision = res.kernel_infos[-1].threads
     assert lo <= decision <= hi, (
         f"{name}: FDT chose {decision}, expected [{lo}, {hi}]")
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX))
-def test_limiter_attribution_matches_class(name):
+def test_limiter_attribution_matches_class(name, memo):
     """The *reason* matches too: CS apps are P_CS-bound, BW apps are
     P_BW-bound, scalable apps hit neither bound."""
-    scale, _band = MATRIX[name]
     category = get(name).category
-    res = run_application(get(name).build(scale),
-                          FdtPolicy(FdtMode.COMBINED), CFG)
+    res = fdt_run(memo, name)
     est = res.kernel_infos[-1].estimates
     if category is Category.CS_LIMITED:
         assert est.p_cs < est.p_bw, f"{name}: SAT should bind"
