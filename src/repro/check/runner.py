@@ -36,8 +36,8 @@ def check_application(app: Application,
     Args:
         app: the application to check.
         config: machine to check on (baseline Table 1 machine if None).
-        threads: static team size for the checked run (raised to 2 to
-            give the race detector something to see); ``None`` is
+        threads: static team size for the checked run, at least 2 to
+            give the race detector something to see; ``None`` is
             :data:`~repro.check.config.DEFAULT_THREADS`, or every slot of
             a smaller machine.
 
@@ -48,8 +48,9 @@ def check_application(app: Application,
     Raises:
         ConfigError: the machine has fewer than 2 thread slots — a team
             of one has nobody to race or deadlock with, so every
-            positive control would pass vacuously — or fewer slots than
-            ``threads``, a team that would run clamped.
+            positive control would pass vacuously — ``threads`` below 2,
+            or fewer slots than ``threads``, a team that would run
+            clamped.
     """
     config = config or MachineConfig.asplos08_baseline()
     slots = config.num_thread_slots
@@ -58,6 +59,9 @@ def check_application(app: Application,
             f"a checked run needs a team of at least 2 threads, but this "
             f"machine has {slots} thread slot(s); give it more cores or "
             f"SMT contexts, or run the static analysis alone")
+    if threads is not None and threads < 2:
+        raise ConfigError(
+            f"a checked team needs at least 2 threads, not {threads}")
     if threads is not None and threads > slots:
         raise ConfigError(
             f"a static team of {threads} threads exceeds the machine's "
@@ -66,8 +70,7 @@ def check_application(app: Application,
     machine = Machine(config, observers=[observer])
     # The report names the team that ran, not the one asked for; a run
     # that aborts inside its first kernel was launched with this one.
-    team = max(2, min(DEFAULT_THREADS, slots) if threads is None
-               else threads)
+    team = min(DEFAULT_THREADS, slots) if threads is None else threads
     policy = StaticPolicy(team)
 
     aborted: str | None = None

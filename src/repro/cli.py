@@ -13,7 +13,7 @@ Usage (after ``pip install -e .``; README.md walks through the rest)::
 
 ``build_parser`` is a loop over :data:`REGISTRARS`, callables of one
 signature ``register(sub, parents)``: this module mounts the commands
-above; ``repro.{check,trace,serve,faults,obs}.cli`` mount their own,
+above; ``repro.{check,serve,faults,obs}.cli`` mount their own,
 beside the code they drive, and are imported only here.  ``parents``
 holds the ``machine``, ``jobs`` and ``logging`` flag groups, each
 declared once (:func:`_parents`) as an argparse parent parser that a
@@ -60,7 +60,6 @@ from repro.obs import configure_logging
 from repro.serve import cli as serve_cli
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
-from repro.trace import cli as trace_cli
 from repro.workloads import all_specs, get
 
 _LOG_DEFAULTS = inspect.signature(configure_logging).parameters
@@ -120,7 +119,7 @@ def _cmd_machine(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.inspection import machine_report_json
-    from repro.trace import TraceRecorder, write_artifacts
+    from repro.trace import TraceRecorder, text_summary, write_artifacts
 
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     spec = get(args.workload)
@@ -145,9 +144,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ipc=r.ipc,
             energy=r.energy,
         )
-        if trace_paths is not None:
-            payload["trace"] = {name: str(path)
-                                for name, path in trace_paths.items()}
+        if recorder is not None:
+            t = recorder.data
+            payload["trace"] = {
+                "spans": len(t.spans), "samples": len(t.samples),
+                "marks": len(t.marks), "decisions": len(t.decisions),
+                "dropped_spans": t.dropped_spans,
+                "dropped_samples": t.dropped_samples,
+                "artifacts": {name: str(path)
+                              for name, path in trace_paths.items()}}
         print(json.dumps(payload, indent=2))
         return 0
     print(f"{spec.name} under {result.policy_name} "
@@ -166,8 +171,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.report is not None:
         Path(args.report).write_text(machine_report_json(machine))
         print(f"machine report written to {args.report}")
-    if trace_paths is not None:
-        print(f"trace artifacts written to {args.trace}")
+    if recorder is not None:
+        print(text_summary(recorder.data))
+        print(f"trace artifacts written to {args.trace}:")
+        for name, path in sorted(trace_paths.items()):
+            print(f"  {name}: {path}")
     return 0
 
 
@@ -394,8 +402,8 @@ def register(sub: argparse._SubParsersAction,
 
 
 #: Who mounts the subcommands: this module, then one registrar per subsystem.
-REGISTRARS = (register, check_cli.register, trace_cli.register,
-              serve_cli.register, faults_cli.register, obs_cli.register)
+REGISTRARS = (register, check_cli.register, serve_cli.register,
+              faults_cli.register, obs_cli.register)
 
 
 def build_parser() -> argparse.ArgumentParser:

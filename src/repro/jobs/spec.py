@@ -26,6 +26,7 @@ from repro.errors import JobError
 from repro.fdt.policies import POLICIES, ThreadingPolicy
 from repro.fdt.runner import Application, AppRunResult, run_application
 from repro.sim.config import MachineConfig
+from repro.sim.machine import Machine
 
 #: Version tag of the job-spec encoding and result serialization.
 #: Bump on any change that alters simulated outputs or their encoding.
@@ -276,7 +277,9 @@ class JobSpec:
         app, policy = self.workload.build(), self.policy.build()
         if trace_dir is None:
             return run_application(app, policy, self.config)
-        from repro.trace import run_traced, write_artifacts
-        traced = run_traced(app, policy, self.config)
-        write_artifacts(traced.trace, Path(trace_dir) / self.key())
-        return traced.result
+        from repro.trace import TraceRecorder, write_artifacts
+        recorder = TraceRecorder()
+        with Machine(self.config, observers=[recorder]) as machine:
+            result = run_application(app, policy, machine=machine)
+        write_artifacts(recorder.data, Path(trace_dir) / self.key())
+        return result

@@ -34,9 +34,7 @@ def serve_config(args: argparse.Namespace) -> ServeConfig:
     """The server configuration ``repro serve``'s flags describe."""
     return ServeConfig(
         host=args.host, port=args.port,
-        queue_depth=args.queue_depth, retry_after=args.retry_after,
-        workers=args.workers, max_batch=args.max_batch,
-        batch_window=args.batch_window,
+        queue_depth=args.queue_depth, workers=args.workers,
         request_timeout=args.request_timeout,
         jobs=args.jobs, job_timeout=args.timeout,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
@@ -102,11 +100,7 @@ def register(sub: argparse._SubParsersAction,
             ("host", "HOST", "bind address"),
             ("queue_depth", "N", "admission-control queue bound; "
              "overload beyond it is shed with 429"),
-            ("retry_after", "SEC", "Retry-After advertised on shed responses"),
-            ("workers", "N", "concurrent simulation batches"),
-            ("max_batch", "N", "cache misses folded into one job submission"),
-            ("batch_window", "SEC", "wait this long for more misses "
-             "before dispatching a batch")):
+            ("workers", "N", "concurrent simulation batches")):
         default = getattr(config, field)  # the flag's type is the field's
         p_serve.add_argument(f"--{field.replace('_', '-')}", metavar=metavar,
                              type=type(default), default=default,

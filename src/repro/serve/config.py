@@ -1,7 +1,7 @@
 """Serving configuration: every knob of the experiment server.
 
 One frozen dataclass carries the whole surface — network endpoint,
-admission control, batching, the jobs backend passed through to
+admission control, the worker pool, the jobs backend passed through to
 :class:`~repro.jobs.JobRunner`, and operational outputs — so a server
 is fully described by one value (easy to log, easy to build in tests).
 """
@@ -38,20 +38,11 @@ class ServeConfig:
     #: instead of queuing without bound.  Hits, coalesced followers,
     #: and read-only endpoints are never queued, so they are never shed.
     queue_depth: int = 64
-    #: ``Retry-After`` seconds advertised on shed responses.
-    retry_after: float = 1.0
 
-    # -- batching / worker pool ----------------------------------------
+    # -- worker pool ---------------------------------------------------
     #: Concurrent simulation batches (asyncio workers, each running one
     #: :class:`~repro.jobs.JobRunner` call in a thread at a time).
     workers: int = 2
-    #: Most misses folded into one ``JobRunner`` submission.
-    max_batch: int = 8
-    #: Seconds a worker waits after picking up the first miss for more
-    #: to arrive before dispatching the batch.  0 dispatches whatever
-    #: is already queued (lowest latency; batching still happens under
-    #: load because the queue backs up while workers are busy).
-    batch_window: float = 0.0
     #: Wall-clock bound on one simulation batch; requests in a batch
     #: that exceeds it are answered 504 (the underlying computation is
     #: not interruptible — it keeps running and still warms the cache).
@@ -90,12 +81,6 @@ class ServeConfig:
             raise ServeError("queue_depth must be >= 1")
         if self.workers < 1:
             raise ServeError("workers must be >= 1")
-        if self.max_batch < 1:
-            raise ServeError("max_batch must be >= 1")
-        if self.batch_window < 0:
-            raise ServeError("batch_window must be >= 0")
-        if self.retry_after < 0:
-            raise ServeError("retry_after must be >= 0")
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ServeError("request_timeout must be positive")
         if self.jobs < 1:

@@ -147,6 +147,8 @@ async def run_loadgen(host: str, port: int, payload: dict,
         raise ServeError("rps must be positive")
     if duration <= 0:
         raise ServeError("duration must be positive")
+    if timeout <= 0:
+        raise ServeError("timeout must be positive")
     total = max(1, int(rps * duration))
     client = AsyncServeClient(host, port, timeout=timeout)
     report = LoadgenReport(target_rps=rps, duration=duration, sent=total)

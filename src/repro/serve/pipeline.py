@@ -25,7 +25,7 @@ Every ``/v1`` simulation request resolves through one funnel:
    is shed immediately (HTTP 429 + ``Retry-After``) instead of queuing
    without bound behind doomed work.
 4. **Batched execution** — worker tasks drain the queue, fold up to
-   ``max_batch`` misses into one :meth:`~repro.jobs.JobRunner.resolve`
+   :data:`MAX_BATCH` misses into one :meth:`~repro.jobs.JobRunner.resolve`
    call, and run it on a thread pool with a per-batch timeout.  The
    jobs backend (memoization, on-disk cache writes, process pool,
    retries, preflight gating) is reused as-is.
@@ -81,6 +81,10 @@ _DRAIN_EMA_ALPHA = 0.25
 #: Bounds on the derived ``Retry-After`` advice (seconds).
 RETRY_AFTER_MIN = 1.0
 RETRY_AFTER_MAX = 30.0
+#: Most misses folded into one ``JobRunner`` submission.  A worker takes
+#: what is already queued: under load the queue backs up while workers
+#: are busy, so batches fill without waiting for stragglers.
+MAX_BATCH = 8
 #: Validated hits remembered in memory (a result, its decode and its
 #: encoded replies are a few KB: under 10 MB when full), and request
 #: bodies remembered as answered by one (a digest and a key apiece).
@@ -116,7 +120,7 @@ class RequestPipeline:
     """The funnel described in the module docstring.
 
     Args:
-        config: serving knobs (queue depth, batching, timeouts).
+        config: serving knobs (queue depth, workers, timeouts).
         metrics: instrument panel to update.
         cache: read path for the cache fast path; ``None`` disables it
             and the in-memory tier above it (every request goes through
@@ -309,9 +313,7 @@ class RequestPipeline:
         while True:
             entry = await self._queue.get()
             batch = [entry]
-            if self.config.batch_window > 0:
-                await asyncio.sleep(self.config.batch_window)
-            while len(batch) < self.config.max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -323,11 +325,11 @@ class RequestPipeline:
                     self._queue.task_done()
 
     async def _run_batch(self, batch: list[_Entry]) -> None:
-        """One JobRunner submission for up to ``max_batch`` misses."""
+        """One JobRunner submission for up to :data:`MAX_BATCH` misses."""
         runner = self._runner_factory()
         specs = [entry.spec for entry in batch]
         loop = asyncio.get_running_loop()
-        # A batch serves up to max_batch independent requests but is one
+        # A batch serves up to MAX_BATCH independent requests but is one
         # unit of work; its span joins the first admitted request's
         # trace (re-entered by hand — executors don't copy contextvars).
         ctx = next((e.ctx for e in batch if e.ctx is not None), None)
@@ -393,11 +395,11 @@ class RequestPipeline:
         Estimates how long the current backlog (plus the shed request
         itself) takes to drain at the EMA rate, clamped to
         ``[RETRY_AFTER_MIN, RETRY_AFTER_MAX]``.  Before any batch has
-        completed there is no observation to derive from, so the
-        configured static ``retry_after`` is advertised unchanged.
+        completed there is no observation to derive from, so the floor
+        :data:`RETRY_AFTER_MIN` is advertised.
         """
         if self._drain_rate <= 0:
-            return self.config.retry_after
+            return RETRY_AFTER_MIN
         backlog = self._queue.qsize() + 1
         estimate = backlog / self._drain_rate
         return min(RETRY_AFTER_MAX, max(RETRY_AFTER_MIN, estimate))

@@ -22,25 +22,25 @@ its ``.data`` with :func:`~repro.trace.export.write_artifacts`
 (Perfetto ``trace_event`` JSON, CSV counter series, decision-log JSON,
 text summary), or from the CLI::
 
-    python -m repro trace PageMine --policy fdt --out traces/pagemine
-    python -m repro run ED --policy fdt --trace traces/ed
+    python -m repro run PageMine --policy fdt --trace traces/pagemine
 
 Typical programmatic use::
 
     from repro.fdt.policies import FdtPolicy
-    from repro.trace import run_traced, text_summary, write_artifacts
+    from repro.fdt.runner import run_application
+    from repro.sim.machine import Machine
+    from repro.trace import TraceRecorder, text_summary, write_artifacts
     from repro.workloads import get
 
-    traced = run_traced(get("PageMine").build(0.5), FdtPolicy())
-    print(text_summary(traced.trace))
-    write_artifacts(traced.trace, "traces/pagemine")
+    recorder = TraceRecorder()
+    with Machine(observers=[recorder]) as machine:
+        run_application(get("PageMine").build(0.5), FdtPolicy(),
+                        machine=machine)
+    print(text_summary(recorder.data))
+    write_artifacts(recorder.data, "traces/pagemine")
 """
 
 from repro import _exports
-
-#: Cycles between counter samples unless the caller names another
-#: spacing (``repro trace --sample-interval``).
-SAMPLE_INTERVAL = 1000
 
 _EXPORTS = {
     "CounterSample": "data",
@@ -54,11 +54,9 @@ _EXPORTS = {
     "Span": "data",
     "Trace": "data",
     "TraceRecorder": "recorder",
-    "TracedRun": "runner",
     "counters_csv": "export",
     "decisions_json": "export",
     "perfetto_json": "export",
-    "run_traced": "runner",
     "text_summary": "export",
     "to_perfetto": "export",
     "write_artifacts": "export",

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
 from repro.sim.observer import SimObserver
-from repro.trace import SAMPLE_INTERVAL
 from repro.trace.data import (
     STATE_BARRIER_WAIT,
     STATE_COMPUTE,
@@ -38,6 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.fdt.training import TrainingSample
     from repro.sim.machine import Machine
 
+#: Cycles between counter samples.  Read when a recorder is built.
+SAMPLE_INTERVAL = 1000
 #: Memory stalls shorter than this many cycles are not recorded (keeps
 #: L2-miss noise out of the timeline).  Read at call time.
 MIN_MEM_STALL_CYCLES = 8
@@ -48,15 +48,12 @@ MAX_EVENTS = 1_000_000
 
 class TraceRecorder(SimObserver):
     """Records timeline spans, a counter sample every
-    ``sample_interval`` cycles (a :class:`ConfigError` below 1), and FDT
-    decisions."""
+    :data:`SAMPLE_INTERVAL` cycles, and FDT decisions."""
 
-    def __init__(self, sample_interval: int = SAMPLE_INTERVAL) -> None:
-        if sample_interval < 1:
-            raise ConfigError("sample_interval must be >= 1")
-        self.data = Trace(sample_interval=sample_interval, num_cores=0)
+    def __init__(self) -> None:
+        self.data = Trace(sample_interval=SAMPLE_INTERVAL, num_cores=0)
         #: Next counter-sample boundary cycle.
-        self._next_sample = sample_interval
+        self._next_sample = SAMPLE_INTERVAL
         #: Open lock-wait intervals: (agent, lock_id) -> spin start.
         self._lock_waits: dict[tuple[int, int], int] = {}
         #: Open critical sections: (agent, lock_id) -> grant cycle.

@@ -8,7 +8,8 @@ program (a hot kernel stays a generator).  :func:`drive_team` makes every
 tables can be checked directly.  :func:`holder`, :func:`waiters` and
 :func:`pending` read the lock and barrier managers' state, which the
 simulator itself never asks for; :class:`DecisionTap` keeps FDT
-decisions as an observer; :func:`synthetic_spec` and
+decisions as an observer; :func:`traced` runs an application with a
+trace recorder attached; :func:`synthetic_spec` and
 :func:`synthetic_body` are the small job host-layer tests submit; :func:`span_from_dict` reads a span
 sink back; :func:`served` and :func:`metrics_text` are one request to a
 test server; and :func:`load` imports code that lives beside the
@@ -36,10 +37,13 @@ from repro.isa.ops import (
     Store,
     Unlock,
 )
+from repro.fdt.runner import run_application
 from repro.jobs import JobSpec, PolicySpec, WorkloadRef
 from repro.obs.tracing import Span
 from repro.sim.config import MachineConfig
+from repro.sim.machine import Machine
 from repro.sim.observer import SimObserver
+from repro.trace import TraceRecorder
 
 _VALID_OP_TYPES = (
     Compute,
@@ -120,6 +124,17 @@ class DecisionTap(SimObserver):
 
     def on_fdt_decision(self, decision) -> None:
         self.decisions.append(decision)
+
+
+def traced(app: Any, policy: Any,
+           config: MachineConfig | None = None) -> tuple[Any, Any]:
+    """``(AppRunResult, Trace)`` of ``app`` run under ``policy`` on a
+    machine with a :class:`~repro.trace.TraceRecorder` attached, the way
+    ``repro run --trace`` and ``JobSpec.run(trace_dir)`` build it."""
+    recorder = TraceRecorder()
+    with Machine(config, observers=[recorder]) as machine:
+        result = run_application(app, policy, machine=machine)
+    return result, recorder.data
 
 
 def synthetic_spec(iterations: int = 8, threads: int = 2,

@@ -246,14 +246,22 @@ def _trace(run: Output) -> None:
     assert doc["traceEvents"], "empty Perfetto trace"
     for name in ("counters.csv", "decisions.json", "summary.txt"):
         assert (run.out / ".trace-smoke" / name).read_text(), name
+    assert "cycles by state" in run.stdout, run.stdout
+
+
+def _trace_counts(run: Output) -> None:
+    trace = json.loads(run.stdout)["trace"]
+    assert trace["spans"] and trace["samples"] and trace["decisions"], trace
+    assert (trace["dropped_spans"], trace["dropped_samples"]) == (0, 0)
+    assert set(trace["artifacts"]) == {
+        "perfetto", "counters", "decisions", "summary"}
 
 
 # -- the table -----------------------------------------------------------------
 
 #: Every leaf of the argparse tree (``test_structure.py`` checks the list).
 LEAVES = ("list", "machine", "run", "sweep", "figure", "batch", "check",
-          "trace", "serve", "loadgen", "chaos", "obs list", "obs show",
-          "obs report")
+          "serve", "loadgen", "chaos", "obs list", "obs show", "obs report")
 
 #: Table 2, in its order.
 WORKLOADS = ("PageMine", "ISort", "GSearch", "EP", "ED", "convert",
@@ -328,6 +336,8 @@ ROSTER: tuple[Row | Serve, ...] = (
         "--seed 7"),
     Row("repro chaos --list-sites"),
     Row("repro chaos --attempts 0", code=2),
+    # A client timeout that no reply can meet is refused before sending.
+    Row("repro loadgen --synthetic --request-timeout 0", code=2),
     # A cold batch, then the same batch from the warm cache.
     Row("repro batch EP --threads 1,2 --policies static --scale 0.1 "
         "--jobs 2 --cache-dir {out}/batch-cache --manifest {out}/cold.json",
@@ -381,10 +391,12 @@ ROSTER: tuple[Row | Serve, ...] = (
         "synthetic-unheld-unlock", "static-deadlock",
         "static-barrier-mismatch", "static-counter-in-cs")),
     Row("repro check EP --static --scale 0.1 --json"),
+    Row("repro check EP --threads 0 --scale 0.02", code=2),
     # Perfetto artifacts, and a summary with the FDT decisions in it.
-    Row("repro trace EP --policy static --threads 2 --scale 0.05 "
-        "--out {out}/.trace-smoke", _trace),
-    Row("repro trace PageMine --scale 0.05 --out {out}/trace-fdt"),
+    Row("repro run EP --policy static --threads 2 --scale 0.05 "
+        "--trace {out}/.trace-smoke", _trace),
+    Row("repro run PageMine --scale 0.05 --trace {out}/trace-fdt --json",
+        _trace_counts),
 )
 
 

@@ -155,6 +155,19 @@ def test_check_refuses_a_one_slot_machine(capsys):
     assert "static-lock-order-cycle" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "EP", "--threads", "1", "--scale", "0.02"),
+    ("check", "EP", "--threads", "0", "--scale", "0.02"),
+    ("check", "EP", "--threads", "-5", "--scale", "0.02"),
+    ("loadgen", "--synthetic", "--request-timeout", "0"),
+    ("loadgen", "--synthetic", "--request-timeout", "-1"),
+], ids=" ".join)
+def test_a_value_below_its_floor_exits_2(argv, capsys):
+    """Refused before anything runs, not clamped to 2 threads or run to
+    a transport error on every request."""
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert "must be positive" in err or "at least 2 threads" in err, err
 def test_check_json_output_is_valid(capsys):
     import json
     code, out = run_cli(capsys, "check", "synthetic-racy", "--json")
@@ -186,6 +199,25 @@ def test_run_writes_machine_report(capsys, tmp_path):
     parsed = json.loads(report.read_text())
     assert parsed["cycles"] > 0
     assert parsed["locks"]["acquisitions"] > 0
+
+
+def test_run_trace_prints_the_summary_or_the_counts(capsys, tmp_path):
+    """``--trace`` prints the trace's text summary in text mode and its
+    counts beside the artifact paths in ``--json``; the artifacts are
+    the same either way."""
+    argv = ["run", "EP", "--policy", "static", "--threads", "2",
+            "--scale", "0.05", "--trace"]
+    code, out = run_cli(capsys, *argv, str(tmp_path / "t"))
+    assert code == 0
+    assert "cycles by state" in out and "  perfetto: " in out
+    code, out = run_cli(capsys, *argv, str(tmp_path / "j"), "--json")
+    assert code == 0
+    trace = json.loads(out)["trace"]
+    assert trace["spans"] > 0 and trace["samples"] > 0
+    assert (trace["dropped_spans"], trace["dropped_samples"]) == (0, 0)
+    assert trace["artifacts"]["summary"] == str(tmp_path / "j" / "summary.txt")
+    assert ((tmp_path / "t" / "trace.json").read_bytes()
+            == (tmp_path / "j" / "trace.json").read_bytes())
 
 
 def test_parse_thread_list_rejects_empty():

@@ -69,7 +69,7 @@ def _param(func, name):
 def test_every_subsystem_is_mounted():
     assert {path[0] for path in LEAVES} == {
         "list", "machine", "run", "sweep", "figure", "batch", "check",
-        "trace", "serve", "loadgen", "chaos", "obs"}
+        "serve", "loadgen", "chaos", "obs"}
     assert {path[1] for path in LEAVES if path[0] == "obs"} == {
         "list", "show", "report"}
 
@@ -105,8 +105,7 @@ def test_flag_defaults_are_the_config_and_library_defaults():
     serve, config = parser.parse_args(["serve"]), ServeConfig()
     for flag, field in [
             ("host", "host"), ("queue_depth", "queue_depth"),
-            ("retry_after", "retry_after"), ("workers", "workers"),
-            ("max_batch", "max_batch"), ("batch_window", "batch_window"),
+            ("workers", "workers"),
             ("request_timeout", "request_timeout"), ("jobs", "jobs"),
             ("timeout", "job_timeout"), ("cache_dir", "cache_dir"),
             ("no_cache", "no_cache"), ("preflight", "preflight"),
@@ -115,9 +114,6 @@ def test_flag_defaults_are_the_config_and_library_defaults():
     # The one documented exception: a fixed port on the command line,
     # an ephemeral one in the library.
     assert (serve.port, config.port) == (8080, 0)
-
-    trace = parser.parse_args(["trace", "EP"])
-    assert trace.sample_interval == _param(TraceRecorder, "sample_interval")
 
     loadgen = parser.parse_args(["loadgen"])
     assert loadgen.rps == _param(run_loadgen, "rps")
@@ -145,15 +141,13 @@ def test_flag_defaults_are_the_config_and_library_defaults():
 def test_serve_flags_build_the_expected_config():
     args = build_parser().parse_args([
         "serve", "--host", "0.0.0.0", "--port", "9", "--queue-depth", "3",
-        "--retry-after", "2.5", "--workers", "4", "--max-batch", "5",
-        "--batch-window", "0.25", "--request-timeout", "7", "--jobs", "6",
+        "--workers", "4", "--request-timeout", "7", "--jobs", "6",
         "--timeout", "8", "--cache-dir", "/tmp/c", "--no-cache",
         "--preflight", "--manifest", "m.json"])
     assert serve_config(args) == ServeConfig(
-        host="0.0.0.0", port=9, queue_depth=3, retry_after=2.5, workers=4,
-        max_batch=5, batch_window=0.25, request_timeout=7.0, jobs=6,
-        job_timeout=8.0, cache_dir="/tmp/c", no_cache=True, preflight=True,
-        manifest_path="m.json")
+        host="0.0.0.0", port=9, queue_depth=3, workers=4,
+        request_timeout=7.0, jobs=6, job_timeout=8.0, cache_dir="/tmp/c",
+        no_cache=True, preflight=True, manifest_path="m.json")
 
 
 def test_registration_does_not_import_the_server_or_clients():
@@ -196,3 +190,14 @@ def test_repro_check_takes_no_configuration():
     assert _params(AbstractExecutor.__init__) == ["machine"]
     machine = inspect.signature(AbstractExecutor.__init__).parameters["machine"]
     assert "MachineConfig" in str(machine.annotation)
+
+
+def test_a_setting_no_shipped_caller_sets_is_a_constant():
+    """``ServeConfig`` keeps the fields a caller outside the tests sets
+    or a deployment names; the batch size, the first Retry-After and the
+    recorder's sample spacing are module constants the tests patch."""
+    assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+        "host", "port", "queue_depth", "workers", "request_timeout", "jobs",
+        "job_timeout", "cache_dir", "no_cache", "preflight",
+        "breaker_threshold", "breaker_probe_after", "manifest_path"]
+    assert _params(TraceRecorder.__init__) == []

@@ -38,10 +38,11 @@ from repro.sim.core import Core, _Context
 from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
 from repro.sim.observer import SimObserver
-from repro.trace import recorder, run_traced
+from repro.trace import recorder
 from repro.trace.recorder import MIN_MEM_STALL_CYCLES, SAMPLE_INTERVAL
 from repro.workloads import get
 from repro.workloads.synthetic import FIXTURES
+from tests.programs import traced
 
 SIM_TYPES = (Core, _Context, MemorySystem, SetAssocCache)
 SCALE = 0.05
@@ -105,10 +106,10 @@ def test_a_traced_run_leaves_no_sim_garbage(min_stall, interval,
                                             monkeypatch):
     # The recorder keeps a timeline and is the queue's sampler.
     monkeypatch.setattr(recorder, "MIN_MEM_STALL_CYCLES", min_stall)
+    monkeypatch.setattr(recorder, "SAMPLE_INTERVAL", interval)
     spec = spec_for("ED", "fdt")
-    assert sim_garbage(lambda: run_traced(
-        spec.workload.build(), spec.policy.build(), spec.config,
-        interval)) == []
+    assert sim_garbage(lambda: traced(
+        spec.workload.build(), spec.policy.build(), spec.config)) == []
 
 
 def test_a_checked_run_leaves_no_sim_garbage():

@@ -694,15 +694,13 @@ def test_a_totals_only_manifest_keeps_no_rows_and_the_same_totals():
 
 # -- satellite: drain-rate Retry-After --------------------------------
 
-def _pipeline(retry_after: float = 2.5,
-              queue_depth: int = 4) -> RequestPipeline:
-    config = ServeConfig(retry_after=retry_after, queue_depth=queue_depth)
+def _pipeline(queue_depth: int = 4) -> RequestPipeline:
+    config = ServeConfig(queue_depth=queue_depth)
     return RequestPipeline(config, ServeMetrics(), cache=None)
 
 
-def test_retry_after_falls_back_to_config_before_observations():
-    pipeline = _pipeline(retry_after=2.5)
-    assert pipeline.retry_after_seconds() == 2.5
+def test_retry_after_is_the_floor_before_observations():
+    assert _pipeline().retry_after_seconds() == RETRY_AFTER_MIN == 1.0
 
 
 def test_retry_after_derives_from_drain_rate():

@@ -37,10 +37,16 @@ from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.memsys import MemorySystem
 from repro.sim.observer import SimObserver
-from repro.trace import TraceRecorder, run_traced
+from repro.trace import TraceRecorder
 from repro.trace import recorder as recorder_mod
 from tests import spec_memsys
-from tests.programs import DecisionTap, holder, synthetic_spec, waiters
+from tests.programs import (
+    DecisionTap,
+    holder,
+    synthetic_spec,
+    traced,
+    waiters,
+)
 from tests.spec_memsys import spec_machine
 from tests.test_trace import replay
 
@@ -268,14 +274,14 @@ GRIDS = ("EP-grid", "PageMine-grid")
 SPEC = ("EP-small-static-4", "EP-small-fdt", "BT-small-static-4",
         "BT-small-fdt", "PageMine-static-32", "PageMine-fdt", "ED-static-32",
         "ED-fdt", "Transpose-static-32", "PageMine-smt-12", "mixed-region")
-#: id -> (sample_interval, recorder constants patched, the Trace field
-#: that must fill).  Each pushes one feature past its default.
-TRACE_FEATURES = {"timeline": (recorder_mod.SAMPLE_INTERVAL,
-                               {"MIN_MEM_STALL_CYCLES": 0}, "spans"),
-                  "counters": (10, {}, "samples"),
-                  "decisions": (recorder_mod.SAMPLE_INTERVAL, {}, "decisions"),
-                  "interval-97": (97, {}, "samples"),
-                  "max-events-10": (97, {"MAX_EVENTS": 10}, "dropped_spans")}
+#: id -> (recorder constants patched, the Trace field that must fill).
+#: Each pushes one feature past its default.
+TRACE_FEATURES = {"timeline": ({"MIN_MEM_STALL_CYCLES": 0}, "spans"),
+                  "counters": ({"SAMPLE_INTERVAL": 10}, "samples"),
+                  "decisions": ({}, "decisions"),
+                  "interval-97": ({"SAMPLE_INTERVAL": 97}, "samples"),
+                  "max-events-10": ({"SAMPLE_INTERVAL": 97, "MAX_EVENTS": 10},
+                                    "dropped_spans")}
 
 COLUMNS: dict[str, Column] = {
     "machine": Column(OBSERVED + SYNTHETIC + ("PageMine-static-4",
@@ -292,10 +298,10 @@ COLUMNS: dict[str, Column] = {
            "decision-tap": (DecisionTap,)}.items()},
     **{f"trace-{feature}": Column(
         ("PageMine-fdt", "ED-fdt"),
-        observed(functools.partial(TraceRecorder, interval), **patch),
+        observed(TraceRecorder, **patch),
         lambda evidence, _, field=field: all(
             getattr(o.data, field) for os, *_ in evidence for o in os))
-       for feature, (interval, patch, field) in TRACE_FEATURES.items()},
+       for feature, (patch, field) in TRACE_FEATURES.items()},
     "obs": Column(SYNTHETIC, _loud, lambda spans, _: bool(spans)),
     "jobs-serial": Column(GRIDS, jobs(), manifest(
         lambda m, n: {e.backend for e in m.entries} == {"serial"})),
@@ -412,12 +418,14 @@ def test_lone_thread_runs_ahead_with_the_same_observer_timestamps():
     assert fast[2] == 1 and slow[2] == 1 + 3 * 60
 
 
-def test_sampled_trace_does_not_run_ahead():
+def test_sampled_trace_does_not_run_ahead(monkeypatch):
     """With counter sampling on, the queue has a sampler and the lone
     thread goes through it op by op: were it to run ahead, every sample
     would be taken at the end and read the final counters."""
+    monkeypatch.setattr(recorder_mod, "SAMPLE_INTERVAL", 50)
+
     def sampled(build):
-        recorder = TraceRecorder(sample_interval=50)
+        recorder = TraceRecorder()
         machine = build(SMALL, [recorder])
         machine.run_serial(_lone_factory)
         return recorder.data.samples, machine.events.seq
@@ -430,8 +438,8 @@ def test_sampled_trace_does_not_run_ahead():
 def test_sampled_trace_series_pinned():
     """The counter series of a real traced run (251 samples), summed
     per field; recorded before the step learned to run ahead."""
-    samples = run_traced(WorkloadRef("PageMine", 0.1).build(), FDT.build(),
-                         BASE).trace.samples
+    _, trace = traced(WorkloadRef("PageMine", 0.1).build(), FDT.build(), BASE)
+    samples = trace.samples
     assert (len(samples),
             sum(s.retired_instructions for s in samples),
             sum(s.bus_busy_cycles for s in samples),

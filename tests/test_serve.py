@@ -716,8 +716,7 @@ def test_identical_concurrent_requests_coalesce_to_one_simulation():
 def test_full_queue_sheds_instead_of_queuing():
     gate, started = threading.Event(), threading.Event()
     runner = _StubRunner(gate=gate, started=started)
-    config = ServeConfig(workers=1, queue_depth=1, max_batch=1,
-                         retry_after=2.5)
+    config = ServeConfig(workers=1, queue_depth=1)
     pipeline, metrics = _pipeline(config, runner)
 
     async def go():
@@ -736,7 +735,8 @@ def test_full_queue_sheds_instead_of_queuing():
     shed, served = asyncio.run(go())
     assert shed.status == STATUS_SHED
     assert shed.result is None
-    assert shed.retry_after == 2.5
+    # No batch has finished, so no drain rate: the floor is advised.
+    assert shed.retry_after == pipeline_mod.RETRY_AFTER_MIN == 1.0
     assert [r.status for r in served] == [STATUS_COMPUTED, STATUS_COMPUTED]
     assert metrics.shed.value() == 1
     assert len(runner.batches) == 2  # the shed request never ran
@@ -1162,8 +1162,7 @@ def test_server_maps_request_timeout_to_504_with_spec_key():
 
 def test_overloaded_server_sheds_with_retry_after():
     gate, started = threading.Event(), threading.Event()
-    config = ServeConfig(port=0, workers=1, queue_depth=1, max_batch=1,
-                         retry_after=3.0)
+    config = ServeConfig(port=0, workers=1, queue_depth=1)
     with ServerThread(config,
                       runner_factory=_gated_factory(gate, started)) as handle:
         async def go():
@@ -1175,15 +1174,20 @@ def test_overloaded_server_sheds_with_retry_after():
             second = asyncio.create_task(
                 client.request("POST", "/v1/run", _synthetic_payload(9)))
             await asyncio.sleep(0.05)
-            shed_status, shed_body = await client.request(
-                "POST", "/v1/run", _synthetic_payload(10))
+            (shed,) = await asyncio.to_thread(
+                _send_raw, handle.port, request_bytes(
+                    "POST", "/v1/run", host="h",
+                    body=json.dumps(_synthetic_payload(10)).encode()))
             gate.set()
             served = await asyncio.gather(first, second)
-            return shed_status, shed_body, served
+            return shed, served
 
-        shed_status, shed_body, served = asyncio.run(go())
-        assert shed_status == 429
-        assert shed_body["status"] == "shed"
+        shed, served = asyncio.run(go())
+        assert shed.status == 429
+        assert json.loads(shed.body)["status"] == "shed"
+        # Before the first batch completes there is no drain rate to
+        # derive from: the 1 s floor is advertised.
+        assert shed.headers["retry-after"] == "1"
         assert all(status == 200 for status, _ in served)
         samples = parse_prometheus(
             metrics_text(ServeClient(port=handle.port)))
@@ -1258,8 +1262,12 @@ def _post_never_seen(port: int, first: int, count: int) -> None:
 
 def test_serving_state_does_not_grow_with_requests(tmp_path,
                                                    canned_execution):
-    """What the process still holds after 2N more cold requests grows
-    by under 100 bytes a request: no row, span or record is kept."""
+    """What the process still holds grows by under 100 bytes a request
+    over each of two windows of N more cold requests: no row, span or
+    record is kept.  The smaller window is bounded, so a one-off step
+    (the interpreter resizing its table of interned strings, which the
+    cache's per-key paths fill) cannot fail it, while state kept per
+    request shows in both windows."""
     import gc
     import tracemalloc
 
@@ -1276,15 +1284,17 @@ def test_serving_state_does_not_grow_with_requests(tmp_path,
         tracemalloc.start()
         try:
             _post_never_seen(handle.port, 8, count)
-            before = settled(handle)
-            _post_never_seen(handle.port, 8 + count, 2 * count)
-            after = settled(handle)
+            held = [settled(handle)]
+            for first in (8 + count, 8 + 2 * count):
+                _post_never_seen(handle.port, first, count)
+                held.append(settled(handle))
         finally:
             tracemalloc.stop()
         manifest = handle.server.manifest
     assert manifest.entries is None
     assert manifest.counts["computed"] == 3 * count
-    assert (after - before) / (2 * count) < 100, after - before
+    growth = min(after - before for before, after in zip(held, held[1:]))
+    assert growth / count < 100, held
 
 
 def test_a_manifest_path_keeps_one_row_per_request(tmp_path,

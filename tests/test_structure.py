@@ -355,7 +355,7 @@ RULES = (
          (Path("src"),),
          absent(r"TraceConfig|retry_budget|backoff_base|backoff_cap"
                 r"|bind_retries|startup_timeout|history_bits|bank_occupancy"
-                r"|exemplar")),
+                r"|exemplar|max_batch|batch_window")),
     Rule("one-address-map",
          "the line-address split is derived in repro/sim/addrmap.py alone: "
          "the offset width, every set and bank mask and the DRAM granule "
@@ -372,14 +372,16 @@ RULES = (
                    Path("src/repro"), "__init__.py"),),
          spelled),
     Rule("cli-mounts-own",
-         "repro/cli.py mounts no other subsystem's command: check, trace, "
-         "serve, loadgen, chaos and obs register from their own packages",
+         "repro/cli.py mounts no other subsystem's command: check, serve, "
+         "loadgen, chaos and obs register from their own packages",
          (Path("src/repro/cli.py"),),
-         absent(r'add_parser\(\s*"(check|trace|serve|loadgen|chaos|obs)"')),
+         absent(r'add_parser\(\s*"(check|serve|loadgen|chaos|obs)"')),
     Rule("docs-commands-parse",
-         "every `repro <command> --flag` that README.md and docs/ spell "
-         "parses with build_parser()",
-         (Path("README.md"), Path("docs")), commands_parse),
+         "every `repro <command> --flag` that the docs and the verify "
+         "skill spell parses with build_parser()",
+         (Path("README.md"), Path("docs"), Path("DESIGN.md"),
+          Path("EXPERIMENTS.md"), Path(".claude/skills/verify/SKILL.md")),
+         commands_parse),
     Rule("docs-paths-exist",
          "every src/, tests/ or benchmarks/ path that the docs, the verify "
          "skill or a docstring under src/repro name exists",

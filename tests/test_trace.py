@@ -18,7 +18,6 @@ from dataclasses import fields
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.fdt.estimators import Decision, Estimates, estimate, estimate_from
 from repro.fdt.training import TrainingConfig, TrainingLog, TrainingSample
 from repro.fdt.policies import FdtMode, FdtPolicy, StaticPolicy
@@ -33,13 +32,13 @@ from repro.trace import (
     TraceRecorder,
     counters_csv,
     decisions_json,
-    run_traced,
     text_summary,
     to_perfetto,
     write_artifacts,
 )
 from repro.trace import recorder as recorder_mod
 from repro.workloads import get
+from tests.programs import traced
 
 
 def replay(decision: Decision) -> int:
@@ -109,10 +108,10 @@ def test_counter_samples_land_on_interval_boundaries(pagemine_traced):
 
 def test_max_events_caps_spans_and_counts_drops(monkeypatch):
     monkeypatch.setattr(recorder_mod, "MAX_EVENTS", 10)
-    traced = run_traced(get("PageMine").build(SCALE), StaticPolicy(4))
-    assert len(traced.trace.spans) == 10
-    assert traced.trace.dropped_spans > 0
-    assert text_summary(traced.trace).count("dropped") == 1
+    _, trace = traced(get("PageMine").build(SCALE), StaticPolicy(4))
+    assert len(trace.spans) == 10
+    assert trace.dropped_spans > 0
+    assert text_summary(trace).count("dropped") == 1
 
 
 # -- FDT decision log --------------------------------------------------------
@@ -120,13 +119,13 @@ def test_max_events_caps_spans_and_counts_drops(monkeypatch):
 @pytest.mark.parametrize("mode", [FdtMode.SAT, FdtMode.BAT,
                                   FdtMode.COMBINED])
 def test_decision_log_replays_to_the_chosen_thread_count(mode):
-    traced = run_traced(get("PageMine").build(SCALE), FdtPolicy(mode))
-    assert len(traced.trace.decisions) == 1
-    record = traced.trace.decisions[0]
+    result, trace = traced(get("PageMine").build(SCALE), FdtPolicy(mode))
+    assert len(trace.decisions) == 1
+    record = trace.decisions[0]
     assert record.mode == mode.value
     assert record.samples  # raw training inputs are in the record
     assert replay(record) == record.chosen_threads
-    assert record.chosen_threads == traced.result.kernel_infos[0].threads
+    assert record.chosen_threads == result.kernel_infos[0].threads
 
 
 def test_decision_record_round_trips_through_strict_json(pagemine_traced):
@@ -208,11 +207,6 @@ def test_write_artifacts_produces_all_four_files(tmp_path, pagemine_traced):
 
 
 # -- config / helpers --------------------------------------------------------
-
-def test_trace_config_validates_knobs():
-    with pytest.raises(ConfigError):
-        TraceRecorder(sample_interval=0)
-
 
 def test_busy_fraction_clamps_and_handles_empty_intervals():
     assert busy_fraction(10, 0) == 0.0
