@@ -21,7 +21,7 @@ import json
 import sys
 
 from repro.analysis.report import format_findings
-from repro.check.config import DEFAULT_THREADS
+from repro.check.config import DEFAULT_THREADS, check_team
 from repro.errors import WorkloadError
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
@@ -29,6 +29,8 @@ from repro.workloads.synthetic import FIXTURES
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # Both modes refuse a team the checked run would refuse.
+    check_team(args.threads)
     if args.static_only:
         args.static = True
     if args.all:

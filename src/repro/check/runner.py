@@ -10,7 +10,7 @@ queue, an unlock the lock manager refuses) are themselves reported as a
 
 from __future__ import annotations
 
-from repro.check.config import DEFAULT_THREADS
+from repro.check.config import DEFAULT_THREADS, check_team
 from repro.check.findings import RUNTIME, CheckReport, Finding
 from repro.check.sanitizer import ThreadSanitizer
 from repro.errors import (
@@ -59,9 +59,7 @@ def check_application(app: Application,
             f"a checked run needs a team of at least 2 threads, but this "
             f"machine has {slots} thread slot(s); give it more cores or "
             f"SMT contexts, or run the static analysis alone")
-    if threads is not None and threads < 2:
-        raise ConfigError(
-            f"a checked team needs at least 2 threads, not {threads}")
+    check_team(threads)
     if threads is not None and threads > slots:
         raise ConfigError(
             f"a static team of {threads} threads exceeds the machine's "

@@ -93,7 +93,7 @@ def _make_runner(args: argparse.Namespace) -> JobRunner:
     """Build the job runner the jobs-aware commands share."""
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     return JobRunner(cache=cache, jobs=args.jobs, timeout=args.timeout,
-                     trace_dir=args.trace_dir, preflight=args.preflight)
+                     trace_dir=args.trace_dir)
 
 
 def _finish_jobs(args: argparse.Namespace, runner: JobRunner) -> None:
@@ -132,7 +132,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                  observers=[recorder] if recorder else ()) as machine:
         result = run_application(job.workload.build(), job.policy.build(),
                                  machine=machine)
+    # Every side effect comes before the renderer: --json changes only
+    # what is printed.
     trace_paths = write_artifacts(recorder.data, args.trace) if recorder else None
+    if args.report is not None:
+        Path(args.report).write_text(machine_report_json(machine))
     if args.json:
         r = result.result
         payload = app_result_to_dict(result)
@@ -169,7 +173,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"total: {result.cycles:,} cycles, power {result.power:.2f} "
           f"active cores")
     if args.report is not None:
-        Path(args.report).write_text(machine_report_json(machine))
         print(f"machine report written to {args.report}")
     if recorder is not None:
         print(text_summary(recorder.data))
@@ -316,10 +319,6 @@ def _parents() -> argparse.Namespace:
                            "status, wall time, cache hit/miss)")
     jobs.add_argument("--timeout", type=float, default=None, metavar="SEC",
                       help="per-job timeout for --jobs > 1")
-    jobs.add_argument("--preflight", action="store_true",
-                      help="statically verify each workload before "
-                           "dispatch and refuse jobs with provable "
-                           "hangs or lock faults (verdicts are cached)")
 
     # Defaults live on the top-level parser: a subparser's own would
     # overwrite a flag given one level up (``repro obs --log-json list``).

@@ -23,12 +23,6 @@ from repro.jobs.api import JobRunner, cache_hit, raise_unserved
 from repro.jobs.cache import ResultCache, default_cache_dir
 from repro.jobs.executor import execute_jobs
 from repro.jobs.manifest import RunManifest
-from repro.jobs.preflight import (
-    FATAL_KINDS,
-    PreflightVerdict,
-    preflight_key,
-    run_preflight,
-)
 from repro.jobs.resolution import Resolution
 from repro.jobs.results import app_result_from_dict, app_result_to_dict
 from repro.jobs.spec import (
@@ -49,11 +43,7 @@ __all__ = [
     "Resolution",
     "ResultCache",
     "RunManifest",
-    "FATAL_KINDS",
-    "PreflightVerdict",
-    "preflight_key",
     "raise_unserved",
-    "run_preflight",
     "cache_hit",
     "execute_jobs",
     "default_cache_dir",

@@ -6,7 +6,7 @@ answers every spec with one :class:`~repro.jobs.resolution.Resolution`,
 in submission order, and never raises; for every batch it:
 
 1. resolves keys against the in-memory memo, then the on-disk cache
-   (``hit``), then — when enabled — the pre-flight gate;
+   (``hit``);
 2. executes the remaining misses, deduplicated by content key (a run
    shared by two figures — or by a sweep point and an oracle re-run —
    simulates once), resubmitting host-transient failures from the
@@ -35,13 +35,7 @@ from repro.jobs import backoff
 from repro.jobs.cache import ResultCache
 from repro.jobs.executor import execute_jobs
 from repro.jobs.manifest import RunManifest
-from repro.jobs.preflight import PreflightVerdict, preflight_key, run_preflight
-from repro.jobs.resolution import (
-    STATUS_HIT,
-    STATUS_PREFLIGHT,
-    STATUS_TIMEOUT,
-    Resolution,
-)
+from repro.jobs.resolution import STATUS_HIT, STATUS_TIMEOUT, Resolution
 from repro.jobs.results import app_result_from_dict
 from repro.jobs.spec import SCHEMA_VERSION, JobSpec
 from repro.obs import get_logger
@@ -99,10 +93,9 @@ def raise_unserved(specs: Sequence[JobSpec],
                    resolutions: Sequence[Resolution]) -> None:
     """Raise one aggregated :class:`JobError` unless every spec was served."""
     failures = [
-        f"{spec.label}: " + {
-            STATUS_TIMEOUT: f"timed out ({r.error})",
-            STATUS_PREFLIGHT: f"failed pre-flight verification ({r.error})",
-        }.get(r.status, r.error)
+        f"{spec.label}: "
+        + (f"timed out ({r.error})" if r.status == STATUS_TIMEOUT
+           else r.error)
         for spec, r in zip(specs, resolutions) if not r.ok]
     if failures:
         timeouts = sum(r.status == STATUS_TIMEOUT for r in resolutions)
@@ -125,14 +118,6 @@ class JobRunner:
             ``trace_dir/<job key>/``; the manifest entry carries the
             path.  Cache and memo hits are never re-simulated, so they
             produce no trace — use ``cache=None`` to trace everything.
-        preflight: statically verify each workload before dispatch
-            (:mod:`repro.jobs.preflight`) and refuse to execute specs
-            with provable hangs or lock faults.  Verdicts are cached
-            alongside results, so a sweep pays for each distinct
-            workload once.  Cache and memo hits skip the gate — they
-            already completed once.  A rejection does not stop the
-            batch: the healthy specs are still computed and cached
-            before :meth:`run` raises.
 
     Raises:
         JobError: if ``jobs`` is below 1 or ``timeout`` is not positive.
@@ -141,8 +126,7 @@ class JobRunner:
     def __init__(self, cache: ResultCache | None = None, jobs: int = 1,
                  timeout: float | None = None,
                  manifest: RunManifest | None = None,
-                 trace_dir: str | None = None,
-                 preflight: bool = False) -> None:
+                 trace_dir: str | None = None) -> None:
         if jobs < 1:
             raise JobError(f"jobs must be >= 1, got {jobs}")
         if timeout is not None and timeout <= 0:
@@ -152,14 +136,12 @@ class JobRunner:
         self.timeout = timeout
         self.manifest = manifest if manifest is not None else RunManifest()
         self.trace_dir = trace_dir
-        self.preflight = preflight
         #: Provenance rows of every resolved spec, under ``<cache
         #: root>/obs`` so ``repro obs`` finds them beside the results.
         self.run_registry = runreg.shared_registry(
             cache.root / "obs" if cache is not None
             else runreg.default_runreg_dir())
         self._memo: dict[str, dict] = {}
-        self._preflight_memo: dict[str, PreflightVerdict] = {}
         self._cache_write_failed = False
 
     def run_one(self, spec: JobSpec) -> AppRunResult:
@@ -170,10 +152,10 @@ class JobRunner:
         """:meth:`resolve`, then :func:`raise_unserved`, then decode.
 
         Raises:
-            JobError: one aggregated error naming every failed,
-                timed-out or preflight-rejected spec.  Everything
-                :meth:`resolve` did stands: the manifest records every
-                spec and the healthy ones are memoized and cached.
+            JobError: one aggregated error naming every failed or
+                timed-out spec.  Everything :meth:`resolve` did stands:
+                the manifest records every spec and the healthy ones are
+                memoized and cached.
         """
         with span("jobs.run", specs=len(specs)):
             resolutions = self.resolve(specs)
@@ -184,11 +166,11 @@ class JobRunner:
         """Resolve every spec to its own resolution, never raising.
 
         One resolution per spec, in submission order, and one manifest
-        row per spec built from it.  One timed-out or
-        preflight-rejected spec does not poison the rest of the batch.
-        A spec repeated within the batch resolves after its first
-        occurrence exactly as it would in a second call: a memo hit if
-        that one was served, otherwise the same failure.
+        row per spec built from it.  One failed or timed-out spec does
+        not poison the rest of the batch.  A spec repeated within the
+        batch resolves after its first occurrence exactly as it would in
+        a second call: a memo hit if that one was served, otherwise the
+        same failure.
         """
         with span("jobs.resolve", specs=len(specs)):
             keys = [spec.key() for spec in specs]
@@ -197,7 +179,7 @@ class JobRunner:
             for i, (key, spec) in enumerate(zip(keys, specs)):
                 if key in leaders:
                     continue  # resolved below, after its leader
-                resolution = self._lookup(key) or self._rejection(key, spec)
+                resolution = self._lookup(key)
                 if resolution is None:
                     leaders[key] = i
                 else:
@@ -226,43 +208,6 @@ class JobRunner:
                 self._memo[key] = resolution.result
         _cache_counter().inc("miss" if resolution is None else "hit")
         return resolution
-
-    def _rejection(self, key: str, spec: JobSpec) -> Resolution | None:
-        """``preflight-failed`` if the gate is on and the static analyzer
-        proves the spec broken, else ``None``."""
-        if not self.preflight:
-            return None
-        verdict = self._preflight_lookup(spec)
-        default_registry().counter(
-            "repro_jobs_preflight_total",
-            "Pre-flight static verifications by verdict.",
-            label="verdict").inc("ok" if verdict.ok else "rejected")
-        if verdict.ok:
-            return None
-        return Resolution(key=key, status=STATUS_PREFLIGHT,
-                          backend="static", error="; ".join(verdict.fatal))
-
-    def _preflight_lookup(self, spec: JobSpec) -> PreflightVerdict:
-        """Memo -> cache -> analyze, mirroring the result chain."""
-        pkey = preflight_key(spec)
-        verdict = self._preflight_memo.get(pkey)
-        if verdict is not None:
-            return verdict
-        if self.cache is not None:
-            cached = self.cache.get(pkey)
-            if cached is not None:
-                try:
-                    verdict = PreflightVerdict.from_dict(cached)
-                except (KeyError, TypeError, ValueError):
-                    verdict = None  # corrupt entry: re-analyze
-            if verdict is not None:
-                self._preflight_memo[pkey] = verdict
-                return verdict
-        verdict = run_preflight(spec)
-        self._preflight_memo[pkey] = verdict
-        self._store(pkey, {"preflight": spec.workload.to_dict()},
-                    verdict.to_dict())
-        return verdict
 
     def _compute(self, misses: list[tuple[str, JobSpec]]
                  ) -> dict[str, Resolution]:

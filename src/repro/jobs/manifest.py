@@ -65,7 +65,7 @@ class RunManifest:
         ``timeouts`` is its own bucket — a job that produced no result
         in time is operationally different from one that crashed (the
         server maps it to 504, not 500) — and ``failed`` counts only
-        the genuinely failed rest (crashes, preflight rejections).
+        the genuinely failed rest (crashes, simulation errors).
         """
         def count(*statuses: str) -> int:
             return sum(self._statuses[s] for s in statuses)

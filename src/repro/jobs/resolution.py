@@ -8,7 +8,7 @@ mints the record; every layer above passes it on unchanged or relabels
 it with :func:`dataclasses.replace`.  The manifest / run-registry row is
 built from it, so a row cannot contradict the resolution it describes.
 
-``docs/jobs.md`` has the table of the seven statuses: who mints each,
+``docs/jobs.md`` has the table of the six statuses: who mints each,
 with which ``backend``, its HTTP code, and whether it is retried,
 cached and recorded.
 """
@@ -27,7 +27,6 @@ STATUS_COALESCED = "coalesced"
 STATUS_SHED = "shed"
 STATUS_TIMEOUT = "timeout"
 STATUS_FAILED = "failed"
-STATUS_PREFLIGHT = "preflight-failed"
 
 #: The statuses that carry a result.
 SERVED = (STATUS_HIT, STATUS_COMPUTED, STATUS_COALESCED)
@@ -40,7 +39,7 @@ class Resolution:
     key: str
     status: str
     #: Who produced (or refused) it: ``memo`` | ``cache`` | ``serial`` |
-    #: ``pool`` | ``serial-fallback`` | ``static`` | ``pipeline``.
+    #: ``pool`` | ``serial-fallback`` | ``pipeline``.
     backend: str
     #: Serialized result dict; ``None`` unless the status is served.
     result: dict | None = None

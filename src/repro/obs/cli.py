@@ -112,7 +112,7 @@ def register(sub: argparse._SubParsersAction,
                                 help="list recorded runs")
     p_list.add_argument("--status", default=None,
                         help="filter by disposition (hit, computed, "
-                             "failed, timeout, preflight-failed)")
+                             "failed, timeout)")
     p_list.add_argument("--workload", default=None,
                         help="filter by workload name")
     p_list.add_argument("--limit", type=int, default=None, metavar="N",

@@ -66,8 +66,8 @@ class RunRecord:
     key: str
     workload: str
     policy: str
-    #: Disposition: ``hit`` / ``computed`` / ``failed`` / ``timeout`` /
-    #: ``preflight-failed``.
+    #: Disposition: ``hit`` / ``computed`` / ``failed`` / ``timeout``
+    #: (a row from an older version may carry another status string).
     status: str
     #: ``cache`` | ``serial`` | ``pool`` | ``serial-fallback``.
     backend: str

@@ -38,7 +38,7 @@ def serve_config(args: argparse.Namespace) -> ServeConfig:
         request_timeout=args.request_timeout,
         jobs=args.jobs, job_timeout=args.timeout,
         cache_dir=args.cache_dir, no_cache=args.no_cache,
-        preflight=args.preflight, manifest_path=args.manifest)
+        manifest_path=args.manifest)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

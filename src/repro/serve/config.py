@@ -59,8 +59,6 @@ class ServeConfig:
     #: Disable the on-disk result cache entirely (every request
     #: simulates; single-flight coalescing still applies).
     no_cache: bool = False
-    #: Statically verify workloads before dispatch (cached verdicts).
-    preflight: bool = False
 
     # -- circuit breaker -----------------------------------------------
     #: Consecutive totally-failed batches that trip the pipeline's

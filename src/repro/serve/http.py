@@ -33,7 +33,6 @@ STATUS_REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",

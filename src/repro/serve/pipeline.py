@@ -28,7 +28,7 @@ Every ``/v1`` simulation request resolves through one funnel:
    :data:`MAX_BATCH` misses into one :meth:`~repro.jobs.JobRunner.resolve`
    call, and run it on a thread pool with a per-batch timeout.  The
    jobs backend (memoization, on-disk cache writes, process pool,
-   retries, preflight gating) is reused as-is.
+   retries) is reused as-is.
 
 Every answer is a jobs-layer :class:`~repro.jobs.Resolution`: the
 runner's record handed on unchanged, the leader's relabelled
@@ -161,8 +161,7 @@ class RequestPipeline:
     def _default_runner(self) -> JobRunner:
         return JobRunner(cache=self.cache, jobs=self.config.jobs,
                          timeout=self.config.job_timeout,
-                         manifest=self.manifest,
-                         preflight=self.config.preflight)
+                         manifest=self.manifest)
 
     # -- lifecycle ----------------------------------------------------
 

@@ -46,7 +46,6 @@ from repro.jobs import (
 from repro.jobs.resolution import (
     SERVED,
     STATUS_FAILED,
-    STATUS_PREFLIGHT,
     STATUS_SHED,
     STATUS_TIMEOUT,
 )
@@ -71,7 +70,6 @@ HTTP_STATUS = {
     STATUS_SHED: 429,
     STATUS_TIMEOUT: 504,
     STATUS_FAILED: 500,
-    STATUS_PREFLIGHT: 422,
 }
 
 #: Extra bind attempts when the port is racily taken (EADDRINUSE)

@@ -55,10 +55,10 @@ class _State:
         self.tmp_base = space.alloc(nbytes)
         self.out_base = space.alloc(nbytes)
         rng = np.random.default_rng(params.seed)
-        self.image = rng.standard_normal((params.size, params.size))
+        self.image = rng.standard_normal((params.size,) * 2, dtype=np.float32)
         x = np.arange(-params.radius, params.radius + 1)
         kern = np.exp(-0.5 * (x / (params.radius / 3.0)) ** 2)
-        self.kernel = kern / kern.sum()
+        self.kernel = (kern / kern.sum()).astype(np.float32)
         self.temp = np.zeros_like(self.image)
         self.output = np.zeros_like(self.image)
 

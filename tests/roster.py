@@ -257,6 +257,18 @@ def _trace_counts(run: Output) -> None:
         "perfetto", "counters", "decisions", "summary"}
 
 
+def _batch_json(run: Output) -> None:
+    batch = json.loads(run.stdout)
+    assert batch["counts"]["computed"] == len(batch["jobs"]) == 1, batch
+
+
+def _json_and_report(run: Output) -> None:
+    """``--json`` changes only what is printed: the report is still
+    written, and standard output is one JSON document."""
+    assert json.loads(run.stdout)["cycles"] > 0
+    assert run.json("json-report.json")["cycles"] > 0
+
+
 # -- the table -----------------------------------------------------------------
 
 #: Every leaf of the argparse tree (``test_structure.py`` checks the list).
@@ -311,6 +323,8 @@ ROSTER: tuple[Row | Serve, ...] = (
     Row(f"repro run PageMine --policy sat-two-phase --scale {SCALE}"),
     Row(f"repro run ED --policy bat-calibrated-4 --scale {SCALE}"),
     Row("repro run EP --policy static --threads 99", code=2),
+    Row(f"repro run EP --scale {SCALE} --json "
+        "--report {out}/json-report.json", _json_and_report),
     Row("repro sweep EP --threads 1,2,4 --scale 0.1"),
     # The 24 pinned Fig. 14 jobs at full scale, bit-exact, and the serving
     # paths: every serve-hit reply is compared with the result the server
@@ -345,11 +359,10 @@ ROSTER: tuple[Row | Serve, ...] = (
     Row("repro batch EP --threads 1,2 --policies static --scale 0.1 "
         "--jobs 2 --cache-dir {out}/batch-cache --manifest {out}/warm.json",
         _batch_warm),
-    # Pre-flight verification, cold and then from the cached verdict (a
-    # verdict is per workload, not per team); a per-job timeout far below
-    # a job's seconds fails the batch with exit 2.
-    *(Row(f"repro batch PageMine --threads {threads} --scale 0.05 "
-          "--preflight --json") for threads in (2, 4)),
+    # The batch's JSON rendering at two team sizes; a per-job timeout far
+    # below a job's seconds fails the batch with exit 2.
+    *(Row(f"repro batch PageMine --threads {threads} --scale 0.05 --json",
+          _batch_json) for threads in (2, 4)),
     Row("repro batch MTwister --threads 1,2 --scale 0.5 --jobs 2 "
         "--timeout 0.01 --no-cache", _timed_out, code=2),
     # A loadgen burst against a live server.
@@ -392,6 +405,8 @@ ROSTER: tuple[Row | Serve, ...] = (
         "static-barrier-mismatch", "static-counter-in-cs")),
     Row("repro check EP --static --scale 0.1 --json"),
     Row("repro check EP --threads 0 --scale 0.02", code=2),
+    # The static-only mode refuses the same team.
+    Row("repro check EP --static-only --threads -5 --scale 0.02", code=2),
     # Perfetto artifacts, and a summary with the FDT decisions in it.
     Row("repro run EP --policy static --threads 2 --scale 0.05 "
         "--trace {out}/.trace-smoke", _trace),

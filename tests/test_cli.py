@@ -361,12 +361,6 @@ def test_check_static_fixture_dynamic_mode_still_resolves(capsys):
     assert "static-counter-in-cs" in out
 
 
-def test_batch_accepts_preflight_flag(capsys):
-    code, out = run_cli(capsys, "batch", "EP", "--threads", "2",
-                        "--scale", "0.1", "--no-cache", "--preflight")
-    assert code == 0
-
-
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-0.0", "-1"])
 @pytest.mark.parametrize("command", [["run", "EP"], ["sweep", "EP"],
                                      ["batch", "EP"]])

@@ -108,8 +108,7 @@ def test_flag_defaults_are_the_config_and_library_defaults():
             ("workers", "workers"),
             ("request_timeout", "request_timeout"), ("jobs", "jobs"),
             ("timeout", "job_timeout"), ("cache_dir", "cache_dir"),
-            ("no_cache", "no_cache"), ("preflight", "preflight"),
-            ("manifest", "manifest_path")]:
+            ("no_cache", "no_cache"), ("manifest", "manifest_path")]:
         assert getattr(serve, flag) == getattr(config, field), flag
     # The one documented exception: a fixed port on the command line,
     # an ephemeral one in the library.
@@ -143,11 +142,11 @@ def test_serve_flags_build_the_expected_config():
         "serve", "--host", "0.0.0.0", "--port", "9", "--queue-depth", "3",
         "--workers", "4", "--request-timeout", "7", "--jobs", "6",
         "--timeout", "8", "--cache-dir", "/tmp/c", "--no-cache",
-        "--preflight", "--manifest", "m.json"])
+        "--manifest", "m.json"])
     assert serve_config(args) == ServeConfig(
         host="0.0.0.0", port=9, queue_depth=3, workers=4,
         request_timeout=7.0, jobs=6, job_timeout=8.0, cache_dir="/tmp/c",
-        no_cache=True, preflight=True, manifest_path="m.json")
+        no_cache=True, manifest_path="m.json")
 
 
 def test_registration_does_not_import_the_server_or_clients():
@@ -198,6 +197,6 @@ def test_a_setting_no_shipped_caller_sets_is_a_constant():
     recorder's sample spacing are module constants the tests patch."""
     assert [f.name for f in dataclasses.fields(ServeConfig)] == [
         "host", "port", "queue_depth", "workers", "request_timeout", "jobs",
-        "job_timeout", "cache_dir", "no_cache", "preflight",
-        "breaker_threshold", "breaker_probe_after", "manifest_path"]
+        "job_timeout", "cache_dir", "no_cache", "breaker_threshold",
+        "breaker_probe_after", "manifest_path"]
     assert _params(TraceRecorder.__init__) == []

@@ -389,85 +389,6 @@ def test_cache_default_dir_honors_env(monkeypatch, tmp_path):
     assert default_cache_dir() == tmp_path / "xdg" / "repro"
 
 
-# -- pre-flight gate ---------------------------------------------------------
-
-def test_preflight_key_ignores_policy():
-    from repro.jobs import preflight_key
-
-    static = ep_spec(threads=2)
-    fdt = JobSpec(workload=static.workload, policy=PolicySpec.fdt(),
-                  config=static.config)
-    assert preflight_key(static) == preflight_key(fdt)
-    assert preflight_key(static) != static.key()
-    other = ep_spec(scale=0.2)
-    assert preflight_key(static) != preflight_key(other)
-
-
-def test_run_preflight_passes_clean_workload():
-    from repro.jobs import run_preflight
-
-    verdict = run_preflight(ep_spec())
-    assert verdict.ok
-    assert verdict.fatal == ()
-    # Round-trips through the cache encoding.
-    from repro.jobs.preflight import PreflightVerdict
-    assert PreflightVerdict.from_dict(verdict.to_dict()) == verdict
-
-
-def test_runner_preflight_rejects_fatal_workload(tmp_path, monkeypatch):
-    from repro.jobs import JobRunner
-    from repro.jobs.preflight import PreflightVerdict
-    import repro.jobs.api as jobs_api
-
-    bad = PreflightVerdict(workload="EP@0.1", ok=False,
-                           counts={"static-barrier-count-mismatch": 1},
-                           fatal=("threads disagree on barrier counts",))
-    analyzed = []
-
-    def fake_preflight(spec):
-        analyzed.append(spec.workload.label)
-        return bad
-
-    monkeypatch.setattr(jobs_api, "run_preflight", fake_preflight)
-    runner = JobRunner(cache=None, preflight=True)
-    with pytest.raises(JobError, match="pre-flight"):
-        runner.run([ep_spec()])
-    assert analyzed == ["EP@0.1"]
-    entries = runner.manifest.entries
-    assert entries[-1].status == "preflight-failed"
-    assert entries[-1].backend == "static"
-
-
-def test_runner_preflight_verdict_is_cached(tmp_path):
-    from repro.jobs import JobRunner, preflight_key
-
-    cache = ResultCache(tmp_path / "cache")
-    spec = ep_spec()
-    runner = JobRunner(cache=cache, preflight=True)
-    runner.run([spec])
-    pkey = preflight_key(spec)
-    stored = cache.get(pkey)
-    assert stored is not None and stored["ok"] is True
-
-    # A fresh runner resolves the verdict from the cache: poison the
-    # entry and verify the gate now refuses without re-analyzing.
-    cache.put(pkey, {"preflight": spec.workload.to_dict()},
-              {"workload": spec.workload.label, "ok": False,
-               "counts": {}, "fatal": ["poisoned verdict"]})
-    fresh = JobRunner(cache=cache, preflight=True)
-    fresh._memo.clear()
-    with pytest.raises(JobError, match="poisoned verdict"):
-        fresh.run([ep_spec(threads=4)])  # different job, same workload
-
-
-def test_runner_preflight_off_by_default():
-    from repro.jobs import JobRunner
-
-    runner = JobRunner(cache=None)
-    assert runner.preflight is False
-    runner.run([ep_spec()])  # no gate, computes normally
-
-
 # -- the memo, the cache and failure handling ---------------------------------
 
 def ep_grid(config: MachineConfig | None = None) -> list[JobSpec]:

@@ -28,7 +28,6 @@ from repro.jobs import api as jobs_api
 from repro.jobs import backoff
 from repro.jobs import executor as executor_mod
 from repro.jobs import resolution as vocabulary
-from repro.jobs.preflight import PreflightVerdict
 from repro.serve import ExperimentServer, ServeClient, ServeConfig, ServerThread
 from repro.serve.http import HttpRequest
 from repro.serve.server import HTTP_STATUS
@@ -49,10 +48,9 @@ def _facts(resolutions) -> list[tuple[str, str, str, str]]:
 
 # -- (a) the property: N specs -> N resolutions -> N matching rows ------
 
-#: Six distinct specs; slot 4 fails deterministically in the simulator,
-#: slot 5 is rejected by the pre-flight gate.
-_SLOTS = [_spec(iterations=8 + i) for i in range(6)]
-_BROKEN, _REJECTED = _SLOTS[4], _SLOTS[5]
+#: Five distinct specs; slot 4 fails deterministically in the simulator.
+_SLOTS = [_spec(iterations=8 + i) for i in range(5)]
+_BROKEN = _SLOTS[4]
 _RESULT = app_result_to_dict(_SLOTS[0].run())
 
 
@@ -62,18 +60,12 @@ def _fake_payload(spec_dict, trace_dir=None):
     return dict(_RESULT)
 
 
-def _fake_preflight(spec):
-    ok = spec.workload != _REJECTED.workload
-    return PreflightVerdict(workload=spec.workload.label, ok=ok, counts={},
-                            fatal=() if ok else ("barrier mismatch",))
-
-
 def _scenario(tmp, disk, memo, fires):
     """A runner with ``disk``/``memo`` slots warm, and the armed plan."""
     cache = ResultCache(tmp)
     for i in sorted(disk):
         cache.put(_SLOTS[i].key(), _SLOTS[i].to_dict(), _RESULT)
-    runner = JobRunner(cache=cache, preflight=True)
+    runner = JobRunner(cache=cache)
     runner.resolve([_SLOTS[i] for i in sorted(memo)])
     crashes, read_errors, write_errors = fires
     plan = FaultPlan(seed=7, rules=(
@@ -84,7 +76,7 @@ def _scenario(tmp, disk, memo, fires):
     return runner, plan
 
 
-@given(batch=st.lists(st.integers(0, 5), max_size=8),
+@given(batch=st.lists(st.integers(0, 4), max_size=8),
        disk=st.sets(st.integers(0, 3)), memo=st.sets(st.integers(0, 3)),
        fires=st.tuples(st.integers(0, 4), st.integers(0, 2),
                        st.integers(0, 2)))
@@ -95,7 +87,6 @@ def test_every_spec_resolves_once_and_its_row_says_the_same(
     tmp = str(tmp_path_factory.mktemp("resolution"))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor_mod, "_execute_payload", _fake_payload)
-        patch.setattr(jobs_api, "run_preflight", _fake_preflight)
         patch.setattr(backoff, "BACKOFF_BASE", 0.0)
 
         runner, plan = _scenario(tmp + "/resolve", disk, memo, fires)
@@ -109,8 +100,6 @@ def test_every_spec_resolves_once_and_its_row_says_the_same(
         assert Counter(rows) == Counter(_facts(resolutions))
         for spec, resolution in zip(specs, resolutions):
             assert resolution.ok == (resolution.status in vocabulary.SERVED)
-            if spec.key() == _REJECTED.key():
-                assert resolution.status == "preflight-failed"
             if spec.key() == _BROKEN.key():
                 assert resolution.status == "failed"
 
@@ -147,23 +136,12 @@ def test_duplicate_of_a_failed_leader_shares_its_failure(monkeypatch):
     assert runner.manifest.counts["failed"] == 2
 
 
-def test_preflight_rejection_no_longer_stops_the_healthy_specs(monkeypatch):
-    monkeypatch.setattr(jobs_api, "run_preflight", _fake_preflight)
-    cache = ResultCache(None)
-    runner = JobRunner(cache=cache, preflight=True)
-    with pytest.raises(JobError, match="pre-flight"):
-        runner.run([_REJECTED, _SLOTS[0]])
-    assert sorted((e.status, e.backend) for e in runner.manifest.entries) \
-        == [("computed", "serial"), ("preflight-failed", "static")]
-    assert cache.get_or_none(_SLOTS[0].key()) is not None
-
-
 # -- (b) one status -> HTTP code table ----------------------------------
 
 def test_the_http_table_covers_the_whole_vocabulary():
     statuses = {value for name, value in vars(vocabulary).items()
                 if name.startswith("STATUS_")}
-    assert set(HTTP_STATUS) == statuses and len(statuses) == 7
+    assert set(HTTP_STATUS) == statuses and len(statuses) == 6
 
 
 @pytest.mark.parametrize("status,code", sorted(HTTP_STATUS.items()))
@@ -186,8 +164,8 @@ def test_resolution_status_maps_to_its_http_code(status, code):
             "POST", "/v1/run", body=json.dumps(_body()).encode()))
 
     got, payload, headers, _raw = asyncio.run(go())
-    assert got == code == {"shed": 429, "timeout": 504, "failed": 500,
-                           "preflight-failed": 422}.get(status, 200)
+    assert got == code == {"shed": 429, "timeout": 504,
+                           "failed": 500}.get(status, 200)
     assert payload["key"] == spec.key() and payload["status"] == status
     assert ("Retry-After" in headers) == (status == "shed")
     if status == "shed":

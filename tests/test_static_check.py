@@ -25,6 +25,7 @@ from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
 from repro.fdt.priors import CS_FRACTION_RTOL, derive_priors, measure_estimates
 from repro.fdt.runner import Application
+from repro.jobs import WorkloadRef
 from repro.isa.ops import (
     BarrierWait,
     Compute,
@@ -296,12 +297,27 @@ def test_both_checkers_resolve_names_through_one_function():
     assert all(name in messages[0] for name in FIXTURES)
 
 
-# -- Table 2 workloads analyze clean ---------------------------------------
+# -- every buildable workload analyzes clean -------------------------------
 
-@pytest.mark.parametrize("name", [s.name for s in all_specs()])
+#: The synthetic kernel at the corners of its knobs: no lock or a
+#: Figure-1 critical section, no bus lines or several, one iteration or
+#: many.  With the twelve Table 2 workloads these are what a shipped
+#: command can submit as a job, so no job needs a static check first.
+SYNTHETIC_CORNERS = {
+    f"synthetic-cs{cs}-lines{lines}-iters{iters}": WorkloadRef.synthetic(
+        cs_fraction=cs, bus_lines=lines, iterations=iters)
+    for cs in (0.0, 0.3) for lines in (0, 7) for iters in (1, 64)}
+
+
+@pytest.mark.parametrize(
+    "name", [s.name for s in all_specs()] + list(SYNTHETIC_CORNERS))
 @pytest.mark.parametrize("threads", [1, 4, 16])
 def test_table2_workload_is_statically_clean(name: str, threads: int):
-    report = analyze_workload(name, scale=0.1, thread_counts=(threads,))
+    if name in SYNTHETIC_CORNERS:
+        report = analyze_application(SYNTHETIC_CORNERS[name].build,
+                                     thread_counts=(threads,))
+    else:
+        report = analyze_workload(name, scale=0.1, thread_counts=(threads,))
     assert report.clean, (
         f"{name} at {threads} threads: {[f.message for f in report.findings]}")
     assert not report.truncated

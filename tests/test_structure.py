@@ -8,19 +8,22 @@ every (rule, subject) pair.  A text rule's subjects are paths from the
 repository root, each a file or a directory searched recursively (as
 ``grep -r`` would), and its predicate is :func:`absent`; a rule that
 counts the files a text is spelled in takes :class:`Spelling` subjects
-and :func:`spelled`, and a line cap takes :class:`Lines` and
-:func:`within_cap`.  A new rule is a new row.
+and :func:`spelled`, a line cap takes :class:`Lines` and
+:func:`within_cap`, and the declared-imports rule takes :class:`Imports`
+and :func:`imports_declared`.  A new rule is a new row.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import functools
 import inspect
 import io
 import re
 import shlex
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -103,6 +106,46 @@ class Lines:
 def within_cap(subject: Lines) -> bool:
     return sum(f.read_bytes().count(b"\n") for root in subject.roots
                for f in _files(root, "*.py")) <= subject.cap
+
+
+@dataclass(frozen=True)
+class Imports:
+    """Every module imported under ``root`` that is neither the standard
+    library's nor this repository's is a distribution named in one of
+    ``pyproject.toml``'s ``lists`` (``dependencies`` or an extra)."""
+    root: Path
+    lists: tuple[str, ...]
+
+
+def _declared(name: str) -> set[str]:
+    """The distributions of one list in ``pyproject.toml``, spelled as
+    modules (read without ``tomllib``, which Python 3.10 lacks)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    body = re.search(rf"^{name} = \[(.*?)\]", text, re.MULTILINE | re.DOTALL)
+    return {re.match(r"[\w.-]+", item).group().lower().replace("-", "_")
+            for item in re.findall(r'"([^"]+)"', body.group(1))}
+
+
+def _imported(root: Path) -> set[str]:
+    """Top-level names of every absolute import in the files under
+    ``root``, lazy ones included."""
+    names = set()
+    for f in _files(root, "*.py"):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def imports_declared(subject: Imports) -> bool:
+    own = {"repro", "tests", "benchmarks", "examples"} | {
+        f.stem for root in ("tests", "benchmarks", "examples")
+        for f in _files(Path(root), "*.py")}
+    declared = set().union(*map(_declared, subject.lists))
+    return _imported(subject.root) - set(sys.stdlib_module_names) - own \
+        <= declared
 
 
 def no_core_built(init: Callable) -> bool:
@@ -417,6 +460,16 @@ RULES = (
          (Lines("sim+workloads",
                 (Path("src/repro/sim"), Path("src/repro/workloads")), 4672),),
          within_cap),
+    Rule("declared-imports",
+         "installing the package installs what it imports: every module "
+         "a file imports is the standard library's, this repository's, or "
+         "declared in pyproject.toml (dependencies for src/ and examples/, "
+         "those or the test extra for tests/ and benchmarks/)",
+         (Imports(Path("src"), ("dependencies",)),
+          Imports(Path("examples"), ("dependencies",)),
+          Imports(Path("tests"), ("dependencies", "test")),
+          Imports(Path("benchmarks"), ("dependencies", "test"))),
+         imports_declared),
     Rule("obs-one-of-each",
          "repro.obs keeps one of each: one counter type (a label is an "
          "argument), one JSON-lines file behind the run registry and the "
@@ -440,6 +493,8 @@ def _name(subject: Any) -> str:
         return "LEAVES"
     if isinstance(subject, (Spelling, Lines)):
         return subject.name
+    if isinstance(subject, Imports):
+        return subject.root.as_posix()
     return getattr(subject, "__qualname__", subject.__name__)
 
 
