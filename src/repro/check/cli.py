@@ -30,7 +30,8 @@ from repro.workloads.synthetic import FIXTURES
 
 def _cmd_check(args: argparse.Namespace) -> int:
     # Both modes refuse a team the checked run would refuse.
-    check_team(args.threads)
+    config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
+    check_team(args.threads, config)
     if args.static_only:
         args.static = True
     if args.all:
@@ -44,7 +45,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     worst = 0
     payloads = []
     for name in names:
-        payload, text, code = _check_one(name, args)
+        payload, text, code = _check_one(name, args, config)
         worst = max(worst, code)
         if args.json:
             payloads.append(payload)
@@ -56,13 +57,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return worst
 
 
-def _check_one(args_name: str,
-               args: argparse.Namespace) -> tuple[dict, str, int]:
+def _check_one(args_name: str, args: argparse.Namespace,
+               config: MachineConfig) -> tuple[dict, str, int]:
     """Check one workload; returns (json payload, text, exit code)."""
     from repro.check.runner import check_workload
     from repro.check.static import analyze_workload
 
-    config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
     static_report = None
     extras: dict = {}
     if args.static:

@@ -59,11 +59,7 @@ def check_application(app: Application,
             f"a checked run needs a team of at least 2 threads, but this "
             f"machine has {slots} thread slot(s); give it more cores or "
             f"SMT contexts, or run the static analysis alone")
-    check_team(threads)
-    if threads is not None and threads > slots:
-        raise ConfigError(
-            f"a static team of {threads} threads exceeds the machine's "
-            f"{slots} hardware thread slots")
+    check_team(threads, config)
     observer = ThreadSanitizer()
     machine = Machine(config, observers=[observer])
     # The report names the team that ran, not the one asked for; a run

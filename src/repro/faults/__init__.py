@@ -6,14 +6,14 @@ processes, sockets, timeouts.  This package makes those failures a
 first-class, reproducible input:
 
 * :mod:`repro.faults.plan` — a declarative, JSON-loadable
-  :class:`FaultPlan`: which site, which fault kind, and a deterministic
-  trigger schedule (after / every / probability / max_fires) under one
-  seed.
+  :class:`FaultPlan`: which site, which fault kind, and a firing budget
+  (``max_fires``); the same plan fires the same faults at the same
+  occurrences.
 * :mod:`repro.faults.sites` — the registry of injection points compiled
   into the host layers, the single source of truth for plan validation,
   ``repro chaos --list-sites``, and ``docs/faults.md``.
 * :mod:`repro.faults.injector` — the armed :class:`FaultInjector`:
-  per-rule seeded RNG streams, a firing log, and obs emission
+  per-rule occurrence and firing counts, a firing log, and obs emission
   (``repro_faults_injected_total``, ``faults.inject`` spans).
 * :mod:`repro.faults.hooks` — the functions host code calls at each
   site; every hook is a single ``None``-check when no plan is armed.

@@ -60,7 +60,7 @@ from repro.obs import get_logger
 from repro.sim.config import MachineConfig
 
 #: Bump on any incompatible change to the report layout.
-CHAOS_SCHEMA = "repro-chaos/1"
+CHAOS_SCHEMA = "repro-chaos/2"
 
 INV_NO_UNHANDLED = "no-unhandled-exceptions"
 INV_ACCOUNTED = "every-spec-accounted-once"
@@ -100,7 +100,7 @@ class ChaosReport:
     cache_entries: int = 0
     #: Status -> count from the executing runner's manifest (the third
     #: leg of the determinism contract alongside firings and cache
-    #: state: same plan + seed must reproduce these exactly).
+    #: state: the same plan must reproduce these exactly).
     manifest_counts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -140,8 +140,8 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def example_plan(seed: int = 1234) -> FaultPlan:
-    """The seeded example plan (``examples/chaos_plan.json``).
+def example_plan() -> FaultPlan:
+    """The example plan (``examples/chaos_plan.json``).
 
     One bounded dose of every recovery path: corrupt and erroring cache
     reads, a failed cache write, a crashing job, dropped connections,
@@ -149,7 +149,7 @@ def example_plan(seed: int = 1234) -> FaultPlan:
     exercise quarantine, backoff retry, and the breaker, gentle enough
     that every spec still lands (all invariants must hold).
     """
-    return FaultPlan(seed=seed, description=(
+    return FaultPlan(description=(
         "Example chaos plan: bounded faults across every host layer."),
         rules=(
             FaultRule(site="cache.read", kind="io-error", max_fires=1),

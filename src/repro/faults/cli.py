@@ -39,8 +39,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                           sites_table()))
         return 0
     plan = (FaultPlan.load(args.plan) if args.plan else example_plan())
-    if args.seed is not None:
-        plan = plan.with_seed(args.seed)
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     specs = default_specs(workloads=workloads, threads=args.threads,
                           scale=args.scale)
@@ -88,8 +86,6 @@ def register(sub: argparse._SubParsersAction,
     p_chaos.add_argument("--scale", type=float,
                          default=CHAOS_SCALE,
                          help="input-set scale of the chaos specs")
-    p_chaos.add_argument("--seed", type=int, default=None,
-                         help="override the plan's seed")
     p_chaos.add_argument("--jobs", type=int, default=CHAOS_JOBS,
                          help="worker processes for the batch run")
     p_chaos.add_argument("--attempts", type=int,

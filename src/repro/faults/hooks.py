@@ -13,8 +13,8 @@ their site can absorb:
 =====================  ================================================
 :func:`maybe_raise`    sites whose faults surface as exceptions
                        (``cache.*`` I/O errors, ``executor.job``
-                       crashes); also serves ``latency``/``hang`` by
-                       sleeping in-line.  It is :func:`decide` then
+                       crashes); also serves ``latency`` by sleeping
+                       in-line.  It is :func:`decide` then
                        :func:`perform`, which the pool executor calls
                        separately — parent decides, worker performs
 :func:`corrupt_text`   payload-transforming sites (``cache.read`` torn
@@ -40,7 +40,6 @@ from repro.faults.sites import (
     KIND_CRASH,
     KIND_DROP,
     KIND_FORCE,
-    KIND_HANG,
     KIND_IO_ERROR,
     KIND_LATENCY,
     KIND_SLOW,
@@ -63,7 +62,7 @@ def decide(site: str, **ctx: str) -> FaultRule | None:
     """
     injector = _inj.active()
     return None if injector is None else injector.decide(site, ctx, kinds=(
-        KIND_IO_ERROR, KIND_CRASH, KIND_ABORT, KIND_LATENCY, KIND_HANG))
+        KIND_IO_ERROR, KIND_CRASH, KIND_ABORT, KIND_LATENCY))
 
 
 def perform(rule: FaultRule | None, site: str, **ctx: str) -> None:
@@ -72,8 +71,8 @@ def perform(rule: FaultRule | None, site: str, **ctx: str) -> None:
     ``io-error`` raises :class:`~repro.faults.injector.InjectedIOError`
     (an ``OSError``), ``crash`` raises
     :class:`~repro.faults.injector.InjectedCrashError`, ``abort`` kills
-    the process outright (pool-worker death), and ``latency``/``hang``
-    sleep the rule's ``latency`` in-line before returning.
+    the process outright (pool-worker death), and ``latency`` sleeps the
+    rule's ``latency`` in-line before returning.
     """
     if rule is None:
         return
@@ -88,7 +87,7 @@ def perform(rule: FaultRule | None, site: str, **ctx: str) -> None:
         # the executor sees BrokenProcessPool and reports the job
         # failed + transient for the runner's backoff loop to retry.
         os._exit(43)
-    if rule.kind in (KIND_LATENCY, KIND_HANG) and rule.latency > 0:
+    if rule.kind == KIND_LATENCY:
         time.sleep(rule.latency)
 
 
@@ -118,11 +117,8 @@ def delay_seconds(site: str, **ctx: str) -> float:
     injector = _inj.active()
     if injector is None:
         return 0.0
-    rule = injector.decide(site, ctx,
-                           kinds=(KIND_SLOW, KIND_LATENCY, KIND_HANG))
-    if rule is not None:
-        return rule.latency
-    return 0.0
+    rule = injector.decide(site, ctx, kinds=(KIND_SLOW,))
+    return 0.0 if rule is None else rule.latency
 
 
 def forced_timeout(site: str, **ctx: str) -> bool:

@@ -2,12 +2,11 @@
 
 One :class:`FaultInjector` wraps one :class:`~repro.faults.plan.FaultPlan`
 and answers the only question a hook ever asks: *does a rule fire here,
-and as what?*  Decisions are deterministic: each rule owns a
-:class:`random.Random` stream seeded from ``(plan seed, rule index)``
-and advances it only when a probability draw is actually needed, so the
-same plan against the same (serially executed) workload fires the same
-faults in the same order — the property ``tests/test_faults.py`` locks
-in.
+and as what?*  Decisions are deterministic: a rule fires at each
+occurrence of its site and kind until its ``max_fires`` budget is
+spent, so the same plan against the same (serially executed) workload
+fires the same faults at the same occurrences — the property
+``tests/test_chaos.py`` locks in.
 
 Every firing is appended to an in-memory log (site, kind, rule index,
 occurrence number, context), counted in the shared metrics registry
@@ -25,7 +24,6 @@ budgets hold across workers and every firing lands in this one log.
 
 from __future__ import annotations
 
-import random
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -54,27 +52,13 @@ class FaultFiring:
     site: str
     kind: str
     rule: int
-    #: 1-based matching-occurrence number at the rule when it fired.
+    #: 1-based occurrence number at the rule when it fired.
     occurrence: int
     key: str = ""
     workload: str = ""
-    endpoint: str = ""
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-
-class _RuleState:
-    """Mutable trigger state for one rule (occurrences, fires, RNG)."""
-
-    __slots__ = ("rule", "index", "occurrences", "fires", "rng")
-
-    def __init__(self, rule: FaultRule, index: int, seed: int) -> None:
-        self.rule = rule
-        self.index = index
-        self.occurrences = 0
-        self.fires = 0
-        self.rng = random.Random(f"{seed}:{index}:{rule.site}:{rule.kind}")
 
 
 class FaultInjector:
@@ -82,8 +66,9 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._states = [_RuleState(rule, i, plan.seed)
-                        for i, rule in enumerate(plan.rules)]
+        #: Per rule: occurrences of its site and kind seen, faults fired.
+        self._occurrences = [0] * len(plan.rules)
+        self._fires = [0] * len(plan.rules)
         self._firings: list[FaultFiring] = []
         self._lock = threading.Lock()
 
@@ -99,30 +84,20 @@ class FaultInjector:
         one hook consume occurrences destined for the other.
         """
         with self._lock:
-            for state in self._states:
-                rule = state.rule
-                if rule.site != site or not rule.matches(ctx):
+            for index, rule in enumerate(self.plan.rules):
+                if rule.site != site \
+                        or (kinds is not None and rule.kind not in kinds):
                     continue
-                if kinds is not None and rule.kind not in kinds:
-                    continue
-                state.occurrences += 1
-                if state.occurrences <= rule.after:
-                    continue
-                if (state.occurrences - rule.after - 1) % rule.every != 0:
-                    continue
+                self._occurrences[index] += 1
                 if rule.max_fires is not None \
-                        and state.fires >= rule.max_fires:
+                        and self._fires[index] >= rule.max_fires:
                     continue
-                if rule.probability < 1.0 \
-                        and state.rng.random() >= rule.probability:
-                    continue
-                state.fires += 1
+                self._fires[index] += 1
                 firing = FaultFiring(
-                    site=site, kind=rule.kind, rule=state.index,
-                    occurrence=state.occurrences,
+                    site=site, kind=rule.kind, rule=index,
+                    occurrence=self._occurrences[index],
                     key=str(ctx.get("key", "")),
-                    workload=str(ctx.get("workload", "")),
-                    endpoint=str(ctx.get("endpoint", "")))
+                    workload=str(ctx.get("workload", "")))
                 self._firings.append(firing)
                 self._publish(firing)
                 return rule

@@ -1,23 +1,14 @@
-"""Declarative fault plans: what to inject, where, and when.
+"""Declarative fault plans: what to inject, where, and how often.
 
-A :class:`FaultPlan` is a seedable, JSON-loadable description of the
-faults one chaos run injects.  Each :class:`FaultRule` names a *site*
-(an injection hook compiled into a host layer — see
-:mod:`repro.faults.sites`), a fault *kind* the site supports, a trigger
-predicate (context match + occurrence schedule + seeded probability),
-and a firing budget.  Plans are pure data: loading one has no effect
-until it is armed through :class:`~repro.faults.injector.FaultInjector`.
-
-The trigger model, in evaluation order per eligible occurrence:
-
-1. ``match`` — context predicate (``key_prefix``, ``workload``,
-   ``endpoint``); a non-matching occurrence is not counted;
-2. ``after`` — skip the first N matching occurrences;
-3. ``every`` — of the remainder, consider only every Nth;
-4. ``probability`` — fire with this probability, drawn from the rule's
-   own :class:`random.Random` stream seeded from ``(plan seed, rule
-   index)`` so two runs of the same plan draw identical sequences;
-5. ``max_fires`` — stop firing after this many injections.
+A :class:`FaultPlan` is a JSON-loadable description of the faults one
+chaos run injects.  Each :class:`FaultRule` names a *site* (an
+injection hook compiled into a host layer — see
+:mod:`repro.faults.sites`), a fault *kind* the site supports, and a
+firing budget: the rule fires at every occurrence of its site and kind
+until ``max_fires`` injections have landed.  The same plan therefore
+fires the same faults at the same occurrences.  Plans are pure data:
+loading one has no effect until it is armed through
+:class:`~repro.faults.injector.FaultInjector`.
 
 Everything here targets host layers only (cache I/O, executors, the
 serving socket); nothing can reach simulator state, so simulated cycle
@@ -27,38 +18,36 @@ counts are bit-identical with any plan armed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import FaultError
-from repro.faults.sites import SITES
+from repro.faults.sites import SITES, SLEEP_KINDS
 
 #: Bump on any incompatible change to the plan layout.
 PLAN_SCHEMA = "repro-faults/1"
 
-#: Context keys a ``match`` predicate may constrain.
-MATCH_KEYS = ("key_prefix", "workload", "endpoint")
+
+def _refuse_unknown(data: Mapping[str, Any], known: tuple[str, ...],
+                    what: str) -> None:
+    unknown = set(data) - set(known)
+    if unknown:
+        raise FaultError(f"unknown {what} field(s) {sorted(unknown)}; "
+                         f"allowed: {', '.join(known)}")
 
 
 @dataclass(frozen=True, slots=True)
 class FaultRule:
-    """One injection rule: site + kind + trigger + budget."""
+    """One injection rule: site + kind + budget."""
 
     site: str
     kind: str
-    #: Chance an eligible occurrence fires (after ``after``/``every``).
-    probability: float = 1.0
-    #: Skip the first N matching occurrences entirely.
-    after: int = 0
-    #: Of the occurrences past ``after``, consider every Nth (1 = all).
-    every: int = 1
     #: Total injection budget (``None`` = unbounded).
     max_fires: int | None = None
-    #: Seconds of injected delay for ``latency``/``hang``/``slow`` kinds.
+    #: Seconds each firing sleeps; positive for the ``latency`` and
+    #: ``slow`` kinds, absent for every other kind.
     latency: float = 0.0
-    #: Context predicate; unknown keys are rejected at validation.
-    match: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         site = SITES.get(self.site)
@@ -70,69 +59,36 @@ class FaultRule:
             raise FaultError(
                 f"site {self.site!r} does not support kind {self.kind!r}; "
                 f"supported: {', '.join(site.kinds)}")
-        if not 0.0 <= self.probability <= 1.0:
-            raise FaultError("probability must be within [0, 1]")
-        if self.after < 0:
-            raise FaultError("after must be >= 0")
-        if self.every < 1:
-            raise FaultError("every must be >= 1")
         if self.max_fires is not None and self.max_fires < 0:
             raise FaultError("max_fires must be >= 0")
-        if self.latency < 0:
-            raise FaultError("latency must be >= 0")
-        unknown = set(self.match) - set(MATCH_KEYS)
-        if unknown:
-            raise FaultError(
-                f"unknown match key(s) {sorted(unknown)}; "
-                f"allowed: {', '.join(MATCH_KEYS)}")
-
-    def matches(self, ctx: Mapping[str, str]) -> bool:
-        """Does a hook context satisfy this rule's predicate?"""
-        prefix = self.match.get("key_prefix")
-        if prefix is not None \
-                and not str(ctx.get("key", "")).startswith(prefix):
-            return False
-        for name in ("workload", "endpoint"):
-            want = self.match.get(name)
-            if want is not None and str(ctx.get(name, "")) != want:
-                return False
-        return True
+        if self.kind in SLEEP_KINDS:
+            if not self.latency > 0:
+                raise FaultError(f"kind {self.kind!r} sleeps: latency must "
+                                 f"be > 0, got {self.latency}")
+        elif self.latency:
+            raise FaultError(f"kind {self.kind!r} does not sleep: latency "
+                             f"applies only to {', '.join(SLEEP_KINDS)}")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"site": self.site, "kind": self.kind}
-        if self.probability != 1.0:
-            out["probability"] = self.probability
-        if self.after:
-            out["after"] = self.after
-        if self.every != 1:
-            out["every"] = self.every
         if self.max_fires is not None:
             out["max_fires"] = self.max_fires
         if self.latency:
             out["latency"] = self.latency
-        if self.match:
-            out["match"] = dict(self.match)
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultRule":
         if not isinstance(data, Mapping):
             raise FaultError(f"fault rule must be an object, got {data!r}")
-        unknown = set(data) - {"site", "kind", "probability", "after",
-                               "every", "max_fires", "latency", "match"}
-        if unknown:
-            raise FaultError(f"unknown fault rule field(s) {sorted(unknown)}")
+        _refuse_unknown(data, ("site", "kind", "max_fires", "latency"),
+                        "fault rule")
         try:
             return cls(
                 site=str(data["site"]), kind=str(data["kind"]),
-                probability=float(data.get("probability", 1.0)),
-                after=int(data.get("after", 0)),
-                every=int(data.get("every", 1)),
                 max_fires=(None if data.get("max_fires") is None
                            else int(data["max_fires"])),
                 latency=float(data.get("latency", 0.0)),
-                match={str(k): str(v)
-                       for k, v in dict(data.get("match", {})).items()},
             )
         except KeyError as exc:
             raise FaultError(f"fault rule is missing field {exc.args[0]!r}")
@@ -142,9 +98,8 @@ class FaultRule:
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
-    """A seed plus an ordered list of :class:`FaultRule`."""
+    """An ordered list of :class:`FaultRule`."""
 
-    seed: int = 0
     rules: tuple[FaultRule, ...] = ()
     #: Free-form description carried through to chaos reports.
     description: str = ""
@@ -153,15 +108,9 @@ class FaultPlan:
         if not isinstance(self.rules, tuple):
             object.__setattr__(self, "rules", tuple(self.rules))
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same rules under a different seed (soak runs)."""
-        return FaultPlan(seed=seed, rules=self.rules,
-                         description=self.description)
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "schema": PLAN_SCHEMA,
-            "seed": self.seed,
             "faults": [rule.to_dict() for rule in self.rules],
         }
         if self.description:
@@ -172,6 +121,8 @@ class FaultPlan:
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         if not isinstance(data, Mapping):
             raise FaultError("fault plan must be a JSON object")
+        _refuse_unknown(data, ("schema", "description", "faults"),
+                        "fault plan")
         schema = data.get("schema", PLAN_SCHEMA)
         if schema != PLAN_SCHEMA:
             raise FaultError(f"unsupported fault plan schema {schema!r}; "
@@ -179,12 +130,7 @@ class FaultPlan:
         faults = data.get("faults", [])
         if not isinstance(faults, Sequence) or isinstance(faults, (str, bytes)):
             raise FaultError("'faults' must be a list of rules")
-        try:
-            seed = int(data.get("seed", 0))
-        except (TypeError, ValueError):
-            raise FaultError(f"bad plan seed {data.get('seed')!r}")
-        return cls(seed=seed,
-                   rules=tuple(FaultRule.from_dict(r) for r in faults),
+        return cls(rules=tuple(FaultRule.from_dict(r) for r in faults),
                    description=str(data.get("description", "")))
 
     @classmethod

@@ -22,11 +22,13 @@ KIND_TORN = "torn"            #: truncate the payload mid-write/mid-read
 KIND_CORRUPT = "corrupt"      #: flip the payload into garbage bytes
 KIND_CRASH = "crash"          #: raise an injected RuntimeError
 KIND_ABORT = "abort"          #: kill the worker process (pool only)
-KIND_HANG = "hang"            #: stall for ``latency`` seconds
 KIND_LATENCY = "latency"      #: sleep ``latency`` seconds, then continue
 KIND_DROP = "drop"            #: close the connection before responding
 KIND_SLOW = "slow"            #: stall the read path (slow-loris)
 KIND_FORCE = "force"          #: report a timeout without waiting
+
+#: The kinds that sleep their rule's ``latency``.
+SLEEP_KINDS = (KIND_LATENCY, KIND_SLOW)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,10 +57,10 @@ _SITE_LIST = (
                     "returned, only the cache stays cold."),
     FaultSite(
         name="executor.job", layer="jobs",
-        kinds=(KIND_CRASH, KIND_ABORT, KIND_HANG, KIND_LATENCY),
+        kinds=(KIND_CRASH, KIND_ABORT, KIND_LATENCY),
         description="Per-job execution: injected worker crashes "
                     "(exception), hard aborts (process death, pool "
-                    "only), hangs, and artificial latency."),
+                    "only), and artificial latency."),
     FaultSite(
         name="executor.timeout", layer="jobs",
         kinds=(KIND_FORCE,),

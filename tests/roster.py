@@ -333,7 +333,7 @@ ROSTER: tuple[Row | Serve, ...] = (
           "--seed 1 --seconds 1 --trace 0", _last_line_correct)
       for workload in ("fig14-cs", "fig14-bw", "fig14-scalable",
                        "serve-hit", "serve-miss")),
-    # The seeded example plan, zero violations; then the pool leg: one
+    # The example plan, zero violations; then the pool leg: one
     # bounded worker abort.
     Row("repro chaos --plan examples/chaos_plan.json --mode both "
         "--workloads PageMine --scale 0.05 --report {out}/chaos-report.json",
@@ -342,12 +342,11 @@ ROSTER: tuple[Row | Serve, ...] = (
         "--jobs 2 --workloads PageMine,ISort --scale 0.05 "
         "--report {out}/chaos-pool-report.json", _chaos_pool),
     # Three forced batch timeouts trip the server's breaker, which sheds,
-    # probes and closes again; and the built-in plan, reseeded.
+    # probes and closes again; and the built-in plan.
     Row("repro chaos --plan tests/chaos_breaker_plan.json --mode serve "
         "--workloads PageMine --scale 0.05 --report {out}/chaos-breaker.json",
         _chaos_breaker),
-    Row("repro chaos --mode batch --workloads PageMine --scale 0.05 "
-        "--seed 7"),
+    Row("repro chaos --mode batch --workloads PageMine --scale 0.05"),
     Row("repro chaos --list-sites"),
     Row("repro chaos --attempts 0", code=2),
     # A client timeout that no reply can meet is refused before sending.
@@ -405,8 +404,9 @@ ROSTER: tuple[Row | Serve, ...] = (
         "static-barrier-mismatch", "static-counter-in-cs")),
     Row("repro check EP --static --scale 0.1 --json"),
     Row("repro check EP --threads 0 --scale 0.02", code=2),
-    # The static-only mode refuses the same team.
+    # The static-only mode refuses the same teams.
     Row("repro check EP --static-only --threads -5 --scale 0.02", code=2),
+    Row("repro check EP --static-only --threads 99 --scale 0.02", code=2),
     # Perfetto artifacts, and a summary with the FDT decisions in it.
     Row("repro run EP --policy static --threads 2 --scale 0.05 "
         "--trace {out}/.trace-smoke", _trace),

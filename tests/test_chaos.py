@@ -1,7 +1,7 @@
 """Chaos-harness tests: recovery paths under injected faults.
 
-The determinism suite locks in the contract the nightly soak relies
-on — same plan + same seed reproduces identical firings, cache state,
+The determinism suite locks in the contract a chaos failure's replay
+relies on — the same plan reproduces identical firings, cache state,
 and manifest counts — and the recovery tests drive each hardened path
 (backoff retry, quarantine-and-recompute, tolerated cache writes, the
 serve retry loop) through the real JobRunner / ServerThread code.
@@ -178,7 +178,9 @@ def test_chaos_batch_passes_with_the_example_plan():
     assert report.injected > 0
     assert set(report.observed_cycles) == set(report.baseline_cycles)
     payload = report.to_dict()
-    assert payload["schema"] == "repro-chaos/1"
+    assert payload["schema"] == "repro-chaos/2"
+    assert "seed" not in payload["plan"]
+    assert all("endpoint" not in firing for firing in payload["firings"])
     assert payload["passed"] is True
     json.dumps(payload)  # report is JSON-serializable
 
@@ -193,9 +195,6 @@ def test_chaos_batch_is_deterministic_per_plan_and_seed():
     assert first.observed_cycles == second.observed_cycles
     assert (first.cache_entries, first.quarantined) == \
         (second.cache_entries, second.quarantined)
-    # A different seed may fire differently, but invariants still hold.
-    reseeded = run_chaos(example_plan(seed=999), BatchSubmit(specs))
-    assert reseeded.passed, reseeded.summary()
 
 
 def test_chaos_batch_reports_violations_without_raising(monkeypatch):
@@ -245,7 +244,7 @@ def test_chaos_refuses_fewer_than_one_attempt_before_anything_runs(
 
 
 def test_chaos_serve_survives_drops_timeouts_and_slow_reads():
-    plan = FaultPlan(seed=7, rules=(
+    plan = FaultPlan(rules=(
         FaultRule(site="serve.connection", kind="drop", max_fires=2),
         FaultRule(site="serve.read", kind="slow", latency=0.02,
                   max_fires=2),
@@ -294,7 +293,7 @@ def test_chaos_walkthrough_example_runs(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "chaos batch: PASS" in out
-    assert "re-run with the same seed fires identically: True" in out
+    assert "re-run fires identically: True" in out
 
 
 # -- the chaos CLI ----------------------------------------------------

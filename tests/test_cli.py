@@ -146,6 +146,10 @@ def test_check_refuses_a_one_slot_machine(capsys):
     assert "1 thread slot" in capsys.readouterr().err
     assert main(["check", "EP", "--threads", "99"]) == 2
     assert "exceeds the machine's 32" in capsys.readouterr().err
+    # The static-only mode refuses the same team before it analyzes.
+    assert main(["check", "EP", "--static-only", "--threads", "99",
+                 "--scale", "0.02"]) == 2
+    assert "exceeds the machine's 32" in capsys.readouterr().err
     code, out = run_cli(capsys, "check", "synthetic-racy", "--cores", "2")
     assert code == 1
     assert "(2 threads)" in out and "empty-lockset" in out

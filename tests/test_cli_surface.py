@@ -27,6 +27,7 @@ from repro.check.lockset import LocksetRaceDetector
 from repro.check.static import AbstractExecutor
 from repro.check.static.lints import lint_findings
 from repro.cli import build_parser, main
+from repro.faults import FaultPlan, FaultRule
 from repro.faults.chaos import (
     SERVE_ATTEMPTS,
     BatchSubmit,
@@ -189,6 +190,21 @@ def test_repro_check_takes_no_configuration():
     assert _params(AbstractExecutor.__init__) == ["machine"]
     machine = inspect.signature(AbstractExecutor.__init__).parameters["machine"]
     assert "MachineConfig" in str(machine.annotation)
+
+
+def test_a_fault_plan_and_repro_chaos_take_only_what_acts():
+    """A rule is a site, a kind and a budget, and nothing seeds a plan:
+    no shipped plan sets a trigger schedule, so none comes back without
+    a caller that needs it."""
+    assert [f.name for f in dataclasses.fields(FaultRule)] == [
+        "site", "kind", "max_fires", "latency"]
+    assert [f.name for f in dataclasses.fields(FaultPlan)] == [
+        "rules", "description"]
+    assert [action.option_strings[-1]
+            for action in LEAVES[("chaos",)]._actions] == [
+        "--help", "--log-level", "--log-json", "--plan", "--mode",
+        "--workloads", "--threads", "--scale", "--jobs", "--attempts",
+        "--json", "--report", "--list-sites"]
 
 
 def test_a_setting_no_shipped_caller_sets_is_a_constant():

@@ -1,8 +1,7 @@
 """Unit tests for repro.faults: plans, the injector, hooks, backoff.
 
 Covers the declarative plan layer (validation, JSON round-trips), the
-deterministic trigger pipeline (after / every / probability / max_fires
-under a fixed seed), the kind-filtering contract between sibling hooks
+``max_fires`` budget, the kind-filtering contract between sibling hooks
 probing one site, and the jobs-layer backoff schedule the injector is
 used to harden.
 """
@@ -13,6 +12,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import FaultError
 from repro.faults import (
     FaultInjector,
@@ -50,24 +50,25 @@ def test_rule_rejects_unknown_site_and_unsupported_kind():
 
 
 def test_rule_validates_trigger_fields():
-    with pytest.raises(FaultError, match="probability"):
-        FaultRule(site="cache.read", kind="io-error", probability=1.5)
-    with pytest.raises(FaultError, match="after"):
-        FaultRule(site="cache.read", kind="io-error", after=-1)
-    with pytest.raises(FaultError, match="every"):
-        FaultRule(site="cache.read", kind="io-error", every=0)
+    with pytest.raises(FaultError, match="max_fires"):
+        FaultRule(site="cache.read", kind="io-error", max_fires=-1)
     with pytest.raises(FaultError, match="latency"):
         FaultRule(site="serve.read", kind="slow", latency=-0.1)
-    with pytest.raises(FaultError, match="unknown match key"):
-        FaultRule(site="cache.read", kind="io-error",
-                  match={"hostname": "x"})
+    # A kind that sleeps 0 s would fire, be counted and do nothing; a
+    # latency on a kind that does not sleep would never act.
+    for site, kind in (("executor.job", "latency"), ("serve.read", "slow")):
+        with pytest.raises(FaultError, match="latency must be > 0"):
+            FaultRule(site=site, kind=kind)
+    with pytest.raises(FaultError, match="does not sleep"):
+        FaultRule(site="executor.job", kind="crash", latency=0.5)
+    with pytest.raises(FaultError, match="does not sleep"):
+        FaultPlan.from_dict({"faults": [
+            {"site": "cache.read", "kind": "corrupt", "latency": 1.0}]})
 
 
 def test_plan_json_round_trip_preserves_everything():
-    plan = FaultPlan(seed=77, description="round trip", rules=(
-        FaultRule(site="cache.read", kind="torn", probability=0.25,
-                  after=2, every=3, max_fires=4,
-                  match={"key_prefix": "ab"}),
+    plan = FaultPlan(description="round trip", rules=(
+        FaultRule(site="cache.read", kind="torn", max_fires=4),
         FaultRule(site="serve.read", kind="slow", latency=0.5),
     ))
     assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
@@ -75,9 +76,9 @@ def test_plan_json_round_trip_preserves_everything():
 
 def test_plan_load_and_malformed_inputs(tmp_path):
     path = tmp_path / "plan.json"
-    path.write_text(json.dumps(FaultPlan(seed=5, rules=(
+    path.write_text(json.dumps(FaultPlan(description="d", rules=(
         FaultRule(site="cache.write", kind="io-error"),)).to_dict()))
-    assert FaultPlan.load(path).seed == 5
+    assert FaultPlan.load(path).description == "d"
     with pytest.raises(FaultError, match="cannot read"):
         FaultPlan.load(tmp_path / "missing.json")
     with pytest.raises(FaultError, match="not valid JSON"):
@@ -89,13 +90,31 @@ def test_plan_load_and_malformed_inputs(tmp_path):
             {"site": "cache.read", "kind": "torn", "color": "red"}]})
 
 
-def test_with_seed_changes_only_the_seed():
-    plan = FaultPlan(seed=1, rules=(
-        FaultRule(site="cache.read", kind="corrupt"),), description="d")
-    reseeded = plan.with_seed(9)
-    assert reseeded.seed == 9
-    assert reseeded.rules == plan.rules
-    assert reseeded.description == "d"
+_RULE = {"site": "cache.read", "kind": "io-error"}
+#: Key -> a plan naming it: a misspelled top-level key, then the removed
+#: plan seed and rule trigger fields.
+_KEYS_THAT_DO_NOT_ACT = {
+    "fualts": {"fualts": [_RULE]},
+    "seed": {"seed": 7, "faults": [_RULE]},
+    **{field: {"faults": [{**_RULE, field: value}]}
+       for field, value in (("probability", 0.5), ("after", 1),
+                            ("every", 2), ("match", {"key_prefix": "ab"}))},
+}
+
+
+@pytest.mark.parametrize("key", list(_KEYS_THAT_DO_NOT_ACT))
+def test_a_plan_key_that_does_not_act_is_refused_by_name(key, tmp_path,
+                                                         capsys):
+    """A misspelled key would load as an empty plan that "passes" with
+    nothing injected; a removed trigger field would be accepted and
+    never act."""
+    plan = _KEYS_THAT_DO_NOT_ACT[key]
+    with pytest.raises(FaultError, match=f"unknown fault .*'{key}'"):
+        FaultPlan.from_dict({"schema": "repro-faults/1", **plan})
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    assert main(["chaos", "--plan", str(path), "--mode", "batch"]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_sites_registry_and_table_agree():
@@ -114,40 +133,18 @@ def _decisions(injector: FaultInjector, site: str, count: int,
             for _ in range(count)]
 
 
-def test_after_every_and_max_fires_schedule():
-    plan = FaultPlan(seed=0, rules=(
-        FaultRule(site="cache.read", kind="io-error", after=2, every=3,
-                  max_fires=2),))
-    fired = _decisions(FaultInjector(plan), "cache.read", 12)
-    # Occurrences 1-2 skipped, then every 3rd of the rest (3, 6, 9...)
-    # capped at two firings.
-    assert fired == [False, False, True, False, False, True,
-                     False, False, False, False, False, False]
-
-
-def test_probability_draws_are_deterministic_per_seed():
-    plan = FaultPlan(seed=42, rules=(
-        FaultRule(site="cache.read", kind="io-error", probability=0.5),))
-    first = _decisions(FaultInjector(plan), "cache.read", 40)
-    second = _decisions(FaultInjector(plan), "cache.read", 40)
-    assert first == second
-    assert any(first) and not all(first)
-    reseeded = _decisions(FaultInjector(plan.with_seed(43)),
-                          "cache.read", 40)
-    assert reseeded != first  # a different seed draws differently
-
-
-def test_match_predicate_gates_occurrence_counting():
+def test_max_fires_bounds_the_firings():
     plan = FaultPlan(rules=(
-        FaultRule(site="cache.read", kind="io-error", after=1,
-                  match={"key_prefix": "aa"}),))
+        FaultRule(site="cache.read", kind="io-error", max_fires=2),
+        FaultRule(site="cache.write", kind="io-error"),))
     injector = FaultInjector(plan)
-    # Non-matching contexts are never counted toward `after`.
-    assert injector.decide("cache.read", {"key": "bb00"}) is None
-    assert injector.decide("cache.read", {"key": "aa00"}) is None  # after
-    assert injector.decide("cache.read", {"key": "bb11"}) is None
-    rule = injector.decide("cache.read", {"key": "aa11"})
-    assert rule is not None and rule.kind == "io-error"
+    # Fires at the first occurrences until the budget is spent...
+    assert _decisions(injector, "cache.read", 5) == [
+        True, True, False, False, False]
+    # ...and an unbounded rule fires at every one.
+    assert _decisions(injector, "cache.write", 3) == [True, True, True]
+    assert [(f.rule, f.occurrence) for f in injector.firings()] == [
+        (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)]
 
 
 def test_kind_filter_prevents_sibling_hooks_consuming_occurrences():

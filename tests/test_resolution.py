@@ -68,7 +68,7 @@ def _scenario(tmp, disk, memo, fires):
     runner = JobRunner(cache=cache)
     runner.resolve([_SLOTS[i] for i in sorted(memo)])
     crashes, read_errors, write_errors = fires
-    plan = FaultPlan(seed=7, rules=(
+    plan = FaultPlan(rules=(
         FaultRule(site="executor.job", kind="crash", max_fires=crashes),
         FaultRule(site="cache.read", kind="io-error", max_fires=read_errors),
         FaultRule(site="cache.write", kind="io-error",
@@ -264,13 +264,16 @@ def test_bounded_abort_recovers_under_a_pool_and_is_counted():
 @fork_only
 def test_worker_side_crash_rule_fires_once_across_workers(fast_backoff):
     plan = FaultPlan(rules=(
-        FaultRule(site="executor.job", kind="crash", max_fires=1,
-                  match={"key_prefix": _spec(8, threads=2).key()[:8]}),))
+        FaultRule(site="executor.job", kind="crash", max_fires=1),))
     specs = [_spec(8, threads=t) for t in (1, 2, 3)]
     runner = JobRunner(cache=None, jobs=2)
     with injected(plan) as injector:
         resolutions = runner.resolve(specs)
-        # The key-matched rule reaches pool jobs (workers had no key).
-        assert [f.key for f in injector.firings()] == [specs[1].key()]
+        # Decided in the parent: the one firing is in its log, with the
+        # key of the pool job it crashed.
+        (firing,) = injector.firings()
+    assert (firing.site, firing.kind, firing.occurrence) == (
+        "executor.job", "crash", 1)
+    assert firing.key in {spec.key() for spec in specs}
     assert [r.status for r in resolutions] == ["computed"] * 3
     assert {r.backend for r in resolutions} <= {"pool", "serial"}

@@ -814,7 +814,7 @@ def _resolve_each(pipeline: RequestPipeline, specs) -> list[Resolution]:
 @pytest.mark.parametrize("kind", ["corrupt", "torn", "io-error"])
 def test_a_probe_that_fails_validation_is_never_remembered(kind, span_sink):
     pipeline, (spec,) = _warm_pipeline()
-    plan = FaultPlan(seed=1, rules=(
+    plan = FaultPlan(rules=(
         FaultRule(site="cache.read", kind=kind, max_fires=1),))
     with injected(plan) as injector:
         (faulted,) = _resolve_each(pipeline, [spec])
