@@ -23,7 +23,7 @@ def _cache_stats(cache: SetAssocCache | None) -> dict[str, Any]:
     return {
         "hits": s.hits,
         "misses": s.misses,
-        "evictions": s.evictions,
+        "evictions": cache.evictions if cache is not None else 0,
         "invalidations": s.invalidations,
         "miss_rate": round(s.miss_rate, 6),
         "resident_lines": len(cache) if cache is not None else 0,
@@ -88,7 +88,7 @@ def machine_report(machine: Machine) -> dict[str, Any]:
             "misses": mem.l3.misses,
             "miss_rate": round(mem.l3.miss_rate(), 6),
             "recalls": mem.stats.recalls,
-            "writebacks_to_dram": mem.stats.l3_writebacks_to_dram,
+            "writebacks_to_dram": mem.l3_writebacks_to_dram,
             "per_bank": [_cache_stats(b.cache) for b in mem.l3.banks],
         },
         "coherence": {
@@ -135,7 +135,7 @@ def machine_report(machine: Machine) -> dict[str, Any]:
             "total_wait_cycles": barriers.total_wait_cycles,
         },
         "memory_ops": {
-            "loads": mem.stats.loads,
+            "loads": mem.loads,
             "stores": mem.stats.stores,
         },
     }

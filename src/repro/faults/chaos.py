@@ -167,7 +167,10 @@ def example_plan() -> FaultPlan:
 def default_specs(workloads: Sequence[str] = CHAOS_WORKLOADS,
                   threads: int = CHAOS_THREADS,
                   scale: float = CHAOS_SCALE) -> list[JobSpec]:
-    """Small, fast specs for chaos runs (static policy, tiny scale)."""
+    """Small, fast specs for chaos runs (static policy, tiny scale); no
+    workload is a :class:`FaultError`, as a run that judges nothing."""
+    if not workloads:
+        raise FaultError("a chaos run needs at least one workload")
     config = MachineConfig.asplos08_baseline()
     return [JobSpec(workload=WorkloadRef(name=name, scale=scale),
                     policy=PolicySpec.static(threads), config=config)

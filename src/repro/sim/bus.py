@@ -9,8 +9,8 @@ We model the split transaction as:
   :attr:`MachineConfig.bus_cycles_per_line` cycles (32 at baseline — "one
   cache line every 32 cycles at peak bandwidth").
 
-Every data-phase cycle increments the busy-cycle counter, which is exactly
-the ``BUS_DRDY_CLOCKS``-style counter BAT's training loop reads.
+Every data-phase cycle is busy: transfers times cycles per line is the
+``BUS_DRDY_CLOCKS``-style counter BAT's training loop reads.
 """
 
 from __future__ import annotations
@@ -110,9 +110,14 @@ class ReservationTimeline:
 class BusStats:
     """Traffic and occupancy counters for the off-chip bus."""
 
+    cycles_per_line: int
     transfers: int = 0
-    busy_cycles: int = 0
     total_wait_cycles: int = 0
+
+    @property
+    def busy_cycles(self) -> int:
+        """Data-bus-occupied cycles: each transfer holds it one line's."""
+        return self.transfers * self.cycles_per_line
 
     def utilization(self, elapsed_cycles: int) -> float:
         """Fraction of ``elapsed_cycles`` the data bus was occupied."""
@@ -135,9 +140,4 @@ class OffChipBus:
         self.cycles_per_line = config.bus_cycles_per_line
         self._timeline = ReservationTimeline(
             min_duration=self.cycles_per_line)
-        self.stats = BusStats()
-
-    @property
-    def busy_cycles(self) -> int:
-        """Cumulative data-bus-occupied cycles (the BAT counter)."""
-        return self.stats.busy_cycles
+        self.stats = BusStats(self.cycles_per_line)

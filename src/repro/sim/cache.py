@@ -36,11 +36,10 @@ UNFILLED: dict[int, Any] = {}
 
 @dataclass(slots=True)
 class CacheStats:
-    """Hit/miss/eviction counters for one cache instance."""
+    """Hit/miss/invalidation counters for one cache instance."""
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     invalidations: int = 0
 
     @property
@@ -85,6 +84,13 @@ class SetAssocCache:
         if payload is not None:
             self.stats.invalidations += 1
         return payload
+
+    @property
+    def evictions(self) -> int:
+        """Lines evicted: a line enters only on a counted miss and leaves
+        by an eviction or a counted invalidation, unless still here."""
+        stats = self.stats
+        return stats.misses - stats.invalidations - len(self)
 
     def __len__(self) -> int:
         """Resident lines (``repro run --report`` prints them)."""

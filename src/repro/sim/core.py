@@ -81,21 +81,20 @@ class _Context:
     """One hardware thread context of a core."""
 
     __slots__ = ("state", "program", "agent_id", "spin_since",
-                 "send_value", "spin_cycles", "step", "pending")
+                 "spin_cycles", "step", "pending")
 
     def __init__(self) -> None:
         self.state = CoreState.IDLE
         self.program: ThreadProgram | None = None
         self.agent_id: int | None = None
         self.spin_since = 0
-        self.send_value: int | None = None
         self.spin_cycles = 0
         #: Prebound event callback (:meth:`Core._make_step`), built once
         #: by the owning core when the context's first thread starts, so
         #: the hot loop never allocates per-event closures.
         self.step: Callable[[], None] | None = None
-        #: Op the Compute coalescer pulled past the end of its run, for
-        #: the step to execute when the run's event fires.
+        #: Op pulled past a Compute run's end or by a ReadCounter's
+        #: value, for the step to execute when the event fires.
         self.pending: object | None = None
 
 
@@ -103,7 +102,7 @@ class Core:
     """One processor core of the CMP (possibly multi-context)."""
 
     __slots__ = ("core_id", "machine", "contexts",
-                 "_coalesce", "_run_ahead", "_mem_access", "_retired",
+                 "_coalesce", "_run_ahead", "_mem_access", "_counters",
                  "_observer")
 
     def __init__(self, core_id: int, machine: "Machine") -> None:
@@ -119,16 +118,16 @@ class Core:
         #: The core's memory port (shared by its SMT contexts), built by
         #: the first :meth:`start_thread` here.
         self._mem_access: AccessPort | None = None
-        #: The counter file's per-core retired array (the one such
-        #: counter) and the observer: both fixed with the machine.
-        self._retired = machine.counters._retired
+        #: The counter file (the step bumps its per-core retired
+        #: Compute instructions) and the observer: fixed with the machine.
+        self._counters = machine.counters
         self._observer = machine.observer
 
     # -- aggregate views -----------------------------------------------------
 
     @property
     def retired_instructions(self) -> int:
-        return self._retired[self.core_id]
+        return self._counters.retired(self.core_id)
 
     @property
     def is_idle(self) -> bool:
@@ -184,7 +183,7 @@ class Core:
         heap = events.heap
         width = machine.config.issue_width
         core_id = self.core_id
-        retired = self._retired
+        retired = self._counters._retired
         obs = self._observer
         coalesce, run_ahead = self._coalesce, self._run_ahead
         mem_access = self._mem_access
@@ -220,14 +219,8 @@ class Core:
             op, ctx.pending = ctx.pending, None
             while True:
                 if op is None:
-                    value = ctx.send_value
                     try:
-                        if value is None:
-                            op = next(ctx.program)  # type: ignore[arg-type]
-                        else:
-                            # The op after a ReadCounter gets its value.
-                            ctx.send_value = None
-                            op = ctx.program.send(value)  # type: ignore[union-attr]
+                        op = next(ctx.program)  # type: ignore[arg-type]
                     except StopIteration:
                         finish(ctx)
                         return
@@ -237,7 +230,6 @@ class Core:
                     if obs is not None and ctx.agent_id is not None:
                         obs.on_access(ctx.agent_id, op.addr, is_write, now)
                     when = mem_access(op.addr, is_write, now)
-                    retired[core_id] += 1
                     op = None
                 elif kind is Compute:
                     n = op.instructions
@@ -249,7 +241,7 @@ class Core:
                         # observe the intermediate cycles.  A program
                         # that ends in the run is pulled once more when
                         # the cycles are over (it raises StopIteration
-                        # again); no counter value is pending here.
+                        # again).
                         program = ctx.program
                         try:
                             op = next(program)  # type: ignore[arg-type]
@@ -307,10 +299,14 @@ class Core:
                 elif kind is ReadCounter:
                     if obs is not None:
                         obs.on_read_counter(ctx.agent_id, op.kind, now)
-                    ctx.send_value = read_counter(op.kind, core_id)
-                    # Reading a counter is a cheap serializing instruction.
+                    # A cheap serializing instruction: the next op waits
+                    # a cycle (a program that ends is pulled once more).
+                    try:
+                        op = ctx.program.send(  # type: ignore[union-attr]
+                            read_counter(op.kind, core_id))
+                    except StopIteration:
+                        op = None
                     when = now + 1
-                    op = None
                 else:
                     raise ProgramError(f"core {core_id}: unknown op {op!r}")
 

@@ -32,11 +32,15 @@ _MEMO_GRANULES = 1 << 16
 class DramStats:
     """Row-buffer outcome counters across all banks."""
 
-    accesses: int = 0
     row_hits: int = 0
     row_conflicts: int = 0
     row_closed: int = 0
     total_queue_cycles: int = 0
+
+    @property
+    def accesses(self) -> int:
+        """Every access has exactly one row-buffer outcome."""
+        return self.row_hits + self.row_conflicts + self.row_closed
 
     @property
     def row_hit_rate(self) -> float:

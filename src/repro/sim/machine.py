@@ -265,7 +265,8 @@ class Machine:
             bus_transfers=bus.transfers,
             l3_misses=self.memsys.l3.misses,
             l3_accesses=self.memsys.l3.accesses,
-            retired_instructions=sum(self.counters._retired),
+            retired_instructions=sum(map(self.counters.retired,
+                                         range(self.config.num_cores))),
             lock_acquisitions=self.locks.stats.acquisitions,
         )
 

@@ -60,10 +60,8 @@ _S = MesiState.SHARED
 class MemSysStats:
     """Chip-wide access counters kept by the memory system itself."""
 
-    loads: int = 0
     stores: int = 0
     l2_writebacks: int = 0
-    l3_writebacks_to_dram: int = 0
     recalls: int = 0
 
 
@@ -95,6 +93,17 @@ class MemorySystem:
         #: intervals of L2 misses and coherence upgrades — the accesses
         #: that actually block an in-order core.
         self.observer = observer
+
+    @property
+    def loads(self) -> int:
+        """Loads served: every access is one L1 hit or one L1 miss."""
+        return sum(l1.stats.accesses for l1 in self.l1s) - self.stats.stores
+
+    @property
+    def l3_writebacks_to_dram(self) -> int:
+        """Dirty L3 victims written off-chip: every bus transfer is an
+        L3 miss's fill or one of these."""
+        return self.bus.stats.transfers - self.l3.misses
 
     def _private_caches(self, core: int) -> tuple[SetAssocCache,
                                                   SetAssocCache]:
@@ -131,8 +140,10 @@ class MemorySystem:
         ``on_*`` transitions, the recall of an L3 victim held in S
         (``SetAssocCache.invalidate``), a bus reservation that fills a
         gap and the bank hash of a granule not yet memoised
-        (``Dram.bank_of``).  A dirty L2 victim without an L3 copy breaks
-        inclusion: a :class:`SimulationError`.
+        (``Dram.bank_of``).  A dirty L2 victim without an L3 copy, or a
+        store's L1 hit without an L2 copy, breaks inclusion: a
+        :class:`SimulationError`.  A counter that sums others is not
+        bumped here but computed where it is read.
 
         ``tests/spec_memsys.py`` is the specification the walk is held
         to (``tests/test_property_memsys.py``): same completion cycles,
@@ -322,7 +333,6 @@ class MemorySystem:
                     dram_free[dbank] = t_mem
                     if open_page:
                         open_rows[dbank] = row
-                    dram_stats.accesses += 1
                     # The timeline's cases past and inside its last
                     # interval; reserve() only when a gap is filled.
                     last = bus_ends[-1] if bus_ends else -bus_cycles
@@ -340,13 +350,11 @@ class MemorySystem:
                         start = bus_reserve(t_mem, bus_cycles)
                     t_bus = start + bus_cycles
                     bus_stats.total_wait_cycles += start - t_mem
-                    bus_stats.busy_cycles += bus_cycles
                     bus_stats.transfers += 1
                     # Fill the L3; the probe just missed, the line is absent.
                     if len(s3) >= l3_assoc:
                         victim = next(iter(s3))
                         victim_dirty = s3.pop(victim)
-                        stats3.evictions += 1
                         s3[line] = False
                         # Inclusion: recall the victim's private copies.
                         held = entries.get(victim)
@@ -383,7 +391,6 @@ class MemorySystem:
                             else:
                                 start = bus_reserve(t_bus, bus_cycles)
                             bus_stats.total_wait_cycles += start - t_bus
-                            bus_stats.busy_cycles += bus_cycles
                             bus_stats.transfers += 1
                             t_wb = start + bus_cycles
                             row = victim // granule
@@ -405,8 +412,6 @@ class MemorySystem:
                                 dram_stats.row_conflicts += 1
                             if open_page:
                                 open_rows[dbank] = row
-                            dram_stats.accesses += 1
-                            stats.l3_writebacks_to_dram += 1
                     elif s3 is UNFILLED:
                         sets3[line & l3_mask] = {line: False}
                     else:
@@ -421,7 +426,6 @@ class MemorySystem:
             if len(s2) >= l2_assoc:
                 victim = next(iter(s2))
                 victim_state = s2.pop(victim)
-                l2_stats.evictions += 1
                 s2[line] = new_state
                 # Inclusion: the L1 copy goes with the L2 copy.
                 if l1_sets[victim & l1_mask].pop(victim, None) is not None:
@@ -450,7 +454,6 @@ class MemorySystem:
             # -- fill the L1 -----------------------------------------------
             if len(s1) >= l1_assoc:
                 del s1[next(iter(s1))]
-                l1_stats.evictions += 1
                 s1[line] = True
             elif s1 is UNFILLED:
                 l1_sets[line & l1_mask] = {line: True}
@@ -467,7 +470,6 @@ class MemorySystem:
                 l1_stats.hits += 1
                 s1[line] = s1.pop(line)  # LRU touch
                 if not is_write:
-                    stats.loads += 1
                     return now + l1_latency
                 # Write-through: the store needs a writable L2 copy.
                 stats.stores += 1
@@ -483,18 +485,14 @@ class MemorySystem:
                     return t
                 if state is _S:
                     return upgrade(line, t, s2)
-                # An L1 hit without an L2 copy: drop it, miss in the L2.
-                del s1[line]
-                l1_stats.invalidations += 1
-                return miss(line, True, t, s1, s2)
+                raise SimulationError(
+                    f"L1 line {line:#x} has no L2 copy: inclusion is broken")
             l1_stats.misses += 1
             t = now + l1_l2_latency
             s2 = l2_sets[line & l2_mask]
             state = s2.get(line)
             if is_write:
                 stats.stores += 1
-            else:
-                stats.loads += 1
             if state is None:
                 l2_stats.misses += 1
                 return miss(line, is_write, t, s1, s2)
@@ -510,7 +508,6 @@ class MemorySystem:
                     t = upgrade(line, t, s2)
             if len(s1) >= l1_assoc:
                 del s1[next(iter(s1))]  # silent: L1 is never dirty
-                l1_stats.evictions += 1
                 s1[line] = True
             elif s1 is UNFILLED:
                 l1_sets[line & l1_mask] = {line: True}

@@ -8,7 +8,7 @@ two snapshots plus derived metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 def busy_fraction(busy_cycles: int, elapsed_cycles: int) -> float:
@@ -40,6 +40,10 @@ class Snapshot:
     lock_acquisitions: int
 
 
+#: A snapshot's counters in order; a result holds the same fields.
+_COUNTERS = tuple(f.name for f in fields(Snapshot))
+
+
 @dataclass(frozen=True, slots=True)
 class RunResult:
     """Metrics over an interval of simulated execution.
@@ -62,18 +66,8 @@ class RunResult:
     @staticmethod
     def between(start: Snapshot, end: Snapshot) -> "RunResult":
         """Result for the interval between two snapshots."""
-        return RunResult(
-            cycles=end.cycles - start.cycles,
-            busy_core_cycles=end.busy_core_cycles - start.busy_core_cycles,
-            spin_core_cycles=end.spin_core_cycles - start.spin_core_cycles,
-            bus_busy_cycles=end.bus_busy_cycles - start.bus_busy_cycles,
-            bus_transfers=end.bus_transfers - start.bus_transfers,
-            l3_misses=end.l3_misses - start.l3_misses,
-            l3_accesses=end.l3_accesses - start.l3_accesses,
-            retired_instructions=(end.retired_instructions
-                                  - start.retired_instructions),
-            lock_acquisitions=end.lock_acquisitions - start.lock_acquisitions,
-        )
+        return RunResult(*(getattr(end, name) - getattr(start, name)
+                           for name in _COUNTERS))
 
     @property
     def power(self) -> float:
@@ -107,33 +101,13 @@ class RunResult:
         and the jobs cache both use it, so cached and fresh payloads
         stay field-for-field identical.
         """
-        return {
-            "cycles": self.cycles,
-            "busy_core_cycles": self.busy_core_cycles,
-            "spin_core_cycles": self.spin_core_cycles,
-            "bus_busy_cycles": self.bus_busy_cycles,
-            "bus_transfers": self.bus_transfers,
-            "l3_misses": self.l3_misses,
-            "l3_accesses": self.l3_accesses,
-            "retired_instructions": self.retired_instructions,
-            "lock_acquisitions": self.lock_acquisitions,
-            "power": self.power,
-            "bus_utilization": self.bus_utilization,
-            "ipc": self.ipc,
-            "energy": self.energy,
-        }
+        return {**{name: getattr(self, name) for name in _COUNTERS},
+                "power": self.power,
+                "bus_utilization": self.bus_utilization,
+                "ipc": self.ipc,
+                "energy": self.energy}
 
     def __add__(self, other: "RunResult") -> "RunResult":
         """Concatenate two disjoint intervals (times and counts add)."""
-        return RunResult(
-            cycles=self.cycles + other.cycles,
-            busy_core_cycles=self.busy_core_cycles + other.busy_core_cycles,
-            spin_core_cycles=self.spin_core_cycles + other.spin_core_cycles,
-            bus_busy_cycles=self.bus_busy_cycles + other.bus_busy_cycles,
-            bus_transfers=self.bus_transfers + other.bus_transfers,
-            l3_misses=self.l3_misses + other.l3_misses,
-            l3_accesses=self.l3_accesses + other.l3_accesses,
-            retired_instructions=(self.retired_instructions
-                                  + other.retired_instructions),
-            lock_acquisitions=self.lock_acquisitions + other.lock_acquisitions,
-        )
+        return RunResult(*(getattr(self, name) + getattr(other, name)
+                           for name in _COUNTERS))

@@ -349,6 +349,7 @@ ROSTER: tuple[Row | Serve, ...] = (
     Row("repro chaos --mode batch --workloads PageMine --scale 0.05"),
     Row("repro chaos --list-sites"),
     Row("repro chaos --attempts 0", code=2),
+    Row("repro chaos --workloads ,", code=2),
     # A client timeout that no reply can meet is refused before sending.
     Row("repro loadgen --synthetic --request-timeout 0", code=2),
     # A cold batch, then the same batch from the warm cache.

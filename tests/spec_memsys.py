@@ -23,6 +23,12 @@ the machine's address map (``memsys.addrmap``): ``repro.sim.addrmap``
 draws the split, the overlap of an L3 bank's set with its bank bits
 included.
 
+Like the port, the specification counts primary events only: a cache's
+hits, misses and invalidations, stores, row-buffer outcomes, bus
+transfers.  Their sums (evictions, loads, DRAM accesses, bus busy
+cycles, the L3's write-backs) are read from them, so they agree when
+the primary counters do.
+
 Every ring message goes through :func:`send`: it is counted here, and
 ``Ring.reserve`` times it, waiting for busy links on a ring with link
 occupancy.
@@ -96,7 +102,6 @@ def insert(cache: SetAssocCache, line: int,
     if len(s) >= cache.assoc:
         victim_line = next(iter(s))
         victim = (victim_line, s.pop(victim_line))
-        cache.stats.evictions += 1
     s[line] = payload
     return victim
 
@@ -112,8 +117,8 @@ def update(cache: SetAssocCache, line: int, payload: Any) -> bool:
 
 
 def clear(cache: SetAssocCache) -> None:
-    """Drop every line (the stats stay), into the ``_sets`` list a port
-    may have bound."""
+    """Drop every line (the stats stay, so the dropped lines read as
+    evictions), into the ``_sets`` list a port may have bound."""
     cache._sets[:] = [UNFILLED] * cache.num_sets
 
 
@@ -131,7 +136,6 @@ def data_phase(bus: OffChipBus, ready: int) -> int:
     cycles = bus.cycles_per_line
     start = bus._timeline.reserve(ready, cycles)
     bus.stats.total_wait_cycles += start - ready
-    bus.stats.busy_cycles += cycles
     bus.stats.transfers += 1
     return start + cycles
 
@@ -160,7 +164,6 @@ def dram_access(dram: Dram, line: int, now: int) -> int:
     dram._bank_free[bank] = start + latency
     # Open-page leaves the row latched; closed-page precharges it.
     dram._open_row[bank] = row if dram._open_page else None
-    stats.accesses += 1
     return start + latency
 
 
@@ -193,8 +196,6 @@ def access(memsys: MemorySystem, core: int, addr: int, is_write: bool,
     line = addr >> memsys.addrmap.offset_bits
     if is_write:
         memsys.stats.stores += 1
-    else:
-        memsys.stats.loads += 1
     l1, l2 = memsys.l1s[core], memsys.l2s[core]
     t = now + memsys.config.l1_latency
 
@@ -211,9 +212,8 @@ def access(memsys: MemorySystem, core: int, addr: int, is_write: bool,
             return t
         if state is S:
             return upgrade(memsys, core, line, t)
-        # An L1 hit without an L2 copy breaks inclusion: an L2 miss.
-        l1.invalidate(line)
-        return miss(memsys, core, line, True, t)
+        raise SimulationError(
+            f"L1 line {line:#x} has no L2 copy: inclusion is broken")
 
     t += memsys.config.l2_latency
     state = lookup(l2, line)
@@ -334,7 +334,6 @@ def l3_install(memsys: MemorySystem, bank: L3Bank, line: int, now: int) -> None:
         memsys.stats.recalls += 1
     if victim_dirty or holder_dirty:
         dram_access(memsys.dram, victim_line, data_phase(memsys.bus, now))
-        memsys.stats.l3_writebacks_to_dram += 1
 
 
 def l2_install(memsys: MemorySystem, core: int, line: int,

@@ -22,7 +22,7 @@ def test_baseline_line_occupancy_is_32_cycles():
 def test_data_phase_occupies_bus(bus: OffChipBus):
     done = data_phase(bus, 0)
     assert done == 32
-    assert bus.busy_cycles == 32
+    assert bus.stats.busy_cycles == 32
     assert bus.stats.transfers == 1
 
 

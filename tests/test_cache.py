@@ -96,17 +96,18 @@ def test_invalidate_removes_line():
 def test_different_sets_do_not_conflict():
     c = make_cache(sets=8, assoc=2)
     for line in range(8):  # one line per set
+        assert lookup(c, line) is None
         insert(c, line, line)
     assert len(c) == 8
-    assert c.stats.evictions == 0
+    assert c.evictions == 0
 
 
 def test_same_set_conflicts():
     c = make_cache(sets=8, assoc=2)
-    insert(c, 0, "a")
-    insert(c, 8, "b")
-    insert(c, 16, "c")  # third line in set 0 evicts
-    assert c.stats.evictions == 1
+    for line in (0, 8, 16):  # the third line in set 0 evicts
+        assert lookup(c, line) is None
+        insert(c, line, "abc"[line // 8])
+    assert c.evictions == 1
     assert len(c) == 2
 
 

@@ -243,6 +243,14 @@ def test_chaos_refuses_fewer_than_one_attempt_before_anything_runs(
     assert "attempts must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workloads", [",", " , ", ""])
+def test_chaos_refuses_an_empty_workload_list(workloads, capsys):
+    """No spec is a run that judges nothing: exit 2, not a vacuous
+    PASS over zero specs."""
+    assert main(["chaos", "--workloads", workloads]) == 2
+    assert "at least one workload" in capsys.readouterr().err
+
+
 def test_chaos_serve_survives_drops_timeouts_and_slow_reads():
     plan = FaultPlan(rules=(
         FaultRule(site="serve.connection", kind="drop", max_fires=2),

@@ -115,7 +115,7 @@ def test_dirty_l2_eviction_writes_back_to_l3(m: Machine):
 def test_loads_and_stores_counted(m: Machine):
     access(m, 0, ADDR, False, 0)
     access(m, 0, ADDR + 64, True, 500)
-    assert m.memsys.stats.loads == 1
+    assert m.memsys.loads == 1
     assert m.memsys.stats.stores == 1
 
 

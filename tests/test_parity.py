@@ -83,7 +83,8 @@ def _mixed_region(machine: Machine) -> dict[str, Any]:
     """Four mixed threads; what ``machine_report`` rounds or leaves out."""
     region = machine.run_parallel([_mixed_factory] * 4)
     return {"region": (region.start_cycle, region.end_cycle),
-            "counter_file": list(machine.counters._retired),
+            "retired": [machine.counters.retired(core)
+                        for core in range(machine.config.num_cores)],
             "ring_hops": machine.ring.stats.total_hops,
             "bus_wait": machine.memsys.bus.stats.total_wait_cycles}
 
@@ -361,7 +362,7 @@ class CounterBump(SimObserver):
         self.stats = machine.memsys.stats
 
     def on_access(self, agent, addr, is_store, now) -> None:
-        self.stats.loads += 1
+        self.stats.stores += 1
 
 
 def test_an_impure_observer_fails_exactly_its_column(request):
@@ -488,4 +489,4 @@ def test_op_by_op_machine_runs_every_access_on_the_spec(monkeypatch):
     core, stats = machine.cores[0], machine.memsys.stats
     assert (core._coalesce, core._run_ahead) == (False, False)
     assert machine.events.seq == 1 + 3 * 60
-    assert len(calls) == stats.loads + stats.stores == 2 * 60
+    assert len(calls) == machine.memsys.loads + stats.stores == 2 * 60

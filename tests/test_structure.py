@@ -458,7 +458,7 @@ RULES = (
          "the simulator and the workloads stay within their line budget: "
          "a new mechanism there pays for itself with a deletion",
          (Lines("sim+workloads",
-                (Path("src/repro/sim"), Path("src/repro/workloads")), 4672),),
+                (Path("src/repro/sim"), Path("src/repro/workloads")), 4657),),
          within_cap),
     Rule("declared-imports",
          "installing the package installs what it imports: every module "

@@ -219,7 +219,7 @@ def test_busy_fraction_clamps_and_handles_empty_intervals():
 def test_bus_stats_and_run_result_share_the_utilization_definition():
     from repro.sim.bus import BusStats
     from repro.sim.stats import RunResult
-    stats = BusStats(busy_cycles=64)
+    stats = BusStats(cycles_per_line=32, transfers=2)
     result = RunResult(cycles=128, busy_core_cycles=0, spin_core_cycles=0,
                        bus_busy_cycles=64, bus_transfers=2, l3_misses=0,
                        l3_accesses=0, retired_instructions=0,
