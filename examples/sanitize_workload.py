@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sanitize your own kernel: run the thread checker programmatically.
+"""Check your own kernel: run the program checker programmatically.
 
 Builds two variants of a small histogram kernel — one that updates the
 shared bins under a lock, one that "forgets" the lock — and runs
@@ -13,7 +13,7 @@ Run:  python examples/sanitize_workload.py
 from typing import Iterator
 
 from repro import Application
-from repro.check import check_application
+from repro.check import analyze_application
 from repro.fdt.kernel import TeamParallelKernel
 from repro.isa import BarrierWait, Compute, Load, Lock, Op, Store, Unlock
 from repro.runtime.parallel import static_chunks
@@ -57,23 +57,22 @@ class HistogramKernel(TeamParallelKernel):
 
 def main() -> None:
     # The correct variant: the checker must come back clean.
-    clean = check_application(Application.single(HistogramKernel(locked=True),
-                                                 name="histogram"))
+    clean = analyze_application(lambda: Application.single(
+        HistogramKernel(locked=True), name="histogram"))
     print(f"locked histogram: clean={clean.clean} "
-          f"({clean.cycles:,} cycles checked, "
-          f"{clean.threads} threads)")
-    assert clean.clean, "the locked kernel must sanitize clean"
+          f"(teams of {', '.join(map(str, clean.thread_counts))} threads)")
+    assert clean.clean, "the locked kernel must check clean"
 
     # The broken variant: iterate the findings like a CI gate would.
-    racy = check_application(Application.single(HistogramKernel(locked=False),
-                                                name="histogram-racy"))
+    racy = analyze_application(lambda: Application.single(
+        HistogramKernel(locked=False), name="histogram-racy"))
     print(f"unlocked histogram: clean={racy.clean}, "
           f"{len(racy.findings)} finding(s)")
     for finding in racy.findings:
-        print(f"  [{finding.analysis}/{finding.kind}] {finding.message}")
+        print(f"  [{finding.kind}] {finding.message}")
     assert not racy.clean, "dropping the lock must be caught"
-    assert any(f.kind == "empty-lockset" for f in racy.findings)
-    print("the sanitizer caught the dropped lock")
+    assert any(f.kind == "static-empty-lockset" for f in racy.findings)
+    print("the checker caught the dropped lock")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ This package contains the complete stack the paper's evaluation needs:
 * :mod:`repro.workloads` — the twelve Table 2 workloads.
 * :mod:`repro.analysis` / :mod:`repro.experiments` — sweeps, the oracle,
   and the paper's figures as a registry of data over one runner.
+* :mod:`repro.check` — the program checker: races, deadlocks and
+  barrier hangs proved from the op streams, without a simulated run.
 
 Quickstart::
 

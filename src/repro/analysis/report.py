@@ -11,7 +11,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.check.findings import CheckReport
+    from repro.check.static import StaticReport
 
 
 def gmean(values: Iterable[float]) -> float:
@@ -47,39 +47,23 @@ def ascii_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     return "\n".join(lines)
 
 
-def format_findings(report: "CheckReport") -> str:
+def format_findings(report: "StaticReport") -> str:
     """Render a ``repro check`` report for a terminal.
 
-    A clean report is one line; otherwise findings are grouped under a
-    per-analysis count summary, each with its one-line message and the
-    most useful structured details indented below it.
+    A clean report is two lines; otherwise findings are listed under a
+    per-kind count summary, each with its one-line message.
     """
-    head = f"repro check: {report.workload} ({report.threads} threads)"
+    teams = ", ".join(map(str, report.thread_counts))
+    head = f"repro check: {report.workload} (teams of {teams} threads)"
     if report.clean:
-        return (f"{head}\nOK - no findings "
-                f"({report.cycles:,} cycles checked)")
-
-    counts = {k: v for k, v in report.counts().items() if v}
-    summary = ", ".join(f"{v} {k}" for k, v in counts.items())
+        return f"{head}\nOK - no findings"
+    summary = ", ".join(f"{v} {k}" for k, v in report.counts().items())
     lines = [head, f"FAIL - {len(report.findings)} finding(s): {summary}"]
-    if report.aborted is not None:
-        lines.append(f"(the checked run aborted: {report.aborted})")
-    for i, finding in enumerate(report.findings, 1):
-        lines.append(f"{i:3d}. [{finding.analysis}/{finding.kind}] "
-                     f"{finding.message}")
-        sites = finding.details.get("sites")
-        if sites:
-            for site in sites:
-                lines.append(f"       site: agent {site['agent']} "
-                             f"{site['kind']} #{site['index']} "
-                             f"@ cycle {site['cycle']}")
-        cycle = finding.details.get("cycle")
-        if finding.kind == "lock-order-cycle" and cycle:
-            lines.append("       order: "
-                         + " -> ".join(str(lock) for lock in cycle))
+    lines += [f"{i:3d}. [{finding.kind}] {finding.message}"
+              for i, finding in enumerate(report.findings, 1)]
     if report.dropped:
         lines.append(f"(+{report.dropped} finding(s) dropped by the "
-                     f"max_findings cap)")
+                     f"MAX_FINDINGS cap)")
     return "\n".join(lines)
 
 

@@ -1,17 +1,18 @@
-"""The ``repro check`` command: thread-sanitize a workload::
+"""The ``repro check`` command: statically check a workload::
 
-    python -m repro check PageMine               # thread-sanitize a workload
+    python -m repro check PageMine               # check a workload
     python -m repro check synthetic-racy --json  # positive control, JSON out
-    python -m repro check EP --static            # + static proofs and priors
-    python -m repro check --all --static-only    # static-verify the roster
+    python -m repro check --all                  # check the roster
 
-Exits 0 when the workload is clean and 1 when the sanitizer found races,
-lock-order cycles, or discipline violations; ``--static`` adds the
-ahead-of-run analyzer (lock/barrier proofs + static FDT priors) and
-``--static-only`` skips the simulated run entirely.
+Abstract-executes the workload's thread programs at teams of 1, 4 and
+16 threads, with no simulation of the checked workload itself, and
+exits 0 when it is clean and 1 on races, lock-order cycles, barriers
+that can never fill, or discipline violations.  Beside the findings it
+reports each kernel's static SAT/BAT priors, and for a Table 2 workload
+their agreement with the measured training estimates.
 
-Registration imports neither the sanitizer nor the analyzer: the
-handler imports them when it drives them.
+Registration does not import the analyzer: the handler imports it when
+it drives it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import sys
 
 from repro.analysis.report import format_findings
-from repro.check.config import DEFAULT_THREADS, check_team
 from repro.errors import WorkloadError
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
@@ -29,11 +29,7 @@ from repro.workloads.synthetic import FIXTURES
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    # Both modes refuse a team the checked run would refuse.
     config = MachineConfig.baseline_with(args.cores, args.bandwidth, args.smt)
-    check_team(args.threads, config)
-    if args.static_only:
-        args.static = True
     if args.all:
         names = [s.name for s in all_specs()]
     elif args.workload is not None:
@@ -45,7 +41,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     worst = 0
     payloads = []
     for name in names:
-        payload, text, code = _check_one(name, args, config)
+        payload, text, code = _check_one(name, args.scale, config)
         worst = max(worst, code)
         if args.json:
             payloads.append(payload)
@@ -57,42 +53,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return worst
 
 
-def _check_one(args_name: str, args: argparse.Namespace,
+def _check_one(name: str, scale: float,
                config: MachineConfig) -> tuple[dict, str, int]:
     """Check one workload; returns (json payload, text, exit code)."""
-    from repro.check.runner import check_workload
     from repro.check.static import analyze_workload
 
-    static_report = None
-    extras: dict = {}
-    if args.static:
-        static_report = analyze_workload(name=args_name, scale=args.scale,
-                                         config=config)
-        extras = _static_extras(args_name, static_report, args.scale, config)
-
-    if args.static_only:
-        payload = {**static_report.to_dict(), **extras}
-        text = format_findings(static_report.as_check_report())
-        text = text.replace("repro check:", "repro check --static-only:", 1)
-        text += _format_priors(static_report, extras)
-        return payload, text, 0 if static_report.clean else 1
-
-    report = check_workload(args_name, scale=args.scale, config=config,
-                            threads=args.threads)
-    payload = report.to_dict()
-    text = format_findings(report)
-    code = 0 if report.clean else 1
-    if static_report is not None:
-        payload["static"] = static_report.to_dict()
-        payload.update(extras)
-        if not static_report.clean:
-            code = max(code, 1)
-            static_text = format_findings(static_report.as_check_report())
-            text += "\nstatic analysis:\n" + static_text
-        else:
-            text += "\nstatic analysis: OK - no findings"
-        text += _format_priors(static_report, extras)
-    return payload, text, code
+    report = analyze_workload(name=name, scale=scale, config=config)
+    extras = _static_extras(name, report, scale, config)
+    payload = {**report.to_dict(), **extras}
+    text = format_findings(report) + _format_priors(report, extras)
+    return payload, text, 0 if report.clean else 1
 
 
 def _static_extras(name: str, static_report, scale: float,
@@ -147,26 +117,13 @@ def register(sub: argparse._SubParsersAction,
     """Mount ``repro check`` (the contract is in :mod:`repro.cli`)."""
     p_check = sub.add_parser(
         "check", parents=[parents.machine, parents.logging],
-        help="thread-sanitize a workload (races, lock order, discipline), "
-             "optionally with ahead-of-run static analysis")
+        help="statically check a workload (races, lock order, barriers, "
+             "discipline) and report its SAT/BAT priors")
     p_check.add_argument("workload", nargs="?", default=None,
                          help="Table 2 workload name, or a fixture "
                               f"({', '.join(sorted(FIXTURES))})")
     p_check.add_argument("--all", action="store_true",
                          help="check every Table 2 workload")
-    p_check.add_argument("--threads", type=int, default=None,
-                         help="static team size for the checked run, at "
-                              f"least 2 (default {DEFAULT_THREADS}, or "
-                              "every slot of a smaller machine)")
-    p_check.add_argument("--static", action="store_true",
-                         help="also run the ahead-of-run static analyzer "
-                              "(lock-order proofs, barrier proofs, "
-                              "SAT/BAT priors vs measured training)")
-    p_check.add_argument("--static-only", action="store_true",
-                         help="run only the static analyzer — no "
-                              "simulation of the checked workload itself "
-                              "(training still runs to report prior "
-                              "agreement for Table 2 workloads)")
     p_check.add_argument("--json", action="store_true",
                          help="print the machine-readable findings report")
     p_check.set_defaults(func=_cmd_check)

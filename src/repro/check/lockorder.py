@@ -1,60 +1,15 @@
-"""Lock-order (potential deadlock) analysis.
+"""Lock-order (potential deadlock) cycles.
 
-Each time an agent requests lock ``b`` while holding lock ``a``, the
-analysis records the edge ``a -> b`` in the acquires-while-holding
-graph.  A cycle in that graph means two orderings coexist — the classic
-deadlock recipe — even when the FIFO grant order happened to dodge the
-deadlock in this particular run.  Cycles are found at the end of the run
-from the strongly connected components of the graph.
+A thread that requests lock ``b`` while holding lock ``a`` adds the edge
+``a -> b`` to the acquires-while-holding graph.  A cycle in that graph
+means two orderings coexist — the classic deadlock recipe — even when
+the FIFO grant order would dodge the deadlock in any one run.  Cycles
+are the strongly connected components of the graph.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterator
-
-from repro.check.findings import LOCK_ORDER, Finding, FindingLog
-
-
-class LockOrderAnalyzer:
-    """Builds the acquires-while-holding graph and reports its cycles."""
-
-    def __init__(self) -> None:
-        #: (held, wanted) -> witness details of the first observation.
-        self._edges: dict[tuple[int, int], dict[str, int]] = {}
-        #: Cycles counted but not listed by the last :meth:`finish`.
-        self.dropped = 0
-
-    def on_lock_request(self, lock_id: int, agent: int,
-                        held: list[int], now: int) -> None:
-        """Record edges ``h -> lock_id`` for every currently held ``h``."""
-        for h in held:
-            if h == lock_id:
-                continue  # re-entrance is the discipline lint's business
-            edge = (h, lock_id)
-            if edge not in self._edges:
-                self._edges[edge] = {"agent": agent, "cycle": now}
-
-    def finish(self) -> list[Finding]:
-        """Cycle findings from the accumulated graph (one per SCC)."""
-        log = FindingLog()
-        for component, cycle, witnesses in lock_order_cycles(self._edges):
-            edges = [{"held": a, "wanted": b, **self._edges[(a, b)]}
-                     for a, b in witnesses]
-            path = " -> ".join(str(lock) for lock in cycle)
-            log.add(Finding(
-                analysis=LOCK_ORDER,
-                kind="lock-order-cycle",
-                message=(f"potential deadlock: locks are acquired in a "
-                         f"cycle {path} (each edge 'a -> b' means some "
-                         f"thread requested b while holding a)"),
-                details={
-                    "locks": sorted(component),
-                    "cycle": cycle,
-                    "edges": edges,
-                },
-            ))
-        self.dropped = log.dropped
-        return log.findings
 
 
 def lock_order_cycles(
@@ -66,9 +21,8 @@ def lock_order_cycles(
     ``edges`` are ``(held, wanted)`` pairs, self-edges already excluded.
     Yields ``(component, cycle, witnesses)``: the locks involved, a short
     simple cycle through them as ``[a, ..., a]``, and the edges of
-    ``edges`` along that cycle.  The dynamic analysis above and the
-    static pass (:mod:`repro.check.static.locks`) both report from this,
-    so they can never disagree about what a cycle is.
+    ``edges`` along that cycle; the static lock pass
+    (:mod:`repro.check.static.locks`) reports from it.
     """
     adjacency: dict[int, list[int]] = {}
     for a, b in edges:
@@ -84,7 +38,7 @@ def lock_order_cycles(
 
 def _strongly_connected(adjacency: dict[int, list[int]]) -> list[set[int]]:
     """Tarjan's SCC algorithm, iterative (lock graphs are tiny, but the
-    sanitizer must not die on adversarial input via recursion limits)."""
+    checker must not die on adversarial input via recursion limits)."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()

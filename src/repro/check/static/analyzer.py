@@ -5,8 +5,8 @@ application at each requested team size (plus a team of one for the
 priors), runs the pass pipeline over each team summary, deduplicates
 findings across team sizes, and returns a :class:`StaticReport`.
 :func:`analyze_workload` resolves names as ``repro check`` does
-(:func:`repro.check.runner.resolve`), building a *fresh* application
-per team size so stateful kernels cannot leak facts between analyses.
+(:func:`resolve`), building a *fresh* application per team size so
+stateful kernels cannot leak facts between analyses.
 """
 
 from __future__ import annotations
@@ -15,18 +15,24 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.check.findings import CheckReport, Finding, FindingLog
-from repro.check.runner import resolve
+from repro.check.findings import Finding, FindingLog
 from repro.check.static.barriers import barrier_findings
 from repro.check.static.executor import AbstractExecutor
 from repro.check.static.lints import lint_findings
-from repro.check.static.locks import lock_fault_findings, lock_order_findings
+from repro.check.static.locks import (
+    lock_fault_findings,
+    lock_order_findings,
+    lockset_findings,
+)
 from repro.check.static.profile import profile_team, team_priors
 from repro.check.static.summary import TeamSummary
 from repro.errors import WorkloadError
 from repro.fdt.priors import StaticPriors
 from repro.fdt.runner import Application
 from repro.sim.config import MachineConfig
+from repro.workloads import get
+from repro.workloads.base import AppBuilder
+from repro.workloads.synthetic import FIXTURES
 
 #: Default team sizes to analyze.  One team of one (the priors' view),
 #: one small team, one team wide enough to shift barrier/chunk shapes.
@@ -59,17 +65,6 @@ class StaticReport:
         for f in self.findings:
             out[f.kind] = out.get(f.kind, 0) + 1
         return out
-
-    def as_check_report(self) -> CheckReport:
-        """Bridge to the dynamic report type, for the shared formatter."""
-        return CheckReport(
-            workload=self.workload,
-            threads=max(self.thread_counts),
-            findings=self.findings,
-            aborted=None,
-            cycles=0,
-            dropped=self.dropped,
-        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -151,7 +146,7 @@ def analyze_workload(
         thread_counts: tuple[int, ...] = DEFAULT_THREAD_COUNTS,
         config: MachineConfig | None = None) -> StaticReport:
     """Statically analyze a workload by name — the names ``repro check``
-    takes (:func:`repro.check.runner.resolve`).
+    takes (:func:`resolve`).
 
     Raises:
         WorkloadError: unknown name.
@@ -161,20 +156,42 @@ def analyze_workload(
                                thread_counts=thread_counts, config=config)
 
 
+def resolve(name: str) -> AppBuilder:
+    """The ``scale -> Application`` builder ``repro check`` analyzes for
+    ``name``: a fixture (:data:`~repro.workloads.synthetic.FIXTURES`),
+    else a Table 2 registry entry.
+
+    Raises:
+        WorkloadError: unknown name.
+    """
+    if name in FIXTURES:
+        return FIXTURES[name]
+    try:
+        return get(name).build
+    except WorkloadError:
+        raise WorkloadError(
+            f"unknown workload {name!r} (fixtures: "
+            f"{', '.join(sorted(FIXTURES))}; run 'repro list' for the "
+            f"Table 2 roster)") from None
+
+
 def _team_findings(team: TeamSummary) -> list[Finding]:
     """Every pass over one team summary, in report order."""
     return [*lock_fault_findings(team), *lock_order_findings(team),
-            *barrier_findings(team), *lint_findings(team)]
+            *lockset_findings(team), *barrier_findings(team),
+            *lint_findings(team)]
 
 
 def _identity(f: Finding) -> str:
     """Dedup key: the details minus the team size they were seen at.
 
     The same structural defect usually reproduces at every analyzed
-    team size with identical details except ``num_threads`` (and, for
-    barrier findings, the per-team arrival bookkeeping); collapsing on
-    the remainder keeps one witness per defect.
+    team size with identical details except ``num_threads`` and the
+    per-team bookkeeping (a barrier's arrivals, a race's writers, epoch
+    and locksets); collapsing on the remainder keeps one witness per
+    defect.
     """
-    skip = {"num_threads", "arrivals", "threads", "position"}
+    skip = {"num_threads", "arrivals", "threads", "position", "epoch",
+            "locksets"}
     pruned = {k: v for k, v in f.details.items() if k not in skip}
     return json.dumps(pruned, sort_keys=True, default=str)

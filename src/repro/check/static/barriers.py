@@ -17,7 +17,7 @@ unknown, so neither property can be proved for them.
 
 from __future__ import annotations
 
-from repro.check.findings import STATIC, Finding
+from repro.check.findings import Finding
 from repro.check.static.summary import TeamSummary
 
 
@@ -36,7 +36,6 @@ def barrier_findings(team: TeamSummary) -> list[Finding]:
             f"{n} arrivals from threads {tids}"
             for n, tids in sorted(by_count.items()))
         return [Finding(
-            analysis=STATIC,
             kind="static-barrier-count-mismatch",
             message=(f"{team.kernel} with {team.num_threads} threads will "
                      f"hang: threads arrive at barriers a different number "
@@ -53,7 +52,6 @@ def barrier_findings(team: TeamSummary) -> list[Finding]:
                                          t.barrier_sequence)):
             if a != b:
                 return [Finding(
-                    analysis=STATIC,
                     kind="static-barrier-sequence-divergence",
                     message=(f"{team.kernel} with {team.num_threads} threads "
                              f"will hang: at arrival {pos} thread "

@@ -89,6 +89,9 @@ class AbstractExecutor:
         s = ThreadSummary(thread_id=thread_id, num_threads=num_threads)
         budget = MAX_OPS_PER_THREAD
         held: list[int] = []
+        # ``held`` as one shared set, rebuilt only at Lock and Unlock,
+        # so a store allocates no lockset of its own.
+        self._held_set: frozenset[int] = frozenset()
         open_regions: list[LockRegion] = []
         send = getattr(program, "send", None)
         reply: int | None = None
@@ -161,6 +164,14 @@ class AbstractExecutor:
             else:
                 s.stores += 1
                 counts[1] += 1
+                writes = s.store_locksets.get(s.barrier_waits)
+                if writes is None:
+                    writes = s.store_locksets[s.barrier_waits] = {}
+                prior = writes.get(addr)
+                if prior is None:
+                    writes[addr] = self._held_set
+                elif prior and prior is not self._held_set:
+                    writes[addr] = prior & self._held_set
                 if held:
                     for region in open_regions:
                         region.stores += 1
@@ -187,6 +198,7 @@ class AbstractExecutor:
             s.lock_regions.append(region)
             open_regions.append(region)
             held.append(lock_id)
+            self._held_set = frozenset(held)
             return 1
         if type(op) is Unlock:
             lock_id = op.lock_id
@@ -212,6 +224,7 @@ class AbstractExecutor:
                 s.lock_faults.append(LockFault(
                     kind="static-unlock-of-unheld", thread_id=s.thread_id,
                     lock_id=lock_id, index=s.ops - 1, held=tuple(held)))
+            self._held_set = frozenset(held)
             return 1
         if type(op) is BarrierWait:
             s.instructions += 1

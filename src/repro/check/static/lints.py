@@ -15,7 +15,7 @@ is almost always a workload-authoring bug on this simulator:
 
 from __future__ import annotations
 
-from repro.check.findings import STATIC, Finding
+from repro.check.findings import Finding
 from repro.check.static.summary import TeamSummary
 
 
@@ -26,7 +26,6 @@ def lint_findings(team: TeamSummary) -> list[Finding]:
     for t in team.threads:
         for site in t.counter_in_cs:
             findings.append(Finding(
-                analysis=STATIC,
                 kind="static-counter-in-cs",
                 message=(f"thread {site.thread_id} of {team.kernel} reads "
                          f"counter '{site.counter}' at op {site.index} "
@@ -49,7 +48,6 @@ def lint_findings(team: TeamSummary) -> list[Finding]:
                     empty_by_lock.get(region.lock_id, 0) + 1)
     for lock, count in sorted(empty_by_lock.items()):
         findings.append(Finding(
-            analysis=STATIC,
             kind="static-empty-critical-section",
             message=(f"{team.kernel} takes lock {lock} around no work at "
                      f"all ({count} empty lock/unlock region(s)) — pure "
@@ -62,7 +60,6 @@ def lint_findings(team: TeamSummary) -> list[Finding]:
     zero_computes = sum(t.zero_computes for t in team.threads)
     if zero_computes:
         findings.append(Finding(
-            analysis=STATIC,
             kind="static-degenerate-compute",
             message=(f"{team.kernel} emits {zero_computes} Compute(0) "
                      f"op(s) — no-ops that suggest a mis-scaled workload "

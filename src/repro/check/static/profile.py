@@ -4,7 +4,7 @@ This pass produces *data*, not findings: a JSON-ready profile of each
 analyzed team (where the instructions are, how big the critical
 sections are, what the working set looks like) and — from the
 team-of-one summary — the SAT/BAT priors
-(:mod:`repro.fdt.priors`) that ``repro check --static`` reports
+(:mod:`repro.fdt.priors`) that ``repro check`` reports
 alongside the measured training estimates.
 """
 

@@ -109,6 +109,10 @@ class ThreadSummary:
     counter_in_cs: list[CounterReadSite] = field(default_factory=list)
     #: line address -> [load count, store count].
     line_accesses: dict[int, list[int]] = field(default_factory=dict)
+    #: Barrier epoch (BarrierWait ops passed) -> byte address -> the
+    #: locks held at every one of this thread's stores to it there.
+    store_locksets: dict[int, dict[int, frozenset[int]]] = field(
+        default_factory=dict)
     #: The thread hit the op budget; totals are lower bounds and
     #: whole-stream properties (barriers, held-at-exit) are unknown.
     truncated: bool = False

@@ -128,8 +128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   policy=PolicySpec(args.policy, args.threads), config=config)
     recorder = TraceRecorder() if args.trace is not None else None
     # Closed once the run is over; --report reads its counters after.
-    with Machine(config,
-                 observers=[recorder] if recorder else ()) as machine:
+    with Machine(config, observer=recorder) as machine:
         result = run_application(job.workload.build(), job.policy.build(),
                                  machine=machine)
     # Every side effect comes before the renderer: --json changes only

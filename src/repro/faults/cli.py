@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from repro.errors import FaultError
 from repro.faults.config import (
     CHAOS_JOBS,
     CHAOS_SCALE,
@@ -42,7 +43,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     specs = default_specs(workloads=workloads, threads=args.threads,
                           scale=args.scale)
-    # Both submit steps check their arguments before either one runs.
+    # Every mode refuses a count below one, the one it does not read too.
+    for flag, count in (("--jobs", args.jobs), ("--attempts", args.attempts)):
+        if count < 1:
+            raise FaultError(f"{flag} must be >= 1, got {count}")
     submits: list[BatchSubmit | ServeSubmit] = []
     if args.mode in ("batch", "both"):
         submits.append(BatchSubmit(specs, jobs=args.jobs))

@@ -9,7 +9,7 @@ thread count FDT would pick if the abstract model were the machine.
 
 Priors are compared against measured training estimates
 (:func:`measure_estimates` runs the real instrumented training loop) so
-``repro check --static`` can report static-vs-measured agreement.  The
+``repro check`` can report static-vs-measured agreement.  The
 abstract model ignores contention, pipelining, and cache capacity, so
 the serial fraction is a bounded overestimate: across the shipped
 Table 2 workloads the static ``cs_fraction`` lands within a relative
@@ -39,7 +39,7 @@ CS_FRACTION_RTOL = 0.5
 
 
 def estimates_view(estimates: Estimates) -> dict[str, Any]:
-    """How ``repro check --static`` shows an estimate, prior or measured:
+    """How ``repro check`` shows an estimate, prior or measured:
     the three inputs, the serial fraction and the three decisions."""
     return {
         "t_cs": estimates.t_cs,
@@ -176,7 +176,7 @@ def measure_estimates(kernel: Kernel,
     A fresh machine runs the policies' own training stage
     (:func:`~repro.fdt.policies.train_kernel`) and the estimation stage
     turns the log into :class:`~repro.fdt.estimators.Estimates`.
-    Used by ``repro check --static`` to report prior-vs-measured
+    Used by ``repro check`` to report prior-vs-measured
     agreement.
     """
     cfg = config or MachineConfig.asplos08_baseline()

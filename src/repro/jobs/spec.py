@@ -279,7 +279,7 @@ class JobSpec:
             return run_application(app, policy, self.config)
         from repro.trace import TraceRecorder, write_artifacts
         recorder = TraceRecorder()
-        with Machine(self.config, observers=[recorder]) as machine:
+        with Machine(self.config, observer=recorder) as machine:
             result = run_application(app, policy, machine=machine)
         write_artifacts(recorder.data, Path(trace_dir) / self.key())
         return result

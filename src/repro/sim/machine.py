@@ -30,7 +30,6 @@ extension) double up contexts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.isa.program import ProgramFactory
@@ -41,7 +40,7 @@ from repro.sim.core import Core, _Context
 from repro.sim.counters import CounterFile
 from repro.sim.engine import EventQueue
 from repro.sim.memsys import MemorySystem
-from repro.sim.observer import FanOut, SimObserver
+from repro.sim.observer import SimObserver
 from repro.sim.ring import Ring
 from repro.sim.stats import RunResult, Snapshot
 
@@ -76,14 +75,11 @@ class Machine:
                  "_active_core_cycles", "_core_first_start", "_closed")
 
     def __init__(self, config: MachineConfig | None = None,
-                 observers: Sequence[SimObserver] = ()) -> None:
+                 observer: SimObserver | None = None) -> None:
         self.config = config or MachineConfig.asplos08_baseline()
         self.events = EventQueue()
-        #: The single slot every hook site reports to: None, the one
-        #: observer, or a fan-out (callers keep their own references).
-        self.observer: SimObserver | None = (
-            FanOut(*observers) if len(observers) > 1
-            else observers[0] if observers else None)
+        #: The single slot every hook site reports to.
+        self.observer = observer
         core_nodes, bank_nodes = _place_nodes(self.config.num_cores,
                                               self.config.l3_banks)
         self.ring = Ring(self.config.num_cores + self.config.l3_banks,

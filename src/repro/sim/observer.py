@@ -8,10 +8,10 @@ The machine components (:class:`~repro.sim.machine.Machine`,
 :class:`~repro.fdt.policies.FdtPolicy`,
 :func:`~repro.fdt.runner.run_application`) report events to a single
 :class:`SimObserver`, guarded by one ``is None`` test per site — the
-whole cost when nothing is attached.  The thread sanitizer
-(``repro.check``) and the trace recorder (``repro.trace``) are plug-ins
-of this protocol, handed to ``Machine(config, observers=[...])``, which
-holds ``None``, the one observer, or a :class:`FanOut` over several.
+whole cost when nothing is attached.  The trace recorder
+(``repro.trace``) is the shipped plug-in of this protocol, handed to
+``Machine(config, observer=...)``, which holds ``None`` or that one
+observer.
 
 Observers are pure: they must not schedule events or mutate machine
 state, and no component may choose its code path by whether one is
@@ -146,22 +146,3 @@ class SimObserver:
                            training_cycles: int, execution_cycles: int,
                            now: int) -> None:
         """One kernel of the application ran to completion."""
-
-
-class FanOut(SimObserver):
-    """Forwards every event to each of ``observers``, in order."""
-
-    def __init__(self, *observers: SimObserver) -> None:
-        self.observers = observers
-
-
-def _forwarder(event: str):
-    def forward(self: FanOut, *args) -> None:
-        for observer in self.observers:
-            getattr(observer, event)(*args)
-    forward.__name__ = event
-    return forward
-
-
-for _event in [n for n in vars(SimObserver) if n.startswith("on_")]:
-    setattr(FanOut, _event, _forwarder(_event))

@@ -15,7 +15,7 @@ end-of-run aggregates of :class:`~repro.sim.stats.RunResult`:
   :class:`~repro.fdt.estimators.Decision` records, replayable from
   their own recorded inputs.
 
-Hand a :class:`TraceRecorder` to ``Machine(config, observers=[...])``
+Hand a :class:`TraceRecorder` to ``Machine(config, observer=...)``
 and the machine records while it runs; the tracer is a pure observer,
 so simulated cycles are bit-identical with it attached or not.  Export
 its ``.data`` with :func:`~repro.trace.export.write_artifacts`
@@ -33,7 +33,7 @@ Typical programmatic use::
     from repro.workloads import get
 
     recorder = TraceRecorder()
-    with Machine(observers=[recorder]) as machine:
+    with Machine(observer=recorder) as machine:
         run_application(get("PageMine").build(0.5), FdtPolicy(),
                         machine=machine)
     print(text_summary(recorder.data))

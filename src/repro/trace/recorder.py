@@ -1,6 +1,6 @@
 """The trace recorder: one observer turning machine events into a Trace.
 
-Hand a :class:`TraceRecorder` to ``Machine(config, observers=[...])``
+Hand a :class:`TraceRecorder` to ``Machine(config, observer=...)``
 and read its :attr:`~TraceRecorder.data` afterwards.  It is a
 :class:`~repro.sim.observer.SimObserver` plug-in plus the event queue's
 ``on_advance`` sampling callback, and owns the in-flight state the

@@ -112,13 +112,12 @@ class SyntheticKernel(TeamParallelKernel):
 
 # -- positive controls of ``repro check`` ----------------------------------
 #
-# Deliberately broken kernels: each must trip exactly the finding it is
-# named for.  The ``synthetic-*`` ones are the thread sanitizer's (the
-# defect shows in a run); the ``static-*`` ones are the static
-# analyzer's, arranged so a dynamic run dodges or survives the defect —
-# the point is that ahead-of-run analysis catches what one interleaving
-# may not.  None is in the Table 2 roster; ``repro check`` resolves them
-# by name from :data:`FIXTURES`.
+# Deliberately broken kernels: each must trip the finding it is named
+# for.  Several are arranged so a simulated run dodges or survives the
+# defect (staggered lock inversions, a latent deadlock) — the point is
+# that ahead-of-run analysis proves what one interleaving may not show.
+# None is in the Table 2 roster; ``repro check`` resolves them by name
+# from :data:`FIXTURES`.
 
 #: One iteration of a fixture: ``(shared_addr, thread_id) -> ops``.
 FixtureBody = Callable[[int, int], Iterator[Op]]
@@ -152,8 +151,8 @@ class FixtureKernel(TeamParallelKernel):
 
 def _racy(shared: int, tid: int) -> Iterator[Op]:
     """Unprotected read-modify-write of the shared line (a data race):
-    the lockset detector must report an empty-lockset write-write race
-    on ``shared_addr``."""
+    the lockset rule must report a ``static-empty-lockset`` write-write
+    race on ``shared_addr``."""
     # Skew the threads a little so accesses interleave rather than
     # proceeding in lockstep (the race is there either way).
     yield Compute(40 + 14 * tid)
@@ -186,9 +185,8 @@ def _lock_inversion(shared: int, tid: int) -> Iterator[Op]:
 
 
 def _unheld_unlock(shared: int, tid: int) -> Iterator[Op]:
-    """Releases a lock it never acquired: the lock manager aborts the
-    run when the Unlock is serviced, just after the discipline lint
-    records ``unlock-of-unheld``."""
+    """Releases a lock it never acquired (``static-unlock-of-unheld``):
+    a simulated run aborts when the lock manager services the Unlock."""
     yield Compute(50)
     yield _UNLOCK_CS  # never acquired
     yield _WAIT

@@ -8,7 +8,8 @@ program (a hot kernel stays a generator).  :func:`drive_team` makes every
 tables can be checked directly.  :func:`holder`, :func:`waiters` and
 :func:`pending` read the lock and barrier managers' state, which the
 simulator itself never asks for; :class:`DecisionTap` keeps FDT
-decisions as an observer; :func:`traced` runs an application with a
+decisions as an observer, and :class:`FanOut` attaches several to one
+machine's single observer slot; :func:`traced` runs an application with a
 trace recorder attached; :func:`synthetic_spec` and
 :func:`synthetic_body` are the small job host-layer tests submit; :func:`span_from_dict` reads a span
 sink back; :func:`served` and :func:`metrics_text` are one request to a
@@ -126,13 +127,33 @@ class DecisionTap(SimObserver):
         self.decisions.append(decision)
 
 
+class FanOut(SimObserver):
+    """Forwards every event to each of ``observers``, in order: several
+    plug-ins on one ``Machine(config, observer=...)``."""
+
+    def __init__(self, *observers: SimObserver) -> None:
+        self.observers = observers
+
+
+def _forwarder(event: str):
+    def forward(self: FanOut, *args) -> None:
+        for observer in self.observers:
+            getattr(observer, event)(*args)
+    forward.__name__ = event
+    return forward
+
+
+for _event in [n for n in vars(SimObserver) if n.startswith("on_")]:
+    setattr(FanOut, _event, _forwarder(_event))
+
+
 def traced(app: Any, policy: Any,
            config: MachineConfig | None = None) -> tuple[Any, Any]:
     """``(AppRunResult, Trace)`` of ``app`` run under ``policy`` on a
     machine with a :class:`~repro.trace.TraceRecorder` attached, the way
     ``repro run --trace`` and ``JobSpec.run(trace_dir)`` build it."""
     recorder = TraceRecorder()
-    with Machine(config, observers=[recorder]) as machine:
+    with Machine(config, observer=recorder) as machine:
         result = run_application(app, policy, machine=machine)
     return result, recorder.data
 

@@ -349,6 +349,11 @@ ROSTER: tuple[Row | Serve, ...] = (
     Row("repro chaos --mode batch --workloads PageMine --scale 0.05"),
     Row("repro chaos --list-sites"),
     Row("repro chaos --attempts 0", code=2),
+    # Every mode refuses both counts, the one it does not read too.
+    Row("repro chaos --mode batch --attempts 0 --workloads EP --scale 0.02",
+        code=2),
+    Row("repro chaos --mode serve --jobs 0 --workloads EP --scale 0.02",
+        code=2),
     Row("repro chaos --workloads ,", code=2),
     # A client timeout that no reply can meet is refused before sending.
     Row("repro loadgen --synthetic --request-timeout 0", code=2),
@@ -388,26 +393,18 @@ ROSTER: tuple[Row | Serve, ...] = (
     Row("repro obs list", env=_OBS),
     Row("repro obs show {key}", env=_OBS),
     Row("repro obs report --json", _obs_report, env=_OBS),
-    # The static analyzer over the whole roster; the seeded deadlock
-    # fixture must stay detectable, and a one-slot machine has nobody to
-    # race with: refused, never a vacuous "OK".
-    Row("repro check --all --static-only --scale 0.1"),
-    Row("repro check static-deadlock --static-only", code=1),
-    Row("repro check synthetic-racy --cores 1", code=2),
-    Row("repro check EP --threads 99", code=2),
-    # The sanitizer on a clean workload and on every seeded fixture, and
-    # the static priors beside a measured run.
+    # The checker over the whole roster, on a clean workload with its
+    # priors beside a measured run, and on every seeded fixture; a static
+    # team needs no thread slots, so a one-core machine checks too.
+    Row("repro check --all --scale 0.1"),
     Row("repro check PageMine --scale 0.1"),
     Row("repro check synthetic-racy", code=1),
-    *(Row(f"repro check {fixture} --static --json", code=1) for fixture in (
+    Row("repro check synthetic-racy --cores 1", code=1),
+    *(Row(f"repro check {fixture} --json", code=1) for fixture in (
         "synthetic-racy", "synthetic-lock-inversion",
         "synthetic-unheld-unlock", "static-deadlock",
         "static-barrier-mismatch", "static-counter-in-cs")),
-    Row("repro check EP --static --scale 0.1 --json"),
-    Row("repro check EP --threads 0 --scale 0.02", code=2),
-    # The static-only mode refuses the same teams.
-    Row("repro check EP --static-only --threads -5 --scale 0.02", code=2),
-    Row("repro check EP --static-only --threads 99 --scale 0.02", code=2),
+    Row("repro check EP --scale 0.1 --json"),
     # Perfetto artifacts, and a summary with the FDT decisions in it.
     Row("repro run EP --policy static --threads 2 --scale 0.05 "
         "--trace {out}/.trace-smoke", _trace),

@@ -11,8 +11,7 @@ fails on an allow-list entry that ran, or that names no function.
 
 The machine variants: one workload each on LIFO lock grants, closed-page
 DRAM on the small test machine, ring link occupancy 4 and SMT-2 with
-compact placement, and one run with the trace recorder and the
-sanitizer attached together.
+compact placement, and one run with the trace recorder attached.
 
 It takes minutes, more than tier-1 affords, so it is the CI step that
 runs the shipped commands::
@@ -48,6 +47,9 @@ _HARNESS = ("benchmark harness: benchmarks/perf/{} calls it by name, and no "
             "shipped command does")
 _RECOVERY = ("recovery: runs only when a cache entry on disk is corrupt "
              "or a write to it fails, which no working command causes")
+_DEADLOCK = ("deadlock diagnosis: names what a deadlocked run holds, and no "
+             "shipped command runs a program that deadlocks (the defect "
+             "fixtures are analyzed, not run)")
 
 #: ``qualified name -> reason``: the only functions allowed not to run.
 #: A name that ends in a module or a class covers every function in it.
@@ -55,10 +57,14 @@ _RECOVERY = ("recovery: runs only when a cache entry on disk is corrupt "
 #: ``tests/test_callers.py``'s, and stated there.
 ALLOWED = {
     **test_callers.ALLOWED,
+    # The trace recorder is the one shipped observer: the base hook of
+    # every event it records never runs.
     **{f"repro.sim.observer.SimObserver.{hook}": _OBSERVER_HOOK for hook in (
-        "on_region_begin", "on_region_end", "on_thread_exit",
-        "on_lock_acquired", "on_lock_released", "on_barrier_arrive",
-        "on_barrier_release")},
+        "on_attach", "on_detach", "on_region_begin", "on_region_end",
+        "on_thread_start", "on_thread_exit", "on_compute", "on_mem_access",
+        "on_lock_spin_begin", "on_lock_acquired", "on_lock_released",
+        "on_barrier_arrive", "on_barrier_release", "on_training_sample",
+        "on_fdt_decision", "on_app_begin", "on_kernel_complete")},
     "repro.bench.scenarios": _HARNESS.format("perf_probes.py (run.py "
                                              "--trace 1)"),
     "repro.experiments.fig14_combined.run_fig14":
@@ -76,6 +82,8 @@ ALLOWED = {
         "where no hook is set",
     "repro.jobs.cache.ResultCache._quarantine": _RECOVERY,
     "repro.jobs.cache.ResultCache._discard": _RECOVERY,
+    "repro.runtime.locks.LockManager.any_held": _DEADLOCK,
+    "repro.runtime.barriers.BarrierManager.any_waiting": _DEADLOCK,
     "repro.workloads.sconv._State.expected":
         "workload oracle: SConv's output computed another way, compared "
         "with the simulated one (a private class, which "
@@ -146,8 +154,7 @@ def scan(out: Path) -> tuple[set[tuple[str, int]], list[str]]:
     threading.settrace(hook)
     try:
         # Imported under the hook, so that a function a module runs as it
-        # loads (the observer fan-out's forwarders) counts as executed.
-        from repro.check import ThreadSanitizer
+        # loads counts as executed.
         from repro.fdt.policies import POLICIES
         from repro.fdt.runner import run_application
         from repro.sim.config import MachineConfig
@@ -158,15 +165,15 @@ def scan(out: Path) -> tuple[set[tuple[str, int]], list[str]]:
         failures = roster.run(roster.ROSTER, out)
 
         baseline = MachineConfig.asplos08_baseline()
-        for workload, config, observers in (
-                ("PageMine", replace(baseline, lock_grant_order="lifo"), ()),
+        for workload, config, observer in (
+                ("PageMine", replace(baseline, lock_grant_order="lifo"), None),
                 ("ED", replace(MachineConfig.small(), dram_open_page=False),
-                 ()),
-                ("ISort", replace(baseline, ring_link_occupancy=4), ()),
+                 None),
+                ("ISort", replace(baseline, ring_link_occupancy=4), None),
                 ("EP", replace(baseline.with_smt(2), smt_placement="compact"),
-                 ()),
-                ("PageMine", baseline, (TraceRecorder(), ThreadSanitizer()))):
-            with Machine(config, observers) as machine:
+                 None),
+                ("PageMine", baseline, TraceRecorder())):
+            with Machine(config, observer) as machine:
                 run_application(get(workload).build(roster.SCALE),
                                 POLICIES["fdt"](), machine=machine)
     finally:

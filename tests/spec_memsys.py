@@ -365,7 +365,7 @@ def port(memsys: MemorySystem, core: int) -> AccessPort:
     return spec_port
 
 
-def spec_machine(config: MachineConfig, observers=(), *,
+def spec_machine(config: MachineConfig, observer=None, *,
                  shortcuts: bool = False) -> Machine:
     """A machine whose cores run on the specification.
 
@@ -375,7 +375,7 @@ def spec_machine(config: MachineConfig, observers=(), *,
     the machine is stepped op by op: no Compute coalescing and no
     run-ahead.
     """
-    machine = Machine(config, observers)
+    machine = Machine(config, observer)
     machine._place(config.num_thread_slots)
     for core in machine.cores:
         core._mem_access = port(machine.memsys, core.core_id)

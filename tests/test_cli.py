@@ -130,55 +130,46 @@ def test_check_clean_workload_exits_zero(capsys):
     code, out = run_cli(capsys, "check", "EP", "--scale", "0.1")
     assert code == 0
     assert "OK - no findings" in out
+    assert "cycles checked" not in out  # nothing simulates the workload
 
 
 def test_check_racy_fixture_exits_nonzero(capsys):
     code, out = run_cli(capsys, "check", "synthetic-racy")
     assert code == 1
     assert "FAIL" in out
-    assert "empty-lockset" in out
+    assert "static-empty-lockset" in out
 
 
-def test_check_refuses_a_one_slot_machine(capsys):
-    """A team of one has nobody to race with: exit 2 naming the slot
-    count, not a vacuous "OK" — while the static half needs no slots."""
-    assert main(["check", "synthetic-racy", "--cores", "1"]) == 2
-    assert "1 thread slot" in capsys.readouterr().err
-    assert main(["check", "EP", "--threads", "99"]) == 2
-    assert "exceeds the machine's 32" in capsys.readouterr().err
-    # The static-only mode refuses the same team before it analyzes.
-    assert main(["check", "EP", "--static-only", "--threads", "99",
-                 "--scale", "0.02"]) == 2
-    assert "exceeds the machine's 32" in capsys.readouterr().err
-    code, out = run_cli(capsys, "check", "synthetic-racy", "--cores", "2")
+def test_check_needs_no_thread_slots(capsys):
+    """The checked teams are abstract: a one-core machine is checked at
+    the same teams, and its findings are the same."""
+    code, out = run_cli(capsys, "check", "synthetic-racy", "--cores", "1")
     assert code == 1
-    assert "(2 threads)" in out and "empty-lockset" in out
-    code, out = run_cli(capsys, "check", "static-deadlock", "--static-only",
-                        "--cores", "1")
+    assert "(teams of 1, 4, 16 threads)" in out
+    assert "static-empty-lockset" in out
+    code, out = run_cli(capsys, "check", "static-deadlock", "--cores", "1")
     assert code == 1
     assert "static-lock-order-cycle" in out
 
 
 @pytest.mark.parametrize("argv", [
-    ("check", "EP", "--threads", "1", "--scale", "0.02"),
-    ("check", "EP", "--threads", "0", "--scale", "0.02"),
-    ("check", "EP", "--threads", "-5", "--scale", "0.02"),
     ("loadgen", "--synthetic", "--request-timeout", "0"),
     ("loadgen", "--synthetic", "--request-timeout", "-1"),
+    ("chaos", "--mode", "batch", "--attempts", "0", "--workloads", "EP"),
+    ("chaos", "--mode", "serve", "--jobs", "0", "--workloads", "EP"),
 ], ids=" ".join)
 def test_a_value_below_its_floor_exits_2(argv, capsys):
-    """Refused before anything runs, not clamped to 2 threads or run to
-    a transport error on every request."""
+    """Refused before anything runs, not run to a transport error on
+    every request, and not accepted by the mode that does not read it."""
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
-    assert "must be positive" in err or "at least 2 threads" in err, err
+    assert "must be positive" in err or "must be >= 1" in err, err
 def test_check_json_output_is_valid(capsys):
-    import json
     code, out = run_cli(capsys, "check", "synthetic-racy", "--json")
     assert code == 1
     parsed = json.loads(out)
     assert parsed["clean"] is False
-    assert parsed["counts"]["race"] >= 1
+    assert parsed["counts"]["static-empty-lockset"] == 1
 
 
 def test_check_unknown_workload_fails_cleanly(capsys):
@@ -321,32 +312,30 @@ def test_batch_no_cache_always_computes(capsys, tmp_path):
                       "failed": 0, "timeouts": 0}
 
 
-def test_check_static_only_detects_seeded_deadlock(capsys):
-    code, out = run_cli(capsys, "check", "static-deadlock", "--static-only")
+def test_check_detects_seeded_deadlock(capsys):
+    code, out = run_cli(capsys, "check", "static-deadlock")
     assert code == 1
     assert "static-lock-order-cycle" in out
     assert "static prior" in out
 
 
 def test_check_static_json_reports_prior_agreement(capsys):
-    code, out = run_cli(capsys, "check", "EP", "--static", "--json",
-                        "--scale", "0.2")
+    code, out = run_cli(capsys, "check", "EP", "--json", "--scale", "0.2")
     assert code == 0
     payload = json.loads(out)
     assert payload["clean"] is True
-    assert payload["static"]["clean"] is True
-    assert "ep" in payload["static"]["priors"]
+    assert "ep" in payload["priors"]
     agreement = payload["agreement"]["ep"]
     assert {"static_cs_fraction", "measured_cs_fraction",
             "within_tolerance"} <= set(agreement)
 
 
-def test_check_static_only_json_top_level_is_static_report(capsys):
-    code, out = run_cli(capsys, "check", "static-barrier-mismatch",
-                        "--static-only", "--json")
+def test_check_json_top_level_is_static_report(capsys):
+    code, out = run_cli(capsys, "check", "static-barrier-mismatch", "--json")
     assert code == 1
     payload = json.loads(out)
     assert payload["workload"] == "static-barrier-mismatch"
+    assert payload["thread_counts"] == [1, 4, 16]
     assert "static-barrier-count-mismatch" in payload["counts"]
 
 
@@ -354,15 +343,6 @@ def test_check_requires_workload_or_all(capsys):
     code = main(["check"])
     assert code == 2
     assert "workload name or --all" in capsys.readouterr().err
-
-
-def test_check_static_fixture_dynamic_mode_still_resolves(capsys):
-    # The static fixtures are valid dynamic workloads too: the latent
-    # deadlock is staggered to dodge the FIFO grant order, but the
-    # dynamic lock-order analysis still sees the cycle.
-    code, out = run_cli(capsys, "check", "static-counter-in-cs")
-    assert code in (0, 1)
-    assert "static-counter-in-cs" in out
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-0.0", "-1"])
@@ -392,8 +372,8 @@ def _in_a_fresh_process(code: str):
 
 def test_a_cold_synthetic_run_loads_no_table2_module_and_no_numpy():
     """Mounting every command and running the serve-miss kernel imports
-    only what that run needs: no numpy, no Table 2 workload, neither
-    the sanitizer nor the analyzer, no trace recorder."""
+    only what that run needs: no numpy, no Table 2 workload, no
+    analyzer, no trace recorder."""
     loaded = _in_a_fresh_process(
         "import json, sys, repro.cli\n"
         "from repro.jobs import JobSpec, PolicySpec, WorkloadRef\n"
@@ -404,7 +384,7 @@ def test_a_cold_synthetic_run_loads_no_table2_module_and_no_numpy():
         "        policy=PolicySpec('fdt'), config=MachineConfig.small(4)).run()\n"
         "print(json.dumps(sorted(sys.modules)))")
     table2 = {f"repro.workloads.{name.lower()}" for name in TABLE2}
-    heavy = {"numpy", "repro.check.sanitizer", "repro.check.static",
+    heavy = {"numpy", "repro.check.static",
              "repro.trace.recorder"}
     assert not (table2 | heavy) & set(loaded)
     assert "repro.workloads.synthetic" in loaded

@@ -14,16 +14,7 @@ import sys
 import pytest
 
 import repro.check
-from repro.check import (
-    ThreadSanitizer,
-    analyze_application,
-    analyze_workload,
-    check_application,
-    check_workload,
-)
-from repro.check.discipline import DisciplineLinter
-from repro.check.lockorder import LockOrderAnalyzer
-from repro.check.lockset import LocksetRaceDetector
+from repro.check import analyze_application, analyze_workload
 from repro.check.static import AbstractExecutor
 from repro.check.static.lints import lint_findings
 from repro.cli import build_parser, main
@@ -131,8 +122,6 @@ def test_flag_defaults_are_the_config_and_library_defaults():
     assert chaos.jobs == _param(BatchSubmit, "jobs")
     assert chaos.attempts == SERVE_ATTEMPTS == _param(ServeSubmit, "attempts")
 
-    assert parser.parse_args(["check"]).threads == _param(
-        check_application, "threads")
     sweep = parser.parse_args(["sweep", "EP"])
     assert sweep.jobs == _param(JobRunner, "jobs")
     assert sweep.timeout == _param(JobRunner, "timeout")
@@ -177,11 +166,6 @@ def test_repro_check_takes_no_configuration():
             if (dataclasses.is_dataclass(obj)
                     and obj.__module__ == module.__name__):
                 assert not name.endswith("Config"), f"{info.name}.{name}"
-    for cls in (ThreadSanitizer, LocksetRaceDetector, LockOrderAnalyzer,
-                DisciplineLinter):
-        assert _params(cls.__init__) == [], cls
-    assert _params(check_application) == ["app", "config", "threads"]
-    assert _params(check_workload) == ["name", "scale", "config", "threads"]
     assert _params(analyze_application) == [
         "build", "thread_counts", "config"]
     assert _params(analyze_workload) == [

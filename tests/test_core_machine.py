@@ -19,8 +19,9 @@ from repro.isa.ops import (
 )
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine, _place_nodes
-from repro.sim.observer import FanOut, SimObserver
+from repro.sim.observer import SimObserver
 from repro.trace import TraceRecorder
+from tests.programs import FanOut
 
 
 def run_one(machine: Machine, ops):
@@ -213,11 +214,12 @@ def test_observer_slot_is_none_the_observer_or_a_fan_out(
     assert not {"sanitizer", "trace"} & {
         f.name for f in fields(MachineConfig)}
     one = SimObserver()
-    assert Machine(baseline_config, observers=[one]).observer is one
+    assert Machine(baseline_config, observer=one).observer is one
+    # Several plug-ins share the one slot through a test-side fan-out.
     recorder = TraceRecorder()
-    machine = Machine(baseline_config, observers=[one, recorder])
-    assert isinstance(machine.observer, FanOut)
-    assert machine.observer.observers == (one, recorder)
+    fan_out = FanOut(one, recorder)
+    machine = Machine(baseline_config, observer=fan_out)
+    assert machine.observer is fan_out
     assert machine.events.sampler is recorder  # installed by on_attach
     # An observer that is not the tracer installs no sampler.
-    assert Machine(baseline_config, observers=[one]).events.sampler is None
+    assert Machine(baseline_config, observer=one).events.sampler is None

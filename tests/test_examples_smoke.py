@@ -54,7 +54,7 @@ def test_sanitize_workload_runs(capsys):
     load_example("sanitize_workload").main()
     out = capsys.readouterr().out
     assert "locked histogram: clean=True" in out
-    assert "the sanitizer caught the dropped lock" in out
+    assert "the checker caught the dropped lock" in out
 
 
 def test_serve_client_runs(capsys):

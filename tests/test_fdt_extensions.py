@@ -21,7 +21,7 @@ from repro.sim.machine import Machine
 from repro.trace import TraceRecorder
 from repro.workloads import get
 from repro.workloads.synthetic import build_synthetic
-from tests.programs import DecisionTap
+from tests.programs import DecisionTap, FanOut
 
 CFG = MachineConfig.asplos08_baseline()
 
@@ -157,7 +157,7 @@ def test_extension_policies_run_the_one_pipeline_on_an_smt_machine(name):
     slots = config.num_thread_slots
     assert slots == 2 * config.num_cores
     recorder, tap = TraceRecorder(), DecisionTap()
-    machine = Machine(config, observers=[recorder, tap])
+    machine = Machine(config, observer=FanOut(recorder, tap))
     reset_default_registry()
 
     # No critical section, no bus traffic: every estimate hits the clamp.

@@ -24,7 +24,6 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.inspection import machine_report
-from repro.check.runner import check_workload
 from repro.cli import main
 from repro.errors import DeadlockError, ProgramError, SimulationError
 from repro.fdt.policies import StaticPolicy
@@ -110,10 +109,6 @@ def test_a_traced_run_leaves_no_sim_garbage(min_stall, interval,
     spec = spec_for("ED", "fdt")
     assert sim_garbage(lambda: traced(
         spec.workload.build(), spec.policy.build(), spec.config)) == []
-
-
-def test_a_checked_run_leaves_no_sim_garbage():
-    assert sim_garbage(lambda: check_workload("EP", scale=SCALE)) == []
 
 
 def test_measured_estimates_leave_no_sim_garbage():
@@ -295,7 +290,7 @@ def test_an_fdt_run_builds_exactly_the_cores_its_teams_used():
     app = WorkloadRef.synthetic(cs_fraction=0.1, bus_lines=2, iterations=64,
                                 compute_instr=5000).build()
     config = MachineConfig.asplos08_baseline()
-    with Machine(config, observers=[teams]) as machine:
+    with Machine(config, observer=teams) as machine:
         run_application(app, PolicySpec.fdt().build(), machine=machine)
         used = max(teams.sizes)
         assert used < config.num_cores

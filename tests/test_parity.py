@@ -26,7 +26,6 @@ from typing import Any, Callable
 import pytest
 
 from repro.analysis.inspection import machine_report
-from repro.check import ThreadSanitizer
 from repro.errors import DeadlockError
 from repro.faults import FaultPlan, FaultRule, injected
 from repro.fdt.runner import run_application
@@ -42,6 +41,7 @@ from repro.trace import recorder as recorder_mod
 from tests import spec_memsys
 from tests.programs import (
     DecisionTap,
+    FanOut,
     holder,
     synthetic_spec,
     traced,
@@ -141,14 +141,17 @@ def _run_spec(spec: JobSpec, machine: Machine):
 
 
 def _on(build, program: Program, plugins=()) -> tuple:
-    """Each run on its own ``build(config, observers)``, closed after it;
-    the evidence is ``(observers, spec, result)`` per run."""
+    """Each run on its own ``build(config, observer)``, closed after it,
+    with ``plugins`` in its one observer slot (a fan-out when there are
+    several); the evidence is ``(observers, spec, result)`` per run."""
     runs = ([(SMALL, program.region)] if program.region else
             [(s.config, functools.partial(_run_spec, s)) for s in program.specs])
     results, reports, attached = [], [], []
     for config, drive in runs:
         attached.append([make() for make in plugins])
-        with build(config, attached[-1]) as machine:
+        slot = (FanOut(*attached[-1]) if len(plugins) > 1
+                else attached[-1][0] if plugins else None)
+        with build(config, slot) as machine:
             results.append(drive(machine))
         reports.append(machine_report(machine))
     return (tuple(results), tuple(reports),
@@ -186,7 +189,6 @@ class EventCounter(SimObserver):
 
 #: What each plug-in must show after a run to prove it observed it.
 SAW_THE_RUN = {
-    ThreadSanitizer: lambda o, spec, _: o._epoch > 0,
     TraceRecorder: lambda o, spec, _: (
         o.data.spans and o.data.num_cores == spec.config.num_cores),
     EventCounter: lambda o, spec, _: o.machine and o.regions and o.accesses,
@@ -292,10 +294,9 @@ COLUMNS: dict[str, Column] = {
         functools.partial(spec_machine, shortcuts=True), p)),
     **{name: Column(OBSERVED + SYNTHETIC, observed(*plugins), _plugins_saw)
        for name, plugins in {
-           "sanitizer": (ThreadSanitizer,),
            "tracer": (TraceRecorder,),
-           "both": (ThreadSanitizer, TraceRecorder),
-           "both+third": (ThreadSanitizer, TraceRecorder, EventCounter),
+           "both": (TraceRecorder, EventCounter),
+           "both+third": (TraceRecorder, EventCounter, DecisionTap),
            "decision-tap": (DecisionTap,)}.items()},
     **{f"trace-{feature}": Column(
         ("PageMine-fdt", "ED-fdt"),
@@ -392,7 +393,7 @@ def _lone_factory(tid: int, team: int):
 
 def _fast_and_slow(run):
     """``run(build)`` on a default machine and on the op-by-op
-    specification machine; ``build(config, observers=())`` makes it."""
+    specification machine; ``build(config, observer=None)`` makes it."""
     return run(Machine), run(spec_machine)
 
 
@@ -403,7 +404,7 @@ def test_lone_thread_runs_ahead_with_the_same_observer_timestamps():
     the op-by-op machine."""
     def observed_calls(build):
         observer = SimObserver()
-        machine = build(SMALL, [observer])
+        machine = build(SMALL, observer)
         calls: list[tuple] = []
         for hook in ("on_compute", "on_access", "on_thread_exit"):
             setattr(observer, hook,
@@ -427,7 +428,7 @@ def test_sampled_trace_does_not_run_ahead(monkeypatch):
 
     def sampled(build):
         recorder = TraceRecorder()
-        machine = build(SMALL, [recorder])
+        machine = build(SMALL, recorder)
         machine.run_serial(_lone_factory)
         return recorder.data.samples, machine.events.seq
 

@@ -382,7 +382,7 @@ def test_retired_and_loads_are_the_ops_the_cores_issued(smt):
     loads and stores chip-wide are those the observer saw."""
     config = replace(MachineConfig.small(num_cores=4), smt_threads=smt)
     counter = OpCounter()
-    m = Machine(config, [counter])
+    m = Machine(config, counter)
     team = config.num_thread_slots
     m.run_parallel([_counted_factory] * team)
     computed = Counter()

@@ -1,9 +1,10 @@
-"""Tests for the static workload analyzer (repro.check.static).
+"""Tests for the program checker (repro.check).
 
-The three seeded-defect fixtures must each be proved broken with their
-own distinct finding code; every Table 2 workload must analyze clean at
-1, 4, and 16 threads; and the static SAT priors must agree with the
-measured training estimates within the documented tolerance.
+The seeded-defect fixtures must each be proved broken with their own
+distinct finding code, and every planted discipline state with the kind
+that names it; every Table 2 workload must analyze clean at 1, 4, and
+16 threads; and the static SAT priors must agree with the measured
+training estimates within the documented tolerance.
 """
 
 from __future__ import annotations
@@ -13,13 +14,20 @@ from typing import Iterator
 
 import pytest
 
-from repro.check import STATIC, analyze_application, analyze_workload
+from repro.analysis.report import format_findings
+from repro.check import analyze_application, analyze_workload
 from repro.check import findings as findings_mod
+from repro.check.lockorder import lock_order_cycles
 from repro.check.static import AbstractExecutor
 from repro.check.static import executor as executor_mod
+from repro.check.static.analyzer import resolve
 from repro.check.static.barriers import barrier_findings
 from repro.check.static.lints import lint_findings
-from repro.check.static.locks import lock_fault_findings, lock_order_findings
+from repro.check.static.locks import (
+    lock_fault_findings,
+    lock_order_findings,
+    lockset_findings,
+)
 from repro.check.static.profile import profile_team, team_priors
 from repro.errors import WorkloadError
 from repro.fdt.kernel import TeamParallelKernel
@@ -39,7 +47,8 @@ from repro.isa.ops import (
 )
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
-from repro.workloads.synthetic import FIXTURES
+from repro.workloads.base import LINE, AddressSpace
+from repro.workloads.synthetic import FIXTURES, build_synthetic
 
 BASE = MachineConfig.asplos08_baseline()
 
@@ -261,7 +270,7 @@ def test_seeded_fixture_detected(fixture: str, code: str):
     report = analyze_workload(fixture, scale=1.0)
     assert not report.clean
     assert code in report.counts()
-    assert all(f.analysis == STATIC for f in report.findings)
+    assert all(f.kind.startswith("static-") for f in report.findings)
 
 
 def test_fixture_codes_are_distinct():
@@ -281,20 +290,15 @@ def test_fixture_registry_lists_all_three():
     assert all(build(1.0).name == name for name, build in FIXTURES.items())
 
 
-def test_both_checkers_resolve_names_through_one_function():
-    from repro.check import check_workload
-    from repro.check.runner import resolve
-
-    assert set(FIXTURE_CODES) < set(FIXTURES)  # + the sanitizer's three
+def test_analyzer_resolves_names_through_resolve():
+    assert set(FIXTURE_CODES) < set(FIXTURES)  # + the synthetic-* three
     assert resolve("static-deadlock") is FIXTURES["static-deadlock"]
     assert resolve("pagemine") == get("PageMine").build
-    messages = []
-    for checker in (check_workload, analyze_workload):
-        with pytest.raises(WorkloadError) as excinfo:
-            checker("no-such-workload")
-        messages.append(str(excinfo.value))
-    assert messages[0] == messages[1]
-    assert all(name in messages[0] for name in FIXTURES)
+    with pytest.raises(WorkloadError) as excinfo:
+        analyze_workload("no-such-workload")
+    assert all(name in str(excinfo.value) for name in FIXTURES)
+    assert analyze_workload("synthetic-racy").counts() == {
+        "static-empty-lockset": 1}
 
 
 # -- every buildable workload analyzes clean -------------------------------
@@ -320,6 +324,7 @@ def test_table2_workload_is_statically_clean(name: str, threads: int):
         report = analyze_workload(name, scale=0.1, thread_counts=(threads,))
     assert report.clean, (
         f"{name} at {threads} threads: {[f.message for f in report.findings]}")
+    assert report.counts() == {}
     assert not report.truncated
     assert report.priors  # the team-of-one always runs
 
@@ -417,13 +422,14 @@ def test_report_round_trips_to_json():
     assert payload["priors"]["static-deadlock"]["p_fdt"] >= 1
 
 
-def test_as_check_report_feeds_shared_formatter():
-    from repro.analysis.report import format_findings
-
+def test_format_findings_renders_a_static_report():
     report = analyze_workload("static-barrier-mismatch", scale=1.0)
-    text = format_findings(report.as_check_report())
-    assert "static-barrier-count-mismatch" in text
-    assert "FAIL" in text
+    text = format_findings(report)
+    assert text.startswith(
+        "repro check: static-barrier-mismatch (teams of 1, 4, 16 threads)")
+    assert "FAIL - 1 finding(s): 1 static-barrier-count-mismatch" in text
+    clean = format_findings(analyze_workload("EP", scale=0.1))
+    assert clean.splitlines()[1] == "OK - no findings"
 
 
 def test_max_findings_cap_counts_dropped(monkeypatch):
@@ -457,3 +463,223 @@ class _FactoryKernel(TeamParallelKernel):
     def team_iteration(self, i: int, thread_id: int,
                        num_threads: int) -> Iterator[Op]:
         yield from self._factory(thread_id, num_threads)
+
+
+# -- Eraser's write-write lockset rule ----------------------------------------
+
+def _races(factory, num_threads: int):
+    return lockset_findings(_team(factory, num_threads))
+
+
+def test_racy_fixture_reports_race_with_address():
+    app = FIXTURES["synthetic-racy"](1.0)
+    shared = app.kernels[0].shared_addr
+    report = analyze_application(lambda: app)
+    [finding] = report.findings
+    assert finding.kind == "static-empty-lockset"
+    assert finding.details["address"] == shared
+    assert finding.details["address_hex"] == f"{shared:#x}"
+    assert f"{shared:#x}" in finding.message
+    assert len(finding.details["threads"]) >= 2
+
+
+def test_ignore_address_ranges_silences_the_race():
+    """docs/check.md's recipe for an intentionally unprotected access:
+    drop the ``static-empty-lockset`` findings on that address."""
+    app = FIXTURES["synthetic-racy"](1.0)
+    shared = app.kernels[0].shared_addr
+    report = analyze_application(lambda: app)
+    assert not report.clean
+    kept = [f for f in report.findings
+            if not (f.kind == "static-empty-lockset"
+                    and f.details["address"] == shared)]
+    assert kept == []
+
+
+def test_static_deadlock_reports_the_race():
+    """Each writer holds two of the three locks, and no lock is common
+    to all of them: the lock-order cycle and the race are both real."""
+    report = analyze_workload("static-deadlock", scale=1.0)
+    assert set(report.counts()) == {"static-lock-order-cycle",
+                                    "static-empty-lockset"}
+    race = next(f for f in report.findings
+                if f.kind == "static-empty-lockset")
+    assert {tuple(locks) for locks in race.details["locksets"].values()} == {
+        (0, 1), (1, 2), (0, 2)}
+
+
+def test_lock_inversion_fixture_reports_cycle_naming_locks():
+    report = analyze_workload("synthetic-lock-inversion", scale=1.0)
+    [finding] = report.findings  # the store holds both locks: no race
+    assert finding.kind == "static-lock-order-cycle"
+    assert finding.details["locks"] == [0, 1]
+
+
+def test_unheld_unlock_fixture_reports_unlock_of_unheld():
+    report = analyze_workload("synthetic-unheld-unlock", scale=1.0)
+    assert set(report.counts()) == {"static-unlock-of-unheld"}
+
+
+def test_a_kind_filter_selects_each_positive_control():
+    """What a caller leaves out is a filter on ``Finding.kind``: the racy
+    fixture has only its race, the inversion only its cycle."""
+    assert [f.kind for f in analyze_workload("synthetic-racy").findings] == [
+        "static-empty-lockset"]
+    assert [f.kind for f in analyze_workload(
+        "synthetic-lock-inversion").findings] == ["static-lock-order-cycle"]
+
+
+def test_locked_synthetic_kernel_checks_clean():
+    app = build_synthetic(cs_fraction=0.2, bus_lines=4, iterations=16)
+    assert analyze_application(lambda: app).clean
+
+
+class _PhasedKernel(TeamParallelKernel):
+    """Each iteration one thread writes the shared line; a barrier
+    separates iterations, so rotating the writer is race-free."""
+
+    name = "phased"
+
+    def __init__(self) -> None:
+        self.shared = AddressSpace().alloc(LINE)
+
+    @property
+    def total_iterations(self) -> int:
+        return 8
+
+    def team_iteration(self, iteration: int, thread_id: int,
+                       num_threads: int) -> Iterator[Op]:
+        yield Compute(30 + 7 * thread_id)
+        if iteration % num_threads == thread_id:
+            yield Store(self.shared)
+        yield BarrierWait(0)
+
+
+def test_barrier_epochs_suppress_phased_writer_rotation():
+    """Plain Eraser would flag write-barrier-write by different threads;
+    the barrier epoch treats each generation as a fresh fence."""
+    report = analyze_application(lambda: Application.single(_PhasedKernel()))
+    assert report.clean
+
+
+def test_read_write_sharing_is_not_reported():
+    """One writer and any number of readers models false sharing on a
+    line-aligned representative address, not a race."""
+    def factory(tid: int, team: int) -> Iterator[Op]:
+        yield Store(0x1000) if tid == 0 else Load(0x1000)
+        yield Store(0x1000) if tid == 0 else Load(0x1000)
+
+    assert _races(factory, 4) == []
+
+
+def test_a_common_lock_protects_and_one_unlocked_store_races():
+    """The lockset intersects over each thread's stores, then over the
+    writers: one store outside the lock empties it."""
+    def locked(tid: int, team: int) -> Iterator[Op]:
+        yield Lock(tid)  # a private lock protects nothing shared
+        yield Lock(7)
+        yield Store(0x2000)
+        yield Unlock(7)
+        yield Unlock(tid)
+
+    assert _races(locked, 3) == []
+
+    def one_slip(tid: int, team: int) -> Iterator[Op]:
+        yield from locked(tid, team)
+        if tid == 2:
+            yield Store(0x2000)
+
+    [finding] = _races(one_slip, 3)
+    assert finding.details["threads"] == [0, 1, 2]
+    assert finding.details["locksets"] == {"0": [0, 7], "1": [1, 7], "2": []}
+
+
+def test_each_address_reports_once_per_team():
+    def factory(tid: int, team: int) -> Iterator[Op]:
+        for _ in range(3):
+            yield Store(0x3000)
+            yield Store(0x3008)  # same line, another byte address
+            yield BarrierWait(0)
+
+    findings = _races(factory, 2)
+    assert [(f.details["address"], f.details["epoch"]) for f in findings] == [
+        (0x3000, 0), (0x3008, 0)]
+
+
+# -- planted discipline states, each reached by a program ---------------------
+
+def _planted_double_acquire(tid: int, team: int) -> Iterator[Op]:
+    yield Lock(3)
+    yield Lock(3)  # not reentrant: self-deadlock
+
+
+def _planted_held_at_exit(tid: int, team: int) -> Iterator[Op]:
+    yield Lock(2 * tid)
+    yield Lock(2 * tid + 1)
+    yield Compute(5)
+
+
+def _planted_counter_in_cs(tid: int, team: int) -> Iterator[Op]:
+    yield Lock(5)
+    yield ReadCounter(CounterKind.CYCLES)
+    yield Unlock(5)
+
+
+def _planted_incomplete_barrier(tid: int, team: int) -> Iterator[Op]:
+    yield Compute(10)
+    if tid == 0:
+        yield BarrierWait(0)  # the rest of the team exits instead
+
+
+def _planted_diverging_barriers(tid: int, team: int) -> Iterator[Op]:
+    yield BarrierWait(tid % 2)  # neither barrier ever fills
+
+
+def _planted_unheld_unlock(tid: int, team: int) -> Iterator[Op]:
+    yield Unlock(1)
+
+
+#: The state a simulated run's lint used to report -> a program that
+#: reaches it, and the kind the checker proves it with.
+PLANTED = {
+    "double-acquire": (_planted_double_acquire, "static-double-acquire"),
+    "held-at-exit": (_planted_held_at_exit, "static-held-at-exit"),
+    "counter-in-critical-section": (_planted_counter_in_cs,
+                                    "static-counter-in-cs"),
+    "incomplete-barrier": (_planted_incomplete_barrier,
+                           "static-barrier-count-mismatch"),
+    "incomplete-barrier-diverging": (_planted_diverging_barriers,
+                                     "static-barrier-sequence-divergence"),
+    "unlock-of-unheld": (_planted_unheld_unlock, "static-unlock-of-unheld"),
+}
+
+
+@pytest.mark.parametrize("state", PLANTED)
+def test_a_planted_discipline_state_is_caught(state: str):
+    factory, kind = PLANTED[state]
+    report = analyze_application(lambda: Application.single(
+        _FactoryKernel(factory), name=state))
+    assert kind in report.counts(), report.counts()
+
+
+# -- the lock-order cycle finder -------------------------------------------------
+
+def test_lock_order_cycles_two_cycle():
+    edges = {(0, 1): "a", (1, 0): "b"}
+    [(component, cycle, witnesses)] = lock_order_cycles(edges)
+    assert component == {0, 1}
+    assert cycle == [0, 1, 0]
+    assert witnesses == [(0, 1), (1, 0)]
+
+
+def test_lock_order_cycles_three_cycle_of_static_deadlock():
+    edges = [(0, 1), (1, 2), (2, 0)]
+    [(component, cycle, witnesses)] = lock_order_cycles(edges)
+    assert component == {0, 1, 2}
+    assert cycle == [0, 1, 2, 0]
+    assert witnesses == edges
+
+
+def test_lock_order_cycles_acyclic_graph_has_none():
+    assert list(lock_order_cycles([(0, 1), (1, 2), (0, 2)])) == []
+    assert list(lock_order_cycles([])) == []

@@ -326,7 +326,7 @@ RULES = (
          (Path("src/repro/sim/bus.py"),), absent(r"_last_end")),
     Rule("sim-layering",
          "the simulated machine knows nothing of what observes or hosts it: "
-         "plug-ins come in through Machine(config, observers=[...])",
+         "a plug-in comes in through Machine(config, observer=...)",
          (Path("src/repro/sim"), Path("src/repro/runtime"),
           Path("src/repro/isa")),
          absent(r"^\s*(from|import) repro\.(check|trace|jobs|serve|obs)")),

@@ -90,8 +90,8 @@ PINS = {
 }
 
 
-def _run(build, config, observers=()) -> dict:
-    with Machine(config, observers) as machine:
+def _run(build, config, observer=None) -> dict:
+    with Machine(config, observer) as machine:
         return app_result_to_dict(run_application(
             build(), FdtPolicy(FdtMode.COMBINED), machine=machine))
 
@@ -101,7 +101,7 @@ def test_sync_event_order_is_pinned(name):
     build, config = RUNS[name]
     count, digest = PINS[name]
     recorder = SyncRecorder()
-    observed = _run(build, config, [recorder])
+    observed = _run(build, config, recorder)
     assert observed == _run(build, config)
     kinds = {hook for hook, _agent, _cycle in recorder.events}
     assert {"read_counter", "lock_acquired", "barrier_release"} <= kinds

@@ -64,8 +64,7 @@ SCALE = 0.1
 def pagemine_traced():
     """One traced FDT run of the CS-limited workload, machine included."""
     recorder = TraceRecorder()
-    machine = Machine(MachineConfig.asplos08_baseline(),
-                      observers=[recorder])
+    machine = Machine(MachineConfig.asplos08_baseline(), observer=recorder)
     result = run_application(get("PageMine").build(SCALE),
                              FdtPolicy(FdtMode.COMBINED), machine=machine)
     return machine, result
