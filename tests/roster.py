@@ -400,6 +400,7 @@ ROSTER: tuple[Row | Serve, ...] = (
     Row("repro check PageMine --scale 0.1"),
     Row("repro check synthetic-racy", code=1),
     Row("repro check synthetic-racy --cores 1", code=1),
+    Row("repro check static-deadlock", code=1),
     *(Row(f"repro check {fixture} --json", code=1) for fixture in (
         "synthetic-racy", "synthetic-lock-inversion",
         "synthetic-unheld-unlock", "static-deadlock",

@@ -1,4 +1,5 @@
-"""Tests for the program checker (repro.check).
+"""Tests for the static analyzer behind the program checker
+(repro.check.static); its verdicts on fixtures are ``test_check.py``.
 
 The seeded-defect fixtures must each be proved broken with their own
 distinct finding code, and every planted discipline state with the kind
@@ -17,7 +18,6 @@ import pytest
 from repro.analysis.report import format_findings
 from repro.check import analyze_application, analyze_workload
 from repro.check import findings as findings_mod
-from repro.check.lockorder import lock_order_cycles
 from repro.check.static import AbstractExecutor
 from repro.check.static import executor as executor_mod
 from repro.check.static.analyzer import resolve
@@ -47,8 +47,7 @@ from repro.isa.ops import (
 )
 from repro.sim.config import MachineConfig
 from repro.workloads import all_specs, get
-from repro.workloads.base import LINE, AddressSpace
-from repro.workloads.synthetic import FIXTURES, build_synthetic
+from repro.workloads.synthetic import FIXTURES
 
 BASE = MachineConfig.asplos08_baseline()
 
@@ -297,8 +296,6 @@ def test_analyzer_resolves_names_through_resolve():
     with pytest.raises(WorkloadError) as excinfo:
         analyze_workload("no-such-workload")
     assert all(name in str(excinfo.value) for name in FIXTURES)
-    assert analyze_workload("synthetic-racy").counts() == {
-        "static-empty-lockset": 1}
 
 
 # -- every buildable workload analyzes clean -------------------------------
@@ -471,107 +468,6 @@ def _races(factory, num_threads: int):
     return lockset_findings(_team(factory, num_threads))
 
 
-def test_racy_fixture_reports_race_with_address():
-    app = FIXTURES["synthetic-racy"](1.0)
-    shared = app.kernels[0].shared_addr
-    report = analyze_application(lambda: app)
-    [finding] = report.findings
-    assert finding.kind == "static-empty-lockset"
-    assert finding.details["address"] == shared
-    assert finding.details["address_hex"] == f"{shared:#x}"
-    assert f"{shared:#x}" in finding.message
-    assert len(finding.details["threads"]) >= 2
-
-
-def test_ignore_address_ranges_silences_the_race():
-    """docs/check.md's recipe for an intentionally unprotected access:
-    drop the ``static-empty-lockset`` findings on that address."""
-    app = FIXTURES["synthetic-racy"](1.0)
-    shared = app.kernels[0].shared_addr
-    report = analyze_application(lambda: app)
-    assert not report.clean
-    kept = [f for f in report.findings
-            if not (f.kind == "static-empty-lockset"
-                    and f.details["address"] == shared)]
-    assert kept == []
-
-
-def test_static_deadlock_reports_the_race():
-    """Each writer holds two of the three locks, and no lock is common
-    to all of them: the lock-order cycle and the race are both real."""
-    report = analyze_workload("static-deadlock", scale=1.0)
-    assert set(report.counts()) == {"static-lock-order-cycle",
-                                    "static-empty-lockset"}
-    race = next(f for f in report.findings
-                if f.kind == "static-empty-lockset")
-    assert {tuple(locks) for locks in race.details["locksets"].values()} == {
-        (0, 1), (1, 2), (0, 2)}
-
-
-def test_lock_inversion_fixture_reports_cycle_naming_locks():
-    report = analyze_workload("synthetic-lock-inversion", scale=1.0)
-    [finding] = report.findings  # the store holds both locks: no race
-    assert finding.kind == "static-lock-order-cycle"
-    assert finding.details["locks"] == [0, 1]
-
-
-def test_unheld_unlock_fixture_reports_unlock_of_unheld():
-    report = analyze_workload("synthetic-unheld-unlock", scale=1.0)
-    assert set(report.counts()) == {"static-unlock-of-unheld"}
-
-
-def test_a_kind_filter_selects_each_positive_control():
-    """What a caller leaves out is a filter on ``Finding.kind``: the racy
-    fixture has only its race, the inversion only its cycle."""
-    assert [f.kind for f in analyze_workload("synthetic-racy").findings] == [
-        "static-empty-lockset"]
-    assert [f.kind for f in analyze_workload(
-        "synthetic-lock-inversion").findings] == ["static-lock-order-cycle"]
-
-
-def test_locked_synthetic_kernel_checks_clean():
-    app = build_synthetic(cs_fraction=0.2, bus_lines=4, iterations=16)
-    assert analyze_application(lambda: app).clean
-
-
-class _PhasedKernel(TeamParallelKernel):
-    """Each iteration one thread writes the shared line; a barrier
-    separates iterations, so rotating the writer is race-free."""
-
-    name = "phased"
-
-    def __init__(self) -> None:
-        self.shared = AddressSpace().alloc(LINE)
-
-    @property
-    def total_iterations(self) -> int:
-        return 8
-
-    def team_iteration(self, iteration: int, thread_id: int,
-                       num_threads: int) -> Iterator[Op]:
-        yield Compute(30 + 7 * thread_id)
-        if iteration % num_threads == thread_id:
-            yield Store(self.shared)
-        yield BarrierWait(0)
-
-
-def test_barrier_epochs_suppress_phased_writer_rotation():
-    """Plain Eraser would flag write-barrier-write by different threads;
-    the barrier epoch treats each generation as a fresh fence."""
-    report = analyze_application(lambda: Application.single(_PhasedKernel()))
-    assert report.clean
-
-
-def test_read_write_sharing_is_not_reported():
-    """One writer and any number of readers models false sharing on a
-    line-aligned representative address, not a race."""
-    def factory(tid: int, team: int) -> Iterator[Op]:
-        yield Store(0x1000) if tid == 0 else Load(0x1000)
-        yield Store(0x1000) if tid == 0 else Load(0x1000)
-
-    assert _races(factory, 4) == []
-
-
 def test_a_common_lock_protects_and_one_unlocked_store_races():
     """The lockset intersects over each thread's stores, then over the
     writers: one store outside the lock empties it."""
@@ -660,26 +556,3 @@ def test_a_planted_discipline_state_is_caught(state: str):
     report = analyze_application(lambda: Application.single(
         _FactoryKernel(factory), name=state))
     assert kind in report.counts(), report.counts()
-
-
-# -- the lock-order cycle finder -------------------------------------------------
-
-def test_lock_order_cycles_two_cycle():
-    edges = {(0, 1): "a", (1, 0): "b"}
-    [(component, cycle, witnesses)] = lock_order_cycles(edges)
-    assert component == {0, 1}
-    assert cycle == [0, 1, 0]
-    assert witnesses == [(0, 1), (1, 0)]
-
-
-def test_lock_order_cycles_three_cycle_of_static_deadlock():
-    edges = [(0, 1), (1, 2), (2, 0)]
-    [(component, cycle, witnesses)] = lock_order_cycles(edges)
-    assert component == {0, 1, 2}
-    assert cycle == [0, 1, 2, 0]
-    assert witnesses == edges
-
-
-def test_lock_order_cycles_acyclic_graph_has_none():
-    assert list(lock_order_cycles([(0, 1), (1, 2), (0, 2)])) == []
-    assert list(lock_order_cycles([])) == []
